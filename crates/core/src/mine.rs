@@ -6,10 +6,8 @@ use crate::frequent::{find_frequent_items, QuantFrequentItemsets};
 use crate::pool::WorkerPool;
 use crate::supercand::{
     count_candidates_opts, count_pairs_opts, PassStats, ScanCancelled, ScanOptions,
+    PAIR_CELL_BUDGET,
 };
-
-/// Cell budget for the implicit pass-2 arrays (64 MB of u64 cells).
-const PAIR_CELL_BUDGET: usize = 8 << 20;
 use qar_itemset::{CounterKind, Itemset};
 use qar_table::{AttributeKind, EncodedTable};
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};

@@ -36,7 +36,7 @@ use crate::interest::{annotate_interest, ItemSupports};
 use crate::mine::{pass_finished_event, MineStats, RunCtx};
 use crate::pipeline::{MiningOutput, MiningStats};
 use crate::rules::generate_rules;
-use crate::supercand::{count_candidates_opts, PassStats, ScanOptions};
+use crate::supercand::{count_candidates_opts, PairPlan, PassStats, ScanOptions, PAIR_CELL_BUDGET};
 use qar_itemset::Itemset;
 use qar_table::{AttributeKind, ChunkStore, EncodedTable};
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
@@ -98,12 +98,15 @@ pub trait CountSource {
 
 /// Mine all frequent itemsets using `source` for every counting scan.
 ///
-/// Mirrors [`crate::mine::mine_encoded_ctx`] event-for-event and
-/// stat-for-stat, with one structural difference: pass 2 counts an
-/// explicit candidate list (the cross product of frequent items over
-/// distinct attribute pairs — the same set the serial implicit pair pass
-/// counts, so `candidates_per_pass` agrees) because implicit pair
-/// counting cannot be delegated through the count-vector interface.
+/// Mirrors [`crate::mine::mine_encoded_ctx`] event-for-event, with one
+/// structural difference: pass 2 hands the source an explicit candidate
+/// list (the cross product of frequent items over distinct attribute
+/// pairs — the same set the serial implicit pair pass counts, so
+/// `candidates_per_pass` agrees). The sources of this crate and
+/// `qar-dist` answer such an all-2-itemset list from
+/// [`crate::supercand::PairHistograms`], so no path walks `C_2`
+/// candidate by candidate. A pass's [`PassStats`] carry only
+/// `scan_time`, the wall time of the source's `count` call.
 ///
 /// Also returns the merged pass-1 value counts (the driver reuses them
 /// for [`ItemSupports`] instead of re-scanning).
@@ -234,10 +237,16 @@ pub(crate) fn mine_with_source_ctx(
             pass: k,
             candidates: candidates.len(),
         });
+        let count_started = Instant::now();
         let counts = match source.count(k, &candidates) {
             Ok(c) => c,
             Err(CountError::Cancelled) => return Err(ctx.cancelled(k, stats)),
             Err(CountError::Failed(e)) => return Err(e),
+        };
+        // The source's internals are opaque here: its wall time is the scan.
+        let pass = PassStats {
+            scan_time: count_started.elapsed(),
+            ..PassStats::default()
         };
         if counts.len() != candidates.len() {
             return Err(MinerError::Distributed(format!(
@@ -251,7 +260,6 @@ pub(crate) fn mine_with_source_ctx(
             .zip(counts)
             .filter(|(_, c)| *c >= min_count)
             .collect();
-        let pass = PassStats::default();
         ctx.emit(|| pass_finished_event(k, stats.candidates_per_pass[k - 2], level.len(), &pass));
         stats.pass_stats.push(pass);
         if level.is_empty() {
@@ -565,9 +573,73 @@ impl CountSource for InMemorySource<'_> {
     }
 
     fn count(&mut self, _pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
-        let (counts, _) = count_candidates_opts(self.table, candidates, None, self.opts())?;
-        Ok(counts)
+        let table = self.table;
+        count_blocks(table, candidates, PAIR_CELL_BUDGET, self.opts(), &mut |f| {
+            f(table)
+        })
     }
+}
+
+/// Hands each row block of a table to the callback in turn.
+type BlockVisitor<'v> = dyn FnMut(&mut dyn FnMut(&EncodedTable) -> Result<(), CountError>) -> Result<(), CountError>
+    + 'v;
+
+/// Count `candidates` over a table that `visit` presents as row blocks
+/// (one whole table, or spilled chunks one at a time), summing the
+/// blocks' raw tallies. A list made only of 2-itemsets — pass 2 — is
+/// counted through [`PairHistograms`]: the blocks are scanned into one
+/// set of histograms and every candidate is a rectangle sum. Candidates
+/// on a pair over `cell_budget` cells, and every longer candidate list,
+/// go through [`count_candidates_opts`] block by block.
+pub(crate) fn count_blocks(
+    meta: &EncodedTable,
+    candidates: &[Itemset],
+    cell_budget: usize,
+    opts: ScanOptions<'_>,
+    visit: &mut BlockVisitor<'_>,
+) -> Result<Vec<u64>, CountError> {
+    let Some(plan) = PairPlan::new(meta, candidates, cell_budget) else {
+        return count_each_block(candidates, opts, visit);
+    };
+    let mut counts = vec![0u64; candidates.len()];
+    for group in plan.groups(cell_budget) {
+        let mut hist = plan.histograms(meta, group.clone());
+        visit(&mut |block| {
+            hist.scan(block, opts)?;
+            Ok(())
+        })?;
+        hist.build_prefix_sums();
+        plan.answer(candidates, &group, &hist, &mut counts);
+    }
+    if !plan.explicit().is_empty() {
+        let subset: Vec<Itemset> = plan
+            .explicit()
+            .iter()
+            .map(|&i| candidates[i].clone())
+            .collect();
+        let sums = count_each_block(&subset, opts, visit)?;
+        for (&i, sum) in plan.explicit().iter().zip(sums) {
+            counts[i] = sum;
+        }
+    }
+    Ok(counts)
+}
+
+/// [`count_candidates_opts`] on every block, tallies summed.
+fn count_each_block(
+    candidates: &[Itemset],
+    opts: ScanOptions<'_>,
+    visit: &mut BlockVisitor<'_>,
+) -> Result<Vec<u64>, CountError> {
+    let mut sums = vec![0u64; candidates.len()];
+    visit(&mut |block| {
+        let (add, _) = count_candidates_opts(block, candidates, None, opts)?;
+        for (a, b) in sums.iter_mut().zip(add) {
+            *a += b;
+        }
+        Ok(())
+    })?;
+    Ok(sums)
 }
 
 /// A [`CountSource`] over a spilled [`ChunkStore`]: every counting pass
@@ -646,15 +718,19 @@ impl CountSource for ChunkedSource<'_> {
     }
 
     fn count(&mut self, _pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
-        let mut merged = vec![0u64; candidates.len()];
-        for i in 0..self.store.num_chunks() {
-            let chunk = self.store.chunk(i)?;
-            let (counts, _) = count_candidates_opts(&chunk, candidates, None, self.opts())?;
-            for (a, b) in merged.iter_mut().zip(counts) {
-                *a += b;
-            }
-        }
-        Ok(merged)
+        let store = self.store;
+        count_blocks(
+            &self.meta,
+            candidates,
+            PAIR_CELL_BUDGET,
+            self.opts(),
+            &mut |f| {
+                for i in 0..store.num_chunks() {
+                    f(&store.chunk(i)?)?;
+                }
+                Ok(())
+            },
+        )
     }
 }
 

@@ -75,10 +75,22 @@
 //! `bitmask_scan_equals_direct_and_naive` proptest, and the fuzz
 //! oracle's `kernel` kind); the knob is pure performance, never
 //! semantics.
+//!
+//! # Pass 2: pair histograms
+//!
+//! Every member of `C_2` over an attribute pair shares one super-candidate,
+//! so pass 2 needs no hash tree and no rectangle list: [`PairHistograms`]
+//! keeps one dense `card(a) × card(b)` array of raw cells per pair, scans
+//! rows into it, merges partitions by addition, prefix-sums once and
+//! answers any item pair as a rectangle sum. [`count_pairs_opts`] (the
+//! [`crate::Miner`] path) enumerates frequent pairs straight from it;
+//! [`PairPlan`] maps an explicit 2-itemset list (what a
+//! [`crate::CountSource`] receives) onto the same histograms. Pairs over
+//! [`PAIR_CELL_BUDGET`] cells keep the explicit path.
 
 use crate::config::ScanKernel;
 use crate::pool::WorkerPool;
-use qar_itemset::{CounterKind, HashTree, Itemset, RectCounter, VisitScratch};
+use qar_itemset::{CounterKind, HashTree, Item, Itemset, RectCounter, VisitScratch};
 use qar_table::{AttributeId, AttributeKind, EncodedTable};
 use qar_trace::CancelToken;
 use std::collections::{BTreeMap, HashMap};
@@ -1067,25 +1079,369 @@ pub fn count_candidates_opts(
     Ok((counts, stats))
 }
 
+/// Cell budget of the pass-2 pair histograms (64 MB of `u64` cells). An
+/// attribute pair whose full code domain exceeds it is counted explicitly
+/// instead, and the pairs one table scan counts together stay under it.
+pub const PAIR_CELL_BUDGET: usize = 8 << 20;
+
+/// Cells of the 2-D histogram over attribute pair `(a, b)` of `meta`
+/// (saturating, so absurd domains compare as over any budget).
+fn pair_cells(meta: &EncodedTable, a: u32, b: u32) -> usize {
+    (meta.cardinality(AttributeId(a as usize)) as usize)
+        .saturating_mul(meta.cardinality(AttributeId(b as usize)) as usize)
+}
+
+/// Split consecutive pairs into groups whose summed cells stay within
+/// `max_cells` — one table scan (or one wire frame) per group. A group
+/// always holds at least one pair.
+fn cell_groups(cells: &[usize], max_cells: usize) -> Vec<Range<usize>> {
+    let mut groups = Vec::new();
+    let mut start = 0;
+    while start < cells.len() {
+        let mut end = start + 1;
+        let mut total = cells[start];
+        while end < cells.len() && total.saturating_add(cells[end]) <= max_cells {
+            total += cells[end];
+            end += 1;
+        }
+        groups.push(start..end);
+        start = end;
+    }
+    groups
+}
+
+/// Mergeable 2-D histograms over attribute pairs: pass 2's n-dimensional
+/// arrays (Section 5.2). Every member of `C_2` over an attribute pair
+/// `(a, b)` shares one array of `card(a) × card(b)` raw `u64` cells; one
+/// scan increments the cell of each row's `(code_a, code_b)` point, and
+/// after one prefix-sum pass every item pair's support is a constant-time
+/// [`PairHistograms::rect_sum`].
+///
+/// Raw cells are sums over rows, so histograms of disjoint row partitions
+/// [`merge`](PairHistograms::merge) by element-wise addition into exactly
+/// the whole-table histograms — the property that lets shards, spilled
+/// chunks and remote workers each count their rows and ship cells rather
+/// than candidate lists.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PairHistograms {
+    pairs: Vec<(u32, u32)>,
+    /// Per pair, the code-domain size of its second attribute: the row
+    /// stride of the pair's row-major `(code_a, code_b)` array.
+    strides: Vec<usize>,
+    /// `offsets[p]..offsets[p + 1]` are pair `p`'s cells.
+    offsets: Vec<usize>,
+    cells: Vec<u64>,
+    prefixed: bool,
+}
+
+impl PairHistograms {
+    /// Zeroed histograms for `pairs` over the code domains of `meta` (a
+    /// decode-only header is enough).
+    pub fn new(meta: &EncodedTable, pairs: Vec<(u32, u32)>) -> Self {
+        let mut offsets = Vec::with_capacity(pairs.len() + 1);
+        let mut total = 0usize;
+        offsets.push(0);
+        for &(a, b) in &pairs {
+            total += pair_cells(meta, a, b);
+            offsets.push(total);
+        }
+        let strides = pairs
+            .iter()
+            .map(|&(_, b)| meta.cardinality(AttributeId(b as usize)) as usize)
+            .collect();
+        PairHistograms {
+            pairs,
+            strides,
+            offsets,
+            cells: vec![0; total],
+            prefixed: false,
+        }
+    }
+
+    /// The attribute pairs, in cell order.
+    pub fn pairs(&self) -> &[(u32, u32)] {
+        &self.pairs
+    }
+
+    /// All cells, pair after pair, each pair's array row-major.
+    pub fn cells(&self) -> &[u64] {
+        &self.cells
+    }
+
+    /// Consume into the raw cells (what a worker ships).
+    pub fn into_cells(self) -> Vec<u64> {
+        self.cells
+    }
+
+    /// Count rows `rows` of `table` into `cells` (shaped like `self`).
+    /// Pair-major within each [`CANCEL_CHECK_INTERVAL`]-row block, so the
+    /// block's two columns stay in cache while one array is updated.
+    /// Returns true when `cancel` fired.
+    fn scan_rows(
+        &self,
+        table: &EncodedTable,
+        cells: &mut [u64],
+        rows: Range<usize>,
+        cancel: Option<&CancelToken>,
+    ) -> bool {
+        let cols: Vec<(&[u32], &[u32])> = self
+            .pairs
+            .iter()
+            .map(|&(a, b)| {
+                (
+                    table.codes(AttributeId(a as usize)),
+                    table.codes(AttributeId(b as usize)),
+                )
+            })
+            .collect();
+        let mut block_start = rows.start;
+        while block_start < rows.end {
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                return true;
+            }
+            let block = block_start..rows.end.min(block_start + CANCEL_CHECK_INTERVAL);
+            for (p, &(col_a, col_b)) in cols.iter().enumerate() {
+                let stride = self.strides[p];
+                let hist = &mut cells[self.offsets[p]..self.offsets[p + 1]];
+                for (&x, &y) in col_a[block.clone()].iter().zip(&col_b[block.clone()]) {
+                    hist[x as usize * stride + y as usize] += 1;
+                }
+            }
+            block_start = block.end;
+        }
+        false
+    }
+
+    /// Add every row of `table` (a whole table, a spilled chunk or a row
+    /// block encoded like the histograms' header) to the raw cells,
+    /// scanning up to `opts.num_threads` row shards whose private arrays
+    /// are summed in shard order. A cancelled scan returns
+    /// [`ScanCancelled`] and leaves the cells partial — discard them.
+    pub fn scan(
+        &mut self,
+        table: &EncodedTable,
+        opts: ScanOptions<'_>,
+    ) -> Result<PassStats, ScanCancelled> {
+        assert!(!self.prefixed, "cannot scan into prefix sums");
+        let bounds = shard_bounds(table.num_rows(), opts.num_threads);
+        let mut stats = PassStats {
+            counter_bytes: self
+                .cells
+                .len()
+                .saturating_mul(std::mem::size_of::<u64>())
+                .saturating_mul(bounds.len()),
+            pooled: bounds.len() > 1,
+            kernel: ScanKernel::Direct.name().to_string(),
+            ..PassStats::default()
+        };
+        let started = Instant::now();
+        if bounds.len() <= 1 {
+            let mut cells = std::mem::take(&mut self.cells);
+            let cancelled = self.scan_rows(table, &mut cells, 0..table.num_rows(), opts.cancel);
+            self.cells = cells;
+            if cancelled {
+                return Err(ScanCancelled);
+            }
+            stats.shard_scan_times = vec![started.elapsed()];
+        } else {
+            let this = &*self;
+            let tasks: Vec<_> = bounds
+                .into_iter()
+                .map(|range| {
+                    move || {
+                        let t0 = Instant::now();
+                        let mut cells = vec![0u64; this.cells.len()];
+                        let cancelled = this.scan_rows(table, &mut cells, range, opts.cancel);
+                        (cells, t0.elapsed(), cancelled)
+                    }
+                })
+                .collect();
+            let shards: Vec<(Vec<u64>, Duration, bool)> = run_sharded(opts.pool, tasks);
+            if shards.iter().any(|(_, _, cancelled)| *cancelled) {
+                return Err(ScanCancelled);
+            }
+            let merge_started = Instant::now();
+            for (cells, t, _) in shards {
+                self.merge_cells(&cells);
+                stats.shard_scan_times.push(t);
+            }
+            stats.merge_time = merge_started.elapsed();
+        }
+        stats.scan_time = started.elapsed();
+        Ok(stats)
+    }
+
+    /// Add another partition's histograms over the same pairs.
+    pub fn merge(&mut self, other: &PairHistograms) {
+        assert_eq!(self.pairs, other.pairs, "cannot merge different pairs");
+        assert!(!other.prefixed, "cannot merge prefix sums");
+        self.merge_cells(&other.cells);
+    }
+
+    /// Add raw cells shaped like [`PairHistograms::cells`] — another
+    /// partition's tallies, e.g. as a worker shipped them.
+    pub fn merge_cells(&mut self, cells: &[u64]) {
+        assert!(!self.prefixed, "cannot merge into prefix sums");
+        assert_eq!(self.cells.len(), cells.len(), "cell counts differ");
+        for (a, b) in self.cells.iter_mut().zip(cells) {
+            *a += b;
+        }
+    }
+
+    /// Turn every pair's cells into inclusive 2-D prefix sums, in one
+    /// pass over the cells. After this the histograms answer
+    /// [`PairHistograms::rect_sum`] and take no more rows.
+    pub fn build_prefix_sums(&mut self) {
+        assert!(!self.prefixed, "prefix sums already built");
+        for (p, &stride) in self.strides.iter().enumerate() {
+            let hist = &mut self.cells[self.offsets[p]..self.offsets[p + 1]];
+            if stride == 0 {
+                continue;
+            }
+            for row in 0..hist.len() / stride {
+                let mut running = 0u64;
+                for col in 0..stride {
+                    let i = row * stride + col;
+                    running += hist[i];
+                    hist[i] = running + if row > 0 { hist[i - stride] } else { 0 };
+                }
+            }
+        }
+        self.prefixed = true;
+    }
+
+    /// Rows whose pair-`pair` codes lie in `a`'s range and in `b`'s range
+    /// (`a` on the pair's first attribute, `b` on its second).
+    pub fn rect_sum(&self, pair: usize, a: Item, b: Item) -> u64 {
+        assert!(self.prefixed, "call build_prefix_sums first");
+        let stride = self.strides[pair];
+        let hist = &self.cells[self.offsets[pair]..self.offsets[pair + 1]];
+        let at = |row: u32, col: u32| hist[row as usize * stride + col as usize];
+        // Inclusion–exclusion, corner added first so no step underflows.
+        let mut total = at(a.hi, b.hi);
+        if a.lo > 0 && b.lo > 0 {
+            total += at(a.lo - 1, b.lo - 1);
+        }
+        if a.lo > 0 {
+            total -= at(a.lo - 1, b.hi);
+        }
+        if b.lo > 0 {
+            total -= at(a.hi, b.lo - 1);
+        }
+        total
+    }
+}
+
+/// How an explicit candidate list made only of 2-itemsets — pass 2 as a
+/// [`crate::CountSource`] sees it — is answered from [`PairHistograms`]:
+/// the distinct attribute pairs to histogram, which pair each candidate
+/// reads, and which candidates sit on a pair over the cell budget and so
+/// keep the explicit counting path.
+#[derive(Debug, Clone)]
+pub struct PairPlan {
+    pairs: Vec<(u32, u32)>,
+    cells: Vec<usize>,
+    /// Per candidate, its index into `pairs` (`None`: counted explicitly).
+    slots: Vec<Option<usize>>,
+    explicit: Vec<usize>,
+}
+
+impl PairPlan {
+    /// Plan `candidates` over `meta`'s code domains, histogramming every
+    /// pair of at most `cell_budget` cells. `None` unless every candidate
+    /// is a 2-itemset whose ranges lie inside their code domains.
+    pub fn new(meta: &EncodedTable, candidates: &[Itemset], cell_budget: usize) -> Option<Self> {
+        let num_attrs = meta.schema().len();
+        let mut index: HashMap<(u32, u32), Option<usize>> = HashMap::new();
+        let mut plan = PairPlan {
+            pairs: Vec::new(),
+            cells: Vec::new(),
+            slots: Vec::with_capacity(candidates.len()),
+            explicit: Vec::new(),
+        };
+        for (i, cand) in candidates.iter().enumerate() {
+            let [a, b] = cand.items() else {
+                return None;
+            };
+            let in_domain = |item: &Item| {
+                (item.attr as usize) < num_attrs
+                    && item.lo <= item.hi
+                    && item.hi < meta.cardinality(AttributeId(item.attr as usize))
+            };
+            if !in_domain(a) || !in_domain(b) {
+                return None;
+            }
+            let slot = *index.entry((a.attr, b.attr)).or_insert_with(|| {
+                let cells = pair_cells(meta, a.attr, b.attr);
+                (cells <= cell_budget).then(|| {
+                    plan.pairs.push((a.attr, b.attr));
+                    plan.cells.push(cells);
+                    plan.pairs.len() - 1
+                })
+            });
+            if slot.is_none() {
+                plan.explicit.push(i);
+            }
+            plan.slots.push(slot);
+        }
+        Some(plan)
+    }
+
+    /// Ranges of pair indices whose histograms together hold at most
+    /// `max_cells` cells (a single pair may exceed it only when it is
+    /// alone in its group).
+    pub fn groups(&self, max_cells: usize) -> Vec<Range<usize>> {
+        cell_groups(&self.cells, max_cells)
+    }
+
+    /// Zeroed histograms for the pairs of `group`.
+    pub fn histograms(&self, meta: &EncodedTable, group: Range<usize>) -> PairHistograms {
+        PairHistograms::new(meta, self.pairs[group].to_vec())
+    }
+
+    /// Write the count of every candidate on `group`'s pairs into
+    /// `counts`, read from `hist` — that group's histograms, prefix-summed.
+    pub fn answer(
+        &self,
+        candidates: &[Itemset],
+        group: &Range<usize>,
+        hist: &PairHistograms,
+        counts: &mut [u64],
+    ) {
+        for ((cand, slot), count) in candidates.iter().zip(&self.slots).zip(counts) {
+            if let Some(p) = slot.filter(|p| group.contains(p)) {
+                let items = cand.items();
+                *count = hist.rect_sum(p - group.start, items[0], items[1]);
+            }
+        }
+    }
+
+    /// Indices of the candidates on over-budget pairs, which keep the
+    /// explicit counting path.
+    pub fn explicit(&self) -> &[usize] {
+        &self.explicit
+    }
+}
+
 /// Implicit second pass: `C_2` is the cross product of frequent items over
 /// distinct attribute pairs, which can run into the millions at low
 /// partial-completeness levels (the paper's "ExecTime" blow-up). Rather
-/// than materializing every pair, each attribute pair gets one dense 2-D
-/// count array (its super-candidate — all `C_2` members over an attribute
-/// pair share it by definition); after one pass and prefix summation,
-/// every item pair's support is a constant-time rectangle sum and only the
-/// frequent pairs are materialized as itemsets.
+/// than materializing every pair, each attribute pair gets one
+/// [`PairHistograms`] array (its super-candidate — all `C_2` members over
+/// an attribute pair share it by definition); after one pass and prefix
+/// summation, every item pair's support is a constant-time rectangle sum
+/// and only the frequent pairs are materialized as itemsets.
 ///
 /// Pairs whose full code domain exceeds `cell_budget` cells fall back to
 /// explicit enumeration with the R*-tree backend.
 ///
 /// Like [`count_candidates_sharded`], the record scans split into up to
-/// `num_threads` contiguous row shards whose 2-D arrays are summed
-/// cell-wise before the prefix-sum readout; output is independent of the
-/// thread count.
+/// `num_threads` contiguous row shards whose arrays are summed cell-wise
+/// before the prefix-sum readout; output is independent of the thread
+/// count.
 pub fn count_pairs_implicit(
     table: &EncodedTable,
-    items_by_attr: &BTreeMap<u32, Vec<(qar_itemset::Item, u64)>>,
+    items_by_attr: &BTreeMap<u32, Vec<(Item, u64)>>,
     min_count: u64,
     cell_budget: usize,
     num_threads: usize,
@@ -1102,45 +1458,18 @@ pub fn count_pairs_implicit(
     }
 }
 
-/// [`count_pairs_implicit`] with a cooperative [`CancelToken`], checked
-/// every `CANCEL_CHECK_INTERVAL` records inside each shard's scan and
-/// between chunks/fallback groups.
-pub fn count_pairs_cancellable(
-    table: &EncodedTable,
-    items_by_attr: &BTreeMap<u32, Vec<(qar_itemset::Item, u64)>>,
-    min_count: u64,
-    cell_budget: usize,
-    num_threads: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<(Vec<(Itemset, u64)>, PassStats), ScanCancelled> {
-    count_pairs_opts(
-        table,
-        items_by_attr,
-        min_count,
-        cell_budget,
-        ScanOptions {
-            cancel,
-            ..ScanOptions::new(num_threads)
-        },
-    )
-}
-
-/// The fully parameterized implicit pair pass behind the `count_pairs*`
-/// entry points. The dense 2-D array scan has no hash-tree walk, so
+/// The fully parameterized implicit pair pass behind
+/// [`count_pairs_implicit`]. The histogram scan has no hash-tree walk, so
 /// [`ScanOptions::kernel`] only reaches the explicit R*-tree fallback
-/// groups (the array scan itself reports as the `"direct"` kernel);
+/// groups (the histogram scan itself reports as the `"direct"` kernel);
 /// shard tasks run on the pool like the generic scan.
 pub fn count_pairs_opts(
     table: &EncodedTable,
-    items_by_attr: &BTreeMap<u32, Vec<(qar_itemset::Item, u64)>>,
+    items_by_attr: &BTreeMap<u32, Vec<(Item, u64)>>,
     min_count: u64,
     cell_budget: usize,
     opts: ScanOptions<'_>,
 ) -> Result<(Vec<(Itemset, u64)>, PassStats), ScanCancelled> {
-    use qar_itemset::MultiDimCounter;
-    let num_threads = opts.num_threads;
-    let cancel = opts.cancel;
-
     let attrs: Vec<u32> = items_by_attr
         .iter()
         .filter(|(_, v)| !v.is_empty())
@@ -1149,16 +1478,17 @@ pub fn count_pairs_opts(
     let mut stats = PassStats::default();
     let mut frequent: Vec<(Itemset, u64)> = Vec::new();
 
-    // Split attribute pairs into array-countable and fallback sets.
-    let mut array_pairs: Vec<(u32, u32, usize)> = Vec::new();
+    // Split attribute pairs into histogram and fallback sets.
+    let mut array_pairs: Vec<(u32, u32)> = Vec::new();
+    let mut array_cells: Vec<usize> = Vec::new();
     let mut fallback_pairs: Vec<(u32, u32)> = Vec::new();
     for i in 0..attrs.len() {
         for j in (i + 1)..attrs.len() {
             let (a, b) = (attrs[i], attrs[j]);
-            let cells = table.cardinality(AttributeId(a as usize)) as usize
-                * table.cardinality(AttributeId(b as usize)) as usize;
+            let cells = pair_cells(table, a, b);
             if cells <= cell_budget {
-                array_pairs.push((a, b, cells));
+                array_pairs.push((a, b));
+                array_cells.push(cells);
             } else {
                 fallback_pairs.push((a, b));
             }
@@ -1167,131 +1497,22 @@ pub fn count_pairs_opts(
     stats.super_candidates = array_pairs.len() + fallback_pairs.len();
     stats.array_backed = array_pairs.len();
     stats.rtree_backed = fallback_pairs.len();
-    if !array_pairs.is_empty() {
-        // The dense 2-D scan is a plain per-row increment: no memo cache,
-        // no bitmask — report it as the direct kernel (fallback groups
-        // fold their own kernel in via `absorb_scan`).
-        stats.kernel = ScanKernel::Direct.name().to_string();
-    }
 
-    // Process array pairs in chunks bounded by the cell budget, one table
-    // pass per chunk.
-    let num_rows = table.num_rows();
-    let mut start = 0;
-    while start < array_pairs.len() {
-        let mut end = start;
-        let mut cells = 0usize;
-        while end < array_pairs.len() && (end == start || cells + array_pairs[end].2 <= cell_budget)
-        {
-            cells += array_pairs[end].2;
-            end += 1;
-        }
-        let chunk = &array_pairs[start..end];
-        let make_counters = || -> Vec<MultiDimCounter> {
-            chunk
-                .iter()
-                .map(|&(a, b, _)| {
-                    MultiDimCounter::new(
-                        &[
-                            table.cardinality(AttributeId(a as usize)),
-                            table.cardinality(AttributeId(b as usize)),
-                        ],
-                        usize::MAX,
-                    )
-                })
-                .collect()
-        };
-        // Returns true when the scan stopped early on a fired token. Like
-        // `scan_shard`, column slices are hoisted and the token is checked
-        // per block of rows *this shard* scanned.
-        let scan_rows = |counters: &mut [MultiDimCounter], rows: Range<usize>| -> bool {
-            let cols: Vec<(&[u32], &[u32])> = chunk
-                .iter()
-                .map(|&(a, b, _)| {
-                    (
-                        table.codes(AttributeId(a as usize)),
-                        table.codes(AttributeId(b as usize)),
-                    )
-                })
-                .collect();
-            let mut block_start = rows.start;
-            while block_start < rows.end {
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    return true;
-                }
-                let block_end = rows.end.min(block_start + CANCEL_CHECK_INTERVAL);
-                for row in block_start..block_end {
-                    for (ci, &(col_a, col_b)) in cols.iter().enumerate() {
-                        counters[ci].increment(&[col_a[row], col_b[row]]);
-                    }
-                }
-                block_start = block_end;
-            }
-            false
-        };
-
-        let bounds = shard_bounds(num_rows, num_threads);
-        stats.counter_bytes = stats.counter_bytes.max(
-            cells
-                .saturating_mul(std::mem::size_of::<u64>())
-                .saturating_mul(bounds.len()),
-        );
-        let scan_started = Instant::now();
-        let (mut counters, shard_times) = if bounds.len() <= 1 {
-            let range = bounds.into_iter().next().unwrap_or(0..0);
-            let mut counters = make_counters();
-            let t0 = Instant::now();
-            if scan_rows(&mut counters, range) {
-                return Err(ScanCancelled);
-            }
-            (counters, vec![t0.elapsed()])
-        } else {
-            stats.pooled = true;
-            let tasks: Vec<_> = bounds
-                .into_iter()
-                .map(|range| {
-                    let make_counters = &make_counters;
-                    let scan_rows = &scan_rows;
-                    move || {
-                        let mut counters = make_counters();
-                        let t0 = Instant::now();
-                        let cancelled = scan_rows(&mut counters, range);
-                        (counters, t0.elapsed(), cancelled)
-                    }
-                })
-                .collect();
-            let shards: Vec<(Vec<MultiDimCounter>, Duration, bool)> = run_sharded(opts.pool, tasks);
-            if shards.iter().any(|(_, _, cancelled)| *cancelled) {
-                return Err(ScanCancelled);
-            }
-            let mut shards = shards.into_iter();
-            let (mut merged, t, _) = shards.next().expect("at least one shard");
-            let mut times = vec![t];
-            let merge_started = Instant::now();
-            for (shard_counters, t, _) in shards {
-                for (into, from) in merged.iter_mut().zip(&shard_counters) {
-                    into.merge_from(from);
-                }
-                times.push(t);
-            }
-            stats.merge_time += merge_started.elapsed();
-            (merged, times)
-        };
-        stats.scan_time += scan_started.elapsed();
-        add_shard_times(&mut stats.shard_scan_times, &shard_times);
-
-        for (ci, &(a, b, _)) in chunk.iter().enumerate() {
-            counters[ci].build_prefix_sums();
+    // One table pass per group of pairs within the cell budget.
+    for group in cell_groups(&array_cells, cell_budget) {
+        let mut hist = PairHistograms::new(table, array_pairs[group].to_vec());
+        stats.absorb_scan(&hist.scan(table, opts)?);
+        hist.build_prefix_sums();
+        for (p, &(a, b)) in hist.pairs().iter().enumerate() {
             for &(ia, _) in &items_by_attr[&a] {
                 for &(ib, _) in &items_by_attr[&b] {
-                    let count = counters[ci].rect_sum(&[ia.lo, ib.lo], &[ia.hi, ib.hi]);
+                    let count = hist.rect_sum(p, ia, ib);
                     if count >= min_count {
                         frequent.push((Itemset::new(vec![ia, ib]), count));
                     }
                 }
             }
         }
-        start = end;
     }
 
     // Fallback pairs: explicit cross product through the generic counter
@@ -1896,6 +2117,226 @@ mod tests {
         // The pool survives for another scan (persistent across passes).
         let (again, _) = count_candidates_opts(&enc, &cands, None, opts_own).unwrap();
         assert_eq!(again, with_own);
+    }
+
+    /// A table of the given code columns: quantitative attributes over
+    /// `0..card` values, categorical ones over `card` sorted labels.
+    fn coded_table(attrs: &[(bool, u32)], columns: Vec<Vec<u32>>, rows: usize) -> EncodedTable {
+        let mut builder = Schema::builder();
+        let mut encoders = Vec::new();
+        for (i, &(quant, card)) in attrs.iter().enumerate() {
+            if quant {
+                builder = builder.quantitative(format!("q{i}"));
+                let values: Vec<f64> = (0..card).map(f64::from).collect();
+                encoders.push(qar_table::AttributeEncoder::quant_values_from(
+                    &values, true,
+                ));
+            } else {
+                builder = builder.categorical(format!("c{i}"));
+                encoders.push(qar_table::AttributeEncoder::Categorical {
+                    labels: (0..card).map(|c| format!("v{c:03}")).collect(),
+                });
+            }
+        }
+        EncodedTable::from_parts(builder.build().unwrap(), encoders, columns, rows)
+    }
+
+    /// Rows `rows` of `table` as a table of their own.
+    fn slice_rows(table: &EncodedTable, rows: Range<usize>) -> EncodedTable {
+        let columns = table
+            .schema()
+            .iter()
+            .map(|(id, _)| table.codes(id)[rows.clone()].to_vec())
+            .collect();
+        EncodedTable::from_parts(
+            table.schema().clone(),
+            table.encoders().to_vec(),
+            columns,
+            rows.len(),
+        )
+    }
+
+    #[test]
+    fn pair_histograms_answer_every_rectangle() {
+        // age (3 codes) × cars (3 codes) over the five people rows.
+        let enc = people();
+        let mut hist = PairHistograms::new(&enc, vec![(0, 2), (1, 2)]);
+        hist.scan(&enc, ScanOptions::new(1)).unwrap();
+        assert_eq!(hist.cells().len(), 5 * 3 + 2 * 3);
+        assert_eq!(
+            hist.cells().iter().sum::<u64>(),
+            10,
+            "each row once per pair"
+        );
+        let raw = hist.clone();
+        hist.build_prefix_sums();
+        for (p, &(a, b)) in raw.pairs().iter().enumerate() {
+            let (ca, cb) = (
+                enc.cardinality(AttributeId(a as usize)),
+                enc.cardinality(AttributeId(b as usize)),
+            );
+            for (alo, ahi) in (0..ca).flat_map(|lo| (lo..ca).map(move |hi| (lo, hi))) {
+                for (blo, bhi) in (0..cb).flat_map(|lo| (lo..cb).map(move |hi| (lo, hi))) {
+                    let cand =
+                        Itemset::new(vec![Item::range(a, alo, ahi), Item::range(b, blo, bhi)]);
+                    let naive = count_candidates_naive(&enc, std::slice::from_ref(&cand))[0];
+                    let got = hist.rect_sum(p, Item::range(a, alo, ahi), Item::range(b, blo, bhi));
+                    assert_eq!(got, naive, "{cand}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_histograms_merge_across_partitions_and_shards() {
+        let (enc, _) = mixed_wide();
+        let pairs = vec![(0, 1), (0, 2), (1, 2)];
+        let mut whole = PairHistograms::new(&enc, pairs.clone());
+        whole.scan(&enc, ScanOptions::new(1)).unwrap();
+        for threads in [2, 3, 8] {
+            let mut sharded = PairHistograms::new(&enc, pairs.clone());
+            let stats = sharded.scan(&enc, ScanOptions::new(threads)).unwrap();
+            assert_eq!(sharded, whole, "threads={threads}");
+            assert!(stats.pooled);
+            assert_eq!(stats.shard_scan_times.len(), threads);
+        }
+        for cut in [0, 1, 1023, 1024, 1025, 2500] {
+            let mut left = PairHistograms::new(&enc, pairs.clone());
+            left.scan(&slice_rows(&enc, 0..cut), ScanOptions::new(1))
+                .unwrap();
+            let mut right = PairHistograms::new(&enc, pairs.clone());
+            right
+                .scan(&slice_rows(&enc, cut..2500), ScanOptions::new(2))
+                .unwrap();
+            left.merge(&right);
+            assert_eq!(left, whole, "cut={cut}");
+        }
+    }
+
+    #[test]
+    fn cancelled_pair_scan_is_reported() {
+        let (enc, _) = mixed_wide();
+        let token = CancelToken::new();
+        token.cancel();
+        let opts = ScanOptions {
+            cancel: Some(&token),
+            ..ScanOptions::new(2)
+        };
+        let mut hist = PairHistograms::new(&enc, vec![(0, 1)]);
+        assert_eq!(hist.scan(&enc, opts), Err(ScanCancelled));
+    }
+
+    #[test]
+    fn pair_plan_needs_two_itemsets_in_domain() {
+        let enc = people();
+        let pair = Itemset::new(vec![Item::range(0, 0, 4), Item::value(2, 2)]);
+        let plan = PairPlan::new(&enc, std::slice::from_ref(&pair), PAIR_CELL_BUDGET).unwrap();
+        assert!(plan.explicit().is_empty());
+        let triple = Itemset::new(vec![
+            Item::value(0, 1),
+            Item::value(1, 1),
+            Item::value(2, 2),
+        ]);
+        assert!(PairPlan::new(&enc, &[pair.clone(), triple], PAIR_CELL_BUDGET).is_none());
+        let past_domain = Itemset::new(vec![Item::value(0, 5), Item::value(2, 2)]);
+        assert!(PairPlan::new(&enc, &[past_domain], PAIR_CELL_BUDGET).is_none());
+        // age × cars is 5 × 3 = 15 cells: a 14-cell budget counts it explicitly.
+        let plan = PairPlan::new(&enc, std::slice::from_ref(&pair), 14).unwrap();
+        assert_eq!(plan.explicit(), &[0]);
+        assert!(plan.groups(14).is_empty());
+    }
+
+    #[test]
+    fn cell_groups_respect_the_budget() {
+        assert!(cell_groups(&[], 10).is_empty());
+        assert_eq!(cell_groups(&[4, 4, 4], 8), vec![0..2, 2..3]);
+        assert_eq!(cell_groups(&[20, 1, 1], 8), vec![0..1, 1..3]);
+        assert_eq!(cell_groups(&[0, 0], 0), vec![0..2]);
+    }
+
+    /// Property: pair-histogram counting of an explicit 2-itemset list —
+    /// through the sources' block driver, with one pair pushed over the
+    /// cell budget, and over a table split at a random row — equals the
+    /// naive recount on random categorical and quantitative tables.
+    #[test]
+    fn pair_histograms_equal_naive_property() {
+        use crate::source::{count_blocks, CountError};
+        qar_prng::cases(64, 0x5EED_4242_0012, |case, rng| {
+            let num_attrs = rng.gen_range(2usize..6);
+            let attrs: Vec<(bool, u32)> = (0..num_attrs)
+                .map(|_| (rng.gen_bool(0.5), rng.gen_range(1u32..10)))
+                .collect();
+            let rows = *rng.choose(&[0usize, 1, 63, 64, 65, 200]).unwrap();
+            let columns: Vec<Vec<u32>> = attrs
+                .iter()
+                .map(|&(_, card)| {
+                    (0..rows)
+                        .map(|_| match rng.gen_range(0u32..3) {
+                            0 => 0,
+                            1 => card - 1,
+                            _ => rng.gen_range(0..card),
+                        })
+                        .collect()
+                })
+                .collect();
+            let table = coded_table(&attrs, columns, rows);
+
+            // Random value, range and span items on random attribute pairs.
+            let item = |rng: &mut qar_prng::Prng, attr: usize| {
+                let card = attrs[attr].1;
+                let lo = rng.gen_range(0..card);
+                let hi = if rng.gen_bool(0.5) {
+                    lo
+                } else {
+                    rng.gen_range(lo..card)
+                };
+                Item::range(attr as u32, lo, hi)
+            };
+            let candidates: Vec<Itemset> = (0..rng.gen_range(1usize..40))
+                .map(|_| {
+                    let a = rng.gen_range(0..num_attrs - 1);
+                    let b = rng.gen_range(a + 1..num_attrs);
+                    Itemset::new(vec![item(rng, a), item(rng, b)])
+                })
+                .collect();
+            let naive = count_candidates_naive(&table, &candidates);
+
+            // A budget one cell short of the first candidate's pair sends
+            // that pair (and only pairs at least as large) down the
+            // explicit path.
+            let items = candidates[0].items();
+            let first_cells = pair_cells(&table, items[0].attr, items[1].attr);
+            let cut = rng.gen_range(0..rows + 1);
+            let (left, right) = (slice_rows(&table, 0..cut), slice_rows(&table, cut..rows));
+            for budget in [PAIR_CELL_BUDGET, first_cells.saturating_sub(1)] {
+                for threads in [1usize, 3] {
+                    let opts = ScanOptions::new(threads);
+                    let whole = count_blocks(&table, &candidates, budget, opts, &mut |f| f(&table));
+                    let split = count_blocks(&table, &candidates, budget, opts, &mut |f| {
+                        f(&left)?;
+                        f(&right)
+                    });
+                    let ctx = format!("case {case}: budget {budget} threads {threads} cut {cut}");
+                    let as_vec = |r: Result<Vec<u64>, CountError>| match r {
+                        Ok(v) => v,
+                        Err(_) => panic!("{ctx}: count failed"),
+                    };
+                    assert_eq!(as_vec(whole), naive, "{ctx}");
+                    assert_eq!(as_vec(split), naive, "{ctx}");
+                }
+            }
+
+            // Two partitions' raw histograms merge into the whole table's.
+            let pairs: Vec<(u32, u32)> = (0..num_attrs as u32 - 1).map(|a| (a, a + 1)).collect();
+            let mut whole = PairHistograms::new(&table, pairs.clone());
+            whole.scan(&table, ScanOptions::new(2)).unwrap();
+            let mut merged = PairHistograms::new(&table, pairs.clone());
+            merged.scan(&left, ScanOptions::new(1)).unwrap();
+            let mut other = PairHistograms::new(&table, pairs);
+            other.scan(&right, ScanOptions::new(1)).unwrap();
+            merged.merge(&other);
+            assert_eq!(merged, whole, "case {case}: cut {cut}");
+        });
     }
 
     #[test]

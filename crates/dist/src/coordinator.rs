@@ -8,6 +8,9 @@
 //! contiguously across workers, streams each partition out as bounded
 //! row blocks, and answers every counting request by broadcasting it and
 //! merging the raw per-worker tallies with element-wise `u64` addition.
+//! Pass 2's all-2-itemset list travels as attribute pairs: workers return
+//! [`PairHistograms`] cells, which merge into one set of histograms
+//! before every candidate is read off as a rectangle sum.
 //!
 //! Partial failure: a worker that times out, drops its connection, or
 //! answers out of protocol is declared **lost** (one `worker_lost` trace
@@ -18,13 +21,16 @@
 
 use qar_core::pipeline::MiningOutput;
 use qar_core::source::{mine_source_captured, CountError, CountSource};
-use qar_core::supercand::{count_candidates_opts, ScanOptions};
+use qar_core::supercand::{
+    count_candidates_opts, PairHistograms, PairPlan, ScanOptions, PAIR_CELL_BUDGET,
+};
 use qar_core::{CapturedCounts, MinerConfig, MinerError, ScanKernel};
 use qar_itemset::Itemset;
 use qar_store::dist::{read_response, write_request, DistRequest, DistResponse};
 use qar_store::protocol::MAX_PAYLOAD;
 use qar_table::{AttributeEncoder, ChunkStore, EncodedTable, Schema};
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -37,6 +43,11 @@ use crate::worker::{run_worker, WorkerOptions};
 /// comfortably below the protocol's 16 MiB frame ceiling, and small
 /// enough that per-batch count responses never strain socket buffers.
 const BATCH_BYTES: usize = 4 << 20;
+
+/// Most histogram cells one `CountPairs` request asks for, so that its
+/// `PairCounts` reply (a `u64` count prefix plus one `u64` per cell)
+/// stays within [`BATCH_BYTES`].
+const FRAME_CELLS: usize = (BATCH_BYTES - 8) / 8;
 
 /// How workers are brought up.
 #[derive(Debug, Clone)]
@@ -98,6 +109,12 @@ impl Remote {
 
     fn send(&mut self, request: &DistRequest) -> Result<(), String> {
         write_request(&mut self.stream, request).map_err(|e| e.to_string())
+    }
+
+    /// Write an already-encoded request frame (one encoding shared by
+    /// every worker a request is broadcast to).
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), String> {
+        self.stream.write_all(frame).map_err(|e| e.to_string())
     }
 
     fn receive(&mut self) -> Result<DistResponse, String> {
@@ -538,6 +555,15 @@ impl<'a> DistSource<'a> {
         }
     }
 
+    /// Row ranges of the retired workers, which the coordinator recounts
+    /// from its own copy of the rows.
+    fn retired_ranges(&self) -> Vec<(usize, usize)> {
+        (0..self.cluster.len())
+            .filter(|&i| !self.cluster.remotes[i].alive)
+            .map(|i| self.ranges[i])
+            .collect()
+    }
+
     /// Locally histogram rows `[start, end)` into `acc[attr][code]`.
     fn local_value_counts(
         &self,
@@ -556,26 +582,24 @@ impl<'a> DistSource<'a> {
             })
     }
 
-    /// Locally count `candidates` over rows `[start, end)` into `acc`.
-    fn local_count(
+    /// Hand rows `[start, end)` of the backing data to `f` as encoded
+    /// row blocks.
+    fn for_each_local_block(
         &self,
         start: usize,
         end: usize,
-        candidates: &[Itemset],
-        acc: &mut [u64],
+        f: &mut dyn FnMut(&EncodedTable) -> Result<(), CountError>,
     ) -> Result<(), CountError> {
-        let schema = self.meta.schema().clone();
-        let encoders = self.meta.encoders().to_vec();
-        let options = self.local_scan_options();
+        let schema = self.meta.schema();
+        let encoders = self.meta.encoders();
         self.backing
             .for_each_block(start, end, self.block_rows, &mut |columns, rows| {
-                let block =
-                    EncodedTable::from_parts(schema.clone(), encoders.clone(), columns, rows);
-                let (counts, _) = count_candidates_opts(&block, candidates, None, options)?;
-                for (a, b) in acc.iter_mut().zip(counts) {
-                    *a += b;
-                }
-                Ok(())
+                f(&EncodedTable::from_parts(
+                    schema.clone(),
+                    encoders.to_vec(),
+                    columns,
+                    rows,
+                ))
             })
     }
 
@@ -613,6 +637,128 @@ impl<'a> DistSource<'a> {
             .filter(|&i| self.cluster.remotes[i].alive)
             .collect()
     }
+
+    /// Send `request` — encoded once — to every live worker, then read
+    /// each reply and hand it to `accept`, which merges it or hands it
+    /// back as malformed. A worker whose send or read fails, or whose
+    /// reply `accept` rejects, is lost. Returns how many workers merged.
+    fn broadcast(
+        &mut self,
+        pass: usize,
+        request: &DistRequest,
+        mut accept: impl FnMut(DistResponse) -> Result<(), DistResponse>,
+    ) -> Result<usize, CountError> {
+        let frame = request.to_frame().map_err(|e| {
+            CountError::Failed(MinerError::Distributed(format!(
+                "pass {pass}: cannot frame the request: {e}"
+            )))
+        })?;
+        // Workers count their partitions concurrently while the
+        // coordinator waits for the first reply.
+        let mut sent = Vec::new();
+        for index in self.alive() {
+            match self.cluster.remotes[index].send_frame(&frame) {
+                Ok(()) => sent.push(index),
+                Err(detail) => self.lose(index, pass, detail)?,
+            }
+        }
+        let mut merged = 0usize;
+        for index in sent {
+            let detail = match self.cluster.remotes[index].receive() {
+                Ok(response) => match accept(response) {
+                    Ok(()) => {
+                        merged += 1;
+                        continue;
+                    }
+                    Err(other) => format!("malformed reply ({})", describe(&other)),
+                },
+                Err(detail) => detail,
+            };
+            self.lose(index, pass, detail)?;
+        }
+        Ok(merged)
+    }
+
+    /// Histogram `hist`'s pairs over every partition: one `CountPairs`
+    /// to the live workers, their raw cells merged by addition, and each
+    /// retired worker's rows scanned locally into the same histograms.
+    /// Returns the histograms prefix-summed, with the fewest workers any
+    /// request merged folded into `workers`.
+    fn count_pair_group(
+        &mut self,
+        pass: usize,
+        mut hist: PairHistograms,
+        workers: &mut usize,
+    ) -> Result<PairHistograms, CountError> {
+        if self.is_cancelled() {
+            return Err(CountError::Cancelled);
+        }
+        let request = DistRequest::CountPairs {
+            pass: pass as u32,
+            pairs: hist.pairs().to_vec(),
+        };
+        let merged = self.broadcast(pass, &request, |response| match response {
+            DistResponse::PairCounts { cells } if cells.len() == hist.cells().len() => {
+                hist.merge_cells(&cells);
+                Ok(())
+            }
+            other => Err(other),
+        })?;
+        *workers = (*workers).min(merged);
+        let options = self.local_scan_options();
+        for (start, end) in self.retired_ranges() {
+            self.for_each_local_block(start, end, &mut |block| {
+                hist.scan(block, options)?;
+                Ok(())
+            })?;
+        }
+        hist.build_prefix_sums();
+        Ok(hist)
+    }
+
+    /// Count `candidates` as explicit lists: `CountCandidates` batches to
+    /// the live workers, retired workers' rows recounted locally.
+    fn count_explicit(
+        &mut self,
+        pass: usize,
+        candidates: &[Itemset],
+        workers: &mut usize,
+    ) -> Result<Vec<u64>, CountError> {
+        let mut result = vec![0u64; candidates.len()];
+        for (batch_start, batch_end) in Self::batches(candidates) {
+            if self.is_cancelled() {
+                return Err(CountError::Cancelled);
+            }
+            let batch = &candidates[batch_start..batch_end];
+            let request = DistRequest::CountCandidates {
+                pass: pass as u32,
+                candidates: batch.to_vec(),
+            };
+            let acc = &mut result[batch_start..batch_end];
+            let merged = self.broadcast(pass, &request, |response| match response {
+                DistResponse::Counts { counts } if counts.len() == acc.len() => {
+                    for (a, b) in acc.iter_mut().zip(counts) {
+                        *a += b;
+                    }
+                    Ok(())
+                }
+                other => Err(other),
+            })?;
+            *workers = (*workers).min(merged);
+            let options = self.local_scan_options();
+            let acc = &mut result[batch_start..batch_end];
+            for (start, end) in self.retired_ranges() {
+                self.for_each_local_block(start, end, &mut |block| {
+                    let (counts, _) = count_candidates_opts(block, batch, None, options)?;
+                    for (a, b) in acc.iter_mut().zip(counts) {
+                        *a += b;
+                    }
+                    Ok(())
+                })?;
+            }
+        }
+        Ok(result)
+    }
 }
 
 impl CountSource for DistSource<'_> {
@@ -635,21 +781,9 @@ impl CountSource for DistSource<'_> {
             .iter()
             .map(|(id, _)| vec![0u64; self.meta.cardinality(id) as usize])
             .collect();
-
-        // Broadcast, then collect — workers count their partitions
-        // concurrently while the coordinator waits.
-        let polled = self.alive();
-        let mut sent = Vec::new();
-        for &index in &polled {
-            match self.cluster.remotes[index].send(&DistRequest::CountItems) {
-                Ok(()) => sent.push(index),
-                Err(detail) => self.lose(index, 1, detail)?,
-            }
-        }
-        let mut merged_workers = 0usize;
-        for index in sent {
-            match self.cluster.remotes[index].receive() {
-                Ok(DistResponse::ItemCounts { counts })
+        let merged_workers =
+            self.broadcast(1, &DistRequest::CountItems, |response| match response {
+                DistResponse::ItemCounts { counts }
                     if counts.len() == merged.len()
                         && counts
                             .iter()
@@ -661,25 +795,12 @@ impl CountSource for DistSource<'_> {
                             *a += b;
                         }
                     }
-                    merged_workers += 1;
+                    Ok(())
                 }
-                Ok(other) => {
-                    self.lose(
-                        index,
-                        1,
-                        format!("malformed item counts ({})", describe(&other)),
-                    )?;
-                }
-                Err(detail) => self.lose(index, 1, detail)?,
-            }
-        }
-
-        // Recount every retired partition locally.
-        for index in 0..self.cluster.len() {
-            if !self.cluster.remotes[index].alive {
-                let (start, end) = self.ranges[index];
-                self.local_value_counts(start, end, &mut merged)?;
-            }
+                other => Err(other),
+            })?;
+        for (start, end) in self.retired_ranges() {
+            self.local_value_counts(start, end, &mut merged)?;
         }
         self.emit(TraceEvent::PassMerged {
             pass: 1,
@@ -690,64 +811,40 @@ impl CountSource for DistSource<'_> {
         Ok(merged)
     }
 
+    /// A list of 2-itemsets (pass 2) is counted as pair histograms — at
+    /// most `FRAME_CELLS` cells per request, so every reply fits the
+    /// batch budget; a pair too large for that keeps the explicit path,
+    /// like every longer candidate list.
     fn count(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
         let started = Instant::now();
-        let mut result = vec![0u64; candidates.len()];
-        let mut merged_workers_min = usize::MAX;
-        for (batch_start, batch_end) in Self::batches(candidates) {
-            if self.is_cancelled() {
-                return Err(CountError::Cancelled);
-            }
-            let batch = &candidates[batch_start..batch_end];
-            let request = DistRequest::CountCandidates {
-                pass: pass as u32,
-                candidates: batch.to_vec(),
-            };
-            let polled = self.alive();
-            let mut sent = Vec::new();
-            for &index in &polled {
-                match self.cluster.remotes[index].send(&request) {
-                    Ok(()) => sent.push(index),
-                    Err(detail) => self.lose(index, pass, detail)?,
+        let mut workers = usize::MAX;
+        let budget = PAIR_CELL_BUDGET.min(FRAME_CELLS);
+        let result = match PairPlan::new(&self.meta, candidates, budget) {
+            None => self.count_explicit(pass, candidates, &mut workers)?,
+            Some(plan) => {
+                let mut result = vec![0u64; candidates.len()];
+                for group in plan.groups(FRAME_CELLS) {
+                    let hist = plan.histograms(&self.meta, group.clone());
+                    let hist = self.count_pair_group(pass, hist, &mut workers)?;
+                    plan.answer(candidates, &group, &hist, &mut result);
                 }
-            }
-            let mut merged_workers = 0usize;
-            for index in sent {
-                match self.cluster.remotes[index].receive() {
-                    Ok(DistResponse::Counts { counts }) if counts.len() == batch.len() => {
-                        for (a, b) in result[batch_start..batch_end].iter_mut().zip(counts) {
-                            *a += b;
-                        }
-                        merged_workers += 1;
+                if !plan.explicit().is_empty() {
+                    let subset: Vec<Itemset> = plan
+                        .explicit()
+                        .iter()
+                        .map(|&i| candidates[i].clone())
+                        .collect();
+                    let counts = self.count_explicit(pass, &subset, &mut workers)?;
+                    for (&i, count) in plan.explicit().iter().zip(counts) {
+                        result[i] = count;
                     }
-                    Ok(other) => {
-                        self.lose(
-                            index,
-                            pass,
-                            format!("malformed counts ({})", describe(&other)),
-                        )?;
-                    }
-                    Err(detail) => self.lose(index, pass, detail)?,
                 }
+                result
             }
-            merged_workers_min = merged_workers_min.min(merged_workers);
-
-            // Every partition not covered remotely — retired before this
-            // call or lost during this batch — is recounted locally.
-            for index in 0..self.cluster.len() {
-                if !self.cluster.remotes[index].alive {
-                    let (start, end) = self.ranges[index];
-                    self.local_count(start, end, batch, &mut result[batch_start..batch_end])?;
-                }
-            }
-        }
+        };
         self.emit(TraceEvent::PassMerged {
             pass,
-            workers: if merged_workers_min == usize::MAX {
-                0
-            } else {
-                merged_workers_min
-            },
+            workers: if workers == usize::MAX { 0 } else { workers },
             candidates: candidates.len(),
             elapsed_us: micros(started.elapsed()),
         });
@@ -763,6 +860,7 @@ fn describe(response: &DistResponse) -> &'static str {
         DistResponse::RowsLoaded { .. } => "RowsLoaded",
         DistResponse::ItemCounts { .. } => "ItemCounts of the wrong shape",
         DistResponse::Counts { .. } => "Counts of the wrong length",
+        DistResponse::PairCounts { .. } => "PairCounts of the wrong length",
         DistResponse::Bye => "Bye",
         DistResponse::Error { .. } => "Error",
     }
@@ -1038,7 +1136,8 @@ mod tests {
     type FlakyPartition = (Schema, Vec<AttributeEncoder>, Vec<Vec<u32>>, usize);
 
     /// A worker that serves the load phase and pass 1 correctly, then
-    /// drops its connection at the first candidate-counting request.
+    /// drops its connection at the first counting request after pass 1 —
+    /// pass 2's `CountPairs`.
     fn spawn_flaky(addr: String) -> std::thread::JoinHandle<()> {
         std::thread::spawn(move || {
             let mut stream = TcpStream::connect(&addr).unwrap();
@@ -1073,7 +1172,8 @@ mod tests {
                             counts: attribute_value_counts(&table),
                         }
                     }
-                    DistRequest::CountCandidates { .. } => return, // drop mid-pass
+                    // Drop mid-pass.
+                    DistRequest::CountPairs { .. } | DistRequest::CountCandidates { .. } => return,
                     DistRequest::Shutdown => {
                         let _ = qar_store::dist::write_response(&mut stream, &DistResponse::Bye);
                         return;
@@ -1136,7 +1236,7 @@ mod tests {
             .collect();
         assert_eq!(lost.len(), 1, "exactly one loss: {lost:?}");
         assert_eq!(lost[0].0, 1, "the flaky worker is index 1");
-        assert!(lost[0].1 >= 2, "lost during a candidate pass");
+        assert_eq!(lost[0].1, 2, "lost at pass 2's CountPairs");
         assert!(sink
             .events()
             .iter()

@@ -4,9 +4,10 @@
 //! coordinator keeps the whole level-wise search (candidate generation,
 //! frequency decisions, rule generation) and delegates only the counting
 //! scans. Each worker owns a disjoint, contiguous partition of the
-//! encoded rows; every pass it returns the **raw** `u64` tallies of the
-//! coordinator's candidates over its partition, and the coordinator
-//! merges them by element-wise addition. Because the merged counts equal
+//! encoded rows; every pass it returns the **raw** `u64` tallies over its
+//! partition — pass 2 as 2-D pair histograms, later passes as the counts
+//! of the coordinator's candidates — and the coordinator merges them by
+//! element-wise addition. Because the merged counts equal
 //! a single serial scan's counts exactly — integer addition is the whole
 //! merge — the distributed result is bit-identical to the serial miner:
 //! same frequent itemsets, supports, rules, and (with normalized stats)
@@ -16,7 +17,7 @@
 //!
 //! * [`worker`] — the worker side: a serve loop over the
 //!   [`qar_store::dist`] wire protocol (Setup → Rows… → CountItems /
-//!   CountCandidates… → Shutdown), counting with the same scan kernels
+//!   CountPairs… / CountCandidates… → Shutdown), counting with the same scan kernels
 //!   the serial miner uses;
 //! * [`coordinator`] — the coordinator side: [`Cluster`] spawns and
 //!   connects workers (child processes of the `qar` binary, or

@@ -10,14 +10,15 @@
 //!
 //! Errors split two ways, mirroring the serve protocol's convention:
 //! application-level problems (rows before setup, a code outside its
-//! encoder's range) become [`DistResponse::Error`] replies and the
+//! encoder's range, a pair list naming an unknown or repeated attribute
+//! or more cells than one frame holds) become [`DistResponse::Error`] replies and the
 //! connection lives on; transport-level problems (corrupt frame, socket
 //! loss) terminate the serve loop with a [`ProtocolError`].
 
 use qar_core::frequent::attribute_value_counts;
-use qar_core::supercand::{count_candidates_opts, ScanOptions};
+use qar_core::supercand::{count_candidates_opts, PairHistograms, ScanOptions};
 use qar_core::{MinerConfig, ScanKernel};
-use qar_store::dist::{read_request, write_response, DistRequest, DistResponse};
+use qar_store::dist::{read_request, write_response, DistRequest, DistResponse, MAX_PAIR_CELLS};
 use qar_store::protocol::ProtocolError;
 use qar_table::{AttributeEncoder, EncodedTable, Schema};
 use std::io::{Read, Write};
@@ -49,6 +50,13 @@ impl WorkerOptions {
             return self.num_threads;
         }
         MinerConfig::default().effective_parallelism()
+    }
+
+    fn scan_options(&self) -> ScanOptions<'static> {
+        ScanOptions {
+            kernel: self.kernel,
+            ..ScanOptions::new(self.effective_threads())
+        }
     }
 }
 
@@ -113,6 +121,37 @@ impl Partition {
         Ok(())
     }
 
+    /// Histogram `pairs` over the partition (the `CountPairs` answer).
+    fn count_pairs(
+        &mut self,
+        pairs: Vec<(u32, u32)>,
+        options: ScanOptions<'_>,
+    ) -> Result<Vec<u64>, String> {
+        let mut cells = 0usize;
+        for &(a, b) in &pairs {
+            let card = |attr: u32| {
+                self.encoders
+                    .get(attr as usize)
+                    .map(|e| e.cardinality() as usize)
+                    .ok_or_else(|| format!("pair ({a}, {b}): no attribute {attr}"))
+            };
+            if a == b {
+                return Err(format!("pair ({a}, {b}) repeats an attribute"));
+            }
+            cells = cells.saturating_add(card(a)?.saturating_mul(card(b)?));
+        }
+        if cells > MAX_PAIR_CELLS {
+            return Err(format!(
+                "{cells} histogram cells exceed the {MAX_PAIR_CELLS} one frame holds"
+            ));
+        }
+        let table = self.table();
+        let mut hist = PairHistograms::new(table, pairs);
+        hist.scan(table, options)
+            .map_err(|_| "counting scan was cancelled".to_string())?;
+        Ok(hist.into_cells())
+    }
+
     /// The partition as a scannable table, assembled on first use.
     fn table(&mut self) -> &EncodedTable {
         if self.encoded.is_none() {
@@ -170,17 +209,22 @@ pub fn serve_connection<S: Read + Write>(
                     message: "count before setup".to_string(),
                 },
                 Some(p) => {
-                    let options = ScanOptions {
-                        kernel: opts.kernel,
-                        ..ScanOptions::new(opts.effective_threads())
-                    };
-                    match count_candidates_opts(p.table(), &candidates, None, options) {
+                    match count_candidates_opts(p.table(), &candidates, None, opts.scan_options()) {
                         Ok((counts, _)) => DistResponse::Counts { counts },
                         Err(_) => DistResponse::Error {
                             message: "counting scan was cancelled".to_string(),
                         },
                     }
                 }
+            },
+            DistRequest::CountPairs { pairs, .. } => match &mut partition {
+                None => DistResponse::Error {
+                    message: "count before setup".to_string(),
+                },
+                Some(p) => match p.count_pairs(pairs, opts.scan_options()) {
+                    Ok(cells) => DistResponse::PairCounts { cells },
+                    Err(message) => DistResponse::Error { message },
+                },
             },
             DistRequest::Shutdown => {
                 write_response(stream, &DistResponse::Bye)?;
@@ -328,6 +372,85 @@ mod tests {
     }
 
     #[test]
+    fn pair_histograms_count_exactly() {
+        let (schema, encoders) = schema_and_encoders();
+        let responses = converse(&[
+            DistRequest::Setup { schema, encoders },
+            DistRequest::Rows {
+                columns: vec![vec![0, 1, 1, 2], vec![1, 1, 0, 1]],
+            },
+            DistRequest::CountPairs {
+                pass: 2,
+                pairs: vec![(0, 1), (1, 0)],
+            },
+            DistRequest::Shutdown,
+        ]);
+        // age (3 codes) × married (2 codes), then married × age.
+        assert_eq!(
+            responses[2],
+            DistResponse::PairCounts {
+                cells: vec![0, 1, 1, 1, 0, 1, 0, 1, 0, 1, 1, 1],
+            }
+        );
+    }
+
+    /// Bad pair lists are soft errors: the worker answers `Error` and
+    /// keeps serving the same connection.
+    #[test]
+    fn bad_pair_requests_are_soft_errors() {
+        let (schema, encoders) = schema_and_encoders();
+        let wide = Schema::builder()
+            .categorical("x")
+            .categorical("y")
+            .build()
+            .unwrap();
+        let labels = |n: usize| AttributeEncoder::Categorical {
+            labels: (0..n).map(|i| format!("v{i:04}")).collect(),
+        };
+        let responses = converse(&[
+            DistRequest::CountPairs {
+                pass: 2,
+                pairs: vec![(0, 1)],
+            },
+            DistRequest::Setup { schema, encoders },
+            DistRequest::CountPairs {
+                pass: 2,
+                pairs: vec![(0, 2)], // no attribute 2
+            },
+            DistRequest::CountPairs {
+                pass: 2,
+                pairs: vec![(0, 1), (1, 1)], // repeated attribute
+            },
+            DistRequest::CountPairs {
+                pass: 2,
+                pairs: vec![(0, 1)],
+            },
+            // 1500 × 1500 cells do not fit one response frame.
+            DistRequest::Setup {
+                schema: wide,
+                encoders: vec![labels(1500), labels(1500)],
+            },
+            DistRequest::CountPairs {
+                pass: 2,
+                pairs: vec![(0, 1)],
+            },
+            DistRequest::CountItems,
+            DistRequest::Shutdown,
+        ]);
+        assert!(matches!(responses[0], DistResponse::Error { .. }));
+        assert!(matches!(responses[2], DistResponse::Error { .. }));
+        assert!(matches!(responses[3], DistResponse::Error { .. }));
+        assert_eq!(responses[4], DistResponse::PairCounts { cells: vec![0; 6] });
+        assert_eq!(responses[5], DistResponse::Ready);
+        match &responses[6] {
+            DistResponse::Error { message } => assert!(message.contains("frame"), "{message}"),
+            other => panic!("expected Error, got {other:?}"),
+        }
+        assert!(matches!(responses[7], DistResponse::ItemCounts { .. }));
+        assert_eq!(responses[8], DistResponse::Bye);
+    }
+
+    #[test]
     fn empty_partition_counts_zero() {
         let (schema, encoders) = schema_and_encoders();
         let responses = converse(&[
@@ -336,6 +459,10 @@ mod tests {
             DistRequest::CountCandidates {
                 pass: 2,
                 candidates: vec![Itemset::new(vec![Item::value(0, 0), Item::value(1, 0)])],
+            },
+            DistRequest::CountPairs {
+                pass: 2,
+                pairs: vec![(0, 1)],
             },
             DistRequest::Shutdown,
         ]);
@@ -346,5 +473,6 @@ mod tests {
             }
         );
         assert_eq!(responses[2], DistResponse::Counts { counts: vec![0] });
+        assert_eq!(responses[3], DistResponse::PairCounts { cells: vec![0; 6] });
     }
 }

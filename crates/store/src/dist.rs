@@ -15,9 +15,16 @@
 //! Setup {schema, encoders}        → Ready
 //! Rows {columns} ...              → RowsLoaded {total_rows}   (repeated)
 //! CountItems                      → ItemCounts {counts}       (pass 1)
+//! CountPairs {pass, pairs}        → PairCounts {cells}        (pass 2)
 //! CountCandidates {pass, cands}   → Counts {counts}           (pass k ≥ 2)
 //! Shutdown                        → Bye
 //! ```
+//!
+//! Pass 2 ships 2-D histograms instead of candidates: `CountPairs` names
+//! attribute pairs, and the worker answers each pair's raw
+//! `card(a) × card(b)` cell array (see `qar_core::supercand::PairHistograms`),
+//! concatenated in request order. A request whose cells would not fit one
+//! response frame ([`MAX_PAIR_CELLS`]) is refused with `Error`.
 //!
 //! Every count a worker returns is the *raw* tally over its own row
 //! partition — never filtered by a support threshold — so the
@@ -34,7 +41,7 @@ use crate::catalog::{
     decode_itemset, decode_schema, encode_itemset, encode_schema_with, validate_catalog_encoders,
 };
 use crate::format::{Reader, Writer};
-use crate::protocol::{encode_frame, read_frame, ProtocolError};
+use crate::protocol::{encode_frame, read_frame, ProtocolError, MAX_PAYLOAD};
 use qar_itemset::Itemset;
 use qar_table::{AttributeEncoder, Schema};
 use std::io::{Read, Write};
@@ -52,6 +59,8 @@ pub mod tag {
     pub const REQ_COUNT_CANDIDATES: u32 = 24;
     /// Stop the worker; it replies and exits.
     pub const REQ_SHUTDOWN: u32 = 25;
+    /// Count the 2-D histograms of a list of attribute pairs (pass 2).
+    pub const REQ_COUNT_PAIRS: u32 = 26;
 
     /// Setup accepted.
     pub const RESP_READY: u32 = 121;
@@ -65,7 +74,13 @@ pub mod tag {
     pub const RESP_BYE: u32 = 125;
     /// The worker failed; carries a human-readable reason.
     pub const RESP_ERROR: u32 = 126;
+    /// Raw histogram cells answering [`REQ_COUNT_PAIRS`].
+    pub const RESP_PAIR_COUNTS: u32 = 127;
 }
+
+/// Most histogram cells one [`DistResponse::PairCounts`] frame holds: the
+/// payload is a `u64` cell count followed by one `u64` per cell.
+pub const MAX_PAIR_CELLS: usize = (MAX_PAYLOAD as usize - 8) / 8;
 
 /// A coordinator → worker message.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,6 +108,14 @@ pub enum DistRequest {
         /// The candidates, in coordinator order.
         candidates: Vec<Itemset>,
     },
+    /// Count the 2-D histograms of attribute pairs over the partition.
+    CountPairs {
+        /// Pass number (diagnostic, like `CountCandidates`).
+        pass: u32,
+        /// `(a, b)` attribute pairs, `a != b`; cells come back in this
+        /// order.
+        pairs: Vec<(u32, u32)>,
+    },
     /// Stop the worker.
     Shutdown,
 }
@@ -119,6 +142,13 @@ pub enum DistResponse {
         /// One count per candidate.
         counts: Vec<u64>,
     },
+    /// Histogram cells answering `CountPairs`: every requested pair's
+    /// row-major `(code_a, code_b)` array, raw tallies over the worker's
+    /// partition, concatenated in request order.
+    PairCounts {
+        /// All cells.
+        cells: Vec<u64>,
+    },
     /// Shutdown acknowledged.
     Bye,
     /// The worker could not serve the request.
@@ -136,6 +166,7 @@ impl DistRequest {
             DistRequest::Rows { .. } => tag::REQ_ROWS,
             DistRequest::CountItems => tag::REQ_COUNT_ITEMS,
             DistRequest::CountCandidates { .. } => tag::REQ_COUNT_CANDIDATES,
+            DistRequest::CountPairs { .. } => tag::REQ_COUNT_PAIRS,
             DistRequest::Shutdown => tag::REQ_SHUTDOWN,
         }
     }
@@ -162,6 +193,14 @@ impl DistRequest {
                 w.put_u64(candidates.len() as u64);
                 for c in candidates {
                     encode_itemset(&mut w, c);
+                }
+            }
+            DistRequest::CountPairs { pass, pairs } => {
+                w.put_u32(*pass);
+                w.put_u64(pairs.len() as u64);
+                for &(a, b) in pairs {
+                    w.put_u32(a);
+                    w.put_u32(b);
                 }
             }
             DistRequest::Shutdown => {}
@@ -215,6 +254,15 @@ impl DistRequest {
                 }
                 DistRequest::CountCandidates { pass, candidates }
             }
+            tag::REQ_COUNT_PAIRS => {
+                let pass = r.get_u32()?;
+                let n = r.get_count(8)?;
+                let mut pairs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    pairs.push((r.get_u32()?, r.get_u32()?));
+                }
+                DistRequest::CountPairs { pass, pairs }
+            }
             tag::REQ_SHUTDOWN => DistRequest::Shutdown,
             other => return Err(ProtocolError::UnknownTag(other)),
         };
@@ -231,6 +279,7 @@ impl DistResponse {
             DistResponse::RowsLoaded { .. } => tag::RESP_ROWS_LOADED,
             DistResponse::ItemCounts { .. } => tag::RESP_ITEM_COUNTS,
             DistResponse::Counts { .. } => tag::RESP_COUNTS,
+            DistResponse::PairCounts { .. } => tag::RESP_PAIR_COUNTS,
             DistResponse::Bye => tag::RESP_BYE,
             DistResponse::Error { .. } => tag::RESP_ERROR,
         }
@@ -251,9 +300,9 @@ impl DistResponse {
                     }
                 }
             }
-            DistResponse::Counts { counts } => {
-                w.put_u64(counts.len() as u64);
-                for &c in counts {
+            DistResponse::Counts { counts: cells } | DistResponse::PairCounts { cells } => {
+                w.put_u64(cells.len() as u64);
+                for &c in cells {
                     w.put_u64(c);
                 }
             }
@@ -290,14 +339,12 @@ impl DistResponse {
                 }
                 DistResponse::ItemCounts { counts }
             }
-            tag::RESP_COUNTS => {
-                let n = r.get_count(8)?;
-                let mut counts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    counts.push(r.get_u64()?);
-                }
-                DistResponse::Counts { counts }
-            }
+            tag::RESP_COUNTS => DistResponse::Counts {
+                counts: get_u64s(&mut r)?,
+            },
+            tag::RESP_PAIR_COUNTS => DistResponse::PairCounts {
+                cells: get_u64s(&mut r)?,
+            },
             tag::RESP_BYE => DistResponse::Bye,
             tag::RESP_ERROR => DistResponse::Error {
                 message: r.get_str()?,
@@ -307,6 +354,16 @@ impl DistResponse {
         finish(r)?;
         Ok(resp)
     }
+}
+
+/// A length-prefixed `u64` vector.
+fn get_u64s(r: &mut Reader<'_>) -> Result<Vec<u64>, ProtocolError> {
+    let n = r.get_count(8)?;
+    let mut values = Vec::with_capacity(n);
+    for _ in 0..n {
+        values.push(r.get_u64()?);
+    }
+    Ok(values)
 }
 
 /// Reject unconsumed payload bytes (canonical decode).
@@ -387,6 +444,14 @@ mod tests {
                     Itemset::new(vec![Item::value(0, 2), Item::value(1, 0)]),
                 ],
             },
+            DistRequest::CountPairs {
+                pass: 2,
+                pairs: vec![(0, 1)],
+            },
+            DistRequest::CountPairs {
+                pass: 2,
+                pairs: Vec::new(),
+            },
             DistRequest::Shutdown,
         ]
     }
@@ -401,6 +466,10 @@ mod tests {
             DistResponse::Counts {
                 counts: vec![2, 0, 17],
             },
+            DistResponse::PairCounts {
+                cells: vec![1, 0, 0, 2, 0, u64::MAX],
+            },
+            DistResponse::PairCounts { cells: Vec::new() },
             DistResponse::Bye,
             DistResponse::Error {
                 message: "partition not loaded".to_string(),
@@ -487,6 +556,61 @@ mod tests {
             let result = decode_frame(&bad).and_then(|(t, p)| DistRequest::decode(t, p));
             assert!(result.is_err(), "flip at byte {i} still decoded");
         }
+    }
+
+    /// Every single-byte flip and every truncation of the pair frames is
+    /// an error, never a different message.
+    #[test]
+    fn pair_frames_reject_flips_and_truncations() {
+        let frames = [
+            DistRequest::CountPairs {
+                pass: 2,
+                pairs: vec![(0, 1), (0, 2)],
+            }
+            .to_frame()
+            .unwrap(),
+            DistResponse::PairCounts {
+                cells: vec![3, 0, 1, 4],
+            }
+            .to_frame()
+            .unwrap(),
+        ];
+        let decodes = |bytes: &[u8]| {
+            decode_frame(bytes).and_then(|(t, p)| match t {
+                tag::REQ_COUNT_PAIRS => DistRequest::decode(t, p).map(|_| ()),
+                _ => DistResponse::decode(t, p).map(|_| ()),
+            })
+        };
+        for frame in &frames {
+            assert!(decodes(frame).is_ok());
+            for i in 0..frame.len() {
+                let mut bad = frame.clone();
+                bad[i] ^= 0x01;
+                assert!(decodes(&bad).is_err(), "flip at byte {i} still decoded");
+            }
+            for len in 0..frame.len() {
+                assert!(
+                    decodes(&frame[..len]).is_err(),
+                    "truncation to {len} decoded"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn max_pair_cells_fill_one_frame() {
+        let cells = vec![0u64; MAX_PAIR_CELLS];
+        let frame = DistResponse::PairCounts { cells }.to_frame().unwrap();
+        let (t, p) = decode_frame(&frame).unwrap();
+        assert_eq!(t, tag::RESP_PAIR_COUNTS);
+        assert_eq!(p.len(), 8 + 8 * MAX_PAIR_CELLS);
+        let over = DistResponse::PairCounts {
+            cells: vec![0u64; MAX_PAIR_CELLS + 1],
+        };
+        assert!(matches!(
+            over.to_frame(),
+            Err(ProtocolError::Oversized { .. })
+        ));
     }
 
     #[test]
