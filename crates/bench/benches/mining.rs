@@ -4,7 +4,9 @@
 
 use qar_bench::experiments::{credit, section6_config};
 use qar_bench::harness::bench;
-use qar_core::pipeline::{build_encoders, item_supports_of};
+use qar_core::frequent::attribute_value_counts;
+use qar_core::interest::ItemSupports;
+use qar_core::pipeline::build_encoders;
 use qar_core::{annotate_interest, generate_rules, InterestConfig, InterestMode, Miner};
 use qar_table::EncodedTable;
 
@@ -32,7 +34,10 @@ fn main() {
         generate_rules(&frequent, 0.25).len()
     });
     let rules = generate_rules(&frequent, 0.25);
-    let supports = item_supports_of(&encoded);
+    let supports = ItemSupports::from_value_counts(
+        &attribute_value_counts(&encoded),
+        encoded.num_rows() as u64,
+    );
     bench("interest/K1.5", || {
         let verdicts = annotate_interest(
             &rules,

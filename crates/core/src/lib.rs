@@ -10,7 +10,7 @@
 //!    encoders;
 //! 3. **Find frequent itemsets**: frequent values/ranges per attribute
 //!    ([`frequent`], with the `max_support` range-combining cap), then the
-//!    level-wise search with super-candidate counting ([`mine`],
+//!    level-wise search with super-candidate counting ([`source`],
 //!    [`supercand`]) and the Lemma 5 interest prune ([`candidate`]);
 //! 4. **Generate rules** ([`rules`]);
 //! 5. **Identify interesting rules** with the greater-than-expected-value
@@ -54,13 +54,10 @@ pub use counts::{
 };
 pub use frequent::QuantFrequentItemsets;
 pub use interest::{annotate_interest, RuleInterest};
-#[allow(deprecated)]
-pub use mine::mine_encoded;
 pub use miner::Miner;
 pub use miner::{UpdateInput, UpdateOutput};
 pub use output::RuleDecoder;
-#[allow(deprecated)]
-pub use pipeline::{mine_table, MiningOutput, MiningStats};
+pub use pipeline::{MiningOutput, MiningStats};
 pub use pool::WorkerPool;
 pub use rules::{generate_rules, QuantRule};
 pub use source::{

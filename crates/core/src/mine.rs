@@ -1,15 +1,9 @@
-//! The level-wise mining loop (Step 3, second half; Section 5).
+//! Per-pass mining statistics and the run context the level-wise driver
+//! ([`crate::source`]) threads through every pass (Step 3, second half;
+//! Section 5).
 
-use crate::candidate::{generate_candidates, interest_prune_level1};
-use crate::config::{CancelledInfo, InterestMode, MinerConfig, MinerError};
-use crate::frequent::{find_frequent_items, QuantFrequentItemsets};
-use crate::pool::WorkerPool;
-use crate::supercand::{
-    count_candidates_opts, count_pairs_opts, PassStats, ScanCancelled, ScanOptions,
-    PAIR_CELL_BUDGET,
-};
-use qar_itemset::{CounterKind, Itemset};
-use qar_table::{AttributeKind, EncodedTable};
+use crate::config::{CancelledInfo, MinerError};
+use crate::supercand::PassStats;
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 
 /// Per-pass numbers collected while mining.
@@ -25,7 +19,7 @@ pub struct MineStats {
     /// Record-scan time of pass 1 (per-attribute value counting).
     pub pass1_scan_time: std::time::Duration,
     /// Worker threads the counting passes were allowed to use (the
-    /// resolved [`MinerConfig::effective_parallelism`]; actual shard
+    /// resolved [`crate::MinerConfig::effective_parallelism`]; actual shard
     /// counts per pass are in [`PassStats::shard_scan_times`]).
     pub parallelism: usize,
 }
@@ -45,25 +39,17 @@ impl MineStats {
 }
 
 /// The observability context a mining run carries: an optional event sink
-/// and an optional cancellation token. Built by the [`crate::Miner`]
-/// facade; the deprecated free functions run with [`RunCtx::none`].
+/// and an optional cancellation token.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct RunCtx<'a> {
     /// Receives one [`TraceEvent`] per pipeline milestone.
     pub sink: Option<&'a dyn ProgressSink>,
-    /// Checked at pass boundaries and inside shard scans.
+    /// Checked at pass boundaries (the sources check it inside their
+    /// scans).
     pub cancel: Option<&'a CancelToken>,
-    /// Runs the shard tasks of every counting pass. `None` falls back to
-    /// the process-wide [`WorkerPool::global`].
-    pub pool: Option<&'a WorkerPool>,
 }
 
 impl<'a> RunCtx<'a> {
-    /// No observers, no cancellation — the legacy behavior.
-    pub fn none() -> Self {
-        RunCtx::default()
-    }
-
     /// Emit an event if a sink is attached (the closure keeps event
     /// construction off the unobserved path).
     pub(crate) fn emit(&self, make: impl FnOnce() -> TraceEvent) {
@@ -117,224 +103,26 @@ pub(crate) fn pass_finished_event(
     }
 }
 
-/// Mine all frequent itemsets of an already-encoded table.
-///
-/// `force_counter` pins the quantitative counting backend for ablations.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `Miner` facade: `Miner::new(config).mine_encoded(&table)` \
-            (or `.with_counter(..)` for the backend pin)"
-)]
-pub fn mine_encoded(
-    table: &EncodedTable,
-    config: &MinerConfig,
-    force_counter: Option<CounterKind>,
-) -> Result<(QuantFrequentItemsets, MineStats), MinerError> {
-    mine_encoded_ctx(table, config, force_counter, RunCtx::none())
-}
-
-/// [`mine_encoded`] with an observability context: every pass emits trace
-/// events into `ctx.sink`, and `ctx.cancel` aborts the run cooperatively
-/// (pass boundaries plus periodic checks inside every shard scan),
-/// returning the completed passes' statistics in
-/// [`MinerError::Cancelled`].
-pub(crate) fn mine_encoded_ctx(
-    table: &EncodedTable,
-    config: &MinerConfig,
-    force_counter: Option<CounterKind>,
-    ctx: RunCtx<'_>,
-) -> Result<(QuantFrequentItemsets, MineStats), MinerError> {
-    config.validate()?;
-    let num_rows = table.num_rows() as u64;
-    if num_rows == 0 {
-        return Err(MinerError::Schema(qar_table::TableError::EmptyTable));
-    }
-    let min_count = ((config.min_support * num_rows as f64).ceil() as u64).max(1);
-    let max_count = (config.max_support * num_rows as f64).floor() as u64;
-
-    let mut frequent = QuantFrequentItemsets::new(num_rows);
-    let mut stats = MineStats::default();
-    let num_threads = config.effective_parallelism();
-    stats.parallelism = num_threads;
-    let scan_opts = ScanOptions {
-        cancel: ctx.cancel,
-        pool: ctx.pool,
-        kernel: config.kernel,
-        ..ScanOptions::new(num_threads)
-    };
-
-    let run_started = std::time::Instant::now();
-    ctx.emit(|| TraceEvent::RunStarted {
-        rows: num_rows,
-        attributes: table.schema().len(),
-        min_count,
-        max_count,
-        parallelism: num_threads,
-    });
-    if ctx.is_cancelled() {
-        return Err(ctx.cancelled(1, stats));
-    }
-
-    // Pass 1: frequent items.
-    ctx.emit(|| TraceEvent::PassStarted {
-        pass: 1,
-        candidates: 0,
-    });
-    let pass1_started = std::time::Instant::now();
-    let items = find_frequent_items(table, min_count, max_count);
-    stats.pass1_scan_time = pass1_started.elapsed();
-    let mut level1: Vec<(Itemset, u64)> = items
-        .items
-        .iter()
-        .map(|&(item, count)| (Itemset::singleton(item), count))
-        .collect();
-
-    // Lemma 5 interest prune (only sound when the user wants support AND
-    // confidence above expectation).
-    if let Some(interest) = &config.interest {
-        if interest.prune_candidates && interest.mode == InterestMode::SupportAndConfidence {
-            let before = level1.len();
-            // Build a transient store so the prune can see fractions.
-            let mut probe = QuantFrequentItemsets::new(num_rows);
-            probe.push_level(level1.clone());
-            let schema = table.schema();
-            let is_quant = |attr: u32| {
-                schema.attributes()[attr as usize].kind() == AttributeKind::Quantitative
-            };
-            level1 = interest_prune_level1(level1, &probe, interest.level, &is_quant);
-            stats.interest_pruned_items = before - level1.len();
-        }
-    }
-    ctx.emit(|| TraceEvent::PassFinished {
-        pass: 1,
-        candidates: 0,
-        frequent: level1.len(),
-        pruned: stats.interest_pruned_items,
-        super_candidates: 0,
-        array_backed: 0,
-        rtree_backed: 0,
-        hash_tree_nodes: 0,
-        counter_bytes: 0,
-        scan_us: micros(stats.pass1_scan_time),
-        merge_us: 0,
-        shard_scan_us: Vec::new(),
-        pooled: false,
-        memoized: false,
-        distinct_tuples: 0,
-        memo_hits: 0,
-        // Pass 1 is a plain per-attribute value count — no hash tree, no
-        // cache, no masks — which is the direct kernel's shape.
-        kernel: "direct".to_string(),
-    });
-    if level1.is_empty() {
-        ctx.emit(|| TraceEvent::RunFinished {
-            passes: 1,
-            frequent_total: 0,
-            elapsed_us: micros(run_started.elapsed()),
-        });
-        return Ok((frequent, stats));
-    }
-    frequent.push_level(level1);
-
-    // Passes k >= 2.
-    loop {
-        let k = frequent.levels.len() + 1;
-        if config.max_itemset_size != 0 && k > config.max_itemset_size {
-            break;
-        }
-        if ctx.is_cancelled() {
-            return Err(ctx.cancelled(k, stats));
-        }
-        let prev = frequent.levels.last().expect("level 1 pushed");
-        let level: Vec<(Itemset, u64)> = if k == 2 && force_counter.is_none() {
-            // C_2 is the cross product of frequent items over distinct
-            // attribute pairs — count it implicitly (one 2-D array per
-            // attribute pair) instead of materializing millions of pairs.
-            let mut items_by_attr: std::collections::BTreeMap<u32, Vec<(qar_itemset::Item, u64)>> =
-                std::collections::BTreeMap::new();
-            let mut c2_size = 0usize;
-            for (itemset, count) in prev {
-                items_by_attr
-                    .entry(itemset.items()[0].attr)
-                    .or_default()
-                    .push((itemset.items()[0], *count));
-            }
-            let sizes: Vec<usize> = items_by_attr.values().map(|v| v.len()).collect();
-            for i in 0..sizes.len() {
-                for j in (i + 1)..sizes.len() {
-                    c2_size += sizes[i] * sizes[j];
-                }
-            }
-            stats.candidates_per_pass.push(c2_size);
-            ctx.emit(|| TraceEvent::PassStarted {
-                pass: k,
-                candidates: c2_size,
-            });
-            let (level, pass) = match count_pairs_opts(
-                table,
-                &items_by_attr,
-                min_count,
-                PAIR_CELL_BUDGET,
-                scan_opts,
-            ) {
-                Ok(result) => result,
-                Err(ScanCancelled) => return Err(ctx.cancelled(k, stats)),
-            };
-            ctx.emit(|| pass_finished_event(k, c2_size, level.len(), &pass));
-            stats.pass_stats.push(pass);
-            level
-        } else {
-            let candidates = generate_candidates(prev);
-            if candidates.is_empty() {
-                break;
-            }
-            stats.candidates_per_pass.push(candidates.len());
-            ctx.emit(|| TraceEvent::PassStarted {
-                pass: k,
-                candidates: candidates.len(),
-            });
-            let (counts, pass) =
-                match count_candidates_opts(table, &candidates, force_counter, scan_opts) {
-                    Ok(result) => result,
-                    Err(ScanCancelled) => return Err(ctx.cancelled(k, stats)),
-                };
-            let level: Vec<(Itemset, u64)> = candidates
-                .into_iter()
-                .zip(counts)
-                .filter(|(_, c)| *c >= min_count)
-                .collect();
-            ctx.emit(|| {
-                pass_finished_event(k, stats.candidates_per_pass[k - 2], level.len(), &pass)
-            });
-            stats.pass_stats.push(pass);
-            level
-        };
-        if level.is_empty() {
-            break;
-        }
-        frequent.push_level(level);
-    }
-    ctx.emit(|| TraceEvent::RunFinished {
-        passes: 1 + stats.pass_stats.len(),
-        frequent_total: frequent.total(),
-        elapsed_us: micros(run_started.elapsed()),
-    });
-    Ok((frequent, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PartitionSpec;
-    use qar_itemset::Item;
-    use qar_table::{AttributeEncoder, AttributeId, Schema, Table, Value};
+    use crate::config::{InterestMode, MinerConfig, PartitionSpec};
+    use crate::frequent::QuantFrequentItemsets;
+    use crate::Miner;
+    use qar_itemset::{CounterKind, Item, Itemset};
+    use qar_table::{AttributeEncoder, AttributeId, EncodedTable, Schema, Table, Value};
+    use std::sync::Arc;
 
     fn mine(
         table: &EncodedTable,
         config: &MinerConfig,
         force: Option<CounterKind>,
     ) -> Result<(QuantFrequentItemsets, MineStats), MinerError> {
-        mine_encoded_ctx(table, config, force, RunCtx::none())
+        let mut miner = Miner::new(config.clone());
+        if let Some(kind) = force {
+            miner = miner.with_counter(kind);
+        }
+        miner.frequent_itemsets(table)
     }
 
     /// Figure 3's People table with the Figure 3(b) Age partitioning.
@@ -494,12 +282,11 @@ mod tests {
     #[test]
     fn events_cover_every_pass_and_run_lifecycle() {
         let enc = people_fig3();
-        let sink = qar_trace::CollectingSink::new();
-        let ctx = RunCtx {
-            sink: Some(&sink),
-            ..RunCtx::none()
-        };
-        let (frequent, stats) = mine_encoded_ctx(&enc, &fig3_config(), None, ctx).unwrap();
+        let sink = Arc::new(qar_trace::CollectingSink::new());
+        let (frequent, stats) = Miner::new(fig3_config())
+            .with_progress(sink.clone())
+            .frequent_itemsets(&enc)
+            .unwrap();
         let events = sink.events();
         assert_eq!(events[0].name(), "run_started");
         assert_eq!(events.last().unwrap().name(), "run_finished");
@@ -537,11 +324,10 @@ mod tests {
         let enc = people_fig3();
         let token = CancelToken::new();
         token.cancel();
-        let ctx = RunCtx {
-            cancel: Some(&token),
-            ..RunCtx::none()
-        };
-        match mine_encoded_ctx(&enc, &fig3_config(), None, ctx) {
+        match Miner::new(fig3_config())
+            .with_cancel(token)
+            .frequent_itemsets(&enc)
+        {
             Err(MinerError::Cancelled(info)) => {
                 assert_eq!(info.pass, 1);
                 assert!(!info.deadline_exceeded);
@@ -554,12 +340,10 @@ mod tests {
     #[test]
     fn uncancelled_token_changes_nothing() {
         let enc = people_fig3();
-        let token = CancelToken::new();
-        let ctx = RunCtx {
-            cancel: Some(&token),
-            ..RunCtx::none()
-        };
-        let (with_token, _) = mine_encoded_ctx(&enc, &fig3_config(), None, ctx).unwrap();
+        let (with_token, _) = Miner::new(fig3_config())
+            .with_cancel(CancelToken::new())
+            .frequent_itemsets(&enc)
+            .unwrap();
         let (plain, _) = mine(&enc, &fig3_config(), None).unwrap();
         assert_eq!(with_token.total(), plain.total());
         for (itemset, count) in plain.iter() {

@@ -6,21 +6,22 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crate::config::{MinerConfig, MinerError, ScanKernel};
-use crate::counts::{encoding_fingerprint, update_precheck, SupportCounts};
-use crate::interest::annotate_interest;
-use crate::mine::{mine_encoded_ctx, MineStats, RunCtx};
-use crate::pipeline::{build_encoders, item_supports_of, MiningOutput, MiningStats};
+use crate::counts::{encoding_fingerprint, update_precheck, Lane, SupportCounts};
+use crate::frequent::QuantFrequentItemsets;
+use crate::mine::{MineStats, RunCtx};
+use crate::pipeline::{build_encoders, MiningOutput};
 use crate::pool::WorkerPool;
-use crate::rules::generate_rules;
-use crate::source::{mine_source_captured, InMemorySource, MergeSource};
+use crate::source::{
+    mine_source, mine_source_captured, mine_with_source_ctx, CountSource, InMemorySource,
+    MergeSource,
+};
 use qar_itemset::CounterKind;
 use qar_table::{AttributeEncoder, Column, EncodedTable, Schema, Table, TableError};
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 
 /// A configured miner: the builder-style entry point for the pipeline.
 ///
-/// Compared with the deprecated free functions (`mine_table`,
-/// `mine_encoded`), a `Miner`:
+/// A `Miner`:
 ///
 /// - emits one structured [`qar_trace::TraceEvent`] per pipeline
 ///   milestone into an attached [`ProgressSink`],
@@ -29,7 +30,10 @@ use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 ///   statistics via [`MinerError::Cancelled`],
 /// - caches the partitioned/encoded form of the last table it mined, so
 ///   re-mining the same table (e.g. with different support thresholds)
-///   skips Steps 1–2 entirely.
+///   skips Steps 1–2 entirely,
+/// - runs Steps 3–5 through the one level-wise driver of
+///   [`crate::source`] over an [`InMemorySource`] that carries its
+///   kernel, scan pool, cancellation token and counter pin.
 ///
 /// ```
 /// use qar_core::{Miner, MinerConfig};
@@ -59,7 +63,7 @@ pub struct Miner {
     /// The persistent scan pool, created lazily on the first parallel
     /// counting pass and reused by every later run of this miner (the
     /// workers park between scans). Serial configurations never spawn it.
-    pool: OnceLock<WorkerPool>,
+    pool: OnceLock<Arc<WorkerPool>>,
 }
 
 /// The memoized Steps 1–2 of the previous [`Miner::mine`] call.
@@ -153,99 +157,84 @@ impl Miner {
         self.cache = None;
     }
 
-    fn ctx(&self) -> RunCtx<'_> {
+    /// An [`InMemorySource`] over `table` carrying this miner's kernel,
+    /// scan pool, cancellation token and counter pin.
+    fn source<'t>(&self, table: &'t EncodedTable) -> InMemorySource<'t> {
         // Multi-threaded configurations get this miner's own pool so
         // repeated runs reuse one set of workers; a serial run needs no
         // pool at all (and must not spawn the global one as a side
         // effect).
         let threads = self.config.effective_parallelism();
-        let pool = (threads > 1).then(|| self.pool.get_or_init(|| WorkerPool::new(threads)));
-        RunCtx {
-            sink: self.sink.as_deref(),
-            cancel: self.cancel.as_ref(),
-            pool,
+        let mut source = InMemorySource::new(table, &self.config).with_cancel(self.cancel.as_ref());
+        source.pool = (threads > 1)
+            .then(|| Arc::clone(self.pool.get_or_init(|| Arc::new(WorkerPool::new(threads)))));
+        source.counter = self.force_counter;
+        source
+    }
+
+    /// Steps 1 + 2: partition and encode `table` into the cache, unless
+    /// the cache already holds the encoding of a bit-identical table.
+    /// Returns whether the cached encoding was reused.
+    fn encode_cached(&mut self, table: &Table) -> Result<bool, MinerError> {
+        self.config.validate()?;
+        crate::pipeline::validate_partitioning(table.schema(), &self.config)?;
+        if table.is_empty() {
+            return Err(MinerError::Schema(TableError::EmptyTable));
         }
+        let fingerprint = table_fingerprint(table);
+        if self
+            .cache
+            .as_ref()
+            .is_some_and(|cache| cache.fingerprint == fingerprint)
+        {
+            return Ok(true);
+        }
+        let (encoders, intervals) = build_encoders(table, &self.config)?;
+        let encoded = EncodedTable::encode(table, encoders)?;
+        self.cache = Some(EncodingCache {
+            fingerprint,
+            encoded,
+            intervals,
+        });
+        Ok(false)
     }
 
     /// Run the full five-step pipeline over a raw [`Table`].
     ///
     /// Repeated calls on a table with identical contents reuse the
     /// partitioned encoding from the previous call
-    /// ([`MiningStats::encoding_reused`] reports which path ran).
+    /// ([`crate::MiningStats::encoding_reused`] reports which path ran).
     pub fn mine(&mut self, table: &Table) -> Result<MiningOutput, MinerError> {
-        self.config.validate()?;
-        crate::pipeline::validate_partitioning(table.schema(), &self.config)?;
-        if table.is_empty() {
-            return Err(MinerError::Schema(qar_table::TableError::EmptyTable));
-        }
         let started = Instant::now();
-
-        // Steps 1 + 2: partition and encode — or reuse the cached
-        // encoding when the table is bit-identical to the previous run's.
-        let fingerprint = table_fingerprint(table);
-        let reused = match &self.cache {
-            Some(cache) if cache.fingerprint == fingerprint => true,
-            _ => {
-                let (encoders, intervals) = build_encoders(table, &self.config)?;
-                let encoded = EncodedTable::encode(table, encoders)?;
-                self.cache = Some(EncodingCache {
-                    fingerprint,
-                    encoded,
-                    intervals,
-                });
-                false
-            }
-        };
+        let reused = self.encode_cached(table)?;
         let cache = self.cache.as_ref().expect("cache populated above");
-
-        // Steps 3–5 over the encoded table.
-        let mut output = self.finish_pipeline(&cache.encoded, started)?;
+        let mut output = mine_source(
+            &mut self.source(&cache.encoded),
+            &self.config,
+            self.sink.as_deref(),
+            self.cancel.as_ref(),
+        )?;
         output.stats.intervals_per_attribute = cache.intervals.clone();
         output.stats.encoding_reused = reused;
+        output.stats.elapsed = started.elapsed();
         Ok(output)
     }
 
     /// [`Miner::mine`] with count capture: additionally returns the raw
     /// support tallies of every counting pass as a [`SupportCounts`],
     /// ready to persist in a catalog `COUNTS` section so later runs can
-    /// update incrementally via [`Miner::update`].
-    ///
-    /// Steps 3–5 run through the count-distribution driver
-    /// ([`crate::source::mine_source`]); results are identical to
-    /// [`Miner::mine`] (same itemsets, supports, rules, interest —
-    /// statistics agree under [`MiningStats::normalized`]).
+    /// update incrementally via [`Miner::update`]. Results are identical
+    /// to [`Miner::mine`]'s (statistics agree under
+    /// [`crate::MiningStats::normalized`]).
     pub fn mine_with_counts(
         &mut self,
         table: &Table,
     ) -> Result<(MiningOutput, SupportCounts), MinerError> {
-        self.config.validate()?;
-        crate::pipeline::validate_partitioning(table.schema(), &self.config)?;
-        if table.is_empty() {
-            return Err(MinerError::Schema(TableError::EmptyTable));
-        }
         let started = Instant::now();
-        let fingerprint = table_fingerprint(table);
-        let reused = match &self.cache {
-            Some(cache) if cache.fingerprint == fingerprint => true,
-            _ => {
-                let (encoders, intervals) = build_encoders(table, &self.config)?;
-                let encoded = EncodedTable::encode(table, encoders)?;
-                self.cache = Some(EncodingCache {
-                    fingerprint,
-                    encoded,
-                    intervals,
-                });
-                false
-            }
-        };
+        let reused = self.encode_cached(table)?;
         let cache = self.cache.as_ref().expect("cache populated above");
-
-        let mut source = InMemorySource::new(&cache.encoded, &self.config);
-        if let Some(cancel) = self.cancel.as_ref() {
-            source = source.with_cancel(cancel);
-        }
         let (mut output, captured) = mine_source_captured(
-            &mut source,
+            &mut self.source(&cache.encoded),
             &self.config,
             self.sink.as_deref(),
             self.cancel.as_ref(),
@@ -265,24 +254,11 @@ impl Miner {
     }
 
     /// Incrementally refresh a catalog's mining results after `delta`
-    /// rows were appended to its table, scanning **only** the delta.
-    ///
-    /// `schema`/`encoders`/`counts` come from the existing catalog. The
-    /// miner's configuration must semantically match the one the counts
-    /// were taken under ([`crate::counts::CountsConfig::check_matches`]);
-    /// performance knobs (parallelism, kernel) may differ freely.
-    ///
-    /// The merged counts are exact, so the result — including the new
-    /// [`SupportCounts`] — is identical to mining base+delta from
-    /// scratch. When the delta would change the encoding (interval
-    /// repartitioning, an unseen value) or a support crossing a
-    /// threshold changes a candidate set, the update falls back to a
-    /// full re-mine of `base_rows` + `delta` (emitting a pinned
-    /// `incremental_fallback` trace event with the reason); without
-    /// `base_rows` the fallback is unavailable and [`MinerError::Update`]
-    /// is returned instead.
+    /// rows were appended to its table, scanning **only** the delta:
+    /// [`Miner::update_source`] over the delta encoded in memory with the
+    /// catalog's encoders, with `base_rows` (when given) for the full
+    /// re-mine fallback.
     pub fn update(&mut self, input: UpdateInput<'_>) -> Result<UpdateOutput, MinerError> {
-        self.config.validate()?;
         let UpdateInput {
             schema,
             encoders,
@@ -290,112 +266,147 @@ impl Miner {
             delta,
             base_rows,
         } = input;
-        counts
-            .config
-            .check_matches(&self.config)
-            .map_err(MinerError::Update)?;
         if delta.schema() != schema {
             return Err(MinerError::Update(
                 "delta schema differs from the catalog schema".to_string(),
             ));
         }
+        let encoded = (delta.num_rows() > 0)
+            .then(|| EncodedTable::encode(delta, encoders.to_vec()))
+            .transpose();
+        let mut source = encoded
+            .as_ref()
+            .ok()
+            .and_then(Option::as_ref)
+            .map(|enc| self.source(enc));
+        let delta_source = match &encoded {
+            Ok(_) => Ok(source.as_mut().map(|s| s as &mut dyn CountSource)),
+            Err(e) => Err(MinerError::Schema(e.clone())),
+        };
+        self.update_source(
+            schema,
+            encoders,
+            counts,
+            delta_source,
+            base_rows.map(|base| (base, delta)),
+        )
+    }
+
+    /// Refresh the persisted `counts` of a catalog (`schema`, `encoders`)
+    /// with appended rows counted by any [`CountSource`] — the one
+    /// incremental-update path. [`Miner::update`] hands it an
+    /// [`InMemorySource`]; `qar mine --update` the source its topology
+    /// builds.
+    ///
+    /// `delta` is the delta's source (`None` for an empty delta, which
+    /// needs no scan) or the error building it raised. The miner's
+    /// configuration must semantically match the one the counts were
+    /// taken under ([`crate::counts::CountsConfig::check_matches`]);
+    /// performance knobs (parallelism, kernel) may differ freely.
+    ///
+    /// The merged counts are exact, so the result — including the new
+    /// [`SupportCounts`] — is identical to mining base+delta from
+    /// scratch. When the persisted state cannot answer exactly (an
+    /// encoding fingerprint mismatch, interval encoders, a delta value
+    /// the encoders cannot encode, a support crossing a threshold that
+    /// changes a candidate set), the update emits a pinned
+    /// `incremental_fallback` trace event with the reason and re-mines
+    /// `remine_rows` — the (base, delta) tables — from scratch; without
+    /// them it returns [`MinerError::Update`] naming the reason.
+    pub fn update_source(
+        &mut self,
+        schema: &Schema,
+        encoders: &[AttributeEncoder],
+        counts: &SupportCounts,
+        delta: Result<Option<&mut dyn CountSource>, MinerError>,
+        remine_rows: Option<(&Table, &Table)>,
+    ) -> Result<UpdateOutput, MinerError> {
+        self.config.validate()?;
+        counts
+            .config
+            .check_matches(&self.config)
+            .map_err(MinerError::Update)?;
         if counts.fingerprint != encoding_fingerprint(schema, encoders) {
             return self.update_fallback(
                 "persisted counts were taken under a different encoding fingerprint".to_string(),
-                delta,
-                base_rows,
+                remine_rows,
             );
         }
-        if let Err(reason) = update_precheck(schema, encoders, delta.num_rows() as u64) {
-            return self.update_fallback(reason, delta, base_rows);
+        // An unseen value means the combined table would be encoded
+        // differently — the persisted counts are invalid for it.
+        let delta = match delta {
+            Ok(delta) => delta,
+            Err(MinerError::Schema(e @ TableError::UnencodableValue { .. })) => {
+                return self.update_fallback(
+                    format!("delta is not encodable under the catalog's encoders ({e})"),
+                    remine_rows,
+                );
+            }
+            Err(e) => return Err(e),
+        };
+        let delta_rows = delta.as_ref().map_or(0, |d| d.num_rows());
+        if let Err(reason) = update_precheck(schema, encoders, delta_rows) {
+            return self.update_fallback(reason, remine_rows);
         }
 
-        // Encode the delta with the catalog's encoders. An unseen value
-        // means the combined table would be encoded differently — the
-        // persisted counts are invalid for it, so re-mine.
-        let delta_encoded = if delta.num_rows() == 0 {
-            None
-        } else {
-            match EncodedTable::encode(delta, encoders.to_vec()) {
-                Ok(enc) => Some(enc),
-                Err(e @ TableError::UnencodableValue { .. }) => {
-                    return self.update_fallback(
-                        format!("delta is not encodable under the catalog's encoders ({e})"),
-                        delta,
-                        base_rows,
-                    );
-                }
-                Err(e) => return Err(MinerError::Schema(e)),
-            }
-        };
-
-        let update_started = Instant::now();
-        let total_rows = counts.num_rows + delta.num_rows() as u64;
+        let started = Instant::now();
+        let total_rows = counts.num_rows + delta_rows;
         let meta =
             EncodedTable::header_only(schema.clone(), encoders.to_vec(), total_rows as usize);
-        let delta_source = delta_encoded.as_ref().map(|enc| {
-            let mut src = InMemorySource::new(enc, &self.config);
-            if let Some(cancel) = self.cancel.as_ref() {
-                src = src.with_cancel(cancel);
-            }
-            src
-        });
-        let mut merge = MergeSource::new(counts, delta_source, meta);
-        match mine_source_captured(
+        let mut merge = MergeSource::new(counts, delta.map(|d| d as &mut dyn CountSource), meta);
+        let mined = mine_source_captured(
             &mut merge,
             &self.config,
             self.sink.as_deref(),
             self.cancel.as_ref(),
-        ) {
-            Ok((mut output, captured)) => {
-                output.stats.intervals_per_attribute = counts.intervals_per_attribute.clone();
-                let new_counts = SupportCounts {
-                    num_rows: total_rows,
-                    fingerprint: counts.fingerprint,
-                    config: counts.config.clone(),
-                    intervals_per_attribute: counts.intervals_per_attribute.clone(),
-                    captured,
-                };
-                self.emit(TraceEvent::IncrementalUpdate {
-                    base_rows: counts.num_rows,
-                    delta_rows: delta.num_rows() as u64,
-                    total_rows,
-                    passes: new_counts.captured.passes.len() + 1,
-                    elapsed_us: micros(update_started.elapsed()),
-                });
-                Ok(UpdateOutput {
-                    output,
-                    counts: new_counts,
-                    incremental: true,
-                    fallback: None,
-                })
-            }
-            Err(MinerError::Update(reason)) => self.update_fallback(reason, delta, base_rows),
-            Err(other) => Err(other),
-        }
+        );
+        let (mut output, captured) = match mined {
+            Ok(mined) => mined,
+            Err(MinerError::Update(reason)) => return self.update_fallback(reason, remine_rows),
+            Err(e) => return Err(e),
+        };
+        output.stats.intervals_per_attribute = counts.intervals_per_attribute.clone();
+        let new_counts = SupportCounts {
+            num_rows: total_rows,
+            fingerprint: counts.fingerprint,
+            config: counts.config.clone(),
+            intervals_per_attribute: counts.intervals_per_attribute.clone(),
+            captured,
+        };
+        self.emit(TraceEvent::IncrementalUpdate {
+            base_rows: counts.num_rows,
+            delta_rows,
+            total_rows,
+            passes: new_counts.captured.passes.len() + 1,
+            elapsed_us: micros(started.elapsed()),
+        });
+        Ok(UpdateOutput {
+            output,
+            counts: new_counts,
+            incremental: true,
+            fallback: None,
+        })
     }
 
-    /// The full re-mine escape hatch of [`Miner::update`].
+    /// The full re-mine escape hatch of [`Miner::update_source`].
     fn update_fallback(
         &mut self,
         reason: String,
-        delta: &Table,
-        base_rows: Option<&Table>,
+        remine_rows: Option<(&Table, &Table)>,
     ) -> Result<UpdateOutput, MinerError> {
         self.emit(TraceEvent::IncrementalFallback {
             reason: reason.clone(),
         });
-        let Some(base) = base_rows else {
+        let Some((base, delta)) = remine_rows else {
             return Err(MinerError::Update(format!(
                 "{reason}; base rows unavailable for a full re-mine"
             )));
         };
         let mut combined = Table::new(base.schema().clone());
-        for r in 0..base.num_rows() {
-            combined.push_row(&base.row(r).to_values())?;
-        }
-        for r in 0..delta.num_rows() {
-            combined.push_row(&delta.row(r).to_values())?;
+        for rows in [base, delta] {
+            for r in 0..rows.num_rows() {
+                combined.push_row(&rows.row(r).to_values())?;
+            }
         }
         let (output, counts) = self.mine_with_counts(&combined)?;
         Ok(UpdateOutput {
@@ -413,67 +424,30 @@ impl Miner {
     }
 
     /// Run Steps 3–5 over an already-encoded table (partitioning was
-    /// done by the caller, so [`MiningStats::intervals_per_attribute`]
-    /// is empty and nothing is cached).
+    /// done by the caller, so
+    /// [`crate::MiningStats::intervals_per_attribute`] is empty and
+    /// nothing is cached).
     pub fn mine_encoded(&self, table: &EncodedTable) -> Result<MiningOutput, MinerError> {
-        self.config.validate()?;
-        self.finish_pipeline(table, Instant::now())
+        mine_source(
+            &mut self.source(table),
+            &self.config,
+            self.sink.as_deref(),
+            self.cancel.as_ref(),
+        )
     }
 
-    /// Frequent itemsets only (Step 3) over an already-encoded table —
-    /// the trace/cancel-aware replacement for the deprecated
-    /// `mine_encoded` free function.
+    /// Frequent itemsets only (Step 3) over an already-encoded table.
     pub fn frequent_itemsets(
         &self,
         table: &EncodedTable,
-    ) -> Result<(crate::frequent::QuantFrequentItemsets, MineStats), MinerError> {
-        self.config.validate()?;
-        mine_encoded_ctx(table, &self.config, self.force_counter, self.ctx())
-    }
-
-    /// Steps 3–5: frequent itemsets, rules, interest, stats assembly.
-    fn finish_pipeline(
-        &self,
-        encoded: &EncodedTable,
-        started: Instant,
-    ) -> Result<MiningOutput, MinerError> {
-        let mining_started = Instant::now();
-        let (frequent, mine_stats) =
-            mine_encoded_ctx(encoded, &self.config, self.force_counter, self.ctx())?;
-        let elapsed_mining = mining_started.elapsed();
-
-        // Step 4: rules.
-        let rules = generate_rules(&frequent, self.config.min_confidence);
-
-        // Step 5: interest.
-        let item_supports = item_supports_of(encoded);
-        let interest = self
-            .config
-            .interest
-            .as_ref()
-            .map(|ic| annotate_interest(&rules, &frequent, &item_supports, ic));
-
-        let rules_total = rules.len();
-        let rules_interesting = match &interest {
-            Some(v) => v.iter().filter(|x| x.interesting).count(),
-            None => rules_total,
+    ) -> Result<(QuantFrequentItemsets, MineStats), MinerError> {
+        let ctx = RunCtx {
+            sink: self.sink.as_deref(),
+            cancel: self.cancel.as_ref(),
         };
-        Ok(MiningOutput {
-            frequent,
-            rules,
-            interest,
-            item_supports,
-            stats: MiningStats {
-                intervals_per_attribute: Vec::new(),
-                mine: mine_stats,
-                rules_total,
-                rules_interesting,
-                elapsed: started.elapsed(),
-                elapsed_mining,
-                encoding_reused: false,
-            },
-            encoded: encoded.clone(),
-        })
+        let (frequent, stats, _) =
+            mine_with_source_ctx(&mut self.source(table), &self.config, ctx)?;
+        Ok((frequent, stats))
     }
 }
 
@@ -565,26 +539,6 @@ fn table_fingerprint(table: &Table) -> (u64, u64) {
     (lanes[0].finish(), lanes[1].finish())
 }
 
-/// One SplitMix64-style absorbing lane.
-struct Lane(u64);
-
-impl Lane {
-    fn new(seed: u64) -> Self {
-        Lane(seed)
-    }
-
-    fn absorb(&mut self, word: u64) {
-        let mut z = self.0 ^ word.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.0 = z ^ (z >> 31);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,16 +575,6 @@ mod tests {
             interest: None,
             ..MinerConfig::default()
         }
-    }
-
-    #[test]
-    fn facade_matches_deprecated_free_function() {
-        #[allow(deprecated)]
-        let via_free = crate::pipeline::mine_table(&people_table(), &config()).unwrap();
-        let via_miner = Miner::new(config()).mine(&people_table()).unwrap();
-        assert_eq!(via_free.frequent.levels, via_miner.frequent.levels);
-        assert_eq!(via_free.rules.len(), via_miner.rules.len());
-        assert_eq!(via_free.stats.rules_total, via_miner.stats.rules_total);
     }
 
     #[test]

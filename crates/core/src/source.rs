@@ -1,31 +1,36 @@
-//! Count-distribution mining over an abstract counting backend.
+//! The level-wise search (Step 3, Section 5) over an abstract counting
+//! backend.
 //!
-//! The level-wise loop of [`crate::mine`] needs only two things from the
-//! data: the pass-1 per-attribute value histograms and, for every later
-//! pass, the raw support count of each candidate itemset. Both are sums
-//! over rows, so counts taken over *disjoint row partitions* merge by
-//! element-wise `u64` addition into exactly the whole-table counts.
+//! The search needs only two things from the data: the pass-1
+//! per-attribute value histograms and, for every later pass, the raw
+//! support count of each candidate itemset. Both are sums over rows, so
+//! counts taken over *disjoint row partitions* merge by element-wise
+//! `u64` addition into exactly the whole-table counts.
 //!
-//! [`CountSource`] abstracts that contract. [`mine_source`] then runs the
-//! complete Steps 3–5 pipeline — candidate generation, rule generation and
-//! the interest measure all happen on the caller's side, only counting is
+//! [`CountSource`] abstracts that contract, and one driver runs the search
+//! over any source: [`crate::Miner`], every `qar mine` topology and the
+//! incremental update alike. [`mine_source`] wraps it into the complete
+//! Steps 3–5 pipeline — candidate generation, rule generation and the
+//! interest measure all happen on the caller's side, only counting is
 //! delegated — which is precisely the *count distribution* scheme for
 //! distributed Apriori: every participant counts its partition, the
 //! coordinator merges and decides. Because candidate generation is global
-//! and counts are exact integers, the result is bit-identical to the
-//! serial miner, whatever the partitioning.
+//! and counts are exact integers, the result is bit-identical whatever the
+//! partitioning.
 //!
 //! Two local sources live here:
 //!
-//! * [`InMemorySource`] — counts an [`EncodedTable`] directly (the
-//!   reference implementation the others are tested against),
+//! * [`InMemorySource`] — counts an [`EncodedTable`] directly and answers
+//!   pass 2 without materializing `C_2` (what [`crate::Miner`] mines
+//!   through),
 //! * [`ChunkedSource`] — counts a [`qar_table::ChunkStore`] one spilled
 //!   chunk at a time, so tables larger than memory mine out-of-core.
 //!
 //! The TCP-backed source of the `qar-dist` crate implements the same
 //! trait over a pool of worker processes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::candidate::{generate_candidates, interest_prune_level1};
@@ -35,9 +40,12 @@ use crate::frequent::{attribute_value_counts, frequent_items_from_counts, QuantF
 use crate::interest::{annotate_interest, ItemSupports};
 use crate::mine::{pass_finished_event, MineStats, RunCtx};
 use crate::pipeline::{MiningOutput, MiningStats};
+use crate::pool::WorkerPool;
 use crate::rules::generate_rules;
-use crate::supercand::{count_candidates_opts, PairPlan, PassStats, ScanOptions, PAIR_CELL_BUDGET};
-use qar_itemset::Itemset;
+use crate::supercand::{
+    count_candidates_opts, count_pairs_opts, PairPlan, PassStats, ScanOptions, PAIR_CELL_BUDGET,
+};
+use qar_itemset::{CounterKind, Item, Itemset};
 use qar_table::{AttributeKind, ChunkStore, EncodedTable};
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 
@@ -94,19 +102,92 @@ pub trait CountSource {
     /// Pass `k ≥ 2`: the raw support count of each candidate, aligned
     /// with `candidates`, merged across partitions.
     fn count(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError>;
+
+    /// Pass 2: the members of `C_2` — the cross product of `level1`'s
+    /// items over distinct attribute pairs — whose count reaches
+    /// `min_count`, with those counts.
+    ///
+    /// The default builds `C_2` with [`generate_candidates`] and hands it
+    /// to [`CountSource::count`], so a wrapper that records or times
+    /// counts sees pass 2 like any other pass; an empty `C_2` is never
+    /// counted. [`InMemorySource`] overrides it to count pairs without
+    /// materializing `C_2`.
+    fn frequent_pairs(
+        &mut self,
+        level1: &[(Itemset, u64)],
+        min_count: u64,
+    ) -> Result<Vec<(Itemset, u64)>, CountError> {
+        count_pairs_explicitly(self, level1, min_count)
+    }
+
+    /// The scan statistics of the counting call just made, for a source
+    /// that keeps them. The default keeps none, and the driver reports
+    /// the call's wall time as the pass's `scan_time`.
+    fn take_pass_stats(&mut self) -> Option<PassStats> {
+        None
+    }
 }
 
-/// Mine all frequent itemsets using `source` for every counting scan.
+/// The default [`CountSource::frequent_pairs`]: materialize `C_2` and
+/// count it like any other pass.
+fn count_pairs_explicitly<S: CountSource + ?Sized>(
+    source: &mut S,
+    level1: &[(Itemset, u64)],
+    min_count: u64,
+) -> Result<Vec<(Itemset, u64)>, CountError> {
+    let candidates = generate_candidates(level1);
+    if candidates.is_empty() {
+        return Ok(Vec::new());
+    }
+    count_frequent(source, 2, candidates, min_count)
+}
+
+/// Count `candidates` at pass `pass` and keep those reaching `min_count`.
+fn count_frequent<S: CountSource + ?Sized>(
+    source: &mut S,
+    pass: usize,
+    candidates: Vec<Itemset>,
+    min_count: u64,
+) -> Result<Vec<(Itemset, u64)>, CountError> {
+    let counts = source.count(pass, &candidates)?;
+    if counts.len() != candidates.len() {
+        return Err(CountError::Failed(MinerError::Distributed(format!(
+            "pass {pass}: source returned {} counts for {} candidates",
+            counts.len(),
+            candidates.len()
+        ))));
+    }
+    Ok(candidates
+        .into_iter()
+        .zip(counts)
+        .filter(|(_, c)| *c >= min_count)
+        .collect())
+}
+
+/// `|C_2|` for `level1`: the sum over attribute pairs of the product of
+/// their frequent-item counts — what [`generate_candidates`] would build.
+fn pair_candidates(level1: &[(Itemset, u64)]) -> usize {
+    let mut per_attr: BTreeMap<u32, usize> = BTreeMap::new();
+    for (itemset, _) in level1 {
+        *per_attr.entry(itemset.items()[0].attr).or_default() += 1;
+    }
+    let (mut total, mut seen) = (0, 0);
+    for n in per_attr.into_values() {
+        total += seen * n;
+        seen += n;
+    }
+    total
+}
+
+/// Mine all frequent itemsets using `source` for every counting scan: the
+/// one level-wise loop of every mining path.
 ///
-/// Mirrors [`crate::mine::mine_encoded_ctx`] event-for-event, with one
-/// structural difference: pass 2 hands the source an explicit candidate
-/// list (the cross product of frequent items over distinct attribute
-/// pairs — the same set the serial implicit pair pass counts, so
-/// `candidates_per_pass` agrees). The sources of this crate and
-/// `qar-dist` answer such an all-2-itemset list from
-/// [`crate::supercand::PairHistograms`], so no path walks `C_2`
-/// candidate by candidate. A pass's [`PassStats`] carry only
-/// `scan_time`, the wall time of the source's `count` call.
+/// Pass 1 derives the frequent items from the source's merged histograms
+/// (then applies the Lemma 5 prune), pass 2 asks
+/// [`CountSource::frequent_pairs`], and every later pass counts the
+/// candidates [`generate_candidates`] joins from the previous level. A
+/// pass reports the source's own [`PassStats`] when it keeps them, else
+/// the wall time of its counting call as `scan_time`.
 ///
 /// Also returns the merged pass-1 value counts (the driver reuses them
 /// for [`ItemSupports`] instead of re-scanning).
@@ -161,8 +242,9 @@ pub(crate) fn mine_with_source_ctx(
         .collect();
     let value_counts = items.value_counts;
 
-    // Lemma 5 interest prune — identical to the serial path (it depends
-    // only on level-1 fractions and the schema, both already global).
+    // Lemma 5 interest prune (only sound when the user wants support AND
+    // confidence above expectation; it depends only on level-1 fractions
+    // and the schema).
     if let Some(interest) = &config.interest {
         if interest.prune_candidates && interest.mode == InterestMode::SupportAndConfidence {
             let before = level1.len();
@@ -191,6 +273,8 @@ pub(crate) fn mine_with_source_ctx(
         shard_scan_us: Vec::new(),
         pooled: false,
         memoized: false,
+        // Pass 1 is a plain per-attribute value count — no hash tree, no
+        // cache, no masks — which is the direct kernel's shape.
         kernel: "direct".to_string(),
         distinct_tuples: 0,
         memo_hits: 0,
@@ -215,52 +299,39 @@ pub(crate) fn mine_with_source_ctx(
             return Err(ctx.cancelled(k, stats));
         }
         let prev = frequent.levels.last().expect("level 1 pushed");
-        let candidates = generate_candidates(prev);
-        if candidates.is_empty() {
-            if k == 2 {
-                // The serial implicit pair pass records pass 2 (with zero
-                // candidates) even when no attribute pair exists; mirror
-                // that so stats and traces stay aligned.
-                stats.candidates_per_pass.push(0);
-                ctx.emit(|| TraceEvent::PassStarted {
-                    pass: k,
-                    candidates: 0,
-                });
-                let pass = PassStats::default();
-                ctx.emit(|| pass_finished_event(k, 0, 0, &pass));
-                stats.pass_stats.push(pass);
+        // `C_2` is only sized here: the source decides whether to build it.
+        let candidates = if k == 2 {
+            None
+        } else {
+            let candidates = generate_candidates(prev);
+            if candidates.is_empty() {
+                break;
             }
-            break;
-        }
-        stats.candidates_per_pass.push(candidates.len());
+            Some(candidates)
+        };
+        let size = candidates
+            .as_ref()
+            .map_or_else(|| pair_candidates(prev), Vec::len);
+        stats.candidates_per_pass.push(size);
         ctx.emit(|| TraceEvent::PassStarted {
             pass: k,
-            candidates: candidates.len(),
+            candidates: size,
         });
-        let count_started = Instant::now();
-        let counts = match source.count(k, &candidates) {
-            Ok(c) => c,
+        let started = Instant::now();
+        let counted = match candidates {
+            None => source.frequent_pairs(prev, min_count),
+            Some(candidates) => count_frequent(source, k, candidates, min_count),
+        };
+        let level = match counted {
+            Ok(level) => level,
             Err(CountError::Cancelled) => return Err(ctx.cancelled(k, stats)),
             Err(CountError::Failed(e)) => return Err(e),
         };
-        // The source's internals are opaque here: its wall time is the scan.
-        let pass = PassStats {
-            scan_time: count_started.elapsed(),
+        let pass = source.take_pass_stats().unwrap_or_else(|| PassStats {
+            scan_time: started.elapsed(),
             ..PassStats::default()
-        };
-        if counts.len() != candidates.len() {
-            return Err(MinerError::Distributed(format!(
-                "pass {k}: source returned {} counts for {} candidates",
-                counts.len(),
-                candidates.len()
-            )));
-        }
-        let level: Vec<(Itemset, u64)> = candidates
-            .into_iter()
-            .zip(counts)
-            .filter(|(_, c)| *c >= min_count)
-            .collect();
-        ctx.emit(|| pass_finished_event(k, stats.candidates_per_pass[k - 2], level.len(), &pass));
+        });
+        ctx.emit(|| pass_finished_event(k, size, level.len(), &pass));
         stats.pass_stats.push(pass);
         if level.is_empty() {
             break;
@@ -278,11 +349,10 @@ pub(crate) fn mine_with_source_ctx(
 /// Run the complete Steps 3–5 pipeline (frequent itemsets, rules,
 /// interest) over an abstract counting backend.
 ///
-/// The result is bit-identical to [`crate::Miner::mine_encoded`] on the
-/// corresponding in-memory table: same frequent itemsets and supports,
-/// same rules, same interest verdicts. Statistics differ only in their
-/// volatile fields (timings, kernels) — [`MiningStats::normalized`]
-/// projections agree exactly.
+/// The result is bit-identical whichever source counts the same rows:
+/// same frequent itemsets and supports, same rules, same interest
+/// verdicts. Statistics differ only in their volatile fields (timings,
+/// kernels) — [`MiningStats::normalized`] projections agree exactly.
 pub fn mine_source(
     source: &mut dyn CountSource,
     config: &MinerConfig,
@@ -291,11 +361,7 @@ pub fn mine_source(
 ) -> Result<MiningOutput, MinerError> {
     config.validate()?;
     let started = Instant::now();
-    let ctx = RunCtx {
-        sink,
-        cancel,
-        pool: None,
-    };
+    let ctx = RunCtx { sink, cancel };
 
     let mining_started = Instant::now();
     let (frequent, mine_stats, value_counts) = mine_with_source_ctx(source, config, ctx)?;
@@ -304,8 +370,8 @@ pub fn mine_source(
     // Step 4: rules.
     let rules = generate_rules(&frequent, config.min_confidence);
 
-    // Step 5: interest — from the merged pass-1 histograms, which equal
-    // the serial path's whole-table scan.
+    // Step 5: interest — from the merged pass-1 histograms, which equal a
+    // whole-table scan.
     let item_supports = ItemSupports::from_value_counts(&value_counts, frequent.num_rows);
     let interest = config
         .interest
@@ -423,31 +489,29 @@ pub fn mine_source_captured(
 /// sets derived from it) cannot be served incrementally; the lookup
 /// fails with [`MinerError::Update`] and the caller falls back to a full
 /// re-mine.
-pub struct MergeSource<'a, S: CountSource> {
+pub struct MergeSource<'a> {
     base: &'a SupportCounts,
-    delta: Option<S>,
+    delta: Option<&'a mut dyn CountSource>,
     meta: EncodedTable,
     pass_maps: HashMap<u32, HashMap<Itemset, u64>>,
 }
 
-impl<'a, S: CountSource> MergeSource<'a, S> {
+impl<'a> MergeSource<'a> {
     /// A source over `base` counts plus `delta` (pass `None` for an
     /// empty delta — no scan at all then). `meta` must be a decode-only
     /// header whose `num_rows` is the combined base+delta total and whose
     /// schema/encoders are the ones `base.fingerprint` pins.
-    pub fn new(base: &'a SupportCounts, delta: Option<S>, meta: EncodedTable) -> Self {
+    pub fn new(
+        base: &'a SupportCounts,
+        delta: Option<&'a mut dyn CountSource>,
+        meta: EncodedTable,
+    ) -> Self {
         MergeSource {
             base,
             delta,
             meta,
             pass_maps: HashMap::new(),
         }
-    }
-
-    /// Hand back the delta source (e.g. so a distributed cluster behind
-    /// it can be shut down).
-    pub fn into_delta(self) -> Option<S> {
-        self.delta
     }
 
     fn base_counts(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
@@ -477,7 +541,7 @@ impl<'a, S: CountSource> MergeSource<'a, S> {
     }
 }
 
-impl<S: CountSource> CountSource for MergeSource<'_, S> {
+impl CountSource for MergeSource<'_> {
     fn meta(&self) -> &EncodedTable {
         &self.meta
     }
@@ -525,12 +589,20 @@ impl<S: CountSource> CountSource for MergeSource<'_, S> {
 }
 
 /// The reference [`CountSource`]: counts an in-memory [`EncodedTable`]
-/// with the same scan kernels the serial miner uses.
+/// with the scan kernels, answering pass 2 from one 2-D histogram per
+/// attribute pair ([`count_pairs_opts`]) without materializing `C_2`.
 pub struct InMemorySource<'a> {
     table: &'a EncodedTable,
     num_threads: usize,
     kernel: crate::config::ScanKernel,
-    cancel: Option<&'a CancelToken>,
+    cancel: Option<CancelToken>,
+    /// Runs the shard tasks; `None` uses [`WorkerPool::global`].
+    pub(crate) pool: Option<Arc<WorkerPool>>,
+    /// A pinned quantitative counting backend (the Array/R*-tree
+    /// ablation): every pass, pass 2 included, then counts explicit
+    /// candidates through it.
+    pub(crate) counter: Option<CounterKind>,
+    pass_stats: Option<PassStats>,
 }
 
 impl<'a> InMemorySource<'a> {
@@ -541,18 +613,23 @@ impl<'a> InMemorySource<'a> {
             num_threads: config.effective_parallelism(),
             kernel: config.kernel,
             cancel: None,
+            pool: None,
+            counter: None,
+            pass_stats: None,
         }
     }
 
-    /// Attach a cancellation token checked inside every counting scan.
-    pub fn with_cancel(mut self, cancel: &'a CancelToken) -> Self {
-        self.cancel = Some(cancel);
+    /// Attach the run's cancellation token, if any, checked inside every
+    /// counting scan.
+    pub fn with_cancel(mut self, cancel: Option<&CancelToken>) -> Self {
+        self.cancel = cancel.cloned();
         self
     }
 
-    fn opts(&self) -> ScanOptions<'a> {
+    fn opts(&self) -> ScanOptions<'_> {
         ScanOptions {
-            cancel: self.cancel,
+            cancel: self.cancel.as_ref(),
+            pool: self.pool.as_deref(),
             kernel: self.kernel,
             ..ScanOptions::new(self.num_threads)
         }
@@ -572,11 +649,51 @@ impl CountSource for InMemorySource<'_> {
         Ok(attribute_value_counts(self.table))
     }
 
+    /// A list of 2-itemsets — pass 2 as a recording or timing wrapper
+    /// hands it over — is answered from pair histograms; any other list,
+    /// and every list under a pinned backend, goes through the scan
+    /// kernels, whose statistics the driver then reports.
     fn count(&mut self, _pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
         let table = self.table;
-        count_blocks(table, candidates, PAIR_CELL_BUDGET, self.opts(), &mut |f| {
-            f(table)
-        })
+        if self.counter.is_none() && candidates.iter().all(|c| c.len() == 2) {
+            return count_blocks(table, candidates, PAIR_CELL_BUDGET, self.opts(), &mut |f| {
+                f(table)
+            });
+        }
+        let (counts, pass) = count_candidates_opts(table, candidates, self.counter, self.opts())?;
+        self.pass_stats = Some(pass);
+        Ok(counts)
+    }
+
+    fn frequent_pairs(
+        &mut self,
+        level1: &[(Itemset, u64)],
+        min_count: u64,
+    ) -> Result<Vec<(Itemset, u64)>, CountError> {
+        if self.counter.is_some() {
+            return count_pairs_explicitly(self, level1, min_count);
+        }
+        let mut items_by_attr: BTreeMap<u32, Vec<(Item, u64)>> = BTreeMap::new();
+        for (itemset, count) in level1 {
+            let item = itemset.items()[0];
+            items_by_attr
+                .entry(item.attr)
+                .or_default()
+                .push((item, *count));
+        }
+        let (level, pass) = count_pairs_opts(
+            self.table,
+            &items_by_attr,
+            min_count,
+            PAIR_CELL_BUDGET,
+            self.opts(),
+        )?;
+        self.pass_stats = Some(pass);
+        Ok(level)
+    }
+
+    fn take_pass_stats(&mut self) -> Option<PassStats> {
+        self.pass_stats.take()
     }
 }
 
@@ -591,6 +708,8 @@ type BlockVisitor<'v> = dyn FnMut(&mut dyn FnMut(&EncodedTable) -> Result<(), Co
 /// set of histograms and every candidate is a rectangle sum. Candidates
 /// on a pair over `cell_budget` cells, and every longer candidate list,
 /// go through [`count_candidates_opts`] block by block.
+///
+/// [`PairHistograms`]: crate::supercand::PairHistograms
 pub(crate) fn count_blocks(
     meta: &EncodedTable,
     candidates: &[Itemset],
@@ -665,9 +784,10 @@ impl<'a> ChunkedSource<'a> {
         }
     }
 
-    /// Attach a cancellation token checked inside every counting scan.
-    pub fn with_cancel(mut self, cancel: &'a CancelToken) -> Self {
-        self.cancel = Some(cancel);
+    /// Attach the run's cancellation token, if any, checked inside every
+    /// counting scan.
+    pub fn with_cancel(mut self, cancel: Option<&'a CancelToken>) -> Self {
+        self.cancel = cancel;
         self
     }
 
@@ -800,12 +920,14 @@ mod tests {
         );
     }
 
+    /// The miner's implicit pair pass and the explicit `C_2` a recording
+    /// wrapper sees produce the same output.
     #[test]
     fn in_memory_source_matches_serial_miner() {
         let enc = encoded();
         let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
         let mut source = InMemorySource::new(&enc, &config());
-        let sourced = mine_source(&mut source, &config(), None, None).unwrap();
+        let (sourced, _) = mine_source_captured(&mut source, &config(), None, None).unwrap();
         assert_outputs_identical(&serial, &sourced);
     }
 
@@ -820,7 +942,7 @@ mod tests {
         let enc = encoded();
         let serial = Miner::new(cfg.clone()).mine_encoded(&enc).unwrap();
         let mut source = InMemorySource::new(&enc, &cfg);
-        let sourced = mine_source(&mut source, &cfg, None, None).unwrap();
+        let (sourced, _) = mine_source_captured(&mut source, &cfg, None, None).unwrap();
         assert_outputs_identical(&serial, &sourced);
         let sv: Vec<bool> = serial
             .interest
@@ -869,7 +991,7 @@ mod tests {
         let enc = encoded();
         let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
         let mut source = InMemorySource::new(&enc, &config());
-        let sourced = mine_source(&mut source, &config(), None, None).unwrap();
+        let (sourced, _) = mine_source_captured(&mut source, &config(), None, None).unwrap();
         let a = serial.stats.normalized();
         let b = sourced.stats.normalized();
         assert_eq!(a.mine, b.mine);
@@ -877,21 +999,135 @@ mod tests {
         assert_eq!(a.rules_interesting, b.rules_interesting);
     }
 
+    /// `Miner::mine` reports the in-memory source's own scan statistics:
+    /// every pass-≥2 `pass_finished` names its kernel and carries the
+    /// super-candidates and per-shard scan times of the returned stats.
     #[test]
-    fn source_traces_mirror_serial_traces() {
-        let enc = encoded();
-        let serial_sink = std::sync::Arc::new(qar_trace::CollectingSink::new());
-        Miner::new(config())
-            .with_progress(serial_sink.clone())
-            .mine_encoded(&enc)
+    fn miner_pass_events_carry_the_source_stats() {
+        let sink = std::sync::Arc::new(qar_trace::CollectingSink::new());
+        let out = Miner::new(config())
+            .with_progress(sink.clone())
+            .mine(&people_table())
             .unwrap();
-        let source_sink = qar_trace::CollectingSink::new();
-        let mut source = InMemorySource::new(&enc, &config());
-        mine_source(&mut source, &config(), Some(&source_sink), None).unwrap();
-        let names = |sink: &qar_trace::CollectingSink| -> Vec<String> {
-            sink.events().iter().map(|e| e.name().to_string()).collect()
-        };
-        assert_eq!(names(&serial_sink), names(&source_sink));
+        let mut counted = 0;
+        for event in &sink.events() {
+            if let TraceEvent::PassFinished {
+                pass,
+                kernel,
+                super_candidates,
+                shard_scan_us,
+                ..
+            } = event
+            {
+                if *pass >= 2 {
+                    let stats = &out.stats.mine.pass_stats[pass - 2];
+                    assert!(!kernel.is_empty(), "pass {pass}");
+                    assert_eq!(*super_candidates, stats.super_candidates, "pass {pass}");
+                    let shards: Vec<u64> =
+                        stats.shard_scan_times.iter().map(|&d| micros(d)).collect();
+                    assert_eq!(*shard_scan_us, shards, "pass {pass}");
+                    counted += 1;
+                }
+            }
+        }
+        assert_eq!(counted, out.stats.mine.pass_stats.len());
+        assert!(counted >= 2, "the table reaches pass 3");
+    }
+
+    /// Property: on random tables the in-memory pass-2 override returns
+    /// the frequent pairs the trait's default returns — with a pinned
+    /// backend (which must skip the override and the pair plan), with an
+    /// empty `C_2`, and under `max_itemset_size = 1`.
+    #[test]
+    fn pair_override_matches_the_default() {
+        qar_prng::cases(32, 0x9A12_0FF5_E7ED_0002, |case, rng| {
+            let attrs = rng.gen_range(1..4usize);
+            let mut builder = Schema::builder();
+            for a in 0..attrs {
+                builder = if a % 2 == 0 {
+                    builder.quantitative(format!("q{a}"))
+                } else {
+                    builder.categorical(format!("c{a}"))
+                };
+            }
+            let mut table = Table::new(builder.build().unwrap());
+            for _ in 0..rng.gen_range(1..60usize) {
+                let row: Vec<Value> = (0..attrs)
+                    .map(|a| {
+                        if a % 2 == 0 {
+                            Value::Int(rng.gen_range(0i64..6))
+                        } else {
+                            Value::from(["x", "y", "z"][rng.gen_range(0..3usize)])
+                        }
+                    })
+                    .collect();
+                table.push_row(&row).unwrap();
+            }
+            let enc = EncodedTable::encode_full_resolution(&table).unwrap();
+            let min_count = rng.gen_range(1..5u64);
+            let level1: Vec<(Itemset, u64)> =
+                crate::frequent::find_frequent_items(&enc, min_count, u64::MAX)
+                    .items
+                    .into_iter()
+                    .map(|(item, count)| (Itemset::singleton(item), count))
+                    .collect();
+            let sorted = |mut v: Vec<(Itemset, u64)>| {
+                v.sort();
+                v
+            };
+            let cfg = MinerConfig {
+                partitioning: PartitionSpec::None,
+                ..config()
+            };
+            let want = sorted(
+                count_pairs_explicitly(&mut InMemorySource::new(&enc, &cfg), &level1, min_count)
+                    .unwrap(),
+            );
+            if pair_candidates(&level1) == 0 {
+                assert!(want.is_empty(), "case {case}");
+            }
+            if attrs == 1 {
+                // No attribute pair: `C_2` is empty, so a capture gains no
+                // pass-2 record.
+                let mut src = InMemorySource::new(&enc, &cfg);
+                let (_, captured) = mine_source_captured(&mut src, &cfg, None, None).unwrap();
+                assert!(captured.passes.is_empty(), "case {case}");
+            }
+            let mut source = InMemorySource::new(&enc, &cfg);
+            let got = source.frequent_pairs(&level1, min_count).unwrap();
+            assert_eq!(sorted(got), want, "case {case}");
+            assert!(source.take_pass_stats().is_some(), "case {case}");
+
+            for kind in [CounterKind::Array, CounterKind::RTree] {
+                let mut pinned = InMemorySource::new(&enc, &cfg);
+                pinned.counter = Some(kind);
+                let got = pinned.frequent_pairs(&level1, min_count).unwrap();
+                assert_eq!(sorted(got), want, "case {case}, {kind:?}");
+                // A pinned pass 2 reaches its backend through the scan
+                // kernels, never through the pair histograms.
+                if pair_candidates(&level1) > 0 {
+                    let pass = pinned.take_pass_stats().expect("pinned pass 2 is scanned");
+                    let (pinned_kind, other) = match kind {
+                        CounterKind::Array => (pass.array_backed, pass.rtree_backed),
+                        CounterKind::RTree => (pass.rtree_backed, pass.array_backed),
+                    };
+                    assert!(pinned_kind > 0 && other == 0, "case {case}, {kind:?}");
+                }
+            }
+
+            let capped = MinerConfig {
+                max_itemset_size: 1,
+                ..cfg.clone()
+            };
+            for miner in [
+                Miner::new(capped.clone()),
+                Miner::new(capped).with_counter(CounterKind::RTree),
+            ] {
+                let (frequent, stats) = miner.frequent_itemsets(&enc).unwrap();
+                assert!(frequent.levels.len() <= 1, "case {case}");
+                assert!(stats.candidates_per_pass.is_empty(), "case {case}");
+            }
+        });
     }
 
     #[test]
@@ -1020,8 +1256,9 @@ mod tests {
                 encoders.clone(),
                 full_table.num_rows(),
             );
-            let delta_src = (cut < 10).then(|| InMemorySource::new(&delta_enc, &config()));
-            let mut merge = MergeSource::new(&base_counts, delta_src, meta);
+            let mut delta_src = (cut < 10).then(|| InMemorySource::new(&delta_enc, &config()));
+            let delta = delta_src.as_mut().map(|s| s as &mut dyn CountSource);
+            let mut merge = MergeSource::new(&base_counts, delta, meta);
             match mine_source_captured(&mut merge, &config(), None, None) {
                 Ok((out, cap)) => {
                     assert_outputs_identical(&full_out, &out);
@@ -1040,21 +1277,6 @@ mod tests {
 
     #[test]
     fn merge_with_empty_delta_never_scans() {
-        struct Explode;
-        impl CountSource for Explode {
-            fn meta(&self) -> &EncodedTable {
-                unreachable!("empty delta must not be consulted")
-            }
-            fn num_rows(&self) -> u64 {
-                0
-            }
-            fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError> {
-                panic!("empty delta must not be scanned")
-            }
-            fn count(&mut self, _: usize, _: &[Itemset]) -> Result<Vec<u64>, CountError> {
-                panic!("empty delta must not be scanned")
-            }
-        }
         let enc = encoded();
         let mut src = InMemorySource::new(&enc, &config());
         let (full_out, cap) = mine_source_captured(&mut src, &config(), None, None).unwrap();
@@ -1071,7 +1293,7 @@ mod tests {
             enc.encoders().to_vec(),
             enc.num_rows(),
         );
-        let mut merge: MergeSource<'_, Explode> = MergeSource::new(&counts, None, meta);
+        let mut merge = MergeSource::new(&counts, None, meta);
         let replay = mine_source(&mut merge, &config(), None, None).unwrap();
         assert_outputs_identical(&full_out, &replay);
     }
@@ -1081,7 +1303,7 @@ mod tests {
         let enc = encoded();
         let token = CancelToken::new();
         token.cancel();
-        let mut source = InMemorySource::new(&enc, &config()).with_cancel(&token);
+        let mut source = InMemorySource::new(&enc, &config()).with_cancel(Some(&token));
         match mine_source(&mut source, &config(), None, Some(&token)) {
             Err(MinerError::Cancelled(info)) => assert_eq!(info.pass, 1),
             Err(other) => panic!("expected Cancelled, got {other:?}"),

@@ -19,12 +19,11 @@
 //! so by default it recovers by recounting the lost partition locally —
 //! the merged counts, and therefore the mined rules, are unchanged.
 
-use qar_core::pipeline::MiningOutput;
-use qar_core::source::{mine_source_captured, CountError, CountSource};
+use qar_core::source::{CountError, CountSource};
 use qar_core::supercand::{
     count_candidates_opts, PairHistograms, PairPlan, ScanOptions, PAIR_CELL_BUDGET,
 };
-use qar_core::{CapturedCounts, MinerConfig, MinerError, ScanKernel};
+use qar_core::{MinerConfig, MinerError, ScanKernel};
 use qar_itemset::Itemset;
 use qar_store::dist::{read_response, write_request, DistRequest, DistResponse};
 use qar_store::protocol::MAX_PAYLOAD;
@@ -318,7 +317,8 @@ impl Backing<'_> {
         }
     }
 
-    fn num_rows(&self) -> usize {
+    /// Rows the backing holds.
+    pub fn num_rows(&self) -> usize {
         match self {
             Backing::Memory(table) => table.num_rows(),
             Backing::Chunks(store) => store.num_rows(),
@@ -398,6 +398,25 @@ pub struct DistSource<'a> {
 }
 
 impl<'a> DistSource<'a> {
+    /// Start a cluster of `options.workers` workers and load `backing`
+    /// into it — the source `qar mine --workers N` counts through. The
+    /// cluster shuts down when the source is dropped.
+    pub fn start(
+        backing: Backing<'a>,
+        config: &MinerConfig,
+        options: &DistOptions,
+        sink: Option<&'a dyn ProgressSink>,
+        cancel: Option<&'a CancelToken>,
+    ) -> Result<DistSource<'a>, MinerError> {
+        let cluster = Cluster::start(&ClusterOptions {
+            workers: options.workers,
+            spawn: options.spawn.clone(),
+            read_timeout: options.read_timeout,
+            accept_timeout: ClusterOptions::default().accept_timeout,
+        })?;
+        DistSource::new(cluster, backing, config, sink, cancel, options.fail_fast)
+    }
+
     /// Partition `backing` across the cluster's workers and stream every
     /// partition out. Emits one `worker_joined` event per loaded worker.
     pub fn new(
@@ -623,12 +642,6 @@ impl<'a> DistSource<'a> {
             batches.push((start, candidates.len()));
         }
         batches
-    }
-
-    /// Gracefully stop the cluster. Implicit on drop; explicit here so
-    /// callers can sequence it before reading run results.
-    pub fn shutdown(mut self) {
-        self.cluster.shutdown();
     }
 
     /// Indices of workers still alive.
@@ -866,7 +879,7 @@ fn describe(response: &DistResponse) -> &'static str {
     }
 }
 
-/// Options of [`mine_distributed`].
+/// Options of [`DistSource::start`].
 #[derive(Debug, Clone)]
 pub struct DistOptions {
     /// Number of workers.
@@ -892,50 +905,12 @@ impl Default for DistOptions {
     }
 }
 
-/// Run the complete Steps 3–5 pipeline with counting distributed across
-/// a worker pool. Bit-identical to the serial
-/// [`qar_core::Miner::mine_encoded`] on the same data: same frequent
-/// itemsets, supports, rules, and interest verdicts.
-pub fn mine_distributed(
-    backing: Backing<'_>,
-    config: &MinerConfig,
-    options: &DistOptions,
-    sink: Option<&dyn ProgressSink>,
-    cancel: Option<&CancelToken>,
-) -> Result<MiningOutput, MinerError> {
-    mine_distributed_captured(backing, config, options, sink, cancel).map(|(output, _)| output)
-}
-
-/// [`mine_distributed`] that also returns the raw tallies of every
-/// counting pass ([`CapturedCounts`]) — what `qar mine --store` persists
-/// as the catalog's `COUNTS` section so later runs can update it by
-/// scanning only appended rows. Capture wraps the merged coordinator-side
-/// counts, so the tallies are bit-identical to a serial capture of the
-/// same data.
-pub fn mine_distributed_captured(
-    backing: Backing<'_>,
-    config: &MinerConfig,
-    options: &DistOptions,
-    sink: Option<&dyn ProgressSink>,
-    cancel: Option<&CancelToken>,
-) -> Result<(MiningOutput, CapturedCounts), MinerError> {
-    let cluster = Cluster::start(&ClusterOptions {
-        workers: options.workers,
-        spawn: options.spawn.clone(),
-        read_timeout: options.read_timeout,
-        accept_timeout: ClusterOptions::default().accept_timeout,
-    })?;
-    let mut source = DistSource::new(cluster, backing, config, sink, cancel, options.fail_fast)?;
-    let result = mine_source_captured(&mut source, config, sink, cancel);
-    source.shutdown();
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qar_core::frequent::attribute_value_counts;
-    use qar_core::source::mine_source;
+    use qar_core::pipeline::MiningOutput;
+    use qar_core::source::{mine_source, mine_source_captured};
     use qar_core::Miner;
     use qar_store::Catalog;
     use qar_table::{Table, Value};
@@ -992,6 +967,16 @@ mod tests {
         }
     }
 
+    fn mine_over_workers(
+        backing: Backing<'_>,
+        config: &MinerConfig,
+        workers: usize,
+    ) -> MiningOutput {
+        let mut source =
+            DistSource::start(backing, config, &threads_options(workers), None, None).unwrap();
+        mine_source(&mut source, config, None, None).unwrap()
+    }
+
     fn normalized_catalog_bytes(output: &MiningOutput) -> Vec<u8> {
         let mut stats = output.stats.normalized();
         // `mine_encoded` outputs carry no interval stats (partitioning
@@ -1030,14 +1015,7 @@ mod tests {
         let enc = encoded();
         let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
         for workers in [1usize, 2, 3, 5] {
-            let dist = mine_distributed(
-                Backing::Memory(&enc),
-                &config(),
-                &threads_options(workers),
-                None,
-                None,
-            )
-            .unwrap();
+            let dist = mine_over_workers(Backing::Memory(&enc), &config(), workers);
             assert_identical(&serial, &dist);
         }
     }
@@ -1048,7 +1026,7 @@ mod tests {
         let mut serial_source = qar_core::InMemorySource::new(&enc, &config());
         let (serial, serial_counts) =
             mine_source_captured(&mut serial_source, &config(), None, None).unwrap();
-        let (dist, dist_counts) = mine_distributed_captured(
+        let mut source = DistSource::start(
             Backing::Memory(&enc),
             &config(),
             &threads_options(3),
@@ -1056,6 +1034,7 @@ mod tests {
             None,
         )
         .unwrap();
+        let (dist, dist_counts) = mine_source_captured(&mut source, &config(), None, None).unwrap();
         assert_identical(&serial, &dist);
         assert_eq!(
             serial_counts, dist_counts,
@@ -1067,14 +1046,7 @@ mod tests {
     fn more_workers_than_rows_still_exact() {
         let enc = encoded();
         let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
-        let dist = mine_distributed(
-            Backing::Memory(&enc),
-            &config(),
-            &threads_options(16),
-            None,
-            None,
-        )
-        .unwrap();
+        let dist = mine_over_workers(Backing::Memory(&enc), &config(), 16);
         assert_identical(&serial, &dist);
     }
 
@@ -1096,14 +1068,7 @@ mod tests {
             store.append_chunk(&part).unwrap();
             i = end;
         }
-        let dist = mine_distributed(
-            Backing::Chunks(&store),
-            &config(),
-            &threads_options(2),
-            None,
-            None,
-        )
-        .unwrap();
+        let dist = mine_over_workers(Backing::Chunks(&store), &config(), 2);
         assert_identical(&serial, &dist);
     }
 
@@ -1117,8 +1082,7 @@ mod tests {
         });
         let enc = encoded();
         let serial = Miner::new(cfg.clone()).mine_encoded(&enc).unwrap();
-        let dist =
-            mine_distributed(Backing::Memory(&enc), &cfg, &threads_options(3), None, None).unwrap();
+        let dist = mine_over_workers(Backing::Memory(&enc), &cfg, 3);
         assert_identical(&serial, &dist);
         let verdicts = |o: &MiningOutput| -> Vec<bool> {
             o.interest
@@ -1221,7 +1185,7 @@ mod tests {
         )
         .unwrap();
         let dist = mine_source(&mut source, &config(), Some(&sink), None).unwrap();
-        source.shutdown();
+        drop(source);
         for thread in threads {
             let _ = thread.join();
         }
@@ -1257,7 +1221,7 @@ mod tests {
         )
         .unwrap();
         let result = mine_source(&mut source, &config(), None, None);
-        source.shutdown();
+        drop(source);
         for thread in threads {
             let _ = thread.join();
         }

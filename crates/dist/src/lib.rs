@@ -22,8 +22,9 @@
 //! * [`coordinator`] — the coordinator side: [`Cluster`] spawns and
 //!   connects workers (child processes of the `qar` binary, or
 //!   in-process threads for tests), [`DistSource`] implements
-//!   [`qar_core::CountSource`] over the worker pool, and
-//!   [`mine_distributed`] runs the complete pipeline;
+//!   [`qar_core::CountSource`] over the worker pool (started by
+//!   [`DistSource::start`]), so `qar_core::mine_source` runs the
+//!   complete pipeline on it like on any other source;
 //! * partial failure — a worker that times out or drops its connection
 //!   is declared lost (`worker_lost` trace event). By default the
 //!   coordinator *recovers*: it retains the backing data, so it recounts
@@ -42,8 +43,5 @@
 pub mod coordinator;
 pub mod worker;
 
-pub use coordinator::{
-    mine_distributed, mine_distributed_captured, Backing, Cluster, ClusterOptions, DistOptions,
-    DistSource, WorkerSpawn,
-};
+pub use coordinator::{Backing, Cluster, ClusterOptions, DistOptions, DistSource, WorkerSpawn};
 pub use worker::{run_worker, serve_connection, WorkerOptions};

@@ -25,7 +25,7 @@ use qar_core::{
     InterestMode, ItemsetSetDelta, Miner, MinerConfig, MinerError, MiningOutput, PartitionStrategy,
     QuantFrequentItemsets, RuleSetDelta, ScanKernel, SupportCounts, UpdateInput,
 };
-use qar_dist::{mine_distributed, Backing, DistOptions, WorkerOptions, WorkerSpawn};
+use qar_dist::{Backing, DistOptions, DistSource, WorkerOptions, WorkerSpawn};
 use qar_itemset::{Item, Itemset};
 use qar_partition::range_completeness::snap_to_intervals;
 use qar_partition::{num_intervals, EquiDepth, EquiWidth, KMeans1D, Partitioner, MAX_INTERVALS};
@@ -135,7 +135,9 @@ pub fn check_distributed(case: &MiningCase) -> Result<(), Divergence> {
     // factored-out builder — the same one the CLI's distributed path uses.
     let distributed = build_encoders(&case.table, &config).and_then(|(encoders, intervals)| {
         let encoded = EncodedTable::encode(&case.table, encoders).map_err(MinerError::from)?;
-        let mut out = mine_distributed(Backing::Memory(&encoded), &config, &options, None, None)?;
+        let mut source =
+            DistSource::start(Backing::Memory(&encoded), &config, &options, None, None)?;
+        let mut out = qar_core::mine_source(&mut source, &config, None, None)?;
         out.stats.intervals_per_attribute = intervals;
         Ok(out)
     });

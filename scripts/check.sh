@@ -179,6 +179,7 @@ cat "$STORE_DIR/people.csv" > "$STORE_DIR/combined.csv"
 sed -n '2,3p' "$STORE_DIR/people.csv" >> "$STORE_DIR/combined.csv"
 ./target/release/qar mine --input "$STORE_DIR/people.csv" $PEOPLE_FLAGS \
     --store "$STORE_DIR/people_updated.qarcat" > /dev/null
+cp "$STORE_DIR/people_updated.qarcat" "$STORE_DIR/people_base.qarcat"
 ./target/release/qar store-check "$STORE_DIR/people_updated.qarcat" \
     > "$STORE_DIR/people.inventory"
 grep -q "counts (tag 5):" "$STORE_DIR/people.inventory"
@@ -192,6 +193,14 @@ grep -q '"event":"incremental_update"' "$STORE_DIR/update.trace"
     --store "$STORE_DIR/people_scratch.qarcat" > /dev/null
 cmp "$STORE_DIR/people_updated.qarcat" "$STORE_DIR/people_scratch.qarcat"
 ./target/release/qar store-check "$STORE_DIR/people_updated.qarcat" > /dev/null
+# The same delta through the other topologies — worker processes,
+# spilled chunks, and both — must land on the same bytes.
+for topology in "--workers 2" "--chunk-rows 2" "--workers 2 --chunk-rows 2"; do
+    cp "$STORE_DIR/people_base.qarcat" "$STORE_DIR/people_topology.qarcat"
+    ./target/release/qar mine --input "$STORE_DIR/delta.csv" \
+        --update "$STORE_DIR/people_topology.qarcat" --normalize-stats $topology > /dev/null
+    cmp "$STORE_DIR/people_topology.qarcat" "$STORE_DIR/people_scratch.qarcat"
+done
 
 echo "==> update bench smoke (delta-update speedup floor)"
 # Quick run of the incremental-update bench: exits non-zero when a 1%

@@ -16,15 +16,10 @@ fn main() -> ExitCode {
             print!("{}", cli::USAGE);
             ExitCode::SUCCESS
         }
-        Ok(Command::Mine(mine)) => {
-            for warning in &mine.warnings {
-                eprintln!("qar: warning: {warning}");
-            }
-            match run_mine(&mine) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(&e.to_string()),
-            }
-        }
+        Ok(Command::Mine(mine)) => match run_mine(&mine) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => fail(&e.to_string()),
+        },
         Ok(Command::Generate(gen)) => match run_generate(&gen) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => fail(&e.to_string()),
@@ -220,12 +215,13 @@ fn run_mine(args: &cli::MineArgs) -> Result<(), Box<dyn std::error::Error>> {
         args.config.taxonomies.insert(attr, taxonomy);
     }
     let args = &args;
+    let spawn = cli::process_spawn(args)?;
     if args.update.is_some() {
         // Incremental: the schema and configuration come from the catalog,
         // and the CLI layer reads the delta (in memory or spilled) itself.
         let stdout = std::io::stdout();
         let mut lock = stdout.lock();
-        cli::run_mine_update(args, &mut lock)?;
+        cli::run_mine_update(args, spawn, cli::trace_sink(args.trace), &mut lock)?;
         lock.flush()?;
         return Ok(());
     }
@@ -233,7 +229,7 @@ fn run_mine(args: &cli::MineArgs) -> Result<(), Box<dyn std::error::Error>> {
         // Out-of-core: the CLI layer streams the file itself (twice).
         let stdout = std::io::stdout();
         let mut lock = stdout.lock();
-        cli::run_mine_chunked(args, &mut lock)?;
+        cli::run_mine_chunked(args, spawn, &mut lock)?;
         lock.flush()?;
         return Ok(());
     }
@@ -248,7 +244,7 @@ fn run_mine(args: &cli::MineArgs) -> Result<(), Box<dyn std::error::Error>> {
     };
     let stdout = std::io::stdout();
     let mut lock = stdout.lock();
-    cli::run_mine_on_table(&table, args, &mut lock)?;
+    cli::run_mine_on_table(&table, args, spawn, &mut lock)?;
     lock.flush()?;
     Ok(())
 }

@@ -16,15 +16,12 @@ use std::time::{Duration, Instant};
 
 use qar_analytics::AnalyticsConfig;
 use qar_core::{
-    encoding_fingerprint, mine_source, mine_source_captured, update_precheck, CapturedCounts,
-    ChunkedSource, CountError, CountSource, InMemorySource, InterestConfig, InterestMode,
-    MergeSource, Miner, MinerConfig, MinerError, MiningOutput, PartitionSpec, PartitionStrategy,
-    QuantRule, RuleInterest, ScanKernel, SupportCounts, UpdateInput,
+    mine_source, mine_source_captured, ChunkedSource, CountError, CountSource, InMemorySource,
+    InterestConfig, InterestMode, Miner, MinerConfig, MinerError, MiningOutput, PartitionSpec,
+    PartitionStrategy, QuantRule, RuleInterest, ScanKernel, SupportCounts, UpdateInput,
+    UpdateOutput,
 };
-use qar_dist::{
-    mine_distributed, mine_distributed_captured, Backing, Cluster, ClusterOptions, DistOptions,
-    DistSource, WorkerSpawn,
-};
+use qar_dist::{Backing, DistOptions, DistSource, WorkerSpawn};
 use qar_prng::Prng;
 use qar_store::protocol::{Query, QueryOptions, Request, Response};
 use qar_store::serve::ServeClient;
@@ -33,7 +30,7 @@ use qar_store::{
     Server, ServerConfig,
 };
 use qar_table::{csv, AttributeKind, EncodedTable, Schema, SchemaBuilder, Table, Value};
-use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent, TraceFormat, WriterSink};
+use qar_trace::{CancelToken, ProgressSink, TraceFormat, WriterSink};
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,9 +149,6 @@ pub struct MineArgs {
     /// semantic configuration are authoritative; the refreshed catalog is
     /// rewritten in place unless `--store` redirects it.
     pub update: Option<String>,
-    /// Deprecation warnings this command line earned; the binary prints
-    /// each to stderr before running.
-    pub warnings: Vec<String>,
 }
 
 /// Arguments of `qar trace-check`.
@@ -361,7 +355,6 @@ MINE OPTIONS:
   --threads N           counting worker threads (0 = all cores) [default 0]
   --kernel K            support-counting scan kernel: auto | direct |
                         memoized | bitmask              [default auto]
-  --no-memoize          deprecated alias for --kernel direct
   --top N               print at most N rules (0 = all) [default 50]
   --all-rules           print pruned rules too (with a * marker)
   --format F            text | csv | json               [default text]
@@ -591,7 +584,6 @@ fn parse_flag_map(args: &[String]) -> Result<BTreeMap<String, String>, CliError>
         // Boolean flags take no value.
         if key == "no-partition"
             || key == "all-rules"
-            || key == "no-memoize"
             || key == "shutdown"
             || key == "analytics"
             || key == "normalize-stats"
@@ -723,7 +715,6 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                     "interest-mode",
                     "max-size",
                     "taxonomy",
-                    "no-memoize",
                 ] {
                     if map.contains_key(key) {
                         return Err(err(format!(
@@ -789,9 +780,6 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                             "--kernel: `{v}` is not auto, direct, memoized, or bitmask"
                         ))
                     })?,
-                    // `--no-memoize` predates `--kernel`; keep it working as
-                    // an alias for the direct (uncached, unblocked) kernel.
-                    None if map.contains_key("no-memoize") => ScanKernel::Direct,
                     None => ScanKernel::Auto,
                 },
             };
@@ -852,13 +840,6 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                      so it needs a real --input file, not stdin",
                 ));
             }
-            let mut warnings = Vec::new();
-            if map.contains_key("no-memoize") {
-                warnings.push(
-                    "--no-memoize is deprecated and will be removed; use `--kernel direct` instead"
-                        .to_string(),
-                );
-            }
             Ok(Command::Mine(MineArgs {
                 input,
                 schema,
@@ -875,7 +856,6 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                 chunk_rows,
                 normalize_stats: map.contains_key("normalize-stats"),
                 update,
-                warnings,
             }))
         }
         "worker" => {
@@ -1208,23 +1188,14 @@ pub fn trace_sink(trace: Option<TraceFormat>) -> Option<Arc<dyn ProgressSink>> {
         .map(|format| Arc::new(WriterSink::new(format, std::io::stderr())) as Arc<dyn ProgressSink>)
 }
 
-/// Build the [`Miner`] a `qar mine` invocation described: configuration
-/// plus the given progress sink and the deadline token from the flags.
-pub fn build_miner(args: &MineArgs, sink: Option<Arc<dyn ProgressSink>>) -> Miner {
-    let mut miner = Miner::new(args.config.clone());
-    if let Some(sink) = sink {
-        miner = miner.with_progress(sink);
-    }
-    if let Some(secs) = args.deadline {
-        miner = miner.with_cancel(CancelToken::with_deadline(Duration::from_secs_f64(secs)));
-    }
-    miner
-}
-
 /// The [`WorkerSpawn`] a production `qar mine --workers N` uses: child
 /// processes of this very binary running `qar worker`, inheriting the
-/// mine's thread and kernel flags.
-fn process_spawn(config: &MinerConfig) -> Result<WorkerSpawn, CliError> {
+/// mine's thread and kernel flags. `None` without `--workers`.
+pub fn process_spawn(args: &MineArgs) -> Result<Option<WorkerSpawn>, CliError> {
+    if args.workers == 0 {
+        return Ok(None);
+    }
+    let config = &args.config;
     let exe = std::env::current_exe()
         .map_err(|e| err(format!("cannot locate the qar binary for workers: {e}")))?;
     let mut worker_args = Vec::new();
@@ -1236,128 +1207,84 @@ fn process_spawn(config: &MinerConfig) -> Result<WorkerSpawn, CliError> {
         worker_args.push("--kernel".to_string());
         worker_args.push(config.kernel.name().to_string());
     }
-    Ok(WorkerSpawn::Processes {
+    Ok(Some(WorkerSpawn::Processes {
         exe,
         args: worker_args,
-    })
+    }))
 }
 
-/// The deadline token a `--deadline` flag asks for (the non-serial mine
-/// paths thread it into their counting scans themselves).
+/// The deadline token a `--deadline` flag asks for.
 fn deadline_token(args: &MineArgs) -> Option<CancelToken> {
     args.deadline
         .map(|secs| CancelToken::with_deadline(Duration::from_secs_f64(secs)))
 }
 
-/// [`DistOptions`] for a `qar mine --workers N` run with the given spawn.
-fn dist_options(args: &MineArgs, spawn: WorkerSpawn) -> DistOptions {
-    DistOptions {
-        workers: args.workers,
-        spawn,
-        ..DistOptions::default()
+/// The counting source a `qar mine` topology runs on: `--workers N`
+/// worker processes, or this process over the in-memory rows or spilled
+/// chunks `backing` holds.
+fn topology_source<'a>(
+    args: &MineArgs,
+    config: &'a MinerConfig,
+    backing: Backing<'a>,
+    spawn: Option<WorkerSpawn>,
+    sink: Option<&'a dyn ProgressSink>,
+    cancel: Option<&'a CancelToken>,
+) -> Result<Box<dyn CountSource + 'a>, MinerError> {
+    if args.workers > 0 {
+        let spawn = spawn.ok_or_else(|| {
+            MinerError::Distributed("distributed mining needs a worker spawn".to_string())
+        })?;
+        let options = DistOptions {
+            workers: args.workers,
+            spawn,
+            ..DistOptions::default()
+        };
+        return Ok(Box::new(DistSource::start(
+            backing, config, &options, sink, cancel,
+        )?));
     }
+    Ok(match backing {
+        Backing::Memory(table) => Box::new(InMemorySource::new(table, config).with_cancel(cancel)),
+        Backing::Chunks(store) => Box::new(ChunkedSource::new(store, config).with_cancel(cancel)),
+    })
 }
 
 /// Execute `qar mine` against an already-loaded table, writing a report to
 /// `out` (trace events, when enabled, go to stderr). Separated from file
 /// I/O for testability. With `args.workers > 0` the counting passes run
-/// on worker processes spawned from this binary.
+/// on workers started by `spawn` — [`process_spawn`] in production,
+/// in-process threads in tests.
 pub fn run_mine_on_table(
-    table: &Table,
-    args: &MineArgs,
-    out: &mut impl std::io::Write,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let spawn = if args.workers > 0 {
-        Some(process_spawn(&args.config)?)
-    } else {
-        None
-    };
-    run_mine_on_table_spawn(table, args, spawn, out)
-}
-
-/// [`run_mine_on_table`] with an explicit worker spawn, so tests can use
-/// in-process worker threads instead of child processes.
-pub fn run_mine_on_table_spawn(
     table: &Table,
     args: &MineArgs,
     spawn: Option<WorkerSpawn>,
     out: &mut impl std::io::Write,
 ) -> Result<(), Box<dyn std::error::Error>> {
+    // Steps 1-2 (partitioning, encoding) run here, whichever topology
+    // counts the encoded rows.
+    let (encoders, intervals) =
+        qar_core::pipeline::build_encoders(table, &args.config).map_err(box_miner_error)?;
+    let encoded = EncodedTable::encode(table, encoders)?;
     let sink = trace_sink(args.trace);
-    // A stored catalog gets a COUNTS section so `qar mine --update` can
-    // refresh it later; report-only runs skip the capture overhead.
-    let capture = args.store.is_some();
-    let (result, counts) = if args.workers > 0 {
-        let spawn = spawn.ok_or_else(|| err("distributed mining needs a worker spawn"))?;
-        // The distributed driver counts already-encoded rows, so Steps 1-2
-        // (partitioning, encoding) happen here on the coordinator — with
-        // the exact encoders the serial path would build.
-        let (encoders, intervals) =
-            qar_core::pipeline::build_encoders(table, &args.config).map_err(box_miner_error)?;
-        let encoded = EncodedTable::encode(table, encoders)?;
-        let cancel = deadline_token(args);
-        let options = dist_options(args, spawn);
-        let (mut result, captured) = if capture {
-            let (result, captured) = mine_distributed_captured(
-                Backing::Memory(&encoded),
-                &args.config,
-                &options,
-                sink.as_deref(),
-                cancel.as_ref(),
-            )
-            .map_err(box_miner_error)?;
-            (result, Some(captured))
-        } else {
-            let result = mine_distributed(
-                Backing::Memory(&encoded),
-                &args.config,
-                &options,
-                sink.as_deref(),
-                cancel.as_ref(),
-            )
-            .map_err(box_miner_error)?;
-            (result, None)
-        };
-        result.stats.intervals_per_attribute = intervals.clone();
-        let counts = captured.map(|captured| {
-            SupportCounts::assemble(
-                result.encoded.schema(),
-                result.encoded.encoders(),
-                table.num_rows() as u64,
-                &args.config,
-                intervals,
-                captured,
-            )
-        });
-        (result, counts)
-    } else if capture {
-        let (result, counts) = build_miner(args, sink.clone()).mine_with_counts(table)?;
-        (result, Some(counts))
-    } else {
-        (build_miner(args, sink.clone()).mine(table)?, None)
-    };
-    finish_mine(table.num_rows() as u64, result, counts, args, sink, out)
+    let mined = mine_backing(
+        Backing::Memory(&encoded),
+        intervals,
+        args,
+        spawn,
+        sink.as_deref(),
+    )?;
+    // The output carries its own copy of the encoded rows; free this one
+    // before the catalog is built.
+    drop(encoded);
+    finish_mine(mined, args, sink, out)
 }
 
 /// Execute `qar mine --chunk-rows N`: stream the CSV twice (stats pass,
 /// then spill pass), mine the spilled chunks out-of-core — optionally
 /// distributed over workers — and clean the spill directory up. The
 /// result is bit-identical to the in-memory path on the same input.
+/// `spawn` is as for [`run_mine_on_table`].
 pub fn run_mine_chunked(
-    args: &MineArgs,
-    out: &mut impl std::io::Write,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let spawn = if args.workers > 0 {
-        Some(process_spawn(&args.config)?)
-    } else {
-        None
-    };
-    run_mine_chunked_spawn(args, spawn, out)
-}
-
-/// [`run_mine_chunked`] with an explicit worker spawn (see
-/// [`run_mine_on_table_spawn`]).
-pub fn run_mine_chunked_spawn(
     args: &MineArgs,
     spawn: Option<WorkerSpawn>,
     out: &mut impl std::io::Write,
@@ -1367,7 +1294,6 @@ pub fn run_mine_chunked_spawn(
             "--chunk-rows needs a real --input file (the CSV is read twice)",
         )));
     }
-    let sink = trace_sink(args.trace);
     let schema = build_schema(&args.schema)?;
     let open = || {
         std::fs::File::open(&args.input)
@@ -1383,61 +1309,55 @@ pub fn run_mine_chunked_spawn(
     // Pass 2 (spill): encode row blocks and write per-chunk code files.
     let dir = qar_table::chunk::default_spill_dir("mine");
     let store = qar_table::chunk::spill_csv(open()?, &schema, encoders, args.chunk_rows, &dir)?;
-    let num_rows = store.num_rows() as u64;
-    let cancel = deadline_token(args);
-    let capture = args.store.is_some();
-    let mined = if args.workers > 0 {
-        let spawn = spawn.ok_or_else(|| err("distributed mining needs a worker spawn"))?;
-        let options = dist_options(args, spawn);
-        if capture {
-            mine_distributed_captured(
-                Backing::Chunks(&store),
-                &args.config,
-                &options,
-                sink.as_deref(),
-                cancel.as_ref(),
-            )
-            .map(|(r, c)| (r, Some(c)))
-        } else {
-            mine_distributed(
-                Backing::Chunks(&store),
-                &args.config,
-                &options,
-                sink.as_deref(),
-                cancel.as_ref(),
-            )
-            .map(|r| (r, None))
-        }
-    } else {
-        let mut source = ChunkedSource::new(&store, &args.config);
-        if let Some(token) = &cancel {
-            source = source.with_cancel(token);
-        }
-        if capture {
-            mine_source_captured(&mut source, &args.config, sink.as_deref(), cancel.as_ref())
-                .map(|(r, c)| (r, Some(c)))
-        } else {
-            mine_source(&mut source, &args.config, sink.as_deref(), cancel.as_ref())
-                .map(|r| (r, None))
-        }
-    };
-    // The spill directory is temporary either way — remove it before
-    // surfacing the mining verdict.
+    let sink = trace_sink(args.trace);
+    let mined = mine_backing(
+        Backing::Chunks(&store),
+        intervals,
+        args,
+        spawn,
+        sink.as_deref(),
+    );
+    // The spill directory is temporary either way.
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
-    let (mut result, captured) = mined.map_err(box_miner_error)?;
+    finish_mine(mined?, args, sink, out)
+}
+
+/// Mine `backing` on the topology the flags ask for. A stored catalog
+/// gets a COUNTS section so `qar mine --update` can refresh it later;
+/// report-only runs skip the capture overhead.
+fn mine_backing(
+    backing: Backing<'_>,
+    intervals: Vec<Option<usize>>,
+    args: &MineArgs,
+    spawn: Option<WorkerSpawn>,
+    sink: Option<&dyn ProgressSink>,
+) -> Result<(MiningOutput, Option<SupportCounts>), Box<dyn std::error::Error>> {
+    let cancel = deadline_token(args);
+    let mut source = topology_source(args, &args.config, backing, spawn, sink, cancel.as_ref())
+        .map_err(box_miner_error)?;
+    let (mut result, captured) = if args.store.is_some() {
+        let (result, captured) =
+            mine_source_captured(&mut *source, &args.config, sink, cancel.as_ref())
+                .map_err(box_miner_error)?;
+        (result, Some(captured))
+    } else {
+        let result = mine_source(&mut *source, &args.config, sink, cancel.as_ref())
+            .map_err(box_miner_error)?;
+        (result, None)
+    };
     result.stats.intervals_per_attribute = intervals.clone();
     let counts = captured.map(|captured| {
         SupportCounts::assemble(
             result.encoded.schema(),
             result.encoded.encoders(),
-            num_rows,
+            result.frequent.num_rows,
             &args.config,
             intervals,
             captured,
         )
     });
-    finish_mine(num_rows, result, counts, args, sink, out)
+    Ok((result, counts))
 }
 
 /// Box a [`MinerError`] without losing its message.
@@ -1447,39 +1367,28 @@ fn box_miner_error(e: MinerError) -> Box<dyn std::error::Error> {
 
 /// Execute `qar mine --update CATALOG`: refresh an existing catalog by
 /// scanning only the delta rows in `--input` and merging them with the
-/// catalog's persisted support counts. See [`run_mine_update_spawn`].
-pub fn run_mine_update(
-    args: &MineArgs,
-    out: &mut impl std::io::Write,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let spawn = if args.workers > 0 {
-        Some(process_spawn(&args.config)?)
-    } else {
-        None
-    };
-    run_mine_update_spawn(args, spawn, out)
-}
-
-/// [`run_mine_update`] with an explicit worker spawn (see
-/// [`run_mine_on_table_spawn`]).
+/// catalog's persisted support counts, reporting trace events to `sink`.
+/// `spawn` is as for [`run_mine_on_table`].
 ///
 /// The catalog's schema and semantic configuration are authoritative —
 /// only the performance knobs (`--threads`, `--kernel`) and the topology
-/// (`--workers`, `--chunk-rows`) come from this command line. The
-/// refreshed catalog (rules, stats, analytics when `--analytics` is
-/// passed, and the merged counts) rewrites the catalog in place unless
-/// `--store` redirects it; the result is identical to mining base+delta
-/// from scratch under the same flags.
-pub fn run_mine_update_spawn(
+/// (`--workers`, `--chunk-rows`) come from this command line. Each
+/// topology only builds the delta's source; [`Miner::update_source`]
+/// checks, merges and decides, with no base rows, so a fallback ends as
+/// an error. The refreshed catalog (rules, stats, analytics when
+/// `--analytics` is passed, and the merged counts) rewrites the catalog
+/// in place unless `--store` redirects it; the result is identical to
+/// mining base+delta from scratch under the same flags.
+pub fn run_mine_update(
     args: &MineArgs,
     spawn: Option<WorkerSpawn>,
+    sink: Option<Arc<dyn ProgressSink>>,
     out: &mut impl std::io::Write,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let catalog_path = args
         .update
         .as_deref()
         .ok_or_else(|| err("run_mine_update needs --update CATALOG"))?;
-    let sink = trace_sink(args.trace);
     let catalog = Catalog::load(catalog_path, sink.as_deref())
         .map_err(|e| err(format!("cannot load `{catalog_path}`: {e}")))?;
     let Some(counts) = catalog.counts() else {
@@ -1493,30 +1402,69 @@ pub fn run_mine_update_spawn(
     let mut config = counts.config.miner_config();
     config.parallelism = args.config.parallelism;
     config.kernel = args.config.kernel;
+    let cancel = deadline_token(args);
+    let mut miner = Miner::new(config.clone());
+    if let Some(sink) = &sink {
+        miner = miner.with_progress(Arc::clone(sink));
+    }
+    if let Some(token) = &cancel {
+        miner = miner.with_cancel(token.clone());
+    }
 
-    let (mut result, new_counts) = if args.workers == 0 && args.chunk_rows == 0 {
-        // Serial/pooled: the library's own update path.
-        let delta = read_delta_table(&args.input, catalog.schema())?;
-        let mut miner = Miner::new(config.clone());
-        if let Some(s) = &sink {
-            miner = miner.with_progress(Arc::clone(s));
+    // Encode the delta under the catalog's encoders — spilled to chunks
+    // under --chunk-rows — and count it on the topology the flags ask for.
+    let (schema, encoders) = (catalog.schema(), catalog.encoders());
+    let spill_dir = qar_table::chunk::default_spill_dir("update");
+    let (mut spilled, mut encoded) = (None, None);
+    let backing = if args.chunk_rows > 0 {
+        let file = std::fs::File::open(&args.input)
+            .map_err(|e| err(format!("cannot open `{}`: {e}", args.input)))?;
+        let reader = std::io::BufReader::new(file);
+        match qar_table::chunk::spill_csv(
+            reader,
+            schema,
+            encoders.to_vec(),
+            args.chunk_rows,
+            &spill_dir,
+        ) {
+            Ok(store) => Ok(Backing::Chunks(spilled.insert(store))),
+            Err(e) => Err(e),
         }
-        if let Some(secs) = args.deadline {
-            miner = miner.with_cancel(CancelToken::with_deadline(Duration::from_secs_f64(secs)));
-        }
-        let updated = miner
-            .update(UpdateInput {
-                schema: catalog.schema(),
-                encoders: catalog.encoders(),
-                counts,
-                delta: &delta,
-                base_rows: None,
-            })
-            .map_err(box_miner_error)?;
-        (updated.output, updated.counts)
     } else {
-        update_via_merge(args, &catalog, counts, &config, spawn, sink.as_deref())?
+        let delta = read_delta_table(&args.input, schema)?;
+        match EncodedTable::encode(&delta, encoders.to_vec()) {
+            Ok(table) => Ok(Backing::Memory(encoded.insert(table))),
+            Err(e) => Err(e),
+        }
     };
+    let mut source = None;
+    let delta = match backing {
+        Err(e) => Err(MinerError::Schema(e)),
+        Ok(backing) if backing.num_rows() == 0 => Ok(None),
+        Ok(backing) => {
+            match topology_source(
+                args,
+                &config,
+                backing,
+                spawn,
+                sink.as_deref(),
+                cancel.as_ref(),
+            ) {
+                Ok(built) => Ok(Some(&mut **source.insert(built) as &mut dyn CountSource)),
+                Err(e) => Err(e),
+            }
+        }
+    };
+    let updated = miner.update_source(schema, encoders, counts, delta, None);
+    drop(source);
+    drop(spilled);
+    // The spill directory exists only when --chunk-rows spilled the delta.
+    let _ = std::fs::remove_dir_all(&spill_dir);
+    let UpdateOutput {
+        output: mut result,
+        counts: new_counts,
+        ..
+    } = updated.map_err(box_miner_error)?;
 
     if args.normalize_stats {
         result.stats = result.stats.normalized();
@@ -1553,250 +1501,11 @@ fn read_delta_table(input: &str, schema: &Schema) -> Result<Table, Box<dyn std::
     }
 }
 
-/// Mine through a [`MergeSource`] over the persisted counts plus a
-/// delta-only source, handing the delta source back so topology-specific
-/// teardown (cluster shutdown) can run.
-#[allow(clippy::type_complexity)]
-fn mine_over_merge<S: CountSource>(
-    counts: &SupportCounts,
-    delta: Option<S>,
-    meta: EncodedTable,
-    config: &MinerConfig,
-    sink: Option<&dyn ProgressSink>,
-    cancel: Option<&CancelToken>,
-) -> (
-    Result<(MiningOutput, CapturedCounts), MinerError>,
-    Option<S>,
-) {
-    let mut merge = MergeSource::new(counts, delta, meta);
-    let result = mine_source_captured(&mut merge, config, sink, cancel);
-    (result, merge.into_delta())
-}
-
-/// The `--update` execution path for the non-serial topologies
-/// (`--workers` and/or `--chunk-rows`): mirror [`Miner::update`]'s
-/// checks, build a delta-only [`CountSource`] for the topology, and mine
-/// through a [`MergeSource`] over the persisted counts. Fallback
-/// conditions emit the pinned `incremental_fallback` trace event and
-/// surface as errors — `qar mine --update` only ever reads the delta, so
-/// the full-re-mine escape hatch has no base rows to work with.
-fn update_via_merge(
-    args: &MineArgs,
-    catalog: &Catalog,
-    counts: &SupportCounts,
-    config: &MinerConfig,
-    spawn: Option<WorkerSpawn>,
-    sink: Option<&dyn ProgressSink>,
-) -> Result<(MiningOutput, SupportCounts), Box<dyn std::error::Error>> {
-    let started = Instant::now();
-    let schema = catalog.schema();
-    let encoders = catalog.encoders();
-    let fallback = |reason: String| -> Box<dyn std::error::Error> {
-        if let Some(sink) = sink {
-            sink.on_event(&TraceEvent::IncrementalFallback {
-                reason: reason.clone(),
-            });
-        }
-        Box::new(err(format!(
-            "{reason}; base rows unavailable for a full re-mine"
-        )))
-    };
-    if counts.fingerprint != encoding_fingerprint(schema, encoders) {
-        return Err(fallback(
-            "persisted counts were taken under a different encoding fingerprint".to_string(),
-        ));
-    }
-    let cancel = deadline_token(args);
-    let (total_rows, mined) = if args.chunk_rows > 0 {
-        // Out-of-core delta: spill it with the catalog's encoders (no
-        // stats pass — the encoders are already decided).
-        let open = std::fs::File::open(&args.input)
-            .map(std::io::BufReader::new)
-            .map_err(|e| err(format!("cannot open `{}`: {e}", args.input)))?;
-        let dir = qar_table::chunk::default_spill_dir("update");
-        let store = match qar_table::chunk::spill_csv(
-            open,
-            schema,
-            encoders.to_vec(),
-            args.chunk_rows,
-            &dir,
-        ) {
-            Ok(store) => store,
-            Err(e @ qar_table::TableError::UnencodableValue { .. }) => {
-                let _ = std::fs::remove_dir_all(&dir);
-                return Err(fallback(format!(
-                    "delta is not encodable under the catalog's encoders ({e})"
-                )));
-            }
-            Err(e) => {
-                let _ = std::fs::remove_dir_all(&dir);
-                return Err(Box::new(e));
-            }
-        };
-        let delta_rows = store.num_rows() as u64;
-        let total_rows = counts.num_rows + delta_rows;
-        if let Err(reason) = update_precheck(schema, encoders, delta_rows) {
-            drop(store);
-            let _ = std::fs::remove_dir_all(&dir);
-            return Err(fallback(reason));
-        }
-        let meta =
-            EncodedTable::header_only(schema.clone(), encoders.to_vec(), total_rows as usize);
-        let mined = if delta_rows == 0 {
-            mine_over_merge(
-                counts,
-                None::<InMemorySource>,
-                meta,
-                config,
-                sink,
-                cancel.as_ref(),
-            )
-            .0
-        } else if args.workers > 0 {
-            let spawn = spawn.ok_or_else(|| err("distributed mining needs a worker spawn"))?;
-            let options = dist_options(args, spawn);
-            match start_dist_source(
-                &options,
-                Backing::Chunks(&store),
-                config,
-                sink,
-                cancel.as_ref(),
-            ) {
-                Ok(source) => {
-                    let (mined, source) =
-                        mine_over_merge(counts, Some(source), meta, config, sink, cancel.as_ref());
-                    if let Some(source) = source {
-                        source.shutdown();
-                    }
-                    mined
-                }
-                Err(e) => Err(e),
-            }
-        } else {
-            let mut source = ChunkedSource::new(&store, config);
-            if let Some(token) = &cancel {
-                source = source.with_cancel(token);
-            }
-            mine_over_merge(counts, Some(source), meta, config, sink, cancel.as_ref()).0
-        };
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-        (total_rows, mined)
-    } else {
-        // In-memory delta, distributed counting.
-        let delta = read_delta_table(&args.input, schema)?;
-        let delta_rows = delta.num_rows() as u64;
-        if let Err(reason) = update_precheck(schema, encoders, delta_rows) {
-            return Err(fallback(reason));
-        }
-        let delta_encoded = if delta_rows == 0 {
-            None
-        } else {
-            match EncodedTable::encode(&delta, encoders.to_vec()) {
-                Ok(enc) => Some(enc),
-                Err(e @ qar_table::TableError::UnencodableValue { .. }) => {
-                    return Err(fallback(format!(
-                        "delta is not encodable under the catalog's encoders ({e})"
-                    )));
-                }
-                Err(e) => return Err(Box::new(e)),
-            }
-        };
-        let total_rows = counts.num_rows + delta_rows;
-        let meta =
-            EncodedTable::header_only(schema.clone(), encoders.to_vec(), total_rows as usize);
-        let mined = match &delta_encoded {
-            None => {
-                mine_over_merge(
-                    counts,
-                    None::<InMemorySource>,
-                    meta,
-                    config,
-                    sink,
-                    cancel.as_ref(),
-                )
-                .0
-            }
-            Some(enc) => {
-                let spawn = spawn.ok_or_else(|| err("distributed mining needs a worker spawn"))?;
-                let options = dist_options(args, spawn);
-                match start_dist_source(
-                    &options,
-                    Backing::Memory(enc),
-                    config,
-                    sink,
-                    cancel.as_ref(),
-                ) {
-                    Ok(source) => {
-                        let (mined, source) = mine_over_merge(
-                            counts,
-                            Some(source),
-                            meta,
-                            config,
-                            sink,
-                            cancel.as_ref(),
-                        );
-                        if let Some(source) = source {
-                            source.shutdown();
-                        }
-                        mined
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-        };
-        (total_rows, mined)
-    };
-    let (mut output, captured) = match mined {
-        Ok(x) => x,
-        Err(MinerError::Update(reason)) => return Err(fallback(reason)),
-        Err(other) => return Err(box_miner_error(other)),
-    };
-    output.stats.intervals_per_attribute = counts.intervals_per_attribute.clone();
-    let new_counts = SupportCounts {
-        num_rows: total_rows,
-        fingerprint: counts.fingerprint,
-        config: counts.config.clone(),
-        intervals_per_attribute: counts.intervals_per_attribute.clone(),
-        captured,
-    };
-    if let Some(sink) = sink {
-        sink.on_event(&TraceEvent::IncrementalUpdate {
-            base_rows: counts.num_rows,
-            delta_rows: total_rows - counts.num_rows,
-            total_rows,
-            passes: new_counts.captured.passes.len() + 1,
-            elapsed_us: micros(started.elapsed()),
-        });
-    }
-    Ok((output, new_counts))
-}
-
-/// Spin up a worker cluster and wrap it as a delta-only [`DistSource`]
-/// (the coordinator side of `--update --workers N`).
-fn start_dist_source<'a>(
-    options: &DistOptions,
-    backing: Backing<'a>,
-    config: &'a MinerConfig,
-    sink: Option<&'a dyn ProgressSink>,
-    cancel: Option<&'a CancelToken>,
-) -> Result<DistSource<'a>, MinerError> {
-    let cluster = Cluster::start(&ClusterOptions {
-        workers: options.workers,
-        spawn: options.spawn.clone(),
-        read_timeout: options.read_timeout,
-        accept_timeout: ClusterOptions::default().accept_timeout,
-    })?;
-    DistSource::new(cluster, backing, config, sink, cancel, options.fail_fast)
-}
-
 /// The shared tail of every `qar mine` path: normalize stats when asked,
 /// store the catalog (with its support counts), and write the report in
 /// the requested format.
 fn finish_mine(
-    num_rows: u64,
-    mut result: MiningOutput,
-    counts: Option<SupportCounts>,
+    (mut result, counts): (MiningOutput, Option<SupportCounts>),
     args: &MineArgs,
     sink: Option<Arc<dyn ProgressSink>>,
     out: &mut impl std::io::Write,
@@ -1815,7 +1524,7 @@ fn finish_mine(
         }
         catalog.save(path, sink.as_deref())?;
     }
-    write_mine_report(num_rows, &result, args, out)
+    write_mine_report(result.frequent.num_rows, &result, args, out)
 }
 
 /// The report half of [`finish_mine`], shared with the `--update` path:
@@ -3257,13 +2966,6 @@ mod tests {
             assert_eq!(args.config.kernel, want, "--kernel {flag}");
         }
         assert!(parse_command(&argv("mine --input f --schema a:q --kernel turbo")).is_err());
-        // An explicit --kernel wins over the deprecated --no-memoize alias.
-        let cmd = parse_command(&argv(
-            "mine --input f --schema a:q --kernel bitmask --no-memoize",
-        ))
-        .unwrap();
-        let Command::Mine(args) = cmd else { panic!() };
-        assert_eq!(args.config.kernel, ScanKernel::Bitmask);
     }
 
     #[test]
@@ -3271,7 +2973,7 @@ mod tests {
         let cmd = parse_command(&argv(
             "mine --input - --schema a:q,b:c --minsup 0.1 --minconf 0.6 --maxsup 0.3 \
              --intervals 8 --strategy kmeans --interest 1.5 --interest-mode and \
-             --max-size 3 --top 10 --all-rules --no-memoize",
+             --max-size 3 --top 10 --all-rules --kernel direct",
         ))
         .unwrap();
         let Command::Mine(args) = cmd else { panic!() };
@@ -3325,7 +3027,7 @@ mod tests {
         .unwrap();
         let Command::Mine(args) = cmd else { panic!() };
         let mut report = Vec::new();
-        run_mine_on_table(&table, &args, &mut report).expect("mine");
+        run_mine_on_table(&table, &args, None, &mut report).expect("mine");
         let text = String::from_utf8(report).unwrap();
         assert!(text.starts_with("antecedent,consequent,"), "{text}");
         assert!(text.contains("Married=Yes,NumCars=2,2,0.400000,1.000000"));
@@ -3510,7 +3212,7 @@ mod tests {
         .unwrap();
         let Command::Mine(args) = cmd else { panic!() };
         let mut report = Vec::new();
-        run_mine_on_table(&table, &args, &mut report).expect("mine");
+        run_mine_on_table(&table, &args, None, &mut report).expect("mine");
         let text = String::from_utf8(report).unwrap();
         let doc = qar_trace::json::parse(&text).expect("valid JSON output");
         let obj = doc.as_object().expect("top-level object");
@@ -3543,7 +3245,7 @@ mod tests {
         .expect("parse");
         let Command::Mine(args) = cmd else { panic!() };
         let mut report = Vec::new();
-        run_mine_on_table(&table, &args, &mut report).expect("mine");
+        run_mine_on_table(&table, &args, None, &mut report).expect("mine");
         let text = String::from_utf8(report).expect("utf8");
         assert!(text.contains("⟨Married: Yes⟩ ⇒ ⟨NumCars: 2⟩"), "{text}");
     }
@@ -3622,7 +3324,7 @@ mod tests {
         };
         args.store = Some(store_path.to_str().unwrap().to_string());
         let mut mine_out = Vec::new();
-        run_mine_on_table(&table, &args, &mut mine_out).expect("mine");
+        run_mine_on_table(&table, &args, None, &mut mine_out).expect("mine");
         let mine_text = String::from_utf8(mine_out).unwrap();
         let bytes = std::fs::read(&store_path).expect("catalog written");
         std::fs::remove_file(&store_path).ok();
@@ -3799,35 +3501,11 @@ mod tests {
         .unwrap();
         let Command::Mine(args) = cmd else { panic!() };
         assert!(args.analytics);
-        assert!(args.warnings.is_empty());
         let cmd = parse_command(&argv("mine --input f --schema a:q --store cat.qarcat")).unwrap();
         let Command::Mine(args) = cmd else { panic!() };
         assert!(!args.analytics);
         let e = parse_command(&argv("mine --input f --schema a:q --analytics")).unwrap_err();
         assert!(e.to_string().contains("--store"), "{e}");
-    }
-
-    /// `--no-memoize` still parses (as `--kernel direct`) but now earns
-    /// a deprecation warning the binary prints to stderr.
-    #[test]
-    fn no_memoize_earns_deprecation_warning() {
-        let cmd = parse_command(&argv("mine --input f --schema a:q --no-memoize")).unwrap();
-        let Command::Mine(args) = cmd else { panic!() };
-        assert_eq!(args.config.kernel, ScanKernel::Direct);
-        assert_eq!(args.warnings.len(), 1, "{:?}", args.warnings);
-        assert!(
-            args.warnings[0].contains("deprecated"),
-            "{:?}",
-            args.warnings
-        );
-        assert!(
-            args.warnings[0].contains("--kernel direct"),
-            "{:?}",
-            args.warnings
-        );
-        let cmd = parse_command(&argv("mine --input f --schema a:q --kernel direct")).unwrap();
-        let Command::Mine(args) = cmd else { panic!() };
-        assert!(args.warnings.is_empty(), "{:?}", args.warnings);
     }
 
     #[test]
@@ -3940,7 +3618,7 @@ mod tests {
             )))
             .unwrap();
             let Command::Mine(args) = cmd else { panic!() };
-            run_mine_on_table(&table, &args, &mut Vec::new()).expect("mine");
+            run_mine_on_table(&table, &args, None, &mut Vec::new()).expect("mine");
         }
         let with_bytes = std::fs::read(&with_path).expect("analytics catalog written");
         let plain_bytes = std::fs::read(&plain_path).expect("plain catalog written");
@@ -4225,7 +3903,7 @@ mod tests {
             let spawn =
                 (workers > 0).then(|| WorkerSpawn::Threads(qar_dist::WorkerOptions::default()));
             let mut report = Vec::new();
-            run_mine_on_table_spawn(&table, &args, spawn, &mut report)
+            run_mine_on_table(&table, &args, spawn, &mut report)
                 .unwrap_or_else(|e| panic!("{workers} workers: {e}"));
             let catalog = std::fs::read(&path).expect("catalog written");
             std::fs::remove_file(&path).ok();
@@ -4279,7 +3957,7 @@ mod tests {
         let mut args = parse_mine();
         args.store = Some(ref_path.to_str().unwrap().to_string());
         let mut ref_report = Vec::new();
-        run_mine_on_table(&table, &args, &mut ref_report).expect("in-memory mine");
+        run_mine_on_table(&table, &args, None, &mut ref_report).expect("in-memory mine");
         let ref_catalog = std::fs::read(&ref_path).expect("reference catalog");
         std::fs::remove_file(&ref_path).ok();
 
@@ -4295,7 +3973,7 @@ mod tests {
             let spawn =
                 (workers > 0).then(|| WorkerSpawn::Threads(qar_dist::WorkerOptions::default()));
             let mut report = Vec::new();
-            run_mine_chunked_spawn(&args, spawn, &mut report)
+            run_mine_chunked(&args, spawn, &mut report)
                 .unwrap_or_else(|e| panic!("chunked, {workers} workers: {e}"));
             let catalog = std::fs::read(&path).expect("chunked catalog");
             std::fs::remove_file(&path).ok();
@@ -4326,7 +4004,6 @@ mod tests {
             "--interest 1.1",
             "--interest-mode prune",
             "--max-size 3",
-            "--no-memoize",
         ] {
             let e = parse_command(&argv(&format!(
                 "mine --input d.csv --update c.qarcat {flags}"
@@ -4458,14 +4135,14 @@ mod tests {
         };
         args.store = Some(scratch_path.to_str().unwrap().to_string());
         let mut scratch_report = Vec::new();
-        run_mine_on_table(&combined, &args, &mut scratch_report).expect("scratch mine");
+        run_mine_on_table(&combined, &args, None, &mut scratch_report).expect("scratch mine");
         let scratch_catalog = std::fs::read(&scratch_path).expect("scratch catalog");
         std::fs::remove_file(&scratch_path).ok();
 
         // Base catalog with persisted counts.
         let base_cat_path = dir.join(format!("qar-cli-update-exact-{pid}-base.qarcat"));
         args.store = Some(base_cat_path.to_str().unwrap().to_string());
-        run_mine_on_table(&table, &args, &mut Vec::new()).expect("base mine");
+        run_mine_on_table(&table, &args, None, &mut Vec::new()).expect("base mine");
         let base_catalog = std::fs::read(&base_cat_path).expect("base catalog");
         std::fs::remove_file(&base_cat_path).ok();
 
@@ -4489,7 +4166,7 @@ mod tests {
             let spawn =
                 (workers > 0).then(|| WorkerSpawn::Threads(qar_dist::WorkerOptions::default()));
             let mut report = Vec::new();
-            run_mine_update_spawn(&uargs, spawn, &mut report)
+            run_mine_update(&uargs, spawn, None, &mut report)
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
             let updated = std::fs::read(&cat_path).expect("updated catalog");
             std::fs::remove_file(&cat_path).ok();
@@ -4516,7 +4193,7 @@ mod tests {
             };
             uargs.workers = workers;
             uargs.chunk_rows = chunk_rows;
-            run_mine_update_spawn(&uargs, None, &mut Vec::new())
+            run_mine_update(&uargs, None, None, &mut Vec::new())
                 .unwrap_or_else(|e| panic!("empty delta, chunk_rows={chunk_rows}: {e}"));
             let updated = std::fs::read(&cat_path).expect("updated catalog");
             std::fs::remove_file(&cat_path).ok();
@@ -4550,7 +4227,7 @@ mod tests {
         };
         let cat_path = dir.join(format!("qar-cli-update-guard-{pid}.qarcat"));
         args.store = Some(cat_path.to_str().unwrap().to_string());
-        run_mine_on_table(&table, &args, &mut Vec::new()).expect("base mine");
+        run_mine_on_table(&table, &args, None, &mut Vec::new()).expect("base mine");
         let base_catalog = std::fs::read(&cat_path).expect("base catalog");
 
         // No counts → a structured error pointing at the re-mine path.
@@ -4568,16 +4245,17 @@ mod tests {
         )))
         .unwrap();
         let Command::Mine(uargs) = cmd else { panic!() };
-        let e = run_mine_update(&uargs, &mut Vec::new()).unwrap_err();
+        let e = run_mine_update(&uargs, None, None, &mut Vec::new()).unwrap_err();
         assert!(e.to_string().contains("no persisted support counts"), "{e}");
         std::fs::remove_file(&stripped_path).ok();
 
         // A delta with a value the base never saw cannot be encoded under
-        // the frozen value-list encoders; without the base rows the CLI
-        // reports the fallback instead of guessing.
+        // the frozen value-list encoders; without the base rows every
+        // topology reports the fallback — once — instead of guessing.
         let bad_delta_path = dir.join(format!("qar-cli-update-guard-{pid}-bad.csv"));
         std::fs::write(&bad_delta_path, "Age,Married,NumCars\n99,Divorced,7\n").unwrap();
-        for chunk_rows in [0usize, 3] {
+        for (workers, chunk_rows) in [(0usize, 0usize), (0, 3), (2, 0), (2, 3)] {
+            let label = format!("workers={workers} chunk_rows={chunk_rows}");
             let cmd = parse_command(&argv(&format!(
                 "mine --input {} --update {}",
                 bad_delta_path.to_str().unwrap(),
@@ -4587,14 +4265,29 @@ mod tests {
             let Command::Mine(mut uargs) = cmd else {
                 panic!()
             };
+            uargs.workers = workers;
             uargs.chunk_rows = chunk_rows;
-            let e = run_mine_update(&uargs, &mut Vec::new()).unwrap_err();
+            let spawn =
+                (workers > 0).then(|| WorkerSpawn::Threads(qar_dist::WorkerOptions::default()));
+            let sink = Arc::new(qar_trace::CollectingSink::new());
+            let events: Arc<dyn ProgressSink> = sink.clone();
+            let e =
+                run_mine_update(&uargs, spawn, Some(events), &mut Vec::new()).unwrap_err();
             assert!(
                 e.to_string().contains("base rows unavailable"),
-                "chunk_rows={chunk_rows}: {e}"
+                "{label}: {e}"
             );
+            let fallbacks = sink
+                .events()
+                .iter()
+                .filter(|e| e.name() == "incremental_fallback")
+                .count();
+            assert_eq!(fallbacks, 1, "{label}: one incremental_fallback event");
             let untouched = std::fs::read(&cat_path).expect("catalog survives");
-            assert_eq!(untouched, base_catalog, "failed update must not rewrite");
+            assert_eq!(
+                untouched, base_catalog,
+                "{label}: failed update must not rewrite"
+            );
         }
         std::fs::remove_file(&bad_delta_path).ok();
         std::fs::remove_file(&cat_path).ok();
@@ -4629,14 +4322,14 @@ mod tests {
         let Command::Mine(mut args) = cmd else {
             panic!()
         };
-        run_mine_on_table(&combined, &args, &mut Vec::new()).expect("scratch mine");
+        run_mine_on_table(&combined, &args, None, &mut Vec::new()).expect("scratch mine");
         let scratch_catalog = std::fs::read(&scratch_path).expect("scratch catalog");
         std::fs::remove_file(&scratch_path).ok();
 
         // Base catalog with analytics and counts.
         let base_cat_path = dir.join(format!("qar-cli-update-stale-{pid}-base.qarcat"));
         args.store = Some(base_cat_path.to_str().unwrap().to_string());
-        run_mine_on_table(&table, &args, &mut Vec::new()).expect("base mine");
+        run_mine_on_table(&table, &args, None, &mut Vec::new()).expect("base mine");
         let base_catalog = std::fs::read(&base_cat_path).expect("base catalog");
         assert!(Catalog::load_bytes(&base_catalog, None)
             .unwrap()
@@ -4651,7 +4344,7 @@ mod tests {
         )))
         .unwrap();
         let Command::Mine(uargs) = cmd else { panic!() };
-        run_mine_update(&uargs, &mut Vec::new()).expect("update with analytics");
+        run_mine_update(&uargs, None, None, &mut Vec::new()).expect("update with analytics");
         let recomputed = std::fs::read(&base_cat_path).expect("updated catalog");
         assert_eq!(
             recomputed, scratch_catalog,
@@ -4668,7 +4361,7 @@ mod tests {
         )))
         .unwrap();
         let Command::Mine(uargs) = cmd else { panic!() };
-        run_mine_update(&uargs, &mut Vec::new()).expect("update dropping analytics");
+        run_mine_update(&uargs, None, None, &mut Vec::new()).expect("update dropping analytics");
         let dropped_bytes = std::fs::read(&base_cat_path).expect("updated catalog");
         let dropped = Catalog::load_bytes(&dropped_bytes, None).expect("load");
         assert!(dropped.analytics().is_none(), "stale analytics must drop");
@@ -4756,7 +4449,7 @@ mod tests {
             panic!()
         };
         args.store = Some(path.to_str().unwrap().to_string());
-        run_mine_on_table(&table, &args, &mut Vec::new()).expect("mine");
+        run_mine_on_table(&table, &args, None, &mut Vec::new()).expect("mine");
         let bytes = std::fs::read(&path).expect("catalog written");
         std::fs::remove_file(&path).ok();
 
