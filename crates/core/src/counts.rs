@@ -123,18 +123,49 @@ impl CountsConfig {
 }
 
 /// The raw counting state captured while a mine ran: the pass-1 value
-/// histograms and, for every counting pass `k ≥ 2`, every candidate the
-/// pass counted with its raw (unfiltered) tally — frequent and infrequent
+/// histograms, pass 2's pair-histogram cells, and every candidate counted
+/// explicitly with its raw (unfiltered) tally — frequent and infrequent
 /// alike, because an update needs the infrequent ones too (their supports
 /// may cross `minsup` as rows arrive).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CapturedCounts {
     /// `value_counts[attr][code]`: pass-1 per-attribute histograms.
     pub value_counts: Vec<Vec<u64>>,
-    /// `(pass, [(candidate, raw count)])` per counting pass, in pass
-    /// order. A pass with an empty candidate set is never counted and so
-    /// never appears here.
+    /// Pass 2's histograms: per attribute pair `(a, b)` the driver
+    /// histogrammed, in increasing pair order, its `card(a) × card(b)`
+    /// raw cells, row-major over `(code_a, code_b)`. Every pass-2
+    /// candidate on such a pair is a rectangle sum over them. Empty when
+    /// pass 2 never ran.
+    pub pair_cells: Vec<((u32, u32), Vec<u64>)>,
+    /// `(pass, [(candidate, raw count)])` per explicitly counted pass, in
+    /// pass order: pass 2's candidates on pairs over
+    /// [`crate::supercand::PAIR_CELL_BUDGET`] cells, and every candidate
+    /// of each pass `k ≥ 3`. A pass with an empty candidate set is never
+    /// counted and so never appears here.
     pub passes: Vec<(u32, Vec<(Itemset, u64)>)>,
+}
+
+impl CapturedCounts {
+    /// Counting passes `k ≥ 2` with a record — pass 2 once, whether its
+    /// counts are cells, explicit records, or both.
+    pub fn counting_passes(&self) -> usize {
+        let pass2_cells_only =
+            !self.pair_cells.is_empty() && !self.passes.iter().any(|(pass, _)| *pass == 2);
+        self.passes.len() + usize::from(pass2_cells_only)
+    }
+
+    /// Total pass-2 histogram cells.
+    pub fn total_cells(&self) -> usize {
+        self.pair_cells.iter().map(|(_, cells)| cells.len()).sum()
+    }
+
+    /// Explicit records of pass `pass` (0 when it has none).
+    pub fn explicit_records(&self, pass: u32) -> usize {
+        self.passes
+            .iter()
+            .find(|(p, _)| *p == pass)
+            .map_or(0, |(_, entries)| entries.len())
+    }
 }
 
 /// Everything an incremental update needs from the base mine, persisted
@@ -177,7 +208,8 @@ impl SupportCounts {
         }
     }
 
-    /// Total candidates tallied across all counting passes.
+    /// Candidates tallied explicitly across all counting passes (pass-2
+    /// histogram cells not included).
     pub fn total_candidates(&self) -> usize {
         self.captured.passes.iter().map(|(_, v)| v.len()).sum()
     }

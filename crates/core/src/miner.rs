@@ -377,7 +377,7 @@ impl Miner {
             base_rows: counts.num_rows,
             delta_rows,
             total_rows,
-            passes: new_counts.captured.passes.len() + 1,
+            passes: new_counts.captured.counting_passes() + 1,
             elapsed_us: micros(started.elapsed()),
         });
         Ok(UpdateOutput {

@@ -1,11 +1,12 @@
 //! The level-wise search (Step 3, Section 5) over an abstract counting
 //! backend.
 //!
-//! The search needs only two things from the data: the pass-1
-//! per-attribute value histograms and, for every later pass, the raw
-//! support count of each candidate itemset. Both are sums over rows, so
-//! counts taken over *disjoint row partitions* merge by element-wise
-//! `u64` addition into exactly the whole-table counts.
+//! The search needs only three things from the data: the pass-1
+//! per-attribute value histograms, pass 2's 2-D histograms over attribute
+//! pairs, and for every later pass the raw support count of each
+//! candidate itemset. All are sums over rows, so counts taken over
+//! *disjoint row partitions* merge by element-wise `u64` addition into
+//! exactly the whole-table counts.
 //!
 //! [`CountSource`] abstracts that contract, and one driver runs the search
 //! over any source: [`crate::Miner`], every `qar mine` topology and the
@@ -20,9 +21,8 @@
 //!
 //! Two local sources live here:
 //!
-//! * [`InMemorySource`] — counts an [`EncodedTable`] directly and answers
-//!   pass 2 without materializing `C_2` (what [`crate::Miner`] mines
-//!   through),
+//! * [`InMemorySource`] — counts an [`EncodedTable`] directly (what
+//!   [`crate::Miner`] mines through),
 //! * [`ChunkedSource`] — counts a [`qar_table::ChunkStore`] one spilled
 //!   chunk at a time, so tables larger than memory mine out-of-core.
 //!
@@ -43,10 +43,11 @@ use crate::pipeline::{MiningOutput, MiningStats};
 use crate::pool::WorkerPool;
 use crate::rules::generate_rules;
 use crate::supercand::{
-    count_candidates_opts, count_pairs_opts, PairPlan, PassStats, ScanOptions, PAIR_CELL_BUDGET,
+    cell_groups, count_candidates_opts, pair_cells, PairHistograms, PassStats, ScanOptions,
+    PAIR_CELL_BUDGET,
 };
 use qar_itemset::{CounterKind, Item, Itemset};
-use qar_table::{AttributeKind, ChunkStore, EncodedTable};
+use qar_table::{AttributeId, AttributeKind, ChunkStore, EncodedTable};
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 
 /// Why a [`CountSource`] call did not produce counts.
@@ -81,11 +82,11 @@ impl From<crate::supercand::ScanCancelled> for CountError {
 /// A counting backend for the level-wise search.
 ///
 /// Implementations must satisfy the count-distribution contract: the
-/// returned vectors are the *exact whole-table* tallies (raw, unfiltered
-/// by support thresholds), as if computed by a single serial scan. Any
-/// partitioning — across chunks, processes, or machines — must be over
-/// disjoint row subsets whose per-partition counts are merged by `u64`
-/// addition.
+/// returned vectors and histogram cells are the *exact whole-table*
+/// tallies (raw, unfiltered by support thresholds), as if computed by a
+/// single serial scan. Any partitioning — across chunks, processes, or
+/// machines — must be over disjoint row subsets whose per-partition
+/// counts are merged by `u64` addition.
 pub trait CountSource {
     /// The schema and encoders of the table being mined. A decode-only
     /// header table ([`EncodedTable::header_only`]) is sufficient — the
@@ -103,43 +104,78 @@ pub trait CountSource {
     /// with `candidates`, merged across partitions.
     fn count(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError>;
 
-    /// Pass 2: the members of `C_2` — the cross product of `level1`'s
-    /// items over distinct attribute pairs — whose count reaches
-    /// `min_count`, with those counts.
+    /// Pass 2: add every row to `hist` — zeroed histograms over the
+    /// attribute pairs the driver asks for — as raw cells merged across
+    /// partitions, never prefix-summed.
     ///
-    /// The default builds `C_2` with [`generate_candidates`] and hands it
-    /// to [`CountSource::count`], so a wrapper that records or times
-    /// counts sees pass 2 like any other pass; an empty `C_2` is never
-    /// counted. [`InMemorySource`] overrides it to count pairs without
-    /// materializing `C_2`.
-    fn frequent_pairs(
-        &mut self,
-        level1: &[(Itemset, u64)],
-        min_count: u64,
-    ) -> Result<Vec<(Itemset, u64)>, CountError> {
-        count_pairs_explicitly(self, level1, min_count)
+    /// The default counts each pair's `(code_a, code_b)` cells as point
+    /// 2-itemsets through [`CountSource::count`], one pair at a time
+    /// ([`count_pair_points`]), so a wrapper that forwards only the
+    /// required methods still yields exact cells. The sources of this
+    /// crate and the distributed one scan rows straight into the
+    /// histograms.
+    fn count_pair_cells(&mut self, hist: &mut PairHistograms) -> Result<(), CountError> {
+        for pair in 0..hist.pairs().len() {
+            count_pair_points(self, hist, pair)?;
+        }
+        Ok(())
     }
 
-    /// The scan statistics of the counting call just made, for a source
-    /// that keeps them. The default keeps none, and the driver reports
-    /// the call's wall time as the pass's `scan_time`.
+    /// The scan statistics of the counting calls made since the last
+    /// take, for a source that keeps them. The default keeps none, and
+    /// the driver reports the pass's wall time as its `scan_time`.
     fn take_pass_stats(&mut self) -> Option<PassStats> {
         None
     }
 }
 
-/// The default [`CountSource::frequent_pairs`]: materialize `C_2` and
-/// count it like any other pass.
-fn count_pairs_explicitly<S: CountSource + ?Sized>(
+/// Count pair `pair` of `hist` cell by cell: every `(code_a, code_b)` as a
+/// point 2-itemset in one [`CountSource::count`] call at pass 2, the
+/// counts added to the pair's cells (the default
+/// [`CountSource::count_pair_cells`]).
+pub fn count_pair_points<S: CountSource + ?Sized>(
     source: &mut S,
-    level1: &[(Itemset, u64)],
-    min_count: u64,
-) -> Result<Vec<(Itemset, u64)>, CountError> {
-    let candidates = generate_candidates(level1);
-    if candidates.is_empty() {
-        return Ok(Vec::new());
+    hist: &mut PairHistograms,
+    pair: usize,
+) -> Result<(), CountError> {
+    let (a, b) = hist.pairs()[pair];
+    let meta = source.meta();
+    let card_b = meta.cardinality(AttributeId(b as usize));
+    let points: Vec<Itemset> = (0..meta.cardinality(AttributeId(a as usize)))
+        .flat_map(|x| {
+            (0..card_b).map(move |y| Itemset::new(vec![Item::value(a, x), Item::value(b, y)]))
+        })
+        .collect();
+    if points.len() != hist.pair_cells(pair).len() {
+        return Err(CountError::Failed(MinerError::Distributed(format!(
+            "pass 2: pair ({a}, {b}) has {} cells but the source's header spans {}",
+            hist.pair_cells(pair).len(),
+            points.len()
+        ))));
     }
-    count_frequent(source, 2, candidates, min_count)
+    if points.is_empty() {
+        return Ok(());
+    }
+    let counts = counted(source, 2, &points)?;
+    hist.merge_pair_cells(pair, &counts);
+    Ok(())
+}
+
+/// [`CountSource::count`], checked to return one count per candidate.
+fn counted<S: CountSource + ?Sized>(
+    source: &mut S,
+    pass: usize,
+    candidates: &[Itemset],
+) -> Result<Vec<u64>, CountError> {
+    let counts = source.count(pass, candidates)?;
+    if counts.len() != candidates.len() {
+        return Err(CountError::Failed(MinerError::Distributed(format!(
+            "pass {pass}: source returned {} counts for {} candidates",
+            counts.len(),
+            candidates.len()
+        ))));
+    }
+    Ok(counts)
 }
 
 /// Count `candidates` at pass `pass` and keep those reaching `min_count`.
@@ -149,19 +185,69 @@ fn count_frequent<S: CountSource + ?Sized>(
     candidates: Vec<Itemset>,
     min_count: u64,
 ) -> Result<Vec<(Itemset, u64)>, CountError> {
-    let counts = source.count(pass, &candidates)?;
-    if counts.len() != candidates.len() {
-        return Err(CountError::Failed(MinerError::Distributed(format!(
-            "pass {pass}: source returned {} counts for {} candidates",
-            counts.len(),
-            candidates.len()
-        ))));
-    }
+    let counts = counted(source, pass, &candidates)?;
     Ok(candidates
         .into_iter()
         .zip(counts)
         .filter(|(_, c)| *c >= min_count)
         .collect())
+}
+
+/// Pass 2: the members of `C_2` — the cross product of `level1`'s items
+/// over distinct attribute pairs — whose count reaches `min_count`,
+/// without building `C_2`.
+///
+/// Every pair `(a, b)`, `a < b`, of attributes holding a level-1 item is
+/// split by [`PAIR_CELL_BUDGET`]: pairs within it are histogrammed through
+/// [`CountSource::count_pair_cells`] (at most the budget's cells per
+/// call), prefix-summed, and each item pair of their cross product is
+/// read as a rectangle sum; the cross products of pairs over it are
+/// counted explicitly in one [`CountSource::count`] call.
+fn count_pass2(
+    source: &mut dyn CountSource,
+    level1: &[(Itemset, u64)],
+    min_count: u64,
+) -> Result<Vec<(Itemset, u64)>, CountError> {
+    let mut items: BTreeMap<u32, Vec<Item>> = BTreeMap::new();
+    for (itemset, _) in level1 {
+        let item = itemset.items()[0];
+        items.entry(item.attr).or_default().push(item);
+    }
+    let attrs: Vec<u32> = items.keys().copied().collect();
+    let (mut pairs, mut cells, mut explicit) = (Vec::new(), Vec::new(), Vec::new());
+    for (i, &a) in attrs.iter().enumerate() {
+        for &b in &attrs[i + 1..] {
+            let n = pair_cells(source.meta(), a, b);
+            if n <= PAIR_CELL_BUDGET {
+                pairs.push((a, b));
+                cells.push(n);
+            } else {
+                for &ia in &items[&a] {
+                    explicit.extend(items[&b].iter().map(|&ib| Itemset::new(vec![ia, ib])));
+                }
+            }
+        }
+    }
+    let mut level = Vec::new();
+    for group in cell_groups(&cells, PAIR_CELL_BUDGET) {
+        let mut hist = PairHistograms::new(source.meta(), pairs[group].to_vec());
+        source.count_pair_cells(&mut hist)?;
+        hist.build_prefix_sums();
+        for (p, (a, b)) in hist.pairs().iter().enumerate() {
+            for &ia in &items[a] {
+                for &ib in &items[b] {
+                    let count = hist.rect_sum(p, ia, ib);
+                    if count >= min_count {
+                        level.push((Itemset::new(vec![ia, ib]), count));
+                    }
+                }
+            }
+        }
+    }
+    if !explicit.is_empty() {
+        level.extend(count_frequent(source, 2, explicit, min_count)?);
+    }
+    Ok(level)
 }
 
 /// `|C_2|` for `level1`: the sum over attribute pairs of the product of
@@ -183,8 +269,8 @@ fn pair_candidates(level1: &[(Itemset, u64)]) -> usize {
 /// one level-wise loop of every mining path.
 ///
 /// Pass 1 derives the frequent items from the source's merged histograms
-/// (then applies the Lemma 5 prune), pass 2 asks
-/// [`CountSource::frequent_pairs`], and every later pass counts the
+/// (then applies the Lemma 5 prune), pass 2 reads the frequent pairs out
+/// of pair histograms the source fills, and every later pass counts the
 /// candidates [`generate_candidates`] joins from the previous level. A
 /// pass reports the source's own [`PassStats`] when it keeps them, else
 /// the wall time of its counting call as `scan_time`.
@@ -299,7 +385,7 @@ pub(crate) fn mine_with_source_ctx(
             return Err(ctx.cancelled(k, stats));
         }
         let prev = frequent.levels.last().expect("level 1 pushed");
-        // `C_2` is only sized here: the source decides whether to build it.
+        // `C_2` is only sized here: pass 2 reads pair histograms instead.
         let candidates = if k == 2 {
             None
         } else {
@@ -319,7 +405,7 @@ pub(crate) fn mine_with_source_ctx(
         });
         let started = Instant::now();
         let counted = match candidates {
-            None => source.frequent_pairs(prev, min_count),
+            None => count_pass2(source, prev, min_count),
             Some(candidates) => count_frequent(source, k, candidates, min_count),
         };
         let level = match counted {
@@ -402,12 +488,14 @@ pub fn mine_source(
 }
 
 /// A pass-through [`CountSource`] that records everything the driver
-/// asked of the inner source: the pass-1 histograms and every
-/// `(pass, candidate, raw count)` triple. The recording is exactly the
-/// [`CapturedCounts`] a catalog persists for later incremental updates.
+/// asked of the inner source: the pass-1 histograms, pass 2's raw pair
+/// cells, and every `(pass, candidate, raw count)` triple counted
+/// explicitly. The recording is exactly the [`CapturedCounts`] a catalog
+/// persists for later incremental updates.
 pub struct CaptureSource<'s> {
     inner: &'s mut dyn CountSource,
     value_counts: Option<Vec<Vec<u64>>>,
+    pair_cells: Vec<((u32, u32), Vec<u64>)>,
     passes: Vec<(u32, Vec<(Itemset, u64)>)>,
 }
 
@@ -417,6 +505,7 @@ impl<'s> CaptureSource<'s> {
         CaptureSource {
             inner,
             value_counts: None,
+            pair_cells: Vec::new(),
             passes: Vec::new(),
         }
     }
@@ -425,6 +514,7 @@ impl<'s> CaptureSource<'s> {
     pub fn into_captured(self) -> CapturedCounts {
         CapturedCounts {
             value_counts: self.value_counts.unwrap_or_default(),
+            pair_cells: self.pair_cells,
             passes: self.passes,
         }
     }
@@ -459,6 +549,14 @@ impl CountSource for CaptureSource<'_> {
         }
         Ok(counts)
     }
+
+    fn count_pair_cells(&mut self, hist: &mut PairHistograms) -> Result<(), CountError> {
+        self.inner.count_pair_cells(hist)?;
+        for (p, &pair) in hist.pairs().iter().enumerate() {
+            self.pair_cells.push((pair, hist.pair_cells(p).to_vec()));
+        }
+        Ok(())
+    }
 }
 
 /// [`mine_source`] with count capture: returns the finished output
@@ -478,22 +576,32 @@ pub fn mine_source_captured(
 /// The incremental-update [`CountSource`]: persisted base counts plus a
 /// delta-only source, merged element-wise.
 ///
-/// `value_counts` is base histograms + delta histograms. `count` serves
-/// each candidate as its base tally (looked up in the persisted pass
-/// records) plus the delta source's tally — so the only rows ever
-/// scanned are the delta's. By the count-distribution invariant the sums
-/// equal a full base+delta scan exactly.
+/// `value_counts` is base histograms + delta histograms, and
+/// `count_pair_cells` base cells + delta cells for any subset of the
+/// pairs the base recorded. `count` serves each candidate as its base
+/// tally (looked up in the persisted pass records) plus the delta
+/// source's tally — so the only rows ever scanned are the delta's. By
+/// the count-distribution invariant the sums equal a full base+delta
+/// scan exactly.
 ///
-/// A candidate the base run never counted (a support crossed a threshold
-/// as rows arrived, changing a frequent level and hence the candidate
-/// sets derived from it) cannot be served incrementally; the lookup
-/// fails with [`MinerError::Update`] and the caller falls back to a full
-/// re-mine.
+/// A pair or candidate the base run never counted (an attribute gained
+/// its first frequent item, or a support crossed a threshold, as rows
+/// arrived — changing a frequent level and hence what the next pass
+/// counts) cannot be served incrementally; the lookup fails with
+/// [`MinerError::Update`] and the caller falls back to a full re-mine.
 pub struct MergeSource<'a> {
     base: &'a SupportCounts,
     delta: Option<&'a mut dyn CountSource>,
     meta: EncodedTable,
     pass_maps: HashMap<u32, HashMap<Itemset, u64>>,
+}
+
+/// The update error of a pass the base run counted differently.
+fn diverged(pass: usize, what: &str) -> CountError {
+    CountError::Failed(MinerError::Update(format!(
+        "pass {pass}: {what} diverged from the base run \
+         (a support crossed a threshold); full re-mine required"
+    )))
 }
 
 impl<'a> MergeSource<'a> {
@@ -515,12 +623,6 @@ impl<'a> MergeSource<'a> {
     }
 
     fn base_counts(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
-        let diverged = || {
-            CountError::Failed(MinerError::Update(format!(
-                "pass {pass}: candidate set diverged from the base run \
-                 (a support crossed a threshold); full re-mine required"
-            )))
-        };
         let map = match self.pass_maps.entry(pass as u32) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => {
@@ -530,13 +632,17 @@ impl<'a> MergeSource<'a> {
                     .passes
                     .iter()
                     .find(|(p, _)| *p == pass as u32)
-                    .ok_or_else(diverged)?;
+                    .ok_or_else(|| diverged(pass, "the candidate set"))?;
                 e.insert(recorded.1.iter().cloned().collect())
             }
         };
         candidates
             .iter()
-            .map(|c| map.get(c).copied().ok_or_else(diverged))
+            .map(|c| {
+                map.get(c)
+                    .copied()
+                    .ok_or_else(|| diverged(pass, "the candidate set"))
+            })
             .collect()
     }
 }
@@ -572,25 +678,41 @@ impl CountSource for MergeSource<'_> {
     fn count(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
         let mut counts = self.base_counts(pass, candidates)?;
         if let Some(delta) = &mut self.delta {
-            let add = delta.count(pass, candidates)?;
-            if add.len() != counts.len() {
-                return Err(CountError::Failed(MinerError::Distributed(format!(
-                    "pass {pass}: delta source returned {} counts for {} candidates",
-                    add.len(),
-                    candidates.len()
-                ))));
-            }
+            let add = counted(&mut **delta, pass, candidates)?;
             for (x, y) in counts.iter_mut().zip(add) {
                 *x += y;
             }
         }
         Ok(counts)
     }
+
+    fn count_pair_cells(&mut self, hist: &mut PairHistograms) -> Result<(), CountError> {
+        for p in 0..hist.pairs().len() {
+            let pair = hist.pairs()[p];
+            let (_, cells) = self
+                .base
+                .captured
+                .pair_cells
+                .iter()
+                .find(|(recorded, _)| *recorded == pair)
+                .ok_or_else(|| diverged(2, "the histogrammed attribute pairs"))?;
+            if cells.len() != hist.pair_cells(p).len() {
+                return Err(CountError::Failed(MinerError::Update(format!(
+                    "pair {pair:?}: persisted cells do not match the encoders' code domains"
+                ))));
+            }
+            hist.merge_pair_cells(p, cells);
+        }
+        match &mut self.delta {
+            Some(delta) => delta.count_pair_cells(hist),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The reference [`CountSource`]: counts an in-memory [`EncodedTable`]
-/// with the scan kernels, answering pass 2 from one 2-D histogram per
-/// attribute pair ([`count_pairs_opts`]) without materializing `C_2`.
+/// with the scan kernels, and scans pass 2 straight into the pair
+/// histograms.
 pub struct InMemorySource<'a> {
     table: &'a EncodedTable,
     num_threads: usize,
@@ -634,6 +756,14 @@ impl<'a> InMemorySource<'a> {
             ..ScanOptions::new(self.num_threads)
         }
     }
+
+    /// Fold one scan's statistics into the pass's.
+    fn record(&mut self, scan: PassStats) {
+        match &mut self.pass_stats {
+            Some(pass) => pass.absorb(&scan),
+            None => self.pass_stats = Some(scan),
+        }
+    }
 }
 
 impl CountSource for InMemorySource<'_> {
@@ -649,116 +779,34 @@ impl CountSource for InMemorySource<'_> {
         Ok(attribute_value_counts(self.table))
     }
 
-    /// A list of 2-itemsets — pass 2 as a recording or timing wrapper
-    /// hands it over — is answered from pair histograms; any other list,
-    /// and every list under a pinned backend, goes through the scan
-    /// kernels, whose statistics the driver then reports.
     fn count(&mut self, _pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
-        let table = self.table;
-        if self.counter.is_none() && candidates.iter().all(|c| c.len() == 2) {
-            return count_blocks(table, candidates, PAIR_CELL_BUDGET, self.opts(), &mut |f| {
-                f(table)
-            });
-        }
-        let (counts, pass) = count_candidates_opts(table, candidates, self.counter, self.opts())?;
-        self.pass_stats = Some(pass);
+        let (counts, scan) =
+            count_candidates_opts(self.table, candidates, self.counter, self.opts())?;
+        self.record(scan);
         Ok(counts)
     }
 
-    fn frequent_pairs(
-        &mut self,
-        level1: &[(Itemset, u64)],
-        min_count: u64,
-    ) -> Result<Vec<(Itemset, u64)>, CountError> {
+    /// One histogram scan of the table — or, under a pinned backend, the
+    /// trait's point-cell default, so the ablation's backend counts pass
+    /// 2 too.
+    fn count_pair_cells(&mut self, hist: &mut PairHistograms) -> Result<(), CountError> {
         if self.counter.is_some() {
-            return count_pairs_explicitly(self, level1, min_count);
+            for pair in 0..hist.pairs().len() {
+                count_pair_points(self, hist, pair)?;
+            }
+            return Ok(());
         }
-        let mut items_by_attr: BTreeMap<u32, Vec<(Item, u64)>> = BTreeMap::new();
-        for (itemset, count) in level1 {
-            let item = itemset.items()[0];
-            items_by_attr
-                .entry(item.attr)
-                .or_default()
-                .push((item, *count));
-        }
-        let (level, pass) = count_pairs_opts(
-            self.table,
-            &items_by_attr,
-            min_count,
-            PAIR_CELL_BUDGET,
-            self.opts(),
-        )?;
-        self.pass_stats = Some(pass);
-        Ok(level)
+        let mut scan = hist.scan(self.table, self.opts())?;
+        // Each pair's array is one super-candidate.
+        scan.super_candidates = hist.pairs().len();
+        scan.array_backed = hist.pairs().len();
+        self.record(scan);
+        Ok(())
     }
 
     fn take_pass_stats(&mut self) -> Option<PassStats> {
         self.pass_stats.take()
     }
-}
-
-/// Hands each row block of a table to the callback in turn.
-type BlockVisitor<'v> = dyn FnMut(&mut dyn FnMut(&EncodedTable) -> Result<(), CountError>) -> Result<(), CountError>
-    + 'v;
-
-/// Count `candidates` over a table that `visit` presents as row blocks
-/// (one whole table, or spilled chunks one at a time), summing the
-/// blocks' raw tallies. A list made only of 2-itemsets — pass 2 — is
-/// counted through [`PairHistograms`]: the blocks are scanned into one
-/// set of histograms and every candidate is a rectangle sum. Candidates
-/// on a pair over `cell_budget` cells, and every longer candidate list,
-/// go through [`count_candidates_opts`] block by block.
-///
-/// [`PairHistograms`]: crate::supercand::PairHistograms
-pub(crate) fn count_blocks(
-    meta: &EncodedTable,
-    candidates: &[Itemset],
-    cell_budget: usize,
-    opts: ScanOptions<'_>,
-    visit: &mut BlockVisitor<'_>,
-) -> Result<Vec<u64>, CountError> {
-    let Some(plan) = PairPlan::new(meta, candidates, cell_budget) else {
-        return count_each_block(candidates, opts, visit);
-    };
-    let mut counts = vec![0u64; candidates.len()];
-    for group in plan.groups(cell_budget) {
-        let mut hist = plan.histograms(meta, group.clone());
-        visit(&mut |block| {
-            hist.scan(block, opts)?;
-            Ok(())
-        })?;
-        hist.build_prefix_sums();
-        plan.answer(candidates, &group, &hist, &mut counts);
-    }
-    if !plan.explicit().is_empty() {
-        let subset: Vec<Itemset> = plan
-            .explicit()
-            .iter()
-            .map(|&i| candidates[i].clone())
-            .collect();
-        let sums = count_each_block(&subset, opts, visit)?;
-        for (&i, sum) in plan.explicit().iter().zip(sums) {
-            counts[i] = sum;
-        }
-    }
-    Ok(counts)
-}
-
-/// [`count_candidates_opts`] on every block, tallies summed.
-fn count_each_block(
-    candidates: &[Itemset],
-    opts: ScanOptions<'_>,
-    visit: &mut BlockVisitor<'_>,
-) -> Result<Vec<u64>, CountError> {
-    let mut sums = vec![0u64; candidates.len()];
-    visit(&mut |block| {
-        let (add, _) = count_candidates_opts(block, candidates, None, opts)?;
-        for (a, b) in sums.iter_mut().zip(add) {
-            *a += b;
-        }
-        Ok(())
-    })?;
-    Ok(sums)
 }
 
 /// A [`CountSource`] over a spilled [`ChunkStore`]: every counting pass
@@ -798,6 +846,20 @@ impl<'a> ChunkedSource<'a> {
             ..ScanOptions::new(self.num_threads)
         }
     }
+
+    /// Hand each spilled chunk to `f`, loaded one at a time.
+    fn for_each_chunk(
+        &self,
+        mut f: impl FnMut(&EncodedTable) -> Result<(), CountError>,
+    ) -> Result<(), CountError> {
+        for i in 0..self.store.num_chunks() {
+            if self.cancel.is_some_and(CancelToken::is_cancelled) {
+                return Err(CountError::Cancelled);
+            }
+            f(&self.store.chunk(i)?)?;
+        }
+        Ok(())
+    }
 }
 
 impl CountSource for ChunkedSource<'_> {
@@ -810,47 +872,42 @@ impl CountSource for ChunkedSource<'_> {
     }
 
     fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError> {
-        let mut merged: Option<Vec<Vec<u64>>> = None;
-        for i in 0..self.store.num_chunks() {
-            if self.cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(CountError::Cancelled);
-            }
-            let chunk = self.store.chunk(i)?;
-            let counts = attribute_value_counts(&chunk);
-            match &mut merged {
-                None => merged = Some(counts),
-                Some(m) => {
-                    for (acc, add) in m.iter_mut().zip(&counts) {
-                        for (a, b) in acc.iter_mut().zip(add) {
-                            *a += b;
-                        }
-                    }
+        let mut merged: Vec<Vec<u64>> = self
+            .meta
+            .schema()
+            .iter()
+            .map(|(id, _)| vec![0u64; self.meta.cardinality(id) as usize])
+            .collect();
+        self.for_each_chunk(|chunk| {
+            for (acc, add) in merged.iter_mut().zip(attribute_value_counts(chunk)) {
+                for (a, b) in acc.iter_mut().zip(add) {
+                    *a += b;
                 }
             }
-        }
-        Ok(merged.unwrap_or_else(|| {
-            self.meta
-                .schema()
-                .iter()
-                .map(|(id, _)| vec![0u64; self.meta.cardinality(id) as usize])
-                .collect()
-        }))
+            Ok(())
+        })?;
+        Ok(merged)
     }
 
     fn count(&mut self, _pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
-        let store = self.store;
-        count_blocks(
-            &self.meta,
-            candidates,
-            PAIR_CELL_BUDGET,
-            self.opts(),
-            &mut |f| {
-                for i in 0..store.num_chunks() {
-                    f(&store.chunk(i)?)?;
-                }
-                Ok(())
-            },
-        )
+        let opts = self.opts();
+        let mut sums = vec![0u64; candidates.len()];
+        self.for_each_chunk(|chunk| {
+            let (add, _) = count_candidates_opts(chunk, candidates, None, opts)?;
+            for (a, b) in sums.iter_mut().zip(add) {
+                *a += b;
+            }
+            Ok(())
+        })?;
+        Ok(sums)
+    }
+
+    fn count_pair_cells(&mut self, hist: &mut PairHistograms) -> Result<(), CountError> {
+        let opts = self.opts();
+        self.for_each_chunk(|chunk| {
+            hist.scan(chunk, opts)?;
+            Ok(())
+        })
     }
 }
 
@@ -1034,12 +1091,47 @@ mod tests {
         assert!(counted >= 2, "the table reaches pass 3");
     }
 
-    /// Property: on random tables the in-memory pass-2 override returns
-    /// the frequent pairs the trait's default returns — with a pinned
-    /// backend (which must skip the override and the pair plan), with an
-    /// empty `C_2`, and under `max_itemset_size = 1`.
+    /// A wrapper that forwards only the four required methods, so pass 2
+    /// takes the trait's point-cell default.
+    struct Forwarding<S>(S);
+
+    impl<S: CountSource> CountSource for Forwarding<S> {
+        fn meta(&self) -> &EncodedTable {
+            self.0.meta()
+        }
+        fn num_rows(&self) -> u64 {
+            self.0.num_rows()
+        }
+        fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError> {
+            self.0.value_counts()
+        }
+        fn count(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
+            self.0.count(pass, candidates)
+        }
+    }
+
+    /// Every attribute pair's raw cells, tallied row by row.
+    fn naive_cells(table: &EncodedTable, pairs: &[(u32, u32)]) -> Vec<u64> {
+        let mut out = Vec::new();
+        for &(a, b) in pairs {
+            let (ca, cb) = (AttributeId(a as usize), AttributeId(b as usize));
+            let mut cells = vec![0u64; (table.cardinality(ca) * table.cardinality(cb)) as usize];
+            for row in 0..table.num_rows() {
+                let (x, y) = (table.codes(ca)[row], table.codes(cb)[row]);
+                cells[(x * table.cardinality(cb) + y) as usize] += 1;
+            }
+            out.extend(cells);
+        }
+        out
+    }
+
+    /// Property: on random tables the in-memory histogram scan, the
+    /// point-cell default (through a forwarding wrapper) and a pinned
+    /// backend fill the same raw cells as a per-row tally; the pinned
+    /// scans reach their backend; `max_itemset_size = 1` never reaches
+    /// pass 2, and a one-attribute table records no pass 2.
     #[test]
-    fn pair_override_matches_the_default() {
+    fn pair_cells_match_a_naive_tally_on_every_path() {
         qar_prng::cases(32, 0x9A12_0FF5_E7ED_0002, |case, rng| {
             let attrs = rng.gen_range(1..4usize);
             let mut builder = Schema::builder();
@@ -1064,48 +1156,31 @@ mod tests {
                 table.push_row(&row).unwrap();
             }
             let enc = EncodedTable::encode_full_resolution(&table).unwrap();
-            let min_count = rng.gen_range(1..5u64);
-            let level1: Vec<(Itemset, u64)> =
-                crate::frequent::find_frequent_items(&enc, min_count, u64::MAX)
-                    .items
-                    .into_iter()
-                    .map(|(item, count)| (Itemset::singleton(item), count))
-                    .collect();
-            let sorted = |mut v: Vec<(Itemset, u64)>| {
-                v.sort();
-                v
-            };
             let cfg = MinerConfig {
                 partitioning: PartitionSpec::None,
                 ..config()
             };
-            let want = sorted(
-                count_pairs_explicitly(&mut InMemorySource::new(&enc, &cfg), &level1, min_count)
-                    .unwrap(),
-            );
-            if pair_candidates(&level1) == 0 {
-                assert!(want.is_empty(), "case {case}");
-            }
-            if attrs == 1 {
-                // No attribute pair: `C_2` is empty, so a capture gains no
-                // pass-2 record.
-                let mut src = InMemorySource::new(&enc, &cfg);
-                let (_, captured) = mine_source_captured(&mut src, &cfg, None, None).unwrap();
-                assert!(captured.passes.is_empty(), "case {case}");
-            }
-            let mut source = InMemorySource::new(&enc, &cfg);
-            let got = source.frequent_pairs(&level1, min_count).unwrap();
-            assert_eq!(sorted(got), want, "case {case}");
-            assert!(source.take_pass_stats().is_some(), "case {case}");
-
+            let pairs: Vec<(u32, u32)> = (0..attrs as u32)
+                .flat_map(|a| (a + 1..attrs as u32).map(move |b| (a, b)))
+                .collect();
+            let want = naive_cells(&enc, &pairs);
+            let fill = |source: &mut dyn CountSource| {
+                let mut hist = PairHistograms::new(&enc, pairs.clone());
+                source.count_pair_cells(&mut hist).unwrap();
+                hist.into_cells()
+            };
+            let mut scanned = InMemorySource::new(&enc, &cfg);
+            assert_eq!(fill(&mut scanned), want, "case {case}: scan");
+            assert!(scanned.take_pass_stats().is_some(), "case {case}");
+            let mut forwarding = Forwarding(InMemorySource::new(&enc, &cfg));
+            assert_eq!(fill(&mut forwarding), want, "case {case}: default");
             for kind in [CounterKind::Array, CounterKind::RTree] {
                 let mut pinned = InMemorySource::new(&enc, &cfg);
                 pinned.counter = Some(kind);
-                let got = pinned.frequent_pairs(&level1, min_count).unwrap();
-                assert_eq!(sorted(got), want, "case {case}, {kind:?}");
+                assert_eq!(fill(&mut pinned), want, "case {case}, {kind:?}");
                 // A pinned pass 2 reaches its backend through the scan
-                // kernels, never through the pair histograms.
-                if pair_candidates(&level1) > 0 {
+                // kernels, never through the histogram scan.
+                if !pairs.is_empty() {
                     let pass = pinned.take_pass_stats().expect("pinned pass 2 is scanned");
                     let (pinned_kind, other) = match kind {
                         CounterKind::Array => (pass.array_backed, pass.rtree_backed),
@@ -1113,6 +1188,13 @@ mod tests {
                     };
                     assert!(pinned_kind > 0 && other == 0, "case {case}, {kind:?}");
                 }
+            }
+            if attrs == 1 {
+                // No attribute pair: a capture gains no pass-2 record.
+                let mut src = InMemorySource::new(&enc, &cfg);
+                let (_, captured) = mine_source_captured(&mut src, &cfg, None, None).unwrap();
+                assert!(captured.pair_cells.is_empty(), "case {case}");
+                assert!(captured.passes.is_empty(), "case {case}");
             }
 
             let capped = MinerConfig {
@@ -1186,20 +1268,24 @@ mod tests {
         let mut source = InMemorySource::new(&enc, &config());
         let (out, captured) = mine_source_captured(&mut source, &config(), None, None).unwrap();
         assert_eq!(captured.value_counts, attribute_value_counts(&enc));
-        // One pass record per non-empty candidate set, raw counts kept for
-        // infrequent candidates too.
-        let counting_passes = out
-            .stats
-            .mine
-            .candidates_per_pass
+        // One record per pass with a non-empty candidate set: pass 2 as
+        // the raw cells of every pair of attributes with a frequent item,
+        // later passes with raw counts kept for infrequent candidates too.
+        let candidates = &out.stats.mine.candidates_per_pass;
+        let counting_passes = candidates.iter().filter(|&&c| c > 0).count();
+        assert_eq!(captured.counting_passes(), counting_passes);
+        let pairs: Vec<(u32, u32)> = captured.pair_cells.iter().map(|(p, _)| *p).collect();
+        assert_eq!(pairs, [(0, 1), (0, 2), (1, 2)]);
+        let cells: Vec<u64> = captured
+            .pair_cells
             .iter()
-            .filter(|&&c| c > 0)
-            .count();
-        assert_eq!(captured.passes.len(), counting_passes);
+            .flat_map(|(_, c)| c.iter().copied())
+            .collect();
+        assert_eq!(cells, naive_cells(&enc, &pairs));
         for ((pass, entries), (k, &cands)) in captured
             .passes
             .iter()
-            .zip(out.stats.mine.candidates_per_pass.iter().enumerate())
+            .zip(candidates.iter().enumerate().skip(1))
         {
             assert_eq!(*pass as usize, k + 2);
             assert_eq!(entries.len(), cands);
@@ -1241,6 +1327,7 @@ mod tests {
                     &config(),
                     Vec::new(),
                     CapturedCounts {
+                        pair_cells: Vec::new(),
                         value_counts: full_enc
                             .schema()
                             .iter()

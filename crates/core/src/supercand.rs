@@ -82,11 +82,11 @@
 //! so pass 2 needs no hash tree and no rectangle list: [`PairHistograms`]
 //! keeps one dense `card(a) × card(b)` array of raw cells per pair, scans
 //! rows into it, merges partitions by addition, prefix-sums once and
-//! answers any item pair as a rectangle sum. [`count_pairs_opts`] (the
-//! [`crate::Miner`] path) enumerates frequent pairs straight from it;
-//! [`PairPlan`] maps an explicit 2-itemset list (what a
-//! [`crate::CountSource`] receives) onto the same histograms. Pairs over
-//! [`PAIR_CELL_BUDGET`] cells keep the explicit path.
+//! answers any item pair as a rectangle sum. Every [`crate::CountSource`]
+//! fills such histograms for the pairs the level-wise driver asks for
+//! ([`crate::CountSource::count_pair_cells`]); the driver reads the
+//! frequent pairs out of them, and a capture persists their raw cells.
+//! Pairs over [`PAIR_CELL_BUDGET`] cells keep explicit candidates.
 
 use crate::config::ScanKernel;
 use crate::pool::WorkerPool;
@@ -235,10 +235,13 @@ impl PassStats {
         self.shard_scan_times.len().max(1)
     }
 
-    /// Fold another pass's scan bookkeeping into this one (used when one
-    /// logical pass issues several physical scans, e.g. the chunked
-    /// implicit pair pass).
-    fn absorb_scan(&mut self, other: &PassStats) {
+    /// Fold another scan's statistics into this one (used when one
+    /// logical pass issues several physical scans, e.g. pass 2's
+    /// histogram groups and its explicit over-budget candidates).
+    pub(crate) fn absorb(&mut self, other: &PassStats) {
+        self.super_candidates += other.super_candidates;
+        self.array_backed += other.array_backed;
+        self.rtree_backed += other.rtree_backed;
         self.scan_time += other.scan_time;
         self.merge_time += other.merge_time;
         self.hash_tree_nodes += other.hash_tree_nodes;
@@ -1086,7 +1089,7 @@ pub const PAIR_CELL_BUDGET: usize = 8 << 20;
 
 /// Cells of the 2-D histogram over attribute pair `(a, b)` of `meta`
 /// (saturating, so absurd domains compare as over any budget).
-fn pair_cells(meta: &EncodedTable, a: u32, b: u32) -> usize {
+pub(crate) fn pair_cells(meta: &EncodedTable, a: u32, b: u32) -> usize {
     (meta.cardinality(AttributeId(a as usize)) as usize)
         .saturating_mul(meta.cardinality(AttributeId(b as usize)) as usize)
 }
@@ -1094,7 +1097,7 @@ fn pair_cells(meta: &EncodedTable, a: u32, b: u32) -> usize {
 /// Split consecutive pairs into groups whose summed cells stay within
 /// `max_cells` — one table scan (or one wire frame) per group. A group
 /// always holds at least one pair.
-fn cell_groups(cells: &[usize], max_cells: usize) -> Vec<Range<usize>> {
+pub fn cell_groups(cells: &[usize], max_cells: usize) -> Vec<Range<usize>> {
     let mut groups = Vec::new();
     let mut start = 0;
     while start < cells.len() {
@@ -1171,6 +1174,22 @@ impl PairHistograms {
     /// Consume into the raw cells (what a worker ships).
     pub fn into_cells(self) -> Vec<u64> {
         self.cells
+    }
+
+    /// Pair `pair`'s cells alone, row-major over `(code_a, code_b)`.
+    pub fn pair_cells(&self, pair: usize) -> &[u64] {
+        &self.cells[self.offsets[pair]..self.offsets[pair + 1]]
+    }
+
+    /// Add raw cells shaped like [`PairHistograms::pair_cells`] to pair
+    /// `pair` alone — a partition's tallies for that pair.
+    pub fn merge_pair_cells(&mut self, pair: usize, cells: &[u64]) {
+        assert!(!self.prefixed, "cannot merge into prefix sums");
+        let hist = &mut self.cells[self.offsets[pair]..self.offsets[pair + 1]];
+        assert_eq!(hist.len(), cells.len(), "cell counts differ");
+        for (a, b) in hist.iter_mut().zip(cells) {
+            *a += b;
+        }
     }
 
     /// Count rows `rows` of `table` into `cells` (shaped like `self`).
@@ -1330,213 +1349,6 @@ impl PairHistograms {
         }
         total
     }
-}
-
-/// How an explicit candidate list made only of 2-itemsets — pass 2 as a
-/// [`crate::CountSource`] sees it — is answered from [`PairHistograms`]:
-/// the distinct attribute pairs to histogram, which pair each candidate
-/// reads, and which candidates sit on a pair over the cell budget and so
-/// keep the explicit counting path.
-#[derive(Debug, Clone)]
-pub struct PairPlan {
-    pairs: Vec<(u32, u32)>,
-    cells: Vec<usize>,
-    /// Per candidate, its index into `pairs` (`None`: counted explicitly).
-    slots: Vec<Option<usize>>,
-    explicit: Vec<usize>,
-}
-
-impl PairPlan {
-    /// Plan `candidates` over `meta`'s code domains, histogramming every
-    /// pair of at most `cell_budget` cells. `None` unless every candidate
-    /// is a 2-itemset whose ranges lie inside their code domains.
-    pub fn new(meta: &EncodedTable, candidates: &[Itemset], cell_budget: usize) -> Option<Self> {
-        let num_attrs = meta.schema().len();
-        let mut index: HashMap<(u32, u32), Option<usize>> = HashMap::new();
-        let mut plan = PairPlan {
-            pairs: Vec::new(),
-            cells: Vec::new(),
-            slots: Vec::with_capacity(candidates.len()),
-            explicit: Vec::new(),
-        };
-        for (i, cand) in candidates.iter().enumerate() {
-            let [a, b] = cand.items() else {
-                return None;
-            };
-            let in_domain = |item: &Item| {
-                (item.attr as usize) < num_attrs
-                    && item.lo <= item.hi
-                    && item.hi < meta.cardinality(AttributeId(item.attr as usize))
-            };
-            if !in_domain(a) || !in_domain(b) {
-                return None;
-            }
-            let slot = *index.entry((a.attr, b.attr)).or_insert_with(|| {
-                let cells = pair_cells(meta, a.attr, b.attr);
-                (cells <= cell_budget).then(|| {
-                    plan.pairs.push((a.attr, b.attr));
-                    plan.cells.push(cells);
-                    plan.pairs.len() - 1
-                })
-            });
-            if slot.is_none() {
-                plan.explicit.push(i);
-            }
-            plan.slots.push(slot);
-        }
-        Some(plan)
-    }
-
-    /// Ranges of pair indices whose histograms together hold at most
-    /// `max_cells` cells (a single pair may exceed it only when it is
-    /// alone in its group).
-    pub fn groups(&self, max_cells: usize) -> Vec<Range<usize>> {
-        cell_groups(&self.cells, max_cells)
-    }
-
-    /// Zeroed histograms for the pairs of `group`.
-    pub fn histograms(&self, meta: &EncodedTable, group: Range<usize>) -> PairHistograms {
-        PairHistograms::new(meta, self.pairs[group].to_vec())
-    }
-
-    /// Write the count of every candidate on `group`'s pairs into
-    /// `counts`, read from `hist` — that group's histograms, prefix-summed.
-    pub fn answer(
-        &self,
-        candidates: &[Itemset],
-        group: &Range<usize>,
-        hist: &PairHistograms,
-        counts: &mut [u64],
-    ) {
-        for ((cand, slot), count) in candidates.iter().zip(&self.slots).zip(counts) {
-            if let Some(p) = slot.filter(|p| group.contains(p)) {
-                let items = cand.items();
-                *count = hist.rect_sum(p - group.start, items[0], items[1]);
-            }
-        }
-    }
-
-    /// Indices of the candidates on over-budget pairs, which keep the
-    /// explicit counting path.
-    pub fn explicit(&self) -> &[usize] {
-        &self.explicit
-    }
-}
-
-/// Implicit second pass: `C_2` is the cross product of frequent items over
-/// distinct attribute pairs, which can run into the millions at low
-/// partial-completeness levels (the paper's "ExecTime" blow-up). Rather
-/// than materializing every pair, each attribute pair gets one
-/// [`PairHistograms`] array (its super-candidate — all `C_2` members over
-/// an attribute pair share it by definition); after one pass and prefix
-/// summation, every item pair's support is a constant-time rectangle sum
-/// and only the frequent pairs are materialized as itemsets.
-///
-/// Pairs whose full code domain exceeds `cell_budget` cells fall back to
-/// explicit enumeration with the R*-tree backend.
-///
-/// Like [`count_candidates_sharded`], the record scans split into up to
-/// `num_threads` contiguous row shards whose arrays are summed cell-wise
-/// before the prefix-sum readout; output is independent of the thread
-/// count.
-pub fn count_pairs_implicit(
-    table: &EncodedTable,
-    items_by_attr: &BTreeMap<u32, Vec<(Item, u64)>>,
-    min_count: u64,
-    cell_budget: usize,
-    num_threads: usize,
-) -> (Vec<(Itemset, u64)>, PassStats) {
-    match count_pairs_opts(
-        table,
-        items_by_attr,
-        min_count,
-        cell_budget,
-        ScanOptions::new(num_threads),
-    ) {
-        Ok(result) => result,
-        Err(ScanCancelled) => unreachable!("no cancel token was supplied"),
-    }
-}
-
-/// The fully parameterized implicit pair pass behind
-/// [`count_pairs_implicit`]. The histogram scan has no hash-tree walk, so
-/// [`ScanOptions::kernel`] only reaches the explicit R*-tree fallback
-/// groups (the histogram scan itself reports as the `"direct"` kernel);
-/// shard tasks run on the pool like the generic scan.
-pub fn count_pairs_opts(
-    table: &EncodedTable,
-    items_by_attr: &BTreeMap<u32, Vec<(Item, u64)>>,
-    min_count: u64,
-    cell_budget: usize,
-    opts: ScanOptions<'_>,
-) -> Result<(Vec<(Itemset, u64)>, PassStats), ScanCancelled> {
-    let attrs: Vec<u32> = items_by_attr
-        .iter()
-        .filter(|(_, v)| !v.is_empty())
-        .map(|(&a, _)| a)
-        .collect();
-    let mut stats = PassStats::default();
-    let mut frequent: Vec<(Itemset, u64)> = Vec::new();
-
-    // Split attribute pairs into histogram and fallback sets.
-    let mut array_pairs: Vec<(u32, u32)> = Vec::new();
-    let mut array_cells: Vec<usize> = Vec::new();
-    let mut fallback_pairs: Vec<(u32, u32)> = Vec::new();
-    for i in 0..attrs.len() {
-        for j in (i + 1)..attrs.len() {
-            let (a, b) = (attrs[i], attrs[j]);
-            let cells = pair_cells(table, a, b);
-            if cells <= cell_budget {
-                array_pairs.push((a, b));
-                array_cells.push(cells);
-            } else {
-                fallback_pairs.push((a, b));
-            }
-        }
-    }
-    stats.super_candidates = array_pairs.len() + fallback_pairs.len();
-    stats.array_backed = array_pairs.len();
-    stats.rtree_backed = fallback_pairs.len();
-
-    // One table pass per group of pairs within the cell budget.
-    for group in cell_groups(&array_cells, cell_budget) {
-        let mut hist = PairHistograms::new(table, array_pairs[group].to_vec());
-        stats.absorb_scan(&hist.scan(table, opts)?);
-        hist.build_prefix_sums();
-        for (p, &(a, b)) in hist.pairs().iter().enumerate() {
-            for &(ia, _) in &items_by_attr[&a] {
-                for &(ib, _) in &items_by_attr[&b] {
-                    let count = hist.rect_sum(p, ia, ib);
-                    if count >= min_count {
-                        frequent.push((Itemset::new(vec![ia, ib]), count));
-                    }
-                }
-            }
-        }
-    }
-
-    // Fallback pairs: explicit cross product through the generic counter
-    // (its scan/merge times are folded into this pass's stats).
-    for (a, b) in fallback_pairs {
-        let candidates: Vec<Itemset> = items_by_attr[&a]
-            .iter()
-            .flat_map(|&(ia, _)| {
-                items_by_attr[&b]
-                    .iter()
-                    .map(move |&(ib, _)| Itemset::new(vec![ia, ib]))
-            })
-            .collect();
-        let (counts, sub) =
-            count_candidates_opts(table, &candidates, Some(CounterKind::RTree), opts)?;
-        stats.absorb_scan(&sub);
-        frequent.extend(
-            candidates
-                .into_iter()
-                .zip(counts)
-                .filter(|(_, c)| *c >= min_count),
-        );
-    }
-    Ok((frequent, stats))
 }
 
 /// Reference counter: test every candidate against every record directly.
@@ -2227,26 +2039,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_plan_needs_two_itemsets_in_domain() {
-        let enc = people();
-        let pair = Itemset::new(vec![Item::range(0, 0, 4), Item::value(2, 2)]);
-        let plan = PairPlan::new(&enc, std::slice::from_ref(&pair), PAIR_CELL_BUDGET).unwrap();
-        assert!(plan.explicit().is_empty());
-        let triple = Itemset::new(vec![
-            Item::value(0, 1),
-            Item::value(1, 1),
-            Item::value(2, 2),
-        ]);
-        assert!(PairPlan::new(&enc, &[pair.clone(), triple], PAIR_CELL_BUDGET).is_none());
-        let past_domain = Itemset::new(vec![Item::value(0, 5), Item::value(2, 2)]);
-        assert!(PairPlan::new(&enc, &[past_domain], PAIR_CELL_BUDGET).is_none());
-        // age × cars is 5 × 3 = 15 cells: a 14-cell budget counts it explicitly.
-        let plan = PairPlan::new(&enc, std::slice::from_ref(&pair), 14).unwrap();
-        assert_eq!(plan.explicit(), &[0]);
-        assert!(plan.groups(14).is_empty());
-    }
-
-    #[test]
     fn cell_groups_respect_the_budget() {
         assert!(cell_groups(&[], 10).is_empty());
         assert_eq!(cell_groups(&[4, 4, 4], 8), vec![0..2, 2..3]);
@@ -2254,13 +2046,13 @@ mod tests {
         assert_eq!(cell_groups(&[0, 0], 0), vec![0..2]);
     }
 
-    /// Property: pair-histogram counting of an explicit 2-itemset list —
-    /// through the sources' block driver, with one pair pushed over the
-    /// cell budget, and over a table split at a random row — equals the
-    /// naive recount on random categorical and quantitative tables.
+    /// Property: rectangle sums over pair histograms — scanned whole on
+    /// one or three shards, or over a table split at a random row and
+    /// merged pair by pair — equal the naive recount of random value,
+    /// range and span 2-itemsets on random categorical and quantitative
+    /// tables.
     #[test]
     fn pair_histograms_equal_naive_property() {
-        use crate::source::{count_blocks, CountError};
         qar_prng::cases(64, 0x5EED_4242_0012, |case, rng| {
             let num_attrs = rng.gen_range(2usize..6);
             let attrs: Vec<(bool, u32)> = (0..num_attrs)
@@ -2301,29 +2093,40 @@ mod tests {
                 .collect();
             let naive = count_candidates_naive(&table, &candidates);
 
-            // A budget one cell short of the first candidate's pair sends
-            // that pair (and only pairs at least as large) down the
-            // explicit path.
-            let items = candidates[0].items();
-            let first_cells = pair_cells(&table, items[0].attr, items[1].attr);
+            let mut pairs: Vec<(u32, u32)> = candidates
+                .iter()
+                .map(|c| (c.items()[0].attr, c.items()[1].attr))
+                .collect();
+            pairs.sort_unstable();
+            pairs.dedup();
             let cut = rng.gen_range(0..rows + 1);
             let (left, right) = (slice_rows(&table, 0..cut), slice_rows(&table, cut..rows));
-            for budget in [PAIR_CELL_BUDGET, first_cells.saturating_sub(1)] {
-                for threads in [1usize, 3] {
-                    let opts = ScanOptions::new(threads);
-                    let whole = count_blocks(&table, &candidates, budget, opts, &mut |f| f(&table));
-                    let split = count_blocks(&table, &candidates, budget, opts, &mut |f| {
-                        f(&left)?;
-                        f(&right)
-                    });
-                    let ctx = format!("case {case}: budget {budget} threads {threads} cut {cut}");
-                    let as_vec = |r: Result<Vec<u64>, CountError>| match r {
-                        Ok(v) => v,
-                        Err(_) => panic!("{ctx}: count failed"),
-                    };
-                    assert_eq!(as_vec(whole), naive, "{ctx}");
-                    assert_eq!(as_vec(split), naive, "{ctx}");
-                }
+            let mut split = PairHistograms::new(&table, pairs.clone());
+            split.scan(&left, ScanOptions::new(1)).unwrap();
+            let mut tail = PairHistograms::new(&table, pairs.clone());
+            tail.scan(&right, ScanOptions::new(2)).unwrap();
+            for p in 0..pairs.len() {
+                split.merge_pair_cells(p, tail.pair_cells(p));
+            }
+            for (name, mut hist) in
+                [("split", split)]
+                    .into_iter()
+                    .chain([1usize, 3].map(|threads| {
+                        let mut whole = PairHistograms::new(&table, pairs.clone());
+                        whole.scan(&table, ScanOptions::new(threads)).unwrap();
+                        ("whole", whole)
+                    }))
+            {
+                hist.build_prefix_sums();
+                let got: Vec<u64> = candidates
+                    .iter()
+                    .map(|c| {
+                        let [a, b] = c.items() else { unreachable!() };
+                        let p = pairs.binary_search(&(a.attr, b.attr)).unwrap();
+                        hist.rect_sum(p, *a, *b)
+                    })
+                    .collect();
+                assert_eq!(got, naive, "case {case}: {name}, cut {cut}");
             }
 
             // Two partitions' raw histograms merge into the whole table's.
@@ -2337,26 +2140,5 @@ mod tests {
             merged.merge(&other);
             assert_eq!(merged, whole, "case {case}: cut {cut}");
         });
-    }
-
-    #[test]
-    fn implicit_pairs_equal_serial_for_all_thread_counts() {
-        let enc = people();
-        // Frequent items per attribute, as `mine_encoded` would pass them.
-        let mut items: BTreeMap<u32, Vec<(Item, u64)>> = BTreeMap::new();
-        items.insert(
-            0,
-            vec![(Item::range(0, 0, 2), 3), (Item::range(0, 3, 4), 2)],
-        );
-        items.insert(1, vec![(Item::value(1, 0), 2), (Item::value(1, 1), 3)]);
-        items.insert(2, vec![(Item::range(2, 0, 1), 3), (Item::value(2, 2), 2)]);
-        for budget in [usize::MAX, 1] {
-            // budget 1 forces the R*-tree fallback for every pair.
-            let (serial, _) = count_pairs_implicit(&enc, &items, 2, budget, 1);
-            for threads in [2, 4, 9] {
-                let (sharded, _) = count_pairs_implicit(&enc, &items, 2, budget, threads);
-                assert_eq!(sharded, serial, "budget={budget} threads={threads}");
-            }
-        }
     }
 }

@@ -8,9 +8,9 @@
 //! contiguously across workers, streams each partition out as bounded
 //! row blocks, and answers every counting request by broadcasting it and
 //! merging the raw per-worker tallies with element-wise `u64` addition.
-//! Pass 2's all-2-itemset list travels as attribute pairs: workers return
-//! [`PairHistograms`] cells, which merge into one set of histograms
-//! before every candidate is read off as a rectangle sum.
+//! Pass 2 travels as attribute pairs: workers return [`PairHistograms`]
+//! cells, which merge by addition into the histograms the driver reads
+//! its frequent pairs from.
 //!
 //! Partial failure: a worker that times out, drops its connection, or
 //! answers out of protocol is declared **lost** (one `worker_lost` trace
@@ -19,10 +19,8 @@
 //! so by default it recovers by recounting the lost partition locally —
 //! the merged counts, and therefore the mined rules, are unchanged.
 
-use qar_core::source::{CountError, CountSource};
-use qar_core::supercand::{
-    count_candidates_opts, PairHistograms, PairPlan, ScanOptions, PAIR_CELL_BUDGET,
-};
+use qar_core::source::{count_pair_points, CountError, CountSource};
+use qar_core::supercand::{cell_groups, count_candidates_opts, PairHistograms, ScanOptions};
 use qar_core::{MinerConfig, MinerError, ScanKernel};
 use qar_itemset::Itemset;
 use qar_store::dist::{read_response, write_request, DistRequest, DistResponse};
@@ -695,8 +693,8 @@ impl<'a> DistSource<'a> {
     /// Histogram `hist`'s pairs over every partition: one `CountPairs`
     /// to the live workers, their raw cells merged by addition, and each
     /// retired worker's rows scanned locally into the same histograms.
-    /// Returns the histograms prefix-summed, with the fewest workers any
-    /// request merged folded into `workers`.
+    /// Returns the raw histograms, with the fewest workers any request
+    /// merged folded into `workers`.
     fn count_pair_group(
         &mut self,
         pass: usize,
@@ -725,8 +723,18 @@ impl<'a> DistSource<'a> {
                 Ok(())
             })?;
         }
-        hist.build_prefix_sums();
         Ok(hist)
+    }
+
+    /// Report one counting call's merge as a `pass_merged` event
+    /// (`workers` is `usize::MAX` when no request went out).
+    fn emit_merged(&self, pass: usize, workers: usize, candidates: usize, started: Instant) {
+        self.emit(TraceEvent::PassMerged {
+            pass,
+            workers: if workers == usize::MAX { 0 } else { workers },
+            candidates,
+            elapsed_us: micros(started.elapsed()),
+        });
     }
 
     /// Count `candidates` as explicit lists: `CountCandidates` batches to
@@ -815,53 +823,40 @@ impl CountSource for DistSource<'_> {
         for (start, end) in self.retired_ranges() {
             self.local_value_counts(start, end, &mut merged)?;
         }
-        self.emit(TraceEvent::PassMerged {
-            pass: 1,
-            workers: merged_workers,
-            candidates: 0,
-            elapsed_us: micros(started.elapsed()),
-        });
+        self.emit_merged(1, merged_workers, 0, started);
         Ok(merged)
     }
 
-    /// A list of 2-itemsets (pass 2) is counted as pair histograms — at
-    /// most `FRAME_CELLS` cells per request, so every reply fits the
-    /// batch budget; a pair too large for that keeps the explicit path,
-    /// like every longer candidate list.
     fn count(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
         let started = Instant::now();
         let mut workers = usize::MAX;
-        let budget = PAIR_CELL_BUDGET.min(FRAME_CELLS);
-        let result = match PairPlan::new(&self.meta, candidates, budget) {
-            None => self.count_explicit(pass, candidates, &mut workers)?,
-            Some(plan) => {
-                let mut result = vec![0u64; candidates.len()];
-                for group in plan.groups(FRAME_CELLS) {
-                    let hist = plan.histograms(&self.meta, group.clone());
-                    let hist = self.count_pair_group(pass, hist, &mut workers)?;
-                    plan.answer(candidates, &group, &hist, &mut result);
-                }
-                if !plan.explicit().is_empty() {
-                    let subset: Vec<Itemset> = plan
-                        .explicit()
-                        .iter()
-                        .map(|&i| candidates[i].clone())
-                        .collect();
-                    let counts = self.count_explicit(pass, &subset, &mut workers)?;
-                    for (&i, count) in plan.explicit().iter().zip(counts) {
-                        result[i] = count;
-                    }
-                }
-                result
-            }
-        };
-        self.emit(TraceEvent::PassMerged {
-            pass,
-            workers: if workers == usize::MAX { 0 } else { workers },
-            candidates: candidates.len(),
-            elapsed_us: micros(started.elapsed()),
-        });
+        let result = self.count_explicit(pass, candidates, &mut workers)?;
+        self.emit_merged(pass, workers, candidates.len(), started);
         Ok(result)
+    }
+
+    /// Pairs travel as `CountPairs` requests of at most `FRAME_CELLS`
+    /// cells, so every reply fits the batch budget; a pair too large for
+    /// one frame is counted as point cells through `count`.
+    fn count_pair_cells(&mut self, hist: &mut PairHistograms) -> Result<(), CountError> {
+        let started = Instant::now();
+        let mut workers = usize::MAX;
+        let cells: Vec<usize> = (0..hist.pairs().len())
+            .map(|p| hist.pair_cells(p).len())
+            .collect();
+        for group in cell_groups(&cells, FRAME_CELLS) {
+            if group.len() == 1 && cells[group.start] > FRAME_CELLS {
+                count_pair_points(self, hist, group.start)?;
+                continue;
+            }
+            let part = PairHistograms::new(&self.meta, hist.pairs()[group.clone()].to_vec());
+            let part = self.count_pair_group(2, part, &mut workers)?;
+            for (p, pair) in group.enumerate() {
+                hist.merge_pair_cells(pair, part.pair_cells(p));
+            }
+        }
+        self.emit_merged(2, workers, 0, started);
+        Ok(())
     }
 }
 

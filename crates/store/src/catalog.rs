@@ -221,9 +221,9 @@ impl Catalog {
         }
         // Optional trailing sections: analytics and counts are decoded
         // (in that canonical order, so re-encoding reproduces the bytes);
-        // unknown tags are CRC-verified (a flipped byte is still
-        // detected) but their contents skipped, so readers of this
-        // version open catalogs written by future ones.
+        // v1 counts and unknown tags are CRC-verified (a flipped byte is
+        // still detected) but their contents skipped, so readers of this
+        // version open catalogs written by older and future ones.
         let mut analytics_payload = None;
         let mut counts_payload = None;
         while r.remaining() > 0 {
@@ -262,7 +262,9 @@ impl Catalog {
                         ),
                     });
                 }
-                _ => {} // unknown trailing section: verified, skipped
+                // v1 counts (per-candidate pass 2) or an unknown
+                // trailing section: verified, skipped.
+                _ => {}
             }
         }
         let (schema, encoders) = decode_schema(sections[0])?;
@@ -291,7 +293,7 @@ impl Catalog {
             });
             if let Some(counts) = &catalog.counts {
                 sink.on_event(&TraceEvent::CountsLoaded {
-                    passes: counts.captured.passes.len(),
+                    passes: counts.captured.counting_passes(),
                     itemsets: counts.total_candidates(),
                     rows: counts.num_rows,
                 });
@@ -327,7 +329,7 @@ impl Catalog {
             });
             if let Some(counts) = &self.counts {
                 sink.on_event(&TraceEvent::CountsSaved {
-                    passes: counts.captured.passes.len(),
+                    passes: counts.captured.counting_passes(),
                     itemsets: counts.total_candidates(),
                     bytes: encode_counts(counts).len() as u64,
                 });
@@ -488,7 +490,9 @@ impl Catalog {
     /// Check persisted counts against the catalog they ride in: row total
     /// and encoding fingerprint agree, the config is a valid miner
     /// configuration, histograms span exactly the encoders' code spaces,
-    /// and every tallied candidate's codes are in range.
+    /// pass-2 pairs are strictly increasing `a < b` attribute pairs whose
+    /// cells fill `card(a) × card(b)` and sum to the pass-1 histograms
+    /// along both axes, and every tallied candidate's codes are in range.
     fn validate_counts(&self, counts: &SupportCounts) -> Result<(), StoreError> {
         let corrupt = |detail: String| StoreError::Corrupt {
             section: "counts",
@@ -530,6 +534,52 @@ impl Catalog {
                 return Err(corrupt(format!(
                     "attribute {}: histogram has {have} bucket(s) for cardinality {want}",
                     id.index()
+                )));
+            }
+        }
+        let mut prev_pair = None;
+        for ((a, b), cells) in &counts.captured.pair_cells {
+            let (a, b) = (*a as usize, *b as usize);
+            if a >= b || b >= self.schema.len() {
+                return Err(corrupt(format!(
+                    "pair ({a}, {b}) is not two distinct attributes in order"
+                )));
+            }
+            if prev_pair.is_some_and(|p| p >= (a, b)) {
+                return Err(corrupt("pairs are not strictly increasing".into()));
+            }
+            prev_pair = Some((a, b));
+            let hist = &counts.captured.value_counts;
+            let (rows, cols) = (&hist[a], &hist[b]);
+            if cells.len() as u64 != rows.len() as u64 * cols.len() as u64 {
+                return Err(corrupt(format!(
+                    "pair ({a}, {b}) holds {} cell(s) for {} × {} codes",
+                    cells.len(),
+                    rows.len(),
+                    cols.len()
+                )));
+            }
+            // u128 sums: corrupt cells must not overflow into a pass.
+            let mut col_sums = vec![0u128; cols.len()];
+            for (x, row) in cells.chunks(cols.len().max(1)).enumerate() {
+                let mut row_sum = 0u128;
+                for (y, &cell) in row.iter().enumerate() {
+                    row_sum += u128::from(cell);
+                    col_sums[y] += u128::from(cell);
+                }
+                if row_sum != u128::from(rows[x]) {
+                    return Err(corrupt(format!(
+                        "pair ({a}, {b}): cells of code {x} sum to {row_sum}, \
+                         not its pass-1 count {}",
+                        rows[x]
+                    )));
+                }
+            }
+            if let Some(y) = (0..cols.len()).find(|&y| col_sums[y] != u128::from(cols[y])) {
+                return Err(corrupt(format!(
+                    "pair ({a}, {b}): cells of code {y} of attribute {b} sum to {}, \
+                     not its pass-1 count {}",
+                    col_sums[y], cols[y]
                 )));
             }
         }
@@ -700,7 +750,9 @@ fn decode_analytics(payload: &[u8]) -> Result<AnalyticsSet, StoreError> {
 /// Serialize [`SupportCounts`] into the `COUNTS` section payload: row
 /// total, the two encoding-fingerprint lanes, the semantic mining
 /// configuration, the achieved interval counts, the pass-1 histograms,
-/// and per counting pass every candidate with its raw tally.
+/// pass 2's pair-histogram cells (per pair its two attributes, cell
+/// count and raw cells), and per explicitly counted pass every candidate
+/// with its raw tally.
 fn encode_counts(counts: &SupportCounts) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u64(counts.num_rows);
@@ -755,6 +807,15 @@ fn encode_counts(counts: &SupportCounts) -> Vec<u8> {
     for hist in &counts.captured.value_counts {
         w.put_u64(hist.len() as u64);
         for &n in hist {
+            w.put_u64(n);
+        }
+    }
+    w.put_u64(counts.captured.pair_cells.len() as u64);
+    for ((a, b), cells) in &counts.captured.pair_cells {
+        w.put_u32(*a);
+        w.put_u32(*b);
+        w.put_u64(cells.len() as u64);
+        for &n in cells {
             w.put_u64(n);
         }
     }
@@ -850,6 +911,17 @@ fn decode_counts(payload: &[u8]) -> Result<SupportCounts, StoreError> {
         }
         value_counts.push(hist);
     }
+    let npairs = r.get_count(16)?; // two attributes + cell count at minimum
+    let mut pair_cells = Vec::with_capacity(npairs);
+    for _ in 0..npairs {
+        let pair = (r.get_u32()?, r.get_u32()?);
+        let n = r.get_count(8)?;
+        let mut cells = Vec::with_capacity(n);
+        for _ in 0..n {
+            cells.push(r.get_u64()?);
+        }
+        pair_cells.push((pair, cells));
+    }
     let npasses = r.get_count(12)?; // pass number + entry count at minimum
     let mut passes = Vec::with_capacity(npasses);
     let mut prev_pass = None;
@@ -882,6 +954,7 @@ fn decode_counts(payload: &[u8]) -> Result<SupportCounts, StoreError> {
         intervals_per_attribute,
         captured: CapturedCounts {
             value_counts,
+            pair_cells,
             passes,
         },
     })

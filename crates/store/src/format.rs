@@ -6,9 +6,10 @@
 //! magic    8 bytes   "QARCAT\r\n"  (catches text-mode CRLF mangling)
 //! version  u32       currently 1
 //! section  repeated, fixed order: schema (1), rules (2), stats (3),
-//!          then optional trailing sections (analytics (4), and any
-//!          unknown tag — skipped, but still CRC-verified — so old
-//!          readers open new catalogs and vice versa)
+//!          then optional trailing sections (analytics (4), counts (6),
+//!          and any unknown tag — skipped, but still CRC-verified — so
+//!          old readers open new catalogs and vice versa; the retired
+//!          v1 counts layout (5) is recognised and skipped too)
 //!   tag    u32
 //!   len    u64       payload length in bytes
 //!   crc    u32       CRC-32 (IEEE) over tag bytes ++ payload
@@ -40,11 +41,16 @@ pub mod tag {
     /// Optional rule-quality analytics (lift, conviction, chi-square,
     /// J-measure, Shapley attributions). Trails the mandatory sections.
     pub const ANALYTICS: u32 = 4;
-    /// Optional persisted support counts (raw candidate tallies + row
-    /// total + encoding fingerprint + mining configuration) powering
+    /// The first persisted-counts layout, which recorded every member
+    /// of `C_2` with its tally. Recognised and skipped on load: such a
+    /// catalog serves its rules but carries no counts an update can use.
+    pub const COUNTS_V1: u32 = 5;
+    /// Optional persisted support counts (row total + encoding
+    /// fingerprint + mining configuration + pass-1 histograms + pass-2
+    /// pair-histogram cells + explicit candidate tallies) powering
     /// incremental updates. Trails the mandatory sections (after
     /// analytics, when both are present).
-    pub const COUNTS: u32 = 5;
+    pub const COUNTS: u32 = 6;
 }
 
 /// Human name of a section tag (for error messages).
@@ -54,6 +60,7 @@ pub fn section_name(tag: u32) -> &'static str {
         tag::RULES => "rules",
         tag::STATS => "stats",
         tag::ANALYTICS => "analytics",
+        tag::COUNTS_V1 => "counts-v1",
         tag::COUNTS => "counts",
         _ => "unknown",
     }

@@ -201,7 +201,9 @@ fn arb_analytics(rng: &mut Prng, rules: &[QuantRule]) -> AnalyticsSet {
 /// Arbitrary persisted support counts that satisfy every invariant
 /// [`Catalog::with_counts`] checks: row total and fingerprint taken from
 /// the catalog, a valid semantic config, histograms spanning exactly the
-/// encoders' code spaces, in-range candidates with arbitrary tallies.
+/// encoders' code spaces, pass-2 cells on random attribute pairs whose
+/// marginals are those histograms, in-range candidates with arbitrary
+/// tallies.
 fn arb_counts(rng: &mut Prng, catalog: &Catalog) -> SupportCounts {
     let schema = catalog.schema();
     let encoders = catalog.encoders();
@@ -241,10 +243,37 @@ fn arb_counts(rng: &mut Prng, catalog: &Catalog) -> SupportCounts {
             PartitionStrategy::KMeans,
         ][rng.gen_range(0..3usize)],
     };
-    let value_counts = encoders
-        .iter()
-        .map(|e| (0..e.cardinality()).map(|_| rng.next_u64()).collect())
-        .collect();
+    // Weighted random rows: the histograms and pass-2 cells are their
+    // exact marginals, as a real mine records them.
+    let cards: Vec<u32> = encoders.iter().map(|e| e.cardinality()).collect();
+    let rows: Vec<(Vec<u32>, u64)> = if cards.contains(&0) {
+        Vec::new()
+    } else {
+        (0..rng.gen_range(0..30usize))
+            .map(|_| {
+                let codes = cards.iter().map(|&c| rng.gen_range(0..c)).collect();
+                (codes, rng.gen_range(0..1u64 << 40))
+            })
+            .collect()
+    };
+    let mut value_counts: Vec<Vec<u64>> = cards.iter().map(|&c| vec![0; c as usize]).collect();
+    for (codes, weight) in &rows {
+        for (hist, &code) in value_counts.iter_mut().zip(codes) {
+            hist[code as usize] += weight;
+        }
+    }
+    let mut pair_cells = Vec::new();
+    for a in 0..num_attrs {
+        for b in a + 1..num_attrs {
+            if rng.gen_bool(0.5) {
+                let mut cells = vec![0u64; (cards[a] * cards[b]) as usize];
+                for (codes, weight) in &rows {
+                    cells[(codes[a] * cards[b] + codes[b]) as usize] += weight;
+                }
+                pair_cells.push(((a as u32, b as u32), cells));
+            }
+        }
+    }
     let mut passes = Vec::new();
     let mut pass = 2u32;
     for _ in 0..rng.gen_range(0..3usize) {
@@ -270,6 +299,7 @@ fn arb_counts(rng: &mut Prng, catalog: &Catalog) -> SupportCounts {
             .collect(),
         captured: CapturedCounts {
             value_counts,
+            pair_cells,
             passes,
         },
     }

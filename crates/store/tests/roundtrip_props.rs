@@ -8,13 +8,23 @@ mod common;
 use common::arb_catalog;
 use qar_store::Catalog;
 
+/// Pass-2 cells as `CapturedCounts` keeps them.
+type PairCells = Vec<((u32, u32), Vec<u64>)>;
+
 /// Arbitrary valid catalogs survive encode → decode → encode with byte
 /// equality — the strongest round-trip statement, immune to `f64`
 /// comparison pitfalls (`NaN != NaN`).
 #[test]
 fn arbitrary_catalogs_round_trip_bit_exactly() {
+    let mut with_cells = 0;
     qar_prng::cases(64, 0x5702E, |case, rng| {
         let catalog = arb_catalog(rng);
+        if catalog
+            .counts()
+            .is_some_and(|c| !c.captured.pair_cells.is_empty())
+        {
+            with_cells += 1;
+        }
         let bytes = catalog.encode();
         let back =
             Catalog::decode(&bytes).unwrap_or_else(|e| panic!("case {case}: decode failed: {e}"));
@@ -28,6 +38,75 @@ fn arbitrary_catalogs_round_trip_bit_exactly() {
             "case {case}"
         );
     });
+    assert!(with_cells > 0, "some catalogs carry pass-2 cells");
+}
+
+/// Persisted pass-2 cells that break an invariant the driver's rectangle
+/// sums rely on — pairs out of order or outside the schema, a wrong cell
+/// count, cells whose row or column sums miss the pass-1 histograms —
+/// are a structured `Corrupt` error on the counts section (decode
+/// attaches counts through the same check).
+#[test]
+fn inconsistent_pair_cells_are_corrupt() {
+    let mut checked = 0;
+    qar_prng::cases(64, 0xCE115, |case, rng| {
+        let catalog = arb_catalog(rng);
+        let Some(counts) = catalog.counts().cloned() else {
+            return;
+        };
+        let Some(p) = (!counts.captured.pair_cells.is_empty())
+            .then(|| rng.gen_range(0..counts.captured.pair_cells.len()))
+        else {
+            return;
+        };
+        let attrs = catalog.schema().len() as u32;
+        let ((a, b), cells) = counts.captured.pair_cells[p].clone();
+        let mut broken = Vec::new();
+        let mut mutate = |f: &mut dyn FnMut(&mut PairCells)| {
+            let mut bad = counts.clone();
+            f(&mut bad.captured.pair_cells);
+            broken.push(bad);
+        };
+        mutate(&mut |pairs| pairs[p].0 = (b, a));
+        mutate(&mut |pairs| pairs[p].0 = (a, attrs));
+        mutate(&mut |pairs| {
+            let dup = pairs[p].clone();
+            pairs.insert(p, dup);
+        });
+        mutate(&mut |pairs| {
+            pairs[p].1.push(0);
+        });
+        if !cells.is_empty() {
+            let cell = rng.gen_range(0..cells.len());
+            mutate(&mut |pairs| pairs[p].1[cell] += 1);
+            mutate(&mut |pairs| {
+                pairs[p].1.pop();
+            });
+        }
+        // Moving a unit along a row keeps the row sums but not the
+        // column sums.
+        let stride = catalog.encoders()[b as usize].cardinality() as usize;
+        if stride > 1 && cells.iter().step_by(stride).any(|&c| c > 0) {
+            let from = (0..cells.len())
+                .step_by(stride)
+                .find(|&i| cells[i] > 0)
+                .unwrap();
+            mutate(&mut |pairs| {
+                pairs[p].1[from] -= 1;
+                pairs[p].1[from + 1] += 1;
+            });
+        }
+        for bad in broken {
+            match catalog.clone().without_counts().with_counts(bad) {
+                Err(qar_store::StoreError::Corrupt { section, .. }) => {
+                    assert_eq!(section, "counts", "case {case}")
+                }
+                other => panic!("case {case}: expected Corrupt, got {:?}", other.map(|_| ())),
+            }
+            checked += 1;
+        }
+    });
+    assert!(checked > 0, "some catalogs carry pass-2 cells to break");
 }
 
 /// A decoded catalog is [`Catalog::content_eq`] to the one that was

@@ -182,7 +182,7 @@ sed -n '2,3p' "$STORE_DIR/people.csv" >> "$STORE_DIR/combined.csv"
 cp "$STORE_DIR/people_updated.qarcat" "$STORE_DIR/people_base.qarcat"
 ./target/release/qar store-check "$STORE_DIR/people_updated.qarcat" \
     > "$STORE_DIR/people.inventory"
-grep -q "counts (tag 5):" "$STORE_DIR/people.inventory"
+grep -q "counts (tag 6):" "$STORE_DIR/people.inventory"
 ./target/release/qar mine --input "$STORE_DIR/delta.csv" \
     --update "$STORE_DIR/people_updated.qarcat" --normalize-stats --trace json \
     > /dev/null 2> "$STORE_DIR/update.trace"
@@ -201,6 +201,19 @@ for topology in "--workers 2" "--chunk-rows 2" "--workers 2 --chunk-rows 2"; do
         --update "$STORE_DIR/people_topology.qarcat" --normalize-stats $topology > /dev/null
     cmp "$STORE_DIR/people_topology.qarcat" "$STORE_DIR/people_scratch.qarcat"
 done
+
+echo "==> counts size smoke (pass 2 persisted as pair cells, COUNTS under 1 MiB)"
+# Mine 20,000 synthetic credit rows at partial completeness K = 2 into a
+# counts-bearing catalog. Pass 2 is persisted as pair-histogram cells,
+# about 0.2 MB here; recording every member of C_2 instead made the
+# section about 38 MB.
+./target/release/qar generate credit --records 20000 --output "$STORE_DIR/credit.csv"
+./target/release/qar mine --input "$STORE_DIR/credit.csv" \
+    --schema employee_category:cat,marital_status:cat,monthly_income:quant,credit_limit:quant,current_balance:quant,ytd_balance:quant,ytd_interest:quant \
+    --completeness 2 --store "$STORE_DIR/credit.qarcat" > /dev/null
+./target/release/qar store-check "$STORE_DIR/credit.qarcat" > "$STORE_DIR/credit.inventory"
+awk '/counts \(tag 6\):/ { found = 1; if ($4 > 1048576) { print "COUNTS is " $4 " bytes, over 1 MiB"; exit 1 } }
+     END { if (!found) { print "no COUNTS section"; exit 1 } }' "$STORE_DIR/credit.inventory"
 
 echo "==> update bench smoke (delta-update speedup floor)"
 # Quick run of the incremental-update bench: exits non-zero when a 1%

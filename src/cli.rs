@@ -23,6 +23,7 @@ use qar_core::{
 };
 use qar_dist::{Backing, DistOptions, DistSource, WorkerSpawn};
 use qar_prng::Prng;
+use qar_store::format::tag::COUNTS_V1;
 use qar_store::protocol::{Query, QueryOptions, Request, Response};
 use qar_store::serve::ServeClient;
 use qar_store::{
@@ -1883,11 +1884,22 @@ pub fn run_store_check(
                 s.tag,
                 s.len,
                 if s.crc_ok { "ok" } else { "MISMATCH" },
-                if s.known() { "" } else { " [skipped]" },
+                if s.known() && s.tag != COUNTS_V1 {
+                    ""
+                } else {
+                    " [skipped]"
+                },
             )?;
         }
         let unknown = sections.iter().filter(|s| !s.known()).count();
         writeln!(out, "  {unknown} unknown section(s) skipped")?;
+        if sections.iter().any(|s| s.tag == COUNTS_V1) {
+            writeln!(
+                out,
+                "  v1 counts section skipped: re-mine with `qar mine --store` to update \
+                 this catalog incrementally"
+            )?;
+        }
     }
     let catalog = Catalog::decode(bytes)?;
     let interesting = catalog
@@ -1925,13 +1937,23 @@ pub fn run_store_check(
         None => writeln!(out, "  analytics: none")?,
     }
     match catalog.counts() {
-        Some(counts) => writeln!(
-            out,
-            "  counts: {} pass(es), {} candidate(s), {} row(s)",
-            counts.captured.passes.len() + 1,
-            counts.total_candidates(),
-            counts.num_rows,
-        )?,
+        Some(counts) => {
+            let captured = &counts.captured;
+            writeln!(
+                out,
+                "  counts: {} pass(es), {} explicit candidate(s), {} row(s)",
+                captured.counting_passes() + 1,
+                counts.total_candidates(),
+                counts.num_rows,
+            )?;
+            writeln!(
+                out,
+                "  counts pass 2: {} pair(s), {} cell(s), {} explicit record(s)",
+                captured.pair_cells.len(),
+                captured.total_cells(),
+                captured.explicit_records(2),
+            )?;
+        }
         None => writeln!(out, "  counts: none")?,
     }
     Ok(())
@@ -2879,7 +2901,7 @@ pub fn run_bench_update(
     }
 
     let speedup = remine_s / update_s.max(1e-9);
-    let passes = updated.counts.captured.passes.len() + 1;
+    let passes = updated.counts.captured.counting_passes() + 1;
     writeln!(
         out,
         "{records} base record(s) + {delta_rows} delta record(s), {passes} counting pass(es), \
@@ -4271,8 +4293,7 @@ mod tests {
                 (workers > 0).then(|| WorkerSpawn::Threads(qar_dist::WorkerOptions::default()));
             let sink = Arc::new(qar_trace::CollectingSink::new());
             let events: Arc<dyn ProgressSink> = sink.clone();
-            let e =
-                run_mine_update(&uargs, spawn, Some(events), &mut Vec::new()).unwrap_err();
+            let e = run_mine_update(&uargs, spawn, Some(events), &mut Vec::new()).unwrap_err();
             assert!(
                 e.to_string().contains("base rows unavailable"),
                 "{label}: {e}"
@@ -4371,8 +4392,16 @@ mod tests {
         let mut check_out = Vec::new();
         run_store_check(&dropped_bytes, &mut check_out).expect("store-check");
         let check_text = String::from_utf8(check_out).unwrap();
-        assert!(check_text.contains("counts (tag 5):"), "{check_text}");
+        assert!(check_text.contains("counts (tag 6):"), "{check_text}");
         assert!(check_text.contains("counts: "), "{check_text}");
+        let counts = dropped.counts().unwrap();
+        let pass2 = format!(
+            "counts pass 2: {} pair(s), {} cell(s), 0 explicit record(s)",
+            counts.captured.pair_cells.len(),
+            counts.captured.total_cells(),
+        );
+        assert!(!counts.captured.pair_cells.is_empty());
+        assert!(check_text.contains(&pass2), "{check_text}");
         let mut check_out = Vec::new();
         run_store_check(
             &Catalog::load_bytes(&dropped_bytes, None)

@@ -3,7 +3,9 @@
 //! checked in as frozen artifacts, and this suite proves the current
 //! reader serves them unchanged — loads them, answers classic queries,
 //! refuses newer-only features with the documented error, and re-encodes
-//! them byte-for-byte. It also proves the forward path: backfilling
+//! them byte-for-byte. A catalog with the retired v1 `COUNTS` layout
+//! loads without counts and refuses updates. It also proves the forward
+//! path: backfilling
 //! analytics (or persisted support counts) into a golden catalog yields
 //! a strictly-appended file that round-trips byte-exactly.
 //!
@@ -280,4 +282,76 @@ fn counts_section_is_invisible_to_pre_counts_readers() {
     assert!(old_view.analytics().is_some());
     assert_eq!(old_view.rules().len(), num_rules);
     assert_eq!(old_view.encode(), bytes, "old view is the frozen artifact");
+}
+
+const COUNTS_V1_PATH: &str = "tests/golden/counts_v1.qarcat";
+
+/// A catalog written with the first `COUNTS` layout (tag 5, which
+/// recorded every member of `C_2` with its tally) by the release before
+/// pass-2 counts became pair-histogram cells: `qar mine --store` on the
+/// people table with the golden mine's thresholds. It loads with no
+/// counts, serves the rules a current mine finds, re-encodes as its
+/// three mandatory sections, and `qar mine --update` refuses it with the
+/// pointer at a re-mine.
+#[test]
+fn counts_v1_catalog_serves_and_refuses_updates() {
+    let bytes = std::fs::read(COUNTS_V1_PATH)
+        .unwrap_or_else(|e| panic!("cannot read {COUNTS_V1_PATH}: {e}"));
+    let sections = section_inventory(&bytes).expect("walkable");
+    assert_eq!(
+        sections.iter().map(|s| (s.tag, s.name)).collect::<Vec<_>>(),
+        [(1, "schema"), (2, "rules"), (3, "stats"), (5, "counts-v1")]
+    );
+    assert!(sections.iter().all(|s| s.crc_ok));
+
+    let catalog = Catalog::load_bytes(&bytes, None).expect("v1 catalog loads");
+    assert!(catalog.counts().is_none(), "v1 counts are skipped");
+    let mut report = Vec::new();
+    quantrules::cli::run_store_check(&bytes, &mut report).expect("store-check passes");
+    let report = String::from_utf8(report).unwrap();
+    for line in [
+        "counts-v1 (tag 5):",
+        "[skipped]",
+        "0 unknown section(s) skipped",
+        "v1 counts section skipped",
+        "counts: none",
+    ] {
+        assert!(report.contains(line), "{line:?} missing from:\n{report}");
+    }
+    let v1_framed = sections[3].len as usize + 16; // tag + len + crc + payload
+    assert_eq!(
+        catalog.encode(),
+        &bytes[..bytes.len() - v1_framed],
+        "re-encoding keeps the mandatory sections byte for byte"
+    );
+    let current = Miner::new(golden_mine_config())
+        .mine(&source_table())
+        .expect("golden mine succeeds");
+    assert_eq!(catalog.rules(), &current.rules[..]);
+    let index = RuleIndex::build(&catalog, None);
+    let all = index.top_k(RankBy::Confidence, catalog.rules().len());
+    assert_eq!(all.len(), catalog.rules().len());
+
+    let delta = std::env::temp_dir().join(format!("qar-v1-delta-{}.csv", std::process::id()));
+    std::fs::write(&delta, "Age,Married,NumCars\n23,No,1\n").expect("write delta");
+    let args: Vec<String> = [
+        "mine",
+        "--input",
+        delta.to_str().unwrap(),
+        "--update",
+        COUNTS_V1_PATH,
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let Ok(quantrules::cli::Command::Mine(update)) = quantrules::cli::parse_command(&args) else {
+        panic!("`qar mine --update` parses");
+    };
+    let err = quantrules::cli::run_mine_update(&update, None, None, &mut Vec::new())
+        .expect_err("a v1 catalog cannot be updated");
+    std::fs::remove_file(&delta).ok();
+    assert!(
+        err.to_string().contains("no persisted support counts"),
+        "{err}"
+    );
 }
