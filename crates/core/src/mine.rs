@@ -9,7 +9,10 @@ use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 /// Per-pass numbers collected while mining.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MineStats {
-    /// `candidates[k-2]` — |C_k| before counting, for k ≥ 2.
+    /// `candidates[k-2]` — the counters pass `k ≥ 2` fills: |C_k| for
+    /// k ≥ 3, and for pass 2, which never builds `C_2`, the cells of its
+    /// pair histograms plus the explicit candidates of pairs over the
+    /// cell budget.
     pub candidates_per_pass: Vec<usize>,
     /// Super-candidate statistics per pass, aligned with
     /// `candidates_per_pass`.

@@ -1131,8 +1131,12 @@ pub struct PairHistograms {
     /// Per pair, the code-domain size of its second attribute: the row
     /// stride of the pair's row-major `(code_a, code_b)` array.
     strides: Vec<usize>,
-    /// `offsets[p]..offsets[p + 1]` are pair `p`'s cells.
+    /// `offsets[p]..offsets[p + 1]` are pair `p`'s cells in the pairs'
+    /// concatenated arrays.
     offsets: Vec<usize>,
+    /// Where `cells` starts in the concatenated arrays: 0 unless this is
+    /// a [`PairHistograms::window`].
+    start: usize,
     cells: Vec<u64>,
     prefixed: bool,
 }
@@ -1141,6 +1145,15 @@ impl PairHistograms {
     /// Zeroed histograms for `pairs` over the code domains of `meta` (a
     /// decode-only header is enough).
     pub fn new(meta: &EncodedTable, pairs: Vec<(u32, u32)>) -> Self {
+        Self::window(meta, pairs, 0..usize::MAX)
+    }
+
+    /// Zeroed cells `cells` (clamped to the layout) of the pairs'
+    /// concatenated row-major arrays — how a pair too large for one wire
+    /// frame is counted a frame at a time. A window scans and merges like
+    /// whole histograms; only whole ones read single pairs or build
+    /// prefix sums.
+    pub fn window(meta: &EncodedTable, pairs: Vec<(u32, u32)>, cells: Range<usize>) -> Self {
         let mut offsets = Vec::with_capacity(pairs.len() + 1);
         let mut total = 0usize;
         offsets.push(0);
@@ -1152,13 +1165,28 @@ impl PairHistograms {
             .iter()
             .map(|&(_, b)| meta.cardinality(AttributeId(b as usize)) as usize)
             .collect();
+        let end = cells.end.min(total);
+        let start = cells.start.min(end);
         PairHistograms {
             pairs,
             strides,
             offsets,
-            cells: vec![0; total],
+            start,
+            cells: vec![0; end - start],
             prefixed: false,
         }
+    }
+
+    /// The range of the pairs' concatenated arrays these cells cover.
+    pub fn window_range(&self) -> Range<usize> {
+        self.start..self.start + self.cells.len()
+    }
+
+    fn assert_whole(&self) {
+        assert!(
+            self.start == 0 && self.cells.len() == self.offsets[self.pairs.len()],
+            "a window of cells holds no whole pair"
+        );
     }
 
     /// The attribute pairs, in cell order.
@@ -1166,7 +1194,8 @@ impl PairHistograms {
         &self.pairs
     }
 
-    /// All cells, pair after pair, each pair's array row-major.
+    /// All cells, pair after pair, each pair's array row-major (those of
+    /// [`PairHistograms::window_range`] for a window).
     pub fn cells(&self) -> &[u64] {
         &self.cells
     }
@@ -1178,18 +1207,17 @@ impl PairHistograms {
 
     /// Pair `pair`'s cells alone, row-major over `(code_a, code_b)`.
     pub fn pair_cells(&self, pair: usize) -> &[u64] {
+        self.assert_whole();
         &self.cells[self.offsets[pair]..self.offsets[pair + 1]]
     }
 
     /// Add raw cells shaped like [`PairHistograms::pair_cells`] to pair
     /// `pair` alone — a partition's tallies for that pair.
     pub fn merge_pair_cells(&mut self, pair: usize, cells: &[u64]) {
-        assert!(!self.prefixed, "cannot merge into prefix sums");
-        let hist = &mut self.cells[self.offsets[pair]..self.offsets[pair + 1]];
-        assert_eq!(hist.len(), cells.len(), "cell counts differ");
-        for (a, b) in hist.iter_mut().zip(cells) {
-            *a += b;
-        }
+        self.assert_whole();
+        let len = self.offsets[pair + 1] - self.offsets[pair];
+        assert_eq!(len, cells.len(), "cell counts differ");
+        self.merge_cells_at(self.offsets[pair], cells);
     }
 
     /// Count rows `rows` of `table` into `cells` (shaped like `self`).
@@ -1203,14 +1231,23 @@ impl PairHistograms {
         rows: Range<usize>,
         cancel: Option<&CancelToken>,
     ) -> bool {
-        let cols: Vec<(&[u32], &[u32])> = self
-            .pairs
-            .iter()
-            .map(|&(a, b)| {
-                (
-                    table.codes(AttributeId(a as usize)),
-                    table.codes(AttributeId(b as usize)),
-                )
+        // Per pair within the window: its columns, its row stride, how far
+        // into its array the window starts, and its part of `cells`.
+        let end = self.start + cells.len();
+        let parts: Vec<_> = (0..self.pairs.len())
+            .filter_map(|p| {
+                let (a, b) = self.pairs[p];
+                let lo = self.offsets[p].max(self.start);
+                let hi = self.offsets[p + 1].min(end);
+                (lo < hi).then(|| {
+                    (
+                        table.codes(AttributeId(a as usize)),
+                        table.codes(AttributeId(b as usize)),
+                        self.strides[p],
+                        lo - self.offsets[p],
+                        lo - self.start..hi - self.start,
+                    )
+                })
             })
             .collect();
         let mut block_start = rows.start;
@@ -1219,11 +1256,13 @@ impl PairHistograms {
                 return true;
             }
             let block = block_start..rows.end.min(block_start + CANCEL_CHECK_INTERVAL);
-            for (p, &(col_a, col_b)) in cols.iter().enumerate() {
-                let stride = self.strides[p];
-                let hist = &mut cells[self.offsets[p]..self.offsets[p + 1]];
+            for (col_a, col_b, stride, skip, part) in &parts {
+                let hist = &mut cells[part.clone()];
                 for (&x, &y) in col_a[block.clone()].iter().zip(&col_b[block.clone()]) {
-                    hist[x as usize * stride + y as usize] += 1;
+                    let cell = (x as usize * stride + y as usize).wrapping_sub(*skip);
+                    if let Some(count) = hist.get_mut(cell) {
+                        *count += 1;
+                    }
                 }
             }
             block_start = block.end;
@@ -1293,6 +1332,7 @@ impl PairHistograms {
     /// Add another partition's histograms over the same pairs.
     pub fn merge(&mut self, other: &PairHistograms) {
         assert_eq!(self.pairs, other.pairs, "cannot merge different pairs");
+        assert_eq!(self.start, other.start, "cannot merge different windows");
         assert!(!other.prefixed, "cannot merge prefix sums");
         self.merge_cells(&other.cells);
     }
@@ -1300,9 +1340,16 @@ impl PairHistograms {
     /// Add raw cells shaped like [`PairHistograms::cells`] — another
     /// partition's tallies, e.g. as a worker shipped them.
     pub fn merge_cells(&mut self, cells: &[u64]) {
-        assert!(!self.prefixed, "cannot merge into prefix sums");
         assert_eq!(self.cells.len(), cells.len(), "cell counts differ");
-        for (a, b) in self.cells.iter_mut().zip(cells) {
+        self.merge_cells_at(self.start, cells);
+    }
+
+    /// Add raw cells to those from `start` on in the pairs' concatenated
+    /// arrays — e.g. a window's tallies into whole histograms.
+    pub fn merge_cells_at(&mut self, start: usize, cells: &[u64]) {
+        assert!(!self.prefixed, "cannot merge into prefix sums");
+        let from = start - self.start;
+        for (a, b) in self.cells[from..from + cells.len()].iter_mut().zip(cells) {
             *a += b;
         }
     }
@@ -1312,6 +1359,7 @@ impl PairHistograms {
     /// [`PairHistograms::rect_sum`] and take no more rows.
     pub fn build_prefix_sums(&mut self) {
         assert!(!self.prefixed, "prefix sums already built");
+        self.assert_whole();
         for (p, &stride) in self.strides.iter().enumerate() {
             let hist = &mut self.cells[self.offsets[p]..self.offsets[p + 1]];
             if stride == 0 {
@@ -2023,6 +2071,38 @@ mod tests {
             left.merge(&right);
             assert_eq!(left, whole, "cut={cut}");
         }
+    }
+
+    /// A window of cells — inside one pair, across pair boundaries,
+    /// empty, or past the layout's end — scans to exactly that slice of
+    /// the whole histograms, sharded or not, and merges back into them.
+    #[test]
+    fn pair_histogram_windows_scan_their_slice() {
+        let (enc, _) = mixed_wide();
+        let pairs = vec![(0, 1), (0, 2), (1, 2)];
+        let mut whole = PairHistograms::new(&enc, pairs.clone());
+        whole.scan(&enc, ScanOptions::new(1)).unwrap();
+        let total = whole.cells().len();
+        let mut rebuilt = PairHistograms::new(&enc, pairs.clone());
+        for window in [0..1, 1..7, 5..total - 3, total - 3..total + 9, 4..4] {
+            for threads in [1, 3] {
+                let mut part = PairHistograms::window(&enc, pairs.clone(), window.clone());
+                let range = part.window_range();
+                assert_eq!(range.start, window.start);
+                assert_eq!(range.end, window.end.min(total));
+                part.scan(&enc, ScanOptions::new(threads)).unwrap();
+                assert_eq!(part.cells(), &whole.cells()[range], "{window:?}, {threads}");
+            }
+        }
+        for start in (0..total).step_by(7) {
+            let mut part = PairHistograms::window(&enc, pairs.clone(), start..start + 7);
+            part.scan(&slice_rows(&enc, 0..900), ScanOptions::new(2))
+                .unwrap();
+            part.scan(&slice_rows(&enc, 900..2500), ScanOptions::new(1))
+                .unwrap();
+            rebuilt.merge_cells_at(start, part.cells());
+        }
+        assert_eq!(rebuilt, whole);
     }
 
     #[test]

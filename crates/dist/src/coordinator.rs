@@ -19,7 +19,7 @@
 //! so by default it recovers by recounting the lost partition locally —
 //! the merged counts, and therefore the mined rules, are unchanged.
 
-use qar_core::source::{count_pair_points, CountError, CountSource};
+use qar_core::source::{CountError, CountSource};
 use qar_core::supercand::{cell_groups, count_candidates_opts, PairHistograms, ScanOptions};
 use qar_core::{MinerConfig, MinerError, ScanKernel};
 use qar_itemset::Itemset;
@@ -690,11 +690,11 @@ impl<'a> DistSource<'a> {
         Ok(merged)
     }
 
-    /// Histogram `hist`'s pairs over every partition: one `CountPairs`
-    /// to the live workers, their raw cells merged by addition, and each
-    /// retired worker's rows scanned locally into the same histograms.
-    /// Returns the raw histograms, with the fewest workers any request
-    /// merged folded into `workers`.
+    /// Count `hist`'s window of cells over every partition: one
+    /// `CountPairs` to the live workers, their raw cells merged by
+    /// addition, and each retired worker's rows scanned locally into the
+    /// same window. Returns the raw cells, with the fewest workers any
+    /// request merged folded into `workers`.
     fn count_pair_group(
         &mut self,
         pass: usize,
@@ -704,9 +704,11 @@ impl<'a> DistSource<'a> {
         if self.is_cancelled() {
             return Err(CountError::Cancelled);
         }
+        let window = hist.window_range();
         let request = DistRequest::CountPairs {
             pass: pass as u32,
             pairs: hist.pairs().to_vec(),
+            window: window.start as u64..window.end as u64,
         };
         let merged = self.broadcast(pass, &request, |response| match response {
             DistResponse::PairCounts { cells } if cells.len() == hist.cells().len() => {
@@ -836,24 +838,26 @@ impl CountSource for DistSource<'_> {
     }
 
     /// Pairs travel as `CountPairs` requests of at most `FRAME_CELLS`
-    /// cells, so every reply fits the batch budget; a pair too large for
-    /// one frame is counted as point cells through `count`.
+    /// cells, so every reply fits the batch budget: pairs are grouped up
+    /// to one frame, and a pair larger than one frame is asked for one
+    /// frame-sized window of its cells at a time.
     fn count_pair_cells(&mut self, hist: &mut PairHistograms) -> Result<(), CountError> {
         let started = Instant::now();
         let mut workers = usize::MAX;
         let cells: Vec<usize> = (0..hist.pairs().len())
             .map(|p| hist.pair_cells(p).len())
             .collect();
+        let mut offset = 0;
         for group in cell_groups(&cells, FRAME_CELLS) {
-            if group.len() == 1 && cells[group.start] > FRAME_CELLS {
-                count_pair_points(self, hist, group.start)?;
-                continue;
+            let pairs = hist.pairs()[group.clone()].to_vec();
+            let size: usize = cells[group].iter().sum();
+            for start in (0..size).step_by(FRAME_CELLS) {
+                let window = start..start + FRAME_CELLS;
+                let part = PairHistograms::window(&self.meta, pairs.clone(), window);
+                let part = self.count_pair_group(2, part, &mut workers)?;
+                hist.merge_cells_at(offset + start, part.cells());
             }
-            let part = PairHistograms::new(&self.meta, hist.pairs()[group.clone()].to_vec());
-            let part = self.count_pair_group(2, part, &mut workers)?;
-            for (p, pair) in group.enumerate() {
-                hist.merge_pair_cells(pair, part.pair_cells(p));
-            }
+            offset += size;
         }
         self.emit_merged(2, workers, 0, started);
         Ok(())

@@ -23,6 +23,7 @@ use qar_store::protocol::ProtocolError;
 use qar_table::{AttributeEncoder, EncodedTable, Schema};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::ops::Range;
 
 /// Tuning knobs for a worker's counting scans. They affect speed only —
 /// counts are exact under every kernel and thread count.
@@ -121,10 +122,12 @@ impl Partition {
         Ok(())
     }
 
-    /// Histogram `pairs` over the partition (the `CountPairs` answer).
+    /// Window `window` of `pairs`' histograms over the partition (the
+    /// `CountPairs` answer).
     fn count_pairs(
         &mut self,
         pairs: Vec<(u32, u32)>,
+        window: Range<u64>,
         options: ScanOptions<'_>,
     ) -> Result<Vec<u64>, String> {
         let mut cells = 0usize;
@@ -140,13 +143,20 @@ impl Partition {
             }
             cells = cells.saturating_add(card(a)?.saturating_mul(card(b)?));
         }
-        if cells > MAX_PAIR_CELLS {
+        if window.end > cells as u64 {
             return Err(format!(
-                "{cells} histogram cells exceed the {MAX_PAIR_CELLS} one frame holds"
+                "cell window {window:?} runs past the pairs' {cells} cells"
             ));
         }
+        let wanted = window.end - window.start;
+        if wanted > MAX_PAIR_CELLS as u64 {
+            return Err(format!(
+                "{wanted} histogram cells exceed the {MAX_PAIR_CELLS} one frame holds"
+            ));
+        }
+        let window = window.start as usize..window.end as usize;
         let table = self.table();
-        let mut hist = PairHistograms::new(table, pairs);
+        let mut hist = PairHistograms::window(table, pairs, window);
         hist.scan(table, options)
             .map_err(|_| "counting scan was cancelled".to_string())?;
         Ok(hist.into_cells())
@@ -217,11 +227,11 @@ pub fn serve_connection<S: Read + Write>(
                     }
                 }
             },
-            DistRequest::CountPairs { pairs, .. } => match &mut partition {
+            DistRequest::CountPairs { pairs, window, .. } => match &mut partition {
                 None => DistResponse::Error {
                     message: "count before setup".to_string(),
                 },
-                Some(p) => match p.count_pairs(pairs, opts.scan_options()) {
+                Some(p) => match p.count_pairs(pairs, window, opts.scan_options()) {
                     Ok(cells) => DistResponse::PairCounts { cells },
                     Err(message) => DistResponse::Error { message },
                 },
@@ -382,6 +392,12 @@ mod tests {
             DistRequest::CountPairs {
                 pass: 2,
                 pairs: vec![(0, 1), (1, 0)],
+                window: 0..12,
+            },
+            DistRequest::CountPairs {
+                pass: 2,
+                pairs: vec![(0, 1), (1, 0)],
+                window: 4..9,
             },
             DistRequest::Shutdown,
         ]);
@@ -390,6 +406,13 @@ mod tests {
             responses[2],
             DistResponse::PairCounts {
                 cells: vec![0, 1, 1, 1, 0, 1, 0, 1, 0, 1, 1, 1],
+            }
+        );
+        // A window across the pairs' boundary.
+        assert_eq!(
+            responses[3],
+            DistResponse::PairCounts {
+                cells: vec![0, 1, 0, 1, 0],
             }
         );
     }
@@ -411,21 +434,31 @@ mod tests {
             DistRequest::CountPairs {
                 pass: 2,
                 pairs: vec![(0, 1)],
+                window: 0..6,
             },
             DistRequest::Setup { schema, encoders },
             DistRequest::CountPairs {
                 pass: 2,
                 pairs: vec![(0, 2)], // no attribute 2
+                window: 0..6,
             },
             DistRequest::CountPairs {
                 pass: 2,
                 pairs: vec![(0, 1), (1, 1)], // repeated attribute
+                window: 0..6,
             },
             DistRequest::CountPairs {
                 pass: 2,
                 pairs: vec![(0, 1)],
+                window: 0..6,
             },
-            // 1500 × 1500 cells do not fit one response frame.
+            DistRequest::CountPairs {
+                pass: 2,
+                pairs: vec![(0, 1)],
+                window: 3..7, // past the pair's 6 cells
+            },
+            // 1500 × 1500 cells do not fit one response frame; a window
+            // of them does.
             DistRequest::Setup {
                 schema: wide,
                 encoders: vec![labels(1500), labels(1500)],
@@ -433,6 +466,12 @@ mod tests {
             DistRequest::CountPairs {
                 pass: 2,
                 pairs: vec![(0, 1)],
+                window: 0..1500 * 1500,
+            },
+            DistRequest::CountPairs {
+                pass: 2,
+                pairs: vec![(0, 1)],
+                window: 1000..2000,
             },
             DistRequest::CountItems,
             DistRequest::Shutdown,
@@ -441,13 +480,23 @@ mod tests {
         assert!(matches!(responses[2], DistResponse::Error { .. }));
         assert!(matches!(responses[3], DistResponse::Error { .. }));
         assert_eq!(responses[4], DistResponse::PairCounts { cells: vec![0; 6] });
-        assert_eq!(responses[5], DistResponse::Ready);
-        match &responses[6] {
+        match &responses[5] {
+            DistResponse::Error { message } => assert!(message.contains("past"), "{message}"),
+            other => panic!("expected Error, got {other:?}"),
+        }
+        assert_eq!(responses[6], DistResponse::Ready);
+        match &responses[7] {
             DistResponse::Error { message } => assert!(message.contains("frame"), "{message}"),
             other => panic!("expected Error, got {other:?}"),
         }
-        assert!(matches!(responses[7], DistResponse::ItemCounts { .. }));
-        assert_eq!(responses[8], DistResponse::Bye);
+        assert_eq!(
+            responses[8],
+            DistResponse::PairCounts {
+                cells: vec![0; 1000]
+            }
+        );
+        assert!(matches!(responses[9], DistResponse::ItemCounts { .. }));
+        assert_eq!(responses[10], DistResponse::Bye);
     }
 
     #[test]
@@ -463,6 +512,7 @@ mod tests {
             DistRequest::CountPairs {
                 pass: 2,
                 pairs: vec![(0, 1)],
+                window: 0..6,
             },
             DistRequest::Shutdown,
         ]);

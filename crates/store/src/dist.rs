@@ -15,16 +15,18 @@
 //! Setup {schema, encoders}        → Ready
 //! Rows {columns} ...              → RowsLoaded {total_rows}   (repeated)
 //! CountItems                      → ItemCounts {counts}       (pass 1)
-//! CountPairs {pass, pairs}        → PairCounts {cells}        (pass 2)
+//! CountPairs {pass, pairs, window} → PairCounts {cells}      (pass 2)
 //! CountCandidates {pass, cands}   → Counts {counts}           (pass k ≥ 2)
 //! Shutdown                        → Bye
 //! ```
 //!
 //! Pass 2 ships 2-D histograms instead of candidates: `CountPairs` names
-//! attribute pairs, and the worker answers each pair's raw
-//! `card(a) × card(b)` cell array (see `qar_core::supercand::PairHistograms`),
-//! concatenated in request order. A request whose cells would not fit one
-//! response frame ([`MAX_PAIR_CELLS`]) is refused with `Error`.
+//! attribute pairs and a window of their cells, and the worker answers
+//! that window of the pairs' raw `card(a) × card(b)` cell arrays (see
+//! `qar_core::supercand::PairHistograms`), concatenated in request order.
+//! A pair too large for one frame is asked for a window at a time; a
+//! window that would not fit one response frame ([`MAX_PAIR_CELLS`]) or
+//! runs past the pairs' cells is refused with `Error`.
 //!
 //! Every count a worker returns is the *raw* tally over its own row
 //! partition — never filtered by a support threshold — so the
@@ -115,6 +117,9 @@ pub enum DistRequest {
         /// `(a, b)` attribute pairs, `a != b`; cells come back in this
         /// order.
         pairs: Vec<(u32, u32)>,
+        /// The cells to count: this range of the pairs' concatenated
+        /// row-major arrays (`0..Σ card(a)·card(b)` for all of them).
+        window: std::ops::Range<u64>,
     },
     /// Stop the worker.
     Shutdown,
@@ -142,9 +147,9 @@ pub enum DistResponse {
         /// One count per candidate.
         counts: Vec<u64>,
     },
-    /// Histogram cells answering `CountPairs`: every requested pair's
-    /// row-major `(code_a, code_b)` array, raw tallies over the worker's
-    /// partition, concatenated in request order.
+    /// Histogram cells answering `CountPairs`: the requested window of
+    /// the pairs' concatenated row-major `(code_a, code_b)` arrays, raw
+    /// tallies over the worker's partition.
     PairCounts {
         /// All cells.
         cells: Vec<u64>,
@@ -195,13 +200,19 @@ impl DistRequest {
                     encode_itemset(&mut w, c);
                 }
             }
-            DistRequest::CountPairs { pass, pairs } => {
+            DistRequest::CountPairs {
+                pass,
+                pairs,
+                window,
+            } => {
                 w.put_u32(*pass);
                 w.put_u64(pairs.len() as u64);
                 for &(a, b) in pairs {
                     w.put_u32(a);
                     w.put_u32(b);
                 }
+                w.put_u64(window.start);
+                w.put_u64(window.end);
             }
             DistRequest::Shutdown => {}
         }
@@ -261,7 +272,17 @@ impl DistRequest {
                 for _ in 0..n {
                     pairs.push((r.get_u32()?, r.get_u32()?));
                 }
-                DistRequest::CountPairs { pass, pairs }
+                let window = r.get_u64()?..r.get_u64()?;
+                if window.start > window.end {
+                    return Err(ProtocolError::Corrupt {
+                        detail: format!("cell window {window:?} ends before it starts"),
+                    });
+                }
+                DistRequest::CountPairs {
+                    pass,
+                    pairs,
+                    window,
+                }
             }
             tag::REQ_SHUTDOWN => DistRequest::Shutdown,
             other => return Err(ProtocolError::UnknownTag(other)),
@@ -447,10 +468,17 @@ mod tests {
             DistRequest::CountPairs {
                 pass: 2,
                 pairs: vec![(0, 1)],
+                window: 0..6,
+            },
+            DistRequest::CountPairs {
+                pass: 2,
+                pairs: vec![(0, 1)],
+                window: 2..5,
             },
             DistRequest::CountPairs {
                 pass: 2,
                 pairs: Vec::new(),
+                window: 0..0,
             },
             DistRequest::Shutdown,
         ]
@@ -566,6 +594,7 @@ mod tests {
             DistRequest::CountPairs {
                 pass: 2,
                 pairs: vec![(0, 1), (0, 2)],
+                window: 1..4,
             }
             .to_frame()
             .unwrap(),
@@ -595,6 +624,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn reversed_cell_window_is_corrupt() {
+        let mut payload = Writer::new();
+        payload.put_u32(2);
+        payload.put_u64(1);
+        payload.put_u32(0);
+        payload.put_u32(1);
+        payload.put_u64(5);
+        payload.put_u64(4);
+        assert!(matches!(
+            DistRequest::decode(tag::REQ_COUNT_PAIRS, &payload.into_bytes()),
+            Err(ProtocolError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -19,7 +19,9 @@ use quantrules::core::{
 use quantrules::dist::{Backing, DistOptions, DistSource, WorkerOptions, WorkerSpawn};
 use quantrules::itemset::{CounterKind, Itemset};
 use quantrules::store::Catalog;
-use quantrules::table::{AttributeId, ChunkStore, EncodedTable, Schema, Table, Value};
+use quantrules::table::{
+    AttributeId, AttributeKind, ChunkStore, EncodedTable, Schema, Table, Value,
+};
 
 /// Forwards only the four required methods, so pass 2 takes the trait's
 /// point-cell default.
@@ -193,9 +195,18 @@ fn check_every_source(raw: &Table, config: &MinerConfig, cut: usize, ctx: &str) 
         let mut miner = Miner::new(config.clone()).with_counter(kind);
         miner.mine_with_counts(raw).map(|(output, counts)| {
             assert_eq!(counts.captured.value_counts.len(), table.schema().len());
+            assert_pinned_pass2(&table, config, &counts.captured, kind, ctx);
             catalog_bytes(output, counts.captured, config, &intervals)
         })
     };
+    if table.schema().len() == 1 {
+        // No attribute pair: a capture records no pass 2.
+        let mut source = InMemorySource::new(&table, config);
+        if let Ok((_, captured)) = mine_source_captured(&mut source, config, None, None) {
+            assert!(captured.pair_cells.is_empty(), "{ctx}");
+            assert!(captured.passes.is_empty(), "{ctx}");
+        }
+    }
     let mut outcomes: Vec<(String, Result<Vec<u8>, MinerError>)> = Vec::new();
     let store = spill(&table, (rows / 2).max(1));
     let mut delta_source = InMemorySource::new(&delta, config);
@@ -247,6 +258,44 @@ fn check_every_source(raw: &Table, config: &MinerConfig, cut: usize, ctx: &str) 
             (want, got) => panic!("{ctx}: {name} gave {got:?}, in-memory {want:?}"),
         }
     }
+}
+
+/// A pinned backend counts pass 2's cells through its own counters: a
+/// histogrammed pair (as `captured` records them) with a quantitative
+/// attribute reaches it, the other backend is never built, and
+/// `max_itemset_size = 1` never reaches pass 2 at all.
+fn assert_pinned_pass2(
+    table: &EncodedTable,
+    config: &MinerConfig,
+    captured: &CapturedCounts,
+    kind: CounterKind,
+    ctx: &str,
+) {
+    let (_, stats) = Miner::new(config.clone())
+        .with_counter(kind)
+        .frequent_itemsets(table)
+        .expect("the pinned capture mined this table");
+    if config.max_itemset_size == 1 {
+        assert!(stats.candidates_per_pass.is_empty(), "{ctx}, {kind:?}");
+    }
+    let Some(pass) = stats.pass_stats.first() else {
+        return;
+    };
+    let (pinned, other) = match kind {
+        CounterKind::Array => (pass.array_backed, pass.rtree_backed),
+        CounterKind::RTree => (pass.rtree_backed, pass.array_backed),
+    };
+    assert_eq!(other, 0, "{ctx}, {kind:?}");
+    let quant =
+        |a: u32| table.schema().attributes()[a as usize].kind() == AttributeKind::Quantitative;
+    let reaches = captured
+        .pair_cells
+        .iter()
+        .any(|&((a, b), _)| quant(a) || quant(b));
+    assert!(
+        pinned > 0 || !reaches,
+        "{ctx}, {kind:?}: pass 2 missed the backend"
+    );
 }
 
 fn random_table(rng: &mut qar_prng::Prng, rows: usize) -> Table {
@@ -303,8 +352,8 @@ fn every_source_fills_the_same_cells_and_catalog() {
 
 /// A pair whose code domain exceeds the cell budget keeps explicit
 /// candidates — recorded as pass-2 records beside the other pairs'
-/// cells — and a pair over one wire frame reaches the workers as point
-/// cells; every source still agrees byte for byte.
+/// cells — and a pair over one wire frame reaches the workers a window
+/// of cells at a time; every source still agrees byte for byte.
 #[test]
 fn over_budget_pair_keeps_explicit_candidates() {
     // Two categorical attributes of 2,901 labels each: 8.4M cells, over
