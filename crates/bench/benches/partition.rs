@@ -2,6 +2,7 @@
 
 use qar_bench::harness::bench;
 use qar_partition::{EquiDepth, EquiWidth, KMeans1D, Partitioner};
+use qar_table::QuantHistogram;
 
 fn lognormal_column(n: usize) -> Vec<f64> {
     let mut state = 4242u64;
@@ -19,7 +20,7 @@ fn lognormal_column(n: usize) -> Vec<f64> {
 }
 
 fn main() {
-    let values = lognormal_column(100_000);
+    let values = QuantHistogram::from_values(&lognormal_column(100_000));
     for k in [25usize, 100] {
         for p in [
             &EquiDepth as &dyn Partitioner,
@@ -27,7 +28,7 @@ fn main() {
             &KMeans1D::default(),
         ] {
             bench(&format!("partition/{}/k{k}", p.name()), || {
-                p.cut_points(&values, k).len()
+                p.cut_points(values.values(), values.counts(), k).len()
             });
         }
     }

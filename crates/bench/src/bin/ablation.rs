@@ -13,7 +13,7 @@ use qar_core::{InterestConfig, InterestMode, Miner, MinerConfig, PartitionSpec};
 use qar_itemset::{CounterKind, Itemset};
 use qar_partition::partitioner::interval_supports;
 use qar_partition::{achieved_level, EquiDepth, EquiWidth, KMeans1D, Partitioner};
-use qar_table::{AttributeEncoder, AttributeKind, Column, EncodedTable, Table};
+use qar_table::{AttributeEncoder, EncodedTable, Histogram, Table};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -22,15 +22,12 @@ fn encode_with(table: &Table, partitioner: &dyn Partitioner, intervals: usize) -
     let encoders: Vec<AttributeEncoder> = table
         .schema()
         .iter()
-        .map(|(id, def)| match (def.kind(), table.column(id)) {
-            (AttributeKind::Categorical, Column::Categorical { data }) => {
-                AttributeEncoder::categorical_from(data)
+        .map(|(id, _)| match table.histogram(id) {
+            Histogram::Categorical(labels) => AttributeEncoder::categorical_from(&labels),
+            Histogram::Quantitative(values) => {
+                let cuts = partitioner.cut_points(values.values(), values.counts(), intervals);
+                AttributeEncoder::quant_intervals_from(&values, cuts)
             }
-            (AttributeKind::Quantitative, Column::Quantitative { data, integral }) => {
-                let cuts = partitioner.cut_points(data, intervals);
-                AttributeEncoder::quant_intervals_from(data, cuts, *integral)
-            }
-            _ => unreachable!("columns match their schema kind"),
         })
         .collect();
     EncodedTable::encode(table, encoders).expect("encoders derived from the table")
@@ -125,7 +122,9 @@ fn partitioning_ablation(table: &Table, config: &MinerConfig) {
             .iter()
             .map(|&id| {
                 let data = table.column(id).as_quantitative().expect("quantitative");
-                let cuts = p.cut_points(data, intervals);
+                let h = table.histogram(id);
+                let h = h.as_quantitative().expect("quantitative");
+                let cuts = p.cut_points(h.values(), h.counts(), intervals);
                 interval_supports(data, &cuts)
             })
             .collect();

@@ -19,7 +19,7 @@ use qar_core::{Miner, MinerConfig, PartitionSpec};
 use qar_datagen::{PlantedConfig, PlantedDataset};
 use qar_partition::Partitioner;
 use qar_ps91::{mine_pair_rules, Ps91Config};
-use qar_table::{AttributeEncoder, AttributeId, AttributeKind, Column, EncodedTable};
+use qar_table::{AttributeEncoder, AttributeId, EncodedTable, Histogram};
 
 fn main() {
     let records = records_arg(50_000);
@@ -77,15 +77,16 @@ fn main() {
             .table
             .schema()
             .iter()
-            .map(|(id, def)| match (def.kind(), data.table.column(id)) {
-                (AttributeKind::Categorical, Column::Categorical { data }) => {
-                    AttributeEncoder::categorical_from(data)
+            .map(|(id, _)| match data.table.histogram(id) {
+                Histogram::Categorical(labels) => AttributeEncoder::categorical_from(&labels),
+                Histogram::Quantitative(values) => {
+                    let cuts = qar_partition::EquiDepth.cut_points(
+                        values.values(),
+                        values.counts(),
+                        intervals,
+                    );
+                    AttributeEncoder::quant_intervals_from(&values, cuts)
                 }
-                (AttributeKind::Quantitative, Column::Quantitative { data, integral }) => {
-                    let cuts = qar_partition::EquiDepth.cut_points(data, intervals);
-                    AttributeEncoder::quant_intervals_from(data, cuts, *integral)
-                }
-                _ => unreachable!(),
             })
             .collect();
         let encoded = EncodedTable::encode(&data.table, encoders).expect("encode");

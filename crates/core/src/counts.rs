@@ -370,8 +370,13 @@ mod tests {
 
     fn encoders() -> Vec<AttributeEncoder> {
         vec![
-            AttributeEncoder::quant_values_from(&[1.0, 2.0, 3.0], true),
-            AttributeEncoder::categorical_from(&["a".to_string(), "b".to_string()]),
+            AttributeEncoder::quant_values_from(&qar_table::QuantHistogram::from_values(&[
+                1.0, 2.0, 3.0,
+            ])),
+            AttributeEncoder::categorical_from(&qar_table::CatHistogram::from_labels(&[
+                "a".to_string(),
+                "b".to_string(),
+            ])),
         ]
     }
 
@@ -381,7 +386,9 @@ mod tests {
         assert_eq!(base, encoding_fingerprint(&schema(), &encoders()));
 
         let mut other = encoders();
-        other[0] = AttributeEncoder::quant_values_from(&[1.0, 2.0, 4.0], true);
+        other[0] = AttributeEncoder::quant_values_from(&qar_table::QuantHistogram::from_values(&[
+            1.0, 2.0, 4.0,
+        ]));
         assert_ne!(base, encoding_fingerprint(&schema(), &other));
 
         let renamed = Schema::builder()
@@ -394,8 +401,14 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_encoder_variants() {
-        let values = AttributeEncoder::quant_values_from(&[1.0, 2.0], true);
-        let intervals = AttributeEncoder::quant_intervals_from(&[1.0, 2.0], vec![1.5], true);
+        let values =
+            AttributeEncoder::quant_values_from(&qar_table::QuantHistogram::from_values(&[
+                1.0, 2.0,
+            ]));
+        let intervals = AttributeEncoder::quant_intervals_from(
+            &qar_table::QuantHistogram::from_values(&[1.0, 2.0]),
+            vec![1.5],
+        );
         let s = Schema::builder().quantitative("x").build().unwrap();
         assert_ne!(
             encoding_fingerprint(&s, std::slice::from_ref(&values)),
@@ -433,8 +446,13 @@ mod tests {
         assert!(update_precheck(&s, &stable, 100).is_ok());
 
         let intervals = vec![
-            AttributeEncoder::quant_intervals_from(&[1.0, 2.0, 3.0], vec![1.5, 2.5], true),
-            AttributeEncoder::categorical_from(&["a".to_string()]),
+            AttributeEncoder::quant_intervals_from(
+                &qar_table::QuantHistogram::from_values(&[1.0, 2.0, 3.0]),
+                vec![1.5, 2.5],
+            ),
+            AttributeEncoder::categorical_from(&qar_table::CatHistogram::from_labels(&[
+                "a".to_string()
+            ])),
         ];
         assert!(update_precheck(&s, &intervals, 1).is_err());
         assert!(

@@ -211,24 +211,14 @@ mod tests {
             t.push_row(&[Value::Int(age), Value::from(married), Value::Int(cars)])
                 .unwrap();
         }
-        let ages = t
-            .column(qar_table::AttributeId(0))
-            .as_quantitative()
-            .unwrap()
-            .to_vec();
-        let cars = t
-            .column(qar_table::AttributeId(2))
-            .as_quantitative()
-            .unwrap()
-            .to_vec();
+        let h = t.histograms();
         let encoders = vec![
-            qar_table::AttributeEncoder::quant_intervals_from(&ages, vec![25.0, 30.0, 35.0], true),
-            qar_table::AttributeEncoder::categorical_from(
-                t.column(qar_table::AttributeId(1))
-                    .as_categorical()
-                    .unwrap(),
+            qar_table::AttributeEncoder::quant_intervals_from(
+                h[0].as_quantitative().unwrap(),
+                vec![25.0, 30.0, 35.0],
             ),
-            qar_table::AttributeEncoder::quant_values_from(&cars, true),
+            qar_table::AttributeEncoder::categorical_from(h[1].as_categorical().unwrap()),
+            qar_table::AttributeEncoder::quant_values_from(h[2].as_quantitative().unwrap()),
         ];
         EncodedTable::encode(&t, encoders).unwrap()
     }

@@ -113,7 +113,7 @@ mod tests {
     use crate::frequent::QuantFrequentItemsets;
     use crate::Miner;
     use qar_itemset::{CounterKind, Item, Itemset};
-    use qar_table::{AttributeEncoder, AttributeId, EncodedTable, Schema, Table, Value};
+    use qar_table::{AttributeEncoder, EncodedTable, Schema, Table, Value};
     use std::sync::Arc;
 
     fn mine(
@@ -147,12 +147,14 @@ mod tests {
             t.push_row(&[Value::Int(age), Value::from(married), Value::Int(cars)])
                 .unwrap();
         }
-        let ages = t.column(AttributeId(0)).as_quantitative().unwrap().to_vec();
-        let cars = t.column(AttributeId(2)).as_quantitative().unwrap().to_vec();
+        let h = t.histograms();
         let encoders = vec![
-            AttributeEncoder::quant_intervals_from(&ages, vec![25.0, 30.0, 35.0], true),
-            AttributeEncoder::categorical_from(t.column(AttributeId(1)).as_categorical().unwrap()),
-            AttributeEncoder::quant_values_from(&cars, true),
+            AttributeEncoder::quant_intervals_from(
+                h[0].as_quantitative().unwrap(),
+                vec![25.0, 30.0, 35.0],
+            ),
+            AttributeEncoder::categorical_from(h[1].as_categorical().unwrap()),
+            AttributeEncoder::quant_values_from(h[2].as_quantitative().unwrap()),
         ];
         EncodedTable::encode(&t, encoders).unwrap()
     }

@@ -9,14 +9,14 @@ use crate::config::{MinerConfig, MinerError, ScanKernel};
 use crate::counts::{encoding_fingerprint, update_precheck, Lane, SupportCounts};
 use crate::frequent::QuantFrequentItemsets;
 use crate::mine::{MineStats, RunCtx};
-use crate::pipeline::{build_encoders, MiningOutput};
+use crate::pipeline::{build_encoders_from_histograms, MiningOutput};
 use crate::pool::WorkerPool;
 use crate::source::{
     mine_source, mine_source_captured, mine_with_source_ctx, CountSource, InMemorySource,
     MergeSource,
 };
 use qar_itemset::CounterKind;
-use qar_table::{AttributeEncoder, Column, EncodedTable, Schema, Table, TableError};
+use qar_table::{AttributeEncoder, Column, EncodedTable, Histogram, Schema, Table, TableError};
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 
 /// A configured miner: the builder-style entry point for the pipeline.
@@ -68,9 +68,13 @@ pub struct Miner {
 
 /// The memoized Steps 1–2 of the previous [`Miner::mine`] call.
 struct EncodingCache {
+    /// [`table_fingerprint`] of the table both fields describe.
     fingerprint: (u64, u64),
-    encoded: EncodedTable,
-    intervals: Vec<Option<usize>>,
+    /// The table's value histograms; they hold under any configuration.
+    histograms: Vec<Histogram>,
+    /// The encoding under the current partitioning policy, with the
+    /// intervals chosen per attribute; dropped when the policy changes.
+    encoded: Option<(EncodedTable, Vec<Option<usize>>)>,
 }
 
 impl std::fmt::Debug for Miner {
@@ -134,15 +138,18 @@ impl Miner {
         &self.config
     }
 
-    /// Replace the configuration. The encoding cache survives only if
-    /// the partitioning policy is unchanged (Steps 1–2 depend on it).
+    /// Replace the configuration. The cached encoding survives only if
+    /// the partitioning policy is unchanged (Steps 1–2 depend on it); the
+    /// cached histograms always do.
     pub fn set_config(&mut self, config: MinerConfig) {
         if config.partitioning != self.config.partitioning
             || config.partition_strategy != self.config.partition_strategy
             || config.taxonomies != self.config.taxonomies
             || config.min_support != self.config.min_support
         {
-            self.cache = None;
+            if let Some(cache) = &mut self.cache {
+                cache.encoded = None;
+            }
         }
         // Re-size the scan pool if the thread budget changed (a fresh
         // OnceLock drops the old pool, joining its workers).
@@ -152,7 +159,8 @@ impl Miner {
         self.config = config;
     }
 
-    /// Drop the cached encoding (e.g. to release memory between runs).
+    /// Drop the cached encoding and histograms (e.g. to release memory
+    /// between runs).
     pub fn clear_cache(&mut self) {
         self.cache = None;
     }
@@ -174,7 +182,8 @@ impl Miner {
 
     /// Steps 1 + 2: partition and encode `table` into the cache, unless
     /// the cache already holds the encoding of a bit-identical table.
-    /// Returns whether the cached encoding was reused.
+    /// Returns whether the encoding was reused. A cache miss on a
+    /// bit-identical table still reuses its histograms.
     fn encode_cached(&mut self, table: &Table) -> Result<bool, MinerError> {
         self.config.validate()?;
         crate::pipeline::validate_partitioning(table.schema(), &self.config)?;
@@ -185,18 +194,33 @@ impl Miner {
         if self
             .cache
             .as_ref()
-            .is_some_and(|cache| cache.fingerprint == fingerprint)
+            .is_none_or(|cache| cache.fingerprint != fingerprint)
         {
-            return Ok(true);
+            self.cache = Some(EncodingCache {
+                fingerprint,
+                histograms: table.histograms(),
+                encoded: None,
+            });
         }
-        let (encoders, intervals) = build_encoders(table, &self.config)?;
-        let encoded = EncodedTable::encode(table, encoders)?;
-        self.cache = Some(EncodingCache {
-            fingerprint,
-            encoded,
-            intervals,
-        });
-        Ok(false)
+        let cache = self.cache.as_mut().expect("cache populated above");
+        let reused = cache.encoded.is_some();
+        if !reused {
+            let (encoders, intervals) =
+                build_encoders_from_histograms(table.schema(), &cache.histograms, &self.config)?;
+            cache.encoded = Some((EncodedTable::encode(table, encoders)?, intervals));
+        }
+        Ok(reused)
+    }
+
+    /// The encoding and intervals [`Miner::encode_cached`] left in the
+    /// cache.
+    fn cached_encoding(&self) -> (&EncodedTable, &[Option<usize>]) {
+        let (encoded, intervals) = self
+            .cache
+            .as_ref()
+            .and_then(|cache| cache.encoded.as_ref())
+            .expect("encode_cached ran");
+        (encoded, intervals)
     }
 
     /// Run the full five-step pipeline over a raw [`Table`].
@@ -207,14 +231,14 @@ impl Miner {
     pub fn mine(&mut self, table: &Table) -> Result<MiningOutput, MinerError> {
         let started = Instant::now();
         let reused = self.encode_cached(table)?;
-        let cache = self.cache.as_ref().expect("cache populated above");
+        let (encoded, intervals) = self.cached_encoding();
         let mut output = mine_source(
-            &mut self.source(&cache.encoded),
+            &mut self.source(encoded),
             &self.config,
             self.sink.as_deref(),
             self.cancel.as_ref(),
         )?;
-        output.stats.intervals_per_attribute = cache.intervals.clone();
+        output.stats.intervals_per_attribute = intervals.to_vec();
         output.stats.encoding_reused = reused;
         output.stats.elapsed = started.elapsed();
         Ok(output)
@@ -232,22 +256,22 @@ impl Miner {
     ) -> Result<(MiningOutput, SupportCounts), MinerError> {
         let started = Instant::now();
         let reused = self.encode_cached(table)?;
-        let cache = self.cache.as_ref().expect("cache populated above");
+        let (encoded, intervals) = self.cached_encoding();
         let (mut output, captured) = mine_source_captured(
-            &mut self.source(&cache.encoded),
+            &mut self.source(encoded),
             &self.config,
             self.sink.as_deref(),
             self.cancel.as_ref(),
         )?;
-        output.stats.intervals_per_attribute = cache.intervals.clone();
+        output.stats.intervals_per_attribute = intervals.to_vec();
         output.stats.encoding_reused = reused;
         output.stats.elapsed = started.elapsed();
         let counts = SupportCounts::assemble(
-            cache.encoded.schema(),
-            cache.encoded.encoders(),
+            encoded.schema(),
+            encoded.encoders(),
             table.num_rows() as u64,
             &self.config,
-            cache.intervals.clone(),
+            intervals.to_vec(),
             captured,
         );
         Ok((output, counts))
@@ -495,9 +519,11 @@ impl std::fmt::Debug for UpdateOutput {
 }
 
 /// A 128-bit content fingerprint of a table: schema (names and kinds),
-/// row count, and every cell, mixed through two independently-seeded
-/// SplitMix64 lanes. Collisions would silently reuse a stale encoding,
-/// so two lanes keep the probability negligible for same-process reuse.
+/// row count, and every cell — numbers by their bits, categorical cells by
+/// their dictionary code plus the dictionary's labels — mixed through two
+/// independently-seeded SplitMix64 lanes. Collisions would silently reuse
+/// a stale encoding, so two lanes keep the probability negligible for
+/// same-process reuse.
 fn table_fingerprint(table: &Table) -> (u64, u64) {
     let mut lanes = [
         Lane::new(0x9e37_79b9_7f4a_7c15),
@@ -508,14 +534,17 @@ fn table_fingerprint(table: &Table) -> (u64, u64) {
             lane.absorb(word);
         }
     };
-    absorb(table.num_rows() as u64);
-    for (id, def) in table.schema().iter() {
-        absorb(def.name().len() as u64);
-        for chunk in def.name().as_bytes().chunks(8) {
+    fn absorb_str(s: &str, absorb: &mut impl FnMut(u64)) {
+        absorb(s.len() as u64);
+        for chunk in s.as_bytes().chunks(8) {
             let mut word = [0u8; 8];
             word[..chunk.len()].copy_from_slice(chunk);
             absorb(u64::from_le_bytes(word));
         }
+    }
+    absorb(table.num_rows() as u64);
+    for (id, def) in table.schema().iter() {
+        absorb_str(def.name(), &mut absorb);
         match table.column(id) {
             Column::Quantitative { data, integral } => {
                 absorb(1 + u64::from(*integral));
@@ -523,15 +552,14 @@ fn table_fingerprint(table: &Table) -> (u64, u64) {
                     absorb(v.to_bits());
                 }
             }
-            Column::Categorical { data } => {
+            Column::Categorical(cells) => {
                 absorb(3);
-                for label in data {
-                    absorb(label.len() as u64);
-                    for chunk in label.as_bytes().chunks(8) {
-                        let mut word = [0u8; 8];
-                        word[..chunk.len()].copy_from_slice(chunk);
-                        absorb(u64::from_le_bytes(word));
-                    }
+                absorb(cells.dictionary().len() as u64);
+                for label in cells.dictionary().labels() {
+                    absorb_str(label, &mut absorb);
+                }
+                for &code in cells.codes() {
+                    absorb(u64::from(code));
                 }
             }
         }
@@ -625,6 +653,36 @@ mod tests {
     }
 
     #[test]
+    fn repartitioning_recuts_from_cached_histograms() {
+        let table = bigger_table(0..300);
+        let mut miner = Miner::new(config());
+        miner.mine(&table).unwrap();
+        for intervals in [2, 3, 7] {
+            let mut repartitioned = config();
+            repartitioned.partitioning = PartitionSpec::FixedIntervals(intervals);
+            miner.set_config(repartitioned.clone());
+            let recut = miner.mine(&table).unwrap();
+            assert!(!recut.stats.encoding_reused);
+            let fresh = Miner::new(repartitioned).mine(&table).unwrap();
+            assert_eq!(recut.rules, fresh.rules, "{intervals} intervals");
+            assert_eq!(recut.encoded.encoders(), fresh.encoded.encoders());
+            assert_eq!(
+                recut.stats.intervals_per_attribute,
+                fresh.stats.intervals_per_attribute
+            );
+        }
+        // Another table after a policy change gets its own histograms.
+        let mut repartitioned = config();
+        repartitioned.partitioning = PartitionSpec::FixedIntervals(4);
+        miner.set_config(repartitioned.clone());
+        let other = bigger_table(100..250);
+        let mined = miner.mine(&other).unwrap();
+        let fresh = Miner::new(repartitioned).mine(&other).unwrap();
+        assert_eq!(mined.encoded.encoders(), fresh.encoded.encoders());
+        assert_eq!(mined.rules, fresh.rules);
+    }
+
+    #[test]
     fn fingerprint_sensitive_to_content_and_schema() {
         let base = table_fingerprint(&people_table());
         assert_eq!(base, table_fingerprint(&people_table()));
@@ -653,6 +711,21 @@ mod tests {
                 .unwrap();
         }
         assert_ne!(base, table_fingerprint(&t));
+
+        // The same labels on other rows, and a changed label.
+        let relabel = |labels: [&str; 5]| {
+            let mut t = Table::new(people_table().schema().clone());
+            for (i, label) in labels.into_iter().enumerate() {
+                let age = people_table().row(i).value(0);
+                let cars = people_table().row(i).value(2);
+                t.push_row(&[age, Value::from(label), cars]).unwrap();
+            }
+            table_fingerprint(&t)
+        };
+        assert_eq!(base, relabel(["No", "Yes", "No", "Yes", "Yes"]));
+        assert_ne!(base, relabel(["Yes", "No", "No", "Yes", "Yes"]));
+        assert_ne!(base, relabel(["No", "Yes", "No", "Yes", "No"]));
+        assert_ne!(base, relabel(["No", "Yes", "No", "Yes", "Yea"]));
     }
 
     fn bigger_table(rows: std::ops::Range<usize>) -> Table {

@@ -9,7 +9,7 @@ use crate::mine::MineStats;
 use crate::output;
 use crate::rules::QuantRule;
 use qar_partition::{num_intervals, EquiDepth, EquiWidth, KMeans1D, Partitioner};
-use qar_table::{AttributeEncoder, AttributeKind, Column, EncodedTable, Table};
+use qar_table::{AttributeEncoder, EncodedTable, Histogram, QuantHistogram, Schema, Table};
 
 /// Run-wide statistics and provenance.
 #[derive(Debug, Clone)]
@@ -131,12 +131,30 @@ pub fn validate_partitioning(
 }
 
 /// Build per-attribute encoders according to the partitioning policy
-/// (Steps 1 and 2).
+/// (Steps 1 and 2): the table's value histograms, then
+/// [`build_encoders_from_histograms`].
 pub fn build_encoders(
     table: &Table,
     config: &MinerConfig,
 ) -> Result<(Vec<AttributeEncoder>, Vec<Option<usize>>), MinerError> {
-    let schema = table.schema();
+    build_encoders_from_histograms(table.schema(), &table.histograms(), config)
+}
+
+/// Steps 1 and 2 from one value histogram per attribute (schema order),
+/// as [`Table::histograms`] computes them or a chunked read's
+/// [`qar_table::TableSummary`] merges them. Returns the encoders and the
+/// intervals chosen per attribute (`None` for categorical or
+/// unpartitioned attributes).
+pub fn build_encoders_from_histograms(
+    schema: &Schema,
+    histograms: &[Histogram],
+    config: &MinerConfig,
+) -> Result<(Vec<AttributeEncoder>, Vec<Option<usize>>), MinerError> {
+    assert_eq!(
+        histograms.len(),
+        schema.len(),
+        "one histogram per attribute"
+    );
     let n_quant = schema.quantitative_ids().len();
     let default_intervals: Option<usize> = match &config.partitioning {
         PartitionSpec::None => None,
@@ -150,124 +168,60 @@ pub fn build_encoders(
 
     let mut encoders = Vec::with_capacity(schema.len());
     let mut intervals = Vec::with_capacity(schema.len());
-    for (id, def) in schema.iter() {
-        match (def.kind(), table.column(id)) {
-            (AttributeKind::Categorical, Column::Categorical { data }) => {
-                match config.taxonomies.get(def.name()) {
+    for ((_, def), histogram) in schema.iter().zip(histograms) {
+        match histogram {
+            Histogram::Categorical(labels) => {
+                encoders.push(match config.taxonomies.get(def.name()) {
                     Some(taxonomy) => {
-                        encoders.push(AttributeEncoder::categorical_with_taxonomy(data, taxonomy)?);
+                        AttributeEncoder::categorical_with_taxonomy(labels, taxonomy)?
                     }
-                    None => encoders.push(AttributeEncoder::categorical_from(data)),
-                }
+                    None => AttributeEncoder::categorical_from(labels),
+                });
                 intervals.push(None);
             }
-            (AttributeKind::Quantitative, Column::Quantitative { data, integral }) => {
+            Histogram::Quantitative(values) => {
                 let wanted = match &config.partitioning {
                     PartitionSpec::PerAttribute(map) => map.get(def.name()).copied(),
                     _ => default_intervals,
                 };
                 let (encoder, achieved) =
-                    quant_encoder_from(data, *integral, wanted, config.partition_strategy);
+                    quant_encoder_from(values, wanted, config.partition_strategy);
                 encoders.push(encoder);
                 intervals.push(achieved);
             }
-            _ => unreachable!("columns always match their schema kind"),
         }
     }
     Ok((encoders, intervals))
 }
 
 /// The quantitative half of Step 1/2 for one attribute: partition (or
-/// not) and build the encoder. Order-independent in `data` — the
-/// partitioners sort internally and the display bounds are per-interval
-/// min/max — so the streaming path may pass a sorted reconstruction.
+/// not) and build the encoder, in O(distinct values) for the
+/// histogram-walking strategies.
 fn quant_encoder_from(
-    data: &[f64],
-    integral: bool,
+    histogram: &QuantHistogram,
     wanted: Option<usize>,
     strategy: PartitionStrategy,
 ) -> (AttributeEncoder, Option<usize>) {
-    let mut distinct = data.to_vec();
-    distinct.sort_by(f64::total_cmp);
-    distinct.dedup();
     match wanted {
         // "If the number of values is small, we do not partition": fewer
         // distinct values than intervals means full resolution already
         // satisfies the completeness target.
-        Some(k) if distinct.len() > k && k >= 1 => {
+        Some(k) if histogram.len() > k && k >= 1 => {
             let kmeans = KMeans1D::default();
             let partitioner: &dyn Partitioner = match strategy {
                 PartitionStrategy::EquiDepth => &EquiDepth,
                 PartitionStrategy::EquiWidth => &EquiWidth,
                 PartitionStrategy::KMeans => &kmeans,
             };
-            let cuts = partitioner.cut_points(data, k);
+            let cuts = partitioner.cut_points(histogram.values(), histogram.counts(), k);
             let achieved = cuts.len() + 1;
             (
-                AttributeEncoder::quant_intervals_from(data, cuts, integral),
+                AttributeEncoder::quant_intervals_from(histogram, cuts),
                 Some(achieved),
             )
         }
-        _ => (AttributeEncoder::quant_values_from(data, integral), None),
+        _ => (AttributeEncoder::quant_values_from(histogram), None),
     }
-}
-
-/// [`build_encoders`] from a streaming [`qar_table::TableSummary`] instead
-/// of an in-memory table — the out-of-core ingest path. Produces encoders
-/// identical to what `build_encoders` would build on the full table,
-/// because every constructor involved is order-independent and the
-/// summary reconstructs each column with exact multiplicities (one
-/// attribute at a time, so peak memory is a single column).
-pub fn build_encoders_from_summary(
-    summary: &qar_table::TableSummary,
-    config: &MinerConfig,
-) -> Result<(Vec<AttributeEncoder>, Vec<Option<usize>>), MinerError> {
-    let schema = summary.schema();
-    let n_quant = schema.quantitative_ids().len();
-    let default_intervals: Option<usize> = match &config.partitioning {
-        PartitionSpec::None => None,
-        PartitionSpec::FixedIntervals(m) => Some(*m),
-        PartitionSpec::CompletenessLevel(k) => Some(
-            num_intervals(n_quant.max(1), config.min_support, *k)
-                .map_err(|e| MinerError::Partition(e.to_string()))?,
-        ),
-        PartitionSpec::PerAttribute(_) => None,
-    };
-
-    let mut encoders = Vec::with_capacity(schema.len());
-    let mut intervals = Vec::with_capacity(schema.len());
-    for (id, def) in schema.iter() {
-        match def.kind() {
-            AttributeKind::Categorical => {
-                let labels = summary.labels(id);
-                match config.taxonomies.get(def.name()) {
-                    Some(taxonomy) => {
-                        encoders.push(AttributeEncoder::categorical_with_taxonomy(
-                            &labels, taxonomy,
-                        )?);
-                    }
-                    None => encoders.push(AttributeEncoder::categorical_from(&labels)),
-                }
-                intervals.push(None);
-            }
-            AttributeKind::Quantitative => {
-                let wanted = match &config.partitioning {
-                    PartitionSpec::PerAttribute(map) => map.get(def.name()).copied(),
-                    _ => default_intervals,
-                };
-                let data = summary.expand_quant(id);
-                let (encoder, achieved) = quant_encoder_from(
-                    &data,
-                    summary.integral(id),
-                    wanted,
-                    config.partition_strategy,
-                );
-                encoders.push(encoder);
-                intervals.push(achieved);
-            }
-        }
-    }
-    Ok((encoders, intervals))
 }
 
 #[cfg(test)]

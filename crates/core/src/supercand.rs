@@ -1989,7 +1989,7 @@ mod tests {
                 builder = builder.quantitative(format!("q{i}"));
                 let values: Vec<f64> = (0..card).map(f64::from).collect();
                 encoders.push(qar_table::AttributeEncoder::quant_values_from(
-                    &values, true,
+                    &qar_table::QuantHistogram::from_values(&values),
                 ));
             } else {
                 builder = builder.categorical(format!("c{i}"));

@@ -129,7 +129,7 @@ mod tests {
         let in1: Vec<usize> = (0..d.table.num_rows())
             .filter(|&i| (20.0..=39.0).contains(&x0[i]))
             .collect();
-        let conf1 = in1.iter().filter(|&&i| c[i] == "A").count() as f64 / in1.len() as f64;
+        let conf1 = in1.iter().filter(|&&i| c.get(i) == "A").count() as f64 / in1.len() as f64;
         assert!(conf1 > 0.85, "rule 1 confidence {conf1}");
         // Antecedent covers ~20 % of records.
         let frac = in1.len() as f64 / d.table.num_rows() as f64;
@@ -149,7 +149,7 @@ mod tests {
         let out1: Vec<usize> = (0..d.table.num_rows())
             .filter(|&i| !(20.0..=39.0).contains(&x0[i]))
             .collect();
-        let bg = out1.iter().filter(|&&i| c[i] == "A").count() as f64 / out1.len() as f64;
+        let bg = out1.iter().filter(|&&i| c.get(i) == "A").count() as f64 / out1.len() as f64;
         assert!(bg < 0.35, "background confidence {bg}");
     }
 

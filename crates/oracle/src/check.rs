@@ -923,10 +923,12 @@ fn sorted_dedup(mut ids: Vec<u32>) -> Vec<u32> {
 }
 
 fn cut_points_for(case: &PartitionCase) -> Vec<f64> {
+    let h = qar_table::QuantHistogram::from_values(&case.values);
+    let (values, counts) = (h.values(), h.counts());
     match case.strategy {
-        PartitionStrategy::EquiDepth => EquiDepth.cut_points(&case.values, case.k),
-        PartitionStrategy::EquiWidth => EquiWidth.cut_points(&case.values, case.k),
-        PartitionStrategy::KMeans => KMeans1D::default().cut_points(&case.values, case.k),
+        PartitionStrategy::EquiDepth => EquiDepth.cut_points(values, counts, case.k),
+        PartitionStrategy::EquiWidth => EquiWidth.cut_points(values, counts, case.k),
+        PartitionStrategy::KMeans => KMeans1D::default().cut_points(values, counts, case.k),
     }
 }
 

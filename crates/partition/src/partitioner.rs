@@ -5,23 +5,25 @@
 //! interval `i` iff `cuts[i-1] <= v < cuts[i]` (with the obvious open ends).
 //! Equal data values can never be separated, so a partitioner may return
 //! fewer cuts than requested when the data has heavy duplication.
+//!
+//! Every strategy reads the column's value histogram — its distinct values
+//! in ascending order with their counts, as `qar_table::QuantHistogram`
+//! holds them — so it works in O(distinct) (k-means: O(rows) per
+//! iteration) and never sorts the column.
 
 /// A strategy for choosing cut points over one quantitative column.
 pub trait Partitioner {
-    /// Compute cut points splitting `values` into at most `k` intervals.
+    /// Compute cut points splitting a column into at most `k` intervals.
+    /// The column is given as its histogram: `values` are its distinct
+    /// values in ascending order and `counts[i]` is how often `values[i]`
+    /// occurs (at least once).
     ///
-    /// `values` need not be sorted; implementations sort internally.
-    /// Returns an empty vector when `k <= 1` or all values are equal.
-    fn cut_points(&self, values: &[f64], k: usize) -> Vec<f64>;
+    /// Returns an empty vector when `k <= 1`, the column has fewer than two
+    /// cells, or all its values are equal.
+    fn cut_points(&self, values: &[f64], counts: &[u64], k: usize) -> Vec<f64>;
 
     /// Short name for reports.
     fn name(&self) -> &'static str;
-}
-
-fn sorted(values: &[f64]) -> Vec<f64> {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    v
 }
 
 /// Midpoint between two adjacent distinct values — cut points sit strictly
@@ -48,13 +50,6 @@ fn cut_between(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Sorted distinct values of a column.
-fn sorted_distinct(values: &[f64]) -> Vec<f64> {
-    let mut d = sorted(values);
-    d.dedup();
-    d
-}
-
 /// Full-resolution cuts: one interval per distinct value. The right answer
 /// for every strategy when `k` is at least the distinct-value count —
 /// anything else either wastes intervals (duplicates) or merges values it
@@ -79,19 +74,26 @@ fn full_resolution_cuts(distinct: &[f64]) -> Vec<f64> {
 pub struct EquiDepth;
 
 impl Partitioner for EquiDepth {
-    fn cut_points(&self, values: &[f64], k: usize) -> Vec<f64> {
-        let n = values.len();
+    fn cut_points(&self, distinct: &[f64], counts: &[u64], k: usize) -> Vec<f64> {
+        debug_assert_eq!(distinct.len(), counts.len());
+        let n = counts.iter().sum::<u64>() as usize;
         if k <= 1 || n < 2 {
             return Vec::new();
         }
-        let v = sorted(values);
-        let distinct = sorted_distinct(&v);
         if distinct.len() <= k {
             // Enough intervals for every distinct value: full resolution.
             // Walking quantile targets here can skip gaps (duplicated
             // intervals) while other targets land inside runs (empty ones).
-            return full_resolution_cuts(&distinct);
+            return full_resolution_cuts(distinct);
         }
+        // `ends[d]` is the number of records with a value <= distinct[d].
+        let ends: Vec<usize> = counts
+            .iter()
+            .scan(0usize, |seen, &c| {
+                *seen += c as usize;
+                Some(*seen)
+            })
+            .collect();
         let mut cuts = Vec::with_capacity(k - 1);
         for j in 1..k {
             // Records [0, target) should land left of cut j.
@@ -99,15 +101,13 @@ impl Partitioner for EquiDepth {
             if target == 0 || target >= n {
                 continue;
             }
-            // Can't cut inside a run of equal values: advance to the run end.
-            let mut pos = target;
-            while pos < n && v[pos] == v[target - 1] {
-                pos += 1;
-            }
-            if pos >= n {
+            // Can't cut inside a run of equal values: the cut goes after
+            // the run holding record `target - 1`.
+            let run = ends.partition_point(|&end| end < target);
+            if run + 1 >= distinct.len() {
                 continue;
             }
-            let cut = cut_between(v[pos - 1], v[pos]);
+            let cut = cut_between(distinct[run], distinct[run + 1]);
             if cuts.last().is_none_or(|&last| cut > last) {
                 cuts.push(cut);
             }
@@ -128,15 +128,12 @@ impl Partitioner for EquiDepth {
 pub struct EquiWidth;
 
 impl Partitioner for EquiWidth {
-    fn cut_points(&self, values: &[f64], k: usize) -> Vec<f64> {
-        if k <= 1 || values.len() < 2 {
+    fn cut_points(&self, values: &[f64], counts: &[u64], k: usize) -> Vec<f64> {
+        if k <= 1 || counts.iter().sum::<u64>() < 2 {
             return Vec::new();
         }
-        let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        // `!(max > min)` rather than `max <= min` so NaN bails out too.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(max > min) {
+        let (min, max) = (values[0], values[values.len() - 1]);
+        if max <= min {
             return Vec::new();
         }
         let width = (max - min) / k as f64;
@@ -176,44 +173,52 @@ impl Default for KMeans1D {
 }
 
 impl Partitioner for KMeans1D {
-    fn cut_points(&self, values: &[f64], k: usize) -> Vec<f64> {
-        let n = values.len();
-        if k <= 1 || n < 2 {
+    fn cut_points(&self, distinct: &[f64], counts: &[u64], k: usize) -> Vec<f64> {
+        if k <= 1 || counts.iter().sum::<u64>() < 2 || distinct.len() < 2 {
             return Vec::new();
         }
-        let v = sorted(values);
-        if v[0] == v[n - 1] {
-            return Vec::new();
-        }
-        let distinct = sorted_distinct(&v);
         if distinct.len() <= k {
             // One interval per distinct value; no clustering to do.
-            return full_resolution_cuts(&distinct);
+            return full_resolution_cuts(distinct);
         }
+        let d = distinct.len();
         // Quantile init over the *distinct* values. Sampling record
-        // quantiles (`v[(j * n + n / 2) / k]`) can land several seeds in
-        // one duplicate run on skewed data, collapsing them to a single
-        // center and forfeiting intervals the data had room for. Distinct
-        // quantiles are guaranteed pairwise different: `distinct.len() > k`
-        // makes `(j * distinct.len()) / k` strictly increasing in `j`.
-        let mut centers: Vec<f64> = (0..k).map(|j| distinct[(j * distinct.len()) / k]).collect();
+        // quantiles can land several seeds in one duplicate run on skewed
+        // data, collapsing them to a single center and forfeiting
+        // intervals the data had room for. Distinct quantiles are
+        // guaranteed pairwise different: `d > k` makes `(j * d) / k`
+        // strictly increasing in `j`.
+        let mut centers: Vec<f64> = (0..k).map(|j| distinct[(j * d) / k]).collect();
         debug_assert!(centers.windows(2).all(|w| w[0] < w[1]));
-        let mut boundaries: Vec<usize> = Vec::new(); // index of first element of each cluster but the first
+        // Clusters are runs of distinct values; `boundaries` holds the
+        // index of the first distinct value of every cluster but the first.
+        let mut boundaries: Vec<usize> = Vec::new();
         for _ in 0..self.max_iterations {
-            // Assign: in 1-D with sorted data, cluster boundaries are where
-            // the midpoint between adjacent centers falls.
-            let mut new_boundaries = Vec::with_capacity(centers.len() - 1);
-            for w in centers.windows(2) {
-                let mid = midpoint(w[0], w[1]);
-                new_boundaries.push(v.partition_point(|&x| x < mid));
-            }
-            // Update centers as cluster means.
+            // Assign: in 1-D, cluster boundaries are where the midpoint
+            // between adjacent centers falls.
+            let new_boundaries: Vec<usize> = centers
+                .windows(2)
+                .map(|w| {
+                    let mid = midpoint(w[0], w[1]);
+                    distinct.partition_point(|&x| x < mid)
+                })
+                .collect();
+            // Update centers as cluster means. The sum runs over every
+            // record in ascending order, the same additions a sorted copy
+            // of the column would make, so the means agree to the bit.
             let mut new_centers = Vec::with_capacity(centers.len());
             let mut start = 0usize;
-            for &end in new_boundaries.iter().chain(std::iter::once(&n)) {
+            for &end in new_boundaries.iter().chain(std::iter::once(&d)) {
                 if end > start {
-                    let mean = v[start..end].iter().sum::<f64>() / (end - start) as f64;
-                    new_centers.push(mean);
+                    let mut sum = 0.0f64;
+                    let mut records = 0u64;
+                    for (&v, &c) in distinct[start..end].iter().zip(&counts[start..end]) {
+                        for _ in 0..c {
+                            sum += v;
+                        }
+                        records += c;
+                    }
+                    new_centers.push(sum / records as f64);
                 }
                 start = end;
             }
@@ -228,10 +233,10 @@ impl Partitioner for KMeans1D {
         // Convert cluster boundaries to cut points between distinct values.
         let mut cuts = Vec::new();
         for &b in &boundaries {
-            if b == 0 || b >= n || v[b - 1] == v[b] {
+            if b == 0 || b >= d {
                 continue;
             }
-            let cut = cut_between(v[b - 1], v[b]);
+            let cut = cut_between(distinct[b - 1], distinct[b]);
             if cuts.last().is_none_or(|&last| cut > last) {
                 cuts.push(cut);
             }
@@ -273,6 +278,18 @@ pub fn interval_supports(values: &[f64], cuts: &[f64]) -> Vec<(f64, bool)> {
 mod tests {
     use super::*;
 
+    /// `cut_points` over the histogram of a raw column.
+    trait CutRaw {
+        fn cut_points_of(&self, column: &[f64], k: usize) -> Vec<f64>;
+    }
+
+    impl<P: Partitioner + ?Sized> CutRaw for P {
+        fn cut_points_of(&self, column: &[f64], k: usize) -> Vec<f64> {
+            let h = qar_table::QuantHistogram::from_values(column);
+            self.cut_points(h.values(), h.counts(), k)
+        }
+    }
+
     fn depth_counts(values: &[f64], cuts: &[f64]) -> Vec<usize> {
         let k = cuts.len() + 1;
         let mut counts = vec![0usize; k];
@@ -285,7 +302,7 @@ mod tests {
     #[test]
     fn equi_depth_splits_uniform_data_evenly() {
         let values: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let cuts = EquiDepth.cut_points(&values, 4);
+        let cuts = EquiDepth.cut_points_of(&values, 4);
         assert_eq!(cuts.len(), 3);
         assert_eq!(depth_counts(&values, &cuts), vec![25, 25, 25, 25]);
     }
@@ -295,7 +312,7 @@ mod tests {
         // 90 copies of 1.0 and ten distinct tail values: at most 2 useful cuts.
         let mut values = vec![1.0; 90];
         values.extend((2..12).map(|i| i as f64));
-        let cuts = EquiDepth.cut_points(&values, 4);
+        let cuts = EquiDepth.cut_points_of(&values, 4);
         // All cuts must be > 1.0 (the run can't be split).
         assert!(cuts.iter().all(|&c| c > 1.0));
         let counts = depth_counts(&values, &cuts);
@@ -305,16 +322,16 @@ mod tests {
 
     #[test]
     fn equi_depth_handles_degenerate_inputs() {
-        assert!(EquiDepth.cut_points(&[], 4).is_empty());
-        assert!(EquiDepth.cut_points(&[1.0], 4).is_empty());
-        assert!(EquiDepth.cut_points(&[1.0, 1.0, 1.0], 4).is_empty());
-        assert!(EquiDepth.cut_points(&[1.0, 2.0], 1).is_empty());
+        assert!(EquiDepth.cut_points_of(&[], 4).is_empty());
+        assert!(EquiDepth.cut_points_of(&[1.0], 4).is_empty());
+        assert!(EquiDepth.cut_points_of(&[1.0, 1.0, 1.0], 4).is_empty());
+        assert!(EquiDepth.cut_points_of(&[1.0, 2.0], 1).is_empty());
     }
 
     #[test]
     fn equi_depth_unsorted_input() {
         let values = vec![5.0, 1.0, 3.0, 2.0, 4.0, 6.0];
-        let cuts = EquiDepth.cut_points(&values, 2);
+        let cuts = EquiDepth.cut_points_of(&values, 2);
         assert_eq!(cuts.len(), 1);
         assert_eq!(depth_counts(&values, &cuts), vec![3, 3]);
     }
@@ -322,7 +339,7 @@ mod tests {
     #[test]
     fn equi_width_splits_range_evenly() {
         let values: Vec<f64> = vec![0.0, 10.0];
-        let cuts = EquiWidth.cut_points(&values, 4);
+        let cuts = EquiWidth.cut_points_of(&values, 4);
         assert_eq!(cuts, vec![2.5, 5.0, 7.5]);
     }
 
@@ -332,8 +349,8 @@ mod tests {
         // the first interval; equi-depth spreads records.
         let mut values: Vec<f64> = (0..99).map(|i| i as f64 / 100.0).collect();
         values.push(100.0);
-        let w = EquiWidth.cut_points(&values, 4);
-        let d = EquiDepth.cut_points(&values, 4);
+        let w = EquiWidth.cut_points_of(&values, 4);
+        let d = EquiDepth.cut_points_of(&values, 4);
         let w_max = depth_counts(&values, &w).into_iter().max().unwrap();
         let d_max = depth_counts(&values, &d).into_iter().max().unwrap();
         assert!(
@@ -345,7 +362,7 @@ mod tests {
 
     #[test]
     fn equi_width_constant_column() {
-        assert!(EquiWidth.cut_points(&[3.0, 3.0, 3.0], 5).is_empty());
+        assert!(EquiWidth.cut_points_of(&[3.0, 3.0, 3.0], 5).is_empty());
     }
 
     #[test]
@@ -353,7 +370,7 @@ mod tests {
         let mut values = Vec::new();
         values.extend((0..50).map(|i| 0.0 + i as f64 * 0.01));
         values.extend((0..50).map(|i| 100.0 + i as f64 * 0.01));
-        let cuts = KMeans1D::default().cut_points(&values, 2);
+        let cuts = KMeans1D::default().cut_points_of(&values, 2);
         assert_eq!(cuts.len(), 1);
         assert!(
             cuts[0] > 1.0 && cuts[0] < 100.0,
@@ -364,15 +381,15 @@ mod tests {
 
     #[test]
     fn kmeans_degenerate_inputs() {
-        assert!(KMeans1D::default().cut_points(&[], 3).is_empty());
-        assert!(KMeans1D::default().cut_points(&[2.0, 2.0], 3).is_empty());
+        assert!(KMeans1D::default().cut_points_of(&[], 3).is_empty());
+        assert!(KMeans1D::default().cut_points_of(&[2.0, 2.0], 3).is_empty());
     }
 
     #[test]
     fn kmeans_is_deterministic() {
         let values: Vec<f64> = (0..200).map(|i| ((i * 37) % 101) as f64).collect();
-        let a = KMeans1D::default().cut_points(&values, 7);
-        let b = KMeans1D::default().cut_points(&values, 7);
+        let a = KMeans1D::default().cut_points_of(&values, 7);
+        let b = KMeans1D::default().cut_points_of(&values, 7);
         assert_eq!(a, b);
     }
 
@@ -397,7 +414,7 @@ mod tests {
             &KMeans1D::default(),
         ] {
             for k in [2, 3, 10, 50] {
-                let cuts = p.cut_points(&values, k);
+                let cuts = p.cut_points_of(&values, k);
                 assert!(
                     cuts.windows(2).all(|w| w[0] < w[1]),
                     "{} k={k} produced non-increasing cuts",
@@ -417,7 +434,7 @@ mod tests {
         let b = f64::from_bits(a.to_bits() + 1);
         for p in [&EquiDepth as &dyn Partitioner, &KMeans1D::default()] {
             let values = [a, a, b, b];
-            let cuts = p.cut_points(&values, 2);
+            let cuts = p.cut_points_of(&values, 2);
             assert_eq!(cuts.len(), 1, "{} found no cut", p.name());
             assert!(
                 a < cuts[0] && cuts[0] <= b,
@@ -435,7 +452,7 @@ mod tests {
         let values = [5.0, 1.0, 1.0, 3.0, 3.0, 3.0, 5.0, 1.0];
         for p in [&EquiDepth as &dyn Partitioner, &KMeans1D::default()] {
             for k in [3, 4, 10] {
-                let cuts = p.cut_points(&values, k);
+                let cuts = p.cut_points_of(&values, k);
                 assert_eq!(cuts.len(), 2, "{} k={k}", p.name());
                 let counts = depth_counts(&values, &cuts);
                 assert_eq!(counts, vec![3, 3, 2], "{} k={k}", p.name());
@@ -451,7 +468,7 @@ mod tests {
         let mut values = vec![0.0];
         values.extend(std::iter::repeat_n(1.0, 8));
         values.push(2.0);
-        let cuts = KMeans1D::default().cut_points(&values, 2);
+        let cuts = KMeans1D::default().cut_points_of(&values, 2);
         assert_eq!(cuts.len(), 1, "center collapse lost the split");
         let counts = depth_counts(&values, &cuts);
         assert!(counts.iter().all(|&c| c > 0), "empty interval: {counts:?}");

@@ -4,6 +4,19 @@
 use qar_partition::partitioner::{interval_supports, EquiDepth, EquiWidth, KMeans1D, Partitioner};
 use qar_partition::{achieved_level, num_intervals, PartialCompleteness};
 use qar_prng::{cases, Prng};
+use qar_table::QuantHistogram;
+
+/// `cut_points` over the histogram of a raw column.
+trait CutRaw {
+    fn cut_points_of(&self, column: &[f64], k: usize) -> Vec<f64>;
+}
+
+impl<P: Partitioner + ?Sized> CutRaw for P {
+    fn cut_points_of(&self, column: &[f64], k: usize) -> Vec<f64> {
+        let h = QuantHistogram::from_values(column);
+        self.cut_points(h.values(), h.counts(), k)
+    }
+}
 
 fn count_per_interval(values: &[f64], cuts: &[f64]) -> Vec<usize> {
     let mut counts = vec![0usize; cuts.len() + 1];
@@ -41,7 +54,7 @@ fn cuts_well_formed() {
             &EquiWidth,
             &KMeans1D::default(),
         ] {
-            let cuts = p.cut_points(&values, k);
+            let cuts = p.cut_points_of(&values, k);
             assert!(cuts.len() < k, "case {case} {}", p.name());
             assert!(
                 cuts.windows(2).all(|w| w[0] < w[1]),
@@ -65,7 +78,7 @@ fn equi_depth_intervals_nonempty() {
     cases(64, 0x5EED_9186_0002, |case, rng| {
         let values = random_values(rng, -100.0, 100.0, 2, 300);
         let k = rng.gen_range(2..20usize);
-        let cuts = EquiDepth.cut_points(&values, k);
+        let cuts = EquiDepth.cut_points_of(&values, k);
         let counts = count_per_interval(&values, &cuts);
         assert!(
             counts.iter().all(|&c| c > 0),
@@ -84,8 +97,8 @@ fn equi_depth_minimizes_max_support_on_distinct_data() {
     cases(64, 0x5EED_9186_0003, |case, rng| {
         let values = random_distinct(rng, -10_000, 10_000, 10, 200);
         let k = rng.gen_range(2..10usize);
-        let d_cuts = EquiDepth.cut_points(&values, k);
-        let w_cuts = EquiWidth.cut_points(&values, k);
+        let d_cuts = EquiDepth.cut_points_of(&values, k);
+        let w_cuts = EquiWidth.cut_points_of(&values, k);
         // Only comparable when both produced a full set of cuts.
         if d_cuts.len() != k - 1 || w_cuts.len() != k - 1 {
             return;
@@ -119,7 +132,7 @@ fn requested_level_is_achieved() {
         if !(2..=values.len()).contains(&intervals) {
             return;
         }
-        let cuts = EquiDepth.cut_points(&values, intervals);
+        let cuts = EquiDepth.cut_points_of(&values, intervals);
         let sups = vec![interval_supports(&values, &cuts)];
         let achieved = achieved_level(1, minsup, &sups);
         // Equi-depth intervals can hold up to ceil(n/k) records; allow the

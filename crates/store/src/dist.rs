@@ -439,7 +439,10 @@ mod tests {
             .build()
             .unwrap();
         let encoders = vec![
-            AttributeEncoder::quant_intervals_from(&[20.0, 30.0, 40.0], vec![25.0, 35.0], true),
+            AttributeEncoder::quant_intervals_from(
+                &qar_table::QuantHistogram::from_values(&[20.0, 30.0, 40.0]),
+                vec![25.0, 35.0],
+            ),
             AttributeEncoder::Categorical {
                 labels: vec!["No".to_string(), "Yes".to_string()],
             },

@@ -9,79 +9,45 @@
 //! result is bit-identical to an in-memory scan.
 //!
 //! Building the encoders without holding the table needs one streaming
-//! *stats* pass first: [`TableSummary`] accumulates per-attribute value
-//! histograms (quantitative) and label sets (categorical) chunk by chunk,
-//! then reconstructs each column in sorted order — one attribute at a
-//! time — for the partitioner. Every encoder constructor and partitioner
-//! in this workspace is order-independent (they sort internally), so the
+//! *stats* pass first: [`TableSummary`] merges each chunk's per-column
+//! value histograms ([`crate::histogram`]). A merged histogram equals the
+//! whole table's, and every encoder is cut from histograms alone, so the
 //! encoders built from a summary are identical to the ones built from the
 //! in-memory table.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
 
 use crate::encode::{AttributeEncoder, EncodedTable};
 use crate::error::TableError;
+use crate::histogram::Histogram;
 use crate::schema::{AttributeId, AttributeKind, Schema};
-use crate::table::{Column, Table};
+use crate::table::Table;
 
 /// Magic prefix of a spilled chunk file.
 const CHUNK_MAGIC: [u8; 4] = *b"QCK1";
 
-/// Monotone key for `f64` under `total_cmp` order, so a `BTreeMap` over
-/// keys iterates values in sorted order.
-fn f64_key(v: f64) -> u64 {
-    let b = v.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
-    }
-}
-
-/// Per-attribute accumulator of one streaming stats pass.
-#[derive(Debug, Clone)]
-enum ColumnSummary {
-    /// Value -> multiplicity, keyed in `total_cmp` order.
-    Quant {
-        counts: BTreeMap<u64, (f64, u64)>,
-        integral: bool,
-    },
-    /// Observed labels.
-    Cat { labels: BTreeSet<String> },
-}
-
-/// Streaming per-attribute statistics of a table read in chunks — enough
-/// to rebuild every encoder the in-memory pipeline would build, without
-/// ever holding more than one attribute's expanded column.
+/// The per-column value histograms of a table read in chunks — enough to
+/// build every encoder the in-memory pipeline would build, without ever
+/// holding the table.
 #[derive(Debug, Clone)]
 pub struct TableSummary {
     schema: Schema,
-    columns: Vec<ColumnSummary>,
+    /// Merged histograms of runs of consecutive chunks, with each run's
+    /// row count. A run is merged into the one before it as soon as that
+    /// one holds no more rows, so a value is merged O(log chunks) times
+    /// rather than once per later chunk.
+    runs: Vec<(usize, Vec<Histogram>)>,
     num_rows: usize,
 }
 
 impl TableSummary {
     /// An empty summary for `schema`.
     pub fn new(schema: Schema) -> Self {
-        let columns = schema
-            .attributes()
-            .iter()
-            .map(|def| match def.kind() {
-                AttributeKind::Quantitative => ColumnSummary::Quant {
-                    counts: BTreeMap::new(),
-                    integral: true,
-                },
-                AttributeKind::Categorical => ColumnSummary::Cat {
-                    labels: BTreeSet::new(),
-                },
-            })
-            .collect();
         TableSummary {
             schema,
-            columns,
+            runs: Vec::new(),
             num_rows: 0,
         }
     }
@@ -90,28 +56,16 @@ impl TableSummary {
     pub fn add_chunk(&mut self, chunk: &Table) {
         assert_eq!(chunk.schema().len(), self.schema.len(), "schema mismatch");
         self.num_rows += chunk.num_rows();
-        for (idx, summary) in self.columns.iter_mut().enumerate() {
-            match (chunk.column(AttributeId(idx)), summary) {
-                (
-                    Column::Quantitative { data, integral },
-                    ColumnSummary::Quant {
-                        counts,
-                        integral: all_integral,
-                    },
-                ) => {
-                    *all_integral &= *integral;
-                    for &v in data {
-                        counts.entry(f64_key(v)).or_insert((v, 0)).1 += 1;
-                    }
-                }
-                (Column::Categorical { data }, ColumnSummary::Cat { labels }) => {
-                    for s in data {
-                        if !labels.contains(s) {
-                            labels.insert(s.clone());
-                        }
-                    }
-                }
-                _ => unreachable!("columns always match their schema kind"),
+        self.runs.push((chunk.num_rows(), chunk.histograms()));
+        while let [.., (below, _), (top, _)] = self.runs[..] {
+            if below > top {
+                break;
+            }
+            let (rows, top) = self.runs.pop().expect("two runs");
+            let below = self.runs.last_mut().expect("two runs");
+            below.0 += rows;
+            for (merged, part) in below.1.iter_mut().zip(top) {
+                merged.merge(part);
             }
         }
     }
@@ -126,39 +80,23 @@ impl TableSummary {
         self.num_rows
     }
 
-    /// Whether quantitative attribute `id` saw only whole numbers.
-    pub fn integral(&self, id: AttributeId) -> bool {
-        match &self.columns[id.index()] {
-            ColumnSummary::Quant { integral, .. } => *integral,
-            ColumnSummary::Cat { .. } => false,
-        }
-    }
-
-    /// The full quantitative column of `id`, reconstructed in sorted order
-    /// with original multiplicities. This is the one transiently large
-    /// allocation of the stats pass: `num_rows` values for a single
-    /// attribute at a time.
-    pub fn expand_quant(&self, id: AttributeId) -> Vec<f64> {
-        match &self.columns[id.index()] {
-            ColumnSummary::Quant { counts, .. } => {
-                let mut out = Vec::with_capacity(self.num_rows);
-                for &(v, n) in counts.values() {
-                    for _ in 0..n {
-                        out.push(v);
-                    }
-                }
-                out
+    /// The merged histogram of every column, schema order.
+    pub fn histograms(&self) -> Vec<Histogram> {
+        let mut merged: Vec<Histogram> = self
+            .schema
+            .attributes()
+            .iter()
+            .map(|def| match def.kind() {
+                AttributeKind::Quantitative => Histogram::Quantitative(Default::default()),
+                AttributeKind::Categorical => Histogram::Categorical(Default::default()),
+            })
+            .collect();
+        for (_, run) in &self.runs {
+            for (merged, part) in merged.iter_mut().zip(run) {
+                merged.merge(part.clone());
             }
-            ColumnSummary::Cat { .. } => panic!("attribute {} is categorical", id.index()),
         }
-    }
-
-    /// Sorted distinct labels of categorical attribute `id`.
-    pub fn labels(&self, id: AttributeId) -> Vec<String> {
-        match &self.columns[id.index()] {
-            ColumnSummary::Cat { labels } => labels.iter().cloned().collect(),
-            ColumnSummary::Quant { .. } => panic!("attribute {} is quantitative", id.index()),
-        }
+        merged
     }
 }
 
@@ -403,21 +341,19 @@ mod tests {
     }
 
     #[test]
-    fn summary_reconstructs_sorted_columns() {
+    fn summary_holds_the_tables_histograms() {
         let t = people();
         let mut summary = TableSummary::new(schema());
         summary.add_chunk(&t);
         assert_eq!(summary.num_rows(), 5);
-        assert_eq!(
-            summary.expand_quant(AttributeId(0)),
-            vec![23.0, 25.0, 29.0, 34.0, 38.0]
-        );
-        assert_eq!(
-            summary.expand_quant(AttributeId(2)),
-            vec![0.0, 1.0, 1.0, 2.0, 2.0]
-        );
-        assert!(summary.integral(AttributeId(0)));
-        assert_eq!(summary.labels(AttributeId(1)), vec!["No", "Yes"]);
+        let histograms = summary.histograms();
+        assert_eq!(histograms, t.histograms());
+        let cars = histograms[2].as_quantitative().unwrap();
+        assert_eq!(cars.values(), &[0.0, 1.0, 2.0]);
+        assert_eq!(cars.counts(), &[1, 2, 2]);
+        assert!(cars.integral());
+        let married = histograms[1].as_categorical().unwrap();
+        assert_eq!(married.labels(), &["No", "Yes"]);
     }
 
     #[test]
@@ -435,11 +371,7 @@ mod tests {
             }
             parts.add_chunk(&chunk);
         }
-        assert_eq!(
-            whole.expand_quant(AttributeId(0)),
-            parts.expand_quant(AttributeId(0))
-        );
-        assert_eq!(whole.labels(AttributeId(1)), parts.labels(AttributeId(1)));
+        assert_eq!(whole.histograms(), parts.histograms());
         assert_eq!(whole.num_rows(), parts.num_rows());
     }
 
@@ -515,10 +447,14 @@ mod tests {
         let input = "x,c\n1,a\n2,b\n3,a\n4,b\n5,a\n";
         let summary = summarize_csv(input.as_bytes(), &s, 2).unwrap();
         assert_eq!(summary.num_rows(), 5);
-        assert_eq!(summary.labels(AttributeId(1)), vec!["a", "b"]);
+        let histograms = summary.histograms();
+        let [Histogram::Quantitative(x), Histogram::Categorical(c)] = histograms.as_slice() else {
+            panic!("one quantitative and one categorical histogram");
+        };
+        assert_eq!(c.labels(), &["a", "b"]);
         let encoders = vec![
-            AttributeEncoder::quant_values_from(&summary.expand_quant(AttributeId(0)), true),
-            AttributeEncoder::categorical_from(&summary.labels(AttributeId(1))),
+            AttributeEncoder::quant_values_from(x),
+            AttributeEncoder::categorical_from(c),
         ];
         let store = spill_csv(input.as_bytes(), &s, encoders, 2, spill_dir("helper")).unwrap();
         assert_eq!(store.num_chunks(), 3);

@@ -2,98 +2,270 @@
 //!
 //! Supports the common subset of RFC 4180: comma separation, `"`-quoting
 //! with doubled-quote escapes, and embedded commas/newlines inside quoted
-//! fields. The first line must be a header whose names match the schema.
+//! fields. The first record must be a header whose names match the schema.
+//!
+//! The reader makes a single pass over the input. Every byte goes through
+//! one quote state machine that carries its state across physical lines,
+//! and a record's unescaped fields are assembled in one reused byte buffer,
+//! so reading is linear in the input whatever it holds. Categorical fields
+//! go straight into their column's dictionary (a known label allocates
+//! nothing); quantitative fields are parsed as `i64`, else as `f64`.
+//!
+//! Line endings may be `\n` or `\r\n`; blank lines between records are
+//! skipped. Every error names the first physical line of the record it was
+//! found in. That covers malformed quoting, a wrong field count, a bad or
+//! non-finite number, and bytes that are not UTF-8.
 
 use std::io::{BufRead, Write};
 
 use crate::error::TableError;
-use crate::schema::{AttributeKind, Schema};
-use crate::table::Table;
-use crate::value::Value;
+use crate::schema::{AttributeId, Schema};
+use crate::table::{Column, Table};
 
-/// Split one logical CSV record that has already been assembled into
-/// `line` (quoted newlines resolved by the caller).
-fn split_record(line: &str, line_no: usize) -> Result<Vec<String>, TableError> {
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        match (in_quotes, c) {
-            (false, ',') => fields.push(std::mem::take(&mut field)),
-            (false, '"') => {
-                if !field.is_empty() {
-                    return Err(TableError::Csv {
-                        line: line_no,
-                        message: "quote in the middle of an unquoted field".into(),
-                    });
+/// Where the quote state machine stands within the current field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// Nothing of the field read yet.
+    FieldStart,
+    /// Inside an unquoted field with at least one byte.
+    Unquoted,
+    /// Inside a quoted field.
+    Quoted,
+    /// A `"` inside a quoted field: an escaped quote if another follows,
+    /// else the closing quote.
+    QuoteInQuoted,
+    /// After a field's closing quote.
+    Closed,
+}
+
+/// The bytes that end a run of unquoted field text.
+const UNQUOTED_STOPS: [bool; 256] = {
+    let mut stops = [false; 256];
+    stops[b',' as usize] = true;
+    stops[b'"' as usize] = true;
+    stops[b'\n' as usize] = true;
+    stops[b'\r' as usize] = true;
+    stops
+};
+
+fn csv_error(line: usize, message: &str) -> TableError {
+    TableError::Csv {
+        line,
+        message: message.into(),
+    }
+}
+
+/// Append `pending` held-back `\r` bytes to a field as content.
+fn flush_cr(buf: &mut Vec<u8>, pending: &mut usize) {
+    buf.resize(buf.len() + *pending, b'\r');
+    *pending = 0;
+}
+
+/// Streams logical records out of a CSV input.
+struct RecordReader<R> {
+    reader: R,
+    /// The current record's unescaped fields, back to back.
+    buf: Vec<u8>,
+    /// End offset of each field of the current record in `buf`.
+    ends: Vec<usize>,
+    /// Physical lines consumed so far.
+    line_no: usize,
+}
+
+impl<R: BufRead> RecordReader<R> {
+    fn new(reader: R) -> Self {
+        RecordReader {
+            reader,
+            buf: Vec::new(),
+            ends: Vec::new(),
+            line_no: 0,
+        }
+    }
+
+    /// Read the next non-blank record, returning its first physical line,
+    /// or `None` at end of input.
+    fn next_record(&mut self) -> Result<Option<usize>, TableError> {
+        let RecordReader {
+            reader,
+            buf,
+            ends,
+            line_no,
+        } = self;
+        buf.clear();
+        ends.clear();
+        let mut first_line = *line_no + 1;
+        let mut state = State::FieldStart;
+        // `\r` bytes outside quotes are held back: at the end of a line
+        // they are dropped, anywhere else they are field content.
+        let mut pending_cr = 0usize;
+        // Whether the record has anything but held-back `\r` bytes.
+        let mut content = false;
+        loop {
+            let chunk = reader.fill_buf()?;
+            if chunk.is_empty() {
+                if !content {
+                    return Ok(None);
                 }
-                in_quotes = true;
+                // A final line without a newline still counts.
+                *line_no += 1;
+                if state == State::Quoted {
+                    return Err(csv_error(first_line, "unterminated quoted field"));
+                }
+                ends.push(buf.len());
+                return Ok(Some(first_line));
             }
-            (false, c) => field.push(c),
-            (true, '"') => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    field.push('"');
-                } else {
-                    in_quotes = false;
-                    match chars.peek() {
-                        None | Some(',') => {}
-                        Some(_) => {
-                            return Err(TableError::Csv {
-                                line: line_no,
-                                message: "text after closing quote".into(),
-                            })
+            let mut i = 0;
+            let mut done = false;
+            while i < chunk.len() && !done {
+                match state {
+                    State::FieldStart | State::Unquoted => {
+                        let run = chunk[i..]
+                            .iter()
+                            .position(|&b| UNQUOTED_STOPS[b as usize])
+                            .unwrap_or(chunk.len() - i);
+                        if run > 0 {
+                            flush_cr(buf, &mut pending_cr);
+                            buf.extend_from_slice(&chunk[i..i + run]);
+                            state = State::Unquoted;
+                            content = true;
+                            i += run;
+                            if i == chunk.len() {
+                                continue;
+                            }
+                        }
+                        let byte = chunk[i];
+                        i += 1;
+                        if byte == b'\r' {
+                            pending_cr += 1;
+                            continue;
+                        }
+                        if byte == b'\n' {
+                            *line_no += 1;
+                            pending_cr = 0;
+                            if content {
+                                done = true;
+                            } else {
+                                first_line = *line_no + 1;
+                            }
+                            continue;
+                        }
+                        if pending_cr > 0 {
+                            flush_cr(buf, &mut pending_cr);
+                            state = State::Unquoted;
+                        }
+                        content = true;
+                        if byte == b',' {
+                            ends.push(buf.len());
+                            state = State::FieldStart;
+                        } else if state == State::Unquoted {
+                            return Err(csv_error(
+                                first_line,
+                                "quote in the middle of an unquoted field",
+                            ));
+                        } else {
+                            state = State::Quoted;
+                        }
+                    }
+                    State::Quoted => {
+                        let run = chunk[i..]
+                            .iter()
+                            .position(|&b| b == b'"')
+                            .unwrap_or(chunk.len() - i);
+                        let text = &chunk[i..i + run];
+                        *line_no += text.iter().filter(|&&b| b == b'\n').count();
+                        buf.extend_from_slice(text);
+                        i += run;
+                        if i < chunk.len() {
+                            i += 1;
+                            state = State::QuoteInQuoted;
+                        }
+                    }
+                    State::QuoteInQuoted => {
+                        if chunk[i] == b'"' {
+                            buf.push(b'"');
+                            i += 1;
+                            state = State::Quoted;
+                        } else {
+                            state = State::Closed;
+                        }
+                    }
+                    State::Closed => {
+                        let byte = chunk[i];
+                        i += 1;
+                        match byte {
+                            b'\r' => pending_cr += 1,
+                            b'\n' => {
+                                *line_no += 1;
+                                pending_cr = 0;
+                                done = true;
+                            }
+                            b',' if pending_cr == 0 => {
+                                ends.push(buf.len());
+                                state = State::FieldStart;
+                            }
+                            _ => return Err(csv_error(first_line, "text after closing quote")),
                         }
                     }
                 }
             }
-            (true, c) => field.push(c),
+            reader.consume(i);
+            if done {
+                ends.push(buf.len());
+                return Ok(Some(first_line));
+            }
         }
     }
-    if in_quotes {
-        return Err(TableError::Csv {
-            line: line_no,
-            message: "unterminated quoted field".into(),
-        });
+
+    /// Number of fields in the current record.
+    fn num_fields(&self) -> usize {
+        self.ends.len()
     }
-    fields.push(field);
-    Ok(fields)
+
+    /// The fields of the current record, which began on `line`. Fails if
+    /// any field is not UTF-8.
+    fn fields(&self, line: usize) -> Result<Fields<'_>, TableError> {
+        let invalid = || csv_error(line, "invalid UTF-8");
+        // The record is checked in one piece. Its fields are then valid
+        // exactly when each also starts and ends on a character boundary.
+        let text = std::str::from_utf8(&self.buf).map_err(|_| invalid())?;
+        if !self.ends.iter().all(|&end| text.is_char_boundary(end)) {
+            return Err(invalid());
+        }
+        Ok(Fields {
+            text,
+            ends: &self.ends,
+        })
+    }
 }
 
-/// Read the next logical record (which may span physical lines when quoted
-/// fields contain newlines). Returns `None` at end of input.
-fn read_record<R: BufRead>(
-    reader: &mut R,
-    line_no: &mut usize,
-) -> Result<Option<(Vec<String>, usize)>, TableError> {
-    // Outer loop skips blank lines between records without recursing.
-    loop {
-        let mut buf = String::new();
-        loop {
-            let n = reader.read_line(&mut buf)?;
-            if n == 0 {
-                if buf.is_empty() {
-                    return Ok(None);
-                }
-                break;
-            }
-            *line_no += 1;
-            // A record is complete when quotes balance.
-            let quotes = buf.chars().filter(|&c| c == '"').count();
-            if quotes % 2 == 0 {
-                break;
-            }
-        }
-        let start = *line_no;
-        while buf.ends_with('\n') || buf.ends_with('\r') {
-            buf.pop();
-        }
-        if buf.is_empty() {
-            continue;
-        }
-        let fields = split_record(&buf, start)?;
-        return Ok(Some((fields, start)));
+/// The fields of one record, checked to be UTF-8.
+struct Fields<'a> {
+    text: &'a str,
+    ends: &'a [usize],
+}
+
+impl<'a> Fields<'a> {
+    /// Field `index`.
+    fn get(&self, index: usize) -> &'a str {
+        let start = if index == 0 { 0 } else { self.ends[index - 1] };
+        &self.text[start..self.ends[index]]
+    }
+}
+
+/// Parse a quantitative cell the way every reader of this crate does: as
+/// an `i64` if it is one, else as a finite `f64`, ignoring surrounding
+/// whitespace.
+fn parse_number(raw: &str, line: usize) -> Result<f64, TableError> {
+    let token = raw.trim();
+    if let Ok(i) = token.parse::<i64>() {
+        return Ok(i as f64);
+    }
+    match token.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(x),
+        _ => Err(TableError::BadNumber {
+            line,
+            token: raw.to_owned(),
+        }),
     }
 }
 
@@ -124,15 +296,14 @@ pub fn read_table<R: BufRead>(reader: R, schema: &Schema) -> Result<Table, Table
 /// the ingest half of the out-of-core path. The header is parsed once at
 /// construction (same by-name matching as [`read_table`]); each
 /// [`CsvChunks::next_chunk`] call then reads up to `chunk_rows` logical
-/// records into its own [`Table`]. Record assembly reuses the same
-/// quote-balancing reader as the whole-table path, so a quoted field
-/// spanning a block boundary stays one record.
+/// records into its own [`Table`]. The quote state machine runs over the
+/// byte stream, not over blocks, so a quoted field spanning a block
+/// boundary stays one record.
 pub struct CsvChunks<R: BufRead> {
-    reader: R,
+    records: RecordReader<R>,
     schema: Schema,
     /// CSV column position -> schema attribute.
-    order: Vec<crate::schema::AttributeId>,
-    line_no: usize,
+    order: Vec<AttributeId>,
     chunk_rows: usize,
 }
 
@@ -140,36 +311,36 @@ impl<R: BufRead> CsvChunks<R> {
     /// Parse the header and prepare to stream blocks of at most
     /// `chunk_rows` records. Fails on an empty input (no header), a
     /// header/schema column-count mismatch, or an unknown header name.
-    pub fn new(mut reader: R, schema: Schema, chunk_rows: usize) -> Result<Self, TableError> {
+    pub fn new(reader: R, schema: Schema, chunk_rows: usize) -> Result<Self, TableError> {
         assert!(chunk_rows >= 1, "chunk_rows must be at least 1");
-        let mut line_no = 0usize;
-        let (header, header_line) =
-            read_record(&mut reader, &mut line_no)?.ok_or(TableError::Csv {
-                line: 1,
-                message: "empty input (no header)".into(),
-            })?;
-        if header.len() != schema.len() {
+        let mut records = RecordReader::new(reader);
+        let header_line = records.next_record()?.ok_or(TableError::Csv {
+            line: 1,
+            message: "empty input (no header)".into(),
+        })?;
+        if records.num_fields() != schema.len() {
             return Err(TableError::Csv {
                 line: header_line,
                 message: format!(
                     "header has {} columns but schema has {}",
-                    header.len(),
+                    records.num_fields(),
                     schema.len()
                 ),
             });
         }
-        let mut order = Vec::with_capacity(header.len());
-        for name in &header {
+        let header = records.fields(header_line)?;
+        let mut order = Vec::with_capacity(schema.len());
+        for pos in 0..records.num_fields() {
+            let name = header.get(pos);
             order.push(schema.id_of(name.trim()).map_err(|_| TableError::Csv {
                 line: header_line,
                 message: format!("header column `{name}` is not in the schema"),
             })?);
         }
         Ok(CsvChunks {
-            reader,
+            records,
             schema,
             order,
-            line_no,
             chunk_rows,
         })
     }
@@ -180,48 +351,32 @@ impl<R: BufRead> CsvChunks<R> {
     /// chunk.
     pub fn next_chunk(&mut self) -> Result<Option<Table>, TableError> {
         let mut table = Table::new(self.schema.clone());
-        let mut cells: Vec<Value> = vec![Value::Int(0); self.schema.len()];
         while table.num_rows() < self.chunk_rows {
-            let Some((fields, line)) = read_record(&mut self.reader, &mut self.line_no)? else {
+            let Some(line) = self.records.next_record()? else {
                 break;
             };
-            if fields.len() != self.schema.len() {
+            if self.records.num_fields() != self.schema.len() {
                 return Err(TableError::Csv {
                     line,
                     message: format!(
                         "record has {} fields but schema has {}",
-                        fields.len(),
+                        self.records.num_fields(),
                         self.schema.len()
                     ),
                 });
             }
-            for (pos, raw) in fields.iter().enumerate() {
-                let id = self.order[pos];
-                let def = self.schema.attribute(id);
-                cells[id.index()] = match def.kind() {
-                    AttributeKind::Categorical => Value::Cat(raw.clone()),
-                    AttributeKind::Quantitative => {
-                        let token = raw.trim();
-                        if let Ok(i) = token.parse::<i64>() {
-                            Value::Int(i)
-                        } else if let Ok(x) = token.parse::<f64>() {
-                            if !x.is_finite() {
-                                return Err(TableError::BadNumber {
-                                    line,
-                                    token: raw.clone(),
-                                });
-                            }
-                            Value::Float(x)
-                        } else {
-                            return Err(TableError::BadNumber {
-                                line,
-                                token: raw.clone(),
-                            });
-                        }
-                    }
-                };
+            // A failed record fails the whole read, so cells go straight
+            // into their columns and the row is counted once all are in.
+            let fields = self.records.fields(line)?;
+            for (pos, id) in self.order.iter().enumerate() {
+                let raw = fields.get(pos);
+                let column = table.column_mut(id.index());
+                match column {
+                    Column::Categorical(_) => column.push_label(raw),
+                    Column::Quantitative { .. } => column.push_number(parse_number(raw, line)?),
+                }
             }
-            table.push_row(&cells)?;
+            table.finish_row();
         }
         if table.num_rows() == 0 {
             return Ok(None);
@@ -259,6 +414,7 @@ pub fn write_table<W: Write>(writer: &mut W, table: &Table) -> Result<(), TableE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn schema() -> Schema {
         Schema::builder()
@@ -382,6 +538,122 @@ mod tests {
         let s = Schema::builder().categorical("c").build().unwrap();
         let err = read_table("c\nab\"cd\n".as_bytes(), &s).unwrap_err();
         assert!(matches!(err, TableError::Csv { .. }));
+    }
+
+    #[test]
+    fn stray_quote_reports_its_line_in_linear_time() {
+        // Re-counting quotes over a growing buffer made this quadratic and
+        // named the last line of the file.
+        let s = Schema::builder()
+            .quantitative("x")
+            .categorical("c")
+            .build()
+            .unwrap();
+        let mut input = String::from("x,c\n1,a\"b\n");
+        for i in 0..200_000 {
+            input.push_str(&format!("{i},plain\n"));
+        }
+        let started = std::time::Instant::now();
+        let err = read_table(input.as_bytes(), &s).unwrap_err();
+        assert_eq!(
+            err,
+            TableError::Csv {
+                line: 2,
+                message: "quote in the middle of an unquoted field".into()
+            }
+        );
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
+    }
+
+    #[test]
+    fn errors_name_the_records_first_line() {
+        let s = Schema::builder()
+            .categorical("note")
+            .quantitative("x")
+            .build()
+            .unwrap();
+        let input = "note,x\nok,1\n\n\"spans\nthree\nlines\",oops\n";
+        let err = read_table(input.as_bytes(), &s).unwrap_err();
+        assert_eq!(
+            err,
+            TableError::BadNumber {
+                line: 4,
+                token: "oops".into()
+            }
+        );
+        let err = read_table("note,x\n\"a\nb\",1,2\n".as_bytes(), &s).unwrap_err();
+        assert!(matches!(err, TableError::Csv { line: 2, .. }), "{err}");
+        let err = read_table("note,x\n\"a\nb\"c,1\n".as_bytes(), &s).unwrap_err();
+        assert_eq!(
+            err,
+            TableError::Csv {
+                line: 2,
+                message: "text after closing quote".into()
+            }
+        );
+        let err = read_table("note,x\nx,1\n\"open\n\n".as_bytes(), &s).unwrap_err();
+        assert_eq!(
+            err,
+            TableError::Csv {
+                line: 3,
+                message: "unterminated quoted field".into()
+            }
+        );
+    }
+
+    #[test]
+    fn invalid_utf8_is_a_csv_error_with_its_line() {
+        let s = Schema::builder()
+            .categorical("c")
+            .quantitative("x")
+            .build()
+            .unwrap();
+        // The two bytes of `é` split by a comma are each invalid alone.
+        let input: &[u8] = b"c,x\nok,1\n\xC3,\xA9\n";
+        let err = read_table(input, &s).unwrap_err();
+        assert_eq!(
+            err,
+            TableError::Csv {
+                line: 3,
+                message: "invalid UTF-8".into()
+            }
+        );
+        let t = read_table("c,x\n\u{e9},1\n".as_bytes(), &s).unwrap();
+        assert_eq!(t.row(0).value(0), Value::from("\u{e9}"));
+    }
+
+    #[test]
+    fn carriage_returns_outside_line_ends_are_content() {
+        let s = Schema::builder()
+            .categorical("a")
+            .categorical("b")
+            .build()
+            .unwrap();
+        let t = read_table("a,b\r\nx\ry,z\r\r\n\r\n\"q\r\nr\",\r\n".as_bytes(), &s).unwrap();
+        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.row(0).value(0), Value::from("x\ry"));
+        assert_eq!(t.row(0).value(1), Value::from("z"));
+        assert_eq!(t.row(1).value(0), Value::from("q\r\nr"));
+        assert_eq!(t.row(1).value(1), Value::from(""));
+        let err = read_table("a,b\n\"x\"\r,y\n".as_bytes(), &s).unwrap_err();
+        assert!(matches!(err, TableError::Csv { line: 2, .. }), "{err}");
+    }
+
+    #[test]
+    fn negative_zero_is_read_as_zero() {
+        let s = Schema::builder().quantitative("x").build().unwrap();
+        let t = read_table("x\n-0.0\n0\n".as_bytes(), &s).unwrap();
+        let data = t.column(AttributeId(0)).as_quantitative().unwrap();
+        assert!(data.iter().all(|v| v.to_bits() == 0.0f64.to_bits()));
+    }
+
+    #[test]
+    fn categorical_cells_share_one_dictionary_entry() {
+        let s = Schema::builder().categorical("c").build().unwrap();
+        let t = read_table("c\nb\na\nb\nb\n".as_bytes(), &s).unwrap();
+        let cells = t.column(AttributeId(0)).as_categorical().unwrap();
+        assert_eq!(cells.codes(), &[0, 1, 0, 0]);
+        assert_eq!(cells.dictionary().len(), 2);
     }
 
     /// Collect every chunk of `input` at the given block size.

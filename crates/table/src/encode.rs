@@ -15,9 +15,10 @@
 //! back to human-readable form for rule output.
 
 use crate::error::TableError;
-use crate::schema::{AttributeId, AttributeKind, Schema};
+use crate::histogram::{CatHistogram, Histogram, QuantHistogram};
+use crate::schema::{AttributeId, Schema};
 use crate::table::{Column, Table};
-use crate::value::Value;
+use crate::value::{canonical, Value};
 
 /// Inclusive display bounds of one encoded interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,36 +71,38 @@ pub enum AttributeEncoder {
 }
 
 impl AttributeEncoder {
-    /// Build a categorical encoder from a column (sorted distinct labels).
-    pub fn categorical_from(data: &[String]) -> Self {
-        let mut labels: Vec<String> = data.to_vec();
-        labels.sort();
-        labels.dedup();
-        AttributeEncoder::Categorical { labels }
+    /// Build a categorical encoder from a column's histogram (its sorted
+    /// distinct labels).
+    pub fn categorical_from(histogram: &CatHistogram) -> Self {
+        AttributeEncoder::Categorical {
+            labels: histogram.labels().to_vec(),
+        }
     }
 
-    /// Build a full-resolution quantitative encoder from a column.
-    pub fn quant_values_from(data: &[f64], integral: bool) -> Self {
-        let mut values = data.to_vec();
-        values.sort_by(f64::total_cmp);
-        values.dedup();
-        AttributeEncoder::QuantValues { values, integral }
+    /// Build a full-resolution quantitative encoder from a column's
+    /// histogram (its sorted distinct values).
+    pub fn quant_values_from(histogram: &QuantHistogram) -> Self {
+        AttributeEncoder::QuantValues {
+            values: histogram.values().to_vec(),
+            integral: histogram.integral(),
+        }
     }
 
     /// Build an interval encoder from cut points. Display bounds are the
-    /// observed per-interval min/max of `data`; empty intervals fall back to
-    /// the cut bounds.
+    /// smallest and largest distinct value of the histogram falling in
+    /// each interval; empty intervals fall back to the cut bounds.
     ///
     /// `cuts` must be strictly increasing; `k = cuts.len() + 1` intervals
     /// result.
-    pub fn quant_intervals_from(data: &[f64], cuts: Vec<f64>, integral: bool) -> Self {
+    pub fn quant_intervals_from(histogram: &QuantHistogram, cuts: Vec<f64>) -> Self {
         debug_assert!(
             cuts.windows(2).all(|w| w[0] < w[1]),
             "cut points must be strictly increasing"
         );
         let k = cuts.len() + 1;
-        let global_min = data.iter().copied().fold(f64::INFINITY, f64::min);
-        let global_max = data.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let values = histogram.values();
+        let global_min = values.first().copied().unwrap_or(f64::INFINITY);
+        let global_max = values.last().copied().unwrap_or(f64::NEG_INFINITY);
         let mut display: Vec<IntervalSpec> = (0..k)
             .map(|i| {
                 let lo = if i == 0 { global_min } else { cuts[i - 1] };
@@ -108,35 +111,35 @@ impl AttributeEncoder {
             })
             .collect();
         // Tighten to observed values so rule output reads like the paper's
-        // "Age: 20..29" rather than "Age: 19.5..29.5".
+        // "Age: 20..29" rather than "Age: 19.5..29.5". Values ascend, so
+        // an interval's first value is its low bound and its last the high.
         let mut seen = vec![false; k];
-        for &v in data {
+        for &v in values {
             let idx = cuts.partition_point(|&c| c <= v);
             if !seen[idx] {
-                display[idx] = IntervalSpec { lo: v, hi: v };
+                display[idx].lo = v;
                 seen[idx] = true;
-            } else {
-                display[idx].lo = display[idx].lo.min(v);
-                display[idx].hi = display[idx].hi.max(v);
             }
+            display[idx].hi = v;
         }
         AttributeEncoder::QuantIntervals {
             cuts,
             display,
-            integral,
+            integral: histogram.integral(),
         }
     }
 
-    /// Build a taxonomy-ordered categorical encoder from a column and its
-    /// taxonomy (Step 1/2 for categorical attributes with an is-a
-    /// hierarchy). Labels are numbered in taxonomy DFS order so every
-    /// interior node covers a contiguous code interval, returned as
-    /// `groups`.
+    /// Build a taxonomy-ordered categorical encoder from a column's
+    /// histogram and its taxonomy (Step 1/2 for categorical attributes
+    /// with an is-a hierarchy). Labels are numbered in taxonomy DFS order
+    /// so every interior node covers a contiguous code interval, returned
+    /// as `groups`.
     pub fn categorical_with_taxonomy(
-        data: &[String],
+        histogram: &CatHistogram,
         taxonomy: &crate::taxonomy::Taxonomy,
     ) -> Result<Self, TableError> {
-        let observed: std::collections::BTreeSet<String> = data.iter().cloned().collect();
+        let observed: std::collections::BTreeSet<String> =
+            histogram.labels().iter().cloned().collect();
         let (labels, groups) = taxonomy.plan(&observed)?;
         let mut sorted_index: Vec<u32> = (0..labels.len() as u32).collect();
         sorted_index.sort_by(|&a, &b| labels[a as usize].cmp(&labels[b as usize]));
@@ -180,40 +183,51 @@ impl AttributeEncoder {
     /// full-resolution and categorical encoders reject values they have
     /// never seen.
     pub fn encode(&self, attribute: &str, value: &Value) -> Result<u32, TableError> {
-        let unencodable = || TableError::UnencodableValue {
+        let code = match value {
+            Value::Cat(label) => self.encode_label(label),
+            number => self.encode_number(number.as_f64().expect("numeric value")),
+        };
+        code.ok_or_else(|| TableError::UnencodableValue {
             attribute: attribute.to_owned(),
             value: value.to_string(),
-        };
+        })
+    }
+
+    /// The code of a categorical label, if this encoder is categorical and
+    /// knows it.
+    fn encode_label(&self, label: &str) -> Option<u32> {
         match self {
-            AttributeEncoder::Categorical { labels } => {
-                let s = value.as_cat().ok_or_else(unencodable)?;
-                labels
-                    .binary_search_by(|l| l.as_str().cmp(s))
-                    .map(|i| i as u32)
-                    .map_err(|_| unencodable())
-            }
-            AttributeEncoder::QuantValues { values, .. } => {
-                let v = value.as_f64().ok_or_else(unencodable)?;
-                values
-                    .binary_search_by(|x| x.total_cmp(&v))
-                    .map(|i| i as u32)
-                    .map_err(|_| unencodable())
-            }
-            AttributeEncoder::QuantIntervals { cuts, .. } => {
-                let v = value.as_f64().ok_or_else(unencodable)?;
-                Ok(cuts.partition_point(|&c| c <= v) as u32)
-            }
+            AttributeEncoder::Categorical { labels } => labels
+                .binary_search_by(|l| l.as_str().cmp(label))
+                .ok()
+                .map(|i| i as u32),
             AttributeEncoder::CategoricalTaxonomy {
                 labels,
                 sorted_index,
                 ..
-            } => {
-                let s = value.as_cat().ok_or_else(unencodable)?;
-                sorted_index
-                    .binary_search_by(|&i| labels[i as usize].as_str().cmp(s))
-                    .map(|pos| sorted_index[pos])
-                    .map_err(|_| unencodable())
+            } => sorted_index
+                .binary_search_by(|&i| labels[i as usize].as_str().cmp(label))
+                .ok()
+                .map(|pos| sorted_index[pos]),
+            _ => None,
+        }
+    }
+
+    /// The code of a number, if this encoder is quantitative and (at full
+    /// resolution) knows it. `-0.0` encodes as `0`.
+    fn encode_number(&self, v: f64) -> Option<u32> {
+        let v = canonical(v);
+        match self {
+            // Catalogs written before tables stored `-0.0` as `0.0` may
+            // hold `-0.0` among their values.
+            AttributeEncoder::QuantValues { values, .. } => values
+                .binary_search_by(|x| canonical(*x).total_cmp(&v))
+                .ok()
+                .map(|i| i as u32),
+            AttributeEncoder::QuantIntervals { cuts, .. } => {
+                Some(cuts.partition_point(|&c| c <= v) as u32)
             }
+            _ => None,
         }
     }
 
@@ -300,6 +314,10 @@ pub struct EncodedTable {
 
 impl EncodedTable {
     /// Encode `table` using one encoder per attribute (schema order).
+    ///
+    /// A categorical column is mapped by one lookup per dictionary entry
+    /// and then a gather over its codes; a quantitative column by rank
+    /// (full resolution) or by interval.
     pub fn encode(table: &Table, encoders: Vec<AttributeEncoder>) -> Result<Self, TableError> {
         assert_eq!(
             encoders.len(),
@@ -311,32 +329,32 @@ impl EncodedTable {
         for (idx, encoder) in encoders.iter().enumerate() {
             let id = AttributeId(idx);
             let name = schema.attribute(id).name();
-            let mut codes = Vec::with_capacity(table.num_rows());
-            match (table.column(id), encoder) {
-                (Column::Quantitative { data, .. }, enc) if enc.is_quantitative() => {
-                    for &v in data {
-                        codes.push(enc.encode(name, &Value::Float(v))?);
-                    }
-                }
-                (Column::Categorical { data }, AttributeEncoder::Categorical { labels }) => {
-                    for s in data {
-                        let code = labels
-                            .binary_search_by(|l| l.as_str().cmp(s))
-                            .map(|i| i as u32)
-                            .map_err(|_| TableError::UnencodableValue {
-                                attribute: name.to_owned(),
-                                value: s.clone(),
-                            })?;
-                        codes.push(code);
-                    }
-                }
-                (
-                    Column::Categorical { data },
-                    enc @ AttributeEncoder::CategoricalTaxonomy { .. },
-                ) => {
-                    for s in data {
-                        codes.push(enc.encode(name, &Value::Cat(s.clone()))?);
-                    }
+            let unencodable = |value: String| TableError::UnencodableValue {
+                attribute: name.to_owned(),
+                value,
+            };
+            let codes = match table.column(id) {
+                Column::Quantitative { data, .. } if encoder.is_quantitative() => data
+                    .iter()
+                    .map(|&v| {
+                        encoder
+                            .encode_number(v)
+                            .ok_or_else(|| unencodable(Value::Float(v).to_string()))
+                    })
+                    .collect::<Result<Vec<u32>, _>>()?,
+                // Dictionary codes are in first-seen order, so the first
+                // unknown entry is also the first row that fails.
+                Column::Categorical(cells) if !encoder.is_quantitative() => {
+                    let remap = cells
+                        .dictionary()
+                        .labels()
+                        .map(|label| {
+                            encoder
+                                .encode_label(label)
+                                .ok_or_else(|| unencodable(label.to_owned()))
+                        })
+                        .collect::<Result<Vec<u32>, _>>()?;
+                    cells.codes().iter().map(|&c| remap[c as usize]).collect()
                 }
                 _ => {
                     return Err(TableError::TypeMismatch {
@@ -345,7 +363,7 @@ impl EncodedTable {
                         got: "mismatched encoder".to_owned(),
                     })
                 }
-            }
+            };
             columns.push(codes);
         }
         Ok(EncodedTable {
@@ -361,16 +379,11 @@ impl EncodedTable {
     /// has few values).
     pub fn encode_full_resolution(table: &Table) -> Result<Self, TableError> {
         let encoders = table
-            .schema()
+            .histograms()
             .iter()
-            .map(|(id, def)| match (def.kind(), table.column(id)) {
-                (AttributeKind::Categorical, Column::Categorical { data }) => {
-                    AttributeEncoder::categorical_from(data)
-                }
-                (AttributeKind::Quantitative, Column::Quantitative { data, integral }) => {
-                    AttributeEncoder::quant_values_from(data, *integral)
-                }
-                _ => unreachable!("columns always match their schema kind"),
+            .map(|histogram| match histogram {
+                Histogram::Categorical(h) => AttributeEncoder::categorical_from(h),
+                Histogram::Quantitative(h) => AttributeEncoder::quant_values_from(h),
             })
             .collect();
         Self::encode(table, encoders)
@@ -459,6 +472,14 @@ mod tests {
     use super::*;
     use crate::schema::Schema;
 
+    fn cats(labels: &[&str]) -> CatHistogram {
+        CatHistogram::from_labels(labels)
+    }
+
+    fn quants(values: &[f64]) -> QuantHistogram {
+        QuantHistogram::from_values(values)
+    }
+
     fn people() -> Table {
         let schema = Schema::builder()
             .quantitative("age")
@@ -499,8 +520,11 @@ mod tests {
     fn interval_encoding_matches_paper_figure_3() {
         // Figure 3b partitions Age into <20..24> <25..29> <30..34> <35..39>.
         let t = people();
-        let ages = t.column(AttributeId(0)).as_quantitative().unwrap();
-        let enc = AttributeEncoder::quant_intervals_from(ages, vec![25.0, 30.0, 35.0], true);
+        let ages = t.histogram(AttributeId(0));
+        let enc = AttributeEncoder::quant_intervals_from(
+            ages.as_quantitative().unwrap(),
+            vec![25.0, 30.0, 35.0],
+        );
         assert_eq!(enc.cardinality(), 4);
         assert_eq!(enc.encode("age", &Value::Int(23)).unwrap(), 0);
         assert_eq!(enc.encode("age", &Value::Int(25)).unwrap(), 1);
@@ -515,7 +539,7 @@ mod tests {
 
     #[test]
     fn categorical_round_trip_and_rejection() {
-        let enc = AttributeEncoder::categorical_from(&["Yes".into(), "No".into(), "Yes".into()]);
+        let enc = AttributeEncoder::categorical_from(&cats(&["Yes", "No", "Yes"]));
         assert_eq!(enc.cardinality(), 2);
         assert_eq!(enc.encode("married", &Value::from("No")).unwrap(), 0);
         assert_eq!(enc.encode("married", &Value::from("Yes")).unwrap(), 1);
@@ -526,7 +550,7 @@ mod tests {
 
     #[test]
     fn quant_values_rejects_unseen() {
-        let enc = AttributeEncoder::quant_values_from(&[1.0, 3.0, 2.0], true);
+        let enc = AttributeEncoder::quant_values_from(&quants(&[1.0, 3.0, 2.0]));
         assert_eq!(enc.encode("x", &Value::Int(2)).unwrap(), 1);
         assert!(enc.encode("x", &Value::Float(2.5)).is_err());
     }
@@ -534,7 +558,7 @@ mod tests {
     #[test]
     fn interval_out_of_range_clamps() {
         let enc =
-            AttributeEncoder::quant_intervals_from(&[10.0, 20.0, 30.0], vec![15.0, 25.0], true);
+            AttributeEncoder::quant_intervals_from(&quants(&[10.0, 20.0, 30.0]), vec![15.0, 25.0]);
         assert_eq!(enc.encode("x", &Value::Int(-100)).unwrap(), 0);
         assert_eq!(enc.encode("x", &Value::Int(999)).unwrap(), 2);
     }
@@ -542,15 +566,15 @@ mod tests {
     #[test]
     fn numeric_bounds_reported() {
         let enc =
-            AttributeEncoder::quant_intervals_from(&[10.0, 20.0, 30.0], vec![15.0, 25.0], true);
+            AttributeEncoder::quant_intervals_from(&quants(&[10.0, 20.0, 30.0]), vec![15.0, 25.0]);
         assert_eq!(enc.numeric_bounds(0, 1), Some((10.0, 20.0)));
-        let cat = AttributeEncoder::categorical_from(&["a".into()]);
+        let cat = AttributeEncoder::categorical_from(&cats(&["a"]));
         assert_eq!(cat.numeric_bounds(0, 0), None);
     }
 
     #[test]
     fn float_display_keeps_decimals() {
-        let enc = AttributeEncoder::quant_values_from(&[1.5, 2.5], false);
+        let enc = AttributeEncoder::quant_values_from(&quants(&[1.5, 2.5]));
         assert_eq!(enc.describe_range(0, 1), "1.5..2.5");
     }
 
@@ -558,10 +582,59 @@ mod tests {
     fn mismatched_encoder_kind_rejected() {
         let t = people();
         let bad = vec![
-            AttributeEncoder::categorical_from(&["x".into()]), // age is quantitative
-            AttributeEncoder::categorical_from(&["No".into(), "Yes".into()]),
-            AttributeEncoder::quant_values_from(&[0.0, 1.0, 2.0], true),
+            AttributeEncoder::categorical_from(&cats(&["x"])), // age is quantitative
+            AttributeEncoder::categorical_from(&cats(&["No", "Yes"])),
+            AttributeEncoder::quant_values_from(&quants(&[0.0, 1.0, 2.0])),
         ];
         assert!(EncodedTable::encode(&t, bad).is_err());
+    }
+
+    #[test]
+    fn unknown_label_reports_the_first_failing_row() {
+        let t = people();
+        let encoders = vec![
+            AttributeEncoder::quant_values_from(&quants(&[23.0, 25.0, 29.0, 34.0, 38.0])),
+            AttributeEncoder::categorical_from(&cats(&["Yes"])),
+            AttributeEncoder::quant_values_from(&quants(&[0.0, 1.0, 2.0])),
+        ];
+        let err = EncodedTable::encode(&t, encoders).unwrap_err();
+        assert_eq!(
+            err,
+            TableError::UnencodableValue {
+                attribute: "married".into(),
+                value: "No".into()
+            }
+        );
+    }
+
+    #[test]
+    fn negative_zero_beside_zero_encodes_at_full_resolution() {
+        let schema = Schema::builder().quantitative("x").build().unwrap();
+        let mut t = Table::new(schema);
+        for v in [-0.0, 0.0, 1.0, 2.0] {
+            t.push_row(&[Value::Float(v)]).unwrap();
+        }
+        let e = EncodedTable::encode_full_resolution(&t).unwrap();
+        assert_eq!(e.codes(AttributeId(0)), &[0, 0, 1, 2]);
+        assert_eq!(e.encoder(AttributeId(0)).describe_range(0, 0), "0");
+        let enc = e.encoder(AttributeId(0));
+        assert_eq!(enc.encode("x", &Value::Float(-0.0)).unwrap(), 0);
+    }
+
+    #[test]
+    fn taxonomy_encoder_remaps_dictionary_codes() {
+        let tax = crate::Taxonomy::from_edges(&[("a", "g"), ("c", "g")]).unwrap();
+        let schema = Schema::builder().categorical("c").build().unwrap();
+        let mut t = Table::new(schema);
+        for s in ["c", "b", "a", "c"] {
+            t.push_row(&[Value::from(s)]).unwrap();
+        }
+        let hist = t.histogram(AttributeId(0));
+        let enc = AttributeEncoder::categorical_with_taxonomy(hist.as_categorical().unwrap(), &tax)
+            .unwrap();
+        let e = EncodedTable::encode(&t, vec![enc.clone()]).unwrap();
+        for (row, &code) in e.codes(AttributeId(0)).iter().enumerate() {
+            assert_eq!(code, enc.encode("c", &t.row(row).value(0)).unwrap());
+        }
     }
 }

@@ -1,14 +1,17 @@
 //! Column-oriented record storage.
 
+use crate::dictionary::CatColumn;
 use crate::error::TableError;
+use crate::histogram::Histogram;
 use crate::schema::{AttributeId, AttributeKind, Schema};
-use crate::value::Value;
+use crate::value::{canonical, Value};
 
 /// One column of a [`Table`], stored densely by kind.
 ///
 /// Quantitative columns store `f64` (integers are widened on insert and
-/// remembered via the `integral` flag so they render without decimals);
-/// categorical columns store owned strings.
+/// remembered via the `integral` flag so they render without decimals;
+/// `-0.0` is stored as `0.0`). Categorical columns store one `u32` code
+/// per row into a dictionary of labels in first-seen order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// A quantitative column.
@@ -18,33 +21,18 @@ pub enum Column {
         /// True while every inserted value was an integer.
         integral: bool,
     },
-    /// A categorical column.
-    Categorical {
-        /// Cell values, row-aligned with the table.
-        data: Vec<String>,
-    },
+    /// A categorical column: row-aligned codes and their dictionary.
+    Categorical(CatColumn),
 }
 
 impl Column {
-    fn new(kind: AttributeKind) -> Self {
-        match kind {
-            AttributeKind::Quantitative => Column::Quantitative {
-                data: Vec::new(),
-                integral: true,
-            },
-            AttributeKind::Categorical => Column::Categorical { data: Vec::new() },
-        }
-    }
-
     fn with_capacity(kind: AttributeKind, capacity: usize) -> Self {
         match kind {
             AttributeKind::Quantitative => Column::Quantitative {
                 data: Vec::with_capacity(capacity),
                 integral: true,
             },
-            AttributeKind::Categorical => Column::Categorical {
-                data: Vec::with_capacity(capacity),
-            },
+            AttributeKind::Categorical => Column::Categorical(CatColumn::with_capacity(capacity)),
         }
     }
 
@@ -52,7 +40,7 @@ impl Column {
     pub fn len(&self) -> usize {
         match self {
             Column::Quantitative { data, .. } => data.len(),
-            Column::Categorical { data } => data.len(),
+            Column::Categorical(cells) => cells.len(),
         }
     }
 
@@ -70,11 +58,11 @@ impl Column {
         }
     }
 
-    /// The string cells of a categorical column, or `None` for a
-    /// quantitative column.
-    pub fn as_categorical(&self) -> Option<&[String]> {
+    /// The cells of a categorical column, or `None` for a quantitative
+    /// column.
+    pub fn as_categorical(&self) -> Option<&CatColumn> {
         match self {
-            Column::Categorical { data } => Some(data),
+            Column::Categorical(cells) => Some(cells),
             Column::Quantitative { .. } => None,
         }
     }
@@ -96,8 +84,28 @@ impl Column {
                     Value::Float(v)
                 }
             }
-            Column::Categorical { data } => Value::Cat(data[row].clone()),
+            Column::Categorical(cells) => Value::Cat(cells.get(row).to_owned()),
         }
+    }
+
+    /// Append a number to a quantitative column, storing `-0.0` as `0.0`
+    /// and clearing the integral flag on a fractional value.
+    pub(crate) fn push_number(&mut self, x: f64) {
+        let Column::Quantitative { data, integral } = self else {
+            panic!("push_number on a categorical column");
+        };
+        if x.fract() != 0.0 {
+            *integral = false;
+        }
+        data.push(canonical(x));
+    }
+
+    /// Append a label to a categorical column.
+    pub(crate) fn push_label(&mut self, label: &str) {
+        let Column::Categorical(cells) = self else {
+            panic!("push_label on a quantitative column");
+        };
+        cells.push(label);
     }
 }
 
@@ -130,16 +138,7 @@ pub struct Table {
 impl Table {
     /// Create an empty table for `schema`.
     pub fn new(schema: Schema) -> Self {
-        let columns = schema
-            .attributes()
-            .iter()
-            .map(|a| Column::new(a.kind()))
-            .collect();
-        Table {
-            schema,
-            columns,
-            num_rows: 0,
-        }
+        Self::with_capacity(schema, 0)
     }
 
     /// Create an empty table with per-column capacity reserved for
@@ -217,21 +216,34 @@ impl Table {
             }
         }
         for (column, cell) in self.columns.iter_mut().zip(cells) {
-            match (column, cell) {
-                (Column::Quantitative { data, integral }, v) => {
-                    let x = v.as_f64().expect("validated quantitative");
-                    // Whole-number floats keep the column integral.
-                    if x.fract() != 0.0 {
-                        *integral = false;
-                    }
-                    data.push(x);
-                }
-                (Column::Categorical { data }, Value::Cat(s)) => data.push(s.clone()),
-                _ => unreachable!("validated above"),
+            match cell {
+                Value::Cat(s) => column.push_label(s),
+                number => column.push_number(number.as_f64().expect("validated quantitative")),
             }
         }
         self.num_rows += 1;
         Ok(())
+    }
+
+    /// Column `index` for an appender that fills one row across every
+    /// column before calling [`Table::finish_row`].
+    pub(crate) fn column_mut(&mut self, index: usize) -> &mut Column {
+        &mut self.columns[index]
+    }
+
+    /// Count the row every column has just received a cell for.
+    pub(crate) fn finish_row(&mut self) {
+        self.num_rows += 1;
+    }
+
+    /// The value histogram of column `id`.
+    pub fn histogram(&self, id: AttributeId) -> Histogram {
+        Histogram::of(self.column(id))
+    }
+
+    /// The value histogram of every column, schema order.
+    pub fn histograms(&self) -> Vec<Histogram> {
+        self.columns.iter().map(Histogram::of).collect()
     }
 
     /// A lightweight view of one record.
@@ -325,7 +337,8 @@ mod tests {
             .unwrap()
             .as_categorical()
             .unwrap();
-        assert_eq!(married[1], "Yes");
+        assert_eq!(married.get(1), "Yes");
+        assert_eq!(married.codes(), &[0, 1, 0, 1, 1]);
         assert!(t.column_by_name("age").unwrap().is_integral());
     }
 
@@ -402,6 +415,16 @@ mod tests {
             assert!(matches!(err, TableError::NonFiniteValue { .. }), "{bad}");
         }
         assert!(t.is_empty(), "no partial rows");
+    }
+
+    #[test]
+    fn negative_zero_is_stored_as_zero() {
+        let schema = Schema::builder().quantitative("x").build().unwrap();
+        let mut t = Table::new(schema);
+        t.push_row(&[Value::Float(-0.0)]).unwrap();
+        let stored = t.column(AttributeId(0)).as_quantitative().unwrap()[0];
+        assert!(stored == 0.0 && stored.is_sign_positive());
+        assert_eq!(t.row(0).value(0), Value::Int(0));
     }
 
     #[test]

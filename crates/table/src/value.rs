@@ -68,6 +68,17 @@ impl Value {
     }
 }
 
+/// `v` with `-0.0` replaced by `0.0`. Tables store quantitative cells in
+/// this form so that equal numbers have equal bits: `-0.0 == 0.0`, but
+/// `f64::total_cmp` orders them apart.
+pub(crate) fn canonical(v: f64) -> f64 {
+    if v == 0.0 {
+        0.0
+    } else {
+        v
+    }
+}
+
 impl fmt::Display for Value {
     /// Integers render without a decimal point, floats with the shortest
     /// round-trip form, categorical values verbatim.

@@ -3,7 +3,7 @@
 //! newlines, unicode).
 
 use qar_prng::{cases, Prng};
-use qar_table::{csv, Schema, Table, Value};
+use qar_table::{csv, Schema, Table, TableSummary, Value};
 
 fn categorical_string(rng: &mut Prng) -> String {
     // A mix of plain words and adversarial CSV content. Leading/trailing
@@ -95,5 +95,93 @@ fn header_escaping_roundtrips() {
             tricky.as_str(),
             "case {case}"
         );
+    });
+}
+
+/// A label that stresses the quote state machine: delimiters, quotes,
+/// embedded `\n` and `\r\n`, empty strings and surrounding spaces.
+fn adversarial_label(rng: &mut Prng) -> String {
+    const LABELS: &[&str] = &[
+        "with,comma",
+        "with\"quote",
+        "\"",
+        "\"\"",
+        "multi\nline",
+        "crlf\r\nline",
+        "bare\rcr",
+        "",
+        " lead",
+        "trail ",
+        "  ",
+        ",",
+        "plain",
+        "ünïcødé",
+    ];
+    let a = *rng.choose(LABELS).unwrap();
+    if rng.gen_range(0..4u32) == 0 {
+        format!("{a}{}", rng.choose(LABELS).unwrap())
+    } else {
+        a.to_string()
+    }
+}
+
+/// Reading a written table whole and in chunks of 1, 2 and 7 rows gives
+/// back every cell, and the chunks' merged histograms equal the whole
+/// table's.
+#[test]
+fn chunked_roundtrip_with_adversarial_labels() {
+    cases(48, 0x5EED_C511_0003, |case, rng| {
+        let schema = Schema::builder()
+            .categorical("label")
+            .quantitative("q")
+            .categorical("note")
+            .build()
+            .unwrap();
+        let mut table = Table::new(schema.clone());
+        for _ in 0..rng.gen_range(0..40usize) {
+            let q = if rng.gen_range(0..2u32) == 0 {
+                Value::Int(rng.gen_range(-5..5i64))
+            } else {
+                Value::Float(rng.gen_range(-10.0..10.0))
+            };
+            let row = [
+                Value::from(adversarial_label(rng)),
+                q,
+                Value::from(adversarial_label(rng)),
+            ];
+            table.push_row(&row).unwrap();
+        }
+        let mut buf = Vec::new();
+        csv::write_table(&mut buf, &table).unwrap();
+        let whole = csv::read_table(buf.as_slice(), &schema).unwrap();
+        // A chunk of whole numbers renders them as integers, so cells
+        // compare as numbers or labels.
+        let rows = |t: &Table| {
+            t.rows()
+                .flat_map(|r| r.to_values())
+                .map(|v| match v {
+                    Value::Cat(s) => Err(s),
+                    number => Ok(number.as_f64().unwrap().to_bits()),
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rows(&whole), rows(&table), "case {case}");
+        for chunk_rows in [1, 2, 7] {
+            let mut chunks =
+                csv::CsvChunks::new(buf.as_slice(), schema.clone(), chunk_rows).unwrap();
+            let mut summary = TableSummary::new(schema.clone());
+            let mut read = Vec::new();
+            while let Some(chunk) = chunks.next_chunk().unwrap() {
+                assert!(chunk.num_rows() <= chunk_rows, "case {case}");
+                summary.add_chunk(&chunk);
+                read.extend(rows(&chunk));
+            }
+            assert_eq!(read, rows(&table), "case {case} chunk_rows={chunk_rows}");
+            assert_eq!(
+                summary.histograms(),
+                whole.histograms(),
+                "case {case} chunk_rows={chunk_rows}"
+            );
+        }
     });
 }

@@ -215,6 +215,27 @@ echo "==> counts size smoke (pass 2 persisted as pair cells, COUNTS under 1 MiB)
 awk '/counts \(tag 6\):/ { found = 1; if ($4 > 1048576) { print "COUNTS is " $4 " bytes, over 1 MiB"; exit 1 } }
      END { if (!found) { print "no COUNTS section"; exit 1 } }' "$STORE_DIR/credit.inventory"
 
+echo "==> csv robustness (stray quote fails fast on its line; -0.0 beside 0 mines)"
+# The reader is one pass over the bytes: a stray quote on line 2 of a
+# 100,000-row file must be rejected well inside the timeout and named by
+# its line (re-counting quotes per physical line made this quadratic and
+# named the last line). Exit status 124 is the timeout firing.
+./target/release/qar generate credit --records 100000 --output "$STORE_DIR/stray.csv"
+sed -i '2s/^\([^,]*\)/\1"x/' "$STORE_DIR/stray.csv"
+status=0
+timeout 10 ./target/release/qar mine --input "$STORE_DIR/stray.csv" \
+    --schema employee_category:cat,marital_status:cat,monthly_income:quant,credit_limit:quant,current_balance:quant,ytd_balance:quant,ytd_interest:quant \
+    > /dev/null 2> "$STORE_DIR/stray.err" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+    echo "stray quote: expected a parse error, got exit status $status" >&2
+    exit 1
+fi
+grep -q "on line 2:" "$STORE_DIR/stray.err"
+# -0.0 and 0 are one value, so full resolution encodes both.
+printf 'x,c\n-0.0,a\n0,b\n1,a\n2,b\n' > "$STORE_DIR/zeros.csv"
+./target/release/qar mine --input "$STORE_DIR/zeros.csv" --schema x:quant,c:cat \
+    --no-partition > /dev/null
+
 echo "==> update bench smoke (delta-update speedup floor)"
 # Quick run of the incremental-update bench: exits non-zero when a 1%
 # delta update fails to beat re-mining base+delta from scratch by at

@@ -1301,12 +1301,15 @@ pub fn run_mine_chunked(
             .map(std::io::BufReader::new)
             .map_err(|e| err(format!("cannot open `{}`: {e}", args.input)))
     };
-    // Pass 1 (stats): per-attribute summaries — enough to build the exact
-    // encoders Steps 1-2 would build on the in-memory table.
+    // Pass 1 (stats): merged per-attribute value histograms — the exact
+    // input Steps 1-2 read on the in-memory table.
     let summary = qar_table::chunk::summarize_csv(open()?, &schema, args.chunk_rows)?;
-    let (encoders, intervals) =
-        qar_core::pipeline::build_encoders_from_summary(&summary, &args.config)
-            .map_err(box_miner_error)?;
+    let (encoders, intervals) = qar_core::pipeline::build_encoders_from_histograms(
+        summary.schema(),
+        &summary.histograms(),
+        &args.config,
+    )
+    .map_err(box_miner_error)?;
     // Pass 2 (spill): encode row blocks and write per-chunk code files.
     let dir = qar_table::chunk::default_spill_dir("mine");
     let store = qar_table::chunk::spill_csv(open()?, &schema, encoders, args.chunk_rows, &dir)?;
@@ -3963,44 +3966,54 @@ mod tests {
         let pid = std::process::id();
         let csv_path = std::env::temp_dir().join(format!("qar-cli-chunked-{pid}.csv"));
         std::fs::write(&csv_path, &csv_bytes).expect("write CSV");
-        let parse_mine = || {
-            let cmd = parse_command(&argv(
-                "mine --input - --schema Age:quant,Married:cat,NumCars:quant \
-                 --minsup 0.4 --minconf 0.5 --maxsup 1.0 --no-partition \
+        // Unpartitioned, and partitioned from the chunks' merged histograms.
+        for partition in ["--no-partition", "--intervals 2"] {
+            let parse_mine = || {
+                let cmd = parse_command(&argv(&format!(
+                    "mine --input - --schema Age:quant,Married:cat,NumCars:quant \
+                 --minsup 0.4 --minconf 0.5 --maxsup 1.0 {partition} \
                  --normalize-stats --format json",
-            ))
-            .unwrap();
-            let Command::Mine(args) = cmd else { panic!() };
-            args
-        };
+                )))
+                .unwrap();
+                let Command::Mine(args) = cmd else { panic!() };
+                args
+            };
 
-        // In-memory reference run.
-        let ref_path = std::env::temp_dir().join(format!("qar-cli-chunked-{pid}-ref.qarcat"));
-        let mut args = parse_mine();
-        args.store = Some(ref_path.to_str().unwrap().to_string());
-        let mut ref_report = Vec::new();
-        run_mine_on_table(&table, &args, None, &mut ref_report).expect("in-memory mine");
-        let ref_catalog = std::fs::read(&ref_path).expect("reference catalog");
-        std::fs::remove_file(&ref_path).ok();
-
-        // Out-of-core runs: 3-row chunks force many spill files; the
-        // distributed variant hands whole chunks to worker threads.
-        for workers in [0usize, 2] {
-            let path = std::env::temp_dir().join(format!("qar-cli-chunked-{pid}-{workers}.qarcat"));
+            // In-memory reference run.
+            let ref_path = std::env::temp_dir().join(format!("qar-cli-chunked-{pid}-ref.qarcat"));
             let mut args = parse_mine();
-            args.input = csv_path.to_str().unwrap().to_string();
-            args.chunk_rows = 3;
-            args.workers = workers;
-            args.store = Some(path.to_str().unwrap().to_string());
-            let spawn =
-                (workers > 0).then(|| WorkerSpawn::Threads(qar_dist::WorkerOptions::default()));
-            let mut report = Vec::new();
-            run_mine_chunked(&args, spawn, &mut report)
-                .unwrap_or_else(|e| panic!("chunked, {workers} workers: {e}"));
-            let catalog = std::fs::read(&path).expect("chunked catalog");
-            std::fs::remove_file(&path).ok();
-            assert_eq!(report, ref_report, "chunked report, {workers} workers");
-            assert_eq!(catalog, ref_catalog, "chunked catalog, {workers} workers");
+            args.store = Some(ref_path.to_str().unwrap().to_string());
+            let mut ref_report = Vec::new();
+            run_mine_on_table(&table, &args, None, &mut ref_report).expect("in-memory mine");
+            let ref_catalog = std::fs::read(&ref_path).expect("reference catalog");
+            std::fs::remove_file(&ref_path).ok();
+
+            // Out-of-core runs: 3-row chunks force many spill files; the
+            // distributed variant hands whole chunks to worker threads.
+            for workers in [0usize, 2] {
+                let path =
+                    std::env::temp_dir().join(format!("qar-cli-chunked-{pid}-{workers}.qarcat"));
+                let mut args = parse_mine();
+                args.input = csv_path.to_str().unwrap().to_string();
+                args.chunk_rows = 3;
+                args.workers = workers;
+                args.store = Some(path.to_str().unwrap().to_string());
+                let spawn =
+                    (workers > 0).then(|| WorkerSpawn::Threads(qar_dist::WorkerOptions::default()));
+                let mut report = Vec::new();
+                run_mine_chunked(&args, spawn, &mut report)
+                    .unwrap_or_else(|e| panic!("chunked, {workers} workers: {e}"));
+                let catalog = std::fs::read(&path).expect("chunked catalog");
+                std::fs::remove_file(&path).ok();
+                assert_eq!(
+                    report, ref_report,
+                    "{partition}: chunked report, {workers} workers"
+                );
+                assert_eq!(
+                    catalog, ref_catalog,
+                    "{partition}: chunked catalog, {workers} workers"
+                );
+            }
         }
         std::fs::remove_file(&csv_path).ok();
     }

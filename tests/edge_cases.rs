@@ -205,3 +205,28 @@ fn kmeans_strategy_end_to_end() {
         "k-means cluster rule missing from {rendered:?}"
     );
 }
+
+/// `-0.0` and `0` are one value: both are stored as `0`, so a column
+/// holding both encodes at full resolution, and a fractional column shows
+/// the merged value as `0`.
+#[test]
+fn negative_zero_beside_zero_mines_at_full_resolution() {
+    let schema = Schema::builder()
+        .quantitative("x")
+        .categorical("c")
+        .build()
+        .unwrap();
+    let input = "x,c\n-0.0,a\n0,b\n1,a\n2,b\n";
+    let t = csv::read_table(input.as_bytes(), &schema).expect("parse");
+    let out = Miner::new(base_config())
+        .mine(&t)
+        .expect("-0.0 beside 0 must encode");
+    let x = quantrules::table::AttributeId(0);
+    assert_eq!(out.encoded.codes(x), &[0, 0, 1, 2]);
+    assert_eq!(out.encoded.encoder(x).describe_range(0, 0), "0");
+
+    let fractional = "x,c\n-0.0,a\n0.5,b\n";
+    let t = csv::read_table(fractional.as_bytes(), &schema).expect("parse");
+    let encoded = quantrules::table::EncodedTable::encode_full_resolution(&t).unwrap();
+    assert_eq!(encoded.encoder(x).describe_range(0, 1), "0..0.5");
+}

@@ -128,7 +128,9 @@ fn partitioned_mining_is_k_complete() {
             let col = table.column(id).as_quantitative().expect("quantitative");
             let k_intervals = intervals[id.index()].unwrap_or(0);
             let cuts = if k_intervals > 0 {
-                EquiDepth.cut_points(col, k_intervals)
+                let h = table.histogram(id);
+                let h = h.as_quantitative().expect("quantitative");
+                EquiDepth.cut_points(h.values(), h.counts(), k_intervals)
             } else {
                 Vec::new()
             };

@@ -6,7 +6,7 @@ use quantrules::core::{Miner, MinerConfig, PartitionSpec};
 use quantrules::datagen::people::fig3_age_cuts;
 use quantrules::datagen::people_table;
 use quantrules::itemset::{Item, Itemset};
-use quantrules::table::{AttributeEncoder, AttributeId, EncodedTable};
+use quantrules::table::{AttributeEncoder, AttributeId, EncodedTable, Histogram};
 
 fn fig1_config() -> MinerConfig {
     MinerConfig {
@@ -71,20 +71,16 @@ fn figure_2_boolean_mapping() {
 #[test]
 fn figure_3_problem_decomposition() {
     let table = people_table();
-    let ages = table
-        .column(AttributeId(0))
-        .as_quantitative()
-        .unwrap()
-        .to_vec();
-    let cars = table
-        .column(AttributeId(2))
-        .as_quantitative()
-        .unwrap()
-        .to_vec();
+    let histograms = table.histograms();
+    let [Histogram::Quantitative(ages), Histogram::Categorical(married), Histogram::Quantitative(cars)] =
+        histograms.as_slice()
+    else {
+        panic!("Age, Married, NumCars");
+    };
     let encoders = vec![
-        AttributeEncoder::quant_intervals_from(&ages, fig3_age_cuts(), true),
-        AttributeEncoder::categorical_from(table.column(AttributeId(1)).as_categorical().unwrap()),
-        AttributeEncoder::quant_values_from(&cars, true),
+        AttributeEncoder::quant_intervals_from(ages, fig3_age_cuts()),
+        AttributeEncoder::categorical_from(married),
+        AttributeEncoder::quant_values_from(cars),
     ];
     let encoded = EncodedTable::encode(&table, encoders).expect("encode");
 
