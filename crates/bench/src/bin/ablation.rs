@@ -1,7 +1,8 @@
 //! Ablations of the paper's design choices (DESIGN.md §4):
 //!
 //! * **abl-count** — n-dimensional array vs. R*-tree support counting
-//!   (Section 5.2's CPU/memory tradeoff), plus the paper's auto heuristic;
+//!   (Section 5.2's CPU/memory tradeoff) under the reference kernel, plus
+//!   the paper's memory heuristic and the default bitmask kernel;
 //! * **abl-part** — equi-depth vs. equi-width vs. 1-D k-means partitioning
 //!   on the skewed credit data (Lemma 4 / the future-work suggestion);
 //! * **abl-iprune** — the Lemma 5 interest prune on/off.
@@ -9,7 +10,7 @@
 //! Usage: `cargo run --release -p qar-bench --bin ablation [records]`
 
 use qar_bench::experiments::{credit, records_arg, row, section6_config};
-use qar_core::{InterestConfig, InterestMode, Miner, MinerConfig, PartitionSpec};
+use qar_core::{InterestConfig, InterestMode, Miner, MinerConfig, PartitionSpec, ScanKernel};
 use qar_itemset::{CounterKind, Itemset};
 use qar_partition::partitioner::interval_supports;
 use qar_partition::{achieved_level, EquiDepth, EquiWidth, KMeans1D, Partitioner};
@@ -56,20 +57,26 @@ fn counting_ablation(table: &Table, config: &MinerConfig) {
     let (encoders, _) = qar_core::pipeline::build_encoders(table, config).expect("encoders");
     let encoded = EncodedTable::encode(table, encoders).expect("encode");
     let mut reference: Option<usize> = None;
-    for (name, force) in [
-        ("auto", None),
-        ("array", Some(CounterKind::Array)),
-        ("rtree", Some(CounterKind::RTree)),
+    for (name, kernel) in [
+        ("bitmask", ScanKernel::Bitmask),
+        ("heuristic", ScanKernel::Direct(None)),
+        ("array", ScanKernel::Direct(Some(CounterKind::Array))),
+        ("rtree", ScanKernel::Direct(Some(CounterKind::RTree))),
     ] {
         let t0 = Instant::now();
-        let mut miner = Miner::new(config.clone());
-        if let Some(kind) = force {
-            miner = miner.with_counter(kind);
-        }
+        let miner = Miner::new(MinerConfig {
+            kernel,
+            ..config.clone()
+        });
         let (frequent, stats) = miner.frequent_itemsets(&encoded).expect("mining succeeds");
         let elapsed = t0.elapsed();
         let arrays: usize = stats.pass_stats.iter().map(|p| p.array_backed).sum();
         let rtrees: usize = stats.pass_stats.iter().map(|p| p.rtree_backed).sum();
+        match kernel {
+            ScanKernel::Direct(Some(CounterKind::Array)) => assert_eq!(rtrees, 0, "{name}"),
+            ScanKernel::Direct(Some(CounterKind::RTree)) => assert_eq!(arrays, 0, "{name}"),
+            _ => {}
+        }
         println!(
             "{}",
             row(

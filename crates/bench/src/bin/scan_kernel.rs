@@ -1,15 +1,13 @@
 //! Scan-kernel throughput benchmark: the support-counting record scan
-//! (`count_candidates_opts`) measured serial vs pooled across the three
-//! concrete kernels (direct, memoized, bitmask), on the two tables that
-//! bracket the kernels' behavior:
+//! (`count_candidates`) measured serial vs pooled under the bitmask
+//! kernel every production path runs and the direct reference kernel,
+//! on two tables that bracket the scan's behavior:
 //!
 //! * **duplicate-heavy** — 3 low-cardinality categorical attributes
-//!   (24 distinct tuples cover every row) + 1 small quantitative, the
-//!   regime the categorical-tuple cache is built for;
-//! * **all-distinct** — every row's categorical tuple is unique, so the
-//!   cache saturates at its admission limit and the row-wise scan
-//!   degenerates to the direct walk. This is the regime the blocked
-//!   bitmask kernel exists for: its throughput floor is enforced here.
+//!   (24 distinct tuples cover every row) + 1 small quantitative: every
+//!   row repeats one of a few categorical tuples;
+//! * **all-distinct** — every row's categorical tuple is unique, so no
+//!   per-tuple work can be shared across rows.
 //!
 //! Usage: `cargo run --release -p qar-bench --bin scan_kernel
 //! [records] [--seed S]`
@@ -23,13 +21,11 @@
 //! JSON document to `BENCH_scan.json` (override the path with
 //! `QAR_BENCH_OUT`) — the committed copy at the repo root is the
 //! baseline future perf work diffs against. Exit is non-zero when the
-//! memoized pooled scan falls below the throughput floor, when
-//! memoization fails to beat the direct scan on the duplicate-heavy
-//! table, when it regresses the all-distinct worst case, or when the
-//! bitmask kernel fails its all-distinct speedup floor.
+//! pooled bitmask scan falls below the throughput floor, or below its
+//! speedup or ratio floors against the direct scan on either table.
 
 use qar_bench::harness::{bench, json_line};
-use qar_core::supercand::{count_candidates_opts, ScanOptions};
+use qar_core::supercand::{count_candidates, ScanOptions};
 use qar_core::{ScanKernel, WorkerPool};
 use qar_itemset::{Item, Itemset};
 use qar_table::{EncodedTable, Schema, Table, Value};
@@ -40,12 +36,11 @@ const THREADS: usize = 4;
 
 /// Floors enforced on exit (chosen well under the committed baseline so
 /// machine variance in CI cannot trip them spuriously):
-/// memoized pooled rows/sec on the duplicate-heavy table…
+/// pooled bitmask rows/sec on the duplicate-heavy table…
 const FLOOR_ROWS_PER_SEC: f64 = 1_000_000.0;
-/// …memoized/direct speedup there (acceptance asks for ≥ 1.4×)…
+/// …pooled bitmask/direct speedup there…
 const FLOOR_DUP_SPEEDUP: f64 = 1.4;
-/// …the memoized/direct ratio on the all-distinct worst case
-/// (acceptance allows at most a 5% regression; quick CI runs get slack)…
+/// …the pooled bitmask/direct ratio on the all-distinct worst case…
 const FLOOR_DISTINCT_RATIO: f64 = 0.80;
 /// …and the bitmask/direct serial speedup on the all-distinct worst
 /// case. The issue floor is ≥ 3× the committed 14.4M rows/s direct
@@ -86,7 +81,7 @@ fn duplicate_heavy(rows: usize, seed: u64) -> EncodedTable {
 
 /// The all-distinct worst case: three coprime-cardinality categorical
 /// attributes whose combined tuple is unique for every row up to
-/// 59 × 61 × 57 ≈ 205k, far past the memo admission limit. `seed`
+/// 59 × 61 × 57 ≈ 205k. `seed`
 /// rotates through the tuple space (i ↦ i + seed is injective, so the
 /// tuples stay pairwise distinct for any seed).
 fn all_distinct(rows: usize, seed: u64) -> EncodedTable {
@@ -177,24 +172,13 @@ fn measure(
         ..ScanOptions::new(threads)
     };
     let sample = bench(&label, || {
-        count_candidates_opts(encoded, cands, None, opts).expect("no cancel token")
+        count_candidates(encoded, cands, opts).expect("no cancel token")
     });
     let rows_per_sec = rows / sample.median.as_secs_f64();
     let json = json_line(
         &label,
         &sample,
-        &[
-            ("rows_per_sec", rows_per_sec),
-            ("threads", threads as f64),
-            (
-                "memoized",
-                if kernel == ScanKernel::Memoized {
-                    1.0
-                } else {
-                    0.0
-                },
-            ),
-        ],
+        &[("rows_per_sec", rows_per_sec), ("threads", threads as f64)],
     );
     println!("{json}");
     Measurement {
@@ -251,11 +235,7 @@ fn main() {
             cands.len()
         );
         for threads in [1, THREADS] {
-            for kernel in [
-                ScanKernel::Direct,
-                ScanKernel::Memoized,
-                ScanKernel::Bitmask,
-            ] {
+            for kernel in [ScanKernel::Direct(None), ScanKernel::Bitmask] {
                 let pool_ref = (threads > 1).then_some(&pool);
                 results.push(measure(name, &encoded, &cands, threads, pool_ref, kernel));
             }
@@ -270,16 +250,16 @@ fn main() {
     }
     let dup = &suite[0].1;
     let distinct = &suite[1].1;
-    let pooled_memo = format!("pooled{THREADS} memoized");
+    let pooled_bitmask = format!("pooled{THREADS} bitmask");
     let pooled_direct = format!("pooled{THREADS} direct");
-    let dup_memo_4t = find(dup, &pooled_memo).rows_per_sec;
+    let dup_bitmask_4t = find(dup, &pooled_bitmask).rows_per_sec;
     let dup_direct_4t = find(dup, &pooled_direct).rows_per_sec;
-    let distinct_memo_4t = find(distinct, &pooled_memo).rows_per_sec;
+    let distinct_bitmask_4t = find(distinct, &pooled_bitmask).rows_per_sec;
     let distinct_direct_4t = find(distinct, &pooled_direct).rows_per_sec;
     let distinct_direct_1t = find(distinct, "serial direct").rows_per_sec;
     let distinct_bitmask_1t = find(distinct, "serial bitmask");
-    let dup_speedup = dup_memo_4t / dup_direct_4t;
-    let distinct_ratio = distinct_memo_4t / distinct_direct_4t;
+    let dup_speedup = dup_bitmask_4t / dup_direct_4t;
+    let distinct_ratio = distinct_bitmask_4t / distinct_direct_4t;
     let bitmask_speedup = distinct_bitmask_1t.rows_per_sec / distinct_direct_1t;
 
     // Assemble the committed baseline document: suite metadata, every
@@ -289,7 +269,7 @@ fn main() {
         ",\"records\":{records},\"threads\":{THREADS},\"seed\":{seed}"
     ));
     doc.push_str(&format!(
-        ",\"dup_memo_speedup_4t\":{dup_speedup:.4},\"distinct_memo_ratio_4t\":{distinct_ratio:.4}"
+        ",\"dup_bitmask_speedup_4t\":{dup_speedup:.4},\"distinct_bitmask_ratio_4t\":{distinct_ratio:.4}"
     ));
     doc.push_str(&format!(
         ",\"distinct_bitmask_speedup_1t\":{bitmask_speedup:.4}"
@@ -305,11 +285,11 @@ fn main() {
     std::fs::write(&out_path, format!("{doc}\n")).expect("write bench JSON");
 
     println!(
-        "\nduplicate-heavy @{THREADS}t: memo {dup_memo_4t:.0} rows/s vs direct \
+        "\nduplicate-heavy @{THREADS}t: bitmask {dup_bitmask_4t:.0} rows/s vs direct \
          {dup_direct_4t:.0} rows/s ({dup_speedup:.2}x, floor {FLOOR_DUP_SPEEDUP}x)"
     );
     println!(
-        "all-distinct  @{THREADS}t: memo {distinct_memo_4t:.0} rows/s vs direct \
+        "all-distinct  @{THREADS}t: bitmask {distinct_bitmask_4t:.0} rows/s vs direct \
          {distinct_direct_4t:.0} rows/s (ratio {distinct_ratio:.2}, floor {FLOOR_DISTINCT_RATIO})"
     );
     println!(
@@ -320,17 +300,20 @@ fn main() {
     println!("wrote {out_path}");
 
     let mut failed = false;
-    if dup_memo_4t < FLOOR_ROWS_PER_SEC {
-        eprintln!("scan_kernel: memoized pooled scan below {FLOOR_ROWS_PER_SEC} rows/sec");
+    if dup_bitmask_4t < FLOOR_ROWS_PER_SEC {
+        eprintln!("scan_kernel: bitmask pooled scan below {FLOOR_ROWS_PER_SEC} rows/sec");
         failed = true;
     }
     if dup_speedup < FLOOR_DUP_SPEEDUP {
-        eprintln!("scan_kernel: memoization speedup {dup_speedup:.2}x below {FLOOR_DUP_SPEEDUP}x");
+        eprintln!(
+            "scan_kernel: bitmask pooled speedup {dup_speedup:.2}x below {FLOOR_DUP_SPEEDUP}x \
+             on the duplicate-heavy case"
+        );
         failed = true;
     }
     if distinct_ratio < FLOOR_DISTINCT_RATIO {
         eprintln!(
-            "scan_kernel: memoization regresses the all-distinct case \
+            "scan_kernel: bitmask pooled scan regresses the all-distinct case \
              ({distinct_ratio:.2} < {FLOOR_DISTINCT_RATIO})"
         );
         failed = true;

@@ -83,9 +83,6 @@ mod tests {
             merge_us: 7,
             shard_scan_us: shards,
             pooled: true,
-            memoized: false,
-            distinct_tuples: 0,
-            memo_hits: 0,
             kernel: "direct".to_string(),
         }
     }

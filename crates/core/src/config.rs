@@ -38,63 +38,36 @@ pub enum PartitionStrategy {
 }
 
 /// Which support-counting scan kernel the miner runs (Step 3's record
-/// scan). Every variant produces **bit-identical counts** — the kernel is
-/// a pure performance choice, never semantics — so this knob exists for
-/// ablations, benches, and the differential fuzz oracle.
+/// scan). Both produce **bit-identical counts** — the kernel is a pure
+/// performance choice, never semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanKernel {
-    /// Row-at-a-time hash-tree subset walks with no memo cache — the
-    /// reference kernel every other variant is checked against.
-    Direct,
-    /// Row-at-a-time walks with the categorical-tuple memo cache: the
-    /// subset walk runs once per *distinct* tuple. Wins on
-    /// duplicate-heavy tables; self-disables (falling back to the direct
-    /// walk) when a trial block shows near-zero tuple reuse.
-    Memoized,
-    /// Blocked bitmask kernel: per-attribute `lo <= code <= hi`
-    /// predicates are evaluated over 1024-row blocks into `u64` bitsets,
-    /// ANDed across attributes, and popcounted — no per-row branching,
-    /// plus per-block min/max pre-screening so non-intersecting plans
-    /// skip whole blocks. Wins on (near-)all-distinct tables where the
-    /// memo cache cannot help.
-    Bitmask,
-    /// Start memoized and let each shard's first-full-block
-    /// duplicate-ratio trial pick: high tuple reuse keeps the memo cache,
-    /// near-zero reuse switches the shard to the bitmask kernel for its
-    /// remaining rows.
+    /// Blocked bitmask kernel, what every production path runs:
+    /// per-attribute `lo <= code <= hi` predicates are evaluated over
+    /// 1024-row blocks into `u64` bitsets, ANDed across attributes, and
+    /// popcounted — no per-row branching, plus per-block min/max
+    /// pre-screening so non-intersecting plans skip whole blocks.
     #[default]
-    Auto,
+    Bitmask,
+    /// The paper's row-at-a-time walk (Section 5.2) — the reference the
+    /// fuzz oracle and the benches check the bitmask kernel against: a
+    /// hash tree over the categorical items, then each super-candidate's
+    /// rectangles in an n-dimensional array or an R*-tree. `Some(kind)`
+    /// pins that backend for every super-candidate (the backend
+    /// ablation); `None` lets the paper's memory heuristic choose per
+    /// super-candidate.
+    Direct(Option<qar_itemset::CounterKind>),
 }
 
 impl ScanKernel {
-    /// The kernel's wire name, as recorded in
+    /// The kernel's name, as recorded in
     /// [`crate::supercand::PassStats::kernel`] and the `pass_finished`
-    /// trace event (`Auto` resolves per shard and is never reported
-    /// verbatim).
+    /// trace event.
     pub fn name(self) -> &'static str {
         match self {
-            ScanKernel::Direct => "direct",
-            ScanKernel::Memoized => "memoized",
             ScanKernel::Bitmask => "bitmask",
-            ScanKernel::Auto => "auto",
+            ScanKernel::Direct(_) => "direct",
         }
-    }
-
-    /// Parse a CLI/config spelling (the [`ScanKernel::name`] strings).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "direct" => Some(ScanKernel::Direct),
-            "memoized" | "memo" => Some(ScanKernel::Memoized),
-            "bitmask" => Some(ScanKernel::Bitmask),
-            "auto" => Some(ScanKernel::Auto),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for ScanKernel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -158,11 +131,9 @@ pub struct MinerConfig {
     /// pure performance, never semantics.
     pub parallelism: Option<std::num::NonZeroUsize>,
     /// Which support-counting scan kernel to run (see [`ScanKernel`]).
-    /// Counts are bit-identical for every variant — the default
-    /// [`ScanKernel::Auto`] picks memoized vs. bitmask per shard from the
-    /// first-full-block duplicate-ratio trial; the explicit variants
-    /// exist for the `--kernel` ablation and the differential fuzz
-    /// oracle.
+    /// Counts are bit-identical for every variant; the reference kernel
+    /// exists for the differential fuzz oracle, the backend ablation and
+    /// the scan bench.
     pub kernel: ScanKernel,
 }
 
@@ -183,7 +154,7 @@ impl Default for MinerConfig {
             }),
             max_itemset_size: 0,
             parallelism: None,
-            kernel: ScanKernel::Auto,
+            kernel: ScanKernel::Bitmask,
         }
     }
 }
@@ -435,19 +406,12 @@ mod tests {
     }
 
     #[test]
-    fn scan_kernel_names_round_trip() {
-        for kernel in [
-            ScanKernel::Direct,
-            ScanKernel::Memoized,
-            ScanKernel::Bitmask,
-            ScanKernel::Auto,
-        ] {
-            assert_eq!(ScanKernel::parse(kernel.name()), Some(kernel));
-            assert_eq!(kernel.to_string(), kernel.name());
-        }
-        assert_eq!(ScanKernel::parse("memo"), Some(ScanKernel::Memoized));
-        assert_eq!(ScanKernel::parse("simd"), None);
-        assert_eq!(ScanKernel::default(), ScanKernel::Auto);
+    fn scan_kernel_defaults_to_bitmask() {
+        assert_eq!(ScanKernel::default(), ScanKernel::Bitmask);
+        assert_eq!(MinerConfig::default().kernel, ScanKernel::Bitmask);
+        assert_eq!(ScanKernel::Bitmask.name(), "bitmask");
+        let pinned = ScanKernel::Direct(Some(qar_itemset::CounterKind::RTree));
+        assert_eq!(pinned.name(), "direct");
     }
 
     #[test]

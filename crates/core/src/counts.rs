@@ -435,7 +435,7 @@ mod tests {
         // Performance knobs are not semantic: they may differ freely.
         let mut perf = config;
         perf.parallelism = std::num::NonZeroUsize::new(7);
-        perf.kernel = crate::config::ScanKernel::Bitmask;
+        perf.kernel = crate::config::ScanKernel::Direct(None);
         assert!(snap.check_matches(&perf).is_ok());
     }
 

@@ -99,9 +99,6 @@ pub(crate) fn pass_finished_event(
         merge_us: micros(stats.merge_time),
         shard_scan_us: stats.shard_scan_times.iter().map(|&d| micros(d)).collect(),
         pooled: stats.pooled,
-        memoized: stats.memoized,
-        distinct_tuples: stats.distinct_tuples,
-        memo_hits: stats.memo_hits,
         kernel: stats.kernel.clone(),
     }
 }

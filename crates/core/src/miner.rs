@@ -33,7 +33,7 @@ use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 ///   skips Steps 1–2 entirely,
 /// - runs Steps 3–5 through the one level-wise driver of
 ///   [`crate::source`] over an [`InMemorySource`] that carries its
-///   kernel, scan pool, cancellation token and counter pin.
+///   kernel, scan pool and cancellation token.
 ///
 /// ```
 /// use qar_core::{Miner, MinerConfig};
@@ -58,7 +58,6 @@ pub struct Miner {
     config: MinerConfig,
     sink: Option<Arc<dyn ProgressSink>>,
     cancel: Option<CancelToken>,
-    force_counter: Option<CounterKind>,
     cache: Option<EncodingCache>,
     /// The persistent scan pool, created lazily on the first parallel
     /// counting pass and reused by every later run of this miner (the
@@ -83,7 +82,6 @@ impl std::fmt::Debug for Miner {
             .field("config", &self.config)
             .field("sink", &self.sink.as_ref().map(|_| "dyn ProgressSink"))
             .field("cancel", &self.cancel)
-            .field("force_counter", &self.force_counter)
             .field("cached_encoding", &self.cache.is_some())
             .field("pool", &self.pool.get())
             .finish()
@@ -97,7 +95,6 @@ impl Miner {
             config,
             sink: None,
             cancel: None,
-            force_counter: None,
             cache: None,
             pool: OnceLock::new(),
         }
@@ -118,18 +115,11 @@ impl Miner {
         self
     }
 
-    /// Pin the quantitative counting backend (for ablations; the default
-    /// picks per super-candidate by the memory heuristic).
+    /// Count with the reference kernel pinned to one quantitative
+    /// backend, [`ScanKernel::Direct`]`(Some(kind))` — the Section 5.2
+    /// array-versus-R*-tree ablation.
     pub fn with_counter(mut self, kind: CounterKind) -> Self {
-        self.force_counter = Some(kind);
-        self
-    }
-
-    /// Pin the support-counting scan kernel (the default, [`ScanKernel::Auto`],
-    /// picks memoized vs bitmask per shard from the first-block duplicate
-    /// trial).
-    pub fn with_kernel(mut self, kernel: ScanKernel) -> Self {
-        self.config.kernel = kernel;
+        self.config.kernel = ScanKernel::Direct(Some(kind));
         self
     }
 
@@ -166,7 +156,7 @@ impl Miner {
     }
 
     /// An [`InMemorySource`] over `table` carrying this miner's kernel,
-    /// scan pool, cancellation token and counter pin.
+    /// scan pool and cancellation token.
     fn source<'t>(&self, table: &'t EncodedTable) -> InMemorySource<'t> {
         // Multi-threaded configurations get this miner's own pool so
         // repeated runs reuse one set of workers; a serial run needs no
@@ -176,7 +166,6 @@ impl Miner {
         let mut source = InMemorySource::new(table, &self.config).with_cancel(self.cancel.as_ref());
         source.pool = (threads > 1)
             .then(|| Arc::clone(self.pool.get_or_init(|| Arc::new(WorkerPool::new(threads)))));
-        source.counter = self.force_counter;
         source
     }
 

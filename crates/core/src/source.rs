@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::candidate::{generate_candidates, interest_prune_level1};
-use crate::config::{InterestMode, MinerConfig, MinerError};
+use crate::config::{InterestMode, MinerConfig, MinerError, ScanKernel};
 use crate::counts::{CapturedCounts, SupportCounts};
 use crate::frequent::{attribute_value_counts, frequent_items_from_counts, QuantFrequentItemsets};
 use crate::interest::{annotate_interest, ItemSupports};
@@ -43,10 +43,10 @@ use crate::pipeline::{MiningOutput, MiningStats};
 use crate::pool::WorkerPool;
 use crate::rules::generate_rules;
 use crate::supercand::{
-    cell_groups, count_candidates_opts, pair_cells, PairHistograms, PassStats, ScanOptions,
-    PAIR_CELL_BUDGET,
+    cell_groups, count_candidates, pair_cells, PairHistograms, PassStats, ScanOptions,
+    CELLS_KERNEL, PAIR_CELL_BUDGET,
 };
-use qar_itemset::{CounterKind, Item, Itemset};
+use qar_itemset::{Item, Itemset};
 use qar_table::{AttributeId, AttributeKind, ChunkStore, EncodedTable};
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 
@@ -392,12 +392,8 @@ pub(crate) fn mine_with_source_ctx(
         merge_us: 0,
         shard_scan_us: Vec::new(),
         pooled: false,
-        memoized: false,
-        // Pass 1 is a plain per-attribute value count — no hash tree, no
-        // cache, no masks — which is the direct kernel's shape.
-        kernel: "direct".to_string(),
-        distinct_tuples: 0,
-        memo_hits: 0,
+        // Pass 1 counts each attribute's value histogram.
+        kernel: CELLS_KERNEL.to_string(),
     });
     if level1.is_empty() {
         ctx.emit(|| TraceEvent::RunFinished {
@@ -592,6 +588,10 @@ impl CountSource for CaptureSource<'_> {
         }
         Ok(())
     }
+
+    fn take_pass_stats(&mut self) -> Option<PassStats> {
+        self.inner.take_pass_stats()
+    }
 }
 
 /// [`mine_source`] with count capture: returns the finished output
@@ -751,14 +751,10 @@ impl CountSource for MergeSource<'_> {
 pub struct InMemorySource<'a> {
     table: &'a EncodedTable,
     num_threads: usize,
-    kernel: crate::config::ScanKernel,
+    kernel: ScanKernel,
     cancel: Option<CancelToken>,
     /// Runs the shard tasks; `None` uses [`WorkerPool::global`].
     pub(crate) pool: Option<Arc<WorkerPool>>,
-    /// A pinned quantitative counting backend (the Array/R*-tree
-    /// ablation): every pass, pass 2 included, then counts explicit
-    /// candidates through it.
-    pub(crate) counter: Option<CounterKind>,
     pass_stats: Option<PassStats>,
 }
 
@@ -771,7 +767,6 @@ impl<'a> InMemorySource<'a> {
             kernel: config.kernel,
             cancel: None,
             pool: None,
-            counter: None,
             pass_stats: None,
         }
     }
@@ -815,17 +810,16 @@ impl CountSource for InMemorySource<'_> {
     }
 
     fn count(&mut self, _pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
-        let (counts, scan) =
-            count_candidates_opts(self.table, candidates, self.counter, self.opts())?;
+        let (counts, scan) = count_candidates(self.table, candidates, self.opts())?;
         self.record(scan);
         Ok(counts)
     }
 
-    /// One histogram scan of the table — or, under a pinned backend, the
-    /// trait's point-cell default, so the ablation's backend counts pass
-    /// 2 too.
+    /// One histogram scan of the table — or, under a reference kernel
+    /// pinned to one backend, the trait's point-cell default, so the
+    /// ablation's backend counts pass 2 too.
     fn count_pair_cells(&mut self, hist: &mut PairHistograms) -> Result<(), CountError> {
-        if self.counter.is_some() {
+        if matches!(self.kernel, ScanKernel::Direct(Some(_))) {
             return count_pair_points(self, hist);
         }
         let mut scan = hist.scan(self.table, self.opts())?;
@@ -848,7 +842,7 @@ pub struct ChunkedSource<'a> {
     store: &'a ChunkStore,
     meta: EncodedTable,
     num_threads: usize,
-    kernel: crate::config::ScanKernel,
+    kernel: ScanKernel,
     cancel: Option<&'a CancelToken>,
 }
 
@@ -925,7 +919,7 @@ impl CountSource for ChunkedSource<'_> {
         let opts = self.opts();
         let mut sums = vec![0u64; candidates.len()];
         self.for_each_chunk(|chunk| {
-            let (add, _) = count_candidates_opts(chunk, candidates, None, opts)?;
+            let (add, _) = count_candidates(chunk, candidates, opts)?;
             for (a, b) in sums.iter_mut().zip(add) {
                 *a += b;
             }
@@ -1121,6 +1115,44 @@ mod tests {
         }
         assert_eq!(counted, out.stats.mine.pass_stats.len());
         assert!(counted >= 2, "the table reaches pass 3");
+    }
+
+    /// A capture forwards its inner source's scan statistics: every
+    /// `pass_finished` of a captured run names the same kernels and
+    /// super-candidate counts as the uncaptured run's.
+    #[test]
+    fn captured_run_reports_the_inner_pass_stats() {
+        let enc = encoded();
+        let passes = |capture: bool| {
+            let sink = qar_trace::CollectingSink::new();
+            let mut source = InMemorySource::new(&enc, &config());
+            if capture {
+                mine_source_captured(&mut source, &config(), Some(&sink), None).unwrap();
+            } else {
+                mine_source(&mut source, &config(), Some(&sink), None).unwrap();
+            }
+            let passes: Vec<(usize, String, usize)> = sink
+                .events()
+                .into_iter()
+                .filter_map(|event| match event {
+                    TraceEvent::PassFinished {
+                        pass,
+                        kernel,
+                        super_candidates,
+                        ..
+                    } => Some((pass, kernel, super_candidates)),
+                    _ => None,
+                })
+                .collect();
+            passes
+        };
+        let captured = passes(true);
+        assert_eq!(captured, passes(false));
+        assert!(captured.len() >= 3, "the table reaches pass 3");
+        for (pass, kernel, super_candidates) in &captured[1..] {
+            assert!(!kernel.is_empty(), "pass {pass}");
+            assert!(*super_candidates > 0, "pass {pass}");
+        }
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Super-candidate support counting (Section 5.2), serial and sharded.
 //!
 //! Candidates sharing (a) identical categorical items and (b) the same set
-//! of quantitative attributes are fused into one *super-candidate*. A hash
-//! tree over the categorical parts finds which super-candidates a record's
-//! categorical values support; the quantitative values then form a point
-//! that is counted against the super-candidate's rectangles — in a dense
-//! n-dimensional array or an R*-tree, whichever the memory heuristic
-//! prefers.
+//! of quantitative attributes are fused into one *super-candidate*: a
+//! record supports a member when it matches the shared categorical items
+//! and its quantitative values, read as a point, fall in the member's
+//! rectangle.
 //!
 //! # Parallel counting
 //!
@@ -21,8 +19,7 @@
 //! Shard tasks execute on a persistent [`WorkerPool`] (the [`crate::Miner`]'s
 //! own, or the process-wide pool) instead of freshly spawned threads, and
 //! every piece of record-independent state is shared rather than cloned:
-//! plan rectangles sit behind `Arc`, and the hash trees are walked
-//! read-only with per-shard [`VisitScratch`] visit stamps.
+//! plans are built once and read by every shard.
 //!
 //! Because each record is counted by exactly one shard and `u64` addition
 //! is exact, the merged counts are **bit-identical** to a serial scan for
@@ -30,51 +27,33 @@
 //! The serial-equivalence property is enforced by unit tests here and a
 //! randomized end-to-end test in `tests/proptest_pipeline.rs`.
 //!
-//! # Categorical-tuple memoization
-//!
-//! On tables where a handful of distinct categorical tuples cover most
-//! rows (low-cardinality categorical attributes — the common shape for
-//! the paper's census-style data), the hash-tree subset walk computes the
-//! same matched-super-candidate list over and over. Each shard therefore
-//! caches `categorical tuple → matched plan list` and reuses the list for
-//! every later row with the same tuple, so the subset walk runs once per
-//! *distinct* tuple instead of once per row. The cache stops admitting
-//! new tuples past [`ScanOptions::memo_limit`], and gives up when the
-//! distinct-tuple count is high — after the first full block, if fewer
-//! than [`MEMO_TRIAL_FACTOR`] rows share each observed tuple on average,
-//! or at any block boundary where the cache is full and has never served
-//! a hit, the shard stops probing entirely so near-distinct tables pay at
-//! most one block's worth of cache overhead. Cached and direct walks
-//! produce the same list, so memoization never changes counts.
-//!
 //! # The bitmask kernel
 //!
-//! Where memoization gives up — (near-)all-distinct categorical tuples —
-//! the remaining cost is per-row branching: the subset walk plus
-//! rectangle containment, row at a time. The bitmask kernel
-//! ([`crate::ScanKernel::Bitmask`]) removes the per-row control flow
-//! entirely: for each [`CANCEL_CHECK_INTERVAL`]-row block it evaluates
-//! every predicate over the whole block into `u64` bitsets — one
-//! equality mask per *distinct* categorical `(attribute, code)` pair
-//! (shared by all plans that test it), one branchless
-//! `lo <= code <= hi` range mask per member rectangle dimension — then
-//! ANDs masks together and popcounts, a shape the autovectorizer turns
-//! into SIMD compares with no per-row branches. Per-block min/max
-//! summaries of each touched column pre-screen plans and members: a
-//! predicate code or rectangle that cannot intersect the block's value
-//! range skips the block without touching a single row, and a mask word
-//! that has gone all-zero short-circuits the remaining ANDs.
+//! Every production path counts with the bitmask kernel
+//! ([`crate::ScanKernel::Bitmask`]). It has no per-row control flow: for
+//! each [`CANCEL_CHECK_INTERVAL`]-row block it evaluates every predicate
+//! over the whole block into `u64` bitsets — one equality mask per
+//! *distinct* categorical `(attribute, code)` pair (shared by all plans
+//! that test it), one branchless `lo <= code <= hi` range mask per member
+//! rectangle dimension — then ANDs masks together and popcounts, a shape
+//! the autovectorizer turns into SIMD compares with no per-row branches.
+//! Per-block min/max summaries of each touched column pre-screen plans and
+//! members: a predicate code or rectangle that cannot intersect the
+//! block's value range skips the block without touching a single row, and
+//! a mask word that has gone all-zero short-circuits the remaining ANDs.
 //!
-//! Which kernel runs is [`ScanOptions::kernel`] (a
-//! [`crate::ScanKernel`]): `Direct` and `Memoized` are the row-wise
-//! walks above, `Bitmask` is the blocked kernel, and `Auto` (the
-//! default) starts memoized and lets the first-full-block trial decide —
-//! high tuple reuse keeps the cache, near-zero reuse switches the shard
-//! to the bitmask kernel for its remaining blocks. Every kernel produces
+//! # The reference kernel
+//!
+//! [`crate::ScanKernel::Direct`] is the paper's walk, a row at a time: a
+//! hash tree over the categorical parts finds which super-candidates a
+//! record supports, and the record's quantitative point is counted
+//! against each one's rectangles in a dense n-dimensional array or an
+//! R*-tree — the paper's memory heuristic picks per super-candidate unless
+//! the kernel pins a backend. The fuzz oracle, the backend ablation and
+//! the scan bench check the bitmask kernel against it. Both produce
 //! **bit-identical counts** (enforced by unit tests, the
-//! `bitmask_scan_equals_direct_and_naive` proptest, and the fuzz
-//! oracle's `kernel` kind); the knob is pure performance, never
-//! semantics.
+//! `bitmask_scan_equals_direct_and_naive` proptest, and the fuzz oracle's
+//! `kernel` kind).
 //!
 //! # Pass 2: pair histograms
 //!
@@ -113,27 +92,13 @@ pub struct ScanCancelled;
 /// its range starts.
 pub const CANCEL_CHECK_INTERVAL: usize = 1024;
 
-/// Most distinct categorical tuples a shard's memo cache will admit.
-/// Past this the cache stops growing (existing entries still serve hits):
-/// a table whose tuples are mostly distinct gains nothing from
-/// memoization, so unbounded growth would only add hashing and memory on
-/// exactly the tables the optimization cannot help.
-pub const MEMO_MAX_DISTINCT: usize = 1 << 12;
-
-/// Minimum average rows-per-distinct-tuple the memo cache must observe in
-/// a shard's first full block to stay enabled. Below this the table is
-/// (nearly) all-distinct from the cache's point of view, every probe is a
-/// miss, and hashing the tuple per row is pure overhead — the shard drops
-/// the cache and runs the direct walk for its remaining rows. The trial
-/// only runs when the first block is full-size
-/// ([`CANCEL_CHECK_INTERVAL`] rows), so small tables and narrow shards —
-/// whose total cache cost is bounded anyway — are never kicked off the
-/// fast path by a noisy sample.
-pub const MEMO_TRIAL_FACTOR: usize = 2;
+/// The kernel name the histogram scans report in [`PassStats::kernel`]:
+/// pass 1's value histograms and pass 2's [`PairHistograms`] count cells,
+/// not candidates.
+pub const CELLS_KERNEL: &str = "cells";
 
 /// Tuning knobs for one counting scan. [`ScanOptions::new`] gives the
-/// defaults every production path uses; the extra fields exist for the
-/// `--kernel` ablation, the fuzz oracle, and threshold unit tests.
+/// defaults every production path uses.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanOptions<'a> {
     /// Upper bound on data shards scanned in parallel (`<= 1` is serial).
@@ -147,22 +112,17 @@ pub struct ScanOptions<'a> {
     /// Which scan kernel runs the record loop (see module docs). Counts
     /// are bit-identical for every variant.
     pub kernel: ScanKernel,
-    /// Distinct-tuple cap of the memo cache, [`MEMO_MAX_DISTINCT`] unless
-    /// a test overrides it. Zero disables the cache (under
-    /// [`ScanKernel::Auto`] the shard then starts on the bitmask kernel
-    /// directly — there is nothing left to trial).
-    pub memo_limit: usize,
 }
 
 impl<'a> ScanOptions<'a> {
-    /// Default options for an uncancellable scan on `num_threads` shards.
+    /// Default options for an uncancellable bitmask scan on
+    /// `num_threads` shards.
     pub fn new(num_threads: usize) -> Self {
         ScanOptions {
             num_threads,
             cancel: None,
             pool: None,
-            kernel: ScanKernel::Auto,
-            memo_limit: MEMO_MAX_DISTINCT,
+            kernel: ScanKernel::default(),
         }
     }
 }
@@ -184,9 +144,12 @@ where
 pub struct PassStats {
     /// Number of super-candidates formed.
     pub super_candidates: usize,
-    /// How many chose the n-dimensional array backend.
+    /// How many were counted in an n-dimensional array: the reference
+    /// kernel's array backend, or one of pass 2's [`PairHistograms`]
+    /// (always zero for a bitmask scan, which builds none).
     pub array_backed: usize,
-    /// How many chose the R*-tree backend.
+    /// How many the reference kernel counted in an R*-tree (always zero
+    /// under the bitmask kernel).
     pub rtree_backed: usize,
     /// Wall-clock time of the record scan (the component the paper's cost
     /// model calls "counting support", proportional to the table size;
@@ -201,31 +164,24 @@ pub struct PassStats {
     /// Time spent summing per-shard counters into the final tallies
     /// (zero for a serial scan — there is nothing to merge).
     pub merge_time: Duration,
-    /// Total nodes across the pass's categorical hash trees (the shared
-    /// structure each shard clones; zero when every super-candidate is
+    /// Total nodes across the reference kernel's categorical hash trees
+    /// (zero under the bitmask kernel, and when every super-candidate is
     /// purely quantitative).
     pub hash_tree_nodes: usize,
     /// Estimated peak heap bytes of the pass's counting structures —
     /// per-shard counters are live simultaneously, so this is the
-    /// single-shard estimate times the shard count (and the maximum over
-    /// sequential chunks for the chunked implicit pair pass).
+    /// single-shard figure times the shard count (and the maximum over
+    /// sequential sub-scans of one pass). The bitmask kernel's figure is
+    /// its per-plan and per-member tallies; the reference kernel's is its
+    /// rectangle counters.
     pub counter_bytes: usize,
     /// True when the scan ran its shards on a worker pool (more than one
     /// shard); a serial scan never leaves the calling thread.
     pub pooled: bool,
-    /// True when the categorical-tuple memo cache was enabled for the
-    /// scan (it never changes counts — see module docs).
-    pub memoized: bool,
-    /// Distinct categorical tuples the memo caches admitted, summed over
-    /// shards. Zero when memoization was disabled or never engaged.
-    pub distinct_tuples: usize,
-    /// Rows whose matched-plan list was served from the memo cache,
-    /// summed over shards.
-    pub memo_hits: u64,
-    /// The scan kernel the pass resolved to: `"direct"`, `"memoized"`,
-    /// or `"bitmask"` when every shard agreed ([`crate::ScanKernel::Auto`]
-    /// resolves per shard), `"mixed"` when shards — or the physical
-    /// sub-scans of one logical pass — disagreed.
+    /// What counted the pass: `"bitmask"`, `"direct"`, or
+    /// [`CELLS_KERNEL`] for a histogram scan. A pass made of several
+    /// physical scans that ran differently joins their names with `+`
+    /// (e.g. `"cells+bitmask"` for pass 2 with over-budget pairs).
     pub kernel: String,
 }
 
@@ -249,13 +205,10 @@ impl PassStats {
         // allocates, so the peak is the max, not the sum.
         self.counter_bytes = self.counter_bytes.max(other.counter_bytes);
         self.pooled |= other.pooled;
-        self.memoized |= other.memoized;
-        self.distinct_tuples += other.distinct_tuples;
-        self.memo_hits += other.memo_hits;
         if self.kernel.is_empty() {
             self.kernel = other.kernel.clone();
-        } else if !other.kernel.is_empty() && self.kernel != other.kernel {
-            self.kernel = "mixed".into();
+        } else if !other.kernel.is_empty() && !self.kernel.split('+').any(|k| k == other.kernel) {
+            self.kernel = format!("{}+{}", self.kernel, other.kernel);
         }
         add_shard_times(&mut self.shard_scan_times, &other.shard_scan_times);
     }
@@ -290,19 +243,38 @@ fn shard_bounds(num_rows: usize, num_threads: usize) -> Vec<Range<usize>> {
     bounds
 }
 
+/// Hand `rows` to `scan` in [`CANCEL_CHECK_INTERVAL`]-row blocks, checking
+/// `cancel` before each block. Returns true when the token fired.
+fn scan_blocks(
+    rows: Range<usize>,
+    cancel: Option<&CancelToken>,
+    mut scan: impl FnMut(Range<usize>),
+) -> bool {
+    let mut start = rows.start;
+    while start < rows.end {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return true;
+        }
+        let end = rows.end.min(start + CANCEL_CHECK_INTERVAL);
+        scan(start..end);
+        start = end;
+    }
+    false
+}
+
 /// Encode a categorical item as a hash-tree key element: attribute-major so
 /// keys sorted by attribute are sorted numerically.
 fn cat_item_id(attr: u32, code: u32) -> u64 {
     ((attr as u64) << 32) | code as u64
 }
 
-/// The record-independent description of one super-candidate: everything a
-/// shard needs to build its private counters. Built once, shared read-only
-/// by every worker.
 /// Shared inclusive rectangle list of one super-candidate (`(lo, hi)`
 /// corner pairs over the plan's `dims`).
 type SharedRects = Arc<[(Vec<u32>, Vec<u32>)]>;
 
+/// The record-independent description of one super-candidate: everything a
+/// shard needs to build its private counters. Built once, shared read-only
+/// by every worker.
 struct SuperPlan {
     /// Sorted hash-tree key of the shared categorical items.
     cat_key: Vec<u64>,
@@ -326,47 +298,31 @@ struct SuperPlan {
     /// `max` of the highs), for whole-plan block pre-screening.
     dim_lo_min: Vec<u32>,
     dim_hi_max: Vec<u32>,
-    /// Counting backend, decided once for all shards (`None` when the
-    /// super-candidate is purely categorical).
+    /// The reference kernel's counting backend, decided once for all
+    /// shards (`None` under the bitmask kernel and for purely
+    /// categorical super-candidates).
     kind: Option<CounterKind>,
 }
 
 /// One shard's private tallies, merged in shard order after the scan.
 struct ShardTally {
-    /// Per-plan rectangle counters (`None` for purely categorical plans,
-    /// and for every plan when the shard ran the bitmask kernel from row
-    /// zero — the bitmask path never builds them).
-    counters: Vec<Option<RectCounter>>,
-    /// Per-plan match counts for purely categorical plans (row-wise
-    /// increments and bitmask popcounts both land here).
-    direct: Vec<u64>,
-    /// Per-plan, per-member match counts from the bitmask kernel. All
-    /// zero when the shard never ran it; a shard that switched mid-scan
-    /// (`Auto`) holds its row-wise prefix in `counters` and the rest
-    /// here — the scatter sums both.
-    member_counts: Vec<Vec<u64>>,
+    /// Per plan, its members' counts in member order.
+    counts: Vec<Vec<u64>>,
     /// Busy time of this shard's scan loop.
     scan_time: Duration,
     /// True when the scan stopped early on a fired [`CancelToken`] — the
     /// tallies are partial and must be discarded.
     cancelled: bool,
-    /// Distinct categorical tuples this shard's memo cache admitted.
-    distinct_tuples: usize,
-    /// Rows this shard served from the memo cache.
-    memo_hits: u64,
-    /// The kernel this shard resolved to — never [`ScanKernel::Auto`]
-    /// (`Auto` reports `Memoized` when the cache survived, `Bitmask`
-    /// when the trial switched the shard over).
-    kernel: ScanKernel,
 }
 
-/// Group candidates into super-candidate plans and decide each plan's
-/// counting backend. Deterministic: grouping uses a `BTreeMap` and the
-/// backend choice is a pure function of the (record-independent) inputs.
+/// Group candidates into super-candidate plans and, under the reference
+/// kernel, decide each plan's counting backend. Deterministic: grouping
+/// uses a `BTreeMap` and the backend choice is a pure function of the
+/// (record-independent) inputs.
 fn build_plans(
     table: &EncodedTable,
     candidates: &[Itemset],
-    force_kind: Option<CounterKind>,
+    kernel: ScanKernel,
 ) -> (Vec<SuperPlan>, PassStats) {
     let schema = table.schema();
     let is_quant: Vec<bool> = schema
@@ -382,9 +338,9 @@ fn build_plans(
         for item in cand.items() {
             // Range items — quantitative attributes AND taxonomy-
             // generalized categorical items — are counted as rectangle
-            // dimensions; single categorical values go through the hash
-            // tree. A point item on a quantitative attribute still counts
-            // as a (width-1) rectangle so candidates over the same
+            // dimensions; single categorical values are equality
+            // predicates. A point item on a quantitative attribute still
+            // counts as a (width-1) rectangle so candidates over the same
             // attribute set share one super-candidate.
             if is_quant[item.attr as usize] || item.lo < item.hi {
                 quant_attrs.push(item.attr);
@@ -398,14 +354,14 @@ fn build_plans(
     let mut stats = PassStats::default();
     let mut plans: Vec<SuperPlan> = Vec::with_capacity(groups.len());
     for ((cat_key, quant_attrs), members) in groups {
-        let (dims, rects, kind): (Vec<u32>, SharedRects, _) = if quant_attrs.is_empty() {
-            (Vec::new(), Vec::new().into(), None)
+        let dims: Vec<u32> = quant_attrs
+            .iter()
+            .map(|&a| table.cardinality(AttributeId(a as usize)))
+            .collect();
+        let rects: SharedRects = if quant_attrs.is_empty() {
+            Vec::new().into()
         } else {
-            let dims: Vec<u32> = quant_attrs
-                .iter()
-                .map(|&a| table.cardinality(AttributeId(a as usize)))
-                .collect();
-            let rects: Vec<(Vec<u32>, Vec<u32>)> = members
+            members
                 .iter()
                 .map(|&idx| {
                     let cand = &candidates[idx];
@@ -418,16 +374,21 @@ fn build_plans(
                     }
                     (lo, hi)
                 })
-                .collect();
-            let kind = force_kind.unwrap_or_else(|| RectCounter::choose_kind(&dims, rects.len()));
-            match kind {
-                CounterKind::Array => stats.array_backed += 1,
-                CounterKind::RTree => stats.rtree_backed += 1,
+                .collect()
+        };
+        let kind = match kernel {
+            ScanKernel::Direct(pin) if !quant_attrs.is_empty() => {
+                let kind = pin.unwrap_or_else(|| RectCounter::choose_kind(&dims, rects.len()));
+                match kind {
+                    CounterKind::Array => stats.array_backed += 1,
+                    CounterKind::RTree => stats.rtree_backed += 1,
+                }
+                stats.counter_bytes = stats
+                    .counter_bytes
+                    .saturating_add(RectCounter::estimated_bytes(kind, &dims, rects.len()));
+                Some(kind)
             }
-            stats.counter_bytes = stats
-                .counter_bytes
-                .saturating_add(RectCounter::estimated_bytes(kind, &dims, rects.len()));
-            (dims, rects.into(), Some(kind))
+            _ => None,
         };
         let num_dims = dims.len();
         let mut lo_cols = vec![Vec::with_capacity(rects.len()); num_dims];
@@ -456,26 +417,38 @@ fn build_plans(
         });
     }
     stats.super_candidates = plans.len();
+    if kernel == ScanKernel::Bitmask {
+        // One tally per plan plus one per member (see `scan_bitmask`).
+        stats.counter_bytes = (plans.len() + candidates.len()) * std::mem::size_of::<u64>();
+    }
     (plans, stats)
 }
 
-/// Index the plans for the scan: plans with empty categorical parts match
-/// every record; the rest go into one hash tree per key length.
-fn build_trees(plans: &[SuperPlan]) -> (Vec<u32>, BTreeMap<usize, HashTree<u32>>) {
-    let mut always: Vec<u32> = Vec::new();
-    let mut trees: BTreeMap<usize, HashTree<u32>> = BTreeMap::new();
-    for (i, plan) in plans.iter().enumerate() {
-        if plan.cat_key.is_empty() {
-            always.push(i as u32);
-        } else {
-            // One key may belong to several super-candidates (different
-            // quantitative attribute sets); duplicate keys are fine — the
-            // subset walk visits each stored entry.
-            let tree = trees.entry(plan.cat_key.len()).or_default();
-            tree.insert(plan.cat_key.clone(), i as u32);
+/// The reference kernel's plan index: the plans with empty categorical
+/// parts (they match every record), and one hash tree per key length
+/// over the rest.
+struct PlanIndex {
+    always: Vec<u32>,
+    trees: BTreeMap<usize, HashTree<u32>>,
+}
+
+impl PlanIndex {
+    fn new(plans: &[SuperPlan]) -> Self {
+        let mut always: Vec<u32> = Vec::new();
+        let mut trees: BTreeMap<usize, HashTree<u32>> = BTreeMap::new();
+        for (i, plan) in plans.iter().enumerate() {
+            if plan.cat_key.is_empty() {
+                always.push(i as u32);
+            } else {
+                // One key may belong to several super-candidates (different
+                // quantitative attribute sets); duplicate keys are fine — the
+                // subset walk visits each stored entry.
+                let tree = trees.entry(plan.cat_key.len()).or_default();
+                tree.insert(plan.cat_key.clone(), i as u32);
+            }
         }
+        PlanIndex { always, trees }
     }
-    (always, trees)
 }
 
 /// Words per bitmask block: one bit per row of a
@@ -701,58 +674,60 @@ impl<'t> BitmaskScan<'t> {
     }
 }
 
-/// The per-record counting loop over one contiguous row range. `trees` is
-/// shared read-only across shards (visit stamps live in this shard's
-/// private [`VisitScratch`]es); the returned tally holds this shard's
-/// private counters.
-///
-/// The scan is *blocked columnar*: all column slices are hoisted out of
-/// the row loop (one `table.codes(..)` call per column per shard, not per
-/// row), and rows are processed in [`CANCEL_CHECK_INTERVAL`]-sized blocks
-/// with the cancellation checkpoint at each block boundary — relative to
-/// the rows this shard has scanned, so a shard starting mid-interval
-/// still checks after at most one block. Each block runs either the
-/// row-wise walk (with or without the memo cache) or the bitmask kernel,
-/// per `kernel`; under [`ScanKernel::Auto`] the shard starts memoized
-/// and the trial fallback switches it to the bitmask kernel mid-scan.
-#[allow(clippy::too_many_arguments)]
-fn scan_shard(
+/// The bitmask kernel over one contiguous row range: per-plan tallies for
+/// purely categorical plans, per-member tallies for the rest, counted a
+/// block at a time with the cancellation checkpoint at each block
+/// boundary — relative to the rows this shard has scanned, so a shard
+/// starting mid-interval still checks after at most one block.
+fn scan_bitmask(
     table: &EncodedTable,
     plans: &[SuperPlan],
-    always: &[u32],
-    trees: &BTreeMap<usize, HashTree<u32>>,
     rows: Range<usize>,
     cancel: Option<&CancelToken>,
-    kernel: ScanKernel,
-    memo_limit: usize,
 ) -> ShardTally {
     let started = Instant::now();
-    let mut was_cancelled = false;
-    // The bitmask kernel never touches rectangle counters — skipping
-    // their construction is part of its win. `Auto` must build them: the
-    // memoized prefix before a mid-scan switch counts into them.
-    let mut counters: Vec<Option<RectCounter>> = if kernel == ScanKernel::Bitmask {
-        plans.iter().map(|_| None).collect()
-    } else {
-        plans
-            .iter()
-            .map(|plan| {
-                plan.kind.map(|kind| {
-                    RectCounter::build_shared(kind, &plan.dims, Arc::clone(&plan.rects))
-                })
-            })
-            .collect()
-    };
     let mut direct = vec![0u64; plans.len()];
-    let mut member_counts: Vec<Vec<u64>> = plans
+    let mut counts: Vec<Vec<u64>> = plans
         .iter()
         .map(|plan| vec![0u64; plan.members.len()])
         .collect();
-    // Start on the bitmask kernel outright when asked to, or when `Auto`
-    // has no memo cache to trial.
-    let mut on_bitmask =
-        kernel == ScanKernel::Bitmask || (kernel == ScanKernel::Auto && memo_limit == 0);
-    let mut bitmask: Option<BitmaskScan<'_>> = None;
+    let mut scan = BitmaskScan::new(table, plans);
+    let cancelled = scan_blocks(rows, cancel, |block| {
+        scan.scan_block(plans, block, &mut direct, &mut counts)
+    });
+    for ((plan, members), direct) in plans.iter().zip(&mut counts).zip(direct) {
+        if plan.dims.is_empty() {
+            members.fill(direct);
+        }
+    }
+    ShardTally {
+        counts,
+        scan_time: started.elapsed(),
+        cancelled,
+    }
+}
+
+/// The reference kernel over one contiguous row range: per row, the hash
+/// trees' subset walk finds the matched plans (the trees are shared
+/// read-only across shards; visit stamps live in this shard's private
+/// [`VisitScratch`]es), and each matched plan counts the row's
+/// quantitative point in its own [`RectCounter`].
+fn scan_direct(
+    table: &EncodedTable,
+    plans: &[SuperPlan],
+    index: &PlanIndex,
+    rows: Range<usize>,
+    cancel: Option<&CancelToken>,
+) -> ShardTally {
+    let started = Instant::now();
+    let mut counters: Vec<Option<RectCounter>> = plans
+        .iter()
+        .map(|plan| {
+            plan.kind
+                .map(|kind| RectCounter::build_shared(kind, &plan.dims, Arc::clone(&plan.rects)))
+        })
+        .collect();
+    let mut direct = vec![0u64; plans.len()];
 
     // Hoisted column slices: categorical columns once for the tuple key,
     // and each plan's quantitative columns once for the point lookup.
@@ -771,233 +746,91 @@ fn scan_shard(
                 .collect()
         })
         .collect();
-    let mut scratches: Vec<VisitScratch> = trees.values().map(|_| VisitScratch::new()).collect();
-
-    // The cache can be dropped mid-scan by the distinct-tuple fallback, so
-    // the admitted-tuple high-water mark is tracked outside the map.
-    let mut memo: HashMap<Vec<u64>, Vec<u32>> = HashMap::new();
-    let mut memo_on = matches!(kernel, ScanKernel::Memoized | ScanKernel::Auto) && memo_limit > 0;
-    let mut distinct_high = 0usize;
-    let mut memo_hits = 0u64;
-    let mut scanned = 0usize;
+    let mut scratches: Vec<VisitScratch> =
+        index.trees.values().map(|_| VisitScratch::new()).collect();
     let mut cat_buf: Vec<u64> = Vec::with_capacity(cat_cols.len());
-    let mut matched_buf: Vec<u32> = Vec::new();
-    let mut point_buf: Vec<u32> = Vec::new();
+    let mut matched: Vec<u32> = Vec::new();
+    let mut point: Vec<u32> = Vec::new();
 
-    let mut block_start = rows.start;
-    'scan: while block_start < rows.end {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            was_cancelled = true;
-            break 'scan;
-        }
-        let block_end = rows.end.min(block_start + CANCEL_CHECK_INTERVAL);
-        if on_bitmask {
-            bitmask
-                .get_or_insert_with(|| BitmaskScan::new(table, plans))
-                .scan_block(
-                    plans,
-                    block_start..block_end,
-                    &mut direct,
-                    &mut member_counts,
-                );
-            block_start = block_end;
-            continue;
-        }
-        for row in block_start..block_end {
+    let cancelled = scan_blocks(rows, cancel, |block| {
+        for row in block {
             cat_buf.clear();
             for &(attr, col) in &cat_cols {
                 cat_buf.push(cat_item_id(attr, col[row]));
             }
-            // Resolve this row's matched plans: from the memo cache when
-            // its tuple was seen before, otherwise via the subset walk
-            // (cached for later rows while the cache has room).
-            let mut count_matches = |matched: &[u32]| {
-                for &pi in matched {
-                    let pi = pi as usize;
-                    match &mut counters[pi] {
-                        Some(counter) => {
-                            point_buf.clear();
-                            for col in &plan_cols[pi] {
-                                point_buf.push(col[row]);
-                            }
-                            counter.count_record(&point_buf);
+            matched.clear();
+            matched.extend_from_slice(&index.always);
+            for (tree, scratch) in index.trees.values().zip(&mut scratches) {
+                tree.for_each_subset_of_shared(scratch, &cat_buf, |_, &id| matched.push(id));
+            }
+            for &pi in &matched {
+                let pi = pi as usize;
+                match &mut counters[pi] {
+                    Some(counter) => {
+                        point.clear();
+                        for col in &plan_cols[pi] {
+                            point.push(col[row]);
                         }
-                        None => direct[pi] += 1,
+                        counter.count_record(&point);
                     }
-                }
-            };
-            if memo_on {
-                if let Some(hit) = memo.get(&cat_buf) {
-                    memo_hits += 1;
-                    count_matches(hit);
-                    continue;
-                }
-            }
-            matched_buf.clear();
-            matched_buf.extend_from_slice(always);
-            for (tree, scratch) in trees.values().zip(&mut scratches) {
-                tree.for_each_subset_of_shared(scratch, &cat_buf, |_, &id| matched_buf.push(id));
-            }
-            count_matches(&matched_buf);
-            if memo_on && memo.len() < memo_limit {
-                memo.insert(cat_buf.clone(), matched_buf.clone());
-            }
-        }
-        scanned += block_end - block_start;
-        block_start = block_end;
-        // Distinct-tuple fallback (see module docs): give up on the cache
-        // when the first full block shows near-zero tuple reuse, or when
-        // the cache has filled without ever serving a hit. Dropping the
-        // cache only skips future probes — counts are unaffected. Under
-        // `Auto` the same signal switches the shard to the bitmask kernel
-        // (the cache just proved the table near-distinct — exactly the
-        // shape the bitmask kernel wins on); explicit `Memoized` keeps
-        // the row-wise walk, cache off.
-        if memo_on {
-            distinct_high = distinct_high.max(memo.len());
-            let trial_failed =
-                scanned == CANCEL_CHECK_INTERVAL && memo.len() * MEMO_TRIAL_FACTOR >= scanned;
-            let full_and_cold = memo.len() >= memo_limit && memo_hits == 0;
-            if trial_failed || full_and_cold {
-                memo_on = false;
-                memo = HashMap::new();
-                if kernel == ScanKernel::Auto {
-                    on_bitmask = true;
+                    None => direct[pi] += 1,
                 }
             }
         }
-    }
-    let resolved = match kernel {
-        ScanKernel::Direct | ScanKernel::Memoized | ScanKernel::Bitmask => kernel,
-        ScanKernel::Auto => {
-            if on_bitmask {
-                ScanKernel::Bitmask
-            } else {
-                ScanKernel::Memoized
-            }
-        }
-    };
+    });
+    let counts = plans
+        .iter()
+        .zip(counters)
+        .zip(direct)
+        .map(|((plan, counter), direct)| match counter {
+            Some(counter) if !cancelled => counter.finish(),
+            _ => vec![direct; plan.members.len()],
+        })
+        .collect();
     ShardTally {
-        counters,
-        direct,
-        member_counts,
+        counts,
         scan_time: started.elapsed(),
-        cancelled: was_cancelled,
-        distinct_tuples: distinct_high.max(memo.len()),
-        memo_hits,
-        kernel: resolved,
+        cancelled,
     }
 }
 
-/// Count the support of every candidate in one (serial) pass over `table`.
+/// Count the support of every candidate in one pass over `table`,
+/// scanning up to `opts.num_threads` contiguous row shards in parallel
+/// with the kernel `opts.kernel`.
 ///
-/// Equivalent to [`count_candidates_sharded`] with one thread; kept as the
-/// reference entry point for tests and ablations.
+/// Counts are bit-identical for every option combination — threads,
+/// pool and kernel are performance choices, never semantics (see module
+/// docs); `num_threads <= 1` runs the scan inline without spawning.
+/// Every shard checks `opts.cancel` every [`CANCEL_CHECK_INTERVAL`] of its
+/// own records and at the scan start, so a fired token stops the pass
+/// within roughly one check interval per shard; a cancelled pass returns
+/// [`ScanCancelled`] — its partial tallies are discarded, never
+/// observable.
 pub fn count_candidates(
     table: &EncodedTable,
     candidates: &[Itemset],
-    force_kind: Option<CounterKind>,
-) -> (Vec<u64>, PassStats) {
-    count_candidates_sharded(table, candidates, force_kind, 1)
-}
-
-/// Count the support of every candidate in one pass over `table`, scanning
-/// up to `num_threads` contiguous row shards in parallel.
-///
-/// `force_kind` pins the quantitative counting backend (for the ablation
-/// bench); `None` applies the paper's memory heuristic per super-candidate.
-/// Output is bit-identical for every `num_threads` (see module docs);
-/// `num_threads <= 1` runs the scan inline without spawning.
-pub fn count_candidates_sharded(
-    table: &EncodedTable,
-    candidates: &[Itemset],
-    force_kind: Option<CounterKind>,
-    num_threads: usize,
-) -> (Vec<u64>, PassStats) {
-    match count_candidates_opts(table, candidates, force_kind, ScanOptions::new(num_threads)) {
-        Ok(result) => result,
-        Err(ScanCancelled) => unreachable!("no cancel token was supplied"),
-    }
-}
-
-/// [`count_candidates_sharded`] with a cooperative [`CancelToken`]: every
-/// shard checks the token every `CANCEL_CHECK_INTERVAL` of its own
-/// records and at the scan start, so a fired token stops the pass within
-/// roughly one check interval per shard. A cancelled pass returns
-/// [`ScanCancelled`] — its partial tallies are discarded, never
-/// observable.
-pub fn count_candidates_cancellable(
-    table: &EncodedTable,
-    candidates: &[Itemset],
-    force_kind: Option<CounterKind>,
-    num_threads: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<(Vec<u64>, PassStats), ScanCancelled> {
-    count_candidates_opts(
-        table,
-        candidates,
-        force_kind,
-        ScanOptions {
-            cancel,
-            ..ScanOptions::new(num_threads)
-        },
-    )
-}
-
-/// The fully parameterized counting scan behind every `count_candidates*`
-/// entry point; see [`ScanOptions`] for the knobs. Counts are
-/// bit-identical across every option combination — threads, pool, and
-/// memoization are performance choices, never semantics.
-pub fn count_candidates_opts(
-    table: &EncodedTable,
-    candidates: &[Itemset],
-    force_kind: Option<CounterKind>,
     opts: ScanOptions<'_>,
 ) -> Result<(Vec<u64>, PassStats), ScanCancelled> {
-    let (plans, mut stats) = build_plans(table, candidates, force_kind);
-    let (always, trees) = build_trees(&plans);
-    stats.hash_tree_nodes = trees.values().map(HashTree::node_count).sum();
-    stats.memoized = matches!(opts.kernel, ScanKernel::Memoized | ScanKernel::Auto);
-    let num_rows = table.num_rows();
-    let bounds = shard_bounds(num_rows, opts.num_threads);
+    let (plans, mut stats) = build_plans(table, candidates, opts.kernel);
+    let index = matches!(opts.kernel, ScanKernel::Direct(_)).then(|| PlanIndex::new(&plans));
+    stats.hash_tree_nodes = index.as_ref().map_or(0, |index| {
+        index.trees.values().map(HashTree::node_count).sum()
+    });
+    stats.kernel = opts.kernel.name().to_string();
+    let bounds = shard_bounds(table.num_rows(), opts.num_threads);
     stats.counter_bytes = stats.counter_bytes.saturating_mul(bounds.len());
     stats.pooled = bounds.len() > 1;
-    let cancel = opts.cancel;
 
+    let scan = |rows: Range<usize>| match &index {
+        Some(index) => scan_direct(table, &plans, index, rows, opts.cancel),
+        None => scan_bitmask(table, &plans, rows, opts.cancel),
+    };
     let scan_started = Instant::now();
-    let mut tallies: Vec<ShardTally> = if bounds.len() <= 1 {
-        let range = bounds.into_iter().next().unwrap_or(0..0);
-        vec![scan_shard(
-            table,
-            &plans,
-            &always,
-            &trees,
-            range,
-            cancel,
-            opts.kernel,
-            opts.memo_limit,
-        )]
+    let tallies: Vec<ShardTally> = if bounds.len() <= 1 {
+        vec![scan(bounds.into_iter().next().unwrap_or(0..0))]
     } else {
-        let plans_ref = &plans;
-        let always_ref = &always;
-        let trees_ref = &trees;
-        let tasks: Vec<_> = bounds
-            .into_iter()
-            .map(|range| {
-                move || {
-                    scan_shard(
-                        table,
-                        plans_ref,
-                        always_ref,
-                        trees_ref,
-                        range,
-                        cancel,
-                        opts.kernel,
-                        opts.memo_limit,
-                    )
-                }
-            })
-            .collect();
+        let scan = &scan;
+        let tasks: Vec<_> = bounds.into_iter().map(|rows| move || scan(rows)).collect();
         run_sharded(opts.pool, tasks)
     };
     if tallies.iter().any(|t| t.cancelled) {
@@ -1005,37 +838,15 @@ pub fn count_candidates_opts(
     }
     stats.scan_time = scan_started.elapsed();
     stats.shard_scan_times = tallies.iter().map(|t| t.scan_time).collect();
-    stats.distinct_tuples = tallies.iter().map(|t| t.distinct_tuples).sum();
-    stats.memo_hits = tallies.iter().map(|t| t.memo_hits).sum();
-    // `Auto` resolves per shard; shards that disagree report "mixed".
-    let first_kernel = tallies[0].kernel;
-    stats.kernel = if tallies.iter().all(|t| t.kernel == first_kernel) {
-        first_kernel.name().to_string()
-    } else {
-        "mixed".to_string()
-    };
 
     // Merge per-shard tallies in shard order (u64 sums: order-independent,
-    // fixed anyway for determinism of the timing bookkeeping). A shard may
-    // carry a rectangle counter, bitmask member counts, or (after an
-    // `Auto` mid-scan switch) both — one-sided counters are adopted.
+    // fixed anyway for determinism of the timing bookkeeping), then
+    // scatter them back to candidate order.
     let merge_started = Instant::now();
-    let mut merged = tallies.remove(0);
+    let mut tallies = tallies.into_iter();
+    let mut merged = tallies.next().expect("at least one shard").counts;
     for tally in tallies {
-        for (into, from) in merged.counters.iter_mut().zip(tally.counters) {
-            match (into.take(), from) {
-                (Some(mut a), Some(b)) => {
-                    a.merge_from(b);
-                    *into = Some(a);
-                }
-                (Some(a), None) => *into = Some(a),
-                (None, b) => *into = b,
-            }
-        }
-        for (into, from) in merged.direct.iter_mut().zip(tally.direct) {
-            *into += from;
-        }
-        for (into, from) in merged.member_counts.iter_mut().zip(tally.member_counts) {
+        for (into, from) in merged.iter_mut().zip(tally.counts) {
             for (a, b) in into.iter_mut().zip(from) {
                 *a += b;
             }
@@ -1044,39 +855,10 @@ pub fn count_candidates_opts(
     if stats.shard_scan_times.len() > 1 {
         stats.merge_time = merge_started.elapsed();
     }
-
-    // Scatter per-rectangle counts back to candidate order: the row-wise
-    // counter's tally (when one ran) plus the bitmask member counts.
     let mut counts = vec![0u64; candidates.len()];
-    let ShardTally {
-        counters,
-        direct,
-        member_counts,
-        ..
-    } = merged;
-    for (((plan, counter), direct), bm_counts) in
-        plans.iter().zip(counters).zip(direct).zip(member_counts)
-    {
-        match counter {
-            Some(counter) => {
-                for ((member, count), bm) in
-                    plan.members.iter().zip(counter.finish()).zip(bm_counts)
-                {
-                    counts[*member] = count + bm;
-                }
-            }
-            None if plan.kind.is_some() => {
-                // Every shard ran the bitmask kernel from row zero: no
-                // rectangle counter was ever built.
-                for (member, bm) in plan.members.iter().zip(bm_counts) {
-                    counts[*member] = bm;
-                }
-            }
-            None => {
-                for &member in &plan.members {
-                    counts[member] = direct;
-                }
-            }
+    for (plan, members) in plans.iter().zip(merged) {
+        for (&member, count) in plan.members.iter().zip(members) {
+            counts[member] = count;
         }
     }
     Ok((counts, stats))
@@ -1250,12 +1032,7 @@ impl PairHistograms {
                 })
             })
             .collect();
-        let mut block_start = rows.start;
-        while block_start < rows.end {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return true;
-            }
-            let block = block_start..rows.end.min(block_start + CANCEL_CHECK_INTERVAL);
+        scan_blocks(rows, cancel, |block| {
             for (col_a, col_b, stride, skip, part) in &parts {
                 let hist = &mut cells[part.clone()];
                 for (&x, &y) in col_a[block.clone()].iter().zip(&col_b[block.clone()]) {
@@ -1265,9 +1042,7 @@ impl PairHistograms {
                     }
                 }
             }
-            block_start = block.end;
-        }
-        false
+        })
     }
 
     /// Add every row of `table` (a whole table, a spilled chunk or a row
@@ -1289,7 +1064,7 @@ impl PairHistograms {
                 .saturating_mul(std::mem::size_of::<u64>())
                 .saturating_mul(bounds.len()),
             pooled: bounds.len() > 1,
-            kernel: ScanKernel::Direct.name().to_string(),
+            kernel: CELLS_KERNEL.to_string(),
             ..PassStats::default()
         };
         let started = Instant::now();
@@ -1471,14 +1246,37 @@ mod tests {
         ]
     }
 
+    /// The bitmask kernel and the reference kernel under each backend
+    /// choice.
+    const KERNELS: [ScanKernel; 4] = [
+        ScanKernel::Bitmask,
+        ScanKernel::Direct(None),
+        ScanKernel::Direct(Some(CounterKind::Array)),
+        ScanKernel::Direct(Some(CounterKind::RTree)),
+    ];
+
+    /// An uncancellable scan of `cands` under `kernel` on `threads` shards.
+    fn count(
+        enc: &EncodedTable,
+        cands: &[Itemset],
+        kernel: ScanKernel,
+        threads: usize,
+    ) -> (Vec<u64>, PassStats) {
+        let opts = ScanOptions {
+            kernel,
+            ..ScanOptions::new(threads)
+        };
+        count_candidates(enc, cands, opts).unwrap()
+    }
+
     #[test]
     fn counts_match_naive() {
         let enc = people();
         let cands = candidates();
         let naive = count_candidates_naive(&enc, &cands);
-        for force in [None, Some(CounterKind::Array), Some(CounterKind::RTree)] {
-            let (fast, stats) = count_candidates(&enc, &cands, force);
-            assert_eq!(fast, naive, "force={force:?}");
+        for kernel in KERNELS {
+            let (fast, stats) = count(&enc, &cands, kernel, 1);
+            assert_eq!(fast, naive, "{kernel:?}");
             assert!(stats.super_candidates > 0);
         }
         assert_eq!(naive, vec![2, 2, 2, 3, 2]);
@@ -1493,11 +1291,51 @@ mod tests {
         // -> same super-candidate.
         let enc = people();
         let cands = candidates();
-        let (_, stats) = count_candidates(&enc, &cands, None);
+        let (_, stats) = count(&enc, &cands, ScanKernel::Direct(None), 1);
         // Groups: {age,cars} (cands 1,3), {married=Yes}+{age} (cand 0),
         // {married=Yes}+{cars} (cand 2), {married=No}+{age} (cand 4).
         assert_eq!(stats.super_candidates, 4);
         assert_eq!(stats.array_backed + stats.rtree_backed, 4);
+        assert_eq!(stats.kernel, "direct");
+    }
+
+    /// A pinned reference pass builds only the pinned backend, for every
+    /// super-candidate with a quantitative part, on every shard count.
+    #[test]
+    fn pinned_direct_pass_reports_only_its_backend() {
+        let (enc, cands) = mixed_wide();
+        for kind in [CounterKind::Array, CounterKind::RTree] {
+            for threads in [1, 3] {
+                let (_, stats) = count(&enc, &cands, ScanKernel::Direct(Some(kind)), threads);
+                let (pinned, other) = match kind {
+                    CounterKind::Array => (stats.array_backed, stats.rtree_backed),
+                    CounterKind::RTree => (stats.rtree_backed, stats.array_backed),
+                };
+                // 7 codes × 2 attribute sets and 2 purely quantitative
+                // groups have a backend; the purely categorical plan has
+                // none.
+                assert_eq!((pinned, other), (stats.super_candidates - 1, 0), "{kind:?}");
+                assert!(stats.hash_tree_nodes > 0);
+                assert_eq!(stats.kernel, "direct");
+            }
+        }
+    }
+
+    /// The default pass runs the bitmask kernel: no hash tree, no array
+    /// and no R*-tree, and its memory figure is the tallies it allocates
+    /// per shard.
+    #[test]
+    fn default_pass_reports_no_backends() {
+        let (enc, cands) = mixed_wide();
+        for threads in [1, 4] {
+            let opts = ScanOptions::new(threads);
+            let (_, stats) = count_candidates(&enc, &cands, opts).unwrap();
+            assert_eq!(stats.kernel, "bitmask");
+            assert_eq!((stats.array_backed, stats.rtree_backed), (0, 0));
+            assert_eq!(stats.hash_tree_nodes, 0);
+            let tallies = stats.super_candidates + cands.len();
+            assert_eq!(stats.counter_bytes, tallies * 8 * threads);
+        }
     }
 
     #[test]
@@ -1520,9 +1358,11 @@ mod tests {
                 .into_iter()
                 .collect(), // y,u
         ];
-        let (counts, stats) = count_candidates(&enc, &cands, None);
-        assert_eq!(counts, vec![2, 1]);
-        assert_eq!(stats.array_backed + stats.rtree_backed, 0);
+        for kernel in KERNELS {
+            let (counts, stats) = count(&enc, &cands, kernel, 1);
+            assert_eq!(counts, vec![2, 1]);
+            assert_eq!(stats.array_backed + stats.rtree_backed, 0);
+        }
     }
 
     #[test]
@@ -1548,15 +1388,17 @@ mod tests {
                 .into_iter()
                 .collect(),
         ];
-        let (counts, stats) = count_candidates(&enc, &cands, None);
-        assert_eq!(counts, vec![2, 2, 1]);
-        assert_eq!(stats.super_candidates, 1, "one quant attr set");
+        for kernel in KERNELS {
+            let (counts, stats) = count(&enc, &cands, kernel, 1);
+            assert_eq!(counts, vec![2, 2, 1]);
+            assert_eq!(stats.super_candidates, 1, "one quant attr set");
+        }
     }
 
     #[test]
     fn empty_candidate_list() {
         let enc = people();
-        let (counts, stats) = count_candidates(&enc, &[], None);
+        let (counts, stats) = count(&enc, &[], ScanKernel::Bitmask, 1);
         assert!(counts.is_empty());
         assert_eq!(stats.super_candidates, 0);
     }
@@ -1589,17 +1431,17 @@ mod tests {
         }
     }
 
-    /// The heart of the tentpole guarantee: every thread count yields the
-    /// serial counts exactly, across backends.
+    /// Every thread count yields the serial counts exactly, across
+    /// kernels and backends.
     #[test]
     fn sharded_counts_equal_serial_for_all_thread_counts() {
         let enc = people();
         let cands = candidates();
-        for force in [None, Some(CounterKind::Array), Some(CounterKind::RTree)] {
-            let (serial, _) = count_candidates_sharded(&enc, &cands, force, 1);
+        for kernel in KERNELS {
+            let (serial, _) = count(&enc, &cands, kernel, 1);
             for threads in [2, 3, 4, 5, 8, 64] {
-                let (sharded, stats) = count_candidates_sharded(&enc, &cands, force, threads);
-                assert_eq!(sharded, serial, "force={force:?} threads={threads}");
+                let (sharded, stats) = count(&enc, &cands, kernel, threads);
+                assert_eq!(sharded, serial, "{kernel:?} threads={threads}");
                 // 5 rows: at most 5 shards regardless of the request.
                 assert!(stats.num_shards() <= 5);
                 assert_eq!(stats.shard_scan_times.len(), stats.num_shards());
@@ -1612,8 +1454,8 @@ mod tests {
         // rows == threads: every shard scans exactly one row.
         let enc = people();
         let cands = candidates();
-        let (serial, _) = count_candidates_sharded(&enc, &cands, None, 1);
-        let (sharded, stats) = count_candidates_sharded(&enc, &cands, None, 5);
+        let (serial, _) = count(&enc, &cands, ScanKernel::Bitmask, 1);
+        let (sharded, stats) = count(&enc, &cands, ScanKernel::Bitmask, 5);
         assert_eq!(sharded, serial);
         assert_eq!(stats.num_shards(), 5);
     }
@@ -1626,7 +1468,7 @@ mod tests {
         t.push_row(&[Value::Int(2)]).unwrap();
         let enc = EncodedTable::encode_full_resolution(&t).unwrap();
         let cands: Vec<Itemset> = vec![vec![Item::range(0, 0, 1)].into_iter().collect()];
-        let (counts, stats) = count_candidates_sharded(&enc, &cands, None, 16);
+        let (counts, stats) = count(&enc, &cands, ScanKernel::Bitmask, 16);
         assert_eq!(counts, vec![2]);
         assert_eq!(stats.num_shards(), 2, "clamped to one row per shard");
     }
@@ -1645,7 +1487,7 @@ mod tests {
         let enc = EncodedTable::encode_full_resolution(&t).unwrap();
         let cands: Vec<Itemset> = vec![vec![Item::value(1, 0)].into_iter().collect()];
         for threads in [1, 4] {
-            let (counts, stats) = count_candidates_sharded(&enc, &cands, None, threads);
+            let (counts, stats) = count(&enc, &cands, ScanKernel::Bitmask, threads);
             assert_eq!(counts, vec![0], "threads={threads}");
             assert_eq!(stats.num_shards(), 1, "empty table collapses to one shard");
         }
@@ -1694,177 +1536,20 @@ mod tests {
         cands
     }
 
-    /// Every kernel is bit-identical to the naive reference, for every
-    /// thread count, and reports itself in [`PassStats::kernel`].
+    /// Both kernels are bit-identical to the naive reference, for every
+    /// thread count, and report themselves in [`PassStats::kernel`].
     #[test]
     fn every_kernel_equals_naive_for_all_thread_counts() {
         let enc = duplicate_heavy();
         let cands = duplicate_heavy_candidates();
         let naive = count_candidates_naive(&enc, &cands);
         for threads in [1, 2, 4, 7] {
-            for kernel in [
-                ScanKernel::Direct,
-                ScanKernel::Memoized,
-                ScanKernel::Bitmask,
-                ScanKernel::Auto,
-            ] {
-                let opts = ScanOptions {
-                    kernel,
-                    ..ScanOptions::new(threads)
-                };
-                let (counts, stats) = count_candidates_opts(&enc, &cands, None, opts).unwrap();
-                assert_eq!(counts, naive, "threads={threads} kernel={kernel}");
-                let cache_on = matches!(kernel, ScanKernel::Memoized | ScanKernel::Auto);
-                assert_eq!(stats.memoized, cache_on);
-                if cache_on {
-                    // 6 distinct (c0, c1) tuples; every shard sees at most 6,
-                    // and on this tiny table the trial never fires — `Auto`
-                    // stays memoized.
-                    assert_eq!(stats.kernel, "memoized");
-                    assert!(stats.distinct_tuples >= 6, "{}", stats.distinct_tuples);
-                    assert!(stats.distinct_tuples <= 6 * stats.num_shards());
-                    assert!(stats.memo_hits > 0, "60 rows over 6 tuples must hit");
-                } else {
-                    assert_eq!(stats.kernel, kernel.name());
-                    assert_eq!(stats.distinct_tuples, 0);
-                    assert_eq!(stats.memo_hits, 0);
-                }
+            for kernel in [ScanKernel::Direct(None), ScanKernel::Bitmask] {
+                let (counts, stats) = count(&enc, &cands, kernel, threads);
+                assert_eq!(counts, naive, "threads={threads} {kernel:?}");
+                assert_eq!(stats.kernel, kernel.name());
             }
         }
-    }
-
-    /// The cache stops admitting tuples at `memo_limit`, keeps serving the
-    /// admitted ones, and counts stay exact through the fallback.
-    #[test]
-    fn memo_limit_caps_cache_and_preserves_counts() {
-        let enc = duplicate_heavy();
-        let cands = duplicate_heavy_candidates();
-        let naive = count_candidates_naive(&enc, &cands);
-        // 6 distinct tuples; a limit of 2 forces the direct walk for the
-        // other 4 tuples' rows.
-        let opts = ScanOptions {
-            kernel: ScanKernel::Memoized,
-            memo_limit: 2,
-            ..ScanOptions::new(1)
-        };
-        let (counts, stats) = count_candidates_opts(&enc, &cands, None, opts).unwrap();
-        assert_eq!(counts, naive);
-        assert_eq!(stats.distinct_tuples, 2, "cache admits exactly the cap");
-        // The two admitted tuples each cover 10 of 60 rows; all but their
-        // first occurrences are hits.
-        assert_eq!(stats.memo_hits, 18);
-        // A zero limit disables caching entirely without changing counts;
-        // explicit `Memoized` stays on the row-wise walk...
-        let opts = ScanOptions {
-            kernel: ScanKernel::Memoized,
-            memo_limit: 0,
-            ..ScanOptions::new(1)
-        };
-        let (counts, stats) = count_candidates_opts(&enc, &cands, None, opts).unwrap();
-        assert_eq!(counts, naive);
-        assert_eq!(stats.kernel, "memoized");
-        assert_eq!(stats.distinct_tuples, 0);
-        assert_eq!(stats.memo_hits, 0);
-        // ...while `Auto` with nothing to trial goes straight to bitmask.
-        let opts = ScanOptions {
-            memo_limit: 0,
-            ..ScanOptions::new(1)
-        };
-        let (counts, stats) = count_candidates_opts(&enc, &cands, None, opts).unwrap();
-        assert_eq!(counts, naive);
-        assert_eq!(stats.kernel, "bitmask");
-        assert_eq!(stats.distinct_tuples, 0);
-        assert_eq!(stats.memo_hits, 0);
-    }
-
-    /// The distinct-tuple fallback: on an all-distinct table the shard
-    /// stops probing the cache at the first full-block boundary — hits
-    /// stay at zero, the admitted high-water mark is exactly one block's
-    /// worth of tuples, and counts are untouched.
-    #[test]
-    fn distinct_tuple_fallback_disables_cache() {
-        let schema = Schema::builder()
-            .categorical("c0")
-            .categorical("c1")
-            .build()
-            .unwrap();
-        let mut t = Table::new(schema);
-        // 41 × 43 coprime cardinalities: every tuple distinct up to 1763.
-        for i in 0..1600usize {
-            t.push_row(&[
-                Value::from(format!("v{}", i % 41)),
-                Value::from(format!("v{}", (i / 41) % 43)),
-            ])
-            .unwrap();
-        }
-        let enc = EncodedTable::encode_full_resolution(&t).unwrap();
-        let cands: Vec<Itemset> = (0..3u32)
-            .map(|c| {
-                vec![Item::value(0, c), Item::value(1, c)]
-                    .into_iter()
-                    .collect()
-            })
-            .collect();
-        let naive = count_candidates_naive(&enc, &cands);
-        let (counts, stats) =
-            count_candidates_opts(&enc, &cands, None, ScanOptions::new(1)).unwrap();
-        assert_eq!(counts, naive);
-        assert!(stats.memoized);
-        assert_eq!(stats.memo_hits, 0, "all-distinct tuples never hit");
-        assert_eq!(
-            stats.distinct_tuples, CANCEL_CHECK_INTERVAL,
-            "cache dropped at the first block boundary"
-        );
-        // `Auto` turns the failed trial into a mid-scan kernel switch: the
-        // remaining 576 rows run the bitmask kernel (and still count
-        // identically — asserted against naive above).
-        assert_eq!(stats.kernel, "bitmask");
-        // Explicit `Memoized` keeps the row-wise walk after the same
-        // fallback and reports itself unchanged.
-        let opts = ScanOptions {
-            kernel: ScanKernel::Memoized,
-            ..ScanOptions::new(1)
-        };
-        let (counts, stats) = count_candidates_opts(&enc, &cands, None, opts).unwrap();
-        assert_eq!(counts, naive);
-        assert_eq!(stats.kernel, "memoized");
-        assert_eq!(stats.distinct_tuples, CANCEL_CHECK_INTERVAL);
-    }
-
-    /// The trial keeps the cache for a long duplicate-heavy table: 6
-    /// tuples over 1600 rows easily clear the reuse bar, so every row
-    /// after the first occurrences is a hit.
-    #[test]
-    fn trial_keeps_cache_on_duplicate_heavy_tables() {
-        let schema = Schema::builder()
-            .categorical("c0")
-            .categorical("c1")
-            .build()
-            .unwrap();
-        let mut t = Table::new(schema);
-        for i in 0..1600usize {
-            t.push_row(&[
-                Value::from(["a", "b"][i % 2]),
-                Value::from(["u", "v", "w"][i % 3]),
-            ])
-            .unwrap();
-        }
-        let enc = EncodedTable::encode_full_resolution(&t).unwrap();
-        let cands: Vec<Itemset> = vec![
-            vec![Item::value(0, 0), Item::value(1, 0)]
-                .into_iter()
-                .collect(),
-            vec![Item::value(0, 1), Item::value(1, 2)]
-                .into_iter()
-                .collect(),
-        ];
-        let naive = count_candidates_naive(&enc, &cands);
-        let (counts, stats) =
-            count_candidates_opts(&enc, &cands, None, ScanOptions::new(1)).unwrap();
-        assert_eq!(counts, naive);
-        assert_eq!(stats.kernel, "memoized", "trial keeps Auto on the cache");
-        assert_eq!(stats.distinct_tuples, 6);
-        assert_eq!(stats.memo_hits, 1600 - 6, "every repeat row hits");
     }
 
     /// A wide mixed table exercising the bitmask kernel's edge geometry:
@@ -1940,21 +1625,12 @@ mod tests {
     fn bitmask_matches_direct_on_mixed_wide_table() {
         let (enc, cands) = mixed_wide();
         let naive = count_candidates_naive(&enc, &cands);
-        let direct_opts = ScanOptions {
-            kernel: ScanKernel::Direct,
-            ..ScanOptions::new(1)
-        };
-        let (direct, _) = count_candidates_opts(&enc, &cands, None, direct_opts).unwrap();
+        let (direct, _) = count(&enc, &cands, ScanKernel::Direct(None), 1);
         assert_eq!(direct, naive);
         for threads in [1, 2, 3, 8] {
-            let opts = ScanOptions {
-                kernel: ScanKernel::Bitmask,
-                ..ScanOptions::new(threads)
-            };
-            let (counts, stats) = count_candidates_opts(&enc, &cands, None, opts).unwrap();
+            let (counts, stats) = count(&enc, &cands, ScanKernel::Bitmask, threads);
             assert_eq!(counts, naive, "threads={threads}");
             assert_eq!(stats.kernel, "bitmask");
-            assert!(!stats.memoized);
         }
     }
 
@@ -1969,13 +1645,12 @@ mod tests {
             pool: Some(&pool),
             ..ScanOptions::new(4)
         };
-        let (with_own, stats) = count_candidates_opts(&enc, &cands, None, opts_own).unwrap();
+        let (with_own, stats) = count_candidates(&enc, &cands, opts_own).unwrap();
         assert!(stats.pooled);
-        let (with_global, _) =
-            count_candidates_opts(&enc, &cands, None, ScanOptions::new(4)).unwrap();
+        let (with_global, _) = count_candidates(&enc, &cands, ScanOptions::new(4)).unwrap();
         assert_eq!(with_own, with_global);
         // The pool survives for another scan (persistent across passes).
-        let (again, _) = count_candidates_opts(&enc, &cands, None, opts_own).unwrap();
+        let (again, _) = count_candidates(&enc, &cands, opts_own).unwrap();
         assert_eq!(again, with_own);
     }
 

@@ -20,8 +20,8 @@
 //! the merged counts, and therefore the mined rules, are unchanged.
 
 use qar_core::source::{CountError, CountSource};
-use qar_core::supercand::{cell_groups, count_candidates_opts, PairHistograms, ScanOptions};
-use qar_core::{MinerConfig, MinerError, ScanKernel};
+use qar_core::supercand::{cell_groups, count_candidates, PairHistograms, ScanOptions};
+use qar_core::{MinerConfig, MinerError};
 use qar_itemset::Itemset;
 use qar_store::dist::{read_response, write_request, DistRequest, DistResponse};
 use qar_store::protocol::MAX_PAYLOAD;
@@ -391,7 +391,6 @@ pub struct DistSource<'a> {
     cancel: Option<&'a CancelToken>,
     fail_fast: bool,
     local_threads: usize,
-    local_kernel: ScanKernel,
     block_rows: usize,
 }
 
@@ -451,7 +450,6 @@ impl<'a> DistSource<'a> {
             cancel,
             fail_fast,
             local_threads: config.effective_parallelism(),
-            local_kernel: config.kernel,
             block_rows: (BATCH_BYTES / (4 * ncols.max(1))).max(1),
         };
         source.load()?;
@@ -567,7 +565,6 @@ impl<'a> DistSource<'a> {
     fn local_scan_options(&self) -> ScanOptions<'a> {
         ScanOptions {
             cancel: self.cancel,
-            kernel: self.local_kernel,
             ..ScanOptions::new(self.local_threads)
         }
     }
@@ -772,7 +769,7 @@ impl<'a> DistSource<'a> {
             let acc = &mut result[batch_start..batch_end];
             for (start, end) in self.retired_ranges() {
                 self.for_each_local_block(start, end, &mut |block| {
-                    let (counts, _) = count_candidates_opts(block, batch, None, options)?;
+                    let (counts, _) = count_candidates(block, batch, options)?;
                     for (a, b) in acc.iter_mut().zip(counts) {
                         *a += b;
                     }

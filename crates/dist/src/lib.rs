@@ -17,7 +17,7 @@
 //!
 //! * [`worker`] — the worker side: a serve loop over the
 //!   [`qar_store::dist`] wire protocol (Setup → Rows… → CountItems /
-//!   CountPairs… / CountCandidates… → Shutdown), counting with the same scan kernels
+//!   CountPairs… / CountCandidates… → Shutdown), counting with the same scan kernel
 //!   the serial miner uses;
 //! * [`coordinator`] — the coordinator side: [`Cluster`] spawns and
 //!   connects workers (child processes of the `qar` binary, or

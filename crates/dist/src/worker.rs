@@ -16,8 +16,8 @@
 //! loss) terminate the serve loop with a [`ProtocolError`].
 
 use qar_core::frequent::attribute_value_counts;
-use qar_core::supercand::{count_candidates_opts, PairHistograms, ScanOptions};
-use qar_core::{MinerConfig, ScanKernel};
+use qar_core::supercand::{count_candidates, PairHistograms, ScanOptions};
+use qar_core::MinerConfig;
 use qar_store::dist::{read_request, write_response, DistRequest, DistResponse, MAX_PAIR_CELLS};
 use qar_store::protocol::ProtocolError;
 use qar_table::{AttributeEncoder, EncodedTable, Schema};
@@ -26,23 +26,12 @@ use std::net::TcpStream;
 use std::ops::Range;
 
 /// Tuning knobs for a worker's counting scans. They affect speed only —
-/// counts are exact under every kernel and thread count.
-#[derive(Debug, Clone, Copy)]
+/// counts are exact under every thread count.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerOptions {
     /// Threads per counting scan; `0` picks the machine default (the
     /// same resolution [`MinerConfig::effective_parallelism`] applies).
     pub num_threads: usize,
-    /// Scan kernel for candidate counting.
-    pub kernel: ScanKernel,
-}
-
-impl Default for WorkerOptions {
-    fn default() -> Self {
-        WorkerOptions {
-            num_threads: 0,
-            kernel: ScanKernel::Auto,
-        }
-    }
 }
 
 impl WorkerOptions {
@@ -54,10 +43,7 @@ impl WorkerOptions {
     }
 
     fn scan_options(&self) -> ScanOptions<'static> {
-        ScanOptions {
-            kernel: self.kernel,
-            ..ScanOptions::new(self.effective_threads())
-        }
+        ScanOptions::new(self.effective_threads())
     }
 }
 
@@ -218,14 +204,12 @@ pub fn serve_connection<S: Read + Write>(
                 None => DistResponse::Error {
                     message: "count before setup".to_string(),
                 },
-                Some(p) => {
-                    match count_candidates_opts(p.table(), &candidates, None, opts.scan_options()) {
-                        Ok((counts, _)) => DistResponse::Counts { counts },
-                        Err(_) => DistResponse::Error {
-                            message: "counting scan was cancelled".to_string(),
-                        },
-                    }
-                }
+                Some(p) => match count_candidates(p.table(), &candidates, opts.scan_options()) {
+                    Ok((counts, _)) => DistResponse::Counts { counts },
+                    Err(_) => DistResponse::Error {
+                        message: "counting scan was cancelled".to_string(),
+                    },
+                },
             },
             DistRequest::CountPairs { pairs, window, .. } => match &mut partition {
                 None => DistResponse::Error {

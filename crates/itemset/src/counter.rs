@@ -178,39 +178,6 @@ impl RectCounter {
         }
     }
 
-    /// Fold another counter's record tallies into this one. Both counters
-    /// must have been built over the same rectangles with the same backend
-    /// (the parallel scan guarantees this by constructing every shard's
-    /// counter from one shared plan). After the merge, [`RectCounter::finish`]
-    /// reports counts as if this counter had seen both record streams.
-    pub fn merge_from(&mut self, other: RectCounter) {
-        match (&mut self.backend, other.backend) {
-            (
-                Backend::Array { counter, rects },
-                Backend::Array {
-                    counter: other_counter,
-                    rects: other_rects,
-                },
-            ) => {
-                debug_assert_eq!(*rects, other_rects, "merging counters over different rects");
-                counter.merge_from(&other_counter);
-            }
-            (
-                Backend::RTree { counts, .. },
-                Backend::RTree {
-                    counts: other_counts,
-                    ..
-                },
-            ) => {
-                assert_eq!(counts.len(), other_counts.len(), "rect count mismatch");
-                for (a, b) in counts.iter_mut().zip(other_counts) {
-                    *a += b;
-                }
-            }
-            _ => panic!("cannot merge counters with different backends"),
-        }
-    }
-
     /// Final per-rectangle counts, in the order the rectangles were given.
     pub fn finish(self) -> Vec<u64> {
         match self.backend {
@@ -292,46 +259,6 @@ mod tests {
             c.count_record(&[5]);
             assert_eq!(c.finish(), vec![1, 1], "{kind:?}");
         }
-    }
-
-    #[test]
-    fn merge_equals_single_stream() {
-        // Split the record stream in two; merged shard counters must equal
-        // one counter that saw everything.
-        let points: Vec<[u32; 2]> = (0..40u32).map(|i| [i % 10, (i * 7) % 10]).collect();
-        for kind in [CounterKind::Array, CounterKind::RTree] {
-            let mut whole = RectCounter::build_with(kind, &[10, 10], demo_rects());
-            for p in &points {
-                whole.count_record(p);
-            }
-            let mut left = RectCounter::build_with(kind, &[10, 10], demo_rects());
-            let mut right = RectCounter::build_with(kind, &[10, 10], demo_rects());
-            for p in &points[..13] {
-                left.count_record(p);
-            }
-            for p in &points[13..] {
-                right.count_record(p);
-            }
-            left.merge_from(right);
-            assert_eq!(left.finish(), whole.finish(), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn merge_with_empty_shard_is_identity() {
-        let mut a = RectCounter::build_with(CounterKind::Array, &[10, 10], demo_rects());
-        feed(&mut a);
-        let b = RectCounter::build_with(CounterKind::Array, &[10, 10], demo_rects());
-        a.merge_from(b);
-        assert_eq!(a.finish(), vec![4, 3, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different backends")]
-    fn merge_kind_mismatch_rejected() {
-        let mut a = RectCounter::build_with(CounterKind::Array, &[10, 10], demo_rects());
-        let b = RectCounter::build_with(CounterKind::RTree, &[10, 10], demo_rects());
-        a.merge_from(b);
     }
 
     #[test]

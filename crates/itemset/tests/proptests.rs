@@ -106,60 +106,6 @@ fn counters_agree_with_naive() {
     });
 }
 
-/// Merging shard counters == one counter over the concatenated stream, for
-/// any split point and both backends (the parallel-scan correctness core).
-#[test]
-fn counter_merge_equals_concatenated_stream() {
-    cases(64, 0x5EED_17E3_0006, |case, rng| {
-        let d = rng.gen_range(1..4usize);
-        let dims: Vec<u32> = (0..d).map(|_| rng.gen_range(2..10u32)).collect();
-        let num_rects = rng.gen_range(1..15usize);
-        let rects: Vec<(Vec<u32>, Vec<u32>)> = (0..num_rects)
-            .map(|_| {
-                let mut lo = Vec::with_capacity(d);
-                let mut hi = Vec::with_capacity(d);
-                for &dim in &dims {
-                    let x = rng.gen_range(0..dim);
-                    let y = rng.gen_range(0..dim);
-                    lo.push(x.min(y));
-                    hi.push(x.max(y));
-                }
-                (lo, hi)
-            })
-            .collect();
-        let num_points = rng.gen_range(0..60usize);
-        let points: Vec<Vec<u32>> = (0..num_points)
-            .map(|_| dims.iter().map(|&dim| rng.gen_range(0..dim)).collect())
-            .collect();
-        let split = if points.is_empty() {
-            0
-        } else {
-            rng.gen_range(0..points.len() + 1)
-        };
-        for kind in [CounterKind::Array, CounterKind::RTree] {
-            let mut whole = RectCounter::build_with(kind, &dims, rects.clone());
-            for p in &points {
-                whole.count_record(p);
-            }
-            let mut left = RectCounter::build_with(kind, &dims, rects.clone());
-            let mut right = RectCounter::build_with(kind, &dims, rects.clone());
-            for p in &points[..split] {
-                left.count_record(p);
-            }
-            for p in &points[split..] {
-                right.count_record(p);
-            }
-            left.merge_from(right);
-            assert_eq!(
-                left.finish(),
-                whole.finish(),
-                "case {case} {kind:?} split {split}/{}",
-                points.len()
-            );
-        }
-    });
-}
-
 /// Generalization is a partial order on same-attribute itemsets.
 #[test]
 fn generalization_is_partial_order() {

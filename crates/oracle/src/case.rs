@@ -18,13 +18,10 @@ pub enum ReproCase {
     Snap(SnapCase),
     /// Interval-count invariant case for [`qar_partition::num_intervals`].
     Intervals(IntervalsCase),
-    /// Memoized-scan case: a duplicate-heavy categorical table mined with
-    /// the tuple cache + worker pool on, cross-checked against the
-    /// direct serial scan.
-    Memo(MiningCase),
     /// Bitmask-kernel case: boundary-skewed codes and degenerate (lo==hi)
-    /// ranges mined with the blocked bitmask kernel, serial and pooled,
-    /// cross-checked against the direct serial scan.
+    /// ranges, or a duplicate-heavy categorical table, mined with the
+    /// blocked bitmask kernel, serial and pooled, cross-checked against
+    /// the direct serial scan.
     Kernel(MiningCase),
     /// Rule-analytics case: a mined ruleset's lift / conviction /
     /// leverage / chi² / p-value / J-measure cross-checked at 0 ulps
@@ -55,7 +52,6 @@ impl ReproCase {
             ReproCase::Partition(_) => "partition",
             ReproCase::Snap(_) => "snap",
             ReproCase::Intervals(_) => "intervals",
-            ReproCase::Memo(_) => "memo",
             ReproCase::Kernel(_) => "kernel",
             ReproCase::Analytics(_) => "analytics",
             ReproCase::Distributed(_) => "distributed",

@@ -61,7 +61,6 @@ pub fn check_case(case: &ReproCase) -> Result<(), Divergence> {
         ReproCase::Partition(c) => check_partition(c),
         ReproCase::Snap(c) => check_snap(c),
         ReproCase::Intervals(c) => check_intervals(c),
-        ReproCase::Memo(c) => check_memo(c),
         ReproCase::Kernel(c) => check_kernel(c),
         ReproCase::Analytics(c) => check_analytics(c),
         ReproCase::Distributed(c) => check_distributed(c),
@@ -75,35 +74,17 @@ fn with_parallelism(config: &MinerConfig, threads: usize) -> MinerConfig {
     c
 }
 
-/// Memoized-scan oracle: the pooled scan with the categorical-tuple
-/// cache on must agree bit-for-bit with the direct serial scan (cache
-/// off), and the cache must also be thread-count-independent (memoized
-/// serial agrees too). Generated tables are duplicate-heavy, so the
-/// cache's hit path actually executes.
-pub fn check_memo(case: &MiningCase) -> Result<(), Divergence> {
-    let mut direct_cfg = with_parallelism(&case.config, 1);
-    direct_cfg.kernel = ScanKernel::Direct;
-    let mut memo_par_cfg = with_parallelism(&case.config, case.threads.max(2));
-    memo_par_cfg.kernel = ScanKernel::Memoized;
-    let mut memo_ser_cfg = with_parallelism(&case.config, 1);
-    memo_ser_cfg.kernel = ScanKernel::Memoized;
-
-    let direct = Miner::new(direct_cfg).mine(&case.table);
-    let memo_par = Miner::new(memo_par_cfg).mine(&case.table);
-    let memo_ser = Miner::new(memo_ser_cfg).mine(&case.table);
-    compare_paths("memo-parallel-vs-direct", &direct, &memo_par)?;
-    compare_paths("memo-serial-vs-direct", &direct, &memo_ser)
-}
-
 /// Bitmask-kernel oracle: the blocked bitmask scan must agree
 /// bit-for-bit with the direct serial scan, both on one thread (same
 /// shard boundaries, different counting loop) and pooled (different
-/// shard boundaries too). Generated tables skew codes to the domain
-/// boundaries and include constant columns, so the kernel's tail masks,
-/// `lo == hi` range rows, and block pre-screening all execute.
+/// shard boundaries too). Generated tables either skew codes to the
+/// domain boundaries and include constant columns, so the kernel's tail
+/// masks, `lo == hi` range rows, and block pre-screening all execute, or
+/// are duplicate-heavy categorical tables, so multi-predicate plans
+/// share equality masks.
 pub fn check_kernel(case: &MiningCase) -> Result<(), Divergence> {
     let mut direct_cfg = with_parallelism(&case.config, 1);
-    direct_cfg.kernel = ScanKernel::Direct;
+    direct_cfg.kernel = ScanKernel::Direct(None);
     let mut bitmask_ser_cfg = with_parallelism(&case.config, 1);
     bitmask_ser_cfg.kernel = ScanKernel::Bitmask;
     let mut bitmask_par_cfg = with_parallelism(&case.config, case.threads.max(2));

@@ -11,15 +11,14 @@ use qar_table::{Schema, Table, Value};
 /// Draw one case. The mix favors end-to-end mining cases; the rest stress
 /// the partitioning and completeness primitives directly.
 pub fn gen_case(rng: &mut Prng) -> ReproCase {
-    match rng.gen_weighted(&[5.0, 2.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0]) {
+    match rng.gen_weighted(&[5.0, 2.0, 1.0, 1.0, 4.0, 2.0, 2.0, 2.0]) {
         0 => ReproCase::Mining(gen_mining(rng)),
         1 => ReproCase::Partition(gen_partition(rng)),
         2 => ReproCase::Snap(gen_snap(rng)),
         3 => ReproCase::Intervals(gen_intervals(rng)),
-        4 => ReproCase::Memo(gen_memo(rng)),
-        5 => ReproCase::Kernel(gen_kernel(rng)),
-        6 => ReproCase::Analytics(gen_analytics(rng)),
-        7 => ReproCase::Distributed(gen_distributed(rng)),
+        4 => ReproCase::Kernel(gen_kernel(rng)),
+        5 => ReproCase::Analytics(gen_analytics(rng)),
+        6 => ReproCase::Distributed(gen_distributed(rng)),
         _ => ReproCase::Incremental(gen_incremental(rng)),
     }
 }
@@ -218,12 +217,12 @@ fn gen_mining(rng: &mut Prng) -> MiningCase {
     }
 }
 
-/// A memoized-scan case: low-cardinality categorical attributes over
-/// enough rows that the per-shard tuple cache sees real duplication
-/// (every distinct tuple recurs many times), with a thread count that
-/// forces the pooled sharded path. The checker compares this against the
-/// direct (cache-off) serial scan.
-fn gen_memo(rng: &mut Prng) -> MiningCase {
+/// A duplicate-heavy kernel case: 2–4 low-cardinality Zipf categorical
+/// attributes (so every distinct tuple recurs many times and
+/// multi-predicate plans share equality masks), an optional tiny
+/// quantitative domain, and a thread count that forces the pooled
+/// sharded path.
+fn gen_kernel_duplicate_heavy(rng: &mut Prng) -> MiningCase {
     let num_rows = rng.gen_range(16..65);
     let num_cats = rng.gen_range(2..5usize);
     let with_quant = rng.gen_bool(0.4);
@@ -270,13 +269,18 @@ fn gen_memo(rng: &mut Prng) -> MiningCase {
     }
 }
 
-/// A bitmask-kernel case: codes skewed toward the domain boundaries
-/// (first/last encoded value), constant columns whose frequent ranges
-/// degenerate to `lo == hi`, and row counts straddling the kernel's
-/// 64-bit word and block edges — plus occasional empty tables and
-/// impossible supports so the plan list itself can be empty. The checker
-/// compares bitmask serial and bitmask pooled against direct serial.
+/// A bitmask-kernel case. Half are duplicate-heavy categorical tables
+/// ([`gen_kernel_duplicate_heavy`]); the rest skew codes toward the
+/// domain boundaries (first/last encoded value), with constant columns
+/// whose frequent ranges degenerate to `lo == hi`, and row counts
+/// straddling the kernel's 64-bit word and block edges — plus occasional
+/// empty tables and impossible supports so the plan list itself can be
+/// empty. The checker compares bitmask serial and bitmask pooled against
+/// direct serial.
 fn gen_kernel(rng: &mut Prng) -> MiningCase {
+    if rng.gen_bool(0.5) {
+        return gen_kernel_duplicate_heavy(rng);
+    }
     // Word- and block-boundary row counts matter: the kernel's tail
     // masking and partial-block path only run when rows % 64 != 0.
     let num_rows = match rng.gen_weighted(&[1.0, 2.0, 3.0, 3.0, 3.0]) {

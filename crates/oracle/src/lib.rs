@@ -4,10 +4,9 @@
 //! where boundary bugs live — and cross-checks every execution path the
 //! repo has for the same question: serial vs parallel mining, the
 //! brute-force enumerator, the boolean apriori bridge, the `.qarcat`
-//! save → load → query round trip, the memoized pooled scan against
-//! the direct serial scan on duplicate-heavy categorical tables, the
-//! blocked bitmask kernel (serial and pooled) against the direct serial
-//! scan on boundary-skewed tables, count-distribution distributed
+//! save → load → query round trip, the blocked bitmask kernel (serial
+//! and pooled) against the direct serial scan on boundary-skewed and on
+//! duplicate-heavy categorical tables, count-distribution distributed
 //! mining over worker threads against the single-process miner (down to
 //! byte-identical normalized catalogs), and incremental catalog updates
 //! (mine the base, merge a delta-only scan into the persisted counts)
@@ -142,7 +141,6 @@ mod tests {
         );
         // The generator mix must actually exercise every case kind.
         assert!(report.kind_counts.contains_key("mining"));
-        assert!(report.kind_counts.contains_key("memo"));
         assert!(report.kind_counts.contains_key("kernel"));
         assert!(report.kind_counts.contains_key("analytics"));
         assert!(report.kind_counts.contains_key("distributed"));

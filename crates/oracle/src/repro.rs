@@ -73,7 +73,6 @@ pub fn serialize(case: &ReproCase, divergence: &str) -> String {
     let _ = writeln!(out, "kind {}", case.kind());
     match case {
         ReproCase::Mining(c)
-        | ReproCase::Memo(c)
         | ReproCase::Kernel(c)
         | ReproCase::Analytics(c)
         | ReproCase::Distributed(c) => serialize_mining_body(&mut out, c),
@@ -199,7 +198,7 @@ pub fn parse(text: &str) -> Result<ReproCase, ReproError> {
             .ok_or_else(|| err(format!("missing key `{key}`")))
     };
     match get("kind")? {
-        kind @ ("mining" | "memo" | "kernel" | "analytics" | "distributed" | "incremental") => {
+        kind @ ("mining" | "kernel" | "analytics" | "distributed" | "incremental") => {
             let schema = parse_schema(get("schema")?)?;
             let table = csv::read_table(table_body.as_bytes(), &schema)
                 .map_err(|e| err(format!("bad CSV table: {e}")))?;
@@ -252,7 +251,6 @@ pub fn parse(text: &str) -> Result<ReproCase, ReproError> {
                 threads: parse_usize(get("threads")?, "threads")?,
             };
             Ok(match kind {
-                "memo" => ReproCase::Memo(case),
                 "kernel" => ReproCase::Kernel(case),
                 "analytics" => ReproCase::Analytics(case),
                 "distributed" => ReproCase::Distributed(case),
@@ -373,22 +371,8 @@ mod tests {
         assert_eq!(again, text);
     }
 
-    /// A memo case carries the same body as a mining case but keeps its
-    /// own kind tag through the round trip.
-    #[test]
-    fn memo_fixture_round_trips_textually() {
-        let ReproCase::Mining(inner) = sample_mining_case() else {
-            unreachable!()
-        };
-        let case = ReproCase::Memo(inner);
-        let text = serialize(&case, "check");
-        assert!(text.contains("\nkind memo\n"), "{text}");
-        let parsed = parse(&text).expect("own output parses");
-        assert!(matches!(parsed, ReproCase::Memo(_)));
-        assert_eq!(serialize(&parsed, "check"), text);
-    }
-
-    /// So does a bitmask-kernel case.
+    /// A bitmask-kernel case carries the same body as a mining case but
+    /// keeps its own kind tag through the round trip.
     #[test]
     fn kernel_fixture_round_trips_textually() {
         let ReproCase::Mining(inner) = sample_mining_case() else {

@@ -437,10 +437,7 @@ mod tests {
                 merge_us: 2,
                 shard_scan_us: vec![20, 19],
                 pooled: true,
-                memoized: true,
-                distinct_tuples: 4,
-                memo_hits: 6,
-                kernel: "memoized".to_string(),
+                kernel: "direct".to_string(),
             },
             TraceEvent::RunFinished {
                 passes: 2,

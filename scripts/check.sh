@@ -78,12 +78,13 @@ grep -q '"suite":"bench_serve"' "$STORE_DIR/bench_serve.json"
 grep -q '"p99_us"' "$STORE_DIR/bench_serve.json"
 ./target/release/qar trace-check < "$STORE_DIR/serve.trace" > /dev/null
 
-echo "==> scan-kernel bench smoke (memo speedup + all-distinct + bitmask floors)"
+echo "==> scan-kernel bench smoke (bitmask vs direct: throughput, speedup and ratio floors)"
 # Quick run of the support-counting scan bench: exits non-zero when the
-# memoized pooled scan misses its throughput floor, fails to beat the
-# direct scan on the duplicate-heavy table, regresses the all-distinct
-# worst case, or when the bitmask kernel misses its all-distinct speedup
-# floor. The JSON goes to a temp path so a local run never clobbers the
+# pooled bitmask scan misses its throughput floor, fails to beat the
+# pooled direct scan by 1.4x on the duplicate-heavy table, falls under
+# 0.8x of it on the all-distinct table, or when the serial bitmask scan
+# misses its 3x all-distinct speedup floor over the serial direct scan.
+# The JSON goes to a temp path so a local run never clobbers the
 # committed BENCH_scan.json baseline. On a floor violation, print the
 # bench document so the failing record is visible, not just the exit
 # code.
@@ -95,8 +96,8 @@ if ! QAR_BENCH_QUICK=1 QAR_BENCH_OUT="$STORE_DIR/bench_scan.json" \
     exit 1
 fi
 grep -q '"suite":"scan_kernel"' "$STORE_DIR/bench_scan.json"
-grep -q '"dup_memo_speedup_4t"' "$STORE_DIR/bench_scan.json"
-grep -q '"distinct_memo_ratio_4t"' "$STORE_DIR/bench_scan.json"
+grep -q '"dup_bitmask_speedup_4t"' "$STORE_DIR/bench_scan.json"
+grep -q '"distinct_bitmask_ratio_4t"' "$STORE_DIR/bench_scan.json"
 grep -q '"distinct_bitmask_speedup_1t"' "$STORE_DIR/bench_scan.json"
 
 echo "==> analytics smoke (mine --analytics -> query --by chi2 -> store-check -> trace-check)"
@@ -210,10 +211,21 @@ echo "==> counts size smoke (pass 2 persisted as pair cells, COUNTS under 1 MiB)
 ./target/release/qar generate credit --records 20000 --output "$STORE_DIR/credit.csv"
 ./target/release/qar mine --input "$STORE_DIR/credit.csv" \
     --schema employee_category:cat,marital_status:cat,monthly_income:quant,credit_limit:quant,current_balance:quant,ytd_balance:quant,ytd_interest:quant \
-    --completeness 2 --store "$STORE_DIR/credit.qarcat" > /dev/null
+    --completeness 2 --store "$STORE_DIR/credit.qarcat" --trace json \
+    > /dev/null 2> "$STORE_DIR/credit.trace"
 ./target/release/qar store-check "$STORE_DIR/credit.qarcat" > "$STORE_DIR/credit.inventory"
 awk '/counts \(tag 6\):/ { found = 1; if ($4 > 1048576) { print "COUNTS is " $4 " bytes, over 1 MiB"; exit 1 } }
      END { if (!found) { print "no COUNTS section"; exit 1 } }' "$STORE_DIR/credit.inventory"
+
+echo "==> capture trace smoke (mine --store reports every pass's kernel)"
+# The --store run above counts through the capturing source; its trace
+# must validate and name the kernel of every counting pass >= 2, as an
+# uncaptured run does.
+./target/release/qar trace-check < "$STORE_DIR/credit.trace" > /dev/null
+awk '/"event":"pass_finished"/ && !/"pass":1,/ {
+         passes++; if (/"kernel":""/) { print "pass_finished with an empty kernel: " $0; exit 1 } }
+     END { if (!passes) { print "no counting pass >= 2 in the trace"; exit 1 } }' \
+    "$STORE_DIR/credit.trace"
 
 echo "==> csv robustness (stray quote fails fast on its line; -0.0 beside 0 mines)"
 # The reader is one pass over the bytes: a stray quote on line 2 of a
@@ -271,7 +283,7 @@ awk -F'"speedup":' '{split($2, a, ","); if (a[1] + 0 < 1.6) {
 echo "==> fuzz smoke (200 differential cases, fixed seed)"
 # A short deterministic sweep of the differential oracle: serial miner,
 # parallel miner, naive reference, apriori bridge, catalog round trip,
-# memoized scan cache, bitmask scan kernel, the rule-quality
+# bitmask scan kernel against the direct reference, the rule-quality
 # analytics pass (0-ulps closed-form reference + BH monotonicity +
 # catalog round trip), count-distribution distributed mining over
 # worker threads (byte-identical normalized catalogs), and incremental

@@ -84,7 +84,6 @@ fn main() -> ExitCode {
         Ok(Command::Worker(worker)) => {
             let opts = quantrules::dist::WorkerOptions {
                 num_threads: worker.threads,
-                kernel: worker.kernel,
             };
             match quantrules::dist::run_worker(&worker.connect, &opts) {
                 Ok(()) => ExitCode::SUCCESS,

@@ -18,8 +18,7 @@ use qar_analytics::AnalyticsConfig;
 use qar_core::{
     mine_source, mine_source_captured, ChunkedSource, CountError, CountSource, InMemorySource,
     InterestConfig, InterestMode, Miner, MinerConfig, MinerError, MiningOutput, PartitionSpec,
-    PartitionStrategy, QuantRule, RuleInterest, ScanKernel, SupportCounts, UpdateInput,
-    UpdateOutput,
+    PartitionStrategy, QuantRule, RuleInterest, SupportCounts, UpdateInput, UpdateOutput,
 };
 use qar_dist::{Backing, DistOptions, DistSource, WorkerSpawn};
 use qar_prng::Prng;
@@ -73,8 +72,6 @@ pub struct WorkerArgs {
     pub connect: String,
     /// Threads per counting scan (0 = all cores).
     pub threads: usize,
-    /// Scan kernel for candidate counting.
-    pub kernel: ScanKernel,
 }
 
 /// Arguments of `qar bench-dist`.
@@ -141,7 +138,7 @@ pub struct MineArgs {
     /// chunks to disk instead of loading the table into memory
     /// (0 = in-memory).
     pub chunk_rows: usize,
-    /// Zero the volatile statistics (timings, kernels) before storing or
+    /// Zero the volatile statistics (timings, scan shapes) before storing or
     /// reporting, so identical inputs give byte-identical catalogs.
     pub normalize_stats: bool,
     /// Incremental mode: update this existing `.qarcat` catalog by
@@ -333,7 +330,7 @@ USAGE:
   qar trace-check [TRACE] [--schema FILE]
   qar fuzz [--iters N] [--seed S] [--out DIR]
   qar serve CATALOG... [--port P] [--threads N] [--trace F]
-  qar worker --connect HOST:PORT [--threads N] [--kernel K]
+  qar worker --connect HOST:PORT [--threads N]
   qar bench-serve [--addr HOST:PORT] [--catalog FILE] [options]
   qar bench-analytics [--records N] [--samples N] [--floor R] [--out FILE]
   qar bench-dist [--records N] [--workers W] [--floor R] [--out FILE]
@@ -354,8 +351,6 @@ MINE OPTIONS:
   --interest-mode M     and | or                        [default or]
   --max-size K          cap itemset size (0 = unbounded)
   --threads N           counting worker threads (0 = all cores) [default 0]
-  --kernel K            support-counting scan kernel: auto | direct |
-                        memoized | bitmask              [default auto]
   --top N               print at most N rules (0 = all) [default 50]
   --all-rules           print pruned rules too (with a * marker)
   --format F            text | csv | json               [default text]
@@ -381,8 +376,8 @@ MINE OPTIONS:
                         chunks to a temp directory, mining out-of-core
                         with one chunk in memory at a time; needs a real
                         --input file (read twice)    [default 0 = in-memory]
-  --normalize-stats     zero the volatile statistics (timings, kernel
-                        names) before storing/reporting so identical
+  --normalize-stats     zero the volatile statistics (timings, scan
+                        shapes) before storing/reporting so identical
                         inputs give byte-identical .qarcat catalogs
                         across serial, --workers, and --chunk-rows runs
   --update CATALOG      incremental mode: treat --input as the rows
@@ -456,9 +451,9 @@ TRACE-CHECK:
 FUZZ:
   Draws random tables and configurations (skewed toward boundary cases)
   and cross-checks every mining path — serial, parallel, the brute-force
-  reference, the apriori bridge, the catalog round trip, the memoized
-  scan cache on duplicate-heavy tables, and the bitmask scan kernel on
-  boundary-skewed tables — for agreement. On divergence the failing
+  reference, the apriori bridge, the catalog round trip, and the bitmask
+  scan kernel against the direct reference scan on boundary-skewed and
+  duplicate-heavy tables — for agreement. On divergence the failing
   case is shrunk to a minimal repro and written as a fixture under
   --out; the exit code is non-zero.
   --iters N             fuzz iterations                 [default 200]
@@ -488,8 +483,6 @@ WORKER:
   other machines or debug the protocol.
   --connect HOST:PORT   coordinator address (required)
   --threads N           threads per counting scan (0 = all cores)
-  --kernel K            scan kernel: auto | direct | memoized | bitmask
-                        [default auto]
 
 BENCH-SERVE:
   Drives a mixed point/range/top-k/batch workload from concurrent client
@@ -570,6 +563,35 @@ fn positional_then_flags<'a>(args: &'a [String], default: &str) -> (String, &'a 
         _ => (default.to_string(), args),
     }
 }
+
+/// Every flag `qar mine` takes.
+const MINE_FLAGS: &[&str] = &[
+    "input",
+    "schema",
+    "minsup",
+    "minconf",
+    "maxsup",
+    "completeness",
+    "intervals",
+    "no-partition",
+    "strategy",
+    "interest",
+    "interest-mode",
+    "max-size",
+    "threads",
+    "top",
+    "all-rules",
+    "format",
+    "taxonomy",
+    "trace",
+    "deadline",
+    "store",
+    "analytics",
+    "workers",
+    "chunk-rows",
+    "normalize-stats",
+    "update",
+];
 
 fn parse_flag_map(args: &[String]) -> Result<BTreeMap<String, String>, CliError> {
     let mut map: BTreeMap<String, String> = BTreeMap::new();
@@ -694,6 +716,11 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "mine" => {
             let map = parse_flag_map(&args[1..])?;
+            for key in map.keys() {
+                if !MINE_FLAGS.contains(&key.as_str()) {
+                    return Err(err(format!("mine does not take --{key}")));
+                }
+            }
             let input = map
                 .get("input")
                 .cloned()
@@ -775,14 +802,7 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                 interest,
                 max_itemset_size: parse_usize(&map, "max-size", 0)?,
                 parallelism: std::num::NonZeroUsize::new(parse_usize(&map, "threads", 0)?),
-                kernel: match map.get("kernel") {
-                    Some(v) => ScanKernel::parse(v).ok_or_else(|| {
-                        err(format!(
-                            "--kernel: `{v}` is not auto, direct, memoized, or bitmask"
-                        ))
-                    })?,
-                    None => ScanKernel::Auto,
-                },
+                kernel: Default::default(),
             };
             config.validate().map_err(|e| err(e.to_string()))?;
             let format = match map.get("format").map(String::as_str) {
@@ -862,7 +882,7 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
         "worker" => {
             let map = parse_flag_map(&args[1..])?;
             for key in map.keys() {
-                if !["connect", "threads", "kernel"].contains(&key.as_str()) {
+                if !["connect", "threads"].contains(&key.as_str()) {
                     return Err(err(format!("worker does not take --{key}")));
                 }
             }
@@ -870,18 +890,9 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                 .get("connect")
                 .cloned()
                 .ok_or_else(|| err("worker requires --connect HOST:PORT"))?;
-            let kernel = match map.get("kernel") {
-                Some(v) => ScanKernel::parse(v).ok_or_else(|| {
-                    err(format!(
-                        "--kernel: `{v}` is not auto, direct, memoized, or bitmask"
-                    ))
-                })?,
-                None => ScanKernel::Auto,
-            };
             Ok(Command::Worker(WorkerArgs {
                 connect,
                 threads: parse_usize(&map, "threads", 0)?,
-                kernel,
             }))
         }
         "generate" => {
@@ -1191,7 +1202,7 @@ pub fn trace_sink(trace: Option<TraceFormat>) -> Option<Arc<dyn ProgressSink>> {
 
 /// The [`WorkerSpawn`] a production `qar mine --workers N` uses: child
 /// processes of this very binary running `qar worker`, inheriting the
-/// mine's thread and kernel flags. `None` without `--workers`.
+/// mine's thread count. `None` without `--workers`.
 pub fn process_spawn(args: &MineArgs) -> Result<Option<WorkerSpawn>, CliError> {
     if args.workers == 0 {
         return Ok(None);
@@ -1203,10 +1214,6 @@ pub fn process_spawn(args: &MineArgs) -> Result<Option<WorkerSpawn>, CliError> {
     if let Some(threads) = config.parallelism {
         worker_args.push("--threads".to_string());
         worker_args.push(threads.get().to_string());
-    }
-    if config.kernel != ScanKernel::Auto {
-        worker_args.push("--kernel".to_string());
-        worker_args.push(config.kernel.name().to_string());
     }
     Ok(Some(WorkerSpawn::Processes {
         exe,
@@ -1375,7 +1382,7 @@ fn box_miner_error(e: MinerError) -> Box<dyn std::error::Error> {
 /// `spawn` is as for [`run_mine_on_table`].
 ///
 /// The catalog's schema and semantic configuration are authoritative —
-/// only the performance knobs (`--threads`, `--kernel`) and the topology
+/// only the performance knob (`--threads`) and the topology
 /// (`--workers`, `--chunk-rows`) come from this command line. Each
 /// topology only builds the delta's source; [`Miner::update_source`]
 /// checks, merges and decides, with no base rows, so a fallback ends as
@@ -1405,7 +1412,6 @@ pub fn run_mine_update(
     // command line contributes only performance knobs.
     let mut config = counts.config.miner_config();
     config.parallelism = args.config.parallelism;
-    config.kernel = args.config.kernel;
     let cancel = deadline_token(args);
     let mut miner = Miner::new(config.clone());
     if let Some(sink) = &sink {
@@ -2564,10 +2570,7 @@ struct BenchDistSource<'a> {
 
 impl BenchDistSource<'_> {
     fn opts() -> qar_core::supercand::ScanOptions<'static> {
-        qar_core::supercand::ScanOptions {
-            kernel: ScanKernel::Auto,
-            ..qar_core::supercand::ScanOptions::new(1)
-        }
+        qar_core::supercand::ScanOptions::new(1)
     }
 }
 
@@ -2618,8 +2621,7 @@ impl CountSource for BenchDistSource<'_> {
         candidates: &[qar_itemset::Itemset],
     ) -> Result<Vec<u64>, CountError> {
         let started = Instant::now();
-        let (full, _) =
-            qar_core::supercand::count_candidates_opts(self.full, candidates, None, Self::opts())?;
+        let (full, _) = qar_core::supercand::count_candidates(self.full, candidates, Self::opts())?;
         self.serial_s += started.elapsed().as_secs_f64();
 
         let mut worst = 0.0f64;
@@ -2627,7 +2629,7 @@ impl CountSource for BenchDistSource<'_> {
         for part in &self.parts {
             let started = Instant::now();
             let (counts, _) =
-                qar_core::supercand::count_candidates_opts(part, candidates, None, Self::opts())?;
+                qar_core::supercand::count_candidates(part, candidates, Self::opts())?;
             part_counts.push(counts);
             worst = worst.max(started.elapsed().as_secs_f64());
         }
@@ -2970,27 +2972,17 @@ mod tests {
             PartitionSpec::CompletenessLevel(2.0)
         );
         assert!(args.config.interest.is_none());
-        assert_eq!(args.config.kernel, ScanKernel::Auto);
+        assert_eq!(args.config.kernel, qar_core::ScanKernel::Bitmask);
         assert_eq!(args.top, 50);
     }
 
     #[test]
-    fn kernel_flag() {
-        for (flag, want) in [
-            ("auto", ScanKernel::Auto),
-            ("direct", ScanKernel::Direct),
-            ("memoized", ScanKernel::Memoized),
-            ("memo", ScanKernel::Memoized),
-            ("bitmask", ScanKernel::Bitmask),
-        ] {
-            let cmd = parse_command(&argv(&format!(
-                "mine --input f --schema a:q --kernel {flag}"
-            )))
-            .unwrap();
-            let Command::Mine(args) = cmd else { panic!() };
-            assert_eq!(args.config.kernel, want, "--kernel {flag}");
+    fn mine_rejects_unknown_flags() {
+        for flag in ["--kernel bitmask", "--bogus 1"] {
+            let e =
+                parse_command(&argv(&format!("mine --input f --schema a:q {flag}"))).unwrap_err();
+            assert!(e.to_string().contains("does not take"), "{flag}: {e}");
         }
-        assert!(parse_command(&argv("mine --input f --schema a:q --kernel turbo")).is_err());
     }
 
     #[test]
@@ -2998,7 +2990,7 @@ mod tests {
         let cmd = parse_command(&argv(
             "mine --input - --schema a:q,b:c --minsup 0.1 --minconf 0.6 --maxsup 0.3 \
              --intervals 8 --strategy kmeans --interest 1.5 --interest-mode and \
-             --max-size 3 --top 10 --all-rules --kernel direct",
+             --max-size 3 --top 10 --all-rules",
         ))
         .unwrap();
         let Command::Mine(args) = cmd else { panic!() };
@@ -3010,7 +3002,6 @@ mod tests {
         assert_eq!(interest.mode, InterestMode::SupportAndConfidence);
         assert!(interest.prune_candidates);
         assert_eq!(args.config.max_itemset_size, 3);
-        assert_eq!(args.config.kernel, ScanKernel::Direct);
         assert!(!args.interesting_only);
         assert_eq!(args.format, OutputFormat::Text);
     }
@@ -3843,22 +3834,19 @@ mod tests {
             Command::Worker(WorkerArgs {
                 connect: "127.0.0.1:7001".into(),
                 threads: 0,
-                kernel: ScanKernel::Auto,
             })
         );
-        let cmd =
-            parse_command(&argv("worker --connect h:1 --threads 2 --kernel bitmask")).unwrap();
+        let cmd = parse_command(&argv("worker --connect h:1 --threads 2")).unwrap();
         assert_eq!(
             cmd,
             Command::Worker(WorkerArgs {
                 connect: "h:1".into(),
                 threads: 2,
-                kernel: ScanKernel::Bitmask,
             })
         );
         let e = parse_command(&argv("worker")).unwrap_err();
         assert!(e.to_string().contains("--connect"), "{e}");
-        assert!(parse_command(&argv("worker --connect h:1 --kernel turbo")).is_err());
+        assert!(parse_command(&argv("worker --connect h:1 --kernel bitmask")).is_err());
         assert!(parse_command(&argv("worker --connect h:1 --bogus 1")).is_err());
     }
 
@@ -4053,7 +4041,6 @@ mod tests {
             "--workers 2",
             "--chunk-rows 64",
             "--threads 2",
-            "--kernel bitmask",
             "--normalize-stats",
             "--analytics",
             "--analytics --store out.qarcat",

@@ -33,6 +33,32 @@ fn arbitrary_table(rng: &mut Prng) -> Table {
     t
 }
 
+/// Random all-distinct table: every row's `(c0, c1)` categorical tuple
+/// is unique, plus one quantitative attribute (domain ≤ 6), 8–59 rows.
+fn all_distinct_table(rng: &mut Prng) -> Table {
+    let schema = Schema::builder()
+        .categorical("c0")
+        .categorical("c1")
+        .quantitative("q")
+        .build()
+        .expect("static schema");
+    let mut t = Table::new(schema);
+    let num_rows = rng.gen_range(8..60usize);
+    let width = rng.gen_range(2..8usize);
+    let offset = rng.gen_range(0..100usize);
+    for i in 0..num_rows {
+        // Distinct `j` give distinct `(j % width, j / width)` tuples.
+        let j = i + offset;
+        t.push_row(&[
+            Value::from(format!("v{}", j % width)),
+            Value::from(format!("v{}", j / width)),
+            Value::Int(rng.gen_range(0i64..6)),
+        ])
+        .expect("row matches schema");
+    }
+    t
+}
+
 fn base_config() -> MinerConfig {
     MinerConfig {
         min_support: 0.2,
@@ -112,53 +138,58 @@ fn parallel_mining_equals_serial() {
     });
 }
 
-/// The scan-kernel equivalence property: the memoized blocked scan must
-/// count every candidate bit-identically to the direct (cache-off) scan
-/// and to the brute-force recount, at any thread count. The generated
-/// tables are duplicate-heavy (small domains), so the memo cache's hit
-/// path executes on nearly every row.
+/// The scan-kernel equivalence property on both table shapes: the
+/// bitmask scan must count every candidate bit-identically to the direct
+/// reference scan and to the brute-force recount, at any thread count,
+/// on duplicate-heavy tables (small domains, so categorical tuples repeat
+/// on nearly every row) and on all-distinct ones (every row's
+/// categorical tuple unique). Candidates are the miner's own frequent
+/// itemsets plus each row's categorical tuple, so multi-predicate
+/// categorical plans occur on both shapes.
 #[test]
-fn memoized_scan_equals_direct_and_naive() {
-    use quantrules::core::supercand::{count_candidates_naive, count_candidates_opts, ScanOptions};
+fn bitmask_scan_equals_direct_on_duplicate_heavy_and_all_distinct_tables() {
+    use quantrules::core::supercand::{count_candidates, count_candidates_naive, ScanOptions};
     use quantrules::core::ScanKernel;
+    use quantrules::itemset::{Item, Itemset};
     cases(48, 0x5EED_4242_0006, |case, rng| {
-        let table = arbitrary_table(rng);
-        let config = MinerConfig {
-            min_support: rng.gen_range(5u32..30) as f64 / 100.0,
-            max_support: 1.0,
-            ..base_config()
-        };
-        let encoded = EncodedTable::encode_full_resolution(&table).expect("encode");
-        // Use the miner's own frequent itemsets as the candidate set —
-        // a mix of sizes, categorical parts, and quant rectangles.
-        let (frequent, _) = Miner::new(config)
-            .frequent_itemsets(&encoded)
-            .expect("mine");
-        let candidates: Vec<_> = frequent.iter().map(|(set, _)| set.clone()).collect();
-        if candidates.is_empty() {
-            return;
-        }
-        let naive = count_candidates_naive(&encoded, &candidates);
-        for threads in [1usize, 2, 4, 7] {
-            for kernel in [ScanKernel::Direct, ScanKernel::Memoized] {
-                let opts = ScanOptions {
-                    kernel,
-                    ..ScanOptions::new(threads)
-                };
-                let (counts, stats) = count_candidates_opts(&encoded, &candidates, None, opts)
-                    .expect("no cancel token");
-                assert_eq!(
-                    counts, naive,
-                    "case {case}: threads {threads} kernel {kernel}"
-                );
-                assert_eq!(
-                    stats.memoized,
-                    kernel == ScanKernel::Memoized,
-                    "case {case}"
-                );
-                if kernel == ScanKernel::Direct {
-                    assert_eq!(stats.memo_hits, 0, "case {case}");
-                    assert_eq!(stats.distinct_tuples, 0, "case {case}");
+        let shapes = [
+            ("duplicate-heavy", arbitrary_table(rng)),
+            ("all-distinct", all_distinct_table(rng)),
+        ];
+        for (shape, table) in shapes {
+            let config = MinerConfig {
+                min_support: rng.gen_range(5u32..30) as f64 / 100.0,
+                max_support: 1.0,
+                ..base_config()
+            };
+            let encoded = EncodedTable::encode_full_resolution(&table).expect("encode");
+            let (frequent, _) = Miner::new(config)
+                .frequent_itemsets(&encoded)
+                .expect("mine");
+            let mut candidates: Vec<Itemset> =
+                frequent.iter().map(|(set, _)| set.clone()).collect();
+            let cats = encoded.schema().categorical_ids();
+            for row in 0..encoded.num_rows() {
+                candidates.push(Itemset::new(
+                    cats.iter()
+                        .map(|&id| Item::value(id.index() as u32, encoded.codes(id)[row]))
+                        .collect(),
+                ));
+            }
+            let naive = count_candidates_naive(&encoded, &candidates);
+            for threads in [1usize, 2, 4, 7] {
+                for kernel in [ScanKernel::Direct(None), ScanKernel::Bitmask] {
+                    let opts = ScanOptions {
+                        kernel,
+                        ..ScanOptions::new(threads)
+                    };
+                    let (counts, stats) =
+                        count_candidates(&encoded, &candidates, opts).expect("no cancel token");
+                    assert_eq!(
+                        counts, naive,
+                        "case {case}: {shape}, threads {threads}, {kernel:?}"
+                    );
+                    assert_eq!(stats.kernel, kernel.name(), "case {case}: {shape}");
                 }
             }
         }
@@ -167,14 +198,13 @@ fn memoized_scan_equals_direct_and_naive() {
 
 /// The bitmask-kernel equivalence property: the blocked bitmask scan
 /// must count every candidate bit-identically to the direct scan and to
-/// the brute-force recount, at any thread count — including the `Auto`
-/// selector, which may resolve to different kernels per shard. Tables
+/// the brute-force recount, at any thread count. Tables
 /// are small (tail-masking territory) with codes concentrated at the
 /// domain boundaries, so `lo == hi` rectangles and dead-predicate
 /// pre-screening both occur.
 #[test]
 fn bitmask_scan_equals_direct_and_naive() {
-    use quantrules::core::supercand::{count_candidates_naive, count_candidates_opts, ScanOptions};
+    use quantrules::core::supercand::{count_candidates, count_candidates_naive, ScanOptions};
     use quantrules::core::ScanKernel;
     cases(48, 0x5EED_4242_0007, |case, rng| {
         let table = arbitrary_table(rng);
@@ -192,12 +222,11 @@ fn bitmask_scan_equals_direct_and_naive() {
             return;
         }
         let naive = count_candidates_naive(&encoded, &candidates);
-        let direct = count_candidates_opts(
+        let direct = count_candidates(
             &encoded,
             &candidates,
-            None,
             ScanOptions {
-                kernel: ScanKernel::Direct,
+                kernel: ScanKernel::Direct(None),
                 ..ScanOptions::new(1)
             },
         )
@@ -205,22 +234,11 @@ fn bitmask_scan_equals_direct_and_naive() {
         .0;
         assert_eq!(direct, naive, "case {case}: direct vs naive");
         for threads in [1usize, 2, 4, 7] {
-            for kernel in [ScanKernel::Bitmask, ScanKernel::Auto] {
-                let opts = ScanOptions {
-                    kernel,
-                    ..ScanOptions::new(threads)
-                };
-                let (counts, stats) = count_candidates_opts(&encoded, &candidates, None, opts)
+            let (counts, stats) =
+                count_candidates(&encoded, &candidates, ScanOptions::new(threads))
                     .expect("no cancel token");
-                assert_eq!(
-                    counts, naive,
-                    "case {case}: threads {threads} kernel {kernel}"
-                );
-                if kernel == ScanKernel::Bitmask {
-                    assert_eq!(stats.kernel, "bitmask", "case {case}");
-                    assert_eq!(stats.memo_hits, 0, "case {case}");
-                }
-            }
+            assert_eq!(counts, naive, "case {case}: threads {threads}");
+            assert_eq!(stats.kernel, "bitmask", "case {case}");
         }
     });
 }
@@ -287,8 +305,8 @@ fn minsup_monotone() {
     });
 }
 
-/// The counting backends agree wherever the auto heuristic is allowed to
-/// choose (end-to-end, forced array vs forced R*-tree vs auto).
+/// The counting backends agree end to end: the reference kernel pinned
+/// to the array, pinned to the R*-tree, and the default bitmask kernel.
 #[test]
 fn backends_agree() {
     cases(48, 0x5EED_4242_0004, |case, rng| {
