@@ -42,15 +42,19 @@ pub enum PartitionStrategy {
 /// performance choice, never semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanKernel {
-    /// Blocked bitmask kernel, what every production path runs:
-    /// per-attribute `lo <= code <= hi` predicates are evaluated over
-    /// 1024-row blocks into `u64` bitsets, ANDed across attributes, and
-    /// popcounted — no per-row branching, plus per-block min/max
-    /// pre-screening so non-intersecting plans skip whole blocks.
+    /// The blocked kernel every production path runs: categorical
+    /// predicates are evaluated over 1024-row blocks into `u64` bitsets
+    /// and ANDed; each super-candidate with range dimensions then counts
+    /// its rows into a k-D histogram compressed to its members'
+    /// breakpoints and reads members as rectangle sums, and the rest
+    /// (purely categorical, or over the cell budget) popcount
+    /// per-member `lo <= code <= hi` masks — no per-row branching, plus
+    /// per-block min/max pre-screening so non-intersecting plans skip
+    /// whole blocks.
     #[default]
     Bitmask,
     /// The paper's row-at-a-time walk (Section 5.2) — the reference the
-    /// fuzz oracle and the benches check the bitmask kernel against: a
+    /// fuzz oracle and the benches check the default kernel against: a
     /// hash tree over the categorical items, then each super-candidate's
     /// rectangles in an n-dimensional array or an R*-tree. `Some(kind)`
     /// pins that backend for every super-candidate (the backend

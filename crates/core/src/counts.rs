@@ -139,7 +139,7 @@ pub struct CapturedCounts {
     pub pair_cells: Vec<((u32, u32), Vec<u64>)>,
     /// `(pass, [(candidate, raw count)])` per explicitly counted pass, in
     /// pass order: pass 2's candidates on pairs over
-    /// [`crate::supercand::PAIR_CELL_BUDGET`] cells, and every candidate
+    /// [`crate::supercand::CELL_BUDGET`] cells, and every candidate
     /// of each pass `k ≥ 3`. A pass with an empty candidate set is never
     /// counted and so never appears here.
     pub passes: Vec<(u32, Vec<(Itemset, u64)>)>,

@@ -43,8 +43,8 @@ use crate::pipeline::{MiningOutput, MiningStats};
 use crate::pool::WorkerPool;
 use crate::rules::generate_rules;
 use crate::supercand::{
-    cell_groups, count_candidates, pair_cells, PairHistograms, PassStats, ScanOptions,
-    CELLS_KERNEL, PAIR_CELL_BUDGET,
+    cell_groups, count_candidates, fold_stats, pair_cells, PairHistograms, PassStats, ScanOptions,
+    CELLS_KERNEL, CELL_BUDGET,
 };
 use qar_itemset::{Item, Itemset};
 use qar_table::{AttributeId, AttributeKind, ChunkStore, EncodedTable};
@@ -208,7 +208,7 @@ fn count_frequent<S: CountSource + ?Sized>(
 /// `C_2`.
 ///
 /// Every pair `(a, b)`, `a < b`, of attributes holding a level-1 item is
-/// split by [`PAIR_CELL_BUDGET`]: pairs within it are histogrammed,
+/// split by [`CELL_BUDGET`]: pairs within it are histogrammed,
 /// pairs over it keep their cross product as explicit candidates.
 struct PairPass {
     /// Each attribute's level-1 items.
@@ -232,7 +232,7 @@ impl PairPass {
         for (i, &a) in attrs.iter().enumerate() {
             for &b in &attrs[i + 1..] {
                 let n = pair_cells(meta, a, b);
-                if n <= PAIR_CELL_BUDGET {
+                if n <= CELL_BUDGET {
                     pairs.push((a, b));
                     cells.push(n);
                 } else {
@@ -267,7 +267,7 @@ impl PairPass {
         min_count: u64,
     ) -> Result<Vec<(Itemset, u64)>, CountError> {
         let mut level = Vec::new();
-        for group in cell_groups(&self.cells, PAIR_CELL_BUDGET) {
+        for group in cell_groups(&self.cells, CELL_BUDGET) {
             let mut hist = PairHistograms::new(source.meta(), self.pairs[group].to_vec());
             source.count_pair_cells(&mut hist)?;
             hist.build_prefix_sums();
@@ -786,14 +786,6 @@ impl<'a> InMemorySource<'a> {
             ..ScanOptions::new(self.num_threads)
         }
     }
-
-    /// Fold one scan's statistics into the pass's.
-    fn record(&mut self, scan: PassStats) {
-        match &mut self.pass_stats {
-            Some(pass) => pass.absorb(&scan),
-            None => self.pass_stats = Some(scan),
-        }
-    }
 }
 
 impl CountSource for InMemorySource<'_> {
@@ -811,7 +803,7 @@ impl CountSource for InMemorySource<'_> {
 
     fn count(&mut self, _pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
         let (counts, scan) = count_candidates(self.table, candidates, self.opts())?;
-        self.record(scan);
+        fold_stats(&mut self.pass_stats, scan, PassStats::absorb);
         Ok(counts)
     }
 
@@ -822,11 +814,8 @@ impl CountSource for InMemorySource<'_> {
         if matches!(self.kernel, ScanKernel::Direct(Some(_))) {
             return count_pair_points(self, hist);
         }
-        let mut scan = hist.scan(self.table, self.opts())?;
-        // Each pair's array is one super-candidate.
-        scan.super_candidates = hist.pairs().len();
-        scan.array_backed = hist.pairs().len();
-        self.record(scan);
+        let scan = hist.scan(self.table, self.opts())?;
+        fold_stats(&mut self.pass_stats, scan, PassStats::absorb);
         Ok(())
     }
 
@@ -844,6 +833,7 @@ pub struct ChunkedSource<'a> {
     num_threads: usize,
     kernel: ScanKernel,
     cancel: Option<&'a CancelToken>,
+    pass_stats: Option<PassStats>,
 }
 
 impl<'a> ChunkedSource<'a> {
@@ -855,6 +845,7 @@ impl<'a> ChunkedSource<'a> {
             num_threads: config.effective_parallelism(),
             kernel: config.kernel,
             cancel: None,
+            pass_stats: None,
         }
     }
 
@@ -873,18 +864,29 @@ impl<'a> ChunkedSource<'a> {
         }
     }
 
-    /// Hand each spilled chunk to `f`, loaded one at a time.
+    /// Hand each spilled chunk to `scan`, loaded one at a time, and fold
+    /// the chunks' scan statistics into one scan's: the same counting
+    /// work over every chunk's rows.
     fn for_each_chunk(
         &self,
-        mut f: impl FnMut(&EncodedTable) -> Result<(), CountError>,
-    ) -> Result<(), CountError> {
+        mut scan: impl FnMut(&EncodedTable) -> Result<PassStats, CountError>,
+    ) -> Result<Option<PassStats>, CountError> {
+        let mut call = None;
         for i in 0..self.store.num_chunks() {
             if self.cancel.is_some_and(CancelToken::is_cancelled) {
                 return Err(CountError::Cancelled);
             }
-            f(&self.store.chunk(i)?)?;
+            let stats = scan(&self.store.chunk(i)?)?;
+            fold_stats(&mut call, stats, PassStats::absorb_rows);
         }
-        Ok(())
+        Ok(call)
+    }
+
+    /// Fold one counting call's statistics into the pass's.
+    fn record(&mut self, call: Option<PassStats>) {
+        if let Some(call) = call {
+            fold_stats(&mut self.pass_stats, call, PassStats::absorb);
+        }
     }
 }
 
@@ -910,7 +912,7 @@ impl CountSource for ChunkedSource<'_> {
                     *a += b;
                 }
             }
-            Ok(())
+            Ok(PassStats::default())
         })?;
         Ok(merged)
     }
@@ -918,22 +920,26 @@ impl CountSource for ChunkedSource<'_> {
     fn count(&mut self, _pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
         let opts = self.opts();
         let mut sums = vec![0u64; candidates.len()];
-        self.for_each_chunk(|chunk| {
-            let (add, _) = count_candidates(chunk, candidates, opts)?;
+        let call = self.for_each_chunk(|chunk| {
+            let (add, scan) = count_candidates(chunk, candidates, opts)?;
             for (a, b) in sums.iter_mut().zip(add) {
                 *a += b;
             }
-            Ok(())
+            Ok(scan)
         })?;
+        self.record(call);
         Ok(sums)
     }
 
     fn count_pair_cells(&mut self, hist: &mut PairHistograms) -> Result<(), CountError> {
         let opts = self.opts();
-        self.for_each_chunk(|chunk| {
-            hist.scan(chunk, opts)?;
-            Ok(())
-        })
+        let call = self.for_each_chunk(|chunk| Ok(hist.scan(chunk, opts)?))?;
+        self.record(call);
+        Ok(())
+    }
+
+    fn take_pass_stats(&mut self) -> Option<PassStats> {
+        self.pass_stats.take()
     }
 }
 
@@ -1044,28 +1050,73 @@ mod tests {
         assert_eq!(sv, dv);
     }
 
+    /// The people table spilled in chunks of `chunk_rows` rows.
+    fn chunk_store(enc: &EncodedTable, chunk_rows: usize, name: &str) -> ChunkStore {
+        let dir = qar_table::chunk::default_spill_dir(&format!("{name}_{chunk_rows}"));
+        let mut store =
+            ChunkStore::create(&dir, enc.schema().clone(), enc.encoders().to_vec()).unwrap();
+        let table = people_table();
+        let mut i = 0;
+        while i < table.num_rows() {
+            let end = (i + chunk_rows).min(table.num_rows());
+            let mut part = Table::new(table.schema().clone());
+            for r in i..end {
+                part.push_row(&table.row(r).to_values()).unwrap();
+            }
+            store.append_chunk(&part).unwrap();
+            i = end;
+        }
+        store
+    }
+
     #[test]
     fn chunked_source_matches_serial_for_every_chunk_size() {
         let enc = encoded();
         let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
         for chunk_rows in [1usize, 3, 4, 10, 100] {
-            let dir = qar_table::chunk::default_spill_dir(&format!("src_test_{chunk_rows}"));
-            let mut store =
-                ChunkStore::create(&dir, enc.schema().clone(), enc.encoders().to_vec()).unwrap();
-            let table = people_table();
-            let mut i = 0;
-            while i < table.num_rows() {
-                let end = (i + chunk_rows).min(table.num_rows());
-                let mut part = Table::new(table.schema().clone());
-                for r in i..end {
-                    part.push_row(&table.row(r).to_values()).unwrap();
-                }
-                store.append_chunk(&part).unwrap();
-                i = end;
-            }
+            let store = chunk_store(&enc, chunk_rows, "src_test");
             let mut source = ChunkedSource::new(&store, &config());
             let sourced = mine_source(&mut source, &config(), None, None).unwrap();
             assert_outputs_identical(&serial, &sourced);
+        }
+    }
+
+    /// The `(pass, kernel, super_candidates, shards)` of every
+    /// `pass_finished` a mine over `source` emits.
+    fn pass_reports(source: &mut dyn CountSource) -> Vec<(usize, String, usize, usize)> {
+        let sink = qar_trace::CollectingSink::new();
+        mine_source(source, &config(), Some(&sink), None).unwrap();
+        sink.events()
+            .into_iter()
+            .filter_map(|event| match event {
+                TraceEvent::PassFinished {
+                    pass,
+                    kernel,
+                    super_candidates,
+                    shard_scan_us,
+                    ..
+                } => Some((pass, kernel, super_candidates, shard_scan_us.len())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A chunked run reports each pass's scans as one scan over all the
+    /// chunks' rows: the same kernels and super-candidates as the
+    /// in-memory run, and one scan time per shard.
+    #[test]
+    fn chunked_run_reports_the_in_memory_pass_stats() {
+        let enc = encoded();
+        let in_memory = pass_reports(&mut InMemorySource::new(&enc, &config()));
+        assert!(in_memory.len() >= 3, "the table reaches pass 3");
+        for chunk_rows in [3usize, 10] {
+            let store = chunk_store(&enc, chunk_rows, "src_stats");
+            let chunked = pass_reports(&mut ChunkedSource::new(&store, &config()));
+            assert_eq!(chunked.len(), in_memory.len(), "chunks of {chunk_rows}");
+            for (c, m) in chunked.iter().zip(&in_memory).skip(1) {
+                assert_eq!((c.0, &c.1, c.2), (m.0, &m.1, m.2), "chunks of {chunk_rows}");
+                assert!(!c.1.is_empty() && c.2 > 0 && c.3 > 0, "{c:?}");
+            }
         }
     }
 

@@ -27,20 +27,41 @@
 //! The serial-equivalence property is enforced by unit tests here and a
 //! randomized end-to-end test in `tests/proptest_pipeline.rs`.
 //!
-//! # The bitmask kernel
+//! # The default kernel
 //!
-//! Every production path counts with the bitmask kernel
+//! Every production path counts with the default kernel
 //! ([`crate::ScanKernel::Bitmask`]). It has no per-row control flow: for
-//! each [`CANCEL_CHECK_INTERVAL`]-row block it evaluates every predicate
-//! over the whole block into `u64` bitsets — one equality mask per
-//! *distinct* categorical `(attribute, code)` pair (shared by all plans
-//! that test it), one branchless `lo <= code <= hi` range mask per member
-//! rectangle dimension — then ANDs masks together and popcounts, a shape
-//! the autovectorizer turns into SIMD compares with no per-row branches.
+//! each [`CANCEL_CHECK_INTERVAL`]-row block it evaluates every
+//! categorical predicate over the whole block into `u64` bitsets — one
+//! equality mask per *distinct* `(attribute, code)` pair, shared by all
+//! plans that test it — ANDs each plan's masks together, and then counts
+//! the plan one of two ways:
+//!
+//! * **Cells.** A plan with range dimensions is the paper's
+//!   n-dimensional array, compressed to its members' breakpoints: per
+//!   dimension, the sorted distinct `{lo, hi + 1}` of the members cut the
+//!   code domain into slots, plus one top slot where codes no member
+//!   covers are discarded. A `card(d)`-entry lookup table maps each code
+//!   to its slot times the dimension's stride, so a row's cell is the sum
+//!   of one lookup per dimension; rows the plan's categorical items
+//!   reject go to one sink cell. After the scan the cells are
+//!   prefix-summed once and every member is an inclusion–exclusion
+//!   rectangle sum in slot coordinates. Per-row work no longer grows with
+//!   the member count: credit's pass 3 at K = 1.5 has 430 members in five
+//!   plans of 27–4,394 cells each (310k–795k uncompressed).
+//! * **Masks** (the fallback). A purely categorical plan popcounts its
+//!   mask. A plan whose cells no longer fit [`CELL_BUDGET`] ANDs one
+//!   branchless `lo <= code <= hi` range mask per member dimension onto
+//!   it and popcounts per member — a shape the autovectorizer turns into
+//!   SIMD compares.
+//!
 //! Per-block min/max summaries of each touched column pre-screen plans and
 //! members: a predicate code or rectangle that cannot intersect the
 //! block's value range skips the block without touching a single row, and
 //! a mask word that has gone all-zero short-circuits the remaining ANDs.
+//! [`PassStats::kernel`] reports `"cells"`, `"bitmask"` or
+//! `"cells+bitmask"` for what the pass ran, and `array_backed` counts the
+//! plans counted as cells.
 //!
 //! # The reference kernel
 //!
@@ -50,7 +71,7 @@
 //! against each one's rectangles in a dense n-dimensional array or an
 //! R*-tree — the paper's memory heuristic picks per super-candidate unless
 //! the kernel pins a backend. The fuzz oracle, the backend ablation and
-//! the scan bench check the bitmask kernel against it. Both produce
+//! the scan bench check the default kernel against it. Both produce
 //! **bit-identical counts** (enforced by unit tests, the
 //! `bitmask_scan_equals_direct_and_naive` proptest, and the fuzz oracle's
 //! `kernel` kind).
@@ -65,10 +86,15 @@
 //! fills such histograms for the pairs the level-wise driver asks for
 //! ([`crate::CountSource::count_pair_cells`]); the driver reads the
 //! frequent pairs out of them, and a capture persists their raw cells.
-//! Pairs over [`PAIR_CELL_BUDGET`] cells keep explicit candidates.
+//! Pairs over [`CELL_BUDGET`] cells keep explicit candidates. Pair
+//! histograms, pass ≥ 3 cells and the reference kernel's arrays share one
+//! prefix-sum and rectangle-sum routine
+//! ([`qar_itemset::ndcounter::prefix_sums`] and
+//! [`qar_itemset::ndcounter::rect_sum`]).
 
 use crate::config::ScanKernel;
 use crate::pool::WorkerPool;
+use qar_itemset::ndcounter::{prefix_sums, rect_sum};
 use qar_itemset::{CounterKind, HashTree, Item, Itemset, RectCounter, VisitScratch};
 use qar_table::{AttributeId, AttributeKind, EncodedTable};
 use qar_trace::CancelToken;
@@ -92,9 +118,9 @@ pub struct ScanCancelled;
 /// its range starts.
 pub const CANCEL_CHECK_INTERVAL: usize = 1024;
 
-/// The kernel name the histogram scans report in [`PassStats::kernel`]:
-/// pass 1's value histograms and pass 2's [`PairHistograms`] count cells,
-/// not candidates.
+/// The kernel name histogram counting reports in [`PassStats::kernel`]:
+/// pass 1's value histograms, pass 2's [`PairHistograms`] and the
+/// compressed cells of later passes count cells, not candidates.
 pub const CELLS_KERNEL: &str = "cells";
 
 /// Tuning knobs for one counting scan. [`ScanOptions::new`] gives the
@@ -115,8 +141,8 @@ pub struct ScanOptions<'a> {
 }
 
 impl<'a> ScanOptions<'a> {
-    /// Default options for an uncancellable bitmask scan on
-    /// `num_threads` shards.
+    /// Default options for an uncancellable scan with the default kernel
+    /// on `num_threads` shards.
     pub fn new(num_threads: usize) -> Self {
         ScanOptions {
             num_threads,
@@ -145,11 +171,11 @@ pub struct PassStats {
     /// Number of super-candidates formed.
     pub super_candidates: usize,
     /// How many were counted in an n-dimensional array: the reference
-    /// kernel's array backend, or one of pass 2's [`PairHistograms`]
-    /// (always zero for a bitmask scan, which builds none).
+    /// kernel's array backend, one of pass 2's [`PairHistograms`], or the
+    /// default kernel's compressed cells.
     pub array_backed: usize,
     /// How many the reference kernel counted in an R*-tree (always zero
-    /// under the bitmask kernel).
+    /// under the default kernel).
     pub rtree_backed: usize,
     /// Wall-clock time of the record scan (the component the paper's cost
     /// model calls "counting support", proportional to the table size;
@@ -161,27 +187,29 @@ pub struct PassStats {
     /// Per-shard busy time of the record scan, in shard order. Length is
     /// the number of shards the pass actually used (1 for a serial scan).
     pub shard_scan_times: Vec<Duration>,
-    /// Time spent summing per-shard counters into the final tallies
-    /// (zero for a serial scan — there is nothing to merge).
+    /// Time spent summing per-shard counters into the final tallies and
+    /// reading the cell plans' members out of their prefix sums (zero
+    /// for a serial scan without cells — there is nothing to merge).
     pub merge_time: Duration,
     /// Total nodes across the reference kernel's categorical hash trees
-    /// (zero under the bitmask kernel, and when every super-candidate is
+    /// (zero under the default kernel, and when every super-candidate is
     /// purely quantitative).
     pub hash_tree_nodes: usize,
     /// Estimated peak heap bytes of the pass's counting structures —
     /// per-shard counters are live simultaneously, so this is the
     /// single-shard figure times the shard count (and the maximum over
-    /// sequential sub-scans of one pass). The bitmask kernel's figure is
-    /// its per-plan and per-member tallies; the reference kernel's is its
-    /// rectangle counters.
+    /// sequential sub-scans of one pass). The default kernel's figure is
+    /// its per-plan and per-member tallies plus its cells; the reference
+    /// kernel's is its rectangle counters.
     pub counter_bytes: usize,
     /// True when the scan ran its shards on a worker pool (more than one
     /// shard); a serial scan never leaves the calling thread.
     pub pooled: bool,
     /// What counted the pass: `"bitmask"`, `"direct"`, or
-    /// [`CELLS_KERNEL`] for a histogram scan. A pass made of several
-    /// physical scans that ran differently joins their names with `+`
-    /// (e.g. `"cells+bitmask"` for pass 2 with over-budget pairs).
+    /// [`CELLS_KERNEL`] for histogram counting. A pass that counted plans
+    /// both ways, or made several physical scans that ran differently,
+    /// joins the names with `+` (e.g. `"cells+bitmask"` for pass 3 with a
+    /// purely categorical plan, or pass 2 with over-budget pairs).
     pub kernel: String,
 }
 
@@ -198,19 +226,42 @@ impl PassStats {
         self.super_candidates += other.super_candidates;
         self.array_backed += other.array_backed;
         self.rtree_backed += other.rtree_backed;
+        self.hash_tree_nodes += other.hash_tree_nodes;
+        self.absorb_rows(other);
+    }
+
+    /// Fold in the same counting work over other rows (e.g. the next
+    /// spilled chunk): times and shard times add up, the super-candidate
+    /// and backend counts stay.
+    pub(crate) fn absorb_rows(&mut self, other: &PassStats) {
         self.scan_time += other.scan_time;
         self.merge_time += other.merge_time;
-        self.hash_tree_nodes += other.hash_tree_nodes;
         // Sequential sub-scans free their counters before the next one
         // allocates, so the peak is the max, not the sum.
         self.counter_bytes = self.counter_bytes.max(other.counter_bytes);
         self.pooled |= other.pooled;
-        if self.kernel.is_empty() {
-            self.kernel = other.kernel.clone();
-        } else if !other.kernel.is_empty() && !self.kernel.split('+').any(|k| k == other.kernel) {
-            self.kernel = format!("{}+{}", self.kernel, other.kernel);
+        for part in other.kernel.split('+').filter(|k| !k.is_empty()) {
+            if !self.kernel.split('+').any(|k| k == part) {
+                if !self.kernel.is_empty() {
+                    self.kernel.push('+');
+                }
+                self.kernel.push_str(part);
+            }
         }
         add_shard_times(&mut self.shard_scan_times, &other.shard_scan_times);
+    }
+}
+
+/// Fold `scan` into the statistics `into` keeps so far, through `fold`
+/// ([`PassStats::absorb`] or [`PassStats::absorb_rows`]).
+pub(crate) fn fold_stats(
+    into: &mut Option<PassStats>,
+    scan: PassStats,
+    fold: fn(&mut PassStats, &PassStats),
+) {
+    match into {
+        Some(stats) => fold(stats, &scan),
+        None => *into = Some(scan),
     }
 }
 
@@ -288,7 +339,7 @@ struct SuperPlan {
     /// counter construction shares one allocation instead of deep-cloning
     /// O(rects) vectors per shard.
     rects: SharedRects,
-    /// The same bounds column-major for the bitmask kernel:
+    /// The same bounds column-major for the range masks:
     /// `lo_cols[d][m]`/`hi_cols[d][m]` is member `m`'s inclusive range
     /// over dimension `d` — contiguous per dimension so the member loop
     /// streams bounds instead of hopping between corner vectors.
@@ -299,15 +350,110 @@ struct SuperPlan {
     dim_lo_min: Vec<u32>,
     dim_hi_max: Vec<u32>,
     /// The reference kernel's counting backend, decided once for all
-    /// shards (`None` under the bitmask kernel and for purely
+    /// shards (`None` under the default kernel and for purely
     /// categorical super-candidates).
     kind: Option<CounterKind>,
+    /// The plan's compressed k-D histogram, when the default kernel
+    /// counts it as cells rather than with range masks.
+    cells: Option<CellPlan>,
+}
+
+/// One super-candidate counted as a k-D histogram whose dimensions are
+/// cut at its members' breakpoints (see module docs). Built once, read
+/// by every shard.
+struct CellPlan {
+    /// Slots per dimension: one per gap between consecutive breakpoints,
+    /// plus the top slot, where codes no member covers are discarded.
+    slots: Vec<u32>,
+    /// Per dimension, code → slot × the dimension's row-major stride, so
+    /// a row's cell is the sum of one lookup per dimension.
+    luts: Vec<Vec<u32>>,
+    /// Where the plan's cells start in a shard's cell array: `len` cells,
+    /// then one sink cell for rows its categorical items reject.
+    offset: usize,
+    len: usize,
+    /// Member rectangles in slot coordinates, in member order.
+    rects: Vec<(Vec<u32>, Vec<u32>)>,
+}
+
+impl CellPlan {
+    /// Compress `plan`'s dimensions to its members' breakpoints, the
+    /// cells placed at `offset`; `None` when the cells, their sink and
+    /// the lookup tables would exceed `budget`.
+    fn compress(plan: &SuperPlan, offset: usize, budget: usize) -> Option<Self> {
+        let breaks: Vec<Vec<u32>> = (0..plan.dims.len())
+            .map(|d| {
+                let mut b: Vec<u32> = plan.lo_cols[d].clone();
+                b.extend(plan.hi_cols[d].iter().map(|&hi| hi + 1));
+                b.sort_unstable();
+                b.dedup();
+                b
+            })
+            .collect();
+        // `k` breakpoints leave `k - 1` gaps plus the discard slot.
+        let slots: Vec<u32> = breaks.iter().map(|b| b.len() as u32).collect();
+        let len = slots
+            .iter()
+            .try_fold(1usize, |n, &s| n.checked_mul(s as usize))?;
+        let lut_entries: usize = plan.dims.iter().map(|&card| card as usize).sum();
+        if len.checked_add(1 + lut_entries)? > budget {
+            return None;
+        }
+        let mut stride = len;
+        let luts = breaks
+            .iter()
+            .zip(&plan.dims)
+            .map(|(b, &card)| {
+                stride /= b.len();
+                let discard = (b.len() - 1) * stride;
+                let mut lut = vec![discard as u32; card as usize];
+                for (slot, gap) in b.windows(2).enumerate() {
+                    let end = (gap[1] as usize).min(lut.len());
+                    let start = (gap[0] as usize).min(end);
+                    lut[start..end].fill((slot * stride) as u32);
+                }
+                lut
+            })
+            .collect();
+        let slot_of =
+            |d: usize, code: u32| breaks[d].binary_search(&code).expect("a breakpoint") as u32;
+        let rects = plan
+            .rects
+            .iter()
+            .map(|(lo, hi)| {
+                let lo_slots = (0..lo.len()).map(|d| slot_of(d, lo[d])).collect();
+                let hi_slots = (0..hi.len()).map(|d| slot_of(d, hi[d] + 1) - 1).collect();
+                (lo_slots, hi_slots)
+            })
+            .collect();
+        Some(CellPlan {
+            slots,
+            luts,
+            offset,
+            len,
+            rects,
+        })
+    }
+
+    /// This plan's cells and sink within a shard's cell array.
+    fn span(&self) -> Range<usize> {
+        self.offset..self.offset + self.len + 1
+    }
+
+    /// What the plan takes of the cell budget: its cells, its sink and
+    /// its lookup-table entries.
+    fn cost(&self) -> usize {
+        self.len + 1 + self.luts.iter().map(Vec::len).sum::<usize>()
+    }
 }
 
 /// One shard's private tallies, merged in shard order after the scan.
 struct ShardTally {
-    /// Per plan, its members' counts in member order.
+    /// Per plan, its members' counts in member order (empty for a plan
+    /// counted as cells).
     counts: Vec<Vec<u64>>,
+    /// The raw cells of every plan counted as cells, plan after plan.
+    cells: Vec<u64>,
     /// Busy time of this shard's scan loop.
     scan_time: Duration,
     /// True when the scan stopped early on a fired [`CancelToken`] — the
@@ -315,15 +461,17 @@ struct ShardTally {
     cancelled: bool,
 }
 
-/// Group candidates into super-candidate plans and, under the reference
-/// kernel, decide each plan's counting backend. Deterministic: grouping
-/// uses a `BTreeMap` and the backend choice is a pure function of the
-/// (record-independent) inputs.
+/// Group candidates into super-candidate plans and decide how each is
+/// counted: under the reference kernel its backend, under the default
+/// kernel cells or range masks. Deterministic: grouping uses a
+/// `BTreeMap` and every choice is a pure function of the
+/// (record-independent) inputs. Also returns the cells one shard
+/// allocates.
 fn build_plans(
     table: &EncodedTable,
     candidates: &[Itemset],
     kernel: ScanKernel,
-) -> (Vec<SuperPlan>, PassStats) {
+) -> (Vec<SuperPlan>, PassStats, usize) {
     let schema = table.schema();
     let is_quant: Vec<bool> = schema
         .attributes()
@@ -353,6 +501,9 @@ fn build_plans(
 
     let mut stats = PassStats::default();
     let mut plans: Vec<SuperPlan> = Vec::with_capacity(groups.len());
+    // Cells allocated so far, the budget they and their lookup tables
+    // use, and the members left to range masks.
+    let (mut cells, mut budget_used, mut mask_members) = (0usize, 0usize, 0usize);
     for ((cat_key, quant_attrs), members) in groups {
         let dims: Vec<u32> = quant_attrs
             .iter()
@@ -403,7 +554,7 @@ fn build_plans(
                 dim_hi_max[d] = dim_hi_max[d].max(hi[d]);
             }
         }
-        plans.push(SuperPlan {
+        let mut plan = SuperPlan {
             cat_key,
             quant_attrs,
             members,
@@ -414,14 +565,38 @@ fn build_plans(
             dim_lo_min,
             dim_hi_max,
             kind,
-        });
+            cells: None,
+        };
+        // The default kernel counts a plan with range dimensions as
+        // cells while the pass's cells fit the budget.
+        if kernel == ScanKernel::Bitmask && !plan.dims.is_empty() {
+            plan.cells = CellPlan::compress(&plan, cells, CELL_BUDGET - budget_used);
+            if let Some(cell_plan) = &plan.cells {
+                cells = cell_plan.span().end;
+                budget_used += cell_plan.cost();
+                stats.array_backed += 1;
+            }
+        }
+        if plan.cells.is_none() {
+            mask_members += plan.members.len();
+        }
+        plans.push(plan);
     }
     stats.super_candidates = plans.len();
     if kernel == ScanKernel::Bitmask {
-        // One tally per plan plus one per member (see `scan_bitmask`).
-        stats.counter_bytes = (plans.len() + candidates.len()) * std::mem::size_of::<u64>();
+        // One tally per plan, one per member counted with range masks,
+        // and the cells (see `scan_bitmask`).
+        stats.counter_bytes = (plans.len() + mask_members + cells) * std::mem::size_of::<u64>();
+        stats.kernel = match (stats.array_backed, plans.len() - stats.array_backed) {
+            (0, _) => "bitmask",
+            (_, 0) => CELLS_KERNEL,
+            _ => "cells+bitmask",
+        }
+        .to_string();
+    } else {
+        stats.kernel = kernel.name().to_string();
     }
-    (plans, stats)
+    (plans, stats, cells)
 }
 
 /// The reference kernel's plan index: the plans with empty categorical
@@ -473,9 +648,9 @@ fn fill_ones(mask: &mut [u64; BLOCK_WORDS], n: usize) {
     }
 }
 
-/// Per-shard state of the bitmask kernel (see module docs): the deduped
-/// predicate table built once per shard, plus the per-block mask and
-/// min/max scratch reused across blocks.
+/// Per-shard state of the default kernel (see module docs): the deduped
+/// predicate table built once per shard, plus the per-block mask, cell
+/// and min/max scratch reused across blocks.
 struct BitmaskScan<'t> {
     /// Distinct code columns touched by any categorical predicate or
     /// quantitative dimension.
@@ -496,6 +671,8 @@ struct BitmaskScan<'t> {
     plan_preds: Vec<Vec<usize>>,
     /// Per plan: column slot of each quantitative dimension.
     plan_dims: Vec<Vec<usize>>,
+    /// Per row of the current block, the cell a cells plan counts it in.
+    cell_of: Vec<u32>,
 }
 
 /// Intern `attr`'s code column, returning its slot in `cols`.
@@ -549,16 +726,19 @@ impl<'t> BitmaskScan<'t> {
             pred_dead,
             plan_preds,
             plan_dims,
+            cell_of: vec![0; CANCEL_CHECK_INTERVAL],
         }
     }
 
-    /// Count one block of rows into `direct` (purely categorical plans)
-    /// and `member_counts` (per-member rectangle matches).
+    /// Count one block of rows into `direct` (purely categorical plans),
+    /// `cells` (plans counted as cells) and `member_counts` (the other
+    /// plans' per-member rectangle matches).
     fn scan_block(
         &mut self,
         plans: &[SuperPlan],
         rows: Range<usize>,
         direct: &mut [u64],
+        cells: &mut [u64],
         member_counts: &mut [Vec<u64>],
     ) {
         let n = rows.len();
@@ -637,6 +817,37 @@ impl<'t> BitmaskScan<'t> {
                 direct[pi] += popcount(&plan_mask[..words]);
                 continue;
             }
+            if let Some(cell_plan) = &plan.cells {
+                // One lookup per dimension sums to each row's cell; rows
+                // the categorical items reject go to the sink.
+                let (&last, rest) = dims.split_last().expect("a range dimension");
+                let cell_of = &mut self.cell_of[..n];
+                cell_of.fill(0);
+                for (lut, &slot) in cell_plan.luts.iter().zip(rest) {
+                    for (cell, &v) in cell_of.iter_mut().zip(&self.cols[slot][rows.clone()]) {
+                        *cell += lut[v as usize];
+                    }
+                }
+                let lut = &cell_plan.luts[rest.len()];
+                let block = &self.cols[last][rows.clone()];
+                let hist = &mut cells[cell_plan.span()];
+                if self.plan_preds[pi].is_empty() {
+                    for (&cell, &v) in cell_of.iter().zip(block) {
+                        hist[(cell + lut[v as usize]) as usize] += 1;
+                    }
+                } else {
+                    for (i, (&cell, &v)) in cell_of.iter().zip(block).enumerate() {
+                        let keep = (plan_mask[i / 64] >> (i % 64)) & 1 != 0;
+                        let cell = if keep {
+                            cell + lut[v as usize]
+                        } else {
+                            cell_plan.len as u32
+                        };
+                        hist[cell as usize] += 1;
+                    }
+                }
+                continue;
+            }
 
             // Per member: start from the categorical mask and AND one
             // branchless range mask per dimension, skipping words already
@@ -674,14 +885,16 @@ impl<'t> BitmaskScan<'t> {
     }
 }
 
-/// The bitmask kernel over one contiguous row range: per-plan tallies for
-/// purely categorical plans, per-member tallies for the rest, counted a
-/// block at a time with the cancellation checkpoint at each block
-/// boundary — relative to the rows this shard has scanned, so a shard
-/// starting mid-interval still checks after at most one block.
+/// The default kernel over one contiguous row range: per-plan tallies
+/// for purely categorical plans, `num_cells` raw cells for the plans
+/// counted as cells, per-member tallies for the rest, counted a block at
+/// a time with the cancellation checkpoint at each block boundary —
+/// relative to the rows this shard has scanned, so a shard starting
+/// mid-interval still checks after at most one block.
 fn scan_bitmask(
     table: &EncodedTable,
     plans: &[SuperPlan],
+    num_cells: usize,
     rows: Range<usize>,
     cancel: Option<&CancelToken>,
 ) -> ShardTally {
@@ -689,11 +902,15 @@ fn scan_bitmask(
     let mut direct = vec![0u64; plans.len()];
     let mut counts: Vec<Vec<u64>> = plans
         .iter()
-        .map(|plan| vec![0u64; plan.members.len()])
+        .map(|plan| match plan.cells {
+            Some(_) => Vec::new(),
+            None => vec![0u64; plan.members.len()],
+        })
         .collect();
+    let mut cells = vec![0u64; num_cells];
     let mut scan = BitmaskScan::new(table, plans);
     let cancelled = scan_blocks(rows, cancel, |block| {
-        scan.scan_block(plans, block, &mut direct, &mut counts)
+        scan.scan_block(plans, block, &mut direct, &mut cells, &mut counts)
     });
     for ((plan, members), direct) in plans.iter().zip(&mut counts).zip(direct) {
         if plan.dims.is_empty() {
@@ -702,6 +919,7 @@ fn scan_bitmask(
     }
     ShardTally {
         counts,
+        cells,
         scan_time: started.elapsed(),
         cancelled,
     }
@@ -789,6 +1007,7 @@ fn scan_direct(
         .collect();
     ShardTally {
         counts,
+        cells: Vec::new(),
         scan_time: started.elapsed(),
         cancelled,
     }
@@ -811,19 +1030,18 @@ pub fn count_candidates(
     candidates: &[Itemset],
     opts: ScanOptions<'_>,
 ) -> Result<(Vec<u64>, PassStats), ScanCancelled> {
-    let (plans, mut stats) = build_plans(table, candidates, opts.kernel);
+    let (plans, mut stats, num_cells) = build_plans(table, candidates, opts.kernel);
     let index = matches!(opts.kernel, ScanKernel::Direct(_)).then(|| PlanIndex::new(&plans));
     stats.hash_tree_nodes = index.as_ref().map_or(0, |index| {
         index.trees.values().map(HashTree::node_count).sum()
     });
-    stats.kernel = opts.kernel.name().to_string();
     let bounds = shard_bounds(table.num_rows(), opts.num_threads);
     stats.counter_bytes = stats.counter_bytes.saturating_mul(bounds.len());
     stats.pooled = bounds.len() > 1;
 
     let scan = |rows: Range<usize>| match &index {
         Some(index) => scan_direct(table, &plans, index, rows, opts.cancel),
-        None => scan_bitmask(table, &plans, rows, opts.cancel),
+        None => scan_bitmask(table, &plans, num_cells, rows, opts.cancel),
     };
     let scan_started = Instant::now();
     let tallies: Vec<ShardTally> = if bounds.len() <= 1 {
@@ -839,20 +1057,36 @@ pub fn count_candidates(
     stats.scan_time = scan_started.elapsed();
     stats.shard_scan_times = tallies.iter().map(|t| t.scan_time).collect();
 
-    // Merge per-shard tallies in shard order (u64 sums: order-independent,
-    // fixed anyway for determinism of the timing bookkeeping), then
-    // scatter them back to candidate order.
+    // Merge per-shard tallies and cells in shard order (u64 sums:
+    // order-independent, fixed anyway for determinism of the timing
+    // bookkeeping), read the cells plans' members as rectangle sums,
+    // then scatter the counts back to candidate order.
     let merge_started = Instant::now();
     let mut tallies = tallies.into_iter();
-    let mut merged = tallies.next().expect("at least one shard").counts;
+    let first = tallies.next().expect("at least one shard");
+    let (mut merged, mut cells) = (first.counts, first.cells);
     for tally in tallies {
         for (into, from) in merged.iter_mut().zip(tally.counts) {
             for (a, b) in into.iter_mut().zip(from) {
                 *a += b;
             }
         }
+        for (a, b) in cells.iter_mut().zip(tally.cells) {
+            *a += b;
+        }
     }
-    if stats.shard_scan_times.len() > 1 {
+    for (plan, members) in plans.iter().zip(&mut merged) {
+        if let Some(cell_plan) = &plan.cells {
+            let hist = &mut cells[cell_plan.offset..cell_plan.offset + cell_plan.len];
+            prefix_sums(hist, &cell_plan.slots);
+            *members = cell_plan
+                .rects
+                .iter()
+                .map(|(lo, hi)| rect_sum(hist, &cell_plan.slots, lo, hi))
+                .collect();
+        }
+    }
+    if stats.shard_scan_times.len() > 1 || num_cells > 0 {
         stats.merge_time = merge_started.elapsed();
     }
     let mut counts = vec![0u64; candidates.len()];
@@ -864,10 +1098,13 @@ pub fn count_candidates(
     Ok((counts, stats))
 }
 
-/// Cell budget of the pass-2 pair histograms (64 MB of `u64` cells). An
-/// attribute pair whose full code domain exceeds it is counted explicitly
-/// instead, and the pairs one table scan counts together stay under it.
-pub const PAIR_CELL_BUDGET: usize = 8 << 20;
+/// Cell budget of one counting scan (64 MB of `u64` cells per shard).
+/// In pass 2, an attribute pair whose full code domain exceeds it is
+/// counted explicitly instead, and the pairs one table scan counts
+/// together stay under it. In later passes, the compressed cells (and
+/// lookup-table entries) of the plans counted as cells stay under it;
+/// the plans past it are counted with range masks.
+pub const CELL_BUDGET: usize = 8 << 20;
 
 /// Cells of the 2-D histogram over attribute pair `(a, b)` of `meta`
 /// (saturating, so absurd domains compare as over any budget).
@@ -910,9 +1147,9 @@ pub fn cell_groups(cells: &[usize], max_cells: usize) -> Vec<Range<usize>> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairHistograms {
     pairs: Vec<(u32, u32)>,
-    /// Per pair, the code-domain size of its second attribute: the row
-    /// stride of the pair's row-major `(code_a, code_b)` array.
-    strides: Vec<usize>,
+    /// Per pair, the code-domain sizes `[card(a), card(b)]` of its
+    /// row-major `(code_a, code_b)` array (`card(b)` is the row stride).
+    dims: Vec<[u32; 2]>,
     /// `offsets[p]..offsets[p + 1]` are pair `p`'s cells in the pairs'
     /// concatenated arrays.
     offsets: Vec<usize>,
@@ -943,15 +1180,13 @@ impl PairHistograms {
             total += pair_cells(meta, a, b);
             offsets.push(total);
         }
-        let strides = pairs
-            .iter()
-            .map(|&(_, b)| meta.cardinality(AttributeId(b as usize)) as usize)
-            .collect();
+        let card = |attr: u32| meta.cardinality(AttributeId(attr as usize));
+        let dims = pairs.iter().map(|&(a, b)| [card(a), card(b)]).collect();
         let end = cells.end.min(total);
         let start = cells.start.min(end);
         PairHistograms {
             pairs,
-            strides,
+            dims,
             offsets,
             start,
             cells: vec![0; end - start],
@@ -1025,7 +1260,7 @@ impl PairHistograms {
                     (
                         table.codes(AttributeId(a as usize)),
                         table.codes(AttributeId(b as usize)),
-                        self.strides[p],
+                        self.dims[p][1] as usize,
                         lo - self.offsets[p],
                         lo - self.start..hi - self.start,
                     )
@@ -1065,6 +1300,9 @@ impl PairHistograms {
                 .saturating_mul(bounds.len()),
             pooled: bounds.len() > 1,
             kernel: CELLS_KERNEL.to_string(),
+            // Each pair's array is one super-candidate.
+            super_candidates: self.pairs.len(),
+            array_backed: self.pairs.len(),
             ..PassStats::default()
         };
         let started = Instant::now();
@@ -1129,25 +1367,17 @@ impl PairHistograms {
         }
     }
 
-    /// Turn every pair's cells into inclusive 2-D prefix sums, in one
-    /// pass over the cells. After this the histograms answer
-    /// [`PairHistograms::rect_sum`] and take no more rows.
+    /// Turn every pair's cells into inclusive 2-D prefix sums. After this
+    /// the histograms answer [`PairHistograms::rect_sum`] and take no more
+    /// rows.
     pub fn build_prefix_sums(&mut self) {
         assert!(!self.prefixed, "prefix sums already built");
         self.assert_whole();
-        for (p, &stride) in self.strides.iter().enumerate() {
-            let hist = &mut self.cells[self.offsets[p]..self.offsets[p + 1]];
-            if stride == 0 {
-                continue;
-            }
-            for row in 0..hist.len() / stride {
-                let mut running = 0u64;
-                for col in 0..stride {
-                    let i = row * stride + col;
-                    running += hist[i];
-                    hist[i] = running + if row > 0 { hist[i - stride] } else { 0 };
-                }
-            }
+        for p in 0..self.pairs.len() {
+            prefix_sums(
+                &mut self.cells[self.offsets[p]..self.offsets[p + 1]],
+                &self.dims[p],
+            );
         }
         self.prefixed = true;
     }
@@ -1156,21 +1386,8 @@ impl PairHistograms {
     /// (`a` on the pair's first attribute, `b` on its second).
     pub fn rect_sum(&self, pair: usize, a: Item, b: Item) -> u64 {
         assert!(self.prefixed, "call build_prefix_sums first");
-        let stride = self.strides[pair];
         let hist = &self.cells[self.offsets[pair]..self.offsets[pair + 1]];
-        let at = |row: u32, col: u32| hist[row as usize * stride + col as usize];
-        // Inclusion–exclusion, corner added first so no step underflows.
-        let mut total = at(a.hi, b.hi);
-        if a.lo > 0 && b.lo > 0 {
-            total += at(a.lo - 1, b.lo - 1);
-        }
-        if a.lo > 0 {
-            total -= at(a.lo - 1, b.hi);
-        }
-        if b.lo > 0 {
-            total -= at(a.hi, b.lo - 1);
-        }
-        total
+        rect_sum(hist, &self.dims[pair], &[a.lo, b.lo], &[a.hi, b.hi])
     }
 }
 
@@ -1321,19 +1538,23 @@ mod tests {
         }
     }
 
-    /// The default pass runs the bitmask kernel: no hash tree, no array
-    /// and no R*-tree, and its memory figure is the tallies it allocates
-    /// per shard.
+    /// The default pass builds no hash tree and no R*-tree: it counts
+    /// every plan with range dimensions as cells and the purely
+    /// categorical one with masks, and its memory figure is the tallies
+    /// and cells it allocates per shard.
     #[test]
-    fn default_pass_reports_no_backends() {
+    fn default_pass_reports_cells_and_no_trees() {
         let (enc, cands) = mixed_wide();
+        let (_, _, cells) = build_plans(&enc, &cands, ScanKernel::Bitmask);
         for threads in [1, 4] {
             let opts = ScanOptions::new(threads);
             let (_, stats) = count_candidates(&enc, &cands, opts).unwrap();
-            assert_eq!(stats.kernel, "bitmask");
-            assert_eq!((stats.array_backed, stats.rtree_backed), (0, 0));
+            assert_eq!(stats.kernel, "cells+bitmask");
+            assert_eq!(stats.array_backed, stats.super_candidates - 1);
+            assert_eq!(stats.rtree_backed, 0);
             assert_eq!(stats.hash_tree_nodes, 0);
-            let tallies = stats.super_candidates + cands.len();
+            // A tally per plan, the categorical plan's member, the cells.
+            let tallies = stats.super_candidates + 1 + cells;
             assert_eq!(stats.counter_bytes, tallies * 8 * threads);
         }
     }
@@ -1537,17 +1758,20 @@ mod tests {
     }
 
     /// Both kernels are bit-identical to the naive reference, for every
-    /// thread count, and report themselves in [`PassStats::kernel`].
+    /// thread count, and report what counted in [`PassStats::kernel`].
     #[test]
     fn every_kernel_equals_naive_for_all_thread_counts() {
         let enc = duplicate_heavy();
         let cands = duplicate_heavy_candidates();
         let naive = count_candidates_naive(&enc, &cands);
         for threads in [1, 2, 4, 7] {
-            for kernel in [ScanKernel::Direct(None), ScanKernel::Bitmask] {
+            for (kernel, name) in [
+                (ScanKernel::Direct(None), "direct"),
+                (ScanKernel::Bitmask, "cells+bitmask"),
+            ] {
                 let (counts, stats) = count(&enc, &cands, kernel, threads);
                 assert_eq!(counts, naive, "threads={threads} {kernel:?}");
-                assert_eq!(stats.kernel, kernel.name());
+                assert_eq!(stats.kernel, name);
             }
         }
     }
@@ -1630,7 +1854,7 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             let (counts, stats) = count(&enc, &cands, ScanKernel::Bitmask, threads);
             assert_eq!(counts, naive, "threads={threads}");
-            assert_eq!(stats.kernel, "bitmask");
+            assert_eq!(stats.kernel, "cells+bitmask");
         }
     }
 
@@ -1689,6 +1913,198 @@ mod tests {
             columns,
             rows.len(),
         )
+    }
+
+    /// Count `cands` with the default kernel on 1, 2, 5 and 16 shards,
+    /// each equal to the reference kernel and the naive recount; returns
+    /// the serial pass's statistics.
+    fn default_equals_direct_and_naive(enc: &EncodedTable, cands: &[Itemset]) -> PassStats {
+        let naive = count_candidates_naive(enc, cands);
+        let (direct, _) = count(enc, cands, ScanKernel::Direct(None), 1);
+        assert_eq!(direct, naive, "direct");
+        let (serial, stats) = count(enc, cands, ScanKernel::Bitmask, 1);
+        assert_eq!(serial, naive, "threads=1");
+        for threads in [2, 5, 16] {
+            let (counts, sharded) = count(enc, cands, ScanKernel::Bitmask, threads);
+            assert_eq!(counts, naive, "threads={threads}");
+            assert_eq!(sharded.kernel, stats.kernel, "threads={threads}");
+            assert_eq!(sharded.shard_scan_times.len(), sharded.num_shards());
+        }
+        stats
+    }
+
+    /// A table of `rows` rows over attributes `(quantitative, card)`,
+    /// its codes drawn from `code(row, attribute)`.
+    fn table_of(
+        attrs: &[(bool, u32)],
+        rows: usize,
+        code: impl Fn(usize, usize) -> u32,
+    ) -> EncodedTable {
+        let columns = (0..attrs.len())
+            .map(|a| (0..rows).map(|r| code(r, a) % attrs[a].1).collect())
+            .collect();
+        coded_table(attrs, columns, rows)
+    }
+
+    /// Member rectangles reaching code 0 and the top code of each
+    /// dimension: the first and last gaps hold real codes, and a member
+    /// spanning the whole domain leaves the discard slot empty.
+    #[test]
+    fn cells_count_rectangles_at_both_domain_edges() {
+        let enc = table_of(&[(true, 9), (true, 7)], 1500, |r, a| {
+            (r * (3 + a) + r / 7) as u32
+        });
+        let cands: Vec<Itemset> = [(0, 8, 0, 6), (0, 0, 6, 6), (8, 8, 0, 0), (0, 3, 2, 6)]
+            .iter()
+            .map(|&(alo, ahi, blo, bhi)| {
+                Itemset::new(vec![Item::range(0, alo, ahi), Item::range(1, blo, bhi)])
+            })
+            .collect();
+        let stats = default_equals_direct_and_naive(&enc, &cands);
+        assert_eq!((stats.kernel.as_str(), stats.array_backed), ("cells", 1));
+    }
+
+    /// Codes outside every member land in the discard slot and count for
+    /// no member: members cover only the middle of each domain, with
+    /// uncovered gaps between them.
+    #[test]
+    fn cells_discard_codes_outside_every_member() {
+        let enc = table_of(&[(true, 20), (true, 12), (true, 6)], 2100, |r, a| {
+            (r * (5 + 2 * a) + r / 11) as u32
+        });
+        let cands: Vec<Itemset> = [(3, 5, 2, 4, 1, 2), (9, 9, 7, 9, 3, 3), (4, 10, 3, 3, 1, 4)]
+            .iter()
+            .map(|&(alo, ahi, blo, bhi, clo, chi)| {
+                Itemset::new(vec![
+                    Item::range(0, alo, ahi),
+                    Item::range(1, blo, bhi),
+                    Item::range(2, clo, chi),
+                ])
+            })
+            .collect();
+        let stats = default_equals_direct_and_naive(&enc, &cands);
+        assert_eq!((stats.kernel.as_str(), stats.array_backed), ("cells", 1));
+        let (plans, _, cells) = build_plans(&enc, &cands, ScanKernel::Bitmask);
+        let cell_plan = plans[0].cells.as_ref().unwrap();
+        // Breakpoints {3, 4, 6, 9, 10, 11} × {2, 3, 4, 5, 7, 10} × {1, 3, 4, 5}.
+        assert_eq!(cell_plan.slots, [6, 6, 4]);
+        assert_eq!(cells, 6 * 6 * 4 + 1);
+    }
+
+    /// Plans with a categorical item (or two) and two or three range
+    /// dimensions: the categorical items filter rows into the sink, and
+    /// plans sharing range attributes but not categorical items keep
+    /// separate cells.
+    #[test]
+    fn cells_filter_rows_by_categorical_items() {
+        let attrs = [(false, 3), (true, 8), (false, 2), (true, 5), (true, 4)];
+        let enc = table_of(&attrs, 2600, |r, a| (r * (1 + a) + r / (3 + a)) as u32);
+        let mut cands = Vec::new();
+        for c in 0..3u32 {
+            for (lo, hi) in [(0, 2), (1, 7), (5, 7)] {
+                cands.push(Itemset::new(vec![
+                    Item::value(0, c),
+                    Item::range(1, lo, hi),
+                    Item::range(3, 1, 3),
+                ]));
+                cands.push(Itemset::new(vec![
+                    Item::value(0, c),
+                    Item::range(1, lo, hi),
+                    Item::value(2, c % 2),
+                    Item::range(3, 0, 4),
+                    Item::range(4, c, 3),
+                ]));
+            }
+        }
+        let stats = default_equals_direct_and_naive(&enc, &cands);
+        assert_eq!(stats.kernel, "cells");
+        assert_eq!(stats.array_backed, stats.super_candidates);
+        assert_eq!(stats.super_candidates, 6);
+    }
+
+    /// 3 dimensions with 205 breakpoints each (205³ cells) exceed the
+    /// cell budget: that plan falls back to range masks, with the same
+    /// counts; alone it is a bitmask pass, beside a plan that fits it is
+    /// a mixed one.
+    #[test]
+    fn over_budget_plans_fall_back_to_bitmask() {
+        let attrs = [(true, 240), (true, 230), (true, 220), (true, 4)];
+        let enc = table_of(&attrs, 1100, |r, a| (r * (7 + a) + r / 5) as u32);
+        let big: Vec<Itemset> = (0..204u32)
+            .map(|i| {
+                Itemset::new(vec![
+                    Item::range(0, i, i),
+                    Item::range(1, i, i + 3),
+                    Item::range(2, 0, i),
+                ])
+            })
+            .collect();
+        assert!(205usize.pow(3) > CELL_BUDGET);
+        let stats = default_equals_direct_and_naive(&enc, &big);
+        assert_eq!((stats.kernel.as_str(), stats.array_backed), ("bitmask", 0));
+
+        let mut mixed = big;
+        mixed.push(Itemset::new(vec![
+            Item::range(0, 3, 90),
+            Item::range(3, 1, 2),
+        ]));
+        let stats = default_equals_direct_and_naive(&enc, &mixed);
+        assert_eq!(stats.kernel, "cells+bitmask");
+        assert_eq!((stats.super_candidates, stats.array_backed), (2, 1));
+    }
+
+    /// A fired token stops a cells scan: the pass returns
+    /// [`ScanCancelled`], serial or sharded.
+    #[test]
+    fn cancelled_cells_scan_is_reported() {
+        let enc = table_of(&[(true, 9), (true, 7)], 3000, |r, a| (r * (2 + a)) as u32);
+        let cands = vec![Itemset::new(vec![
+            Item::range(0, 1, 5),
+            Item::range(1, 0, 3),
+        ])];
+        let token = CancelToken::new();
+        token.cancel();
+        for threads in [1, 2] {
+            let opts = ScanOptions {
+                cancel: Some(&token),
+                ..ScanOptions::new(threads)
+            };
+            assert_eq!(
+                count_candidates(&enc, &cands, opts).err(),
+                Some(ScanCancelled)
+            );
+        }
+        assert_eq!(
+            count(&enc, &cands, ScanKernel::Bitmask, 1).1.kernel,
+            "cells"
+        );
+    }
+
+    /// Folding scans joins kernel names part by part, never repeating
+    /// one; `absorb` adds the plans, `absorb_rows` only the times.
+    #[test]
+    fn absorbed_stats_join_kernels_without_duplicates() {
+        let scan = |kernel: &str, plans: usize| PassStats {
+            kernel: kernel.to_string(),
+            super_candidates: plans,
+            shard_scan_times: vec![Duration::from_micros(5); 2],
+            ..PassStats::default()
+        };
+        let mut pass = scan("cells", 3);
+        for other in ["cells+bitmask", "cells+bitmask", "bitmask", "cells", ""] {
+            pass.absorb(&scan(other, 1));
+        }
+        assert_eq!(pass.kernel, "cells+bitmask");
+        assert_eq!(pass.super_candidates, 8);
+        let mut pass = scan("bitmask", 2);
+        pass.absorb_rows(&scan("cells+bitmask", 2));
+        pass.absorb_rows(&scan("direct", 2));
+        assert_eq!(pass.kernel, "bitmask+cells+direct");
+        assert_eq!(pass.super_candidates, 2);
+        assert_eq!(pass.shard_scan_times, vec![Duration::from_micros(15); 2]);
+        let mut empty = PassStats::default();
+        empty.absorb(&scan("cells+bitmask", 1));
+        assert_eq!(empty.kernel, "cells+bitmask");
     }
 
     #[test]

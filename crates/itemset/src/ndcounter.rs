@@ -12,6 +12,70 @@
 //! inclusion–exclusion prefix-sum variant that answers each rectangle in
 //! O(2^n) regardless of its size; the two are verified equal in tests and
 //! compared in the `ablation` bench.
+//!
+//! The prefix-sum pass and the rectangle sum are free functions over a
+//! row-major cell slice and its dimensions ([`prefix_sums`],
+//! [`rect_sum`]), so every dense histogram of the workspace — this
+//! counter, pass 2's pair histograms and the compressed cells of later
+//! passes — shares one implementation.
+
+/// Turn row-major raw `cells` over `dims` (last dimension contiguous)
+/// into inclusive prefix sums in place, in O(dims × cells): afterwards
+/// cell `p` holds the sum of every raw cell `q <= p` coordinate-wise.
+pub fn prefix_sums(cells: &mut [u64], dims: &[u32]) {
+    debug_assert_eq!(
+        cells.len(),
+        dims.iter().map(|&d| d as usize).product::<usize>()
+    );
+    let mut stride = cells.len();
+    for &dim in dims {
+        let dim = dim as usize;
+        if dim == 0 {
+            return;
+        }
+        // `block` cells span one full cycle of this dimension; within a
+        // block, add each `stride`-long row to the one after it.
+        let block = stride;
+        stride /= dim;
+        for base in (0..cells.len()).step_by(block) {
+            for row in base + stride..base + block {
+                cells[row] += cells[row - stride];
+            }
+        }
+    }
+}
+
+/// Inclusion–exclusion sum of the raw cells in the inclusive rectangle
+/// `[lo, hi]`, read from `cells` after [`prefix_sums`] over `dims`. Each of
+/// the 2^dims corners picks `hi[j]` or `lo[j] - 1` per dimension; corners
+/// stepping below zero contribute nothing. The signed terms are summed
+/// with wrapping arithmetic, exact because the total is a count.
+#[inline]
+pub fn rect_sum(cells: &[u64], dims: &[u32], lo: &[u32], hi: &[u32]) -> u64 {
+    debug_assert!((0..dims.len()).all(|j| lo[j] <= hi[j] && hi[j] < dims[j]));
+    let mut total = 0u64;
+    'corner: for mask in 0u32..(1 << dims.len()) {
+        let mut off = 0usize;
+        let mut negative = false;
+        for (j, &dim) in dims.iter().enumerate() {
+            let coord = if mask & (1 << j) == 0 {
+                hi[j]
+            } else if lo[j] == 0 {
+                continue 'corner;
+            } else {
+                negative = !negative;
+                lo[j] - 1
+            };
+            off = off * dim as usize + coord as usize;
+        }
+        total = if negative {
+            total.wrapping_sub(cells[off])
+        } else {
+            total.wrapping_add(cells[off])
+        };
+    }
+    total
+}
 
 /// Dense counter over the cross product of per-dimension code domains.
 #[derive(Debug, Clone)]
@@ -152,24 +216,7 @@ impl MultiDimCounter {
     /// O(2^dims).
     pub fn build_prefix_sums(&mut self) {
         assert!(!self.prefixed, "prefix sums already built");
-        for j in 0..self.dims.len() {
-            let stride = self.strides[j];
-            let dim = self.dims[j] as usize;
-            // For every cell whose j-th coordinate is > 0, add the cell one
-            // step back along j. Iterate in blocks so the scan is linear.
-            let block = stride * dim; // cells spanned by a full cycle of dim j
-            let n = self.counts.len();
-            let mut base = 0;
-            while base < n {
-                for c in 1..dim {
-                    let row = base + c * stride;
-                    for i in 0..stride {
-                        self.counts[row + i] += self.counts[row + i - stride];
-                    }
-                }
-                base += block;
-            }
-        }
+        prefix_sums(&mut self.counts, &self.dims);
         self.prefixed = true;
     }
 
@@ -177,29 +224,7 @@ impl MultiDimCounter {
     /// Requires [`MultiDimCounter::build_prefix_sums`] to have run.
     pub fn rect_sum(&self, lo: &[u32], hi: &[u32]) -> u64 {
         assert!(self.prefixed, "call build_prefix_sums first");
-        debug_assert!((0..lo.len()).all(|j| lo[j] <= hi[j] && hi[j] < self.dims[j]));
-        let d = self.dims.len();
-        let mut total: i64 = 0;
-        // Each corner picks hi[j] (bit 0) or lo[j]-1 (bit 1); a corner with
-        // any lo[j] == 0 on a "lo-1" pick contributes nothing.
-        'corner: for mask in 0u32..(1 << d) {
-            let mut off = 0usize;
-            let mut sign = 1i64;
-            for j in 0..d {
-                if mask & (1 << j) == 0 {
-                    off += hi[j] as usize * self.strides[j];
-                } else {
-                    if lo[j] == 0 {
-                        continue 'corner;
-                    }
-                    off += (lo[j] as usize - 1) * self.strides[j];
-                    sign = -sign;
-                }
-            }
-            total += sign * self.counts[off] as i64;
-        }
-        debug_assert!(total >= 0, "inclusion-exclusion went negative");
-        total as u64
+        rect_sum(&self.counts, &self.dims, lo, hi)
     }
 }
 

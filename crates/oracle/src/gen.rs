@@ -6,7 +6,8 @@
 use crate::case::{IncrementalCase, IntervalsCase, MiningCase, PartitionCase, ReproCase, SnapCase};
 use qar_core::{InterestConfig, InterestMode, MinerConfig, PartitionSpec, PartitionStrategy};
 use qar_prng::Prng;
-use qar_table::{Schema, Table, Value};
+use qar_table::{Schema, Table, Taxonomy, Value};
+use std::collections::BTreeMap;
 
 /// Draw one case. The mix favors end-to-end mining cases; the rest stress
 /// the partitioning and completeness primitives directly.
@@ -256,7 +257,7 @@ fn gen_kernel_duplicate_heavy(rng: &mut Prng) -> MiningCase {
         max_support: 1.0,
         partitioning: PartitionSpec::None,
         partition_strategy: PartitionStrategy::EquiDepth,
-        taxonomies: Default::default(),
+        taxonomies: gen_taxonomies(rng, table.schema()),
         interest: None,
         max_itemset_size: *rng.choose(&[0, 0, 2, 3]).expect("non-empty"),
         parallelism: None,
@@ -269,14 +270,44 @@ fn gen_kernel_duplicate_heavy(rng: &mut Prng) -> MiningCase {
     }
 }
 
+/// A taxonomy on one categorical attribute of `schema` for about a third
+/// of the calls (none when it has no categorical attribute): some of
+/// the labels `a`–`d` under the interior nodes `g0` and `g1`, which may
+/// share the root `top`. A generalized item is a code range on a
+/// categorical attribute, so the kernels count it as a range dimension.
+fn gen_taxonomies(rng: &mut Prng, schema: &Schema) -> BTreeMap<String, Taxonomy> {
+    let cats = schema.categorical_ids();
+    if cats.is_empty() || !rng.gen_bool(0.35) {
+        return BTreeMap::new();
+    }
+    let attr = cats[rng.gen_range(0..cats.len())];
+    let mut edges = Vec::new();
+    for leaf in ["a", "b", "c", "d"] {
+        match rng.gen_range(0u32..3) {
+            0 => edges.push((leaf, "g0")),
+            1 => edges.push((leaf, "g1")),
+            _ => {}
+        }
+    }
+    if rng.gen_bool(0.5) {
+        edges.extend([("g0", "top"), ("g1", "top")]);
+    }
+    let taxonomy = Taxonomy::from_edges(&edges).expect("a forest over distinct labels");
+    BTreeMap::from([(
+        schema.attributes()[attr.index()].name().to_string(),
+        taxonomy,
+    )])
+}
+
 /// A bitmask-kernel case. Half are duplicate-heavy categorical tables
 /// ([`gen_kernel_duplicate_heavy`]); the rest skew codes toward the
 /// domain boundaries (first/last encoded value), with constant columns
 /// whose frequent ranges degenerate to `lo == hi`, and row counts
 /// straddling the kernel's 64-bit word and block edges — plus occasional
 /// empty tables and impossible supports so the plan list itself can be
-/// empty. The checker compares bitmask serial and bitmask pooled against
-/// direct serial.
+/// empty. Either shape may carry a taxonomy on a categorical attribute
+/// ([`gen_taxonomies`]). The checker compares the default kernel serial
+/// and pooled against direct serial.
 fn gen_kernel(rng: &mut Prng) -> MiningCase {
     if rng.gen_bool(0.5) {
         return gen_kernel_duplicate_heavy(rng);
@@ -349,7 +380,7 @@ fn gen_kernel(rng: &mut Prng) -> MiningCase {
         max_support: if rng.gen_bool(0.5) { 1.0 } else { 0.5 },
         partitioning: PartitionSpec::None,
         partition_strategy: PartitionStrategy::EquiDepth,
-        taxonomies: Default::default(),
+        taxonomies: gen_taxonomies(rng, table.schema()),
         interest: None,
         max_itemset_size: *rng.choose(&[0, 0, 2, 3]).expect("non-empty"),
         parallelism: None,
@@ -428,5 +459,41 @@ fn gen_intervals(rng: &mut Prng) -> IntervalsCase {
         level: *rng
             .choose(&[0.5, 1.0, 1.0 + 1.0e-9, 1.0 + 1.0e-6, 1.5, 2.0, f64::NAN])
             .expect("non-empty"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qar_core::Miner;
+    use qar_table::AttributeKind;
+
+    /// Some kernel cases carry a taxonomy, and some of those mine a
+    /// generalized categorical item — a range dimension on a
+    /// categorical attribute, which the kernels must count as one.
+    #[test]
+    fn kernel_cases_reach_generalized_categorical_items() {
+        let mut rng = Prng::seed_from_u64(20);
+        let (mut with_taxonomy, mut generalized) = (0, 0);
+        for _ in 0..200 {
+            let case = gen_kernel(&mut rng);
+            if case.config.taxonomies.is_empty() {
+                continue;
+            }
+            with_taxonomy += 1;
+            let Ok(out) = Miner::new(case.config.clone()).mine(&case.table) else {
+                continue;
+            };
+            let schema = case.table.schema();
+            let is_cat =
+                |attr: u32| schema.attributes()[attr as usize].kind() == AttributeKind::Categorical;
+            if out.frequent.iter().any(|(set, _)| {
+                set.len() > 1 && set.items().iter().any(|i| is_cat(i.attr) && i.lo < i.hi)
+            }) {
+                generalized += 1;
+            }
+        }
+        assert!(with_taxonomy >= 40, "{with_taxonomy} of 200 cases");
+        assert!(generalized >= 5, "{generalized} of {with_taxonomy} cases");
     }
 }

@@ -23,10 +23,13 @@
 //! a0,a1
 //! 1.5,x
 //! ```
+//!
+//! A case with taxonomies adds one `taxonomies` line before `table`:
+//! `taxonomies a1:x>g0,y>g0` (per attribute, its `child>parent` edges).
 
 use crate::case::{IncrementalCase, IntervalsCase, MiningCase, PartitionCase, ReproCase, SnapCase};
 use qar_core::{InterestConfig, InterestMode, MinerConfig, PartitionSpec, PartitionStrategy};
-use qar_table::{csv, Schema};
+use qar_table::{csv, Schema, Taxonomy};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -161,6 +164,21 @@ fn serialize_mining_body(out: &mut String, c: &MiningCase) {
         }
     }
     let _ = writeln!(out, "max_itemset_size {}", c.config.max_itemset_size);
+    if !c.config.taxonomies.is_empty() {
+        let taxonomies: Vec<String> = c
+            .config
+            .taxonomies
+            .iter()
+            .map(|(attr, taxonomy)| {
+                let edges: Vec<String> = taxonomy
+                    .edges()
+                    .map(|(child, parent)| format!("{child}>{parent}"))
+                    .collect();
+                format!("{attr}:{}", edges.join(","))
+            })
+            .collect();
+        let _ = writeln!(out, "taxonomies {}", taxonomies.join(" "));
+    }
     let _ = writeln!(out, "table");
     let mut bytes = Vec::new();
     csv::write_table(&mut bytes, &c.table).expect("in-memory CSV write cannot fail");
@@ -239,7 +257,9 @@ pub fn parse(text: &str) -> Result<ReproCase, ReproError> {
                 max_support: parse_f64(get("max_support")?, "max_support")?,
                 partitioning,
                 partition_strategy: parse_strategy(get("strategy")?)?,
-                taxonomies: Default::default(),
+                taxonomies: fields
+                    .get("taxonomies")
+                    .map_or(Ok(BTreeMap::new()), |spec| parse_taxonomies(spec))?,
                 interest,
                 max_itemset_size: parse_usize(get("max_itemset_size")?, "max_itemset_size")?,
                 parallelism: None,
@@ -303,6 +323,29 @@ fn parse_schema(spec: &str) -> Result<Schema, ReproError> {
         };
     }
     builder.build().map_err(|e| err(format!("bad schema: {e}")))
+}
+
+/// Parse `attr:child>parent,child>parent attr2:...` taxonomies (the
+/// generator's labels hold none of ` `, `:`, `,` or `>`).
+fn parse_taxonomies(spec: &str) -> Result<BTreeMap<String, Taxonomy>, ReproError> {
+    spec.split_whitespace()
+        .map(|part| {
+            let (attr, edges) = part
+                .split_once(':')
+                .ok_or_else(|| err(format!("expected `attr:edges`, got `{part}`")))?;
+            let edges = edges
+                .split(',')
+                .filter(|e| !e.is_empty())
+                .map(|edge| {
+                    edge.split_once('>')
+                        .ok_or_else(|| err(format!("expected `child>parent`, got `{edge}`")))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let taxonomy =
+                Taxonomy::from_edges(&edges).map_err(|e| err(format!("bad taxonomy: {e}")))?;
+            Ok((attr.to_string(), taxonomy))
+        })
+        .collect()
 }
 
 fn parse_f64(text: &str, key: &str) -> Result<f64, ReproError> {
@@ -375,14 +418,27 @@ mod tests {
     /// keeps its own kind tag through the round trip.
     #[test]
     fn kernel_fixture_round_trips_textually() {
-        let ReproCase::Mining(inner) = sample_mining_case() else {
+        let ReproCase::Mining(mut inner) = sample_mining_case() else {
             unreachable!()
         };
+        let taxonomy =
+            qar_table::Taxonomy::from_edges(&[("yes", "g0"), ("no", "g0"), ("g0", "top")]).unwrap();
+        inner.config.taxonomies = BTreeMap::from([("married".to_string(), taxonomy)]);
         let case = ReproCase::Kernel(inner);
         let text = serialize(&case, "check");
         assert!(text.contains("\nkind kernel\n"), "{text}");
+        assert!(
+            text.contains("\ntaxonomies married:g0>top,no>g0,yes>g0\n"),
+            "{text}"
+        );
         let parsed = parse(&text).expect("own output parses");
-        assert!(matches!(parsed, ReproCase::Kernel(_)));
+        let ReproCase::Kernel(parsed_case) = &parsed else {
+            panic!("{parsed:?}")
+        };
+        let ReproCase::Kernel(case) = &case else {
+            unreachable!()
+        };
+        assert_eq!(parsed_case.config.taxonomies, case.config.taxonomies);
         assert_eq!(serialize(&parsed, "check"), text);
     }
 

@@ -137,6 +137,9 @@ fn mining_candidates(c: &MiningCase) -> Vec<MiningCase> {
     if c.config.interest.is_some() {
         out.push(with_config(&|m| m.config.interest = None));
     }
+    if !c.config.taxonomies.is_empty() {
+        out.push(with_config(&|m| m.config.taxonomies.clear()));
+    }
     if c.config.partition_strategy != PartitionStrategy::EquiDepth {
         out.push(with_config(&|m| {
             m.config.partition_strategy = PartitionStrategy::EquiDepth

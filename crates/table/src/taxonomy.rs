@@ -87,6 +87,11 @@ impl Taxonomy {
         Ok(Taxonomy { parent, labels })
     }
 
+    /// Every `(child, parent)` edge, sorted by child.
+    pub fn edges(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.parent.iter().map(|(c, p)| (c.as_str(), p.as_str()))
+    }
+
     /// Is `ancestor` a strict ancestor of `label`?
     pub fn is_ancestor(&self, ancestor: &str, label: &str) -> bool {
         let mut cur = label;

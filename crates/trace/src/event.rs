@@ -75,9 +75,10 @@ pub enum TraceEvent {
         /// pool (more than one shard); false for a serial scan.
         pooled: bool,
         /// What counted the pass: `"bitmask"`, `"direct"` (the reference
-        /// kernel), or `"cells"` for a histogram scan; several physical
-        /// scans that ran differently are joined with `+`. Empty when the
-        /// count source keeps no scan statistics.
+        /// kernel), or `"cells"` for histogram counting; a pass that
+        /// counted both ways is joined with `+` (`"cells+bitmask"`).
+        /// Empty when the count source keeps no scan statistics (a
+        /// `--workers` run).
         kernel: String,
     },
     /// The run completed (all frequent itemsets found).

@@ -220,12 +220,22 @@ awk '/counts \(tag 6\):/ { found = 1; if ($4 > 1048576) { print "COUNTS is " $4 
 echo "==> capture trace smoke (mine --store reports every pass's kernel)"
 # The --store run above counts through the capturing source; its trace
 # must validate and name the kernel of every counting pass >= 2, as an
-# uncaptured run does.
-./target/release/qar trace-check < "$STORE_DIR/credit.trace" > /dev/null
-awk '/"event":"pass_finished"/ && !/"pass":1,/ {
-         passes++; if (/"kernel":""/) { print "pass_finished with an empty kernel: " $0; exit 1 } }
-     END { if (!passes) { print "no counting pass >= 2 in the trace"; exit 1 } }' \
-    "$STORE_DIR/credit.trace"
+# uncaptured run does, and pass 3 (quantitative triples) must count as
+# cells. The same mine over spilled chunks must name its kernels too.
+./target/release/qar mine --input "$STORE_DIR/credit.csv" \
+    --schema employee_category:cat,marital_status:cat,monthly_income:quant,credit_limit:quant,current_balance:quant,ytd_balance:quant,ytd_interest:quant \
+    --completeness 2 --chunk-rows 5000 --trace json \
+    > /dev/null 2> "$STORE_DIR/credit_chunked.trace"
+for trace in credit credit_chunked; do
+    ./target/release/qar trace-check < "$STORE_DIR/$trace.trace" > /dev/null
+    awk -v trace="$trace" '/"event":"pass_finished"/ && !/"pass":1,/ {
+             passes++; if (/"kernel":""/) { print trace ": pass_finished with an empty kernel: " $0; exit 1 } }
+         /"event":"pass_finished"/ && /"pass":3,/ {
+             pass3++; if (!/"kernel":"[a-z+]*cells/) { print trace ": pass 3 not counted as cells: " $0; exit 1 } }
+         END { if (!passes) { print trace ": no counting pass >= 2 in the trace"; exit 1 }
+               if (!pass3) { print trace ": no pass 3 in the trace"; exit 1 } }' \
+        "$STORE_DIR/$trace.trace"
+done
 
 echo "==> csv robustness (stray quote fails fast on its line; -0.0 beside 0 mines)"
 # The reader is one pass over the bytes: a stray quote on line 2 of a

@@ -10,7 +10,7 @@
 //! incremental updates follow the pair-subset rule.
 
 use quantrules::core::pipeline::{build_encoders, MiningOutput};
-use quantrules::core::supercand::{PairHistograms, PAIR_CELL_BUDGET};
+use quantrules::core::supercand::{PairHistograms, CELL_BUDGET};
 use quantrules::core::{
     mine_source_captured, CaptureSource, CapturedCounts, ChunkedSource, CountError, CountSource,
     InMemorySource, MergeSource, Miner, MinerConfig, MinerError, PartitionSpec, SupportCounts,
@@ -59,7 +59,7 @@ fn budget_pairs(table: &EncodedTable) -> Vec<(u32, u32)> {
     let card = |a: u32| table.cardinality(AttributeId(a as usize)) as usize;
     (0..n)
         .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
-        .filter(|&(a, b)| card(a) * card(b) <= PAIR_CELL_BUDGET)
+        .filter(|&(a, b)| card(a) * card(b) <= CELL_BUDGET)
         .collect()
 }
 

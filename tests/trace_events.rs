@@ -130,3 +130,55 @@ fn second_run_reuses_the_encoding_and_is_identical() {
         second.stats.intervals_per_attribute
     );
 }
+
+/// On the paper's credit table, pass 3's super-candidates are triples of
+/// quantitative attributes whose compressed cells fit the budget, so the
+/// pass counts them all as cells — serial or sharded.
+#[test]
+fn credit_pass_three_counts_as_cells() {
+    use quantrules::core::{InterestConfig, InterestMode};
+    let table = quantrules::datagen::CreditDataset::small(6_000, 1).table;
+    for threads in [1, 2] {
+        let config = MinerConfig {
+            min_support: 0.2,
+            max_support: 0.4,
+            min_confidence: 0.25,
+            partitioning: PartitionSpec::CompletenessLevel(1.5),
+            interest: Some(InterestConfig {
+                level: 1.1,
+                mode: InterestMode::SupportOrConfidence,
+                prune_candidates: false,
+            }),
+            parallelism: std::num::NonZeroUsize::new(threads),
+            ..config()
+        };
+        let sink = Arc::new(CollectingSink::new());
+        Miner::new(config)
+            .with_progress(sink.clone())
+            .mine(&table)
+            .expect("mining succeeds");
+        let pass3 = sink
+            .events()
+            .into_iter()
+            .find_map(|e| match e {
+                TraceEvent::PassFinished {
+                    pass: 3,
+                    kernel,
+                    super_candidates,
+                    array_backed,
+                    shard_scan_us,
+                    ..
+                } => Some((kernel, super_candidates, array_backed, shard_scan_us.len())),
+                _ => None,
+            })
+            .expect("the credit table reaches pass 3");
+        let (kernel, super_candidates, array_backed, shards) = pass3;
+        assert_eq!(kernel, "cells", "threads {threads}");
+        assert!(super_candidates > 0);
+        assert_eq!(
+            array_backed, super_candidates,
+            "every plan counted as cells"
+        );
+        assert_eq!(shards, threads);
+    }
+}
