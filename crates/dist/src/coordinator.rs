@@ -63,30 +63,8 @@ pub enum WorkerSpawn {
     Threads(WorkerOptions),
 }
 
-/// Cluster bring-up parameters.
-#[derive(Debug, Clone)]
-pub struct ClusterOptions {
-    /// Number of workers (≥ 1).
-    pub workers: usize,
-    /// How to start them.
-    pub spawn: WorkerSpawn,
-    /// Per-response read timeout; an expiry counts as a lost worker.
-    /// `None` waits forever.
-    pub read_timeout: Option<Duration>,
-    /// How long to wait for all workers to connect at start-up.
-    pub accept_timeout: Duration,
-}
-
-impl Default for ClusterOptions {
-    fn default() -> Self {
-        ClusterOptions {
-            workers: 2,
-            spawn: WorkerSpawn::Threads(WorkerOptions::default()),
-            read_timeout: Some(Duration::from_secs(120)),
-            accept_timeout: Duration::from_secs(10),
-        }
-    }
-}
+/// How long [`Cluster::start`] waits for every worker to connect.
+const ACCEPT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One connected worker.
 struct Remote {
@@ -136,7 +114,7 @@ pub struct Cluster {
 impl Cluster {
     /// Bind a loopback listener, start `options.workers` workers, and
     /// wait for them all to connect.
-    pub fn start(options: &ClusterOptions) -> Result<Cluster, MinerError> {
+    pub fn start(options: &DistOptions) -> Result<Cluster, MinerError> {
         if options.workers == 0 {
             return Err(MinerError::Distributed(
                 "a cluster needs at least one worker".to_string(),
@@ -184,7 +162,7 @@ impl Cluster {
         listener
             .set_nonblocking(true)
             .map_err(|e| MinerError::Distributed(format!("listener nonblocking: {e}")))?;
-        let deadline = Instant::now() + options.accept_timeout;
+        let deadline = Instant::now() + ACCEPT_TIMEOUT;
         let mut remotes = Vec::with_capacity(options.workers);
         while remotes.len() < options.workers {
             match listener.accept() {
@@ -206,7 +184,7 @@ impl Cluster {
                             "only {}/{} workers connected within {:?}",
                             remotes.len(),
                             options.workers,
-                            options.accept_timeout
+                            ACCEPT_TIMEOUT
                         )));
                     }
                     std::thread::sleep(Duration::from_millis(5));
@@ -405,12 +383,7 @@ impl<'a> DistSource<'a> {
         sink: Option<&'a dyn ProgressSink>,
         cancel: Option<&'a CancelToken>,
     ) -> Result<DistSource<'a>, MinerError> {
-        let cluster = Cluster::start(&ClusterOptions {
-            workers: options.workers,
-            spawn: options.spawn.clone(),
-            read_timeout: options.read_timeout,
-            accept_timeout: ClusterOptions::default().accept_timeout,
-        })?;
+        let cluster = Cluster::start(options)?;
         DistSource::new(cluster, backing, config, sink, cancel, options.fail_fast)
     }
 
@@ -875,10 +848,10 @@ fn describe(response: &DistResponse) -> &'static str {
     }
 }
 
-/// Options of [`DistSource::start`].
+/// Options of [`Cluster::start`] and [`DistSource::start`].
 #[derive(Debug, Clone)]
 pub struct DistOptions {
-    /// Number of workers.
+    /// Number of workers (≥ 1).
     pub workers: usize,
     /// How to start them.
     pub spawn: WorkerSpawn,
@@ -891,11 +864,10 @@ pub struct DistOptions {
 
 impl Default for DistOptions {
     fn default() -> Self {
-        let defaults = ClusterOptions::default();
         DistOptions {
-            workers: defaults.workers,
-            spawn: defaults.spawn,
-            read_timeout: defaults.read_timeout,
+            workers: 2,
+            spawn: WorkerSpawn::Threads(WorkerOptions::default()),
+            read_timeout: Some(Duration::from_secs(120)),
             fail_fast: false,
         }
     }

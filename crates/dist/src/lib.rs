@@ -43,5 +43,5 @@
 pub mod coordinator;
 pub mod worker;
 
-pub use coordinator::{Backing, Cluster, ClusterOptions, DistOptions, DistSource, WorkerSpawn};
+pub use coordinator::{Backing, Cluster, DistOptions, DistSource, WorkerSpawn};
 pub use worker::{run_worker, serve_connection, WorkerOptions};

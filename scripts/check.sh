@@ -56,6 +56,36 @@ fi
 # Query throughput floor (the bin exits non-zero below 10k queries/sec).
 QAR_BENCH_QUICK=1 ./target/release/store_query > /dev/null
 
+echo "==> cli typos (every verb rejects a misspelled flag; a closed stdout pipe exits 0)"
+# Each verb checks its command line against its entry in the flag
+# table: a flag the entry does not list must fail the run and be named
+# on stderr, never be ignored while the command runs on a default.
+while read -r typo cmd; do
+    if ./target/release/qar $cmd $typo 1 < /dev/null > /dev/null 2> "$STORE_DIR/typo.err"; then
+        echo "qar $cmd accepted the misspelled flag $typo" >&2
+        exit 1
+    fi
+    grep -q -- "$typo" "$STORE_DIR/typo.err"
+done <<EOF
+--minsupp mine --input $STORE_DIR/planted.csv --schema x0:quant,x1:quant,x2:quant,c:cat
+--recods generate planted
+--topk query $STORE_DIR/cat.qarcat
+--sample analyze $STORE_DIR/cat.qarcat --input $STORE_DIR/planted.csv
+--verbose store-check $STORE_DIR/cat.qarcat
+--schemas trace-check $STORE_DIR/cat.qarcat
+--iter fuzz
+--ports serve $STORE_DIR/cat.qarcat
+--thread worker --connect 127.0.0.1:9
+--client bench-serve
+--record bench-analytics
+--worker bench-dist
+--deltas bench-update
+EOF
+# A reader that stops early closes qar's stdout; under pipefail the
+# pipeline must still exit 0.
+./target/release/qar query "$STORE_DIR/cat.qarcat" | head -1 > /dev/null
+./target/release/qar generate credit --records 100000 | head -1 > /dev/null
+
 echo "==> serve smoke (daemon + concurrent load + trace validation + qps floor)"
 # Start the rule-serving daemon on an OS-assigned port over the catalog
 # mined above, drive a concurrent mixed workload against it, and stop it

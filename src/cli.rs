@@ -1,7 +1,11 @@
-//! Command-line interface support for the `qar` binary.
+//! Command-line interface of the `qar` binary: one flag table, one parser
+//! over it, and one dispatcher that runs a parsed [`Command`].
 //!
-//! Kept in the library so the parsing and plumbing are unit-testable; the
-//! binary in `src/bin/qar.rs` is a thin `main`.
+//! [`parse_command`] checks a command line against its verb's entry in the
+//! flag table and rejects any flag the entry does not list. [`run`] owns
+//! stdin, stdout and file I/O and the bench floor checks, so the binary in
+//! `src/bin/qar.rs` is a thin `main`. Everything is kept in the library so
+//! the parsing and plumbing are unit-testable.
 //!
 //! ```text
 //! qar mine  --input data.csv --schema age:quant,married:cat [options]
@@ -9,7 +13,10 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::error::Error;
 use std::fmt;
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,9 +25,9 @@ use qar_analytics::AnalyticsConfig;
 use qar_core::{
     mine_source, mine_source_captured, ChunkedSource, CountError, CountSource, InMemorySource,
     InterestConfig, InterestMode, Miner, MinerConfig, MinerError, MiningOutput, PartitionSpec,
-    PartitionStrategy, QuantRule, RuleInterest, SupportCounts, UpdateInput, UpdateOutput,
+    PartitionStrategy, QuantRule, RuleInterest, SupportCounts, UpdateInput,
 };
-use qar_dist::{Backing, DistOptions, DistSource, WorkerSpawn};
+use qar_dist::{Backing, DistOptions, DistSource, WorkerOptions, WorkerSpawn};
 use qar_prng::Prng;
 use qar_store::format::tag::COUNTS_V1;
 use qar_store::protocol::{Query, QueryOptions, Request, Response};
@@ -29,7 +36,9 @@ use qar_store::{
     analytics_from_encoded, analytics_from_mining, section_inventory, Catalog, RankBy, RuleIndex,
     Server, ServerConfig,
 };
-use qar_table::{csv, AttributeKind, EncodedTable, Schema, SchemaBuilder, Table, Value};
+use qar_table::{
+    csv, AttributeKind, ChunkStore, EncodedTable, Schema, SchemaBuilder, Table, TableError, Value,
+};
 use qar_trace::{CancelToken, ProgressSink, TraceFormat, WriterSink};
 
 /// A parsed command line.
@@ -179,8 +188,6 @@ pub struct QueryArgs {
     pub max_p: Option<f64>,
     /// Output format.
     pub format: OutputFormat,
-    /// Emit store trace events (catalog load, index build) to stderr.
-    pub trace: Option<TraceFormat>,
 }
 
 /// Arguments of `qar analyze`.
@@ -554,119 +561,521 @@ BENCH-UPDATE:
                         [default $QAR_BENCH_OUT, then BENCH_update.json]
 ";
 
-/// Split an optional leading positional argument (anything not starting
-/// with `--`) from the flags that follow. Returns the positional (or
-/// `default` when absent) and the remaining args.
-fn positional_then_flags<'a>(args: &'a [String], default: &str) -> (String, &'a [String]) {
-    match args.first() {
-        Some(a) if !a.starts_with("--") => (a.clone(), &args[1..]),
-        _ => (default.to_string(), args),
-    }
+/// One verb's entry in the flag table: how many positional arguments may
+/// lead its command line, the flags it takes (space-separated, by how
+/// they take a value), and how the parsed flags become a [`Command`].
+struct VerbSpec {
+    verb: &'static str,
+    /// Most leading positional arguments (`usize::MAX` = any number).
+    positionals: usize,
+    /// `--flag VALUE`, at most once.
+    values: &'static str,
+    /// `--flag` alone, at most once.
+    switches: &'static str,
+    /// `--flag VALUE`, any number of times.
+    repeated: &'static str,
+    build: fn(&Flags<'_>) -> Result<Command, CliError>,
 }
 
-/// Every flag `qar mine` takes.
-const MINE_FLAGS: &[&str] = &[
-    "input",
-    "schema",
-    "minsup",
-    "minconf",
-    "maxsup",
-    "completeness",
-    "intervals",
-    "no-partition",
-    "strategy",
-    "interest",
-    "interest-mode",
-    "max-size",
-    "threads",
-    "top",
-    "all-rules",
-    "format",
-    "taxonomy",
-    "trace",
-    "deadline",
-    "store",
-    "analytics",
-    "workers",
-    "chunk-rows",
-    "normalize-stats",
-    "update",
+/// The flag table: every verb but `help`. [`parse_command`] rejects any
+/// flag its verb's entry does not list, and a test holds each entry to
+/// the verb's section of [`USAGE`].
+const VERBS: &[VerbSpec] = &[
+    VerbSpec {
+        verb: "mine",
+        positionals: 0,
+        values: "input schema minsup minconf maxsup completeness intervals strategy interest \
+                 interest-mode max-size threads top format trace deadline store workers \
+                 chunk-rows update",
+        switches: "no-partition all-rules analytics normalize-stats",
+        repeated: "taxonomy",
+        build: mine_command,
+    },
+    VerbSpec {
+        verb: "generate",
+        positionals: 1,
+        values: "records seed output",
+        switches: "",
+        repeated: "",
+        build: generate_command,
+    },
+    VerbSpec {
+        verb: "query",
+        positionals: 1,
+        values: "record range top-k by min-lift max-p format",
+        switches: "",
+        repeated: "",
+        build: query_command,
+    },
+    VerbSpec {
+        verb: "analyze",
+        positionals: 1,
+        values: "input samples seed output trace",
+        switches: "",
+        repeated: "",
+        build: analyze_command,
+    },
+    VerbSpec {
+        verb: "store-check",
+        positionals: 1,
+        values: "",
+        switches: "",
+        repeated: "",
+        build: |f| {
+            let input = f.positional().unwrap_or("-").to_string();
+            Ok(Command::StoreCheck(StoreCheckArgs { input }))
+        },
+    },
+    VerbSpec {
+        verb: "trace-check",
+        positionals: 1,
+        values: "schema",
+        switches: "",
+        repeated: "",
+        build: |f| {
+            Ok(Command::TraceCheck(TraceCheckArgs {
+                input: f.positional().unwrap_or("-").to_string(),
+                schema: f.string("schema"),
+            }))
+        },
+    },
+    VerbSpec {
+        verb: "fuzz",
+        positionals: 0,
+        values: "iters seed out",
+        switches: "",
+        repeated: "",
+        build: |f| {
+            Ok(Command::Fuzz(FuzzArgs {
+                iters: f.at_least("iters", 200, 1)? as u64,
+                seed: f.usize_or("seed", 42)? as u64,
+                out: f.string("out").unwrap_or("tests/fuzz_repros".into()),
+            }))
+        },
+    },
+    VerbSpec {
+        verb: "serve",
+        positionals: usize::MAX,
+        values: "port threads trace",
+        switches: "",
+        repeated: "",
+        build: serve_command,
+    },
+    VerbSpec {
+        verb: "worker",
+        positionals: 0,
+        values: "connect threads",
+        switches: "",
+        repeated: "",
+        build: |f| {
+            Ok(Command::Worker(WorkerArgs {
+                connect: f.required("connect", "worker requires --connect HOST:PORT")?,
+                threads: f.usize_or("threads", 0)?,
+            }))
+        },
+    },
+    VerbSpec {
+        verb: "bench-serve",
+        positionals: 0,
+        values: "addr catalog clients requests threads floor out",
+        switches: "shutdown",
+        repeated: "",
+        build: bench_serve_command,
+    },
+    VerbSpec {
+        verb: "bench-analytics",
+        positionals: 0,
+        values: "records samples floor out",
+        switches: "",
+        repeated: "",
+        build: |f| {
+            let samples = f.at_least("samples", 64, 1)?;
+            Ok(Command::BenchAnalytics(BenchAnalyticsArgs {
+                records: f.at_least("records", 5_000, 1)?,
+                samples: u32::try_from(samples)
+                    .map_err(|_| err("--samples must fit in 32 bits"))?,
+                floor: f.f64_or("floor", 500.0)?,
+                out: f.string("out"),
+            }))
+        },
+    },
+    VerbSpec {
+        verb: "bench-dist",
+        positionals: 0,
+        values: "records workers floor out",
+        switches: "",
+        repeated: "",
+        build: |f| {
+            Ok(Command::BenchDist(BenchDistArgs {
+                records: f.at_least("records", 10_000_000, 1)?,
+                // A one-worker split has no counting to distribute.
+                workers: f.at_least("workers", 2, 2)?,
+                floor: f.f64_or("floor", 1.6)?,
+                out: f.string("out"),
+            }))
+        },
+    },
+    VerbSpec {
+        verb: "bench-update",
+        positionals: 0,
+        values: "records delta floor out",
+        switches: "",
+        repeated: "",
+        build: |f| {
+            let delta = f.f64_or("delta", 0.01)?;
+            if !delta.is_finite() || delta <= 0.0 || delta > 1.0 {
+                return Err(err(
+                    "--delta must be a fraction of the base table in (0, 1]",
+                ));
+            }
+            Ok(Command::BenchUpdate(BenchUpdateArgs {
+                records: f.at_least("records", 1_000_000, 1)?,
+                delta,
+                floor: f.f64_or("floor", 5.0)?,
+                out: f.string("out"),
+            }))
+        },
+    },
 ];
 
-fn parse_flag_map(args: &[String]) -> Result<BTreeMap<String, String>, CliError> {
-    let mut map: BTreeMap<String, String> = BTreeMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if !a.starts_with("--") {
+/// A command line checked against its verb's [`VerbSpec`]: the leading
+/// positional arguments, and the values each given flag took (none for a
+/// switch).
+struct Flags<'a> {
+    positionals: &'a [String],
+    values: BTreeMap<&'static str, Vec<&'a str>>,
+}
+
+impl<'a> Flags<'a> {
+    fn parse(spec: &VerbSpec, args: &'a [String]) -> Result<Flags<'a>, CliError> {
+        let split = args
+            .iter()
+            .position(|a| a.starts_with("--"))
+            .unwrap_or(args.len());
+        let (positionals, mut rest) = args.split_at(split);
+        let unexpected = |arg| err(format!("unexpected argument `{arg}` (expected a --flag)"));
+        if let Some(extra) = positionals.get(spec.positionals) {
+            return Err(unexpected(extra));
+        }
+        let mut values: BTreeMap<&'static str, Vec<&'a str>> = BTreeMap::new();
+        while let Some((arg, tail)) = rest.split_first() {
+            let given = arg.strip_prefix("--").ok_or_else(|| unexpected(arg))?;
+            let listed = |list: &'static str| list.split_whitespace().find(|f| *f == given);
+            let switch = listed(spec.switches);
+            let repeated = listed(spec.repeated);
+            let name = (switch.or(repeated))
+                .or_else(|| listed(spec.values))
+                .ok_or_else(|| err(format!("{} does not take --{given}", spec.verb)))?;
+            if repeated.is_none() && values.contains_key(name) {
+                return Err(err(format!("--{name} is given more than once")));
+            }
+            let taken = values.entry(name).or_default();
+            rest = tail;
+            if switch.is_some() {
+                continue;
+            }
+            let (value, tail) = rest
+                .split_first()
+                .ok_or_else(|| err(format!("flag --{name} needs a value")))?;
+            taken.push(value);
+            rest = tail;
+        }
+        Ok(Flags {
+            positionals,
+            values,
+        })
+    }
+
+    fn positional(&self) -> Option<&'a str> {
+        self.positionals.first().map(String::as_str)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.values.contains_key(name)
+    }
+
+    fn get(&self, name: &str) -> Option<&'a str> {
+        self.all(name).first().copied()
+    }
+
+    fn all(&self, name: &str) -> &[&'a str] {
+        self.values.get(name).map_or(&[], Vec::as_slice)
+    }
+
+    fn string(&self, name: &str) -> Option<String> {
+        self.get(name).map(str::to_string)
+    }
+
+    fn required(&self, name: &str, missing: &str) -> Result<String, CliError> {
+        self.string(name).ok_or_else(|| err(missing))
+    }
+
+    /// `--name`'s value parsed as a `T`; `expected` says what a value
+    /// that does not parse should have been.
+    fn parsed<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        expected: &str,
+    ) -> Result<Option<T>, CliError> {
+        self.get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| err(format!("--{name}: `{v}` is not {expected}")))
+            })
+            .transpose()
+    }
+
+    fn f64_or(&self, name: &str, default: f64) -> Result<f64, CliError> {
+        Ok(self.parsed(name, "a number")?.unwrap_or(default))
+    }
+
+    fn usize_or(&self, name: &str, default: usize) -> Result<usize, CliError> {
+        Ok(self.parsed(name, "an integer")?.unwrap_or(default))
+    }
+
+    fn at_least(&self, name: &str, default: usize, min: usize) -> Result<usize, CliError> {
+        match self.usize_or(name, default)? {
+            n if n < min => Err(err(format!("--{name} must be at least {min}"))),
+            n => Ok(n),
+        }
+    }
+
+    fn trace(&self) -> Result<Option<TraceFormat>, CliError> {
+        self.parsed("trace", "json or text")
+    }
+
+    fn format(&self) -> Result<OutputFormat, CliError> {
+        match self.get("format") {
+            None | Some("text") => Ok(OutputFormat::Text),
+            Some("csv") => Ok(OutputFormat::Csv),
+            Some("json") => Ok(OutputFormat::Json),
+            Some(other) => Err(err(format!("unknown format `{other}`"))),
+        }
+    }
+}
+
+/// Parse a full command line (without the program name).
+pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
+    let Some((verb, rest)) = args.split_first() else {
+        return Ok(Command::Help);
+    };
+    if matches!(verb.as_str(), "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let spec = VERBS
+        .iter()
+        .find(|spec| spec.verb == verb)
+        .ok_or_else(|| err(format!("unknown command `{verb}` (try `qar help`)")))?;
+    (spec.build)(&Flags::parse(spec, rest)?)
+}
+
+/// The flags an `--update` takes from the catalog's persisted counts:
+/// re-specifying any of them would silently disagree with what the
+/// counts mean.
+const PINNED_BY_CATALOG: &str = "schema minsup minconf maxsup completeness intervals \
+                                 no-partition strategy interest interest-mode max-size taxonomy";
+
+fn mine_command(f: &Flags<'_>) -> Result<Command, CliError> {
+    let input = f.required("input", "mine requires --input FILE")?;
+    let update = f.string("update");
+    let schema = if update.is_some() {
+        if let Some(key) = PINNED_BY_CATALOG.split_whitespace().find(|key| f.has(key)) {
             return Err(err(format!(
-                "unexpected argument `{a}` (expected a --flag)"
+                "--{key} cannot be combined with --update: the schema, thresholds, \
+                 and partitioning come from the catalog's persisted counts"
             )));
         }
-        let key = a.trim_start_matches("--").to_string();
-        // Boolean flags take no value.
-        if key == "no-partition"
-            || key == "all-rules"
-            || key == "shutdown"
-            || key == "analytics"
-            || key == "normalize-stats"
-        {
-            map.insert(key, "true".into());
-            i += 1;
-            continue;
+        Vec::new()
+    } else {
+        parse_schema_decls(
+            f.get("schema")
+                .ok_or_else(|| err("mine requires --schema DECLS"))?,
+        )?
+    };
+    let partitioning = if f.has("no-partition") {
+        PartitionSpec::None
+    } else if let Some(n) = f.parsed("intervals", "an integer")? {
+        PartitionSpec::FixedIntervals(n)
+    } else {
+        PartitionSpec::CompletenessLevel(f.f64_or("completeness", 2.0)?)
+    };
+    let partition_strategy = match f.get("strategy") {
+        None | Some("equidepth") => PartitionStrategy::EquiDepth,
+        Some("equiwidth") => PartitionStrategy::EquiWidth,
+        Some("kmeans") => PartitionStrategy::KMeans,
+        Some(other) => return Err(err(format!("unknown strategy `{other}`"))),
+    };
+    let interest = match f.parsed("interest", "a number")? {
+        None => None,
+        Some(level) => {
+            let mode = match f.get("interest-mode") {
+                None | Some("or") => InterestMode::SupportOrConfidence,
+                Some("and") => InterestMode::SupportAndConfidence,
+                Some(other) => return Err(err(format!("unknown interest mode `{other}`"))),
+            };
+            Some(InterestConfig {
+                level,
+                mode,
+                prune_candidates: mode == InterestMode::SupportAndConfidence,
+            })
         }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| err(format!("flag --{key} needs a value")))?;
-        if key == "taxonomy" {
-            // Repeatable flag: accumulate with a separator no path contains.
-            match map.get_mut(&key) {
-                Some(existing) => {
-                    existing.push('\x1f');
-                    existing.push_str(value);
-                }
-                None => {
-                    map.insert(key, value.clone());
-                }
-            }
-        } else {
-            map.insert(key, value.clone());
-        }
-        i += 2;
+    };
+    let config = MinerConfig {
+        min_support: f.f64_or("minsup", 0.2)?,
+        min_confidence: f.f64_or("minconf", 0.25)?,
+        max_support: f.f64_or("maxsup", 0.4)?,
+        partitioning,
+        partition_strategy,
+        taxonomies: Default::default(),
+        interest,
+        max_itemset_size: f.usize_or("max-size", 0)?,
+        parallelism: std::num::NonZeroUsize::new(f.usize_or("threads", 0)?),
+        kernel: Default::default(),
+    };
+    config.validate().map_err(|e| err(e.to_string()))?;
+    let format = f.format()?;
+    let taxonomy_files = f
+        .all("taxonomy")
+        .iter()
+        .map(|entry| {
+            let (attr, path) = entry
+                .split_once('=')
+                .ok_or_else(|| err(format!("--taxonomy `{entry}` must be attribute=file")))?;
+            Ok((attr.trim().to_string(), path.trim().to_string()))
+        })
+        .collect::<Result<_, CliError>>()?;
+    let trace = f.trace()?;
+    let deadline = f.parsed::<f64>("deadline", "a number")?;
+    if let Some(secs) = deadline.filter(|secs| !secs.is_finite() || *secs <= 0.0) {
+        return Err(err(format!("--deadline must be positive, got {secs}")));
     }
-    Ok(map)
+    let analytics = f.has("analytics");
+    // An update rewrites its catalog in place, so it has a destination
+    // for the analytics even without --store.
+    if analytics && !f.has("store") && update.is_none() {
+        return Err(err(
+            "--analytics requires --store FILE (analytics are persisted in the catalog)",
+        ));
+    }
+    let workers = f.usize_or("workers", 0)?;
+    let chunk_rows = f.usize_or("chunk-rows", 0)?;
+    if analytics && (workers > 0 || chunk_rows > 0) {
+        return Err(err(
+            "--analytics needs the full in-memory table; drop --workers/--chunk-rows \
+             or backfill the catalog later with `qar analyze`",
+        ));
+    }
+    if chunk_rows > 0 && input == "-" {
+        return Err(err(
+            "--chunk-rows streams the input twice (stats pass, then spill pass), \
+             so it needs a real --input file, not stdin",
+        ));
+    }
+    Ok(Command::Mine(MineArgs {
+        input,
+        schema,
+        config,
+        top: f.usize_or("top", 50)?,
+        interesting_only: !f.has("all-rules"),
+        format,
+        taxonomy_files,
+        trace,
+        deadline,
+        store: f.string("store"),
+        analytics,
+        workers,
+        chunk_rows,
+        normalize_stats: f.has("normalize-stats"),
+        update,
+    }))
 }
 
-fn parse_f64(map: &BTreeMap<String, String>, key: &str, default: f64) -> Result<f64, CliError> {
-    match map.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| err(format!("--{key}: `{v}` is not a number"))),
+fn generate_command(f: &Flags<'_>) -> Result<Command, CliError> {
+    let dataset = f
+        .positional()
+        .ok_or_else(|| err("generate requires a dataset: credit | people | planted"))?;
+    if !["credit", "people", "planted"].contains(&dataset) {
+        return Err(err(format!("unknown dataset `{dataset}`")));
     }
+    Ok(Command::Generate(GenerateArgs {
+        dataset: dataset.to_string(),
+        records: f.usize_or("records", 10_000)?,
+        seed: f.usize_or("seed", 1996)? as u64,
+        output: f.string("output").unwrap_or("-".into()),
+    }))
 }
 
-fn parse_opt_f64(map: &BTreeMap<String, String>, key: &str) -> Result<Option<f64>, CliError> {
-    match map.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| err(format!("--{key}: `{v}` is not a number"))),
+fn query_command(f: &Flags<'_>) -> Result<Command, CliError> {
+    let catalog = f
+        .positional()
+        .ok_or_else(|| err("query requires a CATALOG path (or `-` for stdin)"))?;
+    if f.has("record") && f.has("range") {
+        return Err(err("--record and --range are mutually exclusive"));
     }
+    let by = f.get("by").map(str::parse::<RankBy>).transpose();
+    Ok(Command::Query(QueryArgs {
+        catalog: catalog.to_string(),
+        record: f.string("record"),
+        range: f.string("range"),
+        top_k: f.parsed("top-k", "an integer")?,
+        by: by.map_err(|e| err(format!("--by: {e}")))?,
+        min_lift: f.parsed("min-lift", "a number")?,
+        max_p: f.parsed("max-p", "a number")?,
+        format: f.format()?,
+    }))
 }
 
-fn parse_usize(
-    map: &BTreeMap<String, String>,
-    key: &str,
-    default: usize,
-) -> Result<usize, CliError> {
-    match map.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| err(format!("--{key}: `{v}` is not an integer"))),
+fn analyze_command(f: &Flags<'_>) -> Result<Command, CliError> {
+    let catalog = f.positional().filter(|c| *c != "-").ok_or_else(|| {
+        err(
+            "analyze requires a CATALOG file path (it is rewritten in place \
+             unless --output redirects, so stdin is not supported)",
+        )
+    })?;
+    let defaults = AnalyticsConfig::default();
+    let samples = f.at_least("samples", defaults.shapley_samples as usize, 1)?;
+    Ok(Command::Analyze(AnalyzeArgs {
+        catalog: catalog.to_string(),
+        input: f.required(
+            "input",
+            "analyze requires --input FILE (the catalog's source CSV)",
+        )?,
+        samples: u32::try_from(samples).map_err(|_| err("--samples must fit in 32 bits"))?,
+        seed: f.usize_or("seed", defaults.seed as usize)? as u64,
+        output: f.string("output"),
+        trace: f.trace()?,
+    }))
+}
+
+fn serve_command(f: &Flags<'_>) -> Result<Command, CliError> {
+    if f.positionals.is_empty() {
+        return Err(err("serve requires at least one CATALOG path"));
     }
+    let port = f.usize_or("port", 0)?;
+    Ok(Command::Serve(ServeArgs {
+        catalogs: f.positionals.to_vec(),
+        port: u16::try_from(port).map_err(|_| err(format!("--port {port} is not a TCP port")))?,
+        threads: f.usize_or("threads", 0)?,
+        trace: f.trace()?,
+    }))
+}
+
+fn bench_serve_command(f: &Flags<'_>) -> Result<Command, CliError> {
+    if f.has("shutdown") && !f.has("addr") {
+        return Err(err(
+            "--shutdown only applies with --addr (self-hosted servers always stop)",
+        ));
+    }
+    Ok(Command::BenchServe(BenchServeArgs {
+        addr: f.string("addr"),
+        catalog: f.string("catalog"),
+        clients: f.at_least("clients", 8, 1)?,
+        requests: f.at_least("requests", 2000, 1)?,
+        threads: f.usize_or("threads", 0)?,
+        floor: f.f64_or("floor", 50_000.0)?,
+        shutdown: f.has("shutdown"),
+        out: f.string("out"),
+    }))
 }
 
 /// Parse `name:quant,name:cat,...` declarations.
@@ -707,475 +1116,9 @@ pub fn build_schema(decls: &[(String, bool)]) -> Result<Schema, CliError> {
     builder.build().map_err(|e| err(e.to_string()))
 }
 
-/// Parse a full command line (without the program name).
-pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
-    let Some(verb) = args.first() else {
-        return Ok(Command::Help);
-    };
-    match verb.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "mine" => {
-            let map = parse_flag_map(&args[1..])?;
-            for key in map.keys() {
-                if !MINE_FLAGS.contains(&key.as_str()) {
-                    return Err(err(format!("mine does not take --{key}")));
-                }
-            }
-            let input = map
-                .get("input")
-                .cloned()
-                .ok_or_else(|| err("mine requires --input FILE"))?;
-            let update = map.get("update").cloned();
-            let schema = if update.is_some() {
-                // The catalog's persisted counts pin the schema and every
-                // semantic knob; re-specifying any of them on an update
-                // would silently disagree with what the counts mean.
-                for key in [
-                    "schema",
-                    "minsup",
-                    "minconf",
-                    "maxsup",
-                    "completeness",
-                    "intervals",
-                    "no-partition",
-                    "strategy",
-                    "interest",
-                    "interest-mode",
-                    "max-size",
-                    "taxonomy",
-                ] {
-                    if map.contains_key(key) {
-                        return Err(err(format!(
-                            "--{key} cannot be combined with --update: the schema, thresholds, \
-                             and partitioning come from the catalog's persisted counts"
-                        )));
-                    }
-                }
-                Vec::new()
-            } else {
-                parse_schema_decls(
-                    map.get("schema")
-                        .ok_or_else(|| err("mine requires --schema DECLS"))?,
-                )?
-            };
-            let partitioning = if map.contains_key("no-partition") {
-                PartitionSpec::None
-            } else if let Some(n) = map.get("intervals") {
-                PartitionSpec::FixedIntervals(
-                    n.parse()
-                        .map_err(|_| err(format!("--intervals: `{n}` is not an integer")))?,
-                )
-            } else {
-                PartitionSpec::CompletenessLevel(parse_f64(&map, "completeness", 2.0)?)
-            };
-            let partition_strategy = match map.get("strategy").map(String::as_str) {
-                None | Some("equidepth") => PartitionStrategy::EquiDepth,
-                Some("equiwidth") => PartitionStrategy::EquiWidth,
-                Some("kmeans") => PartitionStrategy::KMeans,
-                Some(other) => return Err(err(format!("unknown strategy `{other}`"))),
-            };
-            let interest = match map.get("interest") {
-                None => None,
-                Some(v) => {
-                    let level: f64 = v
-                        .parse()
-                        .map_err(|_| err(format!("--interest: `{v}` is not a number")))?;
-                    let mode = match map.get("interest-mode").map(String::as_str) {
-                        None | Some("or") => InterestMode::SupportOrConfidence,
-                        Some("and") => InterestMode::SupportAndConfidence,
-                        Some(other) => return Err(err(format!("unknown interest mode `{other}`"))),
-                    };
-                    Some(InterestConfig {
-                        level,
-                        mode,
-                        prune_candidates: mode == InterestMode::SupportAndConfidence,
-                    })
-                }
-            };
-            let config = MinerConfig {
-                min_support: parse_f64(&map, "minsup", 0.2)?,
-                min_confidence: parse_f64(&map, "minconf", 0.25)?,
-                max_support: parse_f64(&map, "maxsup", 0.4)?,
-                partitioning,
-                partition_strategy,
-                taxonomies: Default::default(),
-                interest,
-                max_itemset_size: parse_usize(&map, "max-size", 0)?,
-                parallelism: std::num::NonZeroUsize::new(parse_usize(&map, "threads", 0)?),
-                kernel: Default::default(),
-            };
-            config.validate().map_err(|e| err(e.to_string()))?;
-            let format = match map.get("format").map(String::as_str) {
-                None | Some("text") => OutputFormat::Text,
-                Some("csv") => OutputFormat::Csv,
-                Some("json") => OutputFormat::Json,
-                Some(other) => return Err(err(format!("unknown format `{other}`"))),
-            };
-            let mut taxonomy_files = Vec::new();
-            if let Some(spec) = map.get("taxonomy") {
-                for entry in spec.split('\x1f') {
-                    let (attr, path) = entry.split_once('=').ok_or_else(|| {
-                        err(format!("--taxonomy `{entry}` must be attribute=file"))
-                    })?;
-                    taxonomy_files.push((attr.trim().to_string(), path.trim().to_string()));
-                }
-            }
-            let trace = match map.get("trace") {
-                None => None,
-                Some(v) => Some(
-                    v.parse::<TraceFormat>()
-                        .map_err(|_| err(format!("--trace: `{v}` is not json or text")))?,
-                ),
-            };
-            let deadline = match map.get("deadline") {
-                None => None,
-                Some(v) => {
-                    let secs: f64 = v
-                        .parse()
-                        .map_err(|_| err(format!("--deadline: `{v}` is not a number")))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err(err(format!("--deadline must be positive, got {v}")));
-                    }
-                    Some(secs)
-                }
-            };
-            let analytics = map.contains_key("analytics");
-            // An update rewrites its catalog in place, so it has a
-            // destination for the analytics even without --store.
-            if analytics && !map.contains_key("store") && update.is_none() {
-                return Err(err(
-                    "--analytics requires --store FILE (analytics are persisted in the catalog)",
-                ));
-            }
-            let workers = parse_usize(&map, "workers", 0)?;
-            let chunk_rows = parse_usize(&map, "chunk-rows", 0)?;
-            if analytics && (workers > 0 || chunk_rows > 0) {
-                return Err(err(
-                    "--analytics needs the full in-memory table; drop --workers/--chunk-rows \
-                     or backfill the catalog later with `qar analyze`",
-                ));
-            }
-            if chunk_rows > 0 && input == "-" {
-                return Err(err(
-                    "--chunk-rows streams the input twice (stats pass, then spill pass), \
-                     so it needs a real --input file, not stdin",
-                ));
-            }
-            Ok(Command::Mine(MineArgs {
-                input,
-                schema,
-                config,
-                top: parse_usize(&map, "top", 50)?,
-                interesting_only: !map.contains_key("all-rules"),
-                format,
-                taxonomy_files,
-                trace,
-                deadline,
-                store: map.get("store").cloned(),
-                analytics,
-                workers,
-                chunk_rows,
-                normalize_stats: map.contains_key("normalize-stats"),
-                update,
-            }))
-        }
-        "worker" => {
-            let map = parse_flag_map(&args[1..])?;
-            for key in map.keys() {
-                if !["connect", "threads"].contains(&key.as_str()) {
-                    return Err(err(format!("worker does not take --{key}")));
-                }
-            }
-            let connect = map
-                .get("connect")
-                .cloned()
-                .ok_or_else(|| err("worker requires --connect HOST:PORT"))?;
-            Ok(Command::Worker(WorkerArgs {
-                connect,
-                threads: parse_usize(&map, "threads", 0)?,
-            }))
-        }
-        "generate" => {
-            let dataset = args
-                .get(1)
-                .filter(|a| !a.starts_with("--"))
-                .cloned()
-                .ok_or_else(|| err("generate requires a dataset: credit | people | planted"))?;
-            if !["credit", "people", "planted"].contains(&dataset.as_str()) {
-                return Err(err(format!("unknown dataset `{dataset}`")));
-            }
-            let map = parse_flag_map(&args[2..])?;
-            Ok(Command::Generate(GenerateArgs {
-                dataset,
-                records: parse_usize(&map, "records", 10_000)?,
-                seed: parse_usize(&map, "seed", 1996)? as u64,
-                output: map.get("output").cloned().unwrap_or_else(|| "-".into()),
-            }))
-        }
-        "trace-check" => {
-            let (input, rest) = positional_then_flags(&args[1..], "-");
-            let map = parse_flag_map(rest)?;
-            Ok(Command::TraceCheck(TraceCheckArgs {
-                input,
-                schema: map.get("schema").cloned(),
-            }))
-        }
-        "query" => {
-            let (catalog, rest) = positional_then_flags(&args[1..], "");
-            if catalog.is_empty() {
-                return Err(err("query requires a CATALOG path (or `-` for stdin)"));
-            }
-            let map = parse_flag_map(rest)?;
-            let record = map.get("record").cloned();
-            let range = map.get("range").cloned();
-            if record.is_some() && range.is_some() {
-                return Err(err("--record and --range are mutually exclusive"));
-            }
-            let by = match map.get("by") {
-                None => None,
-                Some(v) => Some(v.parse::<RankBy>().map_err(|e| err(format!("--by: {e}")))?),
-            };
-            let top_k = match map.get("top-k") {
-                None => None,
-                Some(v) => Some(
-                    v.parse::<usize>()
-                        .map_err(|_| err(format!("--top-k: `{v}` is not an integer")))?,
-                ),
-            };
-            let format = match map.get("format").map(String::as_str) {
-                None | Some("text") => OutputFormat::Text,
-                Some("csv") => OutputFormat::Csv,
-                Some("json") => OutputFormat::Json,
-                Some(other) => return Err(err(format!("unknown format `{other}`"))),
-            };
-            let trace = match map.get("trace") {
-                None => None,
-                Some(v) => Some(
-                    v.parse::<TraceFormat>()
-                        .map_err(|_| err(format!("--trace: `{v}` is not json or text")))?,
-                ),
-            };
-            Ok(Command::Query(QueryArgs {
-                catalog,
-                record,
-                range,
-                top_k,
-                by,
-                min_lift: parse_opt_f64(&map, "min-lift")?,
-                max_p: parse_opt_f64(&map, "max-p")?,
-                format,
-                trace,
-            }))
-        }
-        "analyze" => {
-            let (catalog, rest) = positional_then_flags(&args[1..], "");
-            if catalog.is_empty() || catalog == "-" {
-                return Err(err(
-                    "analyze requires a CATALOG file path (it is rewritten in place \
-                     unless --output redirects, so stdin is not supported)",
-                ));
-            }
-            let map = parse_flag_map(rest)?;
-            for key in map.keys() {
-                if !["input", "samples", "seed", "output", "trace"].contains(&key.as_str()) {
-                    return Err(err(format!("analyze does not take --{key}")));
-                }
-            }
-            let input = map
-                .get("input")
-                .cloned()
-                .ok_or_else(|| err("analyze requires --input FILE (the catalog's source CSV)"))?;
-            let defaults = AnalyticsConfig::default();
-            let samples = parse_usize(&map, "samples", defaults.shapley_samples as usize)?;
-            if samples == 0 || samples > u32::MAX as usize {
-                return Err(err("--samples must be between 1 and 2^32-1"));
-            }
-            let trace = match map.get("trace") {
-                None => None,
-                Some(v) => Some(
-                    v.parse::<TraceFormat>()
-                        .map_err(|_| err(format!("--trace: `{v}` is not json or text")))?,
-                ),
-            };
-            Ok(Command::Analyze(AnalyzeArgs {
-                catalog,
-                input,
-                samples: samples as u32,
-                seed: parse_usize(&map, "seed", defaults.seed as usize)? as u64,
-                output: map.get("output").cloned(),
-                trace,
-            }))
-        }
-        "store-check" => {
-            let (input, rest) = positional_then_flags(&args[1..], "-");
-            parse_flag_map(rest)?; // no flags yet; reject unknown ones
-            if !rest.is_empty() {
-                return Err(err("store-check takes no flags"));
-            }
-            Ok(Command::StoreCheck(StoreCheckArgs { input }))
-        }
-        "fuzz" => {
-            let map = parse_flag_map(&args[1..])?;
-            for key in map.keys() {
-                if !["iters", "seed", "out"].contains(&key.as_str()) {
-                    return Err(err(format!("fuzz does not take --{key}")));
-                }
-            }
-            let iters = parse_usize(&map, "iters", 200)? as u64;
-            if iters == 0 {
-                return Err(err("--iters must be at least 1"));
-            }
-            Ok(Command::Fuzz(FuzzArgs {
-                iters,
-                seed: parse_usize(&map, "seed", 42)? as u64,
-                out: map
-                    .get("out")
-                    .cloned()
-                    .unwrap_or_else(|| "tests/fuzz_repros".into()),
-            }))
-        }
-        "serve" => {
-            let rest = &args[1..];
-            let split = rest
-                .iter()
-                .position(|a| a.starts_with("--"))
-                .unwrap_or(rest.len());
-            let catalogs: Vec<String> = rest[..split].to_vec();
-            if catalogs.is_empty() {
-                return Err(err("serve requires at least one CATALOG path"));
-            }
-            let map = parse_flag_map(&rest[split..])?;
-            for key in map.keys() {
-                if !["port", "threads", "trace"].contains(&key.as_str()) {
-                    return Err(err(format!("serve does not take --{key}")));
-                }
-            }
-            let port = parse_usize(&map, "port", 0)?;
-            if port > u16::MAX as usize {
-                return Err(err(format!("--port {port} is not a TCP port")));
-            }
-            let trace = match map.get("trace") {
-                None => None,
-                Some(v) => Some(
-                    v.parse::<TraceFormat>()
-                        .map_err(|_| err(format!("--trace: `{v}` is not json or text")))?,
-                ),
-            };
-            Ok(Command::Serve(ServeArgs {
-                catalogs,
-                port: port as u16,
-                threads: parse_usize(&map, "threads", 0)?,
-                trace,
-            }))
-        }
-        "bench-serve" => {
-            let map = parse_flag_map(&args[1..])?;
-            for key in map.keys() {
-                let known = [
-                    "addr", "catalog", "clients", "requests", "threads", "floor", "shutdown", "out",
-                ];
-                if !known.contains(&key.as_str()) {
-                    return Err(err(format!("bench-serve does not take --{key}")));
-                }
-            }
-            let clients = parse_usize(&map, "clients", 8)?;
-            let requests = parse_usize(&map, "requests", 2000)?;
-            if clients == 0 || requests == 0 {
-                return Err(err("--clients and --requests must be at least 1"));
-            }
-            if map.contains_key("shutdown") && !map.contains_key("addr") {
-                return Err(err(
-                    "--shutdown only applies with --addr (self-hosted servers always stop)",
-                ));
-            }
-            Ok(Command::BenchServe(BenchServeArgs {
-                addr: map.get("addr").cloned(),
-                catalog: map.get("catalog").cloned(),
-                clients,
-                requests,
-                threads: parse_usize(&map, "threads", 0)?,
-                floor: parse_f64(&map, "floor", 50_000.0)?,
-                shutdown: map.contains_key("shutdown"),
-                out: map.get("out").cloned(),
-            }))
-        }
-        "bench-analytics" => {
-            let map = parse_flag_map(&args[1..])?;
-            for key in map.keys() {
-                if !["records", "samples", "floor", "out"].contains(&key.as_str()) {
-                    return Err(err(format!("bench-analytics does not take --{key}")));
-                }
-            }
-            let records = parse_usize(&map, "records", 5_000)?;
-            let samples = parse_usize(&map, "samples", 64)?;
-            if records == 0 || samples == 0 {
-                return Err(err("--records and --samples must be at least 1"));
-            }
-            if samples > u32::MAX as usize {
-                return Err(err("--samples must fit in 32 bits"));
-            }
-            Ok(Command::BenchAnalytics(BenchAnalyticsArgs {
-                records,
-                samples: samples as u32,
-                floor: parse_f64(&map, "floor", 500.0)?,
-                out: map.get("out").cloned(),
-            }))
-        }
-        "bench-dist" => {
-            let map = parse_flag_map(&args[1..])?;
-            for key in map.keys() {
-                if !["records", "workers", "floor", "out"].contains(&key.as_str()) {
-                    return Err(err(format!("bench-dist does not take --{key}")));
-                }
-            }
-            let records = parse_usize(&map, "records", 10_000_000)?;
-            let workers = parse_usize(&map, "workers", 2)?;
-            if records == 0 {
-                return Err(err("--records must be at least 1"));
-            }
-            if workers < 2 {
-                return Err(err(
-                    "--workers must be at least 2 (a one-worker split has no counting to distribute)",
-                ));
-            }
-            Ok(Command::BenchDist(BenchDistArgs {
-                records,
-                workers,
-                floor: parse_f64(&map, "floor", 1.6)?,
-                out: map.get("out").cloned(),
-            }))
-        }
-        "bench-update" => {
-            let map = parse_flag_map(&args[1..])?;
-            for key in map.keys() {
-                if !["records", "delta", "floor", "out"].contains(&key.as_str()) {
-                    return Err(err(format!("bench-update does not take --{key}")));
-                }
-            }
-            let records = parse_usize(&map, "records", 1_000_000)?;
-            if records == 0 {
-                return Err(err("--records must be at least 1"));
-            }
-            let delta = parse_f64(&map, "delta", 0.01)?;
-            if !delta.is_finite() || delta <= 0.0 || delta > 1.0 {
-                return Err(err(
-                    "--delta must be a fraction of the base table in (0, 1]",
-                ));
-            }
-            Ok(Command::BenchUpdate(BenchUpdateArgs {
-                records,
-                delta,
-                floor: parse_f64(&map, "floor", 5.0)?,
-                out: map.get("out").cloned(),
-            }))
-        }
-        other => Err(err(format!("unknown command `{other}` (try `qar help`)"))),
-    }
-}
-
 /// Parse a taxonomy edge file: one `child,parent` pair per line; blank
 /// lines and `#` comments ignored.
-pub fn parse_taxonomy(text: &str) -> Result<qar_table::Taxonomy, CliError> {
+fn parse_taxonomy(text: &str) -> Result<qar_table::Taxonomy, CliError> {
     let mut edges: Vec<(String, String)> = Vec::new();
     for (no, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -1207,11 +1150,10 @@ pub fn process_spawn(args: &MineArgs) -> Result<Option<WorkerSpawn>, CliError> {
     if args.workers == 0 {
         return Ok(None);
     }
-    let config = &args.config;
     let exe = std::env::current_exe()
         .map_err(|e| err(format!("cannot locate the qar binary for workers: {e}")))?;
     let mut worker_args = Vec::new();
-    if let Some(threads) = config.parallelism {
+    if let Some(threads) = args.config.parallelism {
         worker_args.push("--threads".to_string());
         worker_args.push(threads.get().to_string());
     }
@@ -1219,6 +1161,140 @@ pub fn process_spawn(args: &MineArgs) -> Result<Option<WorkerSpawn>, CliError> {
         exe,
         args: worker_args,
     }))
+}
+
+/// Run a parsed command: read its inputs, write its report to `out`
+/// (stdout in `qar`) and its files, and fail a bench that misses its
+/// `--floor`. When the reader of `out` closes it early (`qar query CAT |
+/// head -1`), the run ends quietly with `Ok`; every other failure,
+/// including a broken socket or file, is returned.
+pub fn run(command: &Command, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    let mut stdout = Stdout { out, closed: false };
+    let result = dispatch(command, &mut stdout);
+    let result = result.and_then(|()| Ok(stdout.flush()?));
+    match result {
+        Err(_) if stdout.closed => Ok(()),
+        result => result,
+    }
+}
+
+/// The dispatcher's `out`, noting whether its reader has hung up.
+struct Stdout<'a> {
+    out: &'a mut dyn Write,
+    closed: bool,
+}
+
+impl Write for Stdout<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let written = self.out.write(buf);
+        self.closed |= matches!(&written, Err(e) if e.kind() == ErrorKind::BrokenPipe);
+        written
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let flushed = self.out.flush();
+        self.closed |= matches!(&flushed, Err(e) if e.kind() == ErrorKind::BrokenPipe);
+        flushed
+    }
+}
+
+fn dispatch(command: &Command, out: &mut Stdout<'_>) -> Result<(), Box<dyn Error>> {
+    match command {
+        Command::Help => out.write_all(USAGE.as_bytes())?,
+        Command::Mine(args) => run_mine(args, process_spawn(args)?, trace_sink(args.trace), out)?,
+        Command::Generate(args) if args.output == "-" => run_generate(args, out)?,
+        Command::Generate(args) => {
+            let mut file = BufWriter::new(File::create(&args.output)?);
+            run_generate(args, &mut file)?;
+            file.flush()?;
+        }
+        Command::TraceCheck(args) => {
+            let path = args
+                .schema
+                .as_deref()
+                .unwrap_or("schemas/trace_events.schema.json");
+            let schema = std::fs::read_to_string(path)
+                .map_err(|e| err(format!("cannot read schema `{path}`: {e}")))?;
+            let trace = String::from_utf8(read_input(&args.input)?)
+                .map_err(|e| err(format!("trace `{}`: {e}", args.input)))?;
+            run_trace_check(&schema, &trace, out)?;
+        }
+        Command::Query(args) => run_query(&read_input(&args.catalog)?, args, out)?,
+        Command::Analyze(args) => {
+            let catalog = read_input(&args.catalog)?;
+            let annotated = run_analyze(&catalog, &read_input(&args.input)?, args, out)?;
+            let dest = args.output.as_deref().unwrap_or(&args.catalog);
+            std::fs::write(dest, annotated)?;
+            writeln!(out, "annotated catalog written to {dest}")?;
+        }
+        Command::StoreCheck(args) => run_store_check(&read_input(&args.input)?, out)?,
+        Command::Fuzz(args) => match run_fuzz(args, out)? {
+            0 => {}
+            n => return Err(err(format!("{n} divergence(s) found; see fixtures above")).into()),
+        },
+        Command::Serve(args) => {
+            let slots = catalog_slots(&args.catalogs)?;
+            let config = ServerConfig {
+                port: args.port,
+                threads: args.threads,
+            };
+            let server = Server::bind(&slots, &config, trace_sink(args.trace))?;
+            // Scripts parse this line for the bound address (port 0 is
+            // OS-assigned), so it is flushed before the accept loop.
+            writeln!(
+                out,
+                "listening on {} ({} catalog(s), {} worker(s))",
+                server.local_addr(),
+                slots.len(),
+                server.threads()
+            )?;
+            out.flush()?;
+            server.serve()?;
+        }
+        Command::Worker(args) => {
+            let options = WorkerOptions {
+                num_threads: args.threads,
+            };
+            qar_dist::run_worker(&args.connect, &options)
+                .map_err(|e| err(format!("worker: {e}")))?;
+        }
+        Command::BenchServe(a) => check_floor("bench-serve", run_bench_serve(a, out)?, a.floor)?,
+        Command::BenchAnalytics(a) => {
+            check_floor("bench-analytics", run_bench_analytics(a, out)?, a.floor)?
+        }
+        Command::BenchDist(a) => check_floor("bench-dist", run_bench_dist(a, out)?, a.floor)?,
+        Command::BenchUpdate(a) => check_floor("bench-update", run_bench_update(a, out)?, a.floor)?,
+    }
+    Ok(())
+}
+
+/// Fail a bench whose measured number is under its `--floor` (0 = off).
+fn check_floor(verb: &str, measured: f64, floor: f64) -> Result<(), CliError> {
+    if floor > 0.0 && measured < floor {
+        return Err(err(format!(
+            "{verb}: {measured:.2} is below the --floor {floor}"
+        )));
+    }
+    Ok(())
+}
+
+/// Open an input given as a path, or as `-` for stdin.
+fn open_input(path: &str) -> Result<Box<dyn BufRead>, CliError> {
+    if path == "-" {
+        return Ok(Box::new(std::io::stdin().lock()));
+    }
+    let file = File::open(path).map_err(|e| err(format!("cannot open `{path}`: {e}")))?;
+    Ok(Box::new(BufReader::new(file)))
+}
+
+/// The whole of an [`open_input`] input, for commands that decode it in
+/// one piece.
+fn read_input(path: &str) -> Result<Vec<u8>, CliError> {
+    let mut bytes = Vec::new();
+    open_input(path)?
+        .read_to_end(&mut bytes)
+        .map_err(|e| err(format!("cannot read `{path}`: {e}")))?;
+    Ok(bytes)
 }
 
 /// The deadline token a `--deadline` flag asks for.
@@ -1257,273 +1333,61 @@ fn topology_source<'a>(
     })
 }
 
-/// Execute `qar mine` against an already-loaded table, writing a report to
-/// `out` (trace events, when enabled, go to stderr). Separated from file
-/// I/O for testability. With `args.workers > 0` the counting passes run
-/// on workers started by `spawn` — [`process_spawn`] in production,
-/// in-process threads in tests.
-pub fn run_mine_on_table(
-    table: &Table,
-    args: &MineArgs,
-    spawn: Option<WorkerSpawn>,
-    out: &mut impl std::io::Write,
-) -> Result<(), Box<dyn std::error::Error>> {
-    // Steps 1-2 (partitioning, encoding) run here, whichever topology
-    // counts the encoded rows.
-    let (encoders, intervals) =
-        qar_core::pipeline::build_encoders(table, &args.config).map_err(box_miner_error)?;
-    let encoded = EncodedTable::encode(table, encoders)?;
-    let sink = trace_sink(args.trace);
-    let mined = mine_backing(
-        Backing::Memory(&encoded),
-        intervals,
-        args,
-        spawn,
-        sink.as_deref(),
-    )?;
-    // The output carries its own copy of the encoded rows; free this one
-    // before the catalog is built.
-    drop(encoded);
-    finish_mine(mined, args, sink, out)
-}
-
-/// Execute `qar mine --chunk-rows N`: stream the CSV twice (stats pass,
-/// then spill pass), mine the spilled chunks out-of-core — optionally
-/// distributed over workers — and clean the spill directory up. The
-/// result is bit-identical to the in-memory path on the same input.
-/// `spawn` is as for [`run_mine_on_table`].
-pub fn run_mine_chunked(
-    args: &MineArgs,
-    spawn: Option<WorkerSpawn>,
-    out: &mut impl std::io::Write,
-) -> Result<(), Box<dyn std::error::Error>> {
-    if args.input == "-" {
-        return Err(Box::new(err(
-            "--chunk-rows needs a real --input file (the CSV is read twice)",
-        )));
-    }
-    let schema = build_schema(&args.schema)?;
-    let open = || {
-        std::fs::File::open(&args.input)
-            .map(std::io::BufReader::new)
-            .map_err(|e| err(format!("cannot open `{}`: {e}", args.input)))
-    };
-    // Pass 1 (stats): merged per-attribute value histograms — the exact
-    // input Steps 1-2 read on the in-memory table.
-    let summary = qar_table::chunk::summarize_csv(open()?, &schema, args.chunk_rows)?;
-    let (encoders, intervals) = qar_core::pipeline::build_encoders_from_histograms(
-        summary.schema(),
-        &summary.histograms(),
-        &args.config,
-    )
-    .map_err(box_miner_error)?;
-    // Pass 2 (spill): encode row blocks and write per-chunk code files.
-    let dir = qar_table::chunk::default_spill_dir("mine");
-    let store = qar_table::chunk::spill_csv(open()?, &schema, encoders, args.chunk_rows, &dir)?;
-    let sink = trace_sink(args.trace);
-    let mined = mine_backing(
-        Backing::Chunks(&store),
-        intervals,
-        args,
-        spawn,
-        sink.as_deref(),
-    );
-    // The spill directory is temporary either way.
-    drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
-    finish_mine(mined?, args, sink, out)
-}
-
-/// Mine `backing` on the topology the flags ask for. A stored catalog
-/// gets a COUNTS section so `qar mine --update` can refresh it later;
-/// report-only runs skip the capture overhead.
-fn mine_backing(
-    backing: Backing<'_>,
-    intervals: Vec<Option<usize>>,
-    args: &MineArgs,
-    spawn: Option<WorkerSpawn>,
-    sink: Option<&dyn ProgressSink>,
-) -> Result<(MiningOutput, Option<SupportCounts>), Box<dyn std::error::Error>> {
-    let cancel = deadline_token(args);
-    let mut source = topology_source(args, &args.config, backing, spawn, sink, cancel.as_ref())
-        .map_err(box_miner_error)?;
-    let (mut result, captured) = if args.store.is_some() {
-        let (result, captured) =
-            mine_source_captured(&mut *source, &args.config, sink, cancel.as_ref())
-                .map_err(box_miner_error)?;
-        (result, Some(captured))
-    } else {
-        let result = mine_source(&mut *source, &args.config, sink, cancel.as_ref())
-            .map_err(box_miner_error)?;
-        (result, None)
-    };
-    result.stats.intervals_per_attribute = intervals.clone();
-    let counts = captured.map(|captured| {
-        SupportCounts::assemble(
-            result.encoded.schema(),
-            result.encoded.encoders(),
-            result.frequent.num_rows,
-            &args.config,
-            intervals,
-            captured,
-        )
-    });
-    Ok((result, counts))
-}
-
-/// Box a [`MinerError`] without losing its message.
-fn box_miner_error(e: MinerError) -> Box<dyn std::error::Error> {
-    Box::new(err(e.to_string()))
-}
-
-/// Execute `qar mine --update CATALOG`: refresh an existing catalog by
-/// scanning only the delta rows in `--input` and merging them with the
-/// catalog's persisted support counts, reporting trace events to `sink`.
-/// `spawn` is as for [`run_mine_on_table`].
+/// Execute `qar mine`, writing the report to `out` and trace events to
+/// `sink`. With `--workers N` the counting passes run on workers started
+/// by `spawn` — [`process_spawn`] in production, in-process threads in
+/// tests.
 ///
-/// The catalog's schema and semantic configuration are authoritative —
-/// only the performance knob (`--threads`) and the topology
-/// (`--workers`, `--chunk-rows`) come from this command line. Each
-/// topology only builds the delta's source; [`Miner::update_source`]
-/// checks, merges and decides, with no base rows, so a fallback ends as
-/// an error. The refreshed catalog (rules, stats, analytics when
-/// `--analytics` is passed, and the merged counts) rewrites the catalog
-/// in place unless `--store` redirects it; the result is identical to
-/// mining base+delta from scratch under the same flags.
-pub fn run_mine_update(
+/// One flow serves every topology. One loader reads `--input` once
+/// into rows in memory, or spilled chunks under `--chunk-rows`. A fresh
+/// mine runs the whole pipeline on them. `--update CATALOG` encodes them
+/// under the catalog's encoders instead and merges them with its
+/// persisted support counts through [`Miner::update_source`], with no
+/// base rows, so a fallback ends as an error; the catalog's schema and
+/// semantic configuration are authoritative, and only `--threads` and
+/// the topology come from this command line. The tail is shared:
+/// normalize the stats when asked, save the catalog — with analytics
+/// under `--analytics`, and the support counts a later `--update` needs —
+/// to `--store` or back over the updated catalog, and write the report.
+pub fn run_mine(
     args: &MineArgs,
     spawn: Option<WorkerSpawn>,
     sink: Option<Arc<dyn ProgressSink>>,
-    out: &mut impl std::io::Write,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let catalog_path = args
-        .update
-        .as_deref()
-        .ok_or_else(|| err("run_mine_update needs --update CATALOG"))?;
-    let catalog = Catalog::load(catalog_path, sink.as_deref())
-        .map_err(|e| err(format!("cannot load `{catalog_path}`: {e}")))?;
-    let Some(counts) = catalog.counts() else {
-        return Err(Box::new(err(format!(
-            "`{catalog_path}` has no persisted support counts; re-mine it with `qar mine \
-             --store` (counts are captured automatically) before updating incrementally"
-        ))));
-    };
-    // Rebuild the mining configuration from the catalog's snapshot; the
-    // command line contributes only performance knobs.
-    let mut config = counts.config.miner_config();
-    config.parallelism = args.config.parallelism;
-    let cancel = deadline_token(args);
-    let mut miner = Miner::new(config.clone());
-    if let Some(sink) = &sink {
-        miner = miner.with_progress(Arc::clone(sink));
-    }
-    if let Some(token) = &cancel {
-        miner = miner.with_cancel(token.clone());
-    }
-
-    // Encode the delta under the catalog's encoders — spilled to chunks
-    // under --chunk-rows — and count it on the topology the flags ask for.
-    let (schema, encoders) = (catalog.schema(), catalog.encoders());
-    let spill_dir = qar_table::chunk::default_spill_dir("update");
-    let (mut spilled, mut encoded) = (None, None);
-    let backing = if args.chunk_rows > 0 {
-        let file = std::fs::File::open(&args.input)
-            .map_err(|e| err(format!("cannot open `{}`: {e}", args.input)))?;
-        let reader = std::io::BufReader::new(file);
-        match qar_table::chunk::spill_csv(
-            reader,
-            schema,
-            encoders.to_vec(),
-            args.chunk_rows,
-            &spill_dir,
-        ) {
-            Ok(store) => Ok(Backing::Chunks(spilled.insert(store))),
-            Err(e) => Err(e),
-        }
-    } else {
-        let delta = read_delta_table(&args.input, schema)?;
-        match EncodedTable::encode(&delta, encoders.to_vec()) {
-            Ok(table) => Ok(Backing::Memory(encoded.insert(table))),
-            Err(e) => Err(e),
-        }
-    };
-    let mut source = None;
-    let delta = match backing {
-        Err(e) => Err(MinerError::Schema(e)),
-        Ok(backing) if backing.num_rows() == 0 => Ok(None),
-        Ok(backing) => {
-            match topology_source(
-                args,
-                &config,
-                backing,
-                spawn,
-                sink.as_deref(),
-                cancel.as_ref(),
-            ) {
-                Ok(built) => Ok(Some(&mut **source.insert(built) as &mut dyn CountSource)),
-                Err(e) => Err(e),
+    out: &mut impl Write,
+) -> Result<(), Box<dyn Error>> {
+    let base = match &args.update {
+        None => None,
+        Some(path) => {
+            let catalog = Catalog::load(path, sink.as_deref())
+                .map_err(|e| err(format!("cannot load `{path}`: {e}")))?;
+            if catalog.counts().is_none() {
+                return Err(err(format!(
+                    "`{path}` has no persisted support counts; re-mine it with `qar mine \
+                     --store` (counts are captured automatically) before updating incrementally"
+                ))
+                .into());
             }
+            Some(catalog)
         }
     };
-    let updated = miner.update_source(schema, encoders, counts, delta, None);
-    drop(source);
-    drop(spilled);
-    // The spill directory exists only when --chunk-rows spilled the delta.
+    let spill_dir = qar_table::chunk::default_spill_dir("mine");
+    let mined = mine_input(args, base.as_ref(), spawn, sink.as_ref(), &spill_dir);
+    // The spill directory is temporary either way.
     let _ = std::fs::remove_dir_all(&spill_dir);
-    let UpdateOutput {
-        output: mut result,
-        counts: new_counts,
-        ..
-    } = updated.map_err(box_miner_error)?;
+    let (mut result, counts) = mined?;
 
     if args.normalize_stats {
         result.stats = result.stats.normalized();
     }
-    if catalog.analytics().is_some() && !args.analytics {
-        eprintln!(
-            "qar: warning: `{catalog_path}` carried analytics the update invalidates; dropping \
-             them (pass --analytics to recompute, or backfill later with `qar analyze`)"
-        );
+    if let (Some(path), Some(base)) = (&args.update, &base) {
+        if base.analytics().is_some() && !args.analytics {
+            eprintln!(
+                "qar: warning: `{path}` carried analytics the update invalidates; dropping \
+                 them (pass --analytics to recompute, or backfill later with `qar analyze`)"
+            );
+        }
     }
-    let total_rows = new_counts.num_rows;
-    let mut refreshed = Catalog::from_mining(&result);
-    if args.analytics {
-        let set = analytics_from_mining(&result, &AnalyticsConfig::default(), sink.as_deref());
-        refreshed = refreshed.with_analytics(set)?;
-    }
-    refreshed = refreshed.with_counts(new_counts)?;
-    let dest = args.store.as_deref().unwrap_or(catalog_path);
-    refreshed.save(dest, sink.as_deref())?;
-    write_mine_report(total_rows, &result, args, out)
-}
-
-/// Read the delta CSV (`-` = stdin) against the catalog's schema, so the
-/// column layout is the catalog's by construction.
-fn read_delta_table(input: &str, schema: &Schema) -> Result<Table, Box<dyn std::error::Error>> {
-    if input == "-" {
-        let mut buf = String::new();
-        std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf)?;
-        Ok(csv::read_table(buf.as_bytes(), schema)?)
-    } else {
-        let file =
-            std::fs::File::open(input).map_err(|e| err(format!("cannot open `{input}`: {e}")))?;
-        Ok(csv::read_table(std::io::BufReader::new(file), schema)?)
-    }
-}
-
-/// The shared tail of every `qar mine` path: normalize stats when asked,
-/// store the catalog (with its support counts), and write the report in
-/// the requested format.
-fn finish_mine(
-    (mut result, counts): (MiningOutput, Option<SupportCounts>),
-    args: &MineArgs,
-    sink: Option<Arc<dyn ProgressSink>>,
-    out: &mut impl std::io::Write,
-) -> Result<(), Box<dyn std::error::Error>> {
-    if args.normalize_stats {
-        result.stats = result.stats.normalized();
-    }
-    if let Some(path) = &args.store {
+    if let Some(dest) = args.store.as_ref().or(args.update.as_ref()) {
         let mut catalog = Catalog::from_mining(&result);
         if args.analytics {
             let set = analytics_from_mining(&result, &AnalyticsConfig::default(), sink.as_deref());
@@ -1532,15 +1396,165 @@ fn finish_mine(
         if let Some(counts) = counts {
             catalog = catalog.with_counts(counts)?;
         }
-        catalog.save(path, sink.as_deref())?;
+        catalog.save(dest, sink.as_deref())?;
     }
-    write_mine_report(result.frequent.num_rows, &result, args, out)
+    write_mine_report(&result, args, out)
 }
 
-/// The report half of [`finish_mine`], shared with the `--update` path:
-/// write the mined rules to `out` in the requested format.
+/// The encoded rows a mine counts.
+enum Rows {
+    Memory(EncodedTable),
+    Chunks(ChunkStore),
+}
+
+impl Rows {
+    fn backing(&self) -> Backing<'_> {
+        match self {
+            Rows::Memory(table) => Backing::Memory(table),
+            Rows::Chunks(store) => Backing::Chunks(store),
+        }
+    }
+}
+
+/// Mine `--input` on the topology the flags ask for: from scratch, or —
+/// given the `base` catalog of an `--update` — merged with its counts. A
+/// stored catalog gets support counts so `qar mine --update` can refresh
+/// it later; report-only runs skip the capture overhead.
+fn mine_input(
+    args: &MineArgs,
+    base: Option<&Catalog>,
+    spawn: Option<WorkerSpawn>,
+    sink: Option<&Arc<dyn ProgressSink>>,
+    spill_dir: &Path,
+) -> Result<(MiningOutput, Option<SupportCounts>), Box<dyn Error>> {
+    let sink_ref = sink.map(|sink| &**sink);
+    match base {
+        None => {
+            let mut config = args.config.clone();
+            for (attr, path) in &args.taxonomy_files {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| err(format!("cannot read taxonomy `{path}`: {e}")))?;
+                config
+                    .taxonomies
+                    .insert(attr.clone(), parse_taxonomy(&text)?);
+            }
+            let schema = build_schema(&args.schema)?;
+            let Loaded { rows, intervals } = load_rows(args, &schema, &config, None, spill_dir)?;
+            let rows = rows?;
+            let cancel = deadline_token(args);
+            let cancel = cancel.as_ref();
+            let mut source =
+                topology_source(args, &config, rows.backing(), spawn, sink_ref, cancel)?;
+            let (mut result, captured) = if args.store.is_some() {
+                let (result, captured) =
+                    mine_source_captured(&mut *source, &config, sink_ref, cancel)?;
+                (result, Some(captured))
+            } else {
+                (mine_source(&mut *source, &config, sink_ref, cancel)?, None)
+            };
+            result.stats.intervals_per_attribute = intervals.clone();
+            let counts = captured.map(|captured| {
+                SupportCounts::assemble(
+                    result.encoded.schema(),
+                    result.encoded.encoders(),
+                    result.frequent.num_rows,
+                    &config,
+                    intervals,
+                    captured,
+                )
+            });
+            Ok((result, counts))
+        }
+        Some(base) => {
+            let counts = base
+                .counts()
+                .expect("run_mine refuses a catalog without counts");
+            let mut config = counts.config.miner_config();
+            config.parallelism = args.config.parallelism;
+            let rows = load_rows(args, base.schema(), &config, Some(base), spill_dir)?.rows;
+            let cancel = deadline_token(args);
+            let mut source = None;
+            let delta = match &rows {
+                Err(e) => Err(MinerError::Schema(e.clone())),
+                Ok(rows) if rows.backing().num_rows() == 0 => Ok(None),
+                Ok(rows) => {
+                    let cancel = cancel.as_ref();
+                    match topology_source(args, &config, rows.backing(), spawn, sink_ref, cancel) {
+                        Ok(built) => Ok(Some(&mut **source.insert(built) as &mut dyn CountSource)),
+                        Err(e) => Err(e),
+                    }
+                }
+            };
+            let mut miner = Miner::new(config.clone());
+            if let Some(sink) = sink {
+                miner = miner.with_progress(Arc::clone(sink));
+            }
+            if let Some(token) = &cancel {
+                miner = miner.with_cancel(token.clone());
+            }
+            let updated =
+                miner.update_source(base.schema(), base.encoders(), counts, delta, None)?;
+            Ok((updated.output, Some(updated.counts)))
+        }
+    }
+}
+
+/// What [`load_rows`] read: the encoded rows, or why the input does not
+/// encode (for an update to judge as a fallback), and the intervals a
+/// fresh mine's encoders chose per attribute.
+struct Loaded {
+    rows: Result<Rows, TableError>,
+    intervals: Vec<Option<usize>>,
+}
+
+/// Read `--input` once into the rows a mine counts: parsed into memory,
+/// or streamed into chunk files under `spill_dir` with `--chunk-rows`.
+/// A fresh mine builds its encoders from the data's value histograms
+/// (Steps 1-2); an update encodes under the `base` catalog's encoders.
+fn load_rows(
+    args: &MineArgs,
+    schema: &Schema,
+    config: &MinerConfig,
+    base: Option<&Catalog>,
+    spill_dir: &Path,
+) -> Result<Loaded, Box<dyn Error>> {
+    enum Input {
+        Table(Table),
+        Csv(Box<dyn BufRead>),
+    }
+    let reader = open_input(&args.input)?;
+    let input = if args.chunk_rows == 0 {
+        Input::Table(csv::read_table(reader, schema)?)
+    } else {
+        Input::Csv(reader)
+    };
+    let (encoders, intervals) = match (base, &input) {
+        (Some(base), _) => (base.encoders().to_vec(), Vec::new()),
+        (None, Input::Table(table)) => qar_core::pipeline::build_encoders(table, config)?,
+        // The stats pass: a second stream over the file merges one value
+        // histogram per attribute, the input Steps 1-2 read in memory.
+        (None, Input::Csv(_)) => {
+            let summary =
+                qar_table::chunk::summarize_csv(open_input(&args.input)?, schema, args.chunk_rows)?;
+            qar_core::pipeline::build_encoders_from_histograms(
+                schema,
+                &summary.histograms(),
+                config,
+            )?
+        }
+    };
+    let rows = match input {
+        Input::Table(table) => EncodedTable::encode(&table, encoders).map(Rows::Memory),
+        Input::Csv(reader) => {
+            qar_table::chunk::spill_csv(reader, schema, encoders, args.chunk_rows, spill_dir)
+                .map(Rows::Chunks)
+        }
+    };
+    Ok(Loaded { rows, intervals })
+}
+
+/// Write the mined rules to `out` in the requested format.
 fn write_mine_report(
-    num_rows: u64,
     result: &MiningOutput,
     args: &MineArgs,
     out: &mut impl std::io::Write,
@@ -1581,7 +1595,7 @@ fn write_mine_report(
     writeln!(
         out,
         "{} records; {} frequent itemsets across {} levels; {} rules ({} interesting)",
-        num_rows,
+        result.frequent.num_rows,
         result.frequent.total(),
         result.frequent.levels.len(),
         result.stats.rules_total,
@@ -1759,9 +1773,8 @@ pub fn run_query(
     args: &QueryArgs,
     out: &mut impl std::io::Write,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let sink = trace_sink(args.trace);
-    let catalog = Catalog::load_bytes(bytes, sink.as_deref())?;
-    let index = RuleIndex::build(&catalog, sink.as_deref());
+    let catalog = Catalog::load_bytes(bytes, None)?;
+    let index = RuleIndex::build(&catalog, None);
 
     let (mut ids, what) = if let Some(spec) = &args.record {
         let record = parse_record(&catalog, spec)?;
@@ -2060,7 +2073,7 @@ pub fn run_fuzz(
 
 /// Map catalog paths to `(slot_name, path)` pairs for [`Server::bind`]:
 /// the slot name is the file stem (`rules/cat.qarcat` serves as `cat`).
-pub fn catalog_slots(paths: &[String]) -> Result<Vec<(String, PathBuf)>, CliError> {
+fn catalog_slots(paths: &[String]) -> Result<Vec<(String, PathBuf)>, CliError> {
     let mut slots = Vec::with_capacity(paths.len());
     for raw in paths {
         let path = PathBuf::from(raw);
@@ -2708,8 +2721,7 @@ pub fn run_bench_dist(
         parallelism: std::num::NonZeroUsize::new(1),
         ..MinerConfig::default()
     };
-    let (encoders, _) =
-        qar_core::pipeline::build_encoders(&data.table, &config).map_err(box_miner_error)?;
+    let (encoders, _) = qar_core::pipeline::build_encoders(&data.table, &config)?;
     let encoded = EncodedTable::encode(&data.table, encoders)?;
     drop(data);
 
@@ -2720,7 +2732,7 @@ pub fn run_bench_dist(
         critical_s: 0.0,
         merge_s: 0.0,
     };
-    let result = mine_source(&mut source, &config, None, None).map_err(box_miner_error)?;
+    let result = mine_source(&mut source, &config, None, None)?;
     let (serial_s, critical_s, merge_s) = (source.serial_s, source.critical_s, source.merge_s);
     let dist_s = critical_s + merge_s;
     let speedup = serial_s / dist_s.max(1e-9);
@@ -2872,15 +2884,13 @@ pub fn run_bench_update(
     let mut updated = None;
     for _ in 0..iters {
         let t = Instant::now();
-        let uo = Miner::new(config.clone())
-            .update(UpdateInput {
-                schema: base_output.encoded.schema(),
-                encoders: base_output.encoded.encoders(),
-                counts: &base_counts,
-                delta: &delta,
-                base_rows: None,
-            })
-            .map_err(box_miner_error)?;
+        let uo = Miner::new(config.clone()).update(UpdateInput {
+            schema: base_output.encoded.schema(),
+            encoders: base_output.encoded.encoders(),
+            counts: &base_counts,
+            delta: &delta,
+            base_rows: None,
+        })?;
         update_s = update_s.min(t.elapsed().as_secs_f64());
         updated = Some(uo);
     }
@@ -2945,9 +2955,26 @@ pub fn run_bench_update(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(|x| x.to_string()).collect()
+    }
+
+    /// The paper's people table as CSV bytes, also written to a temp file
+    /// unique to `tag` for mines that read it as `--input`.
+    fn people_csv(tag: &str) -> (String, Vec<u8>) {
+        let gen = GenerateArgs {
+            dataset: "people".into(),
+            records: 0,
+            seed: 0,
+            output: "-".into(),
+        };
+        let mut csv_bytes = Vec::new();
+        run_generate(&gen, &mut csv_bytes).expect("generate");
+        let path = std::env::temp_dir().join(format!("qar-cli-{tag}-{}.csv", std::process::id()));
+        std::fs::write(&path, &csv_bytes).expect("write CSV");
+        (path.to_str().unwrap().to_string(), csv_bytes)
     }
 
     #[test]
@@ -2976,13 +3003,156 @@ mod tests {
         assert_eq!(args.top, 50);
     }
 
+    /// Every flag a verb's entry in the flag table lists.
+    fn flag_table(spec: &VerbSpec) -> BTreeSet<&'static str> {
+        [spec.values, spec.switches, spec.repeated]
+            .iter()
+            .flat_map(|list| list.split_whitespace())
+            .collect()
+    }
+
+    /// Every verb rejects a flag its entry in the flag table does not
+    /// list — a misspelling, or a switch another verb takes — naming the
+    /// verb and the flag.
     #[test]
     fn mine_rejects_unknown_flags() {
-        for flag in ["--kernel bitmask", "--bogus 1"] {
-            let e =
-                parse_command(&argv(&format!("mine --input f --schema a:q {flag}"))).unwrap_err();
-            assert!(e.to_string().contains("does not take"), "{flag}: {e}");
+        let cases = [
+            ("mine --input f --schema a:q", "--kernel bitmask"),
+            ("mine --input f --schema a:q", "--bogus 1"),
+            ("generate planted", "--recods 50"),
+            ("query c", "--topk 1"),
+            ("analyze c --input d", "--sample 8"),
+            ("store-check c", "--verbose yes"),
+            ("trace-check t", "--schemas s"),
+            ("fuzz", "--iter 5"),
+            ("serve c", "--ports 1"),
+            ("worker --connect h:1", "--thread 2"),
+            ("bench-serve", "--client 2"),
+            ("bench-analytics", "--record 5"),
+            ("bench-dist", "--worker 3"),
+            ("bench-update", "--deltas 0.5"),
+        ];
+        let verb_of = |base: &str| base.split(' ').next().unwrap().to_string();
+        let covered: BTreeSet<String> = cases.iter().map(|(base, _)| verb_of(base)).collect();
+        let verbs: BTreeSet<String> = VERBS.iter().map(|spec| spec.verb.to_string()).collect();
+        assert_eq!(covered, verbs, "one case per verb");
+        let switches = [
+            "--shutdown",
+            "--analytics",
+            "--no-partition",
+            "--all-rules",
+            "--normalize-stats",
+        ];
+        for (base, typo) in cases {
+            let verb = verb_of(base);
+            parse_command(&argv(base)).unwrap_or_else(|e| panic!("{base}: {e}"));
+            let spec = VERBS.iter().find(|spec| spec.verb == verb).unwrap();
+            let foreign = switches
+                .into_iter()
+                .filter(|switch| !flag_table(spec).contains(&switch[2..]));
+            for flag in std::iter::once(typo).chain(foreign) {
+                let e = parse_command(&argv(&format!("{base} {flag}"))).unwrap_err();
+                let name = flag.split(' ').next().unwrap();
+                assert_eq!(e.to_string(), format!("{verb} does not take {name}"));
+            }
         }
+    }
+
+    /// The flag table and the help text cannot drift: each verb's section
+    /// of `USAGE` defines exactly the flags its table entry lists, its
+    /// synopsis names no other flag, and every `--flag` the text mentions
+    /// is one some verb takes.
+    #[test]
+    fn usage_documents_exactly_the_flag_table() {
+        let flags_in = |text: &str| -> BTreeSet<String> {
+            text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|word| word.strip_prefix("--"))
+                .filter(|flag| !flag.is_empty())
+                .map(str::to_string)
+                .collect()
+        };
+        // An option line: `  --name [ARG]  description`.
+        let option = |line: &str| -> Option<String> {
+            let (head, _) = line.strip_prefix("  --")?.split_once("  ")?;
+            let mut words = head.split(' ');
+            let name = words.next()?;
+            (words.count() <= 1).then(|| name.to_string())
+        };
+        let mut sections: BTreeMap<&str, String> = BTreeMap::new();
+        let mut current = "";
+        for line in USAGE.lines() {
+            if let Some(header) = line.strip_suffix(':').filter(|_| !line.starts_with(' ')) {
+                current = header;
+            }
+            let section = sections.entry(current).or_default();
+            section.push_str(line);
+            section.push('\n');
+        }
+        let header = |verb: &str| match verb {
+            "mine" => "MINE OPTIONS".to_string(),
+            verb => verb.to_uppercase(),
+        };
+        let headers: BTreeSet<String> = VERBS.iter().map(|spec| header(spec.verb)).collect();
+        let documented: BTreeSet<String> = sections
+            .keys()
+            .filter(|name| !["", "USAGE"].contains(name))
+            .map(|name| name.to_string())
+            .collect();
+        assert_eq!(documented, headers, "one USAGE section per verb");
+
+        let mut every_flag = BTreeSet::new();
+        for spec in VERBS {
+            let table: BTreeSet<String> = flag_table(spec).into_iter().map(String::from).collect();
+            let section = &sections[header(spec.verb).as_str()];
+            let defined: BTreeSet<String> = section.lines().filter_map(option).collect();
+            assert_eq!(
+                defined, table,
+                "`qar {}` flags vs its USAGE section",
+                spec.verb
+            );
+            let synopsis = sections["USAGE"]
+                .lines()
+                .find(|line| line.starts_with(&format!("  qar {} ", spec.verb)))
+                .unwrap_or_else(|| panic!("no synopsis for `qar {}`", spec.verb));
+            assert!(flags_in(synopsis).is_subset(&table), "{synopsis}");
+            every_flag.extend(table);
+        }
+        let mentioned = flags_in(USAGE);
+        assert!(
+            mentioned.is_subset(&every_flag),
+            "USAGE mentions flags no verb takes: {:?}",
+            mentioned.difference(&every_flag).collect::<Vec<_>>()
+        );
+    }
+
+    /// A reader that closes stdout early ends the run quietly with
+    /// success; a failure anywhere else still surfaces.
+    #[test]
+    fn closed_stdout_pipe_ends_quietly() {
+        struct Failing(std::io::ErrorKind);
+        impl Write for Failing {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(self.0.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let closed = || Failing(std::io::ErrorKind::BrokenPipe);
+        let generate = parse_command(&argv("generate planted --records 50")).unwrap();
+        run(&Command::Help, &mut closed()).expect("help into a closed pipe");
+        run(&generate, &mut closed()).expect("generate into a closed pipe");
+
+        let full = Failing(std::io::ErrorKind::Other);
+        assert!(run(&Command::Help, &mut { full }).is_err());
+        let unwritable = parse_command(&argv(
+            "generate planted --records 50 --output /nonexistent-dir/p.csv",
+        ))
+        .unwrap();
+        assert!(run(&unwritable, &mut closed()).is_err());
+        let missing = parse_command(&argv("query /nonexistent-dir/c.qarcat")).unwrap();
+        let e = run(&missing, &mut closed()).unwrap_err();
+        assert!(e.to_string().contains("cannot open"), "{e}");
     }
 
     #[test]
@@ -3025,25 +3195,16 @@ mod tests {
 
     #[test]
     fn csv_format_end_to_end() {
-        let gen = GenerateArgs {
-            dataset: "people".into(),
-            records: 0,
-            seed: 0,
-            output: "-".into(),
-        };
-        let mut csv_bytes = Vec::new();
-        run_generate(&gen, &mut csv_bytes).expect("generate");
-        let decls = parse_schema_decls("Age:quant,Married:cat,NumCars:quant").unwrap();
-        let schema = build_schema(&decls).unwrap();
-        let table = csv::read_table(csv_bytes.as_slice(), &schema).unwrap();
-        let cmd = parse_command(&argv(
-            "mine --input - --schema Age:quant,Married:cat,NumCars:quant \
+        let (input, _) = people_csv("csv-format");
+        let cmd = parse_command(&argv(&format!(
+            "mine --input {input} --schema Age:quant,Married:cat,NumCars:quant \
              --minsup 0.4 --minconf 0.5 --maxsup 1.0 --no-partition --format csv",
-        ))
+        )))
         .unwrap();
         let Command::Mine(args) = cmd else { panic!() };
         let mut report = Vec::new();
-        run_mine_on_table(&table, &args, None, &mut report).expect("mine");
+        run_mine(&args, None, None, &mut report).expect("mine");
+        std::fs::remove_file(&input).ok();
         let text = String::from_utf8(report).unwrap();
         assert!(text.starts_with("antecedent,consequent,"), "{text}");
         assert!(text.contains("Married=Yes,NumCars=2,2,0.400000,1.000000"));
@@ -3057,6 +3218,11 @@ mod tests {
         assert!(parse_command(&argv("mine --input f --schema a:q --minsup nope")).is_err());
         assert!(parse_command(&argv("mine --input f --schema a:q --minsup 2.0")).is_err());
         assert!(parse_command(&argv("mine --input f --schema a:q --strategy diagonal")).is_err());
+        let e = parse_command(&argv(
+            "mine --input f --schema a:q --minsup 0.1 --minsup 0.3",
+        ))
+        .unwrap_err();
+        assert!(e.to_string().contains("more than once"), "{e}");
         assert!(parse_command(&argv("frobnicate")).is_err());
     }
 
@@ -3210,25 +3376,16 @@ mod tests {
 
     #[test]
     fn json_format_includes_pass_stats() {
-        let gen = GenerateArgs {
-            dataset: "people".into(),
-            records: 0,
-            seed: 0,
-            output: "-".into(),
-        };
-        let mut csv_bytes = Vec::new();
-        run_generate(&gen, &mut csv_bytes).expect("generate");
-        let decls = parse_schema_decls("Age:quant,Married:cat,NumCars:quant").unwrap();
-        let schema = build_schema(&decls).unwrap();
-        let table = csv::read_table(csv_bytes.as_slice(), &schema).unwrap();
-        let cmd = parse_command(&argv(
-            "mine --input - --schema Age:quant,Married:cat,NumCars:quant \
+        let (input, _) = people_csv("json-format");
+        let cmd = parse_command(&argv(&format!(
+            "mine --input {input} --schema Age:quant,Married:cat,NumCars:quant \
              --minsup 0.4 --minconf 0.5 --maxsup 1.0 --no-partition --format json",
-        ))
+        )))
         .unwrap();
         let Command::Mine(args) = cmd else { panic!() };
         let mut report = Vec::new();
-        run_mine_on_table(&table, &args, None, &mut report).expect("mine");
+        run_mine(&args, None, None, &mut report).expect("mine");
+        std::fs::remove_file(&input).ok();
         let text = String::from_utf8(report).unwrap();
         let doc = qar_trace::json::parse(&text).expect("valid JSON output");
         let obj = doc.as_object().expect("top-level object");
@@ -3240,28 +3397,16 @@ mod tests {
     #[test]
     fn generate_then_mine_round_trip() {
         // people -> CSV -> parse -> mine, all through the CLI layer.
-        let gen = GenerateArgs {
-            dataset: "people".into(),
-            records: 0,
-            seed: 0,
-            output: "-".into(),
-        };
-        let mut csv_bytes = Vec::new();
-        run_generate(&gen, &mut csv_bytes).expect("generate");
-
-        let decls =
-            parse_schema_decls("Age:quant,Married:cat,NumCars:quant").expect("schema decls");
-        let schema = build_schema(&decls).expect("schema");
-        let table = csv::read_table(csv_bytes.as_slice(), &schema).expect("read generated CSV");
-
-        let cmd = parse_command(&argv(
-            "mine --input - --schema Age:quant,Married:cat,NumCars:quant \
+        let (input, _) = people_csv("round-trip");
+        let cmd = parse_command(&argv(&format!(
+            "mine --input {input} --schema Age:quant,Married:cat,NumCars:quant \
              --minsup 0.4 --minconf 0.5 --maxsup 1.0 --no-partition --top 0",
-        ))
+        )))
         .expect("parse");
         let Command::Mine(args) = cmd else { panic!() };
         let mut report = Vec::new();
-        run_mine_on_table(&table, &args, None, &mut report).expect("mine");
+        run_mine(&args, None, None, &mut report).expect("mine");
+        std::fs::remove_file(&input).ok();
         let text = String::from_utf8(report).expect("utf8");
         assert!(text.contains("⟨Married: Yes⟩ ⇒ ⟨NumCars: 2⟩"), "{text}");
     }
@@ -3316,31 +3461,22 @@ mod tests {
 
     #[test]
     fn mine_store_query_end_to_end() {
-        let gen = GenerateArgs {
-            dataset: "people".into(),
-            records: 0,
-            seed: 0,
-            output: "-".into(),
-        };
-        let mut csv_bytes = Vec::new();
-        run_generate(&gen, &mut csv_bytes).expect("generate");
-        let decls = parse_schema_decls("Age:quant,Married:cat,NumCars:quant").unwrap();
-        let schema = build_schema(&decls).unwrap();
-        let table = csv::read_table(csv_bytes.as_slice(), &schema).unwrap();
+        let (input, _) = people_csv("store-query");
 
         let store_path =
             std::env::temp_dir().join(format!("qar-cli-end-to-end-{}.qarcat", std::process::id()));
-        let cmd = parse_command(&argv(
-            "mine --input - --schema Age:quant,Married:cat,NumCars:quant \
+        let cmd = parse_command(&argv(&format!(
+            "mine --input {input} --schema Age:quant,Married:cat,NumCars:quant \
              --minsup 0.4 --minconf 0.5 --maxsup 1.0 --no-partition --format json",
-        ))
+        )))
         .unwrap();
         let Command::Mine(mut args) = cmd else {
             panic!()
         };
         args.store = Some(store_path.to_str().unwrap().to_string());
         let mut mine_out = Vec::new();
-        run_mine_on_table(&table, &args, None, &mut mine_out).expect("mine");
+        run_mine(&args, None, None, &mut mine_out).expect("mine");
+        std::fs::remove_file(&input).ok();
         let mine_text = String::from_utf8(mine_out).unwrap();
         let bytes = std::fs::read(&store_path).expect("catalog written");
         std::fs::remove_file(&store_path).ok();
@@ -3610,23 +3746,15 @@ mod tests {
     /// prove `qar analyze` backfills a byte-identical catalog.
     #[test]
     fn mine_analytics_analyze_query_end_to_end() {
-        let gen = GenerateArgs {
-            dataset: "people".into(),
-            records: 0,
-            seed: 0,
-            output: "-".into(),
-        };
-        let mut csv_bytes = Vec::new();
-        run_generate(&gen, &mut csv_bytes).expect("generate");
-        let decls = parse_schema_decls("Age:quant,Married:cat,NumCars:quant").unwrap();
-        let schema = build_schema(&decls).unwrap();
-        let table = csv::read_table(csv_bytes.as_slice(), &schema).unwrap();
+        let (input, csv_bytes) = people_csv("analytics");
 
         let pid = std::process::id();
         let with_path = std::env::temp_dir().join(format!("qar-cli-analytics-{pid}.qarcat"));
         let plain_path = std::env::temp_dir().join(format!("qar-cli-plain-{pid}.qarcat"));
-        let base = "mine --input - --schema Age:quant,Married:cat,NumCars:quant \
-                    --minsup 0.4 --minconf 0.5 --maxsup 1.0 --no-partition";
+        let base = format!(
+            "mine --input {input} --schema Age:quant,Married:cat,NumCars:quant \
+             --minsup 0.4 --minconf 0.5 --maxsup 1.0 --no-partition"
+        );
         for (flags, path) in [(" --analytics", &with_path), ("", &plain_path)] {
             let cmd = parse_command(&argv(&format!(
                 "{base}{flags} --store {}",
@@ -3634,8 +3762,9 @@ mod tests {
             )))
             .unwrap();
             let Command::Mine(args) = cmd else { panic!() };
-            run_mine_on_table(&table, &args, None, &mut Vec::new()).expect("mine");
+            run_mine(&args, None, None, &mut Vec::new()).expect("mine");
         }
+        std::fs::remove_file(&input).ok();
         let with_bytes = std::fs::read(&with_path).expect("analytics catalog written");
         let plain_bytes = std::fs::read(&plain_path).expect("plain catalog written");
         std::fs::remove_file(&with_path).ok();
@@ -3886,27 +4015,17 @@ mod tests {
     /// (`--normalize-stats` zeroes the volatile timings on both sides).
     #[test]
     fn distributed_mine_matches_serial_byte_for_byte() {
-        let gen = GenerateArgs {
-            dataset: "people".into(),
-            records: 0,
-            seed: 0,
-            output: "-".into(),
-        };
-        let mut csv_bytes = Vec::new();
-        run_generate(&gen, &mut csv_bytes).expect("generate");
-        let decls = parse_schema_decls("Age:quant,Married:cat,NumCars:quant").unwrap();
-        let schema = build_schema(&decls).unwrap();
-        let table = csv::read_table(csv_bytes.as_slice(), &schema).unwrap();
+        let (input, _) = people_csv("dist");
 
         let pid = std::process::id();
         let mut outputs = Vec::new();
         for workers in [0usize, 2, 3] {
             let path = std::env::temp_dir().join(format!("qar-cli-dist-{pid}-{workers}.qarcat"));
-            let cmd = parse_command(&argv(
-                "mine --input - --schema Age:quant,Married:cat,NumCars:quant \
+            let cmd = parse_command(&argv(&format!(
+                "mine --input {input} --schema Age:quant,Married:cat,NumCars:quant \
                  --minsup 0.4 --minconf 0.5 --maxsup 1.0 --no-partition \
                  --normalize-stats --format json",
-            ))
+            )))
             .unwrap();
             let Command::Mine(mut args) = cmd else {
                 panic!()
@@ -3916,12 +4035,13 @@ mod tests {
             let spawn =
                 (workers > 0).then(|| WorkerSpawn::Threads(qar_dist::WorkerOptions::default()));
             let mut report = Vec::new();
-            run_mine_on_table(&table, &args, spawn, &mut report)
+            run_mine(&args, spawn, None, &mut report)
                 .unwrap_or_else(|e| panic!("{workers} workers: {e}"));
             let catalog = std::fs::read(&path).expect("catalog written");
             std::fs::remove_file(&path).ok();
             outputs.push((workers, report, catalog));
         }
+        std::fs::remove_file(&input).ok();
         let (_, serial_report, serial_catalog) = &outputs[0];
         assert!(!serial_catalog.is_empty());
         assert!(qar_trace::json::parse(&String::from_utf8(serial_report.clone()).unwrap()).is_ok());
@@ -3939,26 +4059,13 @@ mod tests {
     /// catalog and report byte-for-byte (the issue's acceptance bar).
     #[test]
     fn chunked_mine_matches_in_memory_byte_for_byte() {
-        let gen = GenerateArgs {
-            dataset: "people".into(),
-            records: 0,
-            seed: 0,
-            output: "-".into(),
-        };
-        let mut csv_bytes = Vec::new();
-        run_generate(&gen, &mut csv_bytes).expect("generate");
-        let decls = parse_schema_decls("Age:quant,Married:cat,NumCars:quant").unwrap();
-        let schema = build_schema(&decls).unwrap();
-        let table = csv::read_table(csv_bytes.as_slice(), &schema).unwrap();
-
+        let (input, _) = people_csv("chunked");
         let pid = std::process::id();
-        let csv_path = std::env::temp_dir().join(format!("qar-cli-chunked-{pid}.csv"));
-        std::fs::write(&csv_path, &csv_bytes).expect("write CSV");
         // Unpartitioned, and partitioned from the chunks' merged histograms.
         for partition in ["--no-partition", "--intervals 2"] {
             let parse_mine = || {
                 let cmd = parse_command(&argv(&format!(
-                    "mine --input - --schema Age:quant,Married:cat,NumCars:quant \
+                    "mine --input {input} --schema Age:quant,Married:cat,NumCars:quant \
                  --minsup 0.4 --minconf 0.5 --maxsup 1.0 {partition} \
                  --normalize-stats --format json",
                 )))
@@ -3972,7 +4079,7 @@ mod tests {
             let mut args = parse_mine();
             args.store = Some(ref_path.to_str().unwrap().to_string());
             let mut ref_report = Vec::new();
-            run_mine_on_table(&table, &args, None, &mut ref_report).expect("in-memory mine");
+            run_mine(&args, None, None, &mut ref_report).expect("in-memory mine");
             let ref_catalog = std::fs::read(&ref_path).expect("reference catalog");
             std::fs::remove_file(&ref_path).ok();
 
@@ -3982,14 +4089,13 @@ mod tests {
                 let path =
                     std::env::temp_dir().join(format!("qar-cli-chunked-{pid}-{workers}.qarcat"));
                 let mut args = parse_mine();
-                args.input = csv_path.to_str().unwrap().to_string();
                 args.chunk_rows = 3;
                 args.workers = workers;
                 args.store = Some(path.to_str().unwrap().to_string());
                 let spawn =
                     (workers > 0).then(|| WorkerSpawn::Threads(qar_dist::WorkerOptions::default()));
                 let mut report = Vec::new();
-                run_mine_chunked(&args, spawn, &mut report)
+                run_mine(&args, spawn, None, &mut report)
                     .unwrap_or_else(|e| panic!("chunked, {workers} workers: {e}"));
                 let catalog = std::fs::read(&path).expect("chunked catalog");
                 std::fs::remove_file(&path).ok();
@@ -4003,7 +4109,7 @@ mod tests {
                 );
             }
         }
-        std::fs::remove_file(&csv_path).ok();
+        std::fs::remove_file(&input).ok();
     }
 
     #[test]
@@ -4091,8 +4197,8 @@ mod tests {
     /// Write the paper's people table and a delta of rows copied from it
     /// (copies are always encodable under the base catalog's value-list
     /// encoders) to temp files, returning
-    /// `(base_csv, delta_csv, combined_csv)` paths plus the base table.
-    fn update_fixture(tag: &str, delta_rows: usize) -> (PathBuf, PathBuf, PathBuf, Table) {
+    /// `(base_csv, delta_csv, combined_csv)` paths.
+    fn update_fixture(tag: &str, delta_rows: usize) -> (PathBuf, PathBuf, PathBuf) {
         let gen = GenerateArgs {
             dataset: "people".into(),
             records: 0,
@@ -4113,10 +4219,6 @@ mod tests {
             + "\n";
         let combined_csv = text.clone() + &rows[..delta_rows].join("\n") + "\n";
 
-        let decls = parse_schema_decls("Age:quant,Married:cat,NumCars:quant").unwrap();
-        let schema = build_schema(&decls).unwrap();
-        let table = csv::read_table(base_csv.as_bytes(), &schema).unwrap();
-
         let pid = std::process::id();
         let dir = std::env::temp_dir();
         let base_path = dir.join(format!("qar-cli-update-{tag}-{pid}-base.csv"));
@@ -4125,7 +4227,7 @@ mod tests {
         std::fs::write(&base_path, &base_csv).expect("write base CSV");
         std::fs::write(&delta_path, &delta_csv).expect("write delta CSV");
         std::fs::write(&combined_path, &combined_csv).expect("write combined CSV");
-        (base_path, delta_path, combined_path, table)
+        (base_path, delta_path, combined_path)
     }
 
     const UPDATE_MINE_FLAGS: &str = "--minsup 0.4 --minconf 0.5 --maxsup 1.0 --no-partition \
@@ -4138,15 +4240,11 @@ mod tests {
     /// delta reproduces the base catalog unchanged.
     #[test]
     fn mine_update_matches_scratch_mine_byte_for_byte() {
-        let (base_path, delta_path, combined_path, table) = update_fixture("exact", 2);
+        let (base_path, delta_path, combined_path) = update_fixture("exact", 2);
         let pid = std::process::id();
         let dir = std::env::temp_dir();
 
         // From-scratch reference over base+delta.
-        let decls = parse_schema_decls("Age:quant,Married:cat,NumCars:quant").unwrap();
-        let schema = build_schema(&decls).unwrap();
-        let combined_bytes = std::fs::read(&combined_path).unwrap();
-        let combined = csv::read_table(combined_bytes.as_slice(), &schema).unwrap();
         let scratch_path = dir.join(format!("qar-cli-update-exact-{pid}-scratch.qarcat"));
         let cmd = parse_command(&argv(&format!(
             "mine --input - --schema Age:quant,Married:cat,NumCars:quant {UPDATE_MINE_FLAGS}"
@@ -4155,16 +4253,18 @@ mod tests {
         let Command::Mine(mut args) = cmd else {
             panic!()
         };
+        args.input = combined_path.to_str().unwrap().to_string();
         args.store = Some(scratch_path.to_str().unwrap().to_string());
         let mut scratch_report = Vec::new();
-        run_mine_on_table(&combined, &args, None, &mut scratch_report).expect("scratch mine");
+        run_mine(&args, None, None, &mut scratch_report).expect("scratch mine");
         let scratch_catalog = std::fs::read(&scratch_path).expect("scratch catalog");
         std::fs::remove_file(&scratch_path).ok();
 
         // Base catalog with persisted counts.
         let base_cat_path = dir.join(format!("qar-cli-update-exact-{pid}-base.qarcat"));
+        args.input = base_path.to_str().unwrap().to_string();
         args.store = Some(base_cat_path.to_str().unwrap().to_string());
-        run_mine_on_table(&table, &args, None, &mut Vec::new()).expect("base mine");
+        run_mine(&args, None, None, &mut Vec::new()).expect("base mine");
         let base_catalog = std::fs::read(&base_cat_path).expect("base catalog");
         std::fs::remove_file(&base_cat_path).ok();
 
@@ -4188,8 +4288,7 @@ mod tests {
             let spawn =
                 (workers > 0).then(|| WorkerSpawn::Threads(qar_dist::WorkerOptions::default()));
             let mut report = Vec::new();
-            run_mine_update(&uargs, spawn, None, &mut report)
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            run_mine(&uargs, spawn, None, &mut report).unwrap_or_else(|e| panic!("{label}: {e}"));
             let updated = std::fs::read(&cat_path).expect("updated catalog");
             std::fs::remove_file(&cat_path).ok();
             assert_eq!(report, scratch_report, "{label}: report differs");
@@ -4215,7 +4314,7 @@ mod tests {
             };
             uargs.workers = workers;
             uargs.chunk_rows = chunk_rows;
-            run_mine_update(&uargs, None, None, &mut Vec::new())
+            run_mine(&uargs, None, None, &mut Vec::new())
                 .unwrap_or_else(|e| panic!("empty delta, chunk_rows={chunk_rows}: {e}"));
             let updated = std::fs::read(&cat_path).expect("updated catalog");
             std::fs::remove_file(&cat_path).ok();
@@ -4236,7 +4335,7 @@ mod tests {
     /// (the CLI never silently re-mines without the base rows).
     #[test]
     fn mine_update_guardrails() {
-        let (base_path, delta_path, combined_path, table) = update_fixture("guard", 1);
+        let (base_path, delta_path, combined_path) = update_fixture("guard", 1);
         let pid = std::process::id();
         let dir = std::env::temp_dir();
 
@@ -4248,8 +4347,9 @@ mod tests {
             panic!()
         };
         let cat_path = dir.join(format!("qar-cli-update-guard-{pid}.qarcat"));
+        args.input = base_path.to_str().unwrap().to_string();
         args.store = Some(cat_path.to_str().unwrap().to_string());
-        run_mine_on_table(&table, &args, None, &mut Vec::new()).expect("base mine");
+        run_mine(&args, None, None, &mut Vec::new()).expect("base mine");
         let base_catalog = std::fs::read(&cat_path).expect("base catalog");
 
         // No counts → a structured error pointing at the re-mine path.
@@ -4267,7 +4367,7 @@ mod tests {
         )))
         .unwrap();
         let Command::Mine(uargs) = cmd else { panic!() };
-        let e = run_mine_update(&uargs, None, None, &mut Vec::new()).unwrap_err();
+        let e = run_mine(&uargs, None, None, &mut Vec::new()).unwrap_err();
         assert!(e.to_string().contains("no persisted support counts"), "{e}");
         std::fs::remove_file(&stripped_path).ok();
 
@@ -4293,7 +4393,7 @@ mod tests {
                 (workers > 0).then(|| WorkerSpawn::Threads(qar_dist::WorkerOptions::default()));
             let sink = Arc::new(qar_trace::CollectingSink::new());
             let events: Arc<dyn ProgressSink> = sink.clone();
-            let e = run_mine_update(&uargs, spawn, Some(events), &mut Vec::new()).unwrap_err();
+            let e = run_mine(&uargs, spawn, Some(events), &mut Vec::new()).unwrap_err();
             assert!(
                 e.to_string().contains("base rows unavailable"),
                 "{label}: {e}"
@@ -4323,34 +4423,31 @@ mod tests {
     /// inventories the COUNTS section either way.
     #[test]
     fn mine_update_analytics_recompute_or_drop() {
-        let (base_path, delta_path, combined_path, table) = update_fixture("stale", 2);
+        let (base_path, delta_path, combined_path) = update_fixture("stale", 2);
         let pid = std::process::id();
         let dir = std::env::temp_dir();
-
-        let decls = parse_schema_decls("Age:quant,Married:cat,NumCars:quant").unwrap();
-        let schema = build_schema(&decls).unwrap();
-        let combined_bytes = std::fs::read(&combined_path).unwrap();
-        let combined = csv::read_table(combined_bytes.as_slice(), &schema).unwrap();
 
         // From-scratch reference with analytics over base+delta.
         let scratch_path = dir.join(format!("qar-cli-update-stale-{pid}-scratch.qarcat"));
         let cmd = parse_command(&argv(&format!(
-            "mine --input - --schema Age:quant,Married:cat,NumCars:quant \
+            "mine --input {} --schema Age:quant,Married:cat,NumCars:quant \
              --analytics --store {} {UPDATE_MINE_FLAGS}",
+            combined_path.to_str().unwrap(),
             scratch_path.to_str().unwrap()
         )))
         .unwrap();
         let Command::Mine(mut args) = cmd else {
             panic!()
         };
-        run_mine_on_table(&combined, &args, None, &mut Vec::new()).expect("scratch mine");
+        run_mine(&args, None, None, &mut Vec::new()).expect("scratch mine");
         let scratch_catalog = std::fs::read(&scratch_path).expect("scratch catalog");
         std::fs::remove_file(&scratch_path).ok();
 
         // Base catalog with analytics and counts.
         let base_cat_path = dir.join(format!("qar-cli-update-stale-{pid}-base.qarcat"));
+        args.input = base_path.to_str().unwrap().to_string();
         args.store = Some(base_cat_path.to_str().unwrap().to_string());
-        run_mine_on_table(&table, &args, None, &mut Vec::new()).expect("base mine");
+        run_mine(&args, None, None, &mut Vec::new()).expect("base mine");
         let base_catalog = std::fs::read(&base_cat_path).expect("base catalog");
         assert!(Catalog::load_bytes(&base_catalog, None)
             .unwrap()
@@ -4365,7 +4462,7 @@ mod tests {
         )))
         .unwrap();
         let Command::Mine(uargs) = cmd else { panic!() };
-        run_mine_update(&uargs, None, None, &mut Vec::new()).expect("update with analytics");
+        run_mine(&uargs, None, None, &mut Vec::new()).expect("update with analytics");
         let recomputed = std::fs::read(&base_cat_path).expect("updated catalog");
         assert_eq!(
             recomputed, scratch_catalog,
@@ -4382,7 +4479,7 @@ mod tests {
         )))
         .unwrap();
         let Command::Mine(uargs) = cmd else { panic!() };
-        run_mine_update(&uargs, None, None, &mut Vec::new()).expect("update dropping analytics");
+        run_mine(&uargs, None, None, &mut Vec::new()).expect("update dropping analytics");
         let dropped_bytes = std::fs::read(&base_cat_path).expect("updated catalog");
         let dropped = Catalog::load_bytes(&dropped_bytes, None).expect("load");
         assert!(dropped.analytics().is_none(), "stale analytics must drop");
@@ -4456,29 +4553,20 @@ mod tests {
     /// parseable; finite values stay plain numbers.
     #[test]
     fn query_json_nulls_non_finite_analytics() {
-        let gen = GenerateArgs {
-            dataset: "people".into(),
-            records: 0,
-            seed: 0,
-            output: "-".into(),
-        };
-        let mut csv_bytes = Vec::new();
-        run_generate(&gen, &mut csv_bytes).expect("generate");
-        let decls = parse_schema_decls("Age:quant,Married:cat,NumCars:quant").unwrap();
-        let schema = build_schema(&decls).unwrap();
-        let table = csv::read_table(csv_bytes.as_slice(), &schema).unwrap();
+        let (input, _) = people_csv("nonfinite");
         let path =
             std::env::temp_dir().join(format!("qar-cli-nonfinite-{}.qarcat", std::process::id()));
-        let cmd = parse_command(&argv(
-            "mine --input - --schema Age:quant,Married:cat,NumCars:quant \
+        let cmd = parse_command(&argv(&format!(
+            "mine --input {input} --schema Age:quant,Married:cat,NumCars:quant \
              --minsup 0.4 --minconf 0.5 --maxsup 1.0 --no-partition",
-        ))
+        )))
         .unwrap();
         let Command::Mine(mut args) = cmd else {
             panic!()
         };
         args.store = Some(path.to_str().unwrap().to_string());
-        run_mine_on_table(&table, &args, None, &mut Vec::new()).expect("mine");
+        run_mine(&args, None, None, &mut Vec::new()).expect("mine");
+        std::fs::remove_file(&input).ok();
         let bytes = std::fs::read(&path).expect("catalog written");
         std::fs::remove_file(&path).ok();
 

@@ -347,7 +347,7 @@ fn counts_v1_catalog_serves_and_refuses_updates() {
     let Ok(quantrules::cli::Command::Mine(update)) = quantrules::cli::parse_command(&args) else {
         panic!("`qar mine --update` parses");
     };
-    let err = quantrules::cli::run_mine_update(&update, None, None, &mut Vec::new())
+    let err = quantrules::cli::run_mine(&update, None, None, &mut Vec::new())
         .expect_err("a v1 catalog cannot be updated");
     std::fs::remove_file(&delta).ok();
     assert!(
