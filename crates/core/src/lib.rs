@@ -61,6 +61,6 @@ pub use pipeline::{MiningOutput, MiningStats};
 pub use pool::WorkerPool;
 pub use rules::{generate_rules, QuantRule};
 pub use source::{
-    mine_source, mine_source_captured, CaptureSource, ChunkedSource, CountError, CountSource,
-    InMemorySource, MergeSource,
+    mine_source, mine_source_captured, CaptureSource, CountError, CountSource, InMemorySource,
+    MergeSource,
 };

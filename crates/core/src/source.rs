@@ -19,17 +19,19 @@
 //! and counts are exact integers, the result is bit-identical whatever the
 //! partitioning.
 //!
-//! Two local sources live here:
-//!
-//! * [`InMemorySource`] — counts an [`EncodedTable`] directly (what
-//!   [`crate::Miner`] mines through),
-//! * [`ChunkedSource`] — counts a [`qar_table::ChunkStore`] one spilled
-//!   chunk at a time, so tables larger than memory mine out-of-core.
+//! One local source lives here: [`InMemorySource`] counts the rows this
+//! process holds — a [`Backing`] of an in-memory [`EncodedTable`] (what
+//! [`crate::Miner`] mines through) or a spilled [`ChunkStore`] read one
+//! chunk at a time, so tables larger than memory mine out-of-core.
 //!
 //! The TCP-backed source of the `qar-dist` crate implements the same
-//! trait over a pool of worker processes.
+//! trait over a pool of worker processes; each worker counts its
+//! partition, and the coordinator any partition it lost, through an
+//! [`InMemorySource`].
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -745,11 +747,110 @@ impl CountSource for MergeSource<'_> {
     }
 }
 
-/// The reference [`CountSource`]: counts an in-memory [`EncodedTable`]
-/// with the scan kernels, and scans pass 2 straight into the pair
-/// histograms.
+/// The rows this process holds: an in-memory table, or a spilled chunk
+/// store read back one chunk at a time.
+#[derive(Clone, Copy)]
+pub enum Backing<'a> {
+    /// An in-memory encoded table.
+    Memory(&'a EncodedTable),
+    /// An out-of-core chunk store; chunks are re-read from disk on
+    /// demand, so peak memory stays one chunk.
+    Chunks(&'a ChunkStore),
+}
+
+impl<'a> From<&'a EncodedTable> for Backing<'a> {
+    fn from(table: &'a EncodedTable) -> Self {
+        Backing::Memory(table)
+    }
+}
+
+impl<'a> From<&'a ChunkStore> for Backing<'a> {
+    fn from(store: &'a ChunkStore) -> Self {
+        Backing::Chunks(store)
+    }
+}
+
+impl Backing<'_> {
+    /// Rows the backing holds.
+    pub fn num_rows(&self) -> usize {
+        match self {
+            Backing::Memory(table) => table.num_rows(),
+            Backing::Chunks(store) => store.num_rows(),
+        }
+    }
+
+    /// Hand rows `rows` to `f` in order, as blocks of at most `max_rows`
+    /// (≥ 1) rows. A table or chunk lying wholly in `rows` and within
+    /// `max_rows` is handed as it is — borrowed in memory, as read from
+    /// disk for a chunk; any other block is a copy of its rows. Only the
+    /// chunks overlapping `rows` are read.
+    pub fn for_each_block(
+        &self,
+        rows: Range<usize>,
+        max_rows: usize,
+        f: &mut dyn FnMut(Cow<'_, EncodedTable>) -> Result<(), CountError>,
+    ) -> Result<(), CountError> {
+        if rows.is_empty() {
+            return Ok(());
+        }
+        match *self {
+            Backing::Memory(table) => blocks(Cow::Borrowed(table), rows, max_rows, f),
+            Backing::Chunks(store) => {
+                let mut start = 0;
+                for index in 0..store.num_chunks() {
+                    let end = start + store.chunk_len(index);
+                    if start < rows.end && end > rows.start {
+                        let within = rows.start.max(start) - start..rows.end.min(end) - start;
+                        blocks(Cow::Owned(store.chunk(index)?), within, max_rows, f)?;
+                    }
+                    start = end;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Hand rows `rows` of `table` to `f` as blocks of at most `max_rows`
+/// rows: `table` itself when that is all of it, else copies.
+fn blocks(
+    table: Cow<'_, EncodedTable>,
+    rows: Range<usize>,
+    max_rows: usize,
+    f: &mut dyn FnMut(Cow<'_, EncodedTable>) -> Result<(), CountError>,
+) -> Result<(), CountError> {
+    if rows.len() == table.num_rows() && rows.len() <= max_rows {
+        return f(table);
+    }
+    for start in rows.clone().step_by(max_rows) {
+        let end = rows.end.min(start.saturating_add(max_rows));
+        let (schema, encoders) = (table.schema().clone(), table.encoders().to_vec());
+        let columns = schema
+            .iter()
+            .map(|(id, _)| table.codes(id)[start..end].to_vec())
+            .collect();
+        let block = EncodedTable::from_parts(schema, encoders, columns, end - start);
+        f(Cow::Owned(block))?;
+    }
+    Ok(())
+}
+
+/// The local [`CountSource`]: counts the rows this process holds with the
+/// scan kernels — rows held in memory, or read one spilled chunk at a
+/// time so peak memory is one chunk — and scans pass 2 straight into the
+/// pair histograms.
+///
+/// Every count walks the source's row ranges (all of the [`Backing`]'s
+/// rows unless [`InMemorySource::restrict`]ed) block by block and sums
+/// the blocks' counts. A whole in-memory table is one block, handed to
+/// the kernels without a copy; spilled chunks are one block each, their
+/// scan statistics folded into one scan's over all their rows.
 pub struct InMemorySource<'a> {
-    table: &'a EncodedTable,
+    rows: Backing<'a>,
+    /// The row ranges counted, in order.
+    ranges: Vec<Range<usize>>,
+    /// The in-memory table itself, or a chunk store's header.
+    meta: Cow<'a, EncodedTable>,
     num_threads: usize,
     kernel: ScanKernel,
     cancel: Option<CancelToken>,
@@ -759,10 +860,18 @@ pub struct InMemorySource<'a> {
 }
 
 impl<'a> InMemorySource<'a> {
-    /// A source over `table`, with parallelism and kernel from `config`.
-    pub fn new(table: &'a EncodedTable, config: &MinerConfig) -> Self {
+    /// A source over all of `rows` — an [`EncodedTable`] or a
+    /// [`ChunkStore`] — with parallelism and kernel from `config`.
+    pub fn new(rows: impl Into<Backing<'a>>, config: &MinerConfig) -> Self {
+        let rows = rows.into();
+        let meta = match rows {
+            Backing::Memory(table) => Cow::Borrowed(table),
+            Backing::Chunks(store) => Cow::Owned(store.header()),
+        };
         InMemorySource {
-            table,
+            ranges: std::iter::once(0..rows.num_rows()).collect(),
+            rows,
+            meta,
             num_threads: config.effective_parallelism(),
             kernel: config.kernel,
             cancel: None,
@@ -771,132 +880,61 @@ impl<'a> InMemorySource<'a> {
         }
     }
 
-    /// Attach the run's cancellation token, if any, checked inside every
-    /// counting scan.
+    /// Attach the run's cancellation token, if any, checked between
+    /// blocks and inside every counting scan.
     pub fn with_cancel(mut self, cancel: Option<&CancelToken>) -> Self {
         self.cancel = cancel.cloned();
         self
     }
 
-    fn opts(&self) -> ScanOptions<'_> {
-        ScanOptions {
+    /// Count only the rows in `ranges` from now on (disjoint, within the
+    /// backing): how a coordinator recounts the partitions of workers it
+    /// lost.
+    pub fn restrict(&mut self, ranges: Vec<Range<usize>>) {
+        self.ranges = ranges;
+    }
+
+    /// Hand every block of the counted rows to `scan` with the source's
+    /// scan options, and fold the blocks' statistics into the pass's as
+    /// one scan's: the same counting work over all the blocks' rows.
+    fn scan(
+        &mut self,
+        mut scan: impl FnMut(&EncodedTable, ScanOptions<'_>) -> Result<PassStats, CountError>,
+    ) -> Result<(), CountError> {
+        let opts = ScanOptions {
             cancel: self.cancel.as_ref(),
             pool: self.pool.as_deref(),
             kernel: self.kernel,
             ..ScanOptions::new(self.num_threads)
+        };
+        let mut call = None;
+        for range in &self.ranges {
+            self.rows
+                .for_each_block(range.clone(), usize::MAX, &mut |block| {
+                    // Between blocks; a scan checks the token itself.
+                    if call.is_some() && opts.cancel.is_some_and(CancelToken::is_cancelled) {
+                        return Err(CountError::Cancelled);
+                    }
+                    fold_stats(&mut call, scan(&block, opts)?, PassStats::absorb_rows);
+                    Ok(())
+                })?;
         }
+        if let Some(call) = call {
+            fold_stats(&mut self.pass_stats, call, PassStats::absorb);
+        }
+        Ok(())
     }
 }
 
 impl CountSource for InMemorySource<'_> {
-    fn meta(&self) -> &EncodedTable {
-        self.table
-    }
-
-    fn num_rows(&self) -> u64 {
-        self.table.num_rows() as u64
-    }
-
-    fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError> {
-        Ok(attribute_value_counts(self.table))
-    }
-
-    fn count(&mut self, _pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
-        let (counts, scan) = count_candidates(self.table, candidates, self.opts())?;
-        fold_stats(&mut self.pass_stats, scan, PassStats::absorb);
-        Ok(counts)
-    }
-
-    /// One histogram scan of the table — or, under a reference kernel
-    /// pinned to one backend, the trait's point-cell default, so the
-    /// ablation's backend counts pass 2 too.
-    fn count_pair_cells(&mut self, hist: &mut PairHistograms) -> Result<(), CountError> {
-        if matches!(self.kernel, ScanKernel::Direct(Some(_))) {
-            return count_pair_points(self, hist);
-        }
-        let scan = hist.scan(self.table, self.opts())?;
-        fold_stats(&mut self.pass_stats, scan, PassStats::absorb);
-        Ok(())
-    }
-
-    fn take_pass_stats(&mut self) -> Option<PassStats> {
-        self.pass_stats.take()
-    }
-}
-
-/// A [`CountSource`] over a spilled [`ChunkStore`]: every counting pass
-/// streams the chunks from disk one at a time and merges their counts by
-/// addition, so peak memory is one chunk regardless of table size.
-pub struct ChunkedSource<'a> {
-    store: &'a ChunkStore,
-    meta: EncodedTable,
-    num_threads: usize,
-    kernel: ScanKernel,
-    cancel: Option<&'a CancelToken>,
-    pass_stats: Option<PassStats>,
-}
-
-impl<'a> ChunkedSource<'a> {
-    /// A source over `store`, with parallelism and kernel from `config`.
-    pub fn new(store: &'a ChunkStore, config: &MinerConfig) -> Self {
-        ChunkedSource {
-            store,
-            meta: store.header(),
-            num_threads: config.effective_parallelism(),
-            kernel: config.kernel,
-            cancel: None,
-            pass_stats: None,
-        }
-    }
-
-    /// Attach the run's cancellation token, if any, checked inside every
-    /// counting scan.
-    pub fn with_cancel(mut self, cancel: Option<&'a CancelToken>) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
-    fn opts(&self) -> ScanOptions<'a> {
-        ScanOptions {
-            cancel: self.cancel,
-            kernel: self.kernel,
-            ..ScanOptions::new(self.num_threads)
-        }
-    }
-
-    /// Hand each spilled chunk to `scan`, loaded one at a time, and fold
-    /// the chunks' scan statistics into one scan's: the same counting
-    /// work over every chunk's rows.
-    fn for_each_chunk(
-        &self,
-        mut scan: impl FnMut(&EncodedTable) -> Result<PassStats, CountError>,
-    ) -> Result<Option<PassStats>, CountError> {
-        let mut call = None;
-        for i in 0..self.store.num_chunks() {
-            if self.cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(CountError::Cancelled);
-            }
-            let stats = scan(&self.store.chunk(i)?)?;
-            fold_stats(&mut call, stats, PassStats::absorb_rows);
-        }
-        Ok(call)
-    }
-
-    /// Fold one counting call's statistics into the pass's.
-    fn record(&mut self, call: Option<PassStats>) {
-        if let Some(call) = call {
-            fold_stats(&mut self.pass_stats, call, PassStats::absorb);
-        }
-    }
-}
-
-impl CountSource for ChunkedSource<'_> {
+    /// The in-memory table, or the chunk store's decode-only header.
     fn meta(&self) -> &EncodedTable {
         &self.meta
     }
 
+    /// The rows counted: all of the backing's unless restricted.
     fn num_rows(&self) -> u64 {
-        self.store.num_rows() as u64
+        self.ranges.iter().map(|r| r.len() as u64).sum()
     }
 
     fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError> {
@@ -906,36 +944,38 @@ impl CountSource for ChunkedSource<'_> {
             .iter()
             .map(|(id, _)| vec![0u64; self.meta.cardinality(id) as usize])
             .collect();
-        self.for_each_chunk(|chunk| {
-            for (acc, add) in merged.iter_mut().zip(attribute_value_counts(chunk)) {
+        self.scan(|block, _| {
+            for (acc, add) in merged.iter_mut().zip(attribute_value_counts(block)) {
                 for (a, b) in acc.iter_mut().zip(add) {
                     *a += b;
                 }
             }
+            // Pass 1 reports no scan statistics.
             Ok(PassStats::default())
         })?;
         Ok(merged)
     }
 
     fn count(&mut self, _pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
-        let opts = self.opts();
         let mut sums = vec![0u64; candidates.len()];
-        let call = self.for_each_chunk(|chunk| {
-            let (add, scan) = count_candidates(chunk, candidates, opts)?;
+        self.scan(|block, opts| {
+            let (add, scan) = count_candidates(block, candidates, opts)?;
             for (a, b) in sums.iter_mut().zip(add) {
                 *a += b;
             }
             Ok(scan)
         })?;
-        self.record(call);
         Ok(sums)
     }
 
+    /// One histogram scan of every block — or, under a reference kernel
+    /// pinned to one backend, the trait's point-cell default, so the
+    /// ablation's backend counts pass 2 too.
     fn count_pair_cells(&mut self, hist: &mut PairHistograms) -> Result<(), CountError> {
-        let opts = self.opts();
-        let call = self.for_each_chunk(|chunk| Ok(hist.scan(chunk, opts)?))?;
-        self.record(call);
-        Ok(())
+        if matches!(self.kernel, ScanKernel::Direct(Some(_))) {
+            return count_pair_points(self, hist);
+        }
+        self.scan(|block, opts| Ok(hist.scan(block, opts)?))
     }
 
     fn take_pass_stats(&mut self) -> Option<PassStats> {
@@ -1075,7 +1115,7 @@ mod tests {
         let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
         for chunk_rows in [1usize, 3, 4, 10, 100] {
             let store = chunk_store(&enc, chunk_rows, "src_test");
-            let mut source = ChunkedSource::new(&store, &config());
+            let mut source = InMemorySource::new(&store, &config());
             let sourced = mine_source(&mut source, &config(), None, None).unwrap();
             assert_outputs_identical(&serial, &sourced);
         }
@@ -1111,7 +1151,7 @@ mod tests {
         assert!(in_memory.len() >= 3, "the table reaches pass 3");
         for chunk_rows in [3usize, 10] {
             let store = chunk_store(&enc, chunk_rows, "src_stats");
-            let chunked = pass_reports(&mut ChunkedSource::new(&store, &config()));
+            let chunked = pass_reports(&mut InMemorySource::new(&store, &config()));
             assert_eq!(chunked.len(), in_memory.len(), "chunks of {chunk_rows}");
             for (c, m) in chunked.iter().zip(&in_memory).skip(1) {
                 assert_eq!((c.0, &c.1, c.2), (m.0, &m.1, m.2), "chunks of {chunk_rows}");

@@ -19,16 +19,17 @@
 //! so by default it recovers by recounting the lost partition locally —
 //! the merged counts, and therefore the mined rules, are unchanged.
 
-use qar_core::source::{CountError, CountSource};
-use qar_core::supercand::{cell_groups, count_candidates, PairHistograms, ScanOptions};
+use qar_core::source::{Backing, CountError, CountSource, InMemorySource};
+use qar_core::supercand::{cell_groups, PairHistograms};
 use qar_core::{MinerConfig, MinerError};
 use qar_itemset::Itemset;
 use qar_store::dist::{read_response, write_request, DistRequest, DistResponse};
 use qar_store::protocol::MAX_PAYLOAD;
-use qar_table::{AttributeEncoder, ChunkStore, EncodedTable, Schema};
+use qar_table::EncodedTable;
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
@@ -266,109 +267,19 @@ impl Drop for Cluster {
     }
 }
 
-/// Where the coordinator's copy of the rows lives. It keeps this copy
-/// for the lifetime of the run — that is what makes lost-worker
-/// recovery (a local recount of the lost partition) possible.
-#[derive(Clone, Copy)]
-pub enum Backing<'a> {
-    /// An in-memory encoded table.
-    Memory(&'a EncodedTable),
-    /// An out-of-core chunk store; blocks are re-read from disk on
-    /// demand, so peak memory stays one block.
-    Chunks(&'a ChunkStore),
-}
-
-impl Backing<'_> {
-    fn schema(&self) -> &Schema {
-        match self {
-            Backing::Memory(table) => table.schema(),
-            Backing::Chunks(store) => store.schema(),
-        }
-    }
-
-    fn encoders(&self) -> &[AttributeEncoder] {
-        match self {
-            Backing::Memory(table) => table.encoders(),
-            Backing::Chunks(store) => store.encoders(),
-        }
-    }
-
-    /// Rows the backing holds.
-    pub fn num_rows(&self) -> usize {
-        match self {
-            Backing::Memory(table) => table.num_rows(),
-            Backing::Chunks(store) => store.num_rows(),
-        }
-    }
-
-    /// Stream rows `[start, end)` as column-major blocks of at most
-    /// `max_rows` rows each.
-    fn for_each_block(
-        &self,
-        start: usize,
-        end: usize,
-        max_rows: usize,
-        f: &mut dyn FnMut(Vec<Vec<u32>>, usize) -> Result<(), CountError>,
-    ) -> Result<(), CountError> {
-        debug_assert!(max_rows >= 1);
-        match self {
-            Backing::Memory(table) => {
-                let ids: Vec<_> = table.schema().iter().map(|(id, _)| id).collect();
-                let mut offset = start;
-                while offset < end {
-                    let stop = (offset + max_rows).min(end);
-                    let block: Vec<Vec<u32>> = ids
-                        .iter()
-                        .map(|&id| table.codes(id)[offset..stop].to_vec())
-                        .collect();
-                    f(block, stop - offset)?;
-                    offset = stop;
-                }
-                Ok(())
-            }
-            Backing::Chunks(store) => {
-                let mut chunk_start = 0usize;
-                for index in 0..store.num_chunks() {
-                    if chunk_start >= end {
-                        break;
-                    }
-                    let chunk = store.chunk(index)?;
-                    let chunk_end = chunk_start + chunk.num_rows();
-                    if chunk_end > start && chunk_start < end {
-                        let lo = start.max(chunk_start) - chunk_start;
-                        let hi = end.min(chunk_end) - chunk_start;
-                        let ids: Vec<_> = chunk.schema().iter().map(|(id, _)| id).collect();
-                        let mut offset = lo;
-                        while offset < hi {
-                            let stop = (offset + max_rows).min(hi);
-                            let block: Vec<Vec<u32>> = ids
-                                .iter()
-                                .map(|&id| chunk.codes(id)[offset..stop].to_vec())
-                                .collect();
-                            f(block, stop - offset)?;
-                            offset = stop;
-                        }
-                    }
-                    chunk_start = chunk_end;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
 /// The distributed [`CountSource`]: a worker pool plus the retained
 /// backing data for lost-partition recovery.
 pub struct DistSource<'a> {
     cluster: Cluster,
     backing: Backing<'a>,
     meta: EncodedTable,
-    /// Per-worker contiguous row ranges `[start, end)`, cluster order.
-    ranges: Vec<(usize, usize)>,
+    /// Per-worker contiguous row ranges, cluster order.
+    ranges: Vec<Range<usize>>,
+    /// The retired workers' rows, counted by the coordinator itself.
+    local: InMemorySource<'a>,
     sink: Option<&'a dyn ProgressSink>,
     cancel: Option<&'a CancelToken>,
     fail_fast: bool,
-    local_threads: usize,
     block_rows: usize,
 }
 
@@ -405,24 +316,23 @@ impl<'a> DistSource<'a> {
         let mut offset = 0;
         for worker in 0..workers {
             let len = base + usize::from(worker < extra);
-            ranges.push((offset, offset + len));
+            ranges.push(offset..offset + len);
             offset += len;
         }
-        let ncols = backing.schema().len();
-        let meta = EncodedTable::header_only(
-            backing.schema().clone(),
-            backing.encoders().to_vec(),
-            num_rows,
-        );
+        let mut local = InMemorySource::new(backing, config).with_cancel(cancel);
+        let (schema, encoders) = (local.meta().schema(), local.meta().encoders());
+        let ncols = schema.len();
+        let meta = EncodedTable::header_only(schema.clone(), encoders.to_vec(), num_rows);
+        local.restrict(Vec::new());
         let mut source = DistSource {
             cluster,
             backing,
             meta,
             ranges,
+            local,
             sink,
             cancel,
             fail_fast,
-            local_threads: config.effective_parallelism(),
             block_rows: (BATCH_BYTES / (4 * ncols.max(1))).max(1),
         };
         source.load()?;
@@ -440,6 +350,11 @@ impl<'a> DistSource<'a> {
     /// worker is retired and its range recounted locally from here on.
     fn lose(&mut self, index: usize, pass: usize, detail: String) -> Result<(), MinerError> {
         self.cluster.remotes[index].alive = false;
+        let retired = (0..self.cluster.len())
+            .filter(|&i| !self.cluster.remotes[i].alive)
+            .map(|i| self.ranges[i].clone())
+            .collect();
+        self.local.restrict(retired);
         self.emit(TraceEvent::WorkerLost {
             worker: index,
             pass,
@@ -457,18 +372,15 @@ impl<'a> DistSource<'a> {
 
     /// Setup + stream each worker its partition.
     fn load(&mut self) -> Result<(), MinerError> {
-        let schema = self.backing.schema().clone();
-        let encoders = self.backing.encoders().to_vec();
         for index in 0..self.cluster.len() {
-            let (start, end) = self.ranges[index];
-            let result = self.load_worker(index, start, end, &schema, &encoders);
-            match result {
+            let rows = self.ranges[index].clone();
+            match self.load_worker(index, rows.clone()) {
                 Ok(()) => {
                     let peer = self.cluster.remotes[index].peer.clone();
                     self.emit(TraceEvent::WorkerJoined {
                         worker: index,
                         addr: peer,
-                        rows: (end - start) as u64,
+                        rows: rows.len() as u64,
                     });
                 }
                 Err(detail) => self.lose(index, 0, detail)?,
@@ -477,55 +389,48 @@ impl<'a> DistSource<'a> {
         Ok(())
     }
 
-    fn load_worker(
-        &mut self,
-        index: usize,
-        start: usize,
-        end: usize,
-        schema: &Schema,
-        encoders: &[AttributeEncoder],
-    ) -> Result<(), String> {
+    fn load_worker(&mut self, index: usize, rows: Range<usize>) -> Result<(), String> {
         let setup = DistRequest::Setup {
-            schema: schema.clone(),
-            encoders: encoders.to_vec(),
+            schema: self.meta.schema().clone(),
+            encoders: self.meta.encoders().to_vec(),
         };
         match self.cluster.remotes[index].request(&setup)? {
             DistResponse::Ready => {}
             other => return Err(format!("expected Ready, got {}", describe(&other))),
         }
         let mut loaded = 0u64;
-        let block_rows = self.block_rows;
-        // Borrow dance: the block callback needs the remote mutably while
-        // `self.backing` is iterated, so split the borrows up front.
         let remote = &mut self.cluster.remotes[index];
-        let backing = self.backing;
         let mut stream_error: Option<String> = None;
-        let walk = backing.for_each_block(start, end, block_rows, &mut |columns, _rows| {
-            match remote.request(&DistRequest::Rows { columns }) {
-                Ok(DistResponse::RowsLoaded { total_rows }) => {
-                    loaded = total_rows;
-                    Ok(())
+        let walk = self
+            .backing
+            .for_each_block(rows.clone(), self.block_rows, &mut |block| {
+                let columns = block.into_owned().into_columns();
+                match remote.request(&DistRequest::Rows { columns }) {
+                    Ok(DistResponse::RowsLoaded { total_rows }) => {
+                        loaded = total_rows;
+                        Ok(())
+                    }
+                    Ok(other) => {
+                        stream_error =
+                            Some(format!("expected RowsLoaded, got {}", describe(&other)));
+                        Err(CountError::Cancelled) // any error stops the walk
+                    }
+                    Err(detail) => {
+                        stream_error = Some(detail);
+                        Err(CountError::Cancelled)
+                    }
                 }
-                Ok(other) => {
-                    stream_error = Some(format!("expected RowsLoaded, got {}", describe(&other)));
-                    Err(CountError::Cancelled) // any error stops the walk
-                }
-                Err(detail) => {
-                    stream_error = Some(detail);
-                    Err(CountError::Cancelled)
-                }
-            }
-        });
+            });
         if let Some(detail) = stream_error {
             return Err(detail);
         }
         if let Err(CountError::Failed(e)) = walk {
             return Err(format!("reading backing rows: {e}"));
         }
-        if loaded != (end - start) as u64 {
+        if loaded != rows.len() as u64 {
             return Err(format!(
                 "worker reports {loaded} rows loaded, expected {}",
-                end - start
+                rows.len()
             ));
         }
         Ok(())
@@ -533,61 +438,6 @@ impl<'a> DistSource<'a> {
 
     fn is_cancelled(&self) -> bool {
         self.cancel.is_some_and(CancelToken::is_cancelled)
-    }
-
-    fn local_scan_options(&self) -> ScanOptions<'a> {
-        ScanOptions {
-            cancel: self.cancel,
-            ..ScanOptions::new(self.local_threads)
-        }
-    }
-
-    /// Row ranges of the retired workers, which the coordinator recounts
-    /// from its own copy of the rows.
-    fn retired_ranges(&self) -> Vec<(usize, usize)> {
-        (0..self.cluster.len())
-            .filter(|&i| !self.cluster.remotes[i].alive)
-            .map(|i| self.ranges[i])
-            .collect()
-    }
-
-    /// Locally histogram rows `[start, end)` into `acc[attr][code]`.
-    fn local_value_counts(
-        &self,
-        start: usize,
-        end: usize,
-        acc: &mut [Vec<u64>],
-    ) -> Result<(), CountError> {
-        self.backing
-            .for_each_block(start, end, self.block_rows, &mut |columns, _rows| {
-                for (attr, col) in columns.iter().enumerate() {
-                    for &code in col {
-                        acc[attr][code as usize] += 1;
-                    }
-                }
-                Ok(())
-            })
-    }
-
-    /// Hand rows `[start, end)` of the backing data to `f` as encoded
-    /// row blocks.
-    fn for_each_local_block(
-        &self,
-        start: usize,
-        end: usize,
-        f: &mut dyn FnMut(&EncodedTable) -> Result<(), CountError>,
-    ) -> Result<(), CountError> {
-        let schema = self.meta.schema();
-        let encoders = self.meta.encoders();
-        self.backing
-            .for_each_block(start, end, self.block_rows, &mut |columns, rows| {
-                f(&EncodedTable::from_parts(
-                    schema.clone(),
-                    encoders.to_vec(),
-                    columns,
-                    rows,
-                ))
-            })
     }
 
     /// Candidate batches whose encoded frames stay under the wire
@@ -688,13 +538,7 @@ impl<'a> DistSource<'a> {
             other => Err(other),
         })?;
         *workers = (*workers).min(merged);
-        let options = self.local_scan_options();
-        for (start, end) in self.retired_ranges() {
-            self.for_each_local_block(start, end, &mut |block| {
-                hist.scan(block, options)?;
-                Ok(())
-            })?;
-        }
+        self.local.count_pair_cells(&mut hist)?;
         Ok(hist)
     }
 
@@ -738,16 +582,9 @@ impl<'a> DistSource<'a> {
                 other => Err(other),
             })?;
             *workers = (*workers).min(merged);
-            let options = self.local_scan_options();
-            let acc = &mut result[batch_start..batch_end];
-            for (start, end) in self.retired_ranges() {
-                self.for_each_local_block(start, end, &mut |block| {
-                    let (counts, _) = count_candidates(block, batch, options)?;
-                    for (a, b) in acc.iter_mut().zip(counts) {
-                        *a += b;
-                    }
-                    Ok(())
-                })?;
+            let add = self.local.count(pass, batch)?;
+            for (a, b) in result[batch_start..batch_end].iter_mut().zip(add) {
+                *a += b;
             }
         }
         Ok(result)
@@ -792,8 +629,10 @@ impl CountSource for DistSource<'_> {
                 }
                 other => Err(other),
             })?;
-        for (start, end) in self.retired_ranges() {
-            self.local_value_counts(start, end, &mut merged)?;
+        for (acc, add) in merged.iter_mut().zip(self.local.value_counts()?) {
+            for (a, b) in acc.iter_mut().zip(add) {
+                *a += b;
+            }
         }
         self.emit_merged(1, merged_workers, 0, started);
         Ok(merged)
@@ -876,12 +715,13 @@ impl Default for DistOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qar_core::frequent::attribute_value_counts;
+    use crate::worker::Worker;
     use qar_core::pipeline::MiningOutput;
     use qar_core::source::{mine_source, mine_source_captured};
     use qar_core::Miner;
+    use qar_store::dist::{read_request, write_response};
     use qar_store::Catalog;
-    use qar_table::{Table, Value};
+    use qar_table::{ChunkStore, Schema, Table, Value};
 
     fn people_table() -> Table {
         let schema = Schema::builder()
@@ -1018,17 +858,15 @@ mod tests {
         assert_identical(&serial, &dist);
     }
 
-    #[test]
-    fn distributed_over_chunks_matches_serial() {
-        let enc = encoded();
-        let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
+    /// The people table spilled in chunks of `chunk_rows` rows.
+    fn chunk_store(enc: &EncodedTable, chunk_rows: usize) -> ChunkStore {
         let dir = qar_table::chunk::default_spill_dir("dist_chunks");
         let mut store =
             ChunkStore::create(&dir, enc.schema().clone(), enc.encoders().to_vec()).unwrap();
         let table = people_table();
         let mut i = 0;
         while i < table.num_rows() {
-            let end = (i + 3).min(table.num_rows());
+            let end = (i + chunk_rows).min(table.num_rows());
             let mut part = Table::new(table.schema().clone());
             for r in i..end {
                 part.push_row(&table.row(r).to_values()).unwrap();
@@ -1036,6 +874,14 @@ mod tests {
             store.append_chunk(&part).unwrap();
             i = end;
         }
+        store
+    }
+
+    #[test]
+    fn distributed_over_chunks_matches_serial() {
+        let enc = encoded();
+        let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
+        let store = chunk_store(&enc, 3);
         let dist = mine_over_workers(Backing::Chunks(&store), &config(), 2);
         assert_identical(&serial, &dist);
     }
@@ -1063,122 +909,123 @@ mod tests {
         assert_eq!(verdicts(&serial), verdicts(&dist));
     }
 
-    /// Partition state of the hand-rolled flaky worker below: schema,
-    /// encoders, column-major codes, row count.
-    type FlakyPartition = (Schema, Vec<AttributeEncoder>, Vec<Vec<u32>>, usize);
-
-    /// A worker that serves the load phase and pass 1 correctly, then
-    /// drops its connection at the first counting request after pass 1 —
-    /// pass 2's `CountPairs`.
-    fn spawn_flaky(addr: String) -> std::thread::JoinHandle<()> {
+    /// A real worker that drops its connection on the first request
+    /// `drops_at` picks, instead of answering it.
+    fn spawn_flaky(addr: String, drops_at: fn(&DistRequest) -> bool) -> JoinHandle<()> {
         std::thread::spawn(move || {
             let mut stream = TcpStream::connect(&addr).unwrap();
-            let mut partition: Option<FlakyPartition> = None;
-            loop {
-                let Ok(Some(request)) = qar_store::dist::read_request(&mut stream) else {
-                    return;
-                };
-                let response = match request {
-                    DistRequest::Setup { schema, encoders } => {
-                        let n = schema.len();
-                        partition = Some((schema, encoders, vec![Vec::new(); n], 0));
-                        DistResponse::Ready
-                    }
-                    DistRequest::Rows { columns } => {
-                        let p = partition.as_mut().unwrap();
-                        if !columns.is_empty() {
-                            p.3 += columns[0].len();
-                            for (col, add) in p.2.iter_mut().zip(columns) {
-                                col.extend_from_slice(&add);
-                            }
-                        }
-                        DistResponse::RowsLoaded {
-                            total_rows: p.3 as u64,
-                        }
-                    }
-                    DistRequest::CountItems => {
-                        let p = partition.as_ref().unwrap();
-                        let table =
-                            EncodedTable::from_parts(p.0.clone(), p.1.clone(), p.2.clone(), p.3);
-                        DistResponse::ItemCounts {
-                            counts: attribute_value_counts(&table),
-                        }
-                    }
-                    // Drop mid-pass.
-                    DistRequest::CountPairs { .. } | DistRequest::CountCandidates { .. } => return,
-                    DistRequest::Shutdown => {
-                        let _ = qar_store::dist::write_response(&mut stream, &DistResponse::Bye);
-                        return;
-                    }
-                };
-                if qar_store::dist::write_response(&mut stream, &response).is_err() {
+            let mut worker = Worker::new(&WorkerOptions::default());
+            while let Ok(Some(request)) = read_request(&mut stream) {
+                let shutdown = matches!(request, DistRequest::Shutdown);
+                if drops_at(&request)
+                    || write_response(&mut stream, &worker.respond(request)).is_err()
+                    || shutdown
+                {
                     return;
                 }
             }
         })
     }
 
-    /// A 2-worker cluster with deterministic indices: worker 0 is a real
-    /// worker, worker 1 drops its connection at the first pass-2 count.
-    fn flaky_cluster() -> (Cluster, Vec<std::thread::JoinHandle<()>>) {
+    /// A cluster of `workers` with deterministic indices: worker `flaky`
+    /// drops its connection at the first request `drops_at` picks, the
+    /// others are real workers.
+    fn flaky_cluster(
+        workers: usize,
+        flaky: usize,
+        drops_at: fn(&DistRequest) -> bool,
+    ) -> (Cluster, Vec<JoinHandle<()>>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let good_addr = addr.clone();
-        let good = std::thread::spawn(move || {
-            let _ = crate::worker::run_worker(&good_addr, &WorkerOptions::default());
-        });
-        let (good_stream, _) = listener.accept().unwrap();
-        let flaky = spawn_flaky(addr);
-        let (flaky_stream, _) = listener.accept().unwrap();
-        let cluster = Cluster::from_streams(
-            vec![good_stream, flaky_stream],
-            Some(Duration::from_secs(10)),
-        );
-        (cluster, vec![good, flaky])
+        let (mut streams, mut threads) = (Vec::new(), Vec::new());
+        for index in 0..workers {
+            let addr = addr.clone();
+            threads.push(if index == flaky {
+                spawn_flaky(addr, drops_at)
+            } else {
+                std::thread::spawn(move || {
+                    let _ = run_worker(&addr, &WorkerOptions::default());
+                })
+            });
+            streams.push(listener.accept().unwrap().0);
+        }
+        let cluster = Cluster::from_streams(streams, Some(Duration::from_secs(10)));
+        (cluster, threads)
     }
 
+    fn at_pair_counts(request: &DistRequest) -> bool {
+        matches!(request, DistRequest::CountPairs { .. })
+    }
+
+    /// A worker lost at any request — mid-load, or at pass 1, 2 or 3 —
+    /// is recounted locally from the coordinator's rows, in memory or in
+    /// chunks whose boundaries the lost range starts and ends inside, and
+    /// the mine equals the serial one byte for byte.
     #[test]
     fn lost_worker_recovers_with_local_recount() {
         let enc = encoded();
         let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
-        let (cluster, threads) = flaky_cluster();
-        let sink = qar_trace::CollectingSink::new();
-        let mut source = DistSource::new(
-            cluster,
-            Backing::Memory(&enc),
-            &config(),
-            Some(&sink),
-            None,
-            false,
-        )
-        .unwrap();
-        let dist = mine_source(&mut source, &config(), Some(&sink), None).unwrap();
-        drop(source);
-        for thread in threads {
-            let _ = thread.join();
+        // Three workers split the 10 rows 0..4, 4..7 and 7..10; chunks of
+        // 3 rows end at 3, 6 and 9, so worker 1's rows span two chunks
+        // partially.
+        let store = chunk_store(&enc, 3);
+        type Case = (&'static str, usize, fn(&DistRequest) -> bool, usize);
+        let cases: [(Backing<'_>, Case); 4] = [
+            (Backing::Memory(&enc), ("pass 2", 2, at_pair_counts, 2)),
+            (
+                Backing::Memory(&enc),
+                ("load", 2, |r| matches!(r, DistRequest::Rows { .. }), 0),
+            ),
+            (
+                Backing::Chunks(&store),
+                ("pass 1", 3, |r| matches!(r, DistRequest::CountItems), 1),
+            ),
+            (
+                Backing::Chunks(&store),
+                (
+                    "pass 3",
+                    3,
+                    |r| matches!(r, DistRequest::CountCandidates { .. }),
+                    3,
+                ),
+            ),
+        ];
+        for (backing, (name, workers, drops_at, pass)) in cases {
+            let (cluster, threads) = flaky_cluster(workers, 1, drops_at);
+            let sink = qar_trace::CollectingSink::new();
+            let mut source =
+                DistSource::new(cluster, backing, &config(), Some(&sink), None, false).unwrap();
+            let dist = mine_source(&mut source, &config(), Some(&sink), None).unwrap();
+            drop(source);
+            for thread in threads {
+                let _ = thread.join();
+            }
+            assert_identical(&serial, &dist);
+            let lost: Vec<_> = sink
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::WorkerLost { worker, pass, .. } => Some((*worker, *pass)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(lost, [(1, pass)], "{name}: exactly one loss");
+            let joined = sink
+                .events()
+                .iter()
+                .any(|e| matches!(e, TraceEvent::WorkerJoined { worker: 1, .. }));
+            assert_eq!(
+                joined,
+                pass > 0,
+                "{name}: the flaky worker joins before it drops"
+            );
         }
-        assert_identical(&serial, &dist);
-        let lost: Vec<_> = sink
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::WorkerLost { worker, pass, .. } => Some((*worker, *pass)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(lost.len(), 1, "exactly one loss: {lost:?}");
-        assert_eq!(lost[0].0, 1, "the flaky worker is index 1");
-        assert_eq!(lost[0].1, 2, "lost at pass 2's CountPairs");
-        assert!(sink
-            .events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::WorkerJoined { worker: 1, .. })));
     }
 
     #[test]
     fn fail_fast_surfaces_worker_lost() {
         let enc = encoded();
-        let (cluster, threads) = flaky_cluster();
+        let (cluster, threads) = flaky_cluster(2, 1, at_pair_counts);
         let mut source = DistSource::new(
             cluster,
             Backing::Memory(&enc),

@@ -17,8 +17,8 @@
 //!
 //! * [`worker`] — the worker side: a serve loop over the
 //!   [`qar_store::dist`] wire protocol (Setup → Rows… → CountItems /
-//!   CountPairs… / CountCandidates… → Shutdown), counting with the same scan kernel
-//!   the serial miner uses;
+//!   CountPairs… / CountCandidates… → Shutdown), counting its partition
+//!   through the same [`qar_core::InMemorySource`] the serial miner uses;
 //! * [`coordinator`] — the coordinator side: [`Cluster`] spawns and
 //!   connects workers (child processes of the `qar` binary, or
 //!   in-process threads for tests), [`DistSource`] implements
@@ -32,16 +32,17 @@
 //!   exact same answer. With [`DistOptions::fail_fast`] the loss is
 //!   surfaced as [`qar_core::MinerError::WorkerLost`] instead.
 //!
-//! The backing data ([`Backing`]) is either an in-memory
-//! [`qar_table::EncodedTable`] or an out-of-core
+//! The backing data ([`qar_core::source::Backing`]) is either an
+//! in-memory [`qar_table::EncodedTable`] or an out-of-core
 //! [`qar_table::ChunkStore`], so distributed and chunked mining compose:
 //! a table too big for memory can be spilled to chunks *and* farmed out
-//! to workers from the same code path.
+//! to workers from the same code path, and the coordinator recounts a
+//! lost partition through an [`qar_core::InMemorySource`] over it.
 
 #![warn(missing_docs)]
 
 pub mod coordinator;
 pub mod worker;
 
-pub use coordinator::{Backing, Cluster, DistOptions, DistSource, WorkerSpawn};
+pub use coordinator::{Cluster, DistOptions, DistSource, WorkerSpawn};
 pub use worker::{run_worker, serve_connection, WorkerOptions};

@@ -3,7 +3,8 @@
 //! A worker is a dumb, exact counter: it receives the table's schema and
 //! encoders, accumulates a contiguous partition of already-encoded rows,
 //! and answers counting requests with raw `u64` tallies over that
-//! partition — never filtered by a support threshold, so the
+//! partition, counted through the [`InMemorySource`] every local mine
+//! uses — never filtered by a support threshold, so the
 //! coordinator's element-wise merge reproduces the serial counts
 //! exactly. All policy (candidate generation, frequency, rules) stays on
 //! the coordinator.
@@ -15,14 +16,15 @@
 //! connection lives on; transport-level problems (corrupt frame, socket
 //! loss) terminate the serve loop with a [`ProtocolError`].
 
-use qar_core::frequent::attribute_value_counts;
-use qar_core::supercand::{count_candidates, PairHistograms, ScanOptions};
+use qar_core::source::{CountError, CountSource, InMemorySource};
+use qar_core::supercand::PairHistograms;
 use qar_core::MinerConfig;
 use qar_store::dist::{read_request, write_response, DistRequest, DistResponse, MAX_PAIR_CELLS};
 use qar_store::protocol::ProtocolError;
 use qar_table::{AttributeEncoder, EncodedTable, Schema};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::num::NonZeroUsize;
 use std::ops::Range;
 
 /// Tuning knobs for a worker's counting scans. They affect speed only —
@@ -32,19 +34,6 @@ pub struct WorkerOptions {
     /// Threads per counting scan; `0` picks the machine default (the
     /// same resolution [`MinerConfig::effective_parallelism`] applies).
     pub num_threads: usize,
-}
-
-impl WorkerOptions {
-    fn effective_threads(&self) -> usize {
-        if self.num_threads > 0 {
-            return self.num_threads;
-        }
-        MinerConfig::default().effective_parallelism()
-    }
-
-    fn scan_options(&self) -> ScanOptions<'static> {
-        ScanOptions::new(self.effective_threads())
-    }
 }
 
 /// The accumulated partition: schema, encoders, and the code columns
@@ -92,13 +81,9 @@ impl Partition {
             }
         }
         // A block after counting began re-opens the raw columns (the
-        // assembled table owns them by then — copy them back out).
+        // assembled table owns them by then).
         if let Some(encoded) = self.encoded.take() {
-            self.columns = self
-                .schema
-                .iter()
-                .map(|(id, _)| encoded.codes(id).to_vec())
-                .collect();
+            self.columns = encoded.into_columns();
         }
         let added = block[0].len();
         for (col, add) in self.columns.iter_mut().zip(block) {
@@ -108,16 +93,46 @@ impl Partition {
         Ok(())
     }
 
-    /// Window `window` of `pairs`' histograms over the partition (the
-    /// `CountPairs` answer).
-    fn count_pairs(
+    /// Answer a counting request over the partition through a local
+    /// source, or say why it cannot be answered.
+    fn count(
         &mut self,
-        pairs: Vec<(u32, u32)>,
-        window: Range<u64>,
-        options: ScanOptions<'_>,
-    ) -> Result<Vec<u64>, String> {
+        request: DistRequest,
+        config: &MinerConfig,
+    ) -> Result<DistResponse, String> {
+        if let DistRequest::CountPairs { window, pairs, .. } = &request {
+            self.check_pairs(pairs, window)?;
+        }
+        let table = self.table();
+        let mut source = InMemorySource::new(table, config);
+        let cancelled = |_: CountError| "counting scan was cancelled".to_string();
+        Ok(match request {
+            DistRequest::CountItems => DistResponse::ItemCounts {
+                counts: source.value_counts().map_err(cancelled)?,
+            },
+            DistRequest::CountCandidates { pass, candidates } => DistResponse::Counts {
+                counts: source
+                    .count(pass as usize, &candidates)
+                    .map_err(cancelled)?,
+            },
+            DistRequest::CountPairs { pairs, window, .. } => {
+                let window = window.start as usize..window.end as usize;
+                let mut hist = PairHistograms::window(table, pairs, window);
+                source.count_pair_cells(&mut hist).map_err(cancelled)?;
+                DistResponse::PairCounts {
+                    cells: hist.into_cells(),
+                }
+            }
+            _ => unreachable!("only counting requests are counted"),
+        })
+    }
+
+    /// Reject a `CountPairs` whose pairs name an unknown or repeated
+    /// attribute, or whose window runs past the pairs' cells or holds
+    /// more than one frame.
+    fn check_pairs(&self, pairs: &[(u32, u32)], window: &Range<u64>) -> Result<(), String> {
         let mut cells = 0usize;
-        for &(a, b) in &pairs {
+        for &(a, b) in pairs {
             let card = |attr: u32| {
                 self.encoders
                     .get(attr as usize)
@@ -140,12 +155,7 @@ impl Partition {
                 "{wanted} histogram cells exceed the {MAX_PAIR_CELLS} one frame holds"
             ));
         }
-        let window = window.start as usize..window.end as usize;
-        let table = self.table();
-        let mut hist = PairHistograms::window(table, pairs, window);
-        hist.scan(table, options)
-            .map_err(|_| "counting scan was cancelled".to_string())?;
-        Ok(hist.into_cells())
+        Ok(())
     }
 
     /// The partition as a scannable table, assembled on first use.
@@ -163,6 +173,45 @@ impl Partition {
     }
 }
 
+/// One coordinator connection's state: the scan settings and the
+/// partition received so far.
+pub(crate) struct Worker {
+    config: MinerConfig,
+    partition: Option<Partition>,
+}
+
+impl Worker {
+    pub(crate) fn new(opts: &WorkerOptions) -> Self {
+        Worker {
+            config: MinerConfig {
+                parallelism: NonZeroUsize::new(opts.num_threads),
+                ..MinerConfig::default()
+            },
+            partition: None,
+        }
+    }
+
+    /// The reply to `request` (`Bye` to `Shutdown`).
+    pub(crate) fn respond(&mut self, request: DistRequest) -> DistResponse {
+        let reply = match (request, &mut self.partition) {
+            (DistRequest::Setup { schema, encoders }, partition) => {
+                *partition = Some(Partition::new(schema, encoders));
+                Ok(DistResponse::Ready)
+            }
+            (DistRequest::Shutdown, _) => Ok(DistResponse::Bye),
+            (DistRequest::Rows { .. }, None) => Err("rows before setup".to_string()),
+            (DistRequest::Rows { columns }, Some(p)) => {
+                p.append(columns).map(|()| DistResponse::RowsLoaded {
+                    total_rows: p.rows as u64,
+                })
+            }
+            (_, None) => Err("count before setup".to_string()),
+            (request, Some(p)) => p.count(request, &self.config),
+        };
+        reply.unwrap_or_else(|message| DistResponse::Error { message })
+    }
+}
+
 /// Serve one coordinator connection until `Shutdown` or a clean EOF.
 ///
 /// Generic over the stream so tests can drive it with in-memory pipes;
@@ -171,62 +220,16 @@ pub fn serve_connection<S: Read + Write>(
     stream: &mut S,
     opts: &WorkerOptions,
 ) -> Result<(), ProtocolError> {
-    let mut partition: Option<Partition> = None;
-    loop {
-        let Some(request) = read_request(stream)? else {
-            return Ok(()); // coordinator went away at a frame boundary
-        };
-        let response = match request {
-            DistRequest::Setup { schema, encoders } => {
-                partition = Some(Partition::new(schema, encoders));
-                DistResponse::Ready
-            }
-            DistRequest::Rows { columns } => match &mut partition {
-                None => DistResponse::Error {
-                    message: "rows before setup".to_string(),
-                },
-                Some(p) => match p.append(columns) {
-                    Ok(()) => DistResponse::RowsLoaded {
-                        total_rows: p.rows as u64,
-                    },
-                    Err(message) => DistResponse::Error { message },
-                },
-            },
-            DistRequest::CountItems => match &mut partition {
-                None => DistResponse::Error {
-                    message: "count before setup".to_string(),
-                },
-                Some(p) => DistResponse::ItemCounts {
-                    counts: attribute_value_counts(p.table()),
-                },
-            },
-            DistRequest::CountCandidates { candidates, .. } => match &mut partition {
-                None => DistResponse::Error {
-                    message: "count before setup".to_string(),
-                },
-                Some(p) => match count_candidates(p.table(), &candidates, opts.scan_options()) {
-                    Ok((counts, _)) => DistResponse::Counts { counts },
-                    Err(_) => DistResponse::Error {
-                        message: "counting scan was cancelled".to_string(),
-                    },
-                },
-            },
-            DistRequest::CountPairs { pairs, window, .. } => match &mut partition {
-                None => DistResponse::Error {
-                    message: "count before setup".to_string(),
-                },
-                Some(p) => match p.count_pairs(pairs, window, opts.scan_options()) {
-                    Ok(cells) => DistResponse::PairCounts { cells },
-                    Err(message) => DistResponse::Error { message },
-                },
-            },
-            DistRequest::Shutdown => {
-                write_response(stream, &DistResponse::Bye)?;
-                return Ok(());
-            }
-        };
-        write_response(stream, &response)?;
+    let mut worker = Worker::new(opts);
+    // `None` is the coordinator going away at a frame boundary.
+    while let Some(request) = read_request(stream)? {
+        let shutdown = matches!(request, DistRequest::Shutdown);
+        write_response(stream, &worker.respond(request))?;
+        if shutdown {
+            break;
+        }
     }
+    Ok(())
 }
 
 /// Connect to a coordinator at `addr` and serve until shutdown — the

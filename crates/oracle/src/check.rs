@@ -21,11 +21,12 @@ use qar_apriori::apriori;
 use qar_apriori::bridge::to_transactions;
 use qar_core::naive::naive_mine;
 use qar_core::pipeline::build_encoders;
+use qar_core::source::Backing;
 use qar_core::{
     InterestMode, ItemsetSetDelta, Miner, MinerConfig, MinerError, MiningOutput, PartitionStrategy,
     QuantFrequentItemsets, RuleSetDelta, ScanKernel, SupportCounts, UpdateInput,
 };
-use qar_dist::{Backing, DistOptions, DistSource, WorkerOptions, WorkerSpawn};
+use qar_dist::{DistOptions, DistSource, WorkerOptions, WorkerSpawn};
 use qar_itemset::{Item, Itemset};
 use qar_partition::range_completeness::snap_to_intervals;
 use qar_partition::{num_intervals, EquiDepth, EquiWidth, KMeans1D, Partitioner, MAX_INTERVALS};

@@ -179,6 +179,11 @@ impl ChunkStore {
         self.chunk_rows.len()
     }
 
+    /// Rows in chunk `index`, known without reading it.
+    pub fn chunk_len(&self, index: usize) -> usize {
+        self.chunk_rows[index]
+    }
+
     /// Total rows across all chunks.
     pub fn num_rows(&self) -> usize {
         self.num_rows

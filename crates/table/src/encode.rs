@@ -451,6 +451,12 @@ impl EncodedTable {
         &self.columns[id.index()]
     }
 
+    /// Consume into the code columns, schema order (how a row block
+    /// leaves for the wire without another copy).
+    pub fn into_columns(self) -> Vec<Vec<u32>> {
+        self.columns
+    }
+
     /// The encoder for `id`.
     pub fn encoder(&self, id: AttributeId) -> &AttributeEncoder {
         &self.encoders[id.index()]

@@ -56,7 +56,7 @@ fi
 # Query throughput floor (the bin exits non-zero below 10k queries/sec).
 QAR_BENCH_QUICK=1 ./target/release/store_query > /dev/null
 
-echo "==> cli typos (every verb rejects a misspelled flag; a closed stdout pipe exits 0)"
+echo "==> cli typos (every verb rejects a misspelled flag; a closed stdout pipe exits 0; trace-check runs anywhere)"
 # Each verb checks its command line against its entry in the flag
 # table: a flag the entry does not list must fail the run and be named
 # on stderr, never be ignored while the command runs on a default.
@@ -80,11 +80,16 @@ done <<EOF
 --record bench-analytics
 --worker bench-dist
 --deltas bench-update
+--bogus help
 EOF
 # A reader that stops early closes qar's stdout; under pipefail the
 # pipeline must still exit 0.
 ./target/release/qar query "$STORE_DIR/cat.qarcat" | head -1 > /dev/null
 ./target/release/qar generate credit --records 100000 | head -1 > /dev/null
+# The default trace schema is compiled in: trace-check needs no checkout
+# in its working directory.
+QAR="$PWD/target/release/qar"
+(cd /tmp && "$QAR" trace-check "$TRACE_FILE" > /dev/null)
 
 echo "==> serve smoke (daemon + concurrent load + trace validation + qps floor)"
 # Start the rule-serving daemon on an OS-assigned port over the catalog

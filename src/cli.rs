@@ -22,12 +22,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qar_analytics::AnalyticsConfig;
+use qar_core::source::Backing;
 use qar_core::{
-    mine_source, mine_source_captured, ChunkedSource, CountError, CountSource, InMemorySource,
-    InterestConfig, InterestMode, Miner, MinerConfig, MinerError, MiningOutput, PartitionSpec,
-    PartitionStrategy, QuantRule, RuleInterest, SupportCounts, UpdateInput,
+    mine_source, mine_source_captured, CountError, CountSource, InMemorySource, InterestConfig,
+    InterestMode, Miner, MinerConfig, MinerError, MiningOutput, PartitionSpec, PartitionStrategy,
+    QuantRule, RuleInterest, SupportCounts, UpdateInput,
 };
-use qar_dist::{Backing, DistOptions, DistSource, WorkerOptions, WorkerSpawn};
+use qar_dist::{DistOptions, DistSource, WorkerOptions, WorkerSpawn};
 use qar_prng::Prng;
 use qar_store::format::tag::COUNTS_V1;
 use qar_store::protocol::{Query, QueryOptions, Request, Response};
@@ -164,7 +165,7 @@ pub struct TraceCheckArgs {
     /// Trace file to validate; `-` (the default) reads stdin.
     pub input: String,
     /// Schema file path; `None` uses the checked-in default
-    /// (`schemas/trace_events.schema.json`).
+    /// (`schemas/trace_events.schema.json`, compiled in).
     pub schema: Option<String>,
 }
 
@@ -577,7 +578,7 @@ struct VerbSpec {
     build: fn(&Flags<'_>) -> Result<Command, CliError>,
 }
 
-/// The flag table: every verb but `help`. [`parse_command`] rejects any
+/// The flag table: one entry per verb. [`parse_command`] rejects any
 /// flag its verb's entry does not list, and a test holds each entry to
 /// the verb's section of [`USAGE`].
 const VERBS: &[VerbSpec] = &[
@@ -736,6 +737,14 @@ const VERBS: &[VerbSpec] = &[
             }))
         },
     },
+    VerbSpec {
+        verb: "help",
+        positionals: 0,
+        values: "",
+        switches: "",
+        repeated: "",
+        build: |_| Ok(Command::Help),
+    },
 ];
 
 /// A command line checked against its verb's [`VerbSpec`]: the leading
@@ -859,9 +868,10 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
     let Some((verb, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    if matches!(verb.as_str(), "help" | "--help" | "-h") {
-        return Ok(Command::Help);
-    }
+    let verb = match verb.as_str() {
+        "--help" | "-h" => "help",
+        verb => verb,
+    };
     let spec = VERBS
         .iter()
         .find(|spec| spec.verb == verb)
@@ -1203,18 +1213,13 @@ fn dispatch(command: &Command, out: &mut Stdout<'_>) -> Result<(), Box<dyn Error
         Command::Help => out.write_all(USAGE.as_bytes())?,
         Command::Mine(args) => run_mine(args, process_spawn(args)?, trace_sink(args.trace), out)?,
         Command::Generate(args) if args.output == "-" => run_generate(args, out)?,
-        Command::Generate(args) => {
-            let mut file = BufWriter::new(File::create(&args.output)?);
-            run_generate(args, &mut file)?;
-            file.flush()?;
-        }
+        Command::Generate(args) => run_generate(args, &mut File::create(&args.output)?)?,
         Command::TraceCheck(args) => {
-            let path = args
-                .schema
-                .as_deref()
-                .unwrap_or("schemas/trace_events.schema.json");
-            let schema = std::fs::read_to_string(path)
-                .map_err(|e| err(format!("cannot read schema `{path}`: {e}")))?;
+            let schema = match &args.schema {
+                None => TRACE_SCHEMA.to_string(),
+                Some(path) => std::fs::read_to_string(path)
+                    .map_err(|e| err(format!("cannot read schema `{path}`: {e}")))?,
+            };
             let trace = String::from_utf8(read_input(&args.input)?)
                 .map_err(|e| err(format!("trace `{}`: {e}", args.input)))?;
             run_trace_check(&schema, &trace, out)?;
@@ -1314,23 +1319,22 @@ fn topology_source<'a>(
     sink: Option<&'a dyn ProgressSink>,
     cancel: Option<&'a CancelToken>,
 ) -> Result<Box<dyn CountSource + 'a>, MinerError> {
-    if args.workers > 0 {
-        let spawn = spawn.ok_or_else(|| {
-            MinerError::Distributed("distributed mining needs a worker spawn".to_string())
-        })?;
-        let options = DistOptions {
-            workers: args.workers,
-            spawn,
-            ..DistOptions::default()
-        };
-        return Ok(Box::new(DistSource::start(
-            backing, config, &options, sink, cancel,
-        )?));
+    if args.workers == 0 {
+        return Ok(Box::new(
+            InMemorySource::new(backing, config).with_cancel(cancel),
+        ));
     }
-    Ok(match backing {
-        Backing::Memory(table) => Box::new(InMemorySource::new(table, config).with_cancel(cancel)),
-        Backing::Chunks(store) => Box::new(ChunkedSource::new(store, config).with_cancel(cancel)),
-    })
+    let spawn = spawn.ok_or_else(|| {
+        MinerError::Distributed("distributed mining needs a worker spawn".to_string())
+    })?;
+    let options = DistOptions {
+        workers: args.workers,
+        spawn,
+        ..DistOptions::default()
+    };
+    Ok(Box::new(DistSource::start(
+        backing, config, &options, sink, cancel,
+    )?))
 }
 
 /// Execute `qar mine`, writing the report to `out` and trace events to
@@ -1634,7 +1638,7 @@ fn write_mine_report(
     Ok(())
 }
 
-/// Execute `qar generate`, writing CSV to `out`.
+/// Execute `qar generate`, writing CSV to `out` through a 64 KiB buffer.
 pub fn run_generate(
     args: &GenerateArgs,
     out: &mut impl std::io::Write,
@@ -1658,9 +1662,15 @@ pub fn run_generate(
         }
         other => return Err(Box::new(err(format!("unknown dataset `{other}`")))),
     };
-    csv::write_table(out, &table)?;
+    let mut out = BufWriter::with_capacity(1 << 16, out);
+    csv::write_table(&mut out, &table)?;
+    out.flush()?;
     Ok(())
 }
+
+/// The checked-in trace-event schema `qar trace-check` validates against
+/// unless given `--schema`, compiled in so it runs from any directory.
+const TRACE_SCHEMA: &str = include_str!("../schemas/trace_events.schema.json");
 
 /// Execute `qar trace-check`: validate a JSON-lines trace stream against
 /// the given schema document, writing a per-event tally to `out`. Fails on
@@ -3031,6 +3041,7 @@ mod tests {
             ("bench-analytics", "--record 5"),
             ("bench-dist", "--worker 3"),
             ("bench-update", "--deltas 0.5"),
+            ("help", "--bogus 1"),
         ];
         let verb_of = |base: &str| base.split(' ').next().unwrap().to_string();
         let covered: BTreeSet<String> = cases.iter().map(|(base, _)| verb_of(base)).collect();
@@ -3088,14 +3099,16 @@ mod tests {
             section.push_str(line);
             section.push('\n');
         }
+        // `help` prints the synopsis section itself.
         let header = |verb: &str| match verb {
             "mine" => "MINE OPTIONS".to_string(),
+            "help" => "USAGE".to_string(),
             verb => verb.to_uppercase(),
         };
         let headers: BTreeSet<String> = VERBS.iter().map(|spec| header(spec.verb)).collect();
         let documented: BTreeSet<String> = sections
             .keys()
-            .filter(|name| !["", "USAGE"].contains(name))
+            .filter(|name| !name.is_empty())
             .map(|name| name.to_string())
             .collect();
         assert_eq!(documented, headers, "one USAGE section per verb");
@@ -3112,7 +3125,11 @@ mod tests {
             );
             let synopsis = sections["USAGE"]
                 .lines()
-                .find(|line| line.starts_with(&format!("  qar {} ", spec.verb)))
+                .find(|line| {
+                    let synopsis = format!("  qar {}", spec.verb);
+                    line.strip_prefix(&synopsis)
+                        .is_some_and(|rest| rest.is_empty() || rest.starts_with(' '))
+                })
                 .unwrap_or_else(|| panic!("no synopsis for `qar {}`", spec.verb));
             assert!(flags_in(synopsis).is_subset(&table), "{synopsis}");
             every_flag.extend(table);
@@ -3153,6 +3170,39 @@ mod tests {
         let missing = parse_command(&argv("query /nonexistent-dir/c.qarcat")).unwrap();
         let e = run(&missing, &mut closed()).unwrap_err();
         assert!(e.to_string().contains("cannot open"), "{e}");
+    }
+
+    /// `qar generate` to stdout buffers its rows: 1,000 rows reach the
+    /// writer in a few `write` calls, as the bytes `--output FILE` gets.
+    #[test]
+    fn generate_to_stdout_is_buffered() {
+        #[derive(Default)]
+        struct Counting {
+            bytes: Vec<u8>,
+            writes: usize,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let generate = "generate credit --records 1000 --seed 3";
+        let mut stdout = Counting::default();
+        run(&parse_command(&argv(generate)).unwrap(), &mut stdout).unwrap();
+        let path =
+            std::env::temp_dir().join(format!("qar-cli-generate-{}.csv", std::process::id()));
+        let to_file = format!("{generate} --output {}", path.display());
+        run(&parse_command(&argv(&to_file)).unwrap(), &mut Vec::new()).unwrap();
+        let file = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(stdout.bytes, file);
+        assert!(file.len() > 20_000, "{} bytes", file.len());
+        assert!(stdout.writes <= 3, "{} writes", stdout.writes);
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //! incremental updates follow the pair-subset rule.
 
 use quantrules::core::pipeline::{build_encoders, MiningOutput};
+use quantrules::core::source::Backing;
 use quantrules::core::supercand::{PairHistograms, CELL_BUDGET};
 use quantrules::core::{
-    mine_source_captured, CaptureSource, CapturedCounts, ChunkedSource, CountError, CountSource,
-    InMemorySource, MergeSource, Miner, MinerConfig, MinerError, PartitionSpec, SupportCounts,
-    UpdateInput,
+    mine_source_captured, CaptureSource, CapturedCounts, CountError, CountSource, InMemorySource,
+    MergeSource, Miner, MinerConfig, MinerError, PartitionSpec, SupportCounts, UpdateInput,
 };
-use quantrules::dist::{Backing, DistOptions, DistSource, WorkerOptions, WorkerSpawn};
+use quantrules::dist::{DistOptions, DistSource, WorkerOptions, WorkerSpawn};
 use quantrules::itemset::{CounterKind, Itemset};
 use quantrules::store::Catalog;
 use quantrules::table::{
@@ -172,7 +172,7 @@ fn check_every_source(raw: &Table, config: &MinerConfig, cut: usize, ctx: &str) 
     let store = spill(&table, (rows / 3).max(1));
 
     let mut in_memory = InMemorySource::new(&table, config);
-    let mut chunked = ChunkedSource::new(&store, config);
+    let mut chunked = InMemorySource::new(&store, config);
     let mut dist = cluster(&table, config);
     let mut forwarding = Forwarding(InMemorySource::new(&table, config));
     let mut delta_source = InMemorySource::new(&delta, config);
@@ -224,7 +224,7 @@ fn check_every_source(raw: &Table, config: &MinerConfig, cut: usize, ctx: &str) 
         )
     });
     let fresh: Vec<(&str, Box<dyn CountSource + '_>)> = vec![
-        ("chunked", Box::new(ChunkedSource::new(&store, config))),
+        ("chunked", Box::new(InMemorySource::new(&store, config))),
         ("distributed", Box::new(cluster(&table, config))),
         (
             "forwarding",
