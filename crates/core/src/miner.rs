@@ -16,7 +16,7 @@ use crate::source::{
     MergeSource,
 };
 use qar_itemset::CounterKind;
-use qar_table::{AttributeEncoder, Column, EncodedTable, Histogram, Schema, Table, TableError};
+use qar_table::{AttributeEncoder, Column, EncodedTable, Schema, Table, TableError, TableRanks};
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 
 /// A configured miner: the builder-style entry point for the pipeline.
@@ -29,8 +29,13 @@ use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 ///   periodic checks inside every shard scan), returning partial
 ///   statistics via [`MinerError::Cancelled`],
 /// - caches the partitioned/encoded form of the last table it mined, so
-///   re-mining the same table (e.g. with different support thresholds)
-///   skips Steps 1–2 entirely,
+///   re-mining the same table (e.g. with a different confidence or
+///   interest level) skips Steps 1–2 entirely. The same table or a clone
+///   is recognized by [`Table::identity`] without reading a cell; a
+///   table built apart is fingerprinted once. A change that re-partitions
+///   (K, strategy, taxonomies, minimum support) re-encodes from the
+///   cached histograms and value ranks by one lookup per cell,
+///   and [`crate::MiningStats::encoding_reused`] is false there,
 /// - runs Steps 3–5 through the one level-wise driver of
 ///   [`crate::source`] over an [`InMemorySource`] that carries its
 ///   kernel, scan pool and cancellation token.
@@ -67,10 +72,14 @@ pub struct Miner {
 
 /// The memoized Steps 1–2 of the previous [`Miner::mine`] call.
 struct EncodingCache {
-    /// [`table_fingerprint`] of the table both fields describe.
+    /// [`Table::identity`] of the last table seen with these contents:
+    /// while it matches, the table is not fingerprinted again.
+    identity: u64,
+    /// [`table_fingerprint`] of the table the other fields describe.
     fingerprint: (u64, u64),
-    /// The table's value histograms; they hold under any configuration.
-    histograms: Vec<Histogram>,
+    /// The table's value histograms and value ranks; they hold under any
+    /// configuration.
+    ranks: TableRanks,
     /// The encoding under the current partitioning policy, with the
     /// intervals chosen per attribute; dropped when the policy changes.
     encoded: Option<(EncodedTable, Vec<Option<usize>>)>,
@@ -172,31 +181,40 @@ impl Miner {
     /// Steps 1 + 2: partition and encode `table` into the cache, unless
     /// the cache already holds the encoding of a bit-identical table.
     /// Returns whether the encoding was reused. A cache miss on a
-    /// bit-identical table still reuses its histograms.
+    /// bit-identical table still reuses its histograms and re-encodes
+    /// by value rank. The table is fingerprinted only when its
+    /// [`Table::identity`] is not the cached one.
     fn encode_cached(&mut self, table: &Table) -> Result<bool, MinerError> {
         self.config.validate()?;
         crate::pipeline::validate_partitioning(table.schema(), &self.config)?;
         if table.is_empty() {
             return Err(MinerError::Schema(TableError::EmptyTable));
         }
-        let fingerprint = table_fingerprint(table);
-        if self
-            .cache
-            .as_ref()
-            .is_none_or(|cache| cache.fingerprint != fingerprint)
-        {
-            self.cache = Some(EncodingCache {
-                fingerprint,
-                histograms: table.histograms(),
-                encoded: None,
-            });
+        let identity = table.identity();
+        if self.cache.as_ref().is_none_or(|c| c.identity != identity) {
+            let fingerprint = table_fingerprint(table);
+            match &mut self.cache {
+                Some(cache) if cache.fingerprint == fingerprint => cache.identity = identity,
+                cache => {
+                    *cache = Some(EncodingCache {
+                        identity,
+                        fingerprint,
+                        ranks: TableRanks::new(table),
+                        encoded: None,
+                    })
+                }
+            }
         }
         let cache = self.cache.as_mut().expect("cache populated above");
         let reused = cache.encoded.is_some();
         if !reused {
-            let (encoders, intervals) =
-                build_encoders_from_histograms(table.schema(), &cache.histograms, &self.config)?;
-            cache.encoded = Some((EncodedTable::encode(table, encoders)?, intervals));
+            let (encoders, intervals) = build_encoders_from_histograms(
+                table.schema(),
+                cache.ranks.histograms(),
+                &self.config,
+            )?;
+            let encoded = EncodedTable::encode_ranked(table, &cache.ranks, encoders)?;
+            cache.encoded = Some((encoded, intervals));
         }
         Ok(reused)
     }
@@ -715,6 +733,124 @@ mod tests {
         assert_ne!(base, relabel(["Yes", "No", "No", "Yes", "Yes"]));
         assert_ne!(base, relabel(["No", "Yes", "No", "Yes", "No"]));
         assert_ne!(base, relabel(["No", "Yes", "No", "Yes", "Yea"]));
+    }
+
+    #[test]
+    fn table_grown_after_a_mine_is_not_reused() {
+        let mut table = people_table();
+        let mut miner = Miner::new(config());
+        miner.mine(&table).unwrap();
+        table
+            .push_row(&[Value::Int(60), Value::from("Yes"), Value::Int(3)])
+            .unwrap();
+        let grown = miner.mine(&table).unwrap();
+        assert!(!grown.stats.encoding_reused);
+        assert_eq!(grown.frequent.num_rows, 6);
+        let fresh = Miner::new(config()).mine(&table).unwrap();
+        assert_eq!(grown.rules, fresh.rules);
+        assert!(miner.mine(&table).unwrap().stats.encoding_reused);
+    }
+
+    #[test]
+    fn clone_and_bit_identical_table_are_reused() {
+        let table = people_table();
+        let mut miner = Miner::new(config());
+        let first = miner.mine(&table).unwrap();
+        let clone = table.clone();
+        assert_eq!(clone.identity(), table.identity());
+        assert!(miner.mine(&clone).unwrap().stats.encoding_reused);
+        // Built apart: another identity, the same fingerprint.
+        let rebuilt = people_table();
+        assert_ne!(rebuilt.identity(), table.identity());
+        let again = miner.mine(&rebuilt).unwrap();
+        assert!(again.stats.encoding_reused);
+        assert_eq!(again.rules, first.rules);
+        // The fingerprint adopted the new identity; the old one still hits.
+        assert!(miner.mine(&rebuilt).unwrap().stats.encoding_reused);
+        assert!(miner.mine(&table).unwrap().stats.encoding_reused);
+    }
+
+    /// Codes re-cut through the cached value ranks equal a fresh
+    /// `EncodedTable::encode` column for column, under every strategy and
+    /// interval policy, a taxonomy, and `-0.0` cells.
+    #[test]
+    fn recut_codes_equal_a_fresh_encode() {
+        use crate::config::PartitionStrategy;
+        let schema = Schema::builder()
+            .quantitative("x")
+            .quantitative("y")
+            .categorical("c")
+            .build()
+            .unwrap();
+        let mut table = Table::new(schema);
+        let labels = ["NY", "SF", "LA", "Boston"];
+        for r in 0..400usize {
+            let x = match r % 7 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => ((r * 37) % 101) as f64 / 4.0 - 10.0,
+            };
+            let y = ((r * r) % 53) as i64 - 20;
+            table
+                .push_row(&[Value::Float(x), Value::Int(y), Value::from(labels[r % 4])])
+                .unwrap();
+        }
+        let taxonomy = qar_table::Taxonomy::from_edges(&[
+            ("NY", "East"),
+            ("Boston", "East"),
+            ("SF", "West"),
+            ("LA", "West"),
+        ])
+        .unwrap();
+        let base = MinerConfig {
+            min_support: 0.1,
+            max_support: 0.5,
+            max_itemset_size: 2,
+            ..config()
+        };
+        let per_attribute = [("x".to_string(), 5), ("y".to_string(), 3)];
+        let policies = [
+            (
+                PartitionSpec::FixedIntervals(4),
+                PartitionStrategy::EquiDepth,
+            ),
+            (
+                PartitionSpec::FixedIntervals(6),
+                PartitionStrategy::EquiWidth,
+            ),
+            (PartitionSpec::FixedIntervals(5), PartitionStrategy::KMeans),
+            (
+                PartitionSpec::CompletenessLevel(3.0),
+                PartitionStrategy::EquiDepth,
+            ),
+            (
+                PartitionSpec::PerAttribute(per_attribute.into_iter().collect()),
+                PartitionStrategy::EquiDepth,
+            ),
+            (PartitionSpec::None, PartitionStrategy::EquiDepth),
+        ];
+        let mut miner = Miner::new(base.clone());
+        for (partitioning, partition_strategy) in policies {
+            for taxonomies in [
+                Default::default(),
+                [("c".to_string(), taxonomy.clone())].into(),
+            ] {
+                let cfg = MinerConfig {
+                    partitioning: partitioning.clone(),
+                    partition_strategy,
+                    taxonomies,
+                    ..base.clone()
+                };
+                miner.set_config(cfg.clone());
+                let recut = miner.mine(&table).unwrap();
+                let (encoders, _) = crate::pipeline::build_encoders(&table, &cfg).unwrap();
+                let fresh = EncodedTable::encode(&table, encoders).unwrap();
+                assert_eq!(recut.encoded.encoders(), fresh.encoders(), "{cfg:?}");
+                for (id, _) in table.schema().iter() {
+                    assert_eq!(recut.encoded.codes(id), fresh.codes(id), "{cfg:?} {id:?}");
+                }
+            }
+        }
     }
 
     fn bigger_table(rows: std::ops::Range<usize>) -> Table {

@@ -11,14 +11,16 @@
 //!
 //! Errors split two ways, mirroring the serve protocol's convention:
 //! application-level problems (rows before setup, a code outside its
-//! encoder's range, a pair list naming an unknown or repeated attribute
-//! or more cells than one frame holds) become [`DistResponse::Error`] replies and the
-//! connection lives on; transport-level problems (corrupt frame, socket
+//! encoder's range, a candidate or pair list naming an unknown or
+//! repeated attribute, a candidate item outside its attribute's codes, a
+//! pair list of more cells than one frame holds) become
+//! [`DistResponse::Error`] replies and the connection lives on; transport-level problems (corrupt frame, socket
 //! loss) terminate the serve loop with a [`ProtocolError`].
 
 use qar_core::source::{CountError, CountSource, InMemorySource};
 use qar_core::supercand::PairHistograms;
 use qar_core::MinerConfig;
+use qar_itemset::{Item, Itemset};
 use qar_store::dist::{read_request, write_response, DistRequest, DistResponse, MAX_PAIR_CELLS};
 use qar_store::protocol::ProtocolError;
 use qar_table::{AttributeEncoder, EncodedTable, Schema};
@@ -100,8 +102,10 @@ impl Partition {
         request: DistRequest,
         config: &MinerConfig,
     ) -> Result<DistResponse, String> {
-        if let DistRequest::CountPairs { window, pairs, .. } = &request {
-            self.check_pairs(pairs, window)?;
+        match &request {
+            DistRequest::CountPairs { window, pairs, .. } => self.check_pairs(pairs, window)?,
+            DistRequest::CountCandidates { candidates, .. } => self.check_candidates(candidates)?,
+            _ => {}
         }
         let table = self.table();
         let mut source = InMemorySource::new(table, config);
@@ -125,6 +129,31 @@ impl Partition {
             }
             _ => unreachable!("only counting requests are counted"),
         })
+    }
+
+    /// Reject a `CountCandidates` whose candidates name an unknown
+    /// attribute, repeat one, or hold an item outside `lo ≤ hi <
+    /// cardinality`.
+    fn check_candidates(&self, candidates: &[Itemset]) -> Result<(), String> {
+        for (c, candidate) in candidates.iter().enumerate() {
+            let items = candidate.items();
+            if items.windows(2).any(|w| w[0].attr >= w[1].attr) {
+                return Err(format!("candidate {c} repeats an attribute"));
+            }
+            for &Item { attr, lo, hi } in items {
+                let encoder = self
+                    .encoders
+                    .get(attr as usize)
+                    .ok_or_else(|| format!("candidate {c}: no attribute {attr}"))?;
+                if lo > hi || hi >= encoder.cardinality() {
+                    return Err(format!(
+                        "candidate {c}: item {lo}..{hi} outside attribute {attr}'s {} codes",
+                        encoder.cardinality()
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Reject a `CountPairs` whose pairs name an unknown or repeated
@@ -243,7 +272,6 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), ProtocolError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qar_itemset::{Item, Itemset};
     use qar_store::dist::{read_response, write_request};
     use std::io::Cursor;
 
@@ -514,5 +542,43 @@ mod tests {
         );
         assert_eq!(responses[2], DistResponse::Counts { counts: vec![0] });
         assert_eq!(responses[3], DistResponse::PairCounts { cells: vec![0; 6] });
+    }
+
+    /// Candidates naming an unknown attribute or a code past the
+    /// attribute's cardinality are soft errors: the worker answers
+    /// `Error` and counts the next request exactly. (A repeated attribute
+    /// cannot be scripted: `Itemset::new` and the wire decoder both
+    /// refuse one.)
+    #[test]
+    fn bad_candidates_are_soft_errors() {
+        let (schema, encoders) = schema_and_encoders();
+        let count = |candidates: Vec<Itemset>| DistRequest::CountCandidates {
+            pass: 2,
+            candidates,
+        };
+        let good = Itemset::new(vec![Item::value(0, 1), Item::value(1, 1)]);
+        let responses = converse(&[
+            DistRequest::Setup { schema, encoders },
+            DistRequest::Rows {
+                columns: vec![vec![0, 1, 1, 2], vec![1, 1, 0, 1]],
+            },
+            count(vec![
+                good.clone(),
+                Itemset::new(vec![Item::value(0, 0), Item::value(7, 0)]),
+            ]),
+            count(vec![Itemset::new(vec![Item::range(0, 1, 3)])]),
+            count(vec![Itemset::new(vec![Item::value(1, 2)])]),
+            count(vec![good.clone()]),
+            DistRequest::Shutdown,
+        ]);
+        let error = |r: &DistResponse, wanted: &str| match r {
+            DistResponse::Error { message } => assert!(message.contains(wanted), "{message}"),
+            other => panic!("expected Error, got {other:?}"),
+        };
+        error(&responses[2], "no attribute 7");
+        error(&responses[3], "outside attribute 0");
+        error(&responses[4], "outside attribute 1");
+        assert_eq!(responses[5], DistResponse::Counts { counts: vec![1] });
+        assert_eq!(responses[6], DistResponse::Bye);
     }
 }

@@ -19,6 +19,7 @@ use crate::histogram::{CatHistogram, Histogram, QuantHistogram};
 use crate::schema::{AttributeId, Schema};
 use crate::table::{Column, Table};
 use crate::value::{canonical, Value};
+use std::sync::Arc;
 
 /// Inclusive display bounds of one encoded interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -300,15 +301,103 @@ impl AttributeEncoder {
     }
 }
 
+/// A table's value histograms, with each quantitative cell kept as its
+/// rank among its column's distinct values — what re-encoding the same
+/// table under new cuts needs ([`EncodedTable::encode_ranked`]). Every
+/// partitioning cuts a column by value, so each interval is a run of
+/// ranks and a new cut only maps ranks to codes.
+#[derive(Debug, Clone)]
+pub struct TableRanks {
+    histograms: Vec<Histogram>,
+    /// Per attribute; `None` for a categorical column.
+    ranks: Vec<Option<RankColumn>>,
+    num_rows: usize,
+}
+
+/// One quantitative column's ranks, two bytes a cell while the column
+/// has at most 65,536 distinct values.
+#[derive(Debug, Clone)]
+enum RankColumn {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+impl RankColumn {
+    fn of(data: &[f64], values: &[f64]) -> Self {
+        // The column's cells are finite and `-0.0` is stored as `0.0`,
+        // so every cell is one of its histogram's values, bit for bit,
+        // and `<` orders them as the histogram's sort did.
+        let rank = |v: f64| values.partition_point(|&x| x < v);
+        if values.len() <= 1 << 16 {
+            RankColumn::Narrow(data.iter().map(|&v| rank(v) as u16).collect())
+        } else {
+            RankColumn::Wide(data.iter().map(|&v| rank(v) as u32).collect())
+        }
+    }
+
+    fn get(&self, row: usize) -> usize {
+        match self {
+            RankColumn::Narrow(ranks) => ranks[row] as usize,
+            RankColumn::Wide(ranks) => ranks[row] as usize,
+        }
+    }
+
+    /// `lookup[rank]` for every cell.
+    fn gather(&self, lookup: &[u32]) -> Vec<u32> {
+        match self {
+            RankColumn::Narrow(ranks) => ranks.iter().map(|&r| lookup[r as usize]).collect(),
+            RankColumn::Wide(ranks) => ranks.iter().map(|&r| lookup[r as usize]).collect(),
+        }
+    }
+}
+
+impl TableRanks {
+    /// The histograms and ranks of every column of `table`.
+    pub fn new(table: &Table) -> Self {
+        let histograms = table.histograms();
+        let ranks = histograms
+            .iter()
+            .enumerate()
+            .map(
+                |(idx, histogram)| match (histogram, table.column(AttributeId(idx))) {
+                    (Histogram::Quantitative(h), Column::Quantitative { data, .. }) => {
+                        Some(RankColumn::of(data, h.values()))
+                    }
+                    _ => None,
+                },
+            )
+            .collect();
+        TableRanks {
+            histograms,
+            ranks,
+            num_rows: table.num_rows(),
+        }
+    }
+
+    /// The value histogram of every column, schema order.
+    pub fn histograms(&self) -> &[Histogram] {
+        &self.histograms
+    }
+
+    /// Quantitative column `idx`'s distinct values and cell ranks.
+    fn column(&self, idx: usize) -> Option<(&[f64], &RankColumn)> {
+        match (&self.histograms[idx], &self.ranks[idx]) {
+            (Histogram::Quantitative(h), Some(ranks)) => Some((h.values(), ranks)),
+            _ => None,
+        }
+    }
+}
+
 /// A table after Step 2: one `u32` code column per attribute.
 ///
 /// This is the representation all mining passes run over. Column codes are
-/// dense in `0..cardinality(attr)`.
+/// dense in `0..cardinality(attr)`. The code columns are shared, so a
+/// clone (e.g. the one every mining output keeps) copies no codes.
 #[derive(Debug, Clone)]
 pub struct EncodedTable {
     schema: Schema,
     encoders: Vec<AttributeEncoder>,
-    columns: Vec<Vec<u32>>,
+    columns: Arc<Vec<Vec<u32>>>,
     num_rows: usize,
 }
 
@@ -319,6 +408,32 @@ impl EncodedTable {
     /// and then a gather over its codes; a quantitative column by rank
     /// (full resolution) or by interval.
     pub fn encode(table: &Table, encoders: Vec<AttributeEncoder>) -> Result<Self, TableError> {
+        Self::encode_with(table, None, encoders)
+    }
+
+    /// [`EncodedTable::encode`] through `ranks`, taken of this same table:
+    /// a quantitative column maps by one gather through a rank → code
+    /// table that the encoder fills from the column's distinct values,
+    /// instead of one search per cell. The codes and errors are
+    /// [`EncodedTable::encode`]'s.
+    pub fn encode_ranked(
+        table: &Table,
+        ranks: &TableRanks,
+        encoders: Vec<AttributeEncoder>,
+    ) -> Result<Self, TableError> {
+        assert_eq!(
+            ranks.num_rows,
+            table.num_rows(),
+            "ranks were taken of another table"
+        );
+        Self::encode_with(table, Some(ranks), encoders)
+    }
+
+    fn encode_with(
+        table: &Table,
+        ranks: Option<&TableRanks>,
+        encoders: Vec<AttributeEncoder>,
+    ) -> Result<Self, TableError> {
         assert_eq!(
             encoders.len(),
             table.schema().len(),
@@ -333,15 +448,30 @@ impl EncodedTable {
                 attribute: name.to_owned(),
                 value,
             };
+            let ranked = ranks.and_then(|r| r.column(idx));
             let codes = match table.column(id) {
-                Column::Quantitative { data, .. } if encoder.is_quantitative() => data
-                    .iter()
-                    .map(|&v| {
-                        encoder
-                            .encode_number(v)
-                            .ok_or_else(|| unencodable(Value::Float(v).to_string()))
-                    })
-                    .collect::<Result<Vec<u32>, _>>()?,
+                Column::Quantitative { data, .. } if encoder.is_quantitative() => match ranked {
+                    Some((values, ranks)) => {
+                        let lookup: Vec<Option<u32>> =
+                            values.iter().map(|&v| encoder.encode_number(v)).collect();
+                        if lookup.contains(&None) {
+                            let row = (0..data.len())
+                                .find(|&row| lookup[ranks.get(row)].is_none())
+                                .expect("every distinct value occurs in a row");
+                            return Err(unencodable(Value::Float(data[row]).to_string()));
+                        }
+                        let lookup: Vec<u32> = lookup.into_iter().flatten().collect();
+                        ranks.gather(&lookup)
+                    }
+                    None => data
+                        .iter()
+                        .map(|&v| {
+                            encoder
+                                .encode_number(v)
+                                .ok_or_else(|| unencodable(Value::Float(v).to_string()))
+                        })
+                        .collect::<Result<Vec<u32>, _>>()?,
+                },
                 // Dictionary codes are in first-seen order, so the first
                 // unknown entry is also the first row that fails.
                 Column::Categorical(cells) if !encoder.is_quantitative() => {
@@ -369,7 +499,7 @@ impl EncodedTable {
         Ok(EncodedTable {
             schema,
             encoders,
-            columns,
+            columns: Arc::new(columns),
             num_rows: table.num_rows(),
         })
     }
@@ -413,7 +543,7 @@ impl EncodedTable {
         EncodedTable {
             schema,
             encoders,
-            columns,
+            columns: Arc::new(columns),
             num_rows,
         }
     }
@@ -431,7 +561,7 @@ impl EncodedTable {
         EncodedTable {
             schema,
             encoders,
-            columns,
+            columns: Arc::new(columns),
             num_rows,
         }
     }
@@ -452,9 +582,10 @@ impl EncodedTable {
     }
 
     /// Consume into the code columns, schema order (how a row block
-    /// leaves for the wire without another copy).
+    /// leaves for the wire without another copy). Copies the codes only
+    /// when a clone still shares them.
     pub fn into_columns(self) -> Vec<Vec<u32>> {
-        self.columns
+        Arc::try_unwrap(self.columns).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// The encoder for `id`.
@@ -642,5 +773,63 @@ mod tests {
         for (row, &code) in e.codes(AttributeId(0)).iter().enumerate() {
             assert_eq!(code, enc.encode("c", &t.row(row).value(0)).unwrap());
         }
+    }
+
+    /// Through the table's ranks, the codes and the first failing row
+    /// are `encode`'s: the encoder lacks num_cars 0 and 1, and the error
+    /// names row 0's 1, not the smaller 0 of row 2.
+    #[test]
+    fn ranked_encoding_matches_encode() {
+        let t = people();
+        let ranks = TableRanks::new(&t);
+        assert_eq!(ranks.histograms(), t.histograms());
+        for cuts in [vec![], vec![25.0, 30.0, 35.0], vec![24.0, 38.0]] {
+            let encoders: Vec<AttributeEncoder> = t
+                .histograms()
+                .iter()
+                .map(|h| match h {
+                    Histogram::Quantitative(q) => {
+                        AttributeEncoder::quant_intervals_from(q, cuts.clone())
+                    }
+                    Histogram::Categorical(c) => AttributeEncoder::categorical_from(c),
+                })
+                .collect();
+            let ranked = EncodedTable::encode_ranked(&t, &ranks, encoders.clone()).unwrap();
+            let fresh = EncodedTable::encode(&t, encoders).unwrap();
+            for (id, _) in t.schema().iter() {
+                assert_eq!(ranked.codes(id), fresh.codes(id), "{cuts:?}");
+            }
+        }
+        let lacking = vec![
+            AttributeEncoder::quant_values_from(&quants(&[23.0, 25.0, 29.0, 34.0, 38.0])),
+            AttributeEncoder::categorical_from(&cats(&["No", "Yes"])),
+            AttributeEncoder::quant_values_from(&quants(&[2.0])),
+        ];
+        let err = EncodedTable::encode_ranked(&t, &ranks, lacking.clone()).unwrap_err();
+        assert_eq!(err, EncodedTable::encode(&t, lacking).unwrap_err());
+        assert_eq!(
+            err,
+            TableError::UnencodableValue {
+                attribute: "num_cars".into(),
+                value: "1".into()
+            }
+        );
+    }
+
+    #[test]
+    fn clone_shares_the_codes_and_into_columns_copies_only_when_shared() {
+        let e = EncodedTable::encode_full_resolution(&people()).unwrap();
+        let clone = e.clone();
+        assert!(std::ptr::eq(
+            e.codes(AttributeId(0)),
+            clone.codes(AttributeId(0))
+        ));
+        let expected: Vec<Vec<u32>> = e
+            .schema()
+            .iter()
+            .map(|(id, _)| e.codes(id).to_vec())
+            .collect();
+        assert_eq!(clone.into_columns(), expected);
+        assert_eq!(e.into_columns(), expected);
     }
 }

@@ -36,7 +36,7 @@ pub mod value;
 
 pub use chunk::{ChunkStore, TableSummary};
 pub use dictionary::{CatColumn, Dictionary};
-pub use encode::{AttributeEncoder, EncodedTable};
+pub use encode::{AttributeEncoder, EncodedTable, TableRanks};
 pub use error::TableError;
 pub use histogram::{CatHistogram, Histogram, QuantHistogram};
 pub use schema::{AttributeDef, AttributeId, AttributeKind, Schema, SchemaBuilder};

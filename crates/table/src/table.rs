@@ -5,6 +5,7 @@ use crate::error::TableError;
 use crate::histogram::Histogram;
 use crate::schema::{AttributeId, AttributeKind, Schema};
 use crate::value::{canonical, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One column of a [`Table`], stored densely by kind.
 ///
@@ -109,6 +110,41 @@ impl Column {
     }
 }
 
+/// A [`Table::identity`] slot, 0 until minted. Forgetting it is a plain
+/// store through `&mut`, so appending a row costs no atomic operation.
+/// `Relaxed` suffices: an identity publishes no other data.
+#[derive(Debug, Default)]
+struct Identity(AtomicU64);
+
+impl Identity {
+    fn get(&self) -> u64 {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        match self.0.load(Ordering::Relaxed) {
+            0 => {
+                let minted = NEXT.fetch_add(1, Ordering::Relaxed);
+                match self
+                    .0
+                    .compare_exchange(0, minted, Ordering::Relaxed, Ordering::Relaxed)
+                {
+                    Ok(_) => minted,
+                    Err(first) => first,
+                }
+            }
+            id => id,
+        }
+    }
+
+    fn forget(&mut self) {
+        *self.0.get_mut() = 0;
+    }
+}
+
+impl Clone for Identity {
+    fn clone(&self) -> Self {
+        Identity(AtomicU64::new(self.0.load(Ordering::Relaxed)))
+    }
+}
+
 /// A relational table: a [`Schema`] plus row-aligned columns.
 ///
 /// Rows are pushed as slices of [`Value`] and type-checked against the
@@ -133,6 +169,9 @@ pub struct Table {
     schema: Schema,
     columns: Vec<Column>,
     num_rows: usize,
+    /// [`Table::identity`], minted on first request and forgotten by
+    /// every change, so a clone shares it and a grown table does not.
+    identity: Identity,
 }
 
 impl Table {
@@ -153,6 +192,7 @@ impl Table {
             schema,
             columns,
             num_rows: 0,
+            identity: Identity::default(),
         }
     }
 
@@ -174,6 +214,15 @@ impl Table {
     /// True if the table holds no records.
     pub fn is_empty(&self) -> bool {
         self.num_rows == 0
+    }
+
+    /// A process-unique number for this table's current contents: equal
+    /// identities mean equal contents. A clone keeps its table's
+    /// identity; any change to a table gives it a new one. Tables built
+    /// apart from one another never share an identity, even when their
+    /// contents are equal.
+    pub fn identity(&self) -> u64 {
+        self.identity.get()
     }
 
     /// The column for `id`.
@@ -215,6 +264,7 @@ impl Table {
                 }
             }
         }
+        self.identity.forget();
         for (column, cell) in self.columns.iter_mut().zip(cells) {
             match cell {
                 Value::Cat(s) => column.push_label(s),
@@ -226,13 +276,15 @@ impl Table {
     }
 
     /// Column `index` for an appender that fills one row across every
-    /// column before calling [`Table::finish_row`].
+    /// column before calling [`Table::finish_row`] (which forgets the
+    /// identity, once per row rather than per cell).
     pub(crate) fn column_mut(&mut self, index: usize) -> &mut Column {
         &mut self.columns[index]
     }
 
     /// Count the row every column has just received a cell for.
     pub(crate) fn finish_row(&mut self) {
+        self.identity.forget();
         self.num_rows += 1;
     }
 
@@ -432,5 +484,20 @@ mod tests {
         let schema = Schema::builder().categorical("c").build().unwrap();
         let t = Table::with_capacity(schema, 100);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn identity_follows_contents() {
+        let mut t = people_table();
+        let id = t.identity();
+        assert_eq!(id, t.identity());
+        assert_eq!(id, t.clone().identity());
+        assert_ne!(id, people_table().identity(), "built apart");
+        let failed = t.push_row(&[Value::Int(1)]);
+        assert!(failed.is_err());
+        assert_eq!(id, t.identity(), "a failed push changes nothing");
+        t.push_row(&[Value::Int(40), Value::from("No"), Value::Int(0)])
+            .unwrap();
+        assert_ne!(id, t.identity());
     }
 }
