@@ -213,7 +213,7 @@ impl Miner {
                 cache.ranks.histograms(),
                 &self.config,
             )?;
-            let encoded = EncodedTable::encode_ranked(table, &cache.ranks, encoders)?;
+            let encoded = cache.ranks.encode(table, encoders)?;
             cache.encoded = Some((encoded, intervals));
         }
         Ok(reused)

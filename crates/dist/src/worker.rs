@@ -11,16 +11,17 @@
 //!
 //! Errors split two ways, mirroring the serve protocol's convention:
 //! application-level problems (rows before setup, a code outside its
-//! encoder's range, a candidate or pair list naming an unknown or
-//! repeated attribute, a candidate item outside its attribute's codes, a
-//! pair list of more cells than one frame holds) become
-//! [`DistResponse::Error`] replies and the connection lives on; transport-level problems (corrupt frame, socket
-//! loss) terminate the serve loop with a [`ProtocolError`].
+//! encoder's range, a candidate or pair list naming an unknown attribute,
+//! a pair list repeating one, a candidate item outside its attribute's
+//! codes, a pair list of more cells than one frame holds) become
+//! [`DistResponse::Error`] replies and the connection lives on;
+//! transport-level problems (corrupt frame, socket loss) terminate the
+//! serve loop with a [`ProtocolError`].
 
 use qar_core::source::{CountError, CountSource, InMemorySource};
 use qar_core::supercand::PairHistograms;
 use qar_core::MinerConfig;
-use qar_itemset::{Item, Itemset};
+use qar_itemset::Itemset;
 use qar_store::dist::{read_request, write_response, DistRequest, DistResponse, MAX_PAIR_CELLS};
 use qar_store::protocol::ProtocolError;
 use qar_table::{AttributeEncoder, EncodedTable, Schema};
@@ -132,26 +133,14 @@ impl Partition {
     }
 
     /// Reject a `CountCandidates` whose candidates name an unknown
-    /// attribute, repeat one, or hold an item outside `lo ≤ hi <
-    /// cardinality`.
+    /// attribute or hold a code past its attribute's cardinality (the
+    /// wire decoder already refuses `lo > hi` and repeated attributes).
     fn check_candidates(&self, candidates: &[Itemset]) -> Result<(), String> {
+        let cardinality = |attr: u32| self.encoders.get(attr as usize).map(|e| e.cardinality());
         for (c, candidate) in candidates.iter().enumerate() {
-            let items = candidate.items();
-            if items.windows(2).any(|w| w[0].attr >= w[1].attr) {
-                return Err(format!("candidate {c} repeats an attribute"));
-            }
-            for &Item { attr, lo, hi } in items {
-                let encoder = self
-                    .encoders
-                    .get(attr as usize)
-                    .ok_or_else(|| format!("candidate {c}: no attribute {attr}"))?;
-                if lo > hi || hi >= encoder.cardinality() {
-                    return Err(format!(
-                        "candidate {c}: item {lo}..{hi} outside attribute {attr}'s {} codes",
-                        encoder.cardinality()
-                    ));
-                }
-            }
+            candidate
+                .check_codes(cardinality)
+                .map_err(|e| format!("candidate {c} {e}"))?;
         }
         Ok(())
     }
@@ -272,6 +261,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<(), ProtocolError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qar_itemset::Item;
     use qar_store::dist::{read_response, write_request};
     use std::io::Cursor;
 
@@ -575,9 +565,9 @@ mod tests {
             DistResponse::Error { message } => assert!(message.contains(wanted), "{message}"),
             other => panic!("expected Error, got {other:?}"),
         };
-        error(&responses[2], "no attribute 7");
-        error(&responses[3], "outside attribute 0");
-        error(&responses[4], "outside attribute 1");
+        error(&responses[2], "unknown attribute 7");
+        error(&responses[3], "exceed cardinality 3 of attribute 0");
+        error(&responses[4], "exceed cardinality 2 of attribute 1");
         assert_eq!(responses[5], DistResponse::Counts { counts: vec![1] });
         assert_eq!(responses[6], DistResponse::Bye);
     }

@@ -60,6 +60,37 @@ impl fmt::Display for Item {
     }
 }
 
+/// Why an itemset's codes do not fit a table ([`Itemset::check_codes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CodeRangeError {
+    /// An item names an attribute the table lacks.
+    UnknownAttribute(u32),
+    /// An item reaches past its attribute's codes.
+    PastCardinality {
+        /// The offending item.
+        item: Item,
+        /// Its attribute's code count.
+        cardinality: u32,
+    },
+}
+
+impl fmt::Display for CodeRangeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CodeRangeError::UnknownAttribute(attr) => {
+                write!(f, "references unknown attribute {attr}")
+            }
+            CodeRangeError::PastCardinality { item, cardinality } => write!(
+                f,
+                "codes {}..{} exceed cardinality {cardinality} of attribute {}",
+                item.lo, item.hi, item.attr
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CodeRangeError {}
+
 /// A set of items with *distinct attributes*, kept sorted by attribute id.
 ///
 /// The paper's records contain each attribute at most once, so an itemset
@@ -104,6 +135,28 @@ impl Itemset {
     /// True for the empty itemset.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
+    }
+
+    /// Check every item against the code count of its attribute,
+    /// `cardinality(attr)` (`None` for an attribute the table lacks).
+    /// Construction already guarantees `lo <= hi` and distinct
+    /// attributes; this is the rest of what an itemset read from a file
+    /// or the wire must satisfy before it is counted or rendered.
+    pub fn check_codes(
+        &self,
+        cardinality: impl Fn(u32) -> Option<u32>,
+    ) -> Result<(), CodeRangeError> {
+        for &item in &self.items {
+            debug_assert!(item.lo <= item.hi, "item range inverted: {item:?}");
+            match cardinality(item.attr) {
+                None => return Err(CodeRangeError::UnknownAttribute(item.attr)),
+                Some(cardinality) if item.hi >= cardinality => {
+                    return Err(CodeRangeError::PastCardinality { item, cardinality })
+                }
+                Some(_) => {}
+            }
+        }
+        Ok(())
     }
 
     /// The attribute ids, sorted.
@@ -316,6 +369,26 @@ mod tests {
         let a = Itemset::new(vec![Item::value(0, 1)]);
         let b = Itemset::new(vec![Item::value(0, 2)]);
         let _ = a.union_disjoint(&b);
+    }
+
+    #[test]
+    fn check_codes_against_cardinalities() {
+        let cards = [3u32, 2];
+        let cardinality = |attr: u32| cards.get(attr as usize).copied();
+        let s = Itemset::new(vec![Item::range(0, 1, 2), Item::value(1, 1)]);
+        assert_eq!(s.check_codes(cardinality), Ok(()));
+        let past = Itemset::new(vec![Item::range(0, 1, 3), Item::value(1, 1)]);
+        assert_eq!(
+            past.check_codes(cardinality),
+            Err(CodeRangeError::PastCardinality {
+                item: Item::range(0, 1, 3),
+                cardinality: 3
+            })
+        );
+        let unknown = Itemset::new(vec![Item::value(0, 0), Item::value(7, 0)]);
+        let err = unknown.check_codes(cardinality).unwrap_err();
+        assert_eq!(err, CodeRangeError::UnknownAttribute(7));
+        assert_eq!(err.to_string(), "references unknown attribute 7");
     }
 
     #[test]

@@ -28,5 +28,5 @@ pub mod ndcounter;
 
 pub use counter::{CounterKind, RectCounter};
 pub use hash_tree::{HashTree, VisitScratch};
-pub use item::{Item, Itemset};
+pub use item::{CodeRangeError, Item, Itemset};
 pub use ndcounter::MultiDimCounter;

@@ -585,24 +585,9 @@ impl Catalog {
         }
         for (pass, entries) in &counts.captured.passes {
             for (itemset, _) in entries {
-                for item in itemset.items() {
-                    let Some(enc) = self.encoders.get(item.attr as usize) else {
-                        return Err(corrupt(format!(
-                            "pass {pass}: candidate references unknown attribute {}",
-                            item.attr
-                        )));
-                    };
-                    if item.hi >= enc.cardinality() {
-                        return Err(corrupt(format!(
-                            "pass {pass}: candidate codes {}..{} exceed cardinality {} \
-                             of attribute {}",
-                            item.lo,
-                            item.hi,
-                            enc.cardinality(),
-                            item.attr
-                        )));
-                    }
-                }
+                itemset
+                    .check_codes(cardinalities(&self.encoders))
+                    .map_err(|e| corrupt(format!("pass {pass}: candidate {e}")))?;
             }
         }
         Ok(())
@@ -1401,9 +1386,7 @@ fn decode_stats(payload: &[u8]) -> Result<MiningStats, StoreError> {
 }
 
 /// Check an in-memory itemset against the catalog's encoders: non-empty,
-/// every attribute known, every code within the attribute's cardinality.
-/// (`Item`/`Itemset` construction already guarantees `lo <= hi` and
-/// strictly increasing attributes.)
+/// and every code within its attribute ([`Itemset::check_codes`]).
 fn validate_itemset(
     rule: usize,
     side: &str,
@@ -1417,22 +1400,17 @@ fn validate_itemset(
     if itemset.items().is_empty() {
         return Err(corrupt(format!("rule {rule}: empty {side}")));
     }
-    for item in itemset.items() {
-        let Some(enc) = encoders.get(item.attr as usize) else {
-            return Err(corrupt(format!(
-                "rule {rule}: {side} references unknown attribute {}",
-                item.attr
-            )));
-        };
-        if item.hi >= enc.cardinality() {
-            return Err(corrupt(format!(
-                "rule {rule}: {side} codes {}..{} exceed cardinality {} of attribute {}",
-                item.lo,
-                item.hi,
-                enc.cardinality(),
-                item.attr
-            )));
-        }
+    itemset
+        .check_codes(cardinalities(encoders))
+        .map_err(|e| corrupt(format!("rule {rule}: {side} {e}")))
+}
+
+/// The code count of each attribute `encoders` encode, as
+/// [`Itemset::check_codes`] takes it.
+fn cardinalities(encoders: &[AttributeEncoder]) -> impl Fn(u32) -> Option<u32> + '_ {
+    |attr| {
+        encoders
+            .get(attr as usize)
+            .map(AttributeEncoder::cardinality)
     }
-    Ok(())
 }

@@ -301,55 +301,23 @@ impl AttributeEncoder {
     }
 }
 
-/// A table's value histograms, with each quantitative cell kept as its
-/// rank among its column's distinct values — what re-encoding the same
-/// table under new cuts needs ([`EncodedTable::encode_ranked`]). Every
-/// partitioning cuts a column by value, so each interval is a run of
-/// ranks and a new cut only maps ranks to codes.
+/// A table's value histograms, with each quantitative column kept at full
+/// resolution: each cell's code under [`AttributeEncoder::quant_values_from`]
+/// of its histogram, i.e. its rank among the column's distinct values.
+/// Every partitioning cuts a column by value, so each interval is a run of
+/// ranks and re-encoding the same table under new cuts
+/// ([`TableRanks::encode`]) only maps ranks to codes.
 #[derive(Debug, Clone)]
 pub struct TableRanks {
     histograms: Vec<Histogram>,
     /// Per attribute; `None` for a categorical column.
-    ranks: Vec<Option<RankColumn>>,
+    ranks: Vec<Option<Vec<u32>>>,
     num_rows: usize,
 }
 
-/// One quantitative column's ranks, two bytes a cell while the column
-/// has at most 65,536 distinct values.
-#[derive(Debug, Clone)]
-enum RankColumn {
-    Narrow(Vec<u16>),
-    Wide(Vec<u32>),
-}
-
-impl RankColumn {
-    fn of(data: &[f64], values: &[f64]) -> Self {
-        // The column's cells are finite and `-0.0` is stored as `0.0`,
-        // so every cell is one of its histogram's values, bit for bit,
-        // and `<` orders them as the histogram's sort did.
-        let rank = |v: f64| values.partition_point(|&x| x < v);
-        if values.len() <= 1 << 16 {
-            RankColumn::Narrow(data.iter().map(|&v| rank(v) as u16).collect())
-        } else {
-            RankColumn::Wide(data.iter().map(|&v| rank(v) as u32).collect())
-        }
-    }
-
-    fn get(&self, row: usize) -> usize {
-        match self {
-            RankColumn::Narrow(ranks) => ranks[row] as usize,
-            RankColumn::Wide(ranks) => ranks[row] as usize,
-        }
-    }
-
-    /// `lookup[rank]` for every cell.
-    fn gather(&self, lookup: &[u32]) -> Vec<u32> {
-        match self {
-            RankColumn::Narrow(ranks) => ranks.iter().map(|&r| lookup[r as usize]).collect(),
-            RankColumn::Wide(ranks) => ranks.iter().map(|&r| lookup[r as usize]).collect(),
-        }
-    }
-}
+/// How many rows of each quantitative column [`TableRanks::encode`]
+/// checks against the table before trusting the ranks.
+const RANK_SPOT_CHECKS: usize = 16;
 
 impl TableRanks {
     /// The histograms and ranks of every column of `table`.
@@ -360,9 +328,10 @@ impl TableRanks {
             .enumerate()
             .map(
                 |(idx, histogram)| match (histogram, table.column(AttributeId(idx))) {
-                    (Histogram::Quantitative(h), Column::Quantitative { data, .. }) => {
-                        Some(RankColumn::of(data, h.values()))
-                    }
+                    (Histogram::Quantitative(h), Column::Quantitative { data, .. }) => Some(
+                        encode_numbers(&AttributeEncoder::quant_values_from(h), data)
+                            .expect("every cell is one of its column's distinct values"),
+                    ),
                     _ => None,
                 },
             )
@@ -379,13 +348,59 @@ impl TableRanks {
         &self.histograms
     }
 
+    /// [`EncodedTable::encode`] of `table`, which must be the table these
+    /// ranks were taken of or one with the same contents. A quantitative
+    /// column maps by one gather through a rank → code table that the
+    /// encoder fills from the column's distinct values, instead of one
+    /// search per cell; a categorical column remaps its dictionary as
+    /// `encode` does. The codes and errors are `encode`'s.
+    ///
+    /// Panics if `table` is seen not to match: another row or column
+    /// count, or one of a few cells per quantitative column that is not
+    /// the value its rank names.
+    pub fn encode(
+        &self,
+        table: &Table,
+        encoders: Vec<AttributeEncoder>,
+    ) -> Result<EncodedTable, TableError> {
+        assert!(
+            self.num_rows == table.num_rows() && self.ranks.len() == table.schema().len(),
+            "ranks were taken of another table"
+        );
+        let step = (self.num_rows / RANK_SPOT_CHECKS).max(1);
+        for idx in 0..self.ranks.len() {
+            if let (Some((values, ranks)), Column::Quantitative { data, .. }) =
+                (self.column(idx), table.column(AttributeId(idx)))
+            {
+                let rows = (0..self.num_rows)
+                    .step_by(step)
+                    .chain(self.num_rows.checked_sub(1));
+                for row in rows {
+                    assert!(
+                        values.get(ranks[row] as usize) == Some(&data[row]),
+                        "ranks were taken of another table: row {row} of column {idx}"
+                    );
+                }
+            }
+        }
+        EncodedTable::encode_with(table, Some(self), encoders)
+    }
+
     /// Quantitative column `idx`'s distinct values and cell ranks.
-    fn column(&self, idx: usize) -> Option<(&[f64], &RankColumn)> {
+    fn column(&self, idx: usize) -> Option<(&[f64], &[u32])> {
         match (&self.histograms[idx], &self.ranks[idx]) {
             (Histogram::Quantitative(h), Some(ranks)) => Some((h.values(), ranks)),
             _ => None,
         }
     }
+}
+
+/// The code of every number in `data`, or the first number `encoder`
+/// does not know.
+fn encode_numbers(encoder: &AttributeEncoder, data: &[f64]) -> Result<Vec<u32>, f64> {
+    data.iter()
+        .map(|&v| encoder.encode_number(v).ok_or(v))
+        .collect()
 }
 
 /// A table after Step 2: one `u32` code column per attribute.
@@ -409,24 +424,6 @@ impl EncodedTable {
     /// (full resolution) or by interval.
     pub fn encode(table: &Table, encoders: Vec<AttributeEncoder>) -> Result<Self, TableError> {
         Self::encode_with(table, None, encoders)
-    }
-
-    /// [`EncodedTable::encode`] through `ranks`, taken of this same table:
-    /// a quantitative column maps by one gather through a rank → code
-    /// table that the encoder fills from the column's distinct values,
-    /// instead of one search per cell. The codes and errors are
-    /// [`EncodedTable::encode`]'s.
-    pub fn encode_ranked(
-        table: &Table,
-        ranks: &TableRanks,
-        encoders: Vec<AttributeEncoder>,
-    ) -> Result<Self, TableError> {
-        assert_eq!(
-            ranks.num_rows,
-            table.num_rows(),
-            "ranks were taken of another table"
-        );
-        Self::encode_with(table, Some(ranks), encoders)
     }
 
     fn encode_with(
@@ -456,21 +453,15 @@ impl EncodedTable {
                             values.iter().map(|&v| encoder.encode_number(v)).collect();
                         if lookup.contains(&None) {
                             let row = (0..data.len())
-                                .find(|&row| lookup[ranks.get(row)].is_none())
+                                .find(|&row| lookup[ranks[row] as usize].is_none())
                                 .expect("every distinct value occurs in a row");
                             return Err(unencodable(Value::Float(data[row]).to_string()));
                         }
                         let lookup: Vec<u32> = lookup.into_iter().flatten().collect();
-                        ranks.gather(&lookup)
+                        ranks.iter().map(|&r| lookup[r as usize]).collect()
                     }
-                    None => data
-                        .iter()
-                        .map(|&v| {
-                            encoder
-                                .encode_number(v)
-                                .ok_or_else(|| unencodable(Value::Float(v).to_string()))
-                        })
-                        .collect::<Result<Vec<u32>, _>>()?,
+                    None => encode_numbers(encoder, data)
+                        .map_err(|v| unencodable(Value::Float(v).to_string()))?,
                 },
                 // Dictionary codes are in first-seen order, so the first
                 // unknown entry is also the first row that fails.
@@ -794,7 +785,7 @@ mod tests {
                     Histogram::Categorical(c) => AttributeEncoder::categorical_from(c),
                 })
                 .collect();
-            let ranked = EncodedTable::encode_ranked(&t, &ranks, encoders.clone()).unwrap();
+            let ranked = ranks.encode(&t, encoders.clone()).unwrap();
             let fresh = EncodedTable::encode(&t, encoders).unwrap();
             for (id, _) in t.schema().iter() {
                 assert_eq!(ranked.codes(id), fresh.codes(id), "{cuts:?}");
@@ -805,7 +796,7 @@ mod tests {
             AttributeEncoder::categorical_from(&cats(&["No", "Yes"])),
             AttributeEncoder::quant_values_from(&quants(&[2.0])),
         ];
-        let err = EncodedTable::encode_ranked(&t, &ranks, lacking.clone()).unwrap_err();
+        let err = ranks.encode(&t, lacking.clone()).unwrap_err();
         assert_eq!(err, EncodedTable::encode(&t, lacking).unwrap_err());
         assert_eq!(
             err,
@@ -814,6 +805,25 @@ mod tests {
                 value: "1".into()
             }
         );
+    }
+
+    /// Ranks of one table do not re-encode another of the same shape:
+    /// the cells disagree with the values the ranks name.
+    #[test]
+    #[should_panic(expected = "ranks were taken of another table")]
+    fn ranks_of_another_table_are_refused() {
+        let t = people();
+        let mut other = Table::new(t.schema().clone());
+        for row in 0..t.num_rows() {
+            let mut values = t.row(row).to_values();
+            values[2] = Value::Int(7 - row as i64);
+            other.push_row(&values).unwrap();
+        }
+        let encoders = EncodedTable::encode_full_resolution(&t)
+            .unwrap()
+            .encoders()
+            .to_vec();
+        let _ = TableRanks::new(&t).encode(&other, encoders);
     }
 
     #[test]
