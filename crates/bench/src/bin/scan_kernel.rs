@@ -1,7 +1,7 @@
 //! Scan-kernel throughput benchmark: the support-counting record scan
-//! (`count_candidates`) measured serial vs pooled under the bitmask
-//! kernel every production path runs and the direct reference kernel,
-//! on two tables that bracket the scan's behavior:
+//! (`count_candidates`) measured serial vs sharded (labelled `pooled`)
+//! under the bitmask kernel every production path runs and the direct
+//! reference kernel, on two tables that bracket the scan's behavior:
 //!
 //! * **duplicate-heavy** — 3 low-cardinality categorical attributes
 //!   (24 distinct tuples cover every row) + 1 small quantitative: every
@@ -26,11 +26,11 @@
 
 use qar_bench::harness::{bench, json_line};
 use qar_core::supercand::{count_candidates, ScanOptions};
-use qar_core::{ScanKernel, WorkerPool};
+use qar_core::ScanKernel;
 use qar_itemset::{Item, Itemset};
 use qar_table::{EncodedTable, Schema, Table, Value};
 
-/// Threads for the pooled measurements (the acceptance criteria are
+/// Shard threads for the pooled measurements (the acceptance criteria are
 /// stated at 4 threads).
 const THREADS: usize = 4;
 
@@ -156,7 +156,6 @@ fn measure(
     encoded: &EncodedTable,
     cands: &[Itemset],
     threads: usize,
-    pool: Option<&WorkerPool>,
     kernel: ScanKernel,
 ) -> Measurement {
     let rows = encoded.num_rows() as f64;
@@ -167,7 +166,6 @@ fn measure(
     };
     let label = format!("{table_name} {exec} {}", kernel.name());
     let opts = ScanOptions {
-        pool,
         kernel,
         ..ScanOptions::new(threads)
     };
@@ -217,7 +215,6 @@ fn parse_args(default_records: usize) -> (usize, u64) {
 
 fn main() {
     let (records, seed) = parse_args(200_000);
-    let pool = WorkerPool::new(THREADS);
 
     let mut results: Vec<Measurement> = Vec::new();
     let mut suite = Vec::new();
@@ -236,8 +233,7 @@ fn main() {
         );
         for threads in [1, THREADS] {
             for kernel in [ScanKernel::Direct(None), ScanKernel::Bitmask] {
-                let pool_ref = (threads > 1).then_some(&pool);
-                results.push(measure(name, &encoded, &cands, threads, pool_ref, kernel));
+                results.push(measure(name, &encoded, &cands, threads, kernel));
             }
         }
         suite.push((name, results.split_off(0)));

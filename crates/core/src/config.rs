@@ -163,11 +163,16 @@ impl Default for MinerConfig {
     }
 }
 
+/// The most threads one counting scan may use, and the bound on every
+/// `--threads` flag: far above the cores a scan is tuned for, far below
+/// what an operating system refuses to spawn.
+pub const MAX_THREADS: usize = 256;
+
 impl MinerConfig {
     /// The worker-thread count the counting passes will actually use:
     /// the configured [`MinerConfig::parallelism`], or the machine's
     /// available parallelism when unset (falling back to 1 if the OS
-    /// cannot say).
+    /// cannot say, and capped at [`MAX_THREADS`]).
     ///
     /// The `QAR_TEST_THREADS` environment variable, when set to a positive
     /// integer, overrides an *unset* knob — CI uses it to run the whole
@@ -185,13 +190,17 @@ impl MinerConfig {
         {
             return n;
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_THREADS))
     }
 
     /// Validate parameter ranges.
     pub fn validate(&self) -> Result<(), MinerError> {
+        let threads = self.effective_parallelism();
+        if threads > MAX_THREADS {
+            return Err(MinerError::Config(format!(
+                "thread count must be at most {MAX_THREADS}, got {threads}"
+            )));
+        }
         if !(self.min_support > 0.0 && self.min_support <= 1.0) {
             return Err(MinerError::Config(format!(
                 "min_support must be in (0, 1], got {}",
@@ -406,7 +415,22 @@ mod tests {
         };
         assert_eq!(c.effective_parallelism(), 3);
         let auto = MinerConfig::default().effective_parallelism();
-        assert!(auto >= 1);
+        assert!((1..=MAX_THREADS).contains(&auto));
+    }
+
+    #[test]
+    fn thread_count_bounded() {
+        for (threads, ok) in [(1, true), (MAX_THREADS, true), (MAX_THREADS + 1, false)] {
+            let c = MinerConfig {
+                parallelism: std::num::NonZeroUsize::new(threads),
+                ..MinerConfig::default()
+            };
+            assert_eq!(
+                matches!(c.validate(), Err(MinerError::Config(_))),
+                !ok,
+                "{threads}"
+            );
+        }
     }
 
     #[test]

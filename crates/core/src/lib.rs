@@ -38,7 +38,6 @@ pub mod miner;
 pub mod naive;
 pub mod output;
 pub mod pipeline;
-pub mod pool;
 pub mod rules;
 pub mod source;
 pub mod supercand;
@@ -47,7 +46,7 @@ pub use delta::{f64_close_ulps, ItemsetSetDelta, RuleSetDelta};
 
 pub use config::{
     CancelledInfo, InterestConfig, InterestMode, MinerConfig, MinerError, PartitionSpec,
-    PartitionStrategy, ScanKernel,
+    PartitionStrategy, ScanKernel, MAX_THREADS,
 };
 pub use counts::{
     encoding_fingerprint, update_precheck, CapturedCounts, CountsConfig, SupportCounts,
@@ -58,7 +57,6 @@ pub use miner::Miner;
 pub use miner::{UpdateInput, UpdateOutput};
 pub use output::RuleDecoder;
 pub use pipeline::{MiningOutput, MiningStats};
-pub use pool::WorkerPool;
 pub use rules::{generate_rules, QuantRule};
 pub use source::{
     mine_source, mine_source_captured, CaptureSource, CountError, CountSource, InMemorySource,

@@ -2,7 +2,7 @@
 //! pipeline, with progress events, cooperative cancellation, and
 //! encoding reuse across repeated runs.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::config::{MinerConfig, MinerError, ScanKernel};
@@ -10,7 +10,6 @@ use crate::counts::{encoding_fingerprint, update_precheck, Lane, SupportCounts};
 use crate::frequent::QuantFrequentItemsets;
 use crate::mine::{MineStats, RunCtx};
 use crate::pipeline::{build_encoders_from_histograms, MiningOutput};
-use crate::pool::WorkerPool;
 use crate::source::{
     mine_source, mine_source_captured, mine_with_source_ctx, CountSource, InMemorySource,
     MergeSource,
@@ -38,7 +37,7 @@ use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 ///   and [`crate::MiningStats::encoding_reused`] is false there,
 /// - runs Steps 3–5 through the one level-wise driver of
 ///   [`crate::source`] over an [`InMemorySource`] that carries its
-///   kernel, scan pool and cancellation token.
+///   kernel, thread count and cancellation token.
 ///
 /// ```
 /// use qar_core::{Miner, MinerConfig};
@@ -64,10 +63,6 @@ pub struct Miner {
     sink: Option<Arc<dyn ProgressSink>>,
     cancel: Option<CancelToken>,
     cache: Option<EncodingCache>,
-    /// The persistent scan pool, created lazily on the first parallel
-    /// counting pass and reused by every later run of this miner (the
-    /// workers park between scans). Serial configurations never spawn it.
-    pool: OnceLock<Arc<WorkerPool>>,
 }
 
 /// The memoized Steps 1–2 of the previous [`Miner::mine`] call.
@@ -92,7 +87,6 @@ impl std::fmt::Debug for Miner {
             .field("sink", &self.sink.as_ref().map(|_| "dyn ProgressSink"))
             .field("cancel", &self.cancel)
             .field("cached_encoding", &self.cache.is_some())
-            .field("pool", &self.pool.get())
             .finish()
     }
 }
@@ -105,7 +99,6 @@ impl Miner {
             sink: None,
             cancel: None,
             cache: None,
-            pool: OnceLock::new(),
         }
     }
 
@@ -150,11 +143,6 @@ impl Miner {
                 cache.encoded = None;
             }
         }
-        // Re-size the scan pool if the thread budget changed (a fresh
-        // OnceLock drops the old pool, joining its workers).
-        if config.effective_parallelism() != self.config.effective_parallelism() {
-            self.pool = OnceLock::new();
-        }
         self.config = config;
     }
 
@@ -165,17 +153,9 @@ impl Miner {
     }
 
     /// An [`InMemorySource`] over `table` carrying this miner's kernel,
-    /// scan pool and cancellation token.
+    /// thread count and cancellation token.
     fn source<'t>(&self, table: &'t EncodedTable) -> InMemorySource<'t> {
-        // Multi-threaded configurations get this miner's own pool so
-        // repeated runs reuse one set of workers; a serial run needs no
-        // pool at all (and must not spawn the global one as a side
-        // effect).
-        let threads = self.config.effective_parallelism();
-        let mut source = InMemorySource::new(table, &self.config).with_cancel(self.cancel.as_ref());
-        source.pool = (threads > 1)
-            .then(|| Arc::clone(self.pool.get_or_init(|| Arc::new(WorkerPool::new(threads)))));
-        source
+        InMemorySource::new(table, &self.config).with_cancel(self.cancel.as_ref())
     }
 
     /// Steps 1 + 2: partition and encode `table` into the cache, unless
@@ -612,19 +592,31 @@ mod tests {
         }
     }
 
+    /// A second run reuses the encoding and repeats the first exactly,
+    /// and every thread count's miner matches the serial one.
     #[test]
     fn second_run_reuses_encoding_and_matches() {
         let table = people_table();
-        let mut miner = Miner::new(config());
-        let first = miner.mine(&table).unwrap();
-        assert!(!first.stats.encoding_reused);
-        let second = miner.mine(&table).unwrap();
-        assert!(second.stats.encoding_reused);
-        assert_eq!(first.frequent.levels, second.frequent.levels);
-        assert_eq!(
-            first.stats.intervals_per_attribute,
-            second.stats.intervals_per_attribute
-        );
+        let mut serial = None;
+        for threads in [1, 2, 3] {
+            let mut miner = Miner::new(MinerConfig {
+                parallelism: std::num::NonZeroUsize::new(threads),
+                ..config()
+            });
+            let first = miner.mine(&table).unwrap();
+            assert!(!first.stats.encoding_reused);
+            let second = miner.mine(&table).unwrap();
+            assert!(second.stats.encoding_reused);
+            for out in [&second, serial.as_ref().unwrap_or(&first)] {
+                assert_eq!(first.frequent.levels, out.frequent.levels, "{threads}");
+                assert_eq!(first.rules, out.rules, "{threads}");
+                assert_eq!(
+                    first.stats.intervals_per_attribute,
+                    out.stats.intervals_per_attribute
+                );
+            }
+            serial.get_or_insert(first);
+        }
     }
 
     #[test]

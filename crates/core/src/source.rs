@@ -32,7 +32,6 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::candidate::{generate_candidates, interest_prune_level1};
@@ -42,7 +41,6 @@ use crate::frequent::{attribute_value_counts, frequent_items_from_counts, QuantF
 use crate::interest::{annotate_interest, ItemSupports};
 use crate::mine::{pass_finished_event, MineStats, RunCtx};
 use crate::pipeline::{MiningOutput, MiningStats};
-use crate::pool::WorkerPool;
 use crate::rules::generate_rules;
 use crate::supercand::{
     cell_groups, count_candidates, fold_stats, pair_cells, PairHistograms, PassStats, ScanOptions,
@@ -919,8 +917,6 @@ pub struct InMemorySource<'a> {
     num_threads: usize,
     kernel: ScanKernel,
     cancel: Option<CancelToken>,
-    /// Runs the shard tasks; `None` uses [`WorkerPool::global`].
-    pub(crate) pool: Option<Arc<WorkerPool>>,
     pass_stats: Option<PassStats>,
 }
 
@@ -940,7 +936,6 @@ impl<'a> InMemorySource<'a> {
             num_threads: config.effective_parallelism(),
             kernel: config.kernel,
             cancel: None,
-            pool: None,
             pass_stats: None,
         }
     }
@@ -968,7 +963,6 @@ impl<'a> InMemorySource<'a> {
     ) -> Result<(), CountError> {
         let opts = ScanOptions {
             cancel: self.cancel.as_ref(),
-            pool: self.pool.as_deref(),
             kernel: self.kernel,
             ..ScanOptions::new(self.num_threads)
         };

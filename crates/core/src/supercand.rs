@@ -16,10 +16,11 @@
 //! its range with private counters, and the per-shard tallies are merged
 //! by integer addition in shard order before the frequency filter.
 //!
-//! Shard tasks execute on a persistent [`WorkerPool`] (the [`crate::Miner`]'s
-//! own, or the process-wide pool) instead of freshly spawned threads, and
-//! every piece of record-independent state is shared rather than cloned:
-//! plans are built once and read by every shard.
+//! Each sharded scan runs in one [`std::thread::scope`]: shards 1.. on
+//! threads spawned for the scan, shard 0 on the calling thread, all
+//! joined before the scan returns. Every piece of record-independent
+//! state is shared rather than cloned: plans are built once and read by
+//! every shard.
 //!
 //! Because each record is counted by exactly one shard and `u64` addition
 //! is exact, the merged counts are **bit-identical** to a serial scan for
@@ -93,13 +94,13 @@
 //! [`qar_itemset::ndcounter::rect_sum`]).
 
 use crate::config::ScanKernel;
-use crate::pool::WorkerPool;
 use qar_itemset::ndcounter::{prefix_sums, rect_sum};
 use qar_itemset::{CounterKind, HashTree, Item, Itemset, RectCounter, VisitScratch};
 use qar_table::{AttributeId, AttributeKind, EncodedTable};
 use qar_trace::CancelToken;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -132,9 +133,6 @@ pub struct ScanOptions<'a> {
     /// Cooperative cancellation token, checked every
     /// [`CANCEL_CHECK_INTERVAL`] rows within each shard.
     pub cancel: Option<&'a CancelToken>,
-    /// Worker pool to run shard tasks on; `None` uses the process-wide
-    /// [`WorkerPool::global`].
-    pub pool: Option<&'a WorkerPool>,
     /// Which scan kernel runs the record loop (see module docs). Counts
     /// are bit-identical for every variant.
     pub kernel: ScanKernel,
@@ -147,22 +145,32 @@ impl<'a> ScanOptions<'a> {
         ScanOptions {
             num_threads,
             cancel: None,
-            pool: None,
             kernel: ScanKernel::default(),
         }
     }
 }
 
-/// Run shard tasks on the supplied pool, or the process-wide one.
-fn run_sharded<'env, T, F>(pool: Option<&WorkerPool>, tasks: Vec<F>) -> Vec<T>
-where
-    T: Send + 'env,
-    F: FnOnce() -> T + Send + 'env,
-{
-    match pool {
-        Some(pool) => pool.run(tasks),
-        None => WorkerPool::global().run(tasks),
-    }
+/// Run shard tasks and return their results in shard order: shard 0 on
+/// the calling thread, the rest on threads scoped to this call, so a
+/// single shard never leaves the caller. Every shard settles before this
+/// returns; a panicking shard is then resumed on the caller with its
+/// payload, the first in shard order winning.
+fn run_sharded<T: Send, F: FnOnce() -> T + Send>(tasks: Vec<F>) -> Vec<T> {
+    let mut tasks = tasks.into_iter();
+    let Some(first) = tasks.next() else {
+        return Vec::new();
+    };
+    let results: Vec<std::thread::Result<T>> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = tasks.map(|task| scope.spawn(task)).collect();
+        let first = catch_unwind(AssertUnwindSafe(first));
+        std::iter::once(first)
+            .chain(spawned.into_iter().map(|shard| shard.join()))
+            .collect()
+    });
+    results
+        .into_iter()
+        .map(|result| result.unwrap_or_else(|panic| resume_unwind(panic)))
+        .collect()
 }
 
 /// Statistics of one counting pass, reported in [`crate::MiningStats`].
@@ -202,8 +210,8 @@ pub struct PassStats {
     /// its per-plan and per-member tallies plus its cells; the reference
     /// kernel's is its rectangle counters.
     pub counter_bytes: usize,
-    /// True when the scan ran its shards on a worker pool (more than one
-    /// shard); a serial scan never leaves the calling thread.
+    /// True when the scan ran on more than one shard thread; a serial
+    /// scan never leaves the calling thread.
     pub pooled: bool,
     /// What counted the pass: `"bitmask"`, `"direct"`, or
     /// [`CELLS_KERNEL`] for histogram counting. A pass that counted plans
@@ -1017,9 +1025,9 @@ fn scan_direct(
 /// scanning up to `opts.num_threads` contiguous row shards in parallel
 /// with the kernel `opts.kernel`.
 ///
-/// Counts are bit-identical for every option combination — threads,
-/// pool and kernel are performance choices, never semantics (see module
-/// docs); `num_threads <= 1` runs the scan inline without spawning.
+/// Counts are bit-identical for every option combination — threads and
+/// kernel are performance choices, never semantics (see module docs);
+/// `num_threads <= 1` runs the scan inline without spawning.
 /// Every shard checks `opts.cancel` every [`CANCEL_CHECK_INTERVAL`] of its
 /// own records and at the scan start, so a fired token stops the pass
 /// within roughly one check interval per shard; a cancelled pass returns
@@ -1044,13 +1052,9 @@ pub fn count_candidates(
         None => scan_bitmask(table, &plans, num_cells, rows, opts.cancel),
     };
     let scan_started = Instant::now();
-    let tallies: Vec<ShardTally> = if bounds.len() <= 1 {
-        vec![scan(bounds.into_iter().next().unwrap_or(0..0))]
-    } else {
-        let scan = &scan;
-        let tasks: Vec<_> = bounds.into_iter().map(|rows| move || scan(rows)).collect();
-        run_sharded(opts.pool, tasks)
-    };
+    let scan = &scan;
+    let tallies: Vec<ShardTally> =
+        run_sharded(bounds.into_iter().map(|rows| move || scan(rows)).collect());
     if tallies.iter().any(|t| t.cancelled) {
         return Err(ScanCancelled);
     }
@@ -1327,7 +1331,7 @@ impl PairHistograms {
                     }
                 })
                 .collect();
-            let shards: Vec<(Vec<u64>, Duration, bool)> = run_sharded(opts.pool, tasks);
+            let shards: Vec<(Vec<u64>, Duration, bool)> = run_sharded(tasks);
             if shards.iter().any(|(_, _, cancelled)| *cancelled) {
                 return Err(ScanCancelled);
             }
@@ -1855,27 +1859,61 @@ mod tests {
             let (counts, stats) = count(&enc, &cands, ScanKernel::Bitmask, threads);
             assert_eq!(counts, naive, "threads={threads}");
             assert_eq!(stats.kernel, "cells+bitmask");
+            assert_eq!(stats.pooled, threads > 1, "threads={threads}");
         }
     }
 
-    /// An explicit per-`Miner` pool and the implicit global pool produce
-    /// identical counts.
     #[test]
-    fn explicit_pool_matches_global_pool() {
-        let enc = duplicate_heavy();
-        let cands = duplicate_heavy_candidates();
-        let pool = crate::pool::WorkerPool::new(3);
-        let opts_own = ScanOptions {
-            pool: Some(&pool),
-            ..ScanOptions::new(4)
-        };
-        let (with_own, stats) = count_candidates(&enc, &cands, opts_own).unwrap();
-        assert!(stats.pooled);
-        let (with_global, _) = count_candidates(&enc, &cands, ScanOptions::new(4)).unwrap();
-        assert_eq!(with_own, with_global);
-        // The pool survives for another scan (persistent across passes).
-        let (again, _) = count_candidates(&enc, &cands, opts_own).unwrap();
-        assert_eq!(again, with_own);
+    fn run_sharded_returns_results_in_shard_order() {
+        let data: Vec<u64> = (0..100).collect();
+        let chunks: Vec<&[u64]> = data.chunks(9).collect();
+        let sums = run_sharded(
+            chunks
+                .iter()
+                .map(|c| move || c.iter().sum::<u64>())
+                .collect(),
+        );
+        let want: Vec<u64> = chunks.iter().map(|c| c.iter().sum()).collect();
+        assert_eq!(sums, want);
+    }
+
+    #[test]
+    fn run_sharded_runs_a_single_shard_inline() {
+        let caller = std::thread::current().id();
+        let inline = run_sharded(vec![move || std::thread::current().id() == caller]);
+        assert_eq!(inline, vec![true]);
+    }
+
+    /// Every shard finishes before the first panic in shard order is
+    /// resumed on the caller, payload intact.
+    #[test]
+    fn run_sharded_resumes_the_first_panic_after_every_shard_settles() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let finished = AtomicUsize::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_sharded(
+                (0..6)
+                    .map(|i| {
+                        let finished = &finished;
+                        move || {
+                            match i {
+                                2 => panic!("boom from shard 2"),
+                                4 => panic!("boom from shard 4"),
+                                _ => {}
+                            }
+                            finished.fetch_add(1, Ordering::SeqCst);
+                        }
+                    })
+                    .collect::<Vec<_>>(),
+            )
+        }));
+        let payload = result.expect_err("a panicking shard must unwind the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"boom from shard 2"),
+            "the first panic in shard order wins"
+        );
+        assert_eq!(finished.load(Ordering::SeqCst), 4, "the other shards ran");
     }
 
     /// A table of the given code columns: quantitative attributes over

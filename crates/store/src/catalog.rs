@@ -1351,7 +1351,7 @@ fn decode_stats(payload: &[u8]) -> Result<MiningStats, StoreError> {
         for _ in 0..shards {
             shard_scan_times.push(r.get_duration()?);
         }
-        // The pool flag and kernel name are run-shape details the
+        // The `pooled` flag and kernel name are run-shape details the
         // catalog does not persist; they default on load.
         pass_stats.push(PassStats {
             super_candidates,

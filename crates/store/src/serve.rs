@@ -4,12 +4,12 @@
 //!
 //! # Threading model
 //!
-//! The accept loop runs on the caller of [`Server::serve`]; every
-//! accepted connection becomes one detached job on a
-//! [`qar_core::WorkerPool`] ([`WorkerPool::spawn`]) — the same persistent
-//! workers that carry a mining run's counting shards. A connection job
-//! loops reading frames, answering each request in place, until the
-//! client closes or a frame-level error makes the stream untrustworthy.
+//! [`Server::serve`] runs the accept loop on its caller and
+//! [`Server::threads`] handler threads in one [`std::thread::scope`]. A
+//! free handler takes the next queued connection and answers its frames
+//! until the client closes or a frame-level error makes the stream
+//! untrustworthy; a panicking connection is dropped, its handler lives
+//! on. When the accept loop ends, the handlers drain the queue and join.
 //!
 //! # Catalog slots, generations, hot reload
 //!
@@ -49,15 +49,16 @@ use crate::protocol::{
     self, read_frame, CatalogInfo, ErrorCode, ProtocolError, Query, QueryOptions, Request,
     Response, WireError,
 };
-use qar_core::WorkerPool;
 use qar_trace::event::micros;
 use qar_trace::{CancelToken, ProgressSink, TraceEvent};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// How long an idle connection waits between shutdown-flag polls.
@@ -69,7 +70,7 @@ pub struct ServerConfig {
     /// TCP port to bind on 127.0.0.1 (0 lets the OS pick; see
     /// [`Server::local_addr`]).
     pub port: u16,
-    /// Worker threads carrying connections (0 = one per CPU).
+    /// Handler threads carrying connections (0 = one per CPU).
     pub threads: usize,
 }
 
@@ -87,13 +88,12 @@ struct Slot {
     current: RwLock<Arc<ServingCatalog>>,
 }
 
-/// State shared between the accept loop and every connection job.
+/// State shared between the accept loop and every connection handler.
 struct ServerState {
     slots: BTreeMap<String, Slot>,
     sink: Option<Arc<dyn ProgressSink>>,
     shutdown: AtomicBool,
     addr: SocketAddr,
-    connections: AtomicU64,
 }
 
 impl ServerState {
@@ -112,8 +112,8 @@ impl ServerState {
 /// [`Server::serve`] (blocking), stop with a [`Request::Shutdown`] frame.
 pub struct Server {
     listener: TcpListener,
-    state: Arc<ServerState>,
-    pool: WorkerPool,
+    state: ServerState,
+    threads: usize,
 }
 
 impl Server {
@@ -148,18 +148,16 @@ impl Server {
         }
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         let addr = listener.local_addr()?;
-        let threads = if config.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            config.threads
+        let threads = match config.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         };
-        let state = Arc::new(ServerState {
+        let state = ServerState {
             slots,
             sink,
             shutdown: AtomicBool::new(false),
             addr,
-            connections: AtomicU64::new(0),
-        });
+        };
         state.emit(&TraceEvent::ServerStarted {
             port: addr.port(),
             threads,
@@ -168,7 +166,7 @@ impl Server {
         Ok(Server {
             listener,
             state,
-            pool: WorkerPool::new(threads),
+            threads,
         })
     }
 
@@ -177,29 +175,58 @@ impl Server {
         self.state.addr
     }
 
-    /// Worker threads carrying connections.
+    /// Handler threads carrying connections.
     pub fn threads(&self) -> usize {
-        self.pool.workers()
+        self.threads
     }
 
-    /// Accept connections until a [`Request::Shutdown`] arrives. Each
-    /// connection runs as a detached pool job; when this returns, the
-    /// pool is joined (dropping `self`) so in-flight connections finish
-    /// draining first.
+    /// Accept connections until a [`Request::Shutdown`] arrives (or
+    /// `accept` fails), handing each to the handler threads. Returns once
+    /// every handler has finished: connections still queued when the
+    /// accept loop ends see the shutdown flag and close at their first
+    /// read.
     pub fn serve(self) -> io::Result<()> {
-        loop {
-            let (stream, _) = self.listener.accept()?;
-            if self.state.shutting_down() {
-                // The wake-up connection (or a late client); drop it.
-                break;
+        let (queue, queued) = channel();
+        let queued = Mutex::new(queued);
+        std::thread::scope(|scope| {
+            for _ in 0..self.threads {
+                scope.spawn(|| {
+                    handler_loop(&queued, |(stream, conn)| {
+                        handle_connection(&self.state, stream, conn)
+                    })
+                });
             }
-            let conn = self.state.connections.fetch_add(1, Ordering::Relaxed) + 1;
+            let accepted = self.accept(queue);
+            // After a failed accept, release idle connections too.
+            self.state.shutdown.store(true, Ordering::Release);
+            accepted
+        })
+    }
+
+    /// Queue accepted connections, numbered from 1, until shutdown;
+    /// returning drops `queue`, which ends the handlers once drained.
+    fn accept(&self, queue: Sender<(TcpStream, u64)>) -> io::Result<()> {
+        for (conn, stream) in (1..).zip(self.listener.incoming()) {
+            let stream = stream?;
+            if self.state.shutting_down() {
+                break; // the wake-up connection (or a late client)
+            }
             self.state.emit(&TraceEvent::ConnectionOpened { conn });
-            let state = Arc::clone(&self.state);
-            self.pool
-                .spawn(move || handle_connection(&state, stream, conn));
+            queue
+                .send((stream, conn))
+                .expect("handlers outlive the accept loop");
         }
         Ok(())
+    }
+}
+
+/// One handler thread: take queued jobs until the queue is closed and
+/// drained. A job that panics is dropped; the handler carries on.
+fn handler_loop<J>(queue: &Mutex<Receiver<J>>, mut handle: impl FnMut(J)) {
+    loop {
+        let job = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(job) = job else { break };
+        let _ = catch_unwind(AssertUnwindSafe(|| handle(job)));
     }
 }
 
@@ -239,86 +266,59 @@ fn handle_connection(state: &ServerState, stream: TcpStream, conn: u64) {
     let _ = stream.set_nodelay(true);
     let mut requests = 0u64;
     loop {
-        let frame = {
-            let mut reader = PatientReader {
-                stream: &stream,
-                state,
-            };
-            read_frame(&mut reader)
+        let frame = read_frame(&mut PatientReader {
+            stream: &stream,
+            state,
+        });
+        let started = Instant::now();
+        // Bad magic, checksum mismatch, oversized or truncated frame: the
+        // byte stream can no longer be trusted to re-frame, so it is
+        // reported once (best effort) and the connection closes.
+        let broken = matches!(&frame, Err(e) if !matches!(e, ProtocolError::Io(_)));
+        let (response, kind, items, shutdown_after) = match frame {
+            // Clean close (or shutdown at a boundary), or connection error.
+            Ok(None) | Err(ProtocolError::Io(_)) => break,
+            // A CRC-clean frame keeps the connection open even when it
+            // holds no request.
+            Ok(Some((tag, payload))) => match Request::decode(tag, &payload) {
+                Ok(request) => answer(state, request),
+                Err(ProtocolError::UnknownTag(t)) => invalid(
+                    ErrorCode::UnknownRequest,
+                    format!("unknown request tag {t}"),
+                ),
+                Err(e) => invalid(
+                    ErrorCode::BadRequest,
+                    format!("malformed request payload: {e}"),
+                ),
+            },
+            Err(e) => invalid(ErrorCode::BadFrame, format!("unreadable frame: {e}")),
         };
-        match frame {
-            Ok(None) => break, // clean close (or shutdown at a boundary)
-            Ok(Some((tag, payload))) => {
-                requests += 1;
-                let started = Instant::now();
-                let (response, kind, items, shutdown_after) = match Request::decode(tag, &payload) {
-                    Ok(request) => answer(state, request),
-                    Err(ProtocolError::UnknownTag(t)) => (
-                        Response::Error(WireError::new(
-                            ErrorCode::UnknownRequest,
-                            format!("unknown request tag {t}"),
-                        )),
-                        "invalid",
-                        1,
-                        false,
-                    ),
-                    Err(e) => (
-                        // CRC-clean frame, malformed payload: the
-                        // stream itself is still framed correctly.
-                        Response::Error(WireError::new(
-                            ErrorCode::BadRequest,
-                            format!("malformed request payload: {e}"),
-                        )),
-                        "invalid",
-                        1,
-                        false,
-                    ),
-                };
-                let ok = !matches!(response, Response::Error(_));
-                let results = match &response {
-                    Response::Ids { ids, .. } => ids.len(),
-                    Response::Batch { items, .. } => {
-                        items.iter().map(|i| i.as_ref().map_or(0, Vec::len)).sum()
-                    }
-                    _ => 0,
-                };
-                state.emit(&TraceEvent::RequestServed {
-                    conn,
-                    kind: kind.to_string(),
-                    ok,
-                    items,
-                    results,
-                    elapsed_us: micros(started.elapsed()),
-                });
-                if write_response(&stream, &response).is_err() {
-                    break; // client went away mid-response
-                }
-                if shutdown_after {
-                    initiate_shutdown(state);
-                    break;
-                }
+        requests += 1;
+        let results = match &response {
+            Response::Ids { ids, .. } => ids.len(),
+            Response::Batch { items, .. } => {
+                items.iter().map(|i| i.as_ref().map_or(0, Vec::len)).sum()
             }
-            Err(ProtocolError::Io(_)) => break, // connection error
-            Err(e) => {
-                // Bad magic, checksum mismatch, oversized or truncated
-                // frame: report once (best effort), then close — the
-                // byte stream can no longer be trusted to re-frame.
-                let response = Response::Error(WireError::new(
-                    ErrorCode::BadFrame,
-                    format!("unreadable frame: {e}"),
-                ));
-                requests += 1;
-                state.emit(&TraceEvent::RequestServed {
-                    conn,
-                    kind: "invalid".to_string(),
-                    ok: false,
-                    items: 1,
-                    results: 0,
-                    elapsed_us: 0,
-                });
-                let _ = write_response(&stream, &response);
-                break;
-            }
+            _ => 0,
+        };
+        state.emit(&TraceEvent::RequestServed {
+            conn,
+            kind: kind.to_string(),
+            ok: !matches!(response, Response::Error(_)),
+            items,
+            results,
+            elapsed_us: micros(started.elapsed()),
+        });
+        // A write error means the client went away mid-response.
+        if write_response(&stream, &response).is_err() || broken {
+            break;
+        }
+        if shutdown_after {
+            // Set the flag and poke our own listener so the blocked
+            // `accept` wakes.
+            state.shutdown.store(true, Ordering::Release);
+            let _ = TcpStream::connect(state.addr);
+            break;
         }
     }
     state.emit(&TraceEvent::ConnectionClosed { conn, requests });
@@ -342,10 +342,14 @@ fn write_response(mut stream: &TcpStream, response: &Response) -> io::Result<()>
     stream.flush()
 }
 
-/// Set the flag and poke our own listener so the blocked `accept` wakes.
-fn initiate_shutdown(state: &ServerState) {
-    state.shutdown.store(true, Ordering::Release);
-    let _ = TcpStream::connect(state.addr);
+/// The answer to a frame that holds no request, shaped like [`answer`]'s.
+fn invalid(code: ErrorCode, message: String) -> (Response, &'static str, usize, bool) {
+    (
+        Response::Error(WireError::new(code, message)),
+        "invalid",
+        1,
+        false,
+    )
 }
 
 /// Answer one decoded request. Returns the response, the request kind
@@ -427,12 +431,7 @@ fn answer(state: &ServerState, request: Request) -> (Response, &'static str, usi
 }
 
 fn snapshot(slot: &Slot) -> Arc<ServingCatalog> {
-    Arc::clone(
-        &slot
-            .current
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
-    )
+    Arc::clone(&slot.current.read().unwrap_or_else(PoisonError::into_inner))
 }
 
 fn unknown_catalog(name: &str) -> Response {
@@ -538,10 +537,7 @@ fn reload(state: &ServerState, name: &str) -> Response {
     let index = RuleIndex::build(&catalog, sink);
     let rules = catalog.rules().len() as u64;
     let generation = {
-        let mut guard = slot
-            .current
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut guard = slot.current.write().unwrap_or_else(PoisonError::into_inner);
         let generation = guard.generation + 1;
         *guard = Arc::new(ServingCatalog {
             generation,
@@ -605,5 +601,34 @@ impl ServeClient {
     /// mid-request).
     pub fn shutdown_write(&mut self) -> io::Result<()> {
         self.stream.shutdown(std::net::Shutdown::Write)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A job that panics costs its handler nothing: the same single
+    /// handler takes every later job, and the loop ends only once the
+    /// closed queue is drained.
+    #[test]
+    fn handler_survives_a_panicking_job_and_drains_the_queue() {
+        let (queue, queued) = channel::<u32>();
+        let queued = Mutex::new(queued);
+        let (done, finished) = channel::<u32>();
+        for job in [0, 1, 2, 3] {
+            queue.send(job).expect("queue open");
+        }
+        drop(queue);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                handler_loop(&queued, |job| {
+                    assert_ne!(job, 0, "job 0 panics");
+                    done.send(job).expect("test receiver alive");
+                })
+            });
+        });
+        drop(done);
+        assert_eq!(finished.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 }

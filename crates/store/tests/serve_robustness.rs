@@ -9,7 +9,9 @@
 mod common;
 
 use std::path::PathBuf;
+use std::sync::mpsc::channel;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use common::arb_catalog;
 use qar_prng::Prng;
@@ -17,6 +19,9 @@ use qar_store::protocol::{encode_frame, tag, ErrorCode, Query, MAGIC, MAX_PAYLOA
 use qar_store::serve::{execute_query, ServeClient};
 use qar_store::{Catalog, RankBy, Request, Response, RuleIndex, Server, ServerConfig};
 use qar_trace::{CollectingSink, TraceEvent};
+
+/// How long a test waits for something the server must do promptly.
+const BOUND: Duration = Duration::from_secs(10);
 
 /// A live server over one arbitrary catalog, plus everything the
 /// assertions need to check answers independently.
@@ -31,6 +36,10 @@ struct Fixture {
 
 impl Fixture {
     fn start(tag: &str, seed: u64) -> Fixture {
+        Fixture::start_with_threads(tag, seed, 4)
+    }
+
+    fn start_with_threads(tag: &str, seed: u64, threads: usize) -> Fixture {
         let mut rng = Prng::seed_from_u64(seed);
         let catalog = arb_catalog(&mut rng);
         let path = std::env::temp_dir().join(format!(
@@ -42,10 +51,7 @@ impl Fixture {
         let sink = Arc::new(CollectingSink::new());
         let server = Server::bind(
             &[("cat".to_string(), path.clone())],
-            &ServerConfig {
-                port: 0,
-                threads: 4,
-            },
+            &ServerConfig { port: 0, threads },
             Some(sink.clone()),
         )
         .expect("bind");
@@ -63,6 +69,22 @@ impl Fixture {
 
     fn client(&self) -> ServeClient {
         ServeClient::connect(self.addr).expect("connect")
+    }
+
+    /// Wait until the server has accepted `n` connections in all.
+    fn wait_accepted(&self, n: usize) {
+        let deadline = Instant::now() + BOUND;
+        while self
+            .sink
+            .events()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::ConnectionOpened { .. }))
+            .count()
+            < n
+        {
+            assert!(Instant::now() < deadline, "server never accepted {n}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 
     /// The server still answers correctly from its current catalog —
@@ -491,4 +513,68 @@ fn reload_picks_up_an_incrementally_updated_catalog() {
     ));
     server_thread.join().unwrap().expect("server exits cleanly");
     let _ = std::fs::remove_file(&path);
+}
+
+/// One handler, two connections: the second waits in the queue while
+/// the first idles, and is answered as soon as the first closes.
+#[test]
+fn queued_connection_is_answered_once_the_handler_frees() {
+    let fx = Fixture::start_with_threads("queued", 0xB0B0_0009, 1);
+    let idle = fx.client();
+    fx.wait_accepted(1);
+    let mut queued = fx.client();
+    let (answered, answer) = channel();
+    let asker = std::thread::spawn(move || {
+        let _ = answered.send(queued.request(&Request::Ping));
+    });
+    assert!(
+        answer.recv_timeout(Duration::from_millis(300)).is_err(),
+        "the only handler is busy with the idle connection"
+    );
+    drop(idle);
+    assert!(matches!(
+        answer
+            .recv_timeout(BOUND)
+            .expect("answered once the handler frees"),
+        Ok(Response::Pong)
+    ));
+    asker.join().unwrap();
+    fx.assert_healthy();
+    fx.stop();
+}
+
+/// A shutdown that arrives while a connection still waits for a handler
+/// drains that connection and returns from `serve` promptly.
+#[test]
+fn shutdown_with_a_connection_still_queued_returns_promptly() {
+    let fx = Fixture::start_with_threads("queued_shutdown", 0xB0B0_000A, 1);
+    let mut control = fx.client();
+    assert!(matches!(
+        control.request(&Request::Ping),
+        Ok(Response::Pong)
+    ));
+    let mut queued = fx.client();
+    fx.wait_accepted(2);
+    let started = Instant::now();
+    assert!(matches!(
+        control.request(&Request::Shutdown),
+        Ok(Response::ShuttingDown)
+    ));
+    while !fx.server_thread.is_finished() {
+        assert!(started.elapsed() < BOUND, "serve() did not return");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    fx.server_thread
+        .join()
+        .unwrap()
+        .expect("server exits cleanly");
+    let _ = std::fs::remove_file(&fx.path);
+    // The queued connection was closed unanswered, not abandoned.
+    assert!(matches!(queued.read_response(), Ok(None) | Err(_)));
+    let events = fx.sink.events();
+    let closed = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::ConnectionClosed { .. }))
+        .count();
+    assert_eq!(closed, 2, "both connections closed");
 }

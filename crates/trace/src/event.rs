@@ -71,8 +71,8 @@ pub enum TraceEvent {
         merge_us: u64,
         /// Per-shard busy time of the scan, µs, in shard order.
         shard_scan_us: Vec<u64>,
-        /// True when the scan ran its shards on the persistent worker
-        /// pool (more than one shard); false for a serial scan.
+        /// True when the scan ran on more than one shard thread; false
+        /// for a serial scan.
         pooled: bool,
         /// What counted the pass: `"bitmask"`, `"direct"` (the reference
         /// kernel), or `"cells"` for histogram counting; a pass that

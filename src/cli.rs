@@ -26,7 +26,7 @@ use qar_core::source::Backing;
 use qar_core::{
     mine_source, mine_source_captured, CountError, CountSource, InMemorySource, InterestConfig,
     InterestMode, Miner, MinerConfig, MinerError, MiningOutput, PartitionSpec, PartitionStrategy,
-    QuantRule, RuleInterest, SupportCounts, UpdateInput,
+    QuantRule, RuleInterest, SupportCounts, UpdateInput, MAX_THREADS,
 };
 use qar_dist::{DistOptions, DistSource, WorkerOptions, WorkerSpawn};
 use qar_prng::Prng;
@@ -671,7 +671,7 @@ const VERBS: &[VerbSpec] = &[
         build: |f| {
             Ok(Command::Worker(WorkerArgs {
                 connect: f.required("connect", "worker requires --connect HOST:PORT")?,
-                threads: f.usize_or("threads", 0)?,
+                threads: f.threads()?,
             }))
         },
     },
@@ -849,6 +849,14 @@ impl<'a> Flags<'a> {
         }
     }
 
+    /// `--threads N` (0 = the default), at most [`MAX_THREADS`].
+    fn threads(&self) -> Result<usize, CliError> {
+        match self.usize_or("threads", 0)? {
+            n if n > MAX_THREADS => Err(err(format!("--threads must be at most {MAX_THREADS}"))),
+            n => Ok(n),
+        }
+    }
+
     fn trace(&self) -> Result<Option<TraceFormat>, CliError> {
         self.parsed("trace", "json or text")
     }
@@ -939,7 +947,7 @@ fn mine_command(f: &Flags<'_>) -> Result<Command, CliError> {
         taxonomies: Default::default(),
         interest,
         max_itemset_size: f.usize_or("max-size", 0)?,
-        parallelism: std::num::NonZeroUsize::new(f.usize_or("threads", 0)?),
+        parallelism: std::num::NonZeroUsize::new(f.threads()?),
         kernel: Default::default(),
     };
     config.validate().map_err(|e| err(e.to_string()))?;
@@ -1065,7 +1073,7 @@ fn serve_command(f: &Flags<'_>) -> Result<Command, CliError> {
     Ok(Command::Serve(ServeArgs {
         catalogs: f.positionals.to_vec(),
         port: u16::try_from(port).map_err(|_| err(format!("--port {port} is not a TCP port")))?,
-        threads: f.usize_or("threads", 0)?,
+        threads: f.threads()?,
         trace: f.trace()?,
     }))
 }
@@ -1081,7 +1089,7 @@ fn bench_serve_command(f: &Flags<'_>) -> Result<Command, CliError> {
         catalog: f.string("catalog"),
         clients: f.at_least("clients", 8, 1)?,
         requests: f.at_least("requests", 2000, 1)?,
-        threads: f.usize_or("threads", 0)?,
+        threads: f.threads()?,
         floor: f.f64_or("floor", 50_000.0)?,
         shutdown: f.has("shutdown"),
         out: f.string("out"),
@@ -4003,6 +4011,21 @@ mod tests {
         let e = parse_command(&argv("mine --input - --schema a:q --chunk-rows 64")).unwrap_err();
         assert!(e.to_string().contains("stdin"), "{e}");
         assert!(parse_command(&argv("mine --input f --schema a:q --workers lots")).is_err());
+    }
+
+    #[test]
+    fn threads_flag_is_bounded() {
+        for cmd in [
+            "mine --input f --schema a:q",
+            "serve a.qarcat",
+            "worker --connect h:1",
+            "bench-serve",
+        ] {
+            assert!(parse_command(&argv(&format!("{cmd} --threads {MAX_THREADS}"))).is_ok());
+            let e =
+                parse_command(&argv(&format!("{cmd} --threads {}", MAX_THREADS + 1))).unwrap_err();
+            assert!(e.to_string().contains("--threads"), "{cmd}: {e}");
+        }
     }
 
     #[test]
