@@ -163,34 +163,21 @@ impl Default for MinerConfig {
     }
 }
 
-/// The most threads one counting scan may use, and the bound on every
-/// `--threads` flag: far above the cores a scan is tuned for, far below
-/// what an operating system refuses to spawn.
-pub const MAX_THREADS: usize = 256;
+pub use qar_table::threads::MAX_THREADS;
 
 impl MinerConfig {
-    /// The worker-thread count the counting passes will actually use:
-    /// the configured [`MinerConfig::parallelism`], or the machine's
-    /// available parallelism when unset (falling back to 1 if the OS
-    /// cannot say, and capped at [`MAX_THREADS`]).
-    ///
-    /// The `QAR_TEST_THREADS` environment variable, when set to a positive
-    /// integer, overrides an *unset* knob — CI uses it to run the whole
-    /// test suite through the forced-serial path as well as the default
-    /// one. An explicit `parallelism` setting always wins, so tests that
-    /// pin a thread count are unaffected.
+    /// The thread count the run will actually use, for its counting
+    /// passes and for the load and Steps 1–2 in front of them: the
+    /// configured [`MinerConfig::parallelism`], or
+    /// [`qar_table::threads::auto_threads`] when unset (the machine's
+    /// available parallelism, or a positive `QAR_TEST_THREADS`). An
+    /// explicit `parallelism` setting always wins, so tests that pin a
+    /// thread count are unaffected by the environment.
     pub fn effective_parallelism(&self) -> usize {
-        if let Some(n) = self.parallelism {
-            return n.get();
-        }
-        if let Some(n) = std::env::var("QAR_TEST_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            return n;
-        }
-        std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_THREADS))
+        self.parallelism.map_or_else(
+            qar_table::threads::auto_threads,
+            std::num::NonZeroUsize::get,
+        )
     }
 
     /// Validate parameter ranges.
@@ -253,8 +240,12 @@ impl MinerConfig {
 /// get the statistics of the passes that completed.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CancelledInfo {
-    /// 1-based pass during (or before) which cancellation was observed.
+    /// 1-based pass during (or before) which cancellation was observed;
+    /// 0 when the run stopped before pass 1 while loading its input.
     pub pass: usize,
+    /// The load phase the run stopped in when `pass` is 0 (for example
+    /// `"the CSV parse"` or `"Steps 1-2"`); `None` during the passes.
+    pub phase: Option<&'static str>,
     /// True when a [`qar_trace::CancelToken`] deadline expired; false for
     /// an explicit abort.
     pub deadline_exceeded: bool,
@@ -306,16 +297,17 @@ impl fmt::Display for MinerError {
             MinerError::Schema(e) => write!(f, "table error: {e}"),
             MinerError::Partition(msg) => write!(f, "partitioning error: {msg}"),
             MinerError::Io(msg) => write!(f, "i/o error: {msg}"),
-            MinerError::Cancelled(info) => write!(
-                f,
-                "mining cancelled during pass {} ({})",
-                info.pass,
-                if info.deadline_exceeded {
+            MinerError::Cancelled(info) => {
+                let reason = if info.deadline_exceeded {
                     "deadline exceeded"
                 } else {
                     "caller abort"
+                };
+                match info.phase {
+                    Some(phase) => write!(f, "mining cancelled during {phase} ({reason})"),
+                    None => write!(f, "mining cancelled during pass {} ({reason})", info.pass),
                 }
-            ),
+            }
             MinerError::Distributed(msg) => write!(f, "distributed mining error: {msg}"),
             MinerError::WorkerLost {
                 worker,

@@ -72,6 +72,7 @@ impl<'a> RunCtx<'a> {
         self.emit(|| TraceEvent::Cancelled { pass, deadline });
         MinerError::Cancelled(CancelledInfo {
             pass,
+            phase: None,
             deadline_exceeded: deadline,
             stats,
         })

@@ -131,13 +131,15 @@ pub fn validate_partitioning(
 }
 
 /// Build per-attribute encoders according to the partitioning policy
-/// (Steps 1 and 2): the table's value histograms, then
+/// (Steps 1 and 2): the table's value histograms, one column per task on
+/// the config's [`MinerConfig::effective_parallelism`] threads, then
 /// [`build_encoders_from_histograms`].
 pub fn build_encoders(
     table: &Table,
     config: &MinerConfig,
 ) -> Result<(Vec<AttributeEncoder>, Vec<Option<usize>>), MinerError> {
-    build_encoders_from_histograms(table.schema(), &table.histograms(), config)
+    let histograms = table.histograms_threaded(config.effective_parallelism(), &|| false)?;
+    build_encoders_from_histograms(table.schema(), &histograms, config)
 }
 
 /// Steps 1 and 2 from one value histogram per attribute (schema order),

@@ -96,11 +96,11 @@
 use crate::config::ScanKernel;
 use qar_itemset::ndcounter::{prefix_sums, rect_sum};
 use qar_itemset::{CounterKind, HashTree, Item, Itemset, RectCounter, VisitScratch};
+use qar_table::threads::run_sharded;
 use qar_table::{AttributeId, AttributeKind, EncodedTable};
 use qar_trace::CancelToken;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -148,29 +148,6 @@ impl<'a> ScanOptions<'a> {
             kernel: ScanKernel::default(),
         }
     }
-}
-
-/// Run shard tasks and return their results in shard order: shard 0 on
-/// the calling thread, the rest on threads scoped to this call, so a
-/// single shard never leaves the caller. Every shard settles before this
-/// returns; a panicking shard is then resumed on the caller with its
-/// payload, the first in shard order winning.
-fn run_sharded<T: Send, F: FnOnce() -> T + Send>(tasks: Vec<F>) -> Vec<T> {
-    let mut tasks = tasks.into_iter();
-    let Some(first) = tasks.next() else {
-        return Vec::new();
-    };
-    let results: Vec<std::thread::Result<T>> = std::thread::scope(|scope| {
-        let spawned: Vec<_> = tasks.map(|task| scope.spawn(task)).collect();
-        let first = catch_unwind(AssertUnwindSafe(first));
-        std::iter::once(first)
-            .chain(spawned.into_iter().map(|shard| shard.join()))
-            .collect()
-    });
-    results
-        .into_iter()
-        .map(|result| result.unwrap_or_else(|panic| resume_unwind(panic)))
-        .collect()
 }
 
 /// Statistics of one counting pass, reported in [`crate::MiningStats`].
@@ -1861,59 +1838,6 @@ mod tests {
             assert_eq!(stats.kernel, "cells+bitmask");
             assert_eq!(stats.pooled, threads > 1, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn run_sharded_returns_results_in_shard_order() {
-        let data: Vec<u64> = (0..100).collect();
-        let chunks: Vec<&[u64]> = data.chunks(9).collect();
-        let sums = run_sharded(
-            chunks
-                .iter()
-                .map(|c| move || c.iter().sum::<u64>())
-                .collect(),
-        );
-        let want: Vec<u64> = chunks.iter().map(|c| c.iter().sum()).collect();
-        assert_eq!(sums, want);
-    }
-
-    #[test]
-    fn run_sharded_runs_a_single_shard_inline() {
-        let caller = std::thread::current().id();
-        let inline = run_sharded(vec![move || std::thread::current().id() == caller]);
-        assert_eq!(inline, vec![true]);
-    }
-
-    /// Every shard finishes before the first panic in shard order is
-    /// resumed on the caller, payload intact.
-    #[test]
-    fn run_sharded_resumes_the_first_panic_after_every_shard_settles() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let finished = AtomicUsize::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_sharded(
-                (0..6)
-                    .map(|i| {
-                        let finished = &finished;
-                        move || {
-                            match i {
-                                2 => panic!("boom from shard 2"),
-                                4 => panic!("boom from shard 4"),
-                                _ => {}
-                            }
-                            finished.fetch_add(1, Ordering::SeqCst);
-                        }
-                    })
-                    .collect::<Vec<_>>(),
-            )
-        }));
-        let payload = result.expect_err("a panicking shard must unwind the caller");
-        assert_eq!(
-            payload.downcast_ref::<&str>(),
-            Some(&"boom from shard 2"),
-            "the first panic in shard order wins"
-        );
-        assert_eq!(finished.load(Ordering::SeqCst), 4, "the other shards ran");
     }
 
     /// A table of the given code columns: quantitative attributes over

@@ -157,6 +157,25 @@ impl CatColumn {
         let code = self.dictionary.intern(label);
         self.codes.push(code);
     }
+
+    /// Remove every cell and label, keeping the codes' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.codes.clear();
+        self.dictionary = Dictionary::default();
+    }
+
+    /// Append `other`'s cells. Its labels are interned in its own code
+    /// order, which is first-seen order, so the codes come out as if its
+    /// cells had been pushed one by one.
+    pub(crate) fn append(&mut self, other: &CatColumn) {
+        let remap: Vec<u32> = other
+            .dictionary
+            .labels()
+            .map(|label| self.dictionary.intern(label))
+            .collect();
+        self.codes
+            .extend(other.codes.iter().map(|&code| remap[code as usize]));
+    }
 }
 
 #[cfg(test)]
@@ -210,6 +229,22 @@ mod tests {
         assert_eq!(c.codes(), &[0, 1, 0]);
         assert_eq!(c.get(2), "Yes");
         assert_eq!(c.iter().collect::<Vec<_>>(), vec!["Yes", "No", "Yes"]);
+    }
+
+    #[test]
+    fn append_keeps_first_seen_codes() {
+        let cells = ["b", "a", "b", "c", "a", "d", "c"];
+        let mut whole = CatColumn::default();
+        for s in cells {
+            whole.push(s);
+        }
+        for cut in 0..=cells.len() {
+            let (mut head, mut tail) = (CatColumn::default(), CatColumn::default());
+            cells[..cut].iter().for_each(|s| head.push(s));
+            cells[cut..].iter().for_each(|s| tail.push(s));
+            head.append(&tail);
+            assert_eq!(head, whole, "cut at {cut}");
+        }
     }
 
     #[test]

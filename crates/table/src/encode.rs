@@ -18,7 +18,9 @@ use crate::error::TableError;
 use crate::histogram::{CatHistogram, Histogram, QuantHistogram};
 use crate::schema::{AttributeId, Schema};
 use crate::table::{Column, Table};
+use crate::threads::{auto_threads, column_threads, map_items};
 use crate::value::{canonical, Value};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Inclusive display bounds of one encoded interval.
@@ -320,9 +322,13 @@ pub struct TableRanks {
 const RANK_SPOT_CHECKS: usize = 16;
 
 impl TableRanks {
-    /// The histograms and ranks of every column of `table`.
+    /// The histograms and ranks of every column of `table`, one column at
+    /// a time: a [`crate::Table`] is ranked once per cache, and a second
+    /// sorted column copy in flight only raises the peak memory.
     pub fn new(table: &Table) -> Self {
-        let histograms = table.histograms();
+        let histograms = table
+            .histograms_threaded(1, &|| false)
+            .expect("an uncancelled histogram pass cannot fail");
         let ranks = histograms
             .iter()
             .enumerate()
@@ -383,7 +389,15 @@ impl TableRanks {
                 }
             }
         }
-        EncodedTable::encode_with(table, Some(self), encoders)
+        EncodedTable::encode_with(
+            table.schema().clone(),
+            borrowed_columns(table),
+            table.num_rows(),
+            Some(self),
+            encoders,
+            1,
+            &|| false,
+        )
     }
 
     /// Quantitative column `idx`'s distinct values and cell ranks.
@@ -393,6 +407,13 @@ impl TableRanks {
             _ => None,
         }
     }
+}
+
+/// Every column of `table`, schema order.
+fn borrowed_columns(table: &Table) -> Vec<&Column> {
+    (0..table.num_columns())
+        .map(|idx| table.column(AttributeId(idx)))
+        .collect()
 }
 
 /// The code of every number in `data`, or the first number `encoder`
@@ -417,36 +438,72 @@ pub struct EncodedTable {
 }
 
 impl EncodedTable {
-    /// Encode `table` using one encoder per attribute (schema order).
+    /// Encode `table` using one encoder per attribute (schema order), one
+    /// column per task on [`crate::threads::auto_threads`] threads.
     ///
     /// A categorical column is mapped by one lookup per dictionary entry
     /// and then a gather over its codes; a quantitative column by rank
-    /// (full resolution) or by interval.
+    /// (full resolution) or by interval. An error is the first failing
+    /// column's, in schema order.
     pub fn encode(table: &Table, encoders: Vec<AttributeEncoder>) -> Result<Self, TableError> {
-        Self::encode_with(table, None, encoders)
+        Self::encode_with(
+            table.schema().clone(),
+            borrowed_columns(table),
+            table.num_rows(),
+            None,
+            encoders,
+            auto_threads(),
+            &|| false,
+        )
     }
 
-    fn encode_with(
-        table: &Table,
+    /// [`EncodedTable::encode`] of a table it consumes, on up to
+    /// `threads` threads (a small table stays on the caller's). Each raw
+    /// column is freed as soon as its codes are made, so the raw table
+    /// and its codes are never held whole at once. `cancelled` is asked
+    /// once per column; once it says so, the encode ends in
+    /// [`TableError::Cancelled`].
+    pub fn encode_threaded(
+        table: Table,
+        encoders: Vec<AttributeEncoder>,
+        threads: usize,
+        cancelled: &(dyn Fn() -> bool + Sync),
+    ) -> Result<Self, TableError> {
+        let num_rows = table.num_rows();
+        let (schema, columns) = table.into_parts();
+        Self::encode_with(
+            schema, columns, num_rows, None, encoders, threads, cancelled,
+        )
+    }
+
+    /// Encode `columns`, a table's columns in schema order, taking each
+    /// quantitative column's codes from `ranks` when given.
+    fn encode_with<C: Borrow<Column> + Send>(
+        schema: Schema,
+        columns: Vec<C>,
+        num_rows: usize,
         ranks: Option<&TableRanks>,
         encoders: Vec<AttributeEncoder>,
+        threads: usize,
+        cancelled: &(dyn Fn() -> bool + Sync),
     ) -> Result<Self, TableError> {
         assert_eq!(
             encoders.len(),
-            table.schema().len(),
+            schema.len(),
             "one encoder per attribute required"
         );
-        let schema = table.schema().clone();
-        let mut columns: Vec<Vec<u32>> = Vec::with_capacity(encoders.len());
-        for (idx, encoder) in encoders.iter().enumerate() {
-            let id = AttributeId(idx);
+        let encode_column = |(idx, column): (usize, C)| -> Result<Vec<u32>, TableError> {
+            if cancelled() {
+                return Err(TableError::Cancelled);
+            }
+            let (id, encoder) = (AttributeId(idx), &encoders[idx]);
             let name = schema.attribute(id).name();
             let unencodable = |value: String| TableError::UnencodableValue {
                 attribute: name.to_owned(),
                 value,
             };
             let ranked = ranks.and_then(|r| r.column(idx));
-            let codes = match table.column(id) {
+            Ok(match column.borrow() {
                 Column::Quantitative { data, .. } if encoder.is_quantitative() => match ranked {
                     Some((values, ranks)) => {
                         let lookup: Vec<Option<u32>> =
@@ -484,14 +541,21 @@ impl EncodedTable {
                         got: "mismatched encoder".to_owned(),
                     })
                 }
-            };
-            columns.push(codes);
-        }
+            })
+        };
+        let threads = column_threads(num_rows, threads);
+        let columns = map_items(
+            columns.into_iter().enumerate().collect(),
+            threads,
+            encode_column,
+        )
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         Ok(EncodedTable {
             schema,
             encoders,
             columns: Arc::new(columns),
-            num_rows: table.num_rows(),
+            num_rows,
         })
     }
 

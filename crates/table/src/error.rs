@@ -63,6 +63,9 @@ pub enum TableError {
     Taxonomy(String),
     /// An I/O failure, carried as a string so the error stays `Clone`.
     Io(String),
+    /// A read or Steps 1–2 stopped because its caller's cancellation
+    /// check said so.
+    Cancelled,
 }
 
 impl fmt::Display for TableError {
@@ -108,6 +111,7 @@ impl fmt::Display for TableError {
             TableError::EmptyTable => write!(f, "operation requires a non-empty table"),
             TableError::Taxonomy(message) => write!(f, "taxonomy error: {message}"),
             TableError::Io(message) => write!(f, "I/O error: {message}"),
+            TableError::Cancelled => write!(f, "cancelled"),
         }
     }
 }

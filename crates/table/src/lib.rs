@@ -10,13 +10,16 @@
 //! * [`Value`] — a dynamically typed cell value,
 //! * [`Table`] — column-oriented record storage with row views;
 //!   categorical columns are dictionary-coded ([`dictionary`]),
-//! * [`csv`] — a dependency-free, single-pass CSV reader/writer,
+//! * [`csv`] — a dependency-free, single-pass CSV reader/writer whose
+//!   reader cuts quote-free blocks into one byte range per thread,
 //! * [`encode`] — Step 2 of the paper's problem decomposition: mapping
 //!   categorical values and quantitative values/intervals to consecutive
 //!   integers so that "the algorithm only sees values (or ranges over
 //!   values)",
 //! * [`histogram`] — one sorted `(value, count)` histogram per column,
-//!   the only input Steps 1–2 read.
+//!   the only input Steps 1–2 read,
+//! * [`threads`] — the workspace's thread count rule and its scoped
+//!   worker threads.
 //!
 //! Everything is deterministic: encoder dictionaries and distinct-value
 //! tables are sorted, so the same input table always encodes identically.
@@ -32,6 +35,7 @@ pub mod histogram;
 pub mod schema;
 pub mod table;
 pub mod taxonomy;
+pub mod threads;
 pub mod value;
 
 pub use chunk::{ChunkStore, TableSummary};

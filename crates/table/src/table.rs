@@ -4,6 +4,7 @@ use crate::dictionary::CatColumn;
 use crate::error::TableError;
 use crate::histogram::Histogram;
 use crate::schema::{AttributeId, AttributeKind, Schema};
+use crate::threads::{auto_threads, column_threads, map_items};
 use crate::value::{canonical, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -288,14 +289,79 @@ impl Table {
         self.num_rows += 1;
     }
 
+    /// Append the rows of `other`, a table of the same schema, as if they
+    /// had been pushed one by one: categorical codes stay in first-seen
+    /// order.
+    pub(crate) fn append(&mut self, other: &Table) {
+        for (mine, theirs) in self.columns.iter_mut().zip(&other.columns) {
+            match (mine, theirs) {
+                (
+                    Column::Quantitative { data, integral },
+                    Column::Quantitative {
+                        data: more,
+                        integral: more_integral,
+                    },
+                ) => {
+                    data.extend_from_slice(more);
+                    *integral &= more_integral;
+                }
+                (Column::Categorical(cells), Column::Categorical(more)) => cells.append(more),
+                _ => panic!("append needs tables of the same schema"),
+            }
+        }
+        self.identity.forget();
+        self.num_rows += other.num_rows;
+    }
+
+    /// Remove every row, keeping each column's capacity.
+    pub(crate) fn clear(&mut self) {
+        for column in &mut self.columns {
+            match column {
+                Column::Quantitative { data, integral } => {
+                    data.clear();
+                    *integral = true;
+                }
+                Column::Categorical(cells) => cells.clear(),
+            }
+        }
+        self.identity.forget();
+        self.num_rows = 0;
+    }
+
+    /// The schema and the columns, schema order.
+    pub(crate) fn into_parts(self) -> (Schema, Vec<Column>) {
+        (self.schema, self.columns)
+    }
+
     /// The value histogram of column `id`.
     pub fn histogram(&self, id: AttributeId) -> Histogram {
         Histogram::of(self.column(id))
     }
 
-    /// The value histogram of every column, schema order.
+    /// The value histogram of every column, schema order, one column per
+    /// task on [`crate::threads::auto_threads`] threads.
     pub fn histograms(&self) -> Vec<Histogram> {
-        self.columns.iter().map(Histogram::of).collect()
+        self.histograms_threaded(auto_threads(), &|| false)
+            .expect("an uncancelled histogram pass cannot fail")
+    }
+
+    /// [`Table::histograms`] on up to `threads` threads (a small table
+    /// stays on the caller's). `cancelled` is asked once per column;
+    /// once it says so, the pass ends in [`TableError::Cancelled`].
+    pub fn histograms_threaded(
+        &self,
+        threads: usize,
+        cancelled: &(dyn Fn() -> bool + Sync),
+    ) -> Result<Vec<Histogram>, TableError> {
+        let threads = column_threads(self.num_rows, threads);
+        map_items(self.columns.iter().collect(), threads, |column| {
+            if cancelled() {
+                return Err(TableError::Cancelled);
+            }
+            Ok(Histogram::of(column))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// A lightweight view of one record.

@@ -1,12 +1,13 @@
 //! The single-pass CSV reader against the line-based reader it replaced,
 //! kept here as a reference: on random inputs over the bytes that matter
 //! to quoting, both accept the same inputs with the same cells, and both
-//! reject the rest.
+//! reject the rest. The threaded reader at 2 and 7 threads gives the
+//! serial reader's table, dictionaries included, or its error.
 
 use std::io::BufRead;
 
 use qar_prng::{cases, Prng};
-use qar_table::{csv, AttributeKind, Schema, Table, Value};
+use qar_table::{csv, AttributeId, AttributeKind, Schema, Table, TableError, Value};
 
 /// The replaced reader: join physical lines until quotes balance, strip
 /// trailing line-end bytes, skip blank records, then split the record.
@@ -151,6 +152,48 @@ fn rows(table: &Table) -> Vec<Vec<Value>> {
     table.rows().map(|r| r.to_values()).collect()
 }
 
+/// The serial reader: the quote state machine over the whole stream.
+fn serial(input: &[u8], schema: &Schema) -> Result<Table, TableError> {
+    let mut chunks = csv::CsvChunks::new(input, schema.clone(), usize::MAX)?;
+    Ok(chunks
+        .next_chunk()?
+        .unwrap_or_else(|| Table::new(schema.clone())))
+}
+
+/// The threaded reader at 2 and 7 threads reads `input` as the serial
+/// reader does: the same columns (dictionary order included), or the
+/// same error on the same line.
+fn assert_threaded_matches_serial(input: &[u8], schema: &Schema, shown: &str) {
+    let want = serial(input, schema);
+    for threads in [2, 7] {
+        let got = csv::read_table_threaded(input, schema, threads, &|| false);
+        match (&want, &got) {
+            (Ok(want), Ok(got)) => {
+                assert_eq!(
+                    got.num_rows(),
+                    want.num_rows(),
+                    "{threads} threads: {shown}"
+                );
+                for c in 0..schema.len() {
+                    let id = AttributeId(c);
+                    assert_eq!(
+                        got.column(id),
+                        want.column(id),
+                        "{threads} threads: {shown}"
+                    );
+                }
+            }
+            (Err(want), Err(got)) => assert_eq!(got, want, "{threads} threads: {shown}"),
+            _ => panic!("{threads} threads: {shown}: serial {want:?}, threaded {got:?}"),
+        }
+    }
+}
+
+/// Blank lines after the header, enough to fill the threaded reader's
+/// first block, so the records after them are read as a later block and
+/// cut into one range per thread.
+const PAD_LINES: usize = 1 << 17;
+
 #[test]
 fn single_pass_reader_matches_the_line_based_reader() {
     let schema = Schema::builder()
@@ -175,6 +218,13 @@ fn single_pass_reader_matches_the_line_based_reader() {
             single_pass.as_ref().map(rows).ok(),
             "case {case}: {shown:?} in {block}-byte blocks"
         );
+        assert_threaded_matches_serial(&input, &schema, &shown);
+        if case % 50 == 0 {
+            let mut padded = b"c,q".to_vec();
+            padded.resize(padded.len() + PAD_LINES, b'\n');
+            padded.extend_from_slice(&input[3..]);
+            assert_threaded_matches_serial(&padded, &schema, &format!("padded {shown}"));
+        }
         match (reference, single_pass) {
             (Some(a), Ok(b)) => {
                 assert_eq!(rows(&a), rows(&b), "case {case}: {shown:?}");

@@ -272,7 +272,7 @@ for trace in credit credit_chunked; do
         "$STORE_DIR/$trace.trace"
 done
 
-echo "==> csv robustness (stray quote fails fast on its line; -0.0 beside 0 mines)"
+echo "==> csv robustness (stray quotes fail fast on their lines; the deadline stops the parse; -0.0 beside 0 mines)"
 # The reader is one pass over the bytes: a stray quote on line 2 of a
 # 100,000-row file must be rejected well inside the timeout and named by
 # its line (re-counting quotes per physical line made this quadratic and
@@ -288,6 +288,31 @@ if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
     exit 1
 fi
 grep -q "on line 2:" "$STORE_DIR/stray.err"
+# A stray quote far past the reader's first block: the blocks before it
+# are parsed on threads, its own on one, and it is named by its line.
+./target/release/qar generate credit --records 100000 --output "$STORE_DIR/stray_late.csv"
+sed -i '80000s/^\([^,]*\)/\1"x/' "$STORE_DIR/stray_late.csv"
+status=0
+timeout 10 ./target/release/qar mine --input "$STORE_DIR/stray_late.csv" \
+    --schema employee_category:cat,marital_status:cat,monthly_income:quant,credit_limit:quant,current_balance:quant,ytd_balance:quant,ytd_interest:quant \
+    > /dev/null 2> "$STORE_DIR/stray_late.err" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+    echo "late stray quote: expected a parse error, got exit status $status" >&2
+    exit 1
+fi
+grep -q "on line 80000:" "$STORE_DIR/stray_late.err"
+# --deadline covers the load: a 10 ms deadline on 300k rows stops the
+# CSV parse with the cancelled error instead of running past it.
+./target/release/qar generate credit --records 300000 --output "$STORE_DIR/deadline.csv"
+status=0
+timeout 10 ./target/release/qar mine --input "$STORE_DIR/deadline.csv" --deadline 0.01 \
+    --schema employee_category:cat,marital_status:cat,monthly_income:quant,credit_limit:quant,current_balance:quant,ytd_balance:quant,ytd_interest:quant \
+    > /dev/null 2> "$STORE_DIR/deadline.err" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+    echo "parse deadline: expected a cancelled run, got exit status $status" >&2
+    exit 1
+fi
+grep -q "mining cancelled during" "$STORE_DIR/deadline.err"
 # -0.0 and 0 are one value, so full resolution encodes both.
 printf 'x,c\n-0.0,a\n0,b\n1,a\n2,b\n' > "$STORE_DIR/zeros.csv"
 ./target/release/qar mine --input "$STORE_DIR/zeros.csv" --schema x:quant,c:cat \

@@ -24,9 +24,9 @@ use std::time::{Duration, Instant};
 use qar_analytics::AnalyticsConfig;
 use qar_core::source::Backing;
 use qar_core::{
-    mine_source, mine_source_captured, CountError, CountSource, InMemorySource, InterestConfig,
-    InterestMode, Miner, MinerConfig, MinerError, MiningOutput, PartitionSpec, PartitionStrategy,
-    QuantRule, RuleInterest, SupportCounts, UpdateInput, MAX_THREADS,
+    mine_source, mine_source_captured, CancelledInfo, CountError, CountSource, InMemorySource,
+    InterestConfig, InterestMode, Miner, MinerConfig, MinerError, MiningOutput, PartitionSpec,
+    PartitionStrategy, QuantRule, RuleInterest, SupportCounts, UpdateInput, MAX_THREADS,
 };
 use qar_dist::{DistOptions, DistSource, WorkerOptions, WorkerSpawn};
 use qar_prng::Prng;
@@ -358,7 +358,8 @@ MINE OPTIONS:
   --interest R          interest level (> 1); omit to keep all rules
   --interest-mode M     and | or                        [default or]
   --max-size K          cap itemset size (0 = unbounded)
-  --threads N           counting worker threads (0 = all cores) [default 0]
+  --threads N           threads for parsing, Steps 1-2 and counting
+                        (0 = all cores) [default 0]
   --top N               print at most N rules (0 = all) [default 50]
   --all-rules           print pruned rules too (with a * marker)
   --format F            text | csv | json               [default text]
@@ -1451,10 +1452,11 @@ fn mine_input(
                     .insert(attr.clone(), parse_taxonomy(&text)?);
             }
             let schema = build_schema(&args.schema)?;
-            let Loaded { rows, intervals } = load_rows(args, &schema, &config, None, spill_dir)?;
-            let rows = rows?;
             let cancel = deadline_token(args);
             let cancel = cancel.as_ref();
+            let Loaded { rows, intervals } =
+                load_rows(args, &schema, &config, None, spill_dir, cancel)?;
+            let rows = rows?;
             let mut source =
                 topology_source(args, &config, rows.backing(), spawn, sink_ref, cancel)?;
             let (mut result, captured) = if args.store.is_some() {
@@ -1483,8 +1485,16 @@ fn mine_input(
                 .expect("run_mine refuses a catalog without counts");
             let mut config = counts.config.miner_config();
             config.parallelism = args.config.parallelism;
-            let rows = load_rows(args, base.schema(), &config, Some(base), spill_dir)?.rows;
             let cancel = deadline_token(args);
+            let rows = load_rows(
+                args,
+                base.schema(),
+                &config,
+                Some(base),
+                spill_dir,
+                cancel.as_ref(),
+            )?
+            .rows;
             let mut source = None;
             let delta = match &rows {
                 Err(e) => Err(MinerError::Schema(e.clone())),
@@ -1523,26 +1533,38 @@ struct Loaded {
 /// or streamed into chunk files under `spill_dir` with `--chunk-rows`.
 /// A fresh mine builds its encoders from the data's value histograms
 /// (Steps 1-2); an update encodes under the `base` catalog's encoders.
+/// The in-memory parse and Steps 1-2 run on the run's `--threads` and
+/// stop at `cancel`'s deadline.
 fn load_rows(
     args: &MineArgs,
     schema: &Schema,
     config: &MinerConfig,
     base: Option<&Catalog>,
     spill_dir: &Path,
+    cancel: Option<&CancelToken>,
 ) -> Result<Loaded, Box<dyn Error>> {
     enum Input {
         Table(Table),
         Csv(Box<dyn BufRead>),
     }
+    let threads = config.effective_parallelism();
+    let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
     let reader = open_input(&args.input)?;
     let input = if args.chunk_rows == 0 {
-        Input::Table(csv::read_table(reader, schema)?)
+        let table = csv::read_table_threaded(reader, schema, threads, &cancelled)
+            .map_err(|e| stopped_in("the CSV parse", e, cancel))?;
+        Input::Table(table)
     } else {
         Input::Csv(reader)
     };
     let (encoders, intervals) = match (base, &input) {
         (Some(base), _) => (base.encoders().to_vec(), Vec::new()),
-        (None, Input::Table(table)) => qar_core::pipeline::build_encoders(table, config)?,
+        (None, Input::Table(table)) => {
+            let histograms = table
+                .histograms_threaded(threads, &cancelled)
+                .map_err(|e| stopped_in(STEPS_1_2, e, cancel))?;
+            qar_core::pipeline::build_encoders_from_histograms(schema, &histograms, config)?
+        }
         // The stats pass: a second stream over the file merges one value
         // histogram per attribute, the input Steps 1-2 read in memory.
         (None, Input::Csv(_)) => {
@@ -1556,13 +1578,39 @@ fn load_rows(
         }
     };
     let rows = match input {
-        Input::Table(table) => EncodedTable::encode(&table, encoders).map(Rows::Memory),
+        Input::Table(table) => {
+            match EncodedTable::encode_threaded(table, encoders, threads, &cancelled) {
+                Err(TableError::Cancelled) => {
+                    return Err(stopped_in(STEPS_1_2, TableError::Cancelled, cancel))
+                }
+                encoded => encoded.map(Rows::Memory),
+            }
+        }
         Input::Csv(reader) => {
             qar_table::chunk::spill_csv(reader, schema, encoders, args.chunk_rows, spill_dir)
                 .map(Rows::Chunks)
         }
     };
     Ok(Loaded { rows, intervals })
+}
+
+/// The phase [`load_rows`] names when a deadline stops its histograms or
+/// encode.
+const STEPS_1_2: &str = "Steps 1-2 (partition and encode)";
+
+/// The error a load phase that failed with `e` ends the run with: a
+/// cancelled read or Steps 1-2 is the [`MinerError::Cancelled`] the
+/// counting passes report, naming `phase`; any other error stays as it is.
+fn stopped_in(phase: &'static str, e: TableError, cancel: Option<&CancelToken>) -> Box<dyn Error> {
+    match e {
+        TableError::Cancelled => Box::new(MinerError::Cancelled(CancelledInfo {
+            pass: 0,
+            phase: Some(phase),
+            deadline_exceeded: cancel.is_some_and(CancelToken::deadline_exceeded),
+            stats: Default::default(),
+        })),
+        other => Box::new(other),
+    }
 }
 
 /// Write the mined rules to `out` in the requested format.
@@ -4183,6 +4231,89 @@ mod tests {
             }
         }
         std::fs::remove_file(&input).ok();
+    }
+
+    /// The credit schema as `--schema` declares it.
+    const CREDIT_SCHEMA: &str = "employee_category:cat,marital_status:cat,\
+        monthly_income:quant,credit_limit:quant,current_balance:quant,ytd_balance:quant,\
+        ytd_interest:quant";
+
+    /// `records` synthetic credit rows written to a temporary CSV file.
+    fn credit_csv(tag: &str, records: usize) -> PathBuf {
+        let path = std::env::temp_dir().join(format!("qar-cli-{tag}-{}.csv", std::process::id()));
+        let gen = GenerateArgs {
+            dataset: "credit".into(),
+            records,
+            seed: 1,
+            output: "-".into(),
+        };
+        let mut file = std::fs::File::create(&path).expect("create CSV");
+        run_generate(&gen, &mut file).expect("generate");
+        path
+    }
+
+    /// A CSV larger than one read block mines to the same normalized
+    /// catalog whatever threads parse it and run Steps 1-2, over worker
+    /// threads, and over spilled chunks.
+    #[test]
+    fn threaded_load_writes_identical_catalogs() {
+        let input = credit_csv("threaded-load", 30_000);
+        assert!(std::fs::metadata(&input).unwrap().len() > 1 << 20);
+        let pid = std::process::id();
+        let mine = |topology: &str| {
+            let store = std::env::temp_dir().join(format!("qar-cli-threaded-load-{pid}.qarcat"));
+            let cmd = parse_command(&argv(&format!(
+                "mine --input {} --schema {CREDIT_SCHEMA} --minsup 0.2 --maxsup 0.4 \
+                 --minconf 0.25 --completeness 2 --normalize-stats --store {} {topology}",
+                input.display(),
+                store.display()
+            )))
+            .unwrap();
+            let Command::Mine(args) = cmd else { panic!() };
+            let spawn = (args.workers > 0)
+                .then(|| WorkerSpawn::Threads(qar_dist::WorkerOptions::default()));
+            run_mine(&args, spawn, None, &mut Vec::new())
+                .unwrap_or_else(|e| panic!("{topology}: {e}"));
+            let catalog = std::fs::read(&store).expect("catalog written");
+            std::fs::remove_file(&store).ok();
+            catalog
+        };
+        let reference = mine("--threads 1");
+        assert!(!reference.is_empty());
+        for topology in [
+            "--threads 2",
+            "--threads 7",
+            "--workers 2",
+            "--chunk-rows 5000",
+        ] {
+            assert!(mine(topology) == reference, "{topology}: catalog differs");
+        }
+        std::fs::remove_file(&input).ok();
+    }
+
+    /// `--deadline` covers the CSV parse: a deadline that expires while
+    /// 300k rows load ends the run in the passes' cancelled error, naming
+    /// the phase, and writes no catalog.
+    #[test]
+    fn deadline_stops_the_load() {
+        let input = credit_csv("deadline-load", 300_000);
+        let store = std::env::temp_dir().join(format!(
+            "qar-cli-deadline-load-{}.qarcat",
+            std::process::id()
+        ));
+        let cmd = parse_command(&argv(&format!(
+            "mine --input {} --schema {CREDIT_SCHEMA} --deadline 0.01 --store {}",
+            input.display(),
+            store.display()
+        )))
+        .unwrap();
+        let e = run(&cmd, &mut Vec::new()).unwrap_err();
+        std::fs::remove_file(&input).ok();
+        assert_eq!(
+            e.to_string(),
+            "mining cancelled during the CSV parse (deadline exceeded)"
+        );
+        assert!(!store.exists(), "a cancelled mine wrote a catalog");
     }
 
     #[test]
