@@ -323,8 +323,9 @@ const RANK_SPOT_CHECKS: usize = 16;
 
 impl TableRanks {
     /// The histograms and ranks of every column of `table`, one column at
-    /// a time: a [`crate::Table`] is ranked once per cache, and a second
-    /// sorted column copy in flight only raises the peak memory.
+    /// a time: a cache ranks its table once, so threads would save little
+    /// here, while a second sorted column copy in flight raises the peak
+    /// memory of the process holding the cache.
     pub fn new(table: &Table) -> Self {
         let histograms = table
             .histograms_threaded(1, &|| false)
