@@ -4,10 +4,22 @@
 //! spawns workers (child processes running `qar worker --connect ADDR`,
 //! or in-process threads for tests and the differential oracle), and
 //! accepts their connections. [`DistSource`] then implements
-//! [`CountSource`] over the pool — it partitions the backing rows
-//! contiguously across workers, streams each partition out as bounded
-//! row blocks, and answers every counting request by broadcasting it and
-//! merging the raw per-worker tallies with element-wise `u64` addition.
+//! [`CountSource`] over the pool and answers every counting request by
+//! broadcasting it and merging the raw per-worker tallies with
+//! element-wise `u64` addition. The workers get their rows one of two
+//! ways:
+//!
+//! * from rows the coordinator holds ([`DistSource::start`]): it
+//!   partitions them contiguously across the workers and streams each
+//!   partition out as bounded row blocks, one worker after the other;
+//! * from a CSV file ([`DistSource::start_ranges`]): every worker is
+//!   started on the file, parses its own byte range of it and replies
+//!   with the range's value histograms. The coordinator merges them,
+//!   builds the encoders from them as the serial run does (Steps 1–2),
+//!   and sends them out, and each worker encodes its own rows. The
+//!   coordinator parses, encodes and ships no rows. A range holding a
+//!   `"` byte ends this load: the caller reads the file itself.
+//!
 //! Pass 2 travels as attribute pairs: workers return [`PairHistograms`]
 //! cells, which merge by addition into the histograms the driver reads
 //! its frequent pairs from.
@@ -15,22 +27,27 @@
 //! Partial failure: a worker that times out, drops its connection, or
 //! answers out of protocol is declared **lost** (one `worker_lost` trace
 //! event, [`MinerError::WorkerLost`] under
-//! [`DistOptions::fail_fast`]). The coordinator keeps the backing data,
-//! so by default it recovers by recounting the lost partition locally —
-//! the merged counts, and therefore the mined rules, are unchanged.
+//! [`DistOptions::fail_fast`]). By default the coordinator recovers by
+//! counting the lost partition itself from then on: a range of the rows
+//! it holds, or the lost worker's byte range of the file, parsed again
+//! (and encoded once the encoders exist). The merged counts, and
+//! therefore the mined rules, are unchanged.
 
+use qar_core::pipeline::build_encoders_from_histograms;
 use qar_core::source::{Backing, CountError, CountSource, InMemorySource};
 use qar_core::supercand::{cell_groups, PairHistograms};
 use qar_core::{MinerConfig, MinerError};
 use qar_itemset::Itemset;
 use qar_store::dist::{read_response, write_request, DistRequest, DistResponse};
 use qar_store::protocol::MAX_PAYLOAD;
-use qar_table::EncodedTable;
+use qar_table::csv::{self, RangeRead};
+use qar_table::{EncodedTable, Histogram, Schema, TableError};
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
+use std::fs::File;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -62,6 +79,28 @@ pub enum WorkerSpawn {
     /// by tests and the differential oracle. Counting is still performed
     /// over real TCP connections through the full wire protocol.
     Threads(WorkerOptions),
+}
+
+impl WorkerSpawn {
+    /// This spawn with every worker started on `input`: `--input FILE`
+    /// after a process's arguments, or the thread workers'
+    /// [`WorkerOptions::input`].
+    fn with_input(&self, input: &Path) -> WorkerSpawn {
+        match self {
+            WorkerSpawn::Processes { exe, args } => {
+                let mut args = args.clone();
+                args.extend(["--input".to_string(), input.display().to_string()]);
+                WorkerSpawn::Processes {
+                    exe: exe.clone(),
+                    args,
+                }
+            }
+            WorkerSpawn::Threads(options) => WorkerSpawn::Threads(WorkerOptions {
+                input: Some(input.to_path_buf()),
+                ..options.clone()
+            }),
+        }
+    }
 }
 
 /// How long [`Cluster::start`] waits for every worker to connect.
@@ -151,7 +190,7 @@ impl Cluster {
                 }
                 WorkerSpawn::Threads(worker_options) => {
                     let addr = addr.clone();
-                    let worker_options = *worker_options;
+                    let worker_options = worker_options.clone();
                     threads.push(std::thread::spawn(move || {
                         let _ = run_worker(&addr, &worker_options);
                     }));
@@ -238,6 +277,45 @@ impl Cluster {
         self.remotes.is_empty()
     }
 
+    /// Give up every worker at once: close the connections without a
+    /// word, so a worker still parsing stops at its next write, and reap
+    /// them (a child process is killed).
+    fn abandon(&mut self) {
+        for remote in &mut self.remotes {
+            remote.alive = false;
+        }
+        self.shutdown();
+    }
+
+    /// Declare worker `index` lost during `pass` (0 = the load): one
+    /// `worker_lost` event, then under `fail_fast` the run's
+    /// [`MinerError::WorkerLost`].
+    fn lose(
+        &mut self,
+        index: usize,
+        pass: usize,
+        detail: String,
+        sink: Option<&dyn ProgressSink>,
+        fail_fast: bool,
+    ) -> Result<(), MinerError> {
+        self.remotes[index].alive = false;
+        if let Some(sink) = sink {
+            sink.on_event(&TraceEvent::WorkerLost {
+                worker: index,
+                pass,
+                detail: detail.clone(),
+            });
+        }
+        if fail_fast {
+            return Err(MinerError::WorkerLost {
+                worker: index,
+                pass,
+                detail,
+            });
+        }
+        Ok(())
+    }
+
     /// Gracefully stop every live worker (Shutdown → Bye), close the
     /// connections, and reap children and threads.
     pub fn shutdown(&mut self) {
@@ -267,26 +345,131 @@ impl Drop for Cluster {
     }
 }
 
-/// The distributed [`CountSource`]: a worker pool plus the retained
-/// backing data for lost-partition recovery.
+/// A CSV file cut into one byte range per worker, for workers that parse
+/// their own part of it ([`DistSource::start_ranges`]).
+pub struct RangeInput {
+    file: File,
+    path: PathBuf,
+    schema: Schema,
+    header_lines: usize,
+    ranges: Vec<Range<u64>>,
+}
+
+impl RangeInput {
+    /// Cut `file`, opened from `path`, into `parts` byte ranges of whole
+    /// lines after its header ([`csv::cut_ranges`]). A header that does
+    /// not match `schema` fails here with the serial reader's error.
+    pub fn new(
+        file: File,
+        path: impl Into<PathBuf>,
+        schema: &Schema,
+        parts: usize,
+    ) -> Result<RangeInput, TableError> {
+        let (header_lines, ranges) = csv::cut_ranges(&file, schema, parts)?;
+        Ok(RangeInput {
+            file,
+            path: path.into(),
+            schema: schema.clone(),
+            header_lines,
+            ranges,
+        })
+    }
+
+    /// The request for range `index`, carrying the time `cancel` has
+    /// left, rounded up to whole milliseconds so the worker never stops
+    /// before the run does.
+    fn request(&self, index: usize, cancel: Option<&CancelToken>) -> DistRequest {
+        let deadline_ms = cancel
+            .and_then(CancelToken::time_left)
+            .map(|left| u32::try_from(left.as_micros().div_ceil(1000)).unwrap_or(u32::MAX));
+        DistRequest::ParseRange {
+            schema: self.schema.clone(),
+            file_len: self.ranges.last().map_or(0, |r| r.end),
+            range: self.ranges[index].clone(),
+            deadline_ms,
+        }
+    }
+
+    /// Parse range `index` here.
+    fn parse(
+        &self,
+        index: usize,
+        threads: usize,
+        cancelled: &(dyn Fn() -> bool + Sync),
+    ) -> Result<Option<RangeRead>, TableError> {
+        let range = self.ranges[index].clone();
+        csv::read_range(&self.file, &self.schema, range, threads, cancelled)
+    }
+}
+
+/// How [`DistSource::start_ranges`] ended.
+pub enum RangeLoad<'a> {
+    /// Every range parsed: the workers hold the rows, encoded.
+    Loaded {
+        /// The source counting over the workers.
+        source: Box<DistSource<'a>>,
+        /// The intervals Steps 1–2 chose per attribute (`None` for
+        /// categorical or unpartitioned attributes).
+        intervals: Vec<Option<usize>>,
+    },
+    /// A range held a `"` byte, so the ranges may not be units of the
+    /// file. The workers are gone; the caller reads the file itself.
+    Quoted,
+    /// The file failed to parse: the serial reader's error for it (the
+    /// first failing range's, its line counted from the file's start), or
+    /// [`TableError::Cancelled`] once the run's deadline passed.
+    Failed(TableError),
+}
+
+/// One range as the load met it, in range order.
+enum RangePart {
+    /// Parsed: its rows, lines and histograms, and its table when the
+    /// coordinator parsed it itself.
+    Parsed {
+        rows: usize,
+        lines: usize,
+        histograms: Vec<Histogram>,
+        read: Option<RangeRead>,
+    },
+    Quoted,
+    Failed(TableError),
+}
+
+/// The distributed [`CountSource`]: a worker pool plus what the
+/// coordinator needs to count a lost worker's rows itself.
 pub struct DistSource<'a> {
     cluster: Cluster,
-    backing: Backing<'a>,
     meta: EncodedTable,
     /// Per-worker contiguous row ranges, cluster order.
     ranges: Vec<Range<usize>>,
-    /// The retired workers' rows, counted by the coordinator itself.
-    local: InMemorySource<'a>,
+    /// The lost workers' rows, counted by the coordinator itself.
+    local: Local<'a>,
+    config: MinerConfig,
     sink: Option<&'a dyn ProgressSink>,
     cancel: Option<&'a CancelToken>,
     fail_fast: bool,
-    block_rows: usize,
+}
+
+/// Where the coordinator finds the rows of the workers it lost.
+enum Local<'a> {
+    /// In the rows it holds and streamed out: the lost workers' ranges.
+    Held {
+        backing: Backing<'a>,
+        retired: Vec<Range<usize>>,
+    },
+    /// In the file the workers parsed: a lost worker's byte range is
+    /// parsed again, and its encoded rows kept in `rows`.
+    Reparsed {
+        input: RangeInput,
+        rows: Vec<EncodedTable>,
+    },
 }
 
 impl<'a> DistSource<'a> {
     /// Start a cluster of `options.workers` workers and load `backing`
-    /// into it — the source `qar mine --workers N` counts through. The
-    /// cluster shuts down when the source is dropped.
+    /// into it — the source `qar mine --workers N` counts through when
+    /// it holds the rows. The cluster shuts down when the source is
+    /// dropped.
     pub fn start(
         backing: Backing<'a>,
         config: &MinerConfig,
@@ -319,24 +502,142 @@ impl<'a> DistSource<'a> {
             ranges.push(offset..offset + len);
             offset += len;
         }
-        let mut local = InMemorySource::new(backing, config).with_cancel(cancel);
-        let (schema, encoders) = (local.meta().schema(), local.meta().encoders());
-        let ncols = schema.len();
-        let meta = EncodedTable::header_only(schema.clone(), encoders.to_vec(), num_rows);
-        local.restrict(Vec::new());
+        let meta = match backing {
+            Backing::Memory(table) => EncodedTable::header_only(
+                table.schema().clone(),
+                table.encoders().to_vec(),
+                num_rows,
+            ),
+            Backing::Chunks(store) => store.header(),
+        };
         let mut source = DistSource {
             cluster,
-            backing,
             meta,
             ranges,
-            local,
+            local: Local::Held {
+                backing,
+                retired: Vec::new(),
+            },
+            config: config.clone(),
             sink,
             cancel,
             fail_fast,
-            block_rows: (BATCH_BYTES / (4 * ncols.max(1))).max(1),
         };
-        source.load()?;
+        source.load(backing)?;
         Ok(source)
+    }
+
+    /// Start a cluster of `options.workers` workers on `input`'s file
+    /// (each given it at start, never over the wire) and have each parse
+    /// and encode its own range of it — the load `qar mine --workers N
+    /// --input FILE` takes for a regular file. `input` must be cut into
+    /// one range per worker.
+    pub fn start_ranges(
+        input: RangeInput,
+        config: &MinerConfig,
+        options: &DistOptions,
+        sink: Option<&'a dyn ProgressSink>,
+        cancel: Option<&'a CancelToken>,
+    ) -> Result<RangeLoad<'a>, MinerError> {
+        let options = DistOptions {
+            spawn: options.spawn.with_input(&input.path),
+            ..options.clone()
+        };
+        let cluster = Cluster::start(&options)?;
+        DistSource::from_ranges(cluster, input, config, sink, cancel, options.fail_fast)
+    }
+
+    /// Have the cluster's workers, started on `input`'s file, parse one
+    /// range each; merge their histograms in range order into the
+    /// encoders; and send them the encoders, on which each encodes its own
+    /// rows. A worker lost before it is loaded has its range parsed here
+    /// instead. Emits one `worker_joined` event per loaded worker, once
+    /// every worker is.
+    pub fn from_ranges(
+        mut cluster: Cluster,
+        input: RangeInput,
+        config: &MinerConfig,
+        sink: Option<&'a dyn ProgressSink>,
+        cancel: Option<&'a CancelToken>,
+        fail_fast: bool,
+    ) -> Result<RangeLoad<'a>, MinerError> {
+        if cluster.len() != input.ranges.len() {
+            return Err(MinerError::Distributed(format!(
+                "{} workers for an input cut into {} ranges",
+                cluster.len(),
+                input.ranges.len()
+            )));
+        }
+        let parsed = match parse_ranges(&mut cluster, &input, config, sink, cancel, fail_fast) {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                cluster.abandon();
+                return Err(e);
+            }
+        };
+        // The first range that did not parse decides, its errors' lines
+        // counted after the header's and the earlier ranges'.
+        let mut lines = input.header_lines;
+        let mut ranges: Vec<Range<usize>> = Vec::with_capacity(parsed.len());
+        let mut merged: Option<Vec<Histogram>> = None;
+        let mut reads = Vec::new();
+        for part in parsed {
+            let (rows, histograms) = match part {
+                RangePart::Parsed {
+                    rows,
+                    lines: more,
+                    histograms,
+                    read,
+                } => {
+                    lines += more;
+                    reads.extend(read);
+                    (rows, histograms)
+                }
+                RangePart::Quoted => {
+                    cluster.abandon();
+                    return Ok(RangeLoad::Quoted);
+                }
+                RangePart::Failed(e) => {
+                    cluster.abandon();
+                    return Ok(RangeLoad::Failed(e.after_lines(lines)));
+                }
+            };
+            let start = ranges.last().map_or(0, |r| r.end);
+            ranges.push(start..start + rows);
+            match &mut merged {
+                None => merged = Some(histograms),
+                Some(merged) => {
+                    for (merged, part) in merged.iter_mut().zip(histograms) {
+                        merged.merge(part);
+                    }
+                }
+            }
+        }
+        let merged = merged.expect("a cluster has at least one worker");
+        let (encoders, intervals) = build_encoders_from_histograms(&input.schema, &merged, config)?;
+        let num_rows = ranges.last().map_or(0, |r| r.end);
+        let meta = EncodedTable::header_only(input.schema.clone(), encoders, num_rows);
+        let mut source = DistSource {
+            cluster,
+            meta,
+            ranges,
+            local: Local::Reparsed {
+                input,
+                rows: Vec::new(),
+            },
+            config: config.clone(),
+            sink,
+            cancel,
+            fail_fast,
+        };
+        for read in reads {
+            source.keep_local(read)?;
+        }
+        source.setup_ranges()?;
+        Ok(RangeLoad::Loaded {
+            source: Box::new(source),
+            intervals,
+        })
     }
 
     fn emit(&self, event: TraceEvent) {
@@ -347,49 +648,94 @@ impl<'a> DistSource<'a> {
 
     /// Declare worker `index` lost during `pass` (0 = the load phase).
     /// Under `fail_fast` the loss becomes the run's error; otherwise the
-    /// worker is retired and its range recounted locally from here on.
+    /// worker is retired and its rows counted here from then on.
     fn lose(&mut self, index: usize, pass: usize, detail: String) -> Result<(), MinerError> {
-        self.cluster.remotes[index].alive = false;
-        let retired = (0..self.cluster.len())
-            .filter(|&i| !self.cluster.remotes[i].alive)
-            .map(|i| self.ranges[i].clone())
-            .collect();
-        self.local.restrict(retired);
-        self.emit(TraceEvent::WorkerLost {
-            worker: index,
-            pass,
-            detail: detail.clone(),
-        });
-        if self.fail_fast {
-            return Err(MinerError::WorkerLost {
-                worker: index,
-                pass,
-                detail,
-            });
+        self.cluster
+            .lose(index, pass, detail, self.sink, self.fail_fast)?;
+        match &mut self.local {
+            Local::Held { retired, .. } => retired.push(self.ranges[index].clone()),
+            Local::Reparsed { input, .. } => {
+                let threads = self.config.effective_parallelism();
+                let again = |detail: String| {
+                    MinerError::Distributed(format!(
+                        "worker {index}'s range of `{}` cannot be read again: {detail}",
+                        input.path.display()
+                    ))
+                };
+                let read = match input.parse(index, threads, &|| false) {
+                    Ok(Some(read)) if read.table.num_rows() == self.ranges[index].len() => read,
+                    Ok(Some(_)) => return Err(again("its row count changed".to_string())),
+                    Ok(None) => return Err(again("it now holds a quote".to_string())),
+                    Err(e) => return Err(again(e.to_string())),
+                };
+                self.keep_local(read)?;
+            }
         }
         Ok(())
     }
 
-    /// Setup + stream each worker its partition.
-    fn load(&mut self) -> Result<(), MinerError> {
+    /// Encode `read`, a range parsed here, and add it to the rows this
+    /// process counts.
+    fn keep_local(&mut self, read: RangeRead) -> Result<(), MinerError> {
+        let threads = self.config.effective_parallelism();
+        let encoders = self.meta.encoders().to_vec();
+        let encoded = EncodedTable::encode_threaded(read.table, encoders, threads, &|| false)?;
+        if let Local::Reparsed { rows, .. } = &mut self.local {
+            rows.push(encoded);
+        }
+        Ok(())
+    }
+
+    /// Send the encoders to every live worker at once, each then encoding
+    /// the range it parsed, and count the rows of any it loses here.
+    fn setup_ranges(&mut self) -> Result<(), MinerError> {
+        let setup = DistRequest::Setup {
+            schema: self.meta.schema().clone(),
+            encoders: self.meta.encoders().to_vec(),
+        };
+        // A broadcast fails only where a loss does; it is never cancelled.
+        let ready = self.broadcast(0, &setup, |response| match response {
+            DistResponse::Ready => Ok(()),
+            other => Err(other),
+        });
+        if let Err(CountError::Failed(e)) = ready {
+            return Err(e);
+        }
+        for index in self.alive() {
+            self.emit_joined(index);
+        }
+        Ok(())
+    }
+
+    /// Report worker `index` loaded with its rows.
+    fn emit_joined(&self, index: usize) {
+        self.emit(TraceEvent::WorkerJoined {
+            worker: index,
+            addr: self.cluster.remotes[index].peer.clone(),
+            rows: self.ranges[index].len() as u64,
+        });
+    }
+
+    /// Setup + stream each worker its partition of `backing`.
+    fn load(&mut self, backing: Backing<'_>) -> Result<(), MinerError> {
+        let block_rows = (BATCH_BYTES / (4 * self.meta.schema().len().max(1))).max(1);
         for index in 0..self.cluster.len() {
             let rows = self.ranges[index].clone();
-            match self.load_worker(index, rows.clone()) {
-                Ok(()) => {
-                    let peer = self.cluster.remotes[index].peer.clone();
-                    self.emit(TraceEvent::WorkerJoined {
-                        worker: index,
-                        addr: peer,
-                        rows: rows.len() as u64,
-                    });
-                }
+            match self.load_worker(index, backing, rows, block_rows) {
+                Ok(()) => self.emit_joined(index),
                 Err(detail) => self.lose(index, 0, detail)?,
             }
         }
         Ok(())
     }
 
-    fn load_worker(&mut self, index: usize, rows: Range<usize>) -> Result<(), String> {
+    fn load_worker(
+        &mut self,
+        index: usize,
+        backing: Backing<'_>,
+        rows: Range<usize>,
+        block_rows: usize,
+    ) -> Result<(), String> {
         let setup = DistRequest::Setup {
             schema: self.meta.schema().clone(),
             encoders: self.meta.encoders().to_vec(),
@@ -401,26 +747,23 @@ impl<'a> DistSource<'a> {
         let mut loaded = 0u64;
         let remote = &mut self.cluster.remotes[index];
         let mut stream_error: Option<String> = None;
-        let walk = self
-            .backing
-            .for_each_block(rows.clone(), self.block_rows, &mut |block| {
-                let columns = block.into_owned().into_columns();
-                match remote.request(&DistRequest::Rows { columns }) {
-                    Ok(DistResponse::RowsLoaded { total_rows }) => {
-                        loaded = total_rows;
-                        Ok(())
-                    }
-                    Ok(other) => {
-                        stream_error =
-                            Some(format!("expected RowsLoaded, got {}", describe(&other)));
-                        Err(CountError::Cancelled) // any error stops the walk
-                    }
-                    Err(detail) => {
-                        stream_error = Some(detail);
-                        Err(CountError::Cancelled)
-                    }
+        let walk = backing.for_each_block(rows.clone(), block_rows, &mut |block| {
+            let columns = block.into_owned().into_columns();
+            match remote.request(&DistRequest::Rows { columns }) {
+                Ok(DistResponse::RowsLoaded { total_rows }) => {
+                    loaded = total_rows;
+                    Ok(())
                 }
-            });
+                Ok(other) => {
+                    stream_error = Some(format!("expected RowsLoaded, got {}", describe(&other)));
+                    Err(CountError::Cancelled) // any error stops the walk
+                }
+                Err(detail) => {
+                    stream_error = Some(detail);
+                    Err(CountError::Cancelled)
+                }
+            }
+        });
         if let Some(detail) = stream_error {
             return Err(detail);
         }
@@ -434,6 +777,26 @@ impl<'a> DistSource<'a> {
             ));
         }
         Ok(())
+    }
+
+    /// Run `count` over the rows this process counts itself, if it counts
+    /// any: the lost workers'.
+    fn count_local(
+        &self,
+        mut count: impl FnMut(&mut InMemorySource<'_>) -> Result<(), CountError>,
+    ) -> Result<(), CountError> {
+        let local = |rows| InMemorySource::new(rows, &self.config).with_cancel(self.cancel);
+        match &self.local {
+            Local::Held { retired, .. } if retired.is_empty() => Ok(()),
+            Local::Held { backing, retired } => {
+                let mut source = local(*backing);
+                source.restrict(retired.clone());
+                count(&mut source)
+            }
+            Local::Reparsed { rows, .. } => rows
+                .iter()
+                .try_for_each(|rows| count(&mut local(Backing::Memory(rows)))),
+        }
     }
 
     fn is_cancelled(&self) -> bool {
@@ -538,7 +901,7 @@ impl<'a> DistSource<'a> {
             other => Err(other),
         })?;
         *workers = (*workers).min(merged);
-        self.local.count_pair_cells(&mut hist)?;
+        self.count_local(|local| local.count_pair_cells(&mut hist))?;
         Ok(hist)
     }
 
@@ -582,10 +945,13 @@ impl<'a> DistSource<'a> {
                 other => Err(other),
             })?;
             *workers = (*workers).min(merged);
-            let add = self.local.count(pass, batch)?;
-            for (a, b) in result[batch_start..batch_end].iter_mut().zip(add) {
-                *a += b;
-            }
+            self.count_local(|local| {
+                let add = local.count(pass, batch)?;
+                for (a, b) in result[batch_start..batch_end].iter_mut().zip(add) {
+                    *a += b;
+                }
+                Ok(())
+            })?;
         }
         Ok(result)
     }
@@ -597,7 +963,7 @@ impl CountSource for DistSource<'_> {
     }
 
     fn num_rows(&self) -> u64 {
-        self.backing.num_rows() as u64
+        self.meta.num_rows() as u64
     }
 
     fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError> {
@@ -629,11 +995,14 @@ impl CountSource for DistSource<'_> {
                 }
                 other => Err(other),
             })?;
-        for (acc, add) in merged.iter_mut().zip(self.local.value_counts()?) {
-            for (a, b) in acc.iter_mut().zip(add) {
-                *a += b;
+        self.count_local(|local| {
+            for (acc, add) in merged.iter_mut().zip(local.value_counts()?) {
+                for (a, b) in acc.iter_mut().zip(add) {
+                    *a += b;
+                }
             }
-        }
+            Ok(())
+        })?;
         self.emit_merged(1, merged_workers, 0, started);
         Ok(merged)
     }
@@ -682,9 +1051,112 @@ fn describe(response: &DistResponse) -> &'static str {
         DistResponse::ItemCounts { .. } => "ItemCounts of the wrong shape",
         DistResponse::Counts { .. } => "Counts of the wrong length",
         DistResponse::PairCounts { .. } => "PairCounts of the wrong length",
+        DistResponse::RangeParsed { .. } => "RangeParsed not fitting the schema",
+        DistResponse::RangeFailed { .. } => "RangeFailed",
         DistResponse::Bye => "Bye",
         DistResponse::Error { .. } => "Error",
     }
+}
+
+/// Send every worker its range of `input` at once, then read the replies
+/// in range order up to the first range that did not parse. A worker
+/// lost on the way has its range parsed here, unless the run's deadline
+/// has passed by then.
+fn parse_ranges(
+    cluster: &mut Cluster,
+    input: &RangeInput,
+    config: &MinerConfig,
+    sink: Option<&dyn ProgressSink>,
+    cancel: Option<&CancelToken>,
+    fail_fast: bool,
+) -> Result<Vec<RangePart>, MinerError> {
+    let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
+    let threads = config.effective_parallelism();
+    let sent: Vec<Result<(), String>> = (0..cluster.len())
+        .map(|index| cluster.remotes[index].send(&input.request(index, cancel)))
+        .collect();
+    let schema = &input.schema;
+    let mut parts = Vec::with_capacity(sent.len());
+    for (index, sent) in sent.into_iter().enumerate() {
+        let reply = sent.and_then(|()| cluster.remotes[index].receive());
+        let part = match reply {
+            Ok(DistResponse::RangeParsed { quoted: true, .. }) => RangePart::Quoted,
+            Ok(DistResponse::RangeParsed {
+                rows,
+                lines,
+                histograms,
+                ..
+            }) if fits(schema, &histograms) => RangePart::Parsed {
+                rows: rows as usize,
+                lines: lines as usize,
+                histograms,
+                read: None,
+            },
+            Ok(DistResponse::RangeFailed {
+                line,
+                bad_number: true,
+                text,
+            }) => RangePart::Failed(TableError::BadNumber {
+                line: line as usize,
+                token: text,
+            }),
+            Ok(DistResponse::RangeFailed { line, text, .. }) => {
+                RangePart::Failed(TableError::Csv {
+                    line: line as usize,
+                    message: text,
+                })
+            }
+            failed => {
+                if cancelled() {
+                    return Ok(vec![RangePart::Failed(TableError::Cancelled)]);
+                }
+                let detail = match failed {
+                    Ok(other) => format!("malformed reply ({})", describe(&other)),
+                    Err(detail) => detail,
+                };
+                cluster.lose(index, 0, detail, sink, fail_fast)?;
+                parse_here(input, index, threads, &cancelled)
+            }
+        };
+        let done = !matches!(part, RangePart::Parsed { .. });
+        parts.push(part);
+        if done {
+            break;
+        }
+    }
+    Ok(parts)
+}
+
+/// Parse range `index` of `input` here, with its histograms.
+fn parse_here(
+    input: &RangeInput,
+    index: usize,
+    threads: usize,
+    cancelled: &(dyn Fn() -> bool + Sync),
+) -> RangePart {
+    let read = match input.parse(index, threads, cancelled) {
+        Ok(Some(read)) => read,
+        Ok(None) => return RangePart::Quoted,
+        Err(e) => return RangePart::Failed(e),
+    };
+    match read.table.histograms_threaded(threads, cancelled) {
+        Ok(histograms) => RangePart::Parsed {
+            rows: read.table.num_rows(),
+            lines: read.lines,
+            histograms,
+            read: Some(read),
+        },
+        Err(e) => RangePart::Failed(e),
+    }
+}
+
+/// True when `histograms` hold one histogram per attribute of `schema`,
+/// each of its attribute's kind.
+fn fits(schema: &Schema, histograms: &[Histogram]) -> bool {
+    histograms.len() == schema.len()
+        && schema.iter().zip(histograms).all(|((_, def), histogram)| {
+            def.is_quantitative() == histogram.as_quantitative().is_some()
+        })
 }
 
 /// Options of [`Cluster::start`] and [`DistSource::start`].
@@ -719,9 +1191,10 @@ mod tests {
     use qar_core::pipeline::MiningOutput;
     use qar_core::source::{mine_source, mine_source_captured};
     use qar_core::Miner;
-    use qar_store::dist::{read_request, write_response};
+    use qar_store::dist::{read_request, tag, write_response};
     use qar_store::Catalog;
     use qar_table::{ChunkStore, Schema, Table, Value};
+    use std::sync::{Arc, Mutex};
 
     fn people_table() -> Table {
         let schema = Schema::builder()
@@ -909,13 +1382,23 @@ mod tests {
         assert_eq!(verdicts(&serial), verdicts(&dist));
     }
 
-    /// A real worker that drops its connection on the first request
-    /// `drops_at` picks, instead of answering it.
-    fn spawn_flaky(addr: String, drops_at: fn(&DistRequest) -> bool) -> JoinHandle<()> {
+    /// The tags of the requests a worker received, in order.
+    type Seen = Arc<Mutex<Vec<u32>>>;
+
+    /// A real worker started with `opts` that notes every request's tag in
+    /// `seen` and drops its connection on the first request `drops_at`
+    /// picks, instead of answering it.
+    fn spawn_flaky(
+        addr: String,
+        opts: WorkerOptions,
+        drops_at: fn(&DistRequest) -> bool,
+        seen: Seen,
+    ) -> JoinHandle<()> {
         std::thread::spawn(move || {
             let mut stream = TcpStream::connect(&addr).unwrap();
-            let mut worker = Worker::new(&WorkerOptions::default());
+            let mut worker = Worker::new(&opts);
             while let Ok(Some(request)) = read_request(&mut stream) {
+                seen.lock().unwrap().push(request.tag());
                 let shutdown = matches!(request, DistRequest::Shutdown);
                 if drops_at(&request)
                     || write_response(&mut stream, &worker.respond(request)).is_err()
@@ -927,30 +1410,37 @@ mod tests {
         })
     }
 
-    /// A cluster of `workers` with deterministic indices: worker `flaky`
-    /// drops its connection at the first request `drops_at` picks, the
-    /// others are real workers.
+    /// A cluster of `workers` with deterministic indices, each started on
+    /// `input`: worker `flaky` notes the requests it gets and drops its
+    /// connection at the first one `drops_at` picks, the others are real
+    /// workers.
     fn flaky_cluster(
         workers: usize,
         flaky: usize,
         drops_at: fn(&DistRequest) -> bool,
-    ) -> (Cluster, Vec<JoinHandle<()>>) {
+        input: Option<&Path>,
+    ) -> (Cluster, Vec<JoinHandle<()>>, Seen) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
+        let opts = WorkerOptions {
+            input: input.map(Path::to_path_buf),
+            ..WorkerOptions::default()
+        };
+        let seen = Seen::default();
         let (mut streams, mut threads) = (Vec::new(), Vec::new());
         for index in 0..workers {
-            let addr = addr.clone();
+            let (addr, opts) = (addr.clone(), opts.clone());
             threads.push(if index == flaky {
-                spawn_flaky(addr, drops_at)
+                spawn_flaky(addr, opts, drops_at, Arc::clone(&seen))
             } else {
                 std::thread::spawn(move || {
-                    let _ = run_worker(&addr, &WorkerOptions::default());
+                    let _ = run_worker(&addr, &opts);
                 })
             });
             streams.push(listener.accept().unwrap().0);
         }
         let cluster = Cluster::from_streams(streams, Some(Duration::from_secs(10)));
-        (cluster, threads)
+        (cluster, threads, seen)
     }
 
     fn at_pair_counts(request: &DistRequest) -> bool {
@@ -991,7 +1481,7 @@ mod tests {
             ),
         ];
         for (backing, (name, workers, drops_at, pass)) in cases {
-            let (cluster, threads) = flaky_cluster(workers, 1, drops_at);
+            let (cluster, threads, _) = flaky_cluster(workers, 1, drops_at, None);
             let sink = qar_trace::CollectingSink::new();
             let mut source =
                 DistSource::new(cluster, backing, &config(), Some(&sink), None, false).unwrap();
@@ -1025,7 +1515,7 @@ mod tests {
     #[test]
     fn fail_fast_surfaces_worker_lost() {
         let enc = encoded();
-        let (cluster, threads) = flaky_cluster(2, 1, at_pair_counts);
+        let (cluster, threads, _) = flaky_cluster(2, 1, at_pair_counts, None);
         let mut source = DistSource::new(
             cluster,
             Backing::Memory(&enc),
@@ -1047,6 +1537,182 @@ mod tests {
             }
             Err(other) => panic!("expected WorkerLost, got {other}"),
             Ok(_) => panic!("expected WorkerLost, got Ok"),
+        }
+    }
+    /// The people table written as CSV to a fresh temporary file, with
+    /// `edit` applied to its text; the caller removes it.
+    fn people_csv(label: &str, edit: impl Fn(String) -> String) -> PathBuf {
+        let mut bytes = Vec::new();
+        csv::write_table(&mut bytes, &people_table()).unwrap();
+        let path = qar_table::chunk::default_spill_dir(label).with_extension("csv");
+        std::fs::write(&path, edit(String::from_utf8(bytes).unwrap())).unwrap();
+        path
+    }
+
+    fn range_input(path: &Path, workers: usize) -> RangeInput {
+        let file = File::open(path).unwrap();
+        RangeInput::new(file, path, people_table().schema(), workers).unwrap()
+    }
+
+    /// The worker-lost events of `sink`, as `(worker, pass)`.
+    fn losses(sink: &qar_trace::CollectingSink) -> Vec<(usize, usize)> {
+        sink.events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::WorkerLost { worker, pass, .. } => Some((*worker, *pass)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Load `path` through `cluster`'s range parses and mine it.
+    fn mine_ranges(
+        cluster: Cluster,
+        path: &Path,
+        sink: &qar_trace::CollectingSink,
+        fail_fast: bool,
+    ) -> Result<MiningOutput, MinerError> {
+        let input = range_input(path, cluster.len());
+        match DistSource::from_ranges(cluster, input, &config(), Some(sink), None, fail_fast)? {
+            RangeLoad::Loaded { mut source, .. } => {
+                mine_source(&mut *source, &config(), Some(sink), None)
+            }
+            RangeLoad::Quoted => panic!("a quote-free file took the coordinator's load"),
+            RangeLoad::Failed(e) => panic!("the people table failed to parse: {e}"),
+        }
+    }
+
+    /// Workers that parse their own ranges mine the serial result at every
+    /// worker count, with empty ranges past the rows; the coordinator
+    /// sends no row, and every worker joins with its range's rows.
+    #[test]
+    fn range_load_matches_serial_without_sending_rows() {
+        let enc = encoded();
+        let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
+        let path = people_csv("ranges", |text| text);
+        for workers in [1usize, 2, 3, 16] {
+            let (cluster, threads, seen) = flaky_cluster(workers, 0, |_| false, Some(&path));
+            let sink = qar_trace::CollectingSink::new();
+            let dist = mine_ranges(cluster, &path, &sink, false).unwrap();
+            for thread in threads {
+                let _ = thread.join();
+            }
+            assert_identical(&serial, &dist);
+            let tags = seen.lock().unwrap().clone();
+            assert_eq!(
+                &tags[..2],
+                [tag::REQ_PARSE_RANGE, tag::REQ_SETUP],
+                "{workers}"
+            );
+            assert!(
+                !tags.contains(&tag::REQ_ROWS),
+                "{workers} workers: {tags:?}"
+            );
+            let joined: u64 = sink
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::WorkerJoined { rows, .. } => Some(*rows),
+                    _ => None,
+                })
+                .sum();
+            assert_eq!(joined, 10, "{workers} workers");
+            assert!(losses(&sink).is_empty());
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A worker lost at its range request, at the encoders or at pass 2 of
+    /// a range load has its range parsed by the coordinator; the mine
+    /// equals the serial one and reports exactly one loss. Under
+    /// `fail_fast` the loss at the range request is the run's error.
+    #[test]
+    fn a_lost_range_is_parsed_again_by_the_coordinator() {
+        let enc = encoded();
+        let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
+        let path = people_csv("lost_range", |text| text);
+        type Case = (&'static str, fn(&DistRequest) -> bool, usize);
+        let cases: [Case; 3] = [
+            ("range", |r| matches!(r, DistRequest::ParseRange { .. }), 0),
+            ("setup", |r| matches!(r, DistRequest::Setup { .. }), 0),
+            ("pass 2", at_pair_counts, 2),
+        ];
+        for (name, drops_at, pass) in cases {
+            let (cluster, threads, _) = flaky_cluster(3, 1, drops_at, Some(&path));
+            let sink = qar_trace::CollectingSink::new();
+            let dist = mine_ranges(cluster, &path, &sink, false).unwrap();
+            for thread in threads {
+                let _ = thread.join();
+            }
+            assert_identical(&serial, &dist);
+            assert_eq!(losses(&sink), [(1, pass)], "{name}: exactly one loss");
+        }
+        let (cluster, threads, _) = flaky_cluster(
+            2,
+            1,
+            |r| matches!(r, DistRequest::ParseRange { .. }),
+            Some(&path),
+        );
+        let sink = qar_trace::CollectingSink::new();
+        let input = range_input(&path, 2);
+        let result = DistSource::from_ranges(cluster, input, &config(), Some(&sink), None, true);
+        for thread in threads {
+            let _ = thread.join();
+        }
+        assert!(matches!(
+            result,
+            Err(MinerError::WorkerLost {
+                worker: 1,
+                pass: 0,
+                ..
+            })
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A file holding a quote ends the range load before any `Setup`; a
+    /// bad number gives the serial reader's error, the first failing
+    /// range's when two fail.
+    #[test]
+    fn quoted_and_failing_files_end_the_range_load() {
+        let schema = people_table().schema().clone();
+        let quoted = people_csv("quoted", |text| text.replacen("Yes", "\"Yes\"", 1));
+        let last = people_csv("bad_last", |text| text.replace("63,", "6x3,"));
+        let both = people_csv("bad_both", |text| {
+            text.replace("25,", "2x5,").replace("58,", "5x8,")
+        });
+        for (path, want) in [(&last, 11), (&both, 3)] {
+            let serial = csv::read_table(std::fs::read(path).unwrap().as_slice(), &schema);
+            assert!(matches!(serial, Err(TableError::BadNumber { line, .. }) if line == want));
+            for workers in [2usize, 3] {
+                let (cluster, threads, _) = flaky_cluster(workers, 0, |_| false, Some(path));
+                let input = range_input(path, workers);
+                let loaded = DistSource::from_ranges(cluster, input, &config(), None, None, false);
+                for thread in threads {
+                    let _ = thread.join();
+                }
+                match loaded.unwrap() {
+                    RangeLoad::Failed(e) => assert_eq!(Err(e), serial.clone().map(|_| ())),
+                    _ => panic!("{workers} workers: a bad file loaded"),
+                }
+            }
+        }
+        let (cluster, threads, seen) = flaky_cluster(2, 0, |_| false, Some(&quoted));
+        let loaded = DistSource::from_ranges(
+            cluster,
+            range_input(&quoted, 2),
+            &config(),
+            None,
+            None,
+            false,
+        );
+        for thread in threads {
+            let _ = thread.join();
+        }
+        assert!(matches!(loaded.unwrap(), RangeLoad::Quoted));
+        assert!(!seen.lock().unwrap().contains(&tag::REQ_SETUP));
+        for path in [quoted, last, both] {
+            let _ = std::fs::remove_file(path);
         }
     }
 }

@@ -16,21 +16,25 @@
 //! The pieces:
 //!
 //! * [`worker`] — the worker side: a serve loop over the
-//!   [`qar_store::dist`] wire protocol (Setup → Rows… → CountItems /
-//!   CountPairs… / CountCandidates… → Shutdown), counting its partition
-//!   through the same [`qar_core::InMemorySource`] the serial miner uses;
+//!   [`qar_store::dist`] wire protocol (ParseRange → Setup, or Setup →
+//!   Rows…; then CountItems / CountPairs… / CountCandidates… →
+//!   Shutdown), counting its partition through the same
+//!   [`qar_core::InMemorySource`] the serial miner uses;
 //! * [`coordinator`] — the coordinator side: [`Cluster`] spawns and
 //!   connects workers (child processes of the `qar` binary, or
 //!   in-process threads for tests), [`DistSource`] implements
-//!   [`qar_core::CountSource`] over the worker pool (started by
-//!   [`DistSource::start`]), so `qar_core::mine_source` runs the
-//!   complete pipeline on it like on any other source;
+//!   [`qar_core::CountSource`] over the worker pool, so
+//!   `qar_core::mine_source` runs the complete pipeline on it like on any
+//!   other source. [`DistSource::start`] streams the workers rows the
+//!   coordinator holds; [`DistSource::start_ranges`] has each worker
+//!   parse and encode its own byte range of a CSV file;
 //! * partial failure — a worker that times out or drops its connection
 //!   is declared lost (`worker_lost` trace event). By default the
-//!   coordinator *recovers*: it retains the backing data, so it recounts
-//!   the lost partition locally and the run still completes with the
-//!   exact same answer. With [`DistOptions::fail_fast`] the loss is
-//!   surfaced as [`qar_core::MinerError::WorkerLost`] instead.
+//!   coordinator *recovers*: it counts the lost partition itself from
+//!   its own rows or by parsing the lost range of the file again, and
+//!   the run still completes with the exact same answer. With
+//!   [`DistOptions::fail_fast`] the loss is surfaced as
+//!   [`qar_core::MinerError::WorkerLost`] instead.
 //!
 //! The backing data ([`qar_core::source::Backing`]) is either an
 //! in-memory [`qar_table::EncodedTable`] or an out-of-core
@@ -44,5 +48,5 @@
 pub mod coordinator;
 pub mod worker;
 
-pub use coordinator::{Cluster, DistOptions, DistSource, WorkerSpawn};
+pub use coordinator::{Cluster, DistOptions, DistSource, RangeInput, RangeLoad, WorkerSpawn};
 pub use worker::{run_worker, serve_connection, WorkerOptions};

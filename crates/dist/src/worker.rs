@@ -1,16 +1,24 @@
 //! The worker side of count-distribution mining.
 //!
 //! A worker is a dumb, exact counter: it receives the table's schema and
-//! encoders, accumulates a contiguous partition of already-encoded rows,
-//! and answers counting requests with raw `u64` tallies over that
+//! encoders, holds a contiguous partition of encoded rows, and answers
+//! counting requests with raw `u64` tallies over that
 //! partition, counted through the [`InMemorySource`] every local mine
 //! uses — never filtered by a support threshold, so the
 //! coordinator's element-wise merge reproduces the serial counts
 //! exactly. All policy (candidate generation, frequency, rules) stays on
 //! the coordinator.
 //!
+//! The partition arrives one of two ways. A worker started with an input
+//! file ([`WorkerOptions::input`]) parses the byte range of it a
+//! `ParseRange` names, answers with the range's value histograms, and
+//! encodes the parsed rows on the `Setup` that brings the encoders built
+//! from every range's histograms. Otherwise `Setup` opens an empty
+//! partition and `Rows` blocks of encoded rows fill it.
+//!
 //! Errors split two ways, mirroring the serve protocol's convention:
-//! application-level problems (rows before setup, a code outside its
+//! application-level problems (a range request without an input file or
+//! over a file of another length, rows before setup, a code outside its
 //! encoder's range, a candidate or pair list naming an unknown attribute,
 //! a pair list repeating one, a candidate item outside its attribute's
 //! codes, a pair list of more cells than one frame holds) become
@@ -24,19 +32,29 @@ use qar_core::MinerConfig;
 use qar_itemset::Itemset;
 use qar_store::dist::{read_request, write_response, DistRequest, DistResponse, MAX_PAIR_CELLS};
 use qar_store::protocol::ProtocolError;
-use qar_table::{AttributeEncoder, EncodedTable, Schema};
+use qar_table::{csv, AttributeEncoder, EncodedTable, Schema, Table, TableError};
+use qar_trace::CancelToken;
+use std::fs::File;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::path::PathBuf;
+use std::time::Duration;
 
-/// Tuning knobs for a worker's counting scans. They affect speed only —
-/// counts are exact under every thread count.
-#[derive(Debug, Clone, Copy, Default)]
+/// How a worker runs: its threads, and the input file it may parse.
+#[derive(Debug, Clone, Default)]
 pub struct WorkerOptions {
-    /// Threads per counting scan; `0` picks the machine default (the
-    /// same resolution [`MinerConfig::effective_parallelism`] applies).
+    /// Threads per range parse, encode and counting scan; `0` picks the
+    /// machine default (the same resolution
+    /// [`MinerConfig::effective_parallelism`] applies). Speed only:
+    /// counts are exact under every thread count.
     pub num_threads: usize,
+    /// The CSV file `ParseRange` requests name byte ranges of (`qar
+    /// worker --input FILE`). It is given when the worker starts and never
+    /// over the wire, so a coordinator cannot have a worker open any other
+    /// file. Without one, a range request is answered with `Error`.
+    pub input: Option<PathBuf>,
 }
 
 /// The accumulated partition: schema, encoders, and the code columns
@@ -60,6 +78,26 @@ impl Partition {
             rows: 0,
             encoded: None,
         }
+    }
+
+    /// A partition holding `table`, a parsed range of the same schema,
+    /// encoded under `encoders` on up to `threads` threads.
+    fn encoded(
+        table: Table,
+        encoders: Vec<AttributeEncoder>,
+        threads: usize,
+    ) -> Result<Self, String> {
+        let schema = table.schema().clone();
+        let rows = table.num_rows();
+        let encoded = EncodedTable::encode_threaded(table, encoders.clone(), threads, &|| false)
+            .map_err(|e| format!("encoding the parsed range: {e}"))?;
+        Ok(Partition {
+            schema,
+            encoders,
+            columns: Vec::new(),
+            rows,
+            encoded: Some(encoded),
+        })
     }
 
     /// Append one row block; rejects shape and code-range violations
@@ -191,10 +229,12 @@ impl Partition {
     }
 }
 
-/// One coordinator connection's state: the scan settings and the
-/// partition received so far.
+/// One coordinator connection's state: the scan settings, the input file,
+/// the range parsed but not yet encoded, and the partition.
 pub(crate) struct Worker {
     config: MinerConfig,
+    input: Option<PathBuf>,
+    parsed: Option<Table>,
     partition: Option<Partition>,
 }
 
@@ -205,16 +245,41 @@ impl Worker {
                 parallelism: NonZeroUsize::new(opts.num_threads),
                 ..MinerConfig::default()
             },
+            input: opts.input.clone(),
+            parsed: None,
             partition: None,
         }
     }
 
     /// The reply to `request` (`Bye` to `Shutdown`).
     pub(crate) fn respond(&mut self, request: DistRequest) -> DistResponse {
+        let threads = self.config.effective_parallelism();
         let reply = match (request, &mut self.partition) {
+            (
+                DistRequest::ParseRange {
+                    schema,
+                    file_len,
+                    range,
+                    deadline_ms,
+                },
+                partition,
+            ) => {
+                *partition = None;
+                self.parsed = None;
+                self.parse_range(&schema, file_len, range, deadline_ms)
+            }
             (DistRequest::Setup { schema, encoders }, partition) => {
-                *partition = Some(Partition::new(schema, encoders));
-                Ok(DistResponse::Ready)
+                let loaded = match self.parsed.take() {
+                    Some(table) if *table.schema() != schema => {
+                        Err("setup names another schema than the parsed range's".to_string())
+                    }
+                    Some(table) => Partition::encoded(table, encoders, threads),
+                    None => Ok(Partition::new(schema, encoders)),
+                };
+                loaded.map(|loaded| {
+                    *partition = Some(loaded);
+                    DistResponse::Ready
+                })
             }
             (DistRequest::Shutdown, _) => Ok(DistResponse::Bye),
             (DistRequest::Rows { .. }, None) => Err("rows before setup".to_string()),
@@ -227,6 +292,67 @@ impl Worker {
             (request, Some(p)) => p.count(request, &self.config),
         };
         reply.unwrap_or_else(|message| DistResponse::Error { message })
+    }
+
+    /// Parse `range` of the input file, keep its rows for the `Setup` to
+    /// come, and reply with its value histograms; a range holding a quote
+    /// byte is answered `quoted`, a record that fails with its line.
+    fn parse_range(
+        &mut self,
+        schema: &Schema,
+        file_len: u64,
+        range: Range<u64>,
+        deadline_ms: Option<u32>,
+    ) -> Result<DistResponse, String> {
+        let path = self
+            .input
+            .as_ref()
+            .ok_or("no input file to parse a range of (start the worker with --input FILE)")?;
+        let file =
+            File::open(path).map_err(|e| format!("cannot open `{}`: {e}", path.display()))?;
+        let len = file.metadata().map_err(|e| e.to_string())?.len();
+        if len != file_len {
+            return Err(format!(
+                "`{}` holds {len} bytes, the coordinator's input {file_len}",
+                path.display()
+            ));
+        }
+        let deadline =
+            deadline_ms.map(|ms| CancelToken::with_deadline(Duration::from_millis(ms.into())));
+        let cancelled = || deadline.as_ref().is_some_and(CancelToken::is_cancelled);
+        let threads = self.config.effective_parallelism();
+        let failed = |line: usize, bad_number, text| DistResponse::RangeFailed {
+            line: line as u64,
+            bad_number,
+            text,
+        };
+        let read = match csv::read_range(&file, schema, range, threads, &cancelled) {
+            Ok(Some(read)) => read,
+            Ok(None) => {
+                return Ok(DistResponse::RangeParsed {
+                    rows: 0,
+                    lines: 0,
+                    quoted: true,
+                    histograms: Vec::new(),
+                })
+            }
+            Err(TableError::Csv { line, message }) => return Ok(failed(line, false, message)),
+            Err(TableError::BadNumber { line, token }) => return Ok(failed(line, true, token)),
+            Err(TableError::Cancelled) => return Err("the range parse passed its deadline".into()),
+            Err(e) => return Err(e.to_string()),
+        };
+        let histograms = read
+            .table
+            .histograms_threaded(threads, &cancelled)
+            .map_err(|_| "the range's histograms passed the deadline".to_string())?;
+        let reply = DistResponse::RangeParsed {
+            rows: read.table.num_rows() as u64,
+            lines: read.lines as u64,
+            quoted: false,
+            histograms,
+        };
+        self.parsed = Some(read.table);
+        Ok(reply)
     }
 }
 
@@ -285,6 +411,11 @@ mod tests {
 
     /// Run a scripted conversation through the serve loop.
     fn converse(requests: &[DistRequest]) -> Vec<DistResponse> {
+        converse_with(&WorkerOptions::default(), requests)
+    }
+
+    /// [`converse`] with a worker started with `opts`.
+    fn converse_with(opts: &WorkerOptions, requests: &[DistRequest]) -> Vec<DistResponse> {
         let mut input = Vec::new();
         for request in requests {
             write_request(&mut input, request).unwrap();
@@ -311,13 +442,158 @@ mod tests {
             input: Cursor::new(input),
             output: Vec::new(),
         };
-        serve_connection(&mut stream, &WorkerOptions::default()).unwrap();
+        serve_connection(&mut stream, opts).unwrap();
         let mut cursor = Cursor::new(stream.output);
         let mut responses = Vec::new();
         while let Some(response) = read_response(&mut cursor).unwrap() {
             responses.push(response);
         }
         responses
+    }
+
+    /// `text` written to a fresh temporary file, which the caller removes.
+    fn temp_csv(label: &str, text: &str) -> PathBuf {
+        let path = qar_table::chunk::default_spill_dir(label).with_extension("csv");
+        std::fs::write(&path, text).unwrap();
+        path
+    }
+
+    fn parse_all(schema: &Schema, path: &std::path::Path, deadline_ms: Option<u32>) -> DistRequest {
+        let len = std::fs::metadata(path).unwrap().len();
+        DistRequest::ParseRange {
+            schema: schema.clone(),
+            file_len: len,
+            range: "age,married\n".len() as u64..len,
+            deadline_ms,
+        }
+    }
+
+    /// A worker parses the range it is sent of its own input file,
+    /// replies with the range's histograms, and encodes the rows on the
+    /// `Setup` that follows; counts then cover them.
+    #[test]
+    fn a_parsed_range_is_encoded_on_setup() {
+        let (schema, encoders) = schema_and_encoders();
+        let path = temp_csv("range", "age,married\n20,No\n30,Yes\n30,Yes\n");
+        let opts = WorkerOptions {
+            input: Some(path.clone()),
+            ..WorkerOptions::default()
+        };
+        let responses = converse_with(
+            &opts,
+            &[
+                parse_all(&schema, &path, Some(60_000)),
+                DistRequest::Setup {
+                    schema: schema.clone(),
+                    encoders,
+                },
+                DistRequest::CountItems,
+                DistRequest::Shutdown,
+            ],
+        );
+        let _ = std::fs::remove_file(&path);
+        let table =
+            csv::read_table("age,married\n20,No\n30,Yes\n30,Yes\n".as_bytes(), &schema).unwrap();
+        assert_eq!(
+            responses[0],
+            DistResponse::RangeParsed {
+                rows: 3,
+                lines: 3,
+                quoted: false,
+                histograms: table.histograms(),
+            }
+        );
+        assert_eq!(responses[1], DistResponse::Ready);
+        assert_eq!(
+            responses[2],
+            DistResponse::ItemCounts {
+                counts: vec![vec![1, 2, 0], vec![1, 2]],
+            }
+        );
+    }
+
+    /// A range holding a quote is not parsed; a bad record is named by its
+    /// line within the range; a `Setup` of another schema than the parsed
+    /// range's is refused, and a worker without an input file, or whose
+    /// file is not the coordinator's length, answers `Error`.
+    #[test]
+    fn range_requests_answer_quotes_bad_records_and_wrong_files() {
+        let (schema, encoders) = schema_and_encoders();
+        let quoted = temp_csv("quoted", "age,married\n20,\"No\"\n");
+        let bad = temp_csv("bad", "age,married\n20,No\n\n2x,Yes\n");
+        let with = |path: &PathBuf| WorkerOptions {
+            input: Some(path.clone()),
+            ..WorkerOptions::default()
+        };
+        let wider = Schema::builder()
+            .quantitative("age")
+            .categorical("married")
+            .categorical("extra")
+            .build()
+            .unwrap();
+        let quoted_replies = converse_with(&with(&quoted), &[parse_all(&schema, &quoted, None)]);
+        let bad_replies = converse_with(
+            &with(&bad),
+            &[
+                parse_all(&schema, &bad, None),
+                DistRequest::ParseRange {
+                    schema: schema.clone(),
+                    file_len: 999,
+                    range: 0..0,
+                    deadline_ms: None,
+                },
+            ],
+        );
+        let setup_replies = converse_with(
+            &with(&quoted),
+            &[
+                DistRequest::ParseRange {
+                    schema: schema.clone(),
+                    file_len: std::fs::metadata(&quoted).unwrap().len(),
+                    range: "age,married\n".len() as u64.."age,married\n".len() as u64,
+                    deadline_ms: None,
+                },
+                DistRequest::Setup {
+                    schema: wider,
+                    encoders: vec![
+                        encoders[0].clone(),
+                        encoders[1].clone(),
+                        encoders[1].clone(),
+                    ],
+                },
+            ],
+        );
+        let no_input = converse(&[parse_all(&schema, &quoted, None)]);
+        let _ = std::fs::remove_file(&quoted);
+        let _ = std::fs::remove_file(&bad);
+        assert_eq!(
+            quoted_replies[0],
+            DistResponse::RangeParsed {
+                rows: 0,
+                lines: 0,
+                quoted: true,
+                histograms: Vec::new(),
+            }
+        );
+        assert_eq!(
+            bad_replies[0],
+            DistResponse::RangeFailed {
+                line: 3,
+                bad_number: true,
+                text: "2x".to_string(),
+            }
+        );
+        let error = |r: &DistResponse, wanted: &str| match r {
+            DistResponse::Error { message } => assert!(message.contains(wanted), "{message}"),
+            other => panic!("expected Error, got {other:?}"),
+        };
+        error(&bad_replies[1], "bytes");
+        assert!(matches!(
+            setup_replies[0],
+            DistResponse::RangeParsed { rows: 0, .. }
+        ));
+        error(&setup_replies[1], "schema");
+        error(&no_input[0], "--input");
     }
 
     #[test]

@@ -26,14 +26,15 @@ use qar_core::{
     InterestMode, ItemsetSetDelta, Miner, MinerConfig, MinerError, MiningOutput, PartitionStrategy,
     QuantFrequentItemsets, RuleSetDelta, ScanKernel, SupportCounts, UpdateInput,
 };
-use qar_dist::{DistOptions, DistSource, WorkerOptions, WorkerSpawn};
+use qar_dist::{DistOptions, DistSource, RangeInput, RangeLoad, WorkerOptions, WorkerSpawn};
 use qar_itemset::{Item, Itemset};
 use qar_partition::range_completeness::snap_to_intervals;
 use qar_partition::{num_intervals, EquiDepth, EquiWidth, KMeans1D, Partitioner, MAX_INTERVALS};
 use qar_store::{analytics_from_mining, naive_query_range, naive_query_record, Catalog, RuleIndex};
-use qar_table::{AttributeId, AttributeKind, EncodedTable, Table};
+use qar_table::{csv, AttributeId, AttributeKind, EncodedTable, Table};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+use std::fs::File;
 use std::num::NonZeroUsize;
 
 /// A failed check: which oracle tripped, and enough detail to debug it.
@@ -104,7 +105,11 @@ pub fn check_kernel(case: &MiningCase) -> Result<(), Divergence> {
 /// coordinator merges them element-wise, so the cross-check is bitwise,
 /// not approximate: same error on rejection, same itemsets, rules, and
 /// interest verdicts on success — and the two runs' catalogs must be
-/// byte-identical once volatile statistics are normalized.
+/// byte-identical once volatile statistics are normalized. Both loads are
+/// checked: rows encoded here and streamed out, and the table written to
+/// a CSV file whose byte ranges the workers parse and encode themselves
+/// (small tables give empty ranges, and labels first seen in a later
+/// range).
 pub fn check_distributed(case: &MiningCase) -> Result<(), Divergence> {
     let config = with_parallelism(&case.config, 1);
     let serial = Miner::new(config.clone()).mine(&case.table);
@@ -124,21 +129,80 @@ pub fn check_distributed(case: &MiningCase) -> Result<(), Divergence> {
         Ok(out)
     });
     compare_paths("distributed-vs-serial", &serial, &distributed)?;
-    if let (Ok(s), Ok(d)) = (&serial, &distributed) {
+    compare_catalog_bytes("distributed-catalog-bytes", &serial, &distributed)?;
+    if let Some(ranged) = mine_csv_ranges(&case.table, &config, &options)? {
+        compare_paths("ranges-vs-serial", &serial, &ranged)?;
+        compare_catalog_bytes("ranges-catalog-bytes", &serial, &ranged)?;
+    }
+    Ok(())
+}
+
+/// Demand that two successful runs' normalized catalogs are equal byte
+/// for byte.
+fn compare_catalog_bytes(
+    check: &'static str,
+    serial: &Result<MiningOutput, MinerError>,
+    other: &Result<MiningOutput, MinerError>,
+) -> Result<(), Divergence> {
+    if let (Ok(s), Ok(o)) = (serial, other) {
         let serial_bytes = normalized_catalog_bytes(s);
-        let dist_bytes = normalized_catalog_bytes(d);
-        if serial_bytes != dist_bytes {
+        let other_bytes = normalized_catalog_bytes(o);
+        if serial_bytes != other_bytes {
             return Err(div(
-                "distributed-catalog-bytes",
+                check,
                 format!(
                     "normalized catalogs differ: serial {} byte(s), distributed {} byte(s)",
                     serial_bytes.len(),
-                    dist_bytes.len()
+                    other_bytes.len()
                 ),
             ));
         }
     }
     Ok(())
+}
+
+/// Mine `table` written to a temporary CSV file through workers that
+/// parse and encode their own byte ranges of it. A file holding no quote
+/// byte must take that load; one that does (a label needing quotes) is
+/// loaded by the coordinator, as the check above already covers, and
+/// gives `None`.
+fn mine_csv_ranges(
+    table: &Table,
+    config: &MinerConfig,
+    options: &DistOptions,
+) -> Result<Option<Result<MiningOutput, MinerError>>, Divergence> {
+    let path = qar_table::chunk::default_spill_dir("oracle_ranges").with_extension("csv");
+    let mut text = Vec::new();
+    csv::write_table(&mut text, table).expect("a table writes to memory");
+    let mined = std::fs::write(&path, &text)
+        .and_then(|()| File::open(&path))
+        .map_err(MinerError::from)
+        .and_then(|file| {
+            let input = RangeInput::new(file, &path, table.schema(), options.workers)?;
+            DistSource::start_ranges(input, config, options, None, None)
+        })
+        .and_then(|load| match load {
+            RangeLoad::Loaded {
+                mut source,
+                intervals,
+            } => {
+                let mut out = qar_core::mine_source(&mut *source, config, None, None)?;
+                out.stats.intervals_per_attribute = intervals;
+                Ok(Some(out))
+            }
+            RangeLoad::Quoted => Ok(None),
+            RangeLoad::Failed(e) => Err(MinerError::Schema(e)),
+        });
+    let _ = std::fs::remove_file(&path);
+    match mined {
+        Ok(Some(out)) => Ok(Some(Ok(out))),
+        Ok(None) if text.contains(&b'"') => Ok(None),
+        Ok(None) => Err(div(
+            "ranges-quoted",
+            "a file without a quote byte was loaded as holding one".to_string(),
+        )),
+        Err(e) => Ok(Some(Err(e))),
+    }
 }
 
 /// The `.qarcat` encoding of a mine with volatile statistics zeroed —

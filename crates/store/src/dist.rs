@@ -12,6 +12,9 @@
 //! The conversation (driven entirely by the coordinator):
 //!
 //! ```text
+//! ParseRange {schema, file_len, range, deadline_ms}
+//!                                 → RangeParsed {rows, lines, quoted, histograms}
+//!                                   or RangeFailed {line, bad_number, text}
 //! Setup {schema, encoders}        → Ready
 //! Rows {columns} ...              → RowsLoaded {total_rows}   (repeated)
 //! CountItems                      → ItemCounts {counts}       (pass 1)
@@ -19,6 +22,15 @@
 //! CountCandidates {pass, cands}   → Counts {counts}           (pass k ≥ 2)
 //! Shutdown                        → Bye
 //! ```
+//!
+//! A worker loads its rows one of two ways. Started with an input file of
+//! its own (`qar worker --input FILE`; the path never travels on the
+//! wire), it answers `ParseRange` by parsing that byte range of the file
+//! and replying with its value histograms, and the `Setup` that follows
+//! encodes the parsed rows under the coordinator's encoders. Otherwise
+//! `Setup` opens an empty partition that `Rows` blocks fill. A range
+//! holding a `"` byte is not parsed (`quoted`): a quoted field may run
+//! across its ends, so the coordinator reads such a file itself.
 //!
 //! Pass 2 ships 2-D histograms instead of candidates: `CountPairs` names
 //! attribute pairs and a window of their cells, and the worker answers
@@ -45,8 +57,11 @@ use crate::catalog::{
 use crate::format::{Reader, Writer};
 use crate::protocol::{encode_frame, read_frame, ProtocolError, MAX_PAYLOAD};
 use qar_itemset::Itemset;
-use qar_table::{AttributeEncoder, Schema};
+use qar_table::{
+    AttributeDef, AttributeEncoder, AttributeKind, CatHistogram, Histogram, QuantHistogram, Schema,
+};
 use std::io::{Read, Write};
+use std::ops::Range;
 
 /// Message tags for the distributed-mining protocol. Requests count from
 /// 21, responses from 121 (see module docs).
@@ -63,6 +78,8 @@ pub mod tag {
     pub const REQ_SHUTDOWN: u32 = 25;
     /// Count the 2-D histograms of a list of attribute pairs (pass 2).
     pub const REQ_COUNT_PAIRS: u32 = 26;
+    /// Parse a byte range of the worker's input file.
+    pub const REQ_PARSE_RANGE: u32 = 27;
 
     /// Setup accepted.
     pub const RESP_READY: u32 = 121;
@@ -78,6 +95,12 @@ pub mod tag {
     pub const RESP_ERROR: u32 = 126;
     /// Raw histogram cells answering [`REQ_COUNT_PAIRS`].
     pub const RESP_PAIR_COUNTS: u32 = 127;
+    /// The parsed range's counts and value histograms, answering
+    /// [`REQ_PARSE_RANGE`].
+    pub const RESP_RANGE_PARSED: u32 = 128;
+    /// The record of the range that failed to parse, answering
+    /// [`REQ_PARSE_RANGE`].
+    pub const RESP_RANGE_FAILED: u32 = 129;
 }
 
 /// Most histogram cells one [`DistResponse::PairCounts`] frame holds: the
@@ -121,6 +144,21 @@ pub enum DistRequest {
         /// row-major arrays (`0..Σ card(a)·card(b)` for all of them).
         window: std::ops::Range<u64>,
     },
+    /// Parse a byte range of the worker's input file: whole lines after
+    /// its header, none of them the coordinator's. Resets any partition.
+    ParseRange {
+        /// Attribute declarations, in table order; the file's header is
+        /// matched against them by name.
+        schema: Schema,
+        /// The file's length as the coordinator sees it. A worker whose
+        /// file differs answers `Error`.
+        file_len: u64,
+        /// The bytes to parse.
+        range: Range<u64>,
+        /// Milliseconds left before the run's deadline, if it has one:
+        /// the worker stops parsing then.
+        deadline_ms: Option<u32>,
+    },
     /// Stop the worker.
     Shutdown,
 }
@@ -154,6 +192,30 @@ pub enum DistResponse {
         /// All cells.
         cells: Vec<u64>,
     },
+    /// The range parsed: its counts and value histograms, or, when
+    /// `quoted`, none of them.
+    RangeParsed {
+        /// Records in the range.
+        rows: u64,
+        /// Physical lines the range spans.
+        lines: u64,
+        /// The range held a `"` byte, so the worker did not parse it;
+        /// `rows` and `lines` are 0 and `histograms` empty.
+        quoted: bool,
+        /// One value histogram per attribute, schema order, each counting
+        /// `rows` cells.
+        histograms: Vec<Histogram>,
+    },
+    /// A record of the range failed to parse.
+    RangeFailed {
+        /// The record's first line, the range's first line being line 1.
+        line: u64,
+        /// A quantitative cell is not a number (`text` is the cell); else
+        /// the record is malformed (`text` says how).
+        bad_number: bool,
+        /// The cell or the reason.
+        text: String,
+    },
     /// Shutdown acknowledged.
     Bye,
     /// The worker could not serve the request.
@@ -172,6 +234,7 @@ impl DistRequest {
             DistRequest::CountItems => tag::REQ_COUNT_ITEMS,
             DistRequest::CountCandidates { .. } => tag::REQ_COUNT_CANDIDATES,
             DistRequest::CountPairs { .. } => tag::REQ_COUNT_PAIRS,
+            DistRequest::ParseRange { .. } => tag::REQ_PARSE_RANGE,
             DistRequest::Shutdown => tag::REQ_SHUTDOWN,
         }
     }
@@ -213,6 +276,28 @@ impl DistRequest {
                 }
                 w.put_u64(window.start);
                 w.put_u64(window.end);
+            }
+            DistRequest::ParseRange {
+                schema,
+                file_len,
+                range,
+                deadline_ms,
+            } => {
+                w.put_u64(schema.len() as u64);
+                for def in schema.attributes() {
+                    w.put_str(def.name());
+                    w.put_bool(def.kind() == AttributeKind::Categorical);
+                }
+                w.put_u64(*file_len);
+                w.put_u64(range.start);
+                w.put_u64(range.end);
+                match deadline_ms {
+                    Some(ms) => {
+                        w.put_bool(true);
+                        w.put_u32(*ms);
+                    }
+                    None => w.put_bool(false),
+                }
             }
             DistRequest::Shutdown => {}
         }
@@ -284,6 +369,40 @@ impl DistRequest {
                     window,
                 }
             }
+            tag::REQ_PARSE_RANGE => {
+                // A declaration is at least its name's length prefix and
+                // its kind byte.
+                let n = r.get_count(9)?;
+                let mut defs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let name = r.get_str()?;
+                    defs.push(match r.get_bool()? {
+                        true => AttributeDef::categorical(name),
+                        false => AttributeDef::quantitative(name),
+                    });
+                }
+                let schema = Schema::new(defs).map_err(|e| ProtocolError::Corrupt {
+                    detail: format!("range schema: {e}"),
+                })?;
+                let file_len = r.get_u64()?;
+                let range = r.get_u64()?..r.get_u64()?;
+                if range.start > range.end || range.end > file_len {
+                    return Err(ProtocolError::Corrupt {
+                        detail: format!("byte range {range:?} of a {file_len}-byte file"),
+                    });
+                }
+                let deadline_ms = if r.get_bool()? {
+                    Some(r.get_u32()?)
+                } else {
+                    None
+                };
+                DistRequest::ParseRange {
+                    schema,
+                    file_len,
+                    range,
+                    deadline_ms,
+                }
+            }
             tag::REQ_SHUTDOWN => DistRequest::Shutdown,
             other => return Err(ProtocolError::UnknownTag(other)),
         };
@@ -301,6 +420,8 @@ impl DistResponse {
             DistResponse::ItemCounts { .. } => tag::RESP_ITEM_COUNTS,
             DistResponse::Counts { .. } => tag::RESP_COUNTS,
             DistResponse::PairCounts { .. } => tag::RESP_PAIR_COUNTS,
+            DistResponse::RangeParsed { .. } => tag::RESP_RANGE_PARSED,
+            DistResponse::RangeFailed { .. } => tag::RESP_RANGE_FAILED,
             DistResponse::Bye => tag::RESP_BYE,
             DistResponse::Error { .. } => tag::RESP_ERROR,
         }
@@ -326,6 +447,29 @@ impl DistResponse {
                 for &c in cells {
                     w.put_u64(c);
                 }
+            }
+            DistResponse::RangeParsed {
+                rows,
+                lines,
+                quoted,
+                histograms,
+            } => {
+                w.put_u64(*rows);
+                w.put_u64(*lines);
+                w.put_bool(*quoted);
+                w.put_u64(histograms.len() as u64);
+                for histogram in histograms {
+                    put_histogram(&mut w, histogram);
+                }
+            }
+            DistResponse::RangeFailed {
+                line,
+                bad_number,
+                text,
+            } => {
+                w.put_u64(*line);
+                w.put_bool(*bad_number);
+                w.put_str(text);
             }
             DistResponse::Error { message } => w.put_str(message),
         }
@@ -366,6 +510,41 @@ impl DistResponse {
             tag::RESP_PAIR_COUNTS => DistResponse::PairCounts {
                 cells: get_u64s(&mut r)?,
             },
+            tag::RESP_RANGE_PARSED => {
+                let rows = r.get_u64()?;
+                let lines = r.get_u64()?;
+                let quoted = r.get_bool()?;
+                // A histogram is at least its kind byte and length prefix.
+                let n = r.get_count(9)?;
+                let mut histograms = Vec::with_capacity(n);
+                for _ in 0..n {
+                    histograms.push(get_histogram(&mut r, rows)?);
+                }
+                if quoted && (rows, lines, n) != (0, 0, 0) {
+                    return Err(ProtocolError::Corrupt {
+                        detail: "a quoted range carries counts".to_string(),
+                    });
+                }
+                DistResponse::RangeParsed {
+                    rows,
+                    lines,
+                    quoted,
+                    histograms,
+                }
+            }
+            tag::RESP_RANGE_FAILED => {
+                let line = r.get_u64()?;
+                if line == 0 {
+                    return Err(ProtocolError::Corrupt {
+                        detail: "a failed record on line 0".to_string(),
+                    });
+                }
+                DistResponse::RangeFailed {
+                    line,
+                    bad_number: r.get_bool()?,
+                    text: r.get_str()?,
+                }
+            }
             tag::RESP_BYE => DistResponse::Bye,
             tag::RESP_ERROR => DistResponse::Error {
                 message: r.get_str()?,
@@ -385,6 +564,72 @@ fn get_u64s(r: &mut Reader<'_>) -> Result<Vec<u64>, ProtocolError> {
         values.push(r.get_u64()?);
     }
     Ok(values)
+}
+
+/// Append one value histogram: its kind byte (0 quantitative, 1
+/// categorical), its length, its values or labels, then its counts.
+fn put_histogram(w: &mut Writer, histogram: &Histogram) {
+    let counts = match histogram {
+        Histogram::Quantitative(h) => {
+            w.put_u8(0);
+            w.put_u64(h.len() as u64);
+            for &v in h.values() {
+                w.put_f64(v);
+            }
+            h.counts()
+        }
+        Histogram::Categorical(h) => {
+            w.put_u8(1);
+            w.put_u64(h.labels().len() as u64);
+            for label in h.labels() {
+                w.put_str(label);
+            }
+            h.counts()
+        }
+    };
+    for &c in counts {
+        w.put_u64(c);
+    }
+}
+
+/// Read one value histogram of a range of `rows` records. Strict: its
+/// values or labels must ascend strictly, its counts be positive and add
+/// up to `rows`, and its values be finite, as a column's are.
+fn get_histogram(r: &mut Reader<'_>, rows: u64) -> Result<Histogram, ProtocolError> {
+    let corrupt = |detail: &str| ProtocolError::Corrupt {
+        detail: format!("range histogram: {detail}"),
+    };
+    let kind = r.get_u8()?;
+    let histogram = match kind {
+        0 => {
+            let n = r.get_count(16)?;
+            let values = (0..n).map(|_| r.get_f64()).collect::<Result<Vec<_>, _>>()?;
+            let counts = get_counts(r, n)?;
+            QuantHistogram::from_counts(values, counts).map(Histogram::Quantitative)
+        }
+        1 => {
+            let n = r.get_count(16)?;
+            let labels = (0..n).map(|_| r.get_str()).collect::<Result<Vec<_>, _>>()?;
+            let counts = get_counts(r, n)?;
+            CatHistogram::from_counts(labels, counts).map(Histogram::Categorical)
+        }
+        other => return Err(corrupt(&format!("kind byte {other}"))),
+    }
+    .ok_or_else(|| corrupt("not the histogram of a column"))?;
+    let counts = match &histogram {
+        Histogram::Quantitative(h) => h.counts(),
+        Histogram::Categorical(h) => h.counts(),
+    };
+    let total = counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c));
+    if total != Some(rows) {
+        return Err(corrupt(&format!("counts do not add up to {rows} rows")));
+    }
+    Ok(histogram)
+}
+
+/// `n` counts.
+fn get_counts(r: &mut Reader<'_>, n: usize) -> Result<Vec<u64>, ProtocolError> {
+    (0..n).map(|_| Ok(r.get_u64()?)).collect()
 }
 
 /// Reject unconsumed payload bytes (canonical decode).
@@ -483,7 +728,26 @@ mod tests {
                 pairs: Vec::new(),
                 window: 0..0,
             },
+            DistRequest::ParseRange {
+                schema: sample_schema().0,
+                file_len: 100,
+                range: 17..60,
+                deadline_ms: Some(250),
+            },
+            DistRequest::ParseRange {
+                schema: sample_schema().0,
+                file_len: 100,
+                range: 100..100,
+                deadline_ms: None,
+            },
             DistRequest::Shutdown,
+        ]
+    }
+
+    fn sample_histograms() -> Vec<Histogram> {
+        vec![
+            Histogram::Quantitative(QuantHistogram::from_values(&[20.0, 30.5, 20.0])),
+            Histogram::Categorical(CatHistogram::from_labels(&["Yes", "No", "Yes"])),
         ]
     }
 
@@ -501,6 +765,23 @@ mod tests {
                 cells: vec![1, 0, 0, 2, 0, u64::MAX],
             },
             DistResponse::PairCounts { cells: Vec::new() },
+            DistResponse::RangeParsed {
+                rows: 3,
+                lines: 4,
+                quoted: false,
+                histograms: sample_histograms(),
+            },
+            DistResponse::RangeParsed {
+                rows: 0,
+                lines: 0,
+                quoted: true,
+                histograms: Vec::new(),
+            },
+            DistResponse::RangeFailed {
+                line: 7,
+                bad_number: true,
+                text: "abc".to_string(),
+            },
             DistResponse::Bye,
             DistResponse::Error {
                 message: "partition not loaded".to_string(),
@@ -627,6 +908,106 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every single-byte flip and every truncation of the range frames is
+    /// an error, never a different message.
+    #[test]
+    fn range_frames_reject_flips_and_truncations() {
+        let frames = [
+            sample_requests()[8].to_frame().unwrap(),
+            sample_responses()[6].to_frame().unwrap(),
+            sample_responses()[8].to_frame().unwrap(),
+        ];
+        let decodes = |bytes: &[u8]| {
+            decode_frame(bytes).and_then(|(t, p)| match t {
+                tag::REQ_PARSE_RANGE => DistRequest::decode(t, p).map(|_| ()),
+                _ => DistResponse::decode(t, p).map(|_| ()),
+            })
+        };
+        for frame in &frames {
+            assert!(decodes(frame).is_ok());
+            for i in 0..frame.len() {
+                let mut bad = frame.clone();
+                bad[i] ^= 0x01;
+                assert!(decodes(&bad).is_err(), "flip at byte {i} still decoded");
+            }
+            for len in 0..frame.len() {
+                assert!(
+                    decodes(&frame[..len]).is_err(),
+                    "truncation to {len} decoded"
+                );
+            }
+        }
+    }
+
+    /// The histogram codec takes only what a column could hold, counting
+    /// exactly the range's rows; a quoted range carries nothing.
+    #[test]
+    fn range_replies_decode_strictly() {
+        let reply = |rows: u64, quoted: bool, put: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            w.put_u64(rows);
+            w.put_u64(rows);
+            w.put_bool(quoted);
+            w.put_u64(1);
+            put(&mut w);
+            DistResponse::decode(tag::RESP_RANGE_PARSED, &w.into_bytes())
+        };
+        let quant = |values: &[f64], counts: &[u64]| {
+            let (values, counts) = (values.to_vec(), counts.to_vec());
+            move |w: &mut Writer| {
+                w.put_u8(0);
+                w.put_u64(values.len() as u64);
+                values.iter().for_each(|&v| w.put_f64(v));
+                counts.iter().for_each(|&c| w.put_u64(c));
+            }
+        };
+        assert!(reply(3, false, &quant(&[1.0, 2.5], &[2, 1])).is_ok());
+        for (rows, quoted, values, counts) in [
+            (4, false, &[1.0, 2.5][..], &[2u64, 1][..]), // counts add up to 3
+            (3, false, &[2.5, 1.0], &[2, 1]),            // descending
+            (3, false, &[1.0, 1.0], &[2, 1]),            // repeated
+            (2, false, &[1.0, 2.5], &[2, 0]),            // a zero count
+            (1, false, &[f64::NAN], &[1]),               // not finite
+            (1, false, &[-0.0], &[1]),                   // not canonical
+            (3, true, &[1.0, 2.5], &[2, 1]),             // quoted with counts
+        ] {
+            assert!(
+                matches!(
+                    reply(rows, quoted, &quant(values, counts)),
+                    Err(ProtocolError::Corrupt { .. })
+                ),
+                "{values:?} {counts:?} over {rows} rows decoded"
+            );
+        }
+        let labels = |labels: &'static [&'static str]| {
+            move |w: &mut Writer| {
+                w.put_u8(1);
+                w.put_u64(labels.len() as u64);
+                labels.iter().for_each(|l| w.put_str(l));
+                labels.iter().for_each(|_| w.put_u64(1));
+            }
+        };
+        assert!(reply(2, false, &labels(&["No", "Yes"])).is_ok());
+        assert!(reply(2, false, &labels(&["Yes", "No"])).is_err());
+        assert!(reply(1, false, &|w| w.put_u8(2)).is_err());
+        let mut w = Writer::new();
+        w.put_u64(0);
+        w.put_bool(false);
+        w.put_str("line 0");
+        assert!(DistResponse::decode(tag::RESP_RANGE_FAILED, &w.into_bytes()).is_err());
+        // A range past the file's end.
+        let mut request = sample_requests()[8].clone();
+        if let DistRequest::ParseRange { range, .. } = &mut request {
+            *range = 90..101;
+        }
+        let frame = request.to_frame().unwrap();
+        let (t, p) = decode_frame(&frame).unwrap();
+        assert!(matches!(
+            DistRequest::decode(t, p),
+            Err(ProtocolError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -88,11 +88,23 @@ const CRC_TABLE: [u32; 256] = {
 
 /// CRC-32 (IEEE 802.3 polynomial) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    crc32_append(0, bytes)
+}
+
+/// The CRC-32 of some bytes followed by `bytes`, given `crc`, the CRC-32
+/// of the bytes before: `crc32_append(crc32(a), b) == crc32(a ++ b)`.
+pub fn crc32_append(crc: u32, bytes: &[u8]) -> u32 {
+    let mut crc = !crc;
     for &b in bytes {
         crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// The checksum of a section or frame: CRC-32 over the tag's
+/// little-endian bytes, then the payload, read where it lies.
+pub fn tagged_crc32(tag: u32, payload: &[u8]) -> u32 {
+    crc32_append(crc32(&tag.to_le_bytes()), payload)
 }
 
 /// Append-only encoder for catalog payloads.
@@ -152,12 +164,9 @@ impl Writer {
     /// Append a framed section: tag, payload length, CRC over
     /// tag ++ payload, then the payload itself.
     pub fn put_section(&mut self, tag: u32, payload: &[u8]) {
-        let mut crc_input = Vec::with_capacity(4 + payload.len());
-        crc_input.extend_from_slice(&tag.to_le_bytes());
-        crc_input.extend_from_slice(payload);
         self.put_u32(tag);
         self.put_u64(payload.len() as u64);
-        self.put_u32(crc32(&crc_input));
+        self.put_u32(tagged_crc32(tag, payload));
         self.buf.extend_from_slice(payload);
     }
 }
@@ -298,10 +307,7 @@ impl<'a> Reader<'a> {
         }
         let crc = self.get_u32()?;
         let payload = self.take(len as usize)?;
-        let mut crc_input = Vec::with_capacity(4 + payload.len());
-        crc_input.extend_from_slice(&tag.to_le_bytes());
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != crc {
+        if tagged_crc32(tag, payload) != crc {
             return Err(StoreError::ChecksumMismatch {
                 section: section_name(tag),
             });
@@ -326,10 +332,7 @@ impl<'a> Reader<'a> {
         }
         let crc = self.get_u32()?;
         let payload = self.take(len as usize)?;
-        let mut crc_input = Vec::with_capacity(4 + payload.len());
-        crc_input.extend_from_slice(&tag.to_le_bytes());
-        crc_input.extend_from_slice(payload);
-        Ok((tag, len, crc32(&crc_input) == crc))
+        Ok((tag, len, tagged_crc32(tag, payload) == crc))
     }
 }
 
@@ -342,6 +345,16 @@ mod tests {
         // The canonical CRC-32/IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_continues_across_splits() {
+        let bytes = b"tag!and a payload";
+        for split in 0..=bytes.len() {
+            let (a, b) = bytes.split_at(split);
+            assert_eq!(crc32_append(crc32(a), b), crc32(bytes), "split at {split}");
+        }
+        assert_eq!(tagged_crc32(7, b"xyz"), crc32(b"\x07\0\0\0xyz"));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! index treats them as matching nothing, same as the CLI).
 
 use crate::error::StoreError;
-use crate::format::{crc32, Reader, Writer};
+use crate::format::{tagged_crc32, Reader, Writer};
 use crate::index::RankBy;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -781,10 +781,7 @@ pub fn encode_frame(tag: u32, payload: &[u8]) -> Result<Vec<u8>, ProtocolError> 
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&tag.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut crc_input = Vec::with_capacity(4 + payload.len());
-    crc_input.extend_from_slice(&tag.to_le_bytes());
-    crc_input.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(&crc_input).to_le_bytes());
+    out.extend_from_slice(&tagged_crc32(tag, payload).to_le_bytes());
     out.extend_from_slice(payload);
     Ok(out)
 }
@@ -822,10 +819,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(u32, &[u8]), ProtocolError> {
         });
     }
     let payload = &body[..len];
-    let mut crc_input = Vec::with_capacity(4 + len);
-    crc_input.extend_from_slice(&tag.to_le_bytes());
-    crc_input.extend_from_slice(payload);
-    if crc32(&crc_input) != crc {
+    if tagged_crc32(tag, payload) != crc {
         return Err(ProtocolError::ChecksumMismatch);
     }
     Ok((tag, payload))
@@ -891,10 +885,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u32, Vec<u8>)>, Protocol
             Err(e) => return Err(e.into()),
         }
     }
-    let mut crc_input = Vec::with_capacity(4 + payload.len());
-    crc_input.extend_from_slice(&tag.to_le_bytes());
-    crc_input.extend_from_slice(&payload);
-    if crc32(&crc_input) != crc {
+    if tagged_crc32(tag, &payload) != crc {
         return Err(ProtocolError::ChecksumMismatch);
     }
     Ok(Some((tag, payload)))

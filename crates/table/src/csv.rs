@@ -29,8 +29,17 @@
 //! runs on; splitting resumes with the next block. An error is the first
 //! failing range's, its line counted from the lines of the ranges before.
 //! [`CsvChunks`] reads serially.
+//!
+//! [`cut_ranges`] and [`read_range`] split one file among readers that
+//! need not share a process: the body after the header is cut at newlines
+//! into byte ranges, and each range is parsed on its own by the same
+//! block reader. A range holding a `"` byte is not parsed, since a quoted
+//! field may hold a newline a cut fell on; the caller reads such a file
+//! whole. A range's error counts its line from the range's first line, so
+//! the caller adds the header's lines and the earlier ranges' lines
+//! ([`TableError::after_lines`]) to name the line a serial read names.
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 
 use crate::error::TableError;
@@ -280,14 +289,14 @@ impl<'a> Fields<'a> {
 
 /// Parse a quantitative cell the way every reader of this crate does: as
 /// an `i64` if it is one, else as a finite `f64`, ignoring surrounding
-/// whitespace.
-fn parse_number(raw: &str, line: usize) -> Result<f64, TableError> {
+/// whitespace. The flag is true for an `i64`, a whole number by parse.
+fn parse_number(raw: &str, line: usize) -> Result<(f64, bool), TableError> {
     let token = raw.trim();
     if let Ok(i) = token.parse::<i64>() {
-        return Ok(i as f64);
+        return Ok((i as f64, true));
     }
     match token.parse::<f64>() {
-        Ok(x) if x.is_finite() => Ok(x),
+        Ok(x) if x.is_finite() => Ok((x, false)),
         _ => Err(TableError::BadNumber {
             line,
             token: raw.to_owned(),
@@ -328,6 +337,121 @@ pub fn read_table_threaded<R: BufRead>(
     read_blocks(reader, schema, threads, BLOCK_BYTES, cancelled)
 }
 
+/// The records of one byte range of a CSV file, as [`read_range`] parses
+/// them.
+#[derive(Debug)]
+pub struct RangeRead {
+    /// The range's records, in file order.
+    pub table: Table,
+    /// The physical lines the range spans.
+    pub lines: usize,
+}
+
+/// Cut the body of the CSV file `file` (its bytes after the header) into
+/// `parts` byte ranges of whole lines, in order: each range but the last
+/// ends just after the first `\n` at or after its share `len·i/parts` of
+/// the body, the last at the end of the file, so a range may be empty.
+/// Returns the lines the header spans and the ranges. The header is
+/// matched against `schema` as [`read_table`] matches it, with its errors.
+///
+/// A range is a unit of the file only if no quoted field runs across its
+/// ends; [`read_range`] tells, by stopping at any `"` byte.
+pub fn cut_ranges<R: Read + Seek>(
+    mut file: R,
+    schema: &Schema,
+    parts: usize,
+) -> Result<(usize, Vec<Range<u64>>), TableError> {
+    let (_, header_lines, body) = header_of(&mut file, schema)?;
+    let end = file.seek(SeekFrom::End(0))?;
+    let parts = parts.max(1) as u64;
+    let mut ranges = Vec::new();
+    let mut start = body;
+    for part in 1..=parts {
+        let cut = if part == parts {
+            end
+        } else {
+            let target = (body + (end - body) * part / parts).max(start);
+            after_newline(&mut file, target)?.unwrap_or(end)
+        };
+        ranges.push(start..cut);
+        start = cut;
+    }
+    Ok((header_lines, ranges))
+}
+
+/// The offset just past the first `\n` at or after byte `from`, if any.
+fn after_newline<R: Read + Seek>(file: &mut R, from: u64) -> io::Result<Option<u64>> {
+    file.seek(SeekFrom::Start(from))?;
+    let mut reader = io::BufReader::with_capacity(8 << 10, file);
+    let mut at = from;
+    loop {
+        let bytes = reader.fill_buf()?;
+        if bytes.is_empty() {
+            return Ok(None);
+        }
+        if let Some(newline) = bytes.iter().position(|&b| b == b'\n') {
+            return Ok(Some(at + newline as u64 + 1));
+        }
+        let read = bytes.len();
+        at += read as u64;
+        reader.consume(read);
+    }
+}
+
+/// Parse the byte range `range` of the CSV file `file`, whole lines after
+/// its header as [`cut_ranges`] cuts them, on up to `threads` threads as
+/// [`read_table_threaded`] parses a file's blocks. The header is read
+/// again from the start of the file for its column order. Returns
+/// `Ok(None)` once a block of the range holds a `"` byte: a quoted field
+/// may run across the range's ends, so only a reader of the whole file can
+/// parse it. An error's line counts from the range's first line as line 1;
+/// `cancelled` is asked once per block.
+pub fn read_range<R: Read + Seek>(
+    mut file: R,
+    schema: &Schema,
+    range: Range<u64>,
+    threads: usize,
+    cancelled: &(dyn Fn() -> bool + Sync),
+) -> Result<Option<RangeRead>, TableError> {
+    // The caller cut the range after reading the same header.
+    let (order, _, body) = header_of(&mut file, schema)
+        .map_err(|e| TableError::Io(format!("the header no longer reads: {e}")))?;
+    if range.start < body || range.end < range.start {
+        return Err(TableError::Io(format!(
+            "byte range {range:?} does not lie after the header, which ends at byte {body}"
+        )));
+    }
+    file.seek(SeekFrom::Start(range.start))?;
+    let bytes = io::BufReader::new(file.take(range.end - range.start));
+    let mut records = RecordReader::new(Pending::new(bytes, BLOCK_BYTES));
+    let table = parse_blocks(
+        &mut records,
+        schema,
+        &order,
+        threads,
+        BLOCK_BYTES,
+        cancelled,
+        true,
+    )?;
+    Ok(table.map(|table| RangeRead {
+        table,
+        lines: records.line_no,
+    }))
+}
+
+/// Read the header of `file` from its start: the attribute of every CSV
+/// column, the lines the header spans and the offset just after it.
+fn header_of<R: Read + Seek>(
+    file: &mut R,
+    schema: &Schema,
+) -> Result<(Vec<AttributeId>, usize, u64), TableError> {
+    file.seek(SeekFrom::Start(0))?;
+    let mut records = RecordReader::new(io::BufReader::new(&mut *file));
+    let order = read_header(&mut records, schema)?;
+    let body = records.reader.stream_position()?;
+    Ok((order, records.line_no, body))
+}
+
 /// [`read_table_threaded`] at a given block size.
 fn read_blocks<R: BufRead>(
     reader: R,
@@ -336,13 +460,34 @@ fn read_blocks<R: BufRead>(
     block_bytes: usize,
     cancelled: &(dyn Fn() -> bool + Sync),
 ) -> Result<Table, TableError> {
-    let threads = threads.clamp(1, MAX_THREADS);
-    let mut records = RecordReader::new(Pending {
-        bytes: Vec::with_capacity(block_bytes),
-        pos: 0,
-        reader,
-    });
+    let mut records = RecordReader::new(Pending::new(reader, block_bytes));
     let order = read_header(&mut records, schema)?;
+    let table = parse_blocks(
+        &mut records,
+        schema,
+        &order,
+        threads,
+        block_bytes,
+        cancelled,
+        false,
+    )?;
+    Ok(table.expect("a read that parses quoted blocks reads to the end"))
+}
+
+/// Parse the records of `records` onto a new table of `schema`, a block
+/// at a time, their CSV columns going to the attributes `order` names. With
+/// `stop_at_quote`, the first block holding a `"` byte ends the parse in
+/// `Ok(None)` instead of being read record by record.
+fn parse_blocks<R: BufRead>(
+    records: &mut RecordReader<Pending<R>>,
+    schema: &Schema,
+    order: &[AttributeId],
+    threads: usize,
+    block_bytes: usize,
+    cancelled: &(dyn Fn() -> bool + Sync),
+    stop_at_quote: bool,
+) -> Result<Option<Table>, TableError> {
+    let threads = threads.clamp(1, MAX_THREADS);
     let mut table = Table::new(schema.clone());
     // One table per range after the first, emptied after each block so its
     // columns keep their capacity from block to block.
@@ -354,13 +499,16 @@ fn read_blocks<R: BufRead>(
         }
         let (end, at_eof) = records.reader.fill_block(block_bytes)?;
         if end == 0 {
-            return Ok(table);
+            return Ok(Some(table));
         }
         let block = &records.reader.bytes[..end];
         if block.contains(&b'"') {
+            if stop_at_quote {
+                return Ok(None);
+            }
             // A quote may open a field that runs past any newline, so the
             // block is read record by record, on past `end` if need be.
-            while records.reader.pos < end && read_record(&mut records, &order, &mut table)? {}
+            while records.reader.pos < end && read_record(records, order, &mut table)? {}
         } else {
             // The first range parses straight into the table, the others
             // into spare tables appended after it.
@@ -372,13 +520,13 @@ fn read_blocks<R: BufRead>(
                     .into_iter()
                     .zip(targets)
                     .map(|(range, into)| {
-                        let (bytes, order) = (&block[range], &order);
+                        let bytes = &block[range];
                         move || parse_range(bytes, order, into)
                     })
                     .collect(),
             );
             for lines in parsed {
-                records.line_no += lines.map_err(|e| shift_line(e, records.line_no))?;
+                records.line_no += lines.map_err(|e| e.after_lines(records.line_no))?;
             }
             for part in &mut spare[..parts] {
                 table.append(part);
@@ -400,6 +548,16 @@ struct Pending<R> {
 }
 
 impl<R: BufRead> Pending<R> {
+    /// Nothing pending yet before `reader`, with room for one block of
+    /// `block_bytes`.
+    fn new(reader: R, block_bytes: usize) -> Self {
+        Pending {
+            bytes: Vec::with_capacity(block_bytes),
+            pos: 0,
+            reader,
+        }
+    }
+
     /// Drop the parsed bytes, then read until at least `size` bytes are
     /// pending and on to a line end. Returns the length of the block of
     /// whole lines now at the front of `bytes` (every pending byte at the
@@ -489,21 +647,6 @@ fn parse_range(bytes: &[u8], order: &[AttributeId], into: &mut Table) -> Result<
     Ok(records.line_no)
 }
 
-/// `err` with its line number moved down by `lines`.
-fn shift_line(err: TableError, lines: usize) -> TableError {
-    match err {
-        TableError::Csv { line, message } => TableError::Csv {
-            line: line + lines,
-            message,
-        },
-        TableError::BadNumber { line, token } => TableError::BadNumber {
-            line: line + lines,
-            token,
-        },
-        other => other,
-    }
-}
-
 /// Read the header record and match it by name against `schema`: the
 /// schema attribute of every CSV column. Fails on an empty input (no
 /// header), a header/schema column-count mismatch, or an unknown name.
@@ -565,7 +708,10 @@ fn read_record<R: BufRead>(
         let column = table.column_mut(id.index());
         match column {
             Column::Categorical(_) => column.push_label(raw),
-            Column::Quantitative { .. } => column.push_number(parse_number(raw, line)?),
+            Column::Quantitative { .. } => {
+                let (x, whole) = parse_number(raw, line)?;
+                column.push_number(x, whole);
+            }
         }
     }
     table.finish_row();
@@ -1055,6 +1201,163 @@ mod tests {
         assert_eq!(all.num_rows(), 4);
         let none = read_table_threaded(input.as_bytes(), &s, 2, &|| true);
         assert_eq!(none.unwrap_err(), TableError::Cancelled);
+    }
+
+    /// Integer tokens skip the fraction check and leave the integral flag
+    /// as the check would: `1`, `-0` and 2^53 + 1 are whole numbers,
+    /// `1.0` is one by value, and only `1.5` clears the flag.
+    #[test]
+    fn integer_tokens_keep_the_integral_flag_the_check_would() {
+        let s = Schema::builder().quantitative("x").build().unwrap();
+        let read = |cells: &[&str]| {
+            let input = format!("x\n{}\n", cells.join("\n"));
+            let t = read_table(input.as_bytes(), &s).unwrap();
+            let column = t.column(AttributeId(0));
+            let whole = column
+                .as_quantitative()
+                .unwrap()
+                .iter()
+                .all(|v| v.fract() == 0.0);
+            assert_eq!(column.is_integral(), whole, "{cells:?}");
+            column.is_integral()
+        };
+        for cell in ["1", "1.0", "-0", "9007199254740993"] {
+            assert!(read(&[cell]), "{cell}");
+        }
+        assert!(!read(&["1.5"]));
+        assert!(!read(&["1", "1.0", "-0", "1.5", "9007199254740993"]));
+        let t = read_table("x\n9007199254740993\n".as_bytes(), &s).unwrap();
+        assert_eq!(t.row(0).value(0), Value::Int(9007199254740992));
+    }
+
+    /// What a coordinator makes of `input` cut into `parts` ranges read
+    /// one by one: the ranges' tables appended, or the first failing
+    /// range's error with its line counted from the file's start, or
+    /// `Ok(None)` at the first range holding a quote.
+    fn read_by_ranges(
+        input: &[u8],
+        schema: &Schema,
+        parts: usize,
+        threads: usize,
+    ) -> Result<Option<Table>, TableError> {
+        let (mut lines, ranges) = cut_ranges(io::Cursor::new(input), schema, parts)?;
+        assert_eq!(ranges.len(), parts);
+        assert_eq!(ranges.last().unwrap().end, input.len() as u64);
+        let mut table = Table::new(schema.clone());
+        for range in ranges {
+            let file = io::Cursor::new(input);
+            match read_range(file, schema, range, threads, &|| false) {
+                Ok(Some(read)) => {
+                    table.append(&read.table);
+                    lines += read.lines;
+                }
+                Ok(None) => return Ok(None),
+                Err(e) => return Err(e.after_lines(lines)),
+            }
+        }
+        Ok(Some(table))
+    }
+
+    /// Cut into 1 to 6 ranges, read at 1 and 2 threads, `input` gives the
+    /// serial reader's table, or its error with the same line.
+    fn assert_ranges_match_serial(input: &[u8], schema: &Schema) {
+        let want = serial(input, schema);
+        for parts in 1..=6 {
+            for threads in [1, 2] {
+                let at = format!("{parts} ranges, {threads} threads");
+                match (&want, read_by_ranges(input, schema, parts, threads)) {
+                    (Ok(want), Ok(Some(got))) => {
+                        assert_eq!(got.num_rows(), want.num_rows(), "{at}");
+                        for c in 0..schema.len() {
+                            let id = AttributeId(c);
+                            assert_eq!(got.column(id), want.column(id), "{at}, column {c}");
+                        }
+                    }
+                    (Err(want), Err(got)) => assert_eq!(&got, want, "{at}"),
+                    (want, got) => panic!("{at}: serial {want:?}, ranges {got:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ranges_read_as_the_serial_reader_reads_the_file() {
+        let s = label_and_number();
+        for input in [
+            &b"c,x\r\na,1\r\nb,2\r\n\r\nc,3\r\n\r\n\r\nd,4\r\n"[..],
+            b"\n\nx,c\n\n1,a\n2,b\n\n3,a\n\n",
+            b"c,x\na,1\nb,2\nc,3",
+            b"c,x\na,1\n",
+            b"c,x\n",
+            b"c,x",
+            b"c,x\nb,1\na,2\nb,3\nc,4\na,5\nd,6\ne,7\n",
+        ] {
+            assert_ranges_match_serial(input, &s);
+        }
+    }
+
+    #[test]
+    fn the_first_failing_range_names_the_serial_line() {
+        let s = label_and_number();
+        // A bad number in the last range, then bad numbers in two ranges
+        // (the earlier wins), then a short record.
+        for input in [
+            &b"c,x\na,1\nb,2\nc,3\nd,4\ne,5\nf,q\n"[..],
+            b"c,x\na,1\nb,q\nc,3\nd,4\ne,5\nf,r\n",
+            b"c,x\n\na,1\r\nb,2\n\nc\nd,4\n",
+            b"x,c\n1,a\n\xff,b\n",
+        ] {
+            assert_ranges_match_serial(input, &s);
+            assert!(serial(input, &s).is_err());
+        }
+        // A header that does not match fails as the serial reader fails.
+        for input in [&b""[..], b"c\na\n", b"c,y\na,1\n"] {
+            let want = serial(input, &s).unwrap_err();
+            let got = cut_ranges(io::Cursor::new(input), &s, 2).unwrap_err();
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn a_range_holding_a_quote_is_not_parsed() {
+        let s = label_and_number();
+        let input = b"c,x\na,1\nb,2\n\"c\n\",3\nd,4\n";
+        assert!(serial(input, &s).is_ok());
+        for parts in 1..=4 {
+            assert!(read_by_ranges(input, &s, parts, 2).unwrap().is_none());
+        }
+        // The quote-free ranges before it parse.
+        let (_, ranges) = cut_ranges(io::Cursor::new(&input[..]), &s, 3).unwrap();
+        let first = read_range(
+            io::Cursor::new(&input[..]),
+            &s,
+            ranges[0].clone(),
+            1,
+            &|| false,
+        );
+        assert_eq!(first.unwrap().unwrap().table.num_rows(), 2);
+    }
+
+    #[test]
+    fn ranges_start_after_the_header_and_stop_when_cancelled() {
+        let s = label_and_number();
+        let input = &b"c,x\na,1\nb,2\n"[..];
+        let file = || io::Cursor::new(input);
+        assert!(matches!(
+            read_range(file(), &s, 2..8, 1, &|| false),
+            Err(TableError::Io(_))
+        ));
+        assert!(matches!(
+            read_range(file(), &s, Range { start: 8, end: 4 }, 1, &|| false),
+            Err(TableError::Io(_))
+        ));
+        let body = 4..input.len() as u64;
+        assert_eq!(
+            read_range(file(), &s, body.clone(), 1, &|| true).unwrap_err(),
+            TableError::Cancelled
+        );
+        let read = read_range(file(), &s, body, 1, &|| false).unwrap().unwrap();
+        assert_eq!((read.table.num_rows(), read.lines), (2, 2));
     }
 
     /// Collect every chunk of `input` at the given block size.

@@ -116,6 +116,25 @@ impl fmt::Display for TableError {
     }
 }
 
+impl TableError {
+    /// This error as met `lines` lines further into the input: a CSV or
+    /// number error's line moved down by `lines`, any other unchanged. A
+    /// reader of one part of an input reports its lines this way.
+    pub fn after_lines(self, lines: usize) -> TableError {
+        match self {
+            TableError::Csv { line, message } => TableError::Csv {
+                line: line + lines,
+                message,
+            },
+            TableError::BadNumber { line, token } => TableError::BadNumber {
+                line: line + lines,
+                token,
+            },
+            other => other,
+        }
+    }
+}
+
 impl std::error::Error for TableError {}
 
 impl From<std::io::Error> for TableError {

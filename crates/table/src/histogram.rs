@@ -67,6 +67,25 @@ impl QuantHistogram {
         Self::of_column(&data, integral)
     }
 
+    /// The histogram with these distinct values and counts, or `None`
+    /// unless they could be a column's: as many counts as values, every
+    /// count positive, every value finite and no `-0.0`, in strictly
+    /// ascending order. A decoder of histograms from elsewhere builds
+    /// through this; the integral flag follows from the values.
+    pub fn from_counts(values: Vec<f64>, counts: Vec<u64>) -> Option<Self> {
+        let canonical = |v: &f64| v.is_finite() && !(*v == 0.0 && v.is_sign_negative());
+        let valid = values.len() == counts.len()
+            && counts.iter().all(|&c| c > 0)
+            && values.iter().all(canonical)
+            && values.windows(2).all(|w| w[0] < w[1]);
+        let integral = values.iter().all(|v| v.fract() == 0.0);
+        valid.then_some(QuantHistogram {
+            values,
+            counts,
+            integral,
+        })
+    }
+
     /// Distinct values, ascending.
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -138,6 +157,16 @@ impl CatHistogram {
             column.push(label.as_ref());
         }
         Self::of_column(&column)
+    }
+
+    /// The histogram with these distinct labels and counts, or `None`
+    /// unless they could be a column's: as many counts as labels, every
+    /// count positive, labels in strictly ascending order.
+    pub fn from_counts(labels: Vec<String>, counts: Vec<u64>) -> Option<Self> {
+        let valid = labels.len() == counts.len()
+            && counts.iter().all(|&c| c > 0)
+            && labels.windows(2).all(|w| w[0] < w[1]);
+        valid.then_some(CatHistogram { labels, counts })
     }
 
     /// Distinct labels, ascending.
@@ -273,6 +302,47 @@ mod tests {
             cats,
             Histogram::Categorical(CatHistogram::from_labels(&["a", "b", "b", "c"]))
         );
+    }
+
+    #[test]
+    fn histograms_rebuild_from_their_counts_only_when_a_column_could_hold_them() {
+        let h = QuantHistogram::from_values(&[3.0, 1.5, 3.0]);
+        let back = QuantHistogram::from_counts(h.values().to_vec(), h.counts().to_vec());
+        assert_eq!(back.as_ref(), Some(&h));
+        assert!(!back.unwrap().integral());
+        assert!(QuantHistogram::from_counts(vec![1.0, 2.0], vec![1, 1])
+            .unwrap()
+            .integral());
+        assert_eq!(
+            QuantHistogram::from_counts(Vec::new(), Vec::new()),
+            Some(QuantHistogram::default())
+        );
+        for (values, counts) in [
+            (vec![2.0, 1.0], vec![1, 1]),
+            (vec![1.0, 1.0], vec![1, 1]),
+            (vec![1.0], vec![0]),
+            (vec![1.0], vec![1, 1]),
+            (vec![-0.0], vec![1]),
+            (vec![f64::NAN], vec![1]),
+            (vec![f64::INFINITY], vec![1]),
+        ] {
+            assert_eq!(QuantHistogram::from_counts(values, counts), None);
+        }
+        let c = CatHistogram::from_labels(&["b", "a", "b"]);
+        assert_eq!(
+            CatHistogram::from_counts(c.labels().to_vec(), c.counts().to_vec()),
+            Some(c)
+        );
+        let labels = |l: &[&str]| l.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            CatHistogram::from_counts(labels(&["b", "a"]), vec![1, 1]),
+            None
+        );
+        assert_eq!(
+            CatHistogram::from_counts(labels(&["a", "a"]), vec![1, 1]),
+            None
+        );
+        assert_eq!(CatHistogram::from_counts(labels(&["a"]), vec![0]), None);
     }
 
     #[test]

@@ -91,12 +91,14 @@ impl Column {
     }
 
     /// Append a number to a quantitative column, storing `-0.0` as `0.0`
-    /// and clearing the integral flag on a fractional value.
-    pub(crate) fn push_number(&mut self, x: f64) {
+    /// and clearing the integral flag on a fractional value. `whole` says
+    /// the caller already knows `x` is a whole number (it was an integer
+    /// before widening), so only other values pay for the check.
+    pub(crate) fn push_number(&mut self, x: f64, whole: bool) {
         let Column::Quantitative { data, integral } = self else {
             panic!("push_number on a categorical column");
         };
-        if x.fract() != 0.0 {
+        if !whole && x.fract() != 0.0 {
             *integral = false;
         }
         data.push(canonical(x));
@@ -269,7 +271,10 @@ impl Table {
         for (column, cell) in self.columns.iter_mut().zip(cells) {
             match cell {
                 Value::Cat(s) => column.push_label(s),
-                number => column.push_number(number.as_f64().expect("validated quantitative")),
+                number => column.push_number(
+                    number.as_f64().expect("validated quantitative"),
+                    matches!(number, Value::Int(_)),
+                ),
             }
         }
         self.num_rows += 1;

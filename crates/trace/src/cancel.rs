@@ -60,6 +60,15 @@ impl CancelToken {
         self.inner.cancelled.load(Ordering::Acquire) || self.deadline_exceeded()
     }
 
+    /// The time left before the deadline (zero once it has passed), or
+    /// `None` for a token without one: what a request handing the
+    /// deadline on to another process carries.
+    pub fn time_left(&self) -> Option<Duration> {
+        self.inner
+            .deadline
+            .map(|d| d.saturating_duration_since(Instant::now()))
+    }
+
     /// True when this token has a deadline and it has passed — lets
     /// reporting distinguish "aborted by the caller" from "timed out".
     pub fn deadline_exceeded(&self) -> bool {
@@ -86,6 +95,10 @@ mod tests {
         let t = CancelToken::with_deadline(Duration::ZERO);
         assert!(t.is_cancelled());
         assert!(t.deadline_exceeded());
+        assert_eq!(t.time_left(), Some(Duration::ZERO));
+        assert_eq!(CancelToken::new().time_left(), None);
+        let later = CancelToken::with_deadline(Duration::from_secs(60));
+        assert!(later.time_left().unwrap() > Duration::from_secs(59));
     }
 
     #[test]

@@ -197,6 +197,19 @@ cmp "$STORE_DIR/serial.qarcat" "$STORE_DIR/chunked.qarcat"
 ./target/release/qar mine --input "$STORE_DIR/planted.csv" $MINE_FLAGS \
     --chunk-rows 173 --workers 2 --store "$STORE_DIR/chunked_dist.qarcat" > /dev/null
 cmp "$STORE_DIR/serial.qarcat" "$STORE_DIR/chunked_dist.qarcat"
+# The --workers run above has each worker parse its own byte range of
+# the file. One quoted label sends the load back to the coordinator,
+# which must still write the serial catalog (quoting changes no label).
+sed '500s/,\([^,]*\)$/,"\1"/' "$STORE_DIR/planted.csv" > "$STORE_DIR/planted_quoted.csv"
+grep -q '"' "$STORE_DIR/planted_quoted.csv"
+./target/release/qar mine --input "$STORE_DIR/planted_quoted.csv" $MINE_FLAGS \
+    --workers 2 --store "$STORE_DIR/quoted_dist.qarcat" > /dev/null
+cmp "$STORE_DIR/serial.qarcat" "$STORE_DIR/quoted_dist.qarcat"
+# A traced range load validates, and both workers join.
+./target/release/qar mine --input "$STORE_DIR/planted.csv" $MINE_FLAGS \
+    --workers 2 --trace json > /dev/null 2> "$STORE_DIR/dist.trace"
+./target/release/qar trace-check < "$STORE_DIR/dist.trace" > /dev/null
+test "$(grep -c '"event":"worker_joined"' "$STORE_DIR/dist.trace")" -eq 2
 
 echo "==> update smoke (mine -> counts -> --update vs scratch re-mine, byte-identical)"
 # Mine the paper's People table into a catalog (support counts are
@@ -313,6 +326,30 @@ if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
     exit 1
 fi
 grep -q "mining cancelled during" "$STORE_DIR/deadline.err"
+# The same two failures when the workers parse their own ranges: a bad
+# number on line 80,000 is named by its line in the file, and the
+# deadline stops the workers' parse.
+head -100001 "$STORE_DIR/deadline.csv" | sed '80000s/^\([^,]*,[^,]*,\)/\1x/' \
+    > "$STORE_DIR/bad_late.csv"
+status=0
+timeout 10 ./target/release/qar mine --input "$STORE_DIR/bad_late.csv" --workers 2 \
+    --schema employee_category:cat,marital_status:cat,monthly_income:quant,credit_limit:quant,current_balance:quant,ytd_balance:quant,ytd_interest:quant \
+    > /dev/null 2> "$STORE_DIR/bad_late.err" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+    echo "late bad number over workers: expected a parse error, got exit status $status" >&2
+    exit 1
+fi
+grep -q "line 80000:" "$STORE_DIR/bad_late.err"
+status=0
+timeout 10 ./target/release/qar mine --input "$STORE_DIR/deadline.csv" --deadline 0.01 \
+    --workers 2 \
+    --schema employee_category:cat,marital_status:cat,monthly_income:quant,credit_limit:quant,current_balance:quant,ytd_balance:quant,ytd_interest:quant \
+    > /dev/null 2> "$STORE_DIR/deadline_dist.err" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+    echo "range-parse deadline: expected a cancelled run, got exit status $status" >&2
+    exit 1
+fi
+grep -q "mining cancelled during" "$STORE_DIR/deadline_dist.err"
 # -0.0 and 0 are one value, so full resolution encodes both.
 printf 'x,c\n-0.0,a\n0,b\n1,a\n2,b\n' > "$STORE_DIR/zeros.csv"
 ./target/release/qar mine --input "$STORE_DIR/zeros.csv" --schema x:quant,c:cat \

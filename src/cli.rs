@@ -28,7 +28,7 @@ use qar_core::{
     InterestConfig, InterestMode, Miner, MinerConfig, MinerError, MiningOutput, PartitionSpec,
     PartitionStrategy, QuantRule, RuleInterest, SupportCounts, UpdateInput, MAX_THREADS,
 };
-use qar_dist::{DistOptions, DistSource, WorkerOptions, WorkerSpawn};
+use qar_dist::{DistOptions, DistSource, RangeInput, RangeLoad, WorkerOptions, WorkerSpawn};
 use qar_prng::Prng;
 use qar_store::format::tag::COUNTS_V1;
 use qar_store::protocol::{Query, QueryOptions, Request, Response};
@@ -80,8 +80,10 @@ pub enum Command {
 pub struct WorkerArgs {
     /// Coordinator address (`HOST:PORT`) to connect to.
     pub connect: String,
-    /// Threads per counting scan (0 = all cores).
+    /// Threads per range parse, encode and counting scan (0 = all cores).
     pub threads: usize,
+    /// The CSV file the coordinator has this worker parse byte ranges of.
+    pub input: Option<String>,
 }
 
 /// Arguments of `qar bench-dist`.
@@ -338,7 +340,7 @@ USAGE:
   qar trace-check [TRACE] [--schema FILE]
   qar fuzz [--iters N] [--seed S] [--out DIR]
   qar serve CATALOG... [--port P] [--threads N] [--trace F]
-  qar worker --connect HOST:PORT [--threads N]
+  qar worker --connect HOST:PORT [--threads N] [--input FILE]
   qar bench-serve [--addr HOST:PORT] [--catalog FILE] [options]
   qar bench-analytics [--records N] [--samples N] [--floor R] [--out FILE]
   qar bench-dist [--records N] [--workers W] [--floor R] [--out FILE]
@@ -375,12 +377,17 @@ MINE OPTIONS:
                         from the mine's own counts and persist them in the
                         stored catalog (requires --store; incompatible with
                         --workers / --chunk-rows)
-  --workers N           distribute the counting passes over N worker
-                        processes (spawned from this binary as
-                        `qar worker`); candidate generation, frequency
-                        decisions, and rule generation stay in the
-                        coordinator, and the result is bit-identical to a
-                        serial run                      [default 0 = serial]
+  --workers N           distribute the load and the counting passes over
+                        N worker processes (spawned from this binary as
+                        `qar worker`). Given a regular --input file, each
+                        worker parses and encodes its own byte range of
+                        it; a file holding a quote byte, stdin,
+                        --chunk-rows and --update load on the
+                        coordinator, which streams the encoded rows out.
+                        Candidate generation, frequency decisions and
+                        rule generation stay in the coordinator, and the
+                        result is bit-identical to a serial run
+                                                        [default 0 = serial]
   --chunk-rows N        stream the CSV in N-row blocks and spill encoded
                         chunks to a temp directory, mining out-of-core
                         with one chunk in memory at a time; needs a real
@@ -485,13 +492,20 @@ SERVE:
 
 WORKER:
   Counting worker for distributed mining. Connects to a `qar mine
-  --workers N` coordinator, receives the schema, encoders, and its row
-  partition over the wire, and answers per-pass counting requests with
-  raw u64 tallies until the coordinator shuts it down. Normally spawned
-  by the coordinator itself; run it by hand only to place workers on
-  other machines or debug the protocol.
+  --workers N` coordinator and loads its row partition: it parses the
+  byte range of --input the coordinator names and encodes it under the
+  encoders built from every range's value histograms, or receives the
+  encoded rows over the wire. It then answers per-pass counting requests
+  with raw u64 tallies until the coordinator shuts it down. Normally
+  spawned by the coordinator itself; run it by hand only to place
+  workers on other machines or debug the protocol.
   --connect HOST:PORT   coordinator address (required)
-  --threads N           threads per counting scan (0 = all cores)
+  --threads N           threads per range parse, encode and counting scan
+                        (0 = all cores)
+  --input FILE          the CSV file to parse ranges of; the coordinator
+                        sends byte ranges, never a path, so it cannot
+                        have a worker open any other file. Without it the
+                        worker loads only rows sent over the wire
 
 BENCH-SERVE:
   Drives a mixed point/range/top-k/batch workload from concurrent client
@@ -666,13 +680,14 @@ const VERBS: &[VerbSpec] = &[
     VerbSpec {
         verb: "worker",
         positionals: 0,
-        values: "connect threads",
+        values: "connect threads input",
         switches: "",
         repeated: "",
         build: |f| {
             Ok(Command::Worker(WorkerArgs {
                 connect: f.required("connect", "worker requires --connect HOST:PORT")?,
                 threads: f.threads()?,
+                input: f.string("input"),
             }))
         },
     },
@@ -1268,6 +1283,7 @@ fn dispatch(command: &Command, out: &mut Stdout<'_>) -> Result<(), Box<dyn Error
         Command::Worker(args) => {
             let options = WorkerOptions {
                 num_threads: args.threads,
+                input: args.input.as_ref().map(PathBuf::from),
             };
             qar_dist::run_worker(&args.connect, &options)
                 .map_err(|e| err(format!("worker: {e}")))?;
@@ -1454,11 +1470,20 @@ fn mine_input(
             let schema = build_schema(&args.schema)?;
             let cancel = deadline_token(args);
             let cancel = cancel.as_ref();
-            let Loaded { rows, intervals } =
-                load_rows(args, &schema, &config, None, spill_dir, cancel)?;
-            let rows = rows?;
-            let mut source =
-                topology_source(args, &config, rows.backing(), spawn, sink_ref, cancel)?;
+            let mut held = None;
+            let (mut source, intervals) =
+                match load_ranges(args, &schema, &config, spawn.as_ref(), sink_ref, cancel)? {
+                    Some(loaded) => loaded,
+                    None => {
+                        let Loaded { rows, intervals } =
+                            load_rows(args, &schema, &config, None, spill_dir, cancel)?;
+                        let rows = held.insert(rows?);
+                        let backing = rows.backing();
+                        let source =
+                            topology_source(args, &config, backing, spawn, sink_ref, cancel)?;
+                        (source, intervals)
+                    }
+                };
             let (mut result, captured) = if args.store.is_some() {
                 let (result, captured) =
                     mine_source_captured(&mut *source, &config, sink_ref, cancel)?;
@@ -1519,6 +1544,44 @@ fn mine_input(
             Ok((updated.output, Some(updated.counts)))
         }
     }
+}
+
+/// A counting source and the intervals Steps 1-2 chose per attribute.
+type Sourced<'a> = (Box<dyn CountSource + 'a>, Vec<Option<usize>>);
+
+/// The counting source of a fresh in-memory `--workers` mine of a
+/// regular `--input` file, whose workers parse and encode their own byte
+/// ranges of it, and the intervals Steps 1-2 chose; `None` when the run
+/// loads on this process instead ([`load_rows`]): another topology, stdin
+/// or another kind of file, or a file with a range holding a `"` byte.
+fn load_ranges<'a>(
+    args: &MineArgs,
+    schema: &Schema,
+    config: &MinerConfig,
+    spawn: Option<&WorkerSpawn>,
+    sink: Option<&'a dyn ProgressSink>,
+    cancel: Option<&'a CancelToken>,
+) -> Result<Option<Sourced<'a>>, Box<dyn Error>> {
+    let regular = args.input != "-" && std::fs::metadata(&args.input).is_ok_and(|m| m.is_file());
+    let Some(spawn) = spawn.filter(|_| regular && args.workers > 0 && args.chunk_rows == 0) else {
+        return Ok(None);
+    };
+    let path = &args.input;
+    let file = File::open(path).map_err(|e| err(format!("cannot open `{path}`: {e}")))?;
+    let input = RangeInput::new(file, path, schema, args.workers)
+        .map_err(|e| stopped_in("the CSV parse", e, cancel))?;
+    let options = DistOptions {
+        workers: args.workers,
+        spawn: spawn.clone(),
+        ..DistOptions::default()
+    };
+    Ok(
+        match DistSource::start_ranges(input, config, &options, sink, cancel)? {
+            RangeLoad::Loaded { source, intervals } => Some((source, intervals)),
+            RangeLoad::Quoted => None,
+            RangeLoad::Failed(e) => return Err(stopped_in("the CSV parse", e, cancel)),
+        },
+    )
 }
 
 /// What [`load_rows`] read: the encoded rows, or why the input does not
@@ -4084,14 +4147,16 @@ mod tests {
             Command::Worker(WorkerArgs {
                 connect: "127.0.0.1:7001".into(),
                 threads: 0,
+                input: None,
             })
         );
-        let cmd = parse_command(&argv("worker --connect h:1 --threads 2")).unwrap();
+        let cmd = parse_command(&argv("worker --connect h:1 --threads 2 --input d.csv")).unwrap();
         assert_eq!(
             cmd,
             Command::Worker(WorkerArgs {
                 connect: "h:1".into(),
                 threads: 2,
+                input: Some("d.csv".into()),
             })
         );
         let e = parse_command(&argv("worker")).unwrap_err();
@@ -4314,6 +4379,108 @@ mod tests {
             "mining cancelled during the CSV parse (deadline exceeded)"
         );
         assert!(!store.exists(), "a cancelled mine wrote a catalog");
+    }
+
+    /// `--deadline` also covers the workers' parse of their ranges: the
+    /// run ends in the same cancelled error, and no catalog is written.
+    #[test]
+    fn deadline_stops_the_range_load() {
+        let input = credit_csv("deadline-ranges", 300_000);
+        let store = std::env::temp_dir().join(format!(
+            "qar-cli-deadline-ranges-{}.qarcat",
+            std::process::id()
+        ));
+        let cmd = parse_command(&argv(&format!(
+            "mine --input {} --schema {CREDIT_SCHEMA} --deadline 0.01 --workers 2 --store {}",
+            input.display(),
+            store.display()
+        )))
+        .unwrap();
+        let Command::Mine(args) = cmd else { panic!() };
+        let spawn = Some(WorkerSpawn::Threads(qar_dist::WorkerOptions::default()));
+        let started = Instant::now();
+        let e = run_mine(&args, spawn, None, &mut Vec::new()).unwrap_err();
+        std::fs::remove_file(&input).ok();
+        assert_eq!(
+            e.to_string(),
+            "mining cancelled during the CSV parse (deadline exceeded)"
+        );
+        assert!(started.elapsed() < Duration::from_secs(2));
+        assert!(!store.exists(), "a cancelled mine wrote a catalog");
+    }
+
+    /// Mine `text` from a temporary CSV file of the people schema with
+    /// `workers` worker threads (0 = serially): the normalized catalog, or
+    /// the error's text.
+    fn mine_people_text(tag: &str, text: &str, workers: usize) -> Result<Vec<u8>, String> {
+        let pid = std::process::id();
+        let input = std::env::temp_dir().join(format!("qar-cli-{tag}-{pid}-{workers}.csv"));
+        let store = input.with_extension("qarcat");
+        std::fs::write(&input, text).expect("write CSV");
+        let cmd = parse_command(&argv(&format!(
+            "mine --input {} --schema Age:quant,Married:cat,NumCars:quant --minsup 0.4 \
+             --minconf 0.5 --maxsup 1.0 --completeness 2 --normalize-stats --store {}",
+            input.display(),
+            store.display()
+        )))
+        .unwrap();
+        let Command::Mine(mut args) = cmd else {
+            panic!()
+        };
+        args.workers = workers;
+        let spawn = (workers > 0).then(|| WorkerSpawn::Threads(qar_dist::WorkerOptions::default()));
+        let mined = run_mine(&args, spawn, None, &mut Vec::new()).map_err(|e| e.to_string());
+        let catalog = std::fs::read(&store);
+        std::fs::remove_file(&input).ok();
+        std::fs::remove_file(&store).ok();
+        mined.map(|()| catalog.expect("catalog written"))
+    }
+
+    /// Files whose ranges are odd — a header alone, fewer rows than
+    /// workers, CRLF line ends, a final record without a newline, a
+    /// quoted label (which the coordinator loads itself), bad numbers in
+    /// the last range or in two ranges — mine over worker threads to the
+    /// serial catalog, or fail with the serial error.
+    #[test]
+    fn range_load_mines_odd_files_as_the_serial_run() {
+        let (path, people) = people_csv("odd-ranges");
+        std::fs::remove_file(&path).ok();
+        let text = String::from_utf8(people).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let last = lines.len() - 1;
+        let with_line = |index: usize, line: String| {
+            let mut edited: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+            edited[index] = line;
+            edited.join("\n") + "\n"
+        };
+        let bad = |index: usize| format!("x{}", lines[index]);
+        let cases = [
+            ("whole", text.clone()),
+            ("header-only", format!("{}\n", lines[0])),
+            ("two-rows", lines[..3].join("\n") + "\n"),
+            ("crlf", text.replace('\n', "\r\n")),
+            ("no-final-newline", text.trim_end().to_string()),
+            ("quoted", text.replacen("Yes", "\"Yes\"", 1)),
+            ("bad-last", with_line(last, bad(last))),
+            (
+                "bad-two",
+                with_line(2, bad(2)).replace(lines[last], &bad(last)),
+            ),
+        ];
+        for (tag, text) in cases {
+            let serial = mine_people_text(tag, &text, 0);
+            if tag.starts_with("bad") {
+                let e = serial.as_ref().unwrap_err();
+                assert!(e.contains("is not a number"), "{tag}: {e}");
+            }
+            for workers in [2, 3] {
+                let dist = mine_people_text(tag, &text, workers);
+                assert!(
+                    dist == serial,
+                    "{tag}, {workers} workers: {dist:?} against {serial:?}"
+                );
+            }
+        }
     }
 
     #[test]
