@@ -101,6 +101,15 @@ pub struct InterestConfig {
     pub prune_candidates: bool,
 }
 
+impl InterestConfig {
+    /// Whether the Lemma 5 prune is in effect: asked for, and sound
+    /// under the mode. Only then does the interest measure reach into
+    /// Step 3.
+    pub fn prunes(&self) -> bool {
+        self.prune_candidates && self.mode == InterestMode::SupportAndConfidence
+    }
+}
+
 /// Full miner configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MinerConfig {
@@ -241,10 +250,13 @@ impl MinerConfig {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CancelledInfo {
     /// 1-based pass during (or before) which cancellation was observed;
-    /// 0 when the run stopped before pass 1 while loading its input.
+    /// 0 when the run stopped before pass 1 while loading its input, and
+    /// the last pass run when it stopped in Step 4 or 5.
     pub pass: usize,
-    /// The load phase the run stopped in when `pass` is 0 (for example
-    /// `"the CSV parse"` or `"Steps 1-2"`); `None` during the passes.
+    /// The phase the run stopped in outside the passes: a load phase
+    /// when `pass` is 0 (for example `"the CSV parse"` or `"Steps 1-2"`),
+    /// or rule generation or the interest measure after the passes;
+    /// `None` during the passes.
     pub phase: Option<&'static str>,
     /// True when a [`qar_trace::CancelToken`] deadline expired; false for
     /// an explicit abort.

@@ -155,6 +155,18 @@ pub fn annotate_interest(
     items: &ItemSupports,
     config: &InterestConfig,
 ) -> Vec<RuleInterest> {
+    annotate_interest_until(rules, frequent, items, config, &|| false).expect("never stopped")
+}
+
+/// [`annotate_interest`], asking `stop` once per rule: `None` once it
+/// answers true.
+pub(crate) fn annotate_interest_until(
+    rules: &[QuantRule],
+    frequent: &QuantFrequentItemsets,
+    items: &ItemSupports,
+    config: &InterestConfig,
+    stop: &dyn Fn() -> bool,
+) -> Option<Vec<RuleInterest>> {
     let num_rows = frequent.num_rows as f64;
 
     // Frequent itemsets grouped by attribute set, for specialization
@@ -200,6 +212,9 @@ pub fn annotate_interest(
         order.sort_by_key(|&i| std::cmp::Reverse(width(i)));
 
         for (pos, &ri) in order.iter().enumerate() {
+            if stop() {
+                return None;
+            }
             let rule = &rules[ri];
             // Ancestors can only appear earlier in the order.
             let mut interesting_ancestors: Vec<usize> = Vec::new();
@@ -230,7 +245,7 @@ pub fn annotate_interest(
             verdicts[ri].interesting = interesting;
         }
     }
-    verdicts
+    Some(verdicts)
 }
 
 fn rule_r_interesting(
@@ -514,6 +529,41 @@ mod tests {
         assert!(!verdicts[1].interesting && verdicts[1].has_ancestors);
         assert!(verdicts[2].interesting && verdicts[2].has_ancestors);
         assert!(!verdicts[3].interesting);
+    }
+
+    /// The interest measure asks its stop check once per rule and gives
+    /// up at the first true answer.
+    #[test]
+    fn stop_is_asked_once_per_rule() {
+        let f = fig6_frequent();
+        let items = items_xy();
+        let rules = fig6_rules(&f);
+        let config = InterestConfig {
+            level: 2.0,
+            mode: InterestMode::SupportOrConfidence,
+            prune_candidates: false,
+        };
+        let asked = std::cell::Cell::new(0);
+        let counting = || {
+            asked.set(asked.get() + 1);
+            false
+        };
+        let verdicts = annotate_interest_until(&rules, &f, &items, &config, &counting);
+        assert_eq!(
+            verdicts,
+            Some(annotate_interest(&rules, &f, &items, &config))
+        );
+        assert_eq!(asked.get(), rules.len());
+        asked.set(0);
+        let third_call = || {
+            asked.set(asked.get() + 1);
+            asked.get() == 3
+        };
+        assert_eq!(
+            annotate_interest_until(&rules, &f, &items, &config, &third_call),
+            None
+        );
+        assert_eq!(asked.get(), 3);
     }
 
     #[test]

@@ -68,11 +68,22 @@ impl<'a> RunCtx<'a> {
     /// Emit the `cancelled` event and build the [`MinerError::Cancelled`]
     /// carrying the completed passes' statistics.
     pub(crate) fn cancelled(&self, pass: usize, stats: MineStats) -> MinerError {
+        self.stop(pass, None, stats)
+    }
+
+    /// [`RunCtx::cancelled`] for a run that finished its passes and
+    /// stopped in `phase` after them (Step 4 or 5): the pass is the last
+    /// one it ran.
+    pub(crate) fn stopped_in(&self, phase: &'static str, stats: MineStats) -> MinerError {
+        self.stop(1 + stats.pass_stats.len(), Some(phase), stats)
+    }
+
+    fn stop(&self, pass: usize, phase: Option<&'static str>, stats: MineStats) -> MinerError {
         let deadline = self.cancel.is_some_and(CancelToken::deadline_exceeded);
         self.emit(|| TraceEvent::Cancelled { pass, deadline });
         MinerError::Cancelled(CancelledInfo {
             pass,
-            phase: None,
+            phase,
             deadline_exceeded: deadline,
             stats,
         })

@@ -3,7 +3,7 @@
 //! encoding reuse across repeated runs.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::config::{MinerConfig, MinerError, ScanKernel};
 use crate::counts::{encoding_fingerprint, update_precheck, Lane, SupportCounts};
@@ -11,8 +11,8 @@ use crate::frequent::QuantFrequentItemsets;
 use crate::mine::{MineStats, RunCtx};
 use crate::pipeline::{build_encoders_from_histograms, MiningOutput};
 use crate::source::{
-    mine_source, mine_source_captured, mine_with_source_ctx, CountSource, InMemorySource,
-    MergeSource,
+    mine_source, mine_source_captured, mine_with_source_ctx, rules_and_interest, CountSource,
+    InMemorySource, MergeSource, Step3,
 };
 use qar_itemset::CounterKind;
 use qar_table::{AttributeEncoder, Column, EncodedTable, Schema, Table, TableError, TableRanks};
@@ -27,14 +27,18 @@ use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 /// - honors a [`CancelToken`] cooperatively (pass boundaries plus
 ///   periodic checks inside every shard scan), returning partial
 ///   statistics via [`MinerError::Cancelled`],
-/// - caches the partitioned/encoded form of the last table it mined, so
-///   re-mining the same table (e.g. with a different confidence or
-///   interest level) skips Steps 1–2 entirely. The same table or a clone
-///   is recognized by [`Table::identity`] without reading a cell; a
-///   table built apart is fingerprinted once. A change that re-partitions
-///   (K, strategy, taxonomies, minimum support) re-encodes from the
-///   cached histograms and value ranks by one lookup per cell,
-///   and [`crate::MiningStats::encoding_reused`] is false there,
+/// - caches the partitioned/encoded form of the last table it mined, and
+///   the frequent itemsets [`Miner::mine`] last counted on it, so
+///   re-mining the same table with only a different confidence or
+///   interest level skips Steps 1–3 and runs Steps 4–5 alone
+///   ([`crate::MiningStats::frequent_reused`]). An interest change still
+///   re-counts while Lemma 5's prune is in effect in either
+///   configuration, and so does any other configuration change. The
+///   same table or a clone is recognized by [`Table::identity`] without
+///   reading a cell; a table built apart is fingerprinted once. A change
+///   that re-partitions (K, strategy, taxonomies, minimum support)
+///   re-encodes from the cached histograms and value ranks by one lookup
+///   per cell, and [`crate::MiningStats::encoding_reused`] is false there,
 /// - runs Steps 3–5 through the one level-wise driver of
 ///   [`crate::source`] over an [`InMemorySource`] that carries its
 ///   kernel, thread count and cancellation token.
@@ -75,9 +79,31 @@ struct EncodingCache {
     /// The table's value histograms and value ranks; they hold under any
     /// configuration.
     ranks: TableRanks,
-    /// The encoding under the current partitioning policy, with the
-    /// intervals chosen per attribute; dropped when the policy changes.
-    encoded: Option<(EncodedTable, Vec<Option<usize>>)>,
+    /// The encoding under the current partitioning policy; dropped when
+    /// the policy changes.
+    encoded: Option<Encoding>,
+}
+
+/// One encoding of the cached table, and what was last mined on it.
+struct Encoding {
+    table: EncodedTable,
+    /// The intervals chosen per attribute.
+    intervals: Vec<Option<usize>>,
+    /// The last Step 3 [`Miner::mine`] ran on `table`, under the
+    /// configuration whose [`step3_key`] is kept beside it.
+    step3: Option<(MinerConfig, Step3)>,
+}
+
+/// What of `config` Step 3 reads: all of it but the minimum confidence
+/// and the interest measure, which act only in Steps 4–5 — save for
+/// Lemma 5's prune where it is in effect. Two configurations with equal
+/// keys count the same frequent itemsets the same way.
+fn step3_key(config: &MinerConfig) -> MinerConfig {
+    MinerConfig {
+        min_confidence: 0.0,
+        interest: config.interest.filter(|ic| ic.prunes()),
+        ..config.clone()
+    }
 }
 
 impl std::fmt::Debug for Miner {
@@ -132,7 +158,9 @@ impl Miner {
 
     /// Replace the configuration. The cached encoding survives only if
     /// the partitioning policy is unchanged (Steps 1–2 depend on it); the
-    /// cached histograms always do.
+    /// cached histograms always do. The cached frequent itemsets go with
+    /// the encoding, and serve the next [`Miner::mine`] only if it
+    /// differs from the run that counted them in nothing Step 3 reads.
     pub fn set_config(&mut self, config: MinerConfig) {
         if config.partitioning != self.config.partitioning
             || config.partition_strategy != self.config.partition_strategy
@@ -146,8 +174,8 @@ impl Miner {
         self.config = config;
     }
 
-    /// Drop the cached encoding and histograms (e.g. to release memory
-    /// between runs).
+    /// Drop the cached encoding, histograms and frequent itemsets (e.g.
+    /// to release memory between runs).
     pub fn clear_cache(&mut self) {
         self.cache = None;
     }
@@ -194,20 +222,21 @@ impl Miner {
                 &self.config,
             )?;
             let encoded = cache.ranks.encode(table, encoders)?;
-            cache.encoded = Some((encoded, intervals));
+            cache.encoded = Some(Encoding {
+                table: encoded,
+                intervals,
+                step3: None,
+            });
         }
         Ok(reused)
     }
 
-    /// The encoding and intervals [`Miner::encode_cached`] left in the
-    /// cache.
-    fn cached_encoding(&self) -> (&EncodedTable, &[Option<usize>]) {
-        let (encoded, intervals) = self
-            .cache
+    /// The encoding [`Miner::encode_cached`] left in the cache.
+    fn cached_encoding(&self) -> &Encoding {
+        self.cache
             .as_ref()
             .and_then(|cache| cache.encoded.as_ref())
-            .expect("encode_cached ran");
-        (encoded, intervals)
+            .expect("encode_cached ran")
     }
 
     /// Run the full five-step pipeline over a raw [`Table`].
@@ -215,18 +244,39 @@ impl Miner {
     /// Repeated calls on a table with identical contents reuse the
     /// partitioned encoding from the previous call
     /// ([`crate::MiningStats::encoding_reused`] reports which path ran).
+    /// A call that changes nothing Step 3 reads since the last one on
+    /// that encoding also reuses its frequent itemsets, pass statistics
+    /// and pass-1 counts, emits no pass events and runs only Steps 4–5
+    /// ([`crate::MiningStats::frequent_reused`]).
     pub fn mine(&mut self, table: &Table) -> Result<MiningOutput, MinerError> {
         let started = Instant::now();
-        let reused = self.encode_cached(table)?;
-        let (encoded, intervals) = self.cached_encoding();
-        let mut output = mine_source(
-            &mut self.source(encoded),
-            &self.config,
-            self.sink.as_deref(),
-            self.cancel.as_ref(),
-        )?;
-        output.stats.intervals_per_attribute = intervals.to_vec();
-        output.stats.encoding_reused = reused;
+        let encoding_reused = self.encode_cached(table)?;
+        let key = step3_key(&self.config);
+        let (config, cancel) = (&self.config, self.cancel.as_ref());
+        let ctx = RunCtx {
+            sink: self.sink.as_deref(),
+            cancel,
+        };
+        let encoding = self
+            .cache
+            .as_mut()
+            .and_then(|cache| cache.encoded.as_mut())
+            .expect("encode_cached ran");
+        let frequent_reused = encoding.step3.as_ref().is_some_and(|(k, _)| *k == key);
+        let mut elapsed_mining = Duration::ZERO;
+        if !frequent_reused {
+            let counting = Instant::now();
+            let mut source = InMemorySource::new(&encoding.table, config).with_cancel(cancel);
+            let step3 = mine_with_source_ctx(&mut source, config, ctx)?;
+            elapsed_mining = counting.elapsed();
+            encoding.step3 = Some((key, step3));
+        }
+        let (_, step3) = encoding.step3.as_ref().expect("Step 3 ran or was cached");
+        let mut output =
+            rules_and_interest(&encoding.table, step3, config, ctx, started, elapsed_mining)?;
+        output.stats.intervals_per_attribute = encoding.intervals.clone();
+        output.stats.encoding_reused = encoding_reused;
+        output.stats.frequent_reused = frequent_reused;
         output.stats.elapsed = started.elapsed();
         Ok(output)
     }
@@ -243,14 +293,15 @@ impl Miner {
     ) -> Result<(MiningOutput, SupportCounts), MinerError> {
         let started = Instant::now();
         let reused = self.encode_cached(table)?;
-        let (encoded, intervals) = self.cached_encoding();
+        let encoding = self.cached_encoding();
+        let (encoded, intervals) = (&encoding.table, &encoding.intervals);
         let (mut output, captured) = mine_source_captured(
             &mut self.source(encoded),
             &self.config,
             self.sink.as_deref(),
             self.cancel.as_ref(),
         )?;
-        output.stats.intervals_per_attribute = intervals.to_vec();
+        output.stats.intervals_per_attribute = intervals.clone();
         output.stats.encoding_reused = reused;
         output.stats.elapsed = started.elapsed();
         let counts = SupportCounts::assemble(
@@ -258,7 +309,7 @@ impl Miner {
             encoded.encoders(),
             table.num_rows() as u64,
             &self.config,
-            intervals.to_vec(),
+            intervals.clone(),
             captured,
         );
         Ok((output, counts))
@@ -456,9 +507,8 @@ impl Miner {
             sink: self.sink.as_deref(),
             cancel: self.cancel.as_ref(),
         };
-        let (frequent, stats, _) =
-            mine_with_source_ctx(&mut self.source(table), &self.config, ctx)?;
-        Ok((frequent, stats))
+        let step3 = mine_with_source_ctx(&mut self.source(table), &self.config, ctx)?;
+        Ok((Arc::unwrap_or_clone(step3.frequent), step3.stats))
     }
 }
 
@@ -557,7 +607,7 @@ fn table_fingerprint(table: &Table) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PartitionSpec;
+    use crate::config::{InterestConfig, InterestMode, PartitionSpec};
     use qar_table::{Schema, Value};
 
     fn people_table() -> Table {
@@ -1027,6 +1077,168 @@ mod tests {
             counts.fingerprint,
             encoding_fingerprint(captured.encoded.schema(), captured.encoded.encoders())
         );
+    }
+
+    /// A table whose ranges and categories give Steps 4–5 real work:
+    /// rules at several confidences, with ancestors for the interest
+    /// measure to test.
+    fn ladder_table(rows: std::ops::Range<usize>) -> Table {
+        let schema = Schema::builder()
+            .quantitative("x")
+            .quantitative("y")
+            .categorical("c")
+            .build()
+            .unwrap();
+        let mut t = Table::new(schema);
+        for r in rows {
+            let x = (r * 7) % 10;
+            let y = if r % 3 == 0 { x / 2 } else { (r * 5) % 8 };
+            t.push_row(&[
+                Value::Int(x as i64),
+                Value::Int(y as i64),
+                Value::from(if x < 4 { "a" } else { "b" }),
+            ])
+            .unwrap();
+        }
+        t
+    }
+
+    fn ladder_config() -> MinerConfig {
+        MinerConfig {
+            min_support: 0.1,
+            min_confidence: 0.3,
+            max_support: 0.5,
+            partitioning: PartitionSpec::None,
+            interest: Some(InterestConfig {
+                level: 1.1,
+                mode: InterestMode::SupportOrConfidence,
+                prune_candidates: false,
+            }),
+            parallelism: std::num::NonZeroUsize::new(2),
+            ..MinerConfig::default()
+        }
+    }
+
+    /// [`ladder_config`] changed by `change`.
+    fn ladder_with(change: impl FnOnce(&mut MinerConfig)) -> MinerConfig {
+        let mut config = ladder_config();
+        change(&mut config);
+        config
+    }
+
+    /// `out` equals a fresh miner's run of `config` on `table`: itemsets,
+    /// rules, interest verdicts and candidate counts.
+    fn assert_fresh(out: &MiningOutput, table: &Table, config: &MinerConfig, what: &str) {
+        let fresh = Miner::new(config.clone()).mine(table).unwrap();
+        assert_eq!(out.frequent.levels, fresh.frequent.levels, "{what}");
+        assert_eq!(out.rules, fresh.rules, "{what}");
+        assert_eq!(out.interest, fresh.interest, "{what}");
+        assert_eq!(
+            out.stats.mine.candidates_per_pass, fresh.stats.mine.candidates_per_pass,
+            "{what}"
+        );
+        assert_eq!(out.stats.rules_interesting, fresh.stats.rules_interesting);
+    }
+
+    /// A confidence, interest-level or interest-mode change runs Steps
+    /// 4–5 alone on the cached Step 3 and equals a fresh run.
+    #[test]
+    fn confidence_and_interest_changes_reuse_step3() {
+        let table = ladder_table(0..400);
+        let mut miner = Miner::new(ladder_config());
+        let first = miner.mine(&table).unwrap();
+        assert!(!first.stats.frequent_reused);
+        assert!(first.frequent.levels.len() >= 2 && !first.rules.is_empty());
+        let interest =
+            |change: fn(&mut InterestConfig)| ladder_with(|c| change(c.interest.as_mut().unwrap()));
+        let changes = [
+            ("minconf", ladder_with(|c| c.min_confidence = 0.7)),
+            ("R", interest(|ic| ic.level = 1.5)),
+            (
+                "mode",
+                interest(|ic| ic.mode = InterestMode::SupportAndConfidence),
+            ),
+            ("interest off", ladder_with(|c| c.interest = None)),
+            (
+                "prune asked for but unsound",
+                interest(|ic| ic.prune_candidates = true),
+            ),
+        ];
+        for (what, config) in changes {
+            miner.set_config(config.clone());
+            let hit = miner.mine(&table).unwrap();
+            assert!(hit.stats.frequent_reused, "{what}");
+            assert!(hit.stats.encoding_reused, "{what}");
+            assert_eq!(hit.stats.elapsed_mining, Duration::ZERO, "{what}");
+            assert!(Arc::ptr_eq(&hit.frequent, &first.frequent), "{what}");
+            assert!(!hit.stats.normalized().frequent_reused);
+            assert_fresh(&hit, &table, &config, what);
+        }
+    }
+
+    /// Every change Step 3 reads misses the cache and equals a fresh
+    /// run, as do a new table and a cleared cache.
+    #[test]
+    fn step3_changes_recount() {
+        let table = ladder_table(0..400);
+        let pruning = |level| {
+            ladder_with(|c| {
+                c.interest = Some(InterestConfig {
+                    level,
+                    mode: InterestMode::SupportAndConfidence,
+                    prune_candidates: true,
+                })
+            })
+        };
+        let changes = [
+            ("minsup", ladder_with(|c| c.min_support = 0.2)),
+            ("maxsup", ladder_with(|c| c.max_support = 0.3)),
+            ("max size", ladder_with(|c| c.max_itemset_size = 2)),
+            ("prune on", pruning(1.1)),
+            ("R under the prune", pruning(3.0)),
+            ("prune off again", ladder_config()),
+            (
+                "K",
+                ladder_with(|c| c.partitioning = PartitionSpec::CompletenessLevel(3.0)),
+            ),
+            (
+                "threads",
+                ladder_with(|c| c.parallelism = std::num::NonZeroUsize::new(1)),
+            ),
+            (
+                "kernel",
+                ladder_with(|c| c.kernel = ScanKernel::Direct(None)),
+            ),
+        ];
+        let mut miner = Miner::new(ladder_config());
+        miner.mine(&table).unwrap();
+        for (what, config) in changes {
+            miner.set_config(config.clone());
+            let out = miner.mine(&table).unwrap();
+            assert!(!out.stats.frequent_reused, "{what}");
+            assert_fresh(&out, &table, &config, what);
+        }
+
+        // `with_counter` pins a kernel on a miner that has mined.
+        let mut miner = Miner::new(ladder_config());
+        miner.mine(&table).unwrap();
+        let mut miner = miner.with_counter(CounterKind::Array);
+        let out = miner.mine(&table).unwrap();
+        assert!(out.stats.encoding_reused && !out.stats.frequent_reused);
+        assert_fresh(&out, &table, miner.config(), "with_counter");
+
+        // A new table, then the same table after `clear_cache`.
+        let mut miner = Miner::new(ladder_config());
+        miner.mine(&table).unwrap();
+        let other = ladder_table(100..450);
+        let out = miner.mine(&other).unwrap();
+        assert!(!out.stats.frequent_reused);
+        assert_fresh(&out, &other, &ladder_config(), "new table");
+        assert!(miner.mine(&other).unwrap().stats.frequent_reused);
+        miner.clear_cache();
+        let out = miner.mine(&other).unwrap();
+        assert!(!out.stats.encoding_reused && !out.stats.frequent_reused);
+        assert_fresh(&out, &other, &ladder_config(), "cleared cache");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The five-step pipeline (Section 2.1), end to end.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::config::{MinerConfig, MinerError, PartitionSpec, PartitionStrategy};
@@ -34,6 +35,10 @@ pub struct MiningStats {
     /// for the first run on a table and for runs over an encoded table or
     /// another source).
     pub encoding_reused: bool,
+    /// True when this run reused the [`crate::Miner`]'s cached Step 3
+    /// (its frequent itemsets and pass statistics) and ran only Steps
+    /// 4–5; `elapsed_mining` is zero then. Never persisted in catalogs.
+    pub frequent_reused: bool,
 }
 
 impl MiningStats {
@@ -46,7 +51,8 @@ impl MiningStats {
     /// normalized stats are byte-identical iff the *mining results*
     /// agree, regardless of which machine, thread count, kernel, or
     /// execution strategy (serial, distributed, out-of-core) produced
-    /// them. `encoding_reused` is pinned to `false` for the same reason.
+    /// them. `encoding_reused` and `frequent_reused` are pinned to
+    /// `false` for the same reason.
     pub fn normalized(&self) -> MiningStats {
         MiningStats {
             intervals_per_attribute: self.intervals_per_attribute.clone(),
@@ -67,6 +73,7 @@ impl MiningStats {
             elapsed: Duration::ZERO,
             elapsed_mining: Duration::ZERO,
             encoding_reused: false,
+            frequent_reused: false,
         }
     }
 }
@@ -75,8 +82,9 @@ impl MiningStats {
 pub struct MiningOutput {
     /// The encoded table (kept so rules can be rendered and recounted).
     pub encoded: EncodedTable,
-    /// All frequent itemsets with exact supports.
-    pub frequent: QuantFrequentItemsets,
+    /// All frequent itemsets with exact supports, shared with the
+    /// [`crate::Miner`]'s Step 3 cache rather than copied.
+    pub frequent: Arc<QuantFrequentItemsets>,
     /// All rules meeting `min_confidence`.
     pub rules: Vec<QuantRule>,
     /// Interest verdicts aligned with `rules` (`None` when the config had

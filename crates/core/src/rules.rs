@@ -46,9 +46,22 @@ impl QuantRule {
 /// Generate every rule meeting `min_confidence` from the frequent
 /// itemsets, sorted by (antecedent, consequent).
 pub fn generate_rules(frequent: &QuantFrequentItemsets, min_confidence: f64) -> Vec<QuantRule> {
+    generate_rules_until(frequent, min_confidence, &|| false).expect("never stopped")
+}
+
+/// [`generate_rules`], asking `stop` once per frequent itemset: `None`
+/// once it answers true.
+pub(crate) fn generate_rules_until(
+    frequent: &QuantFrequentItemsets,
+    min_confidence: f64,
+    stop: &dyn Fn() -> bool,
+) -> Option<Vec<QuantRule>> {
     let mut rules = Vec::new();
     for level in frequent.levels.iter().skip(1) {
         for (itemset, support) in level {
+            if stop() {
+                return None;
+            }
             let seeds: Vec<Itemset> = itemset
                 .items()
                 .iter()
@@ -69,7 +82,7 @@ pub fn generate_rules(frequent: &QuantFrequentItemsets, min_confidence: f64) -> 
             .cmp(&b.antecedent)
             .then_with(|| a.consequent.cmp(&b.consequent))
     });
-    rules
+    Some(rules)
 }
 
 fn grow(
@@ -183,6 +196,22 @@ mod tests {
             .expect("rule missing");
         assert_eq!(r.support, 3);
         assert!((r.confidence - 1.0).abs() < 1e-12);
+    }
+
+    /// Rule generation asks its stop check once per frequent itemset of
+    /// two or more items and gives up at the first true answer.
+    #[test]
+    fn stop_is_asked_once_per_itemset() {
+        let f = fig3_frequent();
+        let asked = std::cell::Cell::new(0);
+        let counting = || {
+            asked.set(asked.get() + 1);
+            false
+        };
+        let rules = generate_rules_until(&f, 0.5, &counting);
+        assert_eq!(rules, Some(generate_rules(&f, 0.5)));
+        assert_eq!(asked.get(), f.levels[1].len() + f.levels[2].len());
+        assert_eq!(generate_rules_until(&f, 0.5, &|| true), None);
     }
 
     #[test]

@@ -32,16 +32,17 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crate::candidate::{generate_candidates, interest_prune_level1};
-use crate::config::{InterestMode, MinerConfig, MinerError, ScanKernel};
+use crate::config::{MinerConfig, MinerError, ScanKernel};
 use crate::counts::{CapturedCounts, SupportCounts};
 use crate::frequent::{attribute_value_counts, frequent_items_from_counts, QuantFrequentItemsets};
-use crate::interest::{annotate_interest, ItemSupports};
+use crate::interest::{annotate_interest_until, ItemSupports};
 use crate::mine::{pass_finished_event, MineStats, RunCtx};
 use crate::pipeline::{MiningOutput, MiningStats};
-use crate::rules::generate_rules;
+use crate::rules::generate_rules_until;
 use crate::supercand::{
     cell_groups, count_candidates, fold_stats, pair_cells, PairHistograms, PassStats, ScanOptions,
     CELLS_KERNEL, CELL_BUDGET,
@@ -374,13 +375,13 @@ enum PassWork {
 /// [`PassStats`] when it keeps them, else the wall time of its counting
 /// calls as `scan_time`.
 ///
-/// Also returns the merged pass-1 value counts (the driver reuses them
-/// for [`ItemSupports`] instead of re-scanning).
+/// Also returns the merged pass-1 value counts (Step 5 builds its
+/// [`ItemSupports`] from them instead of re-scanning).
 pub(crate) fn mine_with_source_ctx(
     source: &mut dyn CountSource,
     config: &MinerConfig,
     ctx: RunCtx<'_>,
-) -> Result<(QuantFrequentItemsets, MineStats, Vec<Vec<u64>>), MinerError> {
+) -> Result<Step3, MinerError> {
     config.validate()?;
     let num_rows = source.num_rows();
     if num_rows == 0 {
@@ -431,7 +432,7 @@ pub(crate) fn mine_with_source_ctx(
     // confidence above expectation; it depends only on level-1 fractions
     // and the schema).
     if let Some(interest) = &config.interest {
-        if interest.prune_candidates && interest.mode == InterestMode::SupportAndConfidence {
+        if interest.prunes() {
             let before = level1.len();
             let mut probe = QuantFrequentItemsets::new(num_rows);
             probe.push_level(level1.clone());
@@ -466,7 +467,7 @@ pub(crate) fn mine_with_source_ctx(
             frequent_total: 0,
             elapsed_us: micros(run_started.elapsed()),
         });
-        return Ok((frequent, stats, value_counts));
+        return Ok(Step3::new(frequent, stats, value_counts));
     }
     frequent.push_level(level1);
 
@@ -525,7 +526,86 @@ pub(crate) fn mine_with_source_ctx(
         frequent_total: frequent.total(),
         elapsed_us: micros(run_started.elapsed()),
     });
-    Ok((frequent, stats, value_counts))
+    Ok(Step3::new(frequent, stats, value_counts))
+}
+
+/// What Step 3 leaves for Steps 4–5: the frequent itemsets, the run's
+/// pass statistics and the merged pass-1 value counts.
+pub(crate) struct Step3 {
+    pub frequent: Arc<QuantFrequentItemsets>,
+    pub stats: MineStats,
+    pub value_counts: Vec<Vec<u64>>,
+}
+
+impl Step3 {
+    fn new(frequent: QuantFrequentItemsets, stats: MineStats, value_counts: Vec<Vec<u64>>) -> Self {
+        Step3 {
+            frequent: Arc::new(frequent),
+            stats,
+            value_counts,
+        }
+    }
+}
+
+/// The phase a run stopped in during rule generation.
+const STEP_4: &str = "Step 4 (rule generation)";
+/// The phase a run stopped in during the interest measure.
+const STEP_5: &str = "Step 5 (the interest measure)";
+
+/// Steps 4–5 over a finished Step 3: the rules, then the interest
+/// measure from the merged pass-1 histograms, which equal a whole-table
+/// scan. `started` is when the run began and `elapsed_mining` what its
+/// Step 3 took. The token is checked before rule generation, once per
+/// frequent itemset in it and once per rule in the interest measure; a
+/// stop ends in [`MinerError::Cancelled`] naming the step, with Step 3's
+/// statistics.
+pub(crate) fn rules_and_interest(
+    meta: &EncodedTable,
+    step3: &Step3,
+    config: &MinerConfig,
+    ctx: RunCtx<'_>,
+    started: Instant,
+    elapsed_mining: Duration,
+) -> Result<MiningOutput, MinerError> {
+    let stop = || ctx.is_cancelled();
+    let stopped = |phase| ctx.stopped_in(phase, step3.stats.clone());
+    let frequent = &step3.frequent;
+    if stop() {
+        return Err(stopped(STEP_4));
+    }
+    let rules = generate_rules_until(frequent, config.min_confidence, &stop)
+        .ok_or_else(|| stopped(STEP_4))?;
+    let item_supports = ItemSupports::from_value_counts(&step3.value_counts, frequent.num_rows);
+    let interest = match &config.interest {
+        Some(ic) => Some(
+            annotate_interest_until(&rules, frequent, &item_supports, ic, &stop)
+                .ok_or_else(|| stopped(STEP_5))?,
+        ),
+        None => None,
+    };
+
+    let rules_total = rules.len();
+    let rules_interesting = match &interest {
+        Some(v) => v.iter().filter(|x| x.interesting).count(),
+        None => rules_total,
+    };
+    Ok(MiningOutput {
+        encoded: meta.clone(),
+        frequent: Arc::clone(frequent),
+        rules,
+        interest,
+        item_supports,
+        stats: MiningStats {
+            intervals_per_attribute: Vec::new(),
+            mine: step3.stats.clone(),
+            rules_total,
+            rules_interesting,
+            elapsed: started.elapsed(),
+            elapsed_mining,
+            encoding_reused: false,
+            frequent_reused: false,
+        },
+    })
 }
 
 /// Run the complete Steps 3–5 pipeline (frequent itemsets, rules,
@@ -544,43 +624,15 @@ pub fn mine_source(
     config.validate()?;
     let started = Instant::now();
     let ctx = RunCtx { sink, cancel };
-
-    let mining_started = Instant::now();
-    let (frequent, mine_stats, value_counts) = mine_with_source_ctx(source, config, ctx)?;
-    let elapsed_mining = mining_started.elapsed();
-
-    // Step 4: rules.
-    let rules = generate_rules(&frequent, config.min_confidence);
-
-    // Step 5: interest — from the merged pass-1 histograms, which equal a
-    // whole-table scan.
-    let item_supports = ItemSupports::from_value_counts(&value_counts, frequent.num_rows);
-    let interest = config
-        .interest
-        .as_ref()
-        .map(|ic| annotate_interest(&rules, &frequent, &item_supports, ic));
-
-    let rules_total = rules.len();
-    let rules_interesting = match &interest {
-        Some(v) => v.iter().filter(|x| x.interesting).count(),
-        None => rules_total,
-    };
-    Ok(MiningOutput {
-        encoded: source.meta().clone(),
-        frequent,
-        rules,
-        interest,
-        item_supports,
-        stats: MiningStats {
-            intervals_per_attribute: Vec::new(),
-            mine: mine_stats,
-            rules_total,
-            rules_interesting,
-            elapsed: started.elapsed(),
-            elapsed_mining,
-            encoding_reused: false,
-        },
-    })
+    let step3 = mine_with_source_ctx(source, config, ctx)?;
+    rules_and_interest(
+        source.meta(),
+        &step3,
+        config,
+        ctx,
+        started,
+        started.elapsed(),
+    )
 }
 
 /// A pass-through [`CountSource`] that records everything the driver
@@ -1045,7 +1097,7 @@ impl CountSource for InMemorySource<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PartitionSpec;
+    use crate::config::{InterestMode, PartitionSpec};
     use crate::miner::Miner;
     use crate::supercand::count_candidates_naive;
     use qar_table::{Schema, Table, Value};

@@ -8,7 +8,10 @@
 //! 3. the brute-force [`naive_mine`] enumerator,
 //! 4. the boolean [`apriori()`] bridge, cross-checked against an independent
 //!    row-index-intersection enumerator over the encoded table,
-//! 5. a `.qarcat` save → load → query round trip.
+//! 5. a `.qarcat` save → load → query round trip,
+//!
+//! and then re-mines it on the serial [`Miner`], once reusing its cached
+//! frequent itemsets and once not, each against a fresh miner.
 //!
 //! Partition, snap, and intervals cases check the contracts of the
 //! corresponding primitives directly — those bugs cannot surface as
@@ -23,8 +26,8 @@ use qar_core::naive::naive_mine;
 use qar_core::pipeline::build_encoders;
 use qar_core::source::Backing;
 use qar_core::{
-    InterestMode, ItemsetSetDelta, Miner, MinerConfig, MinerError, MiningOutput, PartitionStrategy,
-    QuantFrequentItemsets, RuleSetDelta, ScanKernel, SupportCounts, UpdateInput,
+    InterestConfig, InterestMode, ItemsetSetDelta, Miner, MinerConfig, MinerError, MiningOutput,
+    PartitionStrategy, QuantFrequentItemsets, RuleSetDelta, ScanKernel, SupportCounts, UpdateInput,
 };
 use qar_dist::{DistOptions, DistSource, RangeInput, RangeLoad, WorkerOptions, WorkerSpawn};
 use qar_itemset::{Item, Itemset};
@@ -708,9 +711,11 @@ fn compare_paths(
     }
 }
 
-/// Run the five mining paths and compare them pairwise.
+/// Run the five mining paths and compare them pairwise, then re-mine on
+/// the serial miner against fresh ones (`check_reuse`).
 pub fn check_mining(case: &MiningCase) -> Result<(), Divergence> {
-    let serial = Miner::new(with_parallelism(&case.config, 1)).mine(&case.table);
+    let mut miner = Miner::new(with_parallelism(&case.config, 1));
+    let serial = miner.mine(&case.table);
     let parallel =
         Miner::new(with_parallelism(&case.config, case.threads.max(2))).mine(&case.table);
     let out = match (serial, parallel) {
@@ -759,7 +764,70 @@ pub fn check_mining(case: &MiningCase) -> Result<(), Divergence> {
     };
     check_naive(&out, &case.config)?;
     check_apriori(&out.encoded, &case.config)?;
-    check_catalog(&out)
+    check_catalog(&out)?;
+    check_reuse(&mut miner, &case.table)
+}
+
+/// The [`Miner`]'s Step 3 cache against fresh miners. `miner` has just
+/// mined `table`; it re-mines it with a changed minimum confidence and
+/// interest level, which must reuse the cached frequent itemsets, then
+/// with a changed minimum support, which must count them again. Each
+/// re-mine must equal a fresh miner's run, candidate counts included.
+fn check_reuse(miner: &mut Miner, table: &Table) -> Result<(), Divergence> {
+    const CHECK: &str = "step3-reuse-vs-fresh";
+    let mut hit = miner.config().clone();
+    hit.min_confidence = if hit.min_confidence < 0.5 {
+        hit.min_confidence + 0.3
+    } else {
+        hit.min_confidence - 0.3
+    };
+    // An interest change reaches Step 3 only through Lemma 5's prune.
+    match &mut hit.interest {
+        Some(ic) if ic.prunes() => {}
+        Some(ic) => ic.level += 0.5,
+        None => {
+            hit.interest = Some(InterestConfig {
+                level: 1.5,
+                mode: InterestMode::SupportOrConfidence,
+                prune_candidates: false,
+            })
+        }
+    }
+    let mut miss = hit.clone();
+    miss.min_support = if miss.min_support <= 0.5 {
+        miss.min_support * 1.5
+    } else {
+        miss.min_support / 2.0
+    };
+    for (config, reuse) in [(hit, true), (miss, false)] {
+        miner.set_config(config.clone());
+        let again = miner.mine(table);
+        let fresh = Miner::new(config).mine(table);
+        compare_paths(CHECK, &fresh, &again)?;
+        if let (Ok(fresh), Ok(again)) = (&fresh, &again) {
+            if again.stats.frequent_reused != reuse {
+                return Err(div(
+                    CHECK,
+                    format!(
+                        "frequent_reused is {} on a re-mine that {} Step 3",
+                        again.stats.frequent_reused,
+                        if reuse { "keeps" } else { "changes" }
+                    ),
+                ));
+            }
+            let (a, b) = (&fresh.stats.mine, &again.stats.mine);
+            if a.candidates_per_pass != b.candidates_per_pass {
+                return Err(div(
+                    CHECK,
+                    format!(
+                        "candidates per pass differ: fresh {:?} != re-mined {:?}",
+                        a.candidates_per_pass, b.candidates_per_pass
+                    ),
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 fn check_naive(out: &MiningOutput, config: &MinerConfig) -> Result<(), Divergence> {

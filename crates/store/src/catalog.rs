@@ -1382,6 +1382,8 @@ fn decode_stats(payload: &[u8]) -> Result<MiningStats, StoreError> {
         elapsed,
         elapsed_mining,
         encoding_reused,
+        // A runtime cache flag, never persisted.
+        frequent_reused: false,
     })
 }
 

@@ -151,6 +151,7 @@ fn arb_stats(rng: &mut Prng, num_attrs: usize, num_rules: usize) -> MiningStats 
         elapsed: arb_duration(rng),
         elapsed_mining: arb_duration(rng),
         encoding_reused: rng.gen_bool(0.5),
+        frequent_reused: false,
     }
 }
 

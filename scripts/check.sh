@@ -7,6 +7,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> change log size (CHANGES.md at most 1 MiB, no line over 32 KiB)"
+# An empty-pattern replace once pasted a paragraph before every character
+# of CHANGES.md and grew it to 169 MB; no real entry is near these caps.
+if [ "$(wc -c < CHANGES.md)" -gt 1048576 ]; then
+    echo "CHANGES.md is over 1 MiB" >&2
+    exit 1
+fi
+LC_ALL=C awk 'length($0) > 32768 { bad = 1
+    printf "CHANGES.md line %d is %d bytes, over 32 KiB\n", NR, length($0) > "/dev/stderr" }
+    END { exit bad }' CHANGES.md
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

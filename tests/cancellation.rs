@@ -217,3 +217,45 @@ fn cancellation_properties_hold_on_random_tables() {
         );
     });
 }
+
+/// A re-mine that only changes the confidence reuses the cached Step 3
+/// and runs Steps 4–5 alone; a token already tripped still ends it in
+/// `Cancelled`, naming rule generation, with the cached passes'
+/// statistics.
+#[test]
+fn tripped_token_on_a_step3_cache_hit_is_cancelled() {
+    let table = deep_table(200);
+    let token = CancelToken::new();
+    let mut miner = Miner::new(config()).with_cancel(token.clone());
+    let clean = miner.mine(&table).expect("clean run");
+    miner.set_config(MinerConfig {
+        min_confidence: 0.9,
+        ..config()
+    });
+    token.cancel();
+    match miner.mine(&table) {
+        Err(err @ MinerError::Cancelled(_)) => {
+            assert!(err.to_string().contains("rule generation"), "{err}");
+            let MinerError::Cancelled(info) = err else {
+                unreachable!()
+            };
+            assert_eq!(info.phase, Some("Step 4 (rule generation)"));
+            assert_eq!(info.pass, 1 + clean.stats.mine.pass_stats.len());
+            assert_eq!(
+                info.stats.candidates_per_pass,
+                clean.stats.mine.candidates_per_pass
+            );
+            assert!(!info.deadline_exceeded);
+        }
+        other => panic!("expected Cancelled, got {:?}", other.map(|_| "output")),
+    }
+    // The stop left the cache whole: with a fresh token the same
+    // re-mine is a hit, equal to a fresh miner's run.
+    let mut miner = miner.with_cancel(CancelToken::new());
+    let hit = miner.mine(&table).expect("hit");
+    assert!(hit.stats.frequent_reused);
+    let fresh = Miner::new(miner.config().clone())
+        .mine(&table)
+        .expect("fresh");
+    assert_eq!(hit.rules, fresh.rules);
+}

@@ -1,8 +1,8 @@
 //! Every trace event a real mining run emits must validate against the
 //! checked-in JSON schema (`schemas/trace_events.schema.json`) — the
 //! contract `qar trace-check` and the CI trace-smoke job enforce — and
-//! the `Miner` facade must reuse its encoding cache across runs without
-//! changing the output.
+//! the `Miner` facade must reuse its encoding and Step 3 caches across
+//! runs without changing the output.
 
 use quantrules::core::{Miner, MinerConfig, PartitionSpec};
 use quantrules::table::{Schema, Table, Value};
@@ -129,6 +129,51 @@ fn second_run_reuses_the_encoding_and_is_identical() {
         first.stats.intervals_per_attribute,
         second.stats.intervals_per_attribute
     );
+}
+
+/// The analyst's ladder on credit data (K outer, R inner, the interest
+/// prune off): each R-only step reuses the encoding and the frequent
+/// itemsets and emits no pass event, each K step reuses neither, and
+/// every step equals a fresh miner's run.
+#[test]
+fn credit_ladder_reuses_step3_on_r_only_steps() {
+    use quantrules::core::{InterestConfig, InterestMode};
+    let table = quantrules::datagen::CreditDataset::small(6_000, 2).table;
+    let ladder_config = |k: f64, r: f64| MinerConfig {
+        min_support: 0.2,
+        max_support: 0.4,
+        min_confidence: 0.25,
+        partitioning: PartitionSpec::CompletenessLevel(k),
+        interest: Some(InterestConfig {
+            level: r,
+            mode: InterestMode::SupportOrConfidence,
+            prune_candidates: false,
+        }),
+        parallelism: std::num::NonZeroUsize::new(2),
+        ..config()
+    };
+    let sink = Arc::new(CollectingSink::new());
+    let mut miner = Miner::new(ladder_config(1.5, 1.1)).with_progress(sink.clone());
+    for k in [1.5, 2.0, 3.0] {
+        for (step, r) in [1.1, 1.5].into_iter().enumerate() {
+            let config = ladder_config(k, r);
+            miner.set_config(config.clone());
+            let events = sink.events().len();
+            let out = miner.mine(&table).expect("ladder step");
+            let r_only = step == 1;
+            assert_eq!(out.stats.encoding_reused, r_only, "K {k}, R {r}");
+            assert_eq!(out.stats.frequent_reused, r_only, "K {k}, R {r}");
+            assert_eq!(sink.events().len() == events, r_only, "K {k}, R {r}");
+            let fresh = Miner::new(config).mine(&table).expect("fresh run");
+            assert_eq!(out.frequent.levels, fresh.frequent.levels);
+            assert_eq!(out.rules, fresh.rules);
+            assert_eq!(out.interest, fresh.interest);
+            assert_eq!(
+                out.stats.mine.candidates_per_pass,
+                fresh.stats.mine.candidates_per_pass
+            );
+        }
+    }
 }
 
 /// On the paper's credit table, pass 3's super-candidates are triples of
