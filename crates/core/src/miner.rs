@@ -82,6 +82,9 @@ struct EncodingCache {
     /// The encoding under the current partitioning policy; dropped when
     /// the policy changes.
     encoded: Option<Encoding>,
+    /// The code columns of the encoding a policy change dropped, when no
+    /// output still shares them: the next encoding is written into them.
+    spare: Vec<Vec<u32>>,
 }
 
 /// One encoding of the cached table, and what was last mined on it.
@@ -168,7 +171,9 @@ impl Miner {
             || config.min_support != self.config.min_support
         {
             if let Some(cache) = &mut self.cache {
-                cache.encoded = None;
+                if let Some(dropped) = cache.encoded.take() {
+                    cache.spare = dropped.table.take_columns().unwrap_or_default();
+                }
             }
         }
         self.config = config;
@@ -209,6 +214,7 @@ impl Miner {
                         fingerprint,
                         ranks: TableRanks::new(table),
                         encoded: None,
+                        spare: Vec::new(),
                     })
                 }
             }
@@ -221,7 +227,8 @@ impl Miner {
                 cache.ranks.histograms(),
                 &self.config,
             )?;
-            let encoded = cache.ranks.encode(table, encoders)?;
+            let spare = std::mem::take(&mut cache.spare);
+            let encoded = cache.ranks.encode(table, encoders, spare)?;
             cache.encoded = Some(Encoding {
                 table: encoded,
                 intervals,
@@ -893,6 +900,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A re-cut writes its codes into the columns of the encoding it
+    /// replaces once no output shares them; an output still holding the
+    /// old encoding keeps its codes, and the re-cut gets columns of its
+    /// own.
+    #[test]
+    fn recut_reuses_the_replaced_columns_unless_shared() {
+        let table = ladder_table(0..400);
+        let cut = |k| ladder_with(|c| c.partitioning = PartitionSpec::CompletenessLevel(k));
+        let x = qar_table::AttributeId(0);
+        let mut miner = Miner::new(cut(3.0));
+        let replaced = miner.mine(&table).unwrap().encoded.codes(x).as_ptr();
+        miner.set_config(cut(1.5));
+        let kept = miner.mine(&table).unwrap();
+        assert_eq!(kept.encoded.codes(x).as_ptr(), replaced);
+        let kept_codes = kept.encoded.codes(x).to_vec();
+        miner.set_config(cut(3.0));
+        let recut = miner.mine(&table).unwrap();
+        assert_ne!(
+            recut.encoded.codes(x).as_ptr(),
+            kept.encoded.codes(x).as_ptr()
+        );
+        assert_eq!(kept.encoded.codes(x), kept_codes);
+        let (encoders, _) = crate::pipeline::build_encoders(&table, &cut(3.0)).unwrap();
+        let fresh = EncodedTable::encode(&table, encoders).unwrap();
+        for (id, _) in table.schema().iter() {
+            assert_eq!(recut.encoded.codes(id), fresh.codes(id), "{id:?}");
+        }
+        assert_fresh(&recut, &table, &cut(3.0), "re-cut beside a kept output");
     }
 
     fn bigger_table(rows: std::ops::Range<usize>) -> Table {

@@ -365,10 +365,18 @@ impl TableRanks {
     /// Panics if `table` is seen not to match: another row or column
     /// count, or one of a few cells per quantitative column that is not
     /// the value its rank names.
+    ///
+    /// Column `i`'s codes are written into `spare[i]` where there is one:
+    /// a column of an encoding of the same table that is no longer needed
+    /// ([`EncodedTable::take_columns`]). A re-encode under new cuts then
+    /// reuses their memory instead of allocating the whole code table
+    /// afresh, whose first touch of each page costs a page fault whenever
+    /// the allocator has handed the old columns back to the system.
     pub fn encode(
         &self,
         table: &Table,
         encoders: Vec<AttributeEncoder>,
+        spare: Vec<Vec<u32>>,
     ) -> Result<EncodedTable, TableError> {
         assert!(
             self.num_rows == table.num_rows() && self.ranks.len() == table.schema().len(),
@@ -394,7 +402,7 @@ impl TableRanks {
             table.schema().clone(),
             borrowed_columns(table),
             table.num_rows(),
-            Some(self),
+            Some((self, spare)),
             encoders,
             1,
             &|| false,
@@ -415,6 +423,13 @@ fn borrowed_columns(table: &Table) -> Vec<&Column> {
     (0..table.num_columns())
         .map(|idx| table.column(AttributeId(idx)))
         .collect()
+}
+
+/// `codes` in `buffer`, whose allocation is kept.
+fn refill(mut buffer: Vec<u32>, codes: impl Iterator<Item = u32>) -> Vec<u32> {
+    buffer.clear();
+    buffer.extend(codes);
+    buffer
 }
 
 /// The code of every number in `data`, or the first number `encoder`
@@ -477,13 +492,15 @@ impl EncodedTable {
         )
     }
 
-    /// Encode `columns`, a table's columns in schema order, taking each
-    /// quantitative column's codes from `ranks` when given.
+    /// Encode `columns`, a table's columns in schema order. With
+    /// `ranked`, each quantitative column's codes come from the ranks,
+    /// and column `i`'s codes are written into the spare buffer `i`, if
+    /// there is one.
     fn encode_with<C: Borrow<Column> + Send>(
         schema: Schema,
         columns: Vec<C>,
         num_rows: usize,
-        ranks: Option<&TableRanks>,
+        ranked: Option<(&TableRanks, Vec<Vec<u32>>)>,
         encoders: Vec<AttributeEncoder>,
         threads: usize,
         cancelled: &(dyn Fn() -> bool + Sync),
@@ -493,7 +510,9 @@ impl EncodedTable {
             schema.len(),
             "one encoder per attribute required"
         );
-        let encode_column = |(idx, column): (usize, C)| -> Result<Vec<u32>, TableError> {
+        let (ranks, spare) = ranked.unzip();
+        let encode_column = |item: (usize, C, Vec<u32>)| -> Result<Vec<u32>, TableError> {
+            let (idx, column, buffer) = item;
             if cancelled() {
                 return Err(TableError::Cancelled);
             }
@@ -516,7 +535,7 @@ impl EncodedTable {
                             return Err(unencodable(Value::Float(data[row]).to_string()));
                         }
                         let lookup: Vec<u32> = lookup.into_iter().flatten().collect();
-                        ranks.iter().map(|&r| lookup[r as usize]).collect()
+                        refill(buffer, ranks.iter().map(|&r| lookup[r as usize]))
                     }
                     None => encode_numbers(encoder, data)
                         .map_err(|v| unencodable(Value::Float(v).to_string()))?,
@@ -533,7 +552,7 @@ impl EncodedTable {
                                 .ok_or_else(|| unencodable(label.to_owned()))
                         })
                         .collect::<Result<Vec<u32>, _>>()?;
-                    cells.codes().iter().map(|&c| remap[c as usize]).collect()
+                    refill(buffer, cells.codes().iter().map(|&c| remap[c as usize]))
                 }
                 _ => {
                     return Err(TableError::TypeMismatch {
@@ -545,8 +564,13 @@ impl EncodedTable {
             })
         };
         let threads = column_threads(num_rows, threads);
+        let mut spare = spare.into_iter().flatten();
         let columns = map_items(
-            columns.into_iter().enumerate().collect(),
+            columns
+                .into_iter()
+                .enumerate()
+                .map(|(idx, column)| (idx, column, spare.next().unwrap_or_default()))
+                .collect(),
             threads,
             encode_column,
         )
@@ -635,6 +659,13 @@ impl EncodedTable {
     /// Code column for `id`.
     pub fn codes(&self, id: AttributeId) -> &[u32] {
         &self.columns[id.index()]
+    }
+
+    /// The code columns, schema order, if no clone shares them (else
+    /// `None`, and this table is dropped): the buffers a re-encode of the
+    /// same table writes into ([`TableRanks::encode`]).
+    pub fn take_columns(self) -> Option<Vec<Vec<u32>>> {
+        Arc::try_unwrap(self.columns).ok()
     }
 
     /// Consume into the code columns, schema order (how a row block
@@ -850,7 +881,7 @@ mod tests {
                     Histogram::Categorical(c) => AttributeEncoder::categorical_from(c),
                 })
                 .collect();
-            let ranked = ranks.encode(&t, encoders.clone()).unwrap();
+            let ranked = ranks.encode(&t, encoders.clone(), Vec::new()).unwrap();
             let fresh = EncodedTable::encode(&t, encoders).unwrap();
             for (id, _) in t.schema().iter() {
                 assert_eq!(ranked.codes(id), fresh.codes(id), "{cuts:?}");
@@ -861,7 +892,7 @@ mod tests {
             AttributeEncoder::categorical_from(&cats(&["No", "Yes"])),
             AttributeEncoder::quant_values_from(&quants(&[2.0])),
         ];
-        let err = ranks.encode(&t, lacking.clone()).unwrap_err();
+        let err = ranks.encode(&t, lacking.clone(), Vec::new()).unwrap_err();
         assert_eq!(err, EncodedTable::encode(&t, lacking).unwrap_err());
         assert_eq!(
             err,
@@ -870,6 +901,35 @@ mod tests {
                 value: "1".into()
             }
         );
+    }
+
+    /// `TableRanks::encode` writes each column's codes into its spare buffer
+    /// and equals `encode`; `take_columns` gives the buffers up only
+    /// when no clone shares them.
+    #[test]
+    fn ranked_encoding_reuses_the_spare_columns() {
+        let t = people();
+        let ranks = TableRanks::new(&t);
+        let full = EncodedTable::encode_full_resolution(&t).unwrap();
+        assert!(full.clone().take_columns().is_none());
+        let spare = full.take_columns().unwrap();
+        let buffers: Vec<*const u32> = spare.iter().map(|c| c.as_ptr()).collect();
+        let encoders: Vec<AttributeEncoder> = t
+            .histograms()
+            .iter()
+            .map(|h| match h {
+                Histogram::Quantitative(q) => {
+                    AttributeEncoder::quant_intervals_from(q, vec![25.0, 30.0])
+                }
+                Histogram::Categorical(c) => AttributeEncoder::categorical_from(c),
+            })
+            .collect();
+        let recut = ranks.encode(&t, encoders.clone(), spare).unwrap();
+        let fresh = EncodedTable::encode(&t, encoders).unwrap();
+        for (id, _) in t.schema().iter() {
+            assert_eq!(recut.codes(id), fresh.codes(id), "{id:?}");
+            assert_eq!(recut.codes(id).as_ptr(), buffers[id.index()], "{id:?}");
+        }
     }
 
     /// Ranks of one table do not re-encode another of the same shape:
@@ -888,7 +948,7 @@ mod tests {
             .unwrap()
             .encoders()
             .to_vec();
-        let _ = TableRanks::new(&t).encode(&other, encoders);
+        let _ = TableRanks::new(&t).encode(&other, encoders, Vec::new());
     }
 
     #[test]
