@@ -1,9 +1,10 @@
 //! Ablations of the paper's design choices (DESIGN.md §4):
 //!
 //! * **abl-count** — n-dimensional array vs. R*-tree support counting
-//!   (Section 5.2's CPU/memory tradeoff) under the reference kernel, plus
-//!   the paper's memory heuristic and the default kernel, its row named
-//!   after what counted it (cells, with range masks as the fallback);
+//!   (Section 5.2's CPU/memory tradeoff) by the oracle's reference count
+//!   source, plus the paper's memory heuristic and the miner's own
+//!   kernel, its row named after what counted it (cells, with range
+//!   masks as the fallback);
 //! * **abl-part** — equi-depth vs. equi-width vs. 1-D k-means partitioning
 //!   on the skewed credit data (Lemma 4 / the future-work suggestion);
 //! * **abl-iprune** — the Lemma 5 interest prune on/off.
@@ -11,8 +12,12 @@
 //! Usage: `cargo run --release -p qar-bench --bin ablation [records]`
 
 use qar_bench::experiments::{credit, records_arg, row, section6_config};
-use qar_core::{InterestConfig, InterestMode, Miner, MinerConfig, PartitionSpec, ScanKernel};
+use qar_core::{
+    mine_source, CountSource, InMemorySource, InterestConfig, InterestMode, Miner, MinerConfig,
+    PartitionSpec,
+};
 use qar_itemset::{CounterKind, Itemset};
+use qar_oracle::reference::ReferenceSource;
 use qar_partition::partitioner::interval_supports;
 use qar_partition::{achieved_level, EquiDepth, EquiWidth, KMeans1D, Partitioner};
 use qar_table::{AttributeEncoder, EncodedTable, Histogram, Table};
@@ -39,7 +44,7 @@ fn counting_ablation(table: &Table, config: &MinerConfig) {
     println!("— abl-count: counting structure (Section 5.2) —");
     println!("(coarse partitioning, K = 3: the explicit R*-tree path must visit every");
     println!(" matching rectangle per record, so fine partitionings make it explode —");
-    println!(" which is the tradeoff this ablation demonstrates; a pinned backend counts");
+    println!(" which is the tradeoff this ablation demonstrates; the reference source counts");
     println!(" pass 2 as every attribute pair's point cells, passes >= 3 as C_k's ranges)");
     let widths = [22usize, 12, 12, 12, 12];
     println!(
@@ -58,24 +63,27 @@ fn counting_ablation(table: &Table, config: &MinerConfig) {
     let (encoders, _) = qar_core::pipeline::build_encoders(table, config).expect("encoders");
     let encoded = EncodedTable::encode(table, encoders).expect("encode");
     let mut reference: Option<usize> = None;
-    for (name, kernel) in [
-        ("default", ScanKernel::Bitmask),
-        ("heuristic", ScanKernel::Direct(None)),
-        ("array", ScanKernel::Direct(Some(CounterKind::Array))),
-        ("rtree", ScanKernel::Direct(Some(CounterKind::RTree))),
+    let threads = config.effective_parallelism();
+    // The miner's source, then the reference source unpinned and pinned.
+    for (name, pin) in [
+        ("default", None),
+        ("heuristic", Some(None)),
+        ("array", Some(Some(CounterKind::Array))),
+        ("rtree", Some(Some(CounterKind::RTree))),
     ] {
         let t0 = Instant::now();
-        let miner = Miner::new(MinerConfig {
-            kernel,
-            ..config.clone()
-        });
-        let (frequent, stats) = miner.frequent_itemsets(&encoded).expect("mining succeeds");
+        let mut source: Box<dyn CountSource> = match pin {
+            None => Box::new(InMemorySource::new(&encoded, config)),
+            Some(pin) => Box::new(ReferenceSource::new(&encoded, pin, threads)),
+        };
+        let out = mine_source(&mut *source, config, None, None).expect("mining succeeds");
+        let (frequent, stats) = (&out.frequent, &out.stats.mine);
         let elapsed = t0.elapsed();
         let arrays: usize = stats.pass_stats.iter().map(|p| p.array_backed).sum();
         let rtrees: usize = stats.pass_stats.iter().map(|p| p.rtree_backed).sum();
-        match kernel {
-            ScanKernel::Direct(Some(CounterKind::Array)) => assert_eq!(rtrees, 0, "{name}"),
-            ScanKernel::Direct(Some(CounterKind::RTree)) => assert_eq!(arrays, 0, "{name}"),
+        match pin {
+            Some(Some(CounterKind::Array)) => assert_eq!(rtrees, 0, "{name}"),
+            Some(Some(CounterKind::RTree)) => assert_eq!(arrays, 0, "{name}"),
             _ => {}
         }
         // The default kernel's row names what counted its passes.
@@ -85,9 +93,9 @@ fn counting_ablation(table: &Table, config: &MinerConfig) {
                 counted_by.push(part);
             }
         }
-        let name = match kernel {
-            ScanKernel::Bitmask => format!("{name} ({})", counted_by.join("+")),
-            ScanKernel::Direct(_) => name.to_string(),
+        let name = match pin {
+            None => format!("{name} ({})", counted_by.join("+")),
+            Some(_) => name.to_string(),
         };
         println!(
             "{}",
@@ -206,7 +214,6 @@ fn interest_prune_ablation(table: &Table) {
         // cap the pass depth so the no-prune arm stays measurable.
         max_itemset_size: 2,
         parallelism: None,
-        kernel: Default::default(),
     };
     let widths = [8usize, 12, 14, 14, 12];
     println!(

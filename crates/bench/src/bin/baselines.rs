@@ -43,7 +43,6 @@ fn main() {
         interest: None,
         max_itemset_size: 2,
         parallelism: None,
-        kernel: Default::default(),
     };
     let out = Miner::new(config)
         .mine(&data.table)

@@ -1,7 +1,8 @@
 //! Scan-kernel throughput benchmark: the support-counting record scan
-//! (`count_candidates`) measured serial vs sharded (labelled `pooled`)
-//! under the bitmask kernel every production path runs and the direct
-//! reference kernel, on two tables that bracket the scan's behavior:
+//! measured serial vs sharded (labelled `pooled`) for the miner's bitmask
+//! kernel (`count_candidates`) and the paper's direct kernel
+//! (`qar_oracle::reference::count_direct`), on two tables that bracket
+//! the scan's behavior:
 //!
 //! * **duplicate-heavy** — 3 low-cardinality categorical attributes
 //!   (24 distinct tuples cover every row) + 1 small quantitative: every
@@ -26,8 +27,8 @@
 
 use qar_bench::harness::{bench, json_line};
 use qar_core::supercand::{count_candidates, ScanOptions};
-use qar_core::ScanKernel;
 use qar_itemset::{Item, Itemset};
+use qar_oracle::reference::count_direct;
 use qar_table::{EncodedTable, Schema, Table, Value};
 
 /// Shard threads for the pooled measurements (the acceptance criteria are
@@ -156,7 +157,7 @@ fn measure(
     encoded: &EncodedTable,
     cands: &[Itemset],
     threads: usize,
-    kernel: ScanKernel,
+    kernel: &str,
 ) -> Measurement {
     let rows = encoded.num_rows() as f64;
     let exec = if threads == 1 {
@@ -164,13 +165,14 @@ fn measure(
     } else {
         format!("pooled{threads}")
     };
-    let label = format!("{table_name} {exec} {}", kernel.name());
-    let opts = ScanOptions {
-        kernel,
-        ..ScanOptions::new(threads)
-    };
-    let sample = bench(&label, || {
-        count_candidates(encoded, cands, opts).expect("no cancel token")
+    let label = format!("{table_name} {exec} {kernel}");
+    let sample = bench(&label, || match kernel {
+        "direct" => count_direct(encoded, cands, None, threads).0,
+        _ => {
+            count_candidates(encoded, cands, ScanOptions::new(threads))
+                .expect("no cancel token")
+                .0
+        }
     });
     let rows_per_sec = rows / sample.median.as_secs_f64();
     let json = json_line(
@@ -232,7 +234,7 @@ fn main() {
             cands.len()
         );
         for threads in [1, THREADS] {
-            for kernel in [ScanKernel::Direct(None), ScanKernel::Bitmask] {
+            for kernel in ["direct", "bitmask"] {
                 results.push(measure(name, &encoded, &cands, threads, kernel));
             }
         }

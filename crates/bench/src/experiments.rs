@@ -29,7 +29,6 @@ pub fn section6_config(
         }),
         max_itemset_size: 0,
         parallelism: None,
-        kernel: Default::default(),
     }
 }
 

@@ -2,6 +2,7 @@
 
 use crate::frequent::QuantFrequentItemsets;
 use qar_itemset::{Item, Itemset};
+use qar_trace::CancelToken;
 use std::collections::HashSet;
 
 /// Join `L_{k-1}` with itself and subset-prune, returning `C_k`.
@@ -13,10 +14,14 @@ use std::collections::HashSet;
 /// than joined.
 ///
 /// `prev` must be sorted (as [`QuantFrequentItemsets::push_level`]
-/// guarantees).
-pub fn generate_candidates(prev: &[(Itemset, u64)]) -> Vec<Itemset> {
+/// guarantees). `cancel` is checked once per run of itemsets sharing a
+/// prefix; `None` is returned when it fired.
+pub fn generate_candidates(
+    prev: &[(Itemset, u64)],
+    cancel: Option<&CancelToken>,
+) -> Option<Vec<Itemset>> {
     if prev.is_empty() {
-        return Vec::new();
+        return Some(Vec::new());
     }
     let k1 = prev[0].0.len();
     debug_assert!(prev.iter().all(|(s, _)| s.len() == k1));
@@ -25,6 +30,9 @@ pub fn generate_candidates(prev: &[(Itemset, u64)]) -> Vec<Itemset> {
 
     let mut run_start = 0;
     while run_start < prev.len() {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return None;
+        }
         let prefix = &prev[run_start].0.items()[..k1 - 1];
         let mut run_end = run_start + 1;
         while run_end < prev.len() && &prev[run_end].0.items()[..k1 - 1] == prefix {
@@ -50,7 +58,7 @@ pub fn generate_candidates(prev: &[(Itemset, u64)]) -> Vec<Itemset> {
         }
         run_start = run_end;
     }
-    candidates
+    Some(candidates)
 }
 
 /// Interest Prune Phase (Lemma 5): items whose fractional support exceeds
@@ -117,7 +125,7 @@ mod tests {
             &[(1, 1, 1), (2, 0, 1)], // Married:Yes, NumCars 0..1
             &[(0, 0, 1), (2, 0, 1)], // Age 0..1, NumCars 0..1
         ]);
-        let c3 = generate_candidates(&l2);
+        let c3 = generate_candidates(&l2, None).unwrap();
         assert_eq!(c3.len(), 1);
         let expected: Itemset = vec![
             Item::range(0, 0, 1),
@@ -133,7 +141,7 @@ mod tests {
     fn same_attribute_pairs_never_join() {
         // Two ranges of the same attribute never form a 2-candidate.
         let l1 = level(&[&[(0, 0, 1)], &[(0, 2, 3)], &[(1, 0, 0)]]);
-        let c2 = generate_candidates(&l1);
+        let c2 = generate_candidates(&l1, None).unwrap();
         assert_eq!(c2.len(), 2); // each age range with the categorical item
         assert!(c2.iter().all(|c| {
             let attrs = c.attributes();
@@ -143,9 +151,23 @@ mod tests {
 
     #[test]
     fn empty_and_single_input() {
-        assert!(generate_candidates(&[]).is_empty());
+        assert!(generate_candidates(&[], None).unwrap().is_empty());
         let l1 = level(&[&[(0, 0, 0)]]);
-        assert!(generate_candidates(&l1).is_empty());
+        assert!(generate_candidates(&l1, None).unwrap().is_empty());
+    }
+
+    /// A fired token stops the join at its first prefix run.
+    #[test]
+    fn fired_token_stops_the_join() {
+        let l2 = level(&[
+            &[(0, 0, 1), (1, 0, 0)],
+            &[(0, 0, 1), (2, 1, 1)],
+            &[(1, 0, 0), (2, 1, 1)],
+        ]);
+        let token = CancelToken::new();
+        assert_eq!(generate_candidates(&l2, Some(&token)).unwrap().len(), 1);
+        token.cancel();
+        assert_eq!(generate_candidates(&l2, Some(&token)), None);
     }
 
     #[test]
@@ -157,7 +179,7 @@ mod tests {
             &[(0, 0, 1), (2, 1, 1)],
             &[(1, 0, 0), (2, 1, 1)],
         ]);
-        let c3 = generate_candidates(&l2);
+        let c3 = generate_candidates(&l2, None).unwrap();
         let expected: Itemset = vec![Item::range(0, 0, 1), Item::value(1, 0), Item::value(2, 1)]
             .into_iter()
             .collect();

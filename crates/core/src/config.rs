@@ -37,44 +37,6 @@ pub enum PartitionStrategy {
     KMeans,
 }
 
-/// Which support-counting scan kernel the miner runs (Step 3's record
-/// scan). Both produce **bit-identical counts** — the kernel is a pure
-/// performance choice, never semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanKernel {
-    /// The blocked kernel every production path runs: categorical
-    /// predicates are evaluated over 1024-row blocks into `u64` bitsets
-    /// and ANDed; each super-candidate with range dimensions then counts
-    /// its rows into a k-D histogram compressed to its members'
-    /// breakpoints and reads members as rectangle sums, and the rest
-    /// (purely categorical, or over the cell budget) popcount
-    /// per-member `lo <= code <= hi` masks — no per-row branching, plus
-    /// per-block min/max pre-screening so non-intersecting plans skip
-    /// whole blocks.
-    #[default]
-    Bitmask,
-    /// The paper's row-at-a-time walk (Section 5.2) — the reference the
-    /// fuzz oracle and the benches check the default kernel against: a
-    /// hash tree over the categorical items, then each super-candidate's
-    /// rectangles in an n-dimensional array or an R*-tree. `Some(kind)`
-    /// pins that backend for every super-candidate (the backend
-    /// ablation); `None` lets the paper's memory heuristic choose per
-    /// super-candidate.
-    Direct(Option<qar_itemset::CounterKind>),
-}
-
-impl ScanKernel {
-    /// The kernel's name, as recorded in
-    /// [`crate::supercand::PassStats::kernel`] and the `pass_finished`
-    /// trace event.
-    pub fn name(self) -> &'static str {
-        match self {
-            ScanKernel::Bitmask => "bitmask",
-            ScanKernel::Direct(_) => "direct",
-        }
-    }
-}
-
 /// Which deviations from expectation make a rule interesting (Section 4:
 /// "the user can specify whether it should be support and confidence, or
 /// support or confidence").
@@ -143,11 +105,6 @@ pub struct MinerConfig {
     /// their integer counts are summed in shard order — so this knob is
     /// pure performance, never semantics.
     pub parallelism: Option<std::num::NonZeroUsize>,
-    /// Which support-counting scan kernel to run (see [`ScanKernel`]).
-    /// Counts are bit-identical for every variant; the reference kernel
-    /// exists for the differential fuzz oracle, the backend ablation and
-    /// the scan bench.
-    pub kernel: ScanKernel,
 }
 
 impl Default for MinerConfig {
@@ -167,7 +124,6 @@ impl Default for MinerConfig {
             }),
             max_itemset_size: 0,
             parallelism: None,
-            kernel: ScanKernel::Bitmask,
         }
     }
 }
@@ -253,10 +209,11 @@ pub struct CancelledInfo {
     /// 0 when the run stopped before pass 1 while loading its input, and
     /// the last pass run when it stopped in Step 4 or 5.
     pub pass: usize,
-    /// The phase the run stopped in outside the passes: a load phase
-    /// when `pass` is 0 (for example `"the CSV parse"` or `"Steps 1-2"`),
-    /// or rule generation or the interest measure after the passes;
-    /// `None` during the passes.
+    /// The phase the run stopped in outside the counting scans: a load
+    /// phase when `pass` is 0 (for example `"the CSV parse"` or
+    /// `"Steps 1-2"`), the candidate generation of pass `pass`, or rule
+    /// generation or the interest measure after the passes; `None` at a
+    /// pass boundary or inside a scan.
     pub phase: Option<&'static str>,
     /// True when a [`qar_trace::CancelToken`] deadline expired; false for
     /// an explicit abort.
@@ -435,15 +392,6 @@ mod tests {
                 "{threads}"
             );
         }
-    }
-
-    #[test]
-    fn scan_kernel_defaults_to_bitmask() {
-        assert_eq!(ScanKernel::default(), ScanKernel::Bitmask);
-        assert_eq!(MinerConfig::default().kernel, ScanKernel::Bitmask);
-        assert_eq!(ScanKernel::Bitmask.name(), "bitmask");
-        let pinned = ScanKernel::Direct(Some(qar_itemset::CounterKind::RTree));
-        assert_eq!(pinned.name(), "direct");
     }
 
     #[test]

@@ -18,9 +18,9 @@ use qar_itemset::Itemset;
 use qar_table::{AttributeEncoder, Schema};
 
 /// The semantic slice of a [`MinerConfig`] that determines mining output
-/// (thresholds, partitioning policy, interest measure). Performance knobs
-/// — parallelism, scan kernel — are deliberately excluded: they never
-/// change what a mine finds, so an update may run with different ones.
+/// (thresholds, partitioning policy, interest measure). The performance
+/// knob — parallelism — is deliberately excluded: it never changes what a
+/// mine finds, so an update may run with a different one.
 ///
 /// Taxonomies are also excluded: their effect is fully captured by the
 /// persisted encoders (and therefore by the encoding fingerprint).
@@ -432,10 +432,9 @@ mod tests {
         let err = snap.check_matches(&other).unwrap_err();
         assert!(err.contains("min_support"), "{err}");
 
-        // Performance knobs are not semantic: they may differ freely.
+        // The performance knob is not semantic: it may differ freely.
         let mut perf = config;
         perf.parallelism = std::num::NonZeroUsize::new(7);
-        perf.kernel = crate::config::ScanKernel::Direct(None);
         assert!(snap.check_matches(&perf).is_ok());
     }
 

@@ -277,7 +277,6 @@ mod tests {
             }),
             max_itemset_size: 0,
             parallelism: None,
-            kernel: Default::default(),
         })
         .mine(&t)
         .unwrap()

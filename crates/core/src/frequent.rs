@@ -77,20 +77,6 @@ pub struct FrequentItems {
     pub value_counts: Vec<Vec<u64>>,
 }
 
-/// Compute the frequent items of `table` (Step 3, first half).
-///
-/// * A categorical value is a frequent item iff its count ≥ `min_count`.
-/// * A single quantitative value/interval likewise (even above
-///   `max_count` — "any single interval/value whose support exceeds
-///   maximum support is still considered").
-/// * A combined range `[l..u]`, `l < u`, is a frequent item iff
-///   `min_count ≤ count ≤ max_count` — adjacent intervals are combined
-///   only "as long as their support is less than the user-specified max
-///   support".
-pub fn find_frequent_items(table: &EncodedTable, min_count: u64, max_count: u64) -> FrequentItems {
-    frequent_items_from_counts(table, attribute_value_counts(table), min_count, max_count)
-}
-
 /// The scan half of pass 1: per-attribute value histograms of `table`
 /// (index = code). Histograms over disjoint row partitions merge by
 /// element-wise addition into exactly the whole-table histogram — the
@@ -109,10 +95,19 @@ pub fn attribute_value_counts(table: &EncodedTable) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// The combination half of pass 1: derive the frequent items from
-/// already-computed per-attribute histograms. `meta` supplies only
-/// schema kinds, cardinalities and taxonomy groups, so a decode-only
-/// header table ([`EncodedTable::header_only`]) works.
+/// The combination half of pass 1: derive the frequent items (Step 3,
+/// first half) from already-computed per-attribute histograms. `meta`
+/// supplies only schema kinds, cardinalities and taxonomy groups, so a
+/// decode-only header table ([`EncodedTable::header_only`]) works.
+///
+/// * A categorical value is a frequent item iff its count ≥ `min_count`.
+/// * A single quantitative value/interval likewise (even above
+///   `max_count` — "any single interval/value whose support exceeds
+///   maximum support is still considered").
+/// * A combined range `[l..u]`, `l < u`, is a frequent item iff
+///   `min_count ≤ count ≤ max_count` — adjacent intervals are combined
+///   only "as long as their support is less than the user-specified max
+///   support".
 pub fn frequent_items_from_counts(
     meta: &EncodedTable,
     value_counts: Vec<Vec<u64>>,
@@ -227,7 +222,7 @@ mod tests {
     fn figure_3f_frequent_items() {
         // Minimum support 40 % of 5 records = 2; max support 100 %.
         let enc = people_fig3();
-        let fi = find_frequent_items(&enc, 2, 5);
+        let fi = frequent_items_from_counts(&enc, attribute_value_counts(&enc), 2, 5);
         let has = |attr: u32, lo: u32, hi: u32, count: u64| {
             fi.items
                 .iter()
@@ -251,7 +246,7 @@ mod tests {
         // max_count 2: the range Age 0..1 (support 3) must vanish, but the
         // single interval ⟨Married: Yes⟩-like singles stay. Age interval 1
         // alone has support 2 (ages 25, 29).
-        let fi = find_frequent_items(&enc, 2, 2);
+        let fi = frequent_items_from_counts(&enc, attribute_value_counts(&enc), 2, 2);
         assert!(
             !fi.items.iter().any(|&(i, _)| i == Item::range(0, 0, 1)),
             "capped range kept"
@@ -270,7 +265,7 @@ mod tests {
     #[test]
     fn value_counts_are_exact() {
         let enc = people_fig3();
-        let fi = find_frequent_items(&enc, 1, 5);
+        let fi = frequent_items_from_counts(&enc, attribute_value_counts(&enc), 1, 5);
         assert_eq!(fi.value_counts[0], vec![1, 2, 1, 1]); // age intervals
         assert_eq!(fi.value_counts[1], vec![2, 3]); // married No/Yes
         assert_eq!(fi.value_counts[2], vec![1, 2, 2]); // cars 0/1/2
@@ -279,7 +274,7 @@ mod tests {
     #[test]
     fn items_sorted_and_min_support_respected() {
         let enc = people_fig3();
-        let fi = find_frequent_items(&enc, 2, 5);
+        let fi = frequent_items_from_counts(&enc, attribute_value_counts(&enc), 2, 5);
         assert!(fi.items.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(fi.items.iter().all(|&(_, c)| c >= 2));
     }

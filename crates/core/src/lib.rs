@@ -35,7 +35,6 @@ pub mod frequent;
 pub mod interest;
 pub mod mine;
 pub mod miner;
-pub mod naive;
 pub mod output;
 pub mod pipeline;
 pub mod rules;
@@ -46,7 +45,7 @@ pub use delta::{f64_close_ulps, ItemsetSetDelta, RuleSetDelta};
 
 pub use config::{
     CancelledInfo, InterestConfig, InterestMode, MinerConfig, MinerError, PartitionSpec,
-    PartitionStrategy, ScanKernel, MAX_THREADS,
+    PartitionStrategy, MAX_THREADS,
 };
 pub use counts::{
     encoding_fingerprint, update_precheck, CapturedCounts, CountsConfig, SupportCounts,

@@ -78,7 +78,14 @@ impl<'a> RunCtx<'a> {
         self.stop(1 + stats.pass_stats.len(), Some(phase), stats)
     }
 
-    fn stop(&self, pass: usize, phase: Option<&'static str>, stats: MineStats) -> MinerError {
+    /// [`RunCtx::cancelled`] at pass `pass`, stopped in `phase` if it
+    /// stopped outside a scan and off a pass boundary.
+    pub(crate) fn stop(
+        &self,
+        pass: usize,
+        phase: Option<&'static str>,
+        stats: MineStats,
+    ) -> MinerError {
         let deadline = self.cancel.is_some_and(CancelToken::deadline_exceeded);
         self.emit(|| TraceEvent::Cancelled { pass, deadline });
         MinerError::Cancelled(CancelledInfo {
@@ -121,20 +128,15 @@ mod tests {
     use crate::config::{InterestMode, MinerConfig, PartitionSpec};
     use crate::frequent::QuantFrequentItemsets;
     use crate::Miner;
-    use qar_itemset::{CounterKind, Item, Itemset};
+    use qar_itemset::{Item, Itemset};
     use qar_table::{AttributeEncoder, EncodedTable, Schema, Table, Value};
     use std::sync::Arc;
 
     fn mine(
         table: &EncodedTable,
         config: &MinerConfig,
-        force: Option<CounterKind>,
     ) -> Result<(QuantFrequentItemsets, MineStats), MinerError> {
-        let mut miner = Miner::new(config.clone());
-        if let Some(kind) = force {
-            miner = miner.with_counter(kind);
-        }
-        miner.frequent_itemsets(table)
+        Miner::new(config.clone()).frequent_itemsets(table)
     }
 
     /// Figure 3's People table with the Figure 3(b) Age partitioning.
@@ -179,14 +181,13 @@ mod tests {
             interest: None,
             max_itemset_size: 0,
             parallelism: None,
-            kernel: Default::default(),
         }
     }
 
     #[test]
     fn figure_3f_frequent_itemsets() {
         let enc = people_fig3();
-        let (frequent, _) = mine(&enc, &fig3_config(), None).unwrap();
+        let (frequent, _) = mine(&enc, &fig3_config()).unwrap();
         // The paper's sample (Figure 3f):
         // {⟨Age: 30..39⟩} support 2, {⟨Age: 20..29⟩} support 3,
         // {⟨Married: Yes⟩} 3, {⟨Married: No⟩} 2, {⟨NumCars: 0..1⟩} 3,
@@ -211,20 +212,9 @@ mod tests {
     }
 
     #[test]
-    fn all_reported_supports_are_exact() {
-        let enc = people_fig3();
-        let (frequent, _) = mine(&enc, &fig3_config(), None).unwrap();
-        for (itemset, count) in frequent.iter() {
-            let recount =
-                crate::supercand::count_candidates_naive(&enc, std::slice::from_ref(itemset))[0];
-            assert_eq!(*count, recount, "{itemset}");
-        }
-    }
-
-    #[test]
     fn support_is_anti_monotone_across_levels() {
         let enc = people_fig3();
-        let (frequent, _) = mine(&enc, &fig3_config(), None).unwrap();
+        let (frequent, _) = mine(&enc, &fig3_config()).unwrap();
         for level in frequent.levels.iter().skip(1) {
             for (itemset, count) in level {
                 for sub in itemset.subsets_dropping_one() {
@@ -240,7 +230,7 @@ mod tests {
         let enc = people_fig3();
         let mut cfg = fig3_config();
         cfg.max_itemset_size = 1;
-        let (frequent, stats) = mine(&enc, &cfg, None).unwrap();
+        let (frequent, stats) = mine(&enc, &cfg).unwrap();
         assert_eq!(frequent.levels.len(), 1);
         assert!(stats.candidates_per_pass.is_empty());
     }
@@ -251,7 +241,7 @@ mod tests {
         let t = Table::new(schema);
         let enc = EncodedTable::encode_full_resolution(&t).unwrap();
         assert!(matches!(
-            mine(&enc, &fig3_config(), None),
+            mine(&enc, &fig3_config()),
             Err(MinerError::Schema(_))
         ));
     }
@@ -267,7 +257,7 @@ mod tests {
             mode: InterestMode::SupportAndConfidence,
             prune_candidates: true,
         });
-        let (pruned, stats) = mine(&enc, &cfg, None).unwrap();
+        let (pruned, stats) = mine(&enc, &cfg).unwrap();
         assert!(stats.interest_pruned_items > 0);
         // ⟨Age: 20..29⟩ has support 3/5 = 0.6 > 0.5 -> pruned.
         assert_eq!(
@@ -279,18 +269,6 @@ mod tests {
             pruned.support_of(&Itemset::singleton(Item::value(1, 1))),
             Some(3)
         );
-    }
-
-    #[test]
-    fn counting_backends_agree_end_to_end() {
-        let enc = people_fig3();
-        let cfg = fig3_config();
-        let (a, _) = mine(&enc, &cfg, Some(CounterKind::Array)).unwrap();
-        let (r, _) = mine(&enc, &cfg, Some(CounterKind::RTree)).unwrap();
-        assert_eq!(a.total(), r.total());
-        for (itemset, count) in a.iter() {
-            assert_eq!(r.support_of(itemset), Some(*count));
-        }
     }
 
     #[test]
@@ -358,7 +336,7 @@ mod tests {
             .with_cancel(CancelToken::new())
             .frequent_itemsets(&enc)
             .unwrap();
-        let (plain, _) = mine(&enc, &fig3_config(), None).unwrap();
+        let (plain, _) = mine(&enc, &fig3_config()).unwrap();
         assert_eq!(with_token.total(), plain.total());
         for (itemset, count) in plain.iter() {
             assert_eq!(with_token.support_of(itemset), Some(*count));

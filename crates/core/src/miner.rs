@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::config::{MinerConfig, MinerError, ScanKernel};
+use crate::config::{MinerConfig, MinerError};
 use crate::counts::{encoding_fingerprint, update_precheck, Lane, SupportCounts};
 use crate::frequent::QuantFrequentItemsets;
 use crate::mine::{MineStats, RunCtx};
@@ -14,7 +14,6 @@ use crate::source::{
     mine_source, mine_source_captured, mine_with_source_ctx, rules_and_interest, CountSource,
     InMemorySource, MergeSource, Step3,
 };
-use qar_itemset::CounterKind;
 use qar_table::{AttributeEncoder, Column, EncodedTable, Schema, Table, TableError, TableRanks};
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 
@@ -41,7 +40,7 @@ use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 ///   per cell, and [`crate::MiningStats::encoding_reused`] is false there,
 /// - runs Steps 3–5 through the one level-wise driver of
 ///   [`crate::source`] over an [`InMemorySource`] that carries its
-///   kernel, thread count and cancellation token.
+///   thread count and cancellation token.
 ///
 /// ```
 /// use qar_core::{Miner, MinerConfig};
@@ -146,14 +145,6 @@ impl Miner {
         self
     }
 
-    /// Count with the reference kernel pinned to one quantitative
-    /// backend, [`ScanKernel::Direct`]`(Some(kind))` — the Section 5.2
-    /// array-versus-R*-tree ablation.
-    pub fn with_counter(mut self, kind: CounterKind) -> Self {
-        self.config.kernel = ScanKernel::Direct(Some(kind));
-        self
-    }
-
     /// The configuration this miner runs with.
     pub fn config(&self) -> &MinerConfig {
         &self.config
@@ -185,8 +176,8 @@ impl Miner {
         self.cache = None;
     }
 
-    /// An [`InMemorySource`] over `table` carrying this miner's kernel,
-    /// thread count and cancellation token.
+    /// An [`InMemorySource`] over `table` carrying this miner's thread
+    /// count and cancellation token.
     fn source<'t>(&self, table: &'t EncodedTable) -> InMemorySource<'t> {
         InMemorySource::new(table, &self.config).with_cancel(self.cancel.as_ref())
     }
@@ -371,7 +362,7 @@ impl Miner {
     /// needs no scan) or the error building it raised. The miner's
     /// configuration must semantically match the one the counts were
     /// taken under ([`crate::counts::CountsConfig::check_matches`]);
-    /// performance knobs (parallelism, kernel) may differ freely.
+    /// the performance knob (parallelism) may differ freely.
     ///
     /// The merged counts are exact, so the result — including the new
     /// [`SupportCounts`] — is identical to mining base+delta from
@@ -1242,10 +1233,6 @@ mod tests {
                 "threads",
                 ladder_with(|c| c.parallelism = std::num::NonZeroUsize::new(1)),
             ),
-            (
-                "kernel",
-                ladder_with(|c| c.kernel = ScanKernel::Direct(None)),
-            ),
         ];
         let mut miner = Miner::new(ladder_config());
         miner.mine(&table).unwrap();
@@ -1255,14 +1242,6 @@ mod tests {
             assert!(!out.stats.frequent_reused, "{what}");
             assert_fresh(&out, &table, &config, what);
         }
-
-        // `with_counter` pins a kernel on a miner that has mined.
-        let mut miner = Miner::new(ladder_config());
-        miner.mine(&table).unwrap();
-        let mut miner = miner.with_counter(CounterKind::Array);
-        let out = miner.mine(&table).unwrap();
-        assert!(out.stats.encoding_reused && !out.stats.frequent_reused);
-        assert_fresh(&out, &table, miner.config(), "with_counter");
 
         // A new table, then the same table after `clear_cache`.
         let mut miner = Miner::new(ladder_config());

@@ -276,7 +276,6 @@ mod tests {
             interest: None,
             max_itemset_size: 0,
             parallelism: None,
-            kernel: Default::default(),
         }
     }
 

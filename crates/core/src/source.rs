@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::candidate::{generate_candidates, interest_prune_level1};
-use crate::config::{MinerConfig, MinerError, ScanKernel};
+use crate::config::{MinerConfig, MinerError};
 use crate::counts::{CapturedCounts, SupportCounts};
 use crate::frequent::{attribute_value_counts, frequent_items_from_counts, QuantFrequentItemsets};
 use crate::interest::{annotate_interest_until, ItemSupports};
@@ -369,7 +369,9 @@ enum PassWork {
 /// Pass 1 derives the frequent items from the source's merged histograms
 /// (then applies the Lemma 5 prune), pass 2 reads the frequent pairs out
 /// of pair histograms the source fills, and every later pass counts the
-/// candidates [`generate_candidates`] joins from the previous level.
+/// candidates [`generate_candidates`] joins from the previous level; a
+/// token that fires during the join ends the run in
+/// [`MinerError::Cancelled`] naming candidate generation.
 /// Pass 2's candidate count is the counters it fills (histogram cells
 /// plus explicit candidates). A pass reports the source's own
 /// [`PassStats`] when it keeps them, else the wall time of its counting
@@ -485,7 +487,9 @@ pub(crate) fn mine_with_source_ctx(
         let work = if k == 2 {
             PassWork::Pairs(PairPass::plan(source.meta(), prev))
         } else {
-            let candidates = generate_candidates(prev);
+            let Some(candidates) = generate_candidates(prev, ctx.cancel) else {
+                return Err(ctx.stop(k, Some(CANDIDATE_GENERATION), stats));
+            };
             if candidates.is_empty() {
                 break;
             }
@@ -547,6 +551,8 @@ impl Step3 {
     }
 }
 
+/// The phase a run stopped in while joining a pass's candidates.
+const CANDIDATE_GENERATION: &str = "candidate generation";
 /// The phase a run stopped in during rule generation.
 const STEP_4: &str = "Step 4 (rule generation)";
 /// The phase a run stopped in during the interest measure.
@@ -951,7 +957,7 @@ fn blocks(
 }
 
 /// The local [`CountSource`]: counts the rows this process holds with the
-/// scan kernels — rows held in memory, or read one spilled chunk at a
+/// scan kernel — rows held in memory, or read one spilled chunk at a
 /// time so peak memory is one chunk — and scans pass 2 straight into the
 /// pair histograms.
 ///
@@ -967,14 +973,13 @@ pub struct InMemorySource<'a> {
     /// The in-memory table itself, or a chunk store's header.
     meta: Cow<'a, EncodedTable>,
     num_threads: usize,
-    kernel: ScanKernel,
     cancel: Option<CancelToken>,
     pass_stats: Option<PassStats>,
 }
 
 impl<'a> InMemorySource<'a> {
     /// A source over all of `rows` — an [`EncodedTable`] or a
-    /// [`ChunkStore`] — with parallelism and kernel from `config`.
+    /// [`ChunkStore`] — with parallelism from `config`.
     pub fn new(rows: impl Into<Backing<'a>>, config: &MinerConfig) -> Self {
         let rows = rows.into();
         let meta = match rows {
@@ -986,7 +991,6 @@ impl<'a> InMemorySource<'a> {
             rows,
             meta,
             num_threads: config.effective_parallelism(),
-            kernel: config.kernel,
             cancel: None,
             pass_stats: None,
         }
@@ -1015,7 +1019,6 @@ impl<'a> InMemorySource<'a> {
     ) -> Result<(), CountError> {
         let opts = ScanOptions {
             cancel: self.cancel.as_ref(),
-            kernel: self.kernel,
             ..ScanOptions::new(self.num_threads)
         };
         let mut call = None;
@@ -1079,13 +1082,8 @@ impl CountSource for InMemorySource<'_> {
         Ok(sums)
     }
 
-    /// One histogram scan of every block — or, under a reference kernel
-    /// pinned to one backend, the trait's point-cell default, so the
-    /// ablation's backend counts pass 2 too.
+    /// One histogram scan of every block.
     fn count_pair_cells(&mut self, hist: &mut PairHistograms) -> Result<(), CountError> {
-        if matches!(self.kernel, ScanKernel::Direct(Some(_))) {
-            return count_pair_points(self, hist);
-        }
         self.scan(|block, opts| Ok(hist.scan(block, opts)?))
     }
 
@@ -1099,7 +1097,6 @@ mod tests {
     use super::*;
     use crate::config::{InterestMode, PartitionSpec};
     use crate::miner::Miner;
-    use crate::supercand::count_candidates_naive;
     use qar_table::{Schema, Table, Value};
 
     fn people_table() -> Table {
@@ -1611,8 +1608,8 @@ mod tests {
 
     /// The pruned pair readout returns exactly the `(Itemset, count)`
     /// sequence of reading the whole cross product — the same pairs, the
-    /// same counts (checked against the naive counter) and the same
-    /// order. Level 1 comes from the pass-1 code at random thresholds, so
+    /// same counts (those of the pass-≥3 scan, which shares no code with
+    /// the histograms) and the same order. Level 1 comes from the pass-1 code at random thresholds, so
     /// it holds single values above maxsup and taxonomy group ranges,
     /// randomly thinned as the Lemma 5 prune would; a quarter of the
     /// tables have a pair past the budget on the explicit path.
@@ -1664,7 +1661,7 @@ mod tests {
                 }
             }
             cross.extend(pass.explicit.iter().cloned());
-            let counts = count_candidates_naive(&enc, &cross);
+            let (counts, _) = count_candidates(&enc, &cross, ScanOptions::new(1)).unwrap();
             let expected: Vec<(Itemset, u64)> = cross
                 .into_iter()
                 .zip(counts)

@@ -28,11 +28,10 @@
 //! The serial-equivalence property is enforced by unit tests here and a
 //! randomized end-to-end test in `tests/proptest_pipeline.rs`.
 //!
-//! # The default kernel
+//! # The kernel
 //!
-//! Every production path counts with the default kernel
-//! ([`crate::ScanKernel::Bitmask`]). It has no per-row control flow: for
-//! each [`CANCEL_CHECK_INTERVAL`]-row block it evaluates every
+//! Every mining path counts with one kernel. It has no per-row control
+//! flow: for each [`CANCEL_CHECK_INTERVAL`]-row block it evaluates every
 //! categorical predicate over the whole block into `u64` bitsets — one
 //! equality mask per *distinct* `(attribute, code)` pair, shared by all
 //! plans that test it — ANDs each plan's masks together, and then counts
@@ -66,16 +65,11 @@
 //!
 //! # The reference kernel
 //!
-//! [`crate::ScanKernel::Direct`] is the paper's walk, a row at a time: a
-//! hash tree over the categorical parts finds which super-candidates a
-//! record supports, and the record's quantitative point is counted
-//! against each one's rectangles in a dense n-dimensional array or an
-//! R*-tree — the paper's memory heuristic picks per super-candidate unless
-//! the kernel pins a backend. The fuzz oracle, the backend ablation and
-//! the scan bench check the default kernel against it. Both produce
-//! **bit-identical counts** (enforced by unit tests, the
-//! `bitmask_scan_equals_direct_and_naive` proptest, and the fuzz oracle's
-//! `kernel` kind).
+//! The paper's own walk — a hash tree over the categorical parts, then
+//! each super-candidate's rectangles in an n-dimensional array or an
+//! R*-tree — lives in the `qar-oracle` crate's `reference` module, as a
+//! count source sharing no code with this one. The fuzz oracle, the
+//! backend ablation and the scan bench check this kernel against it.
 //!
 //! # Pass 2: pair histograms
 //!
@@ -88,20 +82,17 @@
 //! ([`crate::CountSource::count_pair_cells`]); the driver reads the
 //! frequent pairs out of them, and a capture persists their raw cells.
 //! Pairs over [`CELL_BUDGET`] cells keep explicit candidates. Pair
-//! histograms, pass ≥ 3 cells and the reference kernel's arrays share one
-//! prefix-sum and rectangle-sum routine
-//! ([`qar_itemset::ndcounter::prefix_sums`] and
+//! histograms and pass ≥ 3 cells share one prefix-sum and rectangle-sum
+//! routine ([`qar_itemset::ndcounter::prefix_sums`] and
 //! [`qar_itemset::ndcounter::rect_sum`]).
 
-use crate::config::ScanKernel;
 use qar_itemset::ndcounter::{prefix_sums, rect_sum};
-use qar_itemset::{CounterKind, HashTree, Item, Itemset, RectCounter, VisitScratch};
+use qar_itemset::{Item, Itemset};
 use qar_table::threads::run_sharded;
 use qar_table::{AttributeId, AttributeKind, EncodedTable};
 use qar_trace::CancelToken;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A shard scan observed its [`CancelToken`] and stopped early. The pass's
@@ -125,7 +116,7 @@ pub const CANCEL_CHECK_INTERVAL: usize = 1024;
 pub const CELLS_KERNEL: &str = "cells";
 
 /// Tuning knobs for one counting scan. [`ScanOptions::new`] gives the
-/// defaults every production path uses.
+/// defaults.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanOptions<'a> {
     /// Upper bound on data shards scanned in parallel (`<= 1` is serial).
@@ -133,34 +124,34 @@ pub struct ScanOptions<'a> {
     /// Cooperative cancellation token, checked every
     /// [`CANCEL_CHECK_INTERVAL`] rows within each shard.
     pub cancel: Option<&'a CancelToken>,
-    /// Which scan kernel runs the record loop (see module docs). Counts
-    /// are bit-identical for every variant.
-    pub kernel: ScanKernel,
 }
 
 impl<'a> ScanOptions<'a> {
-    /// Default options for an uncancellable scan with the default kernel
-    /// on `num_threads` shards.
+    /// Default options for an uncancellable scan on `num_threads`
+    /// shards.
     pub fn new(num_threads: usize) -> Self {
         ScanOptions {
             num_threads,
             cancel: None,
-            kernel: ScanKernel::default(),
         }
     }
 }
 
 /// Statistics of one counting pass, reported in [`crate::MiningStats`].
+///
+/// `rtree_backed` and `hash_tree_nodes` describe the paper's counting
+/// structures, which only the reference count source builds; this crate's
+/// kernel always leaves them zero. They stay because catalogs and the
+/// `pass_finished` trace event persist them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PassStats {
     /// Number of super-candidates formed.
     pub super_candidates: usize,
-    /// How many were counted in an n-dimensional array: the reference
-    /// kernel's array backend, one of pass 2's [`PairHistograms`], or the
-    /// default kernel's compressed cells.
+    /// How many were counted in an n-dimensional array: one of pass 2's
+    /// [`PairHistograms`], compressed cells, or the reference source's
+    /// array backend.
     pub array_backed: usize,
-    /// How many the reference kernel counted in an R*-tree (always zero
-    /// under the default kernel).
+    /// How many the reference source counted in an R*-tree.
     pub rtree_backed: usize,
     /// Wall-clock time of the record scan (the component the paper's cost
     /// model calls "counting support", proportional to the table size;
@@ -176,24 +167,21 @@ pub struct PassStats {
     /// reading the cell plans' members out of their prefix sums (zero
     /// for a serial scan without cells — there is nothing to merge).
     pub merge_time: Duration,
-    /// Total nodes across the reference kernel's categorical hash trees
-    /// (zero under the default kernel, and when every super-candidate is
-    /// purely quantitative).
+    /// Total nodes across the reference source's categorical hash trees.
     pub hash_tree_nodes: usize,
     /// Estimated peak heap bytes of the pass's counting structures —
     /// per-shard counters are live simultaneously, so this is the
     /// single-shard figure times the shard count (and the maximum over
-    /// sequential sub-scans of one pass). The default kernel's figure is
-    /// its per-plan and per-member tallies plus its cells; the reference
-    /// kernel's is its rectangle counters.
+    /// sequential sub-scans of one pass): the per-plan and per-member
+    /// tallies plus the cells.
     pub counter_bytes: usize,
     /// True when the scan ran on more than one shard thread; a serial
     /// scan never leaves the calling thread.
     pub pooled: bool,
-    /// What counted the pass: `"bitmask"`, `"direct"`, or
-    /// [`CELLS_KERNEL`] for histogram counting. A pass that counted plans
-    /// both ways, or made several physical scans that ran differently,
-    /// joins the names with `+` (e.g. `"cells+bitmask"` for pass 3 with a
+    /// What counted the pass: `"bitmask"`, [`CELLS_KERNEL`] for histogram
+    /// counting, or the reference source's `"direct"`. A pass that
+    /// counted plans both ways, or made several physical scans that ran
+    /// differently, joins the names with `+` (e.g. `"cells+bitmask"` for pass 3 with a
     /// purely categorical plan, or pass 2 with over-budget pairs).
     pub kernel: String,
 }
@@ -207,7 +195,7 @@ impl PassStats {
     /// Fold another scan's statistics into this one (used when one
     /// logical pass issues several physical scans, e.g. pass 2's
     /// histogram groups and its explicit over-budget candidates).
-    pub(crate) fn absorb(&mut self, other: &PassStats) {
+    pub fn absorb(&mut self, other: &PassStats) {
         self.super_candidates += other.super_candidates;
         self.array_backed += other.array_backed;
         self.rtree_backed += other.rtree_backed;
@@ -298,48 +286,29 @@ fn scan_blocks(
     false
 }
 
-/// Encode a categorical item as a hash-tree key element: attribute-major so
-/// keys sorted by attribute are sorted numerically.
-fn cat_item_id(attr: u32, code: u32) -> u64 {
-    ((attr as u64) << 32) | code as u64
-}
-
-/// Shared inclusive rectangle list of one super-candidate (`(lo, hi)`
-/// corner pairs over the plan's `dims`).
-type SharedRects = Arc<[(Vec<u32>, Vec<u32>)]>;
-
 /// The record-independent description of one super-candidate: everything a
 /// shard needs to build its private counters. Built once, shared read-only
 /// by every worker.
 struct SuperPlan {
-    /// Sorted hash-tree key of the shared categorical items.
-    cat_key: Vec<u64>,
+    /// The shared categorical items as `(attribute, code)`, sorted.
+    cat_key: Vec<(u32, u32)>,
     /// Sorted quantitative attribute ids shared by all members.
     quant_attrs: Vec<u32>,
-    /// Indices into the candidate list, aligned with the counter rectangles.
+    /// Indices into the candidate list.
     members: Vec<usize>,
     /// Code-domain sizes of `quant_attrs`.
     dims: Vec<u32>,
-    /// Inclusive member rectangles over `dims`, behind `Arc` so per-shard
-    /// counter construction shares one allocation instead of deep-cloning
-    /// O(rects) vectors per shard.
-    rects: SharedRects,
-    /// The same bounds column-major for the range masks:
-    /// `lo_cols[d][m]`/`hi_cols[d][m]` is member `m`'s inclusive range
-    /// over dimension `d` — contiguous per dimension so the member loop
-    /// streams bounds instead of hopping between corner vectors.
+    /// The member rectangles column-major: `lo_cols[d][m]`/`hi_cols[d][m]`
+    /// is member `m`'s inclusive range over dimension `d` — contiguous
+    /// per dimension so the member loop streams bounds.
     lo_cols: Vec<Vec<u32>>,
     hi_cols: Vec<Vec<u32>>,
     /// Per-dimension union of the member ranges (`min` of the lows,
     /// `max` of the highs), for whole-plan block pre-screening.
     dim_lo_min: Vec<u32>,
     dim_hi_max: Vec<u32>,
-    /// The reference kernel's counting backend, decided once for all
-    /// shards (`None` under the default kernel and for purely
-    /// categorical super-candidates).
-    kind: Option<CounterKind>,
-    /// The plan's compressed k-D histogram, when the default kernel
-    /// counts it as cells rather than with range masks.
+    /// The plan's compressed k-D histogram, when it is counted as cells
+    /// rather than with range masks.
     cells: Option<CellPlan>,
 }
 
@@ -402,13 +371,15 @@ impl CellPlan {
             .collect();
         let slot_of =
             |d: usize, code: u32| breaks[d].binary_search(&code).expect("a breakpoint") as u32;
-        let rects = plan
-            .rects
-            .iter()
-            .map(|(lo, hi)| {
-                let lo_slots = (0..lo.len()).map(|d| slot_of(d, lo[d])).collect();
-                let hi_slots = (0..hi.len()).map(|d| slot_of(d, hi[d] + 1) - 1).collect();
-                (lo_slots, hi_slots)
+        let dims = 0..plan.dims.len();
+        let rects = (0..plan.members.len())
+            .map(|m| {
+                let lo_slots = dims
+                    .clone()
+                    .map(|d| slot_of(d, plan.lo_cols[d][m]))
+                    .collect();
+                let hi_slots = dims.clone().map(|d| slot_of(d, plan.hi_cols[d][m] + 1) - 1);
+                (lo_slots, hi_slots.collect())
             })
             .collect();
         Some(CellPlan {
@@ -447,16 +418,11 @@ struct ShardTally {
 }
 
 /// Group candidates into super-candidate plans and decide how each is
-/// counted: under the reference kernel its backend, under the default
-/// kernel cells or range masks. Deterministic: grouping uses a
+/// counted: as cells or with range masks. Deterministic: grouping uses a
 /// `BTreeMap` and every choice is a pure function of the
 /// (record-independent) inputs. Also returns the cells one shard
 /// allocates.
-fn build_plans(
-    table: &EncodedTable,
-    candidates: &[Itemset],
-    kernel: ScanKernel,
-) -> (Vec<SuperPlan>, PassStats, usize) {
+fn build_plans(table: &EncodedTable, candidates: &[Itemset]) -> (Vec<SuperPlan>, PassStats, usize) {
     let schema = table.schema();
     let is_quant: Vec<bool> = schema
         .attributes()
@@ -464,7 +430,7 @@ fn build_plans(
         .map(|a| a.kind() == AttributeKind::Quantitative)
         .collect();
 
-    let mut groups: BTreeMap<(Vec<u64>, Vec<u32>), Vec<usize>> = BTreeMap::new();
+    let mut groups: BTreeMap<_, Vec<usize>> = BTreeMap::new();
     for (idx, cand) in candidates.iter().enumerate() {
         let mut cat_key = Vec::new();
         let mut quant_attrs = Vec::new();
@@ -478,7 +444,7 @@ fn build_plans(
             if is_quant[item.attr as usize] || item.lo < item.hi {
                 quant_attrs.push(item.attr);
             } else {
-                cat_key.push(cat_item_id(item.attr, item.lo));
+                cat_key.push((item.attr, item.lo));
             }
         }
         groups.entry((cat_key, quant_attrs)).or_default().push(idx);
@@ -494,67 +460,31 @@ fn build_plans(
             .iter()
             .map(|&a| table.cardinality(AttributeId(a as usize)))
             .collect();
-        let rects: SharedRects = if quant_attrs.is_empty() {
-            Vec::new().into()
-        } else {
-            members
-                .iter()
-                .map(|&idx| {
-                    let cand = &candidates[idx];
-                    let mut lo = Vec::with_capacity(quant_attrs.len());
-                    let mut hi = Vec::with_capacity(quant_attrs.len());
-                    for &a in &quant_attrs {
-                        let item = cand.item_for(a).expect("grouped by attribute set");
-                        lo.push(item.lo);
-                        hi.push(item.hi);
-                    }
-                    (lo, hi)
-                })
-                .collect()
-        };
-        let kind = match kernel {
-            ScanKernel::Direct(pin) if !quant_attrs.is_empty() => {
-                let kind = pin.unwrap_or_else(|| RectCounter::choose_kind(&dims, rects.len()));
-                match kind {
-                    CounterKind::Array => stats.array_backed += 1,
-                    CounterKind::RTree => stats.rtree_backed += 1,
-                }
-                stats.counter_bytes = stats
-                    .counter_bytes
-                    .saturating_add(RectCounter::estimated_bytes(kind, &dims, rects.len()));
-                Some(kind)
-            }
-            _ => None,
-        };
-        let num_dims = dims.len();
-        let mut lo_cols = vec![Vec::with_capacity(rects.len()); num_dims];
-        let mut hi_cols = vec![Vec::with_capacity(rects.len()); num_dims];
-        let mut dim_lo_min = vec![u32::MAX; num_dims];
-        let mut dim_hi_max = vec![0u32; num_dims];
-        for (lo, hi) in rects.iter() {
-            for d in 0..num_dims {
-                lo_cols[d].push(lo[d]);
-                hi_cols[d].push(hi[d]);
-                dim_lo_min[d] = dim_lo_min[d].min(lo[d]);
-                dim_hi_max[d] = dim_hi_max[d].max(hi[d]);
-            }
-        }
+        let (lo_cols, hi_cols): (Vec<Vec<u32>>, Vec<Vec<u32>>) = quant_attrs
+            .iter()
+            .map(|&a| {
+                let item = |&m: &usize| candidates[m].item_for(a).expect("grouped by attributes");
+                members.iter().map(|m| (item(m).lo, item(m).hi)).unzip()
+            })
+            .unzip();
+        let dim_lo_min = lo_cols
+            .iter()
+            .map(|c| c.iter().copied().min().unwrap_or(u32::MAX));
+        let dim_hi_max = hi_cols.iter().map(|c| c.iter().copied().max().unwrap_or(0));
         let mut plan = SuperPlan {
+            dim_lo_min: dim_lo_min.collect(),
+            dim_hi_max: dim_hi_max.collect(),
             cat_key,
             quant_attrs,
             members,
             dims,
-            rects,
             lo_cols,
             hi_cols,
-            dim_lo_min,
-            dim_hi_max,
-            kind,
             cells: None,
         };
-        // The default kernel counts a plan with range dimensions as
-        // cells while the pass's cells fit the budget.
-        if kernel == ScanKernel::Bitmask && !plan.dims.is_empty() {
+        // A plan with range dimensions is counted as cells while the
+        // pass's cells fit the budget.
+        if !plan.dims.is_empty() {
             plan.cells = CellPlan::compress(&plan, cells, CELL_BUDGET - budget_used);
             if let Some(cell_plan) = &plan.cells {
                 cells = cell_plan.span().end;
@@ -568,47 +498,16 @@ fn build_plans(
         plans.push(plan);
     }
     stats.super_candidates = plans.len();
-    if kernel == ScanKernel::Bitmask {
-        // One tally per plan, one per member counted with range masks,
-        // and the cells (see `scan_bitmask`).
-        stats.counter_bytes = (plans.len() + mask_members + cells) * std::mem::size_of::<u64>();
-        stats.kernel = match (stats.array_backed, plans.len() - stats.array_backed) {
-            (0, _) => "bitmask",
-            (_, 0) => CELLS_KERNEL,
-            _ => "cells+bitmask",
-        }
-        .to_string();
-    } else {
-        stats.kernel = kernel.name().to_string();
+    // One tally per plan, one per member counted with range masks, and
+    // the cells (see `scan_bitmask`).
+    stats.counter_bytes = (plans.len() + mask_members + cells) * std::mem::size_of::<u64>();
+    stats.kernel = match (stats.array_backed, plans.len() - stats.array_backed) {
+        (0, _) => "bitmask",
+        (_, 0) => CELLS_KERNEL,
+        _ => "cells+bitmask",
     }
+    .to_string();
     (plans, stats, cells)
-}
-
-/// The reference kernel's plan index: the plans with empty categorical
-/// parts (they match every record), and one hash tree per key length
-/// over the rest.
-struct PlanIndex {
-    always: Vec<u32>,
-    trees: BTreeMap<usize, HashTree<u32>>,
-}
-
-impl PlanIndex {
-    fn new(plans: &[SuperPlan]) -> Self {
-        let mut always: Vec<u32> = Vec::new();
-        let mut trees: BTreeMap<usize, HashTree<u32>> = BTreeMap::new();
-        for (i, plan) in plans.iter().enumerate() {
-            if plan.cat_key.is_empty() {
-                always.push(i as u32);
-            } else {
-                // One key may belong to several super-candidates (different
-                // quantitative attribute sets); duplicate keys are fine — the
-                // subset walk visits each stored entry.
-                let tree = trees.entry(plan.cat_key.len()).or_default();
-                tree.insert(plan.cat_key.clone(), i as u32);
-            }
-        }
-        PlanIndex { always, trees }
-    }
 }
 
 /// Words per bitmask block: one bit per row of a
@@ -633,7 +532,7 @@ fn fill_ones(mask: &mut [u64; BLOCK_WORDS], n: usize) {
     }
 }
 
-/// Per-shard state of the default kernel (see module docs): the deduped
+/// Per-shard state of the kernel (see module docs): the deduped
 /// predicate table built once per shard, plus the per-block mask, cell
 /// and min/max scratch reused across blocks.
 struct BitmaskScan<'t> {
@@ -683,8 +582,7 @@ impl<'t> BitmaskScan<'t> {
         let mut plan_dims = Vec::with_capacity(plans.len());
         for plan in plans {
             let mut pp = Vec::with_capacity(plan.cat_key.len());
-            for &key in &plan.cat_key {
-                let (attr, code) = ((key >> 32) as u32, key as u32);
+            for &(attr, code) in &plan.cat_key {
                 let idx = *pred_of.entry((attr, code)).or_insert_with(|| {
                     let slot = col_slot(table, attr, &mut slot_of, &mut cols);
                     preds.push((slot, code));
@@ -870,7 +768,7 @@ impl<'t> BitmaskScan<'t> {
     }
 }
 
-/// The default kernel over one contiguous row range: per-plan tallies
+/// The kernel over one contiguous row range: per-plan tallies
 /// for purely categorical plans, `num_cells` raw cells for the plans
 /// counted as cells, per-member tallies for the rest, counted a block at
 /// a time with the cancellation checkpoint at each block boundary —
@@ -910,100 +808,11 @@ fn scan_bitmask(
     }
 }
 
-/// The reference kernel over one contiguous row range: per row, the hash
-/// trees' subset walk finds the matched plans (the trees are shared
-/// read-only across shards; visit stamps live in this shard's private
-/// [`VisitScratch`]es), and each matched plan counts the row's
-/// quantitative point in its own [`RectCounter`].
-fn scan_direct(
-    table: &EncodedTable,
-    plans: &[SuperPlan],
-    index: &PlanIndex,
-    rows: Range<usize>,
-    cancel: Option<&CancelToken>,
-) -> ShardTally {
-    let started = Instant::now();
-    let mut counters: Vec<Option<RectCounter>> = plans
-        .iter()
-        .map(|plan| {
-            plan.kind
-                .map(|kind| RectCounter::build_shared(kind, &plan.dims, Arc::clone(&plan.rects)))
-        })
-        .collect();
-    let mut direct = vec![0u64; plans.len()];
-
-    // Hoisted column slices: categorical columns once for the tuple key,
-    // and each plan's quantitative columns once for the point lookup.
-    let cat_cols: Vec<(u32, &[u32])> = table
-        .schema()
-        .categorical_ids()
-        .into_iter()
-        .map(|id| (id.index() as u32, table.codes(id)))
-        .collect();
-    let plan_cols: Vec<Vec<&[u32]>> = plans
-        .iter()
-        .map(|plan| {
-            plan.quant_attrs
-                .iter()
-                .map(|&a| table.codes(AttributeId(a as usize)))
-                .collect()
-        })
-        .collect();
-    let mut scratches: Vec<VisitScratch> =
-        index.trees.values().map(|_| VisitScratch::new()).collect();
-    let mut cat_buf: Vec<u64> = Vec::with_capacity(cat_cols.len());
-    let mut matched: Vec<u32> = Vec::new();
-    let mut point: Vec<u32> = Vec::new();
-
-    let cancelled = scan_blocks(rows, cancel, |block| {
-        for row in block {
-            cat_buf.clear();
-            for &(attr, col) in &cat_cols {
-                cat_buf.push(cat_item_id(attr, col[row]));
-            }
-            matched.clear();
-            matched.extend_from_slice(&index.always);
-            for (tree, scratch) in index.trees.values().zip(&mut scratches) {
-                tree.for_each_subset_of_shared(scratch, &cat_buf, |_, &id| matched.push(id));
-            }
-            for &pi in &matched {
-                let pi = pi as usize;
-                match &mut counters[pi] {
-                    Some(counter) => {
-                        point.clear();
-                        for col in &plan_cols[pi] {
-                            point.push(col[row]);
-                        }
-                        counter.count_record(&point);
-                    }
-                    None => direct[pi] += 1,
-                }
-            }
-        }
-    });
-    let counts = plans
-        .iter()
-        .zip(counters)
-        .zip(direct)
-        .map(|((plan, counter), direct)| match counter {
-            Some(counter) if !cancelled => counter.finish(),
-            _ => vec![direct; plan.members.len()],
-        })
-        .collect();
-    ShardTally {
-        counts,
-        cells: Vec::new(),
-        scan_time: started.elapsed(),
-        cancelled,
-    }
-}
-
 /// Count the support of every candidate in one pass over `table`,
-/// scanning up to `opts.num_threads` contiguous row shards in parallel
-/// with the kernel `opts.kernel`.
+/// scanning up to `opts.num_threads` contiguous row shards in parallel.
 ///
-/// Counts are bit-identical for every option combination — threads and
-/// kernel are performance choices, never semantics (see module docs);
+/// Counts are bit-identical for every thread count — threads are a
+/// performance choice, never semantics (see module docs);
 /// `num_threads <= 1` runs the scan inline without spawning.
 /// Every shard checks `opts.cancel` every [`CANCEL_CHECK_INTERVAL`] of its
 /// own records and at the scan start, so a fired token stops the pass
@@ -1015,19 +824,12 @@ pub fn count_candidates(
     candidates: &[Itemset],
     opts: ScanOptions<'_>,
 ) -> Result<(Vec<u64>, PassStats), ScanCancelled> {
-    let (plans, mut stats, num_cells) = build_plans(table, candidates, opts.kernel);
-    let index = matches!(opts.kernel, ScanKernel::Direct(_)).then(|| PlanIndex::new(&plans));
-    stats.hash_tree_nodes = index.as_ref().map_or(0, |index| {
-        index.trees.values().map(HashTree::node_count).sum()
-    });
+    let (plans, mut stats, num_cells) = build_plans(table, candidates);
     let bounds = shard_bounds(table.num_rows(), opts.num_threads);
     stats.counter_bytes = stats.counter_bytes.saturating_mul(bounds.len());
     stats.pooled = bounds.len() > 1;
 
-    let scan = |rows: Range<usize>| match &index {
-        Some(index) => scan_direct(table, &plans, index, rows, opts.cancel),
-        None => scan_bitmask(table, &plans, num_cells, rows, opts.cancel),
-    };
+    let scan = |rows: Range<usize>| scan_bitmask(table, &plans, num_cells, rows, opts.cancel);
     let scan_started = Instant::now();
     let scan = &scan;
     let tallies: Vec<ShardTally> =
@@ -1372,25 +1174,6 @@ impl PairHistograms {
     }
 }
 
-/// Reference counter: test every candidate against every record directly.
-/// Exponentially simpler than the super-candidate machinery and used to
-/// validate it.
-pub fn count_candidates_naive(table: &EncodedTable, candidates: &[Itemset]) -> Vec<u64> {
-    let mut record: Vec<u32> = vec![0; table.schema().len()];
-    let mut counts = vec![0u64; candidates.len()];
-    for row in 0..table.num_rows() {
-        for (a, slot) in record.iter_mut().enumerate() {
-            *slot = table.codes(AttributeId(a))[row];
-        }
-        for (i, cand) in candidates.iter().enumerate() {
-            if cand.supported_by(&record) {
-                counts[i] += 1;
-            }
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1444,79 +1227,9 @@ mod tests {
         ]
     }
 
-    /// The bitmask kernel and the reference kernel under each backend
-    /// choice.
-    const KERNELS: [ScanKernel; 4] = [
-        ScanKernel::Bitmask,
-        ScanKernel::Direct(None),
-        ScanKernel::Direct(Some(CounterKind::Array)),
-        ScanKernel::Direct(Some(CounterKind::RTree)),
-    ];
-
-    /// An uncancellable scan of `cands` under `kernel` on `threads` shards.
-    fn count(
-        enc: &EncodedTable,
-        cands: &[Itemset],
-        kernel: ScanKernel,
-        threads: usize,
-    ) -> (Vec<u64>, PassStats) {
-        let opts = ScanOptions {
-            kernel,
-            ..ScanOptions::new(threads)
-        };
-        count_candidates(enc, cands, opts).unwrap()
-    }
-
-    #[test]
-    fn counts_match_naive() {
-        let enc = people();
-        let cands = candidates();
-        let naive = count_candidates_naive(&enc, &cands);
-        for kernel in KERNELS {
-            let (fast, stats) = count(&enc, &cands, kernel, 1);
-            assert_eq!(fast, naive, "{kernel:?}");
-            assert!(stats.super_candidates > 0);
-        }
-        assert_eq!(naive, vec![2, 2, 2, 3, 2]);
-    }
-
-    #[test]
-    fn super_candidate_grouping_counts() {
-        // Candidates 0 and... candidate 0 (married-Yes + age) and candidate 4
-        // (married-No + age) have different categorical parts -> different
-        // super-candidates. Candidates 1 & 3... candidate 1 has quant attrs
-        // {age, cars}, candidate 3 also {age, cars} and no categorical part
-        // -> same super-candidate.
-        let enc = people();
-        let cands = candidates();
-        let (_, stats) = count(&enc, &cands, ScanKernel::Direct(None), 1);
-        // Groups: {age,cars} (cands 1,3), {married=Yes}+{age} (cand 0),
-        // {married=Yes}+{cars} (cand 2), {married=No}+{age} (cand 4).
-        assert_eq!(stats.super_candidates, 4);
-        assert_eq!(stats.array_backed + stats.rtree_backed, 4);
-        assert_eq!(stats.kernel, "direct");
-    }
-
-    /// A pinned reference pass builds only the pinned backend, for every
-    /// super-candidate with a quantitative part, on every shard count.
-    #[test]
-    fn pinned_direct_pass_reports_only_its_backend() {
-        let (enc, cands) = mixed_wide();
-        for kind in [CounterKind::Array, CounterKind::RTree] {
-            for threads in [1, 3] {
-                let (_, stats) = count(&enc, &cands, ScanKernel::Direct(Some(kind)), threads);
-                let (pinned, other) = match kind {
-                    CounterKind::Array => (stats.array_backed, stats.rtree_backed),
-                    CounterKind::RTree => (stats.rtree_backed, stats.array_backed),
-                };
-                // 7 codes × 2 attribute sets and 2 purely quantitative
-                // groups have a backend; the purely categorical plan has
-                // none.
-                assert_eq!((pinned, other), (stats.super_candidates - 1, 0), "{kind:?}");
-                assert!(stats.hash_tree_nodes > 0);
-                assert_eq!(stats.kernel, "direct");
-            }
-        }
+    /// An uncancellable scan of `cands` on `threads` shards.
+    fn count(enc: &EncodedTable, cands: &[Itemset], threads: usize) -> (Vec<u64>, PassStats) {
+        count_candidates(enc, cands, ScanOptions::new(threads)).unwrap()
     }
 
     /// The default pass builds no hash tree and no R*-tree: it counts
@@ -1526,7 +1239,7 @@ mod tests {
     #[test]
     fn default_pass_reports_cells_and_no_trees() {
         let (enc, cands) = mixed_wide();
-        let (_, _, cells) = build_plans(&enc, &cands, ScanKernel::Bitmask);
+        let (_, _, cells) = build_plans(&enc, &cands);
         for threads in [1, 4] {
             let opts = ScanOptions::new(threads);
             let (_, stats) = count_candidates(&enc, &cands, opts).unwrap();
@@ -1541,66 +1254,9 @@ mod tests {
     }
 
     #[test]
-    fn purely_categorical_candidates() {
-        let schema = Schema::builder()
-            .categorical("a")
-            .categorical("b")
-            .build()
-            .unwrap();
-        let mut t = Table::new(schema);
-        for (a, b) in [("x", "u"), ("x", "v"), ("y", "u"), ("x", "u")] {
-            t.push_row(&[Value::from(a), Value::from(b)]).unwrap();
-        }
-        let enc = EncodedTable::encode_full_resolution(&t).unwrap();
-        let cands: Vec<Itemset> = vec![
-            vec![Item::value(0, 0), Item::value(1, 0)]
-                .into_iter()
-                .collect(), // x,u
-            vec![Item::value(0, 1), Item::value(1, 0)]
-                .into_iter()
-                .collect(), // y,u
-        ];
-        for kernel in KERNELS {
-            let (counts, stats) = count(&enc, &cands, kernel, 1);
-            assert_eq!(counts, vec![2, 1]);
-            assert_eq!(stats.array_backed + stats.rtree_backed, 0);
-        }
-    }
-
-    #[test]
-    fn purely_quantitative_candidates_always_match_group() {
-        let schema = Schema::builder()
-            .quantitative("x")
-            .quantitative("y")
-            .build()
-            .unwrap();
-        let mut t = Table::new(schema);
-        for (x, y) in [(1, 1), (2, 2), (3, 3), (4, 4)] {
-            t.push_row(&[Value::Int(x), Value::Int(y)]).unwrap();
-        }
-        let enc = EncodedTable::encode_full_resolution(&t).unwrap();
-        let cands: Vec<Itemset> = vec![
-            vec![Item::range(0, 0, 1), Item::range(1, 0, 1)]
-                .into_iter()
-                .collect(),
-            vec![Item::range(0, 2, 3), Item::range(1, 2, 3)]
-                .into_iter()
-                .collect(),
-            vec![Item::range(0, 0, 3), Item::range(1, 0, 0)]
-                .into_iter()
-                .collect(),
-        ];
-        for kernel in KERNELS {
-            let (counts, stats) = count(&enc, &cands, kernel, 1);
-            assert_eq!(counts, vec![2, 2, 1]);
-            assert_eq!(stats.super_candidates, 1, "one quant attr set");
-        }
-    }
-
-    #[test]
     fn empty_candidate_list() {
         let enc = people();
-        let (counts, stats) = count(&enc, &[], ScanKernel::Bitmask, 1);
+        let (counts, stats) = count(&enc, &[], 1);
         assert!(counts.is_empty());
         assert_eq!(stats.super_candidates, 0);
     }
@@ -1633,31 +1289,13 @@ mod tests {
         }
     }
 
-    /// Every thread count yields the serial counts exactly, across
-    /// kernels and backends.
-    #[test]
-    fn sharded_counts_equal_serial_for_all_thread_counts() {
-        let enc = people();
-        let cands = candidates();
-        for kernel in KERNELS {
-            let (serial, _) = count(&enc, &cands, kernel, 1);
-            for threads in [2, 3, 4, 5, 8, 64] {
-                let (sharded, stats) = count(&enc, &cands, kernel, threads);
-                assert_eq!(sharded, serial, "{kernel:?} threads={threads}");
-                // 5 rows: at most 5 shards regardless of the request.
-                assert!(stats.num_shards() <= 5);
-                assert_eq!(stats.shard_scan_times.len(), stats.num_shards());
-            }
-        }
-    }
-
     #[test]
     fn one_row_shards() {
         // rows == threads: every shard scans exactly one row.
         let enc = people();
         let cands = candidates();
-        let (serial, _) = count(&enc, &cands, ScanKernel::Bitmask, 1);
-        let (sharded, stats) = count(&enc, &cands, ScanKernel::Bitmask, 5);
+        let (serial, _) = count(&enc, &cands, 1);
+        let (sharded, stats) = count(&enc, &cands, 5);
         assert_eq!(sharded, serial);
         assert_eq!(stats.num_shards(), 5);
     }
@@ -1670,7 +1308,7 @@ mod tests {
         t.push_row(&[Value::Int(2)]).unwrap();
         let enc = EncodedTable::encode_full_resolution(&t).unwrap();
         let cands: Vec<Itemset> = vec![vec![Item::range(0, 0, 1)].into_iter().collect()];
-        let (counts, stats) = count(&enc, &cands, ScanKernel::Bitmask, 16);
+        let (counts, stats) = count(&enc, &cands, 16);
         assert_eq!(counts, vec![2]);
         assert_eq!(stats.num_shards(), 2, "clamped to one row per shard");
     }
@@ -1689,71 +1327,9 @@ mod tests {
         let enc = EncodedTable::encode_full_resolution(&t).unwrap();
         let cands: Vec<Itemset> = vec![vec![Item::value(1, 0)].into_iter().collect()];
         for threads in [1, 4] {
-            let (counts, stats) = count(&enc, &cands, ScanKernel::Bitmask, threads);
+            let (counts, stats) = count(&enc, &cands, threads);
             assert_eq!(counts, vec![0], "threads={threads}");
             assert_eq!(stats.num_shards(), 1, "empty table collapses to one shard");
-        }
-    }
-
-    /// A duplicate-heavy categorical table: 2 categorical attributes with
-    /// 2–3 labels over many rows, so a few distinct tuples cover all rows.
-    fn duplicate_heavy() -> EncodedTable {
-        let schema = Schema::builder()
-            .categorical("c0")
-            .categorical("c1")
-            .quantitative("q")
-            .build()
-            .unwrap();
-        let mut t = Table::new(schema);
-        for i in 0..60i64 {
-            let c0 = ["a", "b"][(i % 2) as usize];
-            let c1 = ["u", "v", "w"][(i % 3) as usize];
-            t.push_row(&[Value::from(c0), Value::from(c1), Value::Int(i % 5)])
-                .unwrap();
-        }
-        EncodedTable::encode_full_resolution(&t).unwrap()
-    }
-
-    fn duplicate_heavy_candidates() -> Vec<Itemset> {
-        let mut cands: Vec<Itemset> = Vec::new();
-        for c0 in 0..2u32 {
-            for c1 in 0..3u32 {
-                cands.push(
-                    vec![Item::value(0, c0), Item::value(1, c1)]
-                        .into_iter()
-                        .collect(),
-                );
-                cands.push(
-                    vec![Item::value(0, c0), Item::value(1, c1), Item::range(2, 0, 2)]
-                        .into_iter()
-                        .collect(),
-                );
-            }
-            cands.push(
-                vec![Item::value(0, c0), Item::range(2, 1, 4)]
-                    .into_iter()
-                    .collect(),
-            );
-        }
-        cands
-    }
-
-    /// Both kernels are bit-identical to the naive reference, for every
-    /// thread count, and report what counted in [`PassStats::kernel`].
-    #[test]
-    fn every_kernel_equals_naive_for_all_thread_counts() {
-        let enc = duplicate_heavy();
-        let cands = duplicate_heavy_candidates();
-        let naive = count_candidates_naive(&enc, &cands);
-        for threads in [1, 2, 4, 7] {
-            for (kernel, name) in [
-                (ScanKernel::Direct(None), "direct"),
-                (ScanKernel::Bitmask, "cells+bitmask"),
-            ] {
-                let (counts, stats) = count(&enc, &cands, kernel, threads);
-                assert_eq!(counts, naive, "threads={threads} {kernel:?}");
-                assert_eq!(stats.kernel, name);
-            }
         }
     }
 
@@ -1823,23 +1399,6 @@ mod tests {
         (enc, cands)
     }
 
-    /// The bitmask kernel matches the direct kernel and the naive
-    /// reference bit-for-bit across thread counts on a table whose blocks
-    /// hit the tail, pre-screen, and degenerate-rectangle paths.
-    #[test]
-    fn bitmask_matches_direct_on_mixed_wide_table() {
-        let (enc, cands) = mixed_wide();
-        let naive = count_candidates_naive(&enc, &cands);
-        let (direct, _) = count(&enc, &cands, ScanKernel::Direct(None), 1);
-        assert_eq!(direct, naive);
-        for threads in [1, 2, 3, 8] {
-            let (counts, stats) = count(&enc, &cands, ScanKernel::Bitmask, threads);
-            assert_eq!(counts, naive, "threads={threads}");
-            assert_eq!(stats.kernel, "cells+bitmask");
-            assert_eq!(stats.pooled, threads > 1, "threads={threads}");
-        }
-    }
-
     /// A table of the given code columns: quantitative attributes over
     /// `0..card` values, categorical ones over `card` sorted labels.
     fn coded_table(attrs: &[(bool, u32)], columns: Vec<Vec<u32>>, rows: usize) -> EncodedTable {
@@ -1877,24 +1436,6 @@ mod tests {
         )
     }
 
-    /// Count `cands` with the default kernel on 1, 2, 5 and 16 shards,
-    /// each equal to the reference kernel and the naive recount; returns
-    /// the serial pass's statistics.
-    fn default_equals_direct_and_naive(enc: &EncodedTable, cands: &[Itemset]) -> PassStats {
-        let naive = count_candidates_naive(enc, cands);
-        let (direct, _) = count(enc, cands, ScanKernel::Direct(None), 1);
-        assert_eq!(direct, naive, "direct");
-        let (serial, stats) = count(enc, cands, ScanKernel::Bitmask, 1);
-        assert_eq!(serial, naive, "threads=1");
-        for threads in [2, 5, 16] {
-            let (counts, sharded) = count(enc, cands, ScanKernel::Bitmask, threads);
-            assert_eq!(counts, naive, "threads={threads}");
-            assert_eq!(sharded.kernel, stats.kernel, "threads={threads}");
-            assert_eq!(sharded.shard_scan_times.len(), sharded.num_shards());
-        }
-        stats
-    }
-
     /// A table of `rows` rows over attributes `(quantitative, card)`,
     /// its codes drawn from `code(row, attribute)`.
     fn table_of(
@@ -1908,31 +1449,12 @@ mod tests {
         coded_table(attrs, columns, rows)
     }
 
-    /// Member rectangles reaching code 0 and the top code of each
-    /// dimension: the first and last gaps hold real codes, and a member
-    /// spanning the whole domain leaves the discard slot empty.
+    /// A cells plan's slots are its members' distinct breakpoints per
+    /// dimension; its cells are their product plus the sink.
     #[test]
-    fn cells_count_rectangles_at_both_domain_edges() {
-        let enc = table_of(&[(true, 9), (true, 7)], 1500, |r, a| {
-            (r * (3 + a) + r / 7) as u32
-        });
-        let cands: Vec<Itemset> = [(0, 8, 0, 6), (0, 0, 6, 6), (8, 8, 0, 0), (0, 3, 2, 6)]
-            .iter()
-            .map(|&(alo, ahi, blo, bhi)| {
-                Itemset::new(vec![Item::range(0, alo, ahi), Item::range(1, blo, bhi)])
-            })
-            .collect();
-        let stats = default_equals_direct_and_naive(&enc, &cands);
-        assert_eq!((stats.kernel.as_str(), stats.array_backed), ("cells", 1));
-    }
-
-    /// Codes outside every member land in the discard slot and count for
-    /// no member: members cover only the middle of each domain, with
-    /// uncovered gaps between them.
-    #[test]
-    fn cells_discard_codes_outside_every_member() {
-        let enc = table_of(&[(true, 20), (true, 12), (true, 6)], 2100, |r, a| {
-            (r * (5 + 2 * a) + r / 11) as u32
+    fn cells_plan_slots_cut_at_member_breakpoints() {
+        let enc = table_of(&[(true, 20), (true, 12), (true, 6)], 30, |r, a| {
+            (r + a) as u32
         });
         let cands: Vec<Itemset> = [(3, 5, 2, 4, 1, 2), (9, 9, 7, 9, 3, 3), (4, 10, 3, 3, 1, 4)]
             .iter()
@@ -1944,75 +1466,11 @@ mod tests {
                 ])
             })
             .collect();
-        let stats = default_equals_direct_and_naive(&enc, &cands);
-        assert_eq!((stats.kernel.as_str(), stats.array_backed), ("cells", 1));
-        let (plans, _, cells) = build_plans(&enc, &cands, ScanKernel::Bitmask);
+        let (plans, _, cells) = build_plans(&enc, &cands);
         let cell_plan = plans[0].cells.as_ref().unwrap();
         // Breakpoints {3, 4, 6, 9, 10, 11} × {2, 3, 4, 5, 7, 10} × {1, 3, 4, 5}.
         assert_eq!(cell_plan.slots, [6, 6, 4]);
         assert_eq!(cells, 6 * 6 * 4 + 1);
-    }
-
-    /// Plans with a categorical item (or two) and two or three range
-    /// dimensions: the categorical items filter rows into the sink, and
-    /// plans sharing range attributes but not categorical items keep
-    /// separate cells.
-    #[test]
-    fn cells_filter_rows_by_categorical_items() {
-        let attrs = [(false, 3), (true, 8), (false, 2), (true, 5), (true, 4)];
-        let enc = table_of(&attrs, 2600, |r, a| (r * (1 + a) + r / (3 + a)) as u32);
-        let mut cands = Vec::new();
-        for c in 0..3u32 {
-            for (lo, hi) in [(0, 2), (1, 7), (5, 7)] {
-                cands.push(Itemset::new(vec![
-                    Item::value(0, c),
-                    Item::range(1, lo, hi),
-                    Item::range(3, 1, 3),
-                ]));
-                cands.push(Itemset::new(vec![
-                    Item::value(0, c),
-                    Item::range(1, lo, hi),
-                    Item::value(2, c % 2),
-                    Item::range(3, 0, 4),
-                    Item::range(4, c, 3),
-                ]));
-            }
-        }
-        let stats = default_equals_direct_and_naive(&enc, &cands);
-        assert_eq!(stats.kernel, "cells");
-        assert_eq!(stats.array_backed, stats.super_candidates);
-        assert_eq!(stats.super_candidates, 6);
-    }
-
-    /// 3 dimensions with 205 breakpoints each (205³ cells) exceed the
-    /// cell budget: that plan falls back to range masks, with the same
-    /// counts; alone it is a bitmask pass, beside a plan that fits it is
-    /// a mixed one.
-    #[test]
-    fn over_budget_plans_fall_back_to_bitmask() {
-        let attrs = [(true, 240), (true, 230), (true, 220), (true, 4)];
-        let enc = table_of(&attrs, 1100, |r, a| (r * (7 + a) + r / 5) as u32);
-        let big: Vec<Itemset> = (0..204u32)
-            .map(|i| {
-                Itemset::new(vec![
-                    Item::range(0, i, i),
-                    Item::range(1, i, i + 3),
-                    Item::range(2, 0, i),
-                ])
-            })
-            .collect();
-        assert!(205usize.pow(3) > CELL_BUDGET);
-        let stats = default_equals_direct_and_naive(&enc, &big);
-        assert_eq!((stats.kernel.as_str(), stats.array_backed), ("bitmask", 0));
-
-        let mut mixed = big;
-        mixed.push(Itemset::new(vec![
-            Item::range(0, 3, 90),
-            Item::range(3, 1, 2),
-        ]));
-        let stats = default_equals_direct_and_naive(&enc, &mixed);
-        assert_eq!(stats.kernel, "cells+bitmask");
-        assert_eq!((stats.super_candidates, stats.array_backed), (2, 1));
     }
 
     /// A fired token stops a cells scan: the pass returns
@@ -2036,10 +1494,7 @@ mod tests {
                 Some(ScanCancelled)
             );
         }
-        assert_eq!(
-            count(&enc, &cands, ScanKernel::Bitmask, 1).1.kernel,
-            "cells"
-        );
+        assert_eq!(count(&enc, &cands, 1).1.kernel, "cells");
     }
 
     /// Folding scans joins kernel names part by part, never repeating
@@ -2067,37 +1522,6 @@ mod tests {
         let mut empty = PassStats::default();
         empty.absorb(&scan("cells+bitmask", 1));
         assert_eq!(empty.kernel, "cells+bitmask");
-    }
-
-    #[test]
-    fn pair_histograms_answer_every_rectangle() {
-        // age (3 codes) × cars (3 codes) over the five people rows.
-        let enc = people();
-        let mut hist = PairHistograms::new(&enc, vec![(0, 2), (1, 2)]);
-        hist.scan(&enc, ScanOptions::new(1)).unwrap();
-        assert_eq!(hist.cells().len(), 5 * 3 + 2 * 3);
-        assert_eq!(
-            hist.cells().iter().sum::<u64>(),
-            10,
-            "each row once per pair"
-        );
-        let raw = hist.clone();
-        hist.build_prefix_sums();
-        for (p, &(a, b)) in raw.pairs().iter().enumerate() {
-            let (ca, cb) = (
-                enc.cardinality(AttributeId(a as usize)),
-                enc.cardinality(AttributeId(b as usize)),
-            );
-            for (alo, ahi) in (0..ca).flat_map(|lo| (lo..ca).map(move |hi| (lo, hi))) {
-                for (blo, bhi) in (0..cb).flat_map(|lo| (lo..cb).map(move |hi| (lo, hi))) {
-                    let cand =
-                        Itemset::new(vec![Item::range(a, alo, ahi), Item::range(b, blo, bhi)]);
-                    let naive = count_candidates_naive(&enc, std::slice::from_ref(&cand))[0];
-                    let got = hist.rect_sum(p, Item::range(a, alo, ahi), Item::range(b, blo, bhi));
-                    assert_eq!(got, naive, "{cand}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -2177,101 +1601,5 @@ mod tests {
         assert_eq!(cell_groups(&[4, 4, 4], 8), vec![0..2, 2..3]);
         assert_eq!(cell_groups(&[20, 1, 1], 8), vec![0..1, 1..3]);
         assert_eq!(cell_groups(&[0, 0], 0), vec![0..2]);
-    }
-
-    /// Property: rectangle sums over pair histograms — scanned whole on
-    /// one or three shards, or over a table split at a random row and
-    /// merged pair by pair — equal the naive recount of random value,
-    /// range and span 2-itemsets on random categorical and quantitative
-    /// tables.
-    #[test]
-    fn pair_histograms_equal_naive_property() {
-        qar_prng::cases(64, 0x5EED_4242_0012, |case, rng| {
-            let num_attrs = rng.gen_range(2usize..6);
-            let attrs: Vec<(bool, u32)> = (0..num_attrs)
-                .map(|_| (rng.gen_bool(0.5), rng.gen_range(1u32..10)))
-                .collect();
-            let rows = *rng.choose(&[0usize, 1, 63, 64, 65, 200]).unwrap();
-            let columns: Vec<Vec<u32>> = attrs
-                .iter()
-                .map(|&(_, card)| {
-                    (0..rows)
-                        .map(|_| match rng.gen_range(0u32..3) {
-                            0 => 0,
-                            1 => card - 1,
-                            _ => rng.gen_range(0..card),
-                        })
-                        .collect()
-                })
-                .collect();
-            let table = coded_table(&attrs, columns, rows);
-
-            // Random value, range and span items on random attribute pairs.
-            let item = |rng: &mut qar_prng::Prng, attr: usize| {
-                let card = attrs[attr].1;
-                let lo = rng.gen_range(0..card);
-                let hi = if rng.gen_bool(0.5) {
-                    lo
-                } else {
-                    rng.gen_range(lo..card)
-                };
-                Item::range(attr as u32, lo, hi)
-            };
-            let candidates: Vec<Itemset> = (0..rng.gen_range(1usize..40))
-                .map(|_| {
-                    let a = rng.gen_range(0..num_attrs - 1);
-                    let b = rng.gen_range(a + 1..num_attrs);
-                    Itemset::new(vec![item(rng, a), item(rng, b)])
-                })
-                .collect();
-            let naive = count_candidates_naive(&table, &candidates);
-
-            let mut pairs: Vec<(u32, u32)> = candidates
-                .iter()
-                .map(|c| (c.items()[0].attr, c.items()[1].attr))
-                .collect();
-            pairs.sort_unstable();
-            pairs.dedup();
-            let cut = rng.gen_range(0..rows + 1);
-            let (left, right) = (slice_rows(&table, 0..cut), slice_rows(&table, cut..rows));
-            let mut split = PairHistograms::new(&table, pairs.clone());
-            split.scan(&left, ScanOptions::new(1)).unwrap();
-            let mut tail = PairHistograms::new(&table, pairs.clone());
-            tail.scan(&right, ScanOptions::new(2)).unwrap();
-            for p in 0..pairs.len() {
-                split.merge_pair_cells(p, tail.pair_cells(p));
-            }
-            for (name, mut hist) in
-                [("split", split)]
-                    .into_iter()
-                    .chain([1usize, 3].map(|threads| {
-                        let mut whole = PairHistograms::new(&table, pairs.clone());
-                        whole.scan(&table, ScanOptions::new(threads)).unwrap();
-                        ("whole", whole)
-                    }))
-            {
-                hist.build_prefix_sums();
-                let got: Vec<u64> = candidates
-                    .iter()
-                    .map(|c| {
-                        let [a, b] = c.items() else { unreachable!() };
-                        let p = pairs.binary_search(&(a.attr, b.attr)).unwrap();
-                        hist.rect_sum(p, *a, *b)
-                    })
-                    .collect();
-                assert_eq!(got, naive, "case {case}: {name}, cut {cut}");
-            }
-
-            // Two partitions' raw histograms merge into the whole table's.
-            let pairs: Vec<(u32, u32)> = (0..num_attrs as u32 - 1).map(|a| (a, a + 1)).collect();
-            let mut whole = PairHistograms::new(&table, pairs.clone());
-            whole.scan(&table, ScanOptions::new(2)).unwrap();
-            let mut merged = PairHistograms::new(&table, pairs.clone());
-            merged.scan(&left, ScanOptions::new(1)).unwrap();
-            let mut other = PairHistograms::new(&table, pairs);
-            other.scan(&right, ScanOptions::new(1)).unwrap();
-            merged.merge(&other);
-            assert_eq!(merged, whole, "case {case}: cut {cut}");
-        });
     }
 }

@@ -21,7 +21,7 @@ pub enum ReproCase {
     /// Bitmask-kernel case: boundary-skewed codes and degenerate (lo==hi)
     /// ranges, or a duplicate-heavy categorical table, mined with the
     /// blocked bitmask kernel, serial and pooled, cross-checked against
-    /// the direct serial scan.
+    /// a serial mine over [`crate::reference::ReferenceSource`].
     Kernel(MiningCase),
     /// Rule-analytics case: a mined ruleset's lift / conviction /
     /// leverage / chi² / p-value / J-measure cross-checked at 0 ulps

@@ -5,7 +5,7 @@
 //!
 //! 1. the full miner with `parallelism = 1` (the reference execution),
 //! 2. the full miner with `parallelism = threads` (sharded counting),
-//! 3. the brute-force [`naive_mine`] enumerator,
+//! 3. the brute-force [`naive_mine`] enumerator, down to its own level 1,
 //! 4. the boolean [`apriori()`] bridge, cross-checked against an independent
 //!    row-index-intersection enumerator over the encoded table,
 //! 5. a `.qarcat` save → load → query round trip,
@@ -19,15 +19,15 @@
 //! encoded table.
 
 use crate::case::{IncrementalCase, IntervalsCase, MiningCase, PartitionCase, ReproCase, SnapCase};
+use crate::reference::{naive_mine, scan_support, ReferenceSource};
 use qar_analytics::{chi2_p_value, AnalyticsConfig};
 use qar_apriori::apriori;
 use qar_apriori::bridge::to_transactions;
-use qar_core::naive::naive_mine;
 use qar_core::pipeline::build_encoders;
 use qar_core::source::Backing;
 use qar_core::{
     InterestConfig, InterestMode, ItemsetSetDelta, Miner, MinerConfig, MinerError, MiningOutput,
-    PartitionStrategy, QuantFrequentItemsets, RuleSetDelta, ScanKernel, SupportCounts, UpdateInput,
+    PartitionStrategy, QuantFrequentItemsets, RuleSetDelta, SupportCounts, UpdateInput,
 };
 use qar_dist::{DistOptions, DistSource, RangeInput, RangeLoad, WorkerOptions, WorkerSpawn};
 use qar_itemset::{Item, Itemset};
@@ -79,27 +79,43 @@ fn with_parallelism(config: &MinerConfig, threads: usize) -> MinerConfig {
     c
 }
 
-/// Bitmask-kernel oracle: the blocked bitmask scan must agree
-/// bit-for-bit with the direct serial scan, both on one thread (same
-/// shard boundaries, different counting loop) and pooled (different
-/// shard boundaries too). Generated tables either skew codes to the
-/// domain boundaries and include constant columns, so the kernel's tail
-/// masks, `lo == hi` range rows, and block pre-screening all execute, or
-/// are duplicate-heavy categorical tables, so multi-predicate plans
-/// share equality masks.
+/// Kernel oracle: the miner — the blocked bitmask scan, and pass 2's
+/// pair histograms — must agree bit-for-bit with a serial mine over the
+/// [`ReferenceSource`], which counts every pass ≥ 2 with the paper's own
+/// structures, both on one thread and pooled. Generated tables either
+/// skew codes to the domain boundaries and include constant columns, so
+/// the kernel's tail masks, `lo == hi` range rows, and block
+/// pre-screening all execute, or are duplicate-heavy categorical tables,
+/// so multi-predicate plans share equality masks.
 pub fn check_kernel(case: &MiningCase) -> Result<(), Divergence> {
-    let mut direct_cfg = with_parallelism(&case.config, 1);
-    direct_cfg.kernel = ScanKernel::Direct(None);
-    let mut bitmask_ser_cfg = with_parallelism(&case.config, 1);
-    bitmask_ser_cfg.kernel = ScanKernel::Bitmask;
-    let mut bitmask_par_cfg = with_parallelism(&case.config, case.threads.max(2));
-    bitmask_par_cfg.kernel = ScanKernel::Bitmask;
-
-    let direct = Miner::new(direct_cfg).mine(&case.table);
-    let bitmask_ser = Miner::new(bitmask_ser_cfg).mine(&case.table);
-    let bitmask_par = Miner::new(bitmask_par_cfg).mine(&case.table);
+    let config = with_parallelism(&case.config, 1);
+    let direct = mine_encoded(&case.table, &config, |encoded| {
+        qar_core::mine_source(
+            &mut ReferenceSource::new(encoded, None, 1),
+            &config,
+            None,
+            None,
+        )
+    });
+    let bitmask_ser = Miner::new(config.clone()).mine(&case.table);
+    let bitmask_par =
+        Miner::new(with_parallelism(&case.config, case.threads.max(2))).mine(&case.table);
     compare_paths("bitmask-serial-vs-direct", &direct, &bitmask_ser)?;
     compare_paths("bitmask-parallel-vs-direct", &direct, &bitmask_par)
+}
+
+/// Steps 1-2 as the miner runs them (the factored-out builder the CLI's
+/// distributed path uses too), then `mine` over the encoded table.
+fn mine_encoded(
+    table: &Table,
+    config: &MinerConfig,
+    mine: impl FnOnce(&EncodedTable) -> Result<MiningOutput, MinerError>,
+) -> Result<MiningOutput, MinerError> {
+    let (encoders, intervals) = build_encoders(table, config)?;
+    let encoded = EncodedTable::encode(table, encoders)?;
+    let mut out = mine(&encoded)?;
+    out.stats.intervals_per_attribute = intervals;
+    Ok(out)
 }
 
 /// Count-distribution oracle: the distributed coordinator over
@@ -121,15 +137,11 @@ pub fn check_distributed(case: &MiningCase) -> Result<(), Divergence> {
         spawn: WorkerSpawn::Threads(WorkerOptions::default()),
         ..DistOptions::default()
     };
-    // Steps 1-2 (partitioning, encoding) run on the coordinator with the
-    // factored-out builder — the same one the CLI's distributed path uses.
-    let distributed = build_encoders(&case.table, &config).and_then(|(encoders, intervals)| {
-        let encoded = EncodedTable::encode(&case.table, encoders).map_err(MinerError::from)?;
+    // Steps 1-2 (partitioning, encoding) run on the coordinator.
+    let distributed = mine_encoded(&case.table, &config, |encoded| {
         let mut source =
-            DistSource::start(Backing::Memory(&encoded), &config, &options, None, None)?;
-        let mut out = qar_core::mine_source(&mut source, &config, None, None)?;
-        out.stats.intervals_per_attribute = intervals;
-        Ok(out)
+            DistSource::start(Backing::Memory(encoded), &config, &options, None, None)?;
+        qar_core::mine_source(&mut source, &config, None, None)
     });
     compare_paths("distributed-vs-serial", &serial, &distributed)?;
     compare_catalog_bytes("distributed-catalog-bytes", &serial, &distributed)?;
@@ -466,23 +478,6 @@ fn ref_bh(p: &[f64]) -> Vec<f64> {
     adjusted
 }
 
-/// Exact support count of an itemset by direct row iteration — the
-/// independent counting path (the production paths count via
-/// frequent-itemset lookups or the store's memoized scan).
-fn ref_count(encoded: &EncodedTable, set: &Itemset) -> u64 {
-    let mut record: Vec<u32> = vec![0; encoded.schema().len()];
-    let mut count = 0;
-    for row in 0..encoded.num_rows() {
-        for (a, slot) in record.iter_mut().enumerate() {
-            *slot = encoded.codes(AttributeId(a))[row];
-        }
-        if set.supported_by(&record) {
-            count += 1;
-        }
-    }
-    count
-}
-
 fn ulps_eq(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits()
 }
@@ -524,8 +519,8 @@ pub fn check_analytics(case: &MiningCase) -> Result<(), Divergence> {
     let n = out.frequent.num_rows;
     let mut ref_p = Vec::with_capacity(out.rules.len());
     for (i, (rule, got)) in out.rules.iter().zip(&set.rules).enumerate() {
-        let count_a = ref_count(&out.encoded, &rule.antecedent);
-        let count_c = ref_count(&out.encoded, &rule.consequent);
+        let count_a = scan_support(&out.encoded, &rule.antecedent);
+        let count_c = scan_support(&out.encoded, &rule.consequent);
         if got.count_antecedent != count_a || got.count_consequent != count_c {
             return Err(div(
                 "analytics-counts",

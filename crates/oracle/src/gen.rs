@@ -209,7 +209,6 @@ fn gen_mining(rng: &mut Prng) -> MiningCase {
         interest,
         max_itemset_size: *rng.choose(&[0, 0, 0, 1, 2, 3]).expect("non-empty"),
         parallelism: None,
-        kernel: Default::default(),
     };
     MiningCase {
         table,
@@ -261,7 +260,6 @@ fn gen_kernel_duplicate_heavy(rng: &mut Prng) -> MiningCase {
         interest: None,
         max_itemset_size: *rng.choose(&[0, 0, 2, 3]).expect("non-empty"),
         parallelism: None,
-        kernel: Default::default(),
     };
     MiningCase {
         table,
@@ -306,8 +304,8 @@ fn gen_taxonomies(rng: &mut Prng, schema: &Schema) -> BTreeMap<String, Taxonomy>
 /// straddling the kernel's 64-bit word and block edges — plus occasional
 /// empty tables and impossible supports so the plan list itself can be
 /// empty. Either shape may carry a taxonomy on a categorical attribute
-/// ([`gen_taxonomies`]). The checker compares the default kernel serial
-/// and pooled against direct serial.
+/// ([`gen_taxonomies`]). The checker compares the miner serial and
+/// pooled against a serial mine over the reference count source.
 fn gen_kernel(rng: &mut Prng) -> MiningCase {
     if rng.gen_bool(0.5) {
         return gen_kernel_duplicate_heavy(rng);
@@ -384,7 +382,6 @@ fn gen_kernel(rng: &mut Prng) -> MiningCase {
         interest: None,
         max_itemset_size: *rng.choose(&[0, 0, 2, 3]).expect("non-empty"),
         parallelism: None,
-        kernel: Default::default(),
     };
     MiningCase {
         table,

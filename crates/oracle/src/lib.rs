@@ -5,15 +5,16 @@
 //! repo has for the same question: serial vs parallel mining, the
 //! brute-force enumerator, the boolean apriori bridge, the `.qarcat`
 //! save → load → query round trip, the blocked bitmask kernel (serial
-//! and pooled) against the direct serial scan on boundary-skewed and on
-//! duplicate-heavy categorical tables, count-distribution distributed
-//! mining over worker threads against the single-process miner (down to
-//! byte-identical normalized catalogs), and incremental catalog updates
-//! (mine the base, merge a delta-only scan into the persisted counts)
-//! against a from-scratch mine of base+delta down to byte-identical
-//! catalogs including the `COUNTS` section. On divergence the case is shrunk to a
-//! minimal repro and rendered as a self-contained text fixture that
-//! [`repro::parse`] turns back into an executable case.
+//! and pooled) against the paper's counting in [`mod@reference`] on
+//! boundary-skewed and on duplicate-heavy categorical tables,
+//! count-distribution distributed mining over worker threads against the
+//! single-process miner (down to byte-identical normalized catalogs), and
+//! incremental catalog updates (mine the base, merge a delta-only scan
+//! into the persisted counts) against a from-scratch mine of base+delta
+//! down to byte-identical catalogs including the `COUNTS` section. On
+//! divergence the case is shrunk to a minimal repro and rendered as a
+//! self-contained text fixture that [`repro::parse`] turns back into an
+//! executable case.
 //!
 //! The crate does no I/O: [`run_fuzz`] returns fixture *strings*; writing
 //! them under `tests/fuzz_repros/` is the CLI's job.
@@ -23,6 +24,7 @@
 pub mod case;
 pub mod check;
 pub mod gen;
+pub mod reference;
 pub mod repro;
 pub mod shrink;
 

@@ -263,7 +263,6 @@ pub fn parse(text: &str) -> Result<ReproCase, ReproError> {
                 interest,
                 max_itemset_size: parse_usize(get("max_itemset_size")?, "max_itemset_size")?,
                 parallelism: None,
-                kernel: Default::default(),
             };
             let case = MiningCase {
                 table,
@@ -395,7 +394,6 @@ mod tests {
                 }),
                 max_itemset_size: 2,
                 parallelism: None,
-                kernel: Default::default(),
             },
             threads: 4,
         })

@@ -41,7 +41,6 @@ fn main() {
         }),
         max_itemset_size: 0,
         parallelism: None,
-        kernel: Default::default(),
     };
 
     let output = Miner::new(config)

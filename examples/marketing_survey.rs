@@ -38,7 +38,6 @@ fn main() {
         }),
         max_itemset_size: 2,
         parallelism: None,
-        kernel: Default::default(),
     };
     let output = Miner::new(config)
         .mine(&data.table)

@@ -23,7 +23,6 @@ fn main() {
         interest: None,
         max_itemset_size: 0,
         parallelism: None,
-        kernel: Default::default(),
     };
 
     let output = Miner::new(config)

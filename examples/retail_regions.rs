@@ -70,7 +70,6 @@ fn main() {
         interest: None,
         max_itemset_size: 2,
         parallelism: None,
-        kernel: Default::default(),
     };
     let out = Miner::new(config).mine(&table).expect("mining succeeds");
     println!(

@@ -146,6 +146,13 @@ grep -q '"dup_bitmask_speedup_4t"' "$STORE_DIR/bench_scan.json"
 grep -q '"distinct_bitmask_ratio_4t"' "$STORE_DIR/bench_scan.json"
 grep -q '"distinct_bitmask_speedup_1t"' "$STORE_DIR/bench_scan.json"
 
+echo "==> ablation smoke (every counting arm agrees; a pinned backend builds only itself)"
+# The Section 5.2 ablation mines one table with the miner and with the
+# oracle's reference source (heuristic, array-pinned, R*-tree-pinned)
+# and panics when the arms find different itemset counts or a pinned
+# arm builds the other backend.
+./target/release/ablation 5000 > /dev/null
+
 echo "==> analytics smoke (mine --analytics -> query --by chi2 -> store-check -> trace-check)"
 # Mine the planted dataset with the rule-quality analytics pass, rank the
 # catalog by a statistic that only exists in the ANALYTICS section, and

@@ -964,7 +964,6 @@ fn mine_command(f: &Flags<'_>) -> Result<Command, CliError> {
         interest,
         max_itemset_size: f.usize_or("max-size", 0)?,
         parallelism: std::num::NonZeroUsize::new(f.threads()?),
-        kernel: Default::default(),
     };
     config.validate().map_err(|e| err(e.to_string()))?;
     let format = f.format()?;
@@ -3128,7 +3127,6 @@ mod tests {
             PartitionSpec::CompletenessLevel(2.0)
         );
         assert!(args.config.interest.is_none());
-        assert_eq!(args.config.kernel, qar_core::ScanKernel::Bitmask);
         assert_eq!(args.top, 50);
     }
 

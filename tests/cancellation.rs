@@ -40,7 +40,6 @@ fn config() -> MinerConfig {
         interest: None,
         max_itemset_size: 0,
         parallelism: None,
-        kernel: Default::default(),
     }
 }
 
@@ -258,4 +257,83 @@ fn tripped_token_on_a_step3_cache_hit_is_cancelled() {
         .mine(&table)
         .expect("fresh");
     assert_eq!(hit.rules, fresh.rules);
+}
+
+/// Records when pass 2 finished and when pass 3 started — the span of
+/// pass 3's candidate generation — and trips `token` at the start of
+/// pass 3, so a calibration run stops before counting it.
+struct JoinSpanSink {
+    token: CancelToken,
+    started: std::time::Instant,
+    span: std::sync::Mutex<(Duration, Duration)>,
+}
+
+impl ProgressSink for JoinSpanSink {
+    fn on_event(&self, event: &TraceEvent) {
+        let mut span = self.span.lock().unwrap();
+        match event {
+            TraceEvent::PassFinished { pass: 2, .. } => span.0 = self.started.elapsed(),
+            TraceEvent::PassStarted { pass: 3, .. } => {
+                span.1 = self.started.elapsed();
+                self.token.cancel();
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A deadline that expires inside pass 3's join stops it there: the run
+/// ends in `Cancelled` naming candidate generation, with pass 2's
+/// statistics. Three quantitative attributes over every triple of 11
+/// codes make every range of every attribute frequent (66 each), every
+/// pair of them too, and the join build 66³ ≈ 287k candidates out of
+/// 13k pairs. A calibration run times the join; the deadline is then set
+/// to expire at its midpoint.
+#[test]
+fn deadline_inside_the_candidate_join_is_cancelled() {
+    const CODES: i64 = 11;
+    let schema = Schema::builder()
+        .quantitative("a")
+        .quantitative("b")
+        .quantitative("d")
+        .build()
+        .unwrap();
+    let mut table = Table::new(schema);
+    for i in 0..CODES.pow(3) {
+        let row = [i % CODES, i / CODES % CODES, i / CODES / CODES].map(Value::Int);
+        table.push_row(&row).unwrap();
+    }
+    let config = MinerConfig {
+        min_support: 1e-6,
+        ..config()
+    };
+    let token = CancelToken::new();
+    let sink = Arc::new(JoinSpanSink {
+        token: token.clone(),
+        started: std::time::Instant::now(),
+        span: Default::default(),
+    });
+    let calibration = Miner::new(config.clone())
+        .with_progress(sink.clone())
+        .with_cancel(token)
+        .mine(&table);
+    assert!(matches!(calibration, Err(MinerError::Cancelled(_))));
+    let (pass2_done, join_done) = *sink.span.lock().unwrap();
+    assert!(join_done > pass2_done, "{pass2_done:?} then {join_done:?}");
+
+    let deadline = CancelToken::with_deadline(pass2_done + (join_done - pass2_done) / 2);
+    match Miner::new(config).with_cancel(deadline).mine(&table) {
+        Err(MinerError::Cancelled(info)) => {
+            assert_eq!(info.phase, Some("candidate generation"), "{info:?}");
+            assert_eq!(info.pass, 3);
+            assert!(info.deadline_exceeded);
+            assert_eq!(info.stats.pass_stats.len(), 1, "pass 2 finished");
+            assert_eq!(
+                info.stats.candidates_per_pass.len(),
+                1,
+                "pass 3 never started"
+            );
+        }
+        other => panic!("expected Cancelled, got {:?}", other.map(|_| "output")),
+    }
 }

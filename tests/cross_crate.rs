@@ -52,7 +52,6 @@ fn no_combining_config(minsup: f64) -> MinerConfig {
         interest: None,
         max_itemset_size: 0,
         parallelism: None,
-        kernel: Default::default(),
     }
 }
 
@@ -231,7 +230,6 @@ fn pipeline_is_deterministic() {
         }),
         max_itemset_size: 0,
         parallelism: None,
-        kernel: Default::default(),
     };
     let a = Miner::new(config.clone()).mine(&table).expect("run 1");
     let b = Miner::new(config.clone()).mine(&table).expect("run 2");

@@ -16,7 +16,6 @@ fn base_config() -> MinerConfig {
         interest: None,
         max_itemset_size: 0,
         parallelism: None,
-        kernel: Default::default(),
     }
 }
 

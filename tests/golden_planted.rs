@@ -32,7 +32,6 @@ fn config(parallelism: Option<NonZeroUsize>) -> MinerConfig {
         interest: None,
         max_itemset_size: 2,
         parallelism,
-        kernel: Default::default(),
     }
 }
 

@@ -97,7 +97,6 @@ fn partitioned_mining_is_k_complete() {
         interest: None,
         max_itemset_size: 2,
         parallelism: None,
-        kernel: Default::default(),
     };
 
     // Reference: raw values (no partitioning).

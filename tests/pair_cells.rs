@@ -5,10 +5,13 @@
 //! in the catalog's `COUNTS` section. This suite checks that every source
 //! — in memory, spilled chunks, a thread-spawned worker cluster, base
 //! counts merged with a delta, a wrapper that forwards only the four
-//! required methods, and a pinned counting backend — fills the same
-//! cells as a per-row tally and writes the same catalog bytes, and that
-//! incremental updates follow the pair-subset rule.
+//! required methods, and the oracle's reference source with the paper's
+//! backend heuristic or a pinned backend — fills the same cells as a
+//! per-row tally and writes the same catalog bytes, and that incremental
+//! updates follow the pair-subset rule.
 
+use qar_oracle::reference::ReferenceSource;
+use quantrules::core::mine::MineStats;
 use quantrules::core::pipeline::{build_encoders, MiningOutput};
 use quantrules::core::source::Backing;
 use quantrules::core::supercand::{PairHistograms, CELL_BUDGET};
@@ -177,12 +180,18 @@ fn check_every_source(raw: &Table, config: &MinerConfig, cut: usize, ctx: &str) 
     let mut forwarding = Forwarding(InMemorySource::new(&table, config));
     let mut delta_source = InMemorySource::new(&delta, config);
     let mut merge = MergeSource::new(&base, Some(&mut delta_source), meta.clone());
+    let mut reference = ReferenceSource::new(&table, None, 1);
+    let mut array = ReferenceSource::new(&table, Some(CounterKind::Array), 2);
+    let mut rtree = ReferenceSource::new(&table, Some(CounterKind::RTree), 3);
     let mut sources: Vec<(&str, &mut dyn CountSource)> = vec![
         ("in-memory", &mut in_memory),
         ("chunked", &mut chunked),
         ("distributed", &mut dist),
         ("forwarding", &mut forwarding),
         ("merge", &mut merge),
+        ("reference", &mut reference),
+        ("reference array", &mut array),
+        ("reference rtree", &mut rtree),
     ];
     for (name, source) in &mut sources {
         let mut hist = PairHistograms::new(&table, pairs.clone());
@@ -191,12 +200,14 @@ fn check_every_source(raw: &Table, config: &MinerConfig, cut: usize, ctx: &str) 
     }
 
     let scratch = captured_catalog(&mut InMemorySource::new(&table, config), config, &intervals);
-    let pinned = |kind| {
-        let mut miner = Miner::new(config.clone()).with_counter(kind);
-        miner.mine_with_counts(raw).map(|(output, counts)| {
-            assert_eq!(counts.captured.value_counts.len(), table.schema().len());
-            assert_pinned_pass2(&table, config, &counts.captured, kind, ctx);
-            catalog_bytes(output, counts.captured, config, &intervals)
+    let reference = |pin: Option<CounterKind>| {
+        let mut source = ReferenceSource::new(&table, pin, 2);
+        mine_source_captured(&mut source, config, None, None).map(|(output, captured)| {
+            assert_eq!(captured.value_counts.len(), table.schema().len());
+            if let Some(kind) = pin {
+                assert_pinned_pass2(&table, config, &output.stats.mine, &captured, kind, ctx);
+            }
+            catalog_bytes(output, captured, config, &intervals)
         })
     };
     if table.schema().len() == 1 {
@@ -237,8 +248,8 @@ fn check_every_source(raw: &Table, config: &MinerConfig, cut: usize, ctx: &str) 
             captured_catalog(&mut *source, config, &intervals),
         ));
     }
-    for kind in [CounterKind::Array, CounterKind::RTree] {
-        outcomes.push((format!("pinned {kind:?}"), pinned(kind)));
+    for pin in [None, Some(CounterKind::Array), Some(CounterKind::RTree)] {
+        outcomes.push((format!("reference {pin:?}"), reference(pin)));
     }
     if let Some(base_run) = &base_run {
         let mut merge = MergeSource::new(base_run, Some(&mut delta_source), meta);
@@ -267,14 +278,11 @@ fn check_every_source(raw: &Table, config: &MinerConfig, cut: usize, ctx: &str) 
 fn assert_pinned_pass2(
     table: &EncodedTable,
     config: &MinerConfig,
+    stats: &MineStats,
     captured: &CapturedCounts,
     kind: CounterKind,
     ctx: &str,
 ) {
-    let (_, stats) = Miner::new(config.clone())
-        .with_counter(kind)
-        .frequent_itemsets(table)
-        .expect("the pinned capture mined this table");
     if config.max_itemset_size == 1 {
         assert!(stats.candidates_per_pass.is_empty(), "{ctx}, {kind:?}");
     }

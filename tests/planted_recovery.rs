@@ -16,7 +16,6 @@ fn config() -> MinerConfig {
         interest: None,
         max_itemset_size: 2,
         parallelism: None,
-        kernel: Default::default(),
     }
 }
 
@@ -135,7 +134,7 @@ fn supports_reported_are_exact_counts() {
     // Spot-check a sample of reported rules against a raw scan.
     for rule in out.rules.iter().step_by(97) {
         let both = rule.itemset();
-        let recount = quantrules::core::supercand::count_candidates_naive(
+        let recount = qar_oracle::reference::count_candidates_naive(
             &out.encoded,
             &[both.clone(), rule.antecedent.clone()],
         );

@@ -3,10 +3,10 @@
 //! reference, a parallel run must agree exactly with a serial one, and the
 //! outputs must satisfy the paper's definitional invariants.
 
+use qar_oracle::reference::{count_candidates_naive, count_direct, naive_mine, ReferenceSource};
 use qar_prng::{cases, Prng};
-use quantrules::core::naive::naive_mine;
 use quantrules::core::{
-    generate_rules, ItemsetSetDelta, Miner, MinerConfig, PartitionSpec, RuleSetDelta,
+    generate_rules, mine_source, ItemsetSetDelta, Miner, MinerConfig, PartitionSpec, RuleSetDelta,
 };
 use quantrules::table::{EncodedTable, Schema, Table, Value};
 use std::num::NonZeroUsize;
@@ -75,7 +75,6 @@ fn base_config() -> MinerConfig {
         interest: None,
         max_itemset_size: 0,
         parallelism: None,
-        kernel: Default::default(),
     }
 }
 
@@ -144,8 +143,8 @@ fn parallel_mining_equals_serial() {
 }
 
 /// The scan-kernel equivalence property on both table shapes: the
-/// bitmask scan must count every candidate bit-identically to the direct
-/// reference scan and to the brute-force recount, at any thread count,
+/// bitmask scan must count every candidate bit-identically to the paper's
+/// direct scan in the oracle's reference and to the brute-force recount, at any thread count,
 /// on duplicate-heavy tables (small domains, so categorical tuples repeat
 /// on nearly every row) and on all-distinct ones (every row's
 /// categorical tuple unique). Candidates are the miner's own frequent
@@ -153,8 +152,7 @@ fn parallel_mining_equals_serial() {
 /// categorical plans occur on both shapes.
 #[test]
 fn bitmask_scan_equals_direct_on_duplicate_heavy_and_all_distinct_tables() {
-    use quantrules::core::supercand::{count_candidates, count_candidates_naive, ScanOptions};
-    use quantrules::core::ScanKernel;
+    use quantrules::core::supercand::{count_candidates, ScanOptions};
     use quantrules::itemset::{Item, Itemset};
     cases(48, 0x5EED_4242_0006, |case, rng| {
         let shapes = [
@@ -183,27 +181,21 @@ fn bitmask_scan_equals_direct_on_duplicate_heavy_and_all_distinct_tables() {
             }
             let naive = count_candidates_naive(&encoded, &candidates);
             for threads in [1usize, 2, 4, 7] {
-                for kernel in [ScanKernel::Direct(None), ScanKernel::Bitmask] {
-                    let opts = ScanOptions {
-                        kernel,
-                        ..ScanOptions::new(threads)
-                    };
-                    let (counts, stats) =
-                        count_candidates(&encoded, &candidates, opts).expect("no cancel token");
-                    assert_eq!(
-                        counts, naive,
-                        "case {case}: {shape}, threads {threads}, {kernel:?}"
-                    );
-                    let expected: &[&str] = match kernel {
-                        ScanKernel::Direct(_) => &["direct"],
-                        ScanKernel::Bitmask => &DEFAULT_KERNELS,
-                    };
-                    assert!(
-                        expected.contains(&stats.kernel.as_str()),
-                        "case {case}: {shape}, {kernel:?} reported `{}`",
-                        stats.kernel
-                    );
-                }
+                let (direct, stats) = count_direct(&encoded, &candidates, None, threads);
+                assert_eq!(
+                    direct, naive,
+                    "case {case}: {shape}, threads {threads}, direct"
+                );
+                assert_eq!(stats.kernel, "direct", "case {case}: {shape}");
+                let (counts, stats) =
+                    count_candidates(&encoded, &candidates, ScanOptions::new(threads))
+                        .expect("no cancel token");
+                assert_eq!(counts, naive, "case {case}: {shape}, threads {threads}");
+                assert!(
+                    DEFAULT_KERNELS.contains(&stats.kernel.as_str()),
+                    "case {case}: {shape} reported `{}`",
+                    stats.kernel
+                );
             }
         }
     });
@@ -217,8 +209,7 @@ fn bitmask_scan_equals_direct_on_duplicate_heavy_and_all_distinct_tables() {
 /// pre-screening both occur.
 #[test]
 fn bitmask_scan_equals_direct_and_naive() {
-    use quantrules::core::supercand::{count_candidates, count_candidates_naive, ScanOptions};
-    use quantrules::core::ScanKernel;
+    use quantrules::core::supercand::{count_candidates, ScanOptions};
     cases(48, 0x5EED_4242_0007, |case, rng| {
         let table = arbitrary_table(rng);
         let config = MinerConfig {
@@ -235,16 +226,7 @@ fn bitmask_scan_equals_direct_and_naive() {
             return;
         }
         let naive = count_candidates_naive(&encoded, &candidates);
-        let direct = count_candidates(
-            &encoded,
-            &candidates,
-            ScanOptions {
-                kernel: ScanKernel::Direct(None),
-                ..ScanOptions::new(1)
-            },
-        )
-        .expect("no cancel token")
-        .0;
+        let (direct, _) = count_direct(&encoded, &candidates, None, 1);
         assert_eq!(direct, naive, "case {case}: direct vs naive");
         for threads in [1usize, 2, 4, 7] {
             let (counts, stats) =
@@ -282,10 +264,7 @@ fn rules_satisfy_definitions() {
             let cons = rule.consequent.attributes();
             assert!(ants.iter().all(|a| !cons.contains(a)), "case {case}");
             // Confidence and support are exact recounts.
-            let both = quantrules::core::supercand::count_candidates_naive(
-                &encoded,
-                &[rule.itemset(), rule.antecedent.clone()],
-            );
+            let both = count_candidates_naive(&encoded, &[rule.itemset(), rule.antecedent.clone()]);
             assert_eq!(rule.support, both[0], "case {case}");
             let conf = both[0] as f64 / both[1] as f64;
             assert!((rule.confidence - conf).abs() < 1e-12, "case {case}");
@@ -322,8 +301,8 @@ fn minsup_monotone() {
     });
 }
 
-/// The counting backends agree end to end: the reference kernel pinned
-/// to the array, pinned to the R*-tree, and the default bitmask kernel.
+/// The counting backends agree end to end: the reference source pinned
+/// to the array, pinned to the R*-tree, and the miner's own kernel.
 #[test]
 fn backends_agree() {
     cases(48, 0x5EED_4242_0004, |case, rng| {
@@ -334,19 +313,11 @@ fn backends_agree() {
         let (auto, _) = Miner::new(config.clone())
             .frequent_itemsets(&encoded)
             .expect("auto");
-        let (arr, _) = Miner::new(config.clone())
-            .with_counter(CounterKind::Array)
-            .frequent_itemsets(&encoded)
-            .expect("array");
-        let (rt, _) = Miner::new(config.clone())
-            .with_counter(CounterKind::RTree)
-            .frequent_itemsets(&encoded)
-            .expect("rtree");
-        assert_eq!(auto.total(), arr.total(), "case {case}");
-        assert_eq!(auto.total(), rt.total(), "case {case}");
-        for (itemset, count) in auto.iter() {
-            assert_eq!(arr.support_of(itemset), Some(*count), "case {case}");
-            assert_eq!(rt.support_of(itemset), Some(*count), "case {case}");
+        for (kind, threads) in [(CounterKind::Array, 1), (CounterKind::RTree, 3)] {
+            let mut source = ReferenceSource::new(&encoded, Some(kind), threads);
+            let pinned = mine_source(&mut source, &config, None, None).expect("pinned");
+            let delta = ItemsetSetDelta::between(&auto, &pinned.frequent);
+            assert!(delta.is_empty(), "case {case}, {kind:?}: {delta}");
         }
     });
 }

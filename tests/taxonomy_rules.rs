@@ -66,7 +66,6 @@ fn config_with_taxonomy() -> MinerConfig {
         interest: None,
         max_itemset_size: 0,
         parallelism: None,
-        kernel: Default::default(),
     }
 }
 
@@ -108,7 +107,7 @@ fn taxonomy_supports_are_exact() {
         .mine(&table)
         .expect("mining succeeds");
     for (itemset, count) in out.frequent.iter() {
-        let recount = quantrules::core::supercand::count_candidates_naive(
+        let recount = qar_oracle::reference::count_candidates_naive(
             &out.encoded,
             std::slice::from_ref(itemset),
         )[0];

@@ -23,7 +23,6 @@ fn config() -> MinerConfig {
         interest: None,
         max_itemset_size: 0,
         parallelism: None,
-        kernel: Default::default(),
     }
 }
 
