@@ -168,11 +168,12 @@ fn measure(
     let label = format!("{table_name} {exec} {kernel}");
     let sample = bench(&label, || match kernel {
         "direct" => count_direct(encoded, cands, None, threads).0,
-        _ => {
+        "bitmask" => {
             count_candidates(encoded, cands, ScanOptions::new(threads))
                 .expect("no cancel token")
                 .0
         }
+        other => unreachable!("no kernel named {other}"),
     });
     let rows_per_sec = rows / sample.median.as_secs_f64();
     let json = json_line(

@@ -288,7 +288,7 @@ impl ProgressSink for JoinSpanSink {
 /// codes make every range of every attribute frequent (66 each), every
 /// pair of them too, and the join build 66³ ≈ 287k candidates out of
 /// 13k pairs. A calibration run times the join; the deadline is then set
-/// to expire at its midpoint.
+/// to expire at its midpoint, re-measured for each of up to five tries.
 #[test]
 fn deadline_inside_the_candidate_join_is_cancelled() {
     const CODES: i64 = 11;
@@ -307,33 +307,46 @@ fn deadline_inside_the_candidate_join_is_cancelled() {
         min_support: 1e-6,
         ..config()
     };
-    let token = CancelToken::new();
-    let sink = Arc::new(JoinSpanSink {
-        token: token.clone(),
-        started: std::time::Instant::now(),
-        span: Default::default(),
-    });
-    let calibration = Miner::new(config.clone())
-        .with_progress(sink.clone())
-        .with_cancel(token)
-        .mine(&table);
-    assert!(matches!(calibration, Err(MinerError::Cancelled(_))));
-    let (pass2_done, join_done) = *sink.span.lock().unwrap();
-    assert!(join_done > pass2_done, "{pass2_done:?} then {join_done:?}");
+    // The deadline is a wall-clock guess, so a run whose Steps 1–2 or
+    // join drift from the calibration's may stop in a neighbouring phase.
+    // Every attempt must end in `Cancelled`; one must stop in the join.
+    const ATTEMPTS: usize = 5;
+    let mut phases = Vec::new();
+    for _ in 0..ATTEMPTS {
+        let token = CancelToken::new();
+        let sink = Arc::new(JoinSpanSink {
+            token: token.clone(),
+            started: std::time::Instant::now(),
+            span: Default::default(),
+        });
+        let calibration = Miner::new(config.clone())
+            .with_progress(sink.clone())
+            .with_cancel(token)
+            .mine(&table);
+        assert!(matches!(calibration, Err(MinerError::Cancelled(_))));
+        let (pass2_done, join_done) = *sink.span.lock().unwrap();
+        assert!(join_done > pass2_done, "{pass2_done:?} then {join_done:?}");
 
-    let deadline = CancelToken::with_deadline(pass2_done + (join_done - pass2_done) / 2);
-    match Miner::new(config).with_cancel(deadline).mine(&table) {
-        Err(MinerError::Cancelled(info)) => {
-            assert_eq!(info.phase, Some("candidate generation"), "{info:?}");
+        let deadline = CancelToken::with_deadline(pass2_done + (join_done - pass2_done) / 2);
+        let info = match Miner::new(config.clone())
+            .with_cancel(deadline)
+            .mine(&table)
+        {
+            Err(MinerError::Cancelled(info)) => info,
+            other => panic!("expected Cancelled, got {:?}", other.map(|_| "output")),
+        };
+        assert!(info.deadline_exceeded);
+        phases.push((info.pass, info.phase));
+        if info.phase == Some("candidate generation") {
             assert_eq!(info.pass, 3);
-            assert!(info.deadline_exceeded);
             assert_eq!(info.stats.pass_stats.len(), 1, "pass 2 finished");
             assert_eq!(
                 info.stats.candidates_per_pass.len(),
                 1,
                 "pass 3 never started"
             );
+            return;
         }
-        other => panic!("expected Cancelled, got {:?}", other.map(|_| "output")),
     }
+    panic!("no attempt stopped in the join: {phases:?}");
 }
