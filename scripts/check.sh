@@ -87,10 +87,6 @@ done <<EOF
 --iter fuzz
 --ports serve $STORE_DIR/cat.qarcat
 --thread worker --connect 127.0.0.1:9
---client bench-serve
---record bench-analytics
---worker bench-dist
---deltas bench-update
 --bogus help
 EOF
 # A reader that stops early closes qar's stdout; under pipefail the
@@ -102,27 +98,19 @@ EOF
 QAR="$PWD/target/release/qar"
 (cd /tmp && "$QAR" trace-check "$TRACE_FILE" > /dev/null)
 
-echo "==> serve smoke (daemon + concurrent load + trace validation + qps floor)"
-# Start the rule-serving daemon on an OS-assigned port over the catalog
-# mined above, drive a concurrent mixed workload against it, and stop it
-# with a shutdown frame. The load generator exits non-zero below the
-# 50k aggregate queries/sec floor; every server trace event must
-# validate against the pinned schema.
-./target/release/qar serve "$STORE_DIR/cat.qarcat" --port 0 --threads 10 \
-    --trace json > "$STORE_DIR/serve.out" 2> "$STORE_DIR/serve.trace" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-    grep -q "listening on" "$STORE_DIR/serve.out" 2> /dev/null && break
-    sleep 0.1
-done
-ADDR=$(sed -n 's/^listening on \([0-9.:]*\) .*/\1/p' "$STORE_DIR/serve.out")
-QAR_BENCH_QUICK=1 ./target/release/qar bench-serve --addr "$ADDR" \
-    --catalog "$STORE_DIR/cat.qarcat" --clients 8 --requests 250 \
-    --out "$STORE_DIR/bench_serve.json" --shutdown > /dev/null
-wait "$SERVE_PID"
-grep -q '"suite":"bench_serve"' "$STORE_DIR/bench_serve.json"
-grep -q '"p99_us"' "$STORE_DIR/bench_serve.json"
-./target/release/qar trace-check < "$STORE_DIR/serve.trace" > /dev/null
+echo "==> serve workload (qar serve answers correctly at >= 50k requests/sec)"
+# perfbench's serve_credit starts a real `qar serve` process over a mined
+# credit catalog and drives a point-heavy mix over TCP; it exits 1 when
+# any answer differs from the in-process index's. Its closed-loop
+# throughput must also hold the 50,000/s floor. The serve trace events
+# are validated by tests/trace_events.rs.
+SERVE_RESULT=$(bash perfbench/run.sh --workload serve_credit --seed 1 --seconds 1 --trace 0 \
+    | tail -n 1)
+echo "$SERVE_RESULT"
+SERVE_TPS=$(sed -n 's/.*"throughput_per_s":{[^}]*"value":\([0-9.eE+-]*\).*/\1/p' <<< "$SERVE_RESULT")
+awk -v tps="$SERVE_TPS" 'BEGIN { if (tps == "" || tps + 0 < 50000) {
+    print "serve_credit throughput_per_s " tps " is under the 50000/s floor" > "/dev/stderr"
+    exit 1 } }'
 
 echo "==> scan-kernel bench smoke (bitmask vs direct: throughput, speedup and ratio floors)"
 # Quick run of the support-counting scan bench: exits non-zero when the
@@ -190,8 +178,8 @@ echo "==> analytics bench smoke (closed-form rules/sec floor)"
 # BH correction) fall below 50k rules/sec — ~30x headroom under the
 # committed BENCH_analytics.json baseline. The JSON goes to a temp path
 # so a local run never clobbers the committed baseline.
-QAR_BENCH_QUICK=1 ./target/release/qar bench-analytics --floor 50000 \
-    --out "$STORE_DIR/bench_analytics.json" > /dev/null
+QAR_BENCH_QUICK=1 QAR_BENCH_OUT="$STORE_DIR/bench_analytics.json" \
+    ./target/release/analytics > /dev/null
 grep -q '"suite":"bench_analytics"' "$STORE_DIR/bench_analytics.json"
 grep -q '"closed_form_rules_per_sec"' "$STORE_DIR/bench_analytics.json"
 grep -q '"shapley_samples_per_sec"' "$STORE_DIR/bench_analytics.json"
@@ -373,37 +361,18 @@ printf 'x,c\n-0.0,a\n0,b\n1,a\n2,b\n' > "$STORE_DIR/zeros.csv"
 ./target/release/qar mine --input "$STORE_DIR/zeros.csv" --schema x:quant,c:cat \
     --no-partition > /dev/null
 
-echo "==> update bench smoke (delta-update speedup floor)"
-# Quick run of the incremental-update bench: exits non-zero when a 1%
-# delta update fails to beat re-mining base+delta from scratch by at
-# least 5x (the result is also gated on exactness: the update must stay
-# on the incremental path and reproduce the scratch mine's counts and
-# rules). The JSON goes to a temp path so a local run never clobbers
-# the committed BENCH_update.json baseline, which must itself exist and
-# respect the same floor.
-QAR_BENCH_QUICK=1 ./target/release/qar bench-update --floor 5.0 \
-    --out "$STORE_DIR/bench_update.json" > /dev/null
-grep -q '"suite":"bench_update"' "$STORE_DIR/bench_update.json"
-grep -q '"speedup"' "$STORE_DIR/bench_update.json"
-grep -q '"suite":"bench_update"' BENCH_update.json
-awk -F'"speedup":' '{split($2, a, ","); if (a[1] + 0 < 5.0) {
-    print "committed BENCH_update.json speedup " a[1] " is below the 5x floor" > "/dev/stderr";
-    exit 1 } }' BENCH_update.json
+echo "==> update workload (20 deltas through qar mine --update, fallbacks as planned)"
+# perfbench's update_stream appends 20 deltas to a 300k-row base
+# catalog through real `qar mine --update` runs. It exits 1 unless the
+# incremental fallback fires on exactly the planned deltas and the final
+# catalog equals a scratch mine of the same rows byte for byte.
+bash perfbench/run.sh --workload update_stream --seed 1 --seconds 1 --trace 0 | tail -n 1
 
-echo "==> dist bench smoke (counting speedup floor)"
-# Quick run of the count-distribution bench: exits non-zero when the
-# 2-partition counting critical path (max partition scan + merge) fails
-# to beat serial counting by at least 1.6x. The JSON goes to a temp path
-# so a local run never clobbers the committed BENCH_dist.json baseline,
-# which must itself exist and respect the same floor.
-QAR_BENCH_QUICK=1 ./target/release/qar bench-dist --floor 1.6 \
-    --out "$STORE_DIR/bench_dist.json" > /dev/null
-grep -q '"suite":"bench_dist"' "$STORE_DIR/bench_dist.json"
-grep -q '"critical_path_s"' "$STORE_DIR/bench_dist.json"
-grep -q '"suite":"bench_dist"' BENCH_dist.json
-awk -F'"speedup":' '{split($2, a, ","); if (a[1] + 0 < 1.6) {
-    print "committed BENCH_dist.json speedup " a[1] " is below the 1.6x floor" > "/dev/stderr";
-    exit 1 } }' BENCH_dist.json
+echo "==> distributed workload (qar mine --workers 2 writes the serial catalog)"
+# perfbench's mine_credit_workers2 mines 500k credit rows over two
+# `qar worker` processes and exits 1 when its catalog differs from the
+# serial mine's.
+bash perfbench/run.sh --workload mine_credit_workers2 --seed 1 --seconds 1 --trace 0 | tail -n 1
 
 echo "==> fuzz smoke (200 differential cases, fixed seed)"
 # A short deterministic sweep of the differential oracle: serial miner,

@@ -3,8 +3,8 @@
 //!
 //! [`parse_command`] checks a command line against its verb's entry in the
 //! flag table and rejects any flag the entry does not list. [`run`] owns
-//! stdin, stdout and file I/O and the bench floor checks, so the binary in
-//! `src/bin/qar.rs` is a thin `main`. Everything is kept in the library so
+//! stdin, stdout and file I/O, so the binary in `src/bin/qar.rs` is a thin
+//! `main`. Everything is kept in the library so
 //! the parsing and plumbing are unit-testable.
 //!
 //! ```text
@@ -19,20 +19,17 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use qar_analytics::AnalyticsConfig;
 use qar_core::source::Backing;
 use qar_core::{
-    mine_source, mine_source_captured, CancelledInfo, CountError, CountSource, InMemorySource,
-    InterestConfig, InterestMode, Miner, MinerConfig, MinerError, MiningOutput, PartitionSpec,
-    PartitionStrategy, QuantRule, RuleInterest, SupportCounts, UpdateInput, MAX_THREADS,
+    mine_source, mine_source_captured, CancelledInfo, CountSource, InMemorySource, InterestConfig,
+    InterestMode, Miner, MinerConfig, MinerError, MiningOutput, PartitionSpec, PartitionStrategy,
+    QuantRule, RuleInterest, SupportCounts, MAX_THREADS,
 };
 use qar_dist::{DistOptions, DistSource, RangeInput, RangeLoad, WorkerOptions, WorkerSpawn};
-use qar_prng::Prng;
 use qar_store::format::tag::COUNTS_V1;
-use qar_store::protocol::{Query, QueryOptions, Request, Response};
-use qar_store::serve::ServeClient;
 use qar_store::{
     analytics_from_encoded, analytics_from_mining, section_inventory, Catalog, RankBy, RuleIndex,
     Server, ServerConfig,
@@ -61,14 +58,6 @@ pub enum Command {
     Fuzz(FuzzArgs),
     /// Serve one or more catalogs over TCP.
     Serve(ServeArgs),
-    /// Benchmark a rule server with concurrent clients.
-    BenchServe(BenchServeArgs),
-    /// Benchmark the analytics subsystem (closed-form + Shapley).
-    BenchAnalytics(BenchAnalyticsArgs),
-    /// Benchmark count-distribution counting against the serial scan.
-    BenchDist(BenchDistArgs),
-    /// Benchmark an incremental catalog update against a full re-mine.
-    BenchUpdate(BenchUpdateArgs),
     /// Run as a counting worker connected to a mine coordinator.
     Worker(WorkerArgs),
     /// Print usage.
@@ -84,35 +73,6 @@ pub struct WorkerArgs {
     pub threads: usize,
     /// The CSV file the coordinator has this worker parse byte ranges of.
     pub input: Option<String>,
-}
-
-/// Arguments of `qar bench-dist`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchDistArgs {
-    /// Planted-dataset records the benchmark table holds.
-    pub records: usize,
-    /// Worker partitions the counting is distributed over.
-    pub workers: usize,
-    /// Minimum counting speedup; the run fails below this (0 = off).
-    pub floor: f64,
-    /// Where the machine-readable summary JSON goes; `None` falls back
-    /// to `$QAR_BENCH_OUT`, then `BENCH_dist.json`.
-    pub out: Option<String>,
-}
-
-/// Arguments of `qar bench-update`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchUpdateArgs {
-    /// Base-table records mined (with counts) before the delta arrives.
-    pub records: usize,
-    /// Appended delta size, as a fraction of the base table.
-    pub delta: f64,
-    /// Minimum update-vs-remine speedup; the run fails below this
-    /// (0 = off).
-    pub floor: f64,
-    /// Where the machine-readable summary JSON goes; `None` falls back
-    /// to `$QAR_BENCH_OUT`, then `BENCH_update.json`.
-    pub out: Option<String>,
 }
 
 /// Arguments of `qar mine`.
@@ -212,20 +172,6 @@ pub struct AnalyzeArgs {
     pub trace: Option<TraceFormat>,
 }
 
-/// Arguments of `qar bench-analytics`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchAnalyticsArgs {
-    /// Planted-dataset records to mine the benchmark ruleset from.
-    pub records: usize,
-    /// Shapley samples per rule in the attribution timing.
-    pub samples: u32,
-    /// Minimum closed-form rules/sec; the run fails below this (0 = off).
-    pub floor: f64,
-    /// Where the machine-readable summary JSON goes; `None` falls back
-    /// to `$QAR_BENCH_OUT`, then `BENCH_analytics.json`.
-    pub out: Option<String>,
-}
-
 /// Arguments of `qar store-check`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreCheckArgs {
@@ -259,31 +205,6 @@ pub struct ServeArgs {
     pub threads: usize,
     /// Emit server trace events to stderr in this format.
     pub trace: Option<TraceFormat>,
-}
-
-/// Arguments of `qar bench-serve`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchServeArgs {
-    /// Benchmark an already-running server at this address instead of
-    /// spinning one up in-process.
-    pub addr: Option<String>,
-    /// Catalog the workload queries are drawn from. Required context for
-    /// realistic queries; without it (addr mode only) the workload falls
-    /// back to a generic query space.
-    pub catalog: Option<String>,
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Requests sent per client.
-    pub requests: usize,
-    /// Server worker threads in self-hosted mode (0 = one per client).
-    pub threads: usize,
-    /// Minimum aggregate queries/sec; the run fails below this (0 = off).
-    pub floor: f64,
-    /// Send a shutdown frame to an `--addr` server when done.
-    pub shutdown: bool,
-    /// Where the machine-readable summary JSON goes; `None` falls back
-    /// to `$QAR_BENCH_OUT`, then `BENCH_serve.json`.
-    pub out: Option<String>,
 }
 
 /// Output format for `qar mine`.
@@ -341,10 +262,6 @@ USAGE:
   qar fuzz [--iters N] [--seed S] [--out DIR]
   qar serve CATALOG... [--port P] [--threads N] [--trace F]
   qar worker --connect HOST:PORT [--threads N] [--input FILE]
-  qar bench-serve [--addr HOST:PORT] [--catalog FILE] [options]
-  qar bench-analytics [--records N] [--samples N] [--floor R] [--out FILE]
-  qar bench-dist [--records N] [--workers W] [--floor R] [--out FILE]
-  qar bench-update [--records N] [--delta F] [--floor R] [--out FILE]
   qar help
 
 MINE OPTIONS:
@@ -482,7 +399,8 @@ SERVE:
   slot named after its file stem and answers point / range / top-k /
   batch queries over a length-prefixed, CRC-framed TCP protocol (see
   DESIGN.md §12). Prints `listening on ADDR` once bound, then blocks.
-  Stop it with a shutdown frame (`qar bench-serve --addr A --shutdown`).
+  Stop it with a shutdown frame (`Request::Shutdown` through
+  `qar_store::serve::ServeClient`) or a signal.
   Catalogs hot-reload in place on a reload frame; in-flight queries
   finish on the old snapshot.
   --port P              TCP port (0 = OS-assigned)      [default 0]
@@ -506,75 +424,6 @@ WORKER:
                         sends byte ranges, never a path, so it cannot
                         have a worker open any other file. Without it the
                         worker loads only rows sent over the wire
-
-BENCH-SERVE:
-  Drives a mixed point/range/top-k/batch workload from concurrent client
-  connections, reports p50/p99 request latency and aggregate throughput,
-  and writes a summary JSON line to BENCH_serve.json. Without --addr it
-  mines a planted catalog and serves it in-process on an OS-assigned
-  port. Exits non-zero below the throughput floor.
-  --addr HOST:PORT      benchmark an already-running server
-  --catalog FILE        catalog to draw realistic queries from (used as
-                        the slot name via its file stem; in self-hosted
-                        mode also the catalog served)
-  --clients N           concurrent connections          [default 8]
-  --requests M          requests per client             [default 2000]
-                        (QAR_BENCH_QUICK=1 caps this at 300)
-  --threads N           self-hosted server workers (0 = one per client)
-  --floor Q             fail under Q aggregate queries/sec (0 = off)
-                        [default 50000]
-  --shutdown            send a shutdown frame to an --addr server after
-                        the run
-  --out FILE            summary JSON destination
-                        [default $QAR_BENCH_OUT, then BENCH_serve.json]
-
-BENCH-ANALYTICS:
-  Mines a planted catalog, then times the analytics subsystem: the
-  closed-form measures (lift, conviction, leverage, chi² + p, J-measure,
-  BH correction) as rules/sec and the Monte-Carlo Shapley attribution as
-  samples/sec. Writes a summary JSON line to BENCH_analytics.json.
-  Exits non-zero below the closed-form floor.
-  --records N           planted records to mine         [default 5000]
-                        (QAR_BENCH_QUICK=1 caps this at 1000)
-  --samples N           Shapley permutations per rule   [default 64]
-  --floor R             fail under R closed-form rules/sec (0 = off)
-                        [default 500]
-  --out FILE            summary JSON destination
-                        [default $QAR_BENCH_OUT, then BENCH_analytics.json]
-
-BENCH-DIST:
-  Measures what count distribution buys per pass: mines a planted table
-  once, timing every counting pass twice — a single serial scan over the
-  whole table, and the distributed critical path (the slowest of W
-  equal contiguous partitions scanned with the same single-threaded
-  kernel, plus the coordinator's element-wise merge). The reported
-  speedup = serial / (critical path + merge) isolates the algorithmic
-  gain from host core count, so it holds on a single-core machine; it
-  still falls below W when merge overhead or partition skew eats the
-  margin. Every pass asserts the merged partition counts equal the
-  serial counts. Writes a summary JSON line to BENCH_dist.json and
-  exits non-zero below the floor.
-  --records N           planted records to mine      [default 10000000]
-                        (QAR_BENCH_QUICK=1 caps this at 200000)
-  --workers W           partitions to distribute over   [default 2]
-  --floor R             fail under speedup R (0 = off)  [default 1.6]
-  --out FILE            summary JSON destination
-                        [default $QAR_BENCH_OUT, then BENCH_dist.json]
-
-BENCH-UPDATE:
-  Measures what persisted counts buy: synthesizes a small-domain table,
-  mines the base with count capture, appends a --delta fraction of new
-  rows, then times a full re-mine of base+delta against an incremental
-  `--update` (delta-only scan merged with the persisted counts). Every
-  run asserts the update stayed on the incremental path and produced
-  counts identical to the from-scratch mine. Writes a summary JSON line
-  to BENCH_update.json and exits non-zero below the floor.
-  --records N           base-table records              [default 1000000]
-                        (QAR_BENCH_QUICK=1 caps this at 50000)
-  --delta F             appended fraction of the base   [default 0.01]
-  --floor R             fail under speedup R (0 = off)  [default 5.0]
-  --out FILE            summary JSON destination
-                        [default $QAR_BENCH_OUT, then BENCH_update.json]
 ";
 
 /// One verb's entry in the flag table: how many positional arguments may
@@ -688,68 +537,6 @@ const VERBS: &[VerbSpec] = &[
                 connect: f.required("connect", "worker requires --connect HOST:PORT")?,
                 threads: f.threads()?,
                 input: f.string("input"),
-            }))
-        },
-    },
-    VerbSpec {
-        verb: "bench-serve",
-        positionals: 0,
-        values: "addr catalog clients requests threads floor out",
-        switches: "shutdown",
-        repeated: "",
-        build: bench_serve_command,
-    },
-    VerbSpec {
-        verb: "bench-analytics",
-        positionals: 0,
-        values: "records samples floor out",
-        switches: "",
-        repeated: "",
-        build: |f| {
-            let samples = f.at_least("samples", 64, 1)?;
-            Ok(Command::BenchAnalytics(BenchAnalyticsArgs {
-                records: f.at_least("records", 5_000, 1)?,
-                samples: u32::try_from(samples)
-                    .map_err(|_| err("--samples must fit in 32 bits"))?,
-                floor: f.f64_or("floor", 500.0)?,
-                out: f.string("out"),
-            }))
-        },
-    },
-    VerbSpec {
-        verb: "bench-dist",
-        positionals: 0,
-        values: "records workers floor out",
-        switches: "",
-        repeated: "",
-        build: |f| {
-            Ok(Command::BenchDist(BenchDistArgs {
-                records: f.at_least("records", 10_000_000, 1)?,
-                // A one-worker split has no counting to distribute.
-                workers: f.at_least("workers", 2, 2)?,
-                floor: f.f64_or("floor", 1.6)?,
-                out: f.string("out"),
-            }))
-        },
-    },
-    VerbSpec {
-        verb: "bench-update",
-        positionals: 0,
-        values: "records delta floor out",
-        switches: "",
-        repeated: "",
-        build: |f| {
-            let delta = f.f64_or("delta", 0.01)?;
-            if !delta.is_finite() || delta <= 0.0 || delta > 1.0 {
-                return Err(err(
-                    "--delta must be a fraction of the base table in (0, 1]",
-                ));
-            }
-            Ok(Command::BenchUpdate(BenchUpdateArgs {
-                records: f.at_least("records", 1_000_000, 1)?,
-                delta,
-                floor: f.f64_or("floor", 5.0)?,
-                out: f.string("out"),
             }))
         },
     },
@@ -1093,24 +880,6 @@ fn serve_command(f: &Flags<'_>) -> Result<Command, CliError> {
     }))
 }
 
-fn bench_serve_command(f: &Flags<'_>) -> Result<Command, CliError> {
-    if f.has("shutdown") && !f.has("addr") {
-        return Err(err(
-            "--shutdown only applies with --addr (self-hosted servers always stop)",
-        ));
-    }
-    Ok(Command::BenchServe(BenchServeArgs {
-        addr: f.string("addr"),
-        catalog: f.string("catalog"),
-        clients: f.at_least("clients", 8, 1)?,
-        requests: f.at_least("requests", 2000, 1)?,
-        threads: f.threads()?,
-        floor: f.f64_or("floor", 50_000.0)?,
-        shutdown: f.has("shutdown"),
-        out: f.string("out"),
-    }))
-}
-
 /// Parse `name:quant,name:cat,...` declarations.
 pub fn parse_schema_decls(decls: &str) -> Result<Vec<(String, bool)>, CliError> {
     let mut out = Vec::new();
@@ -1197,10 +966,9 @@ pub fn process_spawn(args: &MineArgs) -> Result<Option<WorkerSpawn>, CliError> {
 }
 
 /// Run a parsed command: read its inputs, write its report to `out`
-/// (stdout in `qar`) and its files, and fail a bench that misses its
-/// `--floor`. When the reader of `out` closes it early (`qar query CAT |
-/// head -1`), the run ends quietly with `Ok`; every other failure,
-/// including a broken socket or file, is returned.
+/// (stdout in `qar`) and its files. When the reader of `out` closes it
+/// early (`qar query CAT | head -1`), the run ends quietly with `Ok`;
+/// every other failure, including a broken socket or file, is returned.
 pub fn run(command: &Command, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let mut stdout = Stdout { out, closed: false };
     let result = dispatch(command, &mut stdout);
@@ -1287,22 +1055,6 @@ fn dispatch(command: &Command, out: &mut Stdout<'_>) -> Result<(), Box<dyn Error
             qar_dist::run_worker(&args.connect, &options)
                 .map_err(|e| err(format!("worker: {e}")))?;
         }
-        Command::BenchServe(a) => check_floor("bench-serve", run_bench_serve(a, out)?, a.floor)?,
-        Command::BenchAnalytics(a) => {
-            check_floor("bench-analytics", run_bench_analytics(a, out)?, a.floor)?
-        }
-        Command::BenchDist(a) => check_floor("bench-dist", run_bench_dist(a, out)?, a.floor)?,
-        Command::BenchUpdate(a) => check_floor("bench-update", run_bench_update(a, out)?, a.floor)?,
-    }
-    Ok(())
-}
-
-/// Fail a bench whose measured number is under its `--floor` (0 = off).
-fn check_floor(verb: &str, measured: f64, floor: f64) -> Result<(), CliError> {
-    if floor > 0.0 && measured < floor {
-        return Err(err(format!(
-            "{verb}: {measured:.2} is below the --floor {floor}"
-        )));
     }
     Ok(())
 }
@@ -2215,875 +1967,11 @@ fn catalog_slots(paths: &[String]) -> Result<Vec<(String, PathBuf)>, CliError> {
     Ok(slots)
 }
 
-/// The query space a bench workload draws from: per-attribute code
-/// cardinalities plus the numeric domain of each quantitative attribute.
-struct QuerySpace {
-    cards: Vec<u32>,
-    quant_domains: Vec<(u32, f64, f64)>,
-}
-
-impl QuerySpace {
-    fn from_catalog(catalog: &Catalog) -> QuerySpace {
-        let cards: Vec<u32> = catalog.encoders().iter().map(|e| e.cardinality()).collect();
-        let quant_domains = cards
-            .iter()
-            .enumerate()
-            .filter_map(|(attr, &card)| {
-                let encoder = &catalog.encoders()[attr];
-                encoder
-                    .numeric_bounds(0, card.saturating_sub(1))
-                    .map(|(lo, hi)| (attr as u32, lo, hi))
-            })
-            .collect();
-        QuerySpace {
-            cards,
-            quant_domains,
-        }
-    }
-
-    /// Without a catalog the workload still exercises the protocol: the
-    /// server answers unknown codes with empty result sets.
-    fn generic() -> QuerySpace {
-        QuerySpace {
-            cards: vec![16; 4],
-            quant_domains: vec![(0, 0.0, 100.0)],
-        }
-    }
-
-    fn point(&self, rng: &mut Prng) -> Query {
-        let record = self
-            .cards
-            .iter()
-            .enumerate()
-            .map(|(attr, &card)| (attr as u32, rng.gen_range(0..card.max(1))))
-            .collect();
-        Query::Point {
-            record,
-            opts: QueryOptions::default(),
-        }
-    }
-
-    fn range(&self, rng: &mut Prng) -> Query {
-        let (attr, dom_lo, dom_hi) = match self.quant_domains.as_slice() {
-            [] => (0, 0.0, 100.0),
-            domains => domains[rng.gen_range(0..domains.len() as u32) as usize],
-        };
-        let a = dom_lo + rng.gen_f64() * (dom_hi - dom_lo);
-        let b = dom_lo + rng.gen_f64() * (dom_hi - dom_lo);
-        Query::Range {
-            attr,
-            lo: a.min(b),
-            hi: a.max(b),
-            opts: QueryOptions::default(),
-        }
-    }
-}
-
-/// Queries inside one batch request.
-const BENCH_BATCH: usize = 4;
-
-/// A deterministic mixed workload for one client: point-heavy with
-/// range, top-k, and batch requests interleaved, plus a deadline on
-/// every seventh request to keep that path hot.
-fn bench_workload(space: &QuerySpace, slot: &str, requests: usize, seed: u64) -> Vec<Request> {
-    let mut rng = Prng::seed_from_u64(seed);
-    let rank_cycle = [RankBy::Support, RankBy::Confidence, RankBy::Interest];
-    (0..requests)
-        .map(|i| {
-            let deadline_ms = if i % 7 == 6 { Some(10_000) } else { None };
-            match i % 8 {
-                0 => Request::Query {
-                    catalog: slot.to_string(),
-                    deadline_ms,
-                    query: Query::TopK {
-                        by: rank_cycle[i / 8 % rank_cycle.len()],
-                        k: 1 + (i as u32 % 20),
-                    },
-                },
-                1 => Request::Query {
-                    catalog: slot.to_string(),
-                    deadline_ms,
-                    query: space.range(&mut rng),
-                },
-                2 => Request::Batch {
-                    catalog: slot.to_string(),
-                    deadline_ms,
-                    queries: (0..BENCH_BATCH).map(|_| space.point(&mut rng)).collect(),
-                },
-                _ => Request::Query {
-                    catalog: slot.to_string(),
-                    deadline_ms,
-                    query: space.point(&mut rng),
-                },
-            }
-        })
-        .collect()
-}
-
-/// Per-client tallies from one bench connection.
-struct ClientStats {
-    latencies_us: Vec<u64>,
-    queries: u64,
-    results: u64,
-}
-
-/// Run one client's workload against a live server, timing each
-/// request round trip.
-fn drive_bench_client(addr: &str, workload: &[Request]) -> Result<ClientStats, String> {
-    let mut client = ServeClient::connect(addr).map_err(|e| format!("connect to {addr}: {e}"))?;
-    let mut stats = ClientStats {
-        latencies_us: Vec::with_capacity(workload.len()),
-        queries: 0,
-        results: 0,
-    };
-    for request in workload {
-        let start = Instant::now();
-        let response = client
-            .request(request)
-            .map_err(|e| format!("request failed: {e}"))?;
-        stats
-            .latencies_us
-            .push(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        match response {
-            Response::Ids { ids, .. } => {
-                stats.queries += 1;
-                stats.results += ids.len() as u64;
-            }
-            Response::Batch { items, .. } => {
-                stats.queries += items.len() as u64;
-                for item in items {
-                    match item {
-                        Ok(ids) => stats.results += ids.len() as u64,
-                        Err(e) => return Err(format!("batch item failed: {e}")),
-                    }
-                }
-            }
-            Response::Error(e) => return Err(format!("server error: {e}")),
-            other => return Err(format!("unexpected response tag {}", other.tag())),
-        }
-    }
-    Ok(stats)
-}
-
-/// Human-readable detail from a joined thread's panic payload. `join`
-/// hands back `Box<dyn Any>`; the payload is a `&str` or `String` for
-/// every `panic!`/`assert!` in practice, and anything else still gets a
-/// generic description instead of propagating the panic.
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        format!("thread panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("thread panicked: {s}")
-    } else {
-        "thread panicked (non-string payload)".to_string()
-    }
-}
-
-/// The p-th percentile (0–100) of an unsorted latency sample.
-fn percentile_us(latencies: &mut [u64], p: f64) -> u64 {
-    if latencies.is_empty() {
-        return 0;
-    }
-    latencies.sort_unstable();
-    let rank = (p / 100.0 * (latencies.len() - 1) as f64).round() as usize;
-    latencies[rank.min(latencies.len() - 1)]
-}
-
-/// Mine a small planted catalog for self-hosted benchmarking, written
-/// to a temp file (`Server::bind` loads from disk). Looser thresholds
-/// than the golden snapshot so the catalog holds a useful rule count.
-fn bench_catalog_file(quick: bool) -> Result<PathBuf, Box<dyn std::error::Error>> {
-    let records = if quick { 2_000 } else { 20_000 };
-    let data = qar_datagen::PlantedDataset::generate(qar_datagen::PlantedConfig {
-        num_records: records,
-        seed: 1996,
-    });
-    let config = MinerConfig {
-        min_support: 0.08,
-        min_confidence: 0.5,
-        max_support: 0.4,
-        partitioning: PartitionSpec::FixedIntervals(20),
-        interest: None,
-        max_itemset_size: 2,
-        ..MinerConfig::default()
-    };
-    let result = Miner::new(config).mine(&data.table)?;
-    let path = std::env::temp_dir().join(format!("qar_bench_serve_{}.qarcat", std::process::id()));
-    Catalog::from_mining(&result).save(&path, None)?;
-    Ok(path)
-}
-
-/// Send a shutdown frame and wait for the acknowledgement.
-fn shutdown_server(addr: &str) -> Result<(), String> {
-    let mut client = ServeClient::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    match client.request(&Request::Shutdown) {
-        Ok(Response::ShuttingDown) => Ok(()),
-        Ok(other) => Err(format!("unexpected shutdown response tag {}", other.tag())),
-        Err(e) => Err(format!("shutdown request failed: {e}")),
-    }
-}
-
-/// Execute `qar bench-serve`: run the concurrent-client workload,
-/// print a human summary to `out`, write the machine-readable JSON
-/// line, and return the aggregate queries/sec (the caller enforces the
-/// floor so the exit code carries it).
-pub fn run_bench_serve(
-    args: &BenchServeArgs,
-    out: &mut impl std::io::Write,
-) -> Result<f64, Box<dyn std::error::Error>> {
-    let quick = std::env::var_os("QAR_BENCH_QUICK").is_some();
-    let requests = if quick {
-        args.requests.min(300)
-    } else {
-        args.requests
-    };
-
-    // Resolve the catalog the workload is shaped by, and — in
-    // self-hosted mode — the file the server loads.
-    let mut temp_catalog: Option<PathBuf> = None;
-    let catalog_path: Option<PathBuf> = match (&args.catalog, &args.addr) {
-        (Some(path), _) => Some(PathBuf::from(path)),
-        (None, Some(_)) => None,
-        (None, None) => {
-            let path = bench_catalog_file(quick)?;
-            temp_catalog = Some(path.clone());
-            Some(path)
-        }
-    };
-    let slot = catalog_path
-        .as_deref()
-        .and_then(Path::file_stem)
-        .and_then(|s| s.to_str())
-        .unwrap_or("cat")
-        .to_string();
-    let space = match &catalog_path {
-        Some(path) => QuerySpace::from_catalog(&Catalog::load(path, None)?),
-        None => QuerySpace::generic(),
-    };
-
-    // Self-hosted mode spins the server on an OS-assigned port with one
-    // worker per client (each live connection occupies a worker).
-    let mut server_thread = None;
-    let (addr, stop_when_done) = match &args.addr {
-        Some(addr) => (addr.clone(), args.shutdown),
-        None => {
-            let path = catalog_path
-                .clone()
-                .expect("self-hosted mode has a catalog");
-            let threads = if args.threads == 0 {
-                args.clients.max(2)
-            } else {
-                args.threads
-            };
-            let server = Server::bind(
-                &[(slot.clone(), path)],
-                &ServerConfig { port: 0, threads },
-                None,
-            )?;
-            let addr = server.local_addr().to_string();
-            server_thread = Some(std::thread::spawn(move || server.serve()));
-            (addr, true)
-        }
-    };
-
-    let workloads: Vec<Vec<Request>> = (0..args.clients)
-        .map(|c| bench_workload(&space, &slot, requests, 0xBE5E ^ c as u64))
-        .collect();
-
-    let started = Instant::now();
-    let stats: Vec<Result<ClientStats, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = workloads
-            .iter()
-            .map(|workload| {
-                let addr = addr.as_str();
-                scope.spawn(move || drive_bench_client(addr, workload))
-            })
-            .collect();
-        // A panicking client thread must not abort the whole bench via
-        // an unwrap on `join` — capture the payload as that client's
-        // failure row so the server still gets shut down and the other
-        // clients' outcomes still get reported.
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| Err(panic_detail(&*payload)))
-            })
-            .collect()
-    });
-    let elapsed = started.elapsed();
-
-    let mut failures: Vec<(usize, String)> = Vec::new();
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut queries = 0u64;
-    let mut results = 0u64;
-    for (client, outcome) in stats.into_iter().enumerate() {
-        match outcome {
-            Ok(s) => {
-                latencies.extend_from_slice(&s.latencies_us);
-                queries += s.queries;
-                results += s.results;
-            }
-            Err(e) => failures.push((client, e)),
-        }
-    }
-
-    let mut shutdown_error = None;
-    if stop_when_done {
-        if let Err(e) = shutdown_server(&addr) {
-            shutdown_error = Some(format!("shutdown: {e}"));
-        }
-    }
-    if let Some(handle) = server_thread {
-        handle
-            .join()
-            .map_err(|payload| err(format!("server {}", panic_detail(&*payload))))?
-            .map_err(|e| err(format!("server failed: {e}")))?;
-    }
-    if let Some(path) = temp_catalog {
-        let _ = std::fs::remove_file(path);
-    }
-    if !failures.is_empty() {
-        for (client, e) in &failures {
-            writeln!(out, "client {client} failed: {e}")?;
-        }
-        return Err(Box::new(err(format!(
-            "{} of {} bench client(s) failed; first: client {}: {}",
-            failures.len(),
-            args.clients,
-            failures[0].0,
-            failures[0].1,
-        ))));
-    }
-    if let Some(e) = shutdown_error {
-        return Err(Box::new(err(format!("bench cleanup failed: {e}"))));
-    }
-
-    let total_requests = latencies.len() as u64;
-    let elapsed_s = elapsed.as_secs_f64();
-    let qps = queries as f64 / elapsed_s.max(1e-9);
-    let rps = total_requests as f64 / elapsed_s.max(1e-9);
-    let p50 = percentile_us(&mut latencies, 50.0);
-    let p99 = percentile_us(&mut latencies, 99.0);
-
-    writeln!(
-        out,
-        "{} client(s) x {requests} request(s) against {addr} (slot `{slot}`)",
-        args.clients
-    )?;
-    writeln!(
-        out,
-        "{total_requests} requests / {queries} queries in {elapsed_s:.3}s: \
-         {qps:.0} queries/sec ({rps:.0} requests/sec), {results} rule ids returned"
-    )?;
-    writeln!(out, "latency p50 {p50}us, p99 {p99}us")?;
-
-    let json = format!(
-        "{{\"suite\":\"bench_serve\",\"clients\":{},\"requests\":{total_requests},\
-         \"queries\":{queries},\"results\":{results},\"elapsed_s\":{elapsed_s:.6},\
-         \"queries_per_sec\":{qps:.1},\"requests_per_sec\":{rps:.1},\
-         \"p50_us\":{p50},\"p99_us\":{p99},\"floor\":{:.1}}}",
-        args.clients, args.floor
-    );
-    let json_path = args
-        .out
-        .clone()
-        .or_else(|| std::env::var("QAR_BENCH_OUT").ok())
-        .unwrap_or_else(|| "BENCH_serve.json".into());
-    std::fs::write(&json_path, format!("{json}\n"))
-        .map_err(|e| err(format!("cannot write `{json_path}`: {e}")))?;
-    writeln!(out, "summary written to {json_path}")?;
-
-    Ok(qps)
-}
-
-/// Execute `qar bench-analytics`: mine a planted ruleset, time the
-/// closed-form measures and the Monte-Carlo Shapley attribution, print a
-/// human summary, write the machine-readable JSON line, and return the
-/// closed-form rules/sec (the caller enforces the floor so the exit code
-/// carries it).
-pub fn run_bench_analytics(
-    args: &BenchAnalyticsArgs,
-    out: &mut impl std::io::Write,
-) -> Result<f64, Box<dyn std::error::Error>> {
-    let quick = std::env::var_os("QAR_BENCH_QUICK").is_some();
-    let records = if quick {
-        args.records.min(1_000)
-    } else {
-        args.records
-    };
-    let iters = if quick { 2 } else { 5 };
-
-    let data = qar_datagen::PlantedDataset::generate(qar_datagen::PlantedConfig {
-        num_records: records,
-        seed: 1996,
-    });
-    let config = MinerConfig {
-        min_support: 0.05,
-        min_confidence: 0.4,
-        max_support: 0.5,
-        partitioning: PartitionSpec::FixedIntervals(10),
-        interest: None,
-        max_itemset_size: 2,
-        ..MinerConfig::default()
-    };
-    let result = Miner::new(config).mine(&data.table)?;
-    let rules = result.rules.len();
-    if rules == 0 {
-        return Err(Box::new(err("benchmark mine produced no rules")));
-    }
-
-    // Best-of-N wall time for one full analytics computation at the
-    // given sampling level. One Shapley sample is the computation's
-    // floor (samples are clamped to >= 1), so that run times the
-    // closed-form measures; the delta to the full-sampling run is
-    // attribution work.
-    let time_at = |samples: u32| -> f64 {
-        let config = AnalyticsConfig {
-            shapley_samples: samples,
-            ..AnalyticsConfig::default()
-        };
-        let mut best = f64::INFINITY;
-        for _ in 0..iters {
-            let start = Instant::now();
-            let set = analytics_from_mining(&result, &config, None);
-            best = best.min(start.elapsed().as_secs_f64());
-            std::hint::black_box(set);
-        }
-        best
-    };
-    let closed_s = time_at(1);
-    let shapley_s = time_at(args.samples);
-
-    let rules_per_sec = rules as f64 / closed_s.max(1e-9);
-    let total_samples = rules as u64 * args.samples as u64;
-    let samples_per_sec = total_samples as f64 / shapley_s.max(1e-9);
-
-    writeln!(
-        out,
-        "{rules} rule(s) from {records} planted record(s); best of {iters} run(s)"
-    )?;
-    writeln!(
-        out,
-        "closed-form measures: {rules_per_sec:.0} rules/sec ({:.3}ms per pass)",
-        closed_s * 1e3
-    )?;
-    writeln!(
-        out,
-        "Shapley attribution: {samples_per_sec:.0} samples/sec \
-         ({} samples/rule, {:.3}ms per pass)",
-        args.samples,
-        shapley_s * 1e3
-    )?;
-
-    let json = format!(
-        "{{\"suite\":\"bench_analytics\",\"records\":{records},\"rules\":{rules},\
-         \"samples\":{},\"closed_form_rules_per_sec\":{rules_per_sec:.1},\
-         \"shapley_samples_per_sec\":{samples_per_sec:.1},\"closed_form_s\":{closed_s:.6},\
-         \"shapley_s\":{shapley_s:.6},\"floor\":{:.1}}}",
-        args.samples, args.floor
-    );
-    let json_path = args
-        .out
-        .clone()
-        .or_else(|| std::env::var("QAR_BENCH_OUT").ok())
-        .unwrap_or_else(|| "BENCH_analytics.json".into());
-    std::fs::write(&json_path, format!("{json}\n"))
-        .map_err(|e| err(format!("cannot write `{json_path}`: {e}")))?;
-    writeln!(out, "summary written to {json_path}")?;
-
-    Ok(rules_per_sec)
-}
-
-/// A [`CountSource`] that times every counting pass two ways — one
-/// serial scan of the whole table, and the count-distribution critical
-/// path (slowest of `parts`, plus the merge) — while returning the
-/// serial counts so the level-wise search proceeds normally. Each pass
-/// asserts the merged partition counts equal the serial counts, so the
-/// benchmark doubles as an exactness check with real candidate sets.
-struct BenchDistSource<'a> {
-    full: &'a EncodedTable,
-    parts: Vec<EncodedTable>,
-    serial_s: f64,
-    critical_s: f64,
-    merge_s: f64,
-}
-
-impl BenchDistSource<'_> {
-    fn opts() -> qar_core::supercand::ScanOptions<'static> {
-        qar_core::supercand::ScanOptions::new(1)
-    }
-}
-
-impl CountSource for BenchDistSource<'_> {
-    fn meta(&self) -> &EncodedTable {
-        self.full
-    }
-
-    fn num_rows(&self) -> u64 {
-        self.full.num_rows() as u64
-    }
-
-    fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError> {
-        let started = Instant::now();
-        let full = qar_core::frequent::attribute_value_counts(self.full);
-        self.serial_s += started.elapsed().as_secs_f64();
-
-        let mut worst = 0.0f64;
-        let mut part_counts = Vec::with_capacity(self.parts.len());
-        for part in &self.parts {
-            let started = Instant::now();
-            part_counts.push(qar_core::frequent::attribute_value_counts(part));
-            worst = worst.max(started.elapsed().as_secs_f64());
-        }
-        self.critical_s += worst;
-
-        let started = Instant::now();
-        let mut merged: Vec<Vec<u64>> = full.iter().map(|v| vec![0u64; v.len()]).collect();
-        for counts in &part_counts {
-            for (acc, add) in merged.iter_mut().zip(counts) {
-                for (a, b) in acc.iter_mut().zip(add) {
-                    *a += b;
-                }
-            }
-        }
-        self.merge_s += started.elapsed().as_secs_f64();
-        if merged != full {
-            return Err(CountError::Failed(MinerError::Distributed(
-                "pass 1: merged partition histograms diverge from the serial scan".into(),
-            )));
-        }
-        Ok(full)
-    }
-
-    fn count(
-        &mut self,
-        pass: usize,
-        candidates: &[qar_itemset::Itemset],
-    ) -> Result<Vec<u64>, CountError> {
-        let started = Instant::now();
-        let (full, _) = qar_core::supercand::count_candidates(self.full, candidates, Self::opts())?;
-        self.serial_s += started.elapsed().as_secs_f64();
-
-        let mut worst = 0.0f64;
-        let mut part_counts = Vec::with_capacity(self.parts.len());
-        for part in &self.parts {
-            let started = Instant::now();
-            let (counts, _) =
-                qar_core::supercand::count_candidates(part, candidates, Self::opts())?;
-            part_counts.push(counts);
-            worst = worst.max(started.elapsed().as_secs_f64());
-        }
-        self.critical_s += worst;
-
-        let started = Instant::now();
-        let mut merged = vec![0u64; candidates.len()];
-        for counts in &part_counts {
-            for (a, b) in merged.iter_mut().zip(counts) {
-                *a += b;
-            }
-        }
-        self.merge_s += started.elapsed().as_secs_f64();
-        if merged != full {
-            return Err(CountError::Failed(MinerError::Distributed(format!(
-                "pass {pass}: merged partition counts diverge from the serial scan"
-            ))));
-        }
-        Ok(full)
-    }
-}
-
-/// Split an encoded table into `workers` contiguous row partitions, the
-/// same split the distributed coordinator uses: near-even, with the
-/// first `rows % workers` partitions one row longer.
-fn partition_encoded(encoded: &EncodedTable, workers: usize) -> Vec<EncodedTable> {
-    let rows = encoded.num_rows();
-    let base = rows / workers;
-    let extra = rows % workers;
-    let mut parts = Vec::with_capacity(workers);
-    let mut start = 0usize;
-    for w in 0..workers {
-        let len = base + usize::from(w < extra);
-        let columns: Vec<Vec<u32>> = encoded
-            .schema()
-            .iter()
-            .map(|(id, _)| encoded.codes(id)[start..start + len].to_vec())
-            .collect();
-        parts.push(EncodedTable::from_parts(
-            encoded.schema().clone(),
-            encoded.encoders().to_vec(),
-            columns,
-            len,
-        ));
-        start += len;
-    }
-    parts
-}
-
-/// Execute `qar bench-dist`: mine a planted table through
-/// `BenchDistSource`, print a human summary, write the
-/// machine-readable JSON line, and return the counting speedup (the
-/// caller enforces the floor so the exit code carries it).
-pub fn run_bench_dist(
-    args: &BenchDistArgs,
-    out: &mut impl std::io::Write,
-) -> Result<f64, Box<dyn std::error::Error>> {
-    let quick = std::env::var_os("QAR_BENCH_QUICK").is_some();
-    let records = if quick {
-        args.records.min(200_000)
-    } else {
-        args.records
-    };
-
-    let data = qar_datagen::PlantedDataset::generate(qar_datagen::PlantedConfig {
-        num_records: records,
-        seed: 1996,
-    });
-    let config = MinerConfig {
-        min_support: 0.08,
-        min_confidence: 0.5,
-        max_support: 0.4,
-        partitioning: PartitionSpec::FixedIntervals(10),
-        interest: None,
-        max_itemset_size: 2,
-        parallelism: std::num::NonZeroUsize::new(1),
-        ..MinerConfig::default()
-    };
-    let (encoders, _) = qar_core::pipeline::build_encoders(&data.table, &config)?;
-    let encoded = EncodedTable::encode(&data.table, encoders)?;
-    drop(data);
-
-    let mut source = BenchDistSource {
-        parts: partition_encoded(&encoded, args.workers),
-        full: &encoded,
-        serial_s: 0.0,
-        critical_s: 0.0,
-        merge_s: 0.0,
-    };
-    let result = mine_source(&mut source, &config, None, None)?;
-    let (serial_s, critical_s, merge_s) = (source.serial_s, source.critical_s, source.merge_s);
-    let dist_s = critical_s + merge_s;
-    let speedup = serial_s / dist_s.max(1e-9);
-    let passes = 1 + result.stats.mine.pass_stats.len();
-
-    writeln!(
-        out,
-        "{records} planted record(s), {} worker partition(s), {passes} counting pass(es), \
-         {} rule(s); partition counts merged exactly on every pass",
-        args.workers,
-        result.rules.len(),
-    )?;
-    writeln!(
-        out,
-        "serial counting {serial_s:.3}s; distributed critical path {critical_s:.3}s \
-         + merge {merge_s:.3}s = {dist_s:.3}s"
-    )?;
-    writeln!(
-        out,
-        "counting speedup {speedup:.2}x (floor {:.2}x)",
-        args.floor
-    )?;
-
-    let json = format!(
-        "{{\"suite\":\"bench_dist\",\"records\":{records},\"workers\":{},\
-         \"passes\":{passes},\"rules\":{},\"serial_s\":{serial_s:.6},\
-         \"critical_path_s\":{critical_s:.6},\"merge_s\":{merge_s:.6},\
-         \"speedup\":{speedup:.3},\"floor\":{:.2}}}",
-        args.workers,
-        result.rules.len(),
-        args.floor
-    );
-    let json_path = args
-        .out
-        .clone()
-        .or_else(|| std::env::var("QAR_BENCH_OUT").ok())
-        .unwrap_or_else(|| "BENCH_dist.json".into());
-    std::fs::write(&json_path, format!("{json}\n"))
-        .map_err(|e| err(format!("cannot write `{json_path}`: {e}")))?;
-    writeln!(out, "summary written to {json_path}")?;
-
-    Ok(speedup)
-}
-
-/// The synthetic update-benchmark table: small integer/categorical
-/// domains (append-stable value-list encoders, so the incremental path
-/// applies), with the first rows enumerating every value so a delta
-/// drawn from the same distribution never introduces an unseen one.
-///
-/// Every candidate's expected support sits at least 0.03 away from the
-/// benchmark's `minsup` (0.10) at any scale: 40% of rows are a planted
-/// `(qty=1, price=10, region=north)` triple (items/pairs/triple at
-/// 0.40–0.60), and the uniform remainder puts every other pair at
-/// 0.05–0.067. Without that separation a pair hovering at the threshold
-/// could cross it between the base mine and the combined mine, which
-/// changes the next pass's candidate set and legitimately forces the
-/// update off the incremental path — the one thing this benchmark must
-/// never do.
-fn bench_update_table(records: usize, seed: u64) -> Table {
-    let schema = Schema::builder()
-        .quantitative("qty")
-        .quantitative("price")
-        .categorical("region")
-        .build()
-        .expect("static schema");
-    let regions = ["south", "east", "west"];
-    let mut rng = Prng::seed_from_u64(seed);
-    let mut table = Table::new(schema);
-    for i in 0..records {
-        // The first 10 rows sweep every domain so later draws (and the
-        // delta) are always encodable under the base encoders.
-        let (qty, price, region) = if i < 10 {
-            (
-                i as i64 % 4,
-                (i as i64 % 3) * 5 + 5,
-                if i % 4 == 0 { "north" } else { regions[i % 3] },
-            )
-        } else if rng.gen_range(0..10u32) < 4 {
-            (1, 10, "north")
-        } else {
-            (
-                rng.gen_range(0..4i64),
-                rng.gen_range(0..3i64) * 5 + 5,
-                regions[rng.gen_range(0..3usize)],
-            )
-        };
-        table
-            .push_row(&[
-                Value::Int(qty),
-                Value::Int(price),
-                Value::Cat(region.to_string()),
-            ])
-            .expect("schema-conformant row");
-    }
-    table
-}
-
-/// Execute `qar bench-update`: mine a base table with count capture,
-/// append a delta, and time the incremental `--update` path against a
-/// full re-mine of base+delta — asserting along the way that the update
-/// stayed incremental and reproduced the from-scratch counts and rules
-/// exactly. Returns the update speedup (re-mine time / update time).
-pub fn run_bench_update(
-    args: &BenchUpdateArgs,
-    out: &mut impl std::io::Write,
-) -> Result<f64, Box<dyn std::error::Error>> {
-    let quick = std::env::var_os("QAR_BENCH_QUICK").is_some();
-    let records = if quick {
-        args.records.min(50_000)
-    } else {
-        args.records
-    };
-    let delta_rows = ((records as f64 * args.delta).ceil() as usize).max(1);
-
-    // Base and delta from the same distribution; raw-value mining keeps
-    // the encoders append-stable so the update is genuinely incremental.
-    let base = bench_update_table(records, 1996);
-    let delta = bench_update_table(delta_rows, 2026);
-    let mut combined = Table::new(base.schema().clone());
-    for table in [&base, &delta] {
-        for r in 0..table.num_rows() {
-            combined.push_row(&table.row(r).to_values())?;
-        }
-    }
-    let config = MinerConfig {
-        min_support: 0.1,
-        min_confidence: 0.3,
-        max_support: 1.0,
-        partitioning: PartitionSpec::None,
-        max_itemset_size: 3,
-        parallelism: std::num::NonZeroUsize::new(1),
-        ..MinerConfig::default()
-    };
-
-    let (base_output, base_counts) = Miner::new(config.clone()).mine_with_counts(&base)?;
-
-    let iters = if quick { 1 } else { 3 };
-    let mut remine_s = f64::INFINITY;
-    let mut remined = None;
-    for _ in 0..iters {
-        let t = Instant::now();
-        let pair = Miner::new(config.clone()).mine_with_counts(&combined)?;
-        remine_s = remine_s.min(t.elapsed().as_secs_f64());
-        remined = Some(pair);
-    }
-    let (remine_output, remine_counts) = remined.expect("at least one re-mine iteration");
-
-    let mut update_s = f64::INFINITY;
-    let mut updated = None;
-    for _ in 0..iters {
-        let t = Instant::now();
-        let uo = Miner::new(config.clone()).update(UpdateInput {
-            schema: base_output.encoded.schema(),
-            encoders: base_output.encoded.encoders(),
-            counts: &base_counts,
-            delta: &delta,
-            base_rows: None,
-        })?;
-        update_s = update_s.min(t.elapsed().as_secs_f64());
-        updated = Some(uo);
-    }
-    let updated = updated.expect("at least one update iteration");
-
-    // Exactness gates: the benchmark is meaningless if the update fell
-    // back or diverged from the from-scratch mine.
-    if !updated.incremental {
-        return Err(Box::new(err(format!(
-            "bench-update fell back to a full re-mine ({})",
-            updated.fallback.as_deref().unwrap_or("unknown reason")
-        ))));
-    }
-    if updated.counts != remine_counts {
-        return Err(Box::new(err(
-            "bench-update: merged counts diverged from the from-scratch mine",
-        )));
-    }
-    if updated.output.rules != remine_output.rules {
-        return Err(Box::new(err(
-            "bench-update: updated rules diverged from the from-scratch mine",
-        )));
-    }
-
-    let speedup = remine_s / update_s.max(1e-9);
-    let passes = updated.counts.captured.counting_passes() + 1;
-    writeln!(
-        out,
-        "{records} base record(s) + {delta_rows} delta record(s), {passes} counting pass(es), \
-         {} rule(s); update counts and rules match the from-scratch mine exactly",
-        updated.output.rules.len(),
-    )?;
-    writeln!(
-        out,
-        "full re-mine {remine_s:.3}s; incremental update {update_s:.3}s"
-    )?;
-    writeln!(
-        out,
-        "update speedup {speedup:.2}x (floor {:.2}x)",
-        args.floor
-    )?;
-
-    let json = format!(
-        "{{\"suite\":\"bench_update\",\"records\":{records},\"delta_rows\":{delta_rows},\
-         \"passes\":{passes},\"rules\":{},\"remine_s\":{remine_s:.6},\
-         \"update_s\":{update_s:.6},\"speedup\":{speedup:.3},\"floor\":{:.2}}}",
-        updated.output.rules.len(),
-        args.floor
-    );
-    let json_path = args
-        .out
-        .clone()
-        .or_else(|| std::env::var("QAR_BENCH_OUT").ok())
-        .unwrap_or_else(|| "BENCH_update.json".into());
-    std::fs::write(&json_path, format!("{json}\n"))
-        .map_err(|e| err(format!("cannot write `{json_path}`: {e}")))?;
-    writeln!(out, "summary written to {json_path}")?;
-
-    Ok(speedup)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use std::time::Instant;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(|x| x.to_string()).collect()
@@ -3154,10 +2042,6 @@ mod tests {
             ("fuzz", "--iter 5"),
             ("serve c", "--ports 1"),
             ("worker --connect h:1", "--thread 2"),
-            ("bench-serve", "--client 2"),
-            ("bench-analytics", "--record 5"),
-            ("bench-dist", "--worker 3"),
-            ("bench-update", "--deltas 0.5"),
             ("help", "--bogus 1"),
         ];
         let verb_of = |base: &str| base.split(' ').next().unwrap().to_string();
@@ -3165,7 +2049,6 @@ mod tests {
         let verbs: BTreeSet<String> = VERBS.iter().map(|spec| spec.verb.to_string()).collect();
         assert_eq!(covered, verbs, "one case per verb");
         let switches = [
-            "--shutdown",
             "--analytics",
             "--no-partition",
             "--all-rules",
@@ -3183,6 +2066,31 @@ mod tests {
                 let name = flag.split(' ').next().unwrap();
                 assert_eq!(e.to_string(), format!("{verb} does not take {name}"));
             }
+        }
+    }
+
+    /// The retired benchmark verbs are unknown commands, with or without
+    /// the flags they used to take; their gates live in perfbench's
+    /// workloads and the `analytics` bench binary.
+    #[test]
+    fn retired_bench_verbs_are_unknown() {
+        for line in [
+            "bench-serve",
+            "bench-serve --clients 2",
+            "bench-analytics",
+            "bench-analytics --floor 50000",
+            "bench-dist",
+            "bench-dist --workers 2",
+            "bench-update",
+            "bench-update --delta 0.01",
+        ] {
+            let verb = line.split(' ').next().unwrap();
+            let e = parse_command(&argv(line)).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                format!("unknown command `{verb}` (try `qar help`)")
+            );
+            assert!(!USAGE.contains(verb), "USAGE still documents `{verb}`");
         }
     }
 
@@ -3732,47 +2640,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_serve_defaults_and_flags() {
-        let cmd = parse_command(&argv("bench-serve")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::BenchServe(BenchServeArgs {
-                addr: None,
-                catalog: None,
-                clients: 8,
-                requests: 2000,
-                threads: 0,
-                floor: 50_000.0,
-                shutdown: false,
-                out: None,
-            })
-        );
-        let cmd = parse_command(&argv(
-            "bench-serve --addr 127.0.0.1:7000 --catalog cat.qarcat --clients 2 \
-             --requests 10 --threads 3 --floor 0 --shutdown --out b.json",
-        ))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::BenchServe(BenchServeArgs {
-                addr: Some("127.0.0.1:7000".into()),
-                catalog: Some("cat.qarcat".into()),
-                clients: 2,
-                requests: 10,
-                threads: 3,
-                floor: 0.0,
-                shutdown: true,
-                out: Some("b.json".into()),
-            })
-        );
-        // --shutdown is meaningless without --addr: self-hosted servers
-        // are always stopped.
-        assert!(parse_command(&argv("bench-serve --shutdown")).is_err());
-        assert!(parse_command(&argv("bench-serve --clients 0")).is_err());
-        assert!(parse_command(&argv("bench-serve --bogus 1")).is_err());
-    }
-
-    #[test]
     fn catalog_slots_use_file_stems() {
         let slots = catalog_slots(&["rules/cat.qarcat".into(), "other.qarcat".into()]).unwrap();
         assert_eq!(
@@ -3783,33 +2650,6 @@ mod tests {
             ]
         );
         assert!(catalog_slots(&["..".into()]).is_err());
-    }
-
-    #[test]
-    fn bench_workload_is_deterministic_and_mixed() {
-        let space = QuerySpace::generic();
-        let a = bench_workload(&space, "cat", 32, 7);
-        let b = bench_workload(&space, "cat", 32, 7);
-        assert_eq!(a, b);
-        let kind = |r: &Request| match r {
-            Request::Batch { .. } => "batch",
-            Request::Query { query, .. } => query.kind(),
-            _ => "other",
-        };
-        for want in ["point", "range", "top_k", "batch"] {
-            assert!(a.iter().any(|r| kind(r) == want), "missing {want}");
-        }
-        // Every seventh request carries a deadline.
-        let with_deadline = a
-            .iter()
-            .filter(|r| match r {
-                Request::Query { deadline_ms, .. } | Request::Batch { deadline_ms, .. } => {
-                    deadline_ms.is_some()
-                }
-                _ => false,
-            })
-            .count();
-        assert_eq!(with_deadline, 32 / 7);
     }
 
     #[test]
@@ -3875,36 +2715,6 @@ mod tests {
         }
         assert!(parse_command(&argv("query c --min-lift lots")).is_err());
         assert!(parse_command(&argv("query c --max-p often")).is_err());
-    }
-
-    #[test]
-    fn bench_analytics_parsing() {
-        let cmd = parse_command(&argv("bench-analytics")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::BenchAnalytics(BenchAnalyticsArgs {
-                records: 5_000,
-                samples: 64,
-                floor: 500.0,
-                out: None,
-            })
-        );
-        let cmd = parse_command(&argv(
-            "bench-analytics --records 100 --samples 8 --floor 0 --out b.json",
-        ))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::BenchAnalytics(BenchAnalyticsArgs {
-                records: 100,
-                samples: 8,
-                floor: 0.0,
-                out: Some("b.json".into()),
-            })
-        );
-        assert!(parse_command(&argv("bench-analytics --records 0")).is_err());
-        assert!(parse_command(&argv("bench-analytics --samples 0")).is_err());
-        assert!(parse_command(&argv("bench-analytics --bogus 1")).is_err());
     }
 
     /// The full analytics lifecycle through the CLI layer: mine with
@@ -4046,52 +2856,6 @@ mod tests {
         assert!(e.to_string().contains("row"), "{e}");
     }
 
-    /// `bench-analytics` produces sane numbers and a parseable summary
-    /// line at smoke scale.
-    #[test]
-    fn bench_analytics_smoke() {
-        let out_path = std::env::temp_dir().join(format!(
-            "qar-bench-analytics-test-{}.json",
-            std::process::id()
-        ));
-        let args = BenchAnalyticsArgs {
-            records: 400,
-            samples: 8,
-            floor: 0.0,
-            out: Some(out_path.to_str().unwrap().to_string()),
-        };
-        let mut report = Vec::new();
-        let rps = run_bench_analytics(&args, &mut report).expect("bench runs");
-        assert!(rps > 0.0);
-        let text = String::from_utf8(report).unwrap();
-        assert!(text.contains("closed-form measures:"), "{text}");
-        assert!(text.contains("Shapley attribution:"), "{text}");
-        let json = std::fs::read_to_string(&out_path).expect("summary written");
-        std::fs::remove_file(&out_path).ok();
-        let doc = qar_trace::json::parse(&json).expect("valid JSON");
-        let obj = doc.as_object().expect("object");
-        assert_eq!(obj["suite"].as_str(), Some("bench_analytics"));
-        for key in ["closed_form_rules_per_sec", "shapley_samples_per_sec"] {
-            let qar_trace::json::Json::Num(v) = obj[key] else {
-                panic!("{key} is not a number");
-            };
-            assert!(v > 0.0, "{key} = {v}");
-        }
-    }
-
-    #[test]
-    fn percentiles_of_latency_samples() {
-        let mut empty: Vec<u64> = Vec::new();
-        assert_eq!(percentile_us(&mut empty, 50.0), 0);
-        let mut one = vec![42];
-        assert_eq!(percentile_us(&mut one, 99.0), 42);
-        let mut sample: Vec<u64> = (1..=100).rev().collect();
-        // Nearest-rank on 100 samples: rank round(0.5 * 99) = 50.
-        assert_eq!(percentile_us(&mut sample, 50.0), 51);
-        assert_eq!(percentile_us(&mut sample, 99.0), 99);
-        assert_eq!(percentile_us(&mut sample, 100.0), 100);
-    }
-
     #[test]
     fn dist_mine_flags_parse() {
         let cmd = parse_command(&argv(
@@ -4128,7 +2892,6 @@ mod tests {
             "mine --input f --schema a:q",
             "serve a.qarcat",
             "worker --connect h:1",
-            "bench-serve",
         ] {
             assert!(parse_command(&argv(&format!("{cmd} --threads {MAX_THREADS}"))).is_ok());
             let e =
@@ -4161,37 +2924,6 @@ mod tests {
         assert!(e.to_string().contains("--connect"), "{e}");
         assert!(parse_command(&argv("worker --connect h:1 --kernel bitmask")).is_err());
         assert!(parse_command(&argv("worker --connect h:1 --bogus 1")).is_err());
-    }
-
-    #[test]
-    fn bench_dist_parsing() {
-        let cmd = parse_command(&argv("bench-dist")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::BenchDist(BenchDistArgs {
-                records: 10_000_000,
-                workers: 2,
-                floor: 1.6,
-                out: None,
-            })
-        );
-        let cmd = parse_command(&argv(
-            "bench-dist --records 1000 --workers 4 --floor 0 --out b.json",
-        ))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::BenchDist(BenchDistArgs {
-                records: 1000,
-                workers: 4,
-                floor: 0.0,
-                out: Some("b.json".into()),
-            })
-        );
-        assert!(parse_command(&argv("bench-dist --records 0")).is_err());
-        let e = parse_command(&argv("bench-dist --workers 1")).unwrap_err();
-        assert!(e.to_string().contains("at least 2"), "{e}");
-        assert!(parse_command(&argv("bench-dist --bogus 1")).is_err());
     }
 
     /// Count-distribution over in-process worker threads reproduces the
@@ -4528,41 +3260,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bench_update_parsing() {
-        let cmd = parse_command(&argv("bench-update")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::BenchUpdate(BenchUpdateArgs {
-                records: 1_000_000,
-                delta: 0.01,
-                floor: 5.0,
-                out: None,
-            })
-        );
-        let cmd = parse_command(&argv(
-            "bench-update --records 1000 --delta 0.5 --floor 0 --out b.json",
-        ))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::BenchUpdate(BenchUpdateArgs {
-                records: 1000,
-                delta: 0.5,
-                floor: 0.0,
-                out: Some("b.json".into()),
-            })
-        );
-        assert!(parse_command(&argv("bench-update --records 0")).is_err());
-        for delta in ["0", "-0.1", "1.5", "nan"] {
-            assert!(
-                parse_command(&argv(&format!("bench-update --delta {delta}"))).is_err(),
-                "--delta {delta} accepted"
-            );
-        }
-        assert!(parse_command(&argv("bench-update --bogus 1")).is_err());
-    }
-
     /// Write the paper's people table and a delta of rows copied from it
     /// (copies are always encodable under the base catalog's value-list
     /// encoders) to temp files, returning
@@ -4886,36 +3583,6 @@ mod tests {
         std::fs::remove_file(&combined_path).ok();
     }
 
-    /// `bench-update` produces sane numbers (its internal exactness
-    /// gates double as a correctness check) and a parseable summary.
-    #[test]
-    fn bench_update_smoke() {
-        let out_path =
-            std::env::temp_dir().join(format!("qar-bench-update-test-{}.json", std::process::id()));
-        let args = BenchUpdateArgs {
-            records: 2_000,
-            delta: 0.01,
-            floor: 0.0,
-            out: Some(out_path.to_str().unwrap().to_string()),
-        };
-        let mut report = Vec::new();
-        let speedup = run_bench_update(&args, &mut report).expect("bench runs");
-        assert!(speedup > 0.0);
-        let text = String::from_utf8(report).unwrap();
-        assert!(text.contains("speedup"), "{text}");
-        let json = std::fs::read_to_string(&out_path).expect("summary written");
-        std::fs::remove_file(&out_path).ok();
-        let doc = qar_trace::json::parse(&json).expect("valid JSON");
-        let obj = doc.as_object().expect("object");
-        assert_eq!(obj["suite"].as_str(), Some("bench_update"));
-        for key in ["remine_s", "update_s", "speedup"] {
-            let qar_trace::json::Json::Num(v) = obj[key] else {
-                panic!("{key} is not a number");
-            };
-            assert!(v > 0.0, "{key} = {v}");
-        }
-    }
-
     /// Non-finite analytics values (conviction diverges to +inf at
     /// confidence 1; chi² and its p-values degenerate to NaN) serialize
     /// as `null` in `qar query --format json`, keeping the document
@@ -4994,20 +3661,5 @@ mod tests {
         }
         // The raw text never smuggles bare inf/NaN tokens through.
         assert!(!text.contains("inf") && !text.contains("NaN"), "{text}");
-    }
-
-    #[test]
-    fn panic_detail_extracts_payload_message() {
-        let payload = std::thread::spawn(|| panic!("boom {}", 42))
-            .join()
-            .unwrap_err();
-        assert_eq!(panic_detail(&*payload), "thread panicked: boom 42");
-        let payload = std::thread::spawn(|| std::panic::panic_any(7u32))
-            .join()
-            .unwrap_err();
-        assert_eq!(
-            panic_detail(&*payload),
-            "thread panicked (non-string payload)"
-        );
     }
 }

@@ -1,8 +1,8 @@
-//! Every trace event a real mining run emits must validate against the
-//! checked-in JSON schema (`schemas/trace_events.schema.json`) — the
-//! contract `qar trace-check` and the CI trace-smoke job enforce — and
-//! the `Miner` facade must reuse its encoding and Step 3 caches across
-//! runs without changing the output.
+//! Every trace event a real mining run or a serving daemon emits must
+//! validate against the checked-in JSON schema
+//! (`schemas/trace_events.schema.json`) — the contract `qar trace-check`
+//! and the CI trace-smoke job enforce — and the `Miner` facade must reuse
+//! its encoding and Step 3 caches across runs without changing the output.
 
 use quantrules::core::{Miner, MinerConfig, PartitionSpec};
 use quantrules::table::{Schema, Table, Value};
@@ -225,4 +225,133 @@ fn credit_pass_three_counts_as_cells() {
         );
         assert_eq!(shards, threads);
     }
+}
+
+/// A serving daemon's events validate too, and every request kind a
+/// client sends — point, range, top-k, batch, a query of an unknown slot
+/// (an error reply) and the shutdown — shows up as a `request_served`
+/// line the schema accepts.
+#[test]
+fn served_requests_validate_against_the_checked_in_schema() {
+    use quantrules::datagen::{PlantedConfig, PlantedDataset};
+    use quantrules::store::protocol::{ErrorCode, Query, QueryOptions};
+    use quantrules::store::serve::ServeClient;
+    use quantrules::store::{Catalog, RankBy, Request, Response, Server, ServerConfig};
+    use quantrules::trace::{json, TraceFormat, WriterSink};
+
+    let schema: TraceSchema = SCHEMA_TEXT.parse().expect("checked-in schema parses");
+    let data = PlantedDataset::generate(PlantedConfig {
+        num_records: 2_000,
+        seed: 7,
+    });
+    let mined = Miner::new(MinerConfig {
+        min_support: 0.1,
+        min_confidence: 0.5,
+        max_support: 0.4,
+        partitioning: PartitionSpec::FixedIntervals(10),
+        ..MinerConfig::default()
+    })
+    .mine(&data.table)
+    .expect("mining succeeds");
+    let path = std::env::temp_dir().join(format!("qar_trace_serve_{}.qarcat", std::process::id()));
+    Catalog::from_mining(&mined)
+        .save(&path, None)
+        .expect("save catalog");
+
+    let sink = Arc::new(WriterSink::new(TraceFormat::Json, Vec::new()));
+    let server = Server::bind(
+        &[("cat".to_string(), path.clone())],
+        &ServerConfig {
+            port: 0,
+            threads: 2,
+        },
+        Some(sink.clone()),
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let serving = std::thread::spawn(move || server.serve());
+
+    let query = |catalog: &str, query: Query| Request::Query {
+        catalog: catalog.to_string(),
+        deadline_ms: None,
+        query,
+    };
+    let point = Query::Point {
+        record: vec![(0, 0), (3, 0)],
+        opts: QueryOptions::default(),
+    };
+    let mut client = ServeClient::connect(addr).expect("connect");
+    for request in [
+        query("cat", point.clone()),
+        query(
+            "cat",
+            Query::Range {
+                attr: 1,
+                lo: 20.0,
+                hi: 40.0,
+                opts: QueryOptions::default(),
+            },
+        ),
+        query(
+            "cat",
+            Query::TopK {
+                by: RankBy::Support,
+                k: 5,
+            },
+        ),
+    ] {
+        let response = client.request(&request).expect("answered");
+        assert!(matches!(response, Response::Ids { .. }), "{response:?}");
+    }
+    let batch = Request::Batch {
+        catalog: "cat".to_string(),
+        deadline_ms: None,
+        queries: vec![point.clone(), point.clone()],
+    };
+    let response = client.request(&batch).expect("answered");
+    assert!(matches!(response, Response::Batch { .. }), "{response:?}");
+    match client
+        .request(&query("no_such_slot", point))
+        .expect("answered")
+    {
+        Response::Error(e) => assert_eq!(e.code, ErrorCode::UnknownCatalog),
+        other => panic!("unknown slot answered {other:?}"),
+    }
+    let response = client.request(&Request::Shutdown).expect("answered");
+    assert!(matches!(response, Response::ShuttingDown), "{response:?}");
+    drop(client);
+    serving
+        .join()
+        .expect("server thread")
+        .expect("serve returns");
+    std::fs::remove_file(&path).ok();
+
+    let sink = Arc::try_unwrap(sink).expect("the stopped server released its sink");
+    let lines = String::from_utf8(sink.into_inner()).expect("UTF-8 trace");
+    if let Err((line, err)) = validate_lines(&schema, &lines) {
+        panic!("trace line {line} rejected by schema: {err}");
+    }
+    let served: Vec<(String, bool)> = lines
+        .lines()
+        .map(|line| json::parse(line).expect("trace line parses"))
+        .filter_map(|event| {
+            let fields = event.as_object().expect("an event is an object");
+            (fields["event"].as_str() == Some("request_served")).then(|| {
+                let kind = fields["kind"].as_str().expect("kind").to_string();
+                (kind, fields["ok"].as_bool().expect("ok"))
+            })
+        })
+        .collect();
+    let served: Vec<(&str, bool)> = served.iter().map(|(k, ok)| (k.as_str(), *ok)).collect();
+    assert_eq!(
+        served,
+        [
+            ("point", true),
+            ("range", true),
+            ("top_k", true),
+            ("batch", true),
+            ("point", false),
+            ("shutdown", true),
+        ]
+    );
 }
