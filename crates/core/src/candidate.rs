@@ -5,6 +5,10 @@ use qar_itemset::{Item, Itemset};
 use qar_trace::CancelToken;
 use std::collections::HashSet;
 
+/// The pairs [`generate_candidates`] joins between two checks of its
+/// cancel token: one run of a level may hold millions of pairs.
+const CANCEL_CHECK_PAIRS: usize = 4096;
+
 /// Join `L_{k-1}` with itself and subset-prune, returning `C_k`.
 ///
 /// Join condition: "the lexicographically ordered first k−2 items are the
@@ -15,7 +19,8 @@ use std::collections::HashSet;
 ///
 /// `prev` must be sorted (as [`QuantFrequentItemsets::push_level`]
 /// guarantees). `cancel` is checked once per run of itemsets sharing a
-/// prefix; `None` is returned when it fired.
+/// prefix and every 4,096 pairs within a run; `None` is returned when it
+/// fired.
 pub fn generate_candidates(
     prev: &[(Itemset, u64)],
     cancel: Option<&CancelToken>,
@@ -27,10 +32,12 @@ pub fn generate_candidates(
     debug_assert!(prev.iter().all(|(s, _)| s.len() == k1));
     let prev_set: HashSet<&Itemset> = prev.iter().map(|(s, _)| s).collect();
     let mut candidates = Vec::new();
+    let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
+    let mut unchecked_pairs = 0;
 
     let mut run_start = 0;
     while run_start < prev.len() {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
+        if cancelled() {
             return None;
         }
         let prefix = &prev[run_start].0.items()[..k1 - 1];
@@ -41,6 +48,13 @@ pub fn generate_candidates(
         for i in run_start..run_end {
             let last_i = prev[i].0.items()[k1 - 1];
             for j in (i + 1)..run_end {
+                unchecked_pairs += 1;
+                if unchecked_pairs == CANCEL_CHECK_PAIRS {
+                    if cancelled() {
+                        return None;
+                    }
+                    unchecked_pairs = 0;
+                }
                 let last_j = prev[j].0.items()[k1 - 1];
                 if last_i.attr == last_j.attr {
                     continue;
@@ -168,6 +182,22 @@ mod tests {
         assert_eq!(generate_candidates(&l2, Some(&token)).unwrap().len(), 1);
         token.cancel();
         assert_eq!(generate_candidates(&l2, Some(&token)), None);
+    }
+
+    /// A deadline that passes inside one run stops the join there: a level
+    /// of one run holding about 4M cross-attribute pairs, which takes
+    /// seconds to join whole, ends soon after a 20 ms deadline.
+    #[test]
+    fn deadline_stops_the_join_inside_one_run() {
+        let items: Vec<(u32, u32, u32)> = (0..2900).map(|attr| (attr, 0, 0)).collect();
+        let sets: Vec<&[(u32, u32, u32)]> = items.iter().map(std::slice::from_ref).collect();
+        let l1 = level(&sets);
+        let token = CancelToken::with_deadline(std::time::Duration::from_millis(20));
+        let started = std::time::Instant::now();
+        let joined = generate_candidates(&l1, Some(&token)).map(|c| c.len());
+        let took = started.elapsed();
+        assert_eq!(joined, None, "joined every pair in {took:?}");
+        assert!(took < std::time::Duration::from_millis(300), "{took:?}");
     }
 
     #[test]

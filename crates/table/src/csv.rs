@@ -4,12 +4,15 @@
 //! with doubled-quote escapes, and embedded commas/newlines inside quoted
 //! fields. The first record must be a header whose names match the schema.
 //!
-//! The reader makes a single pass over the input. Every byte goes through
-//! one quote state machine that carries its state across physical lines,
-//! and a record's unescaped fields are assembled in one reused byte buffer,
-//! so reading is linear in the input whatever it holds. Categorical fields
+//! The reader makes a single pass over the input. A record reader runs one
+//! quote state machine that carries its state across physical lines and
+//! assembles a record's unescaped fields in one reused byte buffer, so
+//! reading is linear in the input whatever it holds. A byte range without
+//! a `"` is read in place instead: it is checked as UTF-8 once, and its
+//! fields are slices of it, cut at newlines and commas. Categorical fields
 //! go straight into their column's dictionary (a known label allocates
-//! nothing); quantitative fields are parsed as `i64`, else as `f64`.
+//! nothing); quantitative fields are parsed as `i64`, else as `f64`, a
+//! sign and at most 18 digits straight from their bytes.
 //!
 //! Line endings may be `\n` or `\r\n`; blank lines between records are
 //! skipped. Every error names the first physical line of the record it was
@@ -19,13 +22,12 @@
 //! [`read_table_threaded`] (and [`read_table`], on the automatic thread
 //! count) reads the input in blocks of 124 KiB, each ending on a
 //! line end. A block without a `"` byte has a record end at every `\n`,
-//! so it is cut at newlines into one byte range per thread, each parsed by
-//! the same state machine: the first straight into the table on the
-//! calling thread, the others on scoped threads into spare tables,
-//! appended in range order with their labels interned in first-seen order.
-//! So the table equals the serial reader's cell for cell and code for
-//! code. A block holding a quote byte is parsed on the
-//! calling thread, record by record, on past its end if a quoted field
+//! so it is cut at newlines into one byte range per thread, each read in
+//! place: the first straight into the table on the calling thread, the
+//! others on scoped threads into spare tables, appended in range order
+//! with their labels interned in first-seen order. So the table equals
+//! the serial reader's cell for cell and code for code. A block holding a
+//! quote byte is parsed on the calling thread, record by record, on past its end if a quoted field
 //! runs on; splitting resumes with the next block. An error is the first
 //! failing range's, its line counted from the lines of the ranges before.
 //! [`CsvChunks`] reads serially.
@@ -638,13 +640,129 @@ fn split_lines(block: &[u8], parts: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Parse one range of whole records onto the end of `into`. Returns the
-/// lines the range spans; an error's line counts from the range's first
-/// line as line 1.
+/// Parse one range of whole records, holding no `"` byte, onto the end of
+/// `into`. Returns the lines the range spans; an error's line counts from
+/// the range's first line as line 1.
+///
+/// Without quotes a record is one line, so the range is read in place: it
+/// is checked as UTF-8 once, each line loses its trailing `\r` bytes and
+/// is split at commas into slices of the range. A record found faulty is
+/// read again by the record reader, which names the fault as a serial
+/// read does.
 fn parse_range(bytes: &[u8], order: &[AttributeId], into: &mut Table) -> Result<usize, TableError> {
-    let mut records = RecordReader::new(bytes);
-    while read_record(&mut records, order, into)? {}
-    Ok(records.line_no)
+    let Ok(text) = std::str::from_utf8(bytes) else {
+        // Some record is not UTF-8; the record reader reports the first
+        // fault, which may be another record's or another kind.
+        let mut records = RecordReader::new(bytes);
+        while read_record(&mut records, order, into)? {}
+        return Ok(records.line_no);
+    };
+    let mut lines = 0;
+    let mut rest = text;
+    while !rest.is_empty() {
+        let (line, ended) = match rest.split_once('\n') {
+            Some((line, next)) => {
+                rest = next;
+                (line, true)
+            }
+            None => (std::mem::take(&mut rest), false),
+        };
+        let record = line.trim_end_matches('\r');
+        if record.is_empty() {
+            // A blank line. A last line of `\r` bytes with no newline is
+            // not counted, as the record reader does not count it.
+            lines += usize::from(ended);
+            continue;
+        }
+        lines += 1;
+        if !push_record(record, order, into) {
+            let mut records = RecordReader::new(line.as_bytes());
+            let fault = read_record(&mut records, order, into)
+                .expect_err("the record reader rejects every record the in-place read rejects");
+            return Err(fault.after_lines(lines - 1));
+        }
+    }
+    Ok(lines)
+}
+
+/// Push the fields of `record`, one quote-free line without its line end,
+/// onto `into` as [`read_record`] would. Returns false, leaving the row
+/// unfinished, if the field count or a number is wrong.
+fn push_record(record: &str, order: &[AttributeId], into: &mut Table) -> bool {
+    let bytes = record.as_bytes();
+    // The start of the next field, one past the end once the last is read.
+    let mut start = 0;
+    for id in order {
+        if start > bytes.len() {
+            return false;
+        }
+        let column = into.column_mut(id.index());
+        let end = match column {
+            Column::Categorical(_) => {
+                let end = field_end(bytes, start);
+                column.push_label(&record[start..end]);
+                end
+            }
+            Column::Quantitative { .. } => {
+                let ((x, whole), end) = match short_integer(bytes, start) {
+                    Some((i, end)) => ((i as f64, true), end),
+                    None => {
+                        let end = field_end(bytes, start);
+                        // The record reader names the line on its re-read.
+                        let Ok(number) = parse_number(&record[start..end], 0) else {
+                            return false;
+                        };
+                        (number, end)
+                    }
+                };
+                column.push_number(x, whole);
+                end
+            }
+        };
+        start = end + 1;
+    }
+    if start <= bytes.len() {
+        return false;
+    }
+    into.finish_row();
+    true
+}
+
+/// The end of the field of `bytes` that starts at `start`: the next comma,
+/// or the end of `bytes`.
+fn field_end(bytes: &[u8], start: usize) -> usize {
+    bytes[start..]
+        .iter()
+        .position(|&b| b == b',')
+        .map_or(bytes.len(), |comma| start + comma)
+}
+
+/// The field of `bytes` that starts at `start`, with its end, if it is an
+/// optional sign and 1 to 18 ASCII digits, which no `i64` overflows;
+/// [`parse_number`] reads every other field.
+fn short_integer(bytes: &[u8], start: usize) -> Option<(i64, usize)> {
+    let negative = bytes.get(start) == Some(&b'-');
+    let first = start + usize::from(negative || bytes.get(start) == Some(&b'+'));
+    let mut at = first;
+    let mut value = 0i64;
+    while let Some(&b) = bytes.get(at) {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            if b != b',' {
+                return None;
+            }
+            break;
+        }
+        if at - first == 18 {
+            return None;
+        }
+        value = value * 10 + i64::from(digit);
+        at += 1;
+    }
+    if at == first {
+        return None;
+    }
+    Some((if negative { -value } else { value }, at))
 }
 
 /// Read the header record and match it by name against `schema`: the
@@ -795,6 +913,7 @@ pub fn write_table<W: Write>(writer: &mut W, table: &Table) -> Result<(), TableE
 mod tests {
     use super::*;
     use crate::value::Value;
+    use qar_prng::{cases, Prng};
 
     fn schema() -> Schema {
         Schema::builder()
@@ -1358,6 +1477,180 @@ mod tests {
         );
         let read = read_range(file(), &s, body, 1, &|| false).unwrap().unwrap();
         assert_eq!((read.table.num_rows(), read.lines), (2, 2));
+    }
+
+    /// Quantitative cells of the quote-free inputs below: integers the
+    /// in-place path reads and tokens it leaves to [`parse_number`],
+    /// whole and padded, at and past 18 digits and the `i64` bounds.
+    const NUMBERS: &[&str] = &[
+        "0",
+        "42",
+        " 12",
+        "12 ",
+        "+7",
+        "-0",
+        "007",
+        "-31",
+        "999999999999999999",
+        "-123456789012345678",
+        "1234567890123456789",
+        "9999999999999999999",
+        "-9999999999999999999",
+        "12345678901234567890",
+        "9223372036854775807",
+        "-9223372036854775808",
+        "1e3",
+        ".5",
+        "2.25",
+    ];
+
+    /// Tokens no quantitative cell may hold.
+    const BAD_NUMBERS: &[&[u8]] = &[b"inf", b"NaN", b"", b"-", b"+", b"1x", b"\xff7"];
+
+    /// Categorical cells, non-ASCII and `\r`-holding ones among them.
+    const LABELS: &[&str] = &["a", "b", "", " sp ", "x\ry", "\u{e9}t\u{e9}", "\u{1F600}"];
+
+    /// One random quote-free input of schema [`label_number_label`], with
+    /// faults in about one line in `fault_odds`: a field too many or too
+    /// few, a bad number, invalid UTF-8 in a label, or a bad number on a
+    /// line with a wrong field count.
+    fn quote_free_input(rng: &mut Prng, fault_odds: u32) -> Vec<u8> {
+        let mut input = b"c,x,d\n".to_vec();
+        for _ in 0..rng.gen_range(0..12) {
+            match rng.gen_range(0..8) {
+                0 => input.extend_from_slice(rng.choose(&[&b""[..], b"\r", b"\r\r"]).unwrap()),
+                _ => {
+                    let mut cells = vec![
+                        rng.choose(LABELS).unwrap().as_bytes().to_vec(),
+                        rng.choose(NUMBERS).unwrap().as_bytes().to_vec(),
+                        rng.choose(LABELS).unwrap().as_bytes().to_vec(),
+                    ];
+                    if rng.gen_range(0..fault_odds) == 0 {
+                        match rng.gen_range(0..5) {
+                            0 => cells.push(b"extra".to_vec()),
+                            1 => drop(cells.pop()),
+                            2 => cells[1] = rng.choose(BAD_NUMBERS).unwrap().to_vec(),
+                            3 => cells[rng.choose(&[0, 2]).copied().unwrap()] = b"\xc3".to_vec(),
+                            _ => {
+                                cells[1] = b"oops".to_vec();
+                                cells.pop();
+                            }
+                        }
+                    }
+                    input.extend_from_slice(&cells.join(&b","[..]));
+                }
+            }
+            input.extend_from_slice(rng.choose(&[&b"\n"[..], b"\r\n", b"\r\r\n"]).unwrap());
+        }
+        // A last line with no newline, or with `\r` bytes alone.
+        match rng.gen_range(0..4) {
+            0 => input.extend_from_slice(b"z,5,z"),
+            1 => input.extend_from_slice(b"z,5,z\r"),
+            2 => input.extend_from_slice(b"\r"),
+            _ => {}
+        }
+        input
+    }
+
+    fn label_number_label() -> Schema {
+        Schema::builder()
+            .categorical("c")
+            .quantitative("x")
+            .categorical("d")
+            .build()
+            .unwrap()
+    }
+
+    /// Quote-free ranges are read in place: on random inputs holding every
+    /// kind of cell and line end above, blocks and ranges read as the
+    /// record reader does, tables, errors and lines alike.
+    #[test]
+    fn quote_free_inputs_read_in_place_as_the_record_reader_reads_them() {
+        let s = label_number_label();
+        let (mut read, mut failed) = (0, 0);
+        cases(48, 0x5EED_0C5F, |case, rng| {
+            let input = quote_free_input(rng, if case % 2 == 0 { 40 } else { 4 });
+            match serial(&input, &s) {
+                Ok(_) => read += 1,
+                Err(_) => failed += 1,
+            }
+            assert_blocks_match_serial(&input, &s);
+            assert_ranges_match_serial(&input, &s);
+        });
+        assert!(read >= 10 && failed >= 10, "{read} read, {failed} failed");
+    }
+
+    /// The record reader's order of faults holds within one line: a wrong
+    /// field count before invalid UTF-8, and that before a bad number.
+    #[test]
+    fn a_faulty_line_reports_the_record_readers_first_fault() {
+        let s = label_number_label();
+        let count = |line| TableError::Csv {
+            line,
+            message: "record has 2 fields but schema has 3".into(),
+        };
+        for (input, want) in [
+            (&b"c,x,d\na,1,b\na,oops\n"[..], count(3)),
+            (b"c,x,d\n\r\na,oops\r\n", count(3)),
+            (b"c,x,d\na,1,b\n\xc3,oops\n", count(3)),
+            (
+                b"c,x,d\na,1,b\n\xc3,oops,b\n",
+                TableError::Csv {
+                    line: 3,
+                    message: "invalid UTF-8".into(),
+                },
+            ),
+            (
+                b"c,x,d\na,1,b\na,oops,\xc3\n",
+                TableError::Csv {
+                    line: 3,
+                    message: "invalid UTF-8".into(),
+                },
+            ),
+            (
+                b"c,x,d\na,1,b\na,oops,b,c\n",
+                TableError::Csv {
+                    line: 3,
+                    message: "record has 4 fields but schema has 3".into(),
+                },
+            ),
+            (
+                b"c,x,d\na,1,b\n\na,1x,b\n",
+                TableError::BadNumber {
+                    line: 4,
+                    token: "1x".into(),
+                },
+            ),
+        ] {
+            assert_eq!(serial(input, &s).unwrap_err(), want);
+            assert_blocks_match_serial(input, &s);
+            assert_ranges_match_serial(input, &s);
+        }
+    }
+
+    /// Every integer of at most 18 digits is read in place with the value
+    /// `str::parse` gives; longer ones and `i64::MIN` and `MAX` are read as
+    /// before.
+    #[test]
+    fn short_integers_read_as_parse_reads_them() {
+        for token in NUMBERS {
+            let bytes = token.as_bytes();
+            match short_integer(bytes, 0) {
+                Some((value, end)) => {
+                    assert_eq!(end, bytes.len(), "{token}");
+                    assert_eq!(Ok(value), token.parse::<i64>(), "{token}");
+                }
+                None => assert!(token.len() > 18 || token.parse::<i64>().is_err(), "{token}"),
+            }
+        }
+        assert_eq!(short_integer(b"12,3", 0), Some((12, 2)));
+        assert_eq!(
+            short_integer(b"1,-999999999999999999", 2),
+            Some((-999_999_999_999_999_999, 21))
+        );
+        for token in [&b"-"[..], b"", b"1 ", b"1\r", b"\xef\xbc\x91"] {
+            assert_eq!(short_integer(token, 0), None);
+        }
     }
 
     /// Collect every chunk of `input` at the given block size.

@@ -4,13 +4,18 @@
 //! of its distinct labels in first-seen order, so a table never holds one
 //! heap string per cell. The dictionary stores its labels back to back in
 //! one string and finds a label's code through an open-addressing table of
-//! codes, so looking up a known label allocates nothing.
+//! codes, so looking up a known label allocates nothing. While it holds at
+//! most 8 labels it compares them directly and keeps no table.
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 
 /// Marks an unused slot of the lookup table.
 const EMPTY: u32 = u32::MAX;
+
+/// The most labels a dictionary finds by comparing each in turn, which
+/// costs less than hashing the label; the next label builds the table.
+const SCAN_LABELS: usize = 8;
 
 /// The distinct labels of one categorical column, numbered in the order
 /// they were first seen.
@@ -20,8 +25,9 @@ pub struct Dictionary {
     bytes: String,
     /// `ends[c]` is the end offset of label `c` in `bytes`.
     ends: Vec<usize>,
-    /// Open-addressing table of codes; its length is zero or a power of
-    /// two at least twice the label count.
+    /// Open-addressing table of codes; its length is zero while the
+    /// labels are scanned, else a power of two at least twice the label
+    /// count.
     slots: Vec<u32>,
     /// Labels come from outside the program, so they are hashed with
     /// randomly keyed SipHash: crafted collisions cannot make lookups
@@ -74,6 +80,14 @@ impl Dictionary {
 
     /// The code of `label`, adding it as the next code if it is new.
     pub fn intern(&mut self, label: &str) -> u32 {
+        if self.slots.is_empty() {
+            if let Some(code) = (0..self.len() as u32).find(|&c| self.label(c) == label) {
+                return code;
+            }
+            if self.len() < SCAN_LABELS {
+                return self.push(label);
+            }
+        }
         if self.slots.len() < 2 * (self.len() + 1) {
             self.grow();
         }
@@ -81,19 +95,26 @@ impl Dictionary {
         if let Some(code) = found {
             return code;
         }
+        let code = self.push(label);
+        self.slots[slot] = code;
+        code
+    }
+
+    /// Add `label` as the next code, outside the lookup table.
+    fn push(&mut self, label: &str) -> u32 {
         let code = u32::try_from(self.len())
             .ok()
             .filter(|&c| c != EMPTY)
             .expect("a categorical column holds fewer than 2^32 - 1 labels");
         self.bytes.push_str(label);
         self.ends.push(self.bytes.len());
-        self.slots[slot] = code;
         code
     }
 
-    /// Double the lookup table (at least 16 slots) and re-insert every code.
+    /// Size the lookup table for one more label (at least 16 slots) and
+    /// re-insert every code.
     fn grow(&mut self) {
-        let size = (self.slots.len() * 2).max(16);
+        let size = (2 * (self.len() + 1)).next_power_of_two().max(16);
         self.slots = vec![EMPTY; size];
         let mask = size - 1;
         for code in 0..self.len() as u32 {
@@ -244,6 +265,42 @@ mod tests {
             cells[cut..].iter().for_each(|s| tail.push(s));
             head.append(&tail);
             assert_eq!(head, whole, "cut at {cut}");
+        }
+    }
+
+    /// Past [`SCAN_LABELS`] labels the dictionary builds its lookup table;
+    /// codes, first-seen order and appended codes read the same on both
+    /// sides of that step.
+    #[test]
+    fn the_ninth_label_keeps_codes_order_and_appends() {
+        let labels: Vec<String> = (0..=SCAN_LABELS + 2).map(|i| format!("l{i}")).collect();
+        let mut d = Dictionary::default();
+        for (code, label) in labels.iter().enumerate() {
+            assert_eq!(d.intern(label), code as u32);
+            assert_eq!(d.slots.is_empty(), code < SCAN_LABELS, "{code}");
+            for (known, seen) in labels[..=code].iter().enumerate().rev() {
+                assert_eq!(d.intern(seen), known as u32, "{seen} after {label}");
+            }
+        }
+        assert_eq!(d.labels().collect::<Vec<_>>(), labels);
+
+        // Cells that cross from 8 to 9 labels in the head, in the tail or
+        // in the append.
+        let cells: Vec<&str> = [7, 0, 3, 7, 1, 2, 4, 5, 6, 3, 8, 9, 0, 8, 10]
+            .iter()
+            .map(|&i| labels[i].as_str())
+            .collect();
+        let mut whole = CatColumn::default();
+        cells.iter().for_each(|s| whole.push(s));
+        assert_eq!(whole.codes()[..11], [0, 1, 2, 0, 3, 4, 5, 6, 7, 2, 8]);
+        for cut in 0..=cells.len() {
+            let (mut head, mut tail) = (CatColumn::default(), CatColumn::default());
+            cells[..cut].iter().for_each(|s| head.push(s));
+            cells[cut..].iter().for_each(|s| tail.push(s));
+            head.append(&tail);
+            assert_eq!(head, whole, "cut at {cut}");
+            assert!(head.iter().eq(cells.iter().copied()), "cut at {cut}");
+            assert_eq!(head.dictionary.intern(&labels[6]), 7, "cut at {cut}");
         }
     }
 

@@ -291,7 +291,7 @@ for trace in credit credit_chunked; do
         "$STORE_DIR/$trace.trace"
 done
 
-echo "==> csv robustness (stray quotes fail fast on their lines; the deadline stops the parse; -0.0 beside 0 mines)"
+echo "==> csv robustness (stray quotes fail fast on their lines; the deadline stops the parse; -0.0 beside 0 mines; a hostile file mines alike on every topology)"
 # The reader is one pass over the bytes: a stray quote on line 2 of a
 # 100,000-row file must be rejected well inside the timeout and named by
 # its line (re-counting quotes per physical line made this quadratic and
@@ -360,6 +360,38 @@ grep -q "mining cancelled during" "$STORE_DIR/deadline_dist.err"
 printf 'x,c\n-0.0,a\n0,b\n1,a\n2,b\n' > "$STORE_DIR/zeros.csv"
 ./target/release/qar mine --input "$STORE_DIR/zeros.csv" --schema x:quant,c:cat \
     --no-partition > /dev/null
+# A valid but hostile quote-free file: padded, signed, zero-padded,
+# decimal and 19-digit numbers (some past i64::MAX), CRLF and LF lines,
+# blank and \r-only lines, 20,000 rows over several read blocks. One
+# thread, two threads and two workers parsing their own byte ranges must
+# write the same catalog.
+awk '
+    BEGIN {
+        printf "c,x,y,z\r\n"
+        for (i = 0; i < 20000; i++) {
+            if (i % 97 == 0) printf "\n"
+            if (i % 89 == 0) printf "\r\r\n"
+            sign = substr("-+ ", 1 + i % 3, 1); if (sign == " ") sign = ""
+            if (i % 4 == 0) x = sprintf(" %d", i % 50)
+            else if (i % 4 == 1) x = sprintf("%s%d ", sign, i % 50)
+            else if (i % 4 == 2) x = sprintf("%s%03d", sign, i % 50)
+            else x = sprintf("%s%d", sign, i % 50)
+            y = sprintf("%d.%02d", i % 40, (i * 7) % 100)
+            z = (i % 1000 == 0) ? "9999999999999999999" : sprintf("%d%018d", 1 + i % 9, i % 7)
+            printf "%s,%s,%s,%s%s", substr("abc", 1 + i % 3, 1), x, y, z, (i % 5 == 0) ? "\n" : "\r\n"
+        }
+    }
+' > "$STORE_DIR/hostile.csv"
+HOSTILE_FLAGS="--schema c:cat,x:quant,y:quant,z:quant \
+    --minsup 0.1 --minconf 0.5 --maxsup 0.4 --intervals 10 --normalize-stats"
+./target/release/qar mine --input "$STORE_DIR/hostile.csv" $HOSTILE_FLAGS --threads 1 \
+    --store "$STORE_DIR/hostile_t1.qarcat" > /dev/null
+./target/release/qar mine --input "$STORE_DIR/hostile.csv" $HOSTILE_FLAGS --threads 2 \
+    --store "$STORE_DIR/hostile_t2.qarcat" > /dev/null
+./target/release/qar mine --input "$STORE_DIR/hostile.csv" $HOSTILE_FLAGS --workers 2 \
+    --store "$STORE_DIR/hostile_w2.qarcat" > /dev/null
+cmp "$STORE_DIR/hostile_t1.qarcat" "$STORE_DIR/hostile_t2.qarcat"
+cmp "$STORE_DIR/hostile_t1.qarcat" "$STORE_DIR/hostile_w2.qarcat"
 
 echo "==> update workload (20 deltas through qar mine --update, fallbacks as planned)"
 # perfbench's update_stream appends 20 deltas to a 300k-row base
