@@ -900,60 +900,21 @@ impl Backing<'_> {
         }
     }
 
-    /// Hand rows `rows` to `f` in order, as blocks of at most `max_rows`
-    /// (≥ 1) rows. A table or chunk lying wholly in `rows` and within
-    /// `max_rows` is handed as it is — borrowed in memory, as read from
-    /// disk for a chunk; any other block is a copy of its rows. Only the
-    /// chunks overlapping `rows` are read.
+    /// Hand every row to `f` in order, unless there are none: an
+    /// in-memory table whole and borrowed, a chunk store one chunk at a
+    /// time as read from disk.
     pub fn for_each_block(
         &self,
-        rows: Range<usize>,
-        max_rows: usize,
         f: &mut dyn FnMut(Cow<'_, EncodedTable>) -> Result<(), CountError>,
     ) -> Result<(), CountError> {
-        if rows.is_empty() {
-            return Ok(());
-        }
         match *self {
-            Backing::Memory(table) => blocks(Cow::Borrowed(table), rows, max_rows, f),
+            _ if self.num_rows() == 0 => Ok(()),
+            Backing::Memory(table) => f(Cow::Borrowed(table)),
             Backing::Chunks(store) => {
-                let mut start = 0;
-                for index in 0..store.num_chunks() {
-                    let end = start + store.chunk_len(index);
-                    if start < rows.end && end > rows.start {
-                        let within = rows.start.max(start) - start..rows.end.min(end) - start;
-                        blocks(Cow::Owned(store.chunk(index)?), within, max_rows, f)?;
-                    }
-                    start = end;
-                }
-                Ok(())
+                (0..store.num_chunks()).try_for_each(|index| f(Cow::Owned(store.chunk(index)?)))
             }
         }
     }
-}
-
-/// Hand rows `rows` of `table` to `f` as blocks of at most `max_rows`
-/// rows: `table` itself when that is all of it, else copies.
-fn blocks(
-    table: Cow<'_, EncodedTable>,
-    rows: Range<usize>,
-    max_rows: usize,
-    f: &mut dyn FnMut(Cow<'_, EncodedTable>) -> Result<(), CountError>,
-) -> Result<(), CountError> {
-    if rows.len() == table.num_rows() && rows.len() <= max_rows {
-        return f(table);
-    }
-    for start in rows.clone().step_by(max_rows) {
-        let end = rows.end.min(start.saturating_add(max_rows));
-        let (schema, encoders) = (table.schema().clone(), table.encoders().to_vec());
-        let columns = schema
-            .iter()
-            .map(|(id, _)| table.codes(id)[start..end].to_vec())
-            .collect();
-        let block = EncodedTable::from_parts(schema, encoders, columns, end - start);
-        f(Cow::Owned(block))?;
-    }
-    Ok(())
 }
 
 /// The local [`CountSource`]: counts the rows this process holds with the
@@ -961,15 +922,12 @@ fn blocks(
 /// time so peak memory is one chunk — and scans pass 2 straight into the
 /// pair histograms.
 ///
-/// Every count walks the source's row ranges (all of the [`Backing`]'s
-/// rows unless [`InMemorySource::restrict`]ed) block by block and sums
-/// the blocks' counts. A whole in-memory table is one block, handed to
-/// the kernels without a copy; spilled chunks are one block each, their
-/// scan statistics folded into one scan's over all their rows.
+/// Every count walks the [`Backing`]'s rows block by block and sums the
+/// blocks' counts. A whole in-memory table is one block, handed to the
+/// kernels without a copy; spilled chunks are one block each, their scan
+/// statistics folded into one scan's over all their rows.
 pub struct InMemorySource<'a> {
     rows: Backing<'a>,
-    /// The row ranges counted, in order.
-    ranges: Vec<Range<usize>>,
     /// The in-memory table itself, or a chunk store's header.
     meta: Cow<'a, EncodedTable>,
     num_threads: usize,
@@ -987,7 +945,6 @@ impl<'a> InMemorySource<'a> {
             Backing::Chunks(store) => Cow::Owned(store.header()),
         };
         InMemorySource {
-            ranges: std::iter::once(0..rows.num_rows()).collect(),
             rows,
             meta,
             num_threads: config.effective_parallelism(),
@@ -1003,13 +960,6 @@ impl<'a> InMemorySource<'a> {
         self
     }
 
-    /// Count only the rows in `ranges` from now on (disjoint, within the
-    /// backing): how a coordinator recounts the partitions of workers it
-    /// lost.
-    pub fn restrict(&mut self, ranges: Vec<Range<usize>>) {
-        self.ranges = ranges;
-    }
-
     /// Hand every block of the counted rows to `scan` with the source's
     /// scan options, and fold the blocks' statistics into the pass's as
     /// one scan's: the same counting work over all the blocks' rows.
@@ -1022,17 +972,14 @@ impl<'a> InMemorySource<'a> {
             ..ScanOptions::new(self.num_threads)
         };
         let mut call = None;
-        for range in &self.ranges {
-            self.rows
-                .for_each_block(range.clone(), usize::MAX, &mut |block| {
-                    // Between blocks; a scan checks the token itself.
-                    if call.is_some() && opts.cancel.is_some_and(CancelToken::is_cancelled) {
-                        return Err(CountError::Cancelled);
-                    }
-                    fold_stats(&mut call, scan(&block, opts)?, PassStats::absorb_rows);
-                    Ok(())
-                })?;
-        }
+        self.rows.for_each_block(&mut |block| {
+            // Between blocks; a scan checks the token itself.
+            if call.is_some() && opts.cancel.is_some_and(CancelToken::is_cancelled) {
+                return Err(CountError::Cancelled);
+            }
+            fold_stats(&mut call, scan(&block, opts)?, PassStats::absorb_rows);
+            Ok(())
+        })?;
         if let Some(call) = call {
             fold_stats(&mut self.pass_stats, call, PassStats::absorb);
         }
@@ -1046,9 +993,8 @@ impl CountSource for InMemorySource<'_> {
         &self.meta
     }
 
-    /// The rows counted: all of the backing's unless restricted.
     fn num_rows(&self) -> u64 {
-        self.ranges.iter().map(|r| r.len() as u64).sum()
+        self.rows.num_rows() as u64
     }
 
     fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError> {

@@ -6,19 +6,17 @@
 //! accepts their connections. [`DistSource`] then implements
 //! [`CountSource`] over the pool and answers every counting request by
 //! broadcasting it and merging the raw per-worker tallies with
-//! element-wise `u64` addition. The workers get their rows one of two
-//! ways:
+//! element-wise `u64` addition.
 //!
-//! * from rows the coordinator holds ([`DistSource::start`]): it
-//!   partitions them contiguously across the workers and streams each
-//!   partition out as bounded row blocks, one worker after the other;
-//! * from a CSV file ([`DistSource::start_ranges`]): every worker is
-//!   started on the file, parses its own byte range of it and replies
-//!   with the range's value histograms. The coordinator merges them,
-//!   builds the encoders from them as the serial run does (Steps 1–2),
-//!   and sends them out, and each worker encodes its own rows. The
-//!   coordinator parses, encodes and ships no rows. A range holding a
-//!   `"` byte ends this load: the caller reads the file itself.
+//! The workers load their own rows ([`DistSource::start_ranges`]): every
+//! worker is started on the CSV file, parses its own byte range of it and
+//! replies with the range's value histograms. The coordinator merges them,
+//! builds the encoders from them as the serial run does (Steps 1–2) or
+//! takes given ones, and sends them out, and each worker encodes its own
+//! rows. The coordinator parses, encodes and ships no rows. The ranges are
+//! first cut at newlines; if the first range that did not parse holds a
+//! `"` byte, the file is cut again at record ends and every range sent
+//! again.
 //!
 //! Pass 2 travels as attribute pairs: workers return [`PairHistograms`]
 //! cells, which merge by addition into the histograms the driver reads
@@ -28,20 +26,19 @@
 //! answers out of protocol is declared **lost** (one `worker_lost` trace
 //! event, [`MinerError::WorkerLost`] under
 //! [`DistOptions::fail_fast`]). By default the coordinator recovers by
-//! counting the lost partition itself from then on: a range of the rows
-//! it holds, or the lost worker's byte range of the file, parsed again
-//! (and encoded once the encoders exist). The merged counts, and
-//! therefore the mined rules, are unchanged.
+//! parsing the lost worker's byte range of the file again (and encoding
+//! it once the encoders exist), and counting those rows itself from then
+//! on. The merged counts, and therefore the mined rules, are unchanged.
 
 use qar_core::pipeline::build_encoders_from_histograms;
-use qar_core::source::{Backing, CountError, CountSource, InMemorySource};
+use qar_core::source::{CountError, CountSource, InMemorySource};
 use qar_core::supercand::{cell_groups, PairHistograms};
 use qar_core::{MinerConfig, MinerError};
 use qar_itemset::Itemset;
 use qar_store::dist::{read_response, write_request, DistRequest, DistResponse};
 use qar_store::protocol::MAX_PAYLOAD;
 use qar_table::csv::{self, RangeRead};
-use qar_table::{EncodedTable, Histogram, Schema, TableError};
+use qar_table::{AttributeEncoder, EncodedTable, Histogram, Schema, TableError};
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 use std::fs::File;
 use std::io::Write;
@@ -54,9 +51,9 @@ use std::time::{Duration, Instant};
 
 use crate::worker::{run_worker, WorkerOptions};
 
-/// Row blocks and candidate batches are kept under this wire size —
-/// comfortably below the protocol's 16 MiB frame ceiling, and small
-/// enough that per-batch count responses never strain socket buffers.
+/// Candidate batches are kept under this wire size — comfortably below
+/// the protocol's 16 MiB frame ceiling, and small enough that per-batch
+/// count responses never strain socket buffers.
 const BATCH_BYTES: usize = 4 << 20;
 
 /// Most histogram cells one `CountPairs` request asks for, so that its
@@ -345,14 +342,17 @@ impl Drop for Cluster {
     }
 }
 
-/// A CSV file cut into one byte range per worker, for workers that parse
-/// their own part of it ([`DistSource::start_ranges`]).
+/// A CSV file cut into one byte range per worker, each worker parsing its
+/// own part of it ([`DistSource::start_ranges`]).
 pub struct RangeInput {
     file: File,
     path: PathBuf,
     schema: Schema,
     header_lines: usize,
     ranges: Vec<Range<u64>>,
+    /// The ranges end on record ends ([`csv::cut_records`]), so their
+    /// quoted fields are read.
+    records: bool,
 }
 
 impl RangeInput {
@@ -372,7 +372,16 @@ impl RangeInput {
             schema: schema.clone(),
             header_lines,
             ranges,
+            records: false,
         })
+    }
+
+    /// Cut the file again into as many ranges, at record ends.
+    fn cut_records(&mut self) -> Result<(), TableError> {
+        let (_, ranges) = csv::cut_records(&self.file, &self.schema, self.ranges.len())?;
+        self.ranges = ranges;
+        self.records = true;
+        Ok(())
     }
 
     /// The request for range `index`, carrying the time `cancel` has
@@ -386,6 +395,7 @@ impl RangeInput {
             schema: self.schema.clone(),
             file_len: self.ranges.last().map_or(0, |r| r.end),
             range: self.ranges[index].clone(),
+            records: self.records,
             deadline_ms,
         }
     }
@@ -398,41 +408,37 @@ impl RangeInput {
         cancelled: &(dyn Fn() -> bool + Sync),
     ) -> Result<Option<RangeRead>, TableError> {
         let range = self.ranges[index].clone();
-        csv::read_range(&self.file, &self.schema, range, threads, cancelled)
+        csv::read_range(
+            &self.file,
+            &self.schema,
+            range,
+            self.records,
+            threads,
+            cancelled,
+        )
     }
 }
 
-/// How [`DistSource::start_ranges`] ended.
-pub enum RangeLoad<'a> {
-    /// Every range parsed: the workers hold the rows, encoded.
-    Loaded {
-        /// The source counting over the workers.
-        source: Box<DistSource<'a>>,
-        /// The intervals Steps 1–2 chose per attribute (`None` for
-        /// categorical or unpartitioned attributes).
-        intervals: Vec<Option<usize>>,
-    },
-    /// A range held a `"` byte, so the ranges may not be units of the
-    /// file. The workers are gone; the caller reads the file itself.
-    Quoted,
-    /// The file failed to parse: the serial reader's error for it (the
-    /// first failing range's, its line counted from the file's start), or
-    /// [`TableError::Cancelled`] once the run's deadline passed.
-    Failed(TableError),
-}
+/// How [`DistSource::start_ranges`] ended: the source counting over the
+/// workers, which hold the rows encoded, with the intervals Steps 1–2
+/// chose per attribute (`None` for categorical or unpartitioned
+/// attributes; none at all under given encoders). Or the file's error:
+/// the serial reader's for a record that does not parse (the first
+/// failing range's, its line counted from the file's start), the serial
+/// encode's for a value given encoders cannot encode, or
+/// [`TableError::Cancelled`] once the run's deadline passed.
+pub type RangeLoad<'a> = Result<(Box<DistSource<'a>>, Vec<Option<usize>>), TableError>;
 
-/// One range as the load met it, in range order.
-enum RangePart {
-    /// Parsed: its rows, lines and histograms, and its table when the
-    /// coordinator parsed it itself.
-    Parsed {
-        rows: usize,
-        lines: usize,
-        histograms: Vec<Histogram>,
-        read: Option<RangeRead>,
-    },
-    Quoted,
-    Failed(TableError),
+/// One range as the load met it, in range order: parsed, or its error.
+type RangePart = Result<Parsed, TableError>;
+
+/// A parsed range: its rows, lines and histograms, and its table when
+/// the coordinator parsed it itself.
+struct Parsed {
+    rows: usize,
+    lines: usize,
+    histograms: Vec<Histogram>,
+    read: Option<RangeRead>,
 }
 
 /// The distributed [`CountSource`]: a worker pool plus what the
@@ -440,100 +446,32 @@ enum RangePart {
 pub struct DistSource<'a> {
     cluster: Cluster,
     meta: EncodedTable,
-    /// Per-worker contiguous row ranges, cluster order.
-    ranges: Vec<Range<usize>>,
-    /// The lost workers' rows, counted by the coordinator itself.
-    local: Local<'a>,
+    /// Each worker's rows, cluster order.
+    rows: Vec<usize>,
+    /// The file the workers parsed; a lost worker's range is parsed again.
+    input: RangeInput,
+    /// The lost workers' rows, encoded, counted by this process.
+    local: Vec<EncodedTable>,
+    /// The cell the serial encode of the file would fail on, among the
+    /// ranges encoded so far: keyed by attribute, then range.
+    unencodable: Option<((usize, usize), TableError)>,
     config: MinerConfig,
     sink: Option<&'a dyn ProgressSink>,
     cancel: Option<&'a CancelToken>,
     fail_fast: bool,
 }
 
-/// Where the coordinator finds the rows of the workers it lost.
-enum Local<'a> {
-    /// In the rows it holds and streamed out: the lost workers' ranges.
-    Held {
-        backing: Backing<'a>,
-        retired: Vec<Range<usize>>,
-    },
-    /// In the file the workers parsed: a lost worker's byte range is
-    /// parsed again, and its encoded rows kept in `rows`.
-    Reparsed {
-        input: RangeInput,
-        rows: Vec<EncodedTable>,
-    },
-}
-
 impl<'a> DistSource<'a> {
-    /// Start a cluster of `options.workers` workers and load `backing`
-    /// into it — the source `qar mine --workers N` counts through when
-    /// it holds the rows. The cluster shuts down when the source is
-    /// dropped.
-    pub fn start(
-        backing: Backing<'a>,
-        config: &MinerConfig,
-        options: &DistOptions,
-        sink: Option<&'a dyn ProgressSink>,
-        cancel: Option<&'a CancelToken>,
-    ) -> Result<DistSource<'a>, MinerError> {
-        let cluster = Cluster::start(options)?;
-        DistSource::new(cluster, backing, config, sink, cancel, options.fail_fast)
-    }
-
-    /// Partition `backing` across the cluster's workers and stream every
-    /// partition out. Emits one `worker_joined` event per loaded worker.
-    pub fn new(
-        cluster: Cluster,
-        backing: Backing<'a>,
-        config: &MinerConfig,
-        sink: Option<&'a dyn ProgressSink>,
-        cancel: Option<&'a CancelToken>,
-        fail_fast: bool,
-    ) -> Result<DistSource<'a>, MinerError> {
-        let num_rows = backing.num_rows();
-        let workers = cluster.len();
-        let base = num_rows / workers.max(1);
-        let extra = num_rows % workers.max(1);
-        let mut ranges = Vec::with_capacity(workers);
-        let mut offset = 0;
-        for worker in 0..workers {
-            let len = base + usize::from(worker < extra);
-            ranges.push(offset..offset + len);
-            offset += len;
-        }
-        let meta = match backing {
-            Backing::Memory(table) => EncodedTable::header_only(
-                table.schema().clone(),
-                table.encoders().to_vec(),
-                num_rows,
-            ),
-            Backing::Chunks(store) => store.header(),
-        };
-        let mut source = DistSource {
-            cluster,
-            meta,
-            ranges,
-            local: Local::Held {
-                backing,
-                retired: Vec::new(),
-            },
-            config: config.clone(),
-            sink,
-            cancel,
-            fail_fast,
-        };
-        source.load(backing)?;
-        Ok(source)
-    }
-
     /// Start a cluster of `options.workers` workers on `input`'s file
     /// (each given it at start, never over the wire) and have each parse
-    /// and encode its own range of it — the load `qar mine --workers N
-    /// --input FILE` takes for a regular file. `input` must be cut into
-    /// one range per worker.
+    /// and encode its own range of it — the load of every `qar mine
+    /// --workers N`. The rows are encoded under `encoders` when given (a
+    /// catalog's, for `--update`), else under the encoders Steps 1–2 build
+    /// from the ranges' histograms. `input` must be cut into one range per
+    /// worker. The cluster shuts down when the source is dropped.
     pub fn start_ranges(
         input: RangeInput,
+        encoders: Option<Vec<AttributeEncoder>>,
         config: &MinerConfig,
         options: &DistOptions,
         sink: Option<&'a dyn ProgressSink>,
@@ -544,18 +482,29 @@ impl<'a> DistSource<'a> {
             ..options.clone()
         };
         let cluster = Cluster::start(&options)?;
-        DistSource::from_ranges(cluster, input, config, sink, cancel, options.fail_fast)
+        DistSource::from_ranges(
+            cluster,
+            input,
+            encoders,
+            config,
+            sink,
+            cancel,
+            options.fail_fast,
+        )
     }
 
     /// Have the cluster's workers, started on `input`'s file, parse one
-    /// range each; merge their histograms in range order into the
-    /// encoders; and send them the encoders, on which each encodes its own
-    /// rows. A worker lost before it is loaded has its range parsed here
-    /// instead. Emits one `worker_joined` event per loaded worker, once
-    /// every worker is.
+    /// range each, and cut the file again at record ends and parse every
+    /// range again if the first range that did not parse holds a quote.
+    /// Merge their histograms in range order into the encoders, unless
+    /// `encoders` are given; send the workers the encoders, on which each
+    /// encodes its own rows. A worker lost before it is loaded has its
+    /// range parsed here instead. Emits one `worker_joined` event per
+    /// loaded worker, once every worker is.
     pub fn from_ranges(
         mut cluster: Cluster,
-        input: RangeInput,
+        mut input: RangeInput,
+        encoders: Option<Vec<AttributeEncoder>>,
         config: &MinerConfig,
         sink: Option<&'a dyn ProgressSink>,
         cancel: Option<&'a CancelToken>,
@@ -568,7 +517,7 @@ impl<'a> DistSource<'a> {
                 input.ranges.len()
             )));
         }
-        let parsed = match parse_ranges(&mut cluster, &input, config, sink, cancel, fail_fast) {
+        let parsed = match parse_ranges(&mut cluster, &mut input, config, sink, cancel, fail_fast) {
             Ok(parsed) => parsed,
             Err(e) => {
                 cluster.abandon();
@@ -578,66 +527,64 @@ impl<'a> DistSource<'a> {
         // The first range that did not parse decides, its errors' lines
         // counted after the header's and the earlier ranges'.
         let mut lines = input.header_lines;
-        let mut ranges: Vec<Range<usize>> = Vec::with_capacity(parsed.len());
+        let mut rows = Vec::with_capacity(parsed.len());
         let mut merged: Option<Vec<Histogram>> = None;
         let mut reads = Vec::new();
-        for part in parsed {
-            let (rows, histograms) = match part {
-                RangePart::Parsed {
-                    rows,
-                    lines: more,
-                    histograms,
-                    read,
-                } => {
-                    lines += more;
-                    reads.extend(read);
-                    (rows, histograms)
-                }
-                RangePart::Quoted => {
+        for (index, part) in parsed.into_iter().enumerate() {
+            let part = match part {
+                Ok(part) => part,
+                Err(e) => {
                     cluster.abandon();
-                    return Ok(RangeLoad::Quoted);
-                }
-                RangePart::Failed(e) => {
-                    cluster.abandon();
-                    return Ok(RangeLoad::Failed(e.after_lines(lines)));
+                    return Ok(Err(e.after_lines(lines)));
                 }
             };
-            let start = ranges.last().map_or(0, |r| r.end);
-            ranges.push(start..start + rows);
+            lines += part.lines;
+            rows.push(part.rows);
+            reads.extend(part.read.map(|read| (index, read)));
             match &mut merged {
-                None => merged = Some(histograms),
+                None => merged = Some(part.histograms),
                 Some(merged) => {
-                    for (merged, part) in merged.iter_mut().zip(histograms) {
+                    for (merged, part) in merged.iter_mut().zip(part.histograms) {
                         merged.merge(part);
                     }
                 }
             }
         }
-        let merged = merged.expect("a cluster has at least one worker");
-        let (encoders, intervals) = build_encoders_from_histograms(&input.schema, &merged, config)?;
-        let num_rows = ranges.last().map_or(0, |r| r.end);
+        let (encoders, intervals) = match encoders {
+            Some(encoders) => (encoders, Vec::new()),
+            None => {
+                let merged = merged.expect("a cluster has at least one worker");
+                build_encoders_from_histograms(&input.schema, &merged, config)?
+            }
+        };
+        let num_rows = rows.iter().sum();
         let meta = EncodedTable::header_only(input.schema.clone(), encoders, num_rows);
         let mut source = DistSource {
             cluster,
             meta,
-            ranges,
-            local: Local::Reparsed {
-                input,
-                rows: Vec::new(),
-            },
+            rows,
+            input,
+            local: Vec::new(),
+            unencodable: None,
             config: config.clone(),
             sink,
             cancel,
             fail_fast,
         };
-        for read in reads {
-            source.keep_local(read)?;
-        }
-        source.setup_ranges()?;
-        Ok(RangeLoad::Loaded {
-            source: Box::new(source),
-            intervals,
-        })
+        let loaded = reads
+            .into_iter()
+            .try_for_each(|(index, read)| source.keep_local(index, read))
+            .and_then(|()| source.setup_ranges());
+        let failed = match (loaded, source.unencodable.take()) {
+            (Ok(()), None) => {
+                return Ok(Ok((Box::new(source), intervals)));
+            }
+            (Ok(()), Some((_, e))) => Ok(Err(e)),
+            (Err(CountError::Cancelled), _) => Ok(Err(TableError::Cancelled)),
+            (Err(CountError::Failed(e)), _) => Err(e),
+        };
+        source.cluster.abandon();
+        failed
     }
 
     fn emit(&self, event: TraceEvent) {
@@ -646,63 +593,101 @@ impl<'a> DistSource<'a> {
         }
     }
 
-    /// Declare worker `index` lost during `pass` (0 = the load phase).
-    /// Under `fail_fast` the loss becomes the run's error; otherwise the
-    /// worker is retired and its rows counted here from then on.
-    fn lose(&mut self, index: usize, pass: usize, detail: String) -> Result<(), MinerError> {
+    /// Declare worker `index` lost during `pass` (0 = the load). Under
+    /// `fail_fast` the loss becomes the run's error; otherwise the
+    /// worker's range of the file is parsed and encoded here, and its rows
+    /// counted here from then on. A parse or encode stopped by the run's
+    /// deadline ends in [`CountError::Cancelled`].
+    fn lose(&mut self, index: usize, pass: usize, detail: String) -> Result<(), CountError> {
         self.cluster
             .lose(index, pass, detail, self.sink, self.fail_fast)?;
-        match &mut self.local {
-            Local::Held { retired, .. } => retired.push(self.ranges[index].clone()),
-            Local::Reparsed { input, .. } => {
-                let threads = self.config.effective_parallelism();
-                let again = |detail: String| {
-                    MinerError::Distributed(format!(
-                        "worker {index}'s range of `{}` cannot be read again: {detail}",
-                        input.path.display()
-                    ))
-                };
-                let read = match input.parse(index, threads, &|| false) {
-                    Ok(Some(read)) if read.table.num_rows() == self.ranges[index].len() => read,
-                    Ok(Some(_)) => return Err(again("its row count changed".to_string())),
-                    Ok(None) => return Err(again("it now holds a quote".to_string())),
-                    Err(e) => return Err(again(e.to_string())),
-                };
-                self.keep_local(read)?;
-            }
+        let threads = self.config.effective_parallelism();
+        let cancel = self.cancel;
+        let cancelled = move || cancel.is_some_and(CancelToken::is_cancelled);
+        let path = self.input.path.display().to_string();
+        let again = |detail: String| {
+            CountError::Failed(MinerError::Distributed(format!(
+                "worker {index}'s range of `{path}` cannot be read again: {detail}"
+            )))
+        };
+        let read = match self.input.parse(index, threads, &cancelled) {
+            Ok(Some(read)) if read.table.num_rows() == self.rows[index] => read,
+            Ok(Some(_)) => return Err(again("its row count changed".to_string())),
+            Ok(None) => return Err(again("it now holds a quote".to_string())),
+            Err(TableError::Cancelled) => return Err(CountError::Cancelled),
+            Err(e) => return Err(again(e.to_string())),
+        };
+        self.keep_local(index, read)?;
+        match &self.unencodable {
+            // Past the load, the encoders took this range once already.
+            Some((_, e)) if pass > 0 => Err(again(e.to_string())),
+            _ => Ok(()),
+        }
+    }
+
+    /// Encode `read`, range `index` parsed here, and count its rows here
+    /// from now on; a value the encoders cannot encode is noted instead.
+    fn keep_local(&mut self, index: usize, read: RangeRead) -> Result<(), CountError> {
+        let threads = self.config.effective_parallelism();
+        let encoders = self.meta.encoders().to_vec();
+        let cancel = self.cancel;
+        let cancelled = move || cancel.is_some_and(CancelToken::is_cancelled);
+        match EncodedTable::encode_threaded(read.table, encoders, threads, &cancelled) {
+            Ok(encoded) => self.local.push(encoded),
+            Err(TableError::Cancelled) => return Err(CountError::Cancelled),
+            Err(e @ TableError::UnencodableValue { .. }) => self.note_unencodable(index, e),
+            Err(e) => return Err(CountError::Failed(e.into())),
         }
         Ok(())
     }
 
-    /// Encode `read`, a range parsed here, and add it to the rows this
-    /// process counts.
-    fn keep_local(&mut self, read: RangeRead) -> Result<(), MinerError> {
-        let threads = self.config.effective_parallelism();
-        let encoders = self.meta.encoders().to_vec();
-        let encoded = EncodedTable::encode_threaded(read.table, encoders, threads, &|| false)?;
-        if let Local::Reparsed { rows, .. } = &mut self.local {
-            rows.push(encoded);
+    /// Note `e`, range `index`'s first cell its encoders cannot encode,
+    /// if the serial encode of the whole file would meet it first: it
+    /// encodes column by column, each column in row order.
+    fn note_unencodable(&mut self, index: usize, e: TableError) {
+        let TableError::UnencodableValue { attribute, .. } = &e else {
+            return;
+        };
+        let schema = self.meta.schema();
+        let key = (
+            schema.id_of(attribute).map_or(usize::MAX, |id| id.index()),
+            index,
+        );
+        if self
+            .unencodable
+            .as_ref()
+            .is_none_or(|(first, _)| key < *first)
+        {
+            self.unencodable = Some((key, e));
         }
-        Ok(())
     }
 
     /// Send the encoders to every live worker at once, each then encoding
-    /// the range it parsed, and count the rows of any it loses here.
-    fn setup_ranges(&mut self) -> Result<(), MinerError> {
+    /// the range it parsed, and count the rows of any it loses here. A
+    /// worker whose rows do not encode names its first such cell.
+    fn setup_ranges(&mut self) -> Result<(), CountError> {
         let setup = DistRequest::Setup {
             schema: self.meta.schema().clone(),
             encoders: self.meta.encoders().to_vec(),
         };
-        // A broadcast fails only where a loss does; it is never cancelled.
-        let ready = self.broadcast(0, &setup, |response| match response {
+        let attributes = self.meta.schema().len();
+        let mut refused = Vec::new();
+        self.broadcast(0, &setup, |index, response| match response {
             DistResponse::Ready => Ok(()),
+            DistResponse::Unencodable { attribute, value } if (attribute as usize) < attributes => {
+                refused.push((index, attribute as usize, value));
+                Ok(())
+            }
             other => Err(other),
-        });
-        if let Err(CountError::Failed(e)) = ready {
-            return Err(e);
+        })?;
+        for (index, attribute, value) in refused {
+            let attribute = self.meta.schema().attributes()[attribute].name().to_owned();
+            self.note_unencodable(index, TableError::UnencodableValue { attribute, value });
         }
-        for index in self.alive() {
-            self.emit_joined(index);
+        if self.unencodable.is_none() {
+            for index in self.alive() {
+                self.emit_joined(index);
+            }
         }
         Ok(())
     }
@@ -712,71 +697,8 @@ impl<'a> DistSource<'a> {
         self.emit(TraceEvent::WorkerJoined {
             worker: index,
             addr: self.cluster.remotes[index].peer.clone(),
-            rows: self.ranges[index].len() as u64,
+            rows: self.rows[index] as u64,
         });
-    }
-
-    /// Setup + stream each worker its partition of `backing`.
-    fn load(&mut self, backing: Backing<'_>) -> Result<(), MinerError> {
-        let block_rows = (BATCH_BYTES / (4 * self.meta.schema().len().max(1))).max(1);
-        for index in 0..self.cluster.len() {
-            let rows = self.ranges[index].clone();
-            match self.load_worker(index, backing, rows, block_rows) {
-                Ok(()) => self.emit_joined(index),
-                Err(detail) => self.lose(index, 0, detail)?,
-            }
-        }
-        Ok(())
-    }
-
-    fn load_worker(
-        &mut self,
-        index: usize,
-        backing: Backing<'_>,
-        rows: Range<usize>,
-        block_rows: usize,
-    ) -> Result<(), String> {
-        let setup = DistRequest::Setup {
-            schema: self.meta.schema().clone(),
-            encoders: self.meta.encoders().to_vec(),
-        };
-        match self.cluster.remotes[index].request(&setup)? {
-            DistResponse::Ready => {}
-            other => return Err(format!("expected Ready, got {}", describe(&other))),
-        }
-        let mut loaded = 0u64;
-        let remote = &mut self.cluster.remotes[index];
-        let mut stream_error: Option<String> = None;
-        let walk = backing.for_each_block(rows.clone(), block_rows, &mut |block| {
-            let columns = block.into_owned().into_columns();
-            match remote.request(&DistRequest::Rows { columns }) {
-                Ok(DistResponse::RowsLoaded { total_rows }) => {
-                    loaded = total_rows;
-                    Ok(())
-                }
-                Ok(other) => {
-                    stream_error = Some(format!("expected RowsLoaded, got {}", describe(&other)));
-                    Err(CountError::Cancelled) // any error stops the walk
-                }
-                Err(detail) => {
-                    stream_error = Some(detail);
-                    Err(CountError::Cancelled)
-                }
-            }
-        });
-        if let Some(detail) = stream_error {
-            return Err(detail);
-        }
-        if let Err(CountError::Failed(e)) = walk {
-            return Err(format!("reading backing rows: {e}"));
-        }
-        if loaded != rows.len() as u64 {
-            return Err(format!(
-                "worker reports {loaded} rows loaded, expected {}",
-                rows.len()
-            ));
-        }
-        Ok(())
     }
 
     /// Run `count` over the rows this process counts itself, if it counts
@@ -785,18 +707,9 @@ impl<'a> DistSource<'a> {
         &self,
         mut count: impl FnMut(&mut InMemorySource<'_>) -> Result<(), CountError>,
     ) -> Result<(), CountError> {
-        let local = |rows| InMemorySource::new(rows, &self.config).with_cancel(self.cancel);
-        match &self.local {
-            Local::Held { retired, .. } if retired.is_empty() => Ok(()),
-            Local::Held { backing, retired } => {
-                let mut source = local(*backing);
-                source.restrict(retired.clone());
-                count(&mut source)
-            }
-            Local::Reparsed { rows, .. } => rows
-                .iter()
-                .try_for_each(|rows| count(&mut local(Backing::Memory(rows)))),
-        }
+        self.local.iter().try_for_each(|rows| {
+            count(&mut InMemorySource::new(rows, &self.config).with_cancel(self.cancel))
+        })
     }
 
     fn is_cancelled(&self) -> bool {
@@ -833,14 +746,15 @@ impl<'a> DistSource<'a> {
     }
 
     /// Send `request` — encoded once — to every live worker, then read
-    /// each reply and hand it to `accept`, which merges it or hands it
-    /// back as malformed. A worker whose send or read fails, or whose
-    /// reply `accept` rejects, is lost. Returns how many workers merged.
+    /// each reply and hand it, with the worker's index, to `accept`, which
+    /// merges it or hands it back as malformed. A worker whose send or read
+    /// fails, or whose reply `accept` rejects, is lost. Returns how many
+    /// workers merged.
     fn broadcast(
         &mut self,
         pass: usize,
         request: &DistRequest,
-        mut accept: impl FnMut(DistResponse) -> Result<(), DistResponse>,
+        mut accept: impl FnMut(usize, DistResponse) -> Result<(), DistResponse>,
     ) -> Result<usize, CountError> {
         let frame = request.to_frame().map_err(|e| {
             CountError::Failed(MinerError::Distributed(format!(
@@ -859,7 +773,7 @@ impl<'a> DistSource<'a> {
         let mut merged = 0usize;
         for index in sent {
             let detail = match self.cluster.remotes[index].receive() {
-                Ok(response) => match accept(response) {
+                Ok(response) => match accept(index, response) {
                     Ok(()) => {
                         merged += 1;
                         continue;
@@ -893,7 +807,7 @@ impl<'a> DistSource<'a> {
             pairs: hist.pairs().to_vec(),
             window: window.start as u64..window.end as u64,
         };
-        let merged = self.broadcast(pass, &request, |response| match response {
+        let merged = self.broadcast(pass, &request, |_, response| match response {
             DistResponse::PairCounts { cells } if cells.len() == hist.cells().len() => {
                 hist.merge_cells(&cells);
                 Ok(())
@@ -935,7 +849,7 @@ impl<'a> DistSource<'a> {
                 candidates: batch.to_vec(),
             };
             let acc = &mut result[batch_start..batch_end];
-            let merged = self.broadcast(pass, &request, |response| match response {
+            let merged = self.broadcast(pass, &request, |_, response| match response {
                 DistResponse::Counts { counts } if counts.len() == acc.len() => {
                     for (a, b) in acc.iter_mut().zip(counts) {
                         *a += b;
@@ -978,7 +892,7 @@ impl CountSource for DistSource<'_> {
             .map(|(id, _)| vec![0u64; self.meta.cardinality(id) as usize])
             .collect();
         let merged_workers =
-            self.broadcast(1, &DistRequest::CountItems, |response| match response {
+            self.broadcast(1, &DistRequest::CountItems, |_, response| match response {
                 DistResponse::ItemCounts { counts }
                     if counts.len() == merged.len()
                         && counts
@@ -1047,107 +961,146 @@ impl CountSource for DistSource<'_> {
 fn describe(response: &DistResponse) -> &'static str {
     match response {
         DistResponse::Ready => "Ready",
-        DistResponse::RowsLoaded { .. } => "RowsLoaded",
+        DistResponse::Unencodable { .. } => "Unencodable naming no attribute",
         DistResponse::ItemCounts { .. } => "ItemCounts of the wrong shape",
         DistResponse::Counts { .. } => "Counts of the wrong length",
         DistResponse::PairCounts { .. } => "PairCounts of the wrong length",
-        DistResponse::RangeParsed { .. } => "RangeParsed not fitting the schema",
+        DistResponse::RangeParsed { .. } => "RangeParsed not fitting the schema or the cut",
         DistResponse::RangeFailed { .. } => "RangeFailed",
         DistResponse::Bye => "Bye",
         DistResponse::Error { .. } => "Error",
     }
 }
 
-/// Send every worker its range of `input` at once, then read the replies
-/// in range order up to the first range that did not parse. A worker
-/// lost on the way has its range parsed here, unless the run's deadline
-/// has passed by then.
+/// Have the cluster parse every range of `input`, in range order up to
+/// the first range that did not parse. When that range holds a quote, the
+/// ranges may start inside quoted fields: the file is cut again at record
+/// ends and every range parsed again, its quoted fields read.
 fn parse_ranges(
+    cluster: &mut Cluster,
+    input: &mut RangeInput,
+    config: &MinerConfig,
+    sink: Option<&dyn ProgressSink>,
+    cancel: Option<&CancelToken>,
+    fail_fast: bool,
+) -> Result<Vec<RangePart>, MinerError> {
+    if let Some(parts) = parse_round(cluster, input, config, sink, cancel, fail_fast)? {
+        return Ok(parts);
+    }
+    if let Err(e) = input.cut_records() {
+        return Ok(vec![Err(e)]);
+    }
+    let parts = parse_round(cluster, input, config, sink, cancel, fail_fast)?;
+    Ok(parts.expect("ranges cut at record ends are read whatever quotes they hold"))
+}
+
+/// Send every live worker its range of `input` at once, then read the
+/// replies in range order up to the first range that did not parse. The
+/// range of a worker lost before, or on the way unless the run's deadline
+/// has passed by then, is parsed here. `None` when the first range that
+/// did not parse holds a quote, once the later replies are read too.
+fn parse_round(
     cluster: &mut Cluster,
     input: &RangeInput,
     config: &MinerConfig,
     sink: Option<&dyn ProgressSink>,
     cancel: Option<&CancelToken>,
     fail_fast: bool,
-) -> Result<Vec<RangePart>, MinerError> {
+) -> Result<Option<Vec<RangePart>>, MinerError> {
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
     let threads = config.effective_parallelism();
+    // Nothing is sent to a worker lost in an earlier round.
     let sent: Vec<Result<(), String>> = (0..cluster.len())
-        .map(|index| cluster.remotes[index].send(&input.request(index, cancel)))
+        .map(|index| match &mut cluster.remotes[index] {
+            remote if remote.alive => remote.send(&input.request(index, cancel)),
+            _ => Err(String::new()),
+        })
         .collect();
     let schema = &input.schema;
     let mut parts = Vec::with_capacity(sent.len());
-    for (index, sent) in sent.into_iter().enumerate() {
-        let reply = sent.and_then(|()| cluster.remotes[index].receive());
-        let part = match reply {
-            Ok(DistResponse::RangeParsed { quoted: true, .. }) => RangePart::Quoted,
+    let mut sent = sent.into_iter().enumerate();
+    while let Some((index, sent_to)) = sent.next() {
+        let part = match sent_to.and_then(|()| cluster.remotes[index].receive()) {
+            Ok(DistResponse::RangeParsed { quoted: true, .. }) if !input.records => None,
             Ok(DistResponse::RangeParsed {
                 rows,
                 lines,
+                quoted: false,
                 histograms,
-                ..
-            }) if fits(schema, &histograms) => RangePart::Parsed {
+            }) if fits(schema, &histograms) => Some(Ok(Parsed {
                 rows: rows as usize,
                 lines: lines as usize,
                 histograms,
                 read: None,
-            },
+            })),
             Ok(DistResponse::RangeFailed {
                 line,
                 bad_number: true,
                 text,
-            }) => RangePart::Failed(TableError::BadNumber {
+            }) => Some(Err(TableError::BadNumber {
                 line: line as usize,
                 token: text,
-            }),
-            Ok(DistResponse::RangeFailed { line, text, .. }) => {
-                RangePart::Failed(TableError::Csv {
-                    line: line as usize,
-                    message: text,
-                })
-            }
+            })),
+            Ok(DistResponse::RangeFailed { line, text, .. }) => Some(Err(TableError::Csv {
+                line: line as usize,
+                message: text,
+            })),
             failed => {
                 if cancelled() {
-                    return Ok(vec![RangePart::Failed(TableError::Cancelled)]);
+                    return Ok(Some(vec![Err(TableError::Cancelled)]));
                 }
-                let detail = match failed {
-                    Ok(other) => format!("malformed reply ({})", describe(&other)),
-                    Err(detail) => detail,
-                };
-                cluster.lose(index, 0, detail, sink, fail_fast)?;
+                if cluster.remotes[index].alive {
+                    let detail = match failed {
+                        Ok(other) => format!("malformed reply ({})", describe(&other)),
+                        Err(detail) => detail,
+                    };
+                    cluster.lose(index, 0, detail, sink, fail_fast)?;
+                }
                 parse_here(input, index, threads, &cancelled)
             }
         };
-        let done = !matches!(part, RangePart::Parsed { .. });
+        let Some(part) = part else {
+            // Read the later replies before the ranges are sent again.
+            for (index, sent_to) in sent {
+                let reply = sent_to.and_then(|()| cluster.remotes[index].receive());
+                if let (Err(detail), true) = (reply, cluster.remotes[index].alive) {
+                    if cancelled() {
+                        return Ok(Some(vec![Err(TableError::Cancelled)]));
+                    }
+                    cluster.lose(index, 0, detail, sink, fail_fast)?;
+                }
+            }
+            return Ok(None);
+        };
+        let done = part.is_err();
         parts.push(part);
         if done {
             break;
         }
     }
-    Ok(parts)
+    Ok(Some(parts))
 }
 
-/// Parse range `index` of `input` here, with its histograms.
+/// Parse range `index` of `input` here, with its histograms; `None` when
+/// it holds a quote it may not read.
 fn parse_here(
     input: &RangeInput,
     index: usize,
     threads: usize,
     cancelled: &(dyn Fn() -> bool + Sync),
-) -> RangePart {
+) -> Option<RangePart> {
     let read = match input.parse(index, threads, cancelled) {
         Ok(Some(read)) => read,
-        Ok(None) => return RangePart::Quoted,
-        Err(e) => return RangePart::Failed(e),
+        Ok(None) => return None,
+        Err(e) => return Some(Err(e)),
     };
-    match read.table.histograms_threaded(threads, cancelled) {
-        Ok(histograms) => RangePart::Parsed {
-            rows: read.table.num_rows(),
-            lines: read.lines,
-            histograms,
-            read: Some(read),
-        },
-        Err(e) => RangePart::Failed(e),
-    }
+    let histograms = read.table.histograms_threaded(threads, cancelled);
+    Some(histograms.map(|histograms| Parsed {
+        rows: read.table.num_rows(),
+        lines: read.lines,
+        histograms,
+        read: Some(read),
+    }))
 }
 
 /// True when `histograms` hold one histogram per attribute of `schema`,
@@ -1159,7 +1112,7 @@ fn fits(schema: &Schema, histograms: &[Histogram]) -> bool {
         })
 }
 
-/// Options of [`Cluster::start`] and [`DistSource::start`].
+/// Options of [`Cluster::start`] and [`DistSource::start_ranges`].
 #[derive(Debug, Clone)]
 pub struct DistOptions {
     /// Number of workers (≥ 1).
@@ -1193,7 +1146,7 @@ mod tests {
     use qar_core::Miner;
     use qar_store::dist::{read_request, tag, write_response};
     use qar_store::Catalog;
-    use qar_table::{ChunkStore, Schema, Table, Value};
+    use qar_table::{Schema, Table, Value};
     use std::sync::{Arc, Mutex};
 
     fn people_table() -> Table {
@@ -1248,14 +1201,35 @@ mod tests {
         }
     }
 
-    fn mine_over_workers(
-        backing: Backing<'_>,
-        config: &MinerConfig,
-        workers: usize,
-    ) -> MiningOutput {
-        let mut source =
-            DistSource::start(backing, config, &threads_options(workers), None, None).unwrap();
-        mine_source(&mut source, config, None, None).unwrap()
+    /// The people table written as CSV to a fresh temporary file, with
+    /// `edit` applied to its text; the caller removes it.
+    fn people_csv(label: &str, edit: impl Fn(String) -> String) -> PathBuf {
+        let mut bytes = Vec::new();
+        csv::write_table(&mut bytes, &people_table()).unwrap();
+        let path = qar_table::chunk::default_spill_dir(label).with_extension("csv");
+        std::fs::write(&path, edit(String::from_utf8(bytes).unwrap())).unwrap();
+        path
+    }
+
+    /// The people table's text with its first `Yes` label quoted: the
+    /// same table, in a file whose naive cuts do not all end records.
+    fn quote_one(text: String) -> String {
+        text.replacen("Yes", "\"Yes\"", 1)
+    }
+
+    fn range_input(path: &Path, workers: usize) -> RangeInput {
+        let file = File::open(path).unwrap();
+        RangeInput::new(file, path, people_table().schema(), workers).unwrap()
+    }
+
+    /// Mine the file at `path` over `workers` thread workers that parse
+    /// their own ranges of it.
+    fn mine_over_workers(path: &Path, config: &MinerConfig, workers: usize) -> MiningOutput {
+        let input = range_input(path, workers);
+        let options = threads_options(workers);
+        let loaded = DistSource::start_ranges(input, None, config, &options, None, None);
+        let (mut source, _) = loaded.unwrap().unwrap();
+        mine_source(&mut *source, config, None, None).unwrap()
     }
 
     fn normalized_catalog_bytes(output: &MiningOutput) -> Vec<u8> {
@@ -1291,13 +1265,19 @@ mod tests {
         );
     }
 
+    /// Over a plain and a quoted copy of the people table, the range load
+    /// mines the serial result at every worker count, with empty ranges
+    /// past the rows.
     #[test]
     fn distributed_matches_serial_across_worker_counts() {
         let enc = encoded();
         let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
-        for workers in [1usize, 2, 3, 5] {
-            let dist = mine_over_workers(Backing::Memory(&enc), &config(), workers);
-            assert_identical(&serial, &dist);
+        for path in [people_csv("plain", |t| t), people_csv("quoted", quote_one)] {
+            for workers in [1usize, 2, 3, 5] {
+                let dist = mine_over_workers(&path, &config(), workers);
+                assert_identical(&serial, &dist);
+            }
+            let _ = std::fs::remove_file(&path);
         }
     }
 
@@ -1307,15 +1287,14 @@ mod tests {
         let mut serial_source = qar_core::InMemorySource::new(&enc, &config());
         let (serial, serial_counts) =
             mine_source_captured(&mut serial_source, &config(), None, None).unwrap();
-        let mut source = DistSource::start(
-            Backing::Memory(&enc),
-            &config(),
-            &threads_options(3),
-            None,
-            None,
-        )
-        .unwrap();
-        let (dist, dist_counts) = mine_source_captured(&mut source, &config(), None, None).unwrap();
+        let path = people_csv("capture", |t| t);
+        let input = range_input(&path, 3);
+        let loaded =
+            DistSource::start_ranges(input, None, &config(), &threads_options(3), None, None);
+        let (mut source, _) = loaded.unwrap().unwrap();
+        let (dist, dist_counts) =
+            mine_source_captured(&mut *source, &config(), None, None).unwrap();
+        let _ = std::fs::remove_file(&path);
         assert_identical(&serial, &dist);
         assert_eq!(
             serial_counts, dist_counts,
@@ -1327,36 +1306,14 @@ mod tests {
     fn more_workers_than_rows_still_exact() {
         let enc = encoded();
         let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
-        let dist = mine_over_workers(Backing::Memory(&enc), &config(), 16);
-        assert_identical(&serial, &dist);
-    }
-
-    /// The people table spilled in chunks of `chunk_rows` rows.
-    fn chunk_store(enc: &EncodedTable, chunk_rows: usize) -> ChunkStore {
-        let dir = qar_table::chunk::default_spill_dir("dist_chunks");
-        let mut store =
-            ChunkStore::create(&dir, enc.schema().clone(), enc.encoders().to_vec()).unwrap();
-        let table = people_table();
-        let mut i = 0;
-        while i < table.num_rows() {
-            let end = (i + chunk_rows).min(table.num_rows());
-            let mut part = Table::new(table.schema().clone());
-            for r in i..end {
-                part.push_row(&table.row(r).to_values()).unwrap();
-            }
-            store.append_chunk(&part).unwrap();
-            i = end;
+        for path in [
+            people_csv("many", |t| t),
+            people_csv("many_quoted", quote_one),
+        ] {
+            let dist = mine_over_workers(&path, &config(), 16);
+            let _ = std::fs::remove_file(&path);
+            assert_identical(&serial, &dist);
         }
-        store
-    }
-
-    #[test]
-    fn distributed_over_chunks_matches_serial() {
-        let enc = encoded();
-        let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
-        let store = chunk_store(&enc, 3);
-        let dist = mine_over_workers(Backing::Chunks(&store), &config(), 2);
-        assert_identical(&serial, &dist);
     }
 
     #[test]
@@ -1369,7 +1326,9 @@ mod tests {
         });
         let enc = encoded();
         let serial = Miner::new(cfg.clone()).mine_encoded(&enc).unwrap();
-        let dist = mine_over_workers(Backing::Memory(&enc), &cfg, 3);
+        let path = people_csv("interest", |t| t);
+        let dist = mine_over_workers(&path, &cfg, 3);
+        let _ = std::fs::remove_file(&path);
         assert_identical(&serial, &dist);
         let verdicts = |o: &MiningOutput| -> Vec<bool> {
             o.interest
@@ -1411,147 +1370,44 @@ mod tests {
     }
 
     /// A cluster of `workers` with deterministic indices, each started on
-    /// `input`: worker `flaky` notes the requests it gets and drops its
-    /// connection at the first one `drops_at` picks, the others are real
-    /// workers.
+    /// `input` and noting the requests it gets: worker `flaky` drops its
+    /// connection at the first one `drops_at` picks.
     fn flaky_cluster(
         workers: usize,
         flaky: usize,
         drops_at: fn(&DistRequest) -> bool,
-        input: Option<&Path>,
-    ) -> (Cluster, Vec<JoinHandle<()>>, Seen) {
+        input: &Path,
+    ) -> (Cluster, Vec<JoinHandle<()>>, Vec<Seen>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let opts = WorkerOptions {
-            input: input.map(Path::to_path_buf),
+            input: Some(input.to_path_buf()),
             ..WorkerOptions::default()
         };
-        let seen = Seen::default();
-        let (mut streams, mut threads) = (Vec::new(), Vec::new());
+        let (mut streams, mut threads, mut seen) = (Vec::new(), Vec::new(), Vec::new());
         for index in 0..workers {
-            let (addr, opts) = (addr.clone(), opts.clone());
-            threads.push(if index == flaky {
-                spawn_flaky(addr, opts, drops_at, Arc::clone(&seen))
-            } else {
-                std::thread::spawn(move || {
-                    let _ = run_worker(&addr, &opts);
-                })
-            });
+            let drops: fn(&DistRequest) -> bool = if index == flaky { drops_at } else { |_| false };
+            seen.push(Seen::default());
+            let noted = Arc::clone(&seen[index]);
+            threads.push(spawn_flaky(addr.clone(), opts.clone(), drops, noted));
             streams.push(listener.accept().unwrap().0);
         }
         let cluster = Cluster::from_streams(streams, Some(Duration::from_secs(10)));
         (cluster, threads, seen)
     }
 
+    fn join(threads: Vec<JoinHandle<()>>) {
+        for thread in threads {
+            let _ = thread.join();
+        }
+    }
+
     fn at_pair_counts(request: &DistRequest) -> bool {
         matches!(request, DistRequest::CountPairs { .. })
     }
 
-    /// A worker lost at any request — mid-load, or at pass 1, 2 or 3 —
-    /// is recounted locally from the coordinator's rows, in memory or in
-    /// chunks whose boundaries the lost range starts and ends inside, and
-    /// the mine equals the serial one byte for byte.
-    #[test]
-    fn lost_worker_recovers_with_local_recount() {
-        let enc = encoded();
-        let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
-        // Three workers split the 10 rows 0..4, 4..7 and 7..10; chunks of
-        // 3 rows end at 3, 6 and 9, so worker 1's rows span two chunks
-        // partially.
-        let store = chunk_store(&enc, 3);
-        type Case = (&'static str, usize, fn(&DistRequest) -> bool, usize);
-        let cases: [(Backing<'_>, Case); 4] = [
-            (Backing::Memory(&enc), ("pass 2", 2, at_pair_counts, 2)),
-            (
-                Backing::Memory(&enc),
-                ("load", 2, |r| matches!(r, DistRequest::Rows { .. }), 0),
-            ),
-            (
-                Backing::Chunks(&store),
-                ("pass 1", 3, |r| matches!(r, DistRequest::CountItems), 1),
-            ),
-            (
-                Backing::Chunks(&store),
-                (
-                    "pass 3",
-                    3,
-                    |r| matches!(r, DistRequest::CountCandidates { .. }),
-                    3,
-                ),
-            ),
-        ];
-        for (backing, (name, workers, drops_at, pass)) in cases {
-            let (cluster, threads, _) = flaky_cluster(workers, 1, drops_at, None);
-            let sink = qar_trace::CollectingSink::new();
-            let mut source =
-                DistSource::new(cluster, backing, &config(), Some(&sink), None, false).unwrap();
-            let dist = mine_source(&mut source, &config(), Some(&sink), None).unwrap();
-            drop(source);
-            for thread in threads {
-                let _ = thread.join();
-            }
-            assert_identical(&serial, &dist);
-            let lost: Vec<_> = sink
-                .events()
-                .iter()
-                .filter_map(|e| match e {
-                    TraceEvent::WorkerLost { worker, pass, .. } => Some((*worker, *pass)),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(lost, [(1, pass)], "{name}: exactly one loss");
-            let joined = sink
-                .events()
-                .iter()
-                .any(|e| matches!(e, TraceEvent::WorkerJoined { worker: 1, .. }));
-            assert_eq!(
-                joined,
-                pass > 0,
-                "{name}: the flaky worker joins before it drops"
-            );
-        }
-    }
-
-    #[test]
-    fn fail_fast_surfaces_worker_lost() {
-        let enc = encoded();
-        let (cluster, threads, _) = flaky_cluster(2, 1, at_pair_counts, None);
-        let mut source = DistSource::new(
-            cluster,
-            Backing::Memory(&enc),
-            &config(),
-            None,
-            None,
-            true, // fail_fast
-        )
-        .unwrap();
-        let result = mine_source(&mut source, &config(), None, None);
-        drop(source);
-        for thread in threads {
-            let _ = thread.join();
-        }
-        match result {
-            Err(MinerError::WorkerLost { worker, pass, .. }) => {
-                assert_eq!(worker, 1);
-                assert!(pass >= 2);
-            }
-            Err(other) => panic!("expected WorkerLost, got {other}"),
-            Ok(_) => panic!("expected WorkerLost, got Ok"),
-        }
-    }
-    /// The people table written as CSV to a fresh temporary file, with
-    /// `edit` applied to its text; the caller removes it.
-    fn people_csv(label: &str, edit: impl Fn(String) -> String) -> PathBuf {
-        let mut bytes = Vec::new();
-        csv::write_table(&mut bytes, &people_table()).unwrap();
-        let path = qar_table::chunk::default_spill_dir(label).with_extension("csv");
-        std::fs::write(&path, edit(String::from_utf8(bytes).unwrap())).unwrap();
-        path
-    }
-
-    fn range_input(path: &Path, workers: usize) -> RangeInput {
-        let file = File::open(path).unwrap();
-        RangeInput::new(file, path, people_table().schema(), workers).unwrap()
+    fn at_parse_range(request: &DistRequest) -> bool {
+        matches!(request, DistRequest::ParseRange { .. })
     }
 
     /// The worker-lost events of `sink`, as `(worker, pass)`.
@@ -1573,92 +1429,124 @@ mod tests {
         fail_fast: bool,
     ) -> Result<MiningOutput, MinerError> {
         let input = range_input(path, cluster.len());
-        match DistSource::from_ranges(cluster, input, &config(), Some(sink), None, fail_fast)? {
-            RangeLoad::Loaded { mut source, .. } => {
-                mine_source(&mut *source, &config(), Some(sink), None)
-            }
-            RangeLoad::Quoted => panic!("a quote-free file took the coordinator's load"),
-            RangeLoad::Failed(e) => panic!("the people table failed to parse: {e}"),
+        let loaded =
+            DistSource::from_ranges(cluster, input, None, &config(), Some(sink), None, fail_fast)?;
+        match loaded {
+            Ok((mut source, _)) => mine_source(&mut *source, &config(), Some(sink), None),
+            Err(e) => panic!("the people table failed to parse: {e}"),
         }
     }
 
-    /// Workers that parse their own ranges mine the serial result at every
-    /// worker count, with empty ranges past the rows; the coordinator
-    /// sends no row, and every worker joins with its range's rows.
+    /// The parse rounds of a quote-free file are one, of a quoted file
+    /// two: every worker gets one `ParseRange`, or two, then one `Setup`,
+    /// and joins with its range's rows. The mine equals the serial one at
+    /// every worker count, with empty ranges past the rows, and the
+    /// coordinator parses no range.
     #[test]
-    fn range_load_matches_serial_without_sending_rows() {
+    fn range_load_takes_one_parse_round_or_two_when_quoted() {
         let enc = encoded();
         let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
-        let path = people_csv("ranges", |text| text);
-        for workers in [1usize, 2, 3, 16] {
-            let (cluster, threads, seen) = flaky_cluster(workers, 0, |_| false, Some(&path));
-            let sink = qar_trace::CollectingSink::new();
-            let dist = mine_ranges(cluster, &path, &sink, false).unwrap();
-            for thread in threads {
-                let _ = thread.join();
+        let plain = people_csv("rounds", |t| t);
+        let quoted = people_csv("rounds_quoted", quote_one);
+        for (path, rounds) in [(&plain, 1), (&quoted, 2)] {
+            for workers in [1usize, 2, 3, 16] {
+                let (cluster, threads, seen) = flaky_cluster(workers, 0, |_| false, path);
+                let sink = qar_trace::CollectingSink::new();
+                let dist = mine_ranges(cluster, path, &sink, false).unwrap();
+                join(threads);
+                assert_identical(&serial, &dist);
+                for (worker, seen) in seen.iter().enumerate() {
+                    let tags = seen.lock().unwrap().clone();
+                    let mut want = vec![tag::REQ_PARSE_RANGE; rounds];
+                    want.push(tag::REQ_SETUP);
+                    let at = format!("{rounds} rounds, worker {worker} of {workers}: {tags:?}");
+                    assert_eq!(tags[..=rounds], want, "{at}");
+                    let parses = tags.iter().filter(|&&t| t == tag::REQ_PARSE_RANGE);
+                    assert_eq!(parses.count(), rounds, "{at}");
+                }
+                let joined: u64 = sink
+                    .events()
+                    .iter()
+                    .filter_map(|e| match e {
+                        TraceEvent::WorkerJoined { rows, .. } => Some(*rows),
+                        _ => None,
+                    })
+                    .sum();
+                assert_eq!(joined, 10, "{workers} workers");
+                assert!(losses(&sink).is_empty());
             }
-            assert_identical(&serial, &dist);
-            let tags = seen.lock().unwrap().clone();
-            assert_eq!(
-                &tags[..2],
-                [tag::REQ_PARSE_RANGE, tag::REQ_SETUP],
-                "{workers}"
-            );
-            assert!(
-                !tags.contains(&tag::REQ_ROWS),
-                "{workers} workers: {tags:?}"
-            );
-            let joined: u64 = sink
-                .events()
-                .iter()
-                .filter_map(|e| match e {
-                    TraceEvent::WorkerJoined { rows, .. } => Some(*rows),
-                    _ => None,
-                })
-                .sum();
-            assert_eq!(joined, 10, "{workers} workers");
-            assert!(losses(&sink).is_empty());
         }
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&plain);
+        let _ = std::fs::remove_file(&quoted);
     }
 
-    /// A worker lost at its range request, at the encoders or at pass 2 of
-    /// a range load has its range parsed by the coordinator; the mine
-    /// equals the serial one and reports exactly one loss. Under
-    /// `fail_fast` the loss at the range request is the run's error.
+    /// A worker lost at any request — its range, the encoders, or pass 1,
+    /// 2 or 3 — has its range parsed again by the coordinator, from a
+    /// plain file or a quoted one cut again at record ends; the mine
+    /// equals the serial one byte for byte and reports exactly one loss.
     #[test]
-    fn a_lost_range_is_parsed_again_by_the_coordinator() {
+    fn lost_worker_recovers_with_local_recount() {
         let enc = encoded();
         let serial = Miner::new(config()).mine_encoded(&enc).unwrap();
-        let path = people_csv("lost_range", |text| text);
-        type Case = (&'static str, fn(&DistRequest) -> bool, usize);
-        let cases: [Case; 3] = [
-            ("range", |r| matches!(r, DistRequest::ParseRange { .. }), 0),
-            ("setup", |r| matches!(r, DistRequest::Setup { .. }), 0),
-            ("pass 2", at_pair_counts, 2),
+        let plain = people_csv("lost", |t| t);
+        let quoted = people_csv("lost_quoted", quote_one);
+        type Case = (&'static str, usize, fn(&DistRequest) -> bool, usize);
+        let cases: [Case; 5] = [
+            ("range", 2, at_parse_range, 0),
+            ("setup", 3, |r| matches!(r, DistRequest::Setup { .. }), 0),
+            ("pass 1", 3, |r| matches!(r, DistRequest::CountItems), 1),
+            ("pass 2", 2, at_pair_counts, 2),
+            (
+                "pass 3",
+                3,
+                |r| matches!(r, DistRequest::CountCandidates { .. }),
+                3,
+            ),
         ];
-        for (name, drops_at, pass) in cases {
-            let (cluster, threads, _) = flaky_cluster(3, 1, drops_at, Some(&path));
-            let sink = qar_trace::CollectingSink::new();
-            let dist = mine_ranges(cluster, &path, &sink, false).unwrap();
-            for thread in threads {
-                let _ = thread.join();
+        for path in [&plain, &quoted] {
+            for (name, workers, drops_at, pass) in cases {
+                let (cluster, threads, _) = flaky_cluster(workers, 1, drops_at, path);
+                let sink = qar_trace::CollectingSink::new();
+                let dist = mine_ranges(cluster, path, &sink, false).unwrap();
+                join(threads);
+                assert_identical(&serial, &dist);
+                assert_eq!(losses(&sink), [(1, pass)], "{name}: exactly one loss");
+                let joined = sink
+                    .events()
+                    .iter()
+                    .any(|e| matches!(e, TraceEvent::WorkerJoined { worker: 1, .. }));
+                assert_eq!(
+                    joined,
+                    pass > 0,
+                    "{name}: the flaky worker joins before it drops"
+                );
             }
-            assert_identical(&serial, &dist);
-            assert_eq!(losses(&sink), [(1, pass)], "{name}: exactly one loss");
         }
-        let (cluster, threads, _) = flaky_cluster(
-            2,
-            1,
-            |r| matches!(r, DistRequest::ParseRange { .. }),
-            Some(&path),
-        );
+        let _ = std::fs::remove_file(&plain);
+        let _ = std::fs::remove_file(&quoted);
+    }
+
+    /// Under `fail_fast` a loss is the run's error: at pass 2, and at the
+    /// range request with pass 0.
+    #[test]
+    fn fail_fast_surfaces_worker_lost() {
+        let path = people_csv("fail_fast", |t| t);
+        let (cluster, threads, _) = flaky_cluster(2, 1, at_pair_counts, &path);
         let sink = qar_trace::CollectingSink::new();
-        let input = range_input(&path, 2);
-        let result = DistSource::from_ranges(cluster, input, &config(), Some(&sink), None, true);
-        for thread in threads {
-            let _ = thread.join();
+        let result = mine_ranges(cluster, &path, &sink, true);
+        join(threads);
+        match result {
+            Err(MinerError::WorkerLost { worker, pass, .. }) => {
+                assert_eq!(worker, 1);
+                assert!(pass >= 2);
+            }
+            Err(other) => panic!("expected WorkerLost, got {other}"),
+            Ok(_) => panic!("expected WorkerLost, got Ok"),
         }
+        let (cluster, threads, _) = flaky_cluster(2, 1, at_parse_range, &path);
+        let input = range_input(&path, 2);
+        let result = DistSource::from_ranges(cluster, input, None, &config(), None, None, true);
+        join(threads);
         assert!(matches!(
             result,
             Err(MinerError::WorkerLost {
@@ -1670,49 +1558,164 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A file holding a quote ends the range load before any `Setup`; a
-    /// bad number gives the serial reader's error, the first failing
-    /// range's when two fail.
+    /// A worker lost once the run's deadline has passed ends the run in
+    /// `Cancelled`, and its range is not parsed again: the worker cuts
+    /// the file back to its header before it drops, which a parse would
+    /// read as a changed row count.
     #[test]
-    fn quoted_and_failing_files_end_the_range_load() {
-        let schema = people_table().schema().clone();
-        let quoted = people_csv("quoted", |text| text.replacen("Yes", "\"Yes\"", 1));
-        let last = people_csv("bad_last", |text| text.replace("63,", "6x3,"));
-        let both = people_csv("bad_both", |text| {
-            text.replace("25,", "2x5,").replace("58,", "5x8,")
-        });
-        for (path, want) in [(&last, 11), (&both, 3)] {
-            let serial = csv::read_table(std::fs::read(path).unwrap().as_slice(), &schema);
-            assert!(matches!(serial, Err(TableError::BadNumber { line, .. }) if line == want));
-            for workers in [2usize, 3] {
-                let (cluster, threads, _) = flaky_cluster(workers, 0, |_| false, Some(path));
-                let input = range_input(path, workers);
-                let loaded = DistSource::from_ranges(cluster, input, &config(), None, None, false);
-                for thread in threads {
-                    let _ = thread.join();
+    fn a_loss_after_the_deadline_is_cancelled_without_a_parse() {
+        let path = people_csv("late_loss", |t| t);
+        let deadline = CancelToken::with_deadline(Duration::from_secs(1));
+        let header = "Age,Married,NumCars\n".len() as u64;
+        // Worker 0 is a real worker; worker 1 holds its pass 1 until the
+        // deadline has passed, then truncates the file and drops.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let opts = WorkerOptions {
+            input: Some(path.clone()),
+            ..WorkerOptions::default()
+        };
+        let steady = {
+            let (addr, opts) = (addr.clone(), opts.clone());
+            std::thread::spawn(move || {
+                let _ = run_worker(&addr, &opts);
+            })
+        };
+        let mut streams = vec![listener.accept().unwrap().0];
+        let late = {
+            let (token, path) = (deadline.clone(), path.clone());
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(&addr).unwrap();
+                let mut worker = Worker::new(&opts);
+                while let Ok(Some(request)) = read_request(&mut stream) {
+                    if matches!(request, DistRequest::CountItems) {
+                        while !token.deadline_exceeded() {
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                        let file = std::fs::OpenOptions::new().write(true).open(&path);
+                        file.unwrap().set_len(header).unwrap();
+                        return;
+                    }
+                    if write_response(&mut stream, &worker.respond(request)).is_err() {
+                        return;
+                    }
                 }
-                match loaded.unwrap() {
-                    RangeLoad::Failed(e) => assert_eq!(Err(e), serial.clone().map(|_| ())),
-                    _ => panic!("{workers} workers: a bad file loaded"),
-                }
-            }
-        }
-        let (cluster, threads, seen) = flaky_cluster(2, 0, |_| false, Some(&quoted));
+            })
+        };
+        streams.push(listener.accept().unwrap().0);
+        let cluster = Cluster::from_streams(streams, Some(Duration::from_secs(10)));
+        let sink = qar_trace::CollectingSink::new();
+        let input = range_input(&path, 2);
         let loaded = DistSource::from_ranges(
             cluster,
-            range_input(&quoted, 2),
+            input,
+            None,
             &config(),
-            None,
-            None,
+            Some(&sink),
+            Some(&deadline),
             false,
         );
-        for thread in threads {
-            let _ = thread.join();
+        let (mut source, _) = loaded.unwrap().unwrap();
+        let result = mine_source(&mut *source, &config(), Some(&sink), Some(&deadline));
+        drop(source);
+        let _ = steady.join();
+        let _ = late.join();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(losses(&sink), [(1, 1)], "the late worker is lost at pass 1");
+        match result {
+            Err(MinerError::Cancelled(info)) => assert!(info.deadline_exceeded),
+            Err(other) => panic!("expected Cancelled, got {other}"),
+            Ok(_) => panic!("expected Cancelled, got Ok"),
         }
-        assert!(matches!(loaded.unwrap(), RangeLoad::Quoted));
-        assert!(!seen.lock().unwrap().contains(&tag::REQ_SETUP));
-        for path in [quoted, last, both] {
+    }
+
+    /// A file that fails to parse ends the range load before any `Setup`
+    /// with the serial reader's error, the first failing range's when two
+    /// fail: bad numbers, in a plain file or after a quoted label, and a
+    /// stray quote.
+    #[test]
+    fn failing_files_end_the_range_load() {
+        let schema = people_table().schema().clone();
+        let files = [
+            people_csv("bad_last", |text| text.replace("63,", "6x3,")),
+            people_csv("bad_both", |text| {
+                text.replace("25,", "2x5,").replace("58,", "5x8,")
+            }),
+            people_csv("bad_quoted", |text| quote_one(text).replace("58,", "5x8,")),
+            people_csv("stray", |text| text.replacen("29,", "2\"9,", 1)),
+        ];
+        for path in &files {
+            let serial = csv::read_table(std::fs::read(path).unwrap().as_slice(), &schema);
+            let serial = serial.map(|_| ()).unwrap_err();
+            for workers in [2usize, 3] {
+                let (cluster, threads, seen) = flaky_cluster(workers, 0, |_| false, path);
+                let input = range_input(path, workers);
+                let loaded =
+                    DistSource::from_ranges(cluster, input, None, &config(), None, None, false);
+                join(threads);
+                match loaded.unwrap() {
+                    Err(e) => assert_eq!(e, serial, "{}", path.display()),
+                    Ok(_) => panic!("{workers} workers: a bad file loaded"),
+                }
+                assert!(!seen[0].lock().unwrap().contains(&tag::REQ_SETUP));
+            }
+        }
+        for path in files {
             let _ = std::fs::remove_file(path);
         }
+    }
+
+    /// Under given encoders that miss values in several attributes and
+    /// ranges — a car count early in the file, the ages late in it — the
+    /// load fails with the serial encode's error: the lowest failing
+    /// attribute's first cell, also when a worker is lost at `Setup` and
+    /// its range encoded here.
+    #[test]
+    fn given_encoders_fail_on_the_serial_encodes_first_cell() {
+        let table = people_table();
+        let mut base = Table::new(table.schema().clone());
+        for (age, married, cars) in [
+            (23, "No", 1),
+            (25, "Yes", 1),
+            (29, "No", 0),
+            (34, "Yes", 0),
+            (38, "Yes", 1),
+        ] {
+            base.push_row(&[Value::Int(age), Value::from(married), Value::Int(cars)])
+                .unwrap();
+        }
+        let cfg = MinerConfig {
+            partitioning: qar_core::PartitionSpec::None,
+            ..config()
+        };
+        let (encoders, _) = qar_core::pipeline::build_encoders(&base, &cfg).unwrap();
+        let serial = EncodedTable::encode(&table, encoders.clone()).unwrap_err();
+        let first = TableError::UnencodableValue {
+            attribute: "Age".to_string(),
+            value: "41".to_string(),
+        };
+        assert_eq!(serial, first);
+        let path = people_csv("unencodable", |t| t);
+        let no_drop: fn(&DistRequest) -> bool = |_| false;
+        let at_setup: fn(&DistRequest) -> bool = |r| matches!(r, DistRequest::Setup { .. });
+        for (workers, drops_at) in [(2, no_drop), (3, no_drop), (3, at_setup), (4, at_setup)] {
+            let (cluster, threads, _) = flaky_cluster(workers, 1, drops_at, &path);
+            let input = range_input(&path, workers);
+            let loaded = DistSource::from_ranges(
+                cluster,
+                input,
+                Some(encoders.clone()),
+                &cfg,
+                None,
+                None,
+                false,
+            );
+            join(threads);
+            match loaded.unwrap() {
+                Err(e) => assert_eq!(e, serial, "{workers} workers"),
+                Ok(_) => panic!("{workers} workers: an unencodable file loaded"),
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -16,32 +16,24 @@
 //! The pieces:
 //!
 //! * [`worker`] — the worker side: a serve loop over the
-//!   [`qar_store::dist`] wire protocol (ParseRange → Setup, or Setup →
-//!   Rows…; then CountItems / CountPairs… / CountCandidates… →
-//!   Shutdown), counting its partition through the same
-//!   [`qar_core::InMemorySource`] the serial miner uses;
+//!   [`qar_store::dist`] wire protocol (ParseRange → Setup; then
+//!   CountItems / CountPairs… / CountCandidates… → Shutdown), parsing and
+//!   encoding its own byte range of the input file and counting it
+//!   through the same [`qar_core::InMemorySource`] the serial miner uses;
 //! * [`coordinator`] — the coordinator side: [`Cluster`] spawns and
 //!   connects workers (child processes of the `qar` binary, or
 //!   in-process threads for tests), [`DistSource`] implements
 //!   [`qar_core::CountSource`] over the worker pool, so
 //!   `qar_core::mine_source` runs the complete pipeline on it like on any
-//!   other source. [`DistSource::start`] streams the workers rows the
-//!   coordinator holds; [`DistSource::start_ranges`] has each worker
-//!   parse and encode its own byte range of a CSV file;
+//!   other source. [`DistSource::start_ranges`] has each worker parse and
+//!   encode its own byte range of a CSV file, cut at record ends when the
+//!   file holds a quote;
 //! * partial failure — a worker that times out or drops its connection
 //!   is declared lost (`worker_lost` trace event). By default the
-//!   coordinator *recovers*: it counts the lost partition itself from
-//!   its own rows or by parsing the lost range of the file again, and
-//!   the run still completes with the exact same answer. With
-//!   [`DistOptions::fail_fast`] the loss is surfaced as
+//!   coordinator *recovers*: it parses the lost range of the file again
+//!   and counts it itself, and the run still completes with the exact
+//!   same answer. With [`DistOptions::fail_fast`] the loss is surfaced as
 //!   [`qar_core::MinerError::WorkerLost`] instead.
-//!
-//! The backing data ([`qar_core::source::Backing`]) is either an
-//! in-memory [`qar_table::EncodedTable`] or an out-of-core
-//! [`qar_table::ChunkStore`], so distributed and chunked mining compose:
-//! a table too big for memory can be spilled to chunks *and* farmed out
-//! to workers from the same code path, and the coordinator recounts a
-//! lost partition through an [`qar_core::InMemorySource`] over it.
 
 #![warn(missing_docs)]
 

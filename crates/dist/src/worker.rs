@@ -1,30 +1,29 @@
 //! The worker side of count-distribution mining.
 //!
-//! A worker is a dumb, exact counter: it receives the table's schema and
-//! encoders, holds a contiguous partition of encoded rows, and answers
-//! counting requests with raw `u64` tallies over that
-//! partition, counted through the [`InMemorySource`] every local mine
-//! uses — never filtered by a support threshold, so the
-//! coordinator's element-wise merge reproduces the serial counts
-//! exactly. All policy (candidate generation, frequency, rules) stays on
-//! the coordinator.
+//! A worker is a dumb, exact counter: it parses and encodes its own
+//! contiguous partition of the rows, and answers counting requests with
+//! raw `u64` tallies over that partition, counted through the
+//! [`InMemorySource`] every local mine uses — never filtered by a support
+//! threshold, so the coordinator's element-wise merge reproduces the
+//! serial counts exactly. All policy (candidate generation, frequency,
+//! rules) stays on the coordinator.
 //!
-//! The partition arrives one of two ways. A worker started with an input
-//! file ([`WorkerOptions::input`]) parses the byte range of it a
-//! `ParseRange` names, answers with the range's value histograms, and
-//! encodes the parsed rows on the `Setup` that brings the encoders built
-//! from every range's histograms. Otherwise `Setup` opens an empty
-//! partition and `Rows` blocks of encoded rows fill it.
+//! The partition comes from the input file the worker was started with
+//! ([`WorkerOptions::input`]): a `ParseRange` names a byte range of it,
+//! which the worker parses and answers with the range's value histograms.
+//! The `Setup` that follows brings the encoders, built from every range's
+//! histograms or taken from a catalog, and the worker encodes the parsed
+//! rows under them, or names the first value they cannot encode.
 //!
 //! Errors split two ways, mirroring the serve protocol's convention:
 //! application-level problems (a range request without an input file or
-//! over a file of another length, rows before setup, a code outside its
-//! encoder's range, a candidate or pair list naming an unknown attribute,
-//! a pair list repeating one, a candidate item outside its attribute's
-//! codes, a pair list of more cells than one frame holds) become
-//! [`DistResponse::Error`] replies and the connection lives on;
-//! transport-level problems (corrupt frame, socket loss) terminate the
-//! serve loop with a [`ProtocolError`].
+//! over a file of another length, a setup before a parsed range or of
+//! another schema, a count before setup, a candidate or pair list naming
+//! an unknown attribute, a pair list repeating one, a candidate item
+//! outside its attribute's codes, a pair list of more cells than one
+//! frame holds) become [`DistResponse::Error`] replies and the connection
+//! lives on; transport-level problems (corrupt frame, socket loss)
+//! terminate the serve loop with a [`ProtocolError`].
 
 use qar_core::source::{CountError, CountSource, InMemorySource};
 use qar_core::supercand::PairHistograms;
@@ -42,7 +41,7 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// How a worker runs: its threads, and the input file it may parse.
+/// How a worker runs: its threads, and the input file it parses.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerOptions {
     /// Threads per range parse, encode and counting scan; `0` picks the
@@ -57,185 +56,13 @@ pub struct WorkerOptions {
     pub input: Option<PathBuf>,
 }
 
-/// The accumulated partition: schema, encoders, and the code columns
-/// received so far. Columns are kept raw until the first counting
-/// request, then assembled once into an [`EncodedTable`] (no copy).
-struct Partition {
-    schema: Schema,
-    encoders: Vec<AttributeEncoder>,
-    columns: Vec<Vec<u32>>,
-    rows: usize,
-    encoded: Option<EncodedTable>,
-}
-
-impl Partition {
-    fn new(schema: Schema, encoders: Vec<AttributeEncoder>) -> Self {
-        let columns = vec![Vec::new(); schema.len()];
-        Partition {
-            schema,
-            encoders,
-            columns,
-            rows: 0,
-            encoded: None,
-        }
-    }
-
-    /// A partition holding `table`, a parsed range of the same schema,
-    /// encoded under `encoders` on up to `threads` threads.
-    fn encoded(
-        table: Table,
-        encoders: Vec<AttributeEncoder>,
-        threads: usize,
-    ) -> Result<Self, String> {
-        let schema = table.schema().clone();
-        let rows = table.num_rows();
-        let encoded = EncodedTable::encode_threaded(table, encoders.clone(), threads, &|| false)
-            .map_err(|e| format!("encoding the parsed range: {e}"))?;
-        Ok(Partition {
-            schema,
-            encoders,
-            columns: Vec::new(),
-            rows,
-            encoded: Some(encoded),
-        })
-    }
-
-    /// Append one row block; rejects shape and code-range violations
-    /// (untrusted input — `EncodedTable::from_parts` does not check).
-    fn append(&mut self, block: Vec<Vec<u32>>) -> Result<(), String> {
-        if block.is_empty() {
-            return Ok(()); // zero-row block
-        }
-        if block.len() != self.schema.len() {
-            return Err(format!(
-                "row block has {} columns, schema has {}",
-                block.len(),
-                self.schema.len()
-            ));
-        }
-        for (i, col) in block.iter().enumerate() {
-            let cardinality = self.encoders[i].cardinality();
-            if let Some(&bad) = col.iter().find(|&&c| c >= cardinality) {
-                return Err(format!(
-                    "attribute {i}: code {bad} outside cardinality {cardinality}"
-                ));
-            }
-        }
-        // A block after counting began re-opens the raw columns (the
-        // assembled table owns them by then).
-        if let Some(encoded) = self.encoded.take() {
-            self.columns = encoded.into_columns();
-        }
-        let added = block[0].len();
-        for (col, add) in self.columns.iter_mut().zip(block) {
-            col.extend_from_slice(&add);
-        }
-        self.rows += added;
-        Ok(())
-    }
-
-    /// Answer a counting request over the partition through a local
-    /// source, or say why it cannot be answered.
-    fn count(
-        &mut self,
-        request: DistRequest,
-        config: &MinerConfig,
-    ) -> Result<DistResponse, String> {
-        match &request {
-            DistRequest::CountPairs { window, pairs, .. } => self.check_pairs(pairs, window)?,
-            DistRequest::CountCandidates { candidates, .. } => self.check_candidates(candidates)?,
-            _ => {}
-        }
-        let table = self.table();
-        let mut source = InMemorySource::new(table, config);
-        let cancelled = |_: CountError| "counting scan was cancelled".to_string();
-        Ok(match request {
-            DistRequest::CountItems => DistResponse::ItemCounts {
-                counts: source.value_counts().map_err(cancelled)?,
-            },
-            DistRequest::CountCandidates { pass, candidates } => DistResponse::Counts {
-                counts: source
-                    .count(pass as usize, &candidates)
-                    .map_err(cancelled)?,
-            },
-            DistRequest::CountPairs { pairs, window, .. } => {
-                let window = window.start as usize..window.end as usize;
-                let mut hist = PairHistograms::window(table, pairs, window);
-                source.count_pair_cells(&mut hist).map_err(cancelled)?;
-                DistResponse::PairCounts {
-                    cells: hist.into_cells(),
-                }
-            }
-            _ => unreachable!("only counting requests are counted"),
-        })
-    }
-
-    /// Reject a `CountCandidates` whose candidates name an unknown
-    /// attribute or hold a code past its attribute's cardinality (the
-    /// wire decoder already refuses `lo > hi` and repeated attributes).
-    fn check_candidates(&self, candidates: &[Itemset]) -> Result<(), String> {
-        let cardinality = |attr: u32| self.encoders.get(attr as usize).map(|e| e.cardinality());
-        for (c, candidate) in candidates.iter().enumerate() {
-            candidate
-                .check_codes(cardinality)
-                .map_err(|e| format!("candidate {c} {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// Reject a `CountPairs` whose pairs name an unknown or repeated
-    /// attribute, or whose window runs past the pairs' cells or holds
-    /// more than one frame.
-    fn check_pairs(&self, pairs: &[(u32, u32)], window: &Range<u64>) -> Result<(), String> {
-        let mut cells = 0usize;
-        for &(a, b) in pairs {
-            let card = |attr: u32| {
-                self.encoders
-                    .get(attr as usize)
-                    .map(|e| e.cardinality() as usize)
-                    .ok_or_else(|| format!("pair ({a}, {b}): no attribute {attr}"))
-            };
-            if a == b {
-                return Err(format!("pair ({a}, {b}) repeats an attribute"));
-            }
-            cells = cells.saturating_add(card(a)?.saturating_mul(card(b)?));
-        }
-        if window.end > cells as u64 {
-            return Err(format!(
-                "cell window {window:?} runs past the pairs' {cells} cells"
-            ));
-        }
-        let wanted = window.end - window.start;
-        if wanted > MAX_PAIR_CELLS as u64 {
-            return Err(format!(
-                "{wanted} histogram cells exceed the {MAX_PAIR_CELLS} one frame holds"
-            ));
-        }
-        Ok(())
-    }
-
-    /// The partition as a scannable table, assembled on first use.
-    fn table(&mut self) -> &EncodedTable {
-        if self.encoded.is_none() {
-            let columns = std::mem::take(&mut self.columns);
-            self.encoded = Some(EncodedTable::from_parts(
-                self.schema.clone(),
-                self.encoders.clone(),
-                columns,
-                self.rows,
-            ));
-        }
-        self.encoded.as_ref().expect("assembled above")
-    }
-}
-
 /// One coordinator connection's state: the scan settings, the input file,
-/// the range parsed but not yet encoded, and the partition.
+/// the range parsed but not yet encoded, and the encoded partition.
 pub(crate) struct Worker {
     config: MinerConfig,
     input: Option<PathBuf>,
     parsed: Option<Table>,
-    partition: Option<Partition>,
+    partition: Option<EncodedTable>,
 }
 
 impl Worker {
@@ -253,55 +80,38 @@ impl Worker {
 
     /// The reply to `request` (`Bye` to `Shutdown`).
     pub(crate) fn respond(&mut self, request: DistRequest) -> DistResponse {
-        let threads = self.config.effective_parallelism();
-        let reply = match (request, &mut self.partition) {
-            (
-                DistRequest::ParseRange {
-                    schema,
-                    file_len,
-                    range,
-                    deadline_ms,
-                },
-                partition,
-            ) => {
-                *partition = None;
+        let reply = match request {
+            DistRequest::ParseRange {
+                schema,
+                file_len,
+                range,
+                records,
+                deadline_ms,
+            } => {
+                self.partition = None;
                 self.parsed = None;
-                self.parse_range(&schema, file_len, range, deadline_ms)
+                self.parse_range(&schema, file_len, range, records, deadline_ms)
             }
-            (DistRequest::Setup { schema, encoders }, partition) => {
-                let loaded = match self.parsed.take() {
-                    Some(table) if *table.schema() != schema => {
-                        Err("setup names another schema than the parsed range's".to_string())
-                    }
-                    Some(table) => Partition::encoded(table, encoders, threads),
-                    None => Ok(Partition::new(schema, encoders)),
-                };
-                loaded.map(|loaded| {
-                    *partition = Some(loaded);
-                    DistResponse::Ready
-                })
-            }
-            (DistRequest::Shutdown, _) => Ok(DistResponse::Bye),
-            (DistRequest::Rows { .. }, None) => Err("rows before setup".to_string()),
-            (DistRequest::Rows { columns }, Some(p)) => {
-                p.append(columns).map(|()| DistResponse::RowsLoaded {
-                    total_rows: p.rows as u64,
-                })
-            }
-            (_, None) => Err("count before setup".to_string()),
-            (request, Some(p)) => p.count(request, &self.config),
+            DistRequest::Setup { schema, encoders } => self.setup(&schema, encoders),
+            DistRequest::Shutdown => Ok(DistResponse::Bye),
+            request => match &self.partition {
+                None => Err("count before setup".to_string()),
+                Some(table) => count(table, request, &self.config),
+            },
         };
         reply.unwrap_or_else(|message| DistResponse::Error { message })
     }
 
     /// Parse `range` of the input file, keep its rows for the `Setup` to
     /// come, and reply with its value histograms; a range holding a quote
-    /// byte is answered `quoted`, a record that fails with its line.
+    /// byte is answered `quoted` unless `records` says its ends are record
+    /// ends, a record that fails with its line.
     fn parse_range(
         &mut self,
         schema: &Schema,
         file_len: u64,
         range: Range<u64>,
+        records: bool,
         deadline_ms: Option<u32>,
     ) -> Result<DistResponse, String> {
         let path = self
@@ -326,7 +136,7 @@ impl Worker {
             bad_number,
             text,
         };
-        let read = match csv::read_range(&file, schema, range, threads, &cancelled) {
+        let read = match csv::read_range(&file, schema, range, records, threads, &cancelled) {
             Ok(Some(read)) => read,
             Ok(None) => {
                 return Ok(DistResponse::RangeParsed {
@@ -354,6 +164,122 @@ impl Worker {
         self.parsed = Some(read.table);
         Ok(reply)
     }
+
+    /// Encode the parsed range under `encoders` as the partition counted
+    /// from now on, or name its first cell they cannot encode.
+    fn setup(
+        &mut self,
+        schema: &Schema,
+        encoders: Vec<AttributeEncoder>,
+    ) -> Result<DistResponse, String> {
+        let table = match self.parsed.take() {
+            None => return Err("setup before a parsed range".to_string()),
+            Some(table) if table.schema() != schema => {
+                return Err("setup names another schema than the parsed range's".to_string())
+            }
+            Some(table) => table,
+        };
+        let threads = self.config.effective_parallelism();
+        match EncodedTable::encode_threaded(table, encoders, threads, &|| false) {
+            Ok(encoded) => {
+                self.partition = Some(encoded);
+                Ok(DistResponse::Ready)
+            }
+            Err(TableError::UnencodableValue { attribute, value }) => {
+                let id = schema.id_of(&attribute).map_err(|e| e.to_string())?;
+                Ok(DistResponse::Unencodable {
+                    attribute: id.index() as u32,
+                    value,
+                })
+            }
+            Err(e) => Err(format!("encoding the parsed range: {e}")),
+        }
+    }
+}
+
+/// Answer a counting request over `table` through a local source, or say
+/// why it cannot be answered.
+fn count(
+    table: &EncodedTable,
+    request: DistRequest,
+    config: &MinerConfig,
+) -> Result<DistResponse, String> {
+    match &request {
+        DistRequest::CountPairs { window, pairs, .. } => check_pairs(table, pairs, window)?,
+        DistRequest::CountCandidates { candidates, .. } => check_candidates(table, candidates)?,
+        _ => {}
+    }
+    let mut source = InMemorySource::new(table, config);
+    let cancelled = |_: CountError| "counting scan was cancelled".to_string();
+    Ok(match request {
+        DistRequest::CountItems => DistResponse::ItemCounts {
+            counts: source.value_counts().map_err(cancelled)?,
+        },
+        DistRequest::CountCandidates { pass, candidates } => DistResponse::Counts {
+            counts: source
+                .count(pass as usize, &candidates)
+                .map_err(cancelled)?,
+        },
+        DistRequest::CountPairs { pairs, window, .. } => {
+            let window = window.start as usize..window.end as usize;
+            let mut hist = PairHistograms::window(table, pairs, window);
+            source.count_pair_cells(&mut hist).map_err(cancelled)?;
+            DistResponse::PairCounts {
+                cells: hist.into_cells(),
+            }
+        }
+        _ => unreachable!("only counting requests are counted"),
+    })
+}
+
+/// Reject a `CountCandidates` whose candidates name an unknown attribute
+/// or hold a code past its attribute's cardinality (the wire decoder
+/// already refuses `lo > hi` and repeated attributes).
+fn check_candidates(table: &EncodedTable, candidates: &[Itemset]) -> Result<(), String> {
+    let encoders = table.encoders();
+    let cardinality = |attr: u32| encoders.get(attr as usize).map(|e| e.cardinality());
+    for (c, candidate) in candidates.iter().enumerate() {
+        candidate
+            .check_codes(cardinality)
+            .map_err(|e| format!("candidate {c} {e}"))?;
+    }
+    Ok(())
+}
+
+/// Reject a `CountPairs` whose pairs name an unknown or repeated
+/// attribute, or whose window runs past the pairs' cells or holds more
+/// than one frame.
+fn check_pairs(
+    table: &EncodedTable,
+    pairs: &[(u32, u32)],
+    window: &Range<u64>,
+) -> Result<(), String> {
+    let mut cells = 0usize;
+    for &(a, b) in pairs {
+        let card = |attr: u32| {
+            table
+                .encoders()
+                .get(attr as usize)
+                .map(|e| e.cardinality() as usize)
+                .ok_or_else(|| format!("pair ({a}, {b}): no attribute {attr}"))
+        };
+        if a == b {
+            return Err(format!("pair ({a}, {b}) repeats an attribute"));
+        }
+        cells = cells.saturating_add(card(a)?.saturating_mul(card(b)?));
+    }
+    if window.end > cells as u64 {
+        return Err(format!(
+            "cell window {window:?} runs past the pairs' {cells} cells"
+        ));
+    }
+    let wanted = window.end - window.start;
+    if wanted > MAX_PAIR_CELLS as u64 {
+        return Err(format!(
+            "{wanted} histogram cells exceed the {MAX_PAIR_CELLS} one frame holds"
+        ));
+    }
+    Ok(())
 }
 
 /// Serve one coordinator connection until `Shutdown` or a clean EOF.
@@ -458,15 +384,54 @@ mod tests {
         path
     }
 
+    /// The request parsing all of the body of the file at `path`, whose
+    /// header is `age,married`.
     fn parse_all(schema: &Schema, path: &std::path::Path, deadline_ms: Option<u32>) -> DistRequest {
+        parse_body(schema, path, "age,married\n".len(), false, deadline_ms)
+    }
+
+    /// The request parsing the file at `path` from byte `body` to its end.
+    fn parse_body(
+        schema: &Schema,
+        path: &std::path::Path,
+        body: usize,
+        records: bool,
+        deadline_ms: Option<u32>,
+    ) -> DistRequest {
         let len = std::fs::metadata(path).unwrap().len();
         DistRequest::ParseRange {
             schema: schema.clone(),
             file_len: len,
-            range: "age,married\n".len() as u64..len,
+            range: body as u64..len,
+            records,
             deadline_ms,
         }
     }
+
+    /// A conversation with a worker started on a temporary `age,married`
+    /// file holding `rows`: the whole body parsed, the encoders of
+    /// [`schema_and_encoders`] set up, then `requests`.
+    fn converse_over(label: &str, rows: &str, requests: &[DistRequest]) -> Vec<DistResponse> {
+        let (schema, encoders) = schema_and_encoders();
+        let path = temp_csv(label, &format!("age,married\n{rows}"));
+        let opts = WorkerOptions {
+            input: Some(path.clone()),
+            ..WorkerOptions::default()
+        };
+        let mut script = vec![
+            parse_all(&schema, &path, None),
+            DistRequest::Setup { schema, encoders },
+        ];
+        script.extend_from_slice(requests);
+        let responses = converse_with(&opts, &script);
+        let _ = std::fs::remove_file(&path);
+        assert!(matches!(responses[0], DistResponse::RangeParsed { .. }));
+        assert_eq!(responses[1], DistResponse::Ready);
+        responses[2..].to_vec()
+    }
+
+    /// Age codes 0, 1, 1, 2 beside married codes 1, 1, 0, 1.
+    const FOUR_ROWS: &str = "20,Yes\n30,Yes\n30,No\n40,Yes\n";
 
     /// A worker parses the range it is sent of its own input file,
     /// replies with the range's histograms, and encodes the rows on the
@@ -512,10 +477,11 @@ mod tests {
         );
     }
 
-    /// A range holding a quote is not parsed; a bad record is named by its
-    /// line within the range; a `Setup` of another schema than the parsed
-    /// range's is refused, and a worker without an input file, or whose
-    /// file is not the coordinator's length, answers `Error`.
+    /// A range holding a quote is not parsed unless its ends are record
+    /// ends; a bad record is named by its line within the range; a `Setup`
+    /// of another schema than the parsed range's is refused, and a worker
+    /// without an input file, or whose file is not the coordinator's
+    /// length, answers `Error`.
     #[test]
     fn range_requests_answer_quotes_bad_records_and_wrong_files() {
         let (schema, encoders) = schema_and_encoders();
@@ -531,7 +497,14 @@ mod tests {
             .categorical("extra")
             .build()
             .unwrap();
-        let quoted_replies = converse_with(&with(&quoted), &[parse_all(&schema, &quoted, None)]);
+        let body = "age,married\n".len();
+        let quoted_replies = converse_with(
+            &with(&quoted),
+            &[
+                parse_all(&schema, &quoted, None),
+                parse_body(&schema, &quoted, body, true, None),
+            ],
+        );
         let bad_replies = converse_with(
             &with(&bad),
             &[
@@ -540,6 +513,7 @@ mod tests {
                     schema: schema.clone(),
                     file_len: 999,
                     range: 0..0,
+                    records: false,
                     deadline_ms: None,
                 },
             ],
@@ -550,7 +524,8 @@ mod tests {
                 DistRequest::ParseRange {
                     schema: schema.clone(),
                     file_len: std::fs::metadata(&quoted).unwrap().len(),
-                    range: "age,married\n".len() as u64.."age,married\n".len() as u64,
+                    range: body as u64..body as u64,
+                    records: false,
                     deadline_ms: None,
                 },
                 DistRequest::Setup {
@@ -575,6 +550,15 @@ mod tests {
                 histograms: Vec::new(),
             }
         );
+        assert!(matches!(
+            quoted_replies[1],
+            DistResponse::RangeParsed {
+                rows: 1,
+                lines: 1,
+                quoted: false,
+                ..
+            }
+        ));
         assert_eq!(
             bad_replies[0],
             DistResponse::RangeFailed {
@@ -599,30 +583,42 @@ mod tests {
     #[test]
     fn full_conversation_counts_exactly() {
         let (schema, encoders) = schema_and_encoders();
-        let responses = converse(&[
-            DistRequest::Setup { schema, encoders },
-            DistRequest::Rows {
-                columns: vec![vec![0, 1, 1], vec![1, 1, 0]],
-            },
-            DistRequest::Rows {
-                columns: vec![vec![2], vec![1]],
-            },
-            DistRequest::CountItems,
-            DistRequest::CountCandidates {
-                pass: 2,
-                candidates: vec![
-                    Itemset::new(vec![Item::value(0, 1), Item::value(1, 1)]),
-                    Itemset::new(vec![Item::value(0, 0), Item::value(1, 0)]),
-                ],
-            },
-            DistRequest::Shutdown,
-        ]);
+        let path = temp_csv("conversation", &format!("age,married\n{FOUR_ROWS}"));
+        let opts = WorkerOptions {
+            input: Some(path.clone()),
+            ..WorkerOptions::default()
+        };
+        let responses = converse_with(
+            &opts,
+            &[
+                parse_all(&schema, &path, None),
+                DistRequest::Setup {
+                    schema: schema.clone(),
+                    encoders,
+                },
+                DistRequest::CountItems,
+                DistRequest::CountCandidates {
+                    pass: 2,
+                    candidates: vec![
+                        Itemset::new(vec![Item::value(0, 1), Item::value(1, 1)]),
+                        Itemset::new(vec![Item::value(0, 0), Item::value(1, 0)]),
+                    ],
+                },
+                DistRequest::Shutdown,
+            ],
+        );
+        let _ = std::fs::remove_file(&path);
+        let table = csv::read_table(format!("age,married\n{FOUR_ROWS}").as_bytes(), &schema);
         assert_eq!(
             responses,
             vec![
+                DistResponse::RangeParsed {
+                    rows: 4,
+                    lines: 4,
+                    quoted: false,
+                    histograms: table.unwrap().histograms(),
+                },
                 DistResponse::Ready,
-                DistResponse::RowsLoaded { total_rows: 3 },
-                DistResponse::RowsLoaded { total_rows: 4 },
                 DistResponse::ItemCounts {
                     counts: vec![vec![1, 2, 1], vec![1, 3]],
                 },
@@ -632,69 +628,132 @@ mod tests {
         );
     }
 
+    /// A count before setup and a setup before a parsed range are soft
+    /// errors; the partition a setup encoded survives a refused one.
     #[test]
     fn protocol_violations_are_soft_errors() {
         let (schema, encoders) = schema_and_encoders();
-        let responses = converse(&[
-            DistRequest::Rows {
-                columns: vec![vec![0]],
-            },
-            DistRequest::CountItems,
-            DistRequest::Setup {
-                schema: schema.clone(),
-                encoders: encoders.clone(),
-            },
-            DistRequest::Rows {
-                columns: vec![vec![0]], // one column, schema has two
-            },
-            DistRequest::Rows {
-                columns: vec![vec![99], vec![0]], // code out of range
-            },
-            DistRequest::Rows {
-                columns: vec![vec![0], vec![1]],
-            },
-            DistRequest::Shutdown,
-        ]);
-        assert!(matches!(responses[0], DistResponse::Error { .. }));
-        assert!(matches!(responses[1], DistResponse::Error { .. }));
-        assert_eq!(responses[2], DistResponse::Ready);
-        assert!(matches!(responses[3], DistResponse::Error { .. }));
-        assert!(matches!(responses[4], DistResponse::Error { .. }));
-        // The partition survives bad blocks untouched.
-        assert_eq!(responses[5], DistResponse::RowsLoaded { total_rows: 1 });
+        let path = temp_csv("violations", "age,married\n20,No\n");
+        let opts = WorkerOptions {
+            input: Some(path.clone()),
+            ..WorkerOptions::default()
+        };
+        let setup = DistRequest::Setup {
+            schema: schema.clone(),
+            encoders,
+        };
+        let responses = converse_with(
+            &opts,
+            &[
+                DistRequest::CountItems,
+                setup.clone(),
+                parse_all(&schema, &path, None),
+                setup.clone(),
+                setup,
+                DistRequest::CountItems,
+                DistRequest::Shutdown,
+            ],
+        );
+        let _ = std::fs::remove_file(&path);
+        let error = |r: &DistResponse, wanted: &str| match r {
+            DistResponse::Error { message } => assert!(message.contains(wanted), "{message}"),
+            other => panic!("expected Error, got {other:?}"),
+        };
+        error(&responses[0], "count before setup");
+        error(&responses[1], "setup before a parsed range");
+        assert!(matches!(
+            responses[2],
+            DistResponse::RangeParsed { rows: 1, .. }
+        ));
+        assert_eq!(responses[3], DistResponse::Ready);
+        error(&responses[4], "setup before a parsed range");
+        assert_eq!(
+            responses[5],
+            DistResponse::ItemCounts {
+                counts: vec![vec![1, 0, 0], vec![1, 0]],
+            }
+        );
         assert_eq!(responses[6], DistResponse::Bye);
+    }
+
+    /// A setup whose encoders miss a value of the parsed range answers
+    /// with the lowest such attribute and its first such cell, as the
+    /// serial column-by-column encode names it.
+    #[test]
+    fn an_unencodable_range_names_its_first_cell() {
+        let responses = converse_with_setup("unencodable", "20,No\n30,Maybe\n99,Never\n");
+        assert_eq!(
+            responses,
+            [DistResponse::Unencodable {
+                attribute: 1,
+                value: "Maybe".to_string(),
+            }]
+        );
+        let (schema, encoders) = schema_and_encoders();
+        let table = csv::read_table(
+            "age,married\n20,No\n30,Maybe\n99,Never\n".as_bytes(),
+            &schema,
+        )
+        .unwrap();
+        let serial = EncodedTable::encode(&table, encoders).unwrap_err();
+        assert_eq!(
+            serial,
+            TableError::UnencodableValue {
+                attribute: "married".to_string(),
+                value: "Maybe".to_string(),
+            }
+        );
+    }
+
+    /// [`converse_over`]'s parse and setup of `rows`, returning the reply
+    /// to the setup alone.
+    fn converse_with_setup(label: &str, rows: &str) -> Vec<DistResponse> {
+        let (schema, encoders) = schema_and_encoders();
+        let path = temp_csv(label, &format!("age,married\n{rows}"));
+        let opts = WorkerOptions {
+            input: Some(path.clone()),
+            ..WorkerOptions::default()
+        };
+        let responses = converse_with(
+            &opts,
+            &[
+                parse_all(&schema, &path, None),
+                DistRequest::Setup { schema, encoders },
+            ],
+        );
+        let _ = std::fs::remove_file(&path);
+        responses[1..].to_vec()
     }
 
     #[test]
     fn pair_histograms_count_exactly() {
-        let (schema, encoders) = schema_and_encoders();
-        let responses = converse(&[
-            DistRequest::Setup { schema, encoders },
-            DistRequest::Rows {
-                columns: vec![vec![0, 1, 1, 2], vec![1, 1, 0, 1]],
-            },
-            DistRequest::CountPairs {
-                pass: 2,
-                pairs: vec![(0, 1), (1, 0)],
-                window: 0..12,
-            },
-            DistRequest::CountPairs {
-                pass: 2,
-                pairs: vec![(0, 1), (1, 0)],
-                window: 4..9,
-            },
-            DistRequest::Shutdown,
-        ]);
+        let responses = converse_over(
+            "pairs",
+            FOUR_ROWS,
+            &[
+                DistRequest::CountPairs {
+                    pass: 2,
+                    pairs: vec![(0, 1), (1, 0)],
+                    window: 0..12,
+                },
+                DistRequest::CountPairs {
+                    pass: 2,
+                    pairs: vec![(0, 1), (1, 0)],
+                    window: 4..9,
+                },
+                DistRequest::Shutdown,
+            ],
+        );
         // age (3 codes) × married (2 codes), then married × age.
         assert_eq!(
-            responses[2],
+            responses[0],
             DistResponse::PairCounts {
                 cells: vec![0, 1, 1, 1, 0, 1, 0, 1, 0, 1, 1, 1],
             }
         );
         // A window across the pairs' boundary.
         assert_eq!(
-            responses[3],
+            responses[1],
             DistResponse::PairCounts {
                 cells: vec![0, 1, 0, 1, 0],
             }
@@ -705,7 +764,48 @@ mod tests {
     /// keeps serving the same connection.
     #[test]
     fn bad_pair_requests_are_soft_errors() {
-        let (schema, encoders) = schema_and_encoders();
+        let (schema, _) = schema_and_encoders();
+        let before_setup = converse(&[DistRequest::CountPairs {
+            pass: 2,
+            pairs: vec![(0, 1)],
+            window: 0..6,
+        }]);
+        assert!(matches!(before_setup[0], DistResponse::Error { .. }));
+        let responses = converse_over(
+            "bad_pairs",
+            "",
+            &[
+                DistRequest::CountPairs {
+                    pass: 2,
+                    pairs: vec![(0, 2)], // no attribute 2
+                    window: 0..6,
+                },
+                DistRequest::CountPairs {
+                    pass: 2,
+                    pairs: vec![(0, 1), (1, 1)], // repeated attribute
+                    window: 0..6,
+                },
+                DistRequest::CountPairs {
+                    pass: 2,
+                    pairs: vec![(0, 1)],
+                    window: 0..6,
+                },
+                DistRequest::CountPairs {
+                    pass: 2,
+                    pairs: vec![(0, 1)],
+                    window: 3..7, // past the pair's 6 cells
+                },
+            ],
+        );
+        assert!(matches!(responses[0], DistResponse::Error { .. }));
+        assert!(matches!(responses[1], DistResponse::Error { .. }));
+        assert_eq!(responses[2], DistResponse::PairCounts { cells: vec![0; 6] });
+        match &responses[3] {
+            DistResponse::Error { message } => assert!(message.contains("past"), "{message}"),
+            other => panic!("expected Error, got {other:?}"),
+        }
+        // 1500 × 1500 cells do not fit one response frame; a window of
+        // them does.
         let wide = Schema::builder()
             .categorical("x")
             .categorical("y")
@@ -714,100 +814,77 @@ mod tests {
         let labels = |n: usize| AttributeEncoder::Categorical {
             labels: (0..n).map(|i| format!("v{i:04}")).collect(),
         };
-        let responses = converse(&[
-            DistRequest::CountPairs {
-                pass: 2,
-                pairs: vec![(0, 1)],
-                window: 0..6,
-            },
-            DistRequest::Setup { schema, encoders },
-            DistRequest::CountPairs {
-                pass: 2,
-                pairs: vec![(0, 2)], // no attribute 2
-                window: 0..6,
-            },
-            DistRequest::CountPairs {
-                pass: 2,
-                pairs: vec![(0, 1), (1, 1)], // repeated attribute
-                window: 0..6,
-            },
-            DistRequest::CountPairs {
-                pass: 2,
-                pairs: vec![(0, 1)],
-                window: 0..6,
-            },
-            DistRequest::CountPairs {
-                pass: 2,
-                pairs: vec![(0, 1)],
-                window: 3..7, // past the pair's 6 cells
-            },
-            // 1500 × 1500 cells do not fit one response frame; a window
-            // of them does.
-            DistRequest::Setup {
-                schema: wide,
-                encoders: vec![labels(1500), labels(1500)],
-            },
-            DistRequest::CountPairs {
-                pass: 2,
-                pairs: vec![(0, 1)],
-                window: 0..1500 * 1500,
-            },
-            DistRequest::CountPairs {
-                pass: 2,
-                pairs: vec![(0, 1)],
-                window: 1000..2000,
-            },
-            DistRequest::CountItems,
-            DistRequest::Shutdown,
-        ]);
-        assert!(matches!(responses[0], DistResponse::Error { .. }));
-        assert!(matches!(responses[2], DistResponse::Error { .. }));
-        assert!(matches!(responses[3], DistResponse::Error { .. }));
-        assert_eq!(responses[4], DistResponse::PairCounts { cells: vec![0; 6] });
-        match &responses[5] {
-            DistResponse::Error { message } => assert!(message.contains("past"), "{message}"),
-            other => panic!("expected Error, got {other:?}"),
-        }
-        assert_eq!(responses[6], DistResponse::Ready);
-        match &responses[7] {
+        let path = temp_csv("wide_pairs", "x,y\n");
+        let opts = WorkerOptions {
+            input: Some(path.clone()),
+            ..WorkerOptions::default()
+        };
+        let responses = converse_with(
+            &opts,
+            &[
+                parse_body(&wide, &path, "x,y\n".len(), false, None),
+                DistRequest::Setup {
+                    schema: wide.clone(),
+                    encoders: vec![labels(1500), labels(1500)],
+                },
+                DistRequest::CountPairs {
+                    pass: 2,
+                    pairs: vec![(0, 1)],
+                    window: 0..1500 * 1500,
+                },
+                DistRequest::CountPairs {
+                    pass: 2,
+                    pairs: vec![(0, 1)],
+                    window: 1000..2000,
+                },
+                DistRequest::CountItems,
+                DistRequest::Shutdown,
+            ],
+        );
+        let _ = std::fs::remove_file(&path);
+        assert_ne!(schema, wide);
+        assert_eq!(responses[1], DistResponse::Ready);
+        match &responses[2] {
             DistResponse::Error { message } => assert!(message.contains("frame"), "{message}"),
             other => panic!("expected Error, got {other:?}"),
         }
         assert_eq!(
-            responses[8],
+            responses[3],
             DistResponse::PairCounts {
                 cells: vec![0; 1000]
             }
         );
-        assert!(matches!(responses[9], DistResponse::ItemCounts { .. }));
-        assert_eq!(responses[10], DistResponse::Bye);
+        assert!(matches!(responses[4], DistResponse::ItemCounts { .. }));
+        assert_eq!(responses[5], DistResponse::Bye);
     }
 
     #[test]
     fn empty_partition_counts_zero() {
-        let (schema, encoders) = schema_and_encoders();
-        let responses = converse(&[
-            DistRequest::Setup { schema, encoders },
-            DistRequest::CountItems,
-            DistRequest::CountCandidates {
-                pass: 2,
-                candidates: vec![Itemset::new(vec![Item::value(0, 0), Item::value(1, 0)])],
-            },
-            DistRequest::CountPairs {
-                pass: 2,
-                pairs: vec![(0, 1)],
-                window: 0..6,
-            },
-            DistRequest::Shutdown,
-        ]);
+        let responses = converse_over(
+            "empty",
+            "",
+            &[
+                DistRequest::CountItems,
+                DistRequest::CountCandidates {
+                    pass: 2,
+                    candidates: vec![Itemset::new(vec![Item::value(0, 0), Item::value(1, 0)])],
+                },
+                DistRequest::CountPairs {
+                    pass: 2,
+                    pairs: vec![(0, 1)],
+                    window: 0..6,
+                },
+                DistRequest::Shutdown,
+            ],
+        );
         assert_eq!(
-            responses[1],
+            responses[0],
             DistResponse::ItemCounts {
                 counts: vec![vec![0, 0, 0], vec![0, 0]],
             }
         );
-        assert_eq!(responses[2], DistResponse::Counts { counts: vec![0] });
-        assert_eq!(responses[3], DistResponse::PairCounts { cells: vec![0; 6] });
+        assert_eq!(responses[1], DistResponse::Counts { counts: vec![0] });
+        assert_eq!(responses[2], DistResponse::PairCounts { cells: vec![0; 6] });
     }
 
     /// Candidates naming an unknown attribute or a code past the
@@ -817,34 +894,33 @@ mod tests {
     /// refuse one.)
     #[test]
     fn bad_candidates_are_soft_errors() {
-        let (schema, encoders) = schema_and_encoders();
         let count = |candidates: Vec<Itemset>| DistRequest::CountCandidates {
             pass: 2,
             candidates,
         };
         let good = Itemset::new(vec![Item::value(0, 1), Item::value(1, 1)]);
-        let responses = converse(&[
-            DistRequest::Setup { schema, encoders },
-            DistRequest::Rows {
-                columns: vec![vec![0, 1, 1, 2], vec![1, 1, 0, 1]],
-            },
-            count(vec![
-                good.clone(),
-                Itemset::new(vec![Item::value(0, 0), Item::value(7, 0)]),
-            ]),
-            count(vec![Itemset::new(vec![Item::range(0, 1, 3)])]),
-            count(vec![Itemset::new(vec![Item::value(1, 2)])]),
-            count(vec![good.clone()]),
-            DistRequest::Shutdown,
-        ]);
+        let responses = converse_over(
+            "bad_candidates",
+            FOUR_ROWS,
+            &[
+                count(vec![
+                    good.clone(),
+                    Itemset::new(vec![Item::value(0, 0), Item::value(7, 0)]),
+                ]),
+                count(vec![Itemset::new(vec![Item::range(0, 1, 3)])]),
+                count(vec![Itemset::new(vec![Item::value(1, 2)])]),
+                count(vec![good.clone()]),
+                DistRequest::Shutdown,
+            ],
+        );
         let error = |r: &DistResponse, wanted: &str| match r {
             DistResponse::Error { message } => assert!(message.contains(wanted), "{message}"),
             other => panic!("expected Error, got {other:?}"),
         };
-        error(&responses[2], "unknown attribute 7");
-        error(&responses[3], "exceed cardinality 3 of attribute 0");
-        error(&responses[4], "exceed cardinality 2 of attribute 1");
-        assert_eq!(responses[5], DistResponse::Counts { counts: vec![1] });
-        assert_eq!(responses[6], DistResponse::Bye);
+        error(&responses[0], "unknown attribute 7");
+        error(&responses[1], "exceed cardinality 3 of attribute 0");
+        error(&responses[2], "exceed cardinality 2 of attribute 1");
+        assert_eq!(responses[3], DistResponse::Counts { counts: vec![1] });
+        assert_eq!(responses[4], DistResponse::Bye);
     }
 }

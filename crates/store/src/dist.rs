@@ -12,25 +12,25 @@
 //! The conversation (driven entirely by the coordinator):
 //!
 //! ```text
-//! ParseRange {schema, file_len, range, deadline_ms}
+//! ParseRange {schema, file_len, range, records, deadline_ms}
 //!                                 → RangeParsed {rows, lines, quoted, histograms}
 //!                                   or RangeFailed {line, bad_number, text}
-//! Setup {schema, encoders}        → Ready
-//! Rows {columns} ...              → RowsLoaded {total_rows}   (repeated)
+//! Setup {schema, encoders}        → Ready or Unencodable {attribute, value}
 //! CountItems                      → ItemCounts {counts}       (pass 1)
 //! CountPairs {pass, pairs, window} → PairCounts {cells}      (pass 2)
 //! CountCandidates {pass, cands}   → Counts {counts}           (pass k ≥ 2)
 //! Shutdown                        → Bye
 //! ```
 //!
-//! A worker loads its rows one of two ways. Started with an input file of
-//! its own (`qar worker --input FILE`; the path never travels on the
-//! wire), it answers `ParseRange` by parsing that byte range of the file
-//! and replying with its value histograms, and the `Setup` that follows
-//! encodes the parsed rows under the coordinator's encoders. Otherwise
-//! `Setup` opens an empty partition that `Rows` blocks fill. A range
-//! holding a `"` byte is not parsed (`quoted`): a quoted field may run
-//! across its ends, so the coordinator reads such a file itself.
+//! A worker is started with an input file of its own (`qar worker --input
+//! FILE`; the path never travels on the wire). It answers `ParseRange` by
+//! parsing that byte range of the file and replying with its value
+//! histograms, and the `Setup` that follows encodes the parsed rows under
+//! the coordinator's encoders, or names the first value they cannot
+//! encode. A range cut at newlines alone may start or end inside a quoted
+//! field, so such a range holding a `"` byte is not parsed (`quoted`);
+//! the coordinator then cuts the file at record ends and sends every
+//! range again with `records` set, and the worker reads its quoted fields.
 //!
 //! Pass 2 ships 2-D histograms instead of candidates: `CountPairs` names
 //! attribute pairs and a window of their cells, and the worker answers
@@ -46,8 +46,8 @@
 //! frequency globally (the count-distribution invariant that makes the
 //! distributed result bit-identical to the serial miner's).
 //!
-//! Large inputs are the caller's problem by design: a candidate batch or
-//! row block that would overflow [`crate::protocol::MAX_PAYLOAD`] is a structured
+//! Large inputs are the caller's problem by design: a candidate batch
+//! that would overflow [`crate::protocol::MAX_PAYLOAD`] is a structured
 //! [`ProtocolError::Oversized`] at encode time, and `qar-dist` splits
 //! its batches to stay under the ceiling.
 
@@ -68,8 +68,6 @@ use std::ops::Range;
 pub mod tag {
     /// Schema + encoders for the table being mined.
     pub const REQ_SETUP: u32 = 21;
-    /// One block of encoded rows appended to the worker's partition.
-    pub const REQ_ROWS: u32 = 22;
     /// Count the per-attribute value histograms (pass 1).
     pub const REQ_COUNT_ITEMS: u32 = 23;
     /// Count one batch of candidate itemsets (pass k ≥ 2).
@@ -83,8 +81,6 @@ pub mod tag {
 
     /// Setup accepted.
     pub const RESP_READY: u32 = 121;
-    /// Rows appended; carries the partition's running row total.
-    pub const RESP_ROWS_LOADED: u32 = 122;
     /// Per-attribute histograms answering [`REQ_COUNT_ITEMS`].
     pub const RESP_ITEM_COUNTS: u32 = 123;
     /// Raw candidate counts answering [`REQ_COUNT_CANDIDATES`].
@@ -101,6 +97,9 @@ pub mod tag {
     /// The record of the range that failed to parse, answering
     /// [`REQ_PARSE_RANGE`].
     pub const RESP_RANGE_FAILED: u32 = 129;
+    /// The first value of the parsed range the encoders cannot encode,
+    /// answering [`REQ_SETUP`].
+    pub const RESP_UNENCODABLE: u32 = 130;
 }
 
 /// Most histogram cells one [`DistResponse::PairCounts`] frame holds: the
@@ -110,19 +109,13 @@ pub const MAX_PAIR_CELLS: usize = (MAX_PAYLOAD as usize - 8) / 8;
 /// A coordinator → worker message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DistRequest {
-    /// Announce the table: schema and per-attribute encoders. Must be
-    /// the first message; resets any previously loaded partition.
+    /// Announce the table: schema and per-attribute encoders, under
+    /// which the worker encodes the range it parsed last.
     Setup {
         /// Attribute declarations, in table order.
         schema: Schema,
         /// One encoder per attribute, in schema order.
         encoders: Vec<AttributeEncoder>,
-    },
-    /// Append a block of already-encoded rows to the worker's partition.
-    /// `columns[attr][row]` — every column must have the same length.
-    Rows {
-        /// Column-major encoded codes for this block.
-        columns: Vec<Vec<u32>>,
     },
     /// Run pass 1 over the partition: per-attribute value histograms.
     CountItems,
@@ -155,6 +148,9 @@ pub enum DistRequest {
         file_len: u64,
         /// The bytes to parse.
         range: Range<u64>,
+        /// The range's ends are record ends, so its quoted fields are
+        /// read; without it a range holding a `"` byte is not parsed.
+        records: bool,
         /// Milliseconds left before the run's deadline, if it has one:
         /// the worker stops parsing then.
         deadline_ms: Option<u32>,
@@ -166,12 +162,16 @@ pub enum DistRequest {
 /// A worker → coordinator message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DistResponse {
-    /// Setup accepted; the worker is ready for rows.
+    /// Setup accepted: the worker's rows are encoded.
     Ready,
-    /// Rows appended.
-    RowsLoaded {
-        /// Rows in the partition after this block.
-        total_rows: u64,
+    /// Setup refused: a cell of the parsed range falls outside its
+    /// attribute's encoder, the first one the encoders' column-by-column
+    /// encode meets.
+    Unencodable {
+        /// The lowest attribute holding such a cell, in schema order.
+        attribute: u32,
+        /// Its first such cell, as the serial encode's error shows it.
+        value: String,
     },
     /// Pass-1 histograms: `counts[attr][code]`, raw tallies over the
     /// worker's partition.
@@ -230,7 +230,6 @@ impl DistRequest {
     pub fn tag(&self) -> u32 {
         match self {
             DistRequest::Setup { .. } => tag::REQ_SETUP,
-            DistRequest::Rows { .. } => tag::REQ_ROWS,
             DistRequest::CountItems => tag::REQ_COUNT_ITEMS,
             DistRequest::CountCandidates { .. } => tag::REQ_COUNT_CANDIDATES,
             DistRequest::CountPairs { .. } => tag::REQ_COUNT_PAIRS,
@@ -245,15 +244,6 @@ impl DistRequest {
         match self {
             DistRequest::Setup { schema, encoders } => {
                 return encode_schema_with(schema, encoders);
-            }
-            DistRequest::Rows { columns } => {
-                w.put_u64(columns.len() as u64);
-                for col in columns {
-                    w.put_u64(col.len() as u64);
-                    for &code in col {
-                        w.put_u32(code);
-                    }
-                }
             }
             DistRequest::CountItems => {}
             DistRequest::CountCandidates { pass, candidates } => {
@@ -281,6 +271,7 @@ impl DistRequest {
                 schema,
                 file_len,
                 range,
+                records,
                 deadline_ms,
             } => {
                 w.put_u64(schema.len() as u64);
@@ -291,6 +282,7 @@ impl DistRequest {
                 w.put_u64(*file_len);
                 w.put_u64(range.start);
                 w.put_u64(range.end);
+                w.put_bool(*records);
                 match deadline_ms {
                     Some(ms) => {
                         w.put_bool(true);
@@ -319,25 +311,6 @@ impl DistRequest {
                 let (schema, encoders) = decode_schema(payload)?;
                 validate_catalog_encoders(&schema, &encoders)?;
                 return Ok(DistRequest::Setup { schema, encoders });
-            }
-            tag::REQ_ROWS => {
-                let ncols = r.get_count(8)?;
-                let mut columns = Vec::with_capacity(ncols);
-                let mut rows: Option<usize> = None;
-                for _ in 0..ncols {
-                    let n = r.get_count(4)?;
-                    if *rows.get_or_insert(n) != n {
-                        return Err(ProtocolError::Corrupt {
-                            detail: "row block columns have unequal lengths".to_string(),
-                        });
-                    }
-                    let mut col = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        col.push(r.get_u32()?);
-                    }
-                    columns.push(col);
-                }
-                DistRequest::Rows { columns }
             }
             tag::REQ_COUNT_ITEMS => DistRequest::CountItems,
             tag::REQ_COUNT_CANDIDATES => {
@@ -391,6 +364,7 @@ impl DistRequest {
                         detail: format!("byte range {range:?} of a {file_len}-byte file"),
                     });
                 }
+                let records = r.get_bool()?;
                 let deadline_ms = if r.get_bool()? {
                     Some(r.get_u32()?)
                 } else {
@@ -400,6 +374,7 @@ impl DistRequest {
                     schema,
                     file_len,
                     range,
+                    records,
                     deadline_ms,
                 }
             }
@@ -416,7 +391,7 @@ impl DistResponse {
     pub fn tag(&self) -> u32 {
         match self {
             DistResponse::Ready => tag::RESP_READY,
-            DistResponse::RowsLoaded { .. } => tag::RESP_ROWS_LOADED,
+            DistResponse::Unencodable { .. } => tag::RESP_UNENCODABLE,
             DistResponse::ItemCounts { .. } => tag::RESP_ITEM_COUNTS,
             DistResponse::Counts { .. } => tag::RESP_COUNTS,
             DistResponse::PairCounts { .. } => tag::RESP_PAIR_COUNTS,
@@ -432,7 +407,10 @@ impl DistResponse {
         let mut w = Writer::new();
         match self {
             DistResponse::Ready | DistResponse::Bye => {}
-            DistResponse::RowsLoaded { total_rows } => w.put_u64(*total_rows),
+            DistResponse::Unencodable { attribute, value } => {
+                w.put_u32(*attribute);
+                w.put_str(value);
+            }
             DistResponse::ItemCounts { counts } => {
                 w.put_u64(counts.len() as u64);
                 for col in counts {
@@ -488,8 +466,9 @@ impl DistResponse {
         let mut r = Reader::new(payload);
         let resp = match tag_ {
             tag::RESP_READY => DistResponse::Ready,
-            tag::RESP_ROWS_LOADED => DistResponse::RowsLoaded {
-                total_rows: r.get_u64()?,
+            tag::RESP_UNENCODABLE => DistResponse::Unencodable {
+                attribute: r.get_u32()?,
+                value: r.get_str()?,
             },
             tag::RESP_ITEM_COUNTS => {
                 let n = r.get_count(8)?;
@@ -699,12 +678,6 @@ mod tests {
         let (schema, encoders) = sample_schema();
         vec![
             DistRequest::Setup { schema, encoders },
-            DistRequest::Rows {
-                columns: vec![vec![0, 1, 2], vec![1, 0, 1]],
-            },
-            DistRequest::Rows {
-                columns: Vec::new(),
-            },
             DistRequest::CountItems,
             DistRequest::CountCandidates {
                 pass: 2,
@@ -732,12 +705,14 @@ mod tests {
                 schema: sample_schema().0,
                 file_len: 100,
                 range: 17..60,
+                records: false,
                 deadline_ms: Some(250),
             },
             DistRequest::ParseRange {
                 schema: sample_schema().0,
                 file_len: 100,
                 range: 100..100,
+                records: true,
                 deadline_ms: None,
             },
             DistRequest::Shutdown,
@@ -754,7 +729,10 @@ mod tests {
     fn sample_responses() -> Vec<DistResponse> {
         vec![
             DistResponse::Ready,
-            DistResponse::RowsLoaded { total_rows: 3 },
+            DistResponse::Unencodable {
+                attribute: 1,
+                value: "Divorced".to_string(),
+            },
             DistResponse::ItemCounts {
                 counts: vec![vec![1, 1, 1], vec![1, 2]],
             },
@@ -910,12 +888,14 @@ mod tests {
         }
     }
 
-    /// Every single-byte flip and every truncation of the range frames is
-    /// an error, never a different message.
+    /// Every single-byte flip and every truncation of the range and
+    /// encode frames is an error, never a different message.
     #[test]
     fn range_frames_reject_flips_and_truncations() {
         let frames = [
-            sample_requests()[8].to_frame().unwrap(),
+            sample_requests()[6].to_frame().unwrap(),
+            sample_requests()[7].to_frame().unwrap(),
+            sample_responses()[1].to_frame().unwrap(),
             sample_responses()[6].to_frame().unwrap(),
             sample_responses()[8].to_frame().unwrap(),
         ];
@@ -998,7 +978,7 @@ mod tests {
         w.put_str("line 0");
         assert!(DistResponse::decode(tag::RESP_RANGE_FAILED, &w.into_bytes()).is_err());
         // A range past the file's end.
-        let mut request = sample_requests()[8].clone();
+        let mut request = sample_requests()[6].clone();
         if let DistRequest::ParseRange { range, .. } = &mut request {
             *range = 90..101;
         }
@@ -1039,29 +1019,6 @@ mod tests {
             over.to_frame(),
             Err(ProtocolError::Oversized { .. })
         ));
-    }
-
-    #[test]
-    fn ragged_row_block_rejected() {
-        let good = DistRequest::Rows {
-            columns: vec![vec![0, 1], vec![2, 3]],
-        };
-        let mut payload = Writer::new();
-        payload.put_u64(2);
-        payload.put_u64(2);
-        payload.put_u32(0);
-        payload.put_u32(1);
-        payload.put_u64(1); // second column shorter
-        payload.put_u32(2);
-        let bad = payload.into_bytes();
-        assert!(matches!(
-            DistRequest::decode(tag::REQ_ROWS, &bad),
-            Err(ProtocolError::Corrupt { .. })
-        ));
-        // The well-formed equivalent still decodes.
-        let frame = good.to_frame().unwrap();
-        let (t, p) = decode_frame(&frame).unwrap();
-        assert_eq!(DistRequest::decode(t, p).unwrap(), good);
     }
 
     #[test]

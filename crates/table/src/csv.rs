@@ -35,11 +35,14 @@
 //! [`cut_ranges`] and [`read_range`] split one file among readers that
 //! need not share a process: the body after the header is cut at newlines
 //! into byte ranges, and each range is parsed on its own by the same
-//! block reader. A range holding a `"` byte is not parsed, since a quoted
-//! field may hold a newline a cut fell on; the caller reads such a file
-//! whole. A range's error counts its line from the range's first line, so
-//! the caller adds the header's lines and the earlier ranges' lines
-//! ([`TableError::after_lines`]) to name the line a serial read names.
+//! block reader. A quoted field may hold a newline a cut fell on, so a
+//! range holding a `"` byte is not parsed. A file holding one is cut
+//! again by [`cut_records`], at newlines an even number of quotes
+//! precede, which end records; [`read_range`] reads such ranges' quoted
+//! blocks record by record. A range's error counts its line from the
+//! range's first line, so the caller adds the header's lines and the
+//! earlier ranges' lines ([`TableError::after_lines`]) to name the line a
+//! serial read names.
 
 use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -357,7 +360,8 @@ pub struct RangeRead {
 /// matched against `schema` as [`read_table`] matches it, with its errors.
 ///
 /// A range is a unit of the file only if no quoted field runs across its
-/// ends; [`read_range`] tells, by stopping at any `"` byte.
+/// ends; [`read_range`] tells, by stopping at any `"` byte, and
+/// [`cut_records`] cuts such a file.
 pub fn cut_ranges<R: Read + Seek>(
     mut file: R,
     schema: &Schema,
@@ -374,6 +378,67 @@ pub fn cut_ranges<R: Read + Seek>(
         } else {
             let target = (body + (end - body) * part / parts).max(start);
             after_newline(&mut file, target)?.unwrap_or(end)
+        };
+        ranges.push(start..cut);
+        start = cut;
+    }
+    Ok((header_lines, ranges))
+}
+
+/// Cut the body of the CSV file `file` into `parts` byte ranges of whole
+/// records, in order, as [`cut_ranges`] does but at record ends: each
+/// range but the last ends just after the first `\n` at or after its
+/// share of the body that an even number of `"` bytes precede in the
+/// body. One pass over the body carries that parity. Returns the lines
+/// the header spans and the ranges, the header matched as in
+/// [`cut_ranges`].
+///
+/// Every prefix of whole records the reader accepts holds an even number
+/// of quotes: a quote opens a field, closes it, or is half of an escaped
+/// `""`. So a cut falls inside a record only after a malformed record,
+/// which fails first, in a range that starts on a record boundary.
+pub fn cut_records<R: Read + Seek>(
+    mut file: R,
+    schema: &Schema,
+    parts: usize,
+) -> Result<(usize, Vec<Range<u64>>), TableError> {
+    let (_, header_lines, body) = header_of(&mut file, schema)?;
+    let end = file.seek(SeekFrom::End(0))?;
+    file.seek(SeekFrom::Start(body))?;
+    let mut reader = io::BufReader::with_capacity(64 << 10, file);
+    let parts = parts.max(1) as u64;
+    let mut ranges = Vec::new();
+    let (mut start, mut at, mut odd) = (body, body, false);
+    for part in 1..=parts {
+        let target = body + (end - body) * part / parts;
+        let cut = if part == parts {
+            end
+        } else {
+            loop {
+                let bytes = reader.fill_buf()?;
+                if bytes.is_empty() {
+                    break end;
+                }
+                // Bytes before the target only count towards the parity.
+                let before = usize::try_from(target.saturating_sub(at))
+                    .map_or(bytes.len(), |n| n.min(bytes.len()));
+                odd ^= bytes[..before].iter().filter(|&&b| b == b'"').count() % 2 == 1;
+                let mut record_end = None;
+                for (i, &b) in bytes.iter().enumerate().skip(before) {
+                    if b == b'"' {
+                        odd = !odd;
+                    } else if b == b'\n' && !odd {
+                        record_end = Some(i + 1);
+                        break;
+                    }
+                }
+                let used = record_end.unwrap_or(bytes.len());
+                reader.consume(used);
+                at += used as u64;
+                if record_end.is_some() {
+                    break at;
+                }
+            }
         };
         ranges.push(start..cut);
         start = cut;
@@ -403,15 +468,18 @@ fn after_newline<R: Read + Seek>(file: &mut R, from: u64) -> io::Result<Option<u
 /// Parse the byte range `range` of the CSV file `file`, whole lines after
 /// its header as [`cut_ranges`] cuts them, on up to `threads` threads as
 /// [`read_table_threaded`] parses a file's blocks. The header is read
-/// again from the start of the file for its column order. Returns
-/// `Ok(None)` once a block of the range holds a `"` byte: a quoted field
-/// may run across the range's ends, so only a reader of the whole file can
-/// parse it. An error's line counts from the range's first line as line 1;
+/// again from the start of the file for its column order. Unless
+/// `records` says the range is one [`cut_records`] cut, whose ends are
+/// record ends, the read returns `Ok(None)` once a block of the range
+/// holds a `"` byte, since a quoted field may run across the range's ends;
+/// with `records`, quoted blocks are read record by record as in a whole
+/// file. An error's line counts from the range's first line as line 1;
 /// `cancelled` is asked once per block.
 pub fn read_range<R: Read + Seek>(
     mut file: R,
     schema: &Schema,
     range: Range<u64>,
+    records: bool,
     threads: usize,
     cancelled: &(dyn Fn() -> bool + Sync),
 ) -> Result<Option<RangeRead>, TableError> {
@@ -425,19 +493,19 @@ pub fn read_range<R: Read + Seek>(
     }
     file.seek(SeekFrom::Start(range.start))?;
     let bytes = io::BufReader::new(file.take(range.end - range.start));
-    let mut records = RecordReader::new(Pending::new(bytes, BLOCK_BYTES));
+    let mut reader = RecordReader::new(Pending::new(bytes, BLOCK_BYTES));
     let table = parse_blocks(
-        &mut records,
+        &mut reader,
         schema,
         &order,
         threads,
         BLOCK_BYTES,
         cancelled,
-        true,
+        !records,
     )?;
     Ok(table.map(|table| RangeRead {
         table,
-        lines: records.line_no,
+        lines: reader.line_no,
     }))
 }
 
@@ -1352,20 +1420,23 @@ mod tests {
     /// What a coordinator makes of `input` cut into `parts` ranges read
     /// one by one: the ranges' tables appended, or the first failing
     /// range's error with its line counted from the file's start, or
-    /// `Ok(None)` at the first range holding a quote.
+    /// `Ok(None)` at the first range holding a quote. With `records`, the
+    /// ranges are cut at record ends and their quoted blocks read.
     fn read_by_ranges(
         input: &[u8],
         schema: &Schema,
         parts: usize,
+        records: bool,
         threads: usize,
     ) -> Result<Option<Table>, TableError> {
-        let (mut lines, ranges) = cut_ranges(io::Cursor::new(input), schema, parts)?;
+        let cut = if records { cut_records } else { cut_ranges };
+        let (mut lines, ranges) = cut(io::Cursor::new(input), schema, parts)?;
         assert_eq!(ranges.len(), parts);
         assert_eq!(ranges.last().unwrap().end, input.len() as u64);
         let mut table = Table::new(schema.clone());
         for range in ranges {
             let file = io::Cursor::new(input);
-            match read_range(file, schema, range, threads, &|| false) {
+            match read_range(file, schema, range, records, threads, &|| false) {
                 Ok(Some(read)) => {
                     table.append(&read.table);
                     lines += read.lines;
@@ -1380,11 +1451,21 @@ mod tests {
     /// Cut into 1 to 6 ranges, read at 1 and 2 threads, `input` gives the
     /// serial reader's table, or its error with the same line.
     fn assert_ranges_match_serial(input: &[u8], schema: &Schema) {
+        assert_cuts_match_serial(input, schema, 6, false);
+    }
+
+    /// Cut into 1 to `max_parts` ranges (at record ends with `records`),
+    /// read at 1 and 2 threads, `input` gives the serial reader's table,
+    /// or its error with the same line.
+    fn assert_cuts_match_serial(input: &[u8], schema: &Schema, max_parts: usize, records: bool) {
         let want = serial(input, schema);
-        for parts in 1..=6 {
+        for parts in 1..=max_parts {
             for threads in [1, 2] {
                 let at = format!("{parts} ranges, {threads} threads");
-                match (&want, read_by_ranges(input, schema, parts, threads)) {
+                match (
+                    &want,
+                    read_by_ranges(input, schema, parts, records, threads),
+                ) {
                     (Ok(want), Ok(Some(got))) => {
                         assert_eq!(got.num_rows(), want.num_rows(), "{at}");
                         for c in 0..schema.len() {
@@ -1443,7 +1524,9 @@ mod tests {
         let input = b"c,x\na,1\nb,2\n\"c\n\",3\nd,4\n";
         assert!(serial(input, &s).is_ok());
         for parts in 1..=4 {
-            assert!(read_by_ranges(input, &s, parts, 2).unwrap().is_none());
+            assert!(read_by_ranges(input, &s, parts, false, 2)
+                .unwrap()
+                .is_none());
         }
         // The quote-free ranges before it parse.
         let (_, ranges) = cut_ranges(io::Cursor::new(&input[..]), &s, 3).unwrap();
@@ -1451,10 +1534,81 @@ mod tests {
             io::Cursor::new(&input[..]),
             &s,
             ranges[0].clone(),
+            false,
             1,
             &|| false,
         );
         assert_eq!(first.unwrap().unwrap().table.num_rows(), 2);
+    }
+
+    /// A quoted input of about `len` bytes: records whose labels are
+    /// mostly quoted and hold newlines, CRLF and `""` escapes, so most
+    /// newlines lie inside quotes and most bytes within quoted fields.
+    fn quoted_input(len: usize) -> Vec<u8> {
+        let mut input = b"c,x\n".to_vec();
+        let mut i = 0u64;
+        while input.len() < len {
+            let record = match i % 5 {
+                0 => format!("\"a{i}\nb\n\nc\",{i}\n"),
+                1 => format!("\"\"\"q{i}\"\"\n\"\"\",-{i}\r\n"),
+                2 => format!("plain{i},{i}\n"),
+                3 => format!("\"{}\",{i}\n", "x\r\ny".repeat(40)),
+                _ => format!("\"\",{i}\n\n"),
+            };
+            input.extend_from_slice(record.as_bytes());
+            i += 1;
+        }
+        input
+    }
+
+    /// Quoted inputs cut at record ends into 1 to 7 ranges, each read
+    /// with its quoted blocks, give the serial reader's table, or its
+    /// error with the same line: quoted newlines and CRLF inside quotes,
+    /// `""` escapes, a quoted last record without a newline, stray quotes
+    /// on line 2 and far past the first block, an unterminated quote at
+    /// the end, and text after a closing quote. The long inputs span
+    /// several of the re-cut's read buffers with most of their bytes
+    /// inside quotes.
+    #[test]
+    fn records_cuts_read_quoted_files_as_the_serial_reader() {
+        let s = label_and_number();
+        let long = quoted_input(300 << 10);
+        let with_line = |line: usize, edit: &dyn Fn(&str) -> String| {
+            let text = String::from_utf8(long.clone()).unwrap();
+            let mut at = 0;
+            for _ in 1..line {
+                at += text[at..].find('\n').unwrap() + 1;
+            }
+            let end = at + text[at..].find('\n').unwrap();
+            let mut edited = text[..at].to_string();
+            edited += &edit(&text[at..end]);
+            edited += &text[end..];
+            edited.into_bytes()
+        };
+        let stray = |line: &str| format!("{line}\"x");
+        let mut cases: Vec<Vec<u8>> = vec![
+            b"c,x\n\"a\nb\",1\n\"c\r\nd\",2\r\n\"e\n\",3\n".to_vec(),
+            b"c,x\n\"a\"\"b\",1\n\"\"\"\",2\n\"x\"\"\n\"\"y\",3\nd,4\n".to_vec(),
+            b"c,x\na,1\n\"b\nc\",2\n\"d\r\n\",3".to_vec(),
+            b"c,x\na\"x,1\nb,2\n\"c\",3\n".to_vec(),
+            b"c,x\na,1\nb,2\n\"c,3\nd,4\ne,5\n".to_vec(),
+            b"c,x\na,1\n\"b\"x,2\nc,3\n".to_vec(),
+            long.clone(),
+            with_line(2, &|line| stray(line)),
+            with_line(6_000, &|line| stray(line)),
+            with_line(6_001, &|line| format!("\"{line}")),
+        ];
+        cases.push([&long[..], b"\"open,1\n"].concat());
+        for input in &cases {
+            assert_cuts_match_serial(input, &s, 7, true);
+        }
+        assert!(serial(&long, &s).unwrap().num_rows() > 3_000);
+        for (input, line) in [(&cases[7], 2), (&cases[8], 6_000)] {
+            match serial(input, &s) {
+                Err(TableError::Csv { line: at, .. }) => assert_eq!(at, line),
+                other => panic!("a stray quote read as {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1463,19 +1617,21 @@ mod tests {
         let input = &b"c,x\na,1\nb,2\n"[..];
         let file = || io::Cursor::new(input);
         assert!(matches!(
-            read_range(file(), &s, 2..8, 1, &|| false),
+            read_range(file(), &s, 2..8, false, 1, &|| false),
             Err(TableError::Io(_))
         ));
         assert!(matches!(
-            read_range(file(), &s, Range { start: 8, end: 4 }, 1, &|| false),
+            read_range(file(), &s, Range { start: 8, end: 4 }, false, 1, &|| false),
             Err(TableError::Io(_))
         ));
         let body = 4..input.len() as u64;
         assert_eq!(
-            read_range(file(), &s, body.clone(), 1, &|| true).unwrap_err(),
+            read_range(file(), &s, body.clone(), false, 1, &|| true).unwrap_err(),
             TableError::Cancelled
         );
-        let read = read_range(file(), &s, body, 1, &|| false).unwrap().unwrap();
+        let read = read_range(file(), &s, body, false, 1, &|| false)
+            .unwrap()
+            .unwrap();
         assert_eq!((read.table.num_rows(), read.lines), (2, 2));
     }
 

@@ -204,13 +204,18 @@ cmp "$STORE_DIR/serial.qarcat" "$STORE_DIR/chunked.qarcat"
     --chunk-rows 173 --workers 2 --store "$STORE_DIR/chunked_dist.qarcat" > /dev/null
 cmp "$STORE_DIR/serial.qarcat" "$STORE_DIR/chunked_dist.qarcat"
 # The --workers run above has each worker parse its own byte range of
-# the file. One quoted label sends the load back to the coordinator,
-# which must still write the serial catalog (quoting changes no label).
+# the file. One quoted label makes the coordinator cut the file again at
+# record ends, and the workers' second parse must still give the serial
+# catalog (quoting changes no label).
 sed '500s/,\([^,]*\)$/,"\1"/' "$STORE_DIR/planted.csv" > "$STORE_DIR/planted_quoted.csv"
 grep -q '"' "$STORE_DIR/planted_quoted.csv"
 ./target/release/qar mine --input "$STORE_DIR/planted_quoted.csv" $MINE_FLAGS \
     --workers 2 --store "$STORE_DIR/quoted_dist.qarcat" > /dev/null
 cmp "$STORE_DIR/serial.qarcat" "$STORE_DIR/quoted_dist.qarcat"
+# Stdin is copied to a file the workers cut into ranges: same catalog.
+cat "$STORE_DIR/planted.csv" | ./target/release/qar mine --input - $MINE_FLAGS \
+    --workers 2 --store "$STORE_DIR/stdin_dist.qarcat" > /dev/null
+cmp "$STORE_DIR/serial.qarcat" "$STORE_DIR/stdin_dist.qarcat"
 # A traced range load validates, and both workers join.
 ./target/release/qar mine --input "$STORE_DIR/planted.csv" $MINE_FLAGS \
     --workers 2 --trace json > /dev/null 2> "$STORE_DIR/dist.trace"
@@ -256,6 +261,25 @@ for topology in "--workers 2" "--chunk-rows 2" "--workers 2 --chunk-rows 2"; do
         --update "$STORE_DIR/people_topology.qarcat" --normalize-stats $topology > /dev/null
     cmp "$STORE_DIR/people_topology.qarcat" "$STORE_DIR/people_scratch.qarcat"
 done
+# A delta holding a value the catalog cannot encode ends the update over
+# two workers exactly as it ends the serial one: the same error text.
+head -n 1 "$STORE_DIR/people.csv" > "$STORE_DIR/bad_delta.csv"
+sed -n '2,3p' "$STORE_DIR/people.csv" >> "$STORE_DIR/bad_delta.csv"
+echo "99,Divorced,7" >> "$STORE_DIR/bad_delta.csv"
+for topology in "" "--workers 2"; do
+    cp "$STORE_DIR/people_base.qarcat" "$STORE_DIR/people_bad.qarcat"
+    status=0
+    ./target/release/qar mine --input "$STORE_DIR/bad_delta.csv" \
+        --update "$STORE_DIR/people_bad.qarcat" $topology \
+        > /dev/null 2> "$STORE_DIR/bad_update${topology// /}.err" || status=$?
+    if [ "$status" -eq 0 ]; then
+        echo "unencodable delta ($topology): expected an error" >&2
+        exit 1
+    fi
+    cmp "$STORE_DIR/people_bad.qarcat" "$STORE_DIR/people_base.qarcat"
+done
+grep -q "cannot be encoded" "$STORE_DIR/bad_update.err"
+diff "$STORE_DIR/bad_update.err" "$STORE_DIR/bad_update--workers2.err"
 
 echo "==> counts size smoke (pass 2 persisted as pair cells, COUNTS under 1 MiB)"
 # Mine 20,000 synthetic credit rows at partial completeness K = 2 into a
@@ -307,6 +331,17 @@ if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
     exit 1
 fi
 grep -q "on line 2:" "$STORE_DIR/stray.err"
+# Over two workers the file is cut again at record ends, and the line is
+# the same.
+status=0
+timeout 10 ./target/release/qar mine --input "$STORE_DIR/stray.csv" --workers 2 \
+    --schema employee_category:cat,marital_status:cat,monthly_income:quant,credit_limit:quant,current_balance:quant,ytd_balance:quant,ytd_interest:quant \
+    > /dev/null 2> "$STORE_DIR/stray_w2.err" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+    echo "stray quote over workers: expected a parse error, got exit status $status" >&2
+    exit 1
+fi
+grep -q "on line 2:" "$STORE_DIR/stray_w2.err"
 # A stray quote far past the reader's first block: the blocks before it
 # are parsed on threads, its own on one, and it is named by its line.
 ./target/release/qar generate credit --records 100000 --output "$STORE_DIR/stray_late.csv"
@@ -320,6 +355,15 @@ if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
     exit 1
 fi
 grep -q "on line 80000:" "$STORE_DIR/stray_late.err"
+status=0
+timeout 10 ./target/release/qar mine --input "$STORE_DIR/stray_late.csv" --workers 2 \
+    --schema employee_category:cat,marital_status:cat,monthly_income:quant,credit_limit:quant,current_balance:quant,ytd_balance:quant,ytd_interest:quant \
+    > /dev/null 2> "$STORE_DIR/stray_late_w2.err" || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+    echo "late stray quote over workers: expected a parse error, got exit status $status" >&2
+    exit 1
+fi
+grep -q "on line 80000:" "$STORE_DIR/stray_late_w2.err"
 # --deadline covers the load: a 10 ms deadline on 300k rows stops the
 # CSV parse with the cancelled error instead of running past it.
 ./target/release/qar generate credit --records 300000 --output "$STORE_DIR/deadline.csv"

@@ -28,14 +28,15 @@ use qar_core::{
     InterestMode, Miner, MinerConfig, MinerError, MiningOutput, PartitionSpec, PartitionStrategy,
     QuantRule, RuleInterest, SupportCounts, MAX_THREADS,
 };
-use qar_dist::{DistOptions, DistSource, RangeInput, RangeLoad, WorkerOptions, WorkerSpawn};
+use qar_dist::{DistOptions, DistSource, RangeInput, WorkerOptions, WorkerSpawn};
 use qar_store::format::tag::COUNTS_V1;
 use qar_store::{
     analytics_from_encoded, analytics_from_mining, section_inventory, Catalog, RankBy, RuleIndex,
     Server, ServerConfig,
 };
 use qar_table::{
-    csv, AttributeKind, ChunkStore, EncodedTable, Schema, SchemaBuilder, Table, TableError, Value,
+    csv, AttributeEncoder, AttributeKind, ChunkStore, EncodedTable, Schema, SchemaBuilder, Table,
+    TableError, Value,
 };
 use qar_trace::{CancelToken, ProgressSink, TraceFormat, WriterSink};
 
@@ -296,19 +297,20 @@ MINE OPTIONS:
                         --workers / --chunk-rows)
   --workers N           distribute the load and the counting passes over
                         N worker processes (spawned from this binary as
-                        `qar worker`). Given a regular --input file, each
-                        worker parses and encodes its own byte range of
-                        it; a file holding a quote byte, stdin,
-                        --chunk-rows and --update load on the
-                        coordinator, which streams the encoded rows out.
-                        Candidate generation, frequency decisions and
-                        rule generation stay in the coordinator, and the
+                        `qar worker`): each worker parses and encodes its
+                        own byte range of --input (stdin or a pipe is
+                        first copied to a temp file; a file holding a
+                        quote byte is cut again at record ends). Candidate
+                        generation, frequency decisions and rule
+                        generation stay in the coordinator, and the
                         result is bit-identical to a serial run
                                                         [default 0 = serial]
   --chunk-rows N        stream the CSV in N-row blocks and spill encoded
                         chunks to a temp directory, mining out-of-core
                         with one chunk in memory at a time; needs a real
-                        --input file (read twice)    [default 0 = in-memory]
+                        --input file (read twice). With --workers the
+                        workers hold the rows and nothing is spilled
+                                                [default 0 = in-memory]
   --normalize-stats     zero the volatile statistics (timings, scan
                         shapes) before storing/reporting so identical
                         inputs give byte-identical .qarcat catalogs
@@ -412,9 +414,9 @@ WORKER:
   Counting worker for distributed mining. Connects to a `qar mine
   --workers N` coordinator and loads its row partition: it parses the
   byte range of --input the coordinator names and encodes it under the
-  encoders built from every range's value histograms, or receives the
-  encoded rows over the wire. It then answers per-pass counting requests
-  with raw u64 tallies until the coordinator shuts it down. Normally
+  encoders built from every range's value histograms, or a catalog's.
+  It then answers per-pass counting requests with raw u64 tallies until
+  the coordinator shuts it down. Normally
   spawned by the coordinator itself; run it by hand only to place
   workers on other machines or debug the protocol.
   --connect HOST:PORT   coordinator address (required)
@@ -423,7 +425,7 @@ WORKER:
   --input FILE          the CSV file to parse ranges of; the coordinator
                         sends byte ranges, never a path, so it cannot
                         have a worker open any other file. Without it the
-                        worker loads only rows sent over the wire
+                        worker has no rows to load
 ";
 
 /// One verb's entry in the flag table: how many positional arguments may
@@ -785,7 +787,7 @@ fn mine_command(f: &Flags<'_>) -> Result<Command, CliError> {
              or backfill the catalog later with `qar analyze`",
         ));
     }
-    if chunk_rows > 0 && input == "-" {
+    if chunk_rows > 0 && workers == 0 && input == "-" {
         return Err(err(
             "--chunk-rows streams the input twice (stats pass, then spill pass), \
              so it needs a real --input file, not stdin",
@@ -1084,48 +1086,21 @@ fn deadline_token(args: &MineArgs) -> Option<CancelToken> {
         .map(|secs| CancelToken::with_deadline(Duration::from_secs_f64(secs)))
 }
 
-/// The counting source a `qar mine` topology runs on: `--workers N`
-/// worker processes, or this process over the in-memory rows or spilled
-/// chunks `backing` holds.
-fn topology_source<'a>(
-    args: &MineArgs,
-    config: &'a MinerConfig,
-    backing: Backing<'a>,
-    spawn: Option<WorkerSpawn>,
-    sink: Option<&'a dyn ProgressSink>,
-    cancel: Option<&'a CancelToken>,
-) -> Result<Box<dyn CountSource + 'a>, MinerError> {
-    if args.workers == 0 {
-        return Ok(Box::new(
-            InMemorySource::new(backing, config).with_cancel(cancel),
-        ));
-    }
-    let spawn = spawn.ok_or_else(|| {
-        MinerError::Distributed("distributed mining needs a worker spawn".to_string())
-    })?;
-    let options = DistOptions {
-        workers: args.workers,
-        spawn,
-        ..DistOptions::default()
-    };
-    Ok(Box::new(DistSource::start(
-        backing, config, &options, sink, cancel,
-    )?))
-}
-
 /// Execute `qar mine`, writing the report to `out` and trace events to
 /// `sink`. With `--workers N` the counting passes run on workers started
 /// by `spawn` — [`process_spawn`] in production, in-process threads in
 /// tests.
 ///
-/// One flow serves every topology. One loader reads `--input` once
-/// into rows in memory, or spilled chunks under `--chunk-rows`. A fresh
-/// mine runs the whole pipeline on them. `--update CATALOG` encodes them
-/// under the catalog's encoders instead and merges them with its
-/// persisted support counts through [`Miner::update_source`], with no
-/// base rows, so a fallback ends as an error; the catalog's schema and
-/// semantic configuration are authoritative, and only `--threads` and
-/// the topology come from this command line. The tail is shared:
+/// One flow serves every topology. One loader reads `--input` once into
+/// the counting source: worker processes that each parse and encode
+/// their own byte range of it under `--workers`, else rows in memory, or
+/// spilled chunks under `--chunk-rows`. A fresh mine runs the whole
+/// pipeline on it. `--update CATALOG` encodes the rows under the
+/// catalog's encoders instead and merges them with its persisted support
+/// counts through [`Miner::update_source`], with no base rows, so a
+/// fallback ends as an error; the catalog's schema and semantic
+/// configuration are authoritative, and only `--threads` and the
+/// topology come from this command line. The tail is shared:
 /// normalize the stats when asked, save the catalog — with analytics
 /// under `--analytics`, and the support counts a later `--update` needs —
 /// to `--store` or back over the updated catalog, and write the report.
@@ -1222,19 +1197,10 @@ fn mine_input(
             let cancel = deadline_token(args);
             let cancel = cancel.as_ref();
             let mut held = None;
-            let (mut source, intervals) =
-                match load_ranges(args, &schema, &config, spawn.as_ref(), sink_ref, cancel)? {
-                    Some(loaded) => loaded,
-                    None => {
-                        let Loaded { rows, intervals } =
-                            load_rows(args, &schema, &config, None, spill_dir, cancel)?;
-                        let rows = held.insert(rows?);
-                        let backing = rows.backing();
-                        let source =
-                            topology_source(args, &config, backing, spawn, sink_ref, cancel)?;
-                        (source, intervals)
-                    }
-                };
+            let loaded = load(
+                args, &schema, &config, None, spawn, spill_dir, sink_ref, cancel, &mut held,
+            )?;
+            let (mut source, intervals) = (loaded.source?, loaded.intervals);
             let (mut result, captured) = if args.store.is_some() {
                 let (result, captured) =
                     mine_source_captured(&mut *source, &config, sink_ref, cancel)?;
@@ -1262,26 +1228,24 @@ fn mine_input(
             let mut config = counts.config.miner_config();
             config.parallelism = args.config.parallelism;
             let cancel = deadline_token(args);
-            let rows = load_rows(
+            let (schema, encoders) = (base.schema(), Some(base.encoders()));
+            let mut held = None;
+            let mut source = load(
                 args,
-                base.schema(),
+                schema,
                 &config,
-                Some(base),
+                encoders,
+                spawn,
                 spill_dir,
+                sink_ref,
                 cancel.as_ref(),
+                &mut held,
             )?
-            .rows;
-            let mut source = None;
-            let delta = match &rows {
+            .source;
+            let delta = match &mut source {
                 Err(e) => Err(MinerError::Schema(e.clone())),
-                Ok(rows) if rows.backing().num_rows() == 0 => Ok(None),
-                Ok(rows) => {
-                    let cancel = cancel.as_ref();
-                    match topology_source(args, &config, rows.backing(), spawn, sink_ref, cancel) {
-                        Ok(built) => Ok(Some(&mut **source.insert(built) as &mut dyn CountSource)),
-                        Err(e) => Err(e),
-                    }
-                }
+                Ok(source) if source.num_rows() == 0 => Ok(None),
+                Ok(source) => Ok(Some(&mut **source as &mut dyn CountSource)),
             };
             let mut miner = Miner::new(config.clone());
             if let Some(sink) = sink {
@@ -1297,66 +1261,91 @@ fn mine_input(
     }
 }
 
-/// A counting source and the intervals Steps 1-2 chose per attribute.
-type Sourced<'a> = (Box<dyn CountSource + 'a>, Vec<Option<usize>>);
-
-/// The counting source of a fresh in-memory `--workers` mine of a
-/// regular `--input` file, whose workers parse and encode their own byte
-/// ranges of it, and the intervals Steps 1-2 chose; `None` when the run
-/// loads on this process instead ([`load_rows`]): another topology, stdin
-/// or another kind of file, or a file with a range holding a `"` byte.
-fn load_ranges<'a>(
-    args: &MineArgs,
-    schema: &Schema,
-    config: &MinerConfig,
-    spawn: Option<&WorkerSpawn>,
-    sink: Option<&'a dyn ProgressSink>,
-    cancel: Option<&'a CancelToken>,
-) -> Result<Option<Sourced<'a>>, Box<dyn Error>> {
-    let regular = args.input != "-" && std::fs::metadata(&args.input).is_ok_and(|m| m.is_file());
-    let Some(spawn) = spawn.filter(|_| regular && args.workers > 0 && args.chunk_rows == 0) else {
-        return Ok(None);
-    };
-    let path = &args.input;
-    let file = File::open(path).map_err(|e| err(format!("cannot open `{path}`: {e}")))?;
-    let input = RangeInput::new(file, path, schema, args.workers)
-        .map_err(|e| stopped_in("the CSV parse", e, cancel))?;
-    let options = DistOptions {
-        workers: args.workers,
-        spawn: spawn.clone(),
-        ..DistOptions::default()
-    };
-    Ok(
-        match DistSource::start_ranges(input, config, &options, sink, cancel)? {
-            RangeLoad::Loaded { source, intervals } => Some((source, intervals)),
-            RangeLoad::Quoted => None,
-            RangeLoad::Failed(e) => return Err(stopped_in("the CSV parse", e, cancel)),
-        },
-    )
-}
-
-/// What [`load_rows`] read: the encoded rows, or why the input does not
-/// encode (for an update to judge as a fallback), and the intervals a
-/// fresh mine's encoders chose per attribute.
-struct Loaded {
-    rows: Result<Rows, TableError>,
+/// What a load produced: the source counting the rows, or why they do
+/// not encode under given encoders (for an update to judge as a
+/// fallback), and the intervals a fresh mine's encoders chose per
+/// attribute.
+struct Loaded<'a> {
+    source: Result<Box<dyn CountSource + 'a>, TableError>,
     intervals: Vec<Option<usize>>,
 }
 
-/// Read `--input` once into the rows a mine counts: parsed into memory,
-/// or streamed into chunk files under `spill_dir` with `--chunk-rows`.
-/// A fresh mine builds its encoders from the data's value histograms
-/// (Steps 1-2); an update encodes under the `base` catalog's encoders.
-/// The in-memory parse and Steps 1-2 run on the run's `--threads` and
-/// stop at `cancel`'s deadline.
-fn load_rows(
+/// Load `--input` into the source a mine counts through, its rows
+/// encoded under `encoders` when given (an update's), else under the
+/// encoders Steps 1-2 build from the data. Without `--workers` this
+/// process reads the rows ([`load_rows`]) into `held`. With them, workers
+/// started by `spawn` each parse and encode their own byte range of the
+/// file: of `--input` itself when it is a regular file, else of a copy of
+/// it (stdin, a pipe) in `spill_dir`.
+#[allow(clippy::too_many_arguments)]
+fn load<'a>(
     args: &MineArgs,
     schema: &Schema,
     config: &MinerConfig,
-    base: Option<&Catalog>,
+    encoders: Option<&[AttributeEncoder]>,
+    spawn: Option<WorkerSpawn>,
     spill_dir: &Path,
-    cancel: Option<&CancelToken>,
-) -> Result<Loaded, Box<dyn Error>> {
+    sink: Option<&'a dyn ProgressSink>,
+    cancel: Option<&'a CancelToken>,
+    held: &'a mut Option<Rows>,
+) -> Result<Loaded<'a>, Box<dyn Error>> {
+    if args.workers == 0 {
+        return load_rows(args, schema, config, encoders, spill_dir, cancel, held);
+    }
+    let spawn = spawn.ok_or_else(|| {
+        MinerError::Distributed("distributed mining needs a worker spawn".to_string())
+    })?;
+    let regular = args.input != "-" && std::fs::metadata(&args.input).is_ok_and(|m| m.is_file());
+    let path = match regular {
+        true => PathBuf::from(&args.input),
+        false => copy_input(&args.input, spill_dir)?,
+    };
+    let file = File::open(&path).map_err(|e| err(format!("cannot open `{}`: {e}", args.input)))?;
+    let input = RangeInput::new(file, &path, schema, args.workers)
+        .map_err(|e| stopped_in("the CSV parse", e, cancel))?;
+    let options = DistOptions {
+        workers: args.workers,
+        spawn,
+        ..DistOptions::default()
+    };
+    let encoders = encoders.map(<[_]>::to_vec);
+    let (source, intervals) =
+        match DistSource::start_ranges(input, encoders, config, &options, sink, cancel)? {
+            Ok((source, intervals)) => (Ok(source as Box<dyn CountSource>), intervals),
+            Err(e @ TableError::UnencodableValue { .. }) => (Err(e), Vec::new()),
+            Err(e) => return Err(stopped_in("the CSV parse", e, cancel)),
+        };
+    Ok(Loaded { source, intervals })
+}
+
+/// Copy the input `path` (`-` for stdin) to a file in `dir`, for workers
+/// to cut into byte ranges.
+fn copy_input(path: &str, dir: &Path) -> Result<PathBuf, CliError> {
+    let mut reader = open_input(path)?;
+    let copy = dir.join("input.csv");
+    let copied = std::fs::create_dir_all(dir)
+        .and_then(|()| File::create(&copy))
+        .and_then(|mut file| std::io::copy(&mut reader, &mut file));
+    copied.map_err(|e| err(format!("cannot copy `{path}` for the workers: {e}")))?;
+    Ok(copy)
+}
+
+/// Read `--input` once into `held`, the rows a mine counts: parsed into
+/// memory, or streamed into chunk files under `spill_dir` with
+/// `--chunk-rows`, and count them through an [`InMemorySource`]. A fresh
+/// mine builds its encoders from the data's value histograms (Steps 1-2);
+/// an update encodes under the catalog's `encoders`. The in-memory parse
+/// and Steps 1-2 run on the run's `--threads` and stop at `cancel`'s
+/// deadline.
+fn load_rows<'a>(
+    args: &MineArgs,
+    schema: &Schema,
+    config: &MinerConfig,
+    encoders: Option<&[AttributeEncoder]>,
+    spill_dir: &Path,
+    cancel: Option<&'a CancelToken>,
+    held: &'a mut Option<Rows>,
+) -> Result<Loaded<'a>, Box<dyn Error>> {
     enum Input {
         Table(Table),
         Csv(Box<dyn BufRead>),
@@ -1371,8 +1360,8 @@ fn load_rows(
     } else {
         Input::Csv(reader)
     };
-    let (encoders, intervals) = match (base, &input) {
-        (Some(base), _) => (base.encoders().to_vec(), Vec::new()),
+    let (encoders, intervals) = match (encoders, &input) {
+        (Some(encoders), _) => (encoders.to_vec(), Vec::new()),
         (None, Input::Table(table)) => {
             let histograms = table
                 .histograms_threaded(threads, &cancelled)
@@ -1405,7 +1394,11 @@ fn load_rows(
                 .map(Rows::Chunks)
         }
     };
-    Ok(Loaded { rows, intervals })
+    let source = rows.map(|rows| {
+        let source = InMemorySource::new(held.insert(rows).backing(), config);
+        Box::new(source.with_cancel(cancel)) as Box<dyn CountSource>
+    });
+    Ok(Loaded { source, intervals })
 }
 
 /// The phase [`load_rows`] names when a deadline stops its histograms or
@@ -2880,9 +2873,14 @@ mod tests {
             .unwrap_err();
             assert!(e.to_string().contains("qar analyze"), "{flags}: {e}");
         }
-        // The chunked path reads the file twice, so stdin is out.
+        // The chunked path reads the file twice, so stdin is out, unless
+        // workers load it, and nothing is spilled.
         let e = parse_command(&argv("mine --input - --schema a:q --chunk-rows 64")).unwrap_err();
         assert!(e.to_string().contains("stdin"), "{e}");
+        assert!(parse_command(&argv(
+            "mine --input - --schema a:q --chunk-rows 64 --workers 2"
+        ))
+        .is_ok());
         assert!(parse_command(&argv("mine --input f --schema a:q --workers lots")).is_err());
     }
 
@@ -3168,8 +3166,9 @@ mod tests {
 
     /// Files whose ranges are odd — a header alone, fewer rows than
     /// workers, CRLF line ends, a final record without a newline, a
-    /// quoted label (which the coordinator loads itself), bad numbers in
-    /// the last range or in two ranges — mine over worker threads to the
+    /// quoted label and one holding a newline (which cut the file again
+    /// at record ends), bad numbers in the last range or in two ranges, a
+    /// stray quote, an unterminated one — mine over worker threads to the
     /// serial catalog, or fail with the serial error.
     #[test]
     fn range_load_mines_odd_files_as_the_serial_run() {
@@ -3191,6 +3190,12 @@ mod tests {
             ("crlf", text.replace('\n', "\r\n")),
             ("no-final-newline", text.trim_end().to_string()),
             ("quoted", text.replacen("Yes", "\"Yes\"", 1)),
+            ("quoted-newline", text.replace(",Yes,", ",\"Ye\ns\",")),
+            (
+                "stray-quote",
+                with_line(2, lines[2].replacen(',', "\",", 1)),
+            ),
+            ("unterminated", format!("{text}\"{}", lines[last])),
             ("bad-last", with_line(last, bad(last))),
             (
                 "bad-two",
@@ -3202,6 +3207,10 @@ mod tests {
             if tag.starts_with("bad") {
                 let e = serial.as_ref().unwrap_err();
                 assert!(e.contains("is not a number"), "{tag}: {e}");
+            }
+            if ["stray-quote", "unterminated"].contains(&tag) {
+                let e = serial.as_ref().unwrap_err();
+                assert!(e.contains("quote"), "{tag}: {e}");
             }
             for workers in [2, 3] {
                 let dist = mine_people_text(tag, &text, workers);
@@ -3364,7 +3373,7 @@ mod tests {
         // An empty delta (header only) leaves the catalog byte-identical.
         let empty_path = dir.join(format!("qar-cli-update-exact-{pid}-empty.csv"));
         std::fs::write(&empty_path, "Age,Married,NumCars\n").unwrap();
-        for (workers, chunk_rows) in [(0usize, 0usize), (0, 3)] {
+        for (workers, chunk_rows) in [(0usize, 0usize), (0, 3), (2, 0), (2, 3)] {
             let cat_path = dir.join(format!(
                 "qar-cli-update-exact-{pid}-noop-w{workers}c{chunk_rows}.qarcat"
             ));
@@ -3380,7 +3389,9 @@ mod tests {
             };
             uargs.workers = workers;
             uargs.chunk_rows = chunk_rows;
-            run_mine(&uargs, None, None, &mut Vec::new())
+            let spawn =
+                (workers > 0).then(|| WorkerSpawn::Threads(qar_dist::WorkerOptions::default()));
+            run_mine(&uargs, spawn, None, &mut Vec::new())
                 .unwrap_or_else(|e| panic!("empty delta, chunk_rows={chunk_rows}: {e}"));
             let updated = std::fs::read(&cat_path).expect("updated catalog");
             std::fs::remove_file(&cat_path).ok();

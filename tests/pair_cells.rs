@@ -13,17 +13,16 @@
 use qar_oracle::reference::ReferenceSource;
 use quantrules::core::mine::MineStats;
 use quantrules::core::pipeline::{build_encoders, MiningOutput};
-use quantrules::core::source::Backing;
 use quantrules::core::supercand::{PairHistograms, CELL_BUDGET};
 use quantrules::core::{
     mine_source_captured, CaptureSource, CapturedCounts, CountError, CountSource, InMemorySource,
     MergeSource, Miner, MinerConfig, MinerError, PartitionSpec, SupportCounts, UpdateInput,
 };
-use quantrules::dist::{DistOptions, DistSource, WorkerOptions, WorkerSpawn};
+use quantrules::dist::{DistOptions, DistSource, RangeInput, WorkerOptions, WorkerSpawn};
 use quantrules::itemset::{CounterKind, Itemset};
 use quantrules::store::Catalog;
 use quantrules::table::{
-    AttributeId, AttributeKind, ChunkStore, EncodedTable, Schema, Table, Value,
+    csv, AttributeId, AttributeKind, ChunkStore, EncodedTable, Schema, Table, Value,
 };
 
 /// Forwards only the four required methods, so pass 2 takes the trait's
@@ -94,14 +93,25 @@ fn spill(table: &EncodedTable, chunk_rows: usize) -> ChunkStore {
     store
 }
 
-/// Two thread-spawned workers over `table`, on real TCP connections.
-fn cluster<'t>(table: &'t EncodedTable, config: &MinerConfig) -> DistSource<'t> {
+/// Two thread-spawned workers, on real TCP connections, over `raw`
+/// written as CSV, each parsing its own range and encoding it under
+/// `table`'s encoders.
+fn cluster(raw: &Table, table: &EncodedTable, config: &MinerConfig) -> Box<DistSource<'static>> {
     let options = DistOptions {
         workers: 2,
         spawn: WorkerSpawn::Threads(WorkerOptions::default()),
         ..DistOptions::default()
     };
-    DistSource::start(Backing::Memory(table), config, &options, None, None).unwrap()
+    let path = quantrules::table::chunk::default_spill_dir("pair_cells").with_extension("csv");
+    let mut text = Vec::new();
+    csv::write_table(&mut text, raw).unwrap();
+    std::fs::write(&path, text).unwrap();
+    let file = std::fs::File::open(&path).unwrap();
+    let input = RangeInput::new(file, &path, raw.schema(), options.workers).unwrap();
+    let encoders = Some(table.encoders().to_vec());
+    let loaded = DistSource::start_ranges(input, encoders, config, &options, None, None);
+    let _ = std::fs::remove_file(&path);
+    loaded.unwrap().unwrap().0
 }
 
 /// Base counts for `base`: the pass-1 histograms and every pair's cells,
@@ -176,7 +186,7 @@ fn check_every_source(raw: &Table, config: &MinerConfig, cut: usize, ctx: &str) 
 
     let mut in_memory = InMemorySource::new(&table, config);
     let mut chunked = InMemorySource::new(&store, config);
-    let mut dist = cluster(&table, config);
+    let mut dist = cluster(raw, &table, config);
     let mut forwarding = Forwarding(InMemorySource::new(&table, config));
     let mut delta_source = InMemorySource::new(&delta, config);
     let mut merge = MergeSource::new(&base, Some(&mut delta_source), meta.clone());
@@ -186,7 +196,7 @@ fn check_every_source(raw: &Table, config: &MinerConfig, cut: usize, ctx: &str) 
     let mut sources: Vec<(&str, &mut dyn CountSource)> = vec![
         ("in-memory", &mut in_memory),
         ("chunked", &mut chunked),
-        ("distributed", &mut dist),
+        ("distributed", &mut *dist),
         ("forwarding", &mut forwarding),
         ("merge", &mut merge),
         ("reference", &mut reference),
@@ -236,7 +246,7 @@ fn check_every_source(raw: &Table, config: &MinerConfig, cut: usize, ctx: &str) 
     });
     let fresh: Vec<(&str, Box<dyn CountSource + '_>)> = vec![
         ("chunked", Box::new(InMemorySource::new(&store, config))),
-        ("distributed", Box::new(cluster(&table, config))),
+        ("distributed", cluster(raw, &table, config)),
         (
             "forwarding",
             Box::new(Forwarding(InMemorySource::new(&table, config))),
