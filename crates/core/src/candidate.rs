@@ -1,9 +1,8 @@
 //! Candidate generation (Section 5.1): join, subset prune, interest prune.
 
-use crate::frequent::QuantFrequentItemsets;
+use crate::frequent::support_in;
 use qar_itemset::{Item, Itemset};
 use qar_trace::CancelToken;
-use std::collections::HashSet;
 
 /// The pairs [`generate_candidates`] joins between two checks of its
 /// cancel token: one run of a level may hold millions of pairs.
@@ -17,10 +16,11 @@ const CANCEL_CHECK_PAIRS: usize = 4096;
 /// hold each attribute once), so same-attribute pairs are skipped rather
 /// than joined.
 ///
-/// `prev` must be sorted (as [`QuantFrequentItemsets::push_level`]
-/// guarantees). `cancel` is checked once per run of itemsets sharing a
-/// prefix and every 4,096 pairs within a run; `None` is returned when it
-/// fired.
+/// `prev` must be sorted (as [`crate::QuantFrequentItemsets::push_level`]
+/// guarantees): the join walks its prefix runs and the subset prune
+/// binary-searches it. `cancel` is checked once per run of itemsets
+/// sharing a prefix and every 4,096 pairs within a run; `None` is
+/// returned when it fired.
 pub fn generate_candidates(
     prev: &[(Itemset, u64)],
     cancel: Option<&CancelToken>,
@@ -30,8 +30,8 @@ pub fn generate_candidates(
     }
     let k1 = prev[0].0.len();
     debug_assert!(prev.iter().all(|(s, _)| s.len() == k1));
-    let prev_set: HashSet<&Itemset> = prev.iter().map(|(s, _)| s).collect();
     let mut candidates = Vec::new();
+    let mut subset: Vec<Item> = Vec::with_capacity(k1);
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
     let mut unchecked_pairs = 0;
 
@@ -46,7 +46,8 @@ pub fn generate_candidates(
             run_end += 1;
         }
         for i in run_start..run_end {
-            let last_i = prev[i].0.items()[k1 - 1];
+            let parent = prev[i].0.items();
+            let last_i = parent[k1 - 1];
             for j in (i + 1)..run_end {
                 unchecked_pairs += 1;
                 if unchecked_pairs == CANCEL_CHECK_PAIRS {
@@ -59,14 +60,20 @@ pub fn generate_candidates(
                 if last_i.attr == last_j.attr {
                     continue;
                 }
-                let mut items: Vec<Item> = prev[i].0.items().to_vec();
-                items.push(last_j);
-                let cand = Itemset::new(items);
                 // Subset prune: every (k-1)-subset must be frequent. The
-                // two parents are by construction; check the rest.
-                let keep = (0..cand.len() - 2).all(|p| prev_set.contains(&cand.without_index(p)));
+                // two parents are by construction; check the rest, each
+                // `parent` without one of its first k-2 items plus `last_j`.
+                let keep = (0..k1 - 1).all(|p| {
+                    subset.clear();
+                    subset.extend_from_slice(&parent[..p]);
+                    subset.extend_from_slice(&parent[p + 1..]);
+                    subset.push(last_j);
+                    support_in(prev, &subset).is_some()
+                });
                 if keep {
-                    candidates.push(cand);
+                    let mut items = parent.to_vec();
+                    items.push(last_j);
+                    candidates.push(Itemset::new(items));
                 }
             }
         }
@@ -82,7 +89,7 @@ pub fn generate_candidates(
 /// categorical single values are their own full information).
 pub fn interest_prune_level1(
     level1: Vec<(Itemset, u64)>,
-    frequent: &QuantFrequentItemsets,
+    num_rows: u64,
     interest_level: f64,
     is_quantitative: &dyn Fn(u32) -> bool,
 ) -> Vec<(Itemset, u64)> {
@@ -99,7 +106,7 @@ pub fn interest_prune_level1(
             // `count/rows ≤ 1/R` misjudges the boundary when both
             // quotients round in opposite directions (e.g. rows = 3·10¹⁵,
             // count = 10¹⁵, R = 3).
-            *count as f64 * interest_level <= frequent.num_rows as f64
+            *count as f64 * interest_level <= num_rows as f64
         })
         .collect()
 }
@@ -107,6 +114,7 @@ pub fn interest_prune_level1(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QuantFrequentItemsets;
 
     fn level(sets: &[&[(u32, u32, u32)]]) -> Vec<(Itemset, u64)> {
         let mut v: Vec<(Itemset, u64)> = sets
@@ -218,17 +226,131 @@ mod tests {
 
     #[test]
     fn interest_prune_drops_wide_quantitative_items() {
-        let mut store = QuantFrequentItemsets::new(100);
         let wide = Itemset::singleton(Item::range(0, 0, 9)); // support 95
         let narrow = Itemset::singleton(Item::range(0, 2, 3)); // support 40
         let cat = Itemset::singleton(Item::value(1, 0)); // support 95, categorical
         let l1 = vec![(wide.clone(), 95), (narrow.clone(), 40), (cat.clone(), 95)];
-        store.push_level(l1.clone());
-        // R = 2: threshold 1/2 = 50 records.
-        let pruned = interest_prune_level1(l1, &store, 2.0, &|attr| attr == 0);
+        // R = 2 over 100 rows: threshold 1/2 = 50 records.
+        let pruned = interest_prune_level1(l1, 100, 2.0, &|attr| attr == 0);
         let kept: Vec<&Itemset> = pruned.iter().map(|(s, _)| s).collect();
         assert!(!kept.contains(&&wide), "wide quantitative item must go");
         assert!(kept.contains(&&narrow));
         assert!(kept.contains(&&cat), "categorical items exempt");
+    }
+
+    /// Attributes and codes of the random levels below: few enough that
+    /// prefixes repeat and joins happen.
+    const ATTRS: u32 = 5;
+    const CODES: u32 = 4;
+
+    fn random_item(rng: &mut qar_prng::Prng, attr: u32) -> Item {
+        let lo = rng.gen_range(0..CODES);
+        Item::range(attr, lo, rng.gen_range(lo..CODES))
+    }
+
+    /// Random levels `1..=depth`: level 1 holds random items, level `k`
+    /// random extensions of level `k − 1` by a level-1 item plus a few
+    /// random `k`-itemsets, so some `(k−1)`-subsets are missing.
+    fn random_store(rng: &mut qar_prng::Prng, depth: usize) -> QuantFrequentItemsets {
+        let mut store = QuantFrequentItemsets::new(1000);
+        let mut level: Vec<Itemset> = Vec::new();
+        for k in 1..=depth {
+            let mut next: Vec<Itemset> = Vec::new();
+            for parent in &level {
+                for (item, _) in &store.levels[0] {
+                    let item = item.items()[0];
+                    if item.attr > parent.items()[k - 2].attr && rng.gen_bool(0.4) {
+                        next.push(Itemset::new([parent.items(), &[item]].concat()));
+                    }
+                }
+            }
+            for _ in 0..rng.gen_range(0..8usize) {
+                let mut attrs: Vec<u32> = (0..ATTRS).collect();
+                rng.shuffle(&mut attrs);
+                next.push(attrs[..k].iter().map(|&a| random_item(rng, a)).collect());
+            }
+            next.sort();
+            next.dedup();
+            level = next;
+            let counts = level.iter().map(|s| (s.clone(), rng.gen_range(1..1000u64)));
+            store.push_level(counts.collect());
+        }
+        store
+    }
+
+    /// `support_of` binary-searches the sorted levels: it equals a linear
+    /// scan on every stored itemset, on every `(k−1)`-subset of one and on
+    /// every itemset one range bound away from one, and finds neither the
+    /// empty itemset nor one longer than the last level.
+    #[test]
+    fn support_of_equals_a_linear_scan() {
+        let (mut absent_subsets, mut absent_neighbours) = (0, 0);
+        qar_prng::cases(200, 0x5EED_0033_5EA3, |case, rng| {
+            let depth = rng.gen_range(1..4usize);
+            let store = random_store(rng, depth);
+            let linear = |probe: &Itemset| store.iter().find(|(s, _)| s == probe).map(|&(_, c)| c);
+            assert_eq!(store.support_of(&Itemset::empty()), None, "case {case}");
+            let longer: Itemset = (0..=depth as u32).map(|a| Item::value(a, 0)).collect();
+            assert_eq!(store.support_of(&longer), None, "case {case}");
+            for (itemset, count) in store.iter() {
+                assert_eq!(store.support_of(itemset), Some(*count), "case {case}");
+                for sub in itemset.subsets_dropping_one().filter(|s| !s.is_empty()) {
+                    let want = linear(&sub);
+                    absent_subsets += usize::from(want.is_none());
+                    assert_eq!(store.support_of(&sub), want, "case {case}: {sub}");
+                }
+                for (p, item) in itemset.items().iter().enumerate() {
+                    let (lo, hi) = (i64::from(item.lo), i64::from(item.hi));
+                    for (lo, hi) in [(lo - 1, hi), (lo + 1, hi), (lo, hi - 1), (lo, hi + 1)] {
+                        if lo < 0 || lo > hi {
+                            continue;
+                        }
+                        let mut items = itemset.items().to_vec();
+                        items[p] = Item::range(item.attr, lo as u32, hi as u32);
+                        let near = Itemset::new(items);
+                        let want = linear(&near);
+                        absent_neighbours += usize::from(want.is_none());
+                        assert_eq!(store.support_of(&near), want, "case {case}: {near}");
+                    }
+                }
+            }
+        });
+        assert!(absent_subsets > 0 && absent_neighbours > 0);
+    }
+
+    /// The join with its binary-search prune equals a naive join over
+    /// every pair of `L_{k−1}` plus a subset prune through a `HashSet`.
+    #[test]
+    fn join_equals_a_naive_join_with_a_set_prune() {
+        let (mut joined, mut pruned) = (0, 0);
+        qar_prng::cases(200, 0x5EED_0033_701E, |case, rng| {
+            let store = random_store(rng, 3);
+            for prev in &store.levels {
+                let set: std::collections::HashSet<&Itemset> =
+                    prev.iter().map(|(s, _)| s).collect();
+                let mut want = Vec::new();
+                for (i, (a, _)) in prev.iter().enumerate() {
+                    for (b, _) in &prev[i + 1..] {
+                        let (a, b) = (a.items(), b.items());
+                        let k1 = a.len();
+                        if a[..k1 - 1] != b[..k1 - 1] || a[k1 - 1].attr == b[k1 - 1].attr {
+                            continue;
+                        }
+                        joined += 1;
+                        let cand = Itemset::new([a, &b[k1 - 1..]].concat());
+                        if cand.subsets_dropping_one().all(|s| set.contains(&s)) {
+                            want.push(cand);
+                        } else {
+                            pruned += 1;
+                        }
+                    }
+                }
+                assert_eq!(generate_candidates(prev, None), Some(want), "case {case}");
+            }
+        });
+        assert!(
+            joined > pruned && pruned > 0,
+            "{joined} joined, {pruned} pruned"
+        );
     }
 }

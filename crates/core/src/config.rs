@@ -242,16 +242,6 @@ pub enum MinerError {
     /// Distributed-mining setup or protocol failure (worker spawn,
     /// handshake, malformed frame) with no usable fallback.
     Distributed(String),
-    /// A worker died or timed out mid-run and its partition could not be
-    /// recounted elsewhere.
-    WorkerLost {
-        /// 0-based index of the lost worker.
-        worker: usize,
-        /// 1-based pass during which the loss was observed.
-        pass: usize,
-        /// The underlying I/O or protocol failure.
-        detail: String,
-    },
     /// An incremental update could not proceed and no fallback was
     /// available (configuration drift from the persisted counts, encoding
     /// fingerprint mismatch, or a delta that invalidates the counts with
@@ -278,11 +268,6 @@ impl fmt::Display for MinerError {
                 }
             }
             MinerError::Distributed(msg) => write!(f, "distributed mining error: {msg}"),
-            MinerError::WorkerLost {
-                worker,
-                pass,
-                detail,
-            } => write!(f, "worker {worker} lost during pass {pass}: {detail}"),
             MinerError::Update(msg) => write!(f, "incremental update error: {msg}"),
         }
     }

@@ -8,15 +8,18 @@
 
 use qar_itemset::{Item, Itemset};
 use qar_table::{AttributeKind, EncodedTable};
-use std::collections::HashMap;
 
 /// All frequent itemsets found by a mining run, with exact support counts.
+/// The sorted levels are the store's only index: every lookup
+/// binary-searches the level of the itemset's length.
 #[derive(Debug, Clone, Default)]
 pub struct QuantFrequentItemsets {
     /// `levels[k-1]` holds the frequent `k`-itemsets with their support
-    /// counts, sorted for deterministic output.
+    /// counts, sorted ascending by itemset with no itemset twice.
+    /// [`QuantFrequentItemsets::push_level`] is the only writer and sorts;
+    /// [`QuantFrequentItemsets::support_of`] and the candidate join rely on
+    /// the order.
     pub levels: Vec<Vec<(Itemset, u64)>>,
-    support: HashMap<Itemset, u64>,
     /// Number of records in the mined table (denominator for fractions).
     pub num_rows: u64,
 }
@@ -26,23 +29,20 @@ impl QuantFrequentItemsets {
     pub fn new(num_rows: u64) -> Self {
         QuantFrequentItemsets {
             levels: Vec::new(),
-            support: HashMap::new(),
             num_rows,
         }
     }
 
-    /// Append one level (sorted and indexed).
+    /// Append one level, sorted.
     pub fn push_level(&mut self, mut level: Vec<(Itemset, u64)>) {
         level.sort_by(|a, b| a.0.cmp(&b.0));
-        for (itemset, count) in &level {
-            self.support.insert(itemset.clone(), *count);
-        }
         self.levels.push(level);
     }
 
     /// Support count of `itemset`, if it is frequent.
     pub fn support_of(&self, itemset: &Itemset) -> Option<u64> {
-        self.support.get(itemset).copied()
+        let level = self.levels.get(itemset.len().checked_sub(1)?)?;
+        support_in(level, itemset.items())
     }
 
     /// Fractional support of `itemset`, if frequent.
@@ -65,6 +65,15 @@ impl QuantFrequentItemsets {
     pub fn iter(&self) -> impl Iterator<Item = &(Itemset, u64)> {
         self.levels.iter().flatten()
     }
+}
+
+/// Support count of the itemset of `items` in the sorted `level`, by
+/// binary search; `None` when the level does not hold it.
+pub(crate) fn support_in(level: &[(Itemset, u64)], items: &[Item]) -> Option<u64> {
+    level
+        .binary_search_by(|(itemset, _)| itemset.items().cmp(items))
+        .ok()
+        .map(|at| level[at].1)
 }
 
 /// Per-attribute frequent items plus bookkeeping the later passes need.

@@ -326,9 +326,8 @@ mod tests {
             let rows = 3 * count;
             let exact = Itemset::singleton(Item::value(0, 0));
             let above = Itemset::singleton(Item::value(0, 1));
-            let store = QuantFrequentItemsets::new(rows);
             let level1 = vec![(exact.clone(), count), (above.clone(), count + 1)];
-            let kept = interest_prune_level1(level1, &store, 3.0, &|_| true);
+            let kept = interest_prune_level1(level1, rows, 3.0, &|_| true);
             let kept: Vec<&Itemset> = kept.iter().map(|(s, _)| s).collect();
             assert!(
                 kept.contains(&&exact),
@@ -341,15 +340,13 @@ mod tests {
         }
 
         // Non-integer R at the boundary: R = 2.5, count·R == rows exactly.
-        let store = QuantFrequentItemsets::new(5);
         let exact = Itemset::singleton(Item::value(0, 0));
-        let kept = interest_prune_level1(vec![(exact.clone(), 2)], &store, 2.5, &|_| true);
+        let kept = interest_prune_level1(vec![(exact.clone(), 2)], 5, 2.5, &|_| true);
         assert_eq!(kept.len(), 1, "2/5 == 1/2.5 must be kept");
 
         // Categorical items are exempt regardless of support.
-        let store = QuantFrequentItemsets::new(4);
         let cat = Itemset::singleton(Item::value(1, 0));
-        let kept = interest_prune_level1(vec![(cat.clone(), 4)], &store, 2.0, &|a| a != 1);
+        let kept = interest_prune_level1(vec![(cat.clone(), 4)], 4, 2.0, &|a| a != 1);
         assert_eq!(kept.len(), 1, "categorical item must be exempt");
     }
 

@@ -436,13 +436,11 @@ pub(crate) fn mine_with_source_ctx(
     if let Some(interest) = &config.interest {
         if interest.prunes() {
             let before = level1.len();
-            let mut probe = QuantFrequentItemsets::new(num_rows);
-            probe.push_level(level1.clone());
             let schema = source.meta().schema();
             let is_quant = |attr: u32| {
                 schema.attributes()[attr as usize].kind() == AttributeKind::Quantitative
             };
-            level1 = interest_prune_level1(level1, &probe, interest.level, &is_quant);
+            level1 = interest_prune_level1(level1, num_rows, interest.level, &is_quant);
             stats.interest_pruned_items = before - level1.len();
         }
     }

@@ -24,11 +24,10 @@
 //!
 //! Partial failure: a worker that times out, drops its connection, or
 //! answers out of protocol is declared **lost** (one `worker_lost` trace
-//! event, [`MinerError::WorkerLost`] under
-//! [`DistOptions::fail_fast`]). By default the coordinator recovers by
-//! parsing the lost worker's byte range of the file again (and encoding
-//! it once the encoders exist), and counting those rows itself from then
-//! on. The merged counts, and therefore the mined rules, are unchanged.
+//! event). The coordinator recovers by parsing the lost worker's byte
+//! range of the file again (and encoding it once the encoders exist), and
+//! counting those rows itself from then on. The merged counts, and
+//! therefore the mined rules, are unchanged.
 
 use qar_core::pipeline::build_encoders_from_histograms;
 use qar_core::source::{CountError, CountSource, InMemorySource};
@@ -285,32 +284,16 @@ impl Cluster {
     }
 
     /// Declare worker `index` lost during `pass` (0 = the load): one
-    /// `worker_lost` event, then under `fail_fast` the run's
-    /// [`MinerError::WorkerLost`].
-    fn lose(
-        &mut self,
-        index: usize,
-        pass: usize,
-        detail: String,
-        sink: Option<&dyn ProgressSink>,
-        fail_fast: bool,
-    ) -> Result<(), MinerError> {
+    /// `worker_lost` event.
+    fn lose(&mut self, index: usize, pass: usize, detail: String, sink: Option<&dyn ProgressSink>) {
         self.remotes[index].alive = false;
         if let Some(sink) = sink {
             sink.on_event(&TraceEvent::WorkerLost {
                 worker: index,
                 pass,
-                detail: detail.clone(),
-            });
-        }
-        if fail_fast {
-            return Err(MinerError::WorkerLost {
-                worker: index,
-                pass,
                 detail,
             });
         }
-        Ok(())
     }
 
     /// Gracefully stop every live worker (Shutdown → Bye), close the
@@ -458,7 +441,6 @@ pub struct DistSource<'a> {
     config: MinerConfig,
     sink: Option<&'a dyn ProgressSink>,
     cancel: Option<&'a CancelToken>,
-    fail_fast: bool,
 }
 
 impl<'a> DistSource<'a> {
@@ -482,15 +464,7 @@ impl<'a> DistSource<'a> {
             ..options.clone()
         };
         let cluster = Cluster::start(&options)?;
-        DistSource::from_ranges(
-            cluster,
-            input,
-            encoders,
-            config,
-            sink,
-            cancel,
-            options.fail_fast,
-        )
+        DistSource::from_ranges(cluster, input, encoders, config, sink, cancel)
     }
 
     /// Have the cluster's workers, started on `input`'s file, parse one
@@ -508,7 +482,6 @@ impl<'a> DistSource<'a> {
         config: &MinerConfig,
         sink: Option<&'a dyn ProgressSink>,
         cancel: Option<&'a CancelToken>,
-        fail_fast: bool,
     ) -> Result<RangeLoad<'a>, MinerError> {
         if cluster.len() != input.ranges.len() {
             return Err(MinerError::Distributed(format!(
@@ -517,7 +490,7 @@ impl<'a> DistSource<'a> {
                 input.ranges.len()
             )));
         }
-        let parsed = match parse_ranges(&mut cluster, &mut input, config, sink, cancel, fail_fast) {
+        let parsed = match parse_ranges(&mut cluster, &mut input, config, sink, cancel) {
             Ok(parsed) => parsed,
             Err(e) => {
                 cluster.abandon();
@@ -569,7 +542,6 @@ impl<'a> DistSource<'a> {
             config: config.clone(),
             sink,
             cancel,
-            fail_fast,
         };
         let loaded = reads
             .into_iter()
@@ -593,14 +565,12 @@ impl<'a> DistSource<'a> {
         }
     }
 
-    /// Declare worker `index` lost during `pass` (0 = the load). Under
-    /// `fail_fast` the loss becomes the run's error; otherwise the
-    /// worker's range of the file is parsed and encoded here, and its rows
-    /// counted here from then on. A parse or encode stopped by the run's
+    /// Declare worker `index` lost during `pass` (0 = the load): its
+    /// range of the file is parsed and encoded here, and its rows counted
+    /// here from then on. A parse or encode stopped by the run's
     /// deadline ends in [`CountError::Cancelled`].
     fn lose(&mut self, index: usize, pass: usize, detail: String) -> Result<(), CountError> {
-        self.cluster
-            .lose(index, pass, detail, self.sink, self.fail_fast)?;
+        self.cluster.lose(index, pass, detail, self.sink);
         let threads = self.config.effective_parallelism();
         let cancel = self.cancel;
         let cancelled = move || cancel.is_some_and(CancelToken::is_cancelled);
@@ -982,15 +952,14 @@ fn parse_ranges(
     config: &MinerConfig,
     sink: Option<&dyn ProgressSink>,
     cancel: Option<&CancelToken>,
-    fail_fast: bool,
 ) -> Result<Vec<RangePart>, MinerError> {
-    if let Some(parts) = parse_round(cluster, input, config, sink, cancel, fail_fast)? {
+    if let Some(parts) = parse_round(cluster, input, config, sink, cancel)? {
         return Ok(parts);
     }
     if let Err(e) = input.cut_records() {
         return Ok(vec![Err(e)]);
     }
-    let parts = parse_round(cluster, input, config, sink, cancel, fail_fast)?;
+    let parts = parse_round(cluster, input, config, sink, cancel)?;
     Ok(parts.expect("ranges cut at record ends are read whatever quotes they hold"))
 }
 
@@ -1005,7 +974,6 @@ fn parse_round(
     config: &MinerConfig,
     sink: Option<&dyn ProgressSink>,
     cancel: Option<&CancelToken>,
-    fail_fast: bool,
 ) -> Result<Option<Vec<RangePart>>, MinerError> {
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
     let threads = config.effective_parallelism();
@@ -1054,7 +1022,7 @@ fn parse_round(
                         Ok(other) => format!("malformed reply ({})", describe(&other)),
                         Err(detail) => detail,
                     };
-                    cluster.lose(index, 0, detail, sink, fail_fast)?;
+                    cluster.lose(index, 0, detail, sink);
                 }
                 parse_here(input, index, threads, &cancelled)
             }
@@ -1067,7 +1035,7 @@ fn parse_round(
                     if cancelled() {
                         return Ok(Some(vec![Err(TableError::Cancelled)]));
                     }
-                    cluster.lose(index, 0, detail, sink, fail_fast)?;
+                    cluster.lose(index, 0, detail, sink);
                 }
             }
             return Ok(None);
@@ -1121,9 +1089,6 @@ pub struct DistOptions {
     pub spawn: WorkerSpawn,
     /// Per-response read timeout (`None` waits forever).
     pub read_timeout: Option<Duration>,
-    /// Surface a lost worker as [`MinerError::WorkerLost`] instead of
-    /// recovering by local recount.
-    pub fail_fast: bool,
 }
 
 impl Default for DistOptions {
@@ -1132,7 +1097,6 @@ impl Default for DistOptions {
             workers: 2,
             spawn: WorkerSpawn::Threads(WorkerOptions::default()),
             read_timeout: Some(Duration::from_secs(120)),
-            fail_fast: false,
         }
     }
 }
@@ -1197,7 +1161,6 @@ mod tests {
             workers,
             spawn: WorkerSpawn::Threads(WorkerOptions::default()),
             read_timeout: Some(Duration::from_secs(30)),
-            fail_fast: false,
         }
     }
 
@@ -1426,11 +1389,9 @@ mod tests {
         cluster: Cluster,
         path: &Path,
         sink: &qar_trace::CollectingSink,
-        fail_fast: bool,
     ) -> Result<MiningOutput, MinerError> {
         let input = range_input(path, cluster.len());
-        let loaded =
-            DistSource::from_ranges(cluster, input, None, &config(), Some(sink), None, fail_fast)?;
+        let loaded = DistSource::from_ranges(cluster, input, None, &config(), Some(sink), None)?;
         match loaded {
             Ok((mut source, _)) => mine_source(&mut *source, &config(), Some(sink), None),
             Err(e) => panic!("the people table failed to parse: {e}"),
@@ -1452,7 +1413,7 @@ mod tests {
             for workers in [1usize, 2, 3, 16] {
                 let (cluster, threads, seen) = flaky_cluster(workers, 0, |_| false, path);
                 let sink = qar_trace::CollectingSink::new();
-                let dist = mine_ranges(cluster, path, &sink, false).unwrap();
+                let dist = mine_ranges(cluster, path, &sink).unwrap();
                 join(threads);
                 assert_identical(&serial, &dist);
                 for (worker, seen) in seen.iter().enumerate() {
@@ -1507,7 +1468,7 @@ mod tests {
             for (name, workers, drops_at, pass) in cases {
                 let (cluster, threads, _) = flaky_cluster(workers, 1, drops_at, path);
                 let sink = qar_trace::CollectingSink::new();
-                let dist = mine_ranges(cluster, path, &sink, false).unwrap();
+                let dist = mine_ranges(cluster, path, &sink).unwrap();
                 join(threads);
                 assert_identical(&serial, &dist);
                 assert_eq!(losses(&sink), [(1, pass)], "{name}: exactly one loss");
@@ -1524,38 +1485,6 @@ mod tests {
         }
         let _ = std::fs::remove_file(&plain);
         let _ = std::fs::remove_file(&quoted);
-    }
-
-    /// Under `fail_fast` a loss is the run's error: at pass 2, and at the
-    /// range request with pass 0.
-    #[test]
-    fn fail_fast_surfaces_worker_lost() {
-        let path = people_csv("fail_fast", |t| t);
-        let (cluster, threads, _) = flaky_cluster(2, 1, at_pair_counts, &path);
-        let sink = qar_trace::CollectingSink::new();
-        let result = mine_ranges(cluster, &path, &sink, true);
-        join(threads);
-        match result {
-            Err(MinerError::WorkerLost { worker, pass, .. }) => {
-                assert_eq!(worker, 1);
-                assert!(pass >= 2);
-            }
-            Err(other) => panic!("expected WorkerLost, got {other}"),
-            Ok(_) => panic!("expected WorkerLost, got Ok"),
-        }
-        let (cluster, threads, _) = flaky_cluster(2, 1, at_parse_range, &path);
-        let input = range_input(&path, 2);
-        let result = DistSource::from_ranges(cluster, input, None, &config(), None, None, true);
-        join(threads);
-        assert!(matches!(
-            result,
-            Err(MinerError::WorkerLost {
-                worker: 1,
-                pass: 0,
-                ..
-            })
-        ));
-        let _ = std::fs::remove_file(&path);
     }
 
     /// A worker lost once the run's deadline has passed ends the run in
@@ -1613,7 +1542,6 @@ mod tests {
             &config(),
             Some(&sink),
             Some(&deadline),
-            false,
         );
         let (mut source, _) = loaded.unwrap().unwrap();
         let result = mine_source(&mut *source, &config(), Some(&sink), Some(&deadline));
@@ -1650,8 +1578,7 @@ mod tests {
             for workers in [2usize, 3] {
                 let (cluster, threads, seen) = flaky_cluster(workers, 0, |_| false, path);
                 let input = range_input(path, workers);
-                let loaded =
-                    DistSource::from_ranges(cluster, input, None, &config(), None, None, false);
+                let loaded = DistSource::from_ranges(cluster, input, None, &config(), None, None);
                 join(threads);
                 match loaded.unwrap() {
                     Err(e) => assert_eq!(e, serial, "{}", path.display()),
@@ -1701,15 +1628,8 @@ mod tests {
         for (workers, drops_at) in [(2, no_drop), (3, no_drop), (3, at_setup), (4, at_setup)] {
             let (cluster, threads, _) = flaky_cluster(workers, 1, drops_at, &path);
             let input = range_input(&path, workers);
-            let loaded = DistSource::from_ranges(
-                cluster,
-                input,
-                Some(encoders.clone()),
-                &cfg,
-                None,
-                None,
-                false,
-            );
+            let loaded =
+                DistSource::from_ranges(cluster, input, Some(encoders.clone()), &cfg, None, None);
             join(threads);
             match loaded.unwrap() {
                 Err(e) => assert_eq!(e, serial, "{workers} workers"),

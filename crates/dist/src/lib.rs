@@ -29,11 +29,9 @@
 //!   encode its own byte range of a CSV file, cut at record ends when the
 //!   file holds a quote;
 //! * partial failure — a worker that times out or drops its connection
-//!   is declared lost (`worker_lost` trace event). By default the
-//!   coordinator *recovers*: it parses the lost range of the file again
-//!   and counts it itself, and the run still completes with the exact
-//!   same answer. With [`DistOptions::fail_fast`] the loss is surfaced as
-//!   [`qar_core::MinerError::WorkerLost`] instead.
+//!   is declared lost (`worker_lost` trace event). The coordinator
+//!   *recovers*: it parses the lost range of the file again and counts it
+//!   itself, and the run still completes with the exact same answer.
 
 #![warn(missing_docs)]
 

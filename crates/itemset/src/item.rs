@@ -196,17 +196,13 @@ impl Itemset {
         self != other && self.generalizes(other)
     }
 
-    /// The itemset with the item at `pos` removed — the `(k-1)`-subsets
-    /// used by the subset-prune step.
-    pub fn without_index(&self, pos: usize) -> Itemset {
-        let mut items = self.items.clone();
-        items.remove(pos);
-        Itemset { items }
-    }
-
     /// All `(k-1)`-subsets, in item order.
     pub fn subsets_dropping_one(&self) -> impl Iterator<Item = Itemset> + '_ {
-        (0..self.items.len()).map(|i| self.without_index(i))
+        (0..self.items.len()).map(|i| {
+            let mut items = self.items.clone();
+            items.remove(i);
+            Itemset { items }
+        })
     }
 
     /// Union of two itemsets with disjoint attributes. Panics when the

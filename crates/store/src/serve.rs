@@ -462,11 +462,10 @@ fn guarded_query(
     execute_query(index, query)
 }
 
-/// Answer `query` against `index` with exactly the CLI's `qar query`
-/// semantics: analytics filters first, then rank when `--by` or
-/// `--top-k` is given (defaulting to confidence), then truncate only for
-/// `k > 0` (`k = 0` keeps everything). Analytics rankings or filters
-/// against a catalog without an analytics section are a structured
+/// Answer `query` against `index`: a point or range query's matches go
+/// through [`apply_options`], the step `qar query` runs too; a top-k
+/// query reads the ranking's first `k`. Analytics rankings against a
+/// catalog without an analytics section are a structured
 /// [`ErrorCode::BadRequest`] — probe [`CatalogInfo::analytics`] first.
 /// The soak tests call this directly to compute expected answers.
 pub fn execute_query(index: &RuleIndex, query: &Query) -> Result<Vec<u32>, WireError> {
@@ -496,15 +495,23 @@ fn require_analytics_for(index: &RuleIndex, by: Option<RankBy>) -> Result<(), Wi
     Ok(())
 }
 
-fn apply_options(
+/// The one query step of `qar query` and `qar serve`: analytics filters
+/// first, then rank when `by` or `top_k` is given (defaulting to
+/// confidence), then truncate only for `k > 0` (`k = 0` keeps
+/// everything). Returns how many ids passed the filters, before the
+/// truncation. An analytics ranking or filter against a catalog without
+/// an analytics section is an [`ErrorCode::BadRequest`] whose message
+/// names `qar analyze`.
+pub fn apply_options(
     index: &RuleIndex,
     ids: &mut Vec<u32>,
     opts: QueryOptions,
-) -> Result<(), WireError> {
+) -> Result<usize, WireError> {
     index
         .filter_analytics(ids, opts.min_lift, opts.max_p)
         .map_err(|e| WireError::new(ErrorCode::BadRequest, e.to_string()))?;
     require_analytics_for(index, opts.by)?;
+    let matched = ids.len();
     if opts.by.is_some() || opts.top_k.is_some() {
         index.rank(ids, opts.by.unwrap_or(RankBy::Confidence));
     }
@@ -513,7 +520,7 @@ fn apply_options(
             ids.truncate(k as usize);
         }
     }
-    Ok(())
+    Ok(matched)
 }
 
 /// Reload a slot from its backing file. On any failure the slot is left

@@ -315,6 +315,17 @@ for trace in credit credit_chunked; do
         "$STORE_DIR/$trace.trace"
 done
 
+echo "==> frequent-itemset memory (2.9M frequent pairs mine under a 450 MB address-space cap)"
+# At minsup 0.1, 100,000 credit rows hold about 2.9M frequent pairs.
+# Step 3 stores each once, in its sorted level (VmPeak about 345 MB);
+# keeping a second copy as hash-map keys took VmPeak to about 560 MB and
+# aborted this run on a failed allocation (exit 134).
+./target/release/qar generate credit --records 100000 --seed 1 --output "$STORE_DIR/pairs.csv"
+( ulimit -v 450000
+  timeout 30 ./target/release/qar mine --input "$STORE_DIR/pairs.csv" \
+    --schema employee_category:cat,marital_status:cat,monthly_income:quant,credit_limit:quant,current_balance:quant,ytd_balance:quant,ytd_interest:quant \
+    --minsup 0.1 --max-size 2 --minconf 0.99 --threads 2 > /dev/null )
+
 echo "==> csv robustness (stray quotes fail fast on their lines; the deadline stops the parse; -0.0 beside 0 mines; a hostile file mines alike on every topology)"
 # The reader is one pass over the bytes: a stray quote on line 2 of a
 # 100,000-row file must be rejected well inside the timeout and named by

@@ -31,8 +31,8 @@ use qar_core::{
 use qar_dist::{DistOptions, DistSource, RangeInput, WorkerOptions, WorkerSpawn};
 use qar_store::format::tag::COUNTS_V1;
 use qar_store::{
-    analytics_from_encoded, analytics_from_mining, section_inventory, Catalog, RankBy, RuleIndex,
-    Server, ServerConfig,
+    analytics_from_encoded, analytics_from_mining, protocol::QueryOptions, section_inventory,
+    Catalog, RankBy, RuleIndex, Server, ServerConfig,
 };
 use qar_table::{
     csv, AttributeEncoder, AttributeKind, ChunkStore, EncodedTable, Schema, SchemaBuilder, Table,
@@ -143,7 +143,7 @@ pub struct QueryArgs {
     /// Overlap query: `attr=lo..hi` — rules mentioning this value range.
     pub range: Option<String>,
     /// Keep only the first N rules after ranking (`None` = all).
-    pub top_k: Option<usize>,
+    pub top_k: Option<u32>,
     /// Ranking metric; `None` preserves the catalog's mined order.
     pub by: Option<RankBy>,
     /// Keep only rules with `lift >= min_lift` (needs analytics).
@@ -1658,23 +1658,14 @@ pub fn run_query(
     } else {
         ((0..catalog.rules().len() as u32).collect(), "stored")
     };
-    index.filter_analytics(&mut ids, args.min_lift, args.max_p)?;
-    let analytics_ranking = matches!(
-        args.by,
-        Some(RankBy::Lift | RankBy::Conviction | RankBy::Chi2 | RankBy::JMeasure)
-    );
-    if analytics_ranking && !index.has_analytics() {
-        return Err(Box::new(qar_store::AnalyticsUnavailable));
-    }
-    let matched = ids.len();
-    if args.by.is_some() || args.top_k.is_some() {
-        index.rank(&mut ids, args.by.unwrap_or(RankBy::Confidence));
-    }
-    if let Some(k) = args.top_k {
-        if k > 0 {
-            ids.truncate(k);
-        }
-    }
+    let opts = QueryOptions {
+        by: args.by,
+        top_k: args.top_k,
+        min_lift: args.min_lift,
+        max_p: args.max_p,
+    };
+    let matched =
+        qar_store::serve::apply_options(&index, &mut ids, opts).map_err(|e| err(e.message))?;
 
     let rules: Vec<QuantRule> = ids
         .iter()
