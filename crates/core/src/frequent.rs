@@ -7,7 +7,7 @@
 //! seed the level-wise search in [`crate::mine`].
 
 use qar_itemset::{Item, Itemset};
-use qar_table::{AttributeKind, EncodedTable};
+use qar_table::{AttributeKind, EncodedTable, Histogram, TableError};
 
 /// All frequent itemsets found by a mining run, with exact support counts.
 /// The sorted levels are the store's only index: every lookup
@@ -102,6 +102,36 @@ pub fn attribute_value_counts(table: &EncodedTable) -> Vec<Vec<u64>> {
             counts
         })
         .collect()
+}
+
+/// [`attribute_value_counts`] without reading a row: `histograms` are
+/// Steps 1–2's value histograms (schema order) of exactly the rows whose
+/// encoding `meta` describes, and each distinct value's count is added
+/// into its code, in O(distinct values). Fails on a value `meta`'s
+/// encoders cannot encode.
+pub fn histogram_value_counts(
+    meta: &EncodedTable,
+    histograms: &[Histogram],
+) -> Result<Vec<Vec<u64>>, TableError> {
+    assert_eq!(
+        histograms.len(),
+        meta.schema().len(),
+        "one histogram per attribute"
+    );
+    let counts = meta
+        .schema()
+        .iter()
+        .zip(histograms)
+        .map(|((id, def), histogram)| meta.encoder(id).code_counts(def.name(), histogram))
+        .collect::<Result<Vec<Vec<u64>>, _>>()?;
+    for column in &counts {
+        assert_eq!(
+            column.iter().sum::<u64>(),
+            meta.num_rows() as u64,
+            "the histograms count other rows than the encoded table's"
+        );
+    }
+    Ok(counts)
 }
 
 /// The combination half of pass 1: derive the frequent items (Step 3,

@@ -37,10 +37,12 @@ use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 ///   reading a cell; a table built apart is fingerprinted once. A change
 ///   that re-partitions (K, strategy, taxonomies, minimum support)
 ///   re-encodes from the cached histograms and value ranks by one lookup
-///   per cell, and [`crate::MiningStats::encoding_reused`] is false there,
+///   per cell, a column per task on the configured threads, and
+///   [`crate::MiningStats::encoding_reused`] is false there,
 /// - runs Steps 3–5 through the one level-wise driver of
 ///   [`crate::source`] over an [`InMemorySource`] that carries its
-///   thread count and cancellation token.
+///   thread count, cancellation token and the cached histograms, from
+///   which pass 1 sums its counts without reading a row.
 ///
 /// ```
 /// use qar_core::{Miner, MinerConfig};
@@ -219,7 +221,8 @@ impl Miner {
                 &self.config,
             )?;
             let spare = std::mem::take(&mut cache.spare);
-            let encoded = cache.ranks.encode(table, encoders, spare)?;
+            let threads = self.config.effective_parallelism();
+            let encoded = cache.ranks.encode(table, encoders, spare, threads)?;
             cache.encoded = Some(Encoding {
                 table: encoded,
                 intervals,
@@ -227,14 +230,6 @@ impl Miner {
             });
         }
         Ok(reused)
-    }
-
-    /// The encoding [`Miner::encode_cached`] left in the cache.
-    fn cached_encoding(&self) -> &Encoding {
-        self.cache
-            .as_ref()
-            .and_then(|cache| cache.encoded.as_ref())
-            .expect("encode_cached ran")
     }
 
     /// Run the full five-step pipeline over a raw [`Table`].
@@ -255,16 +250,15 @@ impl Miner {
             sink: self.sink.as_deref(),
             cancel,
         };
-        let encoding = self
-            .cache
-            .as_mut()
-            .and_then(|cache| cache.encoded.as_mut())
-            .expect("encode_cached ran");
+        let cache = self.cache.as_mut().expect("encode_cached ran");
+        let encoding = cache.encoded.as_mut().expect("encode_cached ran");
         let frequent_reused = encoding.step3.as_ref().is_some_and(|(k, _)| *k == key);
         let mut elapsed_mining = Duration::ZERO;
         if !frequent_reused {
             let counting = Instant::now();
-            let mut source = InMemorySource::new(&encoding.table, config).with_cancel(cancel);
+            let mut source = InMemorySource::new(&encoding.table, config)
+                .with_cancel(cancel)
+                .with_histograms(cache.ranks.histograms());
             let step3 = mine_with_source_ctx(&mut source, config, ctx)?;
             elapsed_mining = counting.elapsed();
             encoding.step3 = Some((key, step3));
@@ -291,10 +285,13 @@ impl Miner {
     ) -> Result<(MiningOutput, SupportCounts), MinerError> {
         let started = Instant::now();
         let reused = self.encode_cached(table)?;
-        let encoding = self.cached_encoding();
+        let cache = self.cache.as_ref().expect("encode_cached ran");
+        let encoding = cache.encoded.as_ref().expect("encode_cached ran");
         let (encoded, intervals) = (&encoding.table, &encoding.intervals);
         let (mut output, captured) = mine_source_captured(
-            &mut self.source(encoded),
+            &mut self
+                .source(encoded)
+                .with_histograms(cache.ranks.histograms()),
             &self.config,
             self.sink.as_deref(),
             self.cancel.as_ref(),
@@ -812,7 +809,9 @@ mod tests {
 
     /// Codes re-cut through the cached value ranks equal a fresh
     /// `EncodedTable::encode` column for column, under every strategy and
-    /// interval policy, a taxonomy, and `-0.0` cells.
+    /// interval policy, a taxonomy, and `-0.0` cells, on 1, 2 and 3
+    /// threads. The table is past the row count below which Steps 1–2
+    /// stay on one thread, so the re-cut runs a column per thread.
     #[test]
     fn recut_codes_equal_a_fresh_encode() {
         use crate::config::PartitionStrategy;
@@ -824,7 +823,7 @@ mod tests {
             .unwrap();
         let mut table = Table::new(schema);
         let labels = ["NY", "SF", "LA", "Boston"];
-        for r in 0..400usize {
+        for r in 0..33_000usize {
             let x = match r % 7 {
                 0 => -0.0,
                 1 => 0.0,
@@ -869,25 +868,32 @@ mod tests {
             ),
             (PartitionSpec::None, PartitionStrategy::EquiDepth),
         ];
-        let mut miner = Miner::new(base.clone());
-        for (partitioning, partition_strategy) in policies {
-            for taxonomies in [
-                Default::default(),
-                [("c".to_string(), taxonomy.clone())].into(),
-            ] {
-                let cfg = MinerConfig {
-                    partitioning: partitioning.clone(),
-                    partition_strategy,
-                    taxonomies,
-                    ..base.clone()
-                };
-                miner.set_config(cfg.clone());
-                let recut = miner.mine(&table).unwrap();
-                let (encoders, _) = crate::pipeline::build_encoders(&table, &cfg).unwrap();
-                let fresh = EncodedTable::encode(&table, encoders).unwrap();
-                assert_eq!(recut.encoded.encoders(), fresh.encoders(), "{cfg:?}");
-                for (id, _) in table.schema().iter() {
-                    assert_eq!(recut.encoded.codes(id), fresh.codes(id), "{cfg:?} {id:?}");
+        for threads in 1..=3 {
+            let base = MinerConfig {
+                parallelism: std::num::NonZeroUsize::new(threads),
+                ..base.clone()
+            };
+            let mut miner = Miner::new(base.clone());
+            for (partitioning, partition_strategy) in policies.clone() {
+                for taxonomies in [
+                    Default::default(),
+                    [("c".to_string(), taxonomy.clone())].into(),
+                ] {
+                    let cfg = MinerConfig {
+                        partitioning: partitioning.clone(),
+                        partition_strategy,
+                        taxonomies,
+                        ..base.clone()
+                    };
+                    miner.set_config(cfg.clone());
+                    let recut = miner.mine(&table).unwrap();
+                    let (encoders, _) = crate::pipeline::build_encoders(&table, &cfg).unwrap();
+                    let fresh = EncodedTable::encode(&table, encoders).unwrap();
+                    let at = format!("{threads} threads, {cfg:?}");
+                    assert_eq!(recut.encoded.encoders(), fresh.encoders(), "{at}");
+                    for (id, _) in table.schema().iter() {
+                        assert_eq!(recut.encoded.codes(id), fresh.codes(id), "{at} {id:?}");
+                    }
                 }
             }
         }

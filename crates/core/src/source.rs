@@ -22,7 +22,9 @@
 //! One local source lives here: [`InMemorySource`] counts the rows this
 //! process holds — a [`Backing`] of an in-memory [`EncodedTable`] (what
 //! [`crate::Miner`] mines through) or a spilled [`ChunkStore`] read one
-//! chunk at a time, so tables larger than memory mine out-of-core.
+//! chunk at a time, so tables larger than memory mine out-of-core. Given
+//! the rows' value histograms from Steps 1–2, it answers pass 1 by
+//! summing them instead of reading the rows.
 //!
 //! The TCP-backed source of the `qar-dist` crate implements the same
 //! trait over a pool of worker processes; each worker counts its
@@ -38,7 +40,10 @@ use std::time::{Duration, Instant};
 use crate::candidate::{generate_candidates, interest_prune_level1};
 use crate::config::{MinerConfig, MinerError};
 use crate::counts::{CapturedCounts, SupportCounts};
-use crate::frequent::{attribute_value_counts, frequent_items_from_counts, QuantFrequentItemsets};
+use crate::frequent::{
+    attribute_value_counts, frequent_items_from_counts, histogram_value_counts,
+    QuantFrequentItemsets,
+};
 use crate::interest::{annotate_interest_until, ItemSupports};
 use crate::mine::{pass_finished_event, MineStats, RunCtx};
 use crate::pipeline::{MiningOutput, MiningStats};
@@ -48,7 +53,7 @@ use crate::supercand::{
     CELLS_KERNEL, CELL_BUDGET,
 };
 use qar_itemset::{Item, Itemset};
-use qar_table::{AttributeId, AttributeKind, ChunkStore, EncodedTable};
+use qar_table::{AttributeId, AttributeKind, ChunkStore, EncodedTable, Histogram};
 use qar_trace::{event::micros, CancelToken, ProgressSink, TraceEvent};
 
 /// Why a [`CountSource`] call did not produce counts.
@@ -98,7 +103,9 @@ pub trait CountSource {
     fn num_rows(&self) -> u64;
 
     /// Pass 1: the per-attribute value histograms (`counts[attr][code]`),
-    /// merged across partitions.
+    /// merged across partitions. A source holding Steps 1–2's value
+    /// histograms of its rows sums them ([`histogram_value_counts`])
+    /// instead of reading the rows.
     fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError>;
 
     /// Pass `k ≥ 2`: the raw support count of each candidate, aligned
@@ -923,11 +930,15 @@ impl Backing<'_> {
 /// Every count walks the [`Backing`]'s rows block by block and sums the
 /// blocks' counts. A whole in-memory table is one block, handed to the
 /// kernels without a copy; spilled chunks are one block each, their scan
-/// statistics folded into one scan's over all their rows.
+/// statistics folded into one scan's over all their rows. Pass 1 reads
+/// no row when the source was given the rows' value histograms
+/// ([`InMemorySource::with_histograms`]).
 pub struct InMemorySource<'a> {
     rows: Backing<'a>,
     /// The in-memory table itself, or a chunk store's header.
     meta: Cow<'a, EncodedTable>,
+    /// Steps 1–2's value histograms of the rows, when the caller has them.
+    histograms: Option<Cow<'a, [Histogram]>>,
     num_threads: usize,
     cancel: Option<CancelToken>,
     pass_stats: Option<PassStats>,
@@ -945,10 +956,19 @@ impl<'a> InMemorySource<'a> {
         InMemorySource {
             rows,
             meta,
+            histograms: None,
             num_threads: config.effective_parallelism(),
             cancel: None,
             pass_stats: None,
         }
+    }
+
+    /// Answer pass 1 from `histograms`, Steps 1–2's value histograms
+    /// (schema order) of exactly the rows this source counts, by
+    /// [`histogram_value_counts`] instead of a scan.
+    pub fn with_histograms(mut self, histograms: impl Into<Cow<'a, [Histogram]>>) -> Self {
+        self.histograms = Some(histograms.into());
+        self
     }
 
     /// Attach the run's cancellation token, if any, checked between
@@ -996,6 +1016,9 @@ impl CountSource for InMemorySource<'_> {
     }
 
     fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError> {
+        if let Some(histograms) = &self.histograms {
+            return Ok(histogram_value_counts(&self.meta, histograms)?);
+        }
         let mut merged: Vec<Vec<u64>> = self
             .meta
             .schema()
@@ -1632,5 +1655,130 @@ mod tests {
             assert_eq!(got, expected, "case {case}");
         });
         assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+    }
+
+    /// CSV text of a random table: an integral column of heavily
+    /// repeated values, a fractional one holding `-0.0` beside `0`, a
+    /// skewed categorical column, and a column of [`CITY_TAXONOMY`]'s
+    /// leaves.
+    fn random_csv(rng: &mut qar_prng::Prng) -> String {
+        use std::fmt::Write;
+        let rows = rng.gen_range(1..250usize);
+        let distinct = rng.gen_range(1..12i64);
+        let mut text = String::from("n,x,c,t\n");
+        for _ in 0..rows {
+            let n = rng.gen_range(0..distinct) * 7 - 20;
+            let x = match rng.gen_range(0..4u32) {
+                0 => "-0.0".to_string(),
+                1 => "0".to_string(),
+                _ => (rng.gen_range(-12..12i64) as f64 / 4.0).to_string(),
+            };
+            let c = if rng.gen_bool(0.7) {
+                "a"
+            } else {
+                ["b", "c"][rng.gen_range(0..2usize)]
+            };
+            let t = CITY_TAXONOMY[rng.gen_range(0..4usize)].0;
+            writeln!(text, "{n},{x},{c},{t}").unwrap();
+        }
+        text
+    }
+
+    /// Leaf → parent edges of the taxonomy of [`random_csv`]'s `t`.
+    const CITY_TAXONOMY: [(&str, &str); 4] = [
+        ("NY", "East"),
+        ("Boston", "East"),
+        ("SF", "West"),
+        ("LA", "West"),
+    ];
+
+    /// On random tables with no partitioning and under several K, pass 1
+    /// summed from the value histograms equals the scan of the encoded
+    /// table; and Step 3 over the rows in memory and over the same text
+    /// spilled in chunks, each answering pass 1 from its histograms (the
+    /// chunks' from the stats pass), equals Step 3 over rows that scan.
+    #[test]
+    fn histogram_pass_one_equals_a_scan_on_random_tables() {
+        use crate::pipeline::build_encoders_from_histograms;
+        let schema = Schema::builder()
+            .quantitative("n")
+            .quantitative("x")
+            .categorical("c")
+            .categorical("t")
+            .build()
+            .unwrap();
+        let taxonomy = qar_table::Taxonomy::from_edges(&CITY_TAXONOMY).unwrap();
+        let step3 = |mined: Result<MiningOutput, MinerError>| {
+            mined
+                .map(|out| {
+                    (
+                        out.frequent.levels.clone(),
+                        out.stats.mine.candidates_per_pass,
+                    )
+                })
+                .map_err(|e| e.to_string())
+        };
+        qar_prng::cases(40, 0x5EED_0035_4157, |case, rng| {
+            let text = random_csv(rng);
+            let table = qar_table::csv::read_table(text.as_bytes(), &schema).unwrap();
+            let histograms = table.histograms();
+            let chunk_rows = rng.gen_range(1..64usize);
+            let summary =
+                qar_table::chunk::summarize_csv(text.as_bytes(), &schema, chunk_rows).unwrap();
+            assert_eq!(summary.histograms(), histograms, "case {case}");
+            for partitioning in [
+                PartitionSpec::None,
+                PartitionSpec::CompletenessLevel(1.5),
+                PartitionSpec::CompletenessLevel(2.0),
+                PartitionSpec::CompletenessLevel(4.0),
+            ] {
+                let at = format!("case {case}, {partitioning:?}");
+                let cfg = MinerConfig {
+                    min_support: 0.1,
+                    max_support: 0.6,
+                    max_itemset_size: 3,
+                    partitioning,
+                    taxonomies: [("t".to_string(), taxonomy.clone())].into(),
+                    ..config()
+                };
+                let (encoders, _) =
+                    build_encoders_from_histograms(&schema, &histograms, &cfg).unwrap();
+                let encoded = EncodedTable::encode(&table, encoders.clone()).unwrap();
+                assert_eq!(
+                    histogram_value_counts(&encoded, &histograms).unwrap(),
+                    attribute_value_counts(&encoded),
+                    "{at}"
+                );
+                let scanned = step3(mine_source(
+                    &mut InMemorySource::new(&encoded, &cfg),
+                    &cfg,
+                    None,
+                    None,
+                ));
+                let in_memory = step3(mine_source(
+                    &mut InMemorySource::new(&encoded, &cfg).with_histograms(&histograms[..]),
+                    &cfg,
+                    None,
+                    None,
+                ));
+                let dir = qar_table::chunk::default_spill_dir("histogram_pass_one");
+                let store = qar_table::chunk::spill_csv(
+                    text.as_bytes(),
+                    &schema,
+                    encoders,
+                    chunk_rows,
+                    dir,
+                )
+                .unwrap();
+                let chunked = step3(mine_source(
+                    &mut InMemorySource::new(&store, &cfg).with_histograms(summary.histograms()),
+                    &cfg,
+                    None,
+                    None,
+                ));
+                assert_eq!(in_memory, scanned, "{at}: in memory");
+                assert_eq!(chunked, scanned, "{at}: chunked by {chunk_rows}");
+            }
+        });
     }
 }

@@ -13,7 +13,8 @@
 //! replies with the range's value histograms. The coordinator merges them,
 //! builds the encoders from them as the serial run does (Steps 1–2) or
 //! takes given ones, and sends them out, and each worker encodes its own
-//! rows. The coordinator parses, encodes and ships no rows. The ranges are
+//! rows. The coordinator parses, encodes and ships no rows, and answers
+//! pass 1 from the merged histograms without a request. The ranges are
 //! first cut at newlines; if the first range that did not parse holds a
 //! `"` byte, the file is cut again at record ends and every range sent
 //! again.
@@ -29,6 +30,7 @@
 //! counting those rows itself from then on. The merged counts, and
 //! therefore the mined rules, are unchanged.
 
+use qar_core::frequent::histogram_value_counts;
 use qar_core::pipeline::build_encoders_from_histograms;
 use qar_core::source::{CountError, CountSource, InMemorySource};
 use qar_core::supercand::{cell_groups, PairHistograms};
@@ -429,6 +431,9 @@ struct Parsed {
 pub struct DistSource<'a> {
     cluster: Cluster,
     meta: EncodedTable,
+    /// Every range's value histograms, merged: pass 1 sums its counts
+    /// from them.
+    histograms: Vec<Histogram>,
     /// Each worker's rows, cluster order.
     rows: Vec<usize>,
     /// The file the workers parsed; a lost worker's range is parsed again.
@@ -523,18 +528,17 @@ impl<'a> DistSource<'a> {
                 }
             }
         }
+        let histograms = merged.expect("a cluster has at least one worker");
         let (encoders, intervals) = match encoders {
             Some(encoders) => (encoders, Vec::new()),
-            None => {
-                let merged = merged.expect("a cluster has at least one worker");
-                build_encoders_from_histograms(&input.schema, &merged, config)?
-            }
+            None => build_encoders_from_histograms(&input.schema, &histograms, config)?,
         };
         let num_rows = rows.iter().sum();
         let meta = EncodedTable::header_only(input.schema.clone(), encoders, num_rows);
         let mut source = DistSource {
             cluster,
             meta,
+            histograms,
             rows,
             input,
             local: Vec::new(),
@@ -850,45 +854,9 @@ impl CountSource for DistSource<'_> {
         self.meta.num_rows() as u64
     }
 
+    /// Summed from the ranges' merged histograms: no request goes out.
     fn value_counts(&mut self) -> Result<Vec<Vec<u64>>, CountError> {
-        if self.is_cancelled() {
-            return Err(CountError::Cancelled);
-        }
-        let started = Instant::now();
-        let mut merged: Vec<Vec<u64>> = self
-            .meta
-            .schema()
-            .iter()
-            .map(|(id, _)| vec![0u64; self.meta.cardinality(id) as usize])
-            .collect();
-        let merged_workers =
-            self.broadcast(1, &DistRequest::CountItems, |_, response| match response {
-                DistResponse::ItemCounts { counts }
-                    if counts.len() == merged.len()
-                        && counts
-                            .iter()
-                            .zip(&merged)
-                            .all(|(got, want)| got.len() == want.len()) =>
-                {
-                    for (acc, add) in merged.iter_mut().zip(&counts) {
-                        for (a, b) in acc.iter_mut().zip(add) {
-                            *a += b;
-                        }
-                    }
-                    Ok(())
-                }
-                other => Err(other),
-            })?;
-        self.count_local(|local| {
-            for (acc, add) in merged.iter_mut().zip(local.value_counts()?) {
-                for (a, b) in acc.iter_mut().zip(add) {
-                    *a += b;
-                }
-            }
-            Ok(())
-        })?;
-        self.emit_merged(1, merged_workers, 0, started);
-        Ok(merged)
+        Ok(histogram_value_counts(&self.meta, &self.histograms)?)
     }
 
     fn count(&mut self, pass: usize, candidates: &[Itemset]) -> Result<Vec<u64>, CountError> {
@@ -932,7 +900,6 @@ fn describe(response: &DistResponse) -> &'static str {
     match response {
         DistResponse::Ready => "Ready",
         DistResponse::Unencodable { .. } => "Unencodable naming no attribute",
-        DistResponse::ItemCounts { .. } => "ItemCounts of the wrong shape",
         DistResponse::Counts { .. } => "Counts of the wrong length",
         DistResponse::PairCounts { .. } => "PairCounts of the wrong length",
         DistResponse::RangeParsed { .. } => "RangeParsed not fitting the schema or the cut",
@@ -1400,9 +1367,9 @@ mod tests {
 
     /// The parse rounds of a quote-free file are one, of a quoted file
     /// two: every worker gets one `ParseRange`, or two, then one `Setup`,
-    /// and joins with its range's rows. The mine equals the serial one at
-    /// every worker count, with empty ranges past the rows, and the
-    /// coordinator parses no range.
+    /// and joins with its range's rows; no pass-1 request follows. The
+    /// mine equals the serial one at every worker count, with empty
+    /// ranges past the rows, and the coordinator parses no range.
     #[test]
     fn range_load_takes_one_parse_round_or_two_when_quoted() {
         let enc = encoded();
@@ -1424,6 +1391,16 @@ mod tests {
                     assert_eq!(tags[..=rounds], want, "{at}");
                     let parses = tags.iter().filter(|&&t| t == tag::REQ_PARSE_RANGE);
                     assert_eq!(parses.count(), rounds, "{at}");
+                    // Pass 1 is summed from the ranges' histograms: after
+                    // `Setup` come only pass ≥ 2 requests and the shutdown.
+                    let counted = &tags[rounds + 1..];
+                    assert!(counted.contains(&tag::REQ_COUNT_PAIRS), "{at}");
+                    let later = [
+                        tag::REQ_COUNT_PAIRS,
+                        tag::REQ_COUNT_CANDIDATES,
+                        tag::REQ_SHUTDOWN,
+                    ];
+                    assert!(counted.iter().all(|t| later.contains(t)), "{at}");
                 }
                 let joined: u64 = sink
                     .events()
@@ -1441,8 +1418,8 @@ mod tests {
         let _ = std::fs::remove_file(&quoted);
     }
 
-    /// A worker lost at any request — its range, the encoders, or pass 1,
-    /// 2 or 3 — has its range parsed again by the coordinator, from a
+    /// A worker lost at any request — its range, the encoders, or pass 2
+    /// or 3 — has its range parsed again by the coordinator, from a
     /// plain file or a quoted one cut again at record ends; the mine
     /// equals the serial one byte for byte and reports exactly one loss.
     #[test]
@@ -1452,10 +1429,9 @@ mod tests {
         let plain = people_csv("lost", |t| t);
         let quoted = people_csv("lost_quoted", quote_one);
         type Case = (&'static str, usize, fn(&DistRequest) -> bool, usize);
-        let cases: [Case; 5] = [
+        let cases: [Case; 4] = [
             ("range", 2, at_parse_range, 0),
             ("setup", 3, |r| matches!(r, DistRequest::Setup { .. }), 0),
-            ("pass 1", 3, |r| matches!(r, DistRequest::CountItems), 1),
             ("pass 2", 2, at_pair_counts, 2),
             (
                 "pass 3",
@@ -1496,7 +1472,7 @@ mod tests {
         let path = people_csv("late_loss", |t| t);
         let deadline = CancelToken::with_deadline(Duration::from_secs(1));
         let header = "Age,Married,NumCars\n".len() as u64;
-        // Worker 0 is a real worker; worker 1 holds its pass 1 until the
+        // Worker 0 is a real worker; worker 1 holds its pass 2 until the
         // deadline has passed, then truncates the file and drops.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
@@ -1517,7 +1493,7 @@ mod tests {
                 let mut stream = TcpStream::connect(&addr).unwrap();
                 let mut worker = Worker::new(&opts);
                 while let Ok(Some(request)) = read_request(&mut stream) {
-                    if matches!(request, DistRequest::CountItems) {
+                    if at_pair_counts(&request) {
                         while !token.deadline_exceeded() {
                             std::thread::sleep(Duration::from_millis(5));
                         }
@@ -1549,7 +1525,7 @@ mod tests {
         let _ = steady.join();
         let _ = late.join();
         let _ = std::fs::remove_file(&path);
-        assert_eq!(losses(&sink), [(1, 1)], "the late worker is lost at pass 1");
+        assert_eq!(losses(&sink), [(1, 2)], "the late worker is lost at pass 2");
         match result {
             Err(MinerError::Cancelled(info)) => assert!(info.deadline_exceeded),
             Err(other) => panic!("expected Cancelled, got {other}"),
@@ -1637,5 +1613,75 @@ mod tests {
             }
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// On random tables — repeated integers, fractions beside `-0.0`,
+    /// skewed labels and a taxonomy column — with no partitioning and
+    /// under several K, the range load over thread workers finds the
+    /// in-memory miner's Step 3; each sums pass 1 from its histograms.
+    #[test]
+    fn random_tables_mine_alike_in_memory_and_over_ranges() {
+        use std::fmt::Write;
+        let schema = Schema::builder()
+            .quantitative("n")
+            .quantitative("x")
+            .categorical("c")
+            .categorical("t")
+            .build()
+            .unwrap();
+        let edges = [("NY", "East"), ("LA", "West"), ("SF", "West")];
+        let taxonomy = qar_table::Taxonomy::from_edges(&edges).unwrap();
+        let step3 = |mined: Result<MiningOutput, MinerError>| {
+            mined
+                .map(|out| {
+                    (
+                        out.frequent.levels.clone(),
+                        out.stats.mine.candidates_per_pass,
+                    )
+                })
+                .map_err(|e| e.to_string())
+        };
+        qar_prng::cases(12, 0x5EED_0035_D157, |case, rng| {
+            let distinct = rng.gen_range(1..10i64);
+            let mut text = String::from("n,x,c,t\n");
+            for _ in 0..rng.gen_range(1..120usize) {
+                let n = rng.gen_range(0..distinct) * 5;
+                let x = match rng.gen_range(0..3u32) {
+                    0 => "-0.0".to_string(),
+                    _ => (rng.gen_range(-8..8i64) as f64 / 4.0).to_string(),
+                };
+                let c = if rng.gen_bool(0.7) { "a" } else { "b" };
+                let t = edges[rng.gen_range(0..3usize)].0;
+                writeln!(text, "{n},{x},{c},{t}").unwrap();
+            }
+            let table = csv::read_table(text.as_bytes(), &schema).unwrap();
+            let path = qar_table::chunk::default_spill_dir("random_ranges").with_extension("csv");
+            std::fs::write(&path, &text).unwrap();
+            let workers = rng.gen_range(1..4usize);
+            for partitioning in [
+                qar_core::PartitionSpec::None,
+                qar_core::PartitionSpec::CompletenessLevel(1.5),
+                qar_core::PartitionSpec::CompletenessLevel(3.0),
+            ] {
+                let at = format!("case {case}, {workers} workers, {partitioning:?}");
+                let cfg = MinerConfig {
+                    min_support: 0.1,
+                    max_support: 0.6,
+                    max_itemset_size: 3,
+                    partitioning,
+                    taxonomies: [("t".to_string(), taxonomy.clone())].into(),
+                    ..config()
+                };
+                let in_memory = step3(Miner::new(cfg.clone()).mine(&table));
+                let input = RangeInput::new(File::open(&path).unwrap(), &path, &schema, workers);
+                let options = threads_options(workers);
+                let loaded =
+                    DistSource::start_ranges(input.unwrap(), None, &cfg, &options, None, None);
+                let (mut source, _) = loaded.unwrap().unwrap();
+                let ranged = step3(mine_source(&mut *source, &cfg, None, None));
+                assert_eq!(ranged, in_memory, "{at}");
+            }
+            let _ = std::fs::remove_file(&path);
+        });
     }
 }

@@ -5,9 +5,11 @@
 //! frequency decisions, rule generation) and delegates only the counting
 //! scans. Each worker owns a disjoint, contiguous partition of the
 //! encoded rows; every pass it returns the **raw** `u64` tallies over its
-//! partition — pass 2 as 2-D pair histograms, later passes as the counts
-//! of the coordinator's candidates — and the coordinator merges them by
-//! element-wise addition. Because the merged counts equal
+//! partition — its range's value histograms at the load, pass 2 as 2-D
+//! pair histograms, later passes as the counts of the coordinator's
+//! candidates — and the coordinator merges them by element-wise
+//! addition; pass 1 is summed from the merged value histograms with no
+//! further request. Because the merged counts equal
 //! a single serial scan's counts exactly — integer addition is the whole
 //! merge — the distributed result is bit-identical to the serial miner:
 //! same frequent itemsets, supports, rules, and (with normalized stats)
@@ -17,7 +19,7 @@
 //!
 //! * [`worker`] — the worker side: a serve loop over the
 //!   [`qar_store::dist`] wire protocol (ParseRange → Setup; then
-//!   CountItems / CountPairs… / CountCandidates… → Shutdown), parsing and
+//!   CountPairs… / CountCandidates… → Shutdown), parsing and
 //!   encoding its own byte range of the input file and counting it
 //!   through the same [`qar_core::InMemorySource`] the serial miner uses;
 //! * [`coordinator`] — the coordinator side: [`Cluster`] spawns and

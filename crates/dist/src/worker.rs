@@ -212,9 +212,6 @@ fn count(
     let mut source = InMemorySource::new(table, config);
     let cancelled = |_: CountError| "counting scan was cancelled".to_string();
     Ok(match request {
-        DistRequest::CountItems => DistResponse::ItemCounts {
-            counts: source.value_counts().map_err(cancelled)?,
-        },
         DistRequest::CountCandidates { pass, candidates } => DistResponse::Counts {
             counts: source
                 .count(pass as usize, &candidates)
@@ -452,7 +449,11 @@ mod tests {
                     schema: schema.clone(),
                     encoders,
                 },
-                DistRequest::CountItems,
+                DistRequest::CountPairs {
+                    pass: 2,
+                    pairs: vec![(0, 1)],
+                    window: 0..6,
+                },
                 DistRequest::Shutdown,
             ],
         );
@@ -469,10 +470,11 @@ mod tests {
             }
         );
         assert_eq!(responses[1], DistResponse::Ready);
+        // (20, No) once and (30, Yes) twice.
         assert_eq!(
             responses[2],
-            DistResponse::ItemCounts {
-                counts: vec![vec![1, 2, 0], vec![1, 2]],
+            DistResponse::PairCounts {
+                cells: vec![1, 0, 0, 2, 0, 0],
             }
         );
     }
@@ -596,7 +598,6 @@ mod tests {
                     schema: schema.clone(),
                     encoders,
                 },
-                DistRequest::CountItems,
                 DistRequest::CountCandidates {
                     pass: 2,
                     candidates: vec![
@@ -619,9 +620,6 @@ mod tests {
                     histograms: table.unwrap().histograms(),
                 },
                 DistResponse::Ready,
-                DistResponse::ItemCounts {
-                    counts: vec![vec![1, 2, 1], vec![1, 3]],
-                },
                 DistResponse::Counts { counts: vec![1, 0] },
                 DistResponse::Bye,
             ]
@@ -642,15 +640,20 @@ mod tests {
             schema: schema.clone(),
             encoders,
         };
+        // (20, No) is age code 0 beside married code 0.
+        let count = DistRequest::CountCandidates {
+            pass: 2,
+            candidates: vec![Itemset::new(vec![Item::value(0, 0), Item::value(1, 0)])],
+        };
         let responses = converse_with(
             &opts,
             &[
-                DistRequest::CountItems,
+                count.clone(),
                 setup.clone(),
                 parse_all(&schema, &path, None),
                 setup.clone(),
                 setup,
-                DistRequest::CountItems,
+                count,
                 DistRequest::Shutdown,
             ],
         );
@@ -667,12 +670,7 @@ mod tests {
         ));
         assert_eq!(responses[3], DistResponse::Ready);
         error(&responses[4], "setup before a parsed range");
-        assert_eq!(
-            responses[5],
-            DistResponse::ItemCounts {
-                counts: vec![vec![1, 0, 0], vec![1, 0]],
-            }
-        );
+        assert_eq!(responses[5], DistResponse::Counts { counts: vec![1] });
         assert_eq!(responses[6], DistResponse::Bye);
     }
 
@@ -837,7 +835,6 @@ mod tests {
                     pairs: vec![(0, 1)],
                     window: 1000..2000,
                 },
-                DistRequest::CountItems,
                 DistRequest::Shutdown,
             ],
         );
@@ -854,8 +851,7 @@ mod tests {
                 cells: vec![0; 1000]
             }
         );
-        assert!(matches!(responses[4], DistResponse::ItemCounts { .. }));
-        assert_eq!(responses[5], DistResponse::Bye);
+        assert_eq!(responses[4], DistResponse::Bye);
     }
 
     #[test]
@@ -864,7 +860,6 @@ mod tests {
             "empty",
             "",
             &[
-                DistRequest::CountItems,
                 DistRequest::CountCandidates {
                     pass: 2,
                     candidates: vec![Itemset::new(vec![Item::value(0, 0), Item::value(1, 0)])],
@@ -877,14 +872,8 @@ mod tests {
                 DistRequest::Shutdown,
             ],
         );
-        assert_eq!(
-            responses[0],
-            DistResponse::ItemCounts {
-                counts: vec![vec![0, 0, 0], vec![0, 0]],
-            }
-        );
-        assert_eq!(responses[1], DistResponse::Counts { counts: vec![0] });
-        assert_eq!(responses[2], DistResponse::PairCounts { cells: vec![0; 6] });
+        assert_eq!(responses[0], DistResponse::Counts { counts: vec![0] });
+        assert_eq!(responses[1], DistResponse::PairCounts { cells: vec![0; 6] });
     }
 
     /// Candidates naming an unknown attribute or a code past the

@@ -16,7 +16,6 @@
 //!                                 → RangeParsed {rows, lines, quoted, histograms}
 //!                                   or RangeFailed {line, bad_number, text}
 //! Setup {schema, encoders}        → Ready or Unencodable {attribute, value}
-//! CountItems                      → ItemCounts {counts}       (pass 1)
 //! CountPairs {pass, pairs, window} → PairCounts {cells}      (pass 2)
 //! CountCandidates {pass, cands}   → Counts {counts}           (pass k ≥ 2)
 //! Shutdown                        → Bye
@@ -31,6 +30,11 @@
 //! field, so such a range holding a `"` byte is not parsed (`quoted`);
 //! the coordinator then cuts the file at record ends and sends every
 //! range again with `records` set, and the worker reads its quoted fields.
+//!
+//! Pass 1 takes no request: the coordinator sums its counts from the
+//! ranges' merged histograms. Its `CountItems`/`ItemCounts` pair (tags 23
+//! and 123) is retired, as the row stream's `Rows`/`RowsLoaded` (22 and
+//! 122) was; those tags decode as unknown.
 //!
 //! Pass 2 ships 2-D histograms instead of candidates: `CountPairs` names
 //! attribute pairs and a window of their cells, and the worker answers
@@ -68,8 +72,6 @@ use std::ops::Range;
 pub mod tag {
     /// Schema + encoders for the table being mined.
     pub const REQ_SETUP: u32 = 21;
-    /// Count the per-attribute value histograms (pass 1).
-    pub const REQ_COUNT_ITEMS: u32 = 23;
     /// Count one batch of candidate itemsets (pass k ≥ 2).
     pub const REQ_COUNT_CANDIDATES: u32 = 24;
     /// Stop the worker; it replies and exits.
@@ -81,8 +83,6 @@ pub mod tag {
 
     /// Setup accepted.
     pub const RESP_READY: u32 = 121;
-    /// Per-attribute histograms answering [`REQ_COUNT_ITEMS`].
-    pub const RESP_ITEM_COUNTS: u32 = 123;
     /// Raw candidate counts answering [`REQ_COUNT_CANDIDATES`].
     pub const RESP_COUNTS: u32 = 124;
     /// Acknowledges [`REQ_SHUTDOWN`]; the connection closes after.
@@ -117,8 +117,6 @@ pub enum DistRequest {
         /// One encoder per attribute, in schema order.
         encoders: Vec<AttributeEncoder>,
     },
-    /// Run pass 1 over the partition: per-attribute value histograms.
-    CountItems,
     /// Count a batch of candidate itemsets over the partition.
     CountCandidates {
         /// Pass number `k ≥ 2` (diagnostic; echoed in traces).
@@ -173,12 +171,6 @@ pub enum DistResponse {
         /// Its first such cell, as the serial encode's error shows it.
         value: String,
     },
-    /// Pass-1 histograms: `counts[attr][code]`, raw tallies over the
-    /// worker's partition.
-    ItemCounts {
-        /// Per-attribute value histograms.
-        counts: Vec<Vec<u64>>,
-    },
     /// Candidate counts, aligned with the request's candidate order —
     /// raw tallies over the worker's partition.
     Counts {
@@ -230,7 +222,6 @@ impl DistRequest {
     pub fn tag(&self) -> u32 {
         match self {
             DistRequest::Setup { .. } => tag::REQ_SETUP,
-            DistRequest::CountItems => tag::REQ_COUNT_ITEMS,
             DistRequest::CountCandidates { .. } => tag::REQ_COUNT_CANDIDATES,
             DistRequest::CountPairs { .. } => tag::REQ_COUNT_PAIRS,
             DistRequest::ParseRange { .. } => tag::REQ_PARSE_RANGE,
@@ -245,7 +236,6 @@ impl DistRequest {
             DistRequest::Setup { schema, encoders } => {
                 return encode_schema_with(schema, encoders);
             }
-            DistRequest::CountItems => {}
             DistRequest::CountCandidates { pass, candidates } => {
                 w.put_u32(*pass);
                 w.put_u64(candidates.len() as u64);
@@ -312,7 +302,6 @@ impl DistRequest {
                 validate_catalog_encoders(&schema, &encoders)?;
                 return Ok(DistRequest::Setup { schema, encoders });
             }
-            tag::REQ_COUNT_ITEMS => DistRequest::CountItems,
             tag::REQ_COUNT_CANDIDATES => {
                 let pass = r.get_u32()?;
                 // An itemset is at least its length prefix + one item.
@@ -392,7 +381,6 @@ impl DistResponse {
         match self {
             DistResponse::Ready => tag::RESP_READY,
             DistResponse::Unencodable { .. } => tag::RESP_UNENCODABLE,
-            DistResponse::ItemCounts { .. } => tag::RESP_ITEM_COUNTS,
             DistResponse::Counts { .. } => tag::RESP_COUNTS,
             DistResponse::PairCounts { .. } => tag::RESP_PAIR_COUNTS,
             DistResponse::RangeParsed { .. } => tag::RESP_RANGE_PARSED,
@@ -410,15 +398,6 @@ impl DistResponse {
             DistResponse::Unencodable { attribute, value } => {
                 w.put_u32(*attribute);
                 w.put_str(value);
-            }
-            DistResponse::ItemCounts { counts } => {
-                w.put_u64(counts.len() as u64);
-                for col in counts {
-                    w.put_u64(col.len() as u64);
-                    for &c in col {
-                        w.put_u64(c);
-                    }
-                }
             }
             DistResponse::Counts { counts: cells } | DistResponse::PairCounts { cells } => {
                 w.put_u64(cells.len() as u64);
@@ -470,19 +449,6 @@ impl DistResponse {
                 attribute: r.get_u32()?,
                 value: r.get_str()?,
             },
-            tag::RESP_ITEM_COUNTS => {
-                let n = r.get_count(8)?;
-                let mut counts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let m = r.get_count(8)?;
-                    let mut col = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        col.push(r.get_u64()?);
-                    }
-                    counts.push(col);
-                }
-                DistResponse::ItemCounts { counts }
-            }
             tag::RESP_COUNTS => DistResponse::Counts {
                 counts: get_u64s(&mut r)?,
             },
@@ -678,7 +644,6 @@ mod tests {
         let (schema, encoders) = sample_schema();
         vec![
             DistRequest::Setup { schema, encoders },
-            DistRequest::CountItems,
             DistRequest::CountCandidates {
                 pass: 2,
                 candidates: vec![
@@ -732,9 +697,6 @@ mod tests {
             DistResponse::Unencodable {
                 attribute: 1,
                 value: "Divorced".to_string(),
-            },
-            DistResponse::ItemCounts {
-                counts: vec![vec![1, 1, 1], vec![1, 2]],
             },
             DistResponse::Counts {
                 counts: vec![2, 0, 17],
@@ -824,12 +786,38 @@ mod tests {
             assert!(!serve_tags.contains(&resp.tag()), "tag {}", resp.tag());
         }
         // A dist frame handed to the serve decoder is UnknownTag.
-        let frame = DistRequest::CountItems.to_frame().unwrap();
+        let frame = DistRequest::Shutdown.to_frame().unwrap();
         let (tag_, payload) = decode_frame(&frame).unwrap();
         assert!(matches!(
             crate::protocol::Request::decode(tag_, payload),
             Err(ProtocolError::UnknownTag(_))
         ));
+    }
+
+    /// The tags of retired messages decode as unknown in both
+    /// directions: the row stream's (`Rows`, `RowsLoaded`) and pass 1's
+    /// (`CountItems`, `ItemCounts`), whose counts the coordinator now
+    /// sums from the ranges' histograms.
+    #[test]
+    fn retired_tags_decode_as_unknown() {
+        for retired in [22u32, 23, 122, 123] {
+            for payload in [&[][..], &[0u8; 8][..]] {
+                assert!(matches!(
+                    DistRequest::decode(retired, payload),
+                    Err(ProtocolError::UnknownTag(t)) if t == retired
+                ));
+                assert!(matches!(
+                    DistResponse::decode(retired, payload),
+                    Err(ProtocolError::UnknownTag(t)) if t == retired
+                ));
+            }
+        }
+        let live: Vec<u32> = sample_requests()
+            .iter()
+            .map(DistRequest::tag)
+            .chain(sample_responses().iter().map(DistResponse::tag))
+            .collect();
+        assert!(live.iter().all(|t| ![22, 23, 122, 123].contains(t)));
     }
 
     #[test]
@@ -893,11 +881,11 @@ mod tests {
     #[test]
     fn range_frames_reject_flips_and_truncations() {
         let frames = [
+            sample_requests()[5].to_frame().unwrap(),
             sample_requests()[6].to_frame().unwrap(),
-            sample_requests()[7].to_frame().unwrap(),
             sample_responses()[1].to_frame().unwrap(),
-            sample_responses()[6].to_frame().unwrap(),
-            sample_responses()[8].to_frame().unwrap(),
+            sample_responses()[5].to_frame().unwrap(),
+            sample_responses()[7].to_frame().unwrap(),
         ];
         let decodes = |bytes: &[u8]| {
             decode_frame(bytes).and_then(|(t, p)| match t {
@@ -978,7 +966,7 @@ mod tests {
         w.put_str("line 0");
         assert!(DistResponse::decode(tag::RESP_RANGE_FAILED, &w.into_bytes()).is_err());
         // A range past the file's end.
-        let mut request = sample_requests()[6].clone();
+        let mut request = sample_requests()[5].clone();
         if let DistRequest::ParseRange { range, .. } = &mut request {
             *range = 90..101;
         }

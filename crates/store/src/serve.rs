@@ -97,9 +97,10 @@ struct ServerState {
 }
 
 impl ServerState {
-    fn emit(&self, event: &TraceEvent) {
+    /// Report the event `event` builds, built only when a sink listens.
+    fn emit(&self, event: impl FnOnce() -> TraceEvent) {
         if let Some(sink) = &self.sink {
-            sink.on_event(event);
+            sink.on_event(&event());
         }
     }
 
@@ -158,7 +159,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             addr,
         };
-        state.emit(&TraceEvent::ServerStarted {
+        state.emit(|| TraceEvent::ServerStarted {
             port: addr.port(),
             threads,
             catalogs: state.slots.len(),
@@ -211,7 +212,7 @@ impl Server {
             if self.state.shutting_down() {
                 break; // the wake-up connection (or a late client)
             }
-            self.state.emit(&TraceEvent::ConnectionOpened { conn });
+            self.state.emit(|| TraceEvent::ConnectionOpened { conn });
             queue
                 .send((stream, conn))
                 .expect("handlers outlive the accept loop");
@@ -294,19 +295,18 @@ fn handle_connection(state: &ServerState, stream: TcpStream, conn: u64) {
             Err(e) => invalid(ErrorCode::BadFrame, format!("unreadable frame: {e}")),
         };
         requests += 1;
-        let results = match &response {
-            Response::Ids { ids, .. } => ids.len(),
-            Response::Batch { items, .. } => {
-                items.iter().map(|i| i.as_ref().map_or(0, Vec::len)).sum()
-            }
-            _ => 0,
-        };
-        state.emit(&TraceEvent::RequestServed {
+        state.emit(|| TraceEvent::RequestServed {
             conn,
             kind: kind.to_string(),
             ok: !matches!(response, Response::Error(_)),
             items,
-            results,
+            results: match &response {
+                Response::Ids { ids, .. } => ids.len(),
+                Response::Batch { items, .. } => {
+                    items.iter().map(|i| i.as_ref().map_or(0, Vec::len)).sum()
+                }
+                _ => 0,
+            },
             elapsed_us: micros(started.elapsed()),
         });
         // A write error means the client went away mid-response.
@@ -321,7 +321,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream, conn: u64) {
             break;
         }
     }
-    state.emit(&TraceEvent::ConnectionClosed { conn, requests });
+    state.emit(|| TraceEvent::ConnectionClosed { conn, requests });
 }
 
 fn write_response(mut stream: &TcpStream, response: &Response) -> io::Result<()> {
@@ -553,7 +553,7 @@ fn reload(state: &ServerState, name: &str) -> Response {
         });
         generation
     };
-    state.emit(&TraceEvent::CatalogReloaded {
+    state.emit(|| TraceEvent::CatalogReloaded {
         catalog: name.to_string(),
         generation,
         rules: rules as usize,

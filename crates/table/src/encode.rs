@@ -234,6 +234,52 @@ impl AttributeEncoder {
         }
     }
 
+    /// The number of cells per code among the cells `histogram` counts:
+    /// each distinct value's count added into its code, in O(distinct
+    /// values). Fails on the first value this encoder cannot encode, or
+    /// on a histogram of the other kind.
+    pub fn code_counts(
+        &self,
+        attribute: &str,
+        histogram: &Histogram,
+    ) -> Result<Vec<u64>, TableError> {
+        let unencodable = |value: String| TableError::UnencodableValue {
+            attribute: attribute.to_owned(),
+            value,
+        };
+        let mut counts = vec![0u64; self.cardinality() as usize];
+        match histogram {
+            Histogram::Quantitative(h) if self.is_quantitative() => {
+                for (&v, &count) in h.values().iter().zip(h.counts()) {
+                    let code = self
+                        .encode_number(v)
+                        .ok_or_else(|| unencodable(Value::Float(v).to_string()))?;
+                    counts[code as usize] += count;
+                }
+            }
+            Histogram::Categorical(h) if !self.is_quantitative() => {
+                for (label, &count) in h.labels().iter().zip(h.counts()) {
+                    let code = self
+                        .encode_label(label)
+                        .ok_or_else(|| unencodable(label.clone()))?;
+                    counts[code as usize] += count;
+                }
+            }
+            _ => {
+                return Err(TableError::TypeMismatch {
+                    attribute: attribute.to_owned(),
+                    expected: if self.is_quantitative() {
+                        "quantitative"
+                    } else {
+                        "categorical"
+                    },
+                    got: "a histogram of the other kind".to_owned(),
+                })
+            }
+        }
+        Ok(counts)
+    }
+
     fn fmt_num(x: f64, integral: bool) -> String {
         if integral {
             format!("{}", x as i64)
@@ -372,11 +418,17 @@ impl TableRanks {
     /// reuses their memory instead of allocating the whole code table
     /// afresh, whose first touch of each page costs a page fault whenever
     /// the allocator has handed the old columns back to the system.
+    ///
+    /// Columns are re-cut one per task on up to `threads` threads (a
+    /// small table stays on the caller's). Unlike [`TableRanks::new`],
+    /// a re-cut holds no column copy in flight: each task writes into
+    /// its spare buffer.
     pub fn encode(
         &self,
         table: &Table,
         encoders: Vec<AttributeEncoder>,
         spare: Vec<Vec<u32>>,
+        threads: usize,
     ) -> Result<EncodedTable, TableError> {
         assert!(
             self.num_rows == table.num_rows() && self.ranks.len() == table.schema().len(),
@@ -404,7 +456,7 @@ impl TableRanks {
             table.num_rows(),
             Some((self, spare)),
             encoders,
-            1,
+            threads,
             &|| false,
         )
     }
@@ -881,7 +933,7 @@ mod tests {
                     Histogram::Categorical(c) => AttributeEncoder::categorical_from(c),
                 })
                 .collect();
-            let ranked = ranks.encode(&t, encoders.clone(), Vec::new()).unwrap();
+            let ranked = ranks.encode(&t, encoders.clone(), Vec::new(), 1).unwrap();
             let fresh = EncodedTable::encode(&t, encoders).unwrap();
             for (id, _) in t.schema().iter() {
                 assert_eq!(ranked.codes(id), fresh.codes(id), "{cuts:?}");
@@ -892,7 +944,9 @@ mod tests {
             AttributeEncoder::categorical_from(&cats(&["No", "Yes"])),
             AttributeEncoder::quant_values_from(&quants(&[2.0])),
         ];
-        let err = ranks.encode(&t, lacking.clone(), Vec::new()).unwrap_err();
+        let err = ranks
+            .encode(&t, lacking.clone(), Vec::new(), 1)
+            .unwrap_err();
         assert_eq!(err, EncodedTable::encode(&t, lacking).unwrap_err());
         assert_eq!(
             err,
@@ -924,12 +978,56 @@ mod tests {
                 Histogram::Categorical(c) => AttributeEncoder::categorical_from(c),
             })
             .collect();
-        let recut = ranks.encode(&t, encoders.clone(), spare).unwrap();
+        let recut = ranks.encode(&t, encoders.clone(), spare, 1).unwrap();
         let fresh = EncodedTable::encode(&t, encoders).unwrap();
         for (id, _) in t.schema().iter() {
             assert_eq!(recut.codes(id), fresh.codes(id), "{id:?}");
             assert_eq!(recut.codes(id).as_ptr(), buffers[id.index()], "{id:?}");
         }
+    }
+
+    /// A histogram's code counts are the counts of its table's encoded
+    /// column; a value the encoder lacks and a histogram of the other
+    /// kind are the errors `encode` gives.
+    #[test]
+    fn code_counts_equal_the_encoded_columns_counts() {
+        let t = people();
+        for encoders in [
+            EncodedTable::encode_full_resolution(&t)
+                .unwrap()
+                .encoders()
+                .to_vec(),
+            vec![
+                AttributeEncoder::quant_intervals_from(&quants(&[]), vec![25.0, 30.0]),
+                AttributeEncoder::categorical_from(&cats(&["No", "Yes"])),
+                AttributeEncoder::quant_intervals_from(&quants(&[]), vec![1.0]),
+            ],
+        ] {
+            let encoded = EncodedTable::encode(&t, encoders.clone()).unwrap();
+            for ((id, def), histogram) in t.schema().iter().zip(t.histograms()) {
+                let mut scanned = vec![0u64; encoded.cardinality(id) as usize];
+                encoded
+                    .codes(id)
+                    .iter()
+                    .for_each(|&c| scanned[c as usize] += 1);
+                let summed = encoders[id.index()].code_counts(def.name(), &histogram);
+                assert_eq!(summed.unwrap(), scanned, "{id:?}");
+            }
+        }
+        let lacking = AttributeEncoder::quant_values_from(&quants(&[0.0, 2.0]));
+        let cars = &t.histograms()[2];
+        assert_eq!(
+            lacking.code_counts("num_cars", cars).unwrap_err(),
+            TableError::UnencodableValue {
+                attribute: "num_cars".into(),
+                value: "1".into()
+            }
+        );
+        let married = AttributeEncoder::categorical_from(&cats(&["No", "Yes"]));
+        assert!(matches!(
+            married.code_counts("married", cars),
+            Err(TableError::TypeMismatch { .. })
+        ));
     }
 
     /// Ranks of one table do not re-encode another of the same shape:
@@ -948,7 +1046,7 @@ mod tests {
             .unwrap()
             .encoders()
             .to_vec();
-        let _ = TableRanks::new(&t).encode(&other, encoders, Vec::new());
+        let _ = TableRanks::new(&t).encode(&other, encoders, Vec::new(), 1);
     }
 
     #[test]

@@ -65,7 +65,8 @@ pub enum TraceEvent {
         hash_tree_nodes: usize,
         /// Estimated peak bytes of counting structures across all shards.
         counter_bytes: usize,
-        /// Wall-clock of the record scan, µs.
+        /// Wall-clock of the record scan, µs. For pass 1 on a source that
+        /// holds Steps 1–2's value histograms, of their sum instead.
         scan_us: u64,
         /// Wall-clock of merging per-shard tallies, µs (0 when serial).
         merge_us: u64,
@@ -184,13 +185,14 @@ pub enum TraceEvent {
         /// Rows in the partition streamed to the worker.
         rows: u64,
     },
-    /// The coordinator merged one pass's count vectors from all workers.
+    /// The coordinator merged one counting call's replies from all
+    /// workers. Pass 1 sends no request, so it has none.
     PassMerged {
         /// 1-based pass number (matches [`TraceEvent::PassStarted`]).
         pass: usize,
         /// Workers whose counts were merged.
         workers: usize,
-        /// Candidates counted this pass (0 for pass 1's histograms).
+        /// Candidates counted this pass (0 for pass 2's histograms).
         candidates: usize,
         /// Wall-clock from dispatch to merged tallies, µs.
         elapsed_us: u64,

@@ -221,6 +221,10 @@ cmp "$STORE_DIR/serial.qarcat" "$STORE_DIR/stdin_dist.qarcat"
     --workers 2 --trace json > /dev/null 2> "$STORE_DIR/dist.trace"
 ./target/release/qar trace-check < "$STORE_DIR/dist.trace" > /dev/null
 test "$(grep -c '"event":"worker_joined"' "$STORE_DIR/dist.trace")" -eq 2
+# Pass 1 is summed from the ranges' histograms, with no round trip: the
+# workers merge pass 2 but no pass 1.
+test "$(grep '"event":"pass_merged"' "$STORE_DIR/dist.trace" | grep -c '"pass":2,')" -eq 1
+test "$(grep '"event":"pass_merged"' "$STORE_DIR/dist.trace" | grep -c '"pass":1,')" -eq 0
 
 echo "==> update smoke (mine -> counts -> --update vs scratch re-mine, byte-identical)"
 # Mine the paper's People table into a catalog (support counts are

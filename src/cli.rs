@@ -1333,8 +1333,9 @@ fn copy_input(path: &str, dir: &Path) -> Result<PathBuf, CliError> {
 /// Read `--input` once into `held`, the rows a mine counts: parsed into
 /// memory, or streamed into chunk files under `spill_dir` with
 /// `--chunk-rows`, and count them through an [`InMemorySource`]. A fresh
-/// mine builds its encoders from the data's value histograms (Steps 1-2);
-/// an update encodes under the catalog's `encoders`. The in-memory parse
+/// mine builds its encoders from the data's value histograms (Steps 1-2),
+/// which the source then sums for pass 1; an update encodes under the
+/// catalog's `encoders`, and its source scans the delta for pass 1. The in-memory parse
 /// and Steps 1-2 run on the run's `--threads` and stop at `cancel`'s
 /// deadline.
 fn load_rows<'a>(
@@ -1360,24 +1361,28 @@ fn load_rows<'a>(
     } else {
         Input::Csv(reader)
     };
-    let (encoders, intervals) = match (encoders, &input) {
-        (Some(encoders), _) => (encoders.to_vec(), Vec::new()),
-        (None, Input::Table(table)) => {
-            let histograms = table
-                .histograms_threaded(threads, &cancelled)
-                .map_err(|e| stopped_in(STEPS_1_2, e, cancel))?;
-            qar_core::pipeline::build_encoders_from_histograms(schema, &histograms, config)?
-        }
-        // The stats pass: a second stream over the file merges one value
-        // histogram per attribute, the input Steps 1-2 read in memory.
-        (None, Input::Csv(_)) => {
-            let summary =
-                qar_table::chunk::summarize_csv(open_input(&args.input)?, schema, args.chunk_rows)?;
-            qar_core::pipeline::build_encoders_from_histograms(
-                schema,
-                &summary.histograms(),
-                config,
-            )?
+    // A fresh mine cuts its encoders from the data's value histograms
+    // (Steps 1-2), and pass 1 sums its counts from them.
+    let (encoders, intervals, histograms) = match (encoders, &input) {
+        (Some(encoders), _) => (encoders.to_vec(), Vec::new(), None),
+        (None, input) => {
+            let histograms = match input {
+                Input::Table(table) => table
+                    .histograms_threaded(threads, &cancelled)
+                    .map_err(|e| stopped_in(STEPS_1_2, e, cancel))?,
+                // The stats pass: a second stream over the file merges one
+                // value histogram per attribute, the input Steps 1-2 read
+                // in memory.
+                Input::Csv(_) => qar_table::chunk::summarize_csv(
+                    open_input(&args.input)?,
+                    schema,
+                    args.chunk_rows,
+                )?
+                .histograms(),
+            };
+            let (encoders, intervals) =
+                qar_core::pipeline::build_encoders_from_histograms(schema, &histograms, config)?;
+            (encoders, intervals, Some(histograms))
         }
     };
     let rows = match input {
@@ -1395,8 +1400,12 @@ fn load_rows<'a>(
         }
     };
     let source = rows.map(|rows| {
-        let source = InMemorySource::new(held.insert(rows).backing(), config);
-        Box::new(source.with_cancel(cancel)) as Box<dyn CountSource>
+        let mut source =
+            InMemorySource::new(held.insert(rows).backing(), config).with_cancel(cancel);
+        if let Some(histograms) = histograms {
+            source = source.with_histograms(histograms);
+        }
+        Box::new(source) as Box<dyn CountSource>
     });
     Ok(Loaded { source, intervals })
 }
