@@ -2,7 +2,7 @@
 //! vs. R*-tree — on a fixed rectangle/point load.
 
 use qar_bench::harness::bench;
-use qar_itemset::{CounterKind, RectCounter};
+use qar_oracle::{CounterKind, RectCounter};
 
 type Workload = (Vec<(Vec<u32>, Vec<u32>)>, Vec<Vec<u32>>);
 

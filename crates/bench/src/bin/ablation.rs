@@ -16,8 +16,9 @@ use qar_core::{
     mine_source, CountSource, InMemorySource, InterestConfig, InterestMode, Miner, MinerConfig,
     PartitionSpec,
 };
-use qar_itemset::{CounterKind, Itemset};
+use qar_itemset::Itemset;
 use qar_oracle::reference::ReferenceSource;
+use qar_oracle::CounterKind;
 use qar_partition::partitioner::interval_supports;
 use qar_partition::{achieved_level, EquiDepth, EquiWidth, KMeans1D, Partitioner};
 use qar_table::{AttributeEncoder, EncodedTable, Histogram, Table};

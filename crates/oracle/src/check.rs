@@ -990,7 +990,8 @@ fn check_catalog(out: &MiningOutput) -> Result<(), Divergence> {
         }
     }
     // Range probes: full span and both halves of every quantitative
-    // attribute's encoded domain.
+    // attribute's encoded domain, and each of its items' endpoints as a
+    // point range (both bounds are inclusive).
     for (id, def) in schema.iter() {
         if def.kind() != AttributeKind::Quantitative {
             continue;
@@ -1004,7 +1005,17 @@ fn check_catalog(out: &MiningOutput) -> Result<(), Divergence> {
             continue;
         };
         let mid = lo + (hi - lo) / 2.0;
-        for (a, b) in [(lo, hi), (lo, mid), (mid, hi)] {
+        let mut probes: Vec<(f64, f64)> = (loaded.rules().iter())
+            .flat_map(|rule| [&rule.antecedent, &rule.consequent])
+            .flat_map(|side| side.items())
+            .filter(|item| item.attr as usize == id.index())
+            .filter_map(|item| encoder.numeric_bounds(item.lo, item.hi))
+            .flat_map(|(ilo, ihi)| [(ilo, ilo), (ihi, ihi)])
+            .collect();
+        probes.sort_by(|x, y| x.0.total_cmp(&y.0));
+        probes.dedup();
+        probes.extend([(lo, hi), (lo, mid), (mid, hi)]);
+        for (a, b) in probes {
             let got = sorted_dedup(index.query_range(id.index() as u32, a, b));
             let want = sorted_dedup(naive_query_range(&loaded, id.index() as u32, a, b));
             if got != want {

@@ -44,7 +44,7 @@ enum Backend {
 /// points fed to [`RectCounter::count_record`] fall inside each.
 ///
 /// ```
-/// use qar_itemset::{CounterKind, RectCounter};
+/// use qar_oracle::{CounterKind, RectCounter};
 ///
 /// // Two 1-D ranges over a domain of 10 codes: [0..4] and [3..9].
 /// let rects = vec![(vec![0], vec![4]), (vec![3], vec![9])];

@@ -16,6 +16,9 @@
 //! self-contained text fixture that [`repro::parse`] turns back into an
 //! executable case.
 //!
+//! The reference's Section 5.2 counters, used nowhere else, live here:
+//! [`RectCounter`] over a [`MultiDimCounter`] array or an R*-tree.
+//!
 //! The crate does no I/O: [`run_fuzz`] returns fixture *strings*; writing
 //! them under `tests/fuzz_repros/` is the CLI's job.
 
@@ -23,14 +26,18 @@
 
 pub mod case;
 pub mod check;
+pub mod counter;
 pub mod gen;
+pub mod ndcounter;
 pub mod reference;
 pub mod repro;
 pub mod shrink;
 
 pub use case::{IncrementalCase, IntervalsCase, MiningCase, PartitionCase, ReproCase, SnapCase};
 pub use check::{check_case, Divergence};
+pub use counter::{CounterKind, RectCounter};
 pub use gen::gen_case;
+pub use ndcounter::MultiDimCounter;
 pub use repro::ReproError;
 pub use shrink::shrink;
 

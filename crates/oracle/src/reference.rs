@@ -13,9 +13,10 @@
 //! * [`naive_mine`] and [`count_candidates_naive`] — brute force, one row
 //!   scan per itemset.
 
+use crate::counter::{CounterKind, RectCounter};
 use qar_core::supercand::PassStats;
 use qar_core::{CountError, CountSource, MinerConfig, QuantFrequentItemsets};
-use qar_itemset::{CounterKind, HashTree, Item, Itemset, RectCounter, VisitScratch};
+use qar_itemset::{HashTree, Item, Itemset, VisitScratch};
 use qar_table::threads::run_sharded;
 use qar_table::{AttributeId, AttributeKind, EncodedTable};
 use std::collections::BTreeMap;

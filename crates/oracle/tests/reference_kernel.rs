@@ -5,8 +5,9 @@
 //! against the brute-force recount.
 
 use qar_core::supercand::{count_candidates, PairHistograms, PassStats, ScanOptions, CELL_BUDGET};
-use qar_itemset::{CounterKind, Item, Itemset};
+use qar_itemset::{Item, Itemset};
 use qar_oracle::reference::{count_candidates_naive, count_direct};
+use qar_oracle::CounterKind;
 use qar_table::{AttributeId, EncodedTable, Schema, Table, Value};
 use std::ops::Range;
 

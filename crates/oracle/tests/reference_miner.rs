@@ -3,8 +3,9 @@
 //! level 1, and the paper's counting with either backend pinned.
 
 use qar_core::{mine_source, Miner, MinerConfig, PartitionSpec};
-use qar_itemset::{CounterKind, Item, Itemset};
+use qar_itemset::{Item, Itemset};
 use qar_oracle::reference::{count_candidates_naive, naive_mine, ReferenceSource};
+use qar_oracle::CounterKind;
 use qar_table::{AttributeEncoder, EncodedTable, Schema, Table, Value};
 
 /// Figure 3's People table with the Figure 3(b) Age partitioning.

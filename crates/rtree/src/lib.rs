@@ -14,8 +14,9 @@
 //! * **topological split** — axis chosen by minimum margin sum, split index
 //!   by minimum overlap (ties: minimum area);
 //! * **STR bulk loading** (Leutenegger et al.) for building a tree from a
-//!   known rectangle set in one pass — what the miner does at the start of
-//!   every counting pass;
+//!   known rectangle set in one pass — what the fuzz oracle's Section 5.2
+//!   reference (`qar_oracle::counter`) does for each super-candidate it
+//!   counts on an R*-tree;
 //! * point and window queries, deletion with subtree reinsertion, and a
 //!   structural [`RStarTree::check_invariants`] used heavily by the
 //!   property tests.

@@ -598,18 +598,6 @@ impl<T> RStarTree<T> {
         Self::bulk_load_with_max_entries(items, DEFAULT_MAX_ENTRIES)
     }
 
-    /// Bulk-load a one-dimensional tree from inclusive `[lo, hi]`
-    /// intervals — the shape `qar-store`'s per-attribute rule indexes
-    /// use. Panics if any `lo > hi` (inherited from [`Rect::new`]).
-    pub fn bulk_load_intervals(items: impl IntoIterator<Item = (f64, f64, T)>) -> Self {
-        Self::bulk_load(
-            items
-                .into_iter()
-                .map(|(lo, hi, value)| (Rect::new(&[lo], &[hi]), value))
-                .collect(),
-        )
-    }
-
     /// STR bulk load with explicit node capacity.
     pub fn bulk_load_with_max_entries(items: Vec<(Rect, T)>, max_entries: usize) -> Self {
         let mut tree = Self::with_max_entries(max_entries);
@@ -921,25 +909,6 @@ mod tests {
             b.sort();
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn bulk_load_intervals_point_and_window_queries() {
-        // Intervals [i, i+10] for i in 0..100: point 25.0 hits 15..=25.
-        let tree =
-            RStarTree::bulk_load_intervals((0..100u32).map(|i| (i as f64, i as f64 + 10.0, i)));
-        tree.check_invariants();
-        assert_eq!(tree.len(), 100);
-        let mut hits = Vec::new();
-        tree.query_point(&[25.0], |v| hits.push(*v));
-        hits.sort();
-        assert_eq!(hits, (15..=25).collect::<Vec<u32>>());
-        let mut overlapping = Vec::new();
-        tree.query_intersecting(&Rect::new(&[98.0], &[200.0]), |v| overlapping.push(*v));
-        overlapping.sort();
-        assert_eq!(overlapping, (88..100).collect::<Vec<u32>>());
-        let empty: RStarTree<u8> = RStarTree::bulk_load_intervals(std::iter::empty());
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! * **Point** ([`RuleIndex::query_record`]): which rules *fire* for a
 //!   record — every antecedent item matched by the record's code on that
 //!   attribute. Exact (single-code) antecedent items live in per-code
-//!   posting lists; range items live in a per-attribute 1-D
-//!   [`RStarTree`] over code space. A per-rule match counter turns the
-//!   union of lookups into "all antecedent items matched".
+//!   posting lists; range items live in a per-attribute sorted interval
+//!   list over code space, which code `c` queries as the range `[c, c]`.
+//!   A per-rule match counter turns the union of lookups into "all
+//!   antecedent items matched".
 //! * **Overlap** ([`RuleIndex::query_range`]): which rules *mention* a
 //!   value range on a quantitative attribute, on either side of the
-//!   arrow. These trees are built in raw value space (via
+//!   arrow. These interval lists are built in raw value space (via
 //!   [`AttributeEncoder::numeric_bounds`]) so a query range that falls
 //!   between observed values still hits the enclosing intervals.
 //! * **Top-k** ([`RuleIndex::top_k`], [`RuleIndex::rank`]): rules by
@@ -20,7 +21,6 @@
 //! can be decoded and rendered through the catalog.
 
 use crate::catalog::Catalog;
-use qar_rtree::{RStarTree, Rect};
 use qar_table::AttributeEncoder;
 use qar_trace::{event::micros, ProgressSink, TraceEvent};
 use std::time::Instant;
@@ -117,12 +117,12 @@ pub struct RuleIndex {
     /// `postings[attr][code]` → rules whose antecedent has the exact
     /// item `⟨attr, code⟩`.
     postings: Vec<Vec<Vec<u32>>>,
-    /// Per-attribute interval tree over *code* space for antecedent
-    /// range items (`lo < hi`).
-    point_trees: Vec<Option<RStarTree<u32>>>,
-    /// Per-attribute interval tree over *value* space for every item
+    /// Per-attribute intervals in *code* space for antecedent range
+    /// items (`lo < hi`).
+    point_lists: Vec<IntervalList>,
+    /// Per-attribute intervals in *value* space for every item
     /// (antecedent and consequent) with numeric bounds.
-    mention_trees: Vec<Option<RStarTree<u32>>>,
+    mention_lists: Vec<IntervalList>,
     /// Rule ids in descending order per metric.
     by_support: Vec<u32>,
     by_confidence: Vec<u32>,
@@ -186,11 +186,8 @@ impl RuleIndex {
 
         let interval_entries = point_items.iter().map(Vec::len).sum::<usize>()
             + mention_items.iter().map(Vec::len).sum::<usize>();
-        let to_tree = |items: Vec<(f64, f64, u32)>| {
-            (!items.is_empty()).then(|| RStarTree::bulk_load_intervals(items))
-        };
-        let point_trees = point_items.into_iter().map(to_tree).collect();
-        let mention_trees = mention_items.into_iter().map(to_tree).collect();
+        let point_lists = point_items.into_iter().map(IntervalList::new).collect();
+        let mention_lists = mention_items.into_iter().map(IntervalList::new).collect();
 
         let ids = || (0..rules.len() as u32).collect::<Vec<u32>>();
         let mut by_support = ids();
@@ -247,8 +244,8 @@ impl RuleIndex {
         let index = RuleIndex {
             ant_len,
             postings,
-            point_trees,
-            mention_trees,
+            point_lists,
+            mention_lists,
             by_support,
             by_confidence,
             by_interest,
@@ -292,9 +289,8 @@ impl RuleIndex {
                     matches[id as usize] += 1;
                 }
             }
-            if let Some(tree) = &self.point_trees[attr as usize] {
-                tree.query_point(&[code as f64], |&id| matches[id as usize] += 1);
-            }
+            let code = code as f64;
+            self.point_lists[attr as usize].overlapping(code, code, |id| matches[id as usize] += 1);
         }
         matches
             .iter()
@@ -309,14 +305,14 @@ impl RuleIndex {
     /// space). Returns ascending rule ids; empty for unknown/categorical
     /// attributes or an empty range (`lo > hi`).
     pub fn query_range(&self, attr: u32, lo: f64, hi: f64) -> Vec<u32> {
-        let Some(Some(tree)) = self.mention_trees.get(attr as usize) else {
+        let Some(list) = self.mention_lists.get(attr as usize) else {
             return Vec::new();
         };
         if lo > hi || lo.is_nan() || hi.is_nan() {
             return Vec::new();
         }
         let mut ids = Vec::new();
-        tree.query_intersecting(&Rect::new(&[lo], &[hi]), |&id| ids.push(id));
+        list.overlapping(lo, hi, |id| ids.push(id));
         ids.sort_unstable();
         ids.dedup();
         ids
@@ -392,6 +388,38 @@ impl RuleIndex {
     }
 }
 
+/// One attribute's inclusive `(lo, hi, rule id)` intervals sorted by
+/// `lo`, each item once: expanding ranges into per-code postings would
+/// cost the sum of their widths, unbounded under `--no-partition`.
+struct IntervalList {
+    items: Vec<(f64, f64, u32)>,
+    /// `reach[i]` is the largest `hi` in `items[..=i]`.
+    reach: Vec<f64>,
+}
+
+impl IntervalList {
+    fn new(mut items: Vec<(f64, f64, u32)>) -> Self {
+        items.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
+        let mut reach: Vec<f64> = items.iter().map(|&(_, hi, _)| hi).collect();
+        for i in 1..reach.len() {
+            reach[i] = reach[i].max(reach[i - 1]);
+        }
+        IntervalList { items, reach }
+    }
+
+    /// Calls `hit` with the rule id of every interval meeting `[a, b]`;
+    /// none reaches `a` before `start`, and none begins by `b` from `end`.
+    fn overlapping(&self, a: f64, b: f64, mut hit: impl FnMut(u32)) {
+        let start = self.reach.partition_point(|&r| r < a);
+        let end = self.items.partition_point(|&(lo, _, _)| lo <= b);
+        for &(_, hi, id) in self.items.get(start..end).unwrap_or_default() {
+            if hi >= a {
+                hit(id);
+            }
+        }
+    }
+}
+
 /// Naive reference for [`RuleIndex::query_record`]: linear scan over all
 /// rules checking antecedent coverage item by item. The property tests
 /// assert the index returns exactly this.
@@ -445,4 +473,41 @@ pub fn naive_query_range(catalog: &Catalog, attr: u32, lo: f64, hi: f64) -> Vec<
         })
         .map(|(id, _)| id as u32)
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn hits(list: &IntervalList, a: f64, b: f64) -> Vec<u32> {
+        let mut ids = Vec::new();
+        list.overlapping(a, b, |id| ids.push(id));
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn interval_list_bounds_are_inclusive() {
+        // Intervals [i, i + 10] for i in 0..100, given in reverse.
+        let list = IntervalList::new(
+            (0..100u32)
+                .rev()
+                .map(|i| (i as f64, i as f64 + 10.0, i))
+                .collect(),
+        );
+        assert_eq!(hits(&list, 25.0, 25.0), (15..=25).collect::<Vec<u32>>());
+        assert_eq!(hits(&list, 98.0, 200.0), (88..100).collect::<Vec<u32>>());
+        assert_eq!(hits(&list, 109.0, 109.0), vec![99]);
+        assert!(hits(&list, 109.5, 200.0).is_empty());
+        assert!(hits(&list, -5.0, -0.5).is_empty());
+        assert!(hits(&IntervalList::new(Vec::new()), 0.0, 1.0).is_empty());
+    }
+
+    #[test]
+    fn a_wide_early_interval_does_not_hide_later_ones() {
+        let list = IntervalList::new(vec![(0.0, 100.0, 0), (1.0, 2.0, 1), (50.0, 60.0, 2)]);
+        assert_eq!(hits(&list, 55.0, 55.0), vec![0, 2]);
+        assert_eq!(hits(&list, 2.0, 50.0), vec![0, 1, 2]);
+        assert!(hits(&list, 100.5, 101.0).is_empty());
+    }
 }

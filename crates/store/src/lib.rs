@@ -9,8 +9,8 @@
 //!   [`qar_core::MiningStats`], serialized to a versioned, checksummed,
 //!   length-prefixed binary format ([`mod@format`]) that round-trips
 //!   bit-exactly and fails loudly ([`StoreError`]) on any corruption.
-//! * [`RuleIndex`] — posting lists plus `qar-rtree` interval trees over
-//!   the catalog, answering "which rules fire for this record" (point),
+//! * [`RuleIndex`] — posting lists plus sorted interval lists over the
+//!   catalog, answering "which rules fire for this record" (point),
 //!   "which rules mention age ∈ [30, 40]" (overlap), and top-k by
 //!   support / confidence / interest.
 //!

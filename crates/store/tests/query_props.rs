@@ -7,6 +7,7 @@ mod common;
 use common::arb_catalog;
 use qar_core::{Miner, MinerConfig, PartitionSpec};
 use qar_datagen::{PlantedConfig, PlantedDataset};
+use qar_itemset::Item;
 use qar_prng::Prng;
 use qar_store::{naive_query_range, naive_query_record, Catalog, RuleIndex};
 use qar_table::AttributeKind;
@@ -27,13 +28,72 @@ fn arb_record(rng: &mut Prng, catalog: &Catalog) -> Vec<(u32, u32)> {
     record
 }
 
+/// Every item of every rule, either side of the arrow.
+fn all_items(catalog: &Catalog) -> impl Iterator<Item = &Item> {
+    (catalog.rules().iter())
+        .flat_map(|rule| [&rule.antecedent, &rule.consequent])
+        .flat_map(|side| side.items())
+}
+
+/// [`arb_record`] with each supplied code moved, half the time, onto the
+/// `lo` or `hi` of a range item (`lo < hi`) of its attribute, where the
+/// inclusive ends of the index's intervals are tested.
+fn arb_boundary_record(rng: &mut Prng, catalog: &Catalog) -> Vec<(u32, u32)> {
+    let mut record = arb_record(rng, catalog);
+    for (attr, code) in &mut record {
+        let ends: Vec<u32> = all_items(catalog)
+            .filter(|item| item.attr == *attr && item.lo < item.hi)
+            .flat_map(|item| [item.lo, item.hi])
+            .collect();
+        if !ends.is_empty() && rng.gen_bool(0.5) {
+            *code = ends[rng.gen_range(0..ends.len())];
+        }
+    }
+    record
+}
+
+/// Value ranges on `attr` bounded by the catalog's own items: each item's
+/// endpoints as a point range and as one bound of a range whose other
+/// bound is random (both bounds are inclusive), and a range strictly
+/// inside each gap between two observed values an item spans.
+fn boundary_ranges(rng: &mut Prng, catalog: &Catalog, attr: u32) -> Vec<(f64, f64)> {
+    let Some(enc) = catalog.encoders().get(attr as usize) else {
+        return Vec::new();
+    };
+    let mut ranges = Vec::new();
+    for item in all_items(catalog).filter(|item| item.attr == attr) {
+        let Some((lo, hi)) = enc.numeric_bounds(item.lo, item.hi) else {
+            continue;
+        };
+        let below = lo.min(rng.gen_range(-1.0e11..1.0e11));
+        let above = hi.max(rng.gen_range(-1.0e11..1.0e11));
+        ranges.extend([(lo, lo), (hi, hi), (below, lo), (hi, above), (lo, hi)]);
+        for code in item.lo..item.hi {
+            let last = enc.numeric_bounds(code, code).expect("quantitative").1;
+            let next = enc
+                .numeric_bounds(code + 1, code + 1)
+                .expect("quantitative")
+                .0;
+            let (a, b) = (last * 0.75 + next * 0.25, last * 0.25 + next * 0.75);
+            if last < a && a <= b && b < next {
+                ranges.push((a, b));
+            }
+        }
+    }
+    ranges
+}
+
 #[test]
 fn point_queries_match_naive_scan() {
     qar_prng::cases(48, 0x901147, |case, rng| {
         let catalog = arb_catalog(rng);
         let index = RuleIndex::build(&catalog, None);
-        for _ in 0..16 {
-            let record = arb_record(rng, &catalog);
+        for i in 0..32 {
+            let record = if i < 16 {
+                arb_record(rng, &catalog)
+            } else {
+                arb_boundary_record(rng, &catalog)
+            };
             let got = index.query_record(&record);
             let want = naive_query_record(&catalog, &record);
             assert_eq!(got, want, "case {case}: record {record:?}");
@@ -69,6 +129,15 @@ fn range_queries_match_naive_scan() {
                 naive_query_range(&catalog, attr, lo, hi),
                 "case {case}: range {attr}={lo}..{hi}"
             );
+        }
+        for attr in 0..catalog.schema().len() as u32 {
+            for (lo, hi) in boundary_ranges(rng, &catalog, attr) {
+                assert_eq!(
+                    index.query_range(attr, lo, hi),
+                    naive_query_range(&catalog, attr, lo, hi),
+                    "case {case}: boundary range {attr}={lo}..{hi}"
+                );
+            }
         }
     });
 }
@@ -125,6 +194,13 @@ fn mined_catalog_queries_match_naive_scan() {
                 index.query_range(attr, lo, hi),
                 naive_query_range(&catalog, attr, lo, hi),
                 "attr {attr} range {lo}..{hi}"
+            );
+        }
+        for (lo, hi) in boundary_ranges(&mut rng, &catalog, attr) {
+            assert_eq!(
+                index.query_range(attr, lo, hi),
+                naive_query_range(&catalog, attr, lo, hi),
+                "attr {attr} boundary range {lo}..{hi}"
             );
         }
     }

@@ -18,6 +18,15 @@ LC_ALL=C awk 'length($0) > 32768 { bad = 1
     printf "CHANGES.md line %d is %d bytes, over 32 KiB\n", NR, length($0) > "/dev/stderr" }
     END { exit bad }' CHANGES.md
 
+echo "==> the Section 5.2 counters stay with the oracle (no R*-tree or RectCounter in production code)"
+# Only the R*-tree crate itself, the fuzz oracle's reference and the
+# benches may name them; the miner and the rule index use neither.
+if grep -rnE 'qar_rtree|RectCounter|CounterKind|MultiDimCounter' src crates/*/src |
+    grep -vE '^crates/(rtree|oracle|bench)/'; then
+    echo "the lines above name a Section 5.2 counter outside crates/rtree, crates/oracle and crates/bench" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

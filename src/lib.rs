@@ -15,7 +15,6 @@ pub use qar_dist as dist;
 pub use qar_itemset as itemset;
 pub use qar_partition as partition;
 pub use qar_ps91 as ps91;
-pub use qar_rtree as rtree;
 pub use qar_store as store;
 pub use qar_table as table;
 pub use qar_trace as trace;

@@ -11,6 +11,7 @@
 //! updates follow the pair-subset rule.
 
 use qar_oracle::reference::ReferenceSource;
+use qar_oracle::CounterKind;
 use quantrules::core::mine::MineStats;
 use quantrules::core::pipeline::{build_encoders, MiningOutput};
 use quantrules::core::supercand::{PairHistograms, CELL_BUDGET};
@@ -19,7 +20,7 @@ use quantrules::core::{
     MergeSource, Miner, MinerConfig, MinerError, PartitionSpec, SupportCounts, UpdateInput,
 };
 use quantrules::dist::{DistOptions, DistSource, RangeInput, WorkerOptions, WorkerSpawn};
-use quantrules::itemset::{CounterKind, Itemset};
+use quantrules::itemset::Itemset;
 use quantrules::store::Catalog;
 use quantrules::table::{
     csv, AttributeId, AttributeKind, ChunkStore, EncodedTable, Schema, Table, Value,

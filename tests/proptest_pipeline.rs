@@ -306,7 +306,7 @@ fn minsup_monotone() {
 #[test]
 fn backends_agree() {
     cases(48, 0x5EED_4242_0004, |case, rng| {
-        use quantrules::itemset::CounterKind;
+        use qar_oracle::CounterKind;
         let table = arbitrary_table(rng);
         let encoded = EncodedTable::encode_full_resolution(&table).expect("encode");
         let config = base_config();
